@@ -35,9 +35,27 @@ class FrequencyAssessor(abc.ABC):
         self._n_requests += 1
         self._record(ap)
 
+    def record_run(self, ap: AccessPattern, n: int) -> None:
+        """Record ``n`` consecutive search requests using pattern ``ap``.
+
+        Identical to ``n`` :meth:`record` calls; a route hop's probes all
+        share one pattern, so the engine records them as one run.
+        """
+        if n <= 0:
+            return
+        if ap.jas is not self.jas and ap.jas != self.jas:
+            raise ValueError(f"pattern {ap!r} ranges over a different JAS than this assessor")
+        self._n_requests += n
+        self._record_run(ap, n)
+
     @abc.abstractmethod
     def _record(self, ap: AccessPattern) -> None:
         """Method-specific statistics update for one request."""
+
+    def _record_run(self, ap: AccessPattern, n: int) -> None:
+        """Statistics update for ``n`` consecutive requests (default: the loop)."""
+        for _ in range(n):
+            self._record(ap)
 
     @abc.abstractmethod
     def frequent_patterns(self, theta: float) -> dict[AccessPattern, float]:

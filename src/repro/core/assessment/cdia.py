@@ -76,6 +76,9 @@ class CDIA(FrequencyAssessor):
     def _record(self, ap: AccessPattern) -> None:
         self._sketch.offer(ap)
 
+    def _record_run(self, ap: AccessPattern, n: int) -> None:
+        self._sketch.offer_run(ap, n)
+
     def frequent_patterns(self, theta: float) -> dict[AccessPattern, float]:
         check_fraction("theta", theta)
         return dict(self._sketch.frequent_items(theta))

@@ -23,13 +23,14 @@ wildcard bucket ids.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration, ValueMapper, _default_map
-from repro.core.probe_plan import ProbePlanCache
+from repro.core.probe_plan import ProbePlan, ProbePlanCache
 from repro.indexes.base import Accountant, CostParams, SearchOutcome, StateIndex
+from repro.utils.bitops import _cached_value_hash
 
 BucketKey = tuple[int, ...]
 
@@ -231,13 +232,16 @@ class BitAddressIndex(StateIndex):
         # C_hash,Sr: one hash per attribute the request specifies.
         acct.hashes += plan.n_attributes
 
+        tails = self._tails
+        row = candidate_keys = None
         if plan.fixed:
-            mapper = self.value_mapper
-            fn = _default_map if mapper is None else mapper
-            fixed = {pos: fn(name, values[name], w) for pos, name, w in plan.fixed}
-            candidate_keys = self._intersect_candidates(fixed)
-        else:
-            candidate_keys = None  # no indexed attribute constrains the probe
+            if tails:
+                candidate_keys = self._intersect_candidates(
+                    plan.fixed, self._fixed_fragments(plan, values)
+                )
+            else:
+                row = self._probe_row(plan, values)
+        # else: no indexed attribute constrains the probe
 
         live = len(self._buckets)
         # Charged visits: min(2**wildcard_bits, live), floored at one visit
@@ -248,8 +252,9 @@ class BitAddressIndex(StateIndex):
         outcome = SearchOutcome()
         outcome.buckets_visited = visited
         buckets = self._buckets
-        tails = self._tails
-        if candidate_keys is None:
+        if row is not None:
+            outcome.matches, examined = row
+        elif candidate_keys is None:
             examined = self._size
             if tails:
                 items = (
@@ -263,7 +268,7 @@ class BitAddressIndex(StateIndex):
                     item for bucket in buckets.values() for item in bucket.values()
                 )
             outcome.used_full_scan = True
-        elif tails:
+        else:
             examined = 0
             heat = self._heat
             for k in candidate_keys:
@@ -273,15 +278,13 @@ class BitAddressIndex(StateIndex):
                     examined += len(tail)
                     heat[k] = heat.get(k, 0) + 1
             items = (item for k in candidate_keys for item in self._bucket_members(k))
-        else:
-            examined = sum(len(buckets[k]) for k in candidate_keys)
-            items = (item for k in candidate_keys for item in buckets[k].values())
         acct.tuples_examined += examined
         outcome.tuples_examined = examined
-        if plan.is_full_scan:
-            outcome.matches = list(items)
-        else:
-            outcome.matches = plan.select(items, values)
+        if row is None:
+            if plan.is_full_scan:
+                outcome.matches = list(items)
+            else:
+                outcome.matches = plan.select(items, values)
         return outcome
 
     def search_batch(
@@ -360,29 +363,17 @@ class BitAddressIndex(StateIndex):
                 outcomes.append(out)
             return outcomes
 
-        mapper = self.value_mapper
-        fn = _default_map if mapper is None else mapper
-        fixed_spec = plan.fixed
-        select = plan.select
-        is_full_scan = plan.is_full_scan
+        probe_row = self._probe_row
         cache = {}
         for values in values_list:
-            vkey = tuple(values[a] for a in attrs)
+            vkey = tuple(map(values.__getitem__, attrs))
             try:
                 hit = cache.get(vkey)
             except TypeError:  # unhashable row: compute uncached, as serial would
                 vkey = None
                 hit = None
             if hit is None:
-                fixed = {pos: fn(name, values[name], w) for pos, name, w in fixed_spec}
-                candidate_keys = self._intersect_candidates(fixed)
-                examined = sum(len(buckets[k]) for k in candidate_keys)
-                items = (item for k in candidate_keys for item in buckets[k].values())
-                if is_full_scan:
-                    matches = list(items)
-                else:
-                    matches = select(items, values)
-                hit = (matches, examined)
+                hit = probe_row(plan, values)
                 if vkey is not None:
                     cache[vkey] = hit
             matches, examined = hit
@@ -401,27 +392,65 @@ class BitAddressIndex(StateIndex):
         if tail:
             yield from tail
 
-    def _intersect_candidates(self, fixed: dict[int, int]) -> list[BucketKey]:
-        """Bucket keys whose fragments match every fixed attribute fragment.
+    def _fixed_fragments(self, plan: ProbePlan, values: Mapping[str, object]) -> list[int]:
+        """The probe's fragment per entry of ``plan.fixed``.
 
-        The result order is the iteration order of the smallest fragment
-        key set (ties broken by fixed-position order), which downstream
-        match lists — and therefore the golden corpus — depend on; the
-        C-level ``set.intersection`` only decides membership.
+        Without a value mapper the fragment is the memoized value hash
+        masked to the attribute's width, taken in one C call per attribute;
+        an unhashable value falls through to the mapper path, which raises
+        the canonical error.
         """
+        mapper = self.value_mapper
+        if mapper is None:
+            try:
+                return [
+                    _cached_value_hash(type(values[name]), values[name]) & fmask
+                    for _pos, name, fmask in plan.fixed_masks
+                ]
+            except TypeError:
+                mapper = _default_map
+        return [mapper(name, values[name], w) for _pos, name, w in plan.fixed]
+
+    def _probe_row(
+        self, plan: ProbePlan, values: Mapping[str, object]
+    ) -> tuple[list, int]:
+        """``(matches, tuples examined)`` of one probe that fixes at least
+        one indexed attribute, while no pending tail exists."""
+        keys = self._intersect_candidates(
+            plan.fixed, self._fixed_fragments(plan, values)
+        )
+        if not keys:
+            return [], 0
+        buckets = self._buckets
+        groups = [buckets[k].values() for k in keys]
+        return plan.select_groups(groups, values), sum(map(len, groups))
+
+    def _intersect_candidates(
+        self, fixed: tuple[tuple[int, str, int], ...], fragments: list[int]
+    ) -> Collection[BucketKey]:
+        """Bucket keys whose fragments match every fixed attribute fragment
+        (``fragments[i]`` belongs to JAS position ``fixed[i][0]``).
+
+        The result's iteration order is that of the smallest fragment key
+        set (ties broken by fixed-position order), which downstream match
+        lists — and therefore the golden corpus — depend on; the C-level
+        ``set.intersection`` only decides membership.  The result may be a
+        live key set: iterate it, never keep or mutate it.
+        """
+        frag_maps = self._frag_maps
         sets: list[set[BucketKey]] = []
-        for pos, frag in fixed.items():
-            keys = self._frag_maps[pos].get(frag)
+        for spec, frag in zip(fixed, fragments):
+            keys = frag_maps[spec[0]].get(frag)
             if not keys:
-                return []
+                return ()
             sets.append(keys)
+        if len(sets) == 1:
+            return sets[0]
         sets.sort(key=len)
         base = sets[0]
-        if len(sets) == 1:
-            return list(base)
         keep = base.intersection(*sets[1:])
         if len(keep) == len(base):
-            return list(base)
+            return base
         return [k for k in base if k in keep]
 
     # ------------------------------------------------------------------ #

@@ -44,50 +44,72 @@ from repro.utils.bitops import mask_to_indices
 _UNCAPPED_WILDCARD_BITS = 63
 
 Selector = Callable[[Iterable[Mapping[str, object]], Mapping[str, object]], list]
+GroupSelector = Callable[
+    [Iterable[Iterable[Mapping[str, object]]], Mapping[str, object]], list
+]
 
 
-def _compile_selector(attributes: tuple[str, ...]) -> Selector:
-    """A list-building equality filter specialised to the attribute count.
+def _compile_group_selector(attributes: tuple[str, ...]) -> GroupSelector:
+    """A list-building equality filter over groups of items (the candidate
+    buckets of a probe), specialised to the attribute count.
 
-    Semantically identical to filtering with
-    ``all(item[a] == values[a] for a in attributes)`` — same attribute
-    order, same operand order, same short-circuiting — but with the probe
-    values bound once per search instead of once per stored tuple.
+    Semantically identical to filtering the concatenated groups with
+    ``all(item[a] == values[a] for a in attributes)`` — same item order,
+    same attribute order, same operand order, same short-circuiting — but
+    with the probe values bound once per search instead of once per stored
+    tuple, and the walk over the groups inside the one comprehension.
     """
     n = len(attributes)
     if n == 0:
-        def select(items, values):  # full scan: everything matches
-            return list(items)
+        def select(groups, values):  # full scan: everything matches
+            return [item for group in groups for item in group]
     elif n == 1:
         (a,) = attributes
 
-        def select(items, values):
+        def select(groups, values):
             va = values[a]
-            return [item for item in items if item[a] == va]
+            return [item for group in groups for item in group if item[a] == va]
     elif n == 2:
         a, b = attributes
 
-        def select(items, values):
+        def select(groups, values):
             va, vb = values[a], values[b]
-            return [item for item in items if item[a] == va and item[b] == vb]
+            return [
+                item
+                for group in groups
+                for item in group
+                if item[a] == va and item[b] == vb
+            ]
     elif n == 3:
         a, b, c = attributes
 
-        def select(items, values):
+        def select(groups, values):
             va, vb, vc = values[a], values[b], values[c]
             return [
                 item
-                for item in items
+                for group in groups
+                for item in group
                 if item[a] == va and item[b] == vb and item[c] == vc
             ]
     else:
 
-        def select(items, values):
+        def select(groups, values):
             return [
                 item
-                for item in items
+                for group in groups
+                for item in group
                 if all(item[a] == values[a] for a in attributes)
             ]
+
+    return select
+
+
+def _compile_selector(attributes: tuple[str, ...]) -> Selector:
+    """The group selector applied to one flat iterable of items."""
+    select_groups = _compile_group_selector(attributes)
+
+    def select(items, values):
+        return select_groups((items,), values)
 
     return select
 
@@ -140,9 +162,11 @@ class ProbePlan:
         "n_attributes",
         "is_full_scan",
         "fixed",
+        "fixed_masks",
         "wildcard_bits",
         "enumeration_cap",
         "select",
+        "select_groups",
     )
 
     def __init__(self, config: IndexConfiguration, ap: AccessPattern) -> None:
@@ -159,6 +183,9 @@ class ProbePlan:
         self.fixed = tuple(
             (i, names[i], bits[i]) for i in mask_to_indices(ap.mask) if bits[i] > 0
         )
+        #: The same entries with the fragment bit mask in place of the width:
+        #: the default value mapping is ``hash(value) & mask``.
+        self.fixed_masks = tuple((i, name, (1 << w) - 1) for i, name, w in self.fixed)
         self.wildcard_bits = config.wildcard_bits(ap)
         #: ``2**wildcard_bits`` when that can bound the live-bucket count,
         #: else ``None`` (the enumeration is always the live count).  By
@@ -170,6 +197,7 @@ class ProbePlan:
             else None
         )
         self.select = _compile_selector(self.attributes)
+        self.select_groups = _compile_group_selector(self.attributes)
 
     def enumerated(self, live: int) -> int:
         """``min(2**wildcard_bits, live)`` without materialising the shift."""

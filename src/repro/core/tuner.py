@@ -80,6 +80,10 @@ class NullTuner:
         if self.assessor is not None:
             self.assessor.record(ap)
 
+    def observe_run(self, ap: AccessPattern, n: int) -> None:
+        if self.assessor is not None:
+            self.assessor.record_run(ap, n)
+
     def tune(self, context: TuningContext) -> TuneReport | None:
         return None
 
@@ -144,6 +148,10 @@ class AMRITuner:
     def observe(self, ap: AccessPattern) -> None:
         """Record one probe's access pattern."""
         self.assessor.record(ap)
+
+    def observe_run(self, ap: AccessPattern, n: int) -> None:
+        """Record ``n`` consecutive probes sharing one access pattern."""
+        self.assessor.record_run(ap, n)
 
     def tune(self, context: TuningContext) -> TuneReport | None:
         """Run one assessment round; migrate the index if it pays.
@@ -231,6 +239,10 @@ class HashIndexTuner:
     def observe(self, ap: AccessPattern) -> None:
         """Record one probe's access pattern."""
         self.assessor.record(ap)
+
+    def observe_run(self, ap: AccessPattern, n: int) -> None:
+        """Record ``n`` consecutive probes sharing one access pattern."""
+        self.assessor.record_run(ap, n)
 
     def tune(self, context: TuningContext) -> TuneReport | None:
         """Re-select the k most frequent patterns and rebuild modules."""

@@ -122,20 +122,19 @@ class AMRExecutor:
         a registry name (``"fifo"``, ``"backlog"``), or ``None`` for the
         historical FIFO drain.
     batch_size:
-        Probe rows per batched index call.  ``None`` (the default) keeps
-        the serial per-tuple pipeline; an integer ``>= 1`` swaps in the
-        vectorized batch data plane
-        (:func:`~repro.engine.kernel.batched_stages`), which is
-        bit-identical to serial at every size — only wall-clock changes.
+        Probe rows per index call.  Every route hop is probed as one
+        same-pattern column; ``None`` (the default) hands the whole hop to
+        one call, an integer ``>= 1`` chunks it
+        (:func:`~repro.engine.kernel.batched_stages`).  Bit-identical at
+        every width — only wall-clock changes.
     probe_workers:
         Worker threads for the intra-partition parallel probe plane
         (:func:`~repro.engine.kernel.parallel_stages`).  ``None`` (the
-        default) keeps whichever serial/batch pipeline ``batch_size``
-        selects; an integer ``>= 1`` fans batched probe columns out to a
-        persistent pool over epoch-tagged read-only index snapshots,
-        merged deterministically — bit-identical to serial (``crack_*``
-        telemetry excepted under lazy admission).  Composes with
-        ``batch_size``.
+        default) keeps the pool out of the pipeline; an integer ``>= 1``
+        fans the hop's column chunks out to a persistent pool over
+        epoch-tagged read-only index snapshots, merged deterministically —
+        bit-identical to the default (``crack_*`` telemetry excepted under
+        lazy admission).  Composes with ``batch_size``.
     stages:
         A custom stage pipeline replacing
         :func:`~repro.engine.kernel.default_stages` (``scheduler`` and
@@ -187,13 +186,10 @@ class AMRExecutor:
             pipeline = stages
         elif probe_workers is not None:
             check_positive("probe_workers", probe_workers)
-            if batch_size is not None:
-                check_positive("batch_size", batch_size)
             from repro.engine.kernel.parallel_probe import parallel_stages
 
             pipeline = parallel_stages(scheduler, batch_size, probe_workers)
         elif batch_size is not None:
-            check_positive("batch_size", batch_size)
             from repro.engine.kernel.batch import batched_stages
 
             pipeline = batched_stages(scheduler, batch_size)

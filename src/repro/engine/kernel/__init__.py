@@ -28,15 +28,11 @@ monolith (held to committed goldens by
 
 from repro.engine.kernel.batch import (
     DEFAULT_BATCH_SIZE,
-    BatchArrivalStage,
-    BatchExpiryStage,
     BatchRouteProbeStage,
-    TupleBatch,
-    assemble_batches,
     batched_stages,
 )
 from repro.engine.kernel.context import EngineContext
-from repro.engine.kernel.kernel import EngineKernel, default_stages
+from repro.engine.kernel.kernel import EngineKernel, default_stages, stages_around
 from repro.engine.kernel.parallel_probe import (
     DEFAULT_PROBE_WORKERS,
     ParallelProbeStage,
@@ -74,8 +70,6 @@ __all__ = [
     "ArrivalStage",
     "AuditStage",
     "BacklogAwareScheduler",
-    "BatchArrivalStage",
-    "BatchExpiryStage",
     "BatchRouteProbeStage",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_PROBE_WORKERS",
@@ -94,9 +88,7 @@ __all__ = [
     "SloStage",
     "Stage",
     "TickState",
-    "TupleBatch",
     "TuningStage",
-    "assemble_batches",
     "batched_stages",
     "default_partitioner",
     "default_stages",
@@ -105,4 +97,5 @@ __all__ = [
     "parallel_stages",
     "per_stream_depths",
     "resolve_scheduler",
+    "stages_around",
 ]

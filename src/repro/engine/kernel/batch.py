@@ -1,391 +1,41 @@
-"""The vectorized batch data plane: struct-of-arrays tuple batches and
-batched arrival/probe/expiry stages.
+"""The route/probe stage at a fixed probe-column chunk width.
 
-The serial kernel threads one tuple at a time through the stage pipeline;
-this module restructures the hot loop around *tuple batches* (following the
-batched-probe design of "Parallel Index-based Stream Join on a Multicore
-CPU", PAPERS.md) while keeping the cost model charging per **logical**
-operation — so a batch run is bit-identical to the serial run it replaces:
-same join outputs, same ``cost_total``, same event timeline, same metrics
-snapshot.  That equivalence is the load-bearing property (the paper's
-tuning argument only holds if batching is cost-transparent) and it is
-enforced by ``tests/integration/test_batch_differential.py`` across every
-index backend, batch size, and mid-migration dual-structure drains.
-
-Where the equivalence comes from
---------------------------------
-The engine observes the shared accountant only at *observation points*
-(the per-request ``stem_costs`` snapshot in the probe stage, the audit
-tick's gauges).  Between two observation points the accountant counters are
-plain integer tallies, so increments may be aggregated and reordered freely
-without changing any observed float.  The batch plane exploits exactly
-that — and nothing more:
-
-- **Arrival** assembles the tick's admissions into a :class:`TupleBatch`
-  (parallel arrays of timestamps and per-attribute fragment hashes, bulk
-  hashed through :func:`repro.utils.bitops.bulk_value_hashes`), which warms
-  the process-wide value-hash cache in one C-level pass before the per-tuple
-  admission sequence runs; the float spend sequence per tuple is untouched.
-- **Probe** batches the *per-hop probe set*: all partial results probing one
-  target state share an access pattern, and the state is read-only for the
-  duration of the hop, so the probes form a same-pattern column that
-  ``StateStore.probe_batch`` executes with aggregated accountant increments
-  and value-row deduplication.  Per-partial bookkeeping (stats, estimator
-  feedback, metrics, fanout extension) still runs in serial order.
-- **Expiry** was already batched per tick (one marginal-cost delta per
-  state); the batch variant keeps that structure.
-
-The batched hop is only taken when the serial path provably cannot hit its
-``max_fanout`` early-exit (``len(partials) * stem.size < max_fanout`` —
-every probe yields at most ``stem.size`` matches); otherwise the stage
-falls back to the exact serial loop, break statements included.
+:class:`~repro.engine.kernel.stages.RouteProbeStage` executes every route
+hop as one same-pattern probe column; that is the default engine.  What is
+left of the former opt-in batch plane is the *width*: ``--batch-size N``
+(``batch_size=N``) splits a hop's column into ``StateStore.probe_batch``
+calls of at most ``N`` rows instead of one call per hop.  Runs are
+bit-identical at every width — same join outputs, same ``cost_total``,
+same event timeline, same metrics snapshot — which
+``tests/integration/test_batch_differential.py`` holds across every index
+backend, width, and mid-migration dual-structure drain.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
-
-from repro.engine.kernel.context import EngineContext, index_kind_label
+from repro.engine.kernel.kernel import stages_around
 from repro.engine.kernel.scheduler import Scheduler
-from repro.engine.kernel.stages import (
-    MATCH_BUCKETS,
-    ArrivalStage,
-    AuditStage,
-    ExpiryStage,
-    FaultStage,
-    MigrationStage,
-    RouteProbeStage,
-    ShedDegradeStage,
-    SloStage,
-    Stage,
-    TickState,
-    TuningStage,
-)
-from repro.engine.tuples import JoinedTuple, StreamTuple
-from repro.utils.bitops import bulk_fragments, bulk_value_hashes
+from repro.engine.kernel.stages import RouteProbeStage, Stage, check_batch_size
 
-#: Default number of probe rows per batched index call.
+#: Default number of probe rows per chunked index call.
 DEFAULT_BATCH_SIZE = 64
 
 
-@dataclass(slots=True)
-class TupleBatch:
-    """A struct-of-arrays view over one tick's admissions for one stream.
-
-    Parallel arrays — ``items[i]``, ``timestamps[i]``, and column ``i`` of
-    every ``hash_columns`` entry all describe the same tuple.  The hash
-    columns are bulk-computed 64-bit value hashes per join attribute
-    (``array('Q')``), from which :meth:`fragment_column` derives the
-    bucket-fragment array for any bit width; assembling the batch therefore
-    pre-warms the process-wide value-hash cache that the index layer's
-    fragment mapping reads, in one C-level pass per column.
-
-    Assembly is charge-free: nothing here touches an accountant, so the
-    cost model cannot observe whether a batch was built.
-    """
-
-    stream: str
-    items: list[StreamTuple] = field(default_factory=list)
-    timestamps: array = field(default_factory=lambda: array("q"))
-    hash_columns: dict[str, array] = field(default_factory=dict)
-
-    @classmethod
-    def assemble(
-        cls, stream: str, items: Sequence[StreamTuple], attributes: Iterable[str]
-    ) -> "TupleBatch":
-        """Build the batch for ``items``, hashing each listed attribute.
-
-        Attributes missing from any tuple of the batch are skipped (their
-        probes would KeyError later exactly as in serial; the batch plane
-        never widens what a tuple defines).
-        """
-        batch = cls(stream=stream, items=list(items))
-        batch.timestamps = array("q", [t.arrived_at for t in batch.items])
-        for attr in attributes:
-            try:
-                column = [t[attr] for t in batch.items]
-            except KeyError:
-                continue
-            try:
-                batch.hash_columns[attr] = bulk_value_hashes(column)
-            except TypeError:
-                continue  # unhashable column: serial path raises at probe time
-        return batch
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def fragment_column(self, attr: str, n_bits: int) -> array:
-        """Bucket fragments of one attribute column at ``n_bits`` width."""
-        return bulk_fragments(self.hash_columns[attr], n_bits)
-
-
-def assemble_batches(
-    ctx: EngineContext, items: Sequence[StreamTuple]
-) -> dict[str, TupleBatch]:
-    """Group a tick's arrivals per stream into :class:`TupleBatch` columns.
-
-    Each stream's batch hashes the attributes of that state's JAS — the
-    ones its index fragments on insert and the ones later probes bind.
-    """
-    per_stream: dict[str, list[StreamTuple]] = {}
-    for item in items:
-        per_stream.setdefault(item.stream, []).append(item)
-    return {
-        stream: TupleBatch.assemble(stream, batch, ctx.stems[stream].jas.names)
-        for stream, batch in per_stream.items()
-        if stream in ctx.stems
-    }
-
-
-class BatchArrivalStage(ArrivalStage):
-    """Arrival delivery over a pre-assembled :class:`TupleBatch` per stream.
-
-    The batch assembly bulk-hashes every admitted tuple's join-attribute
-    values before the admission loop runs, so the per-tuple index inserts
-    (and the probes that follow in later hops) hit the warmed value-hash
-    cache instead of hashing one value at a time.  The admission sequence
-    itself — filter spend, insert, marginal-cost spend, counters, spans —
-    is inherited unchanged, preserving the serial float spend order.
-    """
-
-    name = "arrivals"
-
-    def run(self, ctx: EngineContext, tick: TickState) -> None:
-        injector = ctx.fault_injector
-        items = tick.incoming
-        if injector is not None:
-            injector.begin_tick(tick.tick, ctx.event_log)
-            items = injector.perturb_arrivals(tick.tick, items)
-        batches = assemble_batches(ctx, items)
-        m = ctx.metrics
-        for item in items:
-            if self._admit(ctx, item):
-                ctx.queue.append(item)
-                if m is not None:
-                    ctx.live_spans[id(item)] = m.start_span(
-                        "tuple", tick.tick, tick.span, stream=item.stream
-                    )
-        del batches  # columns only warm caches; nothing downstream holds them
-
-
-class BatchExpiryStage(ExpiryStage):
-    """Window expiry, batched per state.
-
-    The serial stage already charges one marginal-cost delta per state for
-    the whole tick's expirations — the expiry plane was batch-shaped before
-    the rest of the kernel — so this subclass inherits it unchanged and
-    exists to make the batched pipeline explicit about all three data-plane
-    stages.
-    """
-
-    name = "expiry"
-
-
 class BatchRouteProbeStage(RouteProbeStage):
-    """The batched probe plane: same-pattern probe columns per route hop.
-
-    Every partial result at one hop probes the same target state with the
-    same access pattern while that state is read-only, so the hop's probes
-    form a column that :meth:`StateStore.probe_batch` executes in chunks of
-    ``batch_size`` — aggregating integer accountant increments and sharing
-    candidate-intersection/selection work between equal probe rows.  All
-    per-partial bookkeeping (stats counters, estimator feedback, content
-    observation, metrics series, fanout extension) runs afterwards in the
-    exact serial order, and the hop is only batched when the serial
-    ``max_fanout`` break is provably unreachable.
-    """
-
-    name = "route_probe"
+    """The route/probe stage with an explicit chunk width (never ``None``)."""
 
     def __init__(
         self,
         scheduler: Scheduler | str | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        super().__init__(scheduler)
-        if not isinstance(batch_size, int) or isinstance(batch_size, bool):
-            raise TypeError(f"batch_size must be an int, got {batch_size!r}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.batch_size = batch_size
-
-    def _process(self, ctx: EngineContext, item: StreamTuple, tick: int) -> None:
-        params = ctx.meter.params
-        m = ctx.metrics
-        cost_before = ctx.stem_costs()
-        route = ctx.router.choose_route(item.stream, ctx.estimator, item)
-        observe_content = getattr(ctx.router, "observe_content", None)
-        outputs = 0
-        partials: list[JoinedTuple] = [JoinedTuple.of(item)]
-        joined: set[str] = {item.stream}
-        for target in route:
-            if not partials:
-                break
-            ap, bindings = ctx.query.probe_spec(joined, target)
-            stem = ctx.stems[target]
-            next_partials: list[JoinedTuple] = []
-            anchor_at, anchor_stream = item.arrived_at, item.stream
-            # Batch the hop only when no probe sequence can trip the
-            # max_fanout early exit: each probe matches at most stem.size
-            # tuples (both structures during a drain), so the fanout after
-            # this hop is bounded by len(partials) * stem.size.
-            if (
-                len(partials) > 1
-                and len(partials) * stem.size < ctx.config.max_fanout
-            ):
-                self._probe_hop_batched(
-                    ctx, item, stem, target, ap, bindings,
-                    partials, next_partials, anchor_at, anchor_stream,
-                    m, observe_content,
-                )
-            else:
-                for partial in partials:
-                    values = ctx.query.probe_values(bindings, partial)
-                    outcome = stem.probe(ap, values)
-                    ctx.stats.probes += 1
-                    matches = [
-                        m2
-                        for m2 in outcome.matches
-                        if m2.arrived_at < anchor_at
-                        or (m2.arrived_at == anchor_at and m2.stream < anchor_stream)
-                    ]
-                    self._record_probe(
-                        ctx, m, item, stem, target, ap, matches, observe_content
-                    )
-                    for match in matches:
-                        next_partials.append(partial.extend(match))
-                        if len(next_partials) >= ctx.config.max_fanout:
-                            break
-                    if len(next_partials) >= ctx.config.max_fanout:
-                        break
-            joined.add(target)
-            partials = next_partials
-        if partials and len(joined) == ctx.n_streams:
-            outputs = len(partials)
-            ctx.stats.outputs += outputs
-            if ctx.output_sink is not None:
-                ctx.output_sink(partials)
-
-        ctx.spend_index_deltas(cost_before, component="index", phase="probe")
-        ctx.spend(params.c_route, "router", stream=item.stream, phase="decide")
-        ctx.spend(outputs * params.c_output, "output", stream=item.stream, phase="emit")
-        lat = ctx.latency
-        if lat is not None:
-            # Identical to the serial stage: arrival→emit ticks, weighted by
-            # the results this request's probe sequence emitted.
-            latency = tick - item.arrived_at
-            lat.observe(item.stream, latency, outputs)
-            if m is not None:
-                m.histogram(
-                    "tuple_latency_ticks",
-                    "arrival-to-emit latency per processed request",
-                    buckets=lat.boundaries,
-                    stream=item.stream,
-                ).observe(latency)
-        if m is not None:
-            m.counter("outputs_total", "join results emitted").inc(outputs)
-            m.histogram(
-                "route_length", "probe hops per routed tuple", stream=item.stream
-            ).observe(len(route))
-            span = ctx.live_spans.pop(id(item), None)
-            if span is not None:
-                m.end_span(span, tick, status="processed", outputs=outputs)
-
-    def _probe_hop_batched(
-        self,
-        ctx: EngineContext,
-        item: StreamTuple,
-        stem,
-        target: str,
-        ap,
-        bindings,
-        partials: list[JoinedTuple],
-        next_partials: list[JoinedTuple],
-        anchor_at: int,
-        anchor_stream: str,
-        m,
-        observe_content,
-    ) -> None:
-        """One route hop as chunked same-pattern probe columns."""
-        probe_values = ctx.query.probe_values
-        size = self.batch_size
-        for start in range(0, len(partials), size):
-            chunk = partials[start : start + size]
-            values_list = [probe_values(bindings, partial) for partial in chunk]
-            outcomes = stem.probe_batch(ap, values_list)
-            for partial, outcome in zip(chunk, outcomes):
-                ctx.stats.probes += 1
-                matches = [
-                    m2
-                    for m2 in outcome.matches
-                    if m2.arrived_at < anchor_at
-                    or (m2.arrived_at == anchor_at and m2.stream < anchor_stream)
-                ]
-                self._record_probe(
-                    ctx, m, item, stem, target, ap, matches, observe_content
-                )
-                for match in matches:
-                    next_partials.append(partial.extend(match))
-
-    @staticmethod
-    def _record_probe(
-        ctx: EngineContext, m, item, stem, target: str, ap, matches, observe_content
-    ) -> None:
-        """Per-probe bookkeeping, identical between serial and batched hops."""
-        ctx.stats.matches += len(matches)
-        ctx.estimator.observe(target, ap.mask, len(matches))
-        if observe_content is not None:
-            bucket = ctx.router.bucket_for(item, item.stream, target)
-            observe_content(target, ap.mask, bucket, len(matches))
-        if m is not None:
-            m.counter(
-                "probes_total",
-                "search requests executed",
-                stream=target,
-                index_kind=index_kind_label(stem.index),
-            ).inc()
-            m.counter(
-                "matches_total", "probe matches after ordering", stream=target
-            ).inc(len(matches))
-            m.histogram(
-                "probe_matches",
-                "matches per probe",
-                buckets=MATCH_BUCKETS,
-                stream=target,
-            ).observe(len(matches))
-            assessor = getattr(stem.tuner, "assessor", None)
-            if assessor is not None:
-                m.counter(
-                    "assessment_records_total",
-                    "access patterns recorded by assessors",
-                    stream=target,
-                    method=type(assessor).__name__,
-                ).inc()
+        check_batch_size(batch_size)
+        super().__init__(scheduler, batch_size)
 
 
 def batched_stages(
     scheduler: Scheduler | str | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> tuple[Stage, ...]:
-    """The canonical pipeline with the batch data plane swapped in.
-
-    Same nine phases in the same order as
-    :func:`~repro.engine.kernel.kernel.default_stages`; the arrival, expiry,
-    and route/probe stages are the batched variants.  Runs are bit-identical
-    to the serial pipeline at every batch size.
-    """
-    route = BatchRouteProbeStage(scheduler, batch_size)
-    return (
-        BatchArrivalStage(),
-        BatchExpiryStage(),
-        route,
-        FaultStage(),
-        TuningStage(),
-        MigrationStage(),
-        SloStage(route.scheduler),
-        ShedDegradeStage(),
-        AuditStage(),
-    )
+    """The canonical pipeline with hop columns chunked at ``batch_size``."""
+    return stages_around(BatchRouteProbeStage(scheduler, batch_size))

@@ -2,9 +2,9 @@
 columns over epoch-tagged read-only index snapshots.
 
 ``PartitionedEngine`` parallelizes *across* hash partitions; this stage
-parallelizes *inside* one: the hop's probe column (the batch plane's
-same-pattern chunks) fans out to a persistent worker pool, each worker
-probing a :class:`~repro.storage.snapshot.StoreSnapshot` — a frozen,
+parallelizes *inside* one: the hop's same-pattern probe column fans out,
+in chunks, to a persistent worker pool, each worker probing a
+:class:`~repro.storage.snapshot.StoreSnapshot` — a frozen,
 epoch-tagged view of the store's dual structures (active index plus any
 draining migration structure, captured by reference).  The multicore
 stream-join literature (PAPERS.md) calls this the dominant win: many
@@ -45,42 +45,27 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.engine.kernel.batch import (
-    DEFAULT_BATCH_SIZE,
-    BatchArrivalStage,
-    BatchExpiryStage,
-    BatchRouteProbeStage,
-)
-from repro.engine.kernel.context import EngineContext
+from repro.engine.kernel.batch import DEFAULT_BATCH_SIZE
+from repro.engine.kernel.kernel import stages_around
 from repro.engine.kernel.scheduler import Scheduler
-from repro.engine.kernel.stages import (
-    ArrivalStage,
-    AuditStage,
-    ExpiryStage,
-    FaultStage,
-    MigrationStage,
-    ShedDegradeStage,
-    SloStage,
-    Stage,
-    TuningStage,
-)
-from repro.engine.tuples import JoinedTuple, StreamTuple
+from repro.engine.kernel.stages import RouteProbeStage, Stage
 
 #: Default pool width; the acceptance benchmark's scaling point.
 DEFAULT_PROBE_WORKERS = 4
 
 
-class ParallelProbeStage(BatchRouteProbeStage):
-    """The pooled probe plane: batched hops fan out to worker threads.
+class ParallelProbeStage(RouteProbeStage):
+    """The pooled probe plane: a hop's column fans out to worker threads.
 
-    Inherits the batch stage's hop structure (same-pattern probe columns,
-    the provably-unreachable ``max_fanout`` guard, serial fallback loop)
-    and replaces only the column execution: chunks of ``batch_size`` rows
-    go to a persistent pool of ``probe_workers`` threads, each probing a
-    read-only store snapshot, merged deterministically in submission
-    order.  ``probe_workers=1`` defers to the batch plane wholesale (one
-    worker has nothing to fan out) and is therefore bit-identical to it —
-    and, transitively, to serial — including ``crack_*`` telemetry.
+    Inherits the route/probe stage's hop structure (same-pattern probe
+    columns, the ``max_fanout`` guard and its one-at-a-time fallback) and
+    replaces only the column execution: chunks of ``batch_size`` rows
+    (:data:`DEFAULT_BATCH_SIZE` when unset) go to a persistent pool of
+    ``probe_workers`` threads, each probing a read-only store snapshot,
+    merged deterministically in submission order.  ``probe_workers=1``
+    defers to the inherited column wholesale (one worker has nothing to
+    fan out) and is therefore bit-identical to it, including ``crack_*``
+    telemetry.
     """
 
     name = "route_probe"
@@ -122,35 +107,14 @@ class ParallelProbeStage(BatchRouteProbeStage):
         self.close()
 
     # ------------------------------------------------------------------ #
-    # the pooled hop
+    # the pooled column
 
-    def _probe_hop_batched(
-        self,
-        ctx: EngineContext,
-        item: StreamTuple,
-        stem,
-        target: str,
-        ap,
-        bindings,
-        partials: list[JoinedTuple],
-        next_partials: list[JoinedTuple],
-        anchor_at: int,
-        anchor_stream: str,
-        m,
-        observe_content,
-    ) -> None:
-        """One route hop: snapshot once, fan chunks out, merge in order."""
-        if self.probe_workers == 1:
-            super()._probe_hop_batched(
-                ctx, item, stem, target, ap, bindings,
-                partials, next_partials, anchor_at, anchor_stream,
-                m, observe_content,
-            )
-            return
-        probe_values = ctx.query.probe_values
+    def _probe_column(self, stem, ap, rows: list[dict[str, object]]) -> list:
+        """One hop's column: snapshot once, fan chunks out, merge in order."""
+        if self.probe_workers == 1 or len(rows) == 1:
+            return super()._probe_column(stem, ap, rows)
         size = self.batch_size
-        chunks = [partials[start : start + size] for start in range(0, len(partials), size)]
-        columns = [[probe_values(bindings, partial) for partial in chunk] for chunk in chunks]
+        columns = [rows[start : start + size] for start in range(0, len(rows), size)]
         # One snapshot per hop: the store is read-only for the hop's whole
         # duration, so every chunk probes the same frozen epoch.
         snapshot = stem.snapshot()
@@ -162,28 +126,16 @@ class ParallelProbeStage(BatchRouteProbeStage):
             pool = self._ensure_pool()
             futures = [pool.submit(snapshot.probe_chunk, ap, column) for column in columns]
             results = [future.result() for future in futures]
-        observe = stem.tuner.observe
-        for chunk, result in zip(chunks, results):
-            # Replay on the coordinator, chunk by chunk in submission
-            # order: assessor observations (the only RNG consumers — one
-            # per row, exactly as serial), then the scratch accountant and
-            # harvested heat, then the per-partial bookkeeping.
-            for _ in chunk:
-                observe(ap)
+        # Replay on the coordinator: the hop's assessor observations as one
+        # run (the only RNG consumers — one per row, exactly as serial),
+        # then each chunk's scratch accountant and harvested heat in
+        # submission order.
+        stem.tuner.observe_run(ap, len(rows))
+        outcomes: list = []
+        for result in results:
             snapshot.absorb(result)
-            for partial, outcome in zip(chunk, result.outcomes):
-                ctx.stats.probes += 1
-                matches = [
-                    m2
-                    for m2 in outcome.matches
-                    if m2.arrived_at < anchor_at
-                    or (m2.arrived_at == anchor_at and m2.stream < anchor_stream)
-                ]
-                self._record_probe(
-                    ctx, m, item, stem, target, ap, matches, observe_content
-                )
-                for match in matches:
-                    next_partials.append(partial.extend(match))
+            outcomes += result.outcomes
+        return outcomes
 
 
 def parallel_stages(
@@ -194,26 +146,10 @@ def parallel_stages(
     """The canonical pipeline with the parallel probe plane spliced in.
 
     Same nine phases in the same order as
-    :func:`~repro.engine.kernel.kernel.default_stages`.  With
-    ``batch_size=None`` the arrival/expiry stages stay serial and the probe
-    stage chunks its columns at :data:`DEFAULT_BATCH_SIZE`; an explicit
-    ``batch_size`` composes the full batch data plane with the pool.  Runs
-    are bit-identical to the serial pipeline at every width (``crack_*``
-    telemetry excepted under ``lazy_index``, as documented on
-    :class:`ParallelProbeStage`).
+    :func:`~repro.engine.kernel.kernel.default_stages`; with
+    ``batch_size=None`` the probe stage chunks its columns at
+    :data:`DEFAULT_BATCH_SIZE`.  Runs are bit-identical to the default
+    pipeline at every width (``crack_*`` telemetry excepted under
+    ``lazy_index``, as documented on :class:`ParallelProbeStage`).
     """
-    route = ParallelProbeStage(scheduler, batch_size, probe_workers)
-    if batch_size is None:
-        head: tuple[Stage, ...] = (ArrivalStage(), ExpiryStage())
-    else:
-        head = (BatchArrivalStage(), BatchExpiryStage())
-    return (
-        *head,
-        route,
-        FaultStage(),
-        TuningStage(),
-        MigrationStage(),
-        SloStage(route.scheduler),
-        ShedDegradeStage(),
-        AuditStage(),
-    )
+    return stages_around(ParallelProbeStage(scheduler, batch_size, probe_workers))

@@ -232,14 +232,63 @@ class ExpiryStage:
         ctx.spend_index_deltas(cost_before, component="index", phase="expire")
 
 
+def check_batch_size(batch_size: object) -> None:
+    """Reject a probe-column chunk width that is not an int ``>= 1``."""
+    if not isinstance(batch_size, int) or isinstance(batch_size, bool):
+        raise TypeError(f"batch_size must be an int, got {batch_size!r}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+
+
+def _probe_metrics(m, target: str, kind: str, assessor, n_matches: int) -> None:
+    """One probe's metric series (registry attached)."""
+    m.counter(
+        "probes_total", "search requests executed", stream=target, index_kind=kind
+    ).inc()
+    m.counter(
+        "matches_total", "probe matches after ordering", stream=target
+    ).inc(n_matches)
+    m.histogram(
+        "probe_matches", "matches per probe", buckets=MATCH_BUCKETS, stream=target
+    ).observe(n_matches)
+    if assessor is not None:
+        m.counter(
+            "assessment_records_total",
+            "access patterns recorded by assessors",
+            stream=target,
+            method=type(assessor).__name__,
+        ).inc()
+
+
 class RouteProbeStage:
     """Drain the backlog while capacity lasts, one routed probe sequence
-    per search request; the scheduler decides which request runs next."""
+    per search request; the scheduler decides which request runs next.
+
+    Every partial result at one hop probes the same target state with the
+    same access pattern while that state is read-only, so the hop's probes
+    form one same-pattern column (the batched-probe design of "Parallel
+    Index-based Stream Join on a Multicore CPU", PAPERS.md):
+    :meth:`StateStore.probe_batch` records the pattern as one run,
+    aggregates the integer accountant increments and shares the search
+    between equal probe rows, and the hop folds its match counts into the
+    run statistics and the selectivity estimate once.  The engine reads
+    the accountants, the assessor and the estimator only between requests,
+    so every modeled quantity is what one probe at a time would give.
+
+    ``batch_size`` chunks a hop's column into index calls of at most that
+    many rows; ``None`` (the default) probes the whole hop in one call.
+    Results are identical at every width.
+    """
 
     name = "route_probe"
 
-    def __init__(self, scheduler: Scheduler | str | None = None) -> None:
+    def __init__(
+        self, scheduler: Scheduler | str | None = None, batch_size: int | None = None
+    ) -> None:
         self.scheduler = resolve_scheduler(scheduler)
+        if batch_size is not None:
+            check_batch_size(batch_size)
+        self.batch_size = batch_size
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
         while ctx.queue and not ctx.meter.exhausted:
@@ -257,62 +306,8 @@ class RouteProbeStage:
         for target in route:
             if not partials:
                 break
-            ap, bindings = ctx.query.probe_spec(joined, target)
-            stem = ctx.stems[target]
-            next_partials: list[JoinedTuple] = []
-            anchor_at, anchor_stream = item.arrived_at, item.stream
-            for partial in partials:
-                values = ctx.query.probe_values(bindings, partial)
-                outcome = stem.probe(ap, values)
-                ctx.stats.probes += 1
-                # Timestamp ordering: the arriving tuple joins only with
-                # strictly-older tuples (stream name breaks same-tick ties),
-                # so each join result is produced exactly once — by its
-                # youngest member's probe sequence.  (Unrolled (at, stream)
-                # tuple comparison: no per-match tuple allocation.)
-                matches = [
-                    m2
-                    for m2 in outcome.matches
-                    if m2.arrived_at < anchor_at
-                    or (m2.arrived_at == anchor_at and m2.stream < anchor_stream)
-                ]
-                ctx.stats.matches += len(matches)
-                ctx.estimator.observe(target, ap.mask, len(matches))
-                if observe_content is not None:
-                    bucket = ctx.router.bucket_for(item, item.stream, target)
-                    observe_content(target, ap.mask, bucket, len(matches))
-                if m is not None:
-                    m.counter(
-                        "probes_total",
-                        "search requests executed",
-                        stream=target,
-                        index_kind=index_kind_label(stem.index),
-                    ).inc()
-                    m.counter(
-                        "matches_total", "probe matches after ordering", stream=target
-                    ).inc(len(matches))
-                    m.histogram(
-                        "probe_matches",
-                        "matches per probe",
-                        buckets=MATCH_BUCKETS,
-                        stream=target,
-                    ).observe(len(matches))
-                    assessor = getattr(stem.tuner, "assessor", None)
-                    if assessor is not None:
-                        m.counter(
-                            "assessment_records_total",
-                            "access patterns recorded by assessors",
-                            stream=target,
-                            method=type(assessor).__name__,
-                        ).inc()
-                for match in matches:
-                    next_partials.append(partial.extend(match))
-                    if len(next_partials) >= ctx.config.max_fanout:
-                        break
-                if len(next_partials) >= ctx.config.max_fanout:
-                    break
+            partials = self._probe_hop(ctx, item, target, joined, partials, observe_content)
             joined.add(target)
-            partials = next_partials
         if partials and len(joined) == ctx.n_streams:
             outputs = len(partials)
             ctx.stats.outputs += outputs
@@ -345,6 +340,98 @@ class RouteProbeStage:
             span = ctx.live_spans.pop(id(item), None)
             if span is not None:
                 m.end_span(span, tick, status="processed", outputs=outputs)
+
+    def _probe_hop(
+        self,
+        ctx: EngineContext,
+        item: StreamTuple,
+        target: str,
+        joined: set[str],
+        partials: list[JoinedTuple],
+        observe_content,
+    ) -> list[JoinedTuple]:
+        """Probe ``target`` with every partial; returns the extended partials."""
+        ap, bindings = ctx.query.probe_spec(joined, target)
+        stem = ctx.stems[target]
+        probe_values = ctx.query.probe_values
+        max_fanout = ctx.config.max_fanout
+        # Each probe matches at most stem.size tuples (both structures
+        # during a drain), so below this bound no probe sequence can trip
+        # the max_fanout early exit and the hop runs as one column.  At or
+        # above it the partials probe one at a time, lazily: a truncated
+        # hop stops probing where the fanout cap is reached.
+        capped = len(partials) * stem.size >= max_fanout
+        if capped:
+            outcomes = (stem.probe(ap, probe_values(bindings, p)) for p in partials)
+        else:
+            outcomes = self._probe_column(
+                stem, ap, [probe_values(bindings, p) for p in partials]
+            )
+        m = ctx.metrics
+        if m is not None:
+            kind = index_kind_label(stem.index)
+            assessor = getattr(stem.tuner, "assessor", None)
+        if observe_content is not None:
+            bucket = ctx.router.bucket_for(item, item.stream, target)
+        anchor_at, anchor_stream = item.arrived_at, item.stream
+        # Equal probe rows alias one match list, and the ordering filter
+        # depends only on the anchor: filter once per distinct list.  The
+        # entry keeps the list alive, so its id stays unique for the hop.
+        ordered: dict[int, tuple[list, list]] = {}
+        counts: list[int] = []
+        next_partials: list[JoinedTuple] = []
+        for partial, outcome in zip(partials, outcomes):
+            found = outcome.matches
+            hit = ordered.get(id(found))
+            if hit is None:
+                # Timestamp ordering: the arriving tuple joins only with
+                # strictly-older tuples (stream name breaks same-tick ties),
+                # so each join result is produced exactly once — by its
+                # youngest member's probe sequence.  (Unrolled (at, stream)
+                # tuple comparison: no per-match tuple allocation.)
+                matches = [
+                    m2
+                    for m2 in found
+                    if m2.arrived_at < anchor_at
+                    or (m2.arrived_at == anchor_at and m2.stream < anchor_stream)
+                ]
+                ordered[id(found)] = (found, matches)
+            else:
+                matches = hit[1]
+            counts.append(len(matches))
+            if observe_content is not None:
+                observe_content(target, ap.mask, bucket, len(matches))
+            if m is not None:
+                _probe_metrics(m, target, kind, assessor, len(matches))
+            if capped:
+                for match in matches:
+                    next_partials.append(partial.extend(match))
+                    if len(next_partials) >= max_fanout:
+                        break
+                if len(next_partials) >= max_fanout:
+                    break
+            else:
+                next_partials.extend(map(partial.extend, matches))
+        ctx.stats.probes += len(counts)
+        ctx.stats.matches += sum(counts)
+        ctx.estimator.observe_many(target, ap.mask, counts)
+        return next_partials
+
+    def _probe_column(self, stem, ap, rows: list[dict[str, object]]) -> list:
+        """The outcomes of one hop's same-pattern probe rows, in row order.
+
+        ``probe``/``probe_batch`` are looked up per call: a tracer may
+        shadow them on the state instance.
+        """
+        if len(rows) == 1:
+            return [stem.probe(ap, rows[0])]
+        size = self.batch_size
+        if size is None or size >= len(rows):
+            return stem.probe_batch(ap, rows)
+        outcomes: list = []
+        for start in range(0, len(rows), size):
+            outcomes += stem.probe_batch(ap, rows[start : start + size])
+        return outcomes
 
 
 class FaultStage:

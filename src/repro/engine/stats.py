@@ -97,6 +97,21 @@ class SelectivityEstimator:
         prev = self._estimates.get(key, self.initial)
         self._estimates[key] = prev + self.alpha * (matches - prev)
 
+    def observe_many(self, target: str, pattern_mask: int, counts: list[int]) -> None:
+        """Fold a hop's match counts, in probe order, into the estimate.
+
+        The same recurrence as one :meth:`observe` per count — identical
+        floats — with a single read and write of the estimate.
+        """
+        if not counts:
+            return
+        key = (target, pattern_mask)
+        estimate = self._estimates.get(key, self.initial)
+        alpha = self.alpha
+        for matches in counts:
+            estimate = estimate + alpha * (matches - estimate)
+        self._estimates[key] = estimate
+
     def expected_matches(self, target: str, pattern_mask: int) -> float:
         """Current estimate for probes of this shape (optimistic default)."""
         return self._estimates.get((target, pattern_mask), self.initial)

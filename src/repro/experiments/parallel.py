@@ -85,7 +85,7 @@ class RunSpec:
     collect_metrics: bool = False
     slo: str | None = None  # SLO spec string, e.g. "p95<=8@120" (arms latency tracking)
     scheduler: str | None = None  # backlog-drain policy name (None = fifo)
-    batch_size: int | None = None  # batched data plane width (None = serial)
+    batch_size: int | None = None  # probe-column chunk width (None = whole hop)
     probe_workers: int | None = None  # parallel probe plane pool width (None = off)
     partitions: int = 1  # independent hash-partitioned kernels per run
     fleet: int = 1  # divergent replicas with cost-routed probes (1 = single engine)

@@ -210,8 +210,9 @@ def main(argv: list[str] | None = None) -> int:
         "--batch-size",
         type=int,
         default=None,
-        help="probe rows per batched index call (vectorized data plane; "
-        "default: serial per-tuple pipeline; results are bit-identical)",
+        help="probe rows per index call: chunk width of a route hop's probe "
+        "column (default: the whole hop in one call; results are "
+        "bit-identical at every width)",
     )
     parser.add_argument(
         "--probe-workers",

@@ -89,6 +89,8 @@ class HierarchicalHeavyHitters:
         self._rng = make_rng(seed)
         self._entries: dict[Hashable, HHHEntry] = {}
         self._n = 0
+        # _tracked_leaves memo: (tracked keys in dict order, their leaves).
+        self._leaves_memo: tuple[list[Hashable], list[Hashable]] = ([], [])
 
     @property
     def n(self) -> int:
@@ -113,6 +115,29 @@ class HierarchicalHeavyHitters:
         if self._n % self.segment_width == 0:
             self.compress()
 
+    def offer_run(self, item: Hashable, n: int) -> None:
+        """``n`` consecutive :meth:`offer` calls of ``item``, one segment at a time.
+
+        Identical to the loop in every observable — counts, deltas, entry
+        dict order, ``n`` and RNG draws: within a segment only ``item``'s
+        count moves, so the run advances to each boundary in one step and
+        compresses there.  A compression may roll ``item`` itself up; the
+        next segment then re-creates it, as the next ``offer`` would.
+        """
+        width = self.segment_width
+        entries = self._entries
+        while n > 0:
+            step = min(n, width - self._n % width)
+            entry = entries.get(item)
+            if entry is None:
+                # delta of the segment the run's next offer lands in
+                entry = entries[item] = HHHEntry(count=0, delta=self._n // width)
+            entry.count += step
+            self._n += step
+            n -= step
+            if self._n % width == 0:
+                self.compress()
+
     def extend(self, items: Iterable[Hashable]) -> None:
         """Offer each item of ``items`` once, in order."""
         for item in items:
@@ -122,8 +147,16 @@ class HierarchicalHeavyHitters:
     # compaction
 
     def _tracked_leaves(self) -> list[Hashable]:
-        """Tracked entries with no tracked strict descendant."""
+        """Tracked entries with no tracked strict descendant.
+
+        A function of the tracked keys (and their order) alone, and
+        ``compress`` asks every segment while the key list rarely changes,
+        so the last answer is kept and returned as a copy.
+        """
         items = list(self._entries)
+        memo_items, memo_leaves = self._leaves_memo
+        if items == memo_items:
+            return list(memo_leaves)
         by_level: dict[int, list[Hashable]] = {}
         for item in items:
             by_level.setdefault(self._level(item), []).append(item)
@@ -139,7 +172,8 @@ class HierarchicalHeavyHitters:
             )
             if not has_descendant:
                 leaves.append(item)
-        return leaves
+        self._leaves_memo = (items, leaves)
+        return list(leaves)
 
     def _pick_parent(self, item: Hashable) -> Hashable | None:
         """Choose the parent to combine ``item`` into, per the strategy."""

@@ -318,26 +318,21 @@ class StateStore:
         """Execute a column of same-pattern search requests against the state.
 
         Bit-identical to ``[self.probe(ap, v) for v in values_list]``: the
-        tuner assessor records one observation per request (pattern-only —
-        the assessor never sees probe values), and during a drain each
-        request's old/new outcomes merge pairwise.  The index-level
-        ``search_batch`` aggregates accountant increments and shares work
-        between equal value rows; the engine only observes counter totals
-        between probes, so the aggregation is invisible to the cost model.
+        tuner assessor records the column as one run of its pattern
+        (pattern-only — the assessor never sees probe values, and nothing
+        reads it before the column ends), and during a drain each request's
+        old/new outcomes merge pairwise.  The index-level ``search_batch``
+        aggregates accountant increments and shares work between equal
+        value rows; the engine only observes counter totals between probes,
+        so the aggregation is invisible to the cost model.
         """
+        self.tuner.observe_run(ap, len(values_list))
         if self._result_cache is not None:
             # Lazy mode: the per-row cached path *is* the batch plan — the
             # cache dedups equal rows exactly as the vectorized backends
             # do, and stays bit-identical to the serial probe loop.
-            observe = self.tuner.observe
-            outcomes = []
-            for values in values_list:
-                observe(ap)
-                outcomes.append(self._cached_search(ap, values))
-            return outcomes
-        observe = self.tuner.observe
-        for _ in values_list:
-            observe(ap)
+            search = self._cached_search
+            return [search(ap, values) for values in values_list]
         draining = self.lifecycle.draining
         if draining is None:
             return self.index.search_batch(ap, values_list)

@@ -11,7 +11,6 @@ deterministic 64-bit mixer so that runs are reproducible across processes
 from __future__ import annotations
 
 import struct
-from array import array
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
@@ -180,31 +179,3 @@ def fragment(value: object, n_bits: int) -> int:
     if n_bits == 0:
         return 0
     return memoized_value_hash(value) & ((1 << n_bits) - 1)
-
-
-def bulk_value_hashes(values: Iterable[object]) -> array:
-    """Hash a whole column of attribute values into a ``uint64`` array.
-
-    The struct-of-arrays companion to :func:`memoized_value_hash`: one
-    C-level ``array('Q')`` constructor call over a ``map`` keeps the Python
-    interpreter out of the per-element loop, and every element goes through
-    the same process-wide LRU cache — so bulk hashing a batch and hashing
-    its elements one by one produce identical results (and warm the same
-    cache entries).
-    """
-    return array("Q", map(memoized_value_hash, values))
-
-
-def bulk_fragments(hashes: array, n_bits: int) -> array:
-    """Mask a column of 64-bit value hashes down to bucket fragments.
-
-    ``bulk_fragments(bulk_value_hashes(vs), n)[i] == fragment(vs[i], n)``
-    for every element — the batch plane relies on this equivalence to keep
-    bucket ids bit-identical to the serial path.
-    """
-    if n_bits < 0:
-        raise ValueError(f"n_bits must be >= 0, got {n_bits}")
-    if n_bits == 0:
-        return array("Q", bytes(8 * len(hashes)))
-    mask = (1 << n_bits) - 1
-    return array("Q", [h & mask for h in hashes])

@@ -354,12 +354,13 @@ class PaperScenario:
         :class:`~repro.engine.kernel.Scheduler` or a registry name such as
         ``"fifo"``/``"backlog"``); ``None`` keeps the historical FIFO drain.
 
-        ``batch_size`` swaps in the vectorized batch data plane
-        (:func:`~repro.engine.kernel.batched_stages`) at the given probe
-        column width; ``None`` keeps the serial per-tuple pipeline.  Both
-        produce bit-identical runs — only wall-clock differs.
+        ``batch_size`` chunks each route hop's probe column into index
+        calls of at most that many rows
+        (:func:`~repro.engine.kernel.batched_stages`); ``None`` probes the
+        whole hop in one call.  Runs are bit-identical at every width —
+        only wall-clock differs.
 
-        ``probe_workers`` fans batched probe columns out to the
+        ``probe_workers`` fans the hop's column chunks out to the
         intra-partition parallel probe plane
         (:func:`~repro.engine.kernel.parallel_stages`), composing with
         ``batch_size``; ``None`` keeps the pool out of the pipeline.

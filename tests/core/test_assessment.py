@@ -281,3 +281,43 @@ def test_property_all_compact_assessors_cover_heavy_patterns(masks, epsilon, the
         if count / n >= theta:
             assert ap in cs
             assert ap in cd or any(r.provides_search_benefit_to(ap) for r in cd)
+
+
+def assessor_state(assessor):
+    """Every statistic an assessor holds, in storage order (with deltas and
+    the RNG position for the compacting methods)."""
+    state = [assessor.n_requests, assessor.entry_count, list(assessor.frequencies().items())]
+    sketch = getattr(assessor, "_sketch", None)
+    if sketch is not None:
+        state.append(list(sketch.entries().items()))
+        if hasattr(sketch, "_rng"):
+            state.append(sketch._rng.bit_generator.state)
+    return state
+
+
+@pytest.mark.parametrize("name", ASSESSOR_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 30)), max_size=20),
+    epsilon=st.sampled_from([0.25, 0.1]),
+)
+def test_property_record_run_equals_the_record_loop(name, runs, epsilon):
+    jas = JoinAttributeSet(["A", "B", "C"])
+    by_run = make_assessor(name, jas, epsilon=epsilon, seed=3)
+    by_record = make_assessor(name, jas, epsilon=epsilon, seed=3)
+    for mask, n in runs:
+        ap = AccessPattern.from_mask(jas, mask)
+        by_run.record_run(ap, n)
+        for _ in range(n):
+            by_record.record(ap)
+        assert assessor_state(by_run) == assessor_state(by_record)
+    assert by_run.frequent_patterns(0.2) == by_record.frequent_patterns(0.2)
+
+
+@pytest.mark.parametrize("name", ASSESSOR_NAMES)
+def test_record_run_rejects_foreign_jas_and_ignores_empty_runs(name, jas3, jas4):
+    assessor = make_assessor(name, jas3)
+    with pytest.raises(ValueError, match="different JAS"):
+        assessor.record_run(AccessPattern.from_mask(jas4, 1), 2)
+    assessor.record_run(AccessPattern.from_mask(jas3, 1), 0)
+    assert assessor.n_requests == 0 and assessor.entry_count == 0

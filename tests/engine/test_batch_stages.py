@@ -1,10 +1,10 @@
-"""Edge-case tests for the batch data plane (kernel.batch).
+"""Edge-case tests for probe columns and their chunk width (kernel.batch).
 
 The differential suite proves whole-run bit-identity statistically; this
-suite pins the awkward boundaries one at a time: empty batches, batches of
-one, a batch spanning a window-expiry boundary, and a batch larger than a
-count-window's capacity (eviction-before-insert must hold per element, not
-per batch).
+suite pins the awkward boundaries one at a time: empty columns, columns of
+one, a run spanning a window-expiry boundary, and a tick's arrivals larger
+than a count-window's capacity (eviction-before-insert must hold per
+element).
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from repro.core.bit_index import make_bit_index
 from repro.core.tuner import NullTuner
 from repro.engine.executor import AMRExecutor
 from repro.engine.kernel import (
-    BatchArrivalStage,
-    BatchExpiryStage,
-    BatchRouteProbeStage,
     DEFAULT_BATCH_SIZE,
-    TupleBatch,
+    BatchRouteProbeStage,
+    RouteProbeStage,
     batched_stages,
+    default_stages,
 )
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import ResourceMeter
@@ -95,42 +94,6 @@ def run_pair(ticks, plan, window=5, *, batch_size, stem_window=None):
         stats = ex.run(ticks, arrivals_from(plan))
         results.append((ex, stats, sink))
     return results
-
-
-# --------------------------------------------------------------------- #
-# TupleBatch assembly
-
-
-class TestTupleBatch:
-    def test_empty_batch(self):
-        batch = TupleBatch.assemble("A", [], ("k", "pa"))
-        assert len(batch) == 0
-        assert list(batch.timestamps) == []
-        for column in batch.hash_columns.values():
-            assert len(column) == 0
-
-    def test_columns_are_parallel(self):
-        items = [StreamTuple("A", t, {"k": t % 3, "pa": t}) for t in range(5)]
-        batch = TupleBatch.assemble("A", items, ("k",))
-        assert len(batch) == 5
-        assert list(batch.timestamps) == [0, 1, 2, 3, 4]
-        col = batch.hash_columns["k"]
-        assert len(col) == 5
-        # Same value -> same hash, in item order (0,1,2,0,1).
-        assert col[0] == col[3] and col[1] == col[4]
-        assert len({col[0], col[1], col[2]}) == 3
-
-    def test_missing_attribute_column_is_skipped(self):
-        items = [StreamTuple("A", 0, {"k": 1}), StreamTuple("A", 1, {"pa": 2})]
-        batch = TupleBatch.assemble("A", items, ("k", "pa"))
-        assert batch.hash_columns == {}  # neither column is total
-
-    def test_fragment_column_masks_each_hash(self):
-        items = [StreamTuple("A", t, {"k": t}) for t in range(4)]
-        batch = TupleBatch.assemble("A", items, ("k",))
-        frags = batch.fragment_column("k", 3)
-        assert list(frags) == [h & 0b111 for h in batch.hash_columns["k"]]
-        assert list(batch.fragment_column("k", 0)) == [0, 0, 0, 0]
 
 
 # --------------------------------------------------------------------- #
@@ -256,10 +219,14 @@ class TestCountWindowCapacity:
 class TestBatchStageConstruction:
     def test_batched_stages_shape(self):
         stages = batched_stages()
-        assert isinstance(stages[0], BatchArrivalStage)
-        assert isinstance(stages[1], BatchExpiryStage)
+        default = default_stages()
         assert isinstance(stages[2], BatchRouteProbeStage)
         assert stages[2].batch_size == DEFAULT_BATCH_SIZE
+        # One pipeline: only the route/probe stage's chunk width differs.
+        assert type(default[2]) is RouteProbeStage and default[2].batch_size is None
+        assert [type(s) for i, s in enumerate(stages) if i != 2] == [
+            type(s) for i, s in enumerate(default) if i != 2
+        ]
         assert len(stages) == 9
 
     @pytest.mark.parametrize("bad", [0, -1, -64])

@@ -220,6 +220,69 @@ class TestBareKernel:
         assert checker.ticks_checked == 4
 
 
+class TestProbeColumn:
+    """A route hop runs as one probe column unless the fanout cap could bite."""
+
+    @staticmethod
+    def run_clique(max_fanout):
+        """Three streams joined on ``k``: 3 B and 4 C tuples at tick 0, one A
+        tuple at tick 1 routed A -> B -> C.  Returns the run's observables
+        and the probe calls its second hop made on C's state."""
+        streams = [StreamSchema(s, ("k", f"p{s.lower()}")) for s in "ABC"]
+        preds = [JoinPredicate(a, "k", b, "k") for a, b in ("AB", "BC", "AC")]
+        query, stems, router, meter = make_parts(Query(streams, preds, window=5))
+        sink = []
+        ex = AMRExecutor(
+            query,
+            stems,
+            router,
+            meter,
+            arrival_rates={s: 1.0 for s in query.stream_names},
+            config=ExecutorConfig(max_fanout=max_fanout),
+            output_sink=sink.extend,
+        )
+        calls = []
+        for name in ("probe", "probe_batch"):
+
+            def spy(ap, arg, _fn=getattr(stems["C"], name), _name=name):
+                calls.append((_name, 1 if _name == "probe" else len(arg)))
+                return _fn(ap, arg)
+
+            setattr(stems["C"], name, spy)
+        plan = {
+            0: [("B", {"k": 1, "pb": i}) for i in range(3)]
+            + [("C", {"k": 1, "pc": i}) for i in range(4)],
+            1: [("A", {"k": 1, "pa": 0})],
+        }
+        stats = ex.run(2, arrivals_from(plan))
+        pairs = [(j.sources[1]["pb"], j.sources[2]["pc"]) for j in sink]
+        return ex, stats, pairs, calls
+
+    def test_hop_that_could_reach_max_fanout_probes_one_partial_at_a_time(self):
+        # Second hop: 3 partials x 4 stored tuples >= max_fanout 5, so the
+        # partials probe one by one and the hop stops inside the second
+        # probe's matches — the numbers below are the pre-column engine's.
+        ex, stats, pairs, calls = self.run_clique(max_fanout=5)
+        assert calls == [("probe", 1), ("probe", 1)]
+        assert pairs == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
+        assert (stats.outputs, stats.probes, stats.matches) == (5, 10, 11)
+        assert ex.meter.total_spent == 41.849999999999994
+        assert ex.stems["C"].tuner.assessor.n_requests == 2
+        # Both executed probes found all four C tuples: two EWMA folds.
+        expected = 1.0
+        for _ in range(2):
+            expected = expected + 0.05 * (4 - expected)
+        assert ex.estimator.expected_matches("C", 1) == expected
+
+    def test_uncapped_hop_is_one_column(self):
+        ex, stats, pairs, calls = self.run_clique(max_fanout=50_000)
+        assert calls == [("probe_batch", 3)]
+        assert pairs == [(b, c) for b in range(3) for c in range(4)]
+        assert (stats.outputs, stats.probes, stats.matches) == (12, 11, 15)
+        assert ex.meter.total_spent == 50.599999999999994
+        assert ex.stems["C"].tuner.assessor.n_requests == 3
+
+
 class TestFacade:
     def test_exposes_kernel_parts(self):
         ex = make_executor()

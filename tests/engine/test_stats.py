@@ -1,6 +1,8 @@
 """Tests for run statistics and the selectivity estimator."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.engine.stats import RunStats, SelectivityEstimator
 
@@ -84,3 +86,28 @@ class TestSelectivityEstimator:
         snap = est.snapshot()
         snap[("B", 1)] = 999
         assert est.expected_matches("B", 1) != 999
+
+    def test_observe_many_of_nothing_leaves_no_estimate(self):
+        est = SelectivityEstimator()
+        est.observe_many("B", 1, [])
+        assert est.snapshot() == {}
+
+    @given(
+        alpha=st.floats(0.001, 1.0),
+        initial=st.floats(0.0, 50.0),
+        hops=st.lists(
+            st.tuples(st.sampled_from(["B", "C"]), st.integers(1, 3),
+                      st.lists(st.integers(0, 500), max_size=40)),
+            max_size=8,
+        ),
+    )
+    def test_observe_many_equals_the_observe_loop_float_for_float(
+        self, alpha, initial, hops
+    ):
+        folded = SelectivityEstimator(alpha, initial)
+        looped = SelectivityEstimator(alpha, initial)
+        for target, mask, counts in hops:
+            folded.observe_many(target, mask, counts)
+            for matches in counts:
+                looped.observe(target, mask, matches)
+        assert folded.snapshot() == looped.snapshot()  # exact: no tolerance

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches.hierarchical import HierarchicalHeavyHitters
+from repro.sketches.hierarchical import HHHEntry, HierarchicalHeavyHitters
 from repro.utils.bitops import bit_count, mask_to_indices
 
 
@@ -89,6 +89,58 @@ class TestCompression:
         stream = [0b111] * 60 + [m for m in (1, 2, 4, 3, 5, 6) for _ in range(5)] * 2
         h.extend(stream)
         assert h.estimate(0b111) >= 50
+
+
+def sketch_state(h):
+    """Everything a later offer, compress or query can depend on."""
+    return list(h._entries.items()), h.n, h._rng.bit_generator.state
+
+
+class TestOfferRun:
+    """``offer_run(x, n)`` is ``n`` consecutive ``offer(x)`` calls."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # widths 2, 5 and 20; runs of 0..45 cross none, one or many boundaries
+        eps=st.sampled_from([0.5, 0.2, 0.05]),
+        combine=st.sampled_from(HierarchicalHeavyHitters.COMBINE_STRATEGIES),
+        seed=st.integers(0, 3),
+        runs=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 45)), max_size=25),
+    )
+    def test_equals_the_offer_loop(self, eps, combine, seed, runs):
+        by_run = make_hhh(eps, combine, seed)
+        by_offer = make_hhh(eps, combine, seed)
+        for item, n in runs:
+            by_run.offer_run(item, n)
+            for _ in range(n):
+                by_offer.offer(item)
+            # entries with their deltas, dict order, n, and RNG draws
+            assert sketch_state(by_run) == sketch_state(by_offer)
+        assert by_run.frequent_items(0.1) == by_offer.frequent_items(0.1)
+
+    def test_run_whose_own_entry_is_rolled_up_midway(self):
+        by_run, by_offer = make_hhh(eps=0.2), make_hhh(eps=0.2)  # width 5
+        for h in (by_run, by_offer):
+            h.extend([0b001] * 4)
+        # The run's first offer closes segment 1 with count 1: the entry is
+        # rolled up (0b110 -> 0b100 -> 0b000) and the rest of the run
+        # re-creates it in segment 2, crossing one more boundary.
+        by_run.offer_run(0b110, 7)
+        by_offer.extend([0b110] * 7)
+        assert sketch_state(by_run) == sketch_state(by_offer)
+        assert by_run._entries[0b110] == HHHEntry(count=6, delta=1)
+        assert by_run._entries[0b000] == HHHEntry(count=1, delta=0)
+        assert list(by_run._entries) == [0b001, 0b000, 0b110]
+
+    def test_tracked_leaves_memo_returns_copies(self):
+        h = make_hhh(eps=0.01)
+        h.extend([0b011, 0b001, 0b100])
+        first = h._tracked_leaves()
+        assert first == [0b011, 0b100]
+        first.clear()
+        assert h._tracked_leaves() == [0b011, 0b100]
+        h.offer(0b101)  # the key list changed: the memo must not answer
+        assert h._tracked_leaves() == [0b011, 0b101]
 
 
 class TestFinalResults:
