@@ -70,20 +70,6 @@ class TestMicroPaths:
             == bench_wall.SPARSE_STREAM_N
         )
 
-    def test_probe_parallel_serial(self, benchmark):
-        fixture = bench_wall.probe_parallel_fixture()
-        assert (
-            benchmark(bench_wall.bench_probe_parallel_serial, fixture)
-            == bench_wall.N_PROBES
-        )
-
-    def test_probe_parallel_pool4(self, benchmark):
-        fixture = bench_wall.probe_parallel_fixture()
-        assert (
-            run_once(benchmark, bench_wall.bench_probe_parallel_pool4, fixture)
-            == bench_wall.N_PROBES
-        )
-
 
 class TestEndToEnd:
     """Experiment-scale runs: timed once, like the figure benchmarks."""
@@ -173,44 +159,6 @@ class TestSpeedupProperties:
         assert lazy_idx.pending_count > 0  # the lazy run really was lazy
         assert lazy_idx.accountant == eager_idx.accountant
 
-    def test_parallel_probe_plane_is_bit_identical_on_the_bench_workload(self):
-        """The timed comparison is fair: the 4-thread pool produces the
-        same per-row outcomes and, after absorbing every scratch
-        accountant, the same live accountant as the inline serial path."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        store, ap, chunks = bench_wall.probe_parallel_fixture()
-        chunks = chunks[:8]
-        snapshot = store.snapshot()
-        serial = [snapshot.probe_chunk(ap, chunk) for chunk in chunks]
-        twin, ap2, _ = bench_wall.probe_parallel_fixture()
-        twin_snapshot = twin.snapshot()
-        with ThreadPoolExecutor(max_workers=bench_wall.PROBE_WORKERS) as pool:
-            futures = [
-                pool.submit(twin_snapshot.probe_chunk, ap2, chunk) for chunk in chunks
-            ]
-            pooled = [future.result() for future in futures]
-        def payloads(outcome):
-            return [tuple(sorted(m.items())) for m in outcome.matches]
-
-        for s, p in zip(serial, pooled):
-            for a, b in zip(s.outcomes, p.outcomes):
-                assert payloads(b) == payloads(a)
-                assert b.tuples_examined == a.tuples_examined
-                assert b.buckets_visited == a.buckets_visited
-            snapshot.absorb(s)
-            twin_snapshot.absorb(p)
-        assert twin.index.accountant == store.index.accountant
-
-    def test_probe_parallel_schedule_exposes_real_parallelism(self):
-        """The committed makespan ratio is recomputable arithmetic over
-        measured chunk work, and the Zipf chunks are balanced enough that
-        4 workers clear the 1.5x acceptance bar with margin."""
-        costs = bench_wall.probe_parallel_cost_units()
-        assert costs["workers"] == 4
-        assert costs["chunks"] > bench_wall.PROBE_WORKERS
-        assert costs["serial"] / costs["critical_path"] >= 1.5
-
     def test_sparse_workload_is_probe_sparse(self):
         """The crack win comes from skipped posting maintenance: probes are
         rare relative to window churn, so eager admission is mostly waste."""
@@ -260,9 +208,9 @@ class TestCommittedEvidence:
             assert set(run["benchmarks"]) == set(bench_wall.BENCHMARKS)
 
     def test_cross_label_speedups_show_no_regression(self):
-        """Both labels are now full same-machine, same-code runs (the
-        parallel probe plane refresh), so the cross-label ``speedup``
-        section is a no-regression gate rather than optimisation evidence:
+        """Both labels are full same-machine, same-code runs, so the
+        cross-label ``speedup`` section is a no-regression gate rather
+        than optimisation evidence:
         ``after`` must stay within noise of ``before`` on the acceptance
         paths.  The original hot-path optimisation evidence (probe 2.36x,
         end-to-end 2.19x against the pre-optimisation code) is recorded in
@@ -295,17 +243,3 @@ class TestCommittedEvidence:
         fleet_speedup = self.doc()["fleet_speedup"]
         assert fleet_speedup["after"] >= 1.2
         assert fleet_speedup["before"] >= 1.2
-
-    def test_probe_parallel_speedup_recorded(self):
-        """The parallel probe plane's acceptance evidence: >=1.5x at 4
-        workers on the Zipf probe plane — measured chunk work over the
-        pool schedule's critical path, for both committed labels (the raw
-        wall seconds of both paths sit in the benchmarks section)."""
-        doc = self.doc()
-        probe_parallel_speedup = doc["probe_parallel_speedup"]
-        assert probe_parallel_speedup["after"] >= 1.5
-        assert probe_parallel_speedup["before"] >= 1.5
-        for run in doc["runs"].values():
-            costs = run["probe_parallel_cost_units"]
-            assert costs["workers"] == 4
-            assert costs["serial"] > costs["critical_path"] > 0

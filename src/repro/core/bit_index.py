@@ -574,19 +574,6 @@ class BitAddressIndex(StateIndex):
         self._heat = {k: h for k, h in heat.items() if k in self._tails}
         return demoted
 
-    def _zero_heat(self) -> None:
-        # Rebind, never clear: the live index and any other views keep
-        # reading their own tallies while this view accumulates privately.
-        self._heat = {}
-
-    def harvest_heat(self) -> dict[BucketKey, int]:
-        return self._heat
-
-    def fold_heat(self, heat: dict[BucketKey, int]) -> None:
-        live = self._heat
-        for key, count in heat.items():
-            live[key] = live.get(key, 0) + count
-
     def crack_stats(self) -> dict[str, int]:
         return {
             "hot_buckets": len(self._buckets) - len(self._tails),

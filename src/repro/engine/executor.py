@@ -121,25 +121,10 @@ class AMRExecutor:
         Backlog-drain policy: a :class:`~repro.engine.kernel.Scheduler`,
         a registry name (``"fifo"``, ``"backlog"``), or ``None`` for the
         historical FIFO drain.
-    batch_size:
-        Probe rows per index call.  Every route hop is probed as one
-        same-pattern column; ``None`` (the default) hands the whole hop to
-        one call, an integer ``>= 1`` chunks it
-        (:func:`~repro.engine.kernel.batched_stages`).  Bit-identical at
-        every width — only wall-clock changes.
-    probe_workers:
-        Worker threads for the intra-partition parallel probe plane
-        (:func:`~repro.engine.kernel.parallel_stages`).  ``None`` (the
-        default) keeps the pool out of the pipeline; an integer ``>= 1``
-        fans the hop's column chunks out to a persistent pool over
-        epoch-tagged read-only index snapshots, merged deterministically —
-        bit-identical to the default (``crack_*`` telemetry excepted under
-        lazy admission).  Composes with ``batch_size``.
     stages:
         A custom stage pipeline replacing
-        :func:`~repro.engine.kernel.default_stages` (``scheduler`` and
-        ``batch_size`` are then ignored — the pipeline's own
-        :class:`RouteProbeStage` carries them).
+        :func:`~repro.engine.kernel.default_stages` (``scheduler`` is then
+        ignored — the pipeline's own :class:`RouteProbeStage` carries it).
     """
 
     def __init__(
@@ -161,8 +146,6 @@ class AMRExecutor:
         latency=None,
         slo=None,
         scheduler: Scheduler | str | None = None,
-        batch_size: int | None = None,
-        probe_workers: int | None = None,
         stages: Sequence[Stage] | None = None,
     ) -> None:
         self._ctx = EngineContext(
@@ -182,19 +165,7 @@ class AMRExecutor:
             latency=latency,
             slo=slo,
         )
-        if stages is not None:
-            pipeline = stages
-        elif probe_workers is not None:
-            check_positive("probe_workers", probe_workers)
-            from repro.engine.kernel.parallel_probe import parallel_stages
-
-            pipeline = parallel_stages(scheduler, batch_size, probe_workers)
-        elif batch_size is not None:
-            from repro.engine.kernel.batch import batched_stages
-
-            pipeline = batched_stages(scheduler, batch_size)
-        else:
-            pipeline = default_stages(scheduler)
+        pipeline = stages if stages is not None else default_stages(scheduler)
         self._kernel = EngineKernel(self._ctx, pipeline, host=self)
 
     # ------------------------------------------------------------------ #

@@ -26,18 +26,8 @@ monolith (held to committed goldens by
 ``tests/integration/test_golden_equivalence.py``).
 """
 
-from repro.engine.kernel.batch import (
-    DEFAULT_BATCH_SIZE,
-    BatchRouteProbeStage,
-    batched_stages,
-)
 from repro.engine.kernel.context import EngineContext
-from repro.engine.kernel.kernel import EngineKernel, default_stages, stages_around
-from repro.engine.kernel.parallel_probe import (
-    DEFAULT_PROBE_WORKERS,
-    ParallelProbeStage,
-    parallel_stages,
-)
+from repro.engine.kernel.kernel import EngineKernel, default_stages
 from repro.engine.kernel.partition import (
     PartitionedEngine,
     default_partitioner,
@@ -70,16 +60,12 @@ __all__ = [
     "ArrivalStage",
     "AuditStage",
     "BacklogAwareScheduler",
-    "BatchRouteProbeStage",
-    "DEFAULT_BATCH_SIZE",
-    "DEFAULT_PROBE_WORKERS",
     "EngineContext",
     "EngineKernel",
     "ExpiryStage",
     "FaultStage",
     "FifoScheduler",
     "MigrationStage",
-    "ParallelProbeStage",
     "PartitionedEngine",
     "RouteProbeStage",
     "SCHEDULERS",
@@ -89,13 +75,10 @@ __all__ = [
     "Stage",
     "TickState",
     "TuningStage",
-    "batched_stages",
     "default_partitioner",
     "default_stages",
     "merge_event_timelines",
     "merge_run_stats",
-    "parallel_stages",
     "per_stream_depths",
     "resolve_scheduler",
-    "stages_around",
 ]

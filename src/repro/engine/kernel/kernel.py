@@ -36,10 +36,10 @@ from repro.utils.validation import check_positive
 TICK_COST_BUCKETS = (100.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 20_000.0, 50_000.0)
 
 
-def stages_around(route: RouteProbeStage) -> tuple[Stage, ...]:
-    """The canonical pipeline around a given route/probe stage, in the
-    monolithic executor's tick order: arrivals → expiry → route/probe →
-    faults → tuning → migration → slo → shed/degrade → audit.
+def default_stages(scheduler: Scheduler | str | None = None) -> tuple[Stage, ...]:
+    """The canonical pipeline, in the monolithic executor's tick order:
+    arrivals → expiry → route/probe → faults → tuning → migration → slo →
+    shed/degrade → audit.
 
     ``MigrationStage`` advances budgeted incremental migrations and
     ``SloStage`` evaluates latency objectives; both are complete no-ops
@@ -48,6 +48,7 @@ def stages_around(route: RouteProbeStage) -> tuple[Stage, ...]:
     ``SloStage`` shares the route stage's scheduler so its backpressure
     gauges read the same per-stream depths the drain policy ranks by.
     """
+    route = RouteProbeStage(scheduler)
     return (
         ArrivalStage(),
         ExpiryStage(),
@@ -59,12 +60,6 @@ def stages_around(route: RouteProbeStage) -> tuple[Stage, ...]:
         ShedDegradeStage(),
         AuditStage(),
     )
-
-
-def default_stages(scheduler: Scheduler | str | None = None) -> tuple[Stage, ...]:
-    """The canonical pipeline (see :func:`stages_around`) with the default
-    route/probe stage: every hop probed as one whole column."""
-    return stages_around(RouteProbeStage(scheduler))
 
 
 class EngineKernel:

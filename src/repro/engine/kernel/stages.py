@@ -232,14 +232,6 @@ class ExpiryStage:
         ctx.spend_index_deltas(cost_before, component="index", phase="expire")
 
 
-def check_batch_size(batch_size: object) -> None:
-    """Reject a probe-column chunk width that is not an int ``>= 1``."""
-    if not isinstance(batch_size, int) or isinstance(batch_size, bool):
-        raise TypeError(f"batch_size must be an int, got {batch_size!r}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-
-
 def _probe_metrics(m, target: str, kind: str, assessor, n_matches: int) -> None:
     """One probe's metric series (registry attached)."""
     m.counter(
@@ -274,21 +266,12 @@ class RouteProbeStage:
     run statistics and the selectivity estimate once.  The engine reads
     the accountants, the assessor and the estimator only between requests,
     so every modeled quantity is what one probe at a time would give.
-
-    ``batch_size`` chunks a hop's column into index calls of at most that
-    many rows; ``None`` (the default) probes the whole hop in one call.
-    Results are identical at every width.
     """
 
     name = "route_probe"
 
-    def __init__(
-        self, scheduler: Scheduler | str | None = None, batch_size: int | None = None
-    ) -> None:
+    def __init__(self, scheduler: Scheduler | str | None = None) -> None:
         self.scheduler = resolve_scheduler(scheduler)
-        if batch_size is not None:
-            check_batch_size(batch_size)
-        self.batch_size = batch_size
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
         while ctx.queue and not ctx.meter.exhausted:
@@ -359,13 +342,17 @@ class RouteProbeStage:
         # during a drain), so below this bound no probe sequence can trip
         # the max_fanout early exit and the hop runs as one column.  At or
         # above it the partials probe one at a time, lazily: a truncated
-        # hop stops probing where the fanout cap is reached.
+        # hop stops probing where the fanout cap is reached.  (``probe`` /
+        # ``probe_batch`` are looked up per call: a tracer may shadow them
+        # on the state instance.)
         capped = len(partials) * stem.size >= max_fanout
         if capped:
             outcomes = (stem.probe(ap, probe_values(bindings, p)) for p in partials)
+        elif len(partials) == 1:
+            outcomes = [stem.probe(ap, probe_values(bindings, partials[0]))]
         else:
-            outcomes = self._probe_column(
-                stem, ap, [probe_values(bindings, p) for p in partials]
+            outcomes = stem.probe_batch(
+                ap, [probe_values(bindings, p) for p in partials]
             )
         m = ctx.metrics
         if m is not None:
@@ -416,22 +403,6 @@ class RouteProbeStage:
         ctx.stats.matches += sum(counts)
         ctx.estimator.observe_many(target, ap.mask, counts)
         return next_partials
-
-    def _probe_column(self, stem, ap, rows: list[dict[str, object]]) -> list:
-        """The outcomes of one hop's same-pattern probe rows, in row order.
-
-        ``probe``/``probe_batch`` are looked up per call: a tracer may
-        shadow them on the state instance.
-        """
-        if len(rows) == 1:
-            return [stem.probe(ap, rows[0])]
-        size = self.batch_size
-        if size is None or size >= len(rows):
-            return stem.probe_batch(ap, rows)
-        outcomes: list = []
-        for start in range(0, len(rows), size):
-            outcomes += stem.probe_batch(ap, rows[start : start + size])
-        return outcomes
 
 
 class FaultStage:

@@ -23,7 +23,7 @@ from repro.core.index_config import IndexConfiguration
 from repro.core.selector import pad_patterns_to_k, select_exhaustive, select_hash_patterns
 from repro.engine.kernel import PartitionedEngine
 from repro.engine.stats import RunStats
-from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from repro.workloads.scenarios import PaperScenario, ScenarioParams, hash_module_count
 
 TRAINING_SEED_OFFSET = 1_000_003  # decorrelates training data from measured runs
 
@@ -150,7 +150,7 @@ def run_scheme(
     initial_configs = training.configs if training is not None else None
     initial_hash = None
     if training is not None and scheme.startswith("hash:"):
-        k = int(scheme.split(":", 1)[1]) if hash_k is None else hash_k
+        k = hash_module_count(scheme) if hash_k is None else hash_k
         initial_hash = training.hash_patterns(k)
     executor = scenario.make_executor(
         scheme,
@@ -193,7 +193,7 @@ def run_scheme_partitioned(
     initial_configs = training.configs if training is not None else None
     initial_hash = None
     if training is not None and scheme.startswith("hash:"):
-        k = int(scheme.split(":", 1)[1]) if hash_k is None else hash_k
+        k = hash_module_count(scheme) if hash_k is None else hash_k
         initial_hash = training.hash_patterns(k)
 
     def build(_index: int):
@@ -268,7 +268,7 @@ def run_scheme_fleet(
     initial_configs = training.configs if training is not None else None
     initial_hash = None
     if training is not None and scheme.startswith("hash:"):
-        k = int(scheme.split(":", 1)[1]) if hash_k is None else hash_k
+        k = hash_module_count(scheme) if hash_k is None else hash_k
         initial_hash = training.hash_patterns(k)
 
     stats_for: dict[str, WorkloadStatistics] = {}

@@ -43,7 +43,7 @@ from repro.experiments.harness import (
     run_scheme,
     run_scheme_fleet,
 )
-from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from repro.workloads.scenarios import PaperScenario, ScenarioParams, hash_module_count
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,6 @@ class RunSpec:
     collect_metrics: bool = False
     slo: str | None = None  # SLO spec string, e.g. "p95<=8@120" (arms latency tracking)
     scheduler: str | None = None  # backlog-drain policy name (None = fifo)
-    batch_size: int | None = None  # probe-column chunk width (None = whole hop)
-    probe_workers: int | None = None  # parallel probe plane pool width (None = off)
     partitions: int = 1  # independent hash-partitioned kernels per run
     fleet: int = 1  # divergent replicas with cost-routed probes (1 = single engine)
     index_backend: str | None = None  # registry backend override (None = scheme default)
@@ -193,7 +191,7 @@ def _run_partition(spec: RunSpec, index: int) -> _PartitionResult:
     initial_configs = training.configs if training is not None else None
     initial_hash = None
     if training is not None and spec.scheme.startswith("hash:"):
-        initial_hash = training.hash_patterns(int(spec.scheme.split(":", 1)[1]))
+        initial_hash = training.hash_patterns(hash_module_count(spec.scheme))
     executor = scenario.make_executor(
         spec.scheme,
         initial_configs=initial_configs,
@@ -206,8 +204,6 @@ def _run_partition(spec: RunSpec, index: int) -> _PartitionResult:
         latency=tracker,
         slo=monitor,
         scheduler=spec.scheduler,
-        batch_size=spec.batch_size,
-        probe_workers=spec.probe_workers,
         index_backend=spec.index_backend,
         migration_budget=spec.migration_budget,
         lazy_index=spec.lazy_index,
@@ -287,8 +283,6 @@ def execute_spec_fleet(spec: RunSpec) -> RunOutcome:
         metrics=MetricsRegistry if spec.collect_metrics else None,
         latency=(lambda: _slo_attachments(spec)[0]) if spec.slo else None,
         scheduler=spec.scheduler,
-        batch_size=spec.batch_size,
-        probe_workers=spec.probe_workers,
         index_backend=spec.index_backend,
         migration_budget=spec.migration_budget,
         lazy_index=spec.lazy_index,
@@ -349,8 +343,6 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
         latency=tracker,
         slo=monitor,
         scheduler=spec.scheduler,
-        batch_size=spec.batch_size,
-        probe_workers=spec.probe_workers,
         index_backend=spec.index_backend,
         migration_budget=spec.migration_budget,
         lazy_index=spec.lazy_index,

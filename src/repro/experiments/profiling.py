@@ -33,6 +33,7 @@ from repro.engine.tracing import EventLog
 from repro.experiments.harness import train_initial_state
 from repro.experiments.reporting import format_cost_profile, format_table
 from repro.experiments.run import SCENARIOS, build_scenario
+from repro.workloads.scenarios import hash_module_count
 
 #: Attribution drift tolerated between the clock and the per-row sums —
 #: pure float regrouping error, so parts-per-billion is already generous.
@@ -62,7 +63,7 @@ def profile_scheme(
         scheme,
         initial_configs=training.configs if training else None,
         initial_hash_patterns=(
-            training.hash_patterns(int(scheme.split(":", 1)[1]))
+            training.hash_patterns(hash_module_count(scheme))
             if training and scheme.startswith("hash:")
             else None
         ),

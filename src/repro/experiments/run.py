@@ -207,23 +207,6 @@ def main(argv: list[str] | None = None) -> int:
         "healthy replica (1 = off; mutually exclusive with --partitions)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="probe rows per index call: chunk width of a route hop's probe "
-        "column (default: the whole hop in one call; results are "
-        "bit-identical at every width)",
-    )
-    parser.add_argument(
-        "--probe-workers",
-        type=int,
-        default=None,
-        help="worker threads for the intra-partition parallel probe plane "
-        "(probe columns fan out over epoch-tagged read-only index "
-        "snapshots; default: no pool; results are bit-identical; "
-        "composes with --batch-size, --partitions, and --fleet)",
-    )
-    parser.add_argument(
         "--index-backend",
         default=None,
         help="override every state's physical index with a registered backend "
@@ -305,10 +288,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
     if args.migration_budget is not None and args.migration_budget < 1:
         parser.error(f"--migration-budget must be >= 1, got {args.migration_budget}")
-    if args.batch_size is not None and args.batch_size < 1:
-        parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
-    if args.probe_workers is not None and args.probe_workers < 1:
-        parser.error(f"--probe-workers must be >= 1, got {args.probe_workers}")
     slo_spec = None
     if args.slo is not None:
         try:
@@ -320,11 +299,23 @@ def main(argv: list[str] | None = None) -> int:
 
     scenario = build_scenario(args.scenario, args.seed)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if not schemes:
+        parser.error(f"--schemes names no scheme, got {args.schemes!r}")
     training = (
         None if args.no_train else train_initial_state(scenario, train_ticks=args.train_ticks)
     )
     faults = None if args.faults == "none" else args.faults
-    degradation = DegradationPolicy() if args.degrade else None
+    engine_options = dict(
+        training=training,
+        faults=faults,
+        fault_seed=args.fault_seed,
+        degradation=DegradationPolicy() if args.degrade else None,
+        scheduler=args.scheduler,
+        index_backend=args.index_backend,
+        migration_budget=args.migration_budget,
+        lazy_index=args.lazy_index,
+        promote_threshold=args.promote_threshold,
+    )
     want_metrics = args.metrics is not None or args.trace is not None
     runs: dict[str, RunStats] = {}
     events: dict[str, list[EngineEvent]] = {}
@@ -343,12 +334,8 @@ def main(argv: list[str] | None = None) -> int:
                 scheme,
                 args.ticks,
                 fleet=args.fleet,
-                training=training,
                 fleet_event_log=fleet_log,
                 event_log=EventLog,
-                faults=faults,
-                fault_seed=args.fault_seed,
-                degradation=degradation,
                 metrics=MetricsRegistry if want_metrics else None,
                 latency=(
                     (lambda: LatencyTracker(threshold=slo_spec.threshold_ticks))
@@ -356,13 +343,7 @@ def main(argv: list[str] | None = None) -> int:
                     else None
                 ),
                 slo=(lambda: SloMonitor(slo_spec)) if slo_spec is not None else None,
-                scheduler=args.scheduler,
-                batch_size=args.batch_size,
-                probe_workers=args.probe_workers,
-                index_backend=args.index_backend,
-                migration_budget=args.migration_budget,
-                lazy_index=args.lazy_index,
-                promote_threshold=args.promote_threshold,
+                **engine_options,
             )
             merged_events = [event for _, event in engine.merged_events()]
             merged_events.extend(fleet_log)
@@ -389,11 +370,7 @@ def main(argv: list[str] | None = None) -> int:
                 scheme,
                 args.ticks,
                 partitions=args.partitions,
-                training=training,
                 event_log=EventLog,
-                faults=faults,
-                fault_seed=args.fault_seed,
-                degradation=degradation,
                 metrics=MetricsRegistry if want_metrics else None,
                 latency=(
                     (lambda: LatencyTracker(threshold=slo_spec.threshold_ticks))
@@ -401,13 +378,7 @@ def main(argv: list[str] | None = None) -> int:
                     else None
                 ),
                 slo=(lambda: SloMonitor(slo_spec)) if slo_spec is not None else None,
-                scheduler=args.scheduler,
-                batch_size=args.batch_size,
-                probe_workers=args.probe_workers,
-                index_backend=args.index_backend,
-                migration_budget=args.migration_budget,
-                lazy_index=args.lazy_index,
-                promote_threshold=args.promote_threshold,
+                **engine_options,
             )
             events[scheme] = [event for _, event in engine.merged_events()]
             if want_metrics:
@@ -432,21 +403,11 @@ def main(argv: list[str] | None = None) -> int:
             scenario,
             scheme,
             args.ticks,
-            training=training,
             event_log=log,
-            faults=faults,
-            fault_seed=args.fault_seed,
-            degradation=degradation,
             metrics=registry,
             latency=tracker,
             slo=monitor,
-            scheduler=args.scheduler,
-            batch_size=args.batch_size,
-            probe_workers=args.probe_workers,
-            index_backend=args.index_backend,
-            migration_budget=args.migration_budget,
-            lazy_index=args.lazy_index,
-            promote_threshold=args.promote_threshold,
+            **engine_options,
         )
         events[scheme] = list(log)
         if registry is not None:

@@ -19,7 +19,6 @@ while preserving the economics that drive the paper's results.
 from __future__ import annotations
 
 import abc
-import copy
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -185,54 +184,6 @@ class StateIndex(abc.ABC):
         so implementations charge nothing to the accountant.
         """
         raise NotImplementedError(f"{type(self).__name__} does not support contains()")
-
-    # -- read-only snapshot views ---------------------------------------- #
-    #
-    # The parallel probe plane (repro.engine.kernel.parallel_probe) fans
-    # same-pattern probe columns out to worker threads.  Each worker probes
-    # a *snapshot view*: a shallow copy of the index sharing every bucket /
-    # module / tail structure by reference (the dual-structure trick — no
-    # data is copied) but charging a private scratch accountant and
-    # accumulating probe heat privately.  Because the coordinator only
-    # hands out views between mutations (the storage layer's epoch tag
-    # enforces this), a view's search path reads frozen structures; the
-    # only shared writes left are memo caches (suitability tables, compiled
-    # probe plans) whose entries are value-identical however many threads
-    # race to fill them.
-
-    def snapshot_view(self, accountant: Accountant) -> "StateIndex":
-        """A read-only shallow view charging ``accountant`` instead of the
-        live one.
-
-        The view shares all storage structures by reference; callers must
-        not mutate through it and must discard it once the owning store's
-        epoch moves on.  Probe heat observed through the view accrues
-        privately — collect it with :meth:`harvest_heat` and replay it on
-        the live index with :meth:`fold_heat`.
-        """
-        view = copy.copy(self)
-        view.accountant = accountant
-        view._zero_heat()
-        return view
-
-    def _zero_heat(self) -> None:
-        """Detach the probe-heat tally so a view accumulates privately.
-
-        Backends that track heat rebind their tally here (never mutate the
-        shared one in place); heat-free backends inherit this no-op.
-        """
-
-    def harvest_heat(self):
-        """The heat a snapshot view accumulated (``None`` when heat-free)."""
-        return None
-
-    def fold_heat(self, heat) -> None:
-        """Fold a view's harvested heat back into the live tally.
-
-        Heat only influences *when* charge-free promotions run, never what
-        any probe observes, so folding is observably neutral by the lazy
-        contract.  No-op for heat-free backends.
-        """
 
     # -- lazy admission (cracking) --------------------------------------- #
     #

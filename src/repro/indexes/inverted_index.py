@@ -227,16 +227,6 @@ class InvertedListIndex(StateIndex):
         self.crack_epoch += 1
         return resident
 
-    def _zero_heat(self) -> None:
-        self._heat = 0
-
-    def harvest_heat(self) -> int:
-        return self._heat
-
-    def fold_heat(self, heat: int) -> None:
-        if heat:
-            self._heat += heat
-
     def crack_stats(self) -> dict[str, int]:
         return {
             "hot_buckets": len(self._items) - len(self._pending),

@@ -30,7 +30,6 @@ from repro.storage.backends import (
     resolve_backend,
 )
 from repro.storage.crack import CrackConfig, ResultCache, effective_threshold
-from repro.storage.snapshot import ProbeChunkResult, StaleSnapshotError, StoreSnapshot
 from repro.storage.migration import (
     MIGRATION_DONE,
     MIGRATION_START,
@@ -58,11 +57,8 @@ __all__ = [
     "MigrationPlan",
     "MigrationPlanner",
     "MigrationStepReport",
-    "ProbeChunkResult",
     "ResultCache",
-    "StaleSnapshotError",
     "StateStore",
-    "StoreSnapshot",
     "Tuner",
     "UnknownBackendError",
     "capabilities_for",

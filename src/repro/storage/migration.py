@@ -125,7 +125,6 @@ class IndexLifecycle:
         ambiguous.
         """
         index = self.store.index
-        self.store.bump_epoch()  # either branch restructures what probes see
         if self.budget is None:
             return index.reconfigure(new_config)
         from repro.storage.backends import capabilities_for
@@ -200,8 +199,6 @@ class IndexLifecycle:
         self._moved += moved
         remaining = draining.size
         done = remaining == 0
-        if moved or done:
-            self.store.bump_epoch()  # tuples changed structures (or one retired)
         detail: dict[str, object] = dict(
             moved=moved,
             remaining=remaining,

@@ -127,9 +127,6 @@ class StateStore:
         if crack is not None:
             self.index.enable_lazy()
             self._result_cache = ResultCache()
-        # Generation counter for read-only snapshots: bumped by every
-        # mutation a probe could observe (see ``bump_epoch``).
-        self._epoch = 0
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -162,39 +159,6 @@ class StateStore:
         return self.crack is not None
 
     # ------------------------------------------------------------------ #
-    # snapshot epochs
-
-    @property
-    def epoch(self) -> int:
-        """The store's mutation generation (tags read-only snapshots)."""
-        return self._epoch
-
-    def bump_epoch(self) -> None:
-        """Invalidate outstanding snapshots.
-
-        Called by every mutation that can change what a probe observes:
-        admission, expiry/eviction, migration begin and drain steps, crack
-        promotion/demotion, degrade-to-scan, and retunes.  Over-bumping is
-        always safe (a fresh snapshot is one call away); missing a bump is
-        not, so mutators err on the side of bumping.
-        """
-        self._epoch += 1
-
-    def snapshot(self):
-        """An epoch-tagged read-only view of the current structure(s).
-
-        Freezes the active index *and* the draining structure of an
-        in-flight budgeted migration by reference (the dual-structure
-        trick — capture is O(1), no data is copied).  The snapshot's
-        :meth:`~repro.storage.snapshot.StoreSnapshot.probe_chunk` is safe
-        to call from worker threads; it refuses to probe once this store
-        mutates past the captured epoch.
-        """
-        from repro.storage.snapshot import StoreSnapshot
-
-        return StoreSnapshot(self)
-
-    # ------------------------------------------------------------------ #
     # storage operations
 
     def insert(self, item: StreamTuple, now: int) -> None:
@@ -205,7 +169,6 @@ class StateStore:
         momentarily holds capacity + 1 tuples (the memory gauge peak is
         exact).
         """
-        self.bump_epoch()
         evicted = self.window.add(item, now)
         for old in evicted:
             self._remove_from_index(old)
@@ -214,8 +177,6 @@ class StateStore:
     def expire(self, now: int) -> int:
         """Drop tuples whose window has passed; returns how many."""
         expired = self.window.expire(now)
-        if expired:
-            self.bump_epoch()
         for item in expired:
             self._remove_from_index(item)
         return len(expired)
@@ -342,13 +303,7 @@ class StateStore:
 
     def tune(self, context: TuningContext) -> TuneReport | None:
         """Run one tuning round (delegates to the tuner)."""
-        report = self.tuner.tune(context)
-        if report is not None:
-            # A tuning round may have reconfigured the structure (legacy
-            # stop-the-world path included, which bypasses the lifecycle);
-            # over-bumping on a no-change round is safe by contract.
-            self.bump_epoch()
-        return report
+        return self.tuner.tune(context)
 
     def migration_step(self, max_moves: int | None = None):
         """Advance an in-flight migration (delegates to the lifecycle)."""
@@ -372,10 +327,7 @@ class StateStore:
         budget = self.crack.promote_budget
         if budget is None:
             budget = self.lifecycle.budget
-        promoted = self.index.promote_hot(threshold, budget)
-        if promoted:
-            self.bump_epoch()
-        return promoted
+        return self.index.promote_hot(threshold, budget)
 
     def demote_step(self) -> int:
         """Demote cold resident buckets back to the pending log; returns how
@@ -383,10 +335,7 @@ class StateStore:
         the engine calls it from the shed/degrade stage."""
         if not getattr(self.index, "lazy", False):
             return 0
-        demoted = self.index.demote_cold(self.crack.demote_budget)
-        if demoted:
-            self.bump_epoch()
-        return demoted
+        return self.index.demote_cold(self.crack.demote_budget)
 
     def crack_telemetry(self) -> dict[str, float]:
         """Hot/cold tier counts plus result-cache counters, for metrics."""
@@ -411,7 +360,6 @@ class StateStore:
         """
         if self.degraded:
             return 0
-        self.bump_epoch()
         live = list(self.window)
         acct = self.index.accountant
         acct.index_bytes = 0  # the old structure(s) are gone wholesale

@@ -99,6 +99,20 @@ class ScenarioParams:
         return f"{a}{b}" if len(a) == 1 and len(b) == 1 else f"{a}_{b}"
 
 
+def _unknown_scheme(scheme: str) -> ValueError:
+    return ValueError(
+        f"unknown scheme {scheme!r}; expected amri:<assessor>, hash:<k>, static, inverted, or scan"
+    )
+
+
+def hash_module_count(scheme: str) -> int:
+    """The ``k`` of a ``hash:<k>`` scheme name."""
+    k = scheme.split(":", 1)[1]
+    if not k.isdigit():
+        raise _unknown_scheme(scheme)
+    return int(k)
+
+
 class PaperScenario:
     """The Section V experimental setup, ready to instantiate per scheme."""
 
@@ -165,12 +179,11 @@ class PaperScenario:
         if scheme.startswith("amri:"):
             return "bit_address"
         if scheme.startswith("hash:"):
+            hash_module_count(scheme)  # rejects a non-numeric <k>
             return "multi_hash"
         if scheme in ("static", "inverted", "scan"):
             return {"static": "static_bitmap", "inverted": "inverted", "scan": "scan"}[scheme]
-        raise ValueError(
-            f"unknown scheme {scheme!r}; expected amri:<assessor>, hash:<k>, static, inverted, or scan"
-        )
+        raise _unknown_scheme(scheme)
 
     def build_stems(
         self,
@@ -220,7 +233,7 @@ class PaperScenario:
 
             patterns: tuple[AccessPattern, ...] = ()
             if scheme.startswith("hash:"):
-                k = int(scheme.split(":", 1)[1])
+                k = hash_module_count(scheme)
                 chosen = (initial_hash_patterns or {}).get(stream)
                 if chosen is None:
                     # Default modules: the k single-attribute patterns first,
@@ -261,7 +274,7 @@ class PaperScenario:
                 else:
                     tuner = NullTuner(assessor)
             elif scheme.startswith("hash:"):
-                k = int(scheme.split(":", 1)[1])
+                k = hash_module_count(scheme)
                 assessor = CDIA(jas, p.epsilon, combine="highest_count", seed=seed)
                 if caps.per_pattern_modules:
                     tuner = HashIndexTuner(index, assessor, k=k, theta=p.theta)
@@ -325,8 +338,6 @@ class PaperScenario:
         latency=None,
         slo=None,
         scheduler=None,
-        batch_size: int | None = None,
-        probe_workers: int | None = None,
         index_backend: str | None = None,
         migration_budget: int | None = None,
         lazy_index: bool = False,
@@ -353,17 +364,6 @@ class PaperScenario:
         ``scheduler`` picks the backlog-drain policy (a
         :class:`~repro.engine.kernel.Scheduler` or a registry name such as
         ``"fifo"``/``"backlog"``); ``None`` keeps the historical FIFO drain.
-
-        ``batch_size`` chunks each route hop's probe column into index
-        calls of at most that many rows
-        (:func:`~repro.engine.kernel.batched_stages`); ``None`` probes the
-        whole hop in one call.  Runs are bit-identical at every width —
-        only wall-clock differs.
-
-        ``probe_workers`` fans the hop's column chunks out to the
-        intra-partition parallel probe plane
-        (:func:`~repro.engine.kernel.parallel_stages`), composing with
-        ``batch_size``; ``None`` keeps the pool out of the pipeline.
 
         ``index_backend`` overrides each state's physical index with a
         named :data:`~repro.storage.BACKENDS` backend; ``migration_budget``
@@ -415,8 +415,6 @@ class PaperScenario:
             latency=latency,
             slo=slo,
             scheduler=scheduler,
-            batch_size=batch_size,
-            probe_workers=probe_workers,
         )
 
 

@@ -1,27 +1,21 @@
-"""Edge-case tests for probe columns and their chunk width (kernel.batch).
+"""Edge-case tests for the route/probe stage's probe columns.
 
-The differential suite proves whole-run bit-identity statistically; this
-suite pins the awkward boundaries one at a time: empty columns, columns of
-one, a run spanning a window-expiry boundary, and a tick's arrivals larger
-than a count-window's capacity (eviction-before-insert must hold per
-element).
+``tests/storage/test_probe_batch_property.py`` proves ``probe_batch``
+equal to the probe loop on the store; this suite pins the awkward
+boundaries one at a time, at the index and through the engine: empty
+columns, columns of one, a run spanning a window-expiry boundary, and a
+tick's arrivals larger than a count-window's capacity
+(eviction-before-insert must hold per element).  The engine cases compare
+the pipeline against itself with every state's ``probe_batch`` shadowed by
+the per-row ``probe`` loop — the reference the column must reproduce.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.assessment import SRIA
 from repro.core.bit_index import make_bit_index
 from repro.core.tuner import NullTuner
 from repro.engine.executor import AMRExecutor
-from repro.engine.kernel import (
-    DEFAULT_BATCH_SIZE,
-    BatchRouteProbeStage,
-    RouteProbeStage,
-    batched_stages,
-    default_stages,
-)
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import FixedRouter
@@ -34,16 +28,19 @@ from repro.indexes.scan_index import ScanIndex
 from repro.storage import StateStore
 
 
-def two_stream_query(window=5):
-    streams = [StreamSchema("A", ("k", "pa")), StreamSchema("B", ("k", "pb"))]
-    return Query(streams, [JoinPredicate("A", "k", "B", "k")], window=window)
+def clique_query(window=5):
+    """Three streams joined pairwise on ``k``: second hops carry several
+    partials, so they run as probe columns."""
+    streams = [StreamSchema(s, ("k", f"p{s.lower()}")) for s in "ABC"]
+    preds = [JoinPredicate(a, "k", b, "k") for a, b in ("AB", "BC", "AC")]
+    return Query(streams, preds, window=window)
 
 
-def make_executor(window=5, *, batch_size=None, sink=None, stem_window=None):
-    """A tiny two-stream engine; ``stem_window`` is a factory for a
+def make_executor(window=5, *, sink=None, stem_window=None):
+    """A tiny three-stream engine; ``stem_window`` is a factory for a
     per-state window object (e.g. ``lambda: CountWindow(3)``) independent
     of the query's time window."""
-    query = two_stream_query(window)
+    query = clique_query(window)
     stems = {}
     for s in query.stream_names:
         jas = query.jas_for(s)
@@ -64,7 +61,6 @@ def make_executor(window=5, *, batch_size=None, sink=None, stem_window=None):
         router,
         meter,
         arrival_rates={s: 1.0 for s in query.stream_names},
-        batch_size=batch_size,
         output_sink=sink,
     )
 
@@ -77,22 +73,37 @@ def arrivals_from(plan):
 
 
 def join_plan(ticks, per_tick=3):
-    """Both streams, overlapping keys, every tick — guarantees matches."""
+    """All streams, overlapping keys, every tick — guarantees matches."""
     return {
-        t: [("A", {"k": i % 2, "pa": i}) for i in range(per_tick)]
-        + [("B", {"k": i % 2, "pb": i}) for i in range(per_tick)]
+        t: [
+            (s, {"k": i % 2, f"p{s.lower()}": i})
+            for s in "ABC"
+            for i in range(per_tick)
+        ]
         for t in range(ticks)
     }
 
 
-def run_pair(ticks, plan, window=5, *, batch_size, stem_window=None):
-    """The same workload through the serial and the batched pipeline."""
+def run_pair(ticks, plan, window=5, *, stem_window=None):
+    """The same workload with every column probed by the ``probe`` loop,
+    then by ``probe_batch`` (which must really see multi-row columns)."""
     results = []
-    for bs in (None, batch_size):
+    widths = []
+    for per_row in (True, False):
         sink = []
-        ex = make_executor(window, batch_size=bs, sink=sink.extend, stem_window=stem_window)
+        ex = make_executor(window, sink=sink.extend, stem_window=stem_window)
+        for stem in ex.stems.values():
+
+            def column(ap, rows, _stem=stem, _batch=stem.probe_batch, _per_row=per_row):
+                if _per_row:
+                    return [_stem.probe(ap, row) for row in rows]
+                widths.append(len(rows))
+                return _batch(ap, rows)
+
+            stem.probe_batch = column
         stats = ex.run(ticks, arrivals_from(plan))
         results.append((ex, stats, sink))
+    assert widths and min(widths) > 1, "no hop ran as a column; the case is vacuous"
     return results
 
 
@@ -136,13 +147,6 @@ class TestBatchOfOne:
         assert out_b.used_full_scan == out_s.used_full_scan
         assert batched.accountant == serial.accountant
 
-    def test_pipeline_at_batch_size_one(self):
-        (_, s_stats, s_out), (_, b_stats, b_out) = run_pair(
-            6, join_plan(6), batch_size=1
-        )
-        assert stats_fingerprint(b_stats) == stats_fingerprint(s_stats)
-        assert b_out == s_out
-
 
 # --------------------------------------------------------------------- #
 # batch spanning a window-expiry boundary
@@ -151,9 +155,9 @@ class TestBatchOfOne:
 class TestWindowExpiryBoundary:
     def test_batch_spanning_expiry_matches_serial(self):
         # window=2 over 8 ticks: most of the run probes states that expired
-        # tuples this tick; batch size exceeds any hop's probe column.
+        # tuples this tick.
         (s_ex, s_stats, s_out), (b_ex, b_stats, b_out) = run_pair(
-            8, join_plan(8), window=2, batch_size=64
+            8, join_plan(8), window=2
         )
         deletes = sum(st.index.accountant.deletes for st in b_ex.stems.values())
         assert deletes > 0, "no expiry happened; the case is vacuous"
@@ -177,9 +181,7 @@ class TestCountWindowCapacity:
         """A 12-tuple arrival batch through a capacity-3 count window must
         evict-then-insert one element at a time: the index never holds
         capacity + 1 tuples, even transiently inside the batch."""
-        ex = make_executor(
-            batch_size=64, stem_window=lambda: CountWindow(self.CAPACITY)
-        )
+        ex = make_executor(stem_window=lambda: CountWindow(self.CAPACITY))
         peaks = {}
         for name, stem in ex.stems.items():
             original = stem.index.insert
@@ -200,46 +202,8 @@ class TestCountWindowCapacity:
         assert ex.stems["A"].size == self.CAPACITY
 
     def test_overflowing_batch_matches_serial(self):
-        plan = {
-            t: [("A", {"k": i % 2, "pa": i}) for i in range(8)]
-            + [("B", {"k": i % 2, "pb": i}) for i in range(8)]
-            for t in range(4)
-        }
         (_, s_stats, s_out), (_, b_stats, b_out) = run_pair(
-            4, plan, batch_size=64, stem_window=lambda: CountWindow(self.CAPACITY)
+            4, join_plan(4, per_tick=8), stem_window=lambda: CountWindow(self.CAPACITY)
         )
         assert stats_fingerprint(b_stats) == stats_fingerprint(s_stats)
         assert b_out == s_out
-
-
-# --------------------------------------------------------------------- #
-# stage construction
-
-
-class TestBatchStageConstruction:
-    def test_batched_stages_shape(self):
-        stages = batched_stages()
-        default = default_stages()
-        assert isinstance(stages[2], BatchRouteProbeStage)
-        assert stages[2].batch_size == DEFAULT_BATCH_SIZE
-        # One pipeline: only the route/probe stage's chunk width differs.
-        assert type(default[2]) is RouteProbeStage and default[2].batch_size is None
-        assert [type(s) for i, s in enumerate(stages) if i != 2] == [
-            type(s) for i, s in enumerate(default) if i != 2
-        ]
-        assert len(stages) == 9
-
-    @pytest.mark.parametrize("bad", [0, -1, -64])
-    def test_rejects_non_positive_batch_size(self, bad):
-        with pytest.raises(ValueError, match="batch_size"):
-            BatchRouteProbeStage(batch_size=bad)
-
-    @pytest.mark.parametrize("bad", [2.5, "64", None, True])
-    def test_rejects_non_int_batch_size(self, bad):
-        with pytest.raises(TypeError, match="batch_size"):
-            BatchRouteProbeStage(batch_size=bad)
-
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_executor_rejects_bad_batch_size(self, bad):
-        with pytest.raises(ValueError, match="batch_size"):
-            make_executor(batch_size=bad)

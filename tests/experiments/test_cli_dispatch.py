@@ -86,28 +86,28 @@ class TestEngineFlags:
         assert rc == 2
         assert "--partitions must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_batch_size_must_be_positive(self, value, capsys):
-        rc = main_mod.main(["run", "--batch-size", value])
+    @pytest.mark.parametrize("flag", ["--batch-size", "--probe-workers"])
+    def test_removed_plane_flags_are_unrecognized(self, flag, capsys):
+        rc = main_mod.main(["run", flag, "2"])
         captured = capsys.readouterr()
         assert rc == 2
-        assert f"--batch-size must be >= 1, got {value}" in captured.err
+        assert f"unrecognized arguments: {flag} 2" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("value", ["2.5", "abc"])
-    def test_batch_size_must_be_an_integer(self, value, capsys):
-        rc = main_mod.main(["run", "--batch-size", value])
+    @pytest.mark.parametrize("value", [",", ""])
+    def test_empty_scheme_list_is_a_usage_error(self, value, capsys):
+        rc = main_mod.main(["run", "--schemes", value, "--no-train"])
         captured = capsys.readouterr()
         assert rc == 2
-        assert "usage" in captured.err.lower()
-        assert "Traceback" not in captured.err
+        assert "--schemes names no scheme" in captured.err
+        assert captured.out == ""
 
-    def test_batched_run_succeeds(self, capsys):
-        rc = run_cli.main(
-            ["--schemes", "scan", "--ticks", "12", "--no-train", "--batch-size", "7"]
-        )
-        assert rc == 0
-        assert "scan" in capsys.readouterr().out
+    def test_non_numeric_hash_scheme_is_an_unknown_scheme(self, capsys):
+        rc = main_mod.main(["run", "--schemes", "hash:x", "--ticks", "5", "--train-ticks", "5"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "unknown scheme 'hash:x'" in captured.err
+        assert "hash:<k>" in captured.err
 
     def test_partitioned_backlog_run_succeeds(self, capsys):
         rc = run_cli.main(
@@ -289,57 +289,3 @@ class TestLazyIndexFlags:
             profiling.main(["--promote-threshold", "2.0"])
         assert exc.value.code == 2
         assert "--promote-threshold requires --lazy-index" in capsys.readouterr().err
-
-
-class TestProbeWorkerFlags:
-    @pytest.mark.parametrize("value", ["0", "-4"])
-    def test_probe_workers_must_be_positive(self, value, capsys):
-        rc = main_mod.main(["run", "--probe-workers", value])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert f"--probe-workers must be >= 1, got {value}" in captured.err
-        assert "Traceback" not in captured.err
-
-    @pytest.mark.parametrize("value", ["2.5", "four"])
-    def test_probe_workers_must_be_an_integer(self, value, capsys):
-        rc = main_mod.main(["run", "--probe-workers", value])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "usage" in captured.err.lower()
-        assert "Traceback" not in captured.err
-
-    def test_parallel_probe_run_succeeds(self, capsys):
-        rc = run_cli.main(
-            ["--schemes", "scan", "--ticks", "12", "--no-train",
-             "--probe-workers", "2"]
-        )
-        assert rc == 0
-        assert "scan" in capsys.readouterr().out
-
-    def test_composes_with_batch_size_and_lazy_index(self, capsys):
-        rc = run_cli.main(
-            ["--schemes", "amri:sria", "--ticks", "12", "--no-train",
-             "--probe-workers", "4", "--batch-size", "2", "--lazy-index"]
-        )
-        assert rc == 0
-        assert "amri:sria" in capsys.readouterr().out
-
-    def test_composes_with_partitions(self, capsys):
-        rc = run_cli.main(
-            ["--schemes", "scan", "--ticks", "12", "--no-train",
-             "--probe-workers", "2", "--partitions", "2"]
-        )
-        assert rc == 0
-        assert "scan" in capsys.readouterr().out
-
-    def test_composes_with_fleet(self, capsys):
-        rc = run_cli.main(
-            ["--schemes", "scan", "--ticks", "10", "--no-train",
-             "--probe-workers", "2", "--fleet", "2"]
-        )
-        assert rc == 0
-        assert "fleet routing (scan, K=2)" in capsys.readouterr().out
-
-    def test_banner_mentions_probe_workers(self, capsys):
-        main_mod.main([])
-        assert "--probe-workers" in capsys.readouterr().out

@@ -10,8 +10,8 @@ on lazy runs and are excluded from the comparison.
 
 Held four ways:
 
-- a deterministic matrix over **all five index backends** × batch widths
-  ``{serial, 64}`` comparing full run fingerprints;
+- a deterministic matrix over **all five index backends** comparing full
+  run fingerprints;
 - the same identity across **hash-partitioned** engines (2 kernels);
 - a replay of the **committed golden corpus** with lazy admission on —
   stats, events, and the meter total must match the pre-refactor monolith
@@ -125,7 +125,7 @@ def assert_identical(eager: dict, lazy: dict, context: str) -> None:
 
 
 # --------------------------------------------------------------------- #
-# deterministic matrix: 5 backends × {serial, batched}
+# deterministic matrix: 5 backends
 
 
 @pytest.fixture(scope="module")
@@ -136,19 +136,9 @@ def eager_runs():
 
 class TestBackendMatrix:
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    @pytest.mark.parametrize("batch_size", (None, 1, 64))
-    def test_lazy_matches_eager(self, eager_runs, scheme, batch_size):
-        lazy = run_fingerprint(7, scheme, lazy_index=True, batch_size=batch_size)
-        eager = (
-            eager_runs[scheme]
-            if batch_size is None
-            else run_fingerprint(7, scheme, batch_size=batch_size)
-        )
-        assert_identical(
-            eager,
-            lazy,
-            f"{scheme} ({SCHEMES[scheme]}) lazy at batch_size={batch_size}",
-        )
+    def test_lazy_matches_eager(self, eager_runs, scheme):
+        lazy = run_fingerprint(7, scheme, lazy_index=True)
+        assert_identical(eager_runs[scheme], lazy, f"{scheme} ({SCHEMES[scheme]}) lazy")
 
     def test_matrix_is_not_vacuous(self, eager_runs):
         """The workload actually joins, probes, and spends."""

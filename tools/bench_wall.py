@@ -55,22 +55,6 @@ Benchmarks
                             within-label ratio is recorded under
                             ``crack_speedup`` (the lazy-indexing refactor's
                             acceptance evidence)
-- ``probe_parallel_serial`` / ``probe_parallel_pool4`` — the Zipf probe
-                            plane chunked through epoch-tagged store
-                            snapshots, inline vs a real 4-thread pool
-                            (wall seconds of both paths, recorded for the
-                            record); the *committed* acceptance ratio,
-                            ``probe_parallel_speedup``, is the measured
-                            cost-model makespan ratio — total probe work
-                            units over the 4-worker critical path under
-                            the pool's actual earliest-free-worker chunk
-                            schedule (``probe_parallel_cost_units``).
-                            Machine-independent by design, like
-                            ``fleet_speedup``: on a single-CPU CI host the
-                            GIL serialises the pool's wall clock, so the
-                            wall ratio documents overhead while the
-                            makespan ratio documents the parallelism the
-                            schedule actually exposes.
 """
 
 from __future__ import annotations
@@ -112,8 +96,6 @@ SPARSE_PROBE_EVERY = 400
 SPARSE_PROMOTE_THRESHOLD = 1e9
 FLEET_K = 3
 FLEET_BUDGET = 8
-#: The parallel probe plane's committed acceptance width.
-PROBE_WORKERS = 4
 
 
 def make_items(n: int = N_ITEMS) -> list[dict]:
@@ -224,90 +206,6 @@ def bench_probe_plane_batch64(idx=None) -> int:
     for start in range(0, len(rows), BATCH_SIZE):
         idx.search_batch(ap, rows[start : start + BATCH_SIZE])
     return len(rows)
-
-
-def probe_parallel_fixture():
-    """A populated store plus the Zipf probe plane pre-split into chunks.
-
-    The same ``bit_index_probe``-style workload the batch benches use, but
-    probed through :meth:`StateStore.snapshot` /
-    :meth:`~repro.storage.snapshot.StoreSnapshot.probe_chunk` — the exact
-    worker-side code path of the parallel probe plane.
-    """
-    from repro.engine.tuples import StreamTuple
-    from repro.storage import StateStore
-
-    idx = make_bit_index(JAS, {"A": 8, "B": 8, "C": 8})
-    store = StateStore("S", JAS, idx, window=1 << 30)
-    for i, item in enumerate(make_items()):
-        store.insert(StreamTuple("S", 0, item), 0)
-    ap, rows = zipf_probe_workload()
-    chunks = [rows[start : start + BATCH_SIZE] for start in range(0, len(rows), BATCH_SIZE)]
-    return store, ap, chunks
-
-
-def bench_probe_parallel_serial(fixture=None) -> int:
-    """Every chunk probed inline on one thread (the coordinator's path)."""
-    if fixture is None:
-        fixture = probe_parallel_fixture()
-    store, ap, chunks = fixture
-    snapshot = store.snapshot()
-    for chunk in chunks:
-        snapshot.probe_chunk(ap, chunk)
-    return sum(len(c) for c in chunks)
-
-
-def bench_probe_parallel_pool4(fixture=None) -> int:
-    """The same chunks fanned out to a real 4-thread pool.
-
-    Wall seconds here include whatever the host's core count and the GIL
-    allow — recorded for the record, not the committed ratio (see the
-    module docstring).
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    if fixture is None:
-        fixture = probe_parallel_fixture()
-    store, ap, chunks = fixture
-    snapshot = store.snapshot()
-    with ThreadPoolExecutor(max_workers=PROBE_WORKERS) as pool:
-        futures = [pool.submit(snapshot.probe_chunk, ap, chunk) for chunk in chunks]
-        for future in futures:
-            future.result()
-    return sum(len(c) for c in chunks)
-
-
-def probe_parallel_cost_units() -> dict:
-    """Measured probe work per chunk, scheduled onto ``PROBE_WORKERS`` workers.
-
-    Each chunk's work units are read off its scratch accountant (hashes +
-    buckets visited + tuples examined + comparisons — the integer counters
-    the cost model charges for), so the tally is deterministic and
-    machine-independent.  Chunks are then assigned in submission order to
-    the earliest-free worker — exactly how a thread pool's queue drains —
-    and the critical path is the busiest worker's total.  The committed
-    ``probe_parallel_speedup`` is ``serial / critical_path``.
-    """
-    store, ap, chunks = probe_parallel_fixture()
-    snapshot = store.snapshot()
-    units = []
-    for chunk in chunks:
-        scratch = snapshot.probe_chunk(ap, chunk).scratch
-        units.append(
-            scratch.hashes
-            + scratch.buckets_visited
-            + scratch.tuples_examined
-            + scratch.comparisons
-        )
-    free = [0.0] * PROBE_WORKERS
-    for work in units:
-        free[min(range(PROBE_WORKERS), key=lambda j: (free[j], j))] += work
-    return {
-        "serial": float(sum(units)),
-        "critical_path": max(free),
-        "workers": PROBE_WORKERS,
-        "chunks": len(units),
-    }
 
 
 def sparse_stream_workload() -> tuple[list[dict], AccessPattern]:
@@ -487,8 +385,6 @@ BENCHMARKS: dict[str, tuple] = {
     "probe_plane_batch64": (populated_bit_index, bench_probe_plane_batch64),
     "probe_sparse_eager": (None, bench_probe_sparse_eager),
     "probe_sparse_lazy": (None, bench_probe_sparse_lazy),
-    "probe_parallel_serial": (probe_parallel_fixture, bench_probe_parallel_serial),
-    "probe_parallel_pool4": (probe_parallel_fixture, bench_probe_parallel_pool4),
     "bit_index_migrate": (None, bench_bit_index_migrate),
     "fleet_router": (fleet_router_fixture, bench_fleet_router),
     "latency_p95": (None, bench_latency_p95),
@@ -505,8 +401,6 @@ MICRO_PATHS = (
     "probe_plane_batch64",
     "probe_sparse_eager",
     "probe_sparse_lazy",
-    "probe_parallel_serial",
-    "probe_parallel_pool4",
     "bit_index_migrate",
     "fleet_router",
     "latency_p95",
@@ -589,7 +483,6 @@ def run_all(repeats: int) -> dict:
         "benchmarks": benchmarks,
         "footprint_bytes_per_instance": measure_footprint(),
         "fleet_cost_units": fleet_modeled_costs(),
-        "probe_parallel_cost_units": probe_parallel_cost_units(),
     }
 
 
@@ -660,26 +553,6 @@ def compute_fleet_speedups(runs: dict) -> dict:
     return out
 
 
-def compute_probe_parallel_speedups(runs: dict) -> dict:
-    """Per label: serial work / 4-worker critical path (>1 = the pool wins).
-
-    A within-run ratio in measured cost-model units, like
-    ``fleet_speedup``: the chunk work tallies are read off real scratch
-    accountants and scheduled exactly as the pool's queue drains, so the
-    ratio is the parallelism the schedule exposes — independent of how
-    many cores (or how much GIL) the recording host happened to have.
-    The raw wall seconds of both paths sit alongside in ``benchmarks``.
-    """
-    out = {}
-    for label, run in runs.items():
-        costs = run.get("probe_parallel_cost_units", {})
-        serial = costs.get("serial")
-        critical = costs.get("critical_path")
-        if serial and critical:
-            out[label] = round(serial / critical, 2)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -725,7 +598,6 @@ def main(argv: list[str] | None = None) -> int:
     doc["batch_speedup"] = compute_batch_speedups(doc["runs"])
     doc["crack_speedup"] = compute_crack_speedups(doc["runs"])
     doc["fleet_speedup"] = compute_fleet_speedups(doc["runs"])
-    doc["probe_parallel_speedup"] = compute_probe_parallel_speedups(doc["runs"])
 
     args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"\nrecorded run {args.label!r} in {args.output}")
@@ -738,11 +610,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"crack_speedup[{label}] {ratio:5.2f}x (eager / lazy sparse stream)")
     for label, ratio in sorted(doc["fleet_speedup"].items()):
         print(f"fleet_speedup[{label}] {ratio:5.2f}x (single / divergent modeled cost)")
-    for label, ratio in sorted(doc["probe_parallel_speedup"].items()):
-        print(
-            f"probe_parallel_speedup[{label}] {ratio:5.2f}x "
-            f"(serial / {PROBE_WORKERS}-worker critical path)"
-        )
     return 0
 
 

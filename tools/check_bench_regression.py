@@ -16,6 +16,19 @@ it as an artifact alongside the raw benchmark JSON.
 Wall-clock stats are reported for context but never gate in this mode: CI
 runners are too noisy for tight timing thresholds to be trustworthy.
 
+The committed baseline is regenerated with the ``bench-regression`` CI
+job's pytest command, then stripped of the per-round ``stats.data`` sample
+arrays (6.4 MB of them; this tool reads only ``extra_info.cost_units`` and
+``stats.mean``)::
+
+    PYTHONPATH=src python -m pytest \\
+        benchmarks/test_micro_index_ops.py benchmarks/test_micro_migration.py \\
+        --benchmark-only --benchmark-disable-gc --benchmark-min-rounds=1 \\
+        --benchmark-json=BENCH_micro.json -q
+    python -c "import json; d = json.load(open('BENCH_micro.json')); \\
+        [b['stats'].pop('data', None) for b in d['benchmarks']]; \\
+        json.dump(d, open('BENCH_micro.json', 'w'), indent=4)"
+
 ``--wall`` switches both inputs to ``bench-wall/v1`` documents (from
 ``tools/bench_wall.py``) and compares best-of-N wall seconds on the
 **micro paths only** (``bench_wall.MICRO_PATHS`` — insert/probe/migrate
