@@ -58,18 +58,6 @@ class TestMicroPaths:
         fixture = bench_wall.fleet_router_fixture()
         assert benchmark(bench_wall.bench_fleet_router, fixture) == bench_wall.N_PROBES
 
-    def test_probe_sparse_eager(self, benchmark):
-        assert (
-            benchmark(bench_wall.bench_probe_sparse_eager)
-            == bench_wall.SPARSE_STREAM_N
-        )
-
-    def test_probe_sparse_lazy(self, benchmark):
-        assert (
-            benchmark(bench_wall.bench_probe_sparse_lazy)
-            == bench_wall.SPARSE_STREAM_N
-        )
-
 
 class TestEndToEnd:
     """Experiment-scale runs: timed once, like the figure benchmarks."""
@@ -133,38 +121,6 @@ class TestSpeedupProperties:
         ]
         assert sum(distinct) / len(distinct) < size / 2
 
-    def test_lazy_sparse_stream_is_bit_identical_to_eager(self):
-        """The timed comparison is fair: the lazy admission tier does the
-        same logical work on the bench workload — identical probe outcomes
-        (matches, charges) and an identical accountant at the end, the
-        exact-merge contract the differential suite pins engine-wide."""
-        from repro.indexes.inverted_index import InvertedListIndex
-
-        items, ap = bench_wall.sparse_stream_workload()
-        items = items[:1_200]
-        eager_idx = InvertedListIndex(bench_wall.JAS)
-        lazy_idx = InvertedListIndex(bench_wall.JAS)
-        lazy_idx.enable_lazy()
-        for i, item in enumerate(items):
-            for idx in (eager_idx, lazy_idx):
-                idx.insert(item)
-                if i >= bench_wall.SPARSE_WINDOW:
-                    idx.remove(items[i - bench_wall.SPARSE_WINDOW])
-            if i % bench_wall.SPARSE_PROBE_EVERY == bench_wall.SPARSE_PROBE_EVERY - 1:
-                a = eager_idx.search(ap, item)
-                b = lazy_idx.search(ap, item)
-                assert b.matches == a.matches
-                assert b.tuples_examined == a.tuples_examined
-                assert b.buckets_visited == a.buckets_visited
-        assert lazy_idx.pending_count > 0  # the lazy run really was lazy
-        assert lazy_idx.accountant == eager_idx.accountant
-
-    def test_sparse_workload_is_probe_sparse(self):
-        """The crack win comes from skipped posting maintenance: probes are
-        rare relative to window churn, so eager admission is mostly waste."""
-        probes = bench_wall.SPARSE_STREAM_N // bench_wall.SPARSE_PROBE_EVERY
-        assert probes * 25 < bench_wall.SPARSE_STREAM_N
-
     def test_fleet_routing_splits_across_replicas(self):
         """The fleet win comes from complementarity: the benchmark's probe
         mix is not won wholesale by one replica — different patterns argmin
@@ -227,14 +183,6 @@ class TestCommittedEvidence:
         batch_speedup = self.doc()["batch_speedup"]
         assert batch_speedup["after"] >= 1.5
         assert batch_speedup["before"] >= 1.5
-
-    def test_crack_speedup_recorded(self):
-        """The lazy indexing refactor's acceptance evidence: >=1.3x on the
-        probe-sparse sliding-window stream vs eager admission, measured
-        within one run for both committed labels."""
-        crack_speedup = self.doc()["crack_speedup"]
-        assert crack_speedup["after"] >= 1.3
-        assert crack_speedup["before"] >= 1.3
 
     def test_fleet_speedup_recorded(self):
         """The divergent fleet's acceptance evidence: the complementary

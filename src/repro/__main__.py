@@ -19,8 +19,8 @@ subcommands (python -m repro <cmd> --help for flags):
   profile   per-component cost-unit profile of one run (--metrics/--trace export)
   run       scheme comparison with CSV/metrics export
             (also: --scheduler fifo|backlog, --partitions K for partitioned
-            kernels, --slo SPEC for latency/SLO tracking, --lazy-index
-            for tiered lazy admission, --list-backends for the registry)
+            kernels, --slo SPEC for latency/SLO tracking, --list-backends
+            for the registry)
   figures   regenerate the paper's figures/tables <fig6|fig6-hash|fig7|table2|all>
   slo       tail-latency + SLO burn-rate report across scenarios (--json export)
   fleet     divergent replica fleet report: per-replica index configs, routing

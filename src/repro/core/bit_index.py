@@ -75,13 +75,6 @@ class BitAddressIndex(StateIndex):
         self._frag_maps: dict[int, dict[int, set[BucketKey]]] = {}
         self._item_keys: dict[int, BucketKey] = {}
         self._size = 0
-        # Lazy (cracking) tier: per-bucket append tails + probe heat.  A
-        # bucket's logical membership is dict entries (structure tier,
-        # older) followed by its tail (pending tier, newer) — exactly the
-        # eager structure-insertion order, so merges are order-exact.
-        self._tails: dict[BucketKey, list[Mapping[str, object]]] = {}
-        self._heat: dict[BucketKey, int] = {}
-        self._pending_n = 0
         self._rebuild_frag_positions()
 
     # ------------------------------------------------------------------ #
@@ -107,15 +100,8 @@ class BitAddressIndex(StateIndex):
         return len(self._buckets)
 
     def bucket_sizes(self) -> list[int]:
-        """Sizes of all live buckets (for distribution diagnostics).
-
-        Logical sizes: a bucket's pending tail counts toward it."""
-        tails = self._tails
-        if not tails:
-            return [len(b) for b in self._buckets.values()]
-        return [
-            len(b) + len(tails.get(k, ())) for k, b in self._buckets.items()
-        ]
+        """Sizes of all live buckets (for distribution diagnostics)."""
+        return [len(b) for b in self._buckets.values()]
 
     def _rebuild_frag_positions(self) -> None:
         self._frag_maps = {
@@ -153,18 +139,7 @@ class BitAddressIndex(StateIndex):
             for pos, fmap in self._frag_maps.items():
                 fmap.setdefault(key[pos], set()).add(key)
             acct.index_bytes += self._bucket_overhead_bytes()
-        if self.lazy:
-            # Park the tuple in the bucket's append tail.  The key, the
-            # bucket entity, the fragment maps, and every charge above are
-            # exactly the eager ones — only the dict placement is deferred.
-            tail = self._tails.get(key)
-            if tail is None:
-                self._tails[key] = [item]
-            else:
-                tail.append(item)
-            self._pending_n += 1
-        else:
-            bucket[id(item)] = item
+        bucket[id(item)] = item
         self._item_keys[id(item)] = key
         self._size += 1
         acct.index_bytes += self.cost_params.bucket_slot_bytes
@@ -174,26 +149,13 @@ class BitAddressIndex(StateIndex):
         if key is None:
             raise KeyError("item was never inserted into this index")
         bucket = self._buckets[key]
-        if id(item) in bucket:
-            del bucket[id(item)]
-        else:
-            # Pending-tier removal (identity match, tails are short).
-            tail = self._tails[key]
-            for i, it in enumerate(tail):
-                if it is item:
-                    del tail[i]
-                    break
-            if not tail:
-                del self._tails[key]
-                self._heat.pop(key, None)
-            self._pending_n -= 1
+        del bucket[id(item)]
         self._size -= 1
         acct = self.accountant
         acct.deletes += 1
         acct.index_bytes -= self.cost_params.bucket_slot_bytes
-        if not bucket and key not in self._tails:
+        if not bucket:
             del self._buckets[key]
-            self._heat.pop(key, None)
             for pos, fmap in self._frag_maps.items():
                 keys = fmap.get(key[pos])
                 if keys is not None:
@@ -206,13 +168,9 @@ class BitAddressIndex(StateIndex):
         return id(item) in self._item_keys
 
     def items(self) -> Iterator[Mapping[str, object]]:
-        """Iterate every stored item (bucket order; tails after their bucket)."""
-        tails = self._tails
-        for key, bucket in self._buckets.items():
+        """Iterate every stored item (bucket order)."""
+        for bucket in self._buckets.values():
             yield from bucket.values()
-            tail = tails.get(key)
-            if tail:
-                yield from tail
 
     # ------------------------------------------------------------------ #
     # search
@@ -232,17 +190,6 @@ class BitAddressIndex(StateIndex):
         # C_hash,Sr: one hash per attribute the request specifies.
         acct.hashes += plan.n_attributes
 
-        tails = self._tails
-        row = candidate_keys = None
-        if plan.fixed:
-            if tails:
-                candidate_keys = self._intersect_candidates(
-                    plan.fixed, self._fixed_fragments(plan, values)
-                )
-            else:
-                row = self._probe_row(plan, values)
-        # else: no indexed attribute constrains the probe
-
         live = len(self._buckets)
         # Charged visits: min(2**wildcard_bits, live), floored at one visit
         # for a non-empty index (computed once for accountant and outcome).
@@ -251,40 +198,21 @@ class BitAddressIndex(StateIndex):
 
         outcome = SearchOutcome()
         outcome.buckets_visited = visited
-        buckets = self._buckets
-        if row is not None:
-            outcome.matches, examined = row
-        elif candidate_keys is None:
-            examined = self._size
-            if tails:
-                items = (
-                    item for k in buckets for item in self._bucket_members(k)
-                )
-                heat = self._heat
-                for k in tails:
-                    heat[k] = heat.get(k, 0) + 1
-            else:
-                items = (
-                    item for bucket in buckets.values() for item in bucket.values()
-                )
-            outcome.used_full_scan = True
+        if plan.fixed:
+            outcome.matches, examined = self._probe_row(plan, values)
         else:
-            examined = 0
-            heat = self._heat
-            for k in candidate_keys:
-                examined += len(buckets[k])
-                tail = tails.get(k)
-                if tail:
-                    examined += len(tail)
-                    heat[k] = heat.get(k, 0) + 1
-            items = (item for k in candidate_keys for item in self._bucket_members(k))
-        acct.tuples_examined += examined
-        outcome.tuples_examined = examined
-        if row is None:
+            # No indexed attribute constrains the probe: walk every bucket.
+            examined = self._size
+            items = (
+                item for bucket in self._buckets.values() for item in bucket.values()
+            )
+            outcome.used_full_scan = True
             if plan.is_full_scan:
                 outcome.matches = list(items)
             else:
                 outcome.matches = plan.select(items, values)
+        acct.tuples_examined += examined
+        outcome.tuples_examined = examined
         return outcome
 
     def search_batch(
@@ -302,11 +230,6 @@ class BitAddressIndex(StateIndex):
         The shared match lists are safe to alias: no engine consumer
         mutates ``SearchOutcome.matches`` in place.
         """
-        if self._tails:
-            # Partially populated (lazy tier holds tuples): fall back to
-            # the literal serial loop, which is bit-identical by contract
-            # and already merges each bucket with its pending tail.
-            return StateIndex.search_batch(self, ap, values_list)
         if ap.jas is not self.jas and ap.jas != self.jas:
             raise ValueError(
                 f"probe pattern {ap!r} ranges over a different JAS than this index"
@@ -385,13 +308,6 @@ class BitAddressIndex(StateIndex):
             outcomes.append(out)
         return outcomes
 
-    def _bucket_members(self, key: BucketKey):
-        """One bucket's logical members: structure entries, then the tail."""
-        yield from self._buckets[key].values()
-        tail = self._tails.get(key)
-        if tail:
-            yield from tail
-
     def _fixed_fragments(self, plan: ProbePlan, values: Mapping[str, object]) -> list[int]:
         """The probe's fragment per entry of ``plan.fixed``.
 
@@ -415,7 +331,7 @@ class BitAddressIndex(StateIndex):
         self, plan: ProbePlan, values: Mapping[str, object]
     ) -> tuple[list, int]:
         """``(matches, tuples examined)`` of one probe that fixes at least
-        one indexed attribute, while no pending tail exists."""
+        one indexed attribute."""
         keys = self._intersect_candidates(
             plan.fixed, self._fixed_fragments(plan, values)
         )
@@ -476,9 +392,6 @@ class BitAddressIndex(StateIndex):
         self._buckets = {}
         self._item_keys = {}
         self._size = 0
-        self._tails = {}
-        self._heat = {}
-        self._pending_n = 0
         self._rebuild_frag_positions()
 
         hashes_before = acct.hashes
@@ -498,90 +411,6 @@ class BitAddressIndex(StateIndex):
             len(self._buckets) * self._bucket_overhead_bytes()
             + self._size * self.cost_params.bucket_slot_bytes
         )
-
-    # ------------------------------------------------------------------ #
-    # lazy admission (cracking) — see StateIndex for the contract
-
-    @property
-    def pending_count(self) -> int:
-        return self._pending_n
-
-    def _promote_bucket(self, key: BucketKey, limit: int | None) -> int:
-        """Fold (up to ``limit`` of) one bucket's tail into its dict."""
-        tail = self._tails[key]
-        bucket = self._buckets[key]
-        take = len(tail) if limit is None else min(len(tail), limit)
-        for it in tail[:take]:
-            bucket[id(it)] = it
-        if take == len(tail):
-            del self._tails[key]
-            self._heat.pop(key, None)
-        else:
-            del tail[:take]
-        self._pending_n -= take
-        return take
-
-    def promote_pending(self, budget: int | None = None) -> int:
-        if not self._tails:
-            return 0
-        promoted = 0
-        for key in list(self._tails):
-            left = None if budget is None else budget - promoted
-            if left is not None and left <= 0:
-                break
-            promoted += self._promote_bucket(key, left)
-        if promoted:
-            self.promotions_total += promoted
-            self.crack_epoch += 1
-        return promoted
-
-    def promote_hot(self, threshold: float, budget: int | None = None) -> int:
-        if not self._tails:
-            return 0
-        heat = self._heat
-        promoted = 0
-        for key in [k for k in self._tails if heat.get(k, 0) >= threshold]:
-            left = None if budget is None else budget - promoted
-            if left is not None and left <= 0:
-                break
-            promoted += self._promote_bucket(key, left)
-        if promoted:
-            self.promotions_total += promoted
-            self.crack_epoch += 1
-        return promoted
-
-    def demote_cold(self, budget: int | None = None) -> int:
-        if not self.lazy:
-            return 0
-        heat = self._heat
-        demoted = 0
-        for key, bucket in self._buckets.items():
-            if not bucket or heat.get(key, 0) > 0:
-                continue
-            if budget is not None and demoted + len(bucket) > budget:
-                continue  # whole buckets only: partial dicts lose order
-            # Structure entries are older than the current tail, so they
-            # prepend — the logical (structure-insertion) order is kept.
-            self._tails[key] = list(bucket.values()) + self._tails.get(key, [])
-            demoted += len(bucket)
-            self._pending_n += len(bucket)
-            bucket.clear()
-        if demoted:
-            self.demotions_total += demoted
-            self.crack_epoch += 1
-        # Heat on fully promoted buckets resets each squeeze pass, so a
-        # bucket must be probed *between* squeezes to stay resident.
-        self._heat = {k: h for k, h in heat.items() if k in self._tails}
-        return demoted
-
-    def crack_stats(self) -> dict[str, int]:
-        return {
-            "hot_buckets": len(self._buckets) - len(self._tails),
-            "cold_buckets": len(self._tails),
-            "pending": self._pending_n,
-            "promotions": self.promotions_total,
-            "demotions": self.demotions_total,
-        }
 
     def describe(self) -> str:
         return f"BitAddressIndex({self._config!r}, size={self._size}, buckets={len(self._buckets)})"

@@ -455,7 +455,6 @@ class MigrationStage:
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
         for stem in ctx.stems.values():
-            self._crack_step(ctx, tick.tick, stem)
             lifecycle = getattr(stem, "lifecycle", None)
             if lifecycle is None or not lifecycle.active:
                 continue
@@ -483,37 +482,6 @@ class MigrationStage:
                     index_bytes=report.index_bytes,
                 )
             self._drain_notices(ctx, tick.tick, stem)
-
-    @staticmethod
-    def _crack_step(ctx: EngineContext, tick: int, stem) -> None:
-        """One lazy-admission promotion round (no-op for eager stems).
-
-        Promotion is charge-free by the cracking contract — the structural
-        cost was pre-paid at admission — but the spend bracket stays as the
-        attribution seam: if a backend ever breaks the contract, the cost
-        shows up under ``component=index / phase=crack`` instead of
-        silently vanishing.
-        """
-        if not getattr(stem, "lazy", False):
-            return
-        before = ctx.stem_cost(stem)
-        promoted = stem.crack_step()
-        delta = ctx.stem_cost(stem) - before
-        if delta:
-            ctx.spend(
-                delta,
-                "index",
-                stream=stem.stream,
-                index_kind=index_kind_label(stem.index),
-                phase="crack",
-            )
-        m = ctx.metrics
-        if m is not None and promoted:
-            m.counter(
-                "crack_promotions_total",
-                "tuples promoted from the pending log into the structure tier",
-                stream=stem.stream,
-            ).inc(promoted)
 
     @staticmethod
     def _drain_notices(ctx: EngineContext, tick: int, stem) -> None:
@@ -549,7 +517,6 @@ class ShedDegradeStage:
             soft = int(policy.headroom * budget)
             if breakdown.total > soft:
                 breakdown = self.shed_backlog(ctx, tick.tick, breakdown, soft)
-                self.demote_cold(ctx, tick.tick)
             if policy.scan_fallback and breakdown.total > budget:
                 breakdown = self.degrade_indexes(ctx, tick.tick, breakdown, budget)
         tick.breakdown = breakdown
@@ -587,28 +554,6 @@ class ShedDegradeStage:
         if ctx.event_log is not None:
             ctx.event_log.record(tick, "shed", None, count=n, freed=n * per)
         return ctx.memory_breakdown()
-
-    @staticmethod
-    def demote_cold(ctx: EngineContext, tick: int) -> None:
-        """Demote cold resident buckets on lazy states under squeeze.
-
-        Re-tiering is structural only: the model's ``index_bytes`` gauge is
-        admission-charged and stays eager-identical, so demotion frees
-        Python-side structure work (and future maintenance), not tracked
-        model memory — hence no breakdown re-measure and no events, just a
-        counter.
-        """
-        m = ctx.metrics
-        for stem in ctx.stems.values():
-            if not getattr(stem, "lazy", False):
-                continue
-            demoted = stem.demote_step()
-            if m is not None and demoted:
-                m.counter(
-                    "crack_demotions_total",
-                    "tuples demoted back to the pending log under memory squeeze",
-                    stream=stem.stream,
-                ).inc(demoted)
 
     def degrade_indexes(
         self, ctx: EngineContext, tick: int, breakdown: MemoryBreakdown, budget: int
@@ -798,12 +743,3 @@ class AuditStage:
                     stream=name,
                     method=type(assessor).__name__,
                 ).set(assessor.entry_count)
-            # Cracking telemetry only exists for lazy states; eager runs'
-            # metric series stay exactly as before.
-            if getattr(stem, "lazy", False):
-                for key, value in stem.crack_telemetry().items():
-                    m.gauge(
-                        f"crack_{key}",
-                        "lazy-admission tier and result-cache telemetry",
-                        stream=name,
-                    ).set(value)

@@ -123,6 +123,26 @@ def clear_training_cache() -> None:
     _TRAINING_CACHE.clear()
 
 
+def trained_start(
+    training: TrainingResult | None, scheme: str, hash_k: int | None = None
+) -> dict[str, object]:
+    """The two ``make_executor`` keywords that start ``scheme`` from ``training``.
+
+    Bit-address schemes start from the trained ICs and the hash baseline
+    from the trained most-frequent patterns (``hash_k`` of them, default the
+    scheme's own ``k``) — the paper's protocol for the Figure 6/7 baselines.
+    Without training both are ``None``: the scenario's uninformed defaults.
+    """
+    if training is None:
+        return {"initial_configs": None, "initial_hash_patterns": None}
+    patterns = None
+    if scheme.startswith("hash:"):
+        patterns = training.hash_patterns(
+            hash_module_count(scheme) if hash_k is None else hash_k
+        )
+    return {"initial_configs": training.configs, "initial_hash_patterns": patterns}
+
+
 def run_scheme(
     scenario: PaperScenario,
     scheme: str,
@@ -135,9 +155,8 @@ def run_scheme(
 ) -> RunStats:
     """Execute one scheme for ``duration`` ticks over the measured workload.
 
-    When ``training`` is given, bit-address schemes start from the trained
-    ICs and the hash baseline from the trained most-frequent patterns (the
-    paper's protocol for the Figure 6/7 baselines).
+    ``training`` starts the scheme from the quasi-trained state (see
+    :func:`trained_start`).
 
     Robustness knobs pass straight through ``executor_overrides`` to
     :meth:`~repro.workloads.scenarios.PaperScenario.make_executor`:
@@ -147,16 +166,8 @@ def run_scheme(
     ``metrics=`` (a :class:`~repro.engine.metrics.MetricsRegistry`) for
     cost-unit attribution and span tracing.
     """
-    initial_configs = training.configs if training is not None else None
-    initial_hash = None
-    if training is not None and scheme.startswith("hash:"):
-        k = hash_module_count(scheme) if hash_k is None else hash_k
-        initial_hash = training.hash_patterns(k)
     executor = scenario.make_executor(
-        scheme,
-        initial_configs=initial_configs,
-        initial_hash_patterns=initial_hash,
-        **executor_overrides,
+        scheme, **trained_start(training, scheme, hash_k), **executor_overrides
     )
     generator = scenario.make_generator(seed_offset=seed_offset)
     return executor.run(duration, generator)
@@ -190,11 +201,7 @@ def run_scheme_partitioned(
     gets a fresh object (instances would be shared, which partitioning
     forbids for anything stateful).
     """
-    initial_configs = training.configs if training is not None else None
-    initial_hash = None
-    if training is not None and scheme.startswith("hash:"):
-        k = hash_module_count(scheme) if hash_k is None else hash_k
-        initial_hash = training.hash_patterns(k)
+    start = trained_start(training, scheme, hash_k)
 
     def build(_index: int):
         overrides = dict(executor_overrides)
@@ -202,12 +209,7 @@ def run_scheme_partitioned(
             factory = overrides.get(attachment)
             if callable(factory):
                 overrides[attachment] = factory()
-        return scenario.make_executor(
-            scheme,
-            initial_configs=initial_configs,
-            initial_hash_patterns=initial_hash,
-            **overrides,
-        )
+        return scenario.make_executor(scheme, **start, **overrides)
 
     engine = PartitionedEngine(build, partitions, partitioner=partitioner)
     stats = engine.run(
@@ -265,11 +267,7 @@ def run_scheme_fleet(
     from repro.fleet import FleetEngine
 
     p = scenario.params
-    initial_configs = training.configs if training is not None else None
-    initial_hash = None
-    if training is not None and scheme.startswith("hash:"):
-        k = hash_module_count(scheme) if hash_k is None else hash_k
-        initial_hash = training.hash_patterns(k)
+    start = trained_start(training, scheme, hash_k)
 
     stats_for: dict[str, WorkloadStatistics] = {}
     domain_bits = scenario.domain_bits()
@@ -321,18 +319,13 @@ def run_scheme_fleet(
             factory = overrides.get(attachment)
             if callable(factory):
                 overrides[attachment] = factory()
-        configs = initial_configs
+        replica_start = dict(start)
         if fleet_configs:
-            configs = {
+            replica_start["initial_configs"] = {
                 s: cfgs[(index + slot_offsets[s]) % fleet]
                 for s, cfgs in fleet_configs.items()
             }
-        executor = scenario.make_executor(
-            scheme,
-            initial_configs=configs,
-            initial_hash_patterns=initial_hash,
-            **overrides,
-        )
+        executor = scenario.make_executor(scheme, **replica_start, **overrides)
         if fleet > 1:
             # Per-replica tuners would re-converge every replica to its own
             # local optimum, collapsing the divergence the fleet exists

@@ -42,8 +42,9 @@ from repro.experiments.harness import (
     cached_training,
     run_scheme,
     run_scheme_fleet,
+    trained_start,
 )
-from repro.workloads.scenarios import PaperScenario, ScenarioParams, hash_module_count
+from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,6 @@ class RunSpec:
     fleet: int = 1  # divergent replicas with cost-routed probes (1 = single engine)
     index_backend: str | None = None  # registry backend override (None = scheme default)
     migration_budget: int | None = None  # tuples moved per tick (None = stop-the-world)
-    lazy_index: bool = False  # tiered lazy admission (cracking); observably = eager
-    promote_threshold: float | None = None  # base probe-heat promotion bar (None = default)
     training: TrainingResult | None = field(default=None, compare=False, repr=False)
 
     def display_label(self) -> str:
@@ -141,6 +140,23 @@ def _slo_attachments(spec: RunSpec) -> tuple[LatencyTracker | None, SloMonitor |
     return LatencyTracker(threshold=parsed.threshold_ticks), SloMonitor(parsed)
 
 
+def _engine_options(spec: RunSpec) -> dict[str, object]:
+    """The spec's engine-mode fields as ``make_executor`` keywords.
+
+    Built here once for the single-engine, per-partition and fleet paths;
+    the per-run attachments (event log, registry, tracker, monitor) differ
+    between those paths and stay at the call sites.
+    """
+    return dict(
+        faults=spec.faults,
+        fault_seed=spec.fault_seed,
+        degradation=DegradationPolicy() if spec.degrade else None,
+        scheduler=spec.scheduler,
+        index_backend=spec.index_backend,
+        migration_budget=spec.migration_budget,
+    )
+
+
 def _resolve_training(spec: RunSpec) -> "TrainingResult | None":
     """The spec's training: shipped with the spec, else memoized locally.
 
@@ -188,26 +204,14 @@ def _run_partition(spec: RunSpec, index: int) -> _PartitionResult:
     log = EventLog()
     registry = MetricsRegistry() if spec.collect_metrics else None
     tracker, monitor = _slo_attachments(spec)
-    initial_configs = training.configs if training is not None else None
-    initial_hash = None
-    if training is not None and spec.scheme.startswith("hash:"):
-        initial_hash = training.hash_patterns(hash_module_count(spec.scheme))
     executor = scenario.make_executor(
         spec.scheme,
-        initial_configs=initial_configs,
-        initial_hash_patterns=initial_hash,
+        **trained_start(training, spec.scheme),
         event_log=log,
-        faults=spec.faults,
-        fault_seed=spec.fault_seed,
-        degradation=DegradationPolicy() if spec.degrade else None,
         metrics=registry,
         latency=tracker,
         slo=monitor,
-        scheduler=spec.scheduler,
-        index_backend=spec.index_backend,
-        migration_budget=spec.migration_budget,
-        lazy_index=spec.lazy_index,
-        promote_threshold=spec.promote_threshold,
+        **_engine_options(spec),
     )
     generator = scenario.make_generator(seed_offset=spec.seed_offset)
     if spec.partitions == 1:
@@ -277,16 +281,9 @@ def execute_spec_fleet(spec: RunSpec) -> RunOutcome:
         # Per-replica attachments go in as factories; each replica
         # materialises its own (instances must not be shared).
         event_log=EventLog,
-        faults=spec.faults,
-        fault_seed=spec.fault_seed,
-        degradation=DegradationPolicy() if spec.degrade else None,
         metrics=MetricsRegistry if spec.collect_metrics else None,
         latency=(lambda: _slo_attachments(spec)[0]) if spec.slo else None,
-        scheduler=spec.scheduler,
-        index_backend=spec.index_backend,
-        migration_budget=spec.migration_budget,
-        lazy_index=spec.lazy_index,
-        promote_threshold=spec.promote_threshold,
+        **_engine_options(spec),
     )
     events = [event for _, event in engine.merged_events()]
     events.extend(fleet_log)
@@ -336,17 +333,10 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
         training=training,
         seed_offset=spec.seed_offset,
         event_log=log,
-        faults=spec.faults,
-        fault_seed=spec.fault_seed,
-        degradation=DegradationPolicy() if spec.degrade else None,
         metrics=registry,
         latency=tracker,
         slo=monitor,
-        scheduler=spec.scheduler,
-        index_backend=spec.index_backend,
-        migration_budget=spec.migration_budget,
-        lazy_index=spec.lazy_index,
-        promote_threshold=spec.promote_threshold,
+        **_engine_options(spec),
     )
     return RunOutcome(
         spec=spec,

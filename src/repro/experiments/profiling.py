@@ -30,10 +30,9 @@ from repro.engine.metrics_export import FORMATS, write_metrics, write_trace
 from repro.engine.resources import DegradationPolicy
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EventLog
-from repro.experiments.harness import train_initial_state
+from repro.experiments.harness import train_initial_state, trained_start
 from repro.experiments.reporting import format_cost_profile, format_table
-from repro.experiments.run import SCENARIOS, build_scenario
-from repro.workloads.scenarios import hash_module_count
+from repro.experiments.run import SCENARIOS, build_scenario, reject_bad_run
 
 #: Attribution drift tolerated between the clock and the per-row sums —
 #: pure float regrouping error, so parts-per-billion is already generous.
@@ -51,8 +50,6 @@ def profile_scheme(
     degrade: bool = False,
     scheduler: str | None = None,
     flight_recorder_capacity: int = 4096,
-    lazy_index: bool = False,
-    promote_threshold: float | None = None,
 ) -> tuple[RunStats, RegistrySnapshot, float]:
     """Run one scheme with a registry attached; return (stats, snapshot,
     meter_total) where ``snapshot.cost_total == meter_total`` exactly."""
@@ -61,18 +58,11 @@ def profile_scheme(
     registry = MetricsRegistry(flight_recorder_capacity=flight_recorder_capacity)
     executor = scenario.make_executor(
         scheme,
-        initial_configs=training.configs if training else None,
-        initial_hash_patterns=(
-            training.hash_patterns(hash_module_count(scheme))
-            if training and scheme.startswith("hash:")
-            else None
-        ),
+        **trained_start(training, scheme),
         event_log=EventLog(),
         degradation=DegradationPolicy() if degrade else None,
         metrics=registry,
         scheduler=scheduler,
-        lazy_index=lazy_index,
-        promote_threshold=promote_threshold,
     )
     stats = executor.run(ticks, scenario.make_generator())
     return stats, registry.snapshot(), executor.meter.total_spent
@@ -108,17 +98,6 @@ def main(argv: list[str] | None = None) -> int:
         default="fifo",
         help="backlog-drain policy",
     )
-    parser.add_argument(
-        "--lazy-index",
-        action="store_true",
-        help="profile with tiered lazy admission (cracking) enabled",
-    )
-    parser.add_argument(
-        "--promote-threshold",
-        type=float,
-        default=None,
-        help="base probe-heat promotion bar (requires --lazy-index)",
-    )
     parser.add_argument("--metrics", type=Path, default=None, help="export snapshot to PATH")
     parser.add_argument(
         "--format", choices=FORMATS, default="jsonl", help="--metrics export format"
@@ -127,8 +106,13 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", type=Path, default=None, help="export retained spans (JSONL) to PATH"
     )
     args = parser.parse_args(argv)
-    if args.promote_threshold is not None and not args.lazy_index:
-        parser.error("--promote-threshold requires --lazy-index")
+    reject_bad_run(
+        parser,
+        build_scenario(args.scenario, args.seed),
+        [args.scheme],
+        args.ticks,
+        args.train_ticks,
+    )
 
     try:
         stats, snapshot, meter_total = profile_scheme(
@@ -140,8 +124,6 @@ def main(argv: list[str] | None = None) -> int:
             train_ticks=args.train_ticks,
             degrade=args.degrade,
             scheduler=args.scheduler,
-            lazy_index=args.lazy_index,
-            promote_threshold=args.promote_threshold,
         )
     except (ValueError, KeyError) as exc:
         print(f"profile failed: {exc}", file=sys.stderr)
@@ -168,20 +150,6 @@ def main(argv: list[str] | None = None) -> int:
             ],
         )
     )
-    if args.lazy_index:
-        crack_rows = [
-            [
-                s.name,
-                ", ".join(f"{k}={v}" for k, v in s.labels),
-                f"{s.value:,.2f}" if s.value is not None else "-",
-            ]
-            for s in snapshot.series
-            if s.name.startswith("crack_")
-        ]
-        if crack_rows:
-            print()
-            print("lazy-index (cracking) telemetry")
-            print(format_table(["series", "labels", "value"], crack_rows))
     ok = reconciles(snapshot, meter_total)
     print(
         f"\nattributed total {snapshot.cost_total:,.1f} == virtual clock "

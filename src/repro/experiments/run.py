@@ -131,6 +131,26 @@ def write_events_csv(path: Path, events_by_scheme: dict[str, list[EngineEvent]])
                 writer.writerow([name, e.tick, e.kind, e.stream or "", detail])
 
 
+def reject_bad_run(
+    parser: argparse.ArgumentParser,
+    scenario: PaperScenario,
+    schemes: list[str],
+    ticks: int,
+    train_ticks: int,
+) -> None:
+    """Exit 2 (``parser.error``) on a bad run size or scheme name — called
+    before any quasi-training, so a typo costs nothing."""
+    if ticks < 1:
+        parser.error(f"--ticks must be >= 1, got {ticks}")
+    if train_ticks < 1:
+        parser.error(f"--train-ticks must be >= 1, got {train_ticks}")
+    for scheme in schemes:
+        try:
+            scenario.check_scheme(scheme)
+        except ValueError as exc:
+            parser.error(str(exc))
+
+
 def format_backend_table() -> str:
     """The index backend registry as a printable table."""
     rows = []
@@ -220,20 +240,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default: unbudgeted single-tick rebuild)",
     )
     parser.add_argument(
-        "--lazy-index",
-        action="store_true",
-        help="tiered lazy admission (cracking): arrivals land in an append "
-        "log and probe heat promotes hot buckets into the structure; "
-        "results are bit-identical to eager admission",
-    )
-    parser.add_argument(
-        "--promote-threshold",
-        type=float,
-        default=None,
-        help="base probe-heat bar for promoting a pending bucket "
-        "(requires --lazy-index; default: CrackConfig default)",
-    )
-    parser.add_argument(
         "--list-backends",
         action="store_true",
         help="print the index backend registry (name, capabilities, memory "
@@ -275,12 +281,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--fleet must be >= 1, got {args.fleet}")
     if args.fleet > 1 and args.partitions > 1:
         parser.error("--fleet and --partitions are mutually exclusive")
-    if args.promote_threshold is not None and not args.lazy_index:
-        parser.error("--promote-threshold requires --lazy-index")
-    if args.promote_threshold is not None and args.promote_threshold <= 0:
-        parser.error(
-            f"--promote-threshold must be > 0, got {args.promote_threshold}"
-        )
     if args.index_backend is not None:
         try:
             BACKENDS.resolve(args.index_backend)
@@ -301,6 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         parser.error(f"--schemes names no scheme, got {args.schemes!r}")
+    reject_bad_run(parser, scenario, schemes, args.ticks, args.train_ticks)
     training = (
         None if args.no_train else train_initial_state(scenario, train_ticks=args.train_ticks)
     )
@@ -313,8 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         scheduler=args.scheduler,
         index_backend=args.index_backend,
         migration_budget=args.migration_budget,
-        lazy_index=args.lazy_index,
-        promote_threshold=args.promote_threshold,
     )
     want_metrics = args.metrics is not None or args.trace is not None
     runs: dict[str, RunStats] = {}

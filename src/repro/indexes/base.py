@@ -185,78 +185,6 @@ class StateIndex(abc.ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} does not support contains()")
 
-    # -- lazy admission (cracking) --------------------------------------- #
-    #
-    # The partial-population contract.  With ``lazy`` enabled, ``insert``
-    # may park the tuple in a cheap pending tier (an append log) instead of
-    # building the full structure detail, and ``search`` must merge indexed
-    # hits with a scan of the pending slice.  The contract is strict
-    # *observational equivalence* with the eager index: every accountant
-    # counter and byte gauge is charged at admission exactly as the eager
-    # build would charge it (the model cost is paid up front; only the
-    # Python structural work is deferred), and every ``search`` /
-    # ``search_batch`` returns the same outcomes — same matches, in the
-    # same order, with the same charges.  Promotion and demotion move
-    # tuples between the tiers without touching the accountant, so *when*
-    # they run can never change an observable; the heat-driven policy is
-    # purely a wall-clock optimisation.
-
-    #: class defaults; backends flip/maintain per-instance state
-    lazy: bool = False
-    promotions_total: int = 0
-    demotions_total: int = 0
-    #: bumped on every promotion/demotion round (result-cache invalidation)
-    crack_epoch: int = 0
-
-    def enable_lazy(self) -> None:
-        """Switch this index into lazy (cracking) admission mode.
-
-        Idempotent.  Backends without a pending tier (the full scan) are
-        trivially lazy already: the flag flips but behaviour is unchanged.
-        """
-        self.lazy = True
-
-    @property
-    def pending_count(self) -> int:
-        """Tuples currently parked in the pending tier (0 when eager)."""
-        return 0
-
-    def promote_pending(self, budget: int | None = None) -> int:
-        """Fold up to ``budget`` pending tuples (oldest first) into the
-        structure tier; returns how many moved.  Charge-free: the model
-        cost was already paid at admission."""
-        return 0
-
-    def promote_hot(self, threshold: float, budget: int | None = None) -> int:
-        """Promote pending tuples of buckets whose probe heat reached
-        ``threshold``; returns how many moved.  Charge-free."""
-        return 0
-
-    def demote_cold(self, budget: int | None = None) -> int:
-        """Move structure-resident tuples of probe-cold buckets back to
-        the pending tier (memory-squeeze relief); returns how many moved.
-        Charge-free and gauge-neutral: the byte gauge deliberately stays
-        eager-identical — demotion frees Python-side structure work, not
-        model memory."""
-        return 0
-
-    def crack_stats(self) -> dict[str, int]:
-        """Lazy-tier telemetry: hot/cold bucket counts, pending backlog,
-        and cumulative promotion/demotion totals.
-
-        Bucket granularity is backend-defined: the bit-address family
-        counts real buckets; log-structured backends (inverted lists,
-        multi-hash modules) count the whole append log as one cold bucket
-        while it is non-empty.
-        """
-        return {
-            "hot_buckets": 0,
-            "cold_buckets": 0,
-            "pending": self.pending_count,
-            "promotions": self.promotions_total,
-            "demotions": self.demotions_total,
-        }
-
     # -- introspection --------------------------------------------------- #
 
     @property

@@ -87,12 +87,6 @@ class MultiHashIndex(StateIndex):
         # request mask -> most suitable module (or None); derived from the
         # module set, so it drops whenever modules are added or removed.
         self._suitable: dict[int, _AccessModule | None] = {}
-        # Lazy (cracking) tier: the newest suffix of ``_items`` whose
-        # module entries have not been built yet (``_items`` itself stays
-        # eagerly maintained — it is the full-scan pool and the keeper of
-        # global insertion order).
-        self._pending: dict[int, Mapping[str, object]] = {}
-        self._heat = 0
         for ap in patterns:
             self._add_module(ap, bulk_build=False)
 
@@ -149,12 +143,6 @@ class MultiHashIndex(StateIndex):
             self._check_pattern(ap)
             if ap.is_full_scan:
                 raise ValueError("an access module must index at least one attribute")
-        if self._pending:
-            # Retuning bulk-builds new modules by scanning ``_items``; fold
-            # the pending tier in first so no tuple is placed twice.  The
-            # bulk-build charges depend only on the state size, so this is
-            # charge-identical to the eager retune.
-            self.promote_pending()
         for mask in [m for m in self._modules if m not in wanted]:
             self._drop_module(mask)
         for mask, ap in wanted.items():
@@ -169,15 +157,6 @@ class MultiHashIndex(StateIndex):
         acct = self.accountant
         acct.inserts += 1
         acct.index_bytes += self.cost_params.bucket_slot_bytes
-        if self.lazy:
-            # Model-faithful laziness: per-module key hashes and entry
-            # bytes are charged up front exactly as the eager build would
-            # charge them; only the Python table work is deferred.
-            self._pending[id(item)] = item
-            for module in self._modules.values():
-                acct.hashes += module.n_attributes
-                acct.index_bytes += self.cost_params.index_entry_bytes
-            return
         for module in self._modules.values():
             module.add(item)
             acct.hashes += module.n_attributes
@@ -190,11 +169,6 @@ class MultiHashIndex(StateIndex):
         acct = self.accountant
         acct.deletes += 1
         acct.index_bytes -= self.cost_params.bucket_slot_bytes
-        if self._pending.pop(id(item), None) is not None:
-            for module in self._modules.values():
-                acct.hashes += module.n_attributes
-                acct.index_bytes -= self.cost_params.index_entry_bytes
-            return
         for module in self._modules.values():
             module.discard(item)
             acct.hashes += module.n_attributes  # keys recomputed to locate entries
@@ -254,22 +228,8 @@ class MultiHashIndex(StateIndex):
         else:
             acct.hashes += module.n_attributes
             bucket = module.lookup(values)
-            pending = self._pending
-            if pending:
-                # Partially populated: the logical bucket is the module's
-                # bucket (older, global-order prefix) plus the pending
-                # tuples carrying the same key (newer suffix) — same
-                # membership, same order, same charges as the eager bucket.
-                self._heat += 1
-                key = tuple(values[a] for a in module.attributes)
-                tail = [
-                    item for item in pending.values() if module.key_for(item) == key
-                ]
-                examined = len(bucket) + len(tail)
-                pool = list(bucket.values()) + tail
-            else:
-                examined = len(bucket)
-                pool = bucket.values()
+            examined = len(bucket)
+            pool = bucket.values()
             acct.tuples_examined += examined
             acct.buckets_visited += 1
             outcome.tuples_examined = examined
@@ -283,10 +243,6 @@ class MultiHashIndex(StateIndex):
         """Vectorized :meth:`search`: the module choice depends only on the
         pattern, so it is resolved once per batch; per-row charges are
         aggregated and equal value rows share one lookup + selection."""
-        if self._pending:
-            # Partially populated: the serial loop merges each lookup with
-            # the pending slice and is bit-identical by contract.
-            return StateIndex.search_batch(self, ap, values_list)
         outcomes: list[SearchOutcome] = []
         if not values_list:
             return outcomes
@@ -355,59 +311,6 @@ class MultiHashIndex(StateIndex):
             outcome.matches = matches
             outcomes.append(outcome)
         return outcomes
-
-    # ------------------------------------------------------------------ #
-    # lazy admission (cracking) — see StateIndex for the contract
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def promote_pending(self, budget: int | None = None) -> int:
-        pending = self._pending
-        n = len(pending) if budget is None else min(budget, len(pending))
-        if n <= 0:
-            return 0
-        modules = list(self._modules.values())
-        for key in list(pending)[:n]:  # oldest first: buckets stay prefixes
-            item = pending.pop(key)
-            for module in modules:
-                module.add(item)
-        self.promotions_total += n
-        self.crack_epoch += 1
-        return n
-
-    def promote_hot(self, threshold: float, budget: int | None = None) -> int:
-        if not self._pending or self._heat < threshold:
-            return 0
-        n = self.promote_pending(budget)
-        self._heat = 0
-        return n
-
-    def demote_cold(self, budget: int | None = None) -> int:
-        # All-or-nothing: a partial demotion would break the pending tier's
-        # suffix invariant (and with it the merged match order).
-        resident = len(self._items) - len(self._pending)
-        if not self.lazy or resident <= 0:
-            return 0
-        if budget is not None and budget < resident:
-            return 0
-        for module in self._modules.values():
-            module.table = {}
-        self._pending = dict(self._items)
-        self._heat = 0
-        self.demotions_total += resident
-        self.crack_epoch += 1
-        return resident
-
-    def crack_stats(self) -> dict[str, int]:
-        return {
-            "hot_buckets": len(self._items) - len(self._pending),
-            "cold_buckets": 1 if self._pending else 0,
-            "pending": len(self._pending),
-            "promotions": self.promotions_total,
-            "demotions": self.demotions_total,
-        }
 
     def describe(self) -> str:
         pats = ", ".join(repr(m.pattern) for m in self._modules.values())

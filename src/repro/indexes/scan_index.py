@@ -15,13 +15,7 @@ from repro.indexes.base import Accountant, CostParams, SearchOutcome, StateIndex
 
 
 class ScanIndex(StateIndex):
-    """Stores items in arrival order; answers every probe by full scan.
-
-    Trivially lazy: the arrival-order store *is* an append log with no
-    structure tier above it, so :meth:`StateIndex.enable_lazy` flips the
-    flag but promotion/demotion stay the inherited no-ops — there is
-    nothing to crack.
-    """
+    """Stores items in arrival order; answers every probe by full scan."""
 
     def __init__(
         self,

@@ -11,11 +11,7 @@ Mirrors the staged kernel's decomposition on the storage side:
   incremental migration: tuner-approved reconfigurations drain
   ``migration_budget`` tuples per tick through a dual-structure phase
   instead of rebuilding stop-the-world (``None`` keeps the legacy
-  single-tick path bit-identically);
-- :class:`CrackConfig` / :class:`ResultCache` — lazy adaptive indexing
-  (cracking): arrivals land in a per-bucket append log, probe heat promotes
-  buckets into the real structure, and hot probe results are cached — all
-  bit-identical to eager admission on the cost model.
+  single-tick path bit-identically).
 """
 
 from repro.storage.backends import (
@@ -29,7 +25,6 @@ from repro.storage.backends import (
     capabilities_for,
     resolve_backend,
 )
-from repro.storage.crack import CrackConfig, ResultCache, effective_threshold
 from repro.storage.migration import (
     MIGRATION_DONE,
     MIGRATION_START,
@@ -45,7 +40,6 @@ from repro.storage.store import StateStore, Tuner, merge_outcomes
 __all__ = [
     "BACKENDS",
     "BackendCapabilities",
-    "CrackConfig",
     "IndexBackendDescriptor",
     "IndexBackendRegistry",
     "IndexBuildSpec",
@@ -57,12 +51,10 @@ __all__ = [
     "MigrationPlan",
     "MigrationPlanner",
     "MigrationStepReport",
-    "ResultCache",
     "StateStore",
     "Tuner",
     "UnknownBackendError",
     "capabilities_for",
-    "effective_threshold",
     "merge_outcomes",
     "plan_steps",
     "resolve_backend",

@@ -140,11 +140,6 @@ class IndexLifecycle:
         fresh = type(old)(
             new_config, old.accountant, old.cost_params, old.value_mapper
         )
-        if old.lazy:
-            # Relocations must keep landing in the pending tier (insert()
-            # branches on the flag), or the drain would eagerly index what
-            # the cracking policy decided to defer.
-            fresh.enable_lazy()
         self.draining = old
         self._pending = deque(old.items())
         self._total = old.size

@@ -29,12 +29,10 @@ from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
-from repro.core.probe_plan import compile_matcher
 from repro.core.tuner import AMRITuner, HashIndexTuner, NullTuner, TuneReport, TuningContext
 from repro.indexes.base import CostParams, SearchOutcome, StateIndex
 from repro.indexes.scan_index import ScanIndex
 from repro.storage.backends import capabilities_for
-from repro.storage.crack import CrackConfig, ResultCache, effective_threshold
 from repro.storage.migration import IndexLifecycle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,14 +81,6 @@ class StateStore:
         rebuilds; a positive integer makes them budgeted dual-structure
         drains (see :mod:`repro.storage.migration`).  Only meaningful for
         reconfigurable backends driven by an :class:`AMRITuner`.
-    crack:
-        Lazy-admission (cracking) configuration.  ``None`` (the default)
-        keeps eager admission, bit-identical to the legacy path.  With a
-        :class:`~repro.storage.crack.CrackConfig` the index switches to the
-        tiered append-log admission mode and probes go through the
-        hot-bucket result cache; all observables (outcomes, charges,
-        gauges) stay bit-identical to eager — laziness is a wall-clock
-        optimisation under the same cost model.
     """
 
     def __init__(
@@ -102,7 +92,6 @@ class StateStore:
         tuner: Tuner | None = None,
         cost_params: CostParams | None = None,
         migration_budget: int | None = None,
-        crack: CrackConfig | None = None,
     ) -> None:
         # Imported here, not at module top: the engine package imports this
         # module while initialising (via the SteM facade), so a top-level
@@ -122,11 +111,6 @@ class StateStore:
             # The store intercepts tuner-approved migrations so they drain
             # incrementally instead of rebuilding inside one tick.
             self.tuner.migrator = self.lifecycle.begin
-        self.crack = crack
-        self._result_cache: ResultCache | None = None
-        if crack is not None:
-            self.index.enable_lazy()
-            self._result_cache = ResultCache()
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -152,11 +136,6 @@ class StateStore:
     def migration_active(self) -> bool:
         """True while an incremental migration is draining."""
         return self.lifecycle.active
-
-    @property
-    def lazy(self) -> bool:
-        """True when lazy (cracking) admission is enabled."""
-        return self.crack is not None
 
     # ------------------------------------------------------------------ #
     # storage operations
@@ -203,75 +182,10 @@ class StateStore:
         merge (every stored tuple lives in exactly one of them).
         """
         self.tuner.observe(ap)
-        if self._result_cache is not None:
-            return self._cached_search(ap, values)
-        return self._search_structures(ap, values)
-
-    def _search_structures(self, ap: AccessPattern, values: Mapping[str, object]) -> SearchOutcome:
-        """One probe against the physical structure(s), drain-aware."""
         draining = self.lifecycle.draining
         if draining is None:
             return self.index.search(ap, values)
         return merge_outcomes(draining.search(ap, values), self.index.search(ap, values))
-
-    def _cached_search(self, ap: AccessPattern, values: Mapping[str, object]) -> SearchOutcome:
-        """Lazy-mode probe through the hot-bucket result cache.
-
-        A hit replays the miss's exact accountant delta and aliases its
-        match list, so a cached probe is observably identical to executing
-        the search.  Unhashable probe values (or rows missing a required
-        attribute, which must still raise from the search itself) bypass
-        the cache.
-        """
-        cache = self._result_cache
-        acct = self.index.accountant
-        signature = (
-            acct.inserts,
-            acct.deletes,
-            acct.moves,
-            self.index.crack_epoch,
-        )
-        try:
-            key = (ap.mask, tuple(values[a] for a in compile_matcher(ap).attributes))
-            entry = cache.entries.get(key)
-        except (KeyError, TypeError):
-            key = None
-            entry = None
-        if entry is not None and entry[0] != signature:
-            cache.invalidations += 1
-            del cache.entries[key]
-            entry = None
-        if entry is not None:
-            cache.hits += 1
-            _, cached, d_hashes, d_cmp, d_buckets, d_examined = entry
-            acct.hashes += d_hashes
-            acct.comparisons += d_cmp
-            acct.buckets_visited += d_buckets
-            acct.tuples_examined += d_examined
-            return SearchOutcome(
-                matches=cached.matches,
-                buckets_visited=cached.buckets_visited,
-                tuples_examined=cached.tuples_examined,
-                used_full_scan=cached.used_full_scan,
-            )
-        cache.misses += 1
-        h0, c0, b0, t0 = (
-            acct.hashes,
-            acct.comparisons,
-            acct.buckets_visited,
-            acct.tuples_examined,
-        )
-        outcome = self._search_structures(ap, values)
-        if key is not None:
-            cache.entries[key] = (
-                signature,
-                outcome,
-                acct.hashes - h0,
-                acct.comparisons - c0,
-                acct.buckets_visited - b0,
-                acct.tuples_examined - t0,
-            )
-        return outcome
 
     def probe_batch(
         self, ap: AccessPattern, values_list: list[Mapping[str, object]]
@@ -288,12 +202,6 @@ class StateStore:
         so the aggregation is invisible to the cost model.
         """
         self.tuner.observe_run(ap, len(values_list))
-        if self._result_cache is not None:
-            # Lazy mode: the per-row cached path *is* the batch plan — the
-            # cache dedups equal rows exactly as the vectorized backends
-            # do, and stays bit-identical to the serial probe loop.
-            search = self._cached_search
-            return [search(ap, values) for values in values_list]
         draining = self.lifecycle.draining
         if draining is None:
             return self.index.search_batch(ap, values_list)
@@ -308,41 +216,6 @@ class StateStore:
     def migration_step(self, max_moves: int | None = None):
         """Advance an in-flight migration (delegates to the lifecycle)."""
         return self.lifecycle.step(max_moves)
-
-    def crack_step(self) -> int:
-        """Promote hot pending buckets into the structure tier; returns how
-        many tuples were promoted.
-
-        The promotion bar starts at ``crack.promote_threshold`` and is
-        scaled by the tuner assessor's observed workload skew (see
-        :func:`~repro.storage.crack.effective_threshold`).  Promotion is
-        charge-free by contract — the structural cost was already paid at
-        admission — so this is pure wall-clock re-tiering.
-        """
-        if not getattr(self.index, "lazy", False):
-            return 0
-        threshold = effective_threshold(
-            self.crack.promote_threshold, getattr(self.tuner, "assessor", None)
-        )
-        budget = self.crack.promote_budget
-        if budget is None:
-            budget = self.lifecycle.budget
-        return self.index.promote_hot(threshold, budget)
-
-    def demote_step(self) -> int:
-        """Demote cold resident buckets back to the pending log; returns how
-        many tuples were demoted.  Only meaningful under memory squeeze —
-        the engine calls it from the shed/degrade stage."""
-        if not getattr(self.index, "lazy", False):
-            return 0
-        return self.index.demote_cold(self.crack.demote_budget)
-
-    def crack_telemetry(self) -> dict[str, float]:
-        """Hot/cold tier counts plus result-cache counters, for metrics."""
-        stats: dict[str, float] = dict(self.index.crack_stats())
-        if self._result_cache is not None:
-            stats.update(self._result_cache.stats())
-        return stats
 
     def degrade_to_scan(self) -> int:
         """Swap the physical index for the full-scan fallback; returns
@@ -365,8 +238,6 @@ class StateStore:
         acct.index_bytes = 0  # the old structure(s) are gone wholesale
         acct.moves += len(live)
         fallback = ScanIndex(self.jas, acct, self.cost_params)
-        if self.crack is not None:
-            fallback.enable_lazy()  # trivially lazy; keeps the mode flag honest
         for item in live:
             fallback.insert(item)
         self.index = fallback

@@ -43,7 +43,7 @@ from repro.engine.router import (
 from repro.engine.stem import SteM
 from repro.engine.stream import StreamSchema
 from repro.indexes.base import Accountant, CostParams
-from repro.storage import BACKENDS, CrackConfig, IndexBuildSpec
+from repro.storage import BACKENDS, IndexBuildSpec
 from repro.utils.rng import derive_seed
 from repro.workloads.generators import (
     SyntheticStreamGenerator,
@@ -101,14 +101,15 @@ class ScenarioParams:
 
 def _unknown_scheme(scheme: str) -> ValueError:
     return ValueError(
-        f"unknown scheme {scheme!r}; expected amri:<assessor>, hash:<k>, static, inverted, or scan"
+        f"unknown scheme {scheme!r}; expected amri:<assessor>, hash:<k> (k >= 1), "
+        "static, inverted, or scan"
     )
 
 
 def hash_module_count(scheme: str) -> int:
-    """The ``k`` of a ``hash:<k>`` scheme name."""
+    """The ``k`` (>= 1) of a ``hash:<k>`` scheme name."""
     k = scheme.split(":", 1)[1]
-    if not k.isdigit():
+    if not k.isdigit() or int(k) < 1:
         raise _unknown_scheme(scheme)
     return int(k)
 
@@ -179,11 +180,20 @@ class PaperScenario:
         if scheme.startswith("amri:"):
             return "bit_address"
         if scheme.startswith("hash:"):
-            hash_module_count(scheme)  # rejects a non-numeric <k>
+            hash_module_count(scheme)  # rejects a non-numeric or zero <k>
             return "multi_hash"
         if scheme in ("static", "inverted", "scan"):
             return {"static": "static_bitmap", "inverted": "inverted", "scan": "scan"}[scheme]
         raise _unknown_scheme(scheme)
+
+    def check_scheme(self, scheme: str) -> None:
+        """Raise the ``ValueError`` :meth:`build_stems` would raise for a bad
+        scheme name (backend, ``hash:<k>``, assessor) without building
+        anything — what the CLIs call before paying for quasi-training."""
+        self.backend_for_scheme(scheme)
+        if scheme.startswith("amri:"):
+            jas = self.query.jas_for(self.params.stream_names[0])
+            make_assessor(scheme.split(":", 1)[1], jas)
 
     def build_stems(
         self,
@@ -193,8 +203,6 @@ class PaperScenario:
         initial_hash_patterns: dict[str, list[AccessPattern]] | None = None,
         index_backend: str | None = None,
         migration_budget: int | None = None,
-        lazy_index: bool = False,
-        promote_threshold: float | None = None,
     ) -> dict[str, SteM]:
         """Assemble one SteM per stream for the named index scheme.
 
@@ -206,24 +214,13 @@ class PaperScenario:
         :class:`~repro.core.tuner.NullTuner` over the same assessor.
         ``migration_budget`` makes tuner-approved migrations incremental
         (see :mod:`repro.storage.migration`); ``None`` keeps the legacy
-        single-tick rebuild.  ``lazy_index`` switches every state to the
-        tiered lazy-admission (cracking) pipeline — observably identical to
-        eager on the cost model, cheaper on the wall clock — with
-        ``promote_threshold`` as the base probe-heat promotion bar (see
-        :class:`~repro.storage.CrackConfig`).
+        single-tick rebuild.
         """
         p = self.params
         default_backend = self.backend_for_scheme(scheme)  # also validates the scheme
         backend = index_backend if index_backend is not None else default_backend
         descriptor = BACKENDS.resolve(backend)
         caps = descriptor.capabilities
-        crack = None
-        if lazy_index:
-            crack = (
-                CrackConfig()
-                if promote_threshold is None
-                else CrackConfig(promote_threshold=promote_threshold)
-            )
         stems: dict[str, SteM] = {}
         for i, stream in enumerate(p.stream_names):
             jas = self.query.jas_for(stream)
@@ -290,7 +287,6 @@ class PaperScenario:
                 tuner,
                 cost_params=self.cost_params,
                 migration_budget=migration_budget,
-                crack=crack,
             )
         return stems
 
@@ -340,8 +336,6 @@ class PaperScenario:
         scheduler=None,
         index_backend: str | None = None,
         migration_budget: int | None = None,
-        lazy_index: bool = False,
-        promote_threshold: float | None = None,
     ) -> AMRExecutor:
         """A ready-to-run executor for the named scheme.
 
@@ -367,9 +361,8 @@ class PaperScenario:
 
         ``index_backend`` overrides each state's physical index with a
         named :data:`~repro.storage.BACKENDS` backend; ``migration_budget``
-        caps tuples relocated per tick during tuner-approved migrations;
-        ``lazy_index``/``promote_threshold`` switch admission to the tiered
-        lazy (cracking) pipeline (all forwarded to :meth:`build_stems`).
+        caps tuples relocated per tick during tuner-approved migrations
+        (both forwarded to :meth:`build_stems`).
         """
         p = self.params
         stems = self.build_stems(
@@ -378,8 +371,6 @@ class PaperScenario:
             initial_hash_patterns=initial_hash_patterns,
             index_backend=index_backend,
             migration_budget=migration_budget,
-            lazy_index=lazy_index,
-            promote_threshold=promote_threshold,
         )
         router = self.make_router(
             explore_prob=p.explore_prob if explore_prob is None else explore_prob

@@ -3,6 +3,7 @@
 import pytest
 
 import repro.__main__ as main_mod
+from repro.experiments import profiling
 from repro.experiments import run as run_cli
 
 
@@ -86,13 +87,26 @@ class TestEngineFlags:
         assert rc == 2
         assert "--partitions must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--batch-size", "--probe-workers"])
+    @pytest.mark.parametrize(
+        "flag", ["--batch-size", "--probe-workers", "--lazy-index", "--promote-threshold"]
+    )
     def test_removed_plane_flags_are_unrecognized(self, flag, capsys):
         rc = main_mod.main(["run", flag, "2"])
         captured = capsys.readouterr()
         assert rc == 2
         assert f"unrecognized arguments: {flag} 2" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_list_backends_prints_the_registry(self, capsys):
+        rc = main_mod.main(["run", "--list-backends"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        from repro.storage import BACKENDS
+
+        for name in BACKENDS.names():
+            assert name in out
+        assert "capabilities" in out
+        assert "memory shape" in out
 
     @pytest.mark.parametrize("value", [",", ""])
     def test_empty_scheme_list_is_a_usage_error(self, value, capsys):
@@ -105,9 +119,38 @@ class TestEngineFlags:
     def test_non_numeric_hash_scheme_is_an_unknown_scheme(self, capsys):
         rc = main_mod.main(["run", "--schemes", "hash:x", "--ticks", "5", "--train-ticks", "5"])
         captured = capsys.readouterr()
-        assert rc == 1
+        assert rc == 2
         assert "unknown scheme 'hash:x'" in captured.err
         assert "hash:<k>" in captured.err
+
+    @pytest.mark.parametrize(
+        "command,argv,message",
+        [
+            ("run", ["--ticks", "0"], "--ticks must be >= 1, got 0"),
+            ("run", ["--train-ticks", "0"], "--train-ticks must be >= 1, got 0"),
+            ("run", ["--schemes", "static,bogus"], "unknown scheme 'bogus'"),
+            ("run", ["--schemes", "hash:0"], "unknown scheme 'hash:0'"),
+            ("run", ["--schemes", "amri:bogus"], "unknown assessor 'bogus'"),
+            ("profile", ["--ticks", "0"], "--ticks must be >= 1, got 0"),
+            ("profile", ["--train-ticks", "0"], "--train-ticks must be >= 1, got 0"),
+            ("profile", ["--scheme", "hash:0"], "unknown scheme 'hash:0'"),
+            ("profile", ["--scheme", "amri:bogus"], "unknown assessor 'bogus'"),
+        ],
+    )
+    def test_bad_sizes_and_schemes_are_usage_errors_before_training(
+        self, command, argv, message, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("quasi-training ran before the usage error")
+
+        monkeypatch.setattr(run_cli, "train_initial_state", no_training)
+        monkeypatch.setattr(profiling, "train_initial_state", no_training)
+        rc = main_mod.main([command, *argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        # argparse's usage block, then exactly one error line.
+        assert err.count(f"repro {command}: error: ") == 1
+        assert message in err.strip().splitlines()[-1]
 
     def test_partitioned_backlog_run_succeeds(self, capsys):
         rc = run_cli.main(
@@ -234,58 +277,3 @@ class TestSloFlags:
         rc = main_mod.main(["slo", "--slo", "oops"])
         assert rc == 2
         assert "usage" in capsys.readouterr().err.lower()
-
-
-class TestLazyIndexFlags:
-    def test_list_backends_exits_0_and_prints_registry(self, capsys):
-        rc = main_mod.main(["run", "--list-backends"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        from repro.storage import BACKENDS
-
-        for name in BACKENDS.names():
-            assert name in out
-        assert "capabilities" in out
-        assert "memory shape" in out
-
-    def test_promote_threshold_requires_lazy_index(self, capsys):
-        rc = main_mod.main(["run", "--promote-threshold", "3.0"])
-        assert rc == 2
-        assert "--promote-threshold requires --lazy-index" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["0", "-1.5"])
-    def test_promote_threshold_must_be_positive(self, value, capsys):
-        rc = main_mod.main(["run", "--lazy-index", "--promote-threshold", value])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "--promote-threshold must be > 0" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_lazy_run_succeeds(self, capsys):
-        rc = run_cli.main(
-            ["--schemes", "scan", "--ticks", "12", "--no-train", "--lazy-index"]
-        )
-        assert rc == 0
-        assert "scan" in capsys.readouterr().out
-
-    def test_lazy_profile_prints_crack_telemetry(self, capsys):
-        from repro.experiments import profiling
-
-        rc = profiling.main(
-            [
-                "--scheme", "amri:sria", "--ticks", "20", "--no-train",
-                "--lazy-index", "--promote-threshold", "2.0",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "lazy-index (cracking) telemetry" in out
-        assert "crack_pending" in out
-
-    def test_profile_promote_threshold_requires_lazy(self, capsys):
-        from repro.experiments import profiling
-
-        with pytest.raises(SystemExit) as exc:
-            profiling.main(["--promote-threshold", "2.0"])
-        assert exc.value.code == 2
-        assert "--promote-threshold requires --lazy-index" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 import repro.__main__ as main_mod
 from repro.engine.metrics import MetricsRegistry
@@ -76,9 +77,11 @@ class TestProfileCLI:
         text = (tmp_path / "m.prom").read_text()
         assert "# TYPE cost_units_total counter" in text
 
-    def test_unknown_scheme_exits_one(self, capsys):
-        assert profile_main(["--scheme", "nope", "--ticks", "5"]) == 1
-        assert "profile failed" in capsys.readouterr().err
+    def test_unknown_scheme_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            profile_main(["--scheme", "nope", "--ticks", "5"])
+        assert exc.value.code == 2
+        assert "unknown scheme 'nope'" in capsys.readouterr().err
 
 
 class TestMainDispatch:

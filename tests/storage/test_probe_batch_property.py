@@ -4,11 +4,10 @@ The route/probe stage hands a hop's same-pattern probes to
 ``probe_batch`` as one column and relies on its docstring: bit-identical
 to ``[probe(ap, v) for v in values_list]``.  The per-row ``probe`` is the
 reference; this property holds the column to it on a twin store — match
-lists in order, per-outcome work figures, every accountant counter, the
-assessor's statistics (RNG position included) and, when lazy, the crack
-telemetry — over all five registered backends, eager and lazy (with a
-pending tail behind a promoted prefix), and mid-drain under a migration
-budget for the backends that can reconfigure, with duplicate probe rows.
+lists in order, per-outcome work figures, every accountant counter and
+the assessor's statistics (RNG position included) — over all five
+registered backends, and mid-drain under a migration budget for the
+backends that can reconfigure, with duplicate probe rows.
 """
 
 from __future__ import annotations
@@ -22,15 +21,14 @@ from repro.core.assessment import CDIA
 from repro.core.index_config import IndexConfiguration
 from repro.core.tuner import NullTuner
 from repro.engine.tuples import StreamTuple
-from repro.storage import BACKENDS, CrackConfig, IndexBuildSpec, StateStore
+from repro.storage import BACKENDS, IndexBuildSpec, StateStore
 
 JAS = JoinAttributeSet(["A", "B", "C"])
 
-#: (backend, lazy, drain): drains exist only where the backend reconfigures.
+#: (backend, drain): drains exist only where the backend reconfigures.
 CASES = [
-    (name, lazy, drain)
+    (name, drain)
     for name in BACKENDS.names()
-    for lazy in (False, True)
     for drain in (False, True)
     if not drain or BACKENDS.resolve(name).capabilities.reconfigurable
 ]
@@ -39,7 +37,7 @@ values = st.integers(0, 3)
 items = st.lists(st.tuples(values, values, values), min_size=1, max_size=24)
 
 
-def build_store(backend: str, lazy: bool, drain: bool, stored, promoted: int) -> StateStore:
+def build_store(backend: str, drain: bool, stored) -> StateStore:
     index = BACKENDS.resolve(backend).build(
         IndexBuildSpec(
             jas=JAS,
@@ -59,11 +57,8 @@ def build_store(backend: str, lazy: bool, drain: bool, stored, promoted: int) ->
         # column that records one pattern too few or too many shows.
         tuner=NullTuner(CDIA(JAS, 0.1, combine="random", seed=3)),
         migration_budget=3 if drain else None,
-        crack=CrackConfig() if lazy else None,
     )
     for i, (a, b, c) in enumerate(stored):
-        if i == promoted:
-            store.index.promote_pending()  # no-op when eager
         store.insert(StreamTuple("S", i, {"A": a, "B": b, "C": c}), i)
     if drain:
         store.lifecycle.begin(IndexConfiguration(JAS, [4, 1, 1]))
@@ -93,33 +88,27 @@ def observables(store: StateStore, outcomes) -> dict:
             list(sketch.entries().items()),
             sketch._rng.bit_generator.state,
         ),
-        "crack": store.crack_telemetry(),
     }
 
 
-@pytest.mark.parametrize("backend,lazy,drain", CASES)
+@pytest.mark.parametrize("backend,drain", CASES)
 @settings(max_examples=50, deadline=None)
 @given(
     stored=items,
-    promoted=st.integers(0, 24),
     mask=st.integers(0, 7),
     rows=st.lists(st.tuples(values, values, values), max_size=12),
     repeats=st.lists(st.integers(0, 11), max_size=6),
 )
-def test_probe_batch_equals_the_probe_loop(
-    backend, lazy, drain, stored, promoted, mask, rows, repeats
-):
+def test_probe_batch_equals_the_probe_loop(backend, drain, stored, mask, rows, repeats):
     ap = AccessPattern.from_mask(JAS, mask)
     rows = rows + [rows[i % len(rows)] for i in repeats if rows]  # forced duplicates
     column = [
         {name: row[JAS.names.index(name)] for name in ap.attributes} for row in rows
     ]
-    looped = build_store(backend, lazy, drain, stored, promoted)
-    batched = build_store(backend, lazy, drain, stored, promoted)
+    looped = build_store(backend, drain, stored)
+    batched = build_store(backend, drain, stored)
     if drain and len(stored) > 3:
         assert batched.lifecycle.draining is not None
-    if lazy and not drain and backend != "scan":  # scan has no pending tier
-        assert batched.index.pending_count > 0
     by_loop = [looped.probe(ap, row) for row in column]
     by_batch = batched.probe_batch(ap, column)
     assert observables(batched, by_batch) == observables(looped, by_loop)

@@ -1,5 +1,7 @@
 """Tests for the StateStore storage layer (admission ordering, degradation)."""
 
+import pytest
+
 from repro.core.assessment import SRIA
 from repro.core.bit_index import make_bit_index
 from repro.core.index_config import IndexConfiguration
@@ -56,6 +58,34 @@ class TestInsertOrdering:
         out = store.probe(ap3("A"), {"A": 7})
         assert len(out.matches) == 2
         assert all(m is not first for m in out.matches)
+
+
+class TestProbeInputs:
+    """Malformed and unusual probe rows, per row and as a one-row column."""
+
+    @staticmethod
+    def probe_one(store, how, ap, values):
+        if how == "probe":
+            return store.probe(ap, values)
+        return store.probe_batch(ap, [values])[0]
+
+    @pytest.mark.parametrize("how", ["probe", "probe_batch"])
+    def test_row_missing_a_required_attribute_raises(self, jas3, ap3, how):
+        store = StateStore("S", jas3, make_bit_index(jas3, [2, 2, 2]), window=100)
+        store.insert(tup(0), 0)
+        with pytest.raises(KeyError):
+            self.probe_one(store, how, ap3("A"), {})
+
+    @pytest.mark.parametrize("how", ["probe", "probe_batch"])
+    def test_unhashable_probe_values_still_probe(self, jas3, ap3, how):
+        # Scan backend: the bit index's value mapper (correctly) rejects
+        # non-scalar attribute values, the scan index accepts anything.
+        store = StateStore("S", jas3, ScanIndex(jas3), window=100)
+        item = StreamTuple("S", 0, {"A": (1, 2), "B": 2, "C": 3})
+        store.insert(item, 0)
+        assert self.probe_one(store, how, ap3("A"), {"A": (1, 2)}).matches == [item]
+        # tuples hash; lists do not — a genuinely unhashable probe value:
+        assert self.probe_one(store, how, ap3("A"), {"A": [1, 2]}).matches == []
 
 
 class TestDegradeToScan:

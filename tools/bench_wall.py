@@ -48,13 +48,6 @@ Benchmarks
                             plane's tracker + per-tick burn-rate monitor,
                             ending in a p95 quantile estimate (the
                             observability plane's per-tuple overhead)
-- ``probe_sparse_eager`` / ``probe_sparse_lazy`` — the same probe-sparse
-                            streaming window (insert/expire churn with only
-                            a handful of probes) through an eagerly built
-                            inverted index vs the lazy admission tier; their
-                            within-label ratio is recorded under
-                            ``crack_speedup`` (the lazy-indexing refactor's
-                            acceptance evidence)
 """
 
 from __future__ import annotations
@@ -78,7 +71,6 @@ from repro.core.index_config import IndexConfiguration  # noqa: E402
 from repro.core.selector import fleet_cost, select_fleet  # noqa: E402
 from repro.fleet import score_index  # noqa: E402
 from repro.indexes.hash_index import MultiHashIndex  # noqa: E402
-from repro.indexes.inverted_index import InvertedListIndex  # noqa: E402
 from repro.utils.bitops import splitmix64  # noqa: E402
 
 JAS = JoinAttributeSet(["A", "B", "C"])
@@ -87,13 +79,6 @@ N_PROBES = 3_000
 BATCH_SIZE = 64
 ZIPF_S = 2.5
 ZIPF_DOMAIN = 256
-SPARSE_STREAM_N = 6_000
-SPARSE_WINDOW = 400
-SPARSE_PROBE_EVERY = 400
-#: Promotion bar the lazy sparse bench consults at every probe — high
-#: enough that the handful of probes never crosses it, so the cost being
-#: measured is pure admission-tier churn (the probe-sparse regime).
-SPARSE_PROMOTE_THRESHOLD = 1e9
 FLEET_K = 3
 FLEET_BUDGET = 8
 
@@ -206,45 +191,6 @@ def bench_probe_plane_batch64(idx=None) -> int:
     for start in range(0, len(rows), BATCH_SIZE):
         idx.search_batch(ap, rows[start : start + BATCH_SIZE])
     return len(rows)
-
-
-def sparse_stream_workload() -> tuple[list[dict], AccessPattern]:
-    """A sliding-window stream with probes few and far between.
-
-    Every tick inserts one tuple and expires the one that slid out of the
-    ``SPARSE_WINDOW``-wide window; only every ``SPARSE_PROBE_EVERY``-th
-    tick probes.  This is the regime where eager per-arrival posting
-    maintenance is almost entirely wasted work — the lazy admission tier's
-    target workload.
-    """
-    items = [
-        {"A": i % 97, "B": (i * 7) % 89, "C": (i * 13) % 83}
-        for i in range(SPARSE_STREAM_N)
-    ]
-    return items, AccessPattern.from_attributes(JAS, ["A", "B"])
-
-
-def _run_sparse_stream(idx: InvertedListIndex) -> int:
-    items, ap = sparse_stream_workload()
-    for i, item in enumerate(items):
-        idx.insert(item)
-        if i >= SPARSE_WINDOW:
-            idx.remove(items[i - SPARSE_WINDOW])
-        if i % SPARSE_PROBE_EVERY == SPARSE_PROBE_EVERY - 1:
-            idx.search(ap, item)
-            if idx.lazy:
-                idx.promote_hot(SPARSE_PROMOTE_THRESHOLD)
-    return len(items)
-
-
-def bench_probe_sparse_eager() -> int:
-    return _run_sparse_stream(InvertedListIndex(JAS))
-
-
-def bench_probe_sparse_lazy() -> int:
-    idx = InvertedListIndex(JAS)
-    idx.enable_lazy()
-    return _run_sparse_stream(idx)
 
 
 def fleet_workload_stats() -> WorkloadStatistics:
@@ -383,8 +329,6 @@ BENCHMARKS: dict[str, tuple] = {
     "multi_hash_probe": (populated_hash_index, bench_multi_hash_probe),
     "probe_plane_serial": (populated_bit_index, bench_probe_plane_serial),
     "probe_plane_batch64": (populated_bit_index, bench_probe_plane_batch64),
-    "probe_sparse_eager": (None, bench_probe_sparse_eager),
-    "probe_sparse_lazy": (None, bench_probe_sparse_lazy),
     "bit_index_migrate": (None, bench_bit_index_migrate),
     "fleet_router": (fleet_router_fixture, bench_fleet_router),
     "latency_p95": (None, bench_latency_p95),
@@ -399,8 +343,6 @@ MICRO_PATHS = (
     "multi_hash_probe",
     "probe_plane_serial",
     "probe_plane_batch64",
-    "probe_sparse_eager",
-    "probe_sparse_lazy",
     "bit_index_migrate",
     "fleet_router",
     "latency_p95",
@@ -516,29 +458,10 @@ def compute_batch_speedups(runs: dict) -> dict:
     return out
 
 
-def compute_crack_speedups(runs: dict) -> dict:
-    """Per label: eager/lazy probe-sparse seconds (>1 = cracking wins).
-
-    Like ``batch_speedup`` this is a within-run ratio — machine and code
-    version held fixed — comparing eager admission against the lazy tier
-    on the identical probe-sparse sliding-window stream.  It is the lazy
-    indexing refactor's committed acceptance evidence.
-    """
-    out = {}
-    for label, run in runs.items():
-        marks = run.get("benchmarks", {})
-        eager = marks.get("probe_sparse_eager", {}).get("seconds")
-        lazy = marks.get("probe_sparse_lazy", {}).get("seconds")
-        if eager and lazy:
-            out[label] = round(eager / lazy, 2)
-    return out
-
-
 def compute_fleet_speedups(runs: dict) -> dict:
     """Per label: single/divergent modeled fleet cost (>1 = divergence wins).
 
-    A within-run ratio like ``batch_speedup`` and ``crack_speedup``, but in
-    cost-model units rather than wall seconds: K copies of the best single
+    A within-run ratio like ``batch_speedup``, but in cost-model units rather than wall seconds: K copies of the best single
     configuration vs the complementary :func:`select_fleet` set on the
     same multi-pattern workload.  It is the divergent replica fleet's
     committed acceptance evidence.
@@ -596,7 +519,6 @@ def main(argv: list[str] | None = None) -> int:
     doc["runs"][args.label] = run
     doc["speedup"] = compute_speedups(doc["runs"])
     doc["batch_speedup"] = compute_batch_speedups(doc["runs"])
-    doc["crack_speedup"] = compute_crack_speedups(doc["runs"])
     doc["fleet_speedup"] = compute_fleet_speedups(doc["runs"])
 
     args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -606,8 +528,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"speedup {name:28s} {ratio:5.2f}x")
     for label, ratio in sorted(doc["batch_speedup"].items()):
         print(f"batch_speedup[{label}] {ratio:5.2f}x (serial / batch64 probe plane)")
-    for label, ratio in sorted(doc["crack_speedup"].items()):
-        print(f"crack_speedup[{label}] {ratio:5.2f}x (eager / lazy sparse stream)")
     for label, ratio in sorted(doc["fleet_speedup"].items()):
         print(f"fleet_speedup[{label}] {ratio:5.2f}x (single / divergent modeled cost)")
     return 0
