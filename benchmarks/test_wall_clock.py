@@ -58,6 +58,11 @@ class TestMicroPaths:
         fixture = bench_wall.fleet_router_fixture()
         assert benchmark(bench_wall.bench_fleet_router, fixture) == bench_wall.N_PROBES
 
+    def test_selector_exhaustive(self, benchmark):
+        fixture = bench_wall.selector_fixture()
+        rounds = len(fixture) * bench_wall.SELECTOR_ROUNDS
+        assert benchmark(bench_wall.bench_selector_exhaustive, fixture) == rounds
+
 
 class TestEndToEnd:
     """Experiment-scale runs: timed once, like the figure benchmarks."""

@@ -54,6 +54,7 @@ from repro.core.probe_plan import (
     compile_probe_plan,
 )
 from repro.core.selector import (
+    CandidatePool,
     FleetSelector,
     IndexSelector,
     candidate_pool,
@@ -78,6 +79,7 @@ __all__ = [
     "BitAddressIndex",
     "CDIA",
     "CSRIA",
+    "CandidatePool",
     "CostBreakdown",
     "EquiDepthValueMapper",
     "FleetSelector",

@@ -32,6 +32,7 @@ configurations the paper names.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -74,9 +75,13 @@ class WorkloadStatistics:
         check_positive("lambda_d", self.lambda_d)
         check_non_negative("lambda_r", self.lambda_r)
         check_positive("window", self.window)
+        for name in ("lambda_d", "lambda_r", "window"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for ap, f in self.frequencies.items():
-            if f < 0:
-                raise ValueError(f"frequency of {ap!r} must be >= 0, got {f}")
+            if not (math.isfinite(f) and f >= 0):
+                raise ValueError(f"frequency of {ap!r} must be finite and >= 0, got {f}")
 
     @property
     def stored_tuples(self) -> float:

@@ -61,8 +61,8 @@ class IndexConfiguration:
         self._bits = widths
         self._total = sum(widths)
         self._indexed = tuple(name for name, w in zip(jas.names, widths) if w > 0)
-        # mask -> B_ap memo; the selector evaluates the same few patterns
-        # against each candidate configuration every tuning round.
+        # mask -> B_ap memo; probes and the scalar cost model ask for the
+        # same few patterns over and over.
         self._pattern_bits: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #

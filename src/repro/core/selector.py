@@ -13,12 +13,14 @@ the configuration with the lowest estimated cost.  Two strategies:
 
 Also here: :func:`select_hash_patterns`, the "conventional index selection"
 the paper applies to the multi-hash baseline — index the ``k`` most frequent
-access patterns; and the fleet extension: :func:`candidate_pool` (the shared
-enumeration both strategies and the fleet search draw from),
-:func:`select_fleet` / :class:`FleetSelector` picking a *set* of K
-complementary configurations for a divergent replica fleet, where each
-access pattern is served by whichever replica's configuration is cheapest
-for it (the divergent-design idea of RITA, applied to stream states).
+access patterns; :func:`candidate_pool` / :class:`CandidatePool`, the
+enumeration held as columns so Equation 1 is evaluated for every candidate
+in one vector pass (the exhaustive and the fleet search both draw from it);
+and the fleet extension :func:`select_fleet` / :class:`FleetSelector`
+picking a *set* of K complementary configurations for a divergent replica
+fleet, where each access pattern is served by whichever replica's
+configuration is cheapest for it (the divergent-design idea of RITA,
+applied to stream states).
 """
 
 from __future__ import annotations
@@ -26,10 +28,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 
+import numpy as np
+
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.cost_model import WorkloadStatistics, estimate_cd, pattern_search_cost
 from repro.core.index_config import IndexConfiguration
 from repro.indexes.base import CostParams
+from repro.utils.bitops import mask_to_indices
 from repro.utils.validation import check_non_negative, check_positive
 
 # Bits beyond this per attribute never pay off at stream scale and explode the
@@ -53,7 +58,7 @@ def _attribute_caps(
     return caps
 
 
-def enumerate_allocations(caps: list[int], budget: int) -> Iterator[tuple[int, ...]]:
+def enumerate_allocations(caps: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:
     """All per-attribute bit vectors with each ``b_i <= caps[i]``, sum ≤ budget."""
     n = len(caps)
     current = [0] * n
@@ -70,7 +75,7 @@ def enumerate_allocations(caps: list[int], budget: int) -> Iterator[tuple[int, .
     yield from rec(0, budget)
 
 
-def allocation_count(caps: list[int], budget: int) -> int:
+def allocation_count(caps: Sequence[int], budget: int) -> int:
     """Number of allocations :func:`enumerate_allocations` would yield."""
     counts = {0: 1}
     for cap in caps:
@@ -80,6 +85,133 @@ def allocation_count(caps: list[int], budget: int) -> int:
                 new[total + b] = new.get(total + b, 0) + ways
         counts = new
     return sum(counts.values())
+
+
+class CandidatePool:
+    """The exhaustive candidate set of one (JAS, caps, budget), as columns.
+
+    Row ``i`` describes ``configs[i]``: ``bits[i]`` is its bit vector,
+    ``total_bits[i]`` and ``n_indexed[i]`` its ``B`` and ``N_A``.  Rows are
+    sorted by ``(total_bits, bits)`` — the selectors' tie-break order — so
+    the *first* minimum of a cost column is the selected configuration.
+
+    The powers of two Equation 1 needs (``2**wildcard_bits`` per pattern,
+    ``2**B*_ap`` and the live key space per domain-cap tuple and pattern)
+    are derived on first use and kept.  They are pure functions of
+    immutable inputs, so nothing ever invalidates them; a pool holds at
+    most ``2**|JAS|`` columns per distinct domain-cap tuple, plus as many
+    uncapped ones.
+
+    :meth:`cd_column` and :meth:`search_cost_columns` perform the IEEE
+    operations of :func:`~repro.core.cost_model.cost_breakdown` and
+    :func:`~repro.core.cost_model.pattern_search_cost` in the same order,
+    so each entry is bit-equal to the scalar model, which remains the
+    definition of Equation 1.
+    """
+
+    def __init__(self, jas: JoinAttributeSet, caps: tuple[int, ...], budget: int) -> None:
+        allocations = sorted(
+            enumerate_allocations(caps, budget), key=lambda bits: (sum(bits), bits)
+        )
+        self.jas = jas
+        self.configs = tuple(IndexConfiguration(jas, bits) for bits in allocations)
+        self.bits = np.array(allocations, dtype=np.int64)
+        self.total_bits = self.bits.sum(axis=1)
+        self.n_indexed = np.count_nonzero(self.bits, axis=1)
+        self._pow2: dict[tuple[tuple[int | None, ...], int], np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.configs)
+
+    def __iter__(self) -> Iterator[IndexConfiguration]:
+        return iter(self.configs)
+
+    def _pow2_bits(self, domain_caps: tuple[int | None, ...], mask: int) -> np.ndarray:
+        """``2**min(Σ_{a ∈ mask} min(bits_a, cap_a), 63)`` per candidate."""
+        column = self._pow2.get((domain_caps, mask))
+        if column is None:
+            unbounded = np.iinfo(np.int64).max
+            limits = [unbounded if cap is None else cap for cap in domain_caps]
+            capped = np.minimum(self.bits, np.array(limits, dtype=np.int64))
+            total = capped[:, list(mask_to_indices(mask))].sum(axis=1)
+            column = self._pow2[domain_caps, mask] = np.ldexp(1.0, np.minimum(total, 63))
+        return column
+
+    def _search_terms(
+        self, stats: WorkloadStatistics
+    ) -> Iterator[tuple[AccessPattern, float, np.ndarray, np.ndarray]]:
+        """Per non-zero-frequency pattern: ``(ap, F_ap, V(ap), λ_d·W / 2^B*_ap)``,
+        the last two as one column over the candidates."""
+        jas = self.jas
+        full_mask = jas.full_mask
+        uncapped = (None,) * len(jas)
+        domain_caps = tuple(map(stats.domain_bits.get, jas.names))
+        stored = stats.stored_tuples
+        live_cap = np.minimum(stored, self._pow2_bits(domain_caps, full_mask))
+        for ap, f_ap in stats.frequencies.items():
+            if f_ap == 0.0:
+                continue
+            if ap.jas is not jas and ap.jas != jas:
+                raise ValueError(f"frequency pattern {ap!r} ranges over a different JAS")
+            # At 63 or more wildcard bits the scalar model takes the live cap
+            # alone; the cap never exceeds 2**63, so clamping the power there
+            # yields the same minimum.
+            wildcard_pow = self._pow2_bits(uncapped, full_mask & ~ap.mask)
+            visits = np.maximum(np.minimum(wildcard_pow, live_cap), 1.0)
+            yield ap, f_ap, visits, stored / self._pow2_bits(domain_caps, ap.mask)
+
+    def maintenance_column(self, stats: WorkloadStatistics, params: CostParams) -> np.ndarray:
+        """``λ_d · N_A · C_h`` of every candidate."""
+        return stats.lambda_d * self.n_indexed * params.c_hash
+
+    def cd_column(
+        self, stats: WorkloadStatistics, params: CostParams | None = None
+    ) -> np.ndarray:
+        """``C_D`` (Equation 1) of every candidate, bit-equal to ``estimate_cd``."""
+        if params is None:
+            params = CostParams()
+        request_hashing = 0.0
+        bucket_visits = 0.0
+        tuple_comparisons = 0.0
+        for ap, f_ap, visits, compared in self._search_terms(stats):
+            request_hashing += f_ap * ap.n_attributes * params.c_hash
+            bucket_visits = bucket_visits + f_ap * visits * params.c_bucket
+            tuple_comparisons = tuple_comparisons + f_ap * compared * params.c_compare
+        lam_r = stats.lambda_r
+        return (
+            self.maintenance_column(stats, params)
+            + lam_r * request_hashing
+            + lam_r * bucket_visits
+            + lam_r * tuple_comparisons
+        )
+
+    def search_cost_columns(
+        self, stats: WorkloadStatistics, params: CostParams
+    ) -> list[tuple[float, np.ndarray]]:
+        """``(F_ap, pattern_search_cost(cfg, ap) for every candidate)`` per
+        non-zero-frequency pattern, in the frequency dict's order."""
+        return [
+            (
+                f_ap,
+                ap.n_attributes * params.c_hash
+                + visits * params.c_bucket
+                + compared * params.c_compare,
+            )
+            for ap, f_ap, visits, compared in self._search_terms(stats)
+        ]
+
+
+@lru_cache(maxsize=256)
+def candidate_pool(jas: JoinAttributeSet, caps: tuple[int, ...], budget: int) -> CandidatePool:
+    """The exhaustive candidate set, built once per (JAS, caps, budget).
+
+    Configurations are immutable, so successive tuning rounds — which
+    search the identical space every time — share one
+    :class:`CandidatePool` and the columns it has derived.  The fleet
+    selector searches the same pool, so single-instance and fleet tuning
+    stay on one enumeration.
+    """
+    return CandidatePool(jas, caps, budget)
 
 
 def select_exhaustive(
@@ -93,41 +225,13 @@ def select_exhaustive(
     """The allocation minimising ``C_D``, by full enumeration.
 
     Ties break toward fewer total bits, then the lexicographically smallest
-    bit vector, keeping selections deterministic.
+    bit vector, keeping selections deterministic: the pool's rows are in
+    that order, and ``argmin`` returns the first minimum.
     """
     check_non_negative("budget", budget)
     caps = _attribute_caps(jas, budget, stats.domain_bits, max_bits_per_attribute)
-    best_cfg: IndexConfiguration | None = None
-    best_key: tuple[float, int, tuple[int, ...]] | None = None
-    for cfg in candidate_pool(jas, tuple(caps), budget):
-        key = (estimate_cd(cfg, stats, params), cfg.total_bits, cfg.bits)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_cfg = cfg
-    assert best_cfg is not None  # the all-zero allocation always exists
-    return best_cfg
-
-
-@lru_cache(maxsize=256)
-def candidate_pool(
-    jas: JoinAttributeSet, caps: tuple[int, ...], budget: int
-) -> tuple[IndexConfiguration, ...]:
-    """The exhaustive candidate set, built once per (JAS, caps, budget).
-
-    Configurations are immutable, so successive tuning rounds — which
-    re-enumerate the identical space every time — share one object per
-    allocation (and with it the per-pattern bit memos on each object).
-    The fleet selector searches the same pool, so single-instance and
-    fleet tuning stay on one enumeration.
-    """
-    return tuple(
-        IndexConfiguration(jas, bits)
-        for bits in enumerate_allocations(list(caps), budget)
-    )
-
-
-#: Backwards-compatible private alias (extracted to :func:`candidate_pool`).
-_candidate_configs = candidate_pool
+    pool = candidate_pool(jas, tuple(caps), budget)
+    return pool.configs[int(np.argmin(pool.cd_column(stats, params)))]
 
 
 def select_greedy(
@@ -191,11 +295,18 @@ class IndexSelector:
         self.params = params if params is not None else CostParams()
         self.max_bits_per_attribute = max_bits_per_attribute
         self.exhaustive_limit = exhaustive_limit
+        # caps -> allocation_count; one entry per distinct domain_bits shown.
+        self._space_size: dict[tuple[int, ...], int] = {}
 
     def select(self, stats: WorkloadStatistics) -> IndexConfiguration:
         """The best configuration for the given statistics."""
-        caps = _attribute_caps(self.jas, self.budget, stats.domain_bits, self.max_bits_per_attribute)
-        if allocation_count(caps, self.budget) <= self.exhaustive_limit:
+        caps = tuple(
+            _attribute_caps(self.jas, self.budget, stats.domain_bits, self.max_bits_per_attribute)
+        )
+        size = self._space_size.get(caps)
+        if size is None:
+            size = self._space_size[caps] = allocation_count(caps, self.budget)
+        if size <= self.exhaustive_limit:
             return select_exhaustive(
                 stats,
                 self.jas,
@@ -320,7 +431,10 @@ def select_fleet(
     ``k * budget``, i.e. no extra constraint).  Deterministic tie-breaks
     (cost, total bits, lexicographic bit vector), so the same statistics
     always produce the same fleet.  ``k == 1`` reduces to
-    :func:`select_exhaustive` exactly.
+    :func:`select_exhaustive` exactly.  Each slot costs every candidate in
+    one pass over the pool's per-pattern search-cost columns, against a
+    running per-pattern minimum over the set already chosen — the value
+    :func:`fleet_cost` computes for ``[*chosen, candidate]``, to the bit.
 
     When a slot cannot improve on the set already chosen (a narrow
     workload, or an exhausted fleet budget), it deterministically repeats
@@ -329,24 +443,35 @@ def select_fleet(
     """
     check_positive("k", k)
     check_non_negative("budget", budget)
+    if params is None:
+        params = CostParams()
     caps = _attribute_caps(jas, budget, stats.domain_bits, max_bits_per_attribute)
     pool = candidate_pool(jas, tuple(caps), budget)
     remaining = k * budget if fleet_bit_budget is None else fleet_bit_budget
     check_non_negative("fleet_bit_budget", remaining)
+    maintenance = pool.maintenance_column(stats, params)
+    patterns = pool.search_cost_columns(stats, params)
+    # State of the set chosen so far, in fleet_cost's own terms: its summed
+    # maintenance and, per pattern, the cheapest search any member offers.
     chosen: list[IndexConfiguration] = []
+    chosen_maintenance = 0
+    chosen_search = [np.inf] * len(patterns)
     for _ in range(k):
-        best_cfg: IndexConfiguration | None = None
-        best_key: tuple[float, int, tuple[int, ...]] | None = None
-        for cfg in pool:
-            if cfg.total_bits > remaining:
-                continue
-            key = (fleet_cost([*chosen, cfg], stats, params), cfg.total_bits, cfg.bits)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_cfg = cfg
-        assert best_cfg is not None  # the all-zero allocation always fits
-        chosen.append(best_cfg)
-        remaining -= best_cfg.total_bits
+        # Rows are sorted by total bits, so the affordable ones are a prefix
+        # (never empty: the all-zero allocation always fits).
+        affordable = int(np.searchsorted(pool.total_bits, remaining, side="right"))
+        served = []
+        search = 0.0
+        for floor, (f_ap, column) in zip(chosen_search, patterns):
+            cheapest = np.minimum(floor, column[:affordable])
+            served.append(cheapest)
+            search = search + f_ap * cheapest
+        cost = chosen_maintenance + maintenance[:affordable] + stats.lambda_r * search
+        best = int(np.argmin(cost))
+        chosen.append(pool.configs[best])
+        chosen_maintenance += maintenance[best]
+        chosen_search = [cheapest[best] for cheapest in served]
+        remaining -= int(pool.total_bits[best])
     return tuple(chosen)
 
 

@@ -176,7 +176,7 @@ class AMRITuner:
             lambda_r=lambda_r,
             window=context.window,
             frequencies=freqs,
-            domain_bits=dict(context.domain_bits),
+            domain_bits=context.domain_bits,
         )
         candidate = self.selector.select(stats)
         current = self.index.config

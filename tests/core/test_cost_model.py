@@ -42,6 +42,17 @@ class TestWorkloadStatistics:
         with pytest.raises(ValueError):
             make_stats(jas3, {ap3("A"): 1.0}, window=0)
 
+    @pytest.mark.parametrize("field", ["lambda_d", "lambda_r", "window"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rates_naming_the_field(self, jas3, ap3, field, bad):
+        with pytest.raises(ValueError, match=field):
+            make_stats(jas3, {ap3("A"): 1.0}, **{field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_frequency_naming_the_pattern(self, jas3, ap3, bad):
+        with pytest.raises(ValueError, match=r"frequency of <\*, B, \*>"):
+            make_stats(jas3, {ap3("A"): 0.5, ap3("B"): bad})
+
     def test_rejects_negative_frequency(self, jas3, ap3):
         with pytest.raises(ValueError):
             make_stats(jas3, {ap3("A"): -0.1})

@@ -1,20 +1,27 @@
 """Tests for index-configuration selection (and the Table II validation)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import selector as selector_module
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.cost_model import WorkloadStatistics, estimate_cd
 from repro.core.index_config import IndexConfiguration
 from repro.core.selector import (
+    FleetSelector,
     IndexSelector,
     allocation_count,
+    candidate_pool,
     enumerate_allocations,
+    fleet_cost,
     select_exhaustive,
+    select_fleet,
     select_greedy,
     select_hash_patterns,
 )
+from repro.indexes.base import CostParams
+from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 
 def make_stats(freqs, **kw):
@@ -71,6 +78,145 @@ class TestExhaustiveSelection:
     def test_zero_budget(self, jas3, ap3):
         stats = make_stats({ap3("A"): 1.0})
         assert select_exhaustive(stats, jas3, 0).total_bits == 0
+
+
+def reference_select_exhaustive(
+    stats, jas, budget, params=None, *, max_bits_per_attribute=16
+):
+    """The oracle: the per-candidate loop over the scalar Equation 1."""
+    caps = selector_module._attribute_caps(jas, budget, stats.domain_bits, max_bits_per_attribute)
+    best_cfg = best_key = None
+    for cfg in candidate_pool(jas, tuple(caps), budget):
+        key = (estimate_cd(cfg, stats, params), cfg.total_bits, cfg.bits)
+        if best_key is None or key < best_key:
+            best_key, best_cfg = key, cfg
+    return best_cfg
+
+
+# Per JAS width, the widest per-attribute cap that keeps the pool (and so
+# the oracle loop) under ~750 candidates.  Width 1 reaches 64 bits, i.e.
+# both of the scalar model's ``>= 63`` branches.
+_MAX_BITS_FOR_WIDTH = {1: 64, 2: 26, 3: 8, 4: 4}
+
+
+@st.composite
+def selection_problems(draw, max_bits_for_width=_MAX_BITS_FOR_WIDTH):
+    width = draw(st.integers(1, 4))
+    jas = JoinAttributeSet("ABCD"[:width])
+    budget = draw(st.integers(0, 64))
+    max_bits = draw(st.integers(0, max_bits_for_width[width]))
+    domain_bits = draw(
+        st.dictionaries(st.sampled_from(jas.names), st.integers(0, 70), max_size=width)
+    )
+    frequencies = draw(
+        st.dictionaries(
+            st.integers(0, jas.full_mask).map(lambda m: AccessPattern.from_mask(jas, m)),
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    stats = WorkloadStatistics(
+        lambda_d=draw(st.floats(1e-3, 1e4)),
+        lambda_r=draw(st.floats(0.0, 1e5)),
+        window=draw(st.floats(1e-2, 1e3)),
+        frequencies=frequencies,
+        domain_bits=domain_bits,
+    )
+    unit = st.floats(0.0, 4.0)
+    params = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                CostParams, c_hash=unit, c_compare=unit, c_bucket=st.one_of(st.just(0.0), unit)
+            ),
+        )
+    )
+    return stats, jas, budget, params, max_bits
+
+
+class TestColumnarPool:
+    """The pool's columns are held to the scalar cost model exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(selection_problems())
+    @example(
+        (
+            WorkloadStatistics(
+                lambda_d=100.0,
+                lambda_r=50.0,
+                window=10.0,
+                frequencies={
+                    AccessPattern.from_mask(JoinAttributeSet("A"), 0): 0.5,  # wildcard >= 63
+                    AccessPattern.from_mask(JoinAttributeSet("A"), 1): 0.5,  # B*_ap >= 63
+                },
+            ),
+            JoinAttributeSet("A"),
+            64,
+            None,
+            64,
+        )
+    )
+    def test_every_candidate_and_the_winner_equal_the_scalar_model(self, problem):
+        stats, jas, budget, params, max_bits = problem
+        caps = selector_module._attribute_caps(jas, budget, stats.domain_bits, max_bits)
+        pool = candidate_pool(jas, tuple(caps), budget)
+        assert sorted(cfg.bits for cfg in pool) == sorted(enumerate_allocations(caps, budget))
+        assert pool.cd_column(stats, params).tolist() == [
+            estimate_cd(cfg, stats, params) for cfg in pool
+        ]
+        chosen = select_exhaustive(stats, jas, budget, params, max_bits_per_attribute=max_bits)
+        assert chosen == reference_select_exhaustive(
+            stats, jas, budget, params, max_bits_per_attribute=max_bits
+        )
+
+    def test_rows_are_in_tie_break_order(self, jas3):
+        pool = candidate_pool(jas3, (3, 2, 4), 5)
+        keys = [(cfg.total_bits, cfg.bits) for cfg in pool]
+        assert keys == sorted(keys)
+        assert pool.bits.tolist() == [list(cfg.bits) for cfg in pool]
+        assert pool.total_bits.tolist() == [cfg.total_bits for cfg in pool]
+        assert pool.n_indexed.tolist() == [len(cfg.indexed_attributes) for cfg in pool]
+
+    def test_all_tied_picks_fewest_bits_then_lexicographic(self, jas3, ap3):
+        # No hashing, bucket or comparison cost: every candidate costs 0.
+        free = CostParams(c_hash=0.0, c_compare=0.0, c_bucket=0.0)
+        stats = make_stats({ap3("A", "C"): 1.0})
+        assert select_exhaustive(stats, jas3, 6, free).bits == (0, 0, 0)
+        # Only comparisons cost and B is the only useful attribute: every
+        # candidate with 2 bits on B ties; (0, 2, 0) is the smallest of them.
+        compare_only = CostParams(c_hash=0.0, c_compare=1.0, c_bucket=0.0)
+        stats = make_stats({ap3("B"): 1.0}, domain_bits={"B": 2})
+        assert select_exhaustive(stats, jas3, 6, compare_only).bits == (0, 2, 0)
+
+    def test_foreign_jas_pattern_raises(self, jas3, jas4):
+        foreign = AccessPattern.from_attributes(jas4, ["A"])
+        with pytest.raises(ValueError, match="different JAS"):
+            select_exhaustive(make_stats({foreign: 1.0}), jas3, 4)
+        with pytest.raises(ValueError, match="different JAS"):
+            select_fleet(make_stats({foreign: 1.0}), jas3, 4, 2)
+
+    def test_tune_history_equals_the_reference_loop(self, monkeypatch):
+        """Engine level: 120 ticks of the fast-drift paper scenario decide
+        the same thing, round for round, with the oracle patched in."""
+
+        def histories():
+            scenario = PaperScenario(ScenarioParams(seed=31, phase_len=20, assess_interval=5))
+            executor = scenario.make_executor("amri:sria")
+            executor.run(120, scenario.make_generator())
+            return {
+                stream: [
+                    (r.old_description, r.new_description, r.old_cd, r.new_cd, r.migrated)
+                    for r in stem.tuner.history
+                ]
+                for stream, stem in executor.stems.items()
+            }
+
+        vector = histories()
+        monkeypatch.setattr(selector_module, "select_exhaustive", reference_select_exhaustive)
+        assert histories() == vector
+        assert sum(map(len, vector.values())) >= 80  # 4 states x ~23 rounds
+        assert any(migrated for h in vector.values() for *_, migrated in h)
 
 
 class TestTable2Validation:
@@ -181,16 +327,36 @@ class TestFleetSelection:
             domain_bits={"A": 8, "B": 8, "C": 8},
         )
 
-    def test_k1_reduces_to_select_exhaustive(self, jas3, table2_frequencies):
-        from repro.core.selector import select_fleet
+    @settings(max_examples=25, deadline=None)
+    @given(
+        selection_problems({1: 64, 2: 10, 3: 4, 4: 2}),  # pools of <= 125
+        st.integers(1, 3),
+        st.one_of(st.none(), st.integers(0, 40)),
+    )
+    def test_equals_the_greedy_loop_over_fleet_cost(self, problem, k, fleet_bit_budget):
+        stats, jas, budget, params, max_bits = problem
+        caps = selector_module._attribute_caps(jas, budget, stats.domain_bits, max_bits)
+        pool = candidate_pool(jas, tuple(caps), budget)
+        remaining = k * budget if fleet_bit_budget is None else fleet_bit_budget
+        expected = []
+        for _ in range(k):
+            best = min(
+                (cfg for cfg in pool if cfg.total_bits <= remaining),
+                key=lambda c: (fleet_cost([*expected, c], stats, params), c.total_bits, c.bits),
+            )
+            expected.append(best)
+            remaining -= best.total_bits
+        assert select_fleet(
+            stats, jas, budget, k, params,
+            fleet_bit_budget=fleet_bit_budget, max_bits_per_attribute=max_bits,
+        ) == tuple(expected)
 
+    def test_k1_reduces_to_select_exhaustive(self, jas3, table2_frequencies):
         stats = make_stats(table2_frequencies, domain_bits={"A": 6, "B": 6, "C": 6})
         (only,) = select_fleet(stats, jas3, 8, 1)
         assert only == select_exhaustive(stats, jas3, 8)
 
     def test_deterministic(self, jas3, ap3):
-        from repro.core.selector import select_fleet
-
         stats = self.multi_pattern_stats(ap3)
         first = select_fleet(stats, jas3, 8, 3)
         assert all(select_fleet(stats, jas3, 8, 3) == first for _ in range(3))
@@ -198,8 +364,6 @@ class TestFleetSelection:
     def test_divergent_set_never_costs_more_than_k_copies_of_best(
         self, jas3, ap3
     ):
-        from repro.core.selector import fleet_cost, select_fleet
-
         stats = self.multi_pattern_stats(ap3)
         fleet = select_fleet(stats, jas3, 8, 3)
         best = select_exhaustive(stats, jas3, 8)
@@ -208,23 +372,17 @@ class TestFleetSelection:
         assert fleet_cost(list(fleet), stats) < fleet_cost([best] * 3, stats)
 
     def test_per_replica_and_fleet_budgets_respected(self, jas3, ap3):
-        from repro.core.selector import select_fleet
-
         stats = self.multi_pattern_stats(ap3)
         fleet = select_fleet(stats, jas3, 8, 3, fleet_bit_budget=12)
         assert all(cfg.total_bits <= 8 for cfg in fleet)
         assert sum(cfg.total_bits for cfg in fleet) <= 12
 
     def test_selector_class_matches_free_function(self, jas3, ap3):
-        from repro.core.selector import FleetSelector, select_fleet
-
         stats = self.multi_pattern_stats(ap3)
         selector = FleetSelector(jas3, 8, 3)
         assert selector.select(stats) == select_fleet(stats, jas3, 8, 3)
 
     def test_rejects_bad_k(self, jas3, ap3):
-        from repro.core.selector import FleetSelector, select_fleet
-
         stats = self.multi_pattern_stats(ap3)
         with pytest.raises(ValueError):
             select_fleet(stats, jas3, 8, 0)
@@ -232,8 +390,6 @@ class TestFleetSelection:
             FleetSelector(jas3, 8, 0)
 
     def test_narrow_workload_repeats_the_best_configuration(self, jas3, ap3):
-        from repro.core.selector import select_fleet
-
         stats = make_stats({ap3("A"): 1.0}, domain_bits={"A": 4})
         fleet = select_fleet(stats, jas3, 8, 3)
         # One hot pattern: slot 0 carries the single best key map, and the

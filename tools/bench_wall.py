@@ -44,6 +44,11 @@ Benchmarks
                             configuration under ``fleet_cost_units``, and
                             their per-label ratio under ``fleet_speedup``
                             (the divergent-fleet acceptance evidence)
+- ``selector_exhaustive`` — 10 ``select_exhaustive`` rounds on each of the
+                            two candidate pools the end-to-end workloads
+                            search (729 = 9**3 at 8-bit domains, 4 913 =
+                            17**3 at 18-bit domains), pools built beforehand
+                            as in a running engine — the tuner path
 - ``latency_p95``         — 50 000 latency observations through the SLO
                             plane's tracker + per-tick burn-rate monitor,
                             ending in a p95 quantile estimate (the
@@ -68,7 +73,7 @@ from repro.core.access_pattern import AccessPattern, JoinAttributeSet  # noqa: E
 from repro.core.bit_index import make_bit_index  # noqa: E402
 from repro.core.cost_model import WorkloadStatistics  # noqa: E402
 from repro.core.index_config import IndexConfiguration  # noqa: E402
-from repro.core.selector import fleet_cost, select_fleet  # noqa: E402
+from repro.core.selector import fleet_cost, select_exhaustive, select_fleet  # noqa: E402
 from repro.fleet import score_index  # noqa: E402
 from repro.indexes.hash_index import MultiHashIndex  # noqa: E402
 from repro.utils.bitops import splitmix64  # noqa: E402
@@ -81,6 +86,8 @@ ZIPF_S = 2.5
 ZIPF_DOMAIN = 256
 FLEET_K = 3
 FLEET_BUDGET = 8
+SELECTOR_BUDGET = 64
+SELECTOR_ROUNDS = 10
 
 
 def make_items(n: int = N_ITEMS) -> list[dict]:
@@ -269,6 +276,46 @@ def bench_fleet_router(fixture=None) -> int:
     return N_PROBES
 
 
+def selector_fixture() -> list[WorkloadStatistics]:
+    """One round's statistics per pool size, with both pools already built.
+
+    Five frequent patterns (what θ = 0.1 leaves of a drifting route mix)
+    at the paper scenario's rate and window; the domain entropy sets the
+    pool: 8 bits per attribute caps it at 9**3, 18 bits leaves the
+    selector's 16-bit per-attribute cap, 17**3.
+    """
+    ap = AccessPattern.from_attributes
+    frequencies = {
+        ap(JAS, ["A"]): 0.3,
+        ap(JAS, ["B"]): 0.15,
+        ap(JAS, ["A", "B"]): 0.2,
+        ap(JAS, ["B", "C"]): 0.15,
+        ap(JAS, ["A", "B", "C"]): 0.2,
+    }
+    fixture = [
+        WorkloadStatistics(
+            lambda_d=12.0,
+            lambda_r=200.0,
+            window=20.0,
+            frequencies=frequencies,
+            domain_bits=dict.fromkeys(JAS.names, domain_bits),
+        )
+        for domain_bits in (8, 18)
+    ]
+    for stats in fixture:
+        select_exhaustive(stats, JAS, SELECTOR_BUDGET)
+    return fixture
+
+
+def bench_selector_exhaustive(fixture=None) -> int:
+    if fixture is None:
+        fixture = selector_fixture()
+    for stats in fixture:
+        for _ in range(SELECTOR_ROUNDS):
+            select_exhaustive(stats, JAS, SELECTOR_BUDGET)
+    return SELECTOR_ROUNDS * len(fixture)
+
+
 def bench_latency_p95() -> int:
     from repro.engine.slo import LatencyTracker, SloMonitor, SloSpec
 
@@ -331,6 +378,7 @@ BENCHMARKS: dict[str, tuple] = {
     "probe_plane_batch64": (populated_bit_index, bench_probe_plane_batch64),
     "bit_index_migrate": (None, bench_bit_index_migrate),
     "fleet_router": (fleet_router_fixture, bench_fleet_router),
+    "selector_exhaustive": (selector_fixture, bench_selector_exhaustive),
     "latency_p95": (None, bench_latency_p95),
     "end_to_end_scenario": (None, bench_end_to_end_scenario),
     "parallel_training_shared": (None, bench_parallel_training_shared),
@@ -345,6 +393,7 @@ MICRO_PATHS = (
     "probe_plane_batch64",
     "bit_index_migrate",
     "fleet_router",
+    "selector_exhaustive",
     "latency_p95",
 )
 
