@@ -16,8 +16,8 @@ from repro.engine.multi_query import MultiQueryExecutor, QuerySet
 from repro.engine.parser import parse_query
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import GreedyAdaptiveRouter
-from repro.engine.stem import SteM
 from repro.experiments.harness import run_scheme, train_initial_state
+from repro.storage import StateStore
 from repro.workloads.generators import ConstantSchedule, SyntheticStreamGenerator
 from repro.workloads.scenarios import sensor_network_scenario
 
@@ -66,7 +66,7 @@ def test_multi_query_shared_state(benchmark):
                 CDIA(jas, epsilon=0.05, combine="highest_count", seed=0),
                 IndexSelector(jas, 16),
             )
-            stems[stream] = SteM(stream, jas, index, qs.max_window(stream), tuner)
+            stems[stream] = StateStore(stream, jas, index, qs.max_window(stream), tuner)
         routers = {q.name: GreedyAdaptiveRouter(q, explore_prob=0.1, seed=0) for q in qs}
         executor = MultiQueryExecutor(
             qs,

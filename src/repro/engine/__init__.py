@@ -49,7 +49,6 @@ from repro.engine.router import (
     Router,
 )
 from repro.engine.stats import RunStats, SelectivityEstimator, ThroughputSample
-from repro.engine.stem import SteM
 from repro.engine.stream import StreamSchema
 from repro.engine.tracing import EngineEvent, EventLog
 from repro.engine.tuples import JoinedTuple, StreamTuple
@@ -99,7 +98,6 @@ __all__ = [
     "SelectivityEstimator",
     "CountWindow",
     "SlidingWindow",
-    "SteM",
     "StreamSchema",
     "StreamTuple",
     "ThroughputSample",

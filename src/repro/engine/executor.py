@@ -35,11 +35,11 @@ build backlog, produce fewer outputs per tick, and eventually die of
 memory, which is exactly the behaviour Section V reports.
 
 Observability: every virtual-clock charge flows through
-:meth:`~repro.engine.kernel.EngineContext.spend` (exposed here as
-``_spend``), which attributes the *same float* to a labelled series on the
-attached :class:`~repro.engine.metrics.MetricsRegistry` ``(component,
-stream, index_kind, phase)`` immediately after spending it — so the
-attributed grand total equals ``meter.total_spent`` bit-for-bit.  Tuple
+:meth:`~repro.engine.kernel.EngineContext.spend`, which attributes the
+*same float* to a labelled series on the attached
+:class:`~repro.engine.metrics.MetricsRegistry` ``(component, stream,
+index_kind, phase)`` immediately after spending it — so the attributed
+grand total equals ``meter.total_spent`` bit-for-bit.  Tuple
 lifecycles, ticks, and tuning rounds become spans in the registry's flight
 recorder.  With no registry attached every metrics hook is a no-op and the
 run is byte-identical (asserted by the differential suites).
@@ -53,13 +53,13 @@ from dataclasses import dataclass
 from repro.engine.kernel.context import EngineContext, index_kind_label
 from repro.engine.kernel.kernel import TICK_COST_BUCKETS, EngineKernel, default_stages
 from repro.engine.kernel.scheduler import Scheduler
-from repro.engine.kernel.stages import MATCH_BUCKETS, Stage, tune_round
+from repro.engine.kernel.stages import MATCH_BUCKETS, Stage
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.query import Query
-from repro.engine.resources import DegradationPolicy, MemoryBreakdown, ResourceMeter
+from repro.engine.resources import DegradationPolicy, ResourceMeter
 from repro.engine.router import Router
 from repro.engine.stats import RunStats
-from repro.engine.stem import SteM
+from repro.storage.store import StateStore
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -94,7 +94,8 @@ class AMRExecutor:
     query:
         The SPJ query (fixes streams, predicates, window).
     stems:
-        One :class:`SteM` per stream name.
+        One :class:`~repro.storage.store.StateStore` (the paper's STeM) per
+        stream name.
     router:
         Probe-order policy.
     meter:
@@ -130,7 +131,7 @@ class AMRExecutor:
     def __init__(
         self,
         query: Query,
-        stems: dict[str, SteM],
+        stems: dict[str, StateStore],
         router: Router,
         meter: ResourceMeter,
         *,
@@ -166,7 +167,7 @@ class AMRExecutor:
             slo=slo,
         )
         pipeline = stages if stages is not None else default_stages(scheduler)
-        self._kernel = EngineKernel(self._ctx, pipeline, host=self)
+        self._kernel = EngineKernel(self._ctx, pipeline)
 
     # ------------------------------------------------------------------ #
     # kernel access
@@ -187,43 +188,12 @@ class AMRExecutor:
         return self._kernel.stages
 
     # ------------------------------------------------------------------ #
-    # compatibility surface (delegates into the context)
+    # run state (delegates into the context)
 
     @property
     def backlog(self) -> int:
         """Queued-but-unprocessed source tuples."""
         return len(self._ctx.queue)
-
-    @property
-    def _queue(self):
-        return self._ctx.queue
-
-    @property
-    def _n_streams(self) -> int:
-        return self._ctx.n_streams
-
-    def _memory_breakdown(self) -> MemoryBreakdown:
-        return self._ctx.memory_breakdown()
-
-    def _spend(
-        self,
-        cost: float,
-        component: str,
-        *,
-        stream: str | None = None,
-        index_kind: str | None = None,
-        phase: str | None = None,
-    ) -> None:
-        """Charge the virtual clock and attribute the identical float."""
-        self._ctx.spend(
-            cost, component, stream=stream, index_kind=index_kind, phase=phase
-        )
-
-    def _total_index_cost(self) -> float:
-        return self._ctx.total_index_cost()
-
-    def _tune_all(self, tick: int = -1) -> None:
-        tune_round(self._ctx, tick)
 
     # ------------------------------------------------------------------ #
     # the loop

@@ -306,7 +306,9 @@ class InvariantViolation(AssertionError):
 class InvariantChecker:
     """Per-tick engine invariant assertions, attachable to any run.
 
-    The executor calls :meth:`check` at the end of every surviving tick.
+    The kernel calls :meth:`check` with its
+    :class:`~repro.engine.kernel.EngineContext` at the end of every
+    surviving tick.
     Checks (each individually switchable):
 
     - **window expiry** — no state retains a tuple whose window has passed;
@@ -342,9 +344,9 @@ class InvariantChecker:
         self._prev_outputs = 0
         self._prev_probes = 0
 
-    def check(self, executor, tick: int) -> None:
+    def check(self, ctx, tick: int) -> None:
         """Assert every enabled invariant; raise :class:`InvariantViolation`."""
-        for stem in executor.stems.values():
+        for stem in ctx.stems.values():
             if self.check_windows:
                 oldest = getattr(stem.window, "oldest_expiry", lambda: None)()
                 if oldest is not None and oldest <= tick:
@@ -364,20 +366,20 @@ class InvariantChecker:
             if self.check_completeness:
                 self._check_completeness(stem, tick)
         if self.check_memory:
-            breakdown = executor._memory_breakdown()
+            breakdown = ctx.memory_breakdown()
             for name in ("state_payload", "index_structures", "backlog", "statistics"):
                 if getattr(breakdown, name) < 0:
                     raise InvariantViolation(
                         f"t={tick} negative memory component {name}"
                     )
-            expected_backlog = executor.backlog * executor.meter.params.queue_item_bytes
+            expected_backlog = ctx.backlog * ctx.meter.params.queue_item_bytes
             if breakdown.backlog != expected_backlog:
                 raise InvariantViolation(
                     f"t={tick} backlog charge {breakdown.backlog} != "
-                    f"{executor.backlog} queued items x queue_item_bytes"
+                    f"{ctx.backlog} queued items x queue_item_bytes"
                 )
         if self.check_stats:
-            stats = executor.stats
+            stats = ctx.stats
             if stats.outputs < self._prev_outputs or stats.probes < self._prev_probes:
                 raise InvariantViolation(f"t={tick} cumulative counters decreased")
             self._prev_outputs = stats.outputs

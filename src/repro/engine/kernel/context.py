@@ -31,8 +31,8 @@ from repro.engine.resources import (
 )
 from repro.engine.router import Router
 from repro.engine.stats import RunStats, SelectivityEstimator
-from repro.engine.stem import SteM
 from repro.engine.tuples import StreamTuple
+from repro.storage.store import StateStore
 
 
 _KIND_LABELS: dict[type, str] = {}
@@ -61,12 +61,11 @@ class EngineContext:
 
     Satisfies the :class:`~repro.engine.faults.InvariantChecker` host
     protocol (``stems``, ``meter``, ``stats``, ``backlog``,
-    ``_memory_breakdown``), so a bare kernel can be invariant-checked
-    without the executor facade.
+    ``memory_breakdown``): the kernel hands the checker its context.
     """
 
     query: Query
-    stems: dict[str, SteM]
+    stems: dict[str, StateStore]
     router: Router
     meter: ResourceMeter
     arrival_rates: dict[str, float]
@@ -118,7 +117,7 @@ class EngineContext:
                 cost, component, stream=stream, index_kind=index_kind, phase=phase
             )
 
-    def stem_cost(self, stem: SteM) -> float:
+    def stem_cost(self, stem: StateStore) -> float:
         """One state's accumulated index cost on its accountant."""
         return stem.index.accountant.cost(self.meter.params)
 
@@ -168,11 +167,6 @@ class EngineContext:
             backlog=backlog,
             statistics=stat_entries * params.stat_entry_bytes,
         )
-
-    # Invariant checkers historically probe the executor facade; the same
-    # spelling on the context lets them host a bare kernel.
-    def _memory_breakdown(self) -> MemoryBreakdown:
-        return self.memory_breakdown()
 
     @property
     def backlog(self) -> int:

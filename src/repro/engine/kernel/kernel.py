@@ -72,24 +72,17 @@ class EngineKernel:
     stages:
         The pipeline, in execution order.  Defaults to
         :func:`default_stages`.
-    host:
-        The object handed to the invariant checker each tick (the executor
-        facade passes itself; a bare kernel defaults to ``ctx``, which
-        satisfies the checker's host protocol).
     """
 
     def __init__(
         self,
         ctx: EngineContext,
         stages: Sequence[Stage] | None = None,
-        *,
-        host: object | None = None,
     ) -> None:
         self.ctx = ctx
         self.stages: tuple[Stage, ...] = (
             tuple(stages) if stages is not None else default_stages()
         )
-        self.host = host if host is not None else ctx
 
     def step(self, t: int, duration: int, incoming) -> TickState:
         """Advance the engine one tick and return its :class:`TickState`.
@@ -125,7 +118,7 @@ class EngineKernel:
             ).observe(tick_cost)
             m.end_span(tick.span, t, cost=round(tick_cost, 3), backlog=len(ctx.queue))
         if not tick.died and ctx.invariant_checker is not None:
-            ctx.invariant_checker.check(self.host, t)
+            ctx.invariant_checker.check(ctx, t)
         return tick
 
     def finish(self, last_tick: int) -> RunStats:

@@ -27,7 +27,7 @@ from repro.engine.query import Query
 from repro.engine.resources import MemoryBreakdown, MemoryBudgetExceeded, ResourceMeter
 from repro.engine.router import Router
 from repro.engine.stats import RunStats, SelectivityEstimator
-from repro.engine.stem import SteM
+from repro.storage.store import StateStore
 from repro.engine.tuples import JoinedTuple, StreamTuple
 
 
@@ -104,7 +104,8 @@ class MultiQueryExecutor:
     query_set:
         The queries to run.
     stems:
-        One shared :class:`SteM` per stream, built over the union JAS.
+        One shared :class:`~repro.storage.store.StateStore` per stream, built
+        over the union JAS.
     routers:
         One :class:`Router` per query name.
     """
@@ -112,7 +113,7 @@ class MultiQueryExecutor:
     def __init__(
         self,
         query_set: QuerySet,
-        stems: dict[str, SteM],
+        stems: dict[str, StateStore],
         routers: dict[str, Router],
         meter: ResourceMeter,
         *,

@@ -25,8 +25,8 @@ from repro.engine.faults import FAULT_PROFILES
 from repro.engine.tracing import EventLog
 from repro.experiments.harness import run_scheme_fleet, train_initial_state
 from repro.experiments.reporting import format_fleet_table, format_table
-from repro.experiments.run import SCENARIOS, build_scenario
 from repro.fleet import FLEET_DEGRADE, FLEET_RETUNE, REPLICA_ROUTE
+from repro.workloads.scenarios import SCENARIO_PARAMS, PaperScenario, scenario_params
 
 #: Fleet-level event kinds, in display order.
 FLEET_EVENT_KINDS = (REPLICA_ROUTE, FLEET_DEGRADE, FLEET_RETUNE)
@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
         default="amri:sria",
         help="one scheme (amri:<assessor> | hash:<k> | static | scan)",
     )
-    parser.add_argument("--scenario", choices=SCENARIOS, default="paper")
+    parser.add_argument("--scenario", choices=tuple(SCENARIO_PARAMS), default="paper")
     parser.add_argument("--ticks", type=int, default=200)
     parser.add_argument("--train-ticks", type=int, default=100)
     parser.add_argument("--no-train", action="store_true", help="skip quasi-training")
@@ -125,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_backlog < 1:
         parser.error(f"--max-backlog must be >= 1, got {args.max_backlog}")
 
-    scenario = build_scenario(args.scenario, args.seed)
+    scenario = PaperScenario(scenario_params(args.scenario, args.seed))
     training = (
         None if args.no_train else train_initial_state(scenario, train_ticks=args.train_ticks)
     )

@@ -30,11 +30,7 @@ from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
 from repro.engine.resources import DegradationPolicy
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EventLog
-from repro.workloads.scenarios import (
-    PaperScenario,
-    ScenarioParams,
-    sensor_network_scenario,
-)
+from repro.workloads.scenarios import PaperScenario, scenario_params
 
 
 @dataclass(frozen=True)
@@ -51,34 +47,6 @@ class GoldenCase:
     degrade: bool = False
     capacity: float | None = None
     memory_budget: int | None = None
-
-
-def _small_params(seed: int) -> ScenarioParams:
-    """A shrunken 3-way paper scenario: fast, but exercising every phase
-    (tuning every 6 ticks, drift every 8, real backlog under load)."""
-    return ScenarioParams(
-        stream_names=("A", "B", "C"),
-        rate=3,
-        window=6,
-        phase_len=8,
-        domain=8,
-        bit_budget=16,
-        assess_interval=6,
-        capacity=3_000.0,
-        memory_budget=600_000,
-        seed=seed,
-    )
-
-
-def build_scenario(case: GoldenCase) -> PaperScenario:
-    """Instantiate the case's scenario."""
-    if case.scenario == "paper-small":
-        return PaperScenario(_small_params(case.seed))
-    if case.scenario == "paper":
-        return PaperScenario(ScenarioParams(seed=case.seed))
-    if case.scenario == "sensor":
-        return sensor_network_scenario(seed=case.seed)
-    raise ValueError(f"unknown golden scenario {case.scenario!r}")
 
 
 #: The committed matrix: every scheme family, clean and faulted runs, the
@@ -186,14 +154,17 @@ def json_pure(value):
     return json.loads(json.dumps(value))
 
 
-def run_case(case: GoldenCase, **executor_overrides) -> dict:
+def run_case(case: GoldenCase, *, engine=None, **executor_overrides) -> dict:
     """Execute one case and fingerprint the run.
 
     ``executor_overrides`` pass through to ``make_executor`` — the golden
     equivalence test uses this to pin the refactored engine's knobs (e.g.
-    an explicit scheduler) onto the same matrix.
+    an explicit scheduler) onto the same matrix.  ``engine`` is a
+    multi-engine class with the ``(build, k)`` constructor
+    (``PartitionedEngine``, ``FleetEngine``); the case then runs as its
+    ``k = 1`` instance, which must reproduce the plain run exactly.
     """
-    scenario = build_scenario(case)
+    scenario = PaperScenario(scenario_params(case.scenario, case.seed))
     log = EventLog()
     registry = MetricsRegistry()
     overrides: dict = dict(
@@ -209,7 +180,10 @@ def run_case(case: GoldenCase, **executor_overrides) -> dict:
         overrides["memory_budget"] = case.memory_budget
     overrides.update(executor_overrides)
     executor = scenario.make_executor(case.scheme, **overrides)
-    stats = executor.run(case.ticks, scenario.make_generator())
+    if engine is None:
+        stats = executor.run(case.ticks, scenario.make_generator())
+    else:
+        stats = engine(lambda _index: executor, 1).run(case.ticks, scenario.make_generator)
     return json_pure(
         {
             "stats": stats_fingerprint(stats),

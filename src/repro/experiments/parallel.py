@@ -14,36 +14,34 @@ boundary.
 
 Determinism is preserved: a spec's result is identical whether it runs in a
 worker or in-process (``workers=0``), which the tests assert.
+
+:class:`RunSpec` is also *the* description of a run for the CLIs: it
+rejects a bad run at construction (before any quasi-training),
+:meth:`RunSpec.describe` is the header line ``repro run`` / ``repro slo``
+print, and :func:`execute_spec` is the one place a spec's mode fields
+(``partitions``, ``fleet``, ``slo``, ``faults`` ...) turn into engines.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
-from repro.engine.kernel import (
-    default_partitioner,
-    merge_event_timelines,
-    merge_run_stats,
-)
-from repro.engine.metrics import MetricsRegistry, RegistrySnapshot, merge_snapshots
+from repro.engine.faults import resolve_fault_plan
+from repro.engine.kernel import resolve_scheduler
+from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
 from repro.engine.resources import DegradationPolicy
-from repro.engine.slo import (
-    LatencySnapshot,
-    LatencyTracker,
-    SloMonitor,
-    SloSpec,
-    merge_latency_snapshots,
-)
+from repro.engine.slo import LatencySnapshot, LatencyTracker, SloMonitor, SloSpec
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent, EventLog
 from repro.experiments.harness import (
     TrainingResult,
     cached_training,
-    run_scheme,
     run_scheme_fleet,
-    trained_start,
+    run_scheme_partitioned,
 )
+from repro.storage import BACKENDS, UnknownBackendError
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 
@@ -71,6 +69,11 @@ class RunSpec:
     is deterministic, so a shipped result is bit-identical to an in-worker
     retrain — and the field is excluded from equality/hashing (it is a
     cache, not part of the run's identity).
+
+    Construction validates the whole description — sizes, mode
+    combination, scheme / scheduler / backend / fault-profile names and the
+    SLO string — and raises a ``ValueError`` naming the offending field, so
+    a spec that exists can be executed.
     """
 
     params: ScenarioParams
@@ -92,9 +95,76 @@ class RunSpec:
     migration_budget: int | None = None  # tuples moved per tick (None = stop-the-world)
     training: TrainingResult | None = field(default=None, compare=False, repr=False)
 
+    @staticmethod
+    def check(
+        params: ScenarioParams, scheme: str, *, scheduler: str | None = None, **sizes: int
+    ) -> None:
+        """Raise a ``ValueError`` naming the first bad value of a run description.
+
+        Every keyword in ``sizes`` (``ticks=``, ``train_ticks=`` ...) must
+        be ``>= 1``, ``scheme`` must name a scheme of the ``params``
+        scenario and ``scheduler`` a drain policy.  The part of the
+        construction check that ``repro profile`` (its own entry point, no
+        spec) shares, so a typo costs no quasi-training there either.
+        """
+        for name, value in sizes.items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        PaperScenario(params).check_scheme(scheme)
+        resolve_scheduler(scheduler)
+
+    def __post_init__(self) -> None:
+        self.check(
+            self.params,
+            self.scheme,
+            scheduler=self.scheduler,
+            ticks=self.ticks,
+            train_ticks=self.train_ticks,
+            partitions=self.partitions,
+            fleet=self.fleet,
+        )
+        if self.fleet > 1 and self.partitions > 1:
+            raise ValueError("fleet and partitions are mutually exclusive")
+        if self.migration_budget is not None and self.migration_budget < 1:
+            raise ValueError(f"migration_budget must be >= 1, got {self.migration_budget}")
+        resolve_fault_plan(self.faults)
+        if self.index_backend is not None:
+            try:
+                BACKENDS.resolve(self.index_backend)
+            except UnknownBackendError as exc:
+                raise ValueError(str(exc)) from None
+        if self.slo is not None:
+            SloSpec.parse(self.slo)
+
     def display_label(self) -> str:
         """The spec's name in result listings."""
         return self.label if self.label is not None else f"{self.scheme}@seed{self.params.seed}"
+
+    def describe(self, schemes: Sequence[str] | None = None) -> str:
+        """One ``name=value`` header line over every field that shapes the run.
+
+        Generated from the dataclass fields (all but the ``training`` cache
+        and the display ``label``), so a new field shows up without anyone
+        remembering to print it; ``params`` lists its non-default knobs.
+        ``schemes`` is shown in place of ``scheme`` — the CLIs pass their
+        whole list, since one invocation's specs differ only by scheme.
+        """
+        parts = []
+        for f in fields(self):
+            if f.name in ("training", "label"):
+                continue
+            value = getattr(self, f.name)
+            if f.name == "params":
+                knobs = ", ".join(
+                    f"{p.name}={getattr(value, p.name)!r}"
+                    for p in fields(value)
+                    if getattr(value, p.name) != p.default
+                )
+                value = f"{type(value).__name__}({knobs})"
+            elif f.name == "scheme" and schemes is not None:
+                value = ",".join(schemes)
+            parts.append(f"{f.name}={value}")
+        return "spec: " + " ".join(parts)
 
 
 @dataclass
@@ -105,6 +175,9 @@ class RunOutcome:
     when the spec asked for one (``collect_metrics=True``) — picklable, so
     it crosses the process-pool boundary like everything else — letting
     figures break a run's throughput down by component after the fact.
+    ``partition_stats`` carries the per-partition (or per-replica) stats
+    behind the merged ``stats``; ``fleet_rows`` is the per-replica routing
+    report (:meth:`~repro.fleet.FleetEngine.replica_rows`) of a fleet run.
     """
 
     spec: RunSpec
@@ -113,41 +186,43 @@ class RunOutcome:
     metrics: RegistrySnapshot | None = None
     latency: LatencySnapshot | None = None
     partition_stats: tuple[RunStats, ...] = ()
+    fleet_rows: tuple[dict[str, object], ...] = ()
 
     @property
     def outputs(self) -> int:
         return self.stats.outputs
 
 
-_PartitionResult = tuple[
-    RunStats,
-    tuple[EngineEvent, ...],
-    RegistrySnapshot | None,
-    LatencySnapshot | None,
-]
-
-
-def _slo_attachments(spec: RunSpec) -> tuple[LatencyTracker | None, SloMonitor | None]:
-    """The spec's latency tracker + monitor (fresh per engine), or Nones.
+def _slo_attachments(spec: RunSpec) -> dict[str, object]:
+    """The spec's latency tracker + monitor as per-engine factories.
 
     A spec's ``slo`` string arms per-tuple latency tracking with the
-    objective's threshold and a monitor evaluating it; without one nothing
-    is attached, keeping the run observer-effect-free by construction.
+    objective's threshold and a monitor evaluating it, one fresh pair per
+    kernel (partition or replica); without one nothing is attached, keeping
+    the run observer-effect-free by construction.
     """
     if spec.slo is None:
-        return None, None
+        return {"latency": None, "slo": None}
     parsed = SloSpec.parse(spec.slo)
-    return LatencyTracker(threshold=parsed.threshold_ticks), SloMonitor(parsed)
+    return {
+        "latency": lambda: LatencyTracker(threshold=parsed.threshold_ticks),
+        "slo": lambda: SloMonitor(parsed),
+    }
 
 
-def _engine_options(spec: RunSpec) -> dict[str, object]:
-    """The spec's engine-mode fields as ``make_executor`` keywords.
+def _harness_options(spec: RunSpec) -> dict[str, object]:
+    """Everything of the spec the harness ``run_scheme_*`` calls share.
 
-    Built here once for the single-engine, per-partition and fleet paths;
-    the per-run attachments (event log, registry, tracker, monitor) differ
-    between those paths and stay at the call sites.
+    Per-kernel attachments go in as zero-argument factories: every
+    partition or replica materialises its own log / registry / tracker /
+    monitor (instances must not be shared), merged deterministically after.
     """
     return dict(
+        training=_resolve_training(spec),
+        seed_offset=spec.seed_offset,
+        event_log=EventLog,
+        metrics=MetricsRegistry if spec.collect_metrics else None,
+        **_slo_attachments(spec),
         faults=spec.faults,
         fault_seed=spec.fault_seed,
         degradation=DegradationPolicy() if spec.degrade else None,
@@ -190,69 +265,6 @@ def _share_training(specs: list[RunSpec]) -> list[RunSpec]:
     return out
 
 
-def _run_partition(spec: RunSpec, index: int) -> _PartitionResult:
-    """Run one partition of one spec, fully rebuilt by value.
-
-    With ``spec.partitions == 1`` the arrivals are unfiltered — this *is*
-    the plain single-engine run.  Otherwise the partition sees the hash
-    slice ``index`` of the identical global arrival sequence (each call
-    builds its own generator, so RNG draws replay exactly regardless of
-    which process or order partitions run in).
-    """
-    scenario = PaperScenario(spec.params)
-    training = _resolve_training(spec)
-    log = EventLog()
-    registry = MetricsRegistry() if spec.collect_metrics else None
-    tracker, monitor = _slo_attachments(spec)
-    executor = scenario.make_executor(
-        spec.scheme,
-        **trained_start(training, spec.scheme),
-        event_log=log,
-        metrics=registry,
-        latency=tracker,
-        slo=monitor,
-        **_engine_options(spec),
-    )
-    generator = scenario.make_generator(seed_offset=spec.seed_offset)
-    if spec.partitions == 1:
-        arrivals = generator
-    else:
-        partitioner = default_partitioner(spec.partitions)
-
-        def arrivals(tick: int):
-            return [item for item in generator(tick) if partitioner(item) == index]
-
-    stats = executor.run(spec.ticks, arrivals)
-    return (
-        stats,
-        tuple(log),
-        registry.snapshot() if registry is not None else None,
-        tracker.snapshot() if tracker is not None else None,
-    )
-
-
-def _execute_partition_task(task: tuple[RunSpec, int]) -> _PartitionResult:
-    """Picklable pool worker: one ``(spec, partition index)`` unit."""
-    return _run_partition(*task)
-
-
-def _merge_outcome(spec: RunSpec, parts: list[_PartitionResult]) -> RunOutcome:
-    """Fold per-partition results into one outcome (deterministic merge)."""
-    snapshots = [snap for _, _, snap, _ in parts if snap is not None]
-    latencies = [lat for _, _, _, lat in parts if lat is not None]
-    return RunOutcome(
-        spec=spec,
-        stats=merge_run_stats([stats for stats, _, _, _ in parts]),
-        events=tuple(
-            event
-            for _, event in merge_event_timelines([events for _, events, _, _ in parts])
-        ),
-        metrics=merge_snapshots(snapshots) if snapshots else None,
-        latency=merge_latency_snapshots(latencies) if latencies else None,
-        partition_stats=tuple(stats for stats, _, _, _ in parts),
-    )
-
-
 def execute_spec_fleet(spec: RunSpec) -> RunOutcome:
     """Run one spec as a divergent replica fleet of ``spec.fleet`` engines.
 
@@ -265,105 +277,56 @@ def execute_spec_fleet(spec: RunSpec) -> RunOutcome:
     per-replica views plus the fleet-level ``replica_route`` timeline.
     ``spec.fleet == 1`` is the plain single-engine run, bit-for-bit.
     """
-    scenario = PaperScenario(spec.params)
-    training = _resolve_training(spec)
-    registry = MetricsRegistry() if spec.collect_metrics else None
     fleet_log = EventLog()
     stats, engine = run_scheme_fleet(
-        scenario,
+        PaperScenario(spec.params),
         spec.scheme,
         spec.ticks,
         fleet=spec.fleet,
-        training=training,
-        seed_offset=spec.seed_offset,
         fleet_event_log=fleet_log,
-        fleet_metrics=registry,
-        # Per-replica attachments go in as factories; each replica
-        # materialises its own (instances must not be shared).
-        event_log=EventLog,
-        metrics=MetricsRegistry if spec.collect_metrics else None,
-        latency=(lambda: _slo_attachments(spec)[0]) if spec.slo else None,
-        **_engine_options(spec),
+        **_harness_options(spec),
     )
     events = [event for _, event in engine.merged_events()]
     events.extend(fleet_log)
     events.sort(key=lambda e: e.tick)
-    merged_metrics = engine.merged_snapshot()
-    if registry is not None:
-        fleet_snap = registry.snapshot()
-        merged_metrics = (
-            merge_snapshots([merged_metrics, fleet_snap])
-            if merged_metrics is not None
-            else fleet_snap
-        )
     return RunOutcome(
         spec=spec,
         stats=stats,
         events=tuple(events),
-        metrics=merged_metrics,
+        metrics=engine.merged_snapshot(),
         latency=engine.merged_latency(),
         partition_stats=tuple(engine.replica_stats),
+        fleet_rows=tuple(engine.replica_rows()),
     )
 
 
 def execute_spec(spec: RunSpec) -> RunOutcome:
     """Run one spec to completion (used directly and as the pool worker).
 
-    ``spec.partitions > 1`` runs every partition in-process, serially, and
-    merges — byte-identical to the pool-per-partition path
-    (:func:`execute_spec_partitioned`), which the partition suite asserts.
-    ``spec.fleet > 1`` delegates to :func:`execute_spec_fleet` (the two
-    are mutually exclusive; the CLI enforces it).
+    The one place a spec's mode fields become engines: ``spec.fleet > 1``
+    delegates to :func:`execute_spec_fleet`; everything else is a
+    :class:`~repro.engine.kernel.PartitionedEngine` of ``spec.partitions``
+    kernels via :func:`~repro.experiments.harness.run_scheme_partitioned`,
+    whose ``k = 1`` case is the plain single-engine run, bit-for-bit (its
+    merged views of one kernel are that kernel's own).
     """
     if spec.fleet > 1:
         return execute_spec_fleet(spec)
-    if spec.partitions > 1:
-        return _merge_outcome(
-            spec, [_run_partition(spec, i) for i in range(spec.partitions)]
-        )
-    scenario = PaperScenario(spec.params)
-    training = _resolve_training(spec)
-    log = EventLog()
-    registry = MetricsRegistry() if spec.collect_metrics else None
-    tracker, monitor = _slo_attachments(spec)
-    stats = run_scheme(
-        scenario,
+    stats, engine = run_scheme_partitioned(
+        PaperScenario(spec.params),
         spec.scheme,
         spec.ticks,
-        training=training,
-        seed_offset=spec.seed_offset,
-        event_log=log,
-        metrics=registry,
-        latency=tracker,
-        slo=monitor,
-        **_engine_options(spec),
+        partitions=spec.partitions,
+        **_harness_options(spec),
     )
     return RunOutcome(
         spec=spec,
         stats=stats,
-        events=tuple(log),
-        metrics=registry.snapshot() if registry is not None else None,
-        latency=tracker.snapshot() if tracker is not None else None,
-        partition_stats=(stats,),
+        events=tuple(event for _, event in engine.merged_events()),
+        metrics=engine.merged_snapshot(),
+        latency=engine.merged_latency(),
+        partition_stats=tuple(engine.partition_stats),
     )
-
-
-def execute_spec_partitioned(spec: RunSpec, *, workers: int = 4) -> RunOutcome:
-    """Run one partitioned spec with each partition in its own process.
-
-    Partitions are independent engines over disjoint arrival slices, so
-    they parallelise like separate specs; results merge in partition order
-    and are identical to the serial :func:`execute_spec` path.  ``workers=0``
-    (or a single partition) falls back to the in-process path.
-    """
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    if workers == 0 or spec.partitions == 1:
-        return execute_spec(spec)
-    tasks = [(spec, index) for index in range(spec.partitions)]
-    with ProcessPoolExecutor(max_workers=min(workers, spec.partitions)) as pool:
-        parts = list(pool.map(_execute_partition_task, tasks))
-    return _merge_outcome(spec, parts)
 
 
 def run_parallel(specs: list[RunSpec], *, workers: int = 4) -> list[RunOutcome]:

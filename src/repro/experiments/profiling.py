@@ -31,8 +31,9 @@ from repro.engine.resources import DegradationPolicy
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EventLog
 from repro.experiments.harness import train_initial_state, trained_start
+from repro.experiments.parallel import RunSpec
 from repro.experiments.reporting import format_cost_profile, format_table
-from repro.experiments.run import SCENARIOS, build_scenario, reject_bad_run
+from repro.workloads.scenarios import SCENARIO_PARAMS, PaperScenario, scenario_params
 
 #: Attribution drift tolerated between the clock and the per-row sums —
 #: pure float regrouping error, so parts-per-billion is already generous.
@@ -53,7 +54,7 @@ def profile_scheme(
 ) -> tuple[RunStats, RegistrySnapshot, float]:
     """Run one scheme with a registry attached; return (stats, snapshot,
     meter_total) where ``snapshot.cost_total == meter_total`` exactly."""
-    scenario = build_scenario(scenario_name, seed)
+    scenario = PaperScenario(scenario_params(scenario_name, seed))
     training = train_initial_state(scenario, train_ticks=train_ticks) if train else None
     registry = MetricsRegistry(flight_recorder_capacity=flight_recorder_capacity)
     executor = scenario.make_executor(
@@ -84,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro profile",
         description="per-component cost-unit profile of one engine run",
     )
-    parser.add_argument("--scenario", choices=SCENARIOS, default="paper")
+    parser.add_argument("--scenario", choices=tuple(SCENARIO_PARAMS), default="paper")
     parser.add_argument("--scheme", default="amri:cdia-highest")
     parser.add_argument("--ticks", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
@@ -106,13 +107,16 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", type=Path, default=None, help="export retained spans (JSONL) to PATH"
     )
     args = parser.parse_args(argv)
-    reject_bad_run(
-        parser,
-        build_scenario(args.scenario, args.seed),
-        [args.scheme],
-        args.ticks,
-        args.train_ticks,
-    )
+    try:  # a bad size or name is a usage error before any quasi-training
+        RunSpec.check(
+            scenario_params(args.scenario, args.seed),
+            args.scheme,
+            scheduler=args.scheduler,
+            ticks=args.ticks,
+            train_ticks=args.train_ticks,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     try:
         stats, snapshot, meter_total = profile_scheme(

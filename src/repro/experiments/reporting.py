@@ -7,9 +7,11 @@ summary tables of the headline comparisons the paper quotes.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 
 from repro.engine.metrics import RegistrySnapshot
+from repro.engine.slo import SLO_BREACH, SloSpec
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent
 
@@ -167,6 +169,23 @@ def format_component_breakdown(
             + [f"{snapshots[name].cost_total:,.0f}"]
         )
     return f"{title}\n" + format_table(["scheme", *components, "total"], rows)
+
+
+@dataclass
+class BreachSummary:
+    """Monitor stand-in for :func:`format_slo_report` built from events.
+
+    ``execute_spec`` ships frozen snapshots and events across the process
+    boundary, not live monitors, so breach counts are recovered from the
+    ``slo_breach`` events in the outcome's timeline.
+    """
+
+    spec: SloSpec
+    breaches: int
+
+    @classmethod
+    def from_events(cls, spec: SloSpec, events: Iterable[EngineEvent]) -> "BreachSummary":
+        return cls(spec, sum(e.kind == SLO_BREACH for e in events))
 
 
 def format_slo_report(

@@ -36,27 +36,13 @@ from pathlib import Path
 
 from repro.engine.faults import FAULT_PROFILES
 from repro.engine.kernel import SCHEDULERS
-from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
 from repro.engine.metrics_export import event_records, to_jsonl_lines, write_metrics, write_trace
-from repro.engine.resources import DegradationPolicy
-from repro.engine.slo import (
-    SLO_BREACH,
-    SLO_RECOVERED,
-    LatencySnapshot,
-    LatencyTracker,
-    SloMonitor,
-    SloSpec,
-)
+from repro.engine.slo import SLO_BREACH, SLO_RECOVERED, SloSpec
 from repro.engine.stats import RunStats
-from repro.engine.tracing import EngineEvent, EventLog
-from repro.experiments.harness import (
-    run_scheme,
-    run_scheme_fleet,
-    run_scheme_partitioned,
-    train_initial_state,
-)
-from repro.storage import BACKENDS, UnknownBackendError
+from repro.engine.tracing import EngineEvent
+from repro.experiments.parallel import RunSpec, run_parallel
 from repro.experiments.reporting import (
+    BreachSummary,
     format_component_breakdown,
     format_fault_timeline,
     format_fleet_table,
@@ -64,18 +50,8 @@ from repro.experiments.reporting import (
     format_table,
     format_throughput_figure,
 )
-from repro.workloads.scenarios import PaperScenario, ScenarioParams, sensor_network_scenario
-
-SCENARIOS = ("paper", "sensor")
-
-
-def build_scenario(name: str, seed: int) -> PaperScenario:
-    """Instantiate a named scenario."""
-    if name == "paper":
-        return PaperScenario(ScenarioParams(seed=seed))
-    if name == "sensor":
-        return sensor_network_scenario(seed=seed)
-    raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
+from repro.storage import BACKENDS
+from repro.workloads.scenarios import SCENARIO_PARAMS, scenario_params
 
 
 def write_series_csv(path: Path, stats: RunStats) -> None:
@@ -131,26 +107,6 @@ def write_events_csv(path: Path, events_by_scheme: dict[str, list[EngineEvent]])
                 writer.writerow([name, e.tick, e.kind, e.stream or "", detail])
 
 
-def reject_bad_run(
-    parser: argparse.ArgumentParser,
-    scenario: PaperScenario,
-    schemes: list[str],
-    ticks: int,
-    train_ticks: int,
-) -> None:
-    """Exit 2 (``parser.error``) on a bad run size or scheme name — called
-    before any quasi-training, so a typo costs nothing."""
-    if ticks < 1:
-        parser.error(f"--ticks must be >= 1, got {ticks}")
-    if train_ticks < 1:
-        parser.error(f"--train-ticks must be >= 1, got {train_ticks}")
-    for scheme in schemes:
-        try:
-            scenario.check_scheme(scheme)
-        except ValueError as exc:
-            parser.error(str(exc))
-
-
 def format_backend_table() -> str:
     """The index backend registry as a printable table."""
     rows = []
@@ -186,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         default="amri:cdia-highest,static",
         help="comma-separated list (amri:<assessor> | hash:<k> | static | scan)",
     )
-    parser.add_argument("--scenario", choices=SCENARIOS, default="paper")
+    parser.add_argument("--scenario", choices=tuple(SCENARIO_PARAMS), default="paper")
     parser.add_argument("--ticks", type=int, default=400)
     parser.add_argument("--train-ticks", type=int, default=100)
     parser.add_argument("--seed", type=int, default=7)
@@ -275,145 +231,44 @@ def main(argv: list[str] | None = None) -> int:
     if args.list_backends:
         print(format_backend_table())
         return 0
-    if args.partitions < 1:
-        parser.error(f"--partitions must be >= 1, got {args.partitions}")
-    if args.fleet < 1:
-        parser.error(f"--fleet must be >= 1, got {args.fleet}")
-    if args.fleet > 1 and args.partitions > 1:
-        parser.error("--fleet and --partitions are mutually exclusive")
-    if args.index_backend is not None:
-        try:
-            BACKENDS.resolve(args.index_backend)
-        except UnknownBackendError as exc:
-            parser.error(str(exc))
-    if args.migration_budget is not None and args.migration_budget < 1:
-        parser.error(f"--migration-budget must be >= 1, got {args.migration_budget}")
-    slo_spec = None
-    if args.slo is not None:
-        try:
-            slo_spec = SloSpec.parse(args.slo)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.slo_report is not None and slo_spec is None:
+    if args.slo_report is not None and args.slo is None:
         parser.error("--slo-report requires --slo")
-
-    scenario = build_scenario(args.scenario, args.seed)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         parser.error(f"--schemes names no scheme, got {args.schemes!r}")
-    reject_bad_run(parser, scenario, schemes, args.ticks, args.train_ticks)
-    training = (
-        None if args.no_train else train_initial_state(scenario, train_ticks=args.train_ticks)
-    )
     faults = None if args.faults == "none" else args.faults
-    engine_options = dict(
-        training=training,
-        faults=faults,
-        fault_seed=args.fault_seed,
-        degradation=DegradationPolicy() if args.degrade else None,
-        scheduler=args.scheduler,
-        index_backend=args.index_backend,
-        migration_budget=args.migration_budget,
-    )
-    want_metrics = args.metrics is not None or args.trace is not None
-    runs: dict[str, RunStats] = {}
-    events: dict[str, list[EngineEvent]] = {}
-    snapshots: dict[str, RegistrySnapshot] = {}
-    latencies: dict[str, LatencySnapshot] = {}
-    monitors: dict[str, list[SloMonitor]] = {}
-    fleet_rows: dict[str, list[dict[str, object]]] = {}
-    for scheme in schemes:
-        if args.fleet > 1:
-            # Same factory pattern as --partitions: every replica gets its
-            # own log/registry/tracker, merged deterministically after; the
-            # fleet-level log records routing and degrade decisions.
-            fleet_log = EventLog()
-            runs[scheme], engine = run_scheme_fleet(
-                scenario,
+    try:
+        specs = [
+            RunSpec(
+                scenario_params(args.scenario, args.seed),
                 scheme,
                 args.ticks,
-                fleet=args.fleet,
-                fleet_event_log=fleet_log,
-                event_log=EventLog,
-                metrics=MetricsRegistry if want_metrics else None,
-                latency=(
-                    (lambda: LatencyTracker(threshold=slo_spec.threshold_ticks))
-                    if slo_spec is not None
-                    else None
-                ),
-                slo=(lambda: SloMonitor(slo_spec)) if slo_spec is not None else None,
-                **engine_options,
-            )
-            merged_events = [event for _, event in engine.merged_events()]
-            merged_events.extend(fleet_log)
-            merged_events.sort(key=lambda e: e.tick)
-            events[scheme] = merged_events
-            fleet_rows[scheme] = engine.replica_rows()
-            if want_metrics:
-                snap = engine.merged_snapshot()
-                if snap is not None:
-                    snapshots[scheme] = snap
-            if slo_spec is not None:
-                merged = engine.merged_latency()
-                if merged is not None:
-                    latencies[scheme] = merged
-                monitors[scheme] = [
-                    ex.slo for ex in engine.executors if ex.slo is not None
-                ]
-            continue
-        if args.partitions > 1:
-            # Per-partition attachments go in as factories: every kernel
-            # gets its own log/registry/tracker, merged deterministically after.
-            runs[scheme], engine = run_scheme_partitioned(
-                scenario,
-                scheme,
-                args.ticks,
+                train=not args.no_train,
+                train_ticks=args.train_ticks,
+                faults=faults,
+                fault_seed=args.fault_seed,
+                degrade=args.degrade,
+                collect_metrics=args.metrics is not None or args.trace is not None,
+                slo=args.slo,
+                scheduler=args.scheduler,
                 partitions=args.partitions,
-                event_log=EventLog,
-                metrics=MetricsRegistry if want_metrics else None,
-                latency=(
-                    (lambda: LatencyTracker(threshold=slo_spec.threshold_ticks))
-                    if slo_spec is not None
-                    else None
-                ),
-                slo=(lambda: SloMonitor(slo_spec)) if slo_spec is not None else None,
-                **engine_options,
+                fleet=args.fleet,
+                index_backend=args.index_backend,
+                migration_budget=args.migration_budget,
             )
-            events[scheme] = [event for _, event in engine.merged_events()]
-            if want_metrics:
-                snapshots[scheme] = engine.merged_snapshot()
-            if slo_spec is not None:
-                merged = engine.merged_latency()
-                if merged is not None:
-                    latencies[scheme] = merged
-                monitors[scheme] = [
-                    ex.slo for ex in engine.executors if ex.slo is not None
-                ]
-            continue
-        log = EventLog()
-        registry = MetricsRegistry() if want_metrics else None
-        tracker = (
-            LatencyTracker(threshold=slo_spec.threshold_ticks)
-            if slo_spec is not None
-            else None
-        )
-        monitor = SloMonitor(slo_spec) if slo_spec is not None else None
-        runs[scheme] = run_scheme(
-            scenario,
-            scheme,
-            args.ticks,
-            event_log=log,
-            metrics=registry,
-            latency=tracker,
-            slo=monitor,
-            **engine_options,
-        )
-        events[scheme] = list(log)
-        if registry is not None:
-            snapshots[scheme] = registry.snapshot()
-        if tracker is not None:
-            latencies[scheme] = tracker.snapshot()
-            monitors[scheme] = [monitor]
+            for scheme in schemes
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
+    print(specs[0].describe(schemes))
+    outcomes = dict(zip(schemes, run_parallel(specs, workers=0)))
+
+    slo_spec = SloSpec.parse(args.slo) if args.slo is not None else None
+    runs = {name: out.stats for name, out in outcomes.items()}
+    events = {name: list(out.events) for name, out in outcomes.items()}
+    snapshots = {name: out.metrics for name, out in outcomes.items() if out.metrics is not None}
+    latencies = {name: out.latency for name, out in outcomes.items() if out.latency is not None}
+    monitors = {name: [BreachSummary.from_events(slo_spec, events[name])] for name in latencies}
 
     print(format_throughput_figure(f"{args.scenario} scenario, {args.ticks} ticks", runs))
     rows = [
@@ -421,13 +276,10 @@ def main(argv: list[str] | None = None) -> int:
         for name, stats in runs.items()
     ]
     print(format_table(["scheme", "outputs", "died at", "migrations"], rows))
-    for name, replica_rows in fleet_rows.items():
-        print()
-        print(
-            format_fleet_table(
-                f"fleet routing ({name}, K={args.fleet})", replica_rows
-            )
-        )
+    for name, out in outcomes.items():
+        if out.fleet_rows:
+            print()
+            print(format_fleet_table(f"fleet routing ({name}, K={args.fleet})", out.fleet_rows))
     if faults is not None or any(events.values()):
         title = (
             f"\nfault timeline ({args.faults}, fault seed {args.fault_seed})"

@@ -17,30 +17,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.engine.faults import FAULT_PROFILES
 from repro.engine.slo import SLO_BREACH, SLO_RECOVERED, SloSpec
 from repro.engine.metrics_export import event_records, to_jsonl_lines
 from repro.experiments.parallel import RunSpec, execute_spec
-from repro.experiments.reporting import format_slo_report
-from repro.experiments.run import SCENARIOS, build_scenario
+from repro.experiments.reporting import BreachSummary, format_slo_report
+from repro.workloads.scenarios import SCENARIO_PARAMS, scenario_params
 
 SLO_EVENT_KINDS = (SLO_BREACH, SLO_RECOVERED)
-
-
-@dataclass
-class _BreachSummary:
-    """Monitor stand-in for :func:`format_slo_report` built from events.
-
-    ``execute_spec`` ships frozen snapshots and events across the process
-    boundary, not live monitors, so breach counts are recovered from the
-    ``slo_breach`` events in the outcome's timeline.
-    """
-
-    spec: SloSpec
-    breaches: int
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -48,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scenarios",
         default="paper,sensor",
-        help=f"comma-separated scenario names from {SCENARIOS}",
+        help=f"comma-separated scenario names from {tuple(SCENARIO_PARAMS)}",
     )
     parser.add_argument(
         "--schemes",
@@ -93,30 +79,16 @@ def main(argv: list[str] | None = None) -> int:
         help="write the full report (latency records + SLO events) as one JSONL file",
     )
     args = parser.parse_args(argv)
+    scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
+    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if not schemes:
+        parser.error(f"--schemes names no scheme, got {args.schemes!r}")
     try:
         spec = SloSpec.parse(args.slo)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.partitions < 1:
-        parser.error(f"--partitions must be >= 1, got {args.partitions}")
-    scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    for name in scenarios:
-        if name not in SCENARIOS:
-            parser.error(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-
-    records: list[dict[str, object]] = [
-        {"record": "slo_report", "objective": spec.describe(), "ticks": args.ticks}
-    ]
-    for scenario_name in scenarios:
-        params = build_scenario(scenario_name, args.seed).params
-        latencies = {}
-        monitors = {}
-        events_seen = 0
-        for scheme in schemes:
-            outcome = execute_spec(
+        specs = {
+            scenario_name: [
                 RunSpec(
-                    params,
+                    scenario_params(scenario_name, args.seed),
                     scheme,
                     args.ticks,
                     train=not args.no_train,
@@ -127,15 +99,30 @@ def main(argv: list[str] | None = None) -> int:
                     slo=args.slo,
                     partitions=args.partitions,
                 )
-            )
+                for scheme in schemes
+            ]
+            for scenario_name in scenarios
+        }
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    records: list[dict[str, object]] = [
+        {"record": "slo_report", "objective": spec.describe(), "ticks": args.ticks}
+    ]
+    for scenario_name, scenario_specs in specs.items():
+        print(scenario_specs[0].describe(schemes))
+        latencies = {}
+        monitors = {}
+        events_seen = 0
+        for run_spec in scenario_specs:
+            scheme = run_spec.scheme
+            outcome = execute_spec(run_spec)
             snap = outcome.latency
             if snap is None:  # pragma: no cover - slo is always armed here
                 continue
             slo_events = [e for e in outcome.events if e.kind in SLO_EVENT_KINDS]
             latencies[scheme] = snap
-            monitors[scheme] = [
-                _BreachSummary(spec, sum(e.kind == SLO_BREACH for e in slo_events))
-            ]
+            monitors[scheme] = [BreachSummary.from_events(spec, slo_events)]
             events_seen += len(slo_events)
             tags = {"scenario": scenario_name, "scheme": scheme}
             records.extend({**rec, **tags} for rec in snap.to_records())

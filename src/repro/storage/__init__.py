@@ -3,7 +3,7 @@
 Mirrors the staged kernel's decomposition on the storage side:
 
 - :class:`StateStore` — one stream's window + index + accountant + tuner
-  wiring (``SteM`` is its thin operator facade);
+  wiring (the operator the paper calls a STeM);
 - :class:`IndexBackendRegistry` / :data:`BACKENDS` — every physical index
   scheme registered under a string name with capability and memory
   descriptors (``isinstance`` checks become capability lookups);

@@ -10,9 +10,8 @@ system resolves "which index is this / what may I do with it":
   indexes by name instead of importing concrete classes;
 - ``repro run --index-backend <name>`` overrides a scheme's physical
   backend from the command line;
-- capability lookups replace ad-hoc ``isinstance`` checks (e.g. the old
-  ``SteM.degraded = isinstance(index, ScanIndex)`` is now
-  ``capabilities_for(index).unindexed``).
+- capability lookups replace ad-hoc ``isinstance`` checks (e.g.
+  ``StateStore.degraded`` is ``capabilities_for(index).unindexed``).
 
 Resolution failures raise :class:`UnknownBackendError` listing every
 registered name, so a typo on the command line is a one-line fix, not a

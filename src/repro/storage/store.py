@@ -2,11 +2,10 @@
 
 A :class:`StateStore` owns everything physical about one stream's state —
 the sliding/count window, the index structure(s), the shared accountant,
-and the tuner — wiring that used to be hand-assembled inside
-``engine/stem.py``.  :class:`~repro.engine.stem.SteM` remains the public
-operator facade (exactly as :class:`~repro.engine.executor.AMRExecutor`
-fronts the staged kernel); the store is where storage policy actually
-lives:
+and the tuner.  It is the unary join operator the paper calls a STeM
+(State Module, Raman et al., paper ref. [5]): it inserts arriving tuples,
+expires them when the window slides, and locates stored tuples that
+satisfy a search request's join predicates.  Storage policy lives here:
 
 - **Admission ordering.** Count-window evictions leave the index *before*
   the arriving tuple is inserted, so the ``index_bytes``/payload peak never
@@ -94,7 +93,7 @@ class StateStore:
         migration_budget: int | None = None,
     ) -> None:
         # Imported here, not at module top: the engine package imports this
-        # module while initialising (via the SteM facade), so a top-level
+        # module while initialising (via the kernel context), so a top-level
         # engine import would be circular when repro.storage loads first.
         from repro.engine.window import SlidingWindow
 

@@ -40,10 +40,9 @@ from repro.engine.router import (
     LotteryRouter,
     Router,
 )
-from repro.engine.stem import SteM
 from repro.engine.stream import StreamSchema
 from repro.indexes.base import Accountant, CostParams
-from repro.storage import BACKENDS, IndexBuildSpec
+from repro.storage import BACKENDS, IndexBuildSpec, StateStore
 from repro.utils.rng import derive_seed
 from repro.workloads.generators import (
     SyntheticStreamGenerator,
@@ -77,6 +76,7 @@ class ScenarioParams:
     capacity: float = 19_000.0  # cost units per tick: above tuned-AMRI demand, below mistuned demand
     memory_budget: int = 380_000  # bytes: above AMRI's burst peak (~310k); hash/static cross under load
     seed: int = 7
+    rate_modulation: str | None = None  # arrival-rate shape: None (flat) | "diurnal_burst"
 
     @property
     def stream_pairs(self) -> tuple[tuple[str, str], ...]:
@@ -140,12 +140,16 @@ class PaperScenario:
             cold_skew=p.cold_skew,
         )
         self.cost_params = CostParams()
+        if p.rate_modulation not in (None, "diurnal_burst"):
+            raise ValueError(
+                f"unknown rate_modulation {p.rate_modulation!r}; "
+                "expected None or 'diurnal_burst'"
+            )
+        # (stream, tick) -> multiplier applied to arrival rates, or None
+        self._rate_modulation = diurnal_burst_modulation() if p.rate_modulation else None
 
     # ------------------------------------------------------------------ #
     # workload
-
-    #: optional (stream, tick) -> multiplier applied to arrival rates
-    rate_modulation = None
 
     def make_generator(self, *, seed_offset: int = 0) -> SyntheticStreamGenerator:
         """A fresh arrival generator (identical across schemes per offset)."""
@@ -154,7 +158,7 @@ class PaperScenario:
             {s: self.query.schema(s).attributes for s in p.stream_names},
             self.schedules,
             {s: p.rate for s in p.stream_names},
-            rate_modulation=self.rate_modulation,
+            rate_modulation=self._rate_modulation,
             seed=derive_seed(p.seed, "generator", seed_offset),
         )
 
@@ -189,7 +193,8 @@ class PaperScenario:
     def check_scheme(self, scheme: str) -> None:
         """Raise the ``ValueError`` :meth:`build_stems` would raise for a bad
         scheme name (backend, ``hash:<k>``, assessor) without building
-        anything — what the CLIs call before paying for quasi-training."""
+        anything — what ``RunSpec`` calls at construction, before any
+        quasi-training is paid for."""
         self.backend_for_scheme(scheme)
         if scheme.startswith("amri:"):
             jas = self.query.jas_for(self.params.stream_names[0])
@@ -203,8 +208,8 @@ class PaperScenario:
         initial_hash_patterns: dict[str, list[AccessPattern]] | None = None,
         index_backend: str | None = None,
         migration_budget: int | None = None,
-    ) -> dict[str, SteM]:
-        """Assemble one SteM per stream for the named index scheme.
+    ) -> dict[str, StateStore]:
+        """Assemble one state store (the paper's STeM) per stream for the named index scheme.
 
         The physical index is built through the
         :data:`~repro.storage.BACKENDS` registry; ``index_backend`` (a
@@ -221,7 +226,7 @@ class PaperScenario:
         backend = index_backend if index_backend is not None else default_backend
         descriptor = BACKENDS.resolve(backend)
         caps = descriptor.capabilities
-        stems: dict[str, SteM] = {}
+        stems: dict[str, StateStore] = {}
         for i, stream in enumerate(p.stream_names):
             jas = self.query.jas_for(stream)
             acct = Accountant()
@@ -279,7 +284,7 @@ class PaperScenario:
                     tuner = NullTuner(assessor)
             else:
                 tuner = NullTuner(make_assessor("sria", jas))
-            stems[stream] = SteM(
+            stems[stream] = StateStore(
                 stream,
                 jas,
                 index,
@@ -409,13 +414,13 @@ class PaperScenario:
         )
 
 
-def sensor_network_scenario(
+def sensor_network_params(
     *,
     seed: int = 17,
     rate: int = 8,
     window: int = 12,
     phase_len: int = 80,
-) -> PaperScenario:
+) -> ScenarioParams:
     """A sensor-network flavoured scenario (extension beyond Section V).
 
     The IPPS paper's own evaluation is synthetic-only; its companion tech
@@ -429,17 +434,49 @@ def sensor_network_scenario(
     # A 3-way join is far less selective than the 4-way evaluation query
     # (two predicates instead of six gate each result), so the windows are
     # shorter and the hot skew milder to keep output rates comparable.
-    scenario = PaperScenario(
-        ScenarioParams(
-            stream_names=("readings", "alerts", "maint"),
-            rate=rate,
-            window=window,
-            phase_len=phase_len,
-            hot_skew=1.4,
-            seed=seed,
-            capacity=2_600.0,
-            memory_budget=330_000,
-        )
+    return ScenarioParams(
+        stream_names=("readings", "alerts", "maint"),
+        rate=rate,
+        window=window,
+        phase_len=phase_len,
+        hot_skew=1.4,
+        seed=seed,
+        capacity=2_600.0,
+        memory_budget=330_000,
+        rate_modulation="diurnal_burst",
     )
-    scenario.rate_modulation = diurnal_burst_modulation()
-    return scenario
+
+
+def sensor_network_scenario(**knobs: int) -> PaperScenario:
+    """:func:`sensor_network_params` as a ready-to-run scenario."""
+    return PaperScenario(sensor_network_params(**knobs))
+
+
+#: Every canned scenario by name: ``seed -> ScenarioParams``, so a run is
+#: described by value (the CLIs' ``--scenario`` choices, ``RunSpec`` and the
+#: golden corpus all read this one table).
+SCENARIO_PARAMS = {
+    "paper": lambda seed: ScenarioParams(seed=seed),
+    # A shrunken 3-way paper scenario: fast, but exercising every phase
+    # (tuning every 6 ticks, drift every 8, real backlog under load).
+    "paper-small": lambda seed: ScenarioParams(
+        stream_names=("A", "B", "C"),
+        rate=3,
+        window=6,
+        phase_len=8,
+        domain=8,
+        bit_budget=16,
+        assess_interval=6,
+        capacity=3_000.0,
+        memory_budget=600_000,
+        seed=seed,
+    ),
+    "sensor": sensor_network_params,
+}
+
+
+def scenario_params(name: str, seed: int) -> ScenarioParams:
+    """The named scenario's parameters at ``seed``."""
+    if name not in SCENARIO_PARAMS:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {tuple(SCENARIO_PARAMS)}")
+    return SCENARIO_PARAMS[name](seed=seed)

@@ -67,7 +67,7 @@ class TestSinkInEngine:
         from repro.engine.parser import parse_query
         from repro.engine.resources import ResourceMeter
         from repro.engine.router import GreedyAdaptiveRouter
-        from repro.engine.stem import SteM
+        from repro.storage import StateStore
         from repro.engine.tuples import StreamTuple
 
         q = parse_query(
@@ -76,7 +76,7 @@ class TestSinkInEngine:
         )
         sink = AggregationSink(q.aggregates)
         stems = {
-            s: SteM(
+            s: StateStore(
                 s,
                 q.jas_for(s),
                 make_bit_index(q.jas_for(s), [3]),

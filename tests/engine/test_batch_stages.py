@@ -19,7 +19,6 @@ from repro.engine.executor import AMRExecutor
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import FixedRouter
-from repro.engine.stem import SteM
 from repro.engine.stream import StreamSchema
 from repro.engine.tuples import StreamTuple
 from repro.engine.window import CountWindow
@@ -44,7 +43,7 @@ def make_executor(window=5, *, sink=None, stem_window=None):
     stems = {}
     for s in query.stream_names:
         jas = query.jas_for(s)
-        stems[s] = SteM(
+        stems[s] = StateStore(
             s,
             jas,
             make_bit_index(jas, [4] * len(jas)),

@@ -9,10 +9,10 @@ from repro.engine.executor import AMRExecutor, ExecutorConfig
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import FixedRouter
-from repro.engine.stem import SteM
 from repro.engine.stream import StreamSchema
 from repro.engine.tuples import StreamTuple
 from repro.indexes.scan_index import ScanIndex
+from repro.storage import StateStore
 
 
 def two_stream_query(window=5):
@@ -25,7 +25,7 @@ def make_executor(query=None, *, capacity=1e9, memory_budget=1 << 30, index_bits
     stems = {}
     for s in query.stream_names:
         jas = query.jas_for(s)
-        stems[s] = SteM(
+        stems[s] = StateStore(
             s,
             jas,
             make_bit_index(jas, [index_bits] * len(jas)),
@@ -171,7 +171,7 @@ class TestAccounting:
     def test_rejects_missing_stem(self):
         q = two_stream_query()
         jas = q.jas_for("A")
-        stems = {"A": SteM("A", jas, ScanIndex(jas), q.window)}
+        stems = {"A": StateStore("A", jas, ScanIndex(jas), q.window)}
         with pytest.raises(ValueError, match="no SteM"):
             AMRExecutor(
                 q,

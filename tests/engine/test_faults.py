@@ -16,10 +16,10 @@ from repro.engine.faults import (
     resolve_fault_plan,
 )
 from repro.engine.resources import DegradationPolicy
-from repro.engine.stem import SteM
 from repro.engine.tracing import EventLog
 from repro.engine.tuples import StreamTuple
 from repro.indexes.scan_index import ScanIndex
+from repro.storage import StateStore
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 STREAMS = ("A", "B")
@@ -199,7 +199,7 @@ class TestSeededReproducibility:
 class TestDegradation:
     def make_stem(self, n=20):
         jas = JoinAttributeSet(["k"])
-        stem = SteM("A", jas, make_bit_index(jas, [4]), 100, NullTuner(SRIA(jas)))
+        stem = StateStore("A", jas, make_bit_index(jas, [4]), 100, NullTuner(SRIA(jas)))
         items = [StreamTuple("A", 0, {"k": i % 5}) for i in range(n)]
         for item in items:
             stem.insert(item, 0)
@@ -338,7 +338,7 @@ class TestInvariantChecker:
         victim = next(iter(stem.window))
         stem.index.remove(victim)  # window still holds it
         with pytest.raises(InvariantViolation):
-            InvariantChecker().check(ex, 10)
+            InvariantChecker().check(ex.context, 10)
 
     def test_detects_negative_memory_gauge(self):
         sc, ex = self.build()
@@ -346,7 +346,7 @@ class TestInvariantChecker:
         stem = next(iter(ex.stems.values()))
         stem.index.accountant.index_bytes = -1
         with pytest.raises(InvariantViolation):
-            InvariantChecker(check_index=False, check_completeness=False).check(ex, 5)
+            InvariantChecker(check_index=False, check_completeness=False).check(ex.context, 5)
 
     def test_passes_under_faults_and_degradation(self):
         sc = PaperScenario(ScenarioParams(seed=23))

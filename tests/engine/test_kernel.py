@@ -24,10 +24,10 @@ from repro.engine.kernel import (
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import FixedRouter
-from repro.engine.stem import SteM
 from repro.engine.stream import StreamSchema
 from repro.engine.tracing import EventLog
 from repro.engine.tuples import StreamTuple
+from repro.storage import StateStore
 
 ENGINE_DIR = Path(__file__).resolve().parents[2] / "src" / "repro" / "engine"
 
@@ -42,7 +42,7 @@ def make_parts(query=None, *, capacity=1e9, memory_budget=1 << 30):
     stems = {}
     for s in query.stream_names:
         jas = query.jas_for(s)
-        stems[s] = SteM(
+        stems[s] = StateStore(
             s,
             jas,
             make_bit_index(jas, [4] * len(jas)),
@@ -153,7 +153,7 @@ class TestEngineContext:
         )
         ctx.queue.append(StreamTuple("A", 0, {"k": 1, "pa": 0}))
         assert ctx.backlog == 1
-        assert ctx._memory_breakdown().backlog == meter.params.queue_item_bytes
+        assert ctx.memory_breakdown().backlog == meter.params.queue_item_bytes
 
 
 class TestBareKernel:
@@ -298,11 +298,6 @@ class TestFacade:
         router = FixedRouter({"A": ["B"], "B": ["A"]})
         ex.router = router
         assert ex.context.router is router
-
-    def test_queue_alias_is_the_context_queue(self):
-        ex = make_executor()
-        assert ex._queue is ex.context.queue
-        assert ex._n_streams == 2
 
     def test_scheduler_kwarg_selects_pipeline_policy(self):
         ex = make_executor(scheduler="backlog")

@@ -9,8 +9,8 @@ from repro.engine.multi_query import MultiQueryExecutor, QuerySet
 from repro.engine.parser import parse_query
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import GreedyAdaptiveRouter
-from repro.engine.stem import SteM
 from repro.engine.tuples import StreamTuple
+from repro.storage import StateStore
 
 
 def two_queries():
@@ -32,7 +32,7 @@ def build_executor(qs, capacity=1e9, memory_budget=1 << 30, config=None):
     stems = {}
     for stream in qs.stream_names:
         jas = qs.union_jas(stream)
-        stems[stream] = SteM(
+        stems[stream] = StateStore(
             stream,
             jas,
             make_bit_index(jas, [3] * len(jas)),
@@ -160,7 +160,7 @@ class TestMultiQueryExecution:
         ex = build_executor(qs)  # valid stems
         bad_stems = dict(ex.stems)
         jas_b = qs.union_jas("B")
-        bad_stems["A"] = SteM("A", jas_b, make_bit_index(jas_b, [2]), 5)
+        bad_stems["A"] = StateStore("A", jas_b, make_bit_index(jas_b, [2]), 5)
         with pytest.raises(ValueError, match="union JAS"):
             MultiQueryExecutor(
                 qs,

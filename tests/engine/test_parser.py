@@ -121,12 +121,12 @@ class TestEndToEnd:
         from repro.engine.executor import AMRExecutor
         from repro.engine.resources import ResourceMeter
         from repro.engine.router import GreedyAdaptiveRouter
-        from repro.engine.stem import SteM
+        from repro.storage import StateStore
         from repro.engine.tuples import StreamTuple
 
         q = parse_query("select L.*, R.* from L, R where L.k = R.k window 6")
         stems = {
-            s: SteM(
+            s: StateStore(
                 s,
                 q.jas_for(s),
                 make_bit_index(q.jas_for(s), [3]),
@@ -187,14 +187,14 @@ class TestSelectionPredicates:
         from repro.engine.executor import AMRExecutor
         from repro.engine.resources import ResourceMeter
         from repro.engine.router import GreedyAdaptiveRouter
-        from repro.engine.stem import SteM
+        from repro.storage import StateStore
         from repro.engine.tuples import StreamTuple
 
         q = parse_query(
             "select L.*, R.* from L, R where L.k = R.k and L.prio > 1 window 6"
         )
         stems = {
-            s: SteM(
+            s: StateStore(
                 s,
                 q.jas_for(s),
                 make_bit_index(q.jas_for(s), [3]),

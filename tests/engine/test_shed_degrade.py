@@ -12,9 +12,9 @@ from repro.engine.kernel import EngineContext, ShedDegradeStage, TickState
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import DegradationPolicy, ResourceMeter
 from repro.engine.router import FixedRouter
-from repro.engine.stem import SteM
 from repro.engine.stream import StreamSchema
 from repro.engine.tuples import StreamTuple
+from repro.storage import StateStore
 
 
 def two_stream_query(window=5):
@@ -33,7 +33,7 @@ def make_ctx(
     stems = {}
     for s in query.stream_names:
         jas = query.jas_for(s)
-        stems[s] = SteM(
+        stems[s] = StateStore(
             s,
             jas,
             make_bit_index(jas, [4] * len(jas)),

@@ -102,12 +102,12 @@ class TestSteMWithCountWindow:
     def test_insert_evicts_from_index(self):
         from repro.core.access_pattern import AccessPattern, JoinAttributeSet
         from repro.core.bit_index import make_bit_index
-        from repro.engine.stem import SteM
+        from repro.storage import StateStore
         from repro.engine.tuples import StreamTuple
         from repro.engine.window import CountWindow
 
         jas = JoinAttributeSet(["k"])
-        stem = SteM("S", jas, make_bit_index(jas, [3]), CountWindow(2))
+        stem = StateStore("S", jas, make_bit_index(jas, [3]), CountWindow(2))
         items = [StreamTuple("S", t, {"k": 1}) for t in range(4)]
         for t, item in enumerate(items):
             stem.insert(item, t)

@@ -3,7 +3,7 @@
 import pytest
 
 import repro.__main__ as main_mod
-from repro.experiments import profiling
+from repro.experiments import parallel, profiling
 from repro.experiments import run as run_cli
 
 
@@ -85,7 +85,7 @@ class TestEngineFlags:
     def test_partitions_must_be_positive(self, capsys):
         rc = main_mod.main(["run", "--partitions", "0"])
         assert rc == 2
-        assert "--partitions must be >= 1" in capsys.readouterr().err
+        assert "partitions must be >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag", ["--batch-size", "--probe-workers", "--lazy-index", "--promote-threshold"]
@@ -126,13 +126,23 @@ class TestEngineFlags:
     @pytest.mark.parametrize(
         "command,argv,message",
         [
-            ("run", ["--ticks", "0"], "--ticks must be >= 1, got 0"),
-            ("run", ["--train-ticks", "0"], "--train-ticks must be >= 1, got 0"),
+            ("run", ["--ticks", "0"], "ticks must be >= 1, got 0"),
+            ("run", ["--train-ticks", "0"], "train_ticks must be >= 1, got 0"),
             ("run", ["--schemes", "static,bogus"], "unknown scheme 'bogus'"),
             ("run", ["--schemes", "hash:0"], "unknown scheme 'hash:0'"),
             ("run", ["--schemes", "amri:bogus"], "unknown assessor 'bogus'"),
-            ("profile", ["--ticks", "0"], "--ticks must be >= 1, got 0"),
-            ("profile", ["--train-ticks", "0"], "--train-ticks must be >= 1, got 0"),
+            ("run", ["--partitions", "0"], "partitions must be >= 1, got 0"),
+            ("run", ["--fleet", "2", "--partitions", "2"], "fleet and partitions are mutually"),
+            ("run", ["--migration-budget", "0"], "migration_budget must be >= 1, got 0"),
+            ("run", ["--index-backend", "btree"], "unknown index backend 'btree'"),
+            ("run", ["--slo", "garbage"], "bad SLO spec 'garbage'"),
+            ("slo", ["--ticks", "0"], "ticks must be >= 1, got 0"),
+            ("slo", ["--train-ticks", "0"], "train_ticks must be >= 1, got 0"),
+            ("slo", ["--schemes", "static,bogus"], "unknown scheme 'bogus'"),
+            ("slo", ["--partitions", "0"], "partitions must be >= 1, got 0"),
+            ("slo", ["--slo", "garbage"], "bad SLO spec 'garbage'"),
+            ("profile", ["--ticks", "0"], "ticks must be >= 1, got 0"),
+            ("profile", ["--train-ticks", "0"], "train_ticks must be >= 1, got 0"),
             ("profile", ["--scheme", "hash:0"], "unknown scheme 'hash:0'"),
             ("profile", ["--scheme", "amri:bogus"], "unknown assessor 'bogus'"),
         ],
@@ -140,10 +150,12 @@ class TestEngineFlags:
     def test_bad_sizes_and_schemes_are_usage_errors_before_training(
         self, command, argv, message, capsys, monkeypatch
     ):
+        """Every CLI prints the ``RunSpec`` validation message, exit 2."""
+
         def no_training(*args, **kwargs):
             raise AssertionError("quasi-training ran before the usage error")
 
-        monkeypatch.setattr(run_cli, "train_initial_state", no_training)
+        monkeypatch.setattr(parallel, "cached_training", no_training)
         monkeypatch.setattr(profiling, "train_initial_state", no_training)
         rc = main_mod.main([command, *argv])
         err = capsys.readouterr().err
@@ -176,7 +188,7 @@ class TestFleetFlags:
         rc = main_mod.main(["run", "--fleet", value])
         captured = capsys.readouterr()
         assert rc == 2
-        assert f"--fleet must be >= 1, got {value}" in captured.err
+        assert f"repro run: error: fleet must be >= 1, got {value}" in captured.err
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("value", ["2.5", "three"])

@@ -1,15 +1,21 @@
 """Tests for parallel experiment execution."""
 
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.metrics import MetricsRegistry
+from repro.engine.slo import SLO_BREACH, LatencyTracker, SloMonitor, SloSpec
+from repro.engine.tracing import EventLog
+from repro.experiments.golden import stats_fingerprint
 from repro.experiments.harness import (
     cached_training,
     clear_training_cache,
+    run_scheme,
+    run_scheme_fleet,
     train_initial_state,
 )
 from repro.experiments.parallel import (
@@ -19,7 +25,12 @@ from repro.experiments.parallel import (
     execute_spec,
     run_parallel,
 )
-from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from repro.workloads.scenarios import (
+    PaperScenario,
+    ScenarioParams,
+    scenario_params,
+    sensor_network_scenario,
+)
 
 FAST = ScenarioParams(seed=3, capacity=1e9, memory_budget=1 << 30)
 
@@ -40,6 +51,44 @@ class TestRunSpec:
     def test_custom_label(self):
         s = RunSpec(FAST, "scan", 5, label="mine")
         assert s.display_label() == "mine"
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("ticks", 0),
+            ("train_ticks", 0),
+            ("partitions", 0),
+            ("fleet", 0),
+            ("migration_budget", 0),
+            ("scheme", "bogus"),
+            ("scheme", "hash:0"),
+            ("scheduler", "nope"),
+            ("index_backend", "btree"),
+            ("faults", "mayhem"),
+            ("slo", "garbage"),
+            ("params", replace(FAST, rate_modulation="tidal")),
+        ],
+    )
+    def test_bad_field_is_a_named_value_error(self, field, bad):
+        named = "rate_modulation" if field == "params" else field
+        pattern = "(?i)" + named.replace("_", "[_ ]").replace("faults", "fault")
+        with pytest.raises(ValueError, match=pattern):
+            RunSpec(**{"params": FAST, "scheme": "scan", "ticks": 5, field: bad})
+
+    def test_fleet_and_partitions_are_mutually_exclusive(self):
+        with pytest.raises(ValueError, match="fleet and partitions are mutually exclusive"):
+            RunSpec(FAST, "scan", 5, partitions=2, fleet=2)
+
+    def test_describe_mentions_every_run_shaping_field(self):
+        line = spec().describe()
+        assert line.startswith(
+            "spec: params=ScenarioParams(capacity=1000000000.0, memory_budget=1073741824, seed=3)"
+            " scheme=amri:sria ticks=15 train=False "
+        )
+        assert "\n" not in line
+        for f in fields(RunSpec):
+            assert (f" {f.name}=" in f" {line}") == (f.name not in ("training", "label")), f.name
+        assert " scheme=a,b " in spec().describe(["a", "b"])
 
 
 class TestExecution:
@@ -72,6 +121,72 @@ class TestExecution:
         specs = [spec(seed=s) for s in (5, 6, 7)]
         outcomes = run_parallel(specs, workers=3)
         assert [o.spec.params.seed for o in outcomes] == [5, 6, 7]
+
+
+class TestOnePath:
+    """``execute_spec`` is the harness run of the same description."""
+
+    def test_sensor_bursts_survive_the_spec(self):
+        """The scenario is by value: its rate modulation ships in ``params``."""
+        scenario = sensor_network_scenario()
+        outcome = execute_spec(RunSpec(scenario.params, "static", 120, train=False))
+        direct = run_scheme(sensor_network_scenario(), "static", 120)
+        assert outcome.stats.source_tuples == direct.source_tuples == 3990
+        assert stats_fingerprint(outcome.stats) == stats_fingerprint(direct)
+
+    def test_fleet_spec_evaluates_its_slo_on_every_replica(self):
+        objective = SloSpec.parse("p95<=1@20")
+        outcome = execute_spec(
+            RunSpec(
+                ScenarioParams(),
+                "static",
+                40,
+                train=False,
+                fleet=2,
+                slo="p95<=1@20",
+                collect_metrics=True,
+            )
+        )
+        assert sum(e.kind == SLO_BREACH for e in outcome.events) > 0
+        assert len(outcome.fleet_rows) == 2
+        fleet_log = EventLog()
+        stats, engine = run_scheme_fleet(
+            PaperScenario(ScenarioParams()),
+            "static",
+            40,
+            fleet=2,
+            fleet_event_log=fleet_log,
+            event_log=EventLog,
+            metrics=MetricsRegistry,
+            latency=lambda: LatencyTracker(threshold=objective.threshold_ticks),
+            slo=lambda: SloMonitor(objective),
+        )
+        timeline = sorted(
+            [e for _, e in engine.merged_events()] + list(fleet_log), key=lambda e: e.tick
+        )
+        assert list(outcome.events) == timeline
+        assert outcome.stats == stats
+        assert outcome.latency == engine.merged_latency()
+        # The outcome's metrics are the merged per-replica registries — what
+        # ``repro run --fleet K --metrics`` exports; the fleet-level routing
+        # series (``fleet_metrics=``) stay a direct ``run_scheme_fleet`` affair.
+        assert outcome.metrics == engine.merged_snapshot()
+        assert outcome.metrics.sum_values("cost_units_total") > 0
+        assert not [s for s in outcome.metrics.series if s.name.startswith("fleet_")]
+
+    def test_plain_spec_outcome_is_the_single_kernels_own_views(self):
+        """One partition's merged events / snapshot are that kernel's own, so
+        plain specs share the partition path (latency: test_slo_plane)."""
+        log, registry = EventLog(), MetricsRegistry()
+        params = scenario_params("paper-small", 7)
+        stats = run_scheme(
+            PaperScenario(params), "static", 30, event_log=log, metrics=registry, faults="chaos"
+        )
+        outcome = execute_spec(
+            RunSpec(params, "static", 30, train=False, faults="chaos", collect_metrics=True)
+        )
+        assert log and outcome.stats == stats
+        assert (list(outcome.events), outcome.metrics) == (list(log), registry.snapshot())
 
 
 class TestStorageSpecFields:

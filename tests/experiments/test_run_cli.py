@@ -6,20 +6,22 @@ import json
 import pytest
 
 from repro.experiments import run as run_cli
+from repro.workloads.scenarios import PaperScenario, scenario_params, sensor_network_scenario
 
 
 class TestBuildScenario:
     def test_paper(self):
-        sc = run_cli.build_scenario("paper", seed=3)
+        sc = PaperScenario(scenario_params("paper", seed=3))
         assert len(sc.query.streams) == 4
 
     def test_sensor(self):
-        sc = run_cli.build_scenario("sensor", seed=3)
+        sc = PaperScenario(scenario_params("sensor", seed=3))
         assert len(sc.query.streams) == 3
+        assert sc.params == sensor_network_scenario(seed=3).params
 
     def test_unknown(self):
-        with pytest.raises(ValueError):
-            run_cli.build_scenario("nope", seed=0)
+        with pytest.raises(ValueError, match="unknown scenario 'nope'"):
+            scenario_params("nope", seed=0)
 
 
 class TestCLI:
@@ -39,6 +41,7 @@ class TestCLI:
         )
         assert rc == 0
         out = capsys.readouterr().out
+        assert out.startswith("spec: params=ScenarioParams() scheme=scan,amri:sria ticks=15 ")
         assert "paper scenario" in out
         summary = tmp_path / "paper_summary.csv"
         assert summary.exists()

@@ -1,6 +1,7 @@
 """``repro slo``: the tail-latency/SLO report over multiple scenarios."""
 
 import json
+import re
 
 from repro.experiments import slo_report
 
@@ -13,7 +14,10 @@ class TestSloReport:
         # One table per scenario, each with the quantile columns.
         assert "paper: latency / SLO (p95<=8@120)" in out
         assert "sensor: latency / SLO (p95<=8@120)" in out
-        assert out.count("p50  p95  p99") == 2
+        assert len(re.findall(r"p50 +p95 +p99", out)) == 2
+        # Each scenario block is headed by the spec line of its runs.
+        assert out.count("spec: params=ScenarioParams(") == 2
+        assert "rate_modulation='diurnal_burst'" in out
 
     def test_json_report_parses_and_is_tagged(self, capsys, tmp_path):
         path = tmp_path / "report.jsonl"

@@ -1,12 +1,14 @@
-"""Fleet differential suite: K=1 golden replay + routed == broadcast.
+"""Mode-conformance matrix (K=1 golden replay) + fleet routed == broadcast.
 
-Two equivalence contracts anchor the divergent fleet:
+Two equivalence contracts anchor the multi-engine modes:
 
-- **K=1 golden replay** — a one-replica :class:`~repro.fleet.FleetEngine`
-  run over the committed golden-equivalence matrix reproduces every
-  corpus fingerprint *exactly* (stats, events, metrics, meter totals).
-  The fleet layer's k==1 bypass really is the plain engine; the corpus
-  itself is untouched.
+- **K=1 golden replay** — every case of the committed golden-equivalence
+  matrix, driven through a one-engine
+  :class:`~repro.fleet.FleetEngine` and a one-partition
+  :class:`~repro.engine.kernel.PartitionedEngine`, reproduces its corpus
+  fingerprint *exactly* (stats, events, metrics, meter totals).  Each
+  mode's k==1 bypass really is the plain engine; the corpus itself is
+  untouched.
 - **Routed == broadcast** — on every registered index backend, routing
   each request to one cost-chosen replica emits the same logical join
   results (and the same merged output count) as executing every request
@@ -18,17 +20,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.metrics import MetricsRegistry
-from repro.engine.resources import DegradationPolicy
-from repro.engine.tracing import EventLog
-from repro.experiments.golden import (
-    CASES,
-    build_scenario,
-    events_fingerprint,
-    json_pure,
-    snapshot_fingerprint,
-    stats_fingerprint,
-)
+from repro.engine.kernel import PartitionedEngine
+from repro.experiments.golden import CASES, run_case
 from repro.experiments.harness import run_scheme, run_scheme_fleet, train_initial_state
 from repro.fleet import FleetEngine
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
@@ -74,41 +67,13 @@ def canonical_outputs(outputs) -> dict:
     return counts
 
 
-def run_case_fleet_k1(case) -> dict:
-    """``golden.run_case``, but driven through a one-replica FleetEngine."""
-    scenario = build_scenario(case)
-    log = EventLog()
-    registry = MetricsRegistry()
-    overrides: dict = dict(
-        event_log=log,
-        metrics=registry,
-        faults=case.faults,
-        fault_seed=case.fault_seed,
-        degradation=DegradationPolicy() if case.degrade else None,
-    )
-    if case.capacity is not None:
-        overrides["capacity"] = case.capacity
-    if case.memory_budget is not None:
-        overrides["memory_budget"] = case.memory_budget
-    engine = FleetEngine(
-        lambda i: scenario.make_executor(case.scheme, **overrides), 1
-    )
-    stats = engine.run(case.ticks, lambda: scenario.make_generator())
-    return json_pure(
-        {
-            "stats": stats_fingerprint(stats),
-            "events": events_fingerprint(log),
-            "metrics": snapshot_fingerprint(registry.snapshot()),
-            "meter_total": engine.executors[0].meter.total_spent,
-        }
-    )
-
-
+@pytest.mark.parametrize("engine", [FleetEngine, PartitionedEngine], ids=lambda e: e.__name__)
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
-def test_k1_fleet_replays_the_golden_corpus(case):
+def test_k1_fleet_replays_the_golden_corpus(case, engine):
+    """A one-engine fleet / one-partition engine *is* the plain engine."""
     golden = _golden()
     assert case.name in golden
-    assert run_case_fleet_k1(case) == golden[case.name]
+    assert run_case(case, engine=engine) == golden[case.name]
 
 
 class TestRoutedEqualsBroadcast:

@@ -10,16 +10,16 @@ from repro.engine.executor import AMRExecutor
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import FixedRouter
-from repro.engine.stem import SteM
 from repro.engine.stream import StreamSchema
 from repro.engine.tuples import StreamTuple
+from repro.storage import StateStore
 
 
 def build_two_stream_executor(window, capacity=1e9, budget=1 << 30):
     streams = [StreamSchema("A", ("k",)), StreamSchema("B", ("k",))]
     query = Query(streams, [JoinPredicate("A", "k", "B", "k")], window=window)
     stems = {
-        s: SteM(
+        s: StateStore(
             s,
             query.jas_for(s),
             make_bit_index(query.jas_for(s), [3]),

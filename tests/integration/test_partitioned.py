@@ -1,5 +1,7 @@
-"""Partitioned execution: k=1 identity, k>1 determinism (serial == pool),
-and the deterministic merge of stats, events, and metrics snapshots."""
+"""Partitioned execution: k>1 determinism (serial == pool) and the
+deterministic merge of stats, events, and metrics snapshots.  The k=1
+identity over the golden corpus lives in ``test_fleet_differential.py``'s
+mode-conformance matrix."""
 
 import pytest
 
@@ -19,30 +21,15 @@ from repro.engine.stats import RunStats, ThroughputSample
 from repro.engine.tracing import EventLog
 from repro.engine.tuples import StreamTuple
 from repro.experiments.golden import snapshot_fingerprint, stats_fingerprint
-from repro.experiments.harness import run_scheme, run_scheme_partitioned
-from repro.experiments.parallel import (
-    RunSpec,
-    execute_spec,
-    execute_spec_partitioned,
-)
-from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from repro.experiments.harness import run_scheme_partitioned
+from repro.experiments.parallel import RunSpec, execute_spec, run_parallel
+from repro.workloads.scenarios import PaperScenario, scenario_params
 
 TICKS = 30
 
 
 def small_params(seed=7):
-    return ScenarioParams(
-        stream_names=("A", "B", "C"),
-        rate=3,
-        window=6,
-        phase_len=8,
-        domain=8,
-        bit_budget=16,
-        assess_interval=6,
-        capacity=3000.0,
-        memory_budget=600_000,
-        seed=seed,
-    )
+    return scenario_params("paper-small", seed)
 
 
 class TestPartitioner:
@@ -198,15 +185,6 @@ class TestMergeSnapshots:
 
 
 class TestPartitionIdentity:
-    def test_k1_is_bit_identical_to_unpartitioned(self):
-        scenario = PaperScenario(small_params())
-        direct = run_scheme(scenario, "amri:sria", TICKS)
-        stats, engine = run_scheme_partitioned(
-            PaperScenario(small_params()), "amri:sria", TICKS, partitions=1
-        )
-        assert stats_fingerprint(stats) == stats_fingerprint(direct)
-        assert engine.partition_stats == [stats]
-
     def test_k1_engine_skips_filtering(self):
         seen = []
 
@@ -251,9 +229,13 @@ class TestPartitionDeterminism:
         assert self.outcome_fingerprint(first) == self.outcome_fingerprint(second)
 
     def test_pool_matches_serial(self):
-        serial = execute_spec(self.spec())
-        pooled = execute_spec_partitioned(self.spec(), workers=3)
-        assert self.outcome_fingerprint(serial) == self.outcome_fingerprint(pooled)
+        """Partitioned specs fan across ``run_parallel``'s process pool."""
+        specs = [self.spec(), self.spec(scheme="static")]
+        serial = [execute_spec(spec) for spec in specs]
+        pooled = run_parallel(specs, workers=2)
+        assert [self.outcome_fingerprint(o) for o in serial] == [
+            self.outcome_fingerprint(o) for o in pooled
+        ]
 
     def test_partitions_conserve_admitted_arrivals(self):
         outcome = execute_spec(self.spec())
@@ -262,6 +244,13 @@ class TestPartitionDeterminism:
         assert total == single.stats.source_tuples + single.stats.filtered
 
     def test_backlog_scheduler_composes_with_partitions(self):
-        a = execute_spec(self.spec(scheduler="backlog"))
-        b = execute_spec_partitioned(self.spec(scheduler="backlog"), workers=2)
-        assert self.outcome_fingerprint(a) == self.outcome_fingerprint(b)
+        outcome = execute_spec(self.spec(scheduler="backlog"))
+        stats, engine = run_scheme_partitioned(
+            PaperScenario(small_params()),
+            "amri:sria",
+            TICKS,
+            partitions=3,
+            scheduler="backlog",
+        )
+        assert stats_fingerprint(outcome.stats) == stats_fingerprint(stats)
+        assert outcome.partition_stats == tuple(engine.partition_stats)

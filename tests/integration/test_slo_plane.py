@@ -19,11 +19,7 @@ from repro.engine.slo import (
 )
 from repro.engine.tracing import EventLog
 from repro.experiments.harness import run_scheme_partitioned
-from repro.experiments.parallel import (
-    RunSpec,
-    execute_spec,
-    execute_spec_partitioned,
-)
+from repro.experiments.parallel import RunSpec, execute_spec, run_parallel
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 TICKS = 40
@@ -101,7 +97,7 @@ class TestLatencyDifferential:
             slo="p95<=2@12/3",
         )
         serial = execute_spec(spec)
-        pooled = execute_spec_partitioned(spec, workers=3)
+        pooled = run_parallel([spec, spec], workers=2)[1]
         assert serial.latency is not None
         assert pooled.latency == serial.latency
         assert pooled.latency.count > 0

@@ -1,13 +1,14 @@
-"""Tests for the StateStore storage layer (admission ordering, degradation)."""
+"""Tests for the StateStore storage layer — the paper's STeM operator
+(insert / expire / probe / tune wiring, admission ordering, degradation)."""
 
 import pytest
 
+from repro.core.access_pattern import JoinAttributeSet
 from repro.core.assessment import SRIA
 from repro.core.bit_index import make_bit_index
 from repro.core.index_config import IndexConfiguration
 from repro.core.selector import IndexSelector
-from repro.core.tuner import AMRITuner, NullTuner
-from repro.engine.stem import SteM
+from repro.core.tuner import AMRITuner, NullTuner, TuningContext
 from repro.engine.tuples import StreamTuple
 from repro.engine.window import CountWindow
 from repro.indexes.base import CostParams, SearchOutcome
@@ -17,6 +18,61 @@ from repro.storage import StateStore, merge_outcomes
 
 def tup(t, a=1, b=2, c=3):
     return StreamTuple("S", t, {"A": a, "B": b, "C": c})
+
+
+@pytest.fixture
+def store(jas3):
+    index = make_bit_index(jas3, [2, 2, 2])
+    return StateStore("S", jas3, index, window=5, tuner=NullTuner(SRIA(jas3)))
+
+
+class TestOperator:
+    def test_insert_and_size(self, store):
+        store.insert(tup(0), 0)
+        store.insert(tup(1), 1)
+        assert store.size == 2
+
+    def test_expire_removes_from_index(self, store, ap3):
+        old = tup(0, a=7)
+        store.insert(old, 0)
+        store.insert(tup(6, a=7), 6)
+        assert store.expire(6) == 1
+        out = store.probe(ap3("A"), {"A": 7})
+        assert len(out.matches) == 1
+
+    def test_probe_records_pattern(self, store, ap3):
+        store.probe(ap3("A", "B"), {"A": 1, "B": 2})
+        store.probe(ap3("A"), {"A": 1})
+        assessor = store.tuner.assessor
+        assert assessor.n_requests == 2
+        assert assessor.frequencies()[ap3("A", "B")] == 0.5
+
+    def test_payload_bytes(self, store):
+        store.insert(tup(0), 0)
+        assert store.payload_bytes == CostParams.tuple_bytes
+
+    def test_rejects_mismatched_index(self, jas3):
+        other = JoinAttributeSet(["X"])
+        with pytest.raises(ValueError):
+            StateStore("S", jas3, ScanIndex(other), window=5)
+
+    def test_tune_delegates(self, jas3, ap3):
+        index = make_bit_index(jas3, [0, 0, 6])
+        tuner = AMRITuner(index, SRIA(jas3), IndexSelector(jas3, 12), theta=0.1)
+        store = StateStore("S", jas3, index, window=10, tuner=tuner)
+        for i in range(100):
+            store.insert(tup(0, a=i % 40, b=i, c=i), 0)
+        for _ in range(200):
+            store.probe(ap3("A"), {"A": 3})
+        report = store.tune(
+            TuningContext(lambda_d=10, window=10, horizon=50, domain_bits={"A": 8})
+        )
+        assert report is not None and report.migrated
+        assert store.index.config.bits_for_attribute("A") > 0
+
+    def test_default_tuner_is_null(self, jas3):
+        store = StateStore("S", jas3, make_bit_index(jas3, [1, 1, 1]), window=3)
+        assert store.tune(TuningContext(lambda_d=1, window=1, horizon=1)) is None
 
 
 class TestInsertOrdering:
@@ -93,7 +149,7 @@ class TestDegradeToScan:
         index = make_bit_index(jas3, [2, 2, 2])
         assessor = SRIA(jas3)
         tuner = AMRITuner(index, assessor, IndexSelector(jas3, 6), theta=0.1)
-        store = SteM("S", jas3, index, window=1000, tuner=tuner)
+        store = StateStore("S", jas3, index, window=1000, tuner=tuner)
         for i in range(n):
             store.insert(tup(i, a=i % 4), i)
         return store, assessor
@@ -173,11 +229,6 @@ class TestMergeOutcomes:
 
 
 class TestFacade:
-    def test_stem_is_a_state_store(self, jas3):
-        stem = SteM("S", jas3, ScanIndex(jas3), window=5)
-        assert isinstance(stem, StateStore)
-        assert stem.describe().startswith("SteM(S")
-
     def test_state_store_describe(self, jas3):
         store = StateStore("S", jas3, ScanIndex(jas3), window=5)
         assert store.describe().startswith("StateStore(S")

@@ -345,12 +345,11 @@ def bench_bit_index_migrate() -> int:
 
 
 def bench_end_to_end_scenario() -> int:
-    from repro.experiments.golden import _small_params
     from repro.experiments.harness import run_scheme, train_initial_state
-    from repro.workloads.scenarios import PaperScenario
+    from repro.workloads.scenarios import PaperScenario, scenario_params
 
     ticks = 60
-    scenario = PaperScenario(_small_params(seed=7))
+    scenario = PaperScenario(scenario_params("paper-small", 7))
     training = train_initial_state(scenario, train_ticks=30)
     run_scheme(scenario, "amri:cdia-highest", ticks, training=training)
     return ticks
