@@ -23,13 +23,13 @@ wildcard bucket ids.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration, ValueMapper, _default_map
 from repro.core.probe_plan import ProbePlan, ProbePlanCache
-from repro.indexes.base import Accountant, CostParams, SearchOutcome, StateIndex
+from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, StateIndex
 from repro.utils.bitops import _cached_value_hash
 
 BucketKey = tuple[int, ...]
@@ -175,141 +175,83 @@ class BitAddressIndex(StateIndex):
     # ------------------------------------------------------------------ #
     # search
 
-    def search(self, ap: AccessPattern, values: Mapping[str, object]) -> SearchOutcome:
-        if ap.jas is not self.jas and ap.jas != self.jas:
-            raise ValueError(
-                f"probe pattern {ap!r} ranges over a different JAS than this index"
-            )
+    def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
         plan = self._plans.lookup(ap)
-        for name in plan.attributes:
-            if name not in values:
-                raise KeyError(
-                    f"probe values missing attribute {name!r} required by {ap!r}"
-                )
-        acct = self.accountant
-        # C_hash,Sr: one hash per attribute the request specifies.
-        acct.hashes += plan.n_attributes
-
-        live = len(self._buckets)
-        # Charged visits: min(2**wildcard_bits, live), floored at one visit
-        # for a non-empty index (computed once for accountant and outcome).
-        visited = max(plan.enumerated(live), 1 if live else 0)
-        acct.buckets_visited += visited
-
-        outcome = SearchOutcome()
-        outcome.buckets_visited = visited
-        if plan.fixed:
-            outcome.matches, examined = self._probe_row(plan, values)
-        else:
-            # No indexed attribute constrains the probe: walk every bucket.
-            examined = self._size
-            items = (
-                item for bucket in self._buckets.values() for item in bucket.values()
-            )
-            outcome.used_full_scan = True
-            if plan.is_full_scan:
-                outcome.matches = list(items)
-            else:
-                outcome.matches = plan.select(items, values)
-        acct.tuples_examined += examined
-        outcome.tuples_examined = examined
-        return outcome
-
-    def search_batch(
-        self, ap: AccessPattern, values_list: list[Mapping[str, object]]
-    ) -> list[SearchOutcome]:
-        """Vectorized :meth:`search` over a column of probe rows.
-
-        Bit-identical to the serial loop (see :meth:`StateIndex.search_batch`):
-        per-probe charges — ``n_attributes`` hashes, ``visited`` bucket
-        visits, ``examined`` tuple examinations — are identical per row and
-        summed into the accountant in one increment each, and rows with
-        equal probe values share one candidate-intersection + match-select
-        computation (batched stream workloads draw values from small
-        domains, so this dedup is where the wall-clock win comes from).
-        The shared match lists are safe to alias: no engine consumer
-        mutates ``SearchOutcome.matches`` in place.
-        """
-        if ap.jas is not self.jas and ap.jas != self.jas:
-            raise ValueError(
-                f"probe pattern {ap!r} ranges over a different JAS than this index"
-            )
-        plan = self._plans.lookup(ap)
-        attrs = plan.attributes
-        for values in values_list:
-            for name in attrs:
-                if name not in values:
-                    raise KeyError(
-                        f"probe values missing attribute {name!r} required by {ap!r}"
-                    )
-        n = len(values_list)
-        acct = self.accountant
-        acct.hashes += plan.n_attributes * n
-
-        live = len(self._buckets)
-        visited = max(plan.enumerated(live), 1 if live else 0)
-        acct.buckets_visited += visited * n
-
         buckets = self._buckets
-        outcomes: list[SearchOutcome] = []
-        if not plan.fixed:
-            # Every row full-scans the same structure: materialise the item
-            # walk once, select per distinct value row.
-            examined = self._size
-            acct.tuples_examined += examined * n
-            items = [item for bucket in buckets.values() for item in bucket.values()]
-            if plan.is_full_scan:
-                for _ in range(n):
-                    out = SearchOutcome(used_full_scan=True)
-                    out.buckets_visited = visited
-                    out.tuples_examined = examined
-                    out.matches = list(items)
-                    outcomes.append(out)
-                return outcomes
-            select = plan.select
-            cache: dict[tuple, list] = {}
-            for values in values_list:
-                vkey = tuple(values[a] for a in attrs)
-                try:
-                    matches = cache.get(vkey)
-                except TypeError:  # unhashable row: compute uncached, as serial would
-                    vkey = None
-                    matches = None
-                if matches is None:
-                    matches = select(items, values)
-                    if vkey is not None:
-                        cache[vkey] = matches
-                out = SearchOutcome(used_full_scan=True)
-                out.buckets_visited = visited
-                out.tuples_examined = examined
-                out.matches = matches
-                outcomes.append(out)
-            return outcomes
+        live = len(buckets)
+        # Charged visits: min(2**wildcard_bits, live), floored at one visit
+        # for a non-empty index.
+        visited = max(plan.enumerated(live), 1 if live else 0)
+        select = plan.select
+        fixed = plan.fixed
+        fragments_of = self._row_fragments
+        slots = plan.point_slots
+        if not fixed:
+            # No indexed attribute constrains the probe: walk every bucket.
+            size = self._size
 
-        probe_row = self._probe_row
-        cache = {}
-        for values in values_list:
-            vkey = tuple(map(values.__getitem__, attrs))
-            try:
-                hit = cache.get(vkey)
-            except TypeError:  # unhashable row: compute uncached, as serial would
-                vkey = None
-                hit = None
-            if hit is None:
-                hit = probe_row(plan, values)
-                if vkey is not None:
-                    cache[vkey] = hit
-            matches, examined = hit
-            acct.tuples_examined += examined
-            out = SearchOutcome()
-            out.buckets_visited = visited
-            out.tuples_examined = examined
-            out.matches = matches
-            outcomes.append(out)
-        return outcomes
+            def probe_row(row: tuple) -> SearchOutcome:
+                groups = [bucket.values() for bucket in buckets.values()]
+                return SearchOutcome(select(groups, row), visited, size, True)
 
-    def _fixed_fragments(self, plan: ProbePlan, values: Mapping[str, object]) -> list[int]:
-        """The probe's fragment per entry of ``plan.fixed``.
+        elif slots is not None:
+            # Every indexed attribute is fixed, so the fragments name one
+            # bucket — Section III's concatenation — and the probe is one
+            # lookup.  (A position without bits has fragment 0.)
+
+            def probe_row(row: tuple) -> SearchOutcome:
+                fragments = fragments_of(plan, row)
+                fragments.append(0)
+                bucket = buckets.get(tuple([fragments[slot] for slot in slots]))
+                if bucket is None:
+                    return SearchOutcome([], visited, 0)
+                return SearchOutcome(select((bucket.values(),), row), visited, len(bucket))
+
+        else:
+            candidates = self._wildcard_candidates
+
+            def probe_row(row: tuple) -> SearchOutcome:
+                groups = candidates(fixed, fragments_of(plan, row))
+                return SearchOutcome(select(groups, row), visited, sum(map(len, groups)))
+
+        # C_hash,Sr: one hash per attribute the request specifies.
+        return plan.n_attributes, probe_row
+
+    def _wildcard_candidates(
+        self, fixed: tuple[tuple[int, str, int], ...], fragments: list[int]
+    ) -> list:
+        """The buckets (as value views) whose key carries every fixed
+        fragment (``fragments[i]`` belongs to JAS position ``fixed[i][0]``).
+
+        They are the keys of the smallest fragment key set — the first
+        smallest in fixed-position order — that match at every other fixed
+        position, in that set's iteration order: downstream match lists,
+        and therefore the golden corpus, depend on exactly this order.
+        """
+        frag_maps = self._frag_maps
+        pairs = [(spec[0], frag) for spec, frag in zip(fixed, fragments)]
+        base: set[BucketKey] | None = None
+        for pos, frag in pairs:
+            keys = frag_maps[pos].get(frag)
+            if not keys:
+                return []
+            if base is None or len(keys) < len(base):
+                base, base_pos = keys, pos
+        buckets = self._buckets
+        others = [pair for pair in pairs if pair[0] != base_pos]
+        if not others:
+            return [buckets[k].values() for k in base]
+        if len(others) == 1:
+            ((pos, frag),) = others
+            return [buckets[k].values() for k in base if k[pos] == frag]
+        return [
+            buckets[k].values()
+            for k in base
+            if all(k[pos] == frag for pos, frag in others)
+        ]
+
+    def _row_fragments(self, plan: ProbePlan, row: tuple) -> list[int]:
+        """The probe row's fragment per entry of ``plan.fixed``.
 
         Without a value mapper the fragment is the memoized value hash
         masked to the attribute's width, taken in one C call per attribute;
@@ -320,54 +262,15 @@ class BitAddressIndex(StateIndex):
         if mapper is None:
             try:
                 return [
-                    _cached_value_hash(type(values[name]), values[name]) & fmask
-                    for _pos, name, fmask in plan.fixed_masks
+                    _cached_value_hash(type(row[i]), row[i]) & fmask
+                    for i, fmask in plan.row_masks
                 ]
             except TypeError:
                 mapper = _default_map
-        return [mapper(name, values[name], w) for _pos, name, w in plan.fixed]
-
-    def _probe_row(
-        self, plan: ProbePlan, values: Mapping[str, object]
-    ) -> tuple[list, int]:
-        """``(matches, tuples examined)`` of one probe that fixes at least
-        one indexed attribute."""
-        keys = self._intersect_candidates(
-            plan.fixed, self._fixed_fragments(plan, values)
-        )
-        if not keys:
-            return [], 0
-        buckets = self._buckets
-        groups = [buckets[k].values() for k in keys]
-        return plan.select_groups(groups, values), sum(map(len, groups))
-
-    def _intersect_candidates(
-        self, fixed: tuple[tuple[int, str, int], ...], fragments: list[int]
-    ) -> Collection[BucketKey]:
-        """Bucket keys whose fragments match every fixed attribute fragment
-        (``fragments[i]`` belongs to JAS position ``fixed[i][0]``).
-
-        The result's iteration order is that of the smallest fragment key
-        set (ties broken by fixed-position order), which downstream match
-        lists — and therefore the golden corpus — depend on; the C-level
-        ``set.intersection`` only decides membership.  The result may be a
-        live key set: iterate it, never keep or mutate it.
-        """
-        frag_maps = self._frag_maps
-        sets: list[set[BucketKey]] = []
-        for spec, frag in zip(fixed, fragments):
-            keys = frag_maps[spec[0]].get(frag)
-            if not keys:
-                return ()
-            sets.append(keys)
-        if len(sets) == 1:
-            return sets[0]
-        sets.sort(key=len)
-        base = sets[0]
-        keep = base.intersection(*sets[1:])
-        if len(keep) == len(base):
-            return base
-        return [k for k in base if k in keep]
+        return [
+            mapper(name, row[i], width)
+            for (i, _fmask), (_pos, name, width) in zip(plan.row_masks, plan.fixed)
+        ]
 
     # ------------------------------------------------------------------ #
     # adaptation

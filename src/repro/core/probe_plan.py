@@ -1,10 +1,10 @@
 """Compiled probe plans — hoisting per-probe work out of the hot path.
 
-Every ``BitAddressIndex.search`` used to recompute, per call, facts that
-depend only on the ``(IndexConfiguration, AccessPattern)`` pair: which JAS
-positions the probe fixes (and at what widths), how many wildcard bits
-remain, the ``enumerated``-buckets cap, the attribute-name tuple for the
-probe-validity check, and a fresh generic matcher closure.  A
+Much of a bit-address probe depends only on the ``(IndexConfiguration,
+AccessPattern)`` pair: which JAS positions the probe fixes (at what widths,
+and where their values sit in a probe row), how many wildcard bits remain,
+the ``enumerated``-buckets cap, how the fragments assemble into a bucket
+key when no wildcard bit remains, and the equality filter.  A
 :class:`ProbePlan` precomputes all of it once; indexes keep a per-structure
 :class:`ProbePlanCache` keyed by the pattern's ``BR(ap)`` mask (an ``int``,
 so the hot lookup is one dict get) and invalidate it whenever the key map
@@ -23,10 +23,11 @@ reuse prior compilations:
   inverted lists).
 
 Everything here is *derived* state: a plan never holds index contents, so
-caching cannot change results — only how fast they are produced.  The
+caching cannot change results — only how fast they are produced.  A probe
+is a *row*: a value tuple aligned with the pattern's ``attributes``.  The
 specialised ``select`` filters preserve the exact comparison order (and
-operand order) of the generic ``all(item[a] == values[a] ...)`` they
-replace, which the golden-equivalence suite depends on.
+operand order) of the generic ``all(item[a] == v ...)`` they stand for,
+which the golden-equivalence suite depends on.
 """
 
 from __future__ import annotations
@@ -43,37 +44,35 @@ from repro.utils.bitops import mask_to_indices
 #: is always ``live`` and the shift need not be materialised.
 _UNCAPPED_WILDCARD_BITS = 63
 
-Selector = Callable[[Iterable[Mapping[str, object]], Mapping[str, object]], list]
-GroupSelector = Callable[
-    [Iterable[Iterable[Mapping[str, object]]], Mapping[str, object]], list
-]
+RowSelector = Callable[[Iterable[Iterable[Mapping[str, object]]], tuple], list]
 
 
-def _compile_group_selector(attributes: tuple[str, ...]) -> GroupSelector:
+def _compile_row_selector(attributes: tuple[str, ...]) -> RowSelector:
     """A list-building equality filter over groups of items (the candidate
-    buckets of a probe), specialised to the attribute count.
+    buckets of a probe) against one value row aligned with ``attributes``,
+    specialised to the attribute count.
 
     Semantically identical to filtering the concatenated groups with
-    ``all(item[a] == values[a] for a in attributes)`` — same item order,
-    same attribute order, same operand order, same short-circuiting — but
-    with the probe values bound once per search instead of once per stored
+    ``all(item[a] == v for a, v in zip(attributes, row))`` — same item
+    order, same attribute order, same operand order, same short-circuiting
+    — but with the row unpacked once per search instead of once per stored
     tuple, and the walk over the groups inside the one comprehension.
     """
     n = len(attributes)
     if n == 0:
-        def select(groups, values):  # full scan: everything matches
+        def select(groups, row):  # full scan: everything matches
             return [item for group in groups for item in group]
     elif n == 1:
         (a,) = attributes
 
-        def select(groups, values):
-            va = values[a]
+        def select(groups, row):
+            (va,) = row
             return [item for group in groups for item in group if item[a] == va]
     elif n == 2:
         a, b = attributes
 
-        def select(groups, values):
-            va, vb = values[a], values[b]
+        def select(groups, row):
+            va, vb = row
             return [
                 item
                 for group in groups
@@ -83,8 +82,8 @@ def _compile_group_selector(attributes: tuple[str, ...]) -> GroupSelector:
     elif n == 3:
         a, b, c = attributes
 
-        def select(groups, values):
-            va, vb, vc = values[a], values[b], values[c]
+        def select(groups, row):
+            va, vb, vc = row
             return [
                 item
                 for group in groups
@@ -93,23 +92,13 @@ def _compile_group_selector(attributes: tuple[str, ...]) -> GroupSelector:
             ]
     else:
 
-        def select(groups, values):
+        def select(groups, row):
             return [
                 item
                 for group in groups
                 for item in group
-                if all(item[a] == values[a] for a in attributes)
+                if all(item[a] == v for a, v in zip(attributes, row))
             ]
-
-    return select
-
-
-def _compile_selector(attributes: tuple[str, ...]) -> Selector:
-    """The group selector applied to one flat iterable of items."""
-    select_groups = _compile_group_selector(attributes)
-
-    def select(items, values):
-        return select_groups((items,), values)
 
     return select
 
@@ -129,7 +118,7 @@ class Matcher:
         self.attributes = ap.attributes
         self.n_attributes = ap.n_attributes
         self.is_full_scan = ap.is_full_scan
-        self.select = _compile_selector(self.attributes)
+        self.select = _compile_row_selector(self.attributes)
 
 
 class KeyPlan:
@@ -160,13 +149,12 @@ class ProbePlan:
         "mask",
         "attributes",
         "n_attributes",
-        "is_full_scan",
         "fixed",
-        "fixed_masks",
+        "row_masks",
+        "point_slots",
         "wildcard_bits",
         "enumeration_cap",
         "select",
-        "select_groups",
     )
 
     def __init__(self, config: IndexConfiguration, ap: AccessPattern) -> None:
@@ -175,18 +163,30 @@ class ProbePlan:
         self.mask = ap.mask
         self.attributes = ap.attributes
         self.n_attributes = ap.n_attributes
-        self.is_full_scan = ap.is_full_scan
         #: (JAS position, attribute name, bit width) per probed attribute
         #: that actually carries bits — the search's fixed fragments.
         bits = config.bits
         names = config.jas.names
-        self.fixed = tuple(
-            (i, names[i], bits[i]) for i in mask_to_indices(ap.mask) if bits[i] > 0
+        probed = mask_to_indices(ap.mask)
+        self.fixed = tuple((i, names[i], bits[i]) for i in probed if bits[i] > 0)
+        #: Per ``fixed`` entry, where its value sits in a probe row (rows are
+        #: aligned with ``attributes``) and its fragment bit mask: the
+        #: default value mapping is ``hash(value) & mask``.
+        self.row_masks = tuple(
+            (probed.index(i), (1 << w) - 1) for i, _name, w in self.fixed
         )
-        #: The same entries with the fragment bit mask in place of the width:
-        #: the default value mapping is ``hash(value) & mask``.
-        self.fixed_masks = tuple((i, name, (1 << w) - 1) for i, name, w in self.fixed)
         self.wildcard_bits = config.wildcard_bits(ap)
+        #: With no wildcard bit left the probe fixes every indexed attribute,
+        #: so its fragments *are* a bucket key: per JAS position, the index
+        #: of that position's entry in ``fixed`` — or ``len(fixed)``, the
+        #: slot of a constant 0, for a position that carries no bits.
+        #: ``None`` for a probe that leaves wildcard bits.
+        self.point_slots = None
+        if self.wildcard_bits == 0:
+            slot = {pos: n for n, (pos, _name, _w) in enumerate(self.fixed)}
+            self.point_slots = tuple(
+                slot.get(i, len(self.fixed)) for i in range(len(bits))
+            )
         #: ``2**wildcard_bits`` when that can bound the live-bucket count,
         #: else ``None`` (the enumeration is always the live count).  By
         #: definition ``enumerated = min(2**wb, live)``; the search loop
@@ -196,8 +196,7 @@ class ProbePlan:
             if self.wildcard_bits < _UNCAPPED_WILDCARD_BITS
             else None
         )
-        self.select = _compile_selector(self.attributes)
-        self.select_groups = _compile_group_selector(self.attributes)
+        self.select = _compile_row_selector(self.attributes)
 
     def enumerated(self, live: int) -> int:
         """``min(2**wildcard_bits, live)`` without materialising the shift."""

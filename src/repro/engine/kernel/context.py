@@ -131,14 +131,19 @@ class EngineContext:
     def spend_index_deltas(
         self, before: dict[str, float], *, component: str, phase: str
     ) -> None:
-        """Charge each state's marginal index cost since ``before``.
+        """Charge each state in ``before`` its marginal index cost since
+        that snapshot, in the states' own order.
 
         The aggregate spent equals the per-state deltas by construction, so
         nothing leaks; zero deltas are skipped (no series churn, and adding
-        0.0 would not move the clock anyway).
+        0.0 would not move the clock anyway) — which is also why a caller
+        may leave out of ``before`` any state it knows it did not touch.
         """
         for name, stem in self.stems.items():
-            delta = self.stem_cost(stem) - before[name]
+            cost = before.get(name)
+            if cost is None:
+                continue
+            delta = self.stem_cost(stem) - cost
             if delta:
                 self.spend(
                     delta,

@@ -256,16 +256,23 @@ class RouteProbeStage:
     """Drain the backlog while capacity lasts, one routed probe sequence
     per search request; the scheduler decides which request runs next.
 
-    Every partial result at one hop probes the same target state with the
-    same access pattern while that state is read-only, so the hop's probes
-    form one same-pattern column (the batched-probe design of "Parallel
-    Index-based Stream Join on a Multicore CPU", PAPERS.md):
+    A partial result is the tuple of its source tuples in join order — a
+    reference per joined stream, nothing merged; a
+    :class:`~repro.engine.tuples.JoinedTuple` is materialised per result
+    only at emit, and only when an output sink is attached (the
+    carry-references, materialise-at-emit operator of "Runtime-optimized
+    Multi-way Stream Join Operator", PAPERS.md).
+
+    Every partial at one hop probes the same target state with the same
+    access pattern while that state is read-only, so the hop's probes form
+    one column of value rows (the probe column of "Parallel Index-based
+    Stream Join on a Multicore CPU", PAPERS.md):
     :meth:`StateStore.probe_batch` records the pattern as one run,
     aggregates the integer accountant increments and shares the search
-    between equal probe rows, and the hop folds its match counts into the
-    run statistics and the selectivity estimate once.  The engine reads
-    the accountants, the assessor and the estimator only between requests,
-    so every modeled quantity is what one probe at a time would give.
+    between equal rows, and the hop folds its match counts into the run
+    statistics and the selectivity estimate once.  The engine reads the
+    accountants, the assessor and the estimator only between requests, so
+    every modeled quantity is what one probe at a time would give.
     """
 
     name = "route_probe"
@@ -280,22 +287,25 @@ class RouteProbeStage:
     def _process(self, ctx: EngineContext, item: StreamTuple, tick: int) -> None:
         params = ctx.meter.params
         m = ctx.metrics
-        cost_before = ctx.stem_costs()
         route = ctx.router.choose_route(item.stream, ctx.estimator, item)
         observe_content = getattr(ctx.router, "observe_content", None)
         outputs = 0
-        partials: list[JoinedTuple] = [JoinedTuple.of(item)]
-        joined: set[str] = {item.stream}
+        partials: list[tuple[StreamTuple, ...]] = [(item,)]
+        joined: tuple[str, ...] = (item.stream,)
+        # Only the states the route reaches can accrue index cost, so only
+        # they are snapshotted (a no-match first hop reaches one).
+        cost_before: dict[str, float] = {}
         for target in route:
             if not partials:
                 break
+            cost_before[target] = ctx.stem_cost(ctx.stems[target])
             partials = self._probe_hop(ctx, item, target, joined, partials, observe_content)
-            joined.add(target)
+            joined += (target,)
         if partials and len(joined) == ctx.n_streams:
             outputs = len(partials)
             ctx.stats.outputs += outputs
             if ctx.output_sink is not None:
-                ctx.output_sink(partials)
+                ctx.output_sink([JoinedTuple(sources) for sources in partials])
 
         ctx.spend_index_deltas(cost_before, component="index", phase="probe")
         ctx.spend(params.c_route, "router", stream=item.stream, phase="decide")
@@ -329,31 +339,41 @@ class RouteProbeStage:
         ctx: EngineContext,
         item: StreamTuple,
         target: str,
-        joined: set[str],
-        partials: list[JoinedTuple],
+        joined: tuple[str, ...],
+        partials: list[tuple[StreamTuple, ...]],
         observe_content,
-    ) -> list[JoinedTuple]:
+    ) -> list[tuple[StreamTuple, ...]]:
         """Probe ``target`` with every partial; returns the extended partials."""
-        ap, bindings = ctx.query.probe_spec(joined, target)
+        ap, sources = ctx.query.probe_row_spec(joined, target)
         stem = ctx.stems[target]
-        probe_values = ctx.query.probe_values
+        # One value row per partial, aligned with ``ap.attributes``: each
+        # value is read from the source tuple its predicate names, by that
+        # tuple's position in the partial.
+        getters = [(joined.index(stream), attr) for stream, attr in sources]
+        if len(getters) == 1:
+            ((i, a),) = getters
+            rows = [(p[i][a],) for p in partials]
+        elif len(getters) == 2:
+            (i, a), (j, b) = getters
+            rows = [(p[i][a], p[j][b]) for p in partials]
+        elif len(getters) == 3:
+            (i, a), (j, b), (k, c) = getters
+            rows = [(p[i][a], p[j][b], p[k][c]) for p in partials]
+        else:
+            rows = [tuple([p[i][a] for i, a in getters]) for p in partials]
         max_fanout = ctx.config.max_fanout
         # Each probe matches at most stem.size tuples (both structures
         # during a drain), so below this bound no probe sequence can trip
         # the max_fanout early exit and the hop runs as one column.  At or
-        # above it the partials probe one at a time, lazily: a truncated
-        # hop stops probing where the fanout cap is reached.  (``probe`` /
-        # ``probe_batch`` are looked up per call: a tracer may shadow them
+        # above it the rows probe as columns of one, lazily: a truncated
+        # hop stops probing where the fanout cap is reached.
+        # (``probe_batch`` is looked up per call: a tracer may shadow it
         # on the state instance.)
         capped = len(partials) * stem.size >= max_fanout
         if capped:
-            outcomes = (stem.probe(ap, probe_values(bindings, p)) for p in partials)
-        elif len(partials) == 1:
-            outcomes = [stem.probe(ap, probe_values(bindings, partials[0]))]
+            outcomes = (stem.probe_batch(ap, [row])[0] for row in rows)
         else:
-            outcomes = stem.probe_batch(
-                ap, [probe_values(bindings, p) for p in partials]
-            )
+            outcomes = stem.probe_batch(ap, rows)
         m = ctx.metrics
         if m is not None:
             kind = index_kind_label(stem.index)
@@ -361,44 +381,48 @@ class RouteProbeStage:
         if observe_content is not None:
             bucket = ctx.router.bucket_for(item, item.stream, target)
         anchor_at, anchor_stream = item.arrived_at, item.stream
-        # Equal probe rows alias one match list, and the ordering filter
-        # depends only on the anchor: filter once per distinct list.  The
-        # entry keeps the list alive, so its id stays unique for the hop.
-        ordered: dict[int, tuple[list, list]] = {}
+        # Equal rows share one outcome, and the ordering filter depends only
+        # on the anchor: filter once per distinct outcome.  The entry keeps
+        # the outcome alive, so its id stays unique for the hop.
+        ordered: dict[int, tuple[object, list]] = {}
         counts: list[int] = []
-        next_partials: list[JoinedTuple] = []
+        next_partials: list[tuple[StreamTuple, ...]] = []
         for partial, outcome in zip(partials, outcomes):
-            found = outcome.matches
-            hit = ordered.get(id(found))
-            if hit is None:
-                # Timestamp ordering: the arriving tuple joins only with
-                # strictly-older tuples (stream name breaks same-tick ties),
-                # so each join result is produced exactly once — by its
-                # youngest member's probe sequence.  (Unrolled (at, stream)
-                # tuple comparison: no per-match tuple allocation.)
-                matches = [
-                    m2
-                    for m2 in found
-                    if m2.arrived_at < anchor_at
-                    or (m2.arrived_at == anchor_at and m2.stream < anchor_stream)
-                ]
-                ordered[id(found)] = (found, matches)
-            else:
-                matches = hit[1]
+            matches = outcome.matches
+            if matches:
+                hit = ordered.get(id(outcome))
+                if hit is None:
+                    # Timestamp ordering: the arriving tuple joins only with
+                    # strictly-older tuples (stream name breaks same-tick
+                    # ties), so each join result is produced exactly once —
+                    # by its youngest member's probe sequence.  (Unrolled
+                    # (at, stream) tuple comparison: no per-match tuple
+                    # allocation.)
+                    matches = [
+                        m2
+                        for m2 in matches
+                        if m2.arrived_at < anchor_at
+                        or (m2.arrived_at == anchor_at and m2.stream < anchor_stream)
+                    ]
+                    ordered[id(outcome)] = (outcome, matches)
+                else:
+                    matches = hit[1]
             counts.append(len(matches))
             if observe_content is not None:
                 observe_content(target, ap.mask, bucket, len(matches))
             if m is not None:
                 _probe_metrics(m, target, kind, assessor, len(matches))
+            if not matches:
+                continue
             if capped:
                 for match in matches:
-                    next_partials.append(partial.extend(match))
+                    next_partials.append(partial + (match,))
                     if len(next_partials) >= max_fanout:
                         break
                 if len(next_partials) >= max_fanout:
                     break
             else:
-                next_partials.extend(map(partial.extend, matches))
+                next_partials.extend([partial + (match,) for match in matches])
         ctx.stats.probes += len(counts)
         ctx.stats.matches += sum(counts)
         ctx.estimator.observe_many(target, ap.mask, counts)

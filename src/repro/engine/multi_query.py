@@ -28,7 +28,7 @@ from repro.engine.resources import MemoryBreakdown, MemoryBudgetExceeded, Resour
 from repro.engine.router import Router
 from repro.engine.stats import RunStats, SelectivityEstimator
 from repro.storage.store import StateStore
-from repro.engine.tuples import JoinedTuple, StreamTuple
+from repro.engine.tuples import StreamTuple
 
 
 class QuerySet:
@@ -186,18 +186,23 @@ class MultiQueryExecutor:
             return 0
         estimator = self.estimators[query.name]
         route = self.routers[query.name].choose_route(item.stream, estimator, item)
-        partials: list[JoinedTuple] = [JoinedTuple.of(item)]
-        joined: set[str] = {item.stream}
+        # Partials are source tuples in join order, as in the kernel.
+        partials: list[tuple[StreamTuple, ...]] = [(item,)]
+        joined: tuple[str, ...] = (item.stream,)
         anchor = (item.arrived_at, item.stream)
         for target in route:
             if not partials:
                 break
-            ap, bindings = query.probe_spec(joined, target)
+            ap, sources = query.probe_row_spec(joined, target)
+            getters = [
+                (name, joined.index(stream), attr)
+                for name, (stream, attr) in zip(ap.attributes, sources)
+            ]
             stem = self.stems[target]
             lifted = self.query_set.lift_pattern(target, ap)
-            next_partials: list[JoinedTuple] = []
+            next_partials: list[tuple[StreamTuple, ...]] = []
             for partial in partials:
-                values = query.probe_values(bindings, partial)
+                values = {name: partial[pos][attr] for name, pos, attr in getters}
                 outcome = stem.probe(lifted, values)
                 self.stats.probes += 1
                 matches = [
@@ -210,12 +215,12 @@ class MultiQueryExecutor:
                 self.stats.matches += len(matches)
                 estimator.observe(target, lifted.mask, len(matches))
                 for match in matches:
-                    next_partials.append(partial.extend(match))
+                    next_partials.append(partial + (match,))
                     if len(next_partials) >= self.config.max_fanout:
                         break
                 if len(next_partials) >= self.config.max_fanout:
                     break
-            joined.add(target)
+            joined += (target,)
             partials = next_partials
         if partials and len(joined) == len(query.stream_names):
             return len(partials)

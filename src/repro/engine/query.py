@@ -172,9 +172,14 @@ class Query:
         # (joined streams, target) -> (access pattern, bindings).  Probe
         # derivation is pure in the (immutable) predicate set, and a route
         # revisits the same few combinations every tick, so the router's
-        # per-partial probe_spec call is a dict hit after the first tick.
+        # probe_spec call and the kernel's per-hop probe_row_spec call are
+        # dict hits after the first tick.
         self._probe_specs: dict[
             tuple[frozenset[str], str],
+            tuple[AccessPattern, tuple[tuple[str, str, str], ...]],
+        ] = {}
+        self._probe_row_specs: dict[
+            tuple[tuple[str, ...], str],
             tuple[AccessPattern, tuple[tuple[str, str], ...]],
         ] = {}
 
@@ -231,7 +236,7 @@ class Query:
 
     def probe_spec(
         self, joined_streams: frozenset[str] | set[str], target: str
-    ) -> tuple[AccessPattern, tuple[tuple[str, str], ...]]:
+    ) -> tuple[AccessPattern, tuple[tuple[str, str, str], ...]]:
         """What a probe from a partial result into ``target`` looks like.
 
         Given the set of streams already in the partial result, returns:
@@ -240,9 +245,9 @@ class Query:
           of every predicate linking ``target`` to an already-joined stream
           (this is why the route order determines the access pattern, the
           paper's Section I observation); and
-        - the value bindings as ``(target_attr, source_attr)`` pairs: the
-          probe value for ``target_attr`` is the partial's ``source_attr``
-          value.
+        - the value bindings as ``(target_attr, source_stream, source_attr)``
+          triples, one per linking predicate: the probe value for
+          ``target_attr`` is ``source_stream``'s ``source_attr`` value.
 
         Raises if no predicate binds the probe (that hop would be a cross
         product; the router never schedules one for connected join graphs).
@@ -253,7 +258,7 @@ class Query:
             return cached
         if target in joined_streams:
             raise ValueError(f"target {target!r} already joined")
-        bindings: list[tuple[str, str]] = []
+        bindings: list[tuple[str, str, str]] = []
         attrs: list[str] = []
         for pred in self.predicates:
             if not pred.involves(target):
@@ -261,7 +266,7 @@ class Query:
             other, other_attr = pred.other_side(target)
             if other in joined_streams:
                 t_attr = pred.attr_of(target)
-                bindings.append((t_attr, other_attr))
+                bindings.append((t_attr, other, other_attr))
                 if t_attr not in attrs:
                     attrs.append(t_attr)
         if not bindings:
@@ -273,11 +278,28 @@ class Query:
         self._probe_specs[key] = spec
         return spec
 
-    def probe_values(
-        self, bindings: tuple[tuple[str, str], ...], partial: Mapping[str, object]
-    ) -> dict[str, object]:
-        """Materialise probe values from a partial result per ``bindings``."""
-        return {t_attr: partial[s_attr] for t_attr, s_attr in bindings}
+    def probe_row_spec(
+        self, joined_streams: tuple[str, ...], target: str
+    ) -> tuple[AccessPattern, tuple[tuple[str, str], ...]]:
+        """:meth:`probe_spec` as the recipe of a probe *row*.
+
+        Returns the access pattern and, aligned with ``ap.attributes``, the
+        ``(source_stream, source_attr)`` each probe value is read from —
+        the predicate's own source stream, never a bare attribute name, so
+        a payload column that shares its name with another stream's join
+        column cannot be read in its place.  Where several predicates bind
+        one target attribute the last one (in WHERE-clause order) supplies
+        the value.  ``joined_streams`` is a tuple so the memo lookup hashes
+        no set.
+        """
+        key = (joined_streams, target)
+        cached = self._probe_row_specs.get(key)
+        if cached is None:
+            ap, bindings = self.probe_spec(joined_streams, target)
+            source = {t_attr: (stream, attr) for t_attr, stream, attr in bindings}
+            cached = (ap, tuple(source[a] for a in ap.attributes))
+            self._probe_row_specs[key] = cached
+        return cached
 
     def __repr__(self) -> str:
         return (

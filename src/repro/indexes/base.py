@@ -19,7 +19,7 @@ while preserving the economics that drive the paper's results.
 from __future__ import annotations
 
 import abc
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
@@ -118,6 +118,10 @@ class SearchOutcome:
         return iter(self.matches)
 
 
+#: One value row (aligned with the pattern's attributes) → its outcome.
+RowProbe = Callable[[tuple], SearchOutcome]
+
+
 class StateIndex(abc.ABC):
     """Interface every state-index scheme implements.
 
@@ -148,33 +152,95 @@ class StateIndex(abc.ABC):
         """Remove a previously inserted ``item`` (identity-based)."""
 
     @abc.abstractmethod
+    def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
+        """The per-pattern half of a probe — the one hook a backend writes.
+
+        Returns ``(hashes, probe_row)``: the hash computations one probe of
+        ``ap`` is charged, and a function from one value row (a tuple
+        aligned with ``ap.attributes``) to that probe's
+        :class:`SearchOutcome`.  Everything that depends only on the
+        pattern and the structure (the compiled plan, the module choice,
+        the charged bucket visits) is resolved here, once per column;
+        ``probe_row`` reads the structure and charges nothing — the caller
+        charges ``hashes`` and the outcome's ``buckets_visited`` /
+        ``tuples_examined`` once per row, shared outcomes included.  The
+        structure does not change while a prober is in use.
+        """
+
+    def search_batch(self, ap: AccessPattern, rows: list[tuple]) -> list[SearchOutcome]:
+        """Probe one access pattern with a column of value rows.
+
+        Each row is a tuple aligned with ``ap.attributes``; a full-scan
+        pattern takes empty rows and returns every stored item.  Returns
+        one :class:`SearchOutcome` per row, in order: all stored items
+        equal to the row on every attribute ``ap`` names.  The accountant
+        is charged per row exactly what one probe at a time would charge
+        (the engine only reads counter totals between columns, so the
+        increments are aggregated), and equal rows share one probe and one
+        outcome object — batched stream workloads draw values from small
+        domains, so this dedup is where the wall-clock win comes from.
+        Shared outcomes are safe to alias: no consumer mutates
+        ``SearchOutcome.matches`` in place.  A row holding an unhashable
+        value probes uncached.
+
+        A pattern over a foreign JAS raises ``ValueError`` and a row of the
+        wrong length ``KeyError``, both before anything is charged.
+        """
+        self._check_jas(ap)
+        n_attributes = ap.n_attributes
+        for row in rows:
+            if len(row) != n_attributes:
+                raise KeyError(
+                    f"probe row {row!r} does not supply the {n_attributes} "
+                    f"attribute value(s) required by {ap!r}"
+                )
+        if not rows:
+            return []
+        hashes, probe_row = self._row_prober(ap)
+        seen: dict[tuple, SearchOutcome] = {}
+        outcomes: list[SearchOutcome] = []
+        visited = examined = 0
+        for row in rows:
+            try:
+                outcome = seen.get(row)
+            except TypeError:  # unhashable value: probe uncached
+                outcome = probe_row(row)
+            else:
+                if outcome is None:
+                    outcome = seen[row] = probe_row(row)
+            visited += outcome.buckets_visited
+            examined += outcome.tuples_examined
+            outcomes.append(outcome)
+        acct = self.accountant
+        acct.hashes += hashes * len(rows)
+        acct.buckets_visited += visited
+        acct.tuples_examined += examined
+        return outcomes
+
     def search(self, ap: AccessPattern, values: Mapping[str, object]) -> SearchOutcome:
-        """All stored items equal to ``values`` on every attribute in ``ap``.
+        """One probe, by attribute name: all stored items equal to
+        ``values`` on every attribute in ``ap``.
 
-        ``values`` must define at least the attributes ``ap`` names.  A
-        full-scan pattern returns every stored item.
+        ``values`` must define at least the attributes ``ap`` names
+        (``KeyError`` otherwise); it is read into a row and handed to the
+        same hook as a :meth:`search_batch` row, charged the same.
         """
+        self._check_jas(ap)
+        attributes = compile_matcher(ap).attributes
+        for name in attributes:
+            if name not in values:
+                raise KeyError(f"probe values missing attribute {name!r} required by {ap!r}")
+        hashes, probe_row = self._row_prober(ap)
+        outcome = probe_row(tuple([values[name] for name in attributes]))
+        acct = self.accountant
+        acct.hashes += hashes
+        acct.buckets_visited += outcome.buckets_visited
+        acct.tuples_examined += outcome.tuples_examined
+        return outcome
 
-    def search_batch(
-        self, ap: AccessPattern, values_list: list[Mapping[str, object]]
-    ) -> list[SearchOutcome]:
-        """Probe the same access pattern with a whole column of value rows.
-
-        Returns one :class:`SearchOutcome` per entry of ``values_list``, in
-        order.  The contract is **bit-identity with the serial path**: the
-        outcomes, the accountant counter totals, and every raised error must
-        be exactly what ``[self.search(ap, v) for v in values_list]`` would
-        produce.  Implementations may aggregate integer counter increments
-        and share work between identical probe rows (the accountant only
-        ever observes counter totals between engine observation points), but
-        must not change *what* is charged or matched.
-
-        This base implementation is the literal serial loop — trivially
-        correct for any backend; hot backends override it with vectorized
-        versions.
-        """
-        search = self.search
-        return [search(ap, values) for values in values_list]
+    def _check_jas(self, ap: AccessPattern) -> None:
+        if ap.jas is not self.jas and ap.jas != self.jas:
+            raise ValueError(f"probe pattern {ap!r} ranges over a different JAS than this index")
 
     def contains(self, item: Mapping[str, object]) -> bool:
         """Whether ``item`` is currently stored (identity-based, free).
@@ -202,30 +268,6 @@ class StateIndex(abc.ABC):
         return f"{type(self).__name__}(jas={list(self.jas.names)}, size={self.size})"
 
     # -- helpers for implementations ------------------------------------ #
-
-    def _check_probe(self, ap: AccessPattern, values: Mapping[str, object]) -> None:
-        if ap.jas != self.jas:
-            raise ValueError(f"probe pattern {ap!r} ranges over a different JAS than this index")
-        for name in ap.attributes:
-            if name not in values:
-                raise KeyError(f"probe values missing attribute {name!r} required by {ap!r}")
-
-    def _probe_matcher(self, ap: AccessPattern, values: Mapping[str, object]):
-        """``_check_probe`` plus the compiled matcher, in one pass.
-
-        The hot-path spelling for implementations: same JAS/presence
-        checks with the same error messages, but the attribute tuple comes
-        from the memoized :func:`~repro.core.probe_plan.compile_matcher`
-        instead of the per-call ``ap.attributes`` property walk, and the
-        returned matcher carries a specialised equality filter.
-        """
-        if ap.jas is not self.jas and ap.jas != self.jas:
-            raise ValueError(f"probe pattern {ap!r} ranges over a different JAS than this index")
-        matcher = compile_matcher(ap)
-        for name in matcher.attributes:
-            if name not in values:
-                raise KeyError(f"probe values missing attribute {name!r} required by {ap!r}")
-        return matcher
 
     @staticmethod
     def _matches(item: Mapping[str, object], ap: AccessPattern, values: Mapping[str, object]) -> bool:

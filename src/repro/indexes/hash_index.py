@@ -23,7 +23,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
-from repro.indexes.base import Accountant, CostParams, SearchOutcome, StateIndex
+from repro.core.probe_plan import compile_matcher
+from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, StateIndex
 
 HashKey = tuple[object, ...]
 
@@ -56,10 +57,6 @@ class _AccessModule:
             bucket.pop(id(item), None)
             if not bucket:
                 del self.table[key]
-
-    def lookup(self, values: Mapping[str, object]) -> dict[int, Mapping[str, object]]:
-        key = tuple(values[a] for a in self.attributes)
-        return self.table.get(key, {})
 
 
 class MultiHashIndex(StateIndex):
@@ -207,110 +204,34 @@ class MultiHashIndex(StateIndex):
         self._suitable[ap.mask] = best
         return best
 
-    def search(self, ap: AccessPattern, values: Mapping[str, object]) -> SearchOutcome:
-        matcher = self._probe_matcher(ap, values)
-        acct = self.accountant
-        if matcher.is_full_scan:
-            module = None
-        else:
-            module = self._suitable.get(ap.mask, self)
-            if module is self:  # not cached yet (sentinel: self is never a module)
-                module = self.most_suitable_module(ap)
-        outcome = SearchOutcome()
-        if module is None:
-            examined = len(self._items)
-            acct.tuples_examined += examined
-            acct.buckets_visited += 1
-            outcome.tuples_examined = examined
-            outcome.buckets_visited = 1
-            outcome.used_full_scan = True
-            pool: Iterable[Mapping[str, object]] = self._items.values()
-        else:
-            acct.hashes += module.n_attributes
-            bucket = module.lookup(values)
-            examined = len(bucket)
-            pool = bucket.values()
-            acct.tuples_examined += examined
-            acct.buckets_visited += 1
-            outcome.tuples_examined = examined
-            outcome.buckets_visited = 1
-        outcome.matches = matcher.select(pool, values)
-        return outcome
-
-    def search_batch(
-        self, ap: AccessPattern, values_list: list[Mapping[str, object]]
-    ) -> list[SearchOutcome]:
-        """Vectorized :meth:`search`: the module choice depends only on the
-        pattern, so it is resolved once per batch; per-row charges are
-        aggregated and equal value rows share one lookup + selection."""
-        outcomes: list[SearchOutcome] = []
-        if not values_list:
-            return outcomes
-        matcher = self._probe_matcher(ap, values_list[0])
-        attrs = matcher.attributes
-        for values in values_list[1:]:
-            for name in attrs:
-                if name not in values:
-                    raise KeyError(
-                        f"probe values missing attribute {name!r} required by {ap!r}"
-                    )
-        n = len(values_list)
-        acct = self.accountant
-        if matcher.is_full_scan:
-            module = None
-        else:
-            module = self._suitable.get(ap.mask, self)
-            if module is self:  # not cached yet (sentinel: self is never a module)
-                module = self.most_suitable_module(ap)
+    def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
+        matcher = compile_matcher(ap)
         select = matcher.select
+        if matcher.is_full_scan:
+            module = None
+        else:
+            module = self._suitable.get(ap.mask, self)
+            if module is self:  # not cached yet (sentinel: self is never a module)
+                module = self.most_suitable_module(ap)
         if module is None:
-            examined = len(self._items)
-            acct.tuples_examined += examined * n
-            acct.buckets_visited += n
-            pool = list(self._items.values())
-            cache: dict[tuple, list] = {}
-            for values in values_list:
-                vkey = tuple(values[a] for a in attrs)
-                try:
-                    matches = cache.get(vkey)
-                except TypeError:  # unhashable row: compute uncached
-                    vkey = None
-                    matches = None
-                if matches is None:
-                    matches = select(pool, values)
-                    if vkey is not None:
-                        cache[vkey] = matches
-                outcome = SearchOutcome(used_full_scan=True)
-                outcome.tuples_examined = examined
-                outcome.buckets_visited = 1
-                outcome.matches = matches
-                outcomes.append(outcome)
-            return outcomes
+            items = self._items
 
-        acct.hashes += module.n_attributes * n
-        acct.buckets_visited += n
-        lookup = module.lookup
-        cache = {}
-        for values in values_list:
-            vkey = tuple(values[a] for a in attrs)
-            try:
-                hit = cache.get(vkey)
-            except TypeError:  # unhashable row: compute uncached
-                vkey = None
-                hit = None
-            if hit is None:
-                bucket = lookup(values)
-                hit = (select(bucket.values(), values), len(bucket))
-                if vkey is not None:
-                    cache[vkey] = hit
-            matches, examined = hit
-            acct.tuples_examined += examined
-            outcome = SearchOutcome()
-            outcome.tuples_examined = examined
-            outcome.buckets_visited = 1
-            outcome.matches = matches
-            outcomes.append(outcome)
-        return outcomes
+            def probe_row(row: tuple) -> SearchOutcome:
+                return SearchOutcome(select((items.values(),), row), 1, len(items), True)
+
+            return 0, probe_row
+
+        table = module.table
+        # Where the module's key attributes sit in a probe row.
+        slots = [matcher.attributes.index(a) for a in module.attributes]
+
+        def probe_row(row: tuple) -> SearchOutcome:
+            bucket = table.get(tuple([row[i] for i in slots]))
+            if bucket is None:
+                return SearchOutcome([], 1, 0)
+            return SearchOutcome(select((bucket.values(),), row), 1, len(bucket))
+
+        return module.n_attributes, probe_row
 
     def describe(self) -> str:
         pats = ", ".join(repr(m.pattern) for m in self._modules.values())

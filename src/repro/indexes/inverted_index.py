@@ -23,7 +23,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
-from repro.indexes.base import Accountant, CostParams, SearchOutcome, StateIndex
+from repro.core.probe_plan import compile_matcher
+from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, StateIndex
 
 
 class InvertedListIndex(StateIndex):
@@ -74,41 +75,37 @@ class InvertedListIndex(StateIndex):
     def contains(self, item: Mapping[str, object]) -> bool:
         return id(item) in self._items
 
-    def search(self, ap: AccessPattern, values: Mapping[str, object]) -> SearchOutcome:
-        matcher = self._probe_matcher(ap, values)
-        acct = self.accountant
-        outcome = SearchOutcome()
-        if matcher.is_full_scan:
-            examined = len(self._items)
-            acct.tuples_examined += examined
-            acct.buckets_visited += 1
-            outcome.tuples_examined = examined
-            outcome.buckets_visited = 1
-            outcome.used_full_scan = True
-            outcome.matches = list(self._items.values())
-            return outcome
-        # Fetch each attribute's posting list; intersect smallest-first.
-        postings = []
-        for name in matcher.attributes:
-            acct.hashes += 1
-            postings.append(self._lists[name].get(values[name], {}))
-        postings.sort(key=len)
-        acct.buckets_visited += len(postings)
-        outcome.buckets_visited = len(postings)
-        base = postings[0]
-        rest = postings[1:]
-        # Walking the smallest list and probing the others costs one
-        # examination per base entry (each membership check is a hash probe).
-        examined = len(base)
-        acct.tuples_examined += examined
-        outcome.tuples_examined = examined
-        if rest:
-            outcome.matches = [
-                item for key, item in base.items() if all(key in p for p in rest)
-            ]
-        else:
-            outcome.matches = list(base.values())
-        return outcome
+    def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
+        attributes = compile_matcher(ap).attributes
+        items = self._items
+        if not attributes:
+
+            def probe_row(row: tuple) -> SearchOutcome:
+                return SearchOutcome(list(items.values()), 1, len(items), True)
+
+            return 0, probe_row
+
+        lists = [self._lists[name] for name in attributes]
+
+        def probe_row(row: tuple) -> SearchOutcome:
+            # Fetch each attribute's posting list; intersect smallest-first.
+            postings = sorted(
+                (plist.get(value, {}) for plist, value in zip(lists, row)), key=len
+            )
+            base = postings[0]
+            rest = postings[1:]
+            # Walking the smallest list and probing the others costs one
+            # examination per base entry (each membership check is a hash probe).
+            if rest:
+                matches = [
+                    item for key, item in base.items() if all(key in p for p in rest)
+                ]
+            else:
+                matches = list(base.values())
+            return SearchOutcome(matches, len(postings), len(base))
+
+        # One hash per attribute fetches its posting list.
+        return len(attributes), probe_row
 
     def describe(self) -> str:
         return f"InvertedListIndex(jas={list(self.jas.names)}, size={len(self._items)})"

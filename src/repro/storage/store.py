@@ -173,7 +173,7 @@ class StateStore:
             self.index.remove(item)
 
     def probe(self, ap: AccessPattern, values: Mapping[str, object]) -> SearchOutcome:
-        """Execute one search request against the state.
+        """Execute one search request, its values given by attribute name.
 
         Records the request's access pattern with the tuner's assessor —
         this is where assessment statistics come from.  While a migration
@@ -186,26 +186,25 @@ class StateStore:
             return self.index.search(ap, values)
         return merge_outcomes(draining.search(ap, values), self.index.search(ap, values))
 
-    def probe_batch(
-        self, ap: AccessPattern, values_list: list[Mapping[str, object]]
-    ) -> list[SearchOutcome]:
+    def probe_batch(self, ap: AccessPattern, rows: list[tuple]) -> list[SearchOutcome]:
         """Execute a column of same-pattern search requests against the state.
 
-        Bit-identical to ``[self.probe(ap, v) for v in values_list]``: the
-        tuner assessor records the column as one run of its pattern
+        Each row is a value tuple aligned with ``ap.attributes``.  Equal to
+        one :meth:`probe` per row in every modeled quantity: the tuner
+        assessor records the column as one run of its pattern
         (pattern-only — the assessor never sees probe values, and nothing
         reads it before the column ends), and during a drain each request's
         old/new outcomes merge pairwise.  The index-level ``search_batch``
-        aggregates accountant increments and shares work between equal
-        value rows; the engine only observes counter totals between probes,
-        so the aggregation is invisible to the cost model.
+        aggregates accountant increments and lets equal rows share one
+        outcome object; the engine only observes counter totals between
+        probes, so the aggregation is invisible to the cost model.
         """
-        self.tuner.observe_run(ap, len(values_list))
+        self.tuner.observe_run(ap, len(rows))
         draining = self.lifecycle.draining
         if draining is None:
-            return self.index.search_batch(ap, values_list)
-        old_outcomes = draining.search_batch(ap, values_list)
-        new_outcomes = self.index.search_batch(ap, values_list)
+            return self.index.search_batch(ap, rows)
+        old_outcomes = draining.search_batch(ap, rows)
+        new_outcomes = self.index.search_batch(ap, rows)
         return [merge_outcomes(o, n) for o, n in zip(old_outcomes, new_outcomes)]
 
     def tune(self, context: TuningContext) -> TuneReport | None:

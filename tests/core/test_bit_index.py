@@ -1,5 +1,6 @@
 """Tests for the AMRI bit-address index, including an oracle equivalence
-property: every search must return exactly what a full scan returns."""
+property (every search returns exactly what a full scan returns) and an
+order property (match lists come in the order the golden corpus pins)."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from repro.core.bit_index import BitAddressIndex, make_bit_index
 from repro.core.index_config import IndexConfiguration
 from repro.indexes.base import Accountant
 from repro.indexes.scan_index import ScanIndex
+from repro.indexes.static_bitmap import StaticBitmapIndex
+from repro.utils.bitops import fragment, mask_to_indices
 
 
 def make_items(n, *, mod=(7, 3, 5)):
@@ -256,6 +259,136 @@ def test_migration_preserves_search_semantics(items, bits1, bits2, mask, probe):
     want = fresh.search(ap, probe)
     assert sorted(map(id, got.matches)) == sorted(map(id, want.matches))
     assert migrated.bucket_count == fresh.bucket_count
+
+
+# --------------------------------------------------------------------- #
+# match order — pinned by a property, not only by the golden corpus
+
+
+def reference_matches(index, ap, values):
+    """The probe as the engine ran it when the golden corpus was recorded:
+    intersect the key sets of the fixed fragments smallest-first (a stable
+    sort, so ties keep fixed-position order), walk the surviving buckets in
+    the smallest set's iteration order, filter on the probed attributes.
+    Kept here as the reference the index's match order is held to."""
+    bits = index.config.bits
+    names = index.jas.names
+    fixed = [(i, names[i], bits[i]) for i in mask_to_indices(ap.mask) if bits[i] > 0]
+    if fixed:
+        sets = []
+        for pos, name, width in fixed:
+            keys = index._frag_maps[pos].get(fragment(values[name], width))
+            if not keys:
+                return []
+            sets.append(keys)
+        sets.sort(key=len)
+        keep = sets[0].intersection(*sets[1:])
+        buckets = [index._buckets[k] for k in sets[0] if k in keep]
+    else:
+        buckets = list(index._buckets.values())
+    return [
+        item
+        for bucket in buckets
+        for item in bucket.values()
+        if all(item[a] == values[a] for a in ap.attributes)
+    ]
+
+
+def assert_every_pattern_in_reference_order(index, probes):
+    for mask in range(index.jas.full_mask + 1):
+        ap = AccessPattern.from_mask(index.jas, mask)
+        for values in probes:
+            got = index.search(ap, values).matches
+            want = reference_matches(index, ap, values)
+            assert [id(m) for m in got] == [id(m) for m in want], (ap, values)
+
+
+@st.composite
+def index_histories(draw):
+    """A key map over 1-4 attributes (zero-bit positions included) and an
+    interleaving of inserts and removes."""
+    n = draw(st.integers(1, 4))
+    names = "ABCD"[:n]
+    bits = draw(st.tuples(*[st.integers(0, 3)] * n))
+    row = st.fixed_dictionaries({a: st.integers(0, 5) for a in names})
+    ops = draw(st.lists(st.one_of(row, st.integers(0, 50)), max_size=60))
+    return JoinAttributeSet(list(names)), bits, ops, draw(st.lists(row, min_size=1, max_size=4))
+
+
+@pytest.mark.parametrize("cls", [BitAddressIndex, StaticBitmapIndex])
+@settings(max_examples=60, deadline=None)
+@given(history=index_histories())
+def test_match_order_equals_the_reference_probe(cls, history):
+    jas, bits, ops, probes = history
+    idx = cls(IndexConfiguration(jas, list(bits)))
+    live = []
+    for op in ops:
+        if isinstance(op, dict):
+            item = dict(op)
+            idx.insert(item)
+            live.append(item)
+        elif live:
+            idx.remove(live.pop(op % len(live)))
+    assert_every_pattern_in_reference_order(idx, probes + live[:3])
+
+
+class TestMatchOrderExamples:
+    """The corners of the probe, one at a time, against the reference."""
+
+    @staticmethod
+    def populated(jas, bits, n=60):
+        idx = BitAddressIndex(IndexConfiguration(jas, list(bits)))
+        items = [{a: (i * (7 + p)) % 5 for p, a in enumerate(jas.names)} for i in range(n)]
+        for item in items:
+            idx.insert(item)
+        return idx, items
+
+    def test_point_probe_with_a_zero_bit_position(self, jas3, ap3):
+        # B carries no bits: <A,*,C> and <A,B,C> leave no wildcard bit, and
+        # the bucket key has a constant 0 in B's place.
+        idx, items = self.populated(jas3, (2, 0, 2))
+        for ap in (ap3("A", "C"), ap3("A", "B", "C")):
+            assert idx.probe_plans.lookup(ap).wildcard_bits == 0
+        assert all(key[1] == 0 for key in idx._buckets)
+        assert idx.search(ap3("A", "C"), items[0]).matches  # the lookup does find buckets
+        assert_every_pattern_in_reference_order(idx, items[:10])
+
+    def test_point_probe_of_an_absent_bucket(self, jas3, ap3):
+        idx = make_bit_index(jas3, [2, 2, 2])
+        stored = {"A": 1, "B": 1, "C": 1}
+        idx.insert(stored)
+        # No stored tuple carries these fragments, alone or together.
+        absent = {"A": 2, "B": 2, "C": 2}
+        assert idx.config.bucket_key(absent) not in idx._buckets
+        out = idx.search(ap3("A", "B", "C"), absent)
+        assert out.matches == [] and out.tuples_examined == 0 and out.buckets_visited == 1
+        # Each fragment is live, their combination is not.
+        idx.insert({"A": 2, "B": 1, "C": 1})
+        idx.insert({"A": 1, "B": 2, "C": 2})
+        mixed = {"A": 2, "B": 2, "C": 1}
+        assert idx.search(ap3("A", "B", "C"), mixed).matches == []
+        assert_every_pattern_in_reference_order(idx, [stored, absent, mixed])
+
+    def test_tie_between_equally_small_fragment_sets(self, jas3, ap3):
+        # <A,B,*> over twelve tuples that agree on A and B: A's and B's key
+        # sets hold the same keys, a tie that goes to A (fixed-position
+        # order).  A's set has churned — a set keeps its grown table — so
+        # the two iterate differently and the choice shows in the match list.
+        idx = make_bit_index(jas3, [1, 1, 8])
+        kept = [{"A": 1, "B": 1, "C": c} for c in range(12)]
+        churn = [{"A": 1, "B": 2, "C": c} for c in range(300)]
+        for item in kept + churn:
+            idx.insert(item)
+        for item in churn:
+            idx.remove(item)
+        by_a = idx._frag_maps[0][fragment(1, 1)]
+        by_b = idx._frag_maps[1][fragment(1, 1)]
+        assert by_a == by_b and list(by_a) != list(by_b), "the tie does not show; vacuous"
+        got = idx.search(ap3("A", "B"), {"A": 1, "B": 1}).matches
+        assert [id(m) for m in got] == [
+            id(item) for key in by_a for item in idx._buckets[key].values()
+        ]
+        assert_every_pattern_in_reference_order(idx, kept[:2])
 
 
 class TestMalformedInput:

@@ -18,7 +18,7 @@ from repro.core.probe_plan import (
     ProbePlanCache,
     compile_matcher,
     compile_probe_plan,
-    _compile_selector,
+    _compile_row_selector,
 )
 from repro.engine.tuples import StreamTuple
 from repro.storage import StateStore
@@ -38,6 +38,24 @@ class TestProbePlan:
         plan = ProbePlan(config(jas3, (5, 0, 3)), ap3("A", "B"))
         assert plan.fixed == ((0, "A", 5),)
         assert plan.wildcard_bits == 3  # all of C remains free
+        assert plan.point_slots is None
+
+    def test_row_masks_locate_fixed_values_in_the_probe_row(self, jas3, ap3):
+        # Rows are aligned with the pattern's attributes (B, C): C's value
+        # is row[1] although C is JAS position 2; B carries no bits.
+        plan = ProbePlan(config(jas3, (5, 0, 3)), ap3("B", "C"))
+        assert plan.attributes == ("B", "C")
+        assert plan.fixed == ((2, "C", 3),)
+        assert plan.row_masks == ((1, 0b111),)
+
+    def test_point_slots_assemble_the_bucket_key(self, jas3, ap3):
+        # No wildcard bit left: per JAS position the fragment's index in
+        # ``fixed``, and len(fixed) — the constant-0 slot — where no bits are.
+        plan = ProbePlan(config(jas3, (5, 0, 3)), ap3("A", "C"))
+        assert plan.wildcard_bits == 0
+        assert plan.point_slots == (0, 2, 1)
+        full = ProbePlan(config(jas3), ap3("A", "B", "C"))
+        assert full.point_slots == (0, 1, 2)
 
     def test_wildcard_bits_match_configuration(self, jas3, ap3):
         cfg = config(jas3)
@@ -82,14 +100,16 @@ class TestSelectors:
         "attrs", [(), ("A",), ("A", "B"), ("A", "B", "C")]
     )
     def test_matches_generic_filter_and_order(self, attrs):
-        select = _compile_selector(attrs)
+        select = _compile_row_selector(attrs)
         values = {"A": 1, "B": 0, "C": 1}
         expected = [
             item
             for item in self.ITEMS
             if all(item[a] == values[a] for a in attrs)
         ]
-        got = select(self.ITEMS, values)
+        # Two groups (a probe's candidate buckets), walked in order.
+        groups = (self.ITEMS[:5], self.ITEMS[5:])
+        got = select(groups, tuple(values[a] for a in attrs))
         assert got == expected  # same items, same (insertion) order
         assert all(g is e for g, e in zip(got, expected))
 
@@ -98,7 +118,7 @@ class TestSelectors:
         ap = AccessPattern.from_attributes(jas, ["A", "B", "C", "D"])
         matcher = Matcher(ap)
         items = [{"A": 1, "B": 2, "C": 3, "D": 4}, {"A": 1, "B": 2, "C": 3, "D": 5}]
-        assert matcher.select(items, items[0]) == [items[0]]
+        assert matcher.select((items,), (1, 2, 3, 4)) == [items[0]]
 
 
 class TestMatcher:

@@ -95,14 +95,15 @@ def run_pair(ticks, plan, window=5, *, stem_window=None):
 
             def column(ap, rows, _stem=stem, _batch=stem.probe_batch, _per_row=per_row):
                 if _per_row:
-                    return [_stem.probe(ap, row) for row in rows]
+                    return [_stem.probe(ap, dict(zip(ap.attributes, row))) for row in rows]
                 widths.append(len(rows))
                 return _batch(ap, rows)
 
             stem.probe_batch = column
         stats = ex.run(ticks, arrivals_from(plan))
         results.append((ex, stats, sink))
-    assert widths and min(widths) > 1, "no hop ran as a column; the case is vacuous"
+    # Every hop is a column now, first hops of one row included.
+    assert widths and max(widths) > 1, "no hop ran as a multi-row column; the case is vacuous"
     return results
 
 
@@ -139,7 +140,7 @@ class TestBatchOfOne:
         serial = populated(make_bit_index(jas3, [2, 2, 2]))
         batched = populated(make_bit_index(jas3, [2, 2, 2]))
         out_s = serial.search(ap3("A"), {"A": 1})
-        [out_b] = batched.search_batch(ap3("A"), [{"A": 1}])
+        [out_b] = batched.search_batch(ap3("A"), [(1,)])
         assert out_b.matches == out_s.matches
         assert out_b.buckets_visited == out_s.buckets_visited
         assert out_b.tuples_examined == out_s.tuples_examined

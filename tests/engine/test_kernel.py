@@ -245,7 +245,7 @@ class TestProbeColumn:
         for name in ("probe", "probe_batch"):
 
             def spy(ap, arg, _fn=getattr(stems["C"], name), _name=name):
-                calls.append((_name, 1 if _name == "probe" else len(arg)))
+                calls.append((_name, len(arg)))
                 return _fn(ap, arg)
 
             setattr(stems["C"], name, spy)
@@ -260,10 +260,11 @@ class TestProbeColumn:
 
     def test_hop_that_could_reach_max_fanout_probes_one_partial_at_a_time(self):
         # Second hop: 3 partials x 4 stored tuples >= max_fanout 5, so the
-        # partials probe one by one and the hop stops inside the second
-        # probe's matches — the numbers below are the pre-column engine's.
+        # partials probe as columns of one and the hop stops inside the
+        # second probe's matches — the numbers below are the pre-column
+        # engine's.
         ex, stats, pairs, calls = self.run_clique(max_fanout=5)
-        assert calls == [("probe", 1), ("probe", 1)]
+        assert calls == [("probe_batch", 1), ("probe_batch", 1)]
         assert pairs == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
         assert (stats.outputs, stats.probes, stats.matches) == (5, 10, 11)
         assert ex.meter.total_spent == 41.849999999999994
@@ -281,6 +282,135 @@ class TestProbeColumn:
         assert (stats.outputs, stats.probes, stats.matches) == (12, 11, 15)
         assert ex.meter.total_spent == 50.599999999999994
         assert ex.stems["C"].tuner.assessor.n_requests == 3
+
+
+class TestProbeBinding:
+    """A probe value is read from the stream its predicate names, not from
+    whichever joined stream last carried an attribute of that name."""
+
+    # R(x), S(x, y), T(y, x) with R.x = S.x and S.y = T.y: T.x is payload
+    # that shares its name with the R/S join column.
+    STREAMS = [
+        StreamSchema("R", ("x",)),
+        StreamSchema("S", ("x", "y")),
+        StreamSchema("T", ("y", "x")),
+    ]
+    PREDICATES = [JoinPredicate("R", "x", "S", "x"), JoinPredicate("S", "y", "T", "y")]
+    TUPLES = {
+        "R": [{"x": 1}, {"x": 2}, {"x": 99}],
+        "S": [{"x": 1, "y": 7}, {"x": 2, "y": 8}, {"x": 99, "y": 9}],
+        "T": [{"y": 7, "x": 99}, {"y": 8, "x": 1}, {"y": 7, "x": 2}],
+    }
+    # Every route order that is not a cross product, per arriving stream.
+    ROUTES = [("R", ("S", "T")), ("S", ("R", "T")), ("S", ("T", "R")), ("T", ("S", "R"))]
+
+    @pytest.mark.parametrize("source,route", ROUTES)
+    def test_every_route_order_equals_the_nested_loop_join(self, source, route):
+        query, stems, _router, meter = make_parts(Query(self.STREAMS, self.PREDICATES, window=5))
+        routes = {"R": ["S", "T"], "S": ["R", "T"], "T": ["S", "R"], source: list(route)}
+        sink = []
+        ex = AMRExecutor(
+            query,
+            stems,
+            FixedRouter(routes),
+            meter,
+            arrival_rates={s: 1.0 for s in query.stream_names},
+            output_sink=sink.extend,
+        )
+        # The other two streams arrive first; ``source`` arrives last, so
+        # its tuples' probe sequences (along ``route``) produce every result.
+        plan = {
+            0: [(s, v) for s in "RST" if s != source for v in self.TUPLES[s]],
+            1: [(source, v) for v in self.TUPLES[source]],
+        }
+        ex.run(2, arrivals_from(plan))
+        got = sorted(
+            (
+                tuple(dict(src) for src in sorted(j.sources, key=lambda t: t.stream))
+                for j in sink
+            ),
+            key=repr,
+        )
+        nested_loop = sorted(
+            (
+                (r, s, t)
+                for r in self.TUPLES["R"]
+                for s in self.TUPLES["S"]
+                for t in self.TUPLES["T"]
+                if r["x"] == s["x"] and s["y"] == t["y"]
+            ),
+            key=repr,
+        )
+        assert len(nested_loop) == 3
+        assert got == nested_loop
+
+
+class TestEmit:
+    """Partials are source tuples until emit; a ``JoinedTuple`` exists only
+    for a sink to read."""
+
+    @staticmethod
+    def clique(sink=None, routes=None):
+        streams = [StreamSchema(s, ("k", f"p{s.lower()}")) for s in "ABC"]
+        preds = [JoinPredicate(a, "k", b, "k") for a, b in ("AB", "BC", "AC")]
+        query, stems, router, meter = make_parts(Query(streams, preds, window=5))
+        if routes is not None:
+            router = FixedRouter(routes)
+        ex = AMRExecutor(
+            query,
+            stems,
+            router,
+            meter,
+            arrival_rates={s: 1.0 for s in query.stream_names},
+            output_sink=sink,
+        )
+        plan = {
+            0: [("B", {"k": 1, "pb": i}) for i in range(2)] + [("C", {"k": 1, "pc": 5})],
+            1: [("A", {"k": 1, "pa": 0})],
+        }
+        return ex, arrivals_from(plan)
+
+    def test_results_are_joined_tuples_in_join_order(self):
+        from repro.engine.tuples import JoinedTuple
+
+        sink = []
+        ex, arrivals = self.clique(sink.extend)
+        stats = ex.run(2, arrivals)
+        assert stats.outputs == len(sink) == 2
+        for result in sink:
+            assert isinstance(result, JoinedTuple)
+            a, b, c = result.sources
+            assert (a.stream, b.stream, c.stream) == ("A", "B", "C")  # A -> B -> C
+            reference = JoinedTuple.of(a).extend(b).extend(c)
+            assert result.sources == reference.sources
+            assert dict(result) == dict(reference)
+            assert list(result) == list(reference)  # merged in the same order
+
+    def test_no_joined_tuple_is_built_without_a_sink(self, monkeypatch):
+        from repro.engine.tuples import JoinedTuple
+
+        built = []
+        init = JoinedTuple.__init__
+
+        def spy(self, sources):
+            built.append(sources)
+            init(self, sources)
+
+        monkeypatch.setattr(JoinedTuple, "__init__", spy)
+        ex, arrivals = self.clique()
+        assert ex.run(2, arrivals).outputs == 2
+        assert built == []
+        sink = []
+        ex, arrivals = self.clique(sink.extend)
+        ex.run(2, arrivals)
+        assert len(built) == 2  # the spy does see emit-time construction
+
+    def test_route_revisiting_a_stream_is_a_named_error(self):
+        ex, arrivals = self.clique(
+            routes={"A": ["B", "B"], "B": ["A", "C"], "C": ["A", "B"]}
+        )
+        with pytest.raises(ValueError, match="'B' already joined"):
+            ex.run(2, arrivals)
 
 
 class TestFacade:

@@ -107,7 +107,7 @@ class TestProbeSpec:
         q = paper_query()
         ap, bindings = q.probe_spec({"A"}, "B")
         assert ap == AccessPattern.from_attributes(q.jas_for("B"), ["AB"])
-        assert bindings == (("AB", "AB"),)
+        assert bindings == (("AB", "A", "AB"),)
 
     def test_second_hop_two_attributes(self):
         q = paper_query()
@@ -135,16 +135,34 @@ class TestProbeSpec:
         with pytest.raises(ValueError, match="no predicate binds"):
             q.probe_spec({"A"}, "C")
 
-    def test_probe_values_resolution(self):
+    def test_probe_row_spec_is_aligned_with_the_pattern(self):
         q = paper_query()
-        ap, bindings = q.probe_spec({"A"}, "B")
-        values = q.probe_values(bindings, {"AB": 42, "AC": 1, "AD": 2})
-        assert values == {"AB": 42}
+        ap, sources = q.probe_row_spec(("A", "C", "D"), "B")
+        assert ap.attributes == ("AB", "BC", "BD")
+        assert sources == (("A", "AB"), ("C", "BC"), ("D", "BD"))
+        assert q.probe_row_spec(("A", "C", "D"), "B") is q.probe_row_spec(("A", "C", "D"), "B")
 
-    def test_probe_values_cross_attribute_names(self):
+    def test_probe_row_spec_cross_attribute_names(self):
         # Differently named attributes on the two sides.
         streams = [StreamSchema("A", ("ka",)), StreamSchema("B", ("kb",))]
         q = Query(streams, [JoinPredicate("A", "ka", "B", "kb")], window=5)
         ap, bindings = q.probe_spec({"A"}, "B")
-        assert bindings == (("kb", "ka"),)
-        assert q.probe_values(bindings, {"ka": 9}) == {"kb": 9}
+        assert bindings == (("kb", "A", "ka"),)
+        assert q.probe_row_spec(("A",), "B") == (ap, (("A", "ka"),))
+
+    def test_probe_row_spec_names_the_predicates_own_stream(self):
+        # T carries a payload column named like R's and S's join column;
+        # the probe into R reads S.x, whatever else is called x.
+        streams = [
+            StreamSchema("R", ("x",)),
+            StreamSchema("S", ("x", "y")),
+            StreamSchema("T", ("y", "x")),
+        ]
+        preds = [JoinPredicate("R", "x", "S", "x"), JoinPredicate("S", "y", "T", "y")]
+        q = Query(streams, preds, window=5)
+        _ap, sources = q.probe_row_spec(("S", "T"), "R")
+        assert sources == (("S", "x"),)
+
+    def test_probe_row_spec_rejects_already_joined_target(self):
+        with pytest.raises(ValueError, match="already joined"):
+            paper_query().probe_row_spec(("A", "B"), "B")

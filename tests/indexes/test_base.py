@@ -58,54 +58,89 @@ class TestSearchOutcome:
         assert o.matches == [] and not o.used_full_scan
 
 
+class Dummy(StateIndex):
+    """The least a backend writes: storage, size, and the row hook."""
+
+    def __init__(self, jas, stored=()):
+        super().__init__(jas)
+        self.stored = list(stored)
+        self.probed = []
+
+    def insert(self, item):
+        self.stored.append(item)
+
+    def remove(self, item):
+        self.stored.remove(item)
+
+    @property
+    def size(self):
+        return len(self.stored)
+
+    def _row_prober(self, ap):
+        attrs = ap.attributes
+
+        def probe_row(row):
+            self.probed.append(row)
+            matches = [
+                item for item in self.stored
+                if all(item[a] == v for a, v in zip(attrs, row))
+            ]
+            return SearchOutcome(matches, buckets_visited=2, tuples_examined=len(self.stored))
+
+        return 3, probe_row
+
+
 class TestStateIndexHelpers:
+    """``search`` and ``search_batch`` are the base class's, over the hook."""
+
+    JAS = JoinAttributeSet(["A", "B"])
+
+    def ap(self, *names):
+        return AccessPattern.from_attributes(self.JAS, names)
+
     def test_probe_validation(self):
-        jas = JoinAttributeSet(["A", "B"])
-
-        class Dummy(StateIndex):
-            def insert(self, item):
-                pass
-
-            def remove(self, item):
-                pass
-
-            def search(self, ap, values):
-                self._check_probe(ap, values)
-                return SearchOutcome()
-
-            @property
-            def size(self):
-                return 0
-
-        d = Dummy(jas)
-        ap = AccessPattern.from_attributes(jas, ["A"])
-        d.search(ap, {"A": 1})  # fine
+        d = Dummy(self.JAS)
+        d.search(self.ap("A"), {"A": 1})  # fine
         with pytest.raises(KeyError):
-            d.search(ap, {"B": 1})
+            d.search(self.ap("A"), {"B": 1})
+        with pytest.raises(KeyError, match="A"):
+            d.search_batch(self.ap("A"), [(1,), ()])
         foreign = AccessPattern.from_attributes(JoinAttributeSet(["X"]), ["X"])
         with pytest.raises(ValueError):
             d.search(foreign, {"X": 1})
+        with pytest.raises(ValueError):
+            d.search_batch(foreign, [(1,)])
+        # Only the valid search probed; no bad call charged anything.
+        assert d.probed == [(1,)]
+        assert d.accountant == Accountant(hashes=3, buckets_visited=2)
+
+    def test_search_reads_values_into_a_row_in_pattern_order(self):
+        item = {"A": 1, "B": 9}
+        d = Dummy(self.JAS, [item, {"A": 2, "B": 9}])
+        out = d.search(self.ap("A", "B"), {"B": 9, "A": 1, "extra": 0})
+        assert d.probed == [(1, 9)]
+        assert out.matches == [item]
+
+    def test_column_charges_per_row_and_shares_equal_rows(self):
+        d = Dummy(self.JAS, [{"A": 1, "B": 9}, {"A": 2, "B": 9}])
+        first, second, again = d.search_batch(self.ap("A"), [(1,), (2,), (1,)])
+        assert d.probed == [(1,), (2,)]  # the repeated row did not probe again
+        assert again is first and second is not first
+        # ...but it is charged: three rows' hashes, visits and examinations.
+        assert d.accountant == Accountant(hashes=9, buckets_visited=6, tuples_examined=6)
+
+    def test_unhashable_row_probes_uncached(self):
+        d = Dummy(self.JAS)
+        a, b = d.search_batch(self.ap("A"), [([1],), ([1],)])
+        assert d.probed == [([1],), ([1],)] and a is not b
 
     def test_matches_helper(self):
-        jas = JoinAttributeSet(["A", "B"])
-        ap = AccessPattern.from_attributes(jas, ["A"])
+        ap = self.ap("A")
         assert StateIndex._matches({"A": 1, "B": 9}, ap, {"A": 1})
         assert not StateIndex._matches({"A": 2, "B": 9}, ap, {"A": 1})
 
     def test_default_accountant_and_params(self):
-        jas = JoinAttributeSet(["A"])
-
-        class Dummy(StateIndex):
-            def insert(self, item): ...
-            def remove(self, item): ...
-            def search(self, ap, values):
-                return SearchOutcome()
-
-            @property
-            def size(self):
-                return 0
-
-        d = Dummy(jas)
+        d = Dummy(JoinAttributeSet(["A"]))
         assert isinstance(d.accountant, Accountant)
         assert isinstance(d.cost_params, CostParams)
         assert d.memory_bytes == 0

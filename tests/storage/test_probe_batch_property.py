@@ -1,13 +1,14 @@
 """``StateStore.probe_batch`` is the ``probe`` loop, on every backend.
 
 The route/probe stage hands a hop's same-pattern probes to
-``probe_batch`` as one column and relies on its docstring: bit-identical
-to ``[probe(ap, v) for v in values_list]``.  The per-row ``probe`` is the
-reference; this property holds the column to it on a twin store — match
-lists in order, per-outcome work figures, every accountant counter and
-the assessor's statistics (RNG position included) — over all five
-registered backends, and mid-drain under a migration budget for the
-backends that can reconfigure, with duplicate probe rows.
+``probe_batch`` as one column of value rows (tuples aligned with
+``ap.attributes``) and relies on its docstring: equal to one ``probe``
+per row.  The by-name ``probe`` is the reference; this property holds the
+column to it on a twin store — each row's match list in order and work
+figures, every accountant counter and the assessor's statistics (RNG
+position included) — over all five registered backends, and mid-drain
+under a migration budget for the backends that can reconfigure, with
+duplicate probe rows (whose outcomes may be one shared object).
 """
 
 from __future__ import annotations
@@ -102,13 +103,15 @@ def observables(store: StateStore, outcomes) -> dict:
 def test_probe_batch_equals_the_probe_loop(backend, drain, stored, mask, rows, repeats):
     ap = AccessPattern.from_mask(JAS, mask)
     rows = rows + [rows[i % len(rows)] for i in repeats if rows]  # forced duplicates
-    column = [
-        {name: row[JAS.names.index(name)] for name in ap.attributes} for row in rows
-    ]
+    column = [tuple(row[JAS.names.index(name)] for name in ap.attributes) for row in rows]
     looped = build_store(backend, drain, stored)
     batched = build_store(backend, drain, stored)
     if drain and len(stored) > 3:
         assert batched.lifecycle.draining is not None
-    by_loop = [looped.probe(ap, row) for row in column]
+    by_loop = [looped.probe(ap, dict(zip(ap.attributes, row))) for row in column]
     by_batch = batched.probe_batch(ap, column)
     assert observables(batched, by_batch) == observables(looped, by_loop)
+    # Outcomes alias only between equal rows.
+    for i, a in enumerate(by_batch):
+        for j in range(i):
+            assert a is not by_batch[j] or column[i] == column[j]

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.core.access_pattern import JoinAttributeSet
+from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment import SRIA
 from repro.core.bit_index import make_bit_index
 from repro.core.index_config import IndexConfiguration
@@ -117,20 +117,48 @@ class TestInsertOrdering:
 
 
 class TestProbeInputs:
-    """Malformed and unusual probe rows, per row and as a one-row column."""
+    """Malformed and unusual probe input: by name through ``probe``, as a
+    one-row column through ``probe_batch``."""
 
     @staticmethod
     def probe_one(store, how, ap, values):
         if how == "probe":
             return store.probe(ap, values)
-        return store.probe_batch(ap, [values])[0]
+        return store.probe_batch(ap, [tuple(values[a] for a in ap.attributes if a in values)])[0]
 
     @pytest.mark.parametrize("how", ["probe", "probe_batch"])
     def test_row_missing_a_required_attribute_raises(self, jas3, ap3, how):
         store = StateStore("S", jas3, make_bit_index(jas3, [2, 2, 2]), window=100)
         store.insert(tup(0), 0)
-        with pytest.raises(KeyError):
-            self.probe_one(store, how, ap3("A"), {})
+        before = store.index.accountant.snapshot()
+        # Both spellings name the pattern, and raise before any charge.
+        with pytest.raises(KeyError, match="required by <A, B, \\*>"):
+            self.probe_one(store, how, ap3("A", "B"), {"A": 1})
+        assert store.index.accountant == before
+
+    @pytest.mark.parametrize("how", ["probe", "probe_batch"])
+    def test_row_with_a_value_too_many_raises(self, jas3, ap3, how):
+        store = StateStore("S", jas3, make_bit_index(jas3, [2, 2, 2]), window=100)
+        store.insert(tup(0), 0)
+        before = store.index.accountant.snapshot()
+        if how == "probe":  # by name there is no "too many": extras are ignored
+            assert store.probe(ap3("A"), {"A": 0, "B": 5}).matches == store.probe(
+                ap3("A"), {"A": 0}
+            ).matches
+        else:
+            with pytest.raises(KeyError, match="required by <A, \\*, \\*>"):
+                store.probe_batch(ap3("A"), [(0,), (0, 5)])
+            assert store.index.accountant == before
+
+    @pytest.mark.parametrize("how", ["probe", "probe_batch"])
+    def test_foreign_jas_pattern_raises(self, jas3, how):
+        store = StateStore("S", jas3, make_bit_index(jas3, [2, 2, 2]), window=100)
+        store.insert(tup(0), 0)
+        before = store.index.accountant.snapshot()
+        foreign = AccessPattern.from_attributes(JoinAttributeSet(["A", "X"]), ["A"])
+        with pytest.raises(ValueError, match="different JAS"):
+            self.probe_one(store, how, foreign, {"A": 0})
+        assert store.index.accountant == before
 
     @pytest.mark.parametrize("how", ["probe", "probe_batch"])
     def test_unhashable_probe_values_still_probe(self, jas3, ap3, how):

@@ -126,8 +126,9 @@ def probe_workload(n: int = N_PROBES) -> list[tuple[AccessPattern, dict]]:
     ]
 
 
-def zipf_probe_workload(n: int = N_PROBES) -> tuple[AccessPattern, list[dict]]:
-    """``n`` Zipf(s=2)-skewed two-attribute probe rows on one pattern.
+def zipf_probe_workload(n: int = N_PROBES) -> tuple[AccessPattern, list[tuple]]:
+    """``n`` Zipf(s=2)-skewed two-attribute probe rows on one pattern, as
+    value tuples aligned with the pattern's attributes ``(A, B)``.
 
     Stream joins probe hot keys overwhelmingly often; a skewed column is
     where the batch plane's row deduplication pays.  The draw is fully
@@ -148,7 +149,7 @@ def zipf_probe_workload(n: int = N_PROBES) -> tuple[AccessPattern, list[dict]]:
         return bisect_left(cdf, u)
 
     ap = AccessPattern.from_attributes(JAS, ["A", "B"])
-    rows = [{"A": draw(2 * i), "B": draw(2 * i + 1)} for i in range(n)]
+    rows = [(draw(2 * i), draw(2 * i + 1)) for i in range(n)]
     return ap, rows
 
 
@@ -186,8 +187,8 @@ def bench_probe_plane_serial(idx=None) -> int:
     if idx is None:
         idx = populated_bit_index()
     ap, rows = zipf_probe_workload()
-    for values in rows:
-        idx.search(ap, values)
+    for a, b in rows:
+        idx.search(ap, {"A": a, "B": b})
     return len(rows)
 
 
