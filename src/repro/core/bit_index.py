@@ -11,20 +11,51 @@ relative to multi-hash-index access modules.
 Implementation notes
 --------------------
 With a 64-bit configuration the ``2**64`` logical buckets cannot be
-materialised, so buckets live in a dict keyed by the per-attribute fragment
-tuple, and a per-attribute inverted map (fragment → live bucket keys) lets a
-wildcard search intersect only the attributes it actually specifies.  The
-accountant is still charged the price a real bit-address index pays —
+materialised, so the index is sparse, and it keeps two views of one state:
+
+**Buckets, for every answer that has matches.**  Buckets live in a dict
+keyed by the per-attribute fragment tuple; a per-attribute inverted map
+(fragment → live bucket keys) lets a wildcard search walk only the buckets
+that carry its fixed fragments, and a probe that fixes every indexed
+attribute computes its one key.  Match lists come from this walk alone, in
+the order documented on :meth:`BitAddressIndex._wildcard_candidates`.
+
+**Value-hash columns, for the answer "nothing matches".**  Every stored
+tuple owns a slot for as long as it is stored (``id -> (slot, bucket key)``;
+a removed tuple's slot is reused before a new one is handed out, so the
+slots stay as dense as the state's high-water mark), and per JAS attribute a
+``uint64`` column holds each slot's 64-bit stable value hash, beside a mask
+of the slots in use.  Maintenance is one row write per insert and one flag
+per remove; nothing ever moves.  Under the default value mapping a fragment
+*is* ``hash & mask``, so the columns hold for every key map:
+``reconfigure`` re-derives the keys from them and leaves them alone.  A
+probe that leaves wildcard bits and expects at least
+``COLUMN_PROBE_MIN_CANDIDATES`` candidates asks the columns first:
+``(column & mask) == (h & mask)`` over its fixed attributes marks, among
+the slots in use, exactly the tuples of the buckets the walk would visit —
+their count *is* the walk's ``tuples_examined`` — and ``column == h`` over
+its probed attributes finds the slots that can equal the row.  If there is
+none the probe is answered; otherwise the walk runs as if the columns were
+not there.  Hash equality stands for value equality only within one exact
+type (``1 == 1.0 == True`` hash three ways), so each column records the
+type of the values it has held and vouches only for a probe value of that
+same type; an index with a custom value mapper, or one that has stored a
+value the stable hash rejects (possible in an attribute without bits),
+keeps no columns.
+
+The accountant is charged the price a real bit-address index pays —
 ``min(2**wildcard_bits, live buckets)`` bucket visits plus one examination
-per tuple in each matching bucket — so the performance economics of the paper
-are preserved even though the Python implementation never enumerates
-wildcard bucket ids.
+per tuple in each matching bucket — whichever view answered, so the
+performance economics of the paper are preserved even though the Python
+implementation never enumerates wildcard bucket ids.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration, ValueMapper, _default_map
@@ -33,6 +64,40 @@ from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, 
 from repro.utils.bitops import _cached_value_hash
 
 BucketKey = tuple[int, ...]
+
+#: A probe that leaves wildcard bits asks the hash columns before it walks
+#: buckets when its fixed fragments leave at least this many candidates
+#: (``size >> fixed_bits``).  Set from the committed sweep
+#: ``benchmarks/test_micro_index_ops.py::test_bit_probe_walk_vs_columns_crossover``
+#: (1 024 tuples, no-match probes, µs per probe through ``search_batch``,
+#: ``BENCH_micro.json``): at 16 / 32 / 64 / 128 candidates the walk reads
+#: 7.6 / 9.9 / 15.0 / 25.7 and the columns 9.3 / 9.2 / 9.0 / 9.4 — the
+#: column answer costs the same at every width and the walk crosses it
+#: just under 32.  A row that can match pays for both, so the gate sits a
+#: factor of two above the crossover.  A constant, not an option.
+COLUMN_PROBE_MIN_CANDIDATES = 64
+
+#: The exact types within which equal values always have equal stable
+#: hashes, so "no slot carries this hash" proves "no stored value equals
+#: this one".  Across types it does not: ``1 == 1.0 == True`` hash three
+#: ways, and a subclass may define its own ``__eq__``.
+_EXACT_HASH_TYPES = frozenset({int, float, str, bytes, bool, type(None)})
+#: A column that has held values of more than one exact type, or of a type
+#: outside ``_EXACT_HASH_TYPES`` (never the type of a probe value).
+_MIXED = object()
+_INITIAL_CAPACITY = 256
+
+
+def _hash_table(capacity: int, n_attributes: int) -> np.ndarray:
+    """Room for ``capacity`` slots' value hashes, one row per slot; Fortran
+    order keeps each attribute's column contiguous for the vector compares."""
+    return np.empty((capacity, n_attributes), dtype=np.uint64, order="F")
+
+
+def _grown(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``new`` (longer) with ``old``'s rows copied in."""
+    new[: len(old)] = old
+    return new
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,8 +138,31 @@ class BitAddressIndex(StateIndex):
         # One inverted map per JAS attribute position; only positions with
         # bits assigned are maintained (others would map everything to 0).
         self._frag_maps: dict[int, dict[int, set[BucketKey]]] = {}
-        self._item_keys: dict[int, BucketKey] = {}
-        self._size = 0
+        # ``id -> (slot, bucket key)``.  A stored tuple keeps its slot for
+        # life; a removed tuple's slot goes on the free list and is handed
+        # out again before a new one, so slots in use and free slots
+        # together are ``0 .. len(_entries) + len(_free) - 1``.
+        self._entries: dict[int, tuple[int, BucketKey]] = {}
+        self._free: list[int] = []
+        # Per slot and JAS position, the 64-bit stable hash of the tuple's
+        # value (column-major: one attribute's hashes are contiguous), which
+        # slots are in use, and per position the exact type of the values
+        # hashed there (``_MIXED`` once there have been two).  ``None``: this
+        # index keeps no columns — a custom value mapper, or a stored value
+        # the stable hash rejects.
+        n = len(config.jas.names)
+        self._hashes: np.ndarray | None = None
+        self._live: np.ndarray | None = None
+        if value_mapper is None:
+            self._hashes = _hash_table(_INITIAL_CAPACITY, n)
+            self._live = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        self._column_types: list[object] = [None] * n
+        self._row_types: tuple[type, ...] | None = None  # the last inserted row's, already recorded
+        #: Probe rows the hash columns answered without a bucket walk, and
+        #: rows they passed on to the walk (a possible match, or a value
+        #: whose type the column cannot vouch for).
+        self.column_answered = 0
+        self.column_walked = 0
         self._rebuild_frag_positions()
 
     # ------------------------------------------------------------------ #
@@ -87,7 +175,7 @@ class BitAddressIndex(StateIndex):
 
     @property
     def size(self) -> int:
-        return self._size
+        return len(self._entries)
 
     @property
     def probe_plans(self) -> ProbePlanCache:
@@ -125,13 +213,56 @@ class BitAddressIndex(StateIndex):
     # storage
 
     def insert(self, item: Mapping[str, object]) -> None:
+        iid = id(item)
+        entries = self._entries
+        if iid in entries:
+            raise ValueError("item is already stored in this index")
+        key_plan = self._plans.key_plan
         mapper = self.value_mapper
-        key = self._plans.key_plan.key_for(
-            item, _default_map if mapper is None else mapper
-        )
+        table = self._hashes
+        hashes = None
+        if table is not None and mapper is None:
+            try:
+                types, hashes, key = key_plan.hash_row(item)
+            except (KeyError, TypeError):
+                # A value the stable hash rejects, or none at all: fatal in
+                # an attribute that carries bits (the mapper path raises the
+                # canonical error), the end of the columns otherwise.
+                pass
+        if hashes is None:
+            key = key_plan.key_for(item, _default_map if mapper is None else mapper)
+            table = self._hashes = self._live = None
         acct = self.accountant
         acct.hashes += len(self._frag_maps)  # one fragment hash per indexed attribute
         acct.inserts += 1
+        free = self._free
+        slot = free.pop() if free else len(entries)
+        if table is not None:
+            if types != self._row_types:
+                self._record_types(types)
+            try:
+                table[slot] = hashes
+            except IndexError:  # full: double it
+                table = self._hashes = _grown(table, _hash_table(2 * slot, len(hashes)))
+                self._live = _grown(self._live, np.zeros(2 * slot, dtype=bool))
+                table[slot] = hashes
+            self._live[slot] = True
+        entries[iid] = (slot, key)
+        self._place(item, key)
+
+    def _record_types(self, types: tuple[type, ...]) -> None:
+        """Note the exact value types of one stored row (grow-only)."""
+        kinds = self._column_types
+        for pos, kind in enumerate(types):
+            if kinds[pos] is not kind:
+                first = kinds[pos] is None and kind in _EXACT_HASH_TYPES
+                kinds[pos] = kind if first else _MIXED
+        self._row_types = types
+
+    def _place(self, item: Mapping[str, object], key: BucketKey) -> None:
+        """Put ``item`` in the bucket ``key`` names (a new bucket enters
+        the inverted maps)."""
+        acct = self.accountant
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = {}
@@ -140,17 +271,19 @@ class BitAddressIndex(StateIndex):
                 fmap.setdefault(key[pos], set()).add(key)
             acct.index_bytes += self._bucket_overhead_bytes()
         bucket[id(item)] = item
-        self._item_keys[id(item)] = key
-        self._size += 1
         acct.index_bytes += self.cost_params.bucket_slot_bytes
 
     def remove(self, item: Mapping[str, object]) -> None:
-        key = self._item_keys.pop(id(item), None)
-        if key is None:
+        iid = id(item)
+        entry = self._entries.pop(iid, None)
+        if entry is None:
             raise KeyError("item was never inserted into this index")
+        slot, key = entry
+        self._free.append(slot)
+        if self._live is not None:
+            self._live[slot] = False  # the slot's hashes stay until it is reused
         bucket = self._buckets[key]
-        del bucket[id(item)]
-        self._size -= 1
+        del bucket[iid]
         acct = self.accountant
         acct.deletes += 1
         acct.index_bytes -= self.cost_params.bucket_slot_bytes
@@ -165,7 +298,7 @@ class BitAddressIndex(StateIndex):
             acct.index_bytes -= self._bucket_overhead_bytes()
 
     def contains(self, item: Mapping[str, object]) -> bool:
-        return id(item) in self._item_keys
+        return id(item) in self._entries
 
     def items(self) -> Iterator[Mapping[str, object]]:
         """Iterate every stored item (bucket order)."""
@@ -188,7 +321,7 @@ class BitAddressIndex(StateIndex):
         slots = plan.point_slots
         if not fixed:
             # No indexed attribute constrains the probe: walk every bucket.
-            size = self._size
+            size = len(self._entries)
 
             def probe_row(row: tuple) -> SearchOutcome:
                 groups = [bucket.values() for bucket in buckets.values()]
@@ -207,6 +340,9 @@ class BitAddressIndex(StateIndex):
                     return SearchOutcome([], visited, 0)
                 return SearchOutcome(select((bucket.values(),), row), visited, len(bucket))
 
+            # One ``dict.get`` already: a point probe never asks the columns.
+            return plan.n_attributes, probe_row
+
         else:
             candidates = self._wildcard_candidates
 
@@ -214,8 +350,67 @@ class BitAddressIndex(StateIndex):
                 groups = candidates(fixed, fragments_of(plan, row))
                 return SearchOutcome(select(groups, row), visited, sum(map(len, groups)))
 
+        if (
+            len(self._entries) >> plan.fixed_bits >= COLUMN_PROBE_MIN_CANDIDATES
+            and self._hashes is not None
+            and plan.n_attributes
+        ):
+            probe_row = self._column_probe(plan, visited, probe_row)
         # C_hash,Sr: one hash per attribute the request specifies.
         return plan.n_attributes, probe_row
+
+    def _column_probe(self, plan: ProbePlan, visited: int, walk: RowProbe) -> RowProbe:
+        """``walk`` with the hash columns asked first.
+
+        Two vector compares stand for the walk of a row that matches
+        nothing.  Slots whose hashes carry every fixed fragment are the
+        tuples of the candidate buckets, so their count is the
+        ``tuples_examined`` the walk would report; if no slot carries the
+        full hash of every probed value, no stored tuple equals the row —
+        given that column and probe value are of one exact type, else the
+        row walks.  A row that may match walks too: the columns never
+        produce a match list, so they cannot change match order.
+        """
+        size = len(self._entries)
+        top = size + len(self._free)  # one past the highest slot handed out
+        live = self._live[:top]
+        # Aligned with a probe row: each probed attribute's column, and the
+        # one exact type whose values it has stored.
+        columns = [self._hashes[:top, pos] for pos in plan.positions]
+        kinds = [self._column_types[pos] for pos in plan.positions]
+        fixed = plan.hash_masks
+        full_scan = not fixed
+        count_nonzero = np.count_nonzero
+        uint64 = np.uint64
+
+        def probe_row(row: tuple) -> SearchOutcome:
+            hashes = []
+            for value, kind in zip(row, kinds):
+                if type(value) is not kind:
+                    self.column_walked += 1
+                    return walk(row)
+                hashes.append(uint64(_cached_value_hash(kind, value)))
+            examined = size
+            if fixed:
+                in_buckets = live
+                for i, fmask in fixed:
+                    in_buckets = in_buckets & ((columns[i] & fmask) == (hashes[i] & fmask))
+                examined = int(count_nonzero(in_buckets))  # the accountant adds Python ints
+            # (A free slot still holds hashes: it can cost a needless walk,
+            # never an answer.)
+            equal = None
+            for column, h in zip(columns, hashes):
+                same = column == h
+                if equal is not None:
+                    same &= equal
+                if not count_nonzero(same):
+                    self.column_answered += 1
+                    return SearchOutcome([], visited, examined, full_scan)
+                equal = same
+            self.column_walked += 1
+            return walk(row)
+
+        return probe_row
 
     def _wildcard_candidates(
         self, fixed: tuple[tuple[int, str, int], ...], fragments: list[int]
@@ -293,30 +488,50 @@ class BitAddressIndex(StateIndex):
 
         self._config = new_config
         self._buckets = {}
-        self._item_keys = {}
-        self._size = 0
         self._rebuild_frag_positions()
 
-        hashes_before = acct.hashes
+        # Membership does not change, so every tuple keeps its slot and the
+        # hash columns stand; a slot's new key is its hashes under the new
+        # masks (without columns: its values through the mapper).
+        key_plan = self._plans.key_plan
+        table = self._hashes
+        entries = self._entries
+        if table is not None:
+            masks = np.array(key_plan.masks, dtype=np.uint64)
+            rekeyed = (table[: len(entries) + len(self._free)] & masks).tolist()
+        mapper = _default_map if self.value_mapper is None else self.value_mapper
         for item in old_items:
-            self.insert(item)
-            acct.inserts -= 1  # migration is not a fresh insert; charge moves instead
+            iid = id(item)
+            slot = entries[iid][0]
+            if table is not None:
+                key = tuple(rekeyed[slot])
+            else:
+                key = key_plan.key_for(item, mapper)
+            entries[iid] = (slot, key)
+            self._place(item, key)
+        # Not fresh inserts: per tuple one move and the new map's hashes.
+        hashes = len(old_items) * len(self._frag_maps)
+        acct.hashes += hashes
         acct.moves += len(old_items)
         return MigrationReport(
             old_config=old_config,
             new_config=new_config,
             tuples_moved=len(old_items),
-            hashes=acct.hashes - hashes_before,
+            hashes=hashes,
         )
 
     def _current_structure_bytes(self) -> int:
         return (
             len(self._buckets) * self._bucket_overhead_bytes()
-            + self._size * self.cost_params.bucket_slot_bytes
+            + len(self._entries) * self.cost_params.bucket_slot_bytes
         )
 
     def describe(self) -> str:
-        return f"BitAddressIndex({self._config!r}, size={self._size}, buckets={len(self._buckets)})"
+        return (
+            f"BitAddressIndex({self._config!r}, size={len(self._entries)}, "
+            f"buckets={len(self._buckets)}, column_answered={self.column_answered}, "
+            f"column_walked={self.column_walked})"
+        )
 
 
 def make_bit_index(

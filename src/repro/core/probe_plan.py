@@ -34,10 +34,16 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
+from operator import and_
+
+import numpy as np
 
 from repro.core.access_pattern import AccessPattern
 from repro.core.index_config import IndexConfiguration
-from repro.utils.bitops import mask_to_indices
+from repro.utils.bitops import _cached_value_hash, mask_to_indices
+
+#: A stable value hash has 64 bits; a wider fragment mask selects them all.
+_HASH_BITS = (1 << 64) - 1
 
 #: Wildcard widths at or above this never cap the enumeration: a Python
 #: container cannot hold ``2**63`` live buckets, so ``min(2**wb, live)``
@@ -121,17 +127,84 @@ class Matcher:
         self.select = _compile_row_selector(self.attributes)
 
 
+RowHasher = Callable[[Mapping[str, object]], tuple[tuple[type, ...], list[int], tuple[int, ...]]]
+
+
+def _compile_row_hasher(names: tuple[str, ...], masks: tuple[int, ...]) -> RowHasher:
+    """``item -> (value types, value hashes, bucket key)`` over the JAS
+    attributes ``names``, under the default value mapping — a fragment is
+    the memoized stable value hash masked to the attribute's width —
+    specialised to the attribute count like the row selectors above.
+
+    Every attribute is hashed, bits or none; a missing attribute raises
+    ``KeyError`` and a value the stable hash rejects ``TypeError``.
+    """
+    hash_ = _cached_value_hash
+    n = len(names)
+    if n == 1:
+        (a,) = names
+        (ma,) = masks
+
+        def hash_row(item):
+            va = item[a]
+            ta = type(va)
+            ha = hash_(ta, va)
+            return (ta,), [ha], (ha & ma,)
+    elif n == 2:
+        a, b = names
+        ma, mb = masks
+
+        def hash_row(item):
+            va = item[a]
+            vb = item[b]
+            ta = type(va)
+            tb = type(vb)
+            ha = hash_(ta, va)
+            hb = hash_(tb, vb)
+            return (ta, tb), [ha, hb], (ha & ma, hb & mb)
+    elif n == 3:
+        a, b, c = names
+        ma, mb, mc = masks
+
+        def hash_row(item):
+            va = item[a]
+            vb = item[b]
+            vc = item[c]
+            ta = type(va)
+            tb = type(vb)
+            tc = type(vc)
+            ha = hash_(ta, va)
+            hb = hash_(tb, vb)
+            hc = hash_(tc, vc)
+            return (ta, tb, tc), [ha, hb, hc], (ha & ma, hb & mb, hc & mc)
+    else:
+
+        def hash_row(item):
+            values = [item[name] for name in names]
+            types = tuple(map(type, values))
+            hashes = list(map(hash_, types, values))
+            return types, hashes, tuple(map(and_, hashes, masks))
+
+    return hash_row
+
+
 class KeyPlan:
     """The insert-side recipe of one configuration: bucket-key assembly.
 
     Precomputes the ``(name, width)`` pairs ``bucket_key`` re-derives from
-    properties on every insert.
+    properties on every insert, the per-position fragment masks — under the
+    default value mapping a fragment is ``hash(value) & mask`` (mask 0, so
+    fragment 0, for a position without bits) — and ``hash_row``, which
+    reads, hashes and keys a tuple in one call.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "masks", "hash_row")
 
     def __init__(self, config: IndexConfiguration) -> None:
-        self.entries = tuple(zip(config.jas.names, config.bits))
+        names = config.jas.names
+        self.entries = tuple(zip(names, config.bits))
+        self.masks = tuple(((1 << w) - 1) & _HASH_BITS for w in config.bits)
+        self.hash_row = _compile_row_hasher(names, self.masks)
 
     def key_for(self, values: Mapping[str, object], mapper) -> tuple[int, ...]:
         """Identical to ``IndexConfiguration.bucket_key(values, mapper)``."""
@@ -149,8 +222,11 @@ class ProbePlan:
         "mask",
         "attributes",
         "n_attributes",
+        "positions",
         "fixed",
+        "fixed_bits",
         "row_masks",
+        "hash_masks",
         "point_slots",
         "wildcard_bits",
         "enumeration_cap",
@@ -168,12 +244,23 @@ class ProbePlan:
         bits = config.bits
         names = config.jas.names
         probed = mask_to_indices(ap.mask)
+        #: JAS position of each entry of a probe row.
+        self.positions = probed
         self.fixed = tuple((i, names[i], bits[i]) for i in probed if bits[i] > 0)
+        #: Bits the fixed fragments pin: a state of ``n`` tuples spread evenly
+        #: leaves ``n >> fixed_bits`` in the buckets a probe has to examine.
+        self.fixed_bits = sum(w for _i, _name, w in self.fixed)
         #: Per ``fixed`` entry, where its value sits in a probe row (rows are
         #: aligned with ``attributes``) and its fragment bit mask: the
         #: default value mapping is ``hash(value) & mask``.
         self.row_masks = tuple(
             (probed.index(i), (1 << w) - 1) for i, _name, w in self.fixed
+        )
+        #: ``row_masks`` for a compare against ``uint64`` hash columns: the
+        #: masks as ``np.uint64``, so no operand is promoted (exact under
+        #: NumPy 1.x and 2.x alike).
+        self.hash_masks = tuple(
+            (i, np.uint64(fmask & _HASH_BITS)) for i, fmask in self.row_masks
         )
         self.wildcard_bits = config.wildcard_bits(ap)
         #: With no wildcard bit left the probe fixes every indexed attribute,

@@ -272,7 +272,10 @@ class RouteProbeStage:
     between equal rows, and the hop folds its match counts into the run
     statistics and the selectivity estimate once.  The engine reads the
     accountants, the assessor and the estimator only between requests, so
-    every modeled quantity is what one probe at a time would give.
+    every modeled quantity is what one probe at a time would give.  A hop
+    that could reach ``max_fanout`` runs as a few columns, each too short
+    to reach the cap before its last row, and stops inside the row that
+    does — where a row-at-a-time hop stops.
     """
 
     name = "route_probe"
@@ -362,18 +365,7 @@ class RouteProbeStage:
         else:
             rows = [tuple([p[i][a] for i, a in getters]) for p in partials]
         max_fanout = ctx.config.max_fanout
-        # Each probe matches at most stem.size tuples (both structures
-        # during a drain), so below this bound no probe sequence can trip
-        # the max_fanout early exit and the hop runs as one column.  At or
-        # above it the rows probe as columns of one, lazily: a truncated
-        # hop stops probing where the fanout cap is reached.
-        # (``probe_batch`` is looked up per call: a tracer may shadow it
-        # on the state instance.)
-        capped = len(partials) * stem.size >= max_fanout
-        if capped:
-            outcomes = (stem.probe_batch(ap, [row])[0] for row in rows)
-        else:
-            outcomes = stem.probe_batch(ap, rows)
+        size = stem.size  # both structures during a drain
         m = ctx.metrics
         if m is not None:
             kind = index_kind_label(stem.index)
@@ -387,42 +379,56 @@ class RouteProbeStage:
         ordered: dict[int, tuple[object, list]] = {}
         counts: list[int] = []
         next_partials: list[tuple[StreamTuple, ...]] = []
-        for partial, outcome in zip(partials, outcomes):
-            matches = outcome.matches
-            if matches:
-                hit = ordered.get(id(outcome))
-                if hit is None:
-                    # Timestamp ordering: the arriving tuple joins only with
-                    # strictly-older tuples (stream name breaks same-tick
-                    # ties), so each join result is produced exactly once —
-                    # by its youngest member's probe sequence.  (Unrolled
-                    # (at, stream) tuple comparison: no per-match tuple
-                    # allocation.)
-                    matches = [
-                        m2
-                        for m2 in matches
-                        if m2.arrived_at < anchor_at
-                        or (m2.arrived_at == anchor_at and m2.stream < anchor_stream)
-                    ]
-                    ordered[id(outcome)] = (outcome, matches)
-                else:
-                    matches = hit[1]
-            counts.append(len(matches))
-            if observe_content is not None:
-                observe_content(target, ap.mask, bucket, len(matches))
-            if m is not None:
-                _probe_metrics(m, target, kind, assessor, len(matches))
-            if not matches:
-                continue
+        # A probe matches at most ``size`` tuples, so below this bound the
+        # hop cannot reach the max_fanout cap: one column, uncopied.
+        n = len(rows)
+        capped = n * size >= max_fanout
+        start, stop = 0, n
+        while True:
+            chunk, probing = rows, partials
             if capped:
-                for match in matches:
-                    next_partials.append(partial + (match,))
-                    if len(next_partials) >= max_fanout:
-                        break
-                if len(next_partials) >= max_fanout:
-                    break
-            else:
-                next_partials.extend([partial + (match,) for match in matches])
+                # In a chunk of ceil(room / size) rows only the last can
+                # reach the cap: cutting the partials there is the
+                # truncation a row-at-a-time hop makes, and no row past it
+                # is probed.
+                room = max_fanout - len(next_partials)
+                stop = min(n, start + -(-room // size))
+                chunk, probing = rows[start:stop], partials[start:stop]
+            # (``probe_batch`` is looked up per call: a tracer may shadow it
+            # on the state instance.)
+            outcomes = stem.probe_batch(ap, chunk)
+            for partial, outcome in zip(probing, outcomes):
+                matches = outcome.matches
+                if matches:
+                    hit = ordered.get(id(outcome))
+                    if hit is None:
+                        # Timestamp ordering: the arriving tuple joins only
+                        # with strictly-older tuples (stream name breaks
+                        # same-tick ties), so each join result is produced
+                        # exactly once — by its youngest member's probe
+                        # sequence.  (Unrolled (at, stream) tuple comparison:
+                        # no per-match tuple allocation.)
+                        matches = [
+                            m2
+                            for m2 in matches
+                            if m2.arrived_at < anchor_at
+                            or (m2.arrived_at == anchor_at and m2.stream < anchor_stream)
+                        ]
+                        ordered[id(outcome)] = (outcome, matches)
+                    else:
+                        matches = hit[1]
+                counts.append(len(matches))
+                if observe_content is not None:
+                    observe_content(target, ap.mask, bucket, len(matches))
+                if m is not None:
+                    _probe_metrics(m, target, kind, assessor, len(matches))
+                if matches:
+                    next_partials.extend([partial + (match,) for match in matches])
+            if stop == n or len(next_partials) >= max_fanout:
+                break
+            start = stop
+        if capped:
+            del next_partials[max_fanout:]
         ctx.stats.probes += len(counts)
         ctx.stats.matches += sum(counts)
         ctx.estimator.observe_many(target, ap.mask, counts)

@@ -145,7 +145,12 @@ class StateIndex(abc.ABC):
 
     @abc.abstractmethod
     def insert(self, item: Mapping[str, object]) -> None:
-        """Add ``item`` to the index."""
+        """Add ``item`` to the index.
+
+        Storage is by identity: an object that is already stored is refused
+        with ``ValueError`` before anything is charged (a second copy would
+        be counted twice and one ``remove`` would leave a phantom).
+        """
 
     @abc.abstractmethod
     def remove(self, item: Mapping[str, object]) -> None:
@@ -266,9 +271,3 @@ class StateIndex(abc.ABC):
     def describe(self) -> str:
         """One-line human-readable description of the configuration."""
         return f"{type(self).__name__}(jas={list(self.jas.names)}, size={self.size})"
-
-    # -- helpers for implementations ------------------------------------ #
-
-    @staticmethod
-    def _matches(item: Mapping[str, object], ap: AccessPattern, values: Mapping[str, object]) -> bool:
-        return all(item[a] == values[a] for a in ap.attributes)

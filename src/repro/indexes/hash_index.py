@@ -150,6 +150,8 @@ class MultiHashIndex(StateIndex):
     # storage
 
     def insert(self, item: Mapping[str, object]) -> None:
+        if id(item) in self._items:
+            raise ValueError("item is already stored in this index")
         self._items[id(item)] = item
         acct = self.accountant
         acct.inserts += 1

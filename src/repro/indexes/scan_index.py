@@ -32,6 +32,8 @@ class ScanIndex(StateIndex):
         return len(self._items)
 
     def insert(self, item: Mapping[str, object]) -> None:
+        if id(item) in self._items:
+            raise ValueError("item is already stored in this index")
         self._items[id(item)] = item
         self.accountant.inserts += 1
         self.accountant.index_bytes += self.cost_params.bucket_slot_bytes

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.lattice import AccessPatternLattice
+
+
+@contextmanager
+def column_probe_gate(candidates: int):
+    """Hold ``BitAddressIndex``'s hash-column gate at ``candidates`` for the
+    block (1: every wildcard probe of a non-empty index asks the columns).
+    A context manager, not ``monkeypatch``: hypothesis bodies cannot take
+    function-scoped fixtures."""
+    default = bit_index.COLUMN_PROBE_MIN_CANDIDATES
+    bit_index.COLUMN_PROBE_MIN_CANDIDATES = candidates
+    try:
+        yield
+    finally:
+        bit_index.COLUMN_PROBE_MIN_CANDIDATES = default
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 """Tests for the AMRI bit-address index, including an oracle equivalence
-property (every search returns exactly what a full scan returns) and an
-order property (match lists come in the order the golden corpus pins)."""
+property (every search returns exactly what a full scan returns), an
+order property (match lists come in the order the golden corpus pins) and
+a columns property (a probe the value-hash columns answer equals the
+bucket walk in matches, order and every charged count)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,8 @@ from repro.core.index_config import IndexConfiguration
 from repro.indexes.base import Accountant
 from repro.indexes.scan_index import ScanIndex
 from repro.indexes.static_bitmap import StaticBitmapIndex
-from repro.utils.bitops import fragment, mask_to_indices
+from repro.utils.bitops import fragment, mask_to_indices, stable_value_hash
+from tests.conftest import column_probe_gate
 
 
 def make_items(n, *, mod=(7, 3, 5)):
@@ -330,6 +334,8 @@ def test_match_order_equals_the_reference_probe(cls, history):
         elif live:
             idx.remove(live.pop(op % len(live)))
     assert_every_pattern_in_reference_order(idx, probes + live[:3])
+    with column_probe_gate(1):  # every wildcard probe asks the columns first
+        assert_every_pattern_in_reference_order(idx, probes + live[:3])
 
 
 class TestMatchOrderExamples:
@@ -389,6 +395,232 @@ class TestMatchOrderExamples:
             id(item) for key in by_a for item in idx._buckets[key].values()
         ]
         assert_every_pattern_in_reference_order(idx, kept[:2])
+
+
+# --------------------------------------------------------------------- #
+# hash columns — what they answer is what the walk answers
+
+NAN = float("nan")
+INTS = st.integers(0, 3)
+FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, NAN])
+STRINGS = st.sampled_from(["0", "1", "a"])
+#: ``1 == 1.0 == True`` and ``0 == 0.0 == -0.0 == False``: equal across
+#: types, hashed three ways.
+ANY_VALUE = st.one_of(INTS, FLOATS, STRINGS, st.booleans(), st.none())
+
+
+def walk_only_twin(config, **kwargs):
+    """An index that never keeps columns: the bucket walk alone."""
+    twin = BitAddressIndex(config, **kwargs)
+    twin._hashes = None
+    return twin
+
+
+def assert_columns_equal_the_walk(idx, twin, probes):
+    """Every pattern, ``probes`` as one column: same matches in the same
+    order, same charged counts, and in the end the same accountant."""
+    jas = idx.jas
+    for mask in range(jas.full_mask + 1):
+        ap = AccessPattern.from_mask(jas, mask)
+        rows = [tuple(values[a] for a in ap.attributes) for values in probes]
+        for row, got, want in zip(rows, idx.search_batch(ap, rows), twin.search_batch(ap, rows)):
+            assert [id(m) for m in got.matches] == [id(m) for m in want.matches], (ap, row)
+            assert (got.buckets_visited, got.tuples_examined, got.used_full_scan) == (
+                want.buckets_visited,
+                want.tuples_examined,
+                want.used_full_scan,
+            ), (ap, row)
+            assert type(got.tuples_examined) is int
+    assert idx.accountant == twin.accountant
+
+
+def assert_slots_are_consistent(idx, live):
+    """Every stored item owns one slot, marked live and holding its value
+    hashes; every other slot handed out so far is on the free list."""
+    slots = [idx._entries[id(item)][0] for item in live]
+    top = len(slots) + len(idx._free)
+    assert sorted(slots + idx._free) == list(range(top))
+    assert idx._live[:top].tolist() == [slot in set(slots) for slot in range(top)]
+    names = idx.jas.names
+    assert idx._hashes[slots].tolist() == [
+        [stable_value_hash(item[a]) for a in names] for item in live
+    ]
+    assert idx._hashes.dtype == np.uint64
+
+
+@st.composite
+def column_histories(draw):
+    """A key map over 1-4 attributes (zero-bit positions included), per
+    attribute a column of one value type or a mixed one, and an
+    interleaving of inserts, removes and reconfigurations."""
+    n = draw(st.integers(1, 4))
+    names = "ABCD"[:n]
+    bits = st.tuples(*[st.integers(0, 3)] * n)
+    row = st.fixed_dictionaries(
+        {a: draw(st.sampled_from([INTS, FLOATS, STRINGS, ANY_VALUE])) for a in names}
+    )
+    ops = draw(st.lists(st.one_of(row, row, st.integers(0, 50), bits), max_size=60))
+    probes = st.lists(st.fixed_dictionaries({a: ANY_VALUE for a in names}), min_size=1, max_size=4)
+    return JoinAttributeSet(list(names)), draw(bits), ops, draw(probes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(history=column_histories())
+def test_column_answers_equal_the_walk(history):
+    jas, bits, ops, probes = history
+    idx = BitAddressIndex(IndexConfiguration(jas, list(bits)))
+    twin = walk_only_twin(IndexConfiguration(jas, list(bits)))
+    live = []
+    for op in ops:
+        if isinstance(op, dict):
+            item = dict(op)
+            idx.insert(item)
+            twin.insert(item)
+            live.append(item)
+        elif isinstance(op, tuple):
+            for index in (idx, twin):
+                index.reconfigure(IndexConfiguration(jas, list(op)))
+        elif live:
+            item = live.pop(op % len(live))  # its slot is the next one handed out
+            idx.remove(item)
+            twin.remove(item)
+    assert_slots_are_consistent(idx, live)
+    with column_probe_gate(1):
+        assert_columns_equal_the_walk(idx, twin, probes + live[:3])
+
+
+class TestHashColumns:
+    """The corners of the column probe, one at a time, against the walk."""
+
+    @staticmethod
+    def twins(jas, bits, items, **kwargs):
+        idx = BitAddressIndex(IndexConfiguration(jas, list(bits)), **kwargs)
+        twin = walk_only_twin(IndexConfiguration(jas, list(bits)), **kwargs)
+        for item in items:
+            idx.insert(item)
+            twin.insert(item)
+        return idx, twin
+
+    def test_a_wide_probe_that_matches_nothing_never_walks(self, jas3, ap3):
+        items = [{"A": i, "B": i % 7, "C": i % 5} for i in range(200)]
+        idx, twin = self.twins(jas3, (1, 2, 2), items)
+        # 200 >> 1 = 100 expected candidates: over the default gate.
+        out = idx.search(ap3("A"), {"A": 1000})
+        want = twin.search(ap3("A"), {"A": 1000})
+        assert out.matches == [] and out.tuples_examined == want.tuples_examined > 64
+        assert (idx.column_answered, idx.column_walked) == (1, 0)
+        assert idx.accountant == twin.accountant
+        # A possible match goes on to the walk, which returns it.
+        assert idx.search(ap3("A"), {"A": 7}).matches == [items[7]]
+        assert (idx.column_answered, idx.column_walked) == (1, 1)
+        # A point probe and a narrow wildcard probe never ask.
+        idx.search(ap3("A", "B", "C"), {"A": 1000, "B": 0, "C": 0})
+        idx.search(ap3("A", "B"), {"A": 1000, "B": 0})  # 200 >> 3 = 25
+        assert (idx.column_answered, idx.column_walked) == (1, 1)
+        assert "column_answered=1, column_walked=1" in idx.describe()
+
+    def test_equal_values_of_another_type_collide_and_match(self, jas3, ap3):
+        # 1 == 1.0 == True hash three ways, yet in a narrow fragment they
+        # can collide — then the walk finds the bucket and the filter's
+        # ``==`` matches.  A column vouches for one exact type only.
+        width, value = next(
+            (w, v)
+            for w in (1, 2, 3)
+            for v in range(64)
+            if fragment(v, w) == fragment(float(v), w)
+            and stable_value_hash(v) != stable_value_hash(float(v))
+        )
+        items = [{"A": float(value), "B": i, "C": i} for i in range(8)]
+        idx, twin = self.twins(jas3, (width, 2, 2), items)
+        int_probe = [{"A": value, "B": 0, "C": 0}]
+        with column_probe_gate(1):
+            # An int probes a float column: the columns pass it on.
+            assert len(idx.search(ap3("A"), int_probe[0]).matches) == 8
+            assert (idx.column_answered, idx.column_walked) == (0, 1)
+            twin.search(ap3("A"), int_probe[0])
+            assert_columns_equal_the_walk(idx, twin, int_probe)
+            # Without bits there is not even a fragment to collide in.
+            for index in (idx, twin):
+                index.reconfigure(IndexConfiguration(jas3, [0, 2, 2]))
+            assert len(idx.search(ap3("A"), int_probe[0]).matches) == 8
+            twin.search(ap3("A"), int_probe[0])
+            # A column that has held two types vouches for neither.
+            for index in (idx, twin):
+                index.insert(int_probe[0])
+            assert_columns_equal_the_walk(
+                idx, twin, [{"A": v, "B": 0, "C": 0} for v in (value, float(value), True, 99)]
+            )
+
+    def test_a_fragment_wider_than_the_hash(self, jas3, ap3):
+        # 70 bits for one attribute: the fragment is the whole 64-bit hash.
+        items = [{"A": i, "B": i % 3, "C": i % 5} for i in range(40)]
+        idx, twin = self.twins(jas3, (70, 1, 0), items)
+        with column_probe_gate(1):
+            assert_columns_equal_the_walk(idx, twin, items[:3] + [{"A": 99, "B": 0, "C": 0}])
+            for index in (idx, twin):
+                index.reconfigure(IndexConfiguration(jas3, [0, 66, 2]))
+            assert_columns_equal_the_walk(idx, twin, items[:3] + [{"A": 99, "B": 0, "C": 0}])
+        assert idx.column_answered > 0
+
+    def test_custom_value_mapper_keeps_no_columns(self, jas3, ap3):
+        def mapper(attribute, value, n_bits):
+            return (value * 7) % (1 << n_bits)
+
+        items = [{"A": i, "B": i % 3, "C": i % 5} for i in range(40)]
+        idx, twin = self.twins(jas3, (2, 1, 1), items, value_mapper=mapper)
+        assert idx._hashes is None
+        with column_probe_gate(1):
+            assert_columns_equal_the_walk(idx, twin, items[:3] + [{"A": 99, "B": 0, "C": 0}])
+            idx.reconfigure(IndexConfiguration(jas3, [1, 2, 0]))
+            twin.reconfigure(IndexConfiguration(jas3, [1, 2, 0]))
+            assert_columns_equal_the_walk(idx, twin, items[:3])
+        assert (idx.column_answered, idx.column_walked) == (0, 0)
+
+    @pytest.mark.parametrize("odd", [{"C": [1, 2]}, {"C": (1, 2)}, {}], ids=["list", "tuple", "absent"])
+    def test_a_value_the_hash_rejects_in_a_zero_bit_attribute(self, jas3, ap3, odd):
+        # C carries no bits, so its value was never hashed: the insert
+        # succeeds as it always has, and the index gives up its columns.
+        items = [{"A": i % 4, "B": i % 3, "C": i} for i in range(20)]
+        idx, twin = self.twins(jas3, (2, 2, 0), items)
+        before = idx.accountant.snapshot()
+        item = {"A": 1, "B": 1, **odd}
+        idx.insert(item)
+        assert idx._hashes is None and idx.size == 21
+        assert idx.accountant.hashes == before.hashes + 2
+        twin.insert(item)
+        with column_probe_gate(1):
+            got = idx.search(ap3("A", "B"), {"A": 1, "B": 1}).matches
+            assert any(m is item for m in got)
+            for ap in (ap3("A"), ap3("B"), ap3("A", "B")):
+                assert [id(m) for m in idx.search(ap, item).matches] == [
+                    id(m) for m in twin.search(ap, item).matches
+                ]
+        idx.remove(item)
+        idx.remove(items[0])
+        assert idx.size == 19
+        # Where the attribute carries bits the value is fatal, as before.
+        with pytest.raises((TypeError, KeyError)):
+            make_bit_index(jas3, [2, 2, 1]).insert(item)
+
+    def test_columns_grow_past_their_initial_capacity(self, jas3, ap3):
+        items = [{"A": i, "B": i % 11, "C": i % 13} for i in range(700)]
+        idx, twin = self.twins(jas3, (2, 2, 2), items)
+        assert len(idx._hashes) >= 700 > 256
+        for item in items[::3]:  # holes everywhere
+            idx.remove(item)
+            twin.remove(item)
+        live = [item for i, item in enumerate(items) if i % 3]
+        assert_slots_are_consistent(idx, live)
+        assert len(idx._free) == 234
+        refill = [{"A": 9000 + i, "B": i % 11, "C": i % 13} for i in range(300)]
+        for item in refill:  # the holes first, then past the old top, then growth again
+            idx.insert(item)
+            twin.insert(item)
+        live += refill
+        assert_slots_are_consistent(idx, live)
+        assert idx._free == [] and len(idx._hashes) == len(idx._live) >= 766
+        assert_columns_equal_the_walk(idx, twin, live[:4] + [{"A": 5000, "B": 1, "C": 1}])
+        assert idx.column_answered > 0 and idx.column_walked > 0
 
 
 class TestMalformedInput:

@@ -19,6 +19,7 @@ from repro.engine.kernel import (
     FifoScheduler,
     RouteProbeStage,
     Scheduler,
+    default_stages,
     resolve_scheduler,
 )
 from repro.engine.query import JoinPredicate, Query
@@ -220,18 +221,56 @@ class TestBareKernel:
         assert checker.ticks_checked == 4
 
 
+class RowAtATimeStage(RouteProbeStage):
+    """The capped hop as the engine ran it before it probed in chunks — the
+    reference: one probe per partial, stopping inside the matches of the
+    row that reaches ``max_fanout``."""
+
+    def _probe_hop(self, ctx, item, target, joined, partials, observe_content):
+        ap, sources = ctx.query.probe_row_spec(joined, target)
+        stem = ctx.stems[target]
+        max_fanout = ctx.config.max_fanout
+        counts, next_partials = [], []
+        for partial in partials:
+            row = tuple(partial[joined.index(stream)][attr] for stream, attr in sources)
+            matches = [
+                m
+                for m in stem.probe_batch(ap, [row])[0].matches
+                if (m.arrived_at, m.stream) < (item.arrived_at, item.stream)
+            ]
+            counts.append(len(matches))
+            for match in matches:
+                next_partials.append(partial + (match,))
+                if len(next_partials) >= max_fanout:
+                    break
+            if len(next_partials) >= max_fanout:
+                break
+        ctx.stats.probes += len(counts)
+        ctx.stats.matches += sum(counts)
+        ctx.estimator.observe_many(target, ap.mask, counts)
+        return next_partials
+
+
 class TestProbeColumn:
-    """A route hop runs as one probe column unless the fanout cap could bite."""
+    """A route hop runs as one probe column unless the fanout cap could
+    bite; then it runs in chunks only whose last row can reach the cap."""
 
     @staticmethod
-    def run_clique(max_fanout):
-        """Three streams joined on ``k``: 3 B and 4 C tuples at tick 0, one A
-        tuple at tick 1 routed A -> B -> C.  Returns the run's observables
-        and the probe calls its second hop made on C's state."""
+    def run_clique(max_fanout, *, n_b=3, c_keys=(1, 1, 1, 1), reference=False):
+        """Three streams joined on ``k``: ``n_b`` B tuples (``k=1``) and one
+        C tuple per entry of ``c_keys`` at tick 0, one A tuple (``k=1``) at
+        tick 1 routed A -> B -> C.  Returns the run's observables and the
+        probe calls its second hop made on C's state."""
         streams = [StreamSchema(s, ("k", f"p{s.lower()}")) for s in "ABC"]
         preds = [JoinPredicate(a, "k", b, "k") for a, b in ("AB", "BC", "AC")]
         query, stems, router, meter = make_parts(Query(streams, preds, window=5))
         sink = []
+        stages = None
+        if reference:
+            stages = [
+                RowAtATimeStage() if isinstance(stage, RouteProbeStage) else stage
+                for stage in default_stages()
+            ]
         ex = AMRExecutor(
             query,
             stems,
@@ -240,6 +279,7 @@ class TestProbeColumn:
             arrival_rates={s: 1.0 for s in query.stream_names},
             config=ExecutorConfig(max_fanout=max_fanout),
             output_sink=sink.extend,
+            stages=stages,
         )
         calls = []
         for name in ("probe", "probe_batch"):
@@ -250,21 +290,22 @@ class TestProbeColumn:
 
             setattr(stems["C"], name, spy)
         plan = {
-            0: [("B", {"k": 1, "pb": i}) for i in range(3)]
-            + [("C", {"k": 1, "pc": i}) for i in range(4)],
+            0: [("B", {"k": 1, "pb": i}) for i in range(n_b)]
+            + [("C", {"k": k, "pc": i}) for i, k in enumerate(c_keys)],
             1: [("A", {"k": 1, "pa": 0})],
         }
         stats = ex.run(2, arrivals_from(plan))
         pairs = [(j.sources[1]["pb"], j.sources[2]["pc"]) for j in sink]
         return ex, stats, pairs, calls
 
-    def test_hop_that_could_reach_max_fanout_probes_one_partial_at_a_time(self):
-        # Second hop: 3 partials x 4 stored tuples >= max_fanout 5, so the
-        # partials probe as columns of one and the hop stops inside the
-        # second probe's matches — the numbers below are the pre-column
+    def test_capped_hop_stops_in_the_row_that_reaches_the_cap(self):
+        # Second hop: 3 partials x 4 stored tuples >= max_fanout 5.  A chunk
+        # of ceil(5 / 4) = 2 rows cannot reach the cap before its last row;
+        # the hop stops inside the second probe's matches and the third
+        # partial never probes — the numbers below are the pre-column
         # engine's.
         ex, stats, pairs, calls = self.run_clique(max_fanout=5)
-        assert calls == [("probe_batch", 1), ("probe_batch", 1)]
+        assert calls == [("probe_batch", 2)]
         assert pairs == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
         assert (stats.outputs, stats.probes, stats.matches) == (5, 10, 11)
         assert ex.meter.total_spent == 41.849999999999994
@@ -274,6 +315,45 @@ class TestProbeColumn:
         for _ in range(2):
             expected = expected + 0.05 * (4 - expected)
         assert ex.estimator.expected_matches("C", 1) == expected
+
+    # C holds 7 tuples of which each of the 5 partials matches 4.
+    CHUNKED = dict(n_b=5, c_keys=(1, 1, 1, 1, 2, 2, 2))
+
+    @pytest.mark.parametrize(
+        "max_fanout,chunks",
+        [
+            pytest.param(*case, id=f"cap{case[0]}")
+            for case in [
+                (5, [1, 1]),  # ceil(5/7), then ceil((5-4)/7): stops in the second row
+                (8, [2]),  # the chunk's last row lands exactly on the cap
+                (16, [3, 1]),  # 12 partials after three rows, the fourth reaches 16
+                (17, [3, 1, 1]),
+                (20, [3, 2]),  # the last row reaches the cap; nothing is cut
+                (21, [3, 2]),  # every row probed, the cap never reached
+            ]
+        ],
+    )
+    def test_capped_hop_in_chunks_equals_row_at_a_time(self, max_fanout, chunks):
+        ex, stats, pairs, calls = self.run_clique(max_fanout, **self.CHUNKED)
+        ref, ref_stats, ref_pairs, ref_calls = self.run_clique(
+            max_fanout, reference=True, **self.CHUNKED
+        )
+        assert calls == [("probe_batch", n) for n in chunks]
+        # The reference probed the same rows, one call each.
+        assert ref_calls == [("probe_batch", 1)] * sum(chunks)
+        assert pairs == ref_pairs and len(pairs) == min(max_fanout, 20)
+        assert (stats.outputs, stats.probes, stats.matches) == (
+            ref_stats.outputs,
+            ref_stats.probes,
+            ref_stats.matches,
+        )
+        assert ex.meter.total_spent == ref.meter.total_spent
+        for stream in "BC":
+            assessor, ref_assessor = (e.stems[stream].tuner.assessor for e in (ex, ref))
+            assert assessor.n_requests == ref_assessor.n_requests
+            assert assessor.frequencies() == ref_assessor.frequencies()
+            assert ex.stems[stream].index.accountant == ref.stems[stream].index.accountant
+        assert ex.estimator.expected_matches("C", 1) == ref.estimator.expected_matches("C", 1)
 
     def test_uncapped_hop_is_one_column(self):
         ex, stats, pairs, calls = self.run_clique(max_fanout=50_000)

@@ -134,11 +134,6 @@ class TestStateIndexHelpers:
         a, b = d.search_batch(self.ap("A"), [([1],), ([1],)])
         assert d.probed == [([1],), ([1],)] and a is not b
 
-    def test_matches_helper(self):
-        ap = self.ap("A")
-        assert StateIndex._matches({"A": 1, "B": 9}, ap, {"A": 1})
-        assert not StateIndex._matches({"A": 2, "B": 9}, ap, {"A": 1})
-
     def test_default_accountant_and_params(self):
         d = Dummy(JoinAttributeSet(["A"]))
         assert isinstance(d.accountant, Accountant)

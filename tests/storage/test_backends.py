@@ -141,6 +141,21 @@ class TestBuild:
             index.remove(item)
             assert index.size == 0, name
 
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_duplicate_insert_is_refused_uncharged(self, name, jas3):
+        # Storage is by identity: a second insert of one object would count
+        # it twice and a single remove would leave a phantom behind.
+        index = BACKENDS.build(name, IndexBuildSpec(jas=jas3, bit_budget=6))
+        item = {"A": 1, "B": 2, "C": 3}
+        index.insert(item)
+        before = index.accountant.snapshot()
+        with pytest.raises(ValueError, match="item is already stored in this index"):
+            index.insert(item)
+        assert index.accountant == before and index.size == 1
+        index.remove(item)
+        assert index.size == 0 and index.memory_bytes == 0
+        assert not index.contains(item)
+
     def test_inverted_builds(self, jas3):
         assert isinstance(
             BACKENDS.build("inverted", IndexBuildSpec(jas=jas3)), InvertedListIndex

@@ -8,7 +8,11 @@ column to it on a twin store — each row's match list in order and work
 figures, every accountant counter and the assessor's statistics (RNG
 position included) — over all five registered backends, and mid-drain
 under a migration budget for the backends that can reconfigure, with
-duplicate probe rows (whose outcomes may be one shared object).
+duplicate probe rows (whose outcomes may be one shared object).  The
+column runs twice: at the bit-address index's default hash-column gate
+(these states sit far under it, so it walks, as the loop does) and with
+the gate forced to 1, where every wildcard probe asks the columns first
+and must still read as the loop's walk does.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment import CDIA
 from repro.core.index_config import IndexConfiguration
 from repro.core.tuner import NullTuner
 from repro.engine.tuples import StreamTuple
 from repro.storage import BACKENDS, IndexBuildSpec, StateStore
+from tests.conftest import column_probe_gate
 
 JAS = JoinAttributeSet(["A", "B", "C"])
 
@@ -104,14 +110,16 @@ def test_probe_batch_equals_the_probe_loop(backend, drain, stored, mask, rows, r
     ap = AccessPattern.from_mask(JAS, mask)
     rows = rows + [rows[i % len(rows)] for i in repeats if rows]  # forced duplicates
     column = [tuple(row[JAS.names.index(name)] for name in ap.attributes) for row in rows]
-    looped = build_store(backend, drain, stored)
-    batched = build_store(backend, drain, stored)
-    if drain and len(stored) > 3:
-        assert batched.lifecycle.draining is not None
-    by_loop = [looped.probe(ap, dict(zip(ap.attributes, row))) for row in column]
-    by_batch = batched.probe_batch(ap, column)
-    assert observables(batched, by_batch) == observables(looped, by_loop)
-    # Outcomes alias only between equal rows.
-    for i, a in enumerate(by_batch):
-        for j in range(i):
-            assert a is not by_batch[j] or column[i] == column[j]
+    for gate in (bit_index.COLUMN_PROBE_MIN_CANDIDATES, 1):
+        looped = build_store(backend, drain, stored)
+        batched = build_store(backend, drain, stored)
+        if drain and len(stored) > 3:
+            assert batched.lifecycle.draining is not None
+        by_loop = [looped.probe(ap, dict(zip(ap.attributes, row))) for row in column]
+        with column_probe_gate(gate):
+            by_batch = batched.probe_batch(ap, column)
+        assert observables(batched, by_batch) == observables(looped, by_loop)
+        # Outcomes alias only between equal rows.
+        for i, a in enumerate(by_batch):
+            for j in range(i):
+                assert a is not by_batch[j] or column[i] == column[j]

@@ -14,6 +14,7 @@ from repro.engine.window import CountWindow
 from repro.indexes.base import CostParams, SearchOutcome
 from repro.indexes.scan_index import ScanIndex
 from repro.storage import StateStore, merge_outcomes
+from tests.conftest import column_probe_gate
 
 
 def tup(t, a=1, b=2, c=3):
@@ -241,6 +242,77 @@ class TestDegradeToScan:
         assert not store.migration_active
         assert store.size == 6
         assert len(store.probe(ap3("A"), {"A": 1}).matches) == 2
+
+
+class TestHashColumnsInTheStore:
+    """The bit-address index's value-hash columns through the store's
+    structure changes: one script, run with every wildcard probe asking
+    the columns (gate 1) and with none asking (these states sit far under
+    the default gate), must read the same."""
+
+    @staticmethod
+    def run(jas3, gate, *, degrade_at=None):
+        store = StateStore(
+            "S", jas3, make_bit_index(jas3, [2, 1, 0]), window=20, migration_budget=4
+        )
+        log = []
+        probed = {}  # id -> every structure that served a probe
+
+        def tick(now):
+            store.expire(now)
+            store.insert(tup(now, a=now % 5, b=now % 3, c=now % 2), now)
+            store.migration_step()
+            if now == degrade_at:
+                store.degrade_to_scan()
+            for mask in range(1, 8):
+                ap = AccessPattern.from_mask(jas3, mask)
+                rows = [
+                    tuple({"A": a, "B": a % 3, "C": a % 2}[name] for name in ap.attributes)
+                    for a in (0, 1, 4, 9)
+                ]
+                with column_probe_gate(gate):
+                    outcomes = store.probe_batch(ap, rows)
+                log.append(
+                    [
+                        (
+                            [m.arrived_at for m in o.matches],
+                            o.buckets_visited,
+                            o.tuples_examined,
+                            o.used_full_scan,
+                        )
+                        for o in outcomes
+                    ]
+                )
+            for index in (store.index, store.lifecycle.draining):
+                probed[id(index)] = index
+
+        for now in range(24):
+            tick(now)
+        store.lifecycle.begin(IndexConfiguration(jas3, [1, 2, 2]))
+        drain_ticks = 0
+        for now in range(24, 40):
+            drain_ticks += store.migration_active
+            tick(now)
+        assert drain_ticks > 2 and not store.migration_active
+        answered = sum(getattr(index, "column_answered", 0) for index in probed.values())
+        return log, store.index.accountant, answered
+
+    def test_budgeted_migration_with_columns_active(self, jas3):
+        # Old and new structure each keep their own columns; the drain
+        # moves a tuple through remove and insert, expiry through either.
+        log, acct, answered = self.run(jas3, 1)
+        walk_log, walk_acct, never = self.run(jas3, 1 << 62)
+        assert answered > 0 and never == 0
+        assert log == walk_log and acct == walk_acct
+
+    def test_degrade_to_scan_with_columns_active(self, jas3):
+        # Mid-drain: both structures and their columns go; the fallback
+        # scans.
+        log, acct, answered = self.run(jas3, 1, degrade_at=27)
+        walk_log, walk_acct, never = self.run(jas3, 1 << 62, degrade_at=27)
+        assert answered > 0 and never == 0
+        assert log == walk_log and acct == walk_acct
+        assert all(full_scan for row in log[-7:] for *_rest, full_scan in row)
 
 
 class TestMergeOutcomes:
