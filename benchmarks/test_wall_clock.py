@@ -54,10 +54,6 @@ class TestMicroPaths:
     def test_latency_p95(self, benchmark):
         assert run_once(benchmark, bench_wall.bench_latency_p95) == 50_000
 
-    def test_fleet_router(self, benchmark):
-        fixture = bench_wall.fleet_router_fixture()
-        assert benchmark(bench_wall.bench_fleet_router, fixture) == bench_wall.N_PROBES
-
     def test_selector_exhaustive(self, benchmark):
         fixture = bench_wall.selector_fixture()
         rounds = len(fixture) * bench_wall.SELECTOR_ROUNDS
@@ -124,24 +120,6 @@ class TestSpeedupProperties:
         distinct = [len(set(chunk)) for chunk in chunks]
         assert sum(distinct) / len(distinct) < size / 2
 
-    def test_fleet_routing_splits_across_replicas(self):
-        """The fleet win comes from complementarity: the benchmark's probe
-        mix is not won wholesale by one replica — different patterns argmin
-        to different divergent configurations."""
-        indexes, stats, patterns = bench_wall.fleet_router_fixture()
-        winners = set()
-        for ap in patterns:
-            costs = [bench_wall.score_index(idx, ap, stats) for idx in indexes]
-            winners.add(min(range(len(costs)), key=lambda j: (costs[j], j)))
-        assert len(winners) > 1
-
-    def test_fleet_costs_match_the_committed_selector_output(self):
-        """``fleet_cost_units`` is reproducible selector arithmetic, not a
-        machine artefact: recomputing it gives the committed numbers."""
-        costs = bench_wall.fleet_modeled_costs()
-        assert costs["divergent"] > 0
-        assert costs["single"] > costs["divergent"]
-
     def test_footprint_measurement_covers_the_slotted_classes(self):
         footprint = bench_wall.measure_footprint()
         assert set(footprint) == {
@@ -186,11 +164,3 @@ class TestCommittedEvidence:
         batch_speedup = self.doc()["batch_speedup"]
         assert batch_speedup["after"] >= 1.5
         assert batch_speedup["before"] >= 1.5
-
-    def test_fleet_speedup_recorded(self):
-        """The divergent fleet's acceptance evidence: the complementary
-        K=3 configuration set beats 3 copies of the single best one by
-        >=1.2x in modeled cost units, for both committed labels."""
-        fleet_speedup = self.doc()["fleet_speedup"]
-        assert fleet_speedup["after"] >= 1.2
-        assert fleet_speedup["before"] >= 1.2

@@ -18,13 +18,10 @@ BANNER = f"""repro {__version__} — AMRI: Index Tuning for Adaptive Multi-Route
 subcommands (python -m repro <cmd> --help for flags):
   profile   per-component cost-unit profile of one run (--metrics/--trace export)
   run       scheme comparison with CSV/metrics export
-            (also: --scheduler fifo|backlog, --partitions K for partitioned
-            kernels, --slo SPEC for latency/SLO tracking, --list-backends
-            for the registry)
+            (also: --scheduler fifo|backlog, --slo SPEC for latency/SLO
+            tracking, --list-backends for the registry)
   figures   regenerate the paper's figures/tables <fig6|fig6-hash|fig7|table2|all>
   slo       tail-latency + SLO burn-rate report across scenarios (--json export)
-  fleet     divergent replica fleet report: per-replica index configs, routing
-            shares, degrade-to-broadcast drills (--faults + --fault-replica)
 
 examples:    examples/quickstart.py | package_tracking.py | stock_monitoring.py |
              sensor_network.py | assessment_comparison.py | diagnostics_tour.py
@@ -39,7 +36,6 @@ COMMANDS = {
     "run": "repro.experiments.run",
     "figures": "repro.experiments.figures",
     "slo": "repro.experiments.slo_report",
-    "fleet": "repro.experiments.fleet_cli",
 }
 
 

@@ -55,7 +55,6 @@ from repro.core.probe_plan import (
 )
 from repro.core.selector import (
     CandidatePool,
-    FleetSelector,
     IndexSelector,
     candidate_pool,
     fleet_cost,
@@ -82,7 +81,6 @@ __all__ = [
     "CandidatePool",
     "CostBreakdown",
     "EquiDepthValueMapper",
-    "FleetSelector",
     "HashValueMapper",
     "DIA",
     "FrequencyAssessor",

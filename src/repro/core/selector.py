@@ -16,11 +16,10 @@ the paper applies to the multi-hash baseline — index the ``k`` most frequent
 access patterns; :func:`candidate_pool` / :class:`CandidatePool`, the
 enumeration held as columns so Equation 1 is evaluated for every candidate
 in one vector pass (the exhaustive and the fleet search both draw from it);
-and the fleet extension :func:`select_fleet` / :class:`FleetSelector`
-picking a *set* of K complementary configurations for a divergent replica
-fleet, where each access pattern is served by whichever replica's
-configuration is cheapest for it (the divergent-design idea of RITA,
-applied to stream states).
+and the fleet extension :func:`select_fleet` picking a *set* of K
+complementary configurations for a divergent replica fleet, where each
+access pattern is served by whichever replica's configuration is cheapest
+for it (the divergent-design idea of RITA, applied to stream states).
 """
 
 from __future__ import annotations
@@ -473,45 +472,3 @@ def select_fleet(
         chosen_search = [cheapest[best] for cheapest in served]
         remaining -= int(pool.total_bits[best])
     return tuple(chosen)
-
-
-class FleetSelector:
-    """Reusable fleet selector bound to a JAS, budgets, and fleet size.
-
-    The fleet-level analogue of :class:`IndexSelector`: construct once per
-    state, call :meth:`select` whenever fresh statistics arrive (initial
-    training, or the fleet engine's periodic retune over the replicas'
-    merged assessor frequencies) to get the K-configuration assignment —
-    replica ``i`` holds the ``i``-th entry.
-    """
-
-    def __init__(
-        self,
-        jas: JoinAttributeSet,
-        budget: int,
-        k: int,
-        params: CostParams | None = None,
-        *,
-        fleet_bit_budget: int | None = None,
-        max_bits_per_attribute: int = DEFAULT_MAX_BITS_PER_ATTRIBUTE,
-    ) -> None:
-        check_positive("k", k)
-        check_non_negative("budget", budget)
-        self.jas = jas
-        self.budget = budget
-        self.k = k
-        self.params = params if params is not None else CostParams()
-        self.fleet_bit_budget = fleet_bit_budget
-        self.max_bits_per_attribute = max_bits_per_attribute
-
-    def select(self, stats: WorkloadStatistics) -> tuple[IndexConfiguration, ...]:
-        """The best K-configuration set for the given statistics."""
-        return select_fleet(
-            stats,
-            self.jas,
-            self.budget,
-            self.k,
-            self.params,
-            fleet_bit_budget=self.fleet_bit_budget,
-            max_bits_per_attribute=self.max_bits_per_attribute,
-        )

@@ -31,7 +31,6 @@ from repro.engine.slo import (
     LatencyTracker,
     SloMonitor,
     SloSpec,
-    merge_latency_snapshots,
 )
 from repro.engine.parser import QueryParseError, parse_query
 from repro.engine.query import JoinPredicate, Query
@@ -82,7 +81,6 @@ __all__ = [
     "LatencyTracker",
     "SloMonitor",
     "SloSpec",
-    "merge_latency_snapshots",
     "ContentBasedRouter",
     "FixedRouter",
     "GreedyAdaptiveRouter",

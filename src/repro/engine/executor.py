@@ -26,8 +26,9 @@ shed/degrade → audit``) and delegates the loop to
 byte-identical to the monolith — every float add, RNG draw, event, metric
 series, and span id is preserved, which
 ``tests/integration/test_golden_equivalence.py`` holds against goldens
-generated *before* the refactor.  New knobs the kernel adds (pluggable
-``scheduler``, custom ``stages``) default to the historical behaviour.
+generated *before* the refactor.  The kernel's two knobs, a pluggable
+``scheduler`` and custom ``stages``, default to the FIFO drain and
+:func:`~repro.engine.kernel.default_stages`.
 
 All index work is charged through the per-state accountants, so different
 index schemes consume the same capacity at different rates — slower schemes

@@ -1,4 +1,4 @@
-"""The staged engine kernel: explicit context, stages, schedulers, partitions.
+"""The staged engine kernel: explicit context, stages, schedulers.
 
 The monolithic :class:`~repro.engine.executor.AMRExecutor` tick loop is
 decomposed into a composition of explicit parts:
@@ -16,9 +16,7 @@ decomposed into a composition of explicit parts:
   drain-in-arrival-order policy bit-for-bit; :class:`BacklogAwareScheduler`
   serves the deepest per-stream backlog first);
 - :class:`EngineKernel` — the loop that advances the virtual clock and
-  runs the stages in canonical order;
-- :class:`PartitionedEngine` — K independent kernels over hash-partitioned
-  streams with deterministic stats/metrics merging.
+  runs the stages in canonical order.
 
 :class:`~repro.engine.executor.AMRExecutor` remains the public facade: it
 assembles the default pipeline and is byte-identical to the pre-kernel
@@ -28,12 +26,6 @@ monolith (held to committed goldens by
 
 from repro.engine.kernel.context import EngineContext
 from repro.engine.kernel.kernel import EngineKernel, default_stages
-from repro.engine.kernel.partition import (
-    PartitionedEngine,
-    default_partitioner,
-    merge_event_timelines,
-    merge_run_stats,
-)
 from repro.engine.kernel.scheduler import (
     SCHEDULERS,
     BacklogAwareScheduler,
@@ -66,7 +58,6 @@ __all__ = [
     "FaultStage",
     "FifoScheduler",
     "MigrationStage",
-    "PartitionedEngine",
     "RouteProbeStage",
     "SCHEDULERS",
     "Scheduler",
@@ -75,10 +66,7 @@ __all__ = [
     "Stage",
     "TickState",
     "TuningStage",
-    "default_partitioner",
     "default_stages",
-    "merge_event_timelines",
-    "merge_run_stats",
     "per_stream_depths",
     "resolve_scheduler",
 ]

@@ -87,13 +87,10 @@ class EngineKernel:
     def step(self, t: int, duration: int, incoming) -> TickState:
         """Advance the engine one tick and return its :class:`TickState`.
 
-        Exactly one iteration of :meth:`run`'s loop body — opening the
-        tick span, running every stage (stopping on death), and closing
-        the span — so external drivers (the fleet engine, which ticks K
-        replicas in lock step) interleave with other work between ticks
-        while staying bit-identical to a plain :meth:`run`.  Callers own
-        the loop: stop stepping once ``tick.died`` and call
-        :meth:`finish` exactly once at the end.
+        Exactly one iteration of :meth:`run`'s loop body: open the tick
+        span, run every stage (stopping on death), close the span.  A
+        caller that owns the loop stops stepping once ``tick.died`` and
+        calls :meth:`finish` exactly once at the end.
         """
         ctx = self.ctx
         m = ctx.metrics

@@ -50,7 +50,6 @@ __all__ = [
     "Span",
     "SpanRecord",
     "cost_label_key",
-    "merge_snapshots",
     "quantile_from_buckets",
 ]
 
@@ -389,102 +388,6 @@ class RegistrySnapshot:
     def sum_values(self, name: str) -> float:
         """Sum of ``value`` across every series of ``name``."""
         return sum(s.value or 0.0 for s in self.series if s.name == name)
-
-
-def _merge_series(group: list[SeriesSnapshot]) -> SeriesSnapshot:
-    """Fold one ``(name, labels)`` group of per-partition series."""
-    head = group[0]
-    if head.kind != "histogram":
-        # Counters and gauges both merge by summation: counted events add
-        # across partitions, and the sampled gauges (backlog, memory
-        # sections, index ops) are per-partition quantities whose whole-
-        # engine reading is their sum.
-        return SeriesSnapshot(
-            name=head.name,
-            kind=head.kind,
-            labels=head.labels,
-            value=sum(s.value or 0.0 for s in group),
-        )
-    boundaries = tuple(le for le, _ in head.buckets)
-    for s in group[1:]:
-        if tuple(le for le, _ in s.buckets) != boundaries:
-            raise ValueError(
-                f"histogram {head.name!r} has mismatched bucket boundaries "
-                "across partitions; cannot merge"
-            )
-    buckets = tuple(
-        (le, sum(s.buckets[i][1] for s in group))
-        for i, le in enumerate(boundaries)
-    )
-    return SeriesSnapshot(
-        name=head.name,
-        kind=head.kind,
-        labels=head.labels,
-        buckets=buckets,
-        total=sum(s.total for s in group),
-        count=sum(s.count for s in group),
-    )
-
-
-def merge_snapshots(snapshots: Sequence[RegistrySnapshot]) -> RegistrySnapshot:
-    """Deterministically merge per-partition snapshots into one.
-
-    Counter and gauge series of the same ``(name, labels)`` sum; histogram
-    series merge their cumulative buckets (boundaries must match — they are
-    bound per metric name, so same-engine partitions always agree);
-    ``cost_total`` sums, preserving the per-partition attribution==meter
-    identity in aggregate.  Spans concatenate in partition order with ids
-    re-based (each partition's ids shifted past the previous partition's
-    maximum) so merged traces keep unique ids and intact parent links.
-    The merge is pure: the same snapshots in the same order always produce
-    the same result, across processes and pools.
-    """
-    if not snapshots:
-        return RegistrySnapshot()
-    groups: dict[tuple[str, LabelPairs], list[SeriesSnapshot]] = {}
-    for snap in snapshots:
-        for s in snap.series:
-            groups.setdefault((s.name, s.labels), []).append(s)
-    for (name, _), group in groups.items():
-        kinds = {s.kind for s in group}
-        if len(kinds) != 1:
-            raise ValueError(f"metric {name!r} has mixed kinds across partitions: {sorted(kinds)}")
-    series = sorted(
-        (_merge_series(group) for group in groups.values()),
-        key=lambda s: (s.name, s.labels),
-    )
-    spans: list[SpanRecord] = []
-    offset = 0
-    for snap in snapshots:
-        top = -1
-        for record in snap.spans:
-            spans.append(
-                SpanRecord(
-                    span_id=record.span_id + offset,
-                    name=record.name,
-                    start_tick=record.start_tick,
-                    end_tick=record.end_tick,
-                    parent_id=(
-                        record.parent_id + offset
-                        if record.parent_id is not None
-                        else None
-                    ),
-                    attrs=record.attrs,
-                )
-            )
-            top = max(top, record.span_id)
-        offset += top + 1
-    help_texts: dict[str, str] = {}
-    for snap in snapshots:
-        for name, text in snap.help_texts:
-            help_texts.setdefault(name, text)
-    return RegistrySnapshot(
-        series=tuple(series),
-        cost_total=sum(s.cost_total for s in snapshots),
-        spans=tuple(spans),
-        spans_dropped=sum(s.spans_dropped for s in snapshots),
-        help_texts=tuple(sorted(help_texts.items())),
-    )
 
 
 # --------------------------------------------------------------------- #

@@ -30,12 +30,8 @@ Three layers build on the tracker:
    breach, turning the observability plane into a latency-driven
    backpressure valve.
 
-Everything here is deterministic and merge-friendly: per-partition
-:class:`LatencySnapshot` objects merge into exactly the snapshot a single
-kernel would have produced (:func:`merge_latency_snapshots`), extending
-the ``merge_snapshots`` contract of the metrics layer.  With no tracker
-attached every hook is a no-op — the golden corpus asserts zero observer
-effect.
+Everything here is deterministic.  With no tracker attached every hook is
+a no-op — the golden corpus asserts zero observer effect.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ __all__ = [
     "LatencyTracker",
     "SloMonitor",
     "SloSpec",
-    "merge_latency_snapshots",
 ]
 
 #: Default latency bucket boundaries (ticks, ``le`` semantics).  Zero is a
@@ -83,9 +78,7 @@ class LatencyTracker:
 
     The tracker is pure bookkeeping — it never touches engine state, RNG
     streams, or the virtual clock, so arming it cannot perturb a run.  All
-    counters are integers and all updates are order-independent sums,
-    which is what makes per-partition trackers merge exactly
-    (:func:`merge_latency_snapshots`).
+    counters are integers and all updates are order-independent sums.
 
     ``threshold`` arms violation counting: every observation (including
     shed tuples, which by definition missed their latency target) above
@@ -178,7 +171,7 @@ class LatencyTracker:
         return quantile_from_buckets(self.cumulative(), q)
 
     def snapshot(self) -> "LatencySnapshot":
-        """Freeze the tracker (picklable, mergeable, exportable)."""
+        """Freeze the tracker (picklable, exportable)."""
         running = 0
         buckets: list[tuple[float, int]] = []
         for bound, n in zip(self.boundaries, self.bucket_counts):
@@ -213,7 +206,7 @@ class LatencySnapshot:
 
     ``buckets`` are cumulative aggregate ``(le, count)`` pairs (Prometheus
     convention, ``+Inf``-terminated); ``per_stream`` carries *non*-
-    cumulative per-bucket counts per stream so merges stay pointwise sums.
+    cumulative per-bucket counts per stream.
     """
 
     boundaries: tuple[float, ...]
@@ -305,67 +298,6 @@ class LatencySnapshot:
                 }
             )
         return records
-
-
-def merge_latency_snapshots(
-    snapshots: Sequence[LatencySnapshot],
-) -> LatencySnapshot:
-    """Merge per-partition latency snapshots into one, exactly.
-
-    Bucket counts, SLO counters, and shed counts sum pointwise; per-stream
-    histograms union-sum; reservoirs concatenate in partition order (the
-    merged reservoir is exact only while no partition dropped, mirroring
-    the single-tracker semantics).  Boundaries and thresholds must agree
-    across partitions — they are configuration, not measurement.  A
-    single-snapshot merge returns an equal snapshot, which is what makes
-    ``PartitionedEngine(k=1)`` bit-identical to a lone kernel.
-    """
-    if not snapshots:
-        raise ValueError("cannot merge zero latency snapshots")
-    head = snapshots[0]
-    for s in snapshots[1:]:
-        if s.boundaries != head.boundaries:
-            raise ValueError("latency snapshots have mismatched bucket boundaries")
-    thresholds = {s.threshold for s in snapshots if s.threshold is not None}
-    if len(thresholds) > 1:
-        raise ValueError(f"latency snapshots disagree on threshold: {sorted(thresholds)}")
-    threshold = thresholds.pop() if thresholds else None
-    n_buckets = len(head.boundaries) + 1
-    # Cumulative aggregate buckets sum pointwise (same boundaries).
-    buckets = tuple(
-        (le, sum(s.buckets[i][1] for s in snapshots))
-        for i, (le, _) in enumerate(head.buckets)
-    )
-    per_stream_acc: dict[str, list[int]] = {}
-    shed_acc: dict[str, int] = {}
-    reservoir: list[float] = []
-    for s in snapshots:
-        for stream, counts in s.per_stream:
-            acc = per_stream_acc.setdefault(stream, [0] * n_buckets)
-            for i, n in enumerate(counts):
-                acc[i] += n
-        for stream, n in s.shed_by_stream:
-            shed_acc[stream] = shed_acc.get(stream, 0) + n
-        reservoir.extend(s.reservoir)
-    return LatencySnapshot(
-        boundaries=head.boundaries,
-        buckets=buckets,
-        total=sum(s.total for s in snapshots),
-        count=sum(s.count for s in snapshots),
-        per_stream=tuple(
-            (stream, tuple(counts))
-            for stream, counts in sorted(per_stream_acc.items())
-        ),
-        reservoir=tuple(reservoir),
-        reservoir_dropped=sum(s.reservoir_dropped for s in snapshots),
-        threshold=threshold,
-        observed=sum(s.observed for s in snapshots),
-        violations=sum(s.violations for s in snapshots),
-        results=sum(s.results for s in snapshots),
-        results_latency_total=sum(s.results_latency_total for s in snapshots),
-        shed=sum(s.shed for s in snapshots),
-        shed_by_stream=tuple(sorted(shed_acc.items())),
-    )
 
 
 _SPEC_RE = re.compile(

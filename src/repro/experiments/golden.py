@@ -154,15 +154,12 @@ def json_pure(value):
     return json.loads(json.dumps(value))
 
 
-def run_case(case: GoldenCase, *, engine=None, **executor_overrides) -> dict:
+def run_case(case: GoldenCase, **executor_overrides) -> dict:
     """Execute one case and fingerprint the run.
 
     ``executor_overrides`` pass through to ``make_executor`` — the golden
     equivalence test uses this to pin the refactored engine's knobs (e.g.
-    an explicit scheduler) onto the same matrix.  ``engine`` is a
-    multi-engine class with the ``(build, k)`` constructor
-    (``PartitionedEngine``, ``FleetEngine``); the case then runs as its
-    ``k = 1`` instance, which must reproduce the plain run exactly.
+    an explicit scheduler) onto the same matrix.
     """
     scenario = PaperScenario(scenario_params(case.scenario, case.seed))
     log = EventLog()
@@ -180,10 +177,7 @@ def run_case(case: GoldenCase, *, engine=None, **executor_overrides) -> dict:
         overrides["memory_budget"] = case.memory_budget
     overrides.update(executor_overrides)
     executor = scenario.make_executor(case.scheme, **overrides)
-    if engine is None:
-        stats = executor.run(case.ticks, scenario.make_generator())
-    else:
-        stats = engine(lambda _index: executor, 1).run(case.ticks, scenario.make_generator)
+    stats = executor.run(case.ticks, scenario.make_generator())
     return json_pure(
         {
             "stats": stats_fingerprint(stats),

@@ -21,7 +21,6 @@ from repro.core.access_pattern import AccessPattern
 from repro.core.cost_model import WorkloadStatistics
 from repro.core.index_config import IndexConfiguration
 from repro.core.selector import pad_patterns_to_k, select_exhaustive, select_hash_patterns
-from repro.engine.kernel import PartitionedEngine
 from repro.engine.stats import RunStats
 from repro.workloads.scenarios import PaperScenario, ScenarioParams, hash_module_count
 
@@ -34,9 +33,6 @@ class TrainingResult:
 
     frequencies: dict[str, dict[AccessPattern, float]] = field(default_factory=dict)
     configs: dict[str, IndexConfiguration] = field(default_factory=dict)
-    #: The full per-state statistics the configs were selected from —
-    #: what fleet selection and the replica router re-consume.
-    statistics: dict[str, WorkloadStatistics] = field(default_factory=dict)
 
     def hash_patterns(self, k: int) -> dict[str, list[AccessPattern]]:
         """Per-state module sets: the k most frequent patterns, padded so a
@@ -87,7 +83,6 @@ def train_initial_state(
             frequencies=freqs if freqs else {AccessPattern.full_scan(stem.jas): 1.0},
             domain_bits=domain_bits,
         )
-        result.statistics[stream] = stats
         result.configs[stream] = select_exhaustive(
             stats, stem.jas, p.bit_budget, scenario.cost_params
         )
@@ -123,23 +118,19 @@ def clear_training_cache() -> None:
     _TRAINING_CACHE.clear()
 
 
-def trained_start(
-    training: TrainingResult | None, scheme: str, hash_k: int | None = None
-) -> dict[str, object]:
+def trained_start(training: TrainingResult | None, scheme: str) -> dict[str, object]:
     """The two ``make_executor`` keywords that start ``scheme`` from ``training``.
 
     Bit-address schemes start from the trained ICs and the hash baseline
-    from the trained most-frequent patterns (``hash_k`` of them, default the
-    scheme's own ``k``) — the paper's protocol for the Figure 6/7 baselines.
+    from the trained most-frequent patterns (the scheme's own ``k`` of
+    them) — the paper's protocol for the Figure 6/7 baselines.
     Without training both are ``None``: the scenario's uninformed defaults.
     """
     if training is None:
         return {"initial_configs": None, "initial_hash_patterns": None}
     patterns = None
     if scheme.startswith("hash:"):
-        patterns = training.hash_patterns(
-            hash_module_count(scheme) if hash_k is None else hash_k
-        )
+        patterns = training.hash_patterns(hash_module_count(scheme))
     return {"initial_configs": training.configs, "initial_hash_patterns": patterns}
 
 
@@ -149,7 +140,6 @@ def run_scheme(
     duration: int,
     *,
     training: TrainingResult | None = None,
-    hash_k: int | None = None,
     seed_offset: int = 0,
     **executor_overrides,
 ) -> RunStats:
@@ -167,191 +157,10 @@ def run_scheme(
     cost-unit attribution and span tracing.
     """
     executor = scenario.make_executor(
-        scheme, **trained_start(training, scheme, hash_k), **executor_overrides
+        scheme, **trained_start(training, scheme), **executor_overrides
     )
     generator = scenario.make_generator(seed_offset=seed_offset)
     return executor.run(duration, generator)
-
-
-def run_scheme_partitioned(
-    scenario: PaperScenario,
-    scheme: str,
-    duration: int,
-    *,
-    partitions: int,
-    training: TrainingResult | None = None,
-    hash_k: int | None = None,
-    seed_offset: int = 0,
-    partitioner=None,
-    **executor_overrides,
-) -> tuple[RunStats, PartitionedEngine]:
-    """Execute one scheme across ``partitions`` independent kernels.
-
-    Each partition is a fully-wired executor (own states, meter, and —
-    if factories are passed via ``executor_overrides`` — own event log /
-    metrics registry) seeing a hash slice of the measured workload; the
-    merged :class:`RunStats` plus the engine (for per-partition stats,
-    merged events, and merged snapshots) are returned.
-
-    ``partitions == 1`` is bit-for-bit :func:`run_scheme` — the engine
-    skips arrival filtering entirely.
-
-    Per-partition attachments: ``event_log=`` / ``metrics=`` overrides may
-    be zero-argument *factories* instead of instances; each partition then
-    gets a fresh object (instances would be shared, which partitioning
-    forbids for anything stateful).
-    """
-    start = trained_start(training, scheme, hash_k)
-
-    def build(_index: int):
-        overrides = dict(executor_overrides)
-        for attachment in ("event_log", "metrics", "latency", "slo"):
-            factory = overrides.get(attachment)
-            if callable(factory):
-                overrides[attachment] = factory()
-        return scenario.make_executor(scheme, **start, **overrides)
-
-    engine = PartitionedEngine(build, partitions, partitioner=partitioner)
-    stats = engine.run(
-        duration, lambda: scenario.make_generator(seed_offset=seed_offset)
-    )
-    return stats, engine
-
-
-def run_scheme_fleet(
-    scenario: PaperScenario,
-    scheme: str,
-    duration: int,
-    *,
-    fleet: int,
-    training: TrainingResult | None = None,
-    hash_k: int | None = None,
-    seed_offset: int = 0,
-    mode: str = "routed",
-    fault_replica: int = 0,
-    retune_interval: int | None = None,
-    max_backlog: int = 4096,
-    fleet_event_log=None,
-    fleet_metrics=None,
-    **executor_overrides,
-) -> tuple[RunStats, "FleetEngine"]:
-    """Execute one scheme across a ``fleet`` of divergent replicas.
-
-    Every replica is a fully-wired executor holding the *same* windows
-    (arrivals replicate) under a *different* index configuration: with
-    ``training`` given and a bit-address scheme, replica ``i`` is pinned
-    to slot ``i`` of each stream's :func:`~repro.core.selector.select_fleet`
-    set; without training every replica starts from the scenario default.
-    Probes route to the modeled-cheapest healthy replica
-    (``mode="routed"``) or execute everywhere (``mode="broadcast"``, the
-    differential oracle).  Returns the merged :class:`RunStats` plus the
-    engine (per-replica stats, routing shares, merged snapshots).
-
-    ``fleet == 1`` is bit-for-bit :func:`run_scheme`.  For ``fleet > 1``
-    each replica's own tuner is frozen (assessors keep recording) and
-    adaptation moves up a level: with ``retune_interval`` set, the fleet
-    merges the replicas' assessor statistics and re-selects the whole
-    configuration set on that cadence.
-
-    A fault plan in ``executor_overrides`` attaches only to replica
-    ``fault_replica`` — squeezing one replica is the degrade-to-broadcast
-    drill; faulting all replicas identically would just be K copies of
-    the single-engine fault run.  Per-replica attachments (``event_log``,
-    ``metrics``, ``latency``, ``slo``) may be zero-argument factories,
-    exactly as in :func:`run_scheme_partitioned`; ``fleet_event_log`` /
-    ``fleet_metrics`` are the *fleet-level* telemetry objects
-    (``replica_route`` events, ``fleet_*`` series).
-    """
-    from repro.core.selector import FleetSelector, select_fleet
-    from repro.core.tuner import NullTuner
-    from repro.fleet import FleetEngine
-
-    p = scenario.params
-    start = trained_start(training, scheme, hash_k)
-
-    stats_for: dict[str, WorkloadStatistics] = {}
-    domain_bits = scenario.domain_bits()
-    for stream in p.stream_names:
-        if training is not None and stream in training.statistics:
-            stats_for[stream] = training.statistics[stream]
-        else:
-            stats_for[stream] = WorkloadStatistics(
-                lambda_d=float(p.rate),
-                lambda_r=1.0,
-                window=float(p.window),
-                frequencies={},
-                domain_bits=domain_bits,
-            )
-
-    fleet_configs: dict[str, tuple[IndexConfiguration, ...]] = {}
-    selectors: dict[str, FleetSelector] = {}
-    # Rotate which replica holds which slot per stream: coverage per state
-    # is rotation-invariant (the cost model min-reduces over the same
-    # set), but without rotation replica 0 would hold the best-single
-    # slot for every stream and win all traffic.
-    slot_offsets = {stream: j for j, stream in enumerate(sorted(p.stream_names))}
-    divergent = fleet > 1 and scenario.backend_for_scheme(scheme) in (
-        "bit_address",
-        "static_bitmap",
-    )
-    if divergent:
-        for stream in p.stream_names:
-            jas = scenario.query.jas_for(stream)
-            if training is not None and stream in training.statistics:
-                fleet_configs[stream] = select_fleet(
-                    training.statistics[stream],
-                    jas,
-                    p.bit_budget,
-                    fleet,
-                    scenario.cost_params,
-                )
-            if retune_interval is not None:
-                selectors[stream] = FleetSelector(
-                    jas, p.bit_budget, fleet, scenario.cost_params
-                )
-
-    def build(index: int):
-        overrides = dict(executor_overrides)
-        if index != fault_replica:
-            overrides.pop("faults", None)
-            overrides.pop("fault_seed", None)
-        for attachment in ("event_log", "metrics", "latency", "slo"):
-            factory = overrides.get(attachment)
-            if callable(factory):
-                overrides[attachment] = factory()
-        replica_start = dict(start)
-        if fleet_configs:
-            replica_start["initial_configs"] = {
-                s: cfgs[(index + slot_offsets[s]) % fleet]
-                for s, cfgs in fleet_configs.items()
-            }
-        executor = scenario.make_executor(scheme, **replica_start, **overrides)
-        if fleet > 1:
-            # Per-replica tuners would re-converge every replica to its own
-            # local optimum, collapsing the divergence the fleet exists
-            # for.  Freeze them (assessors keep recording through probes)
-            # and let the fleet-level retune hook adapt the whole set.
-            for stem in executor.stems.values():
-                stem.tuner = NullTuner(getattr(stem.tuner, "assessor", None))
-        return executor
-
-    engine = FleetEngine(
-        build,
-        fleet,
-        stats_for=stats_for,
-        params=scenario.cost_params,
-        mode=mode,
-        slot_offsets=slot_offsets if divergent else None,
-        selectors=selectors or None,
-        retune_interval=retune_interval,
-        max_backlog=max_backlog,
-        event_log=fleet_event_log,
-        metrics=fleet_metrics,
-    )
-    stats = engine.run(
-        duration, lambda: scenario.make_generator(seed_offset=seed_offset)
-    )
-    return stats, engine
 
 
 def run_comparison(

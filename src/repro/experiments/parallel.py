@@ -19,7 +19,7 @@ worker or in-process (``workers=0``), which the tests assert.
 rejects a bad run at construction (before any quasi-training),
 :meth:`RunSpec.describe` is the header line ``repro run`` / ``repro slo``
 print, and :func:`execute_spec` is the one place a spec's mode fields
-(``partitions``, ``fleet``, ``slo``, ``faults`` ...) turn into engines.
+(``slo``, ``faults``, ``scheduler`` ...) turn into an engine.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ from repro.engine.resources import DegradationPolicy
 from repro.engine.slo import LatencySnapshot, LatencyTracker, SloMonitor, SloSpec
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent, EventLog
-from repro.experiments.harness import (
-    TrainingResult,
-    cached_training,
-    run_scheme_fleet,
-    run_scheme_partitioned,
-)
+from repro.experiments.harness import TrainingResult, cached_training, run_scheme
 from repro.storage import BACKENDS, UnknownBackendError
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
@@ -70,10 +65,10 @@ class RunSpec:
     retrain — and the field is excluded from equality/hashing (it is a
     cache, not part of the run's identity).
 
-    Construction validates the whole description — sizes, mode
-    combination, scheme / scheduler / backend / fault-profile names and the
-    SLO string — and raises a ``ValueError`` naming the offending field, so
-    a spec that exists can be executed.
+    Construction validates the whole description — sizes, scheme /
+    scheduler / backend / fault-profile names and the SLO string — and
+    raises a ``ValueError`` naming the offending field, so a spec that
+    exists can be executed.
     """
 
     params: ScenarioParams
@@ -89,8 +84,6 @@ class RunSpec:
     collect_metrics: bool = False
     slo: str | None = None  # SLO spec string, e.g. "p95<=8@120" (arms latency tracking)
     scheduler: str | None = None  # backlog-drain policy name (None = fifo)
-    partitions: int = 1  # independent hash-partitioned kernels per run
-    fleet: int = 1  # divergent replicas with cost-routed probes (1 = single engine)
     index_backend: str | None = None  # registry backend override (None = scheme default)
     migration_budget: int | None = None  # tuples moved per tick (None = stop-the-world)
     training: TrainingResult | None = field(default=None, compare=False, repr=False)
@@ -120,11 +113,7 @@ class RunSpec:
             scheduler=self.scheduler,
             ticks=self.ticks,
             train_ticks=self.train_ticks,
-            partitions=self.partitions,
-            fleet=self.fleet,
         )
-        if self.fleet > 1 and self.partitions > 1:
-            raise ValueError("fleet and partitions are mutually exclusive")
         if self.migration_budget is not None and self.migration_budget < 1:
             raise ValueError(f"migration_budget must be >= 1, got {self.migration_budget}")
         resolve_fault_plan(self.faults)
@@ -175,9 +164,6 @@ class RunOutcome:
     when the spec asked for one (``collect_metrics=True``) — picklable, so
     it crosses the process-pool boundary like everything else — letting
     figures break a run's throughput down by component after the fact.
-    ``partition_stats`` carries the per-partition (or per-replica) stats
-    behind the merged ``stats``; ``fleet_rows`` is the per-replica routing
-    report (:meth:`~repro.fleet.FleetEngine.replica_rows`) of a fleet run.
     """
 
     spec: RunSpec
@@ -185,51 +171,10 @@ class RunOutcome:
     events: tuple[EngineEvent, ...] = ()
     metrics: RegistrySnapshot | None = None
     latency: LatencySnapshot | None = None
-    partition_stats: tuple[RunStats, ...] = ()
-    fleet_rows: tuple[dict[str, object], ...] = ()
 
     @property
     def outputs(self) -> int:
         return self.stats.outputs
-
-
-def _slo_attachments(spec: RunSpec) -> dict[str, object]:
-    """The spec's latency tracker + monitor as per-engine factories.
-
-    A spec's ``slo`` string arms per-tuple latency tracking with the
-    objective's threshold and a monitor evaluating it, one fresh pair per
-    kernel (partition or replica); without one nothing is attached, keeping
-    the run observer-effect-free by construction.
-    """
-    if spec.slo is None:
-        return {"latency": None, "slo": None}
-    parsed = SloSpec.parse(spec.slo)
-    return {
-        "latency": lambda: LatencyTracker(threshold=parsed.threshold_ticks),
-        "slo": lambda: SloMonitor(parsed),
-    }
-
-
-def _harness_options(spec: RunSpec) -> dict[str, object]:
-    """Everything of the spec the harness ``run_scheme_*`` calls share.
-
-    Per-kernel attachments go in as zero-argument factories: every
-    partition or replica materialises its own log / registry / tracker /
-    monitor (instances must not be shared), merged deterministically after.
-    """
-    return dict(
-        training=_resolve_training(spec),
-        seed_offset=spec.seed_offset,
-        event_log=EventLog,
-        metrics=MetricsRegistry if spec.collect_metrics else None,
-        **_slo_attachments(spec),
-        faults=spec.faults,
-        fault_seed=spec.fault_seed,
-        degradation=DegradationPolicy() if spec.degrade else None,
-        scheduler=spec.scheduler,
-        index_backend=spec.index_backend,
-        migration_budget=spec.migration_budget,
-    )
 
 
 def _resolve_training(spec: RunSpec) -> "TrainingResult | None":
@@ -237,8 +182,8 @@ def _resolve_training(spec: RunSpec) -> "TrainingResult | None":
 
     The memo (:func:`~repro.experiments.harness.cached_training`) makes
     even the fallback path train once per ``(params, train_ticks)`` within
-    a process — e.g. the partitions of one spec, or serial sweeps that did
-    not go through :func:`run_parallel`.
+    a process — e.g. serial sweeps that did not go through
+    :func:`run_parallel`.
     """
     if not spec.train:
         return None
@@ -265,67 +210,46 @@ def _share_training(specs: list[RunSpec]) -> list[RunSpec]:
     return out
 
 
-def execute_spec_fleet(spec: RunSpec) -> RunOutcome:
-    """Run one spec as a divergent replica fleet of ``spec.fleet`` engines.
-
-    Arrivals replicate to every replica and probes route to the
-    modeled-cheapest one (:class:`~repro.fleet.FleetEngine` via
-    :func:`~repro.experiments.harness.run_scheme_fleet`).  The outcome's
-    ``stats`` is the deterministic fleet merge (logical outputs, fleet
-    death only when every replica died), ``partition_stats`` carries the
-    per-replica stats, and events/metrics/latency are the merged
-    per-replica views plus the fleet-level ``replica_route`` timeline.
-    ``spec.fleet == 1`` is the plain single-engine run, bit-for-bit.
-    """
-    fleet_log = EventLog()
-    stats, engine = run_scheme_fleet(
-        PaperScenario(spec.params),
-        spec.scheme,
-        spec.ticks,
-        fleet=spec.fleet,
-        fleet_event_log=fleet_log,
-        **_harness_options(spec),
-    )
-    events = [event for _, event in engine.merged_events()]
-    events.extend(fleet_log)
-    events.sort(key=lambda e: e.tick)
-    return RunOutcome(
-        spec=spec,
-        stats=stats,
-        events=tuple(events),
-        metrics=engine.merged_snapshot(),
-        latency=engine.merged_latency(),
-        partition_stats=tuple(engine.replica_stats),
-        fleet_rows=tuple(engine.replica_rows()),
-    )
-
-
 def execute_spec(spec: RunSpec) -> RunOutcome:
     """Run one spec to completion (used directly and as the pool worker).
 
-    The one place a spec's mode fields become engines: ``spec.fleet > 1``
-    delegates to :func:`execute_spec_fleet`; everything else is a
-    :class:`~repro.engine.kernel.PartitionedEngine` of ``spec.partitions``
-    kernels via :func:`~repro.experiments.harness.run_scheme_partitioned`,
-    whose ``k = 1`` case is the plain single-engine run, bit-for-bit (its
-    merged views of one kernel are that kernel's own).
+    The whole run path: build the spec's event log, metrics registry,
+    latency tracker and SLO monitor, hand them to
+    :func:`~repro.experiments.harness.run_scheme`, and freeze what they
+    recorded into the :class:`RunOutcome`.  Without ``collect_metrics`` /
+    ``slo`` nothing is attached for them, keeping the run
+    observer-effect-free by construction.
     """
-    if spec.fleet > 1:
-        return execute_spec_fleet(spec)
-    stats, engine = run_scheme_partitioned(
+    log = EventLog()
+    registry = MetricsRegistry() if spec.collect_metrics else None
+    tracker = monitor = None
+    if spec.slo is not None:
+        parsed = SloSpec.parse(spec.slo)
+        tracker = LatencyTracker(threshold=parsed.threshold_ticks)
+        monitor = SloMonitor(parsed)
+    stats = run_scheme(
         PaperScenario(spec.params),
         spec.scheme,
         spec.ticks,
-        partitions=spec.partitions,
-        **_harness_options(spec),
+        training=_resolve_training(spec),
+        seed_offset=spec.seed_offset,
+        event_log=log,
+        metrics=registry,
+        latency=tracker,
+        slo=monitor,
+        faults=spec.faults,
+        fault_seed=spec.fault_seed,
+        degradation=DegradationPolicy() if spec.degrade else None,
+        scheduler=spec.scheduler,
+        index_backend=spec.index_backend,
+        migration_budget=spec.migration_budget,
     )
     return RunOutcome(
         spec=spec,
         stats=stats,
-        events=tuple(event for _, event in engine.merged_events()),
-        metrics=engine.merged_snapshot(),
-        latency=engine.merged_latency(),
-        partition_stats=tuple(engine.partition_stats),
+        events=tuple(log),
+        metrics=registry.snapshot() if registry is not None else None,
+        latency=tracker.snapshot() if tracker is not None else None,
     )
 
 

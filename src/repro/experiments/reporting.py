@@ -191,14 +191,14 @@ class BreachSummary:
 def format_slo_report(
     title: str,
     latencies: Mapping[str, object],
-    monitors: Mapping[str, Sequence[object]] | None = None,
+    monitors: Mapping[str, object] | None = None,
 ) -> str:
     """The latency/SLO 'figure': tail latency and budget burn per scheme.
 
     ``latencies`` maps scheme → :class:`~repro.engine.slo.LatencySnapshot`;
     ``monitors`` (optional) maps scheme → its
-    :class:`~repro.engine.slo.SloMonitor` instances (one per partition) for
-    breach counts and error-budget burn.  Quantiles are the interpolated
+    :class:`~repro.engine.slo.SloMonitor` (or :class:`BreachSummary`) for
+    the breach count and error-budget burn.  Quantiles are the interpolated
     histogram estimates (±1 bucket width), in ticks.
     """
 
@@ -209,13 +209,12 @@ def format_slo_report(
     for name, snap in latencies.items():
         breaches: object = "-"
         burn: object = "-"
-        if monitors is not None:
-            mons = [mon for mon in monitors.get(name, ()) if mon is not None]
-            if mons:
-                breaches = sum(mon.breaches for mon in mons)
-                budget = mons[0].spec.error_budget
-                if budget > 0:
-                    burn = f"{snap.violation_fraction / budget:.2f}"
+        monitor = monitors.get(name) if monitors is not None else None
+        if monitor is not None:
+            breaches = monitor.breaches
+            budget = monitor.spec.error_budget
+            if budget > 0:
+                burn = f"{snap.violation_fraction / budget:.2f}"
         rows.append(
             [
                 name,
@@ -235,46 +234,6 @@ def format_slo_report(
         "breaches", "burn",
     ]
     return f"{title}\n" + format_table(headers, rows)
-
-
-def format_fleet_table(title: str, rows: Sequence[Mapping[str, object]]) -> str:
-    """The fleet 'figure': per-replica index configs + routing shares.
-
-    ``rows`` is :meth:`repro.fleet.FleetEngine.replica_rows` output — one
-    mapping per replica with its routed-request share, broadcast count,
-    modeled cost of won requests, and the per-stream index configurations
-    it ended the run holding (one extra line per stream under each row).
-    """
-    body: list[list[object]] = []
-    config_lines: list[str] = []
-    for row in rows:
-        share = row["share"]
-        body.append(
-            [
-                row["replica"],
-                "up" if row["alive"] else "down",
-                row["routed"],
-                f"{100.0 * float(share):.1f}%" if isinstance(share, float) else share,
-                row["broadcasts"],
-                f"{float(row['modeled_cost']):,.1f}",
-                row["backlog"],
-                row["outputs"],
-            ]
-        )
-        configs = row["configs"]
-        if isinstance(configs, Mapping):
-            for stream in sorted(configs):
-                config_lines.append(
-                    f"  replica {row['replica']}  {stream}: {configs[stream]}"
-                )
-    headers = [
-        "replica", "state", "routed", "share", "broadcasts", "modeled_cost",
-        "backlog", "outputs",
-    ]
-    parts = [title, format_table(headers, body)]
-    if config_lines:
-        parts.append("\n".join(config_lines))
-    return "\n".join(parts)
 
 
 def format_summary(

@@ -45,7 +45,6 @@ from repro.experiments.reporting import (
     BreachSummary,
     format_component_breakdown,
     format_fault_timeline,
-    format_fleet_table,
     format_slo_report,
     format_table,
     format_throughput_figure,
@@ -169,20 +168,6 @@ def main(argv: list[str] | None = None) -> int:
         help="backlog-drain policy (fifo = historical arrival order)",
     )
     parser.add_argument(
-        "--partitions",
-        type=int,
-        default=1,
-        help="hash-partition each scheme across K independent kernels (1 = off)",
-    )
-    parser.add_argument(
-        "--fleet",
-        type=int,
-        default=1,
-        help="run each scheme as K divergent replicas holding complementary "
-        "index sets, with every search request cost-routed to the cheapest "
-        "healthy replica (1 = off; mutually exclusive with --partitions)",
-    )
-    parser.add_argument(
         "--index-backend",
         default=None,
         help="override every state's physical index with a registered backend "
@@ -251,8 +236,6 @@ def main(argv: list[str] | None = None) -> int:
                 collect_metrics=args.metrics is not None or args.trace is not None,
                 slo=args.slo,
                 scheduler=args.scheduler,
-                partitions=args.partitions,
-                fleet=args.fleet,
                 index_backend=args.index_backend,
                 migration_budget=args.migration_budget,
             )
@@ -268,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     events = {name: list(out.events) for name, out in outcomes.items()}
     snapshots = {name: out.metrics for name, out in outcomes.items() if out.metrics is not None}
     latencies = {name: out.latency for name, out in outcomes.items() if out.latency is not None}
-    monitors = {name: [BreachSummary.from_events(slo_spec, events[name])] for name in latencies}
+    monitors = {name: BreachSummary.from_events(slo_spec, events[name]) for name in latencies}
 
     print(format_throughput_figure(f"{args.scenario} scenario, {args.ticks} ticks", runs))
     rows = [
@@ -276,10 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         for name, stats in runs.items()
     ]
     print(format_table(["scheme", "outputs", "died at", "migrations"], rows))
-    for name, out in outcomes.items():
-        if out.fleet_rows:
-            print()
-            print(format_fleet_table(f"fleet routing ({name}, K={args.fleet})", out.fleet_rows))
     if faults is not None or any(events.values()):
         title = (
             f"\nfault timeline ({args.faults}, fault seed {args.fault_seed})"

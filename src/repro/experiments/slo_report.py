@@ -8,9 +8,8 @@ one self-describing JSONL file (latency records plus SLO events, each
 tagged with its scenario and scheme).
 
 Runs go through :class:`~repro.experiments.parallel.RunSpec` /
-:func:`~repro.experiments.parallel.execute_spec`, so every flag that works
-there (faults, degradation, partitions) works here, and a partitioned
-report is the deterministic merge of its kernels' trackers.
+:func:`~repro.experiments.parallel.execute_spec`, so the fault and
+degradation flags mean here what they mean on ``repro run``.
 """
 
 from __future__ import annotations
@@ -67,12 +66,6 @@ def main(argv: list[str] | None = None) -> int:
         help="attach the degradation policy (required for ':degrade' objectives to act)",
     )
     parser.add_argument(
-        "--partitions",
-        type=int,
-        default=1,
-        help="hash-partition each run across K independent kernels (1 = off)",
-    )
-    parser.add_argument(
         "--json",
         type=Path,
         default=None,
@@ -97,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
                     fault_seed=args.fault_seed,
                     degrade=args.degrade,
                     slo=args.slo,
-                    partitions=args.partitions,
                 )
                 for scheme in schemes
             ]
@@ -122,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             slo_events = [e for e in outcome.events if e.kind in SLO_EVENT_KINDS]
             latencies[scheme] = snap
-            monitors[scheme] = [BreachSummary.from_events(spec, slo_events)]
+            monitors[scheme] = BreachSummary.from_events(spec, slo_events)
             events_seen += len(slo_events)
             tags = {"scenario": scenario_name, "scheme": scheme}
             records.extend({**rec, **tags} for rec in snap.to_records())

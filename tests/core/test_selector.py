@@ -9,7 +9,6 @@ from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.cost_model import WorkloadStatistics, estimate_cd
 from repro.core.index_config import IndexConfiguration
 from repro.core.selector import (
-    FleetSelector,
     IndexSelector,
     allocation_count,
     candidate_pool,
@@ -314,7 +313,7 @@ class TestHashPatternSelection:
 
 
 class TestFleetSelection:
-    """select_fleet / FleetSelector: the divergent configuration set."""
+    """select_fleet: the divergent configuration set."""
 
     def multi_pattern_stats(self, ap3):
         # Four equally frequent patterns an 8-bit budget cannot serve from
@@ -377,17 +376,10 @@ class TestFleetSelection:
         assert all(cfg.total_bits <= 8 for cfg in fleet)
         assert sum(cfg.total_bits for cfg in fleet) <= 12
 
-    def test_selector_class_matches_free_function(self, jas3, ap3):
-        stats = self.multi_pattern_stats(ap3)
-        selector = FleetSelector(jas3, 8, 3)
-        assert selector.select(stats) == select_fleet(stats, jas3, 8, 3)
-
     def test_rejects_bad_k(self, jas3, ap3):
         stats = self.multi_pattern_stats(ap3)
         with pytest.raises(ValueError):
             select_fleet(stats, jas3, 8, 0)
-        with pytest.raises(ValueError):
-            FleetSelector(jas3, 8, 0)
 
     def test_narrow_workload_repeats_the_best_configuration(self, jas3, ap3):
         stats = make_stats({ap3("A"): 1.0}, domain_bits={"A": 4})

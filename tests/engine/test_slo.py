@@ -12,7 +12,6 @@ from repro.engine.slo import (
     LatencyTracker,
     SloMonitor,
     SloSpec,
-    merge_latency_snapshots,
 )
 from repro.engine.tracing import registered_event_kinds
 
@@ -129,69 +128,6 @@ class TestLatencySnapshot:
         assert records[0]["observed"] == 4
         streams = [r["stream"] for r in records if r["scope"] == "stream"]
         assert streams == ["A", "B"]
-
-
-class TestMergeLatencySnapshots:
-    def tracker(self, *observations, threshold=4.0):
-        t = LatencyTracker(boundaries=(1.0, 4.0), threshold=threshold)
-        for stream, latency in observations:
-            t.observe(stream, latency)
-        return t
-
-    def test_single_merge_is_identity(self):
-        snap = self.tracker(("A", 0.5), ("B", 9.0)).snapshot()
-        assert merge_latency_snapshots([snap]) == snap
-
-    def test_merge_equals_single_tracker_over_union(self):
-        """The tentpole merge contract: per-partition trackers merge into
-        exactly what one tracker over the combined stream would hold."""
-        obs = [("A", 0.5), ("B", 3.0), ("A", 9.0), ("B", 0.0)]
-        parts = [
-            self.tracker(*obs[:2]).snapshot(),
-            self.tracker(*obs[2:]).snapshot(),
-        ]
-        merged = merge_latency_snapshots(parts)
-        single = self.tracker(*obs).snapshot()
-        # Reservoirs concatenate in partition order, not arrival order —
-        # same multiset, so every quantile and counter still agrees.
-        assert sorted(merged.reservoir) == sorted(single.reservoir)
-        for field in (
-            "boundaries", "buckets", "total", "count", "per_stream",
-            "threshold", "observed", "violations", "results", "shed",
-            "shed_by_stream",
-        ):
-            assert getattr(merged, field) == getattr(single, field), field
-
-    def test_shed_counters_union_sum(self):
-        a = self.tracker()
-        a.observe_shed("A", 1.0)
-        b = self.tracker()
-        b.observe_shed("A", 2.0)
-        b.observe_shed("B", 3.0)
-        merged = merge_latency_snapshots([a.snapshot(), b.snapshot()])
-        assert merged.shed == 3
-        assert merged.shed_by_stream == (("A", 2), ("B", 1))
-
-    def test_empty_merge_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            merge_latency_snapshots([])
-
-    def test_mismatched_boundaries_rejected(self):
-        a = LatencyTracker(boundaries=(1.0,)).snapshot()
-        b = LatencyTracker(boundaries=(2.0,)).snapshot()
-        with pytest.raises(ValueError, match="boundaries"):
-            merge_latency_snapshots([a, b])
-
-    def test_mismatched_thresholds_rejected(self):
-        a = LatencyTracker(threshold=4.0).snapshot()
-        b = LatencyTracker(threshold=8.0).snapshot()
-        with pytest.raises(ValueError, match="threshold"):
-            merge_latency_snapshots([a, b])
-
-    def test_none_threshold_defers_to_armed_partitions(self):
-        a = LatencyTracker(threshold=4.0).snapshot()
-        b = LatencyTracker().snapshot()
-        assert merge_latency_snapshots([a, b]).threshold == 4.0
 
 
 class TestSloSpec:

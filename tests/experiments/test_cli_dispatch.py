@@ -82,11 +82,6 @@ class TestEngineFlags:
         assert rc == 2
         assert "usage" in capsys.readouterr().err.lower()
 
-    def test_partitions_must_be_positive(self, capsys):
-        rc = main_mod.main(["run", "--partitions", "0"])
-        assert rc == 2
-        assert "partitions must be >= 1, got 0" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "flag", ["--batch-size", "--probe-workers", "--lazy-index", "--promote-threshold"]
     )
@@ -95,6 +90,22 @@ class TestEngineFlags:
         captured = capsys.readouterr()
         assert rc == 2
         assert f"unrecognized arguments: {flag} 2" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["run", "--fleet", "2"], "--fleet"),
+            (["run", "--partitions", "2"], "--partitions"),
+            (["slo", "--partitions", "2"], "--partitions"),
+            (["fleet"], "'fleet'"),
+        ],
+    )
+    def test_removed_scale_out_surface_is_a_usage_error(self, argv, named, capsys):
+        rc = main_mod.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert named in captured.err.strip().splitlines()[-1]
         assert "Traceback" not in captured.err
 
     def test_list_backends_prints_the_registry(self, capsys):
@@ -131,15 +142,12 @@ class TestEngineFlags:
             ("run", ["--schemes", "static,bogus"], "unknown scheme 'bogus'"),
             ("run", ["--schemes", "hash:0"], "unknown scheme 'hash:0'"),
             ("run", ["--schemes", "amri:bogus"], "unknown assessor 'bogus'"),
-            ("run", ["--partitions", "0"], "partitions must be >= 1, got 0"),
-            ("run", ["--fleet", "2", "--partitions", "2"], "fleet and partitions are mutually"),
             ("run", ["--migration-budget", "0"], "migration_budget must be >= 1, got 0"),
             ("run", ["--index-backend", "btree"], "unknown index backend 'btree'"),
             ("run", ["--slo", "garbage"], "bad SLO spec 'garbage'"),
             ("slo", ["--ticks", "0"], "ticks must be >= 1, got 0"),
             ("slo", ["--train-ticks", "0"], "train_ticks must be >= 1, got 0"),
             ("slo", ["--schemes", "static,bogus"], "unknown scheme 'bogus'"),
-            ("slo", ["--partitions", "0"], "partitions must be >= 1, got 0"),
             ("slo", ["--slo", "garbage"], "bad SLO spec 'garbage'"),
             ("profile", ["--ticks", "0"], "ticks must be >= 1, got 0"),
             ("profile", ["--train-ticks", "0"], "train_ticks must be >= 1, got 0"),
@@ -164,88 +172,13 @@ class TestEngineFlags:
         assert err.count(f"repro {command}: error: ") == 1
         assert message in err.strip().splitlines()[-1]
 
-    def test_partitioned_backlog_run_succeeds(self, capsys):
+    def test_backlog_scheduler_run_succeeds(self, capsys):
         rc = run_cli.main(
-            [
-                "--schemes",
-                "scan",
-                "--ticks",
-                "12",
-                "--no-train",
-                "--partitions",
-                "2",
-                "--scheduler",
-                "backlog",
-            ]
+            ["--schemes", "scan", "--ticks", "12", "--no-train", "--scheduler", "backlog"]
         )
-        assert rc == 0
-        assert "scan" in capsys.readouterr().out
-
-
-class TestFleetFlags:
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_fleet_must_be_positive(self, value, capsys):
-        rc = main_mod.main(["run", "--fleet", value])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert f"repro run: error: fleet must be >= 1, got {value}" in captured.err
-        assert "Traceback" not in captured.err
-
-    @pytest.mark.parametrize("value", ["2.5", "three"])
-    def test_fleet_must_be_an_integer(self, value, capsys):
-        rc = main_mod.main(["run", "--fleet", value])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "usage" in captured.err.lower()
-        assert "Traceback" not in captured.err
-
-    def test_fleet_and_partitions_are_mutually_exclusive(self, capsys):
-        rc = main_mod.main(["run", "--fleet", "2", "--partitions", "2"])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "mutually exclusive" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_fleet_run_prints_the_replica_table(self, capsys):
-        rc = run_cli.main(
-            ["--schemes", "scan", "--ticks", "10", "--no-train", "--fleet", "2"]
-        )
-        assert rc == 0
         out = capsys.readouterr().out
-        assert "fleet routing (scan, K=2)" in out
-        assert "share" in out
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_fleet_subcommand_fleet_must_be_positive(self, value, capsys):
-        rc = main_mod.main(["fleet", "--fleet", value])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert f"--fleet must be >= 1, got {value}" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_fleet_subcommand_fault_replica_must_be_in_range(self, capsys):
-        rc = main_mod.main(["fleet", "--fleet", "2", "--fault-replica", "5"])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "--fault-replica must be in [0, 2)" in captured.err
-
-    def test_fleet_subcommand_succeeds(self, capsys):
-        rc = main_mod.main(
-            [
-                "fleet",
-                "--scheme",
-                "scan",
-                "--fleet",
-                "2",
-                "--ticks",
-                "10",
-                "--no-train",
-            ]
-        )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "per-replica fleet report" in out
-        assert "fleet event timeline" in out
+        assert " scheduler=backlog " in out.splitlines()[0]
 
 
 class TestSloFlags:

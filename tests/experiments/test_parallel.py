@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.slo import SLO_BREACH, LatencyTracker, SloMonitor, SloSpec
+from repro.engine.slo import LatencyTracker, SloMonitor, SloSpec
 from repro.engine.tracing import EventLog
 from repro.experiments.golden import stats_fingerprint
 from repro.experiments.harness import (
     cached_training,
     clear_training_cache,
     run_scheme,
-    run_scheme_fleet,
     train_initial_state,
 )
 from repro.experiments.parallel import (
@@ -57,8 +56,6 @@ class TestRunSpec:
         [
             ("ticks", 0),
             ("train_ticks", 0),
-            ("partitions", 0),
-            ("fleet", 0),
             ("migration_budget", 0),
             ("scheme", "bogus"),
             ("scheme", "hash:0"),
@@ -75,10 +72,6 @@ class TestRunSpec:
         with pytest.raises(ValueError, match=pattern):
             RunSpec(**{"params": FAST, "scheme": "scan", "ticks": 5, field: bad})
 
-    def test_fleet_and_partitions_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="fleet and partitions are mutually exclusive"):
-            RunSpec(FAST, "scan", 5, partitions=2, fleet=2)
-
     def test_describe_mentions_every_run_shaping_field(self):
         line = spec().describe()
         assert line.startswith(
@@ -86,6 +79,7 @@ class TestRunSpec:
             " scheme=amri:sria ticks=15 train=False "
         )
         assert "\n" not in line
+        assert len(fields(RunSpec)) == 16
         for f in fields(RunSpec):
             assert (f" {f.name}=" in f" {line}") == (f.name not in ("training", "label")), f.name
         assert " scheme=a,b " in spec().describe(["a", "b"])
@@ -134,59 +128,32 @@ class TestOnePath:
         assert outcome.stats.source_tuples == direct.source_tuples == 3990
         assert stats_fingerprint(outcome.stats) == stats_fingerprint(direct)
 
-    def test_fleet_spec_evaluates_its_slo_on_every_replica(self):
-        objective = SloSpec.parse("p95<=1@20")
-        outcome = execute_spec(
-            RunSpec(
-                ScenarioParams(),
-                "static",
-                40,
-                train=False,
-                fleet=2,
-                slo="p95<=1@20",
-                collect_metrics=True,
-            )
-        )
-        assert sum(e.kind == SLO_BREACH for e in outcome.events) > 0
-        assert len(outcome.fleet_rows) == 2
-        fleet_log = EventLog()
-        stats, engine = run_scheme_fleet(
-            PaperScenario(ScenarioParams()),
-            "static",
-            40,
-            fleet=2,
-            fleet_event_log=fleet_log,
-            event_log=EventLog,
-            metrics=MetricsRegistry,
-            latency=lambda: LatencyTracker(threshold=objective.threshold_ticks),
-            slo=lambda: SloMonitor(objective),
-        )
-        timeline = sorted(
-            [e for _, e in engine.merged_events()] + list(fleet_log), key=lambda e: e.tick
-        )
-        assert list(outcome.events) == timeline
-        assert outcome.stats == stats
-        assert outcome.latency == engine.merged_latency()
-        # The outcome's metrics are the merged per-replica registries — what
-        # ``repro run --fleet K --metrics`` exports; the fleet-level routing
-        # series (``fleet_metrics=``) stay a direct ``run_scheme_fleet`` affair.
-        assert outcome.metrics == engine.merged_snapshot()
-        assert outcome.metrics.sum_values("cost_units_total") > 0
-        assert not [s for s in outcome.metrics.series if s.name.startswith("fleet_")]
-
     def test_plain_spec_outcome_is_the_single_kernels_own_views(self):
-        """One partition's merged events / snapshot are that kernel's own, so
-        plain specs share the partition path (latency: test_slo_plane)."""
+        """The outcome is what the spec's attachments recorded on a direct
+        ``run_scheme``: stats, events, metrics snapshot, latency snapshot."""
+        slo = "p95<=1@10"
+        parsed = SloSpec.parse(slo)
         log, registry = EventLog(), MetricsRegistry()
+        tracker = LatencyTracker(threshold=parsed.threshold_ticks)
         params = scenario_params("paper-small", 7)
         stats = run_scheme(
-            PaperScenario(params), "static", 30, event_log=log, metrics=registry, faults="chaos"
+            PaperScenario(params),
+            "static",
+            30,
+            event_log=log,
+            metrics=registry,
+            latency=tracker,
+            slo=SloMonitor(parsed),
+            faults="chaos",
         )
         outcome = execute_spec(
-            RunSpec(params, "static", 30, train=False, faults="chaos", collect_metrics=True)
+            RunSpec(
+                params, "static", 30, train=False, faults="chaos", collect_metrics=True, slo=slo
+            )
         )
         assert log and outcome.stats == stats
         assert (list(outcome.events), outcome.metrics) == (list(log), registry.snapshot())
+        assert outcome.latency == tracker.snapshot() and outcome.latency.observed > 0
 
 
 class TestStorageSpecFields:

@@ -94,7 +94,7 @@ class TestSloReportFormatting:
 
     def test_table_has_quantiles_and_burn(self):
         spec, snap, monitor = self.snapshot()
-        out = format_slo_report("title", {"scan": snap}, {"scan": [monitor]})
+        out = format_slo_report("title", {"scan": snap}, {"scan": monitor})
         assert out.startswith("title")
         header = out.splitlines()[1]
         for column in ("p50", "p95", "p99", "viol%", "breaches", "burn"):

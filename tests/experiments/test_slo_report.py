@@ -40,13 +40,3 @@ class TestSloReport:
         assert all(r["scenario"] == "paper" and r["scheme"] == "scan" for r in latency)
         aggregate = next(r for r in latency if r["scope"] == "aggregate")
         assert {"p50", "p95", "p99", "observed", "violations"} <= set(aggregate)
-
-    def test_partitioned_report_runs(self, capsys):
-        rc = slo_report.main(
-            [
-                "--schemes", "scan", "--scenarios", "paper",
-                "--ticks", "12", "--no-train", "--partitions", "2",
-            ]
-        )
-        assert rc == 0
-        assert "latency / SLO" in capsys.readouterr().out

@@ -1,6 +1,6 @@
-"""The latency/SLO plane end to end: differential equivalence across the
-serial, batched, and partitioned data planes, zero observer effect from an
-armed (non-degrading) SLO, and the closed breach→shed loop driven by a
+"""The latency/SLO plane end to end: one latency truth in-process and
+across the process pool, zero observer effect from an armed
+(non-degrading) SLO, and the closed breach→shed loop driven by a
 deterministic fault burst.
 
 The capacity-constrained scenario here is deliberate: latency only exists
@@ -18,7 +18,6 @@ from repro.engine.slo import (
     SloSpec,
 )
 from repro.engine.tracing import EventLog
-from repro.experiments.harness import run_scheme_partitioned
 from repro.experiments.parallel import RunSpec, execute_spec, run_parallel
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
@@ -71,29 +70,14 @@ def run_tracked(
 
 
 class TestLatencyDifferential:
-    """Serial == partitioned: one latency truth across both data planes."""
+    """The frozen latency snapshot is the same in-process and from a worker."""
 
-    def test_partitioned_k1_matches_serial(self):
-        _, serial, _, _, _ = run_tracked("amri:sria")
-        spec = SloSpec.parse("p95<=2@12/3")
-        _, engine = run_scheme_partitioned(
-            PaperScenario(backlogged_params()),
-            "amri:sria",
-            TICKS,
-            partitions=1,
-            event_log=EventLog,
-            latency=lambda: LatencyTracker(threshold=spec.threshold_ticks),
-            slo=lambda: SloMonitor(spec),
-        )
-        assert engine.merged_latency() == serial.snapshot()
-
-    def test_partitioned_pool_matches_in_process(self):
+    def test_pool_matches_in_process(self):
         spec = RunSpec(
             backlogged_params(),
             "amri:sria",
             TICKS,
             train=False,
-            partitions=3,
             slo="p95<=2@12/3",
         )
         serial = execute_spec(spec)
@@ -101,12 +85,6 @@ class TestLatencyDifferential:
         assert serial.latency is not None
         assert pooled.latency == serial.latency
         assert pooled.latency.count > 0
-
-    def test_merged_latency_none_without_trackers(self):
-        _, engine = run_scheme_partitioned(
-            PaperScenario(backlogged_params()), "amri:sria", 10, partitions=2
-        )
-        assert engine.merged_latency() is None
 
 
 class TestSloObserverEffect:

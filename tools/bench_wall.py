@@ -36,14 +36,6 @@ Benchmarks
                             64-row ``search_batch`` calls; their ratio is
                             recorded per label under ``batch_speedup``
                             (the batch data plane's acceptance evidence)
-- ``fleet_router``        — 3 000 probe patterns cost-scored against a
-                            3-replica divergent fleet's live bit indexes
-                            (score-and-argmin, the router's per-request hot
-                            path); the same run records the fleet's modeled
-                            cost units vs 3 copies of the single best
-                            configuration under ``fleet_cost_units``, and
-                            their per-label ratio under ``fleet_speedup``
-                            (the divergent-fleet acceptance evidence)
 - ``selector_exhaustive`` — 10 ``select_exhaustive`` rounds on each of the
                             two candidate pools the end-to-end workloads
                             search (729 = 9**3 at 8-bit domains, 4 913 =
@@ -73,8 +65,7 @@ from repro.core.access_pattern import AccessPattern, JoinAttributeSet  # noqa: E
 from repro.core.bit_index import make_bit_index  # noqa: E402
 from repro.core.cost_model import WorkloadStatistics  # noqa: E402
 from repro.core.index_config import IndexConfiguration  # noqa: E402
-from repro.core.selector import fleet_cost, select_exhaustive, select_fleet  # noqa: E402
-from repro.fleet import score_index  # noqa: E402
+from repro.core.selector import select_exhaustive  # noqa: E402
 from repro.indexes.hash_index import MultiHashIndex  # noqa: E402
 from repro.utils.bitops import splitmix64  # noqa: E402
 
@@ -84,8 +75,6 @@ N_PROBES = 3_000
 BATCH_SIZE = 64
 ZIPF_S = 2.5
 ZIPF_DOMAIN = 256
-FLEET_K = 3
-FLEET_BUDGET = 8
 SELECTOR_BUDGET = 64
 SELECTOR_ROUNDS = 10
 
@@ -201,82 +190,6 @@ def bench_probe_plane_batch64(idx=None) -> int:
     return len(rows)
 
 
-def fleet_workload_stats() -> WorkloadStatistics:
-    """A budget-starved multi-pattern mix — the divergent fleet's regime.
-
-    Four access patterns are equally frequent but an 8-bit budget cannot
-    serve them all from one key map, so a complementary 3-configuration
-    set beats three copies of the single best configuration by a wide
-    modeled-cost margin (``fleet_cost_units`` in the output JSON).
-    """
-    return WorkloadStatistics(
-        lambda_d=200.0,
-        lambda_r=2_000.0,
-        window=50.0,
-        frequencies={
-            AccessPattern.from_attributes(JAS, ["A"]): 0.25,
-            AccessPattern.from_attributes(JAS, ["B"]): 0.25,
-            AccessPattern.from_attributes(JAS, ["C"]): 0.25,
-            AccessPattern.from_attributes(JAS, ["A", "B", "C"]): 0.25,
-        },
-        domain_bits={"A": 8, "B": 8, "C": 8},
-    )
-
-
-def fleet_modeled_costs() -> dict[str, float]:
-    """Modeled fleet cost: divergent K-set vs K copies of the best single.
-
-    Both fleets pay identical maintenance (arrivals replicate); the
-    divergent set wins on routed search cost.  Pure cost-model arithmetic —
-    machine-independent, recorded verbatim per label.
-    """
-    stats = fleet_workload_stats()
-    divergent = select_fleet(stats, JAS, FLEET_BUDGET, FLEET_K)
-    best = select_fleet(stats, JAS, FLEET_BUDGET, 1)[0]
-    return {
-        "divergent": round(fleet_cost(list(divergent), stats), 1),
-        "single": round(fleet_cost([best] * FLEET_K, stats), 1),
-    }
-
-
-def fleet_router_fixture():
-    """K populated bit indexes on the divergent configs + the probe mix."""
-    stats = fleet_workload_stats()
-    configs = select_fleet(stats, JAS, FLEET_BUDGET, FLEET_K)
-    indexes = []
-    for cfg in configs:
-        idx = make_bit_index(JAS, cfg.bits)
-        for item in make_items():
-            idx.insert(item)
-        indexes.append(idx)
-    patterns = sorted(stats.frequencies, key=lambda p: p.mask)
-    return indexes, stats, patterns
-
-
-def bench_fleet_router(fixture=None) -> int:
-    """Score-and-argmin routing of ``N_PROBES`` requests across the fleet.
-
-    The router's per-request hot path: price every replica's live index
-    for the probe's access pattern, pick the cheapest (index order breaks
-    ties) — no engine, no state mutation, just the scoring loop.
-    """
-    if fixture is None:
-        fixture = fleet_router_fixture()
-    indexes, stats, patterns = fixture
-    k = len(indexes)
-    for i in range(N_PROBES):
-        ap = patterns[i % len(patterns)]
-        best_j = 0
-        best_cost = score_index(indexes[0], ap, stats)
-        for j in range(1, k):
-            cost = score_index(indexes[j], ap, stats)
-            if cost < best_cost:
-                best_j = j
-                best_cost = cost
-        assert 0 <= best_j < k
-    return N_PROBES
-
-
 def selector_fixture() -> list[WorkloadStatistics]:
     """One round's statistics per pool size, with both pools already built.
 
@@ -377,7 +290,6 @@ BENCHMARKS: dict[str, tuple] = {
     "probe_plane_serial": (populated_bit_index, bench_probe_plane_serial),
     "probe_plane_batch64": (populated_bit_index, bench_probe_plane_batch64),
     "bit_index_migrate": (None, bench_bit_index_migrate),
-    "fleet_router": (fleet_router_fixture, bench_fleet_router),
     "selector_exhaustive": (selector_fixture, bench_selector_exhaustive),
     "latency_p95": (None, bench_latency_p95),
     "end_to_end_scenario": (None, bench_end_to_end_scenario),
@@ -392,7 +304,6 @@ MICRO_PATHS = (
     "probe_plane_serial",
     "probe_plane_batch64",
     "bit_index_migrate",
-    "fleet_router",
     "selector_exhaustive",
     "latency_p95",
 )
@@ -473,7 +384,6 @@ def run_all(repeats: int) -> dict:
         "platform": platform.platform(),
         "benchmarks": benchmarks,
         "footprint_bytes_per_instance": measure_footprint(),
-        "fleet_cost_units": fleet_modeled_costs(),
     }
 
 
@@ -504,24 +414,6 @@ def compute_batch_speedups(runs: dict) -> dict:
         batch = marks.get("probe_plane_batch64", {}).get("seconds")
         if serial and batch:
             out[label] = round(serial / batch, 2)
-    return out
-
-
-def compute_fleet_speedups(runs: dict) -> dict:
-    """Per label: single/divergent modeled fleet cost (>1 = divergence wins).
-
-    A within-run ratio like ``batch_speedup``, but in cost-model units rather than wall seconds: K copies of the best single
-    configuration vs the complementary :func:`select_fleet` set on the
-    same multi-pattern workload.  It is the divergent replica fleet's
-    committed acceptance evidence.
-    """
-    out = {}
-    for label, run in runs.items():
-        costs = run.get("fleet_cost_units", {})
-        single = costs.get("single")
-        divergent = costs.get("divergent")
-        if single and divergent:
-            out[label] = round(single / divergent, 2)
     return out
 
 
@@ -568,7 +460,6 @@ def main(argv: list[str] | None = None) -> int:
     doc["runs"][args.label] = run
     doc["speedup"] = compute_speedups(doc["runs"])
     doc["batch_speedup"] = compute_batch_speedups(doc["runs"])
-    doc["fleet_speedup"] = compute_fleet_speedups(doc["runs"])
 
     args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"\nrecorded run {args.label!r} in {args.output}")
@@ -577,8 +468,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"speedup {name:28s} {ratio:5.2f}x")
     for label, ratio in sorted(doc["batch_speedup"].items()):
         print(f"batch_speedup[{label}] {ratio:5.2f}x (serial / batch64 probe plane)")
-    for label, ratio in sorted(doc["fleet_speedup"].items()):
-        print(f"fleet_speedup[{label}] {ratio:5.2f}x (single / divergent modeled cost)")
     return 0
 
 

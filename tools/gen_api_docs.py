@@ -22,7 +22,6 @@ PACKAGES = [
     "repro.storage",
     "repro.engine",
     "repro.engine.kernel",
-    "repro.fleet",
     "repro.workloads",
     "repro.experiments",
     "repro.utils",
