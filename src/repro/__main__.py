@@ -18,8 +18,8 @@ BANNER = f"""repro {__version__} — AMRI: Index Tuning for Adaptive Multi-Route
 subcommands (python -m repro <cmd> --help for flags):
   profile   per-component cost-unit profile of one run (--metrics/--trace export)
   run       scheme comparison with CSV/metrics export
-            (also: --scheduler fifo|backlog, --slo SPEC for latency/SLO
-            tracking, --list-backends for the registry)
+            (--schemes amri:<assessor>|hash:<k>|static|inverted|scan; also
+            --scheduler fifo|backlog, --slo SPEC for latency/SLO tracking)
   figures   regenerate the paper's figures/tables <fig6|fig6-hash|fig7|table2|all>
   slo       tail-latency + SLO burn-rate report across scenarios (--json export)
 

@@ -124,6 +124,8 @@ class BitAddressIndex(StateIndex):
         :mod:`repro.core.value_mapping`); defaults to hash fragmentation.
     """
 
+    reconfigurable = True
+
     def __init__(
         self,
         config: IndexConfiguration,

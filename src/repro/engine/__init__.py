@@ -24,7 +24,6 @@ from repro.engine.metrics import (
     Span,
     SpanRecord,
 )
-from repro.engine.multi_query import MultiQueryExecutor, QuerySet
 from repro.engine.slo import (
     LATENCY_BUCKETS,
     LatencySnapshot,
@@ -57,9 +56,7 @@ __all__ = [
     "AMRExecutor",
     "AggregateSpec",
     "AggregationSink",
-    "MultiQueryExecutor",
     "QueryParseError",
-    "QuerySet",
     "parse_query",
     "DegradationPolicy",
     "EngineEvent",

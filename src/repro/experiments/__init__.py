@@ -6,7 +6,7 @@ from repro.experiments.harness import (
     run_scheme,
     train_initial_state,
 )
-from repro.experiments.parallel import RunOutcome, RunSpec, compare_parallel, run_parallel
+from repro.experiments.parallel import RunOutcome, RunSpec, run_parallel
 from repro.experiments.profiling import profile_scheme
 from repro.experiments.sweeps import SweepPoint, format_sweep, grid_points, run_sweep
 from repro.experiments.reporting import (
@@ -25,7 +25,6 @@ __all__ = [
     "RunOutcome",
     "RunSpec",
     "SweepPoint",
-    "compare_parallel",
     "run_parallel",
     "TrainingResult",
     "format_sweep",

@@ -154,29 +154,21 @@ def json_pure(value):
     return json.loads(json.dumps(value))
 
 
-def run_case(case: GoldenCase, **executor_overrides) -> dict:
-    """Execute one case and fingerprint the run.
-
-    ``executor_overrides`` pass through to ``make_executor`` — the golden
-    equivalence test uses this to pin the refactored engine's knobs (e.g.
-    an explicit scheduler) onto the same matrix.
-    """
+def run_case(case: GoldenCase) -> dict:
+    """Execute one case and fingerprint the run."""
     scenario = PaperScenario(scenario_params(case.scenario, case.seed))
     log = EventLog()
     registry = MetricsRegistry()
-    overrides: dict = dict(
+    executor = scenario.make_executor(
+        case.scheme,
+        capacity=case.capacity,
+        memory_budget=case.memory_budget,
         event_log=log,
         metrics=registry,
         faults=case.faults,
         fault_seed=case.fault_seed,
         degradation=DegradationPolicy() if case.degrade else None,
     )
-    if case.capacity is not None:
-        overrides["capacity"] = case.capacity
-    if case.memory_budget is not None:
-        overrides["memory_budget"] = case.memory_budget
-    overrides.update(executor_overrides)
-    executor = scenario.make_executor(case.scheme, **overrides)
     stats = executor.run(case.ticks, scenario.make_generator())
     return json_pure(
         {
@@ -188,6 +180,6 @@ def run_case(case: GoldenCase, **executor_overrides) -> dict:
     )
 
 
-def run_all(**executor_overrides) -> dict[str, dict]:
+def run_all() -> dict[str, dict]:
     """Fingerprint the whole matrix, keyed by case name."""
-    return {case.name: run_case(case, **executor_overrides) for case in CASES}
+    return {case.name: run_case(case) for case in CASES}

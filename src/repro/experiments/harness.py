@@ -22,7 +22,7 @@ from repro.core.cost_model import WorkloadStatistics
 from repro.core.index_config import IndexConfiguration
 from repro.core.selector import pad_patterns_to_k, select_exhaustive, select_hash_patterns
 from repro.engine.stats import RunStats
-from repro.workloads.scenarios import PaperScenario, ScenarioParams, hash_module_count
+from repro.workloads.scenarios import PaperScenario, ScenarioParams, parse_scheme
 
 TRAINING_SEED_OFFSET = 1_000_003  # decorrelates training data from measured runs
 
@@ -128,9 +128,8 @@ def trained_start(training: TrainingResult | None, scheme: str) -> dict[str, obj
     """
     if training is None:
         return {"initial_configs": None, "initial_hash_patterns": None}
-    patterns = None
-    if scheme.startswith("hash:"):
-        patterns = training.hash_patterns(hash_module_count(scheme))
+    family, k = parse_scheme(scheme)
+    patterns = training.hash_patterns(k) if family == "hash" else None
     return {"initial_configs": training.configs, "initial_hash_patterns": patterns}
 
 

@@ -36,7 +36,6 @@ from repro.engine.slo import LatencySnapshot, LatencyTracker, SloMonitor, SloSpe
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent, EventLog
 from repro.experiments.harness import TrainingResult, cached_training, run_scheme
-from repro.storage import BACKENDS, UnknownBackendError
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 
@@ -66,7 +65,7 @@ class RunSpec:
     cache, not part of the run's identity).
 
     Construction validates the whole description — sizes, scheme /
-    scheduler / backend / fault-profile names and the SLO string — and
+    scheduler / fault-profile names and the SLO string — and
     raises a ``ValueError`` naming the offending field, so a spec that
     exists can be executed.
     """
@@ -84,7 +83,6 @@ class RunSpec:
     collect_metrics: bool = False
     slo: str | None = None  # SLO spec string, e.g. "p95<=8@120" (arms latency tracking)
     scheduler: str | None = None  # backlog-drain policy name (None = fifo)
-    index_backend: str | None = None  # registry backend override (None = scheme default)
     migration_budget: int | None = None  # tuples moved per tick (None = stop-the-world)
     training: TrainingResult | None = field(default=None, compare=False, repr=False)
 
@@ -103,7 +101,7 @@ class RunSpec:
         for name, value in sizes.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        PaperScenario(params).check_scheme(scheme)
+        PaperScenario(params).build_stems(scheme)  # cheap, and rejects what a run would
         resolve_scheduler(scheduler)
 
     def __post_init__(self) -> None:
@@ -117,11 +115,6 @@ class RunSpec:
         if self.migration_budget is not None and self.migration_budget < 1:
             raise ValueError(f"migration_budget must be >= 1, got {self.migration_budget}")
         resolve_fault_plan(self.faults)
-        if self.index_backend is not None:
-            try:
-                BACKENDS.resolve(self.index_backend)
-            except UnknownBackendError as exc:
-                raise ValueError(str(exc)) from None
         if self.slo is not None:
             SloSpec.parse(self.slo)
 
@@ -241,7 +234,6 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
         fault_seed=spec.fault_seed,
         degradation=DegradationPolicy() if spec.degrade else None,
         scheduler=spec.scheduler,
-        index_backend=spec.index_backend,
         migration_budget=spec.migration_budget,
     )
     return RunOutcome(
@@ -269,28 +261,3 @@ def run_parallel(specs: list[RunSpec], *, workers: int = 4) -> list[RunOutcome]:
         return [execute_spec(spec) for spec in specs]
     with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
         return list(pool.map(execute_spec, specs))
-
-
-def compare_parallel(
-    params: ScenarioParams,
-    schemes: list[str],
-    ticks: int,
-    *,
-    workers: int = 4,
-    train: bool = True,
-    train_ticks: int = 100,
-) -> dict[str, RunStats]:
-    """Parallel analogue of :func:`repro.experiments.harness.run_comparison`.
-
-    Each scheme runs in its own process over identical arrivals.  The
-    quasi-training runs once up front (all specs share one training key)
-    and ships to every worker on its spec — training is deterministic, so
-    results match the serial path exactly, now without the per-worker
-    retrain the old implementation paid.
-    """
-    specs = [
-        RunSpec(params, scheme, ticks, train=train, train_ticks=train_ticks)
-        for scheme in schemes
-    ]
-    outcomes = run_parallel(specs, workers=workers)
-    return {outcome.spec.scheme: outcome.stats for outcome in outcomes}

@@ -49,8 +49,7 @@ from repro.experiments.reporting import (
     format_table,
     format_throughput_figure,
 )
-from repro.storage import BACKENDS
-from repro.workloads.scenarios import SCENARIO_PARAMS, scenario_params
+from repro.workloads.scenarios import SCENARIO_PARAMS, parse_scheme_list, scenario_params
 
 
 def write_series_csv(path: Path, stats: RunStats) -> None:
@@ -106,40 +105,12 @@ def write_events_csv(path: Path, events_by_scheme: dict[str, list[EngineEvent]])
                 writer.writerow([name, e.tick, e.kind, e.stream or "", detail])
 
 
-def format_backend_table() -> str:
-    """The index backend registry as a printable table."""
-    rows = []
-    for name in BACKENDS.names():
-        d = BACKENDS.resolve(name)
-        caps = d.capabilities
-        flags = [
-            label
-            for label, on in (
-                ("reconfigurable", caps.reconfigurable),
-                ("tunable", caps.tunable),
-                ("per-pattern", caps.per_pattern_modules),
-                ("unindexed", caps.unindexed),
-            )
-            if on
-        ]
-        mem = d.memory
-        shape = f"{mem.slots_per_tuple} slot/tuple"
-        if mem.entries_per_attribute:
-            shape += f", {mem.entries_per_attribute} entry/attr"
-        if mem.bucket_overhead:
-            shape += ", bucket overhead"
-        rows.append([name, d.cls.__name__, ", ".join(flags) or "-", shape, d.summary])
-    return format_table(
-        ["backend", "class", "capabilities", "memory shape", "summary"], rows
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro run", description=__doc__)
     parser.add_argument(
         "--schemes",
         default="amri:cdia-highest,static",
-        help="comma-separated list (amri:<assessor> | hash:<k> | static | scan)",
+        help="comma-separated list (amri:<assessor> | hash:<k> | static | inverted | scan)",
     )
     parser.add_argument("--scenario", choices=tuple(SCENARIO_PARAMS), default="paper")
     parser.add_argument("--ticks", type=int, default=400)
@@ -168,23 +139,11 @@ def main(argv: list[str] | None = None) -> int:
         help="backlog-drain policy (fifo = historical arrival order)",
     )
     parser.add_argument(
-        "--index-backend",
-        default=None,
-        help="override every state's physical index with a registered backend "
-        "(see repro.storage.BACKENDS; the scheme's assessment is kept)",
-    )
-    parser.add_argument(
         "--migration-budget",
         type=int,
         default=None,
         help="tuples an index migration may relocate per tick "
         "(default: unbudgeted single-tick rebuild)",
-    )
-    parser.add_argument(
-        "--list-backends",
-        action="store_true",
-        help="print the index backend registry (name, capabilities, memory "
-        "shape) and exit",
     )
     parser.add_argument(
         "--metrics",
@@ -213,16 +172,11 @@ def main(argv: list[str] | None = None) -> int:
         help="directory for per-scheme latency/SLO reports (JSONL; requires --slo)",
     )
     args = parser.parse_args(argv)
-    if args.list_backends:
-        print(format_backend_table())
-        return 0
     if args.slo_report is not None and args.slo is None:
         parser.error("--slo-report requires --slo")
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    if not schemes:
-        parser.error(f"--schemes names no scheme, got {args.schemes!r}")
     faults = None if args.faults == "none" else args.faults
     try:
+        schemes = parse_scheme_list(args.schemes)
         specs = [
             RunSpec(
                 scenario_params(args.scenario, args.seed),
@@ -236,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
                 collect_metrics=args.metrics is not None or args.trace is not None,
                 slo=args.slo,
                 scheduler=args.scheduler,
-                index_backend=args.index_backend,
                 migration_budget=args.migration_budget,
             )
             for scheme in schemes

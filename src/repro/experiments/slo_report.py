@@ -23,7 +23,7 @@ from repro.engine.slo import SLO_BREACH, SLO_RECOVERED, SloSpec
 from repro.engine.metrics_export import event_records, to_jsonl_lines
 from repro.experiments.parallel import RunSpec, execute_spec
 from repro.experiments.reporting import BreachSummary, format_slo_report
-from repro.workloads.scenarios import SCENARIO_PARAMS, scenario_params
+from repro.workloads.scenarios import SCENARIO_PARAMS, parse_scheme_list, scenario_params
 
 SLO_EVENT_KINDS = (SLO_BREACH, SLO_RECOVERED)
 
@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--schemes",
         default="amri:cdia-highest,static",
-        help="comma-separated list (amri:<assessor> | hash:<k> | static | scan)",
+        help="comma-separated list (amri:<assessor> | hash:<k> | static | inverted | scan)",
     )
     parser.add_argument("--ticks", type=int, default=200)
     parser.add_argument("--train-ticks", type=int, default=100)
@@ -73,10 +73,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    if not schemes:
-        parser.error(f"--schemes names no scheme, got {args.schemes!r}")
     try:
+        schemes = parse_scheme_list(args.schemes)
         spec = SloSpec.parse(args.slo)
         specs = {
             scenario_name: [

@@ -131,6 +131,14 @@ class StateIndex(abc.ABC):
     and counters current.
     """
 
+    #: Supports ``reconfigure(IndexConfiguration)`` — the AMRI key-map
+    #: migration, and therefore a budgeted incremental one
+    #: (read by :meth:`~repro.storage.migration.IndexLifecycle.begin`).
+    reconfigurable = False
+    #: Every probe is a full scan — this *is* the degraded state
+    #: (read by :attr:`~repro.storage.store.StateStore.degraded`).
+    unindexed = False
+
     def __init__(
         self,
         jas: JoinAttributeSet,

@@ -18,6 +18,8 @@ from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, 
 class ScanIndex(StateIndex):
     """Stores items in arrival order; answers every probe by full scan."""
 
+    unindexed = True
+
     def __init__(
         self,
         jas: JoinAttributeSet,

@@ -1,12 +1,9 @@
-"""The unified storage layer: stores, index backends, migration lifecycle.
+"""The unified storage layer: stores and the migration lifecycle.
 
 Mirrors the staged kernel's decomposition on the storage side:
 
 - :class:`StateStore` — one stream's window + index + accountant + tuner
   wiring (the operator the paper calls a STeM);
-- :class:`IndexBackendRegistry` / :data:`BACKENDS` — every physical index
-  scheme registered under a string name with capability and memory
-  descriptors (``isinstance`` checks become capability lookups);
 - :class:`IndexLifecycle` / :class:`MigrationPlanner` — budgeted
   incremental migration: tuner-approved reconfigurations drain
   ``migration_budget`` tuples per tick through a dual-structure phase
@@ -14,17 +11,6 @@ Mirrors the staged kernel's decomposition on the storage side:
   single-tick path bit-identically).
 """
 
-from repro.storage.backends import (
-    BACKENDS,
-    BackendCapabilities,
-    IndexBackendDescriptor,
-    IndexBackendRegistry,
-    IndexBuildSpec,
-    MemoryProfile,
-    UnknownBackendError,
-    capabilities_for,
-    resolve_backend,
-)
 from repro.storage.migration import (
     MIGRATION_DONE,
     MIGRATION_START,
@@ -38,24 +24,15 @@ from repro.storage.migration import (
 from repro.storage.store import StateStore, Tuner, merge_outcomes
 
 __all__ = [
-    "BACKENDS",
-    "BackendCapabilities",
-    "IndexBackendDescriptor",
-    "IndexBackendRegistry",
-    "IndexBuildSpec",
     "IndexLifecycle",
     "MIGRATION_DONE",
     "MIGRATION_START",
     "MIGRATION_STEP",
-    "MemoryProfile",
     "MigrationPlan",
     "MigrationPlanner",
     "MigrationStepReport",
     "StateStore",
     "Tuner",
-    "UnknownBackendError",
-    "capabilities_for",
     "merge_outcomes",
     "plan_steps",
-    "resolve_backend",
 ]

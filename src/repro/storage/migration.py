@@ -127,9 +127,7 @@ class IndexLifecycle:
         index = self.store.index
         if self.budget is None:
             return index.reconfigure(new_config)
-        from repro.storage.backends import capabilities_for
-
-        if not capabilities_for(index).reconfigurable:
+        if not index.reconfigurable:
             raise RuntimeError(
                 f"{type(index).__name__} does not support key-map migration"
             )

@@ -11,8 +11,9 @@ satisfy a search request's join predicates.  Storage policy lives here:
   the arriving tuple is inserted, so the ``index_bytes``/payload peak never
   overstates occupancy by one tuple per admission.
 - **Capability-driven behaviour.** "Is this state degraded", "can this
-  index be retuned" are registry capability lookups
-  (:mod:`repro.storage.backends`), not ``isinstance`` checks.
+  index migrate under a budget" are class attributes of the index
+  (``StateIndex.unindexed`` / ``reconfigurable``), not ``isinstance``
+  checks.
 - **Budgeted incremental migration.** With a finite ``migration_budget``
   the store wires itself as the tuner's migrator: a tuner-approved
   reconfiguration opens an :class:`~repro.storage.migration.IndexLifecycle`
@@ -31,7 +32,6 @@ from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.tuner import AMRITuner, HashIndexTuner, NullTuner, TuneReport, TuningContext
 from repro.indexes.base import CostParams, SearchOutcome, StateIndex
 from repro.indexes.scan_index import ScanIndex
-from repro.storage.backends import capabilities_for
 from repro.storage.migration import IndexLifecycle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,7 +66,7 @@ class StateStore:
     jas:
         The state's join-attribute set (from the query).
     index:
-        The physical index over the state (any registered backend).
+        The physical index over the state (any :class:`StateIndex`).
     window:
         Either a window length in time units (builds a time-based
         :class:`SlidingWindow`) or a ready window object (e.g. a
@@ -79,7 +79,7 @@ class StateStore:
         default) keeps tuner-approved migrations as legacy single-tick
         rebuilds; a positive integer makes them budgeted dual-structure
         drains (see :mod:`repro.storage.migration`).  Only meaningful for
-        reconfigurable backends driven by an :class:`AMRITuner`.
+        ``reconfigurable`` indexes driven by an :class:`AMRITuner`.
     """
 
     def __init__(
@@ -129,7 +129,7 @@ class StateStore:
     @property
     def degraded(self) -> bool:
         """True once the state has fallen back to an unindexed full scan."""
-        return capabilities_for(self.index).unindexed
+        return self.index.unindexed
 
     @property
     def migration_active(self) -> bool:

@@ -16,15 +16,20 @@ factory methods that assemble an executor for any index scheme:
 - ``"static"`` — non-adapting bit-address index (tuning off);
 - ``"inverted"`` — per-attribute exact inverted lists (untunable extra baseline);
 - ``"scan"`` — no index at all.
+
+A scheme is the one name of a state's index: :func:`parse_scheme` splits
+it into ``(family, arg)`` and :data:`SCHEMES` holds one builder per family.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core.access_pattern import AccessPattern
 from repro.core.assessment import CDIA, make_assessor
+from repro.core.bit_index import BitAddressIndex
 from repro.core.index_config import IndexConfiguration, uniform_configuration
 from repro.core.selector import IndexSelector
 from repro.core.tuner import AMRITuner, HashIndexTuner, NullTuner
@@ -41,8 +46,12 @@ from repro.engine.router import (
     Router,
 )
 from repro.engine.stream import StreamSchema
-from repro.indexes.base import Accountant, CostParams
-from repro.storage import BACKENDS, IndexBuildSpec, StateStore
+from repro.indexes.base import CostParams, StateIndex
+from repro.indexes.hash_index import MultiHashIndex
+from repro.indexes.inverted_index import InvertedListIndex
+from repro.indexes.scan_index import ScanIndex
+from repro.indexes.static_bitmap import StaticBitmapIndex
+from repro.storage import StateStore, Tuner
 from repro.utils.rng import derive_seed
 from repro.workloads.generators import (
     SyntheticStreamGenerator,
@@ -99,19 +108,99 @@ class ScenarioParams:
         return f"{a}{b}" if len(a) == 1 and len(b) == 1 else f"{a}_{b}"
 
 
-def _unknown_scheme(scheme: str) -> ValueError:
-    return ValueError(
+def parse_scheme(scheme: str) -> tuple[str, str | int | None]:
+    """Split a scheme name into ``(family, arg)`` — the only place one is split.
+
+    ``amri:<assessor>`` gives ``("amri", "<assessor>")`` (the name itself is
+    :func:`~repro.core.assessment.make_assessor`'s to check), ``hash:<k>``
+    gives ``("hash", k)`` for an ASCII decimal ``k >= 1``, and ``static`` /
+    ``inverted`` / ``scan`` take no argument.  Anything else is the one
+    ``unknown scheme`` ``ValueError``.
+    """
+    family, *arg = scheme.split(":", 1)
+    if family == "amri" and arg:
+        return family, arg[0]
+    if family == "hash" and arg and arg[0].isascii() and arg[0].isdigit() and int(arg[0]) >= 1:
+        return family, int(arg[0])
+    if family in ("static", "inverted", "scan") and not arg:
+        return family, None
+    raise ValueError(
         f"unknown scheme {scheme!r}; expected amri:<assessor>, hash:<k> (k >= 1), "
         "static, inverted, or scan"
     )
 
 
-def hash_module_count(scheme: str) -> int:
-    """The ``k`` (>= 1) of a ``hash:<k>`` scheme name."""
-    k = scheme.split(":", 1)[1]
-    if not k.isdigit() or int(k) < 1:
-        raise _unknown_scheme(scheme)
-    return int(k)
+def parse_scheme_list(text: str) -> list[str]:
+    """A CLI's comma-separated ``--schemes`` value as a list of scheme names.
+
+    An empty list and a repeated name are ``ValueError``s naming the value
+    (a repeat would run twice and report once: results are keyed by scheme).
+    """
+    schemes = [s.strip() for s in text.split(",") if s.strip()]
+    if not schemes:
+        raise ValueError(f"--schemes names no scheme, got {text!r}")
+    repeated = sorted({s for s in schemes if schemes.count(s) > 1})
+    if repeated:
+        raise ValueError(f"--schemes repeats {', '.join(repeated)}, got {text!r}")
+    return schemes
+
+
+@dataclass(frozen=True)
+class StateStart:
+    """Where one state starts: its IC and, for ``hash:<k>``, its modules."""
+
+    config: IndexConfiguration
+    patterns: list[AccessPattern] | None = None
+
+
+def _amri(scenario: PaperScenario, stream: str, jas, assessor_name: str, start: StateStart):
+    p = scenario.params
+    index = BitAddressIndex(start.config, None, scenario.cost_params)
+    assessor = make_assessor(
+        assessor_name, jas, epsilon=p.epsilon, seed=scenario.assessor_seed(stream)
+    )
+    selector = IndexSelector(jas, p.bit_budget, scenario.cost_params)
+    return index, AMRITuner(index, assessor, selector, theta=p.theta, params=scenario.cost_params)
+
+
+def _hash(scenario: PaperScenario, stream: str, jas, k: int, start: StateStart):
+    p = scenario.params
+    patterns = start.patterns
+    if not patterns:
+        # Default modules: the k single-attribute patterns first, then
+        # pairs — a reasonable uninformed starting set.
+        combos = [c for r in (1, 2) for c in itertools.combinations(jas.names, r)]
+        patterns = [AccessPattern.from_attributes(jas, list(c)) for c in combos]
+        patterns.append(AccessPattern.all_attributes(jas))
+        patterns = patterns[:k]
+    index = MultiHashIndex(jas, patterns, None, scenario.cost_params)
+    assessor = CDIA(jas, p.epsilon, combine="highest_count", seed=scenario.assessor_seed(stream))
+    return index, HashIndexTuner(index, assessor, k=k, theta=p.theta)
+
+
+def _static(scenario: PaperScenario, stream: str, jas, arg: None, start: StateStart):
+    index = StaticBitmapIndex(start.config, None, scenario.cost_params)
+    return index, NullTuner(make_assessor("sria", jas))
+
+
+def _inverted(scenario: PaperScenario, stream: str, jas, arg: None, start: StateStart):
+    return InvertedListIndex(jas, None, scenario.cost_params), NullTuner(make_assessor("sria", jas))
+
+
+def _scan(scenario: PaperScenario, stream: str, jas, arg: None, start: StateStart):
+    return ScanIndex(jas, None, scenario.cost_params), NullTuner(make_assessor("sria", jas))
+
+
+#: The scheme table: family → ``build(scenario, stream, jas, arg, start)``
+#: returning the state's ``(index, tuner)``.  A new index scheme is one row
+#: here (and its family name in :func:`parse_scheme`).
+SCHEMES: dict[str, Callable[..., tuple[StateIndex, Tuner]]] = {
+    "amri": _amri,
+    "hash": _hash,
+    "static": _static,
+    "inverted": _inverted,
+    "scan": _scan,
+}
 
 
 class PaperScenario:
@@ -169,36 +258,10 @@ class PaperScenario:
     # ------------------------------------------------------------------ #
     # stem factories
 
-    def default_config(self, stream: str) -> IndexConfiguration:
-        """Uninformed starting IC: budget spread evenly over the JAS."""
-        return uniform_configuration(self.query.jas_for(stream), self.params.bit_budget)
-
-    def _selector(self, stream: str) -> IndexSelector:
-        return IndexSelector(
-            self.query.jas_for(stream), self.params.bit_budget, self.cost_params
-        )
-
-    @staticmethod
-    def backend_for_scheme(scheme: str) -> str:
-        """The registry backend name a scheme's physical index uses."""
-        if scheme.startswith("amri:"):
-            return "bit_address"
-        if scheme.startswith("hash:"):
-            hash_module_count(scheme)  # rejects a non-numeric or zero <k>
-            return "multi_hash"
-        if scheme in ("static", "inverted", "scan"):
-            return {"static": "static_bitmap", "inverted": "inverted", "scan": "scan"}[scheme]
-        raise _unknown_scheme(scheme)
-
-    def check_scheme(self, scheme: str) -> None:
-        """Raise the ``ValueError`` :meth:`build_stems` would raise for a bad
-        scheme name (backend, ``hash:<k>``, assessor) without building
-        anything — what ``RunSpec`` calls at construction, before any
-        quasi-training is paid for."""
-        self.backend_for_scheme(scheme)
-        if scheme.startswith("amri:"):
-            jas = self.query.jas_for(self.params.stream_names[0])
-            make_assessor(scheme.split(":", 1)[1], jas)
+    def assessor_seed(self, stream: str) -> int:
+        """The seed of ``stream``'s compacting assessor (fixed per scenario seed)."""
+        p = self.params
+        return derive_seed(p.seed, f"assessor:{stream}", p.stream_names.index(stream))
 
     def build_stems(
         self,
@@ -206,84 +269,28 @@ class PaperScenario:
         *,
         initial_configs: dict[str, IndexConfiguration] | None = None,
         initial_hash_patterns: dict[str, list[AccessPattern]] | None = None,
-        index_backend: str | None = None,
         migration_budget: int | None = None,
     ) -> dict[str, StateStore]:
         """Assemble one state store (the paper's STeM) per stream for the named index scheme.
 
-        The physical index is built through the
-        :data:`~repro.storage.BACKENDS` registry; ``index_backend`` (a
-        registry name) overrides the scheme's default backend while keeping
-        its assessment — the scheme's tuner survives when the override is
-        capability-compatible, otherwise tuning drops to a
-        :class:`~repro.core.tuner.NullTuner` over the same assessor.
+        The scheme's row of :data:`SCHEMES` builds each state's index and
+        tuner; a state without an entry in ``initial_configs`` starts from
+        the uninformed IC (the bit budget spread evenly over its JAS).
         ``migration_budget`` makes tuner-approved migrations incremental
         (see :mod:`repro.storage.migration`); ``None`` keeps the legacy
         single-tick rebuild.
         """
         p = self.params
-        default_backend = self.backend_for_scheme(scheme)  # also validates the scheme
-        backend = index_backend if index_backend is not None else default_backend
-        descriptor = BACKENDS.resolve(backend)
-        caps = descriptor.capabilities
+        family, arg = parse_scheme(scheme)
+        build = SCHEMES[family]
         stems: dict[str, StateStore] = {}
-        for i, stream in enumerate(p.stream_names):
+        for stream in p.stream_names:
             jas = self.query.jas_for(stream)
-            acct = Accountant()
-            seed = derive_seed(p.seed, f"assessor:{stream}", i)
-            config = (initial_configs or {}).get(stream, self.default_config(stream))
-
-            patterns: tuple[AccessPattern, ...] = ()
-            if scheme.startswith("hash:"):
-                k = hash_module_count(scheme)
-                chosen = (initial_hash_patterns or {}).get(stream)
-                if chosen is None:
-                    # Default modules: the k single-attribute patterns first,
-                    # then pairs — a reasonable uninformed starting set.
-                    singles = [
-                        AccessPattern.from_attributes(jas, [a]) for a in jas.names
-                    ]
-                    pairs = [
-                        AccessPattern.from_attributes(jas, list(combo))
-                        for combo in itertools.combinations(jas.names, 2)
-                    ]
-                    alls = [AccessPattern.all_attributes(jas)]
-                    chosen = (singles + pairs + alls)[:k]
-                patterns = tuple(chosen)
-
-            index = descriptor.build(
-                IndexBuildSpec(
-                    jas=jas,
-                    accountant=acct,
-                    cost_params=self.cost_params,
-                    config=config,
-                    patterns=patterns,
-                    bit_budget=p.bit_budget,
-                )
-            )
-
-            if scheme.startswith("amri:"):
-                assessor_name = scheme.split(":", 1)[1]
-                assessor = make_assessor(assessor_name, jas, epsilon=p.epsilon, seed=seed)
-                if caps.reconfigurable and caps.tunable:
-                    tuner = AMRITuner(
-                        index,
-                        assessor,
-                        self._selector(stream),
-                        theta=p.theta,
-                        params=self.cost_params,
-                    )
-                else:
-                    tuner = NullTuner(assessor)
-            elif scheme.startswith("hash:"):
-                k = hash_module_count(scheme)
-                assessor = CDIA(jas, p.epsilon, combine="highest_count", seed=seed)
-                if caps.per_pattern_modules:
-                    tuner = HashIndexTuner(index, assessor, k=k, theta=p.theta)
-                else:
-                    tuner = NullTuner(assessor)
-            else:
-                tuner = NullTuner(make_assessor("sria", jas))
+            config = (initial_configs or {}).get(stream)
+            if config is None:
+                config = uniform_configuration(jas, p.bit_budget)
+            start = StateStart(config, (initial_hash_patterns or {}).get(stream))
+            index, tuner = build(self, stream, jas, arg, start)
             stems[stream] = StateStore(
                 stream,
                 jas,
@@ -298,17 +305,16 @@ class PaperScenario:
     # ------------------------------------------------------------------ #
     # routing
 
-    def make_router(self, *, explore_prob: float | None = None) -> Router:
+    def make_router(self) -> Router:
         """Build the scenario's routing policy (``params.router``)."""
         p = self.params
         seed = derive_seed(p.seed, "router")
-        prob = p.explore_prob if explore_prob is None else explore_prob
         if p.router == "greedy":
-            return GreedyAdaptiveRouter(self.query, explore_prob=prob, seed=seed)
+            return GreedyAdaptiveRouter(self.query, explore_prob=p.explore_prob, seed=seed)
         if p.router == "lottery":
             return LotteryRouter(self.query, seed=seed)
         if p.router == "content":
-            return ContentBasedRouter(self.query, explore_prob=prob, seed=seed)
+            return ContentBasedRouter(self.query, explore_prob=p.explore_prob, seed=seed)
         if p.router == "fixed":
             names = self.query.stream_names
             return FixedRouter({s: [t for t in names if t != s] for s in names})
@@ -327,8 +333,6 @@ class PaperScenario:
         initial_hash_patterns: dict[str, list[AccessPattern]] | None = None,
         capacity: float | None = None,
         memory_budget: int | None = None,
-        explore_prob: float | None = None,
-        assess_interval: int | None = None,
         output_sink=None,
         event_log=None,
         faults: "FaultPlan | str | None" = None,
@@ -339,7 +343,6 @@ class PaperScenario:
         latency=None,
         slo=None,
         scheduler=None,
-        index_backend: str | None = None,
         migration_budget: int | None = None,
     ) -> AMRExecutor:
         """A ready-to-run executor for the named scheme.
@@ -364,30 +367,23 @@ class PaperScenario:
         :class:`~repro.engine.kernel.Scheduler` or a registry name such as
         ``"fifo"``/``"backlog"``); ``None`` keeps the historical FIFO drain.
 
-        ``index_backend`` overrides each state's physical index with a
-        named :data:`~repro.storage.BACKENDS` backend; ``migration_budget``
-        caps tuples relocated per tick during tuner-approved migrations
-        (both forwarded to :meth:`build_stems`).
+        ``migration_budget`` caps tuples relocated per tick during
+        tuner-approved migrations (forwarded to :meth:`build_stems`).
         """
         p = self.params
         stems = self.build_stems(
             scheme,
             initial_configs=initial_configs,
             initial_hash_patterns=initial_hash_patterns,
-            index_backend=index_backend,
             migration_budget=migration_budget,
         )
-        router = self.make_router(
-            explore_prob=p.explore_prob if explore_prob is None else explore_prob
-        )
+        router = self.make_router()
         meter = ResourceMeter(
             params=self.cost_params,
             capacity=p.capacity if capacity is None else capacity,
             memory_budget=p.memory_budget if memory_budget is None else memory_budget,
         )
-        config = ExecutorConfig(
-            assess_interval=p.assess_interval if assess_interval is None else assess_interval,
-        )
+        config = ExecutorConfig(assess_interval=p.assess_interval)
         plan = resolve_fault_plan(faults)
         injector = (
             FaultInjector(plan, p.stream_names, seed=fault_seed)

@@ -8,7 +8,9 @@ import pytest
 
 from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
+from repro.core.index_config import IndexConfiguration
 from repro.core.lattice import AccessPatternLattice
+from repro.indexes.hash_index import MultiHashIndex
 
 
 @contextmanager
@@ -23,6 +25,18 @@ def column_probe_gate(candidates: int):
         yield
     finally:
         bit_index.COLUMN_PROBE_MIN_CANDIDATES = default
+
+
+def build_index(cls, jas: JoinAttributeSet):
+    """A fresh index of any of the five classes over ``jas``: two bits per
+    attribute where the class has a key map, modules on the first attribute
+    and the first two where it has modules."""
+    if issubclass(cls, bit_index.BitAddressIndex):
+        return cls(IndexConfiguration(jas, [2] * len(jas)))
+    if cls is MultiHashIndex:
+        names = list(jas.names)
+        return cls(jas, [AccessPattern.from_attributes(jas, names[:n]) for n in (1, 2)])
+    return cls(jas)
 
 
 @pytest.fixture

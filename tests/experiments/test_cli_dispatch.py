@@ -99,6 +99,8 @@ class TestEngineFlags:
             (["run", "--partitions", "2"], "--partitions"),
             (["slo", "--partitions", "2"], "--partitions"),
             (["fleet"], "'fleet'"),
+            (["run", "--index-backend", "scan"], "--index-backend"),
+            (["run", "--list-backends"], "--list-backends"),
         ],
     )
     def test_removed_scale_out_surface_is_a_usage_error(self, argv, named, capsys):
@@ -107,17 +109,6 @@ class TestEngineFlags:
         assert rc == 2
         assert named in captured.err.strip().splitlines()[-1]
         assert "Traceback" not in captured.err
-
-    def test_list_backends_prints_the_registry(self, capsys):
-        rc = main_mod.main(["run", "--list-backends"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        from repro.storage import BACKENDS
-
-        for name in BACKENDS.names():
-            assert name in out
-        assert "capabilities" in out
-        assert "memory shape" in out
 
     @pytest.mark.parametrize("value", [",", ""])
     def test_empty_scheme_list_is_a_usage_error(self, value, capsys):
@@ -143,7 +134,7 @@ class TestEngineFlags:
             ("run", ["--schemes", "hash:0"], "unknown scheme 'hash:0'"),
             ("run", ["--schemes", "amri:bogus"], "unknown assessor 'bogus'"),
             ("run", ["--migration-budget", "0"], "migration_budget must be >= 1, got 0"),
-            ("run", ["--index-backend", "btree"], "unknown index backend 'btree'"),
+            ("run", ["--schemes", "hash:²"], "unknown scheme 'hash:²'; expected amri:<assessor>"),
             ("run", ["--slo", "garbage"], "bad SLO spec 'garbage'"),
             ("slo", ["--ticks", "0"], "ticks must be >= 1, got 0"),
             ("slo", ["--train-ticks", "0"], "train_ticks must be >= 1, got 0"),
@@ -153,6 +144,10 @@ class TestEngineFlags:
             ("profile", ["--train-ticks", "0"], "train_ticks must be >= 1, got 0"),
             ("profile", ["--scheme", "hash:0"], "unknown scheme 'hash:0'"),
             ("profile", ["--scheme", "amri:bogus"], "unknown assessor 'bogus'"),
+            ("profile", ["--scheme", "hash:²"], "unknown scheme 'hash:²'"),
+            ("run", ["--schemes", "scan,scan"], "--schemes repeats scan, got 'scan,scan'"),
+            ("slo", ["--schemes", "static, scan,static"], "--schemes repeats static, got"),
+            ("slo", ["--schemes", ","], "--schemes names no scheme, got ','"),
         ],
     )
     def test_bad_sizes_and_schemes_are_usage_errors_before_training(

@@ -20,7 +20,6 @@ from repro.experiments.harness import (
 from repro.experiments.parallel import (
     RunSpec,
     _share_training,
-    compare_parallel,
     execute_spec,
     run_parallel,
 )
@@ -59,8 +58,8 @@ class TestRunSpec:
             ("migration_budget", 0),
             ("scheme", "bogus"),
             ("scheme", "hash:0"),
+            ("scheme", "hash:²"),
             ("scheduler", "nope"),
-            ("index_backend", "btree"),
             ("faults", "mayhem"),
             ("slo", "garbage"),
             ("params", replace(FAST, rate_modulation="tidal")),
@@ -79,7 +78,7 @@ class TestRunSpec:
             " scheme=amri:sria ticks=15 train=False "
         )
         assert "\n" not in line
-        assert len(fields(RunSpec)) == 16
+        assert len(fields(RunSpec)) == 15
         for f in fields(RunSpec):
             assert (f" {f.name}=" in f" {line}") == (f.name not in ("training", "label")), f.name
         assert " scheme=a,b " in spec().describe(["a", "b"])
@@ -157,18 +156,6 @@ class TestOnePath:
 
 
 class TestStorageSpecFields:
-    def test_index_backend_override_changes_the_run(self):
-        base = execute_spec(
-            RunSpec(FAST, "static", 15, train=False)
-        )
-        overridden = execute_spec(
-            RunSpec(FAST, "static", 15, train=False, index_backend="scan")
-        )
-        # Same arrivals, same outputs; a full-scan state pays different
-        # probe-side work, which the stats expose.
-        assert base.outputs == overridden.outputs
-        assert base.stats.samples[-1].cost_spent != overridden.stats.samples[-1].cost_spent
-
     def test_budgeted_spec_is_pool_safe(self):
         s = RunSpec(
             ScenarioParams(seed=3, capacity=1e9, memory_budget=1 << 30),
@@ -181,7 +168,7 @@ class TestStorageSpecFields:
         assert pooled[0].outputs == pooled[1].outputs == serial[0].outputs
 
     def test_spec_with_storage_fields_pickles(self):
-        s = RunSpec(FAST, "static", 5, index_backend="inverted", migration_budget=7)
+        s = RunSpec(FAST, "inverted", 5, migration_budget=7)
         assert pickle.loads(pickle.dumps(s)) == s
 
 
@@ -320,20 +307,3 @@ class TestSharedTraining:
         )
         assert shipped.stats == retrained.stats
         assert shipped.events == retrained.events
-
-
-class TestCompareParallel:
-    def test_matches_serial_comparison(self):
-        from repro.experiments.harness import run_comparison
-        from repro.workloads.scenarios import PaperScenario
-
-        params = ScenarioParams(seed=11, capacity=1e9, memory_budget=1 << 30)
-        schemes = ["amri:sria", "scan"]
-        parallel = compare_parallel(
-            params, schemes, 15, workers=2, train=False
-        )
-        serial = run_comparison(
-            PaperScenario(params), schemes, 15, train=False
-        )
-        for scheme in schemes:
-            assert parallel[scheme].outputs == serial[scheme].outputs

@@ -117,27 +117,17 @@ class TestCLI:
             assert any(s["name"] == "tick" for s in spans)
 
 
-class TestIndexBackendFlags:
-    def test_unknown_backend_exits_with_registered_names(self, capsys):
+class TestSchemeNames:
+    def test_unknown_scheme_exits_naming_the_expected_ones(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli.main(
-                ["--schemes", "scan", "--ticks", "5", "--index-backend", "btree"]
-            )
+            run_cli.main(["--schemes", "scan,btree:3", "--ticks", "5"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown index backend 'btree'" in err
-        assert "bit_address" in err and "scan" in err
+        assert "unknown scheme 'btree:3'" in err
+        assert "amri:<assessor>" in err and "inverted" in err
 
-    def test_backend_override_runs(self, capsys):
-        rc = run_cli.main(
-            [
-                "--schemes", "static", "--ticks", "12", "--no-train",
-                "--index-backend", "inverted",
-            ]
-        )
-        assert rc == 0
-        assert "static" in capsys.readouterr().out
 
+class TestMigrationBudgetFlags:
     def test_migration_budget_must_be_positive(self):
         with pytest.raises(SystemExit):
             run_cli.main(

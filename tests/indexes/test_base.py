@@ -1,9 +1,18 @@
-"""Tests for the index-layer foundation: cost params, accountant, outcomes."""
+"""Tests for the index-layer foundation: cost params, accountant, outcomes,
+and what all five index classes share."""
 
 import pytest
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
+from repro.core.bit_index import BitAddressIndex
+from repro.core.index_config import IndexConfiguration
 from repro.indexes.base import Accountant, CostParams, SearchOutcome, StateIndex
+from repro.indexes.hash_index import MultiHashIndex
+from repro.indexes.inverted_index import InvertedListIndex
+from repro.indexes.scan_index import ScanIndex
+from repro.indexes.static_bitmap import StaticBitmapIndex
+from repro.storage import StateStore
+from tests.conftest import build_index
 
 
 class TestCostParams:
@@ -140,3 +149,61 @@ class TestStateIndexHelpers:
         assert isinstance(d.cost_params, CostParams)
         assert d.memory_bytes == 0
         assert "Dummy" in d.describe()
+
+
+INDEX_CLASSES = (BitAddressIndex, StaticBitmapIndex, MultiHashIndex, InvertedListIndex, ScanIndex)
+
+
+class TestIndexClasses:
+    """What the storage layer reads off an index class, and the storage
+    contract all five keep."""
+
+    def test_reconfigurable_and_unindexed_per_class(self):
+        flags = {cls: (cls.reconfigurable, cls.unindexed) for cls in INDEX_CLASSES}
+        assert flags == {
+            BitAddressIndex: (True, False),
+            StaticBitmapIndex: (False, False),
+            MultiHashIndex: (False, False),
+            InvertedListIndex: (False, False),
+            ScanIndex: (False, True),
+        }
+        assert (StateIndex.reconfigurable, StateIndex.unindexed) == (False, False)
+        assert (Dummy.reconfigurable, Dummy.unindexed) == (False, False)
+
+    def test_a_subclass_inherits_its_parents_flags(self, jas3):
+        class CustomScan(ScanIndex):
+            pass
+
+        class CustomBits(BitAddressIndex):
+            pass
+
+        assert StateStore("S", jas3, CustomScan(jas3), window=10).degraded
+
+        store = StateStore("S", jas3, build_index(CustomBits, jas3), window=10, migration_budget=2)
+        assert not store.degraded
+        store.lifecycle.begin(IndexConfiguration(jas3, [4, 1, 1]))
+        assert type(store.index) is CustomBits  # migrated in kind
+
+    def test_static_bitmap_refuses_a_budgeted_migration(self, jas3):
+        store = StateStore(
+            "S", jas3, build_index(StaticBitmapIndex, jas3), window=10, migration_budget=2
+        )
+        with pytest.raises(RuntimeError, match="StaticBitmapIndex does not support key-map"):
+            store.lifecycle.begin(IndexConfiguration(jas3, [4, 1, 1]))
+
+    @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda cls: cls.__name__)
+    def test_stores_finds_and_removes_by_identity(self, cls, jas3, ap3):
+        index = build_index(cls, jas3)
+        item = {"A": 1, "B": 2, "C": 3}
+        index.insert(item)
+        assert len(index.search(ap3("A"), {"A": 1}).matches) == 1
+        assert index.contains(item)
+        # A second insert of one object would count it twice and a single
+        # remove would leave a phantom behind: refused before any charge.
+        before = index.accountant.snapshot()
+        with pytest.raises(ValueError, match="item is already stored in this index"):
+            index.insert(item)
+        assert index.accountant == before and index.size == 1
+        index.remove(item)
+        assert index.size == 0 and index.memory_bytes == 0
+        assert not index.contains(item)

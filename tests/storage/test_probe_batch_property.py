@@ -1,4 +1,4 @@
-"""``StateStore.probe_batch`` is the ``probe`` loop, on every backend.
+"""``StateStore.probe_batch`` is the ``probe`` loop, on every index class.
 
 The route/probe stage hands a hop's same-pattern probes to
 ``probe_batch`` as one column of value rows (tuples aligned with
@@ -6,8 +6,8 @@ The route/probe stage hands a hop's same-pattern probes to
 per row.  The by-name ``probe`` is the reference; this property holds the
 column to it on a twin store — each row's match list in order and work
 figures, every accountant counter and the assessor's statistics (RNG
-position included) — over all five registered backends, and mid-drain
-under a migration budget for the backends that can reconfigure, with
+position included) — over all five index classes, and mid-drain
+under a migration budget for the ``reconfigurable`` ones, with
 duplicate probe rows (whose outcomes may be one shared object).  The
 column runs twice: at the bit-address index's default hash-column gate
 (these states sit far under it, so it walks, as the loop does) and with
@@ -24,20 +24,33 @@ from hypothesis import strategies as st
 from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment import CDIA
+from repro.core.bit_index import BitAddressIndex
 from repro.core.index_config import IndexConfiguration
 from repro.core.tuner import NullTuner
 from repro.engine.tuples import StreamTuple
-from repro.storage import BACKENDS, IndexBuildSpec, StateStore
-from tests.conftest import column_probe_gate
+from repro.indexes.hash_index import MultiHashIndex
+from repro.indexes.inverted_index import InvertedListIndex
+from repro.indexes.scan_index import ScanIndex
+from repro.indexes.static_bitmap import StaticBitmapIndex
+from repro.storage import StateStore
+from tests.conftest import build_index, column_probe_gate
 
 JAS = JoinAttributeSet(["A", "B", "C"])
 
-#: (backend, drain): drains exist only where the backend reconfigures.
+INDEX_CLASSES = {
+    "bit_address": BitAddressIndex,
+    "inverted": InvertedListIndex,
+    "multi_hash": MultiHashIndex,
+    "scan": ScanIndex,
+    "static_bitmap": StaticBitmapIndex,
+}
+
+#: (backend, drain): drains exist only where the class reconfigures.
 CASES = [
     (name, drain)
-    for name in BACKENDS.names()
+    for name, cls in INDEX_CLASSES.items()
     for drain in (False, True)
-    if not drain or BACKENDS.resolve(name).capabilities.reconfigurable
+    if not drain or cls.reconfigurable
 ]
 
 values = st.integers(0, 3)
@@ -45,20 +58,10 @@ items = st.lists(st.tuples(values, values, values), min_size=1, max_size=24)
 
 
 def build_store(backend: str, drain: bool, stored) -> StateStore:
-    index = BACKENDS.resolve(backend).build(
-        IndexBuildSpec(
-            jas=JAS,
-            config=IndexConfiguration(JAS, [2, 2, 2]),
-            patterns=(
-                AccessPattern.from_attributes(JAS, ["A"]),
-                AccessPattern.from_attributes(JAS, ["A", "B"]),
-            ),
-        )
-    )
     store = StateStore(
         "S",
         JAS,
-        index,
+        build_index(INDEX_CLASSES[backend], JAS),
         window=1000,
         # The random-combine CDIA draws from its RNG while compacting, so a
         # column that records one pattern too few or too many shows.

@@ -72,48 +72,6 @@ class TestStemFactories:
         stems = scenario.build_stems("amri:sria", initial_configs={"A": custom})
         assert stems["A"].index.config == custom
 
-
-class TestBackendResolution:
-    def test_scheme_to_backend_mapping(self):
-        f = PaperScenario.backend_for_scheme
-        assert f("amri:sria") == "bit_address"
-        assert f("hash:3") == "multi_hash"
-        assert f("static") == "static_bitmap"
-        assert f("inverted") == "inverted"
-        assert f("scan") == "scan"
-
-    def test_backend_override_replaces_the_physical_index(self, scenario):
-        from repro.indexes.inverted_index import InvertedListIndex
-
-        stems = scenario.build_stems("static", index_backend="inverted")
-        for stem in stems.values():
-            assert isinstance(stem.index, InvertedListIndex)
-
-    def test_incompatible_override_drops_to_null_tuner(self, scenario):
-        # amri:* wants a reconfigurable index; a scan override keeps the
-        # scheme's assessor but cannot keep the AMRI tuner.
-        stems = scenario.build_stems("amri:cdia-highest", index_backend="scan")
-        for stem in stems.values():
-            assert isinstance(stem.index, ScanIndex)
-            assert isinstance(stem.tuner, NullTuner)
-            assert stem.tuner.assessor is not None
-            assert stem.degraded  # scan is the unindexed capability
-
-    def test_compatible_override_keeps_the_scheme_tuner(self, scenario):
-        stems = scenario.build_stems("hash:3", index_backend="multi_hash")
-        for stem in stems.values():
-            assert isinstance(stem.tuner, HashIndexTuner)
-
-    def test_unknown_backend_lists_registered_names(self, scenario):
-        from repro.storage import UnknownBackendError
-
-        with pytest.raises(UnknownBackendError, match="bit_address"):
-            scenario.build_stems("static", index_backend="btree")
-
-    def test_override_still_validates_the_scheme(self, scenario):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            scenario.build_stems("btree:3", index_backend="scan")
-
     def test_migration_budget_reaches_the_stems(self, scenario):
         stems = scenario.build_stems("amri:sria", migration_budget=10)
         for stem in stems.values():
