@@ -1,6 +1,6 @@
 """Micro-benchmarks: the heavy-hitter sketch substrate.
 
-Wall-clock throughput of offer() on each summary, plus compression and
+Wall-clock throughput of offer() on the two summaries the assessors use, plus compression and
 final-results costs — the per-request assessment overhead the paper's
 Section I-B frets about ("the overhead of assessing indices clearly must
 not detract from producing rapid results").
@@ -13,8 +13,6 @@ from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment import CDIA, CSRIA
 from repro.sketches.hierarchical import HierarchicalHeavyHitters
 from repro.sketches.lossy_counting import LossyCounting
-from repro.sketches.misra_gries import MisraGries
-from repro.sketches.space_saving import SpaceSaving
 from repro.utils.bitops import bit_count, mask_to_indices
 
 N_ITEMS = 20_000
@@ -22,16 +20,6 @@ rng = np.random.default_rng(3)
 ZIPF_STREAM = [int(v) for v in rng.choice(64, size=N_ITEMS, p=(lambda w: w / w.sum())(
     np.arange(1, 65, dtype=float) ** -1.2
 ))]
-
-
-def test_misra_gries_offer(benchmark):
-    def run():
-        mg = MisraGries(k=20)
-        mg.extend(ZIPF_STREAM)
-        return mg
-
-    mg = benchmark(run)
-    assert mg.n == N_ITEMS
 
 
 def test_lossy_counting_offer(benchmark):
@@ -42,16 +30,6 @@ def test_lossy_counting_offer(benchmark):
 
     lc = benchmark(run)
     assert lc.n == N_ITEMS
-
-
-def test_space_saving_offer(benchmark):
-    def run():
-        ss = SpaceSaving(capacity=32)
-        ss.extend(ZIPF_STREAM)
-        return ss
-
-    ss = benchmark(run)
-    assert ss.n == N_ITEMS
 
 
 def test_hierarchical_offer(benchmark):

@@ -6,15 +6,18 @@ Subpackages:
 - :mod:`repro.core` — the paper's contribution: the bit-address index, the
   SRIA/CSRIA/DIA/CDIA assessment methods, the ``C_D`` cost model, the
   configuration selector, and the on-line tuner.
-- :mod:`repro.sketches` — heavy-hitter substrate (Misra–Gries, lossy
-  counting, SpaceSaving, hierarchical heavy hitters).
+- :mod:`repro.sketches` — heavy-hitter substrate (lossy counting for
+  CSRIA, hierarchical heavy hitters for CDIA).
 - :mod:`repro.indexes` — baseline index schemes (full scan, multi-hash
   access modules, non-adapting bitmap) behind one interface.
 - :mod:`repro.engine` — the AMR/Eddy stream-processing engine the paper's
-  evaluation runs inside.
+  evaluation runs inside (one FIFO-drained staged kernel).
 - :mod:`repro.workloads` — drifting synthetic streams and the Section V
   scenario.
-- :mod:`repro.experiments` — harnesses regenerating every figure and table.
+- :mod:`repro.storage` — the per-stream state store and its budgeted
+  migration lifecycle.
+- :mod:`repro.experiments` — harnesses regenerating every figure and table,
+  and the ``python -m repro`` subcommands.
 
 Quickstart::
 

@@ -19,12 +19,12 @@ subcommands (python -m repro <cmd> --help for flags):
   profile   per-component cost-unit profile of one run (--metrics/--trace export)
   run       scheme comparison with CSV/metrics export
             (--schemes amri:<assessor>|hash:<k>|static|inverted|scan; also
-            --scheduler fifo|backlog, --slo SPEC for latency/SLO tracking)
+            --faults PROFILE, --degrade, --slo SPEC for latency/SLO tracking)
   figures   regenerate the paper's figures/tables <fig6|fig6-hash|fig7|table2|all>
   slo       tail-latency + SLO burn-rate report across scenarios (--json export)
 
 examples:    examples/quickstart.py | package_tracking.py | stock_monitoring.py |
-             sensor_network.py | assessment_comparison.py | diagnostics_tour.py
+             sensor_network.py | assessment_comparison.py
 tests:       pytest tests/
 benchmarks:  pytest benchmarks/ --benchmark-only
 docs:        README.md, DESIGN.md, EXPERIMENTS.md, docs/observability.md

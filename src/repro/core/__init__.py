@@ -29,20 +29,12 @@ from repro.core.assessment import (
     make_assessor,
 )
 from repro.core.bit_index import BitAddressIndex, MigrationReport, make_bit_index
-from repro.core.diagnostics import (
-    IndexSnapshot,
-    StateSnapshot,
-    format_report,
-    inspect_index,
-    inspect_state,
-)
 from repro.core.cost_model import (
     CostBreakdown,
     WorkloadStatistics,
     cost_breakdown,
     estimate_cd,
     migration_cost,
-    pattern_search_cost,
 )
 from repro.core.index_config import IndexConfiguration, uniform_configuration
 from repro.core.lattice import AccessPatternLattice
@@ -57,9 +49,7 @@ from repro.core.selector import (
     CandidatePool,
     IndexSelector,
     candidate_pool,
-    fleet_cost,
     select_exhaustive,
-    select_fleet,
     select_greedy,
     select_hash_patterns,
 )
@@ -86,7 +76,6 @@ __all__ = [
     "FrequencyAssessor",
     "HashIndexTuner",
     "IndexConfiguration",
-    "IndexSnapshot",
     "IndexSelector",
     "JoinAttributeSet",
     "Matcher",
@@ -95,7 +84,6 @@ __all__ = [
     "ProbePlan",
     "ProbePlanCache",
     "SRIA",
-    "StateSnapshot",
     "TuneReport",
     "TuningContext",
     "WorkloadStatistics",
@@ -105,17 +93,11 @@ __all__ = [
     "compile_probe_plan",
     "cost_breakdown",
     "estimate_cd",
-    "fleet_cost",
-    "format_report",
-    "inspect_index",
-    "inspect_state",
     "make_assessor",
     "make_bit_index",
     "migration_cost",
     "occupancy_skew",
-    "pattern_search_cost",
     "select_exhaustive",
-    "select_fleet",
     "select_greedy",
     "select_hash_patterns",
     "uniform_configuration",

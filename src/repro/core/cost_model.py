@@ -171,31 +171,6 @@ def expected_tuples_compared(
     return stats.stored_tuples / float(2**b_eff)
 
 
-def pattern_search_cost(
-    config: IndexConfiguration,
-    ap: AccessPattern,
-    stats: WorkloadStatistics,
-    params: CostParams | None = None,
-    live_cap: float | None = None,
-) -> float:
-    """Per-request search cost of one access pattern under one configuration.
-
-    The bracketed term of Equation 1 — request hashing + bucket visits +
-    tuple comparisons — *unweighted* by ``λ_r · F_ap``, so callers can
-    aggregate it per pattern (the fleet selector's marginal-benefit greedy)
-    or per probe (the replica router's per-request scoring).  ``live_cap``
-    is the configuration's live-bucket bound (pattern-independent); pass it
-    precomputed when evaluating one configuration against many patterns.
-    """
-    if params is None:
-        params = CostParams()
-    return (
-        ap.n_attributes * params.c_hash
-        + expected_bucket_visits(config, ap, stats, live_cap) * params.c_bucket
-        + expected_tuples_compared(config, ap, stats) * params.c_compare
-    )
-
-
 def cost_breakdown(
     config: IndexConfiguration,
     stats: WorkloadStatistics,
@@ -259,54 +234,3 @@ def migration_cost(
     n_new_indexed = len(config_to.indexed_attributes)
     per_tuple = n_new_indexed * params.c_hash + params.c_move
     return stored_tuples * per_tuple
-
-
-def hash_scheme_cd(
-    patterns: list[AccessPattern],
-    stats: WorkloadStatistics,
-    params: CostParams | None = None,
-) -> float:
-    """``C_D`` analogue for a multi-hash-index module set (for comparisons).
-
-    Maintenance: each arriving tuple computes one key per module
-    (``Σ N_A,module`` hashes).  Search: the most suitable module answers with
-    the expected bucket occupancy — the stored count divided by the key
-    space implied by the indexed attributes' domain entropy; requests with
-    no suitable module scan the state.
-    """
-    if params is None:
-        params = CostParams()
-    maintenance = stats.lambda_d * sum(p.n_attributes for p in patterns) * params.c_hash
-    search = 0.0
-    stored = stats.stored_tuples
-    for ap, f_ap in stats.frequencies.items():
-        if f_ap == 0.0:
-            continue
-        suitable = [p for p in patterns if p.mask & ap.mask == p.mask and not p.is_full_scan]
-        if suitable:
-            best = max(suitable, key=lambda p: p.n_attributes)
-            entropy = sum(
-                min(stats.domain_bits.get(a, 63), 63) for a in best.attributes
-            )
-            candidates = stored / float(2 ** min(entropy, 63))
-            search += f_ap * (best.n_attributes * params.c_hash + max(candidates, 1.0) * params.c_compare)
-        else:
-            search += f_ap * stored * params.c_compare
-    return maintenance + stats.lambda_r * search
-
-
-def selectivity_weighted_scan_fraction(
-    config: IndexConfiguration, stats: WorkloadStatistics
-) -> float:
-    """Fraction of the window an average request examines under ``config``.
-
-    A compact quality score in [0, 1]: 1.0 means every request full-scans,
-    lower is better.  Used in diagnostics and ablation reports.
-    """
-    total_f = sum(stats.frequencies.values())
-    if total_f == 0.0 or stats.stored_tuples == 0:
-        return 0.0
-    acc = 0.0
-    for ap, f_ap in stats.frequencies.items():
-        acc += f_ap * expected_tuples_compared(config, ap, stats) / stats.stored_tuples
-    return acc / total_f

@@ -13,13 +13,9 @@ the configuration with the lowest estimated cost.  Two strategies:
 
 Also here: :func:`select_hash_patterns`, the "conventional index selection"
 the paper applies to the multi-hash baseline — index the ``k`` most frequent
-access patterns; :func:`candidate_pool` / :class:`CandidatePool`, the
+access patterns; and :func:`candidate_pool` / :class:`CandidatePool`, the
 enumeration held as columns so Equation 1 is evaluated for every candidate
-in one vector pass (the exhaustive and the fleet search both draw from it);
-and the fleet extension :func:`select_fleet` picking a *set* of K
-complementary configurations for a divergent replica fleet, where each
-access pattern is served by whichever replica's configuration is cheapest
-for it (the divergent-design idea of RITA, applied to stream states).
+in one vector pass.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
-from repro.core.cost_model import WorkloadStatistics, estimate_cd, pattern_search_cost
+from repro.core.cost_model import WorkloadStatistics, estimate_cd
 from repro.core.index_config import IndexConfiguration
 from repro.indexes.base import CostParams
 from repro.utils.bitops import mask_to_indices
@@ -101,10 +97,9 @@ class CandidatePool:
     most ``2**|JAS|`` columns per distinct domain-cap tuple, plus as many
     uncapped ones.
 
-    :meth:`cd_column` and :meth:`search_cost_columns` perform the IEEE
-    operations of :func:`~repro.core.cost_model.cost_breakdown` and
-    :func:`~repro.core.cost_model.pattern_search_cost` in the same order,
-    so each entry is bit-equal to the scalar model, which remains the
+    :meth:`cd_column` performs the IEEE operations of
+    :func:`~repro.core.cost_model.cost_breakdown` in the same order, so
+    each entry is bit-equal to the scalar model, which remains the
     definition of Equation 1.
     """
 
@@ -136,17 +131,21 @@ class CandidatePool:
             column = self._pow2[domain_caps, mask] = np.ldexp(1.0, np.minimum(total, 63))
         return column
 
-    def _search_terms(
-        self, stats: WorkloadStatistics
-    ) -> Iterator[tuple[AccessPattern, float, np.ndarray, np.ndarray]]:
-        """Per non-zero-frequency pattern: ``(ap, F_ap, V(ap), λ_d·W / 2^B*_ap)``,
-        the last two as one column over the candidates."""
+    def cd_column(
+        self, stats: WorkloadStatistics, params: CostParams | None = None
+    ) -> np.ndarray:
+        """``C_D`` (Equation 1) of every candidate, bit-equal to ``estimate_cd``."""
+        if params is None:
+            params = CostParams()
         jas = self.jas
         full_mask = jas.full_mask
         uncapped = (None,) * len(jas)
         domain_caps = tuple(map(stats.domain_bits.get, jas.names))
         stored = stats.stored_tuples
         live_cap = np.minimum(stored, self._pow2_bits(domain_caps, full_mask))
+        request_hashing = 0.0
+        bucket_visits = 0.0
+        tuple_comparisons = 0.0
         for ap, f_ap in stats.frequencies.items():
             if f_ap == 0.0:
                 continue
@@ -157,47 +156,17 @@ class CandidatePool:
             # yields the same minimum.
             wildcard_pow = self._pow2_bits(uncapped, full_mask & ~ap.mask)
             visits = np.maximum(np.minimum(wildcard_pow, live_cap), 1.0)
-            yield ap, f_ap, visits, stored / self._pow2_bits(domain_caps, ap.mask)
-
-    def maintenance_column(self, stats: WorkloadStatistics, params: CostParams) -> np.ndarray:
-        """``λ_d · N_A · C_h`` of every candidate."""
-        return stats.lambda_d * self.n_indexed * params.c_hash
-
-    def cd_column(
-        self, stats: WorkloadStatistics, params: CostParams | None = None
-    ) -> np.ndarray:
-        """``C_D`` (Equation 1) of every candidate, bit-equal to ``estimate_cd``."""
-        if params is None:
-            params = CostParams()
-        request_hashing = 0.0
-        bucket_visits = 0.0
-        tuple_comparisons = 0.0
-        for ap, f_ap, visits, compared in self._search_terms(stats):
+            compared = stored / self._pow2_bits(domain_caps, ap.mask)
             request_hashing += f_ap * ap.n_attributes * params.c_hash
             bucket_visits = bucket_visits + f_ap * visits * params.c_bucket
             tuple_comparisons = tuple_comparisons + f_ap * compared * params.c_compare
         lam_r = stats.lambda_r
         return (
-            self.maintenance_column(stats, params)
+            stats.lambda_d * self.n_indexed * params.c_hash
             + lam_r * request_hashing
             + lam_r * bucket_visits
             + lam_r * tuple_comparisons
         )
-
-    def search_cost_columns(
-        self, stats: WorkloadStatistics, params: CostParams
-    ) -> list[tuple[float, np.ndarray]]:
-        """``(F_ap, pattern_search_cost(cfg, ap) for every candidate)`` per
-        non-zero-frequency pattern, in the frequency dict's order."""
-        return [
-            (
-                f_ap,
-                ap.n_attributes * params.c_hash
-                + visits * params.c_bucket
-                + compared * params.c_compare,
-            )
-            for ap, f_ap, visits, compared in self._search_terms(stats)
-        ]
 
 
 @lru_cache(maxsize=256)
@@ -206,9 +175,7 @@ def candidate_pool(jas: JoinAttributeSet, caps: tuple[int, ...], budget: int) ->
 
     Configurations are immutable, so successive tuning rounds — which
     search the identical space every time — share one
-    :class:`CandidatePool` and the columns it has derived.  The fleet
-    selector searches the same pool, so single-instance and fleet tuning
-    stay on one enumeration.
+    :class:`CandidatePool` and the columns it has derived.
     """
     return CandidatePool(jas, caps, budget)
 
@@ -373,102 +340,3 @@ def pad_patterns_to_k(
             out.append(p)
             have.add(p.mask)
     return out
-
-
-# --------------------------------------------------------------------- #
-# fleet selection (divergent replica configurations)
-
-
-def fleet_cost(
-    configs: Sequence[IndexConfiguration],
-    stats: WorkloadStatistics,
-    params: CostParams | None = None,
-) -> float:
-    """``C_D`` of a *fleet*: every replica maintains its index on every
-    arrival (arrivals replicate), while each access pattern is served by
-    whichever replica's configuration searches it cheapest (probes route).
-
-        C_fleet = Σ_c λ_d · N_A(c) · C_h
-                + λ_r · Σ_ap F_ap · min_c search(c, ap)
-
-    This is the objective the divergent-design literature optimises: a set
-    of complementary configurations can beat K copies of the single best
-    one whenever no single key map serves every frequent pattern well.
-    """
-    if params is None:
-        params = CostParams()
-    maintenance = sum(
-        stats.lambda_d * len(cfg.indexed_attributes) * params.c_hash for cfg in configs
-    )
-    search = 0.0
-    for ap, f_ap in stats.frequencies.items():
-        if f_ap == 0.0:
-            continue
-        search += f_ap * min(
-            pattern_search_cost(cfg, ap, stats, params) for cfg in configs
-        )
-    return maintenance + stats.lambda_r * search
-
-
-def select_fleet(
-    stats: WorkloadStatistics,
-    jas: JoinAttributeSet,
-    budget: int,
-    k: int,
-    params: CostParams | None = None,
-    *,
-    fleet_bit_budget: int | None = None,
-    max_bits_per_attribute: int = DEFAULT_MAX_BITS_PER_ATTRIBUTE,
-) -> tuple[IndexConfiguration, ...]:
-    """Pick K complementary configurations minimising :func:`fleet_cost`.
-
-    Greedy marginal-benefit: slot by slot, add the candidate from
-    :func:`candidate_pool` that lowers the fleet cost of the set chosen so
-    far the most.  Each replica respects the per-state ``budget``; the
-    optional ``fleet_bit_budget`` additionally caps the *summed* bits
-    across the fleet (the fleet-wide memory budget — defaults to
-    ``k * budget``, i.e. no extra constraint).  Deterministic tie-breaks
-    (cost, total bits, lexicographic bit vector), so the same statistics
-    always produce the same fleet.  ``k == 1`` reduces to
-    :func:`select_exhaustive` exactly.  Each slot costs every candidate in
-    one pass over the pool's per-pattern search-cost columns, against a
-    running per-pattern minimum over the set already chosen — the value
-    :func:`fleet_cost` computes for ``[*chosen, candidate]``, to the bit.
-
-    When a slot cannot improve on the set already chosen (a narrow
-    workload, or an exhausted fleet budget), it deterministically repeats
-    the best affordable candidate — replicas may share a configuration;
-    the router then balances them by load.
-    """
-    check_positive("k", k)
-    check_non_negative("budget", budget)
-    if params is None:
-        params = CostParams()
-    caps = _attribute_caps(jas, budget, stats.domain_bits, max_bits_per_attribute)
-    pool = candidate_pool(jas, tuple(caps), budget)
-    remaining = k * budget if fleet_bit_budget is None else fleet_bit_budget
-    check_non_negative("fleet_bit_budget", remaining)
-    maintenance = pool.maintenance_column(stats, params)
-    patterns = pool.search_cost_columns(stats, params)
-    # State of the set chosen so far, in fleet_cost's own terms: its summed
-    # maintenance and, per pattern, the cheapest search any member offers.
-    chosen: list[IndexConfiguration] = []
-    chosen_maintenance = 0
-    chosen_search = [np.inf] * len(patterns)
-    for _ in range(k):
-        # Rows are sorted by total bits, so the affordable ones are a prefix
-        # (never empty: the all-zero allocation always fits).
-        affordable = int(np.searchsorted(pool.total_bits, remaining, side="right"))
-        served = []
-        search = 0.0
-        for floor, (f_ap, column) in zip(chosen_search, patterns):
-            cheapest = np.minimum(floor, column[:affordable])
-            served.append(cheapest)
-            search = search + f_ap * cheapest
-        cost = chosen_maintenance + maintenance[:affordable] + stats.lambda_r * search
-        best = int(np.argmin(cost))
-        chosen.append(pool.configs[best])
-        chosen_maintenance += maintenance[best]
-        chosen_search = [cheapest[best] for cheapest in served]
-        remaining -= int(pool.total_bits[best])
-    return tuple(chosen)

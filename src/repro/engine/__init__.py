@@ -7,7 +7,6 @@ discrete-time execution loop.  See DESIGN.md §2.2 for how each piece maps to
 the paper's experimental platform.
 """
 
-from repro.engine.aggregates import AggregateSpec, AggregationSink
 from repro.engine.executor import AMRExecutor, ExecutorConfig
 from repro.engine.faults import (
     FAULT_PROFILES,
@@ -31,7 +30,6 @@ from repro.engine.slo import (
     SloMonitor,
     SloSpec,
 )
-from repro.engine.parser import QueryParseError, parse_query
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import (
     DegradationPolicy,
@@ -54,10 +52,6 @@ from repro.engine.window import CountWindow, SlidingWindow
 
 __all__ = [
     "AMRExecutor",
-    "AggregateSpec",
-    "AggregationSink",
-    "QueryParseError",
-    "parse_query",
     "DegradationPolicy",
     "EngineEvent",
     "EventLog",

@@ -21,13 +21,13 @@ be — the loop now lives in :mod:`repro.engine.kernel`):
 :class:`AMRExecutor` is now a thin facade: it assembles an
 :class:`~repro.engine.kernel.EngineContext` plus the default stage
 pipeline (``arrivals → expiry → route/probe → faults → tuning →
-shed/degrade → audit``) and delegates the loop to
+migration → slo → shed/degrade → audit``) and delegates the loop to
 :class:`~repro.engine.kernel.EngineKernel`.  The decomposition is
 byte-identical to the monolith — every float add, RNG draw, event, metric
 series, and span id is preserved, which
 ``tests/integration/test_golden_equivalence.py`` holds against goldens
-generated *before* the refactor.  The kernel's two knobs, a pluggable
-``scheduler`` and custom ``stages``, default to the FIFO drain and
+generated *before* the refactor.  The backlog drains in arrival order;
+the one knob, custom ``stages``, defaults to
 :func:`~repro.engine.kernel.default_stages`.
 
 All index work is charged through the per-state accountants, so different
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 
 from repro.engine.kernel.context import EngineContext, index_kind_label
 from repro.engine.kernel.kernel import TICK_COST_BUCKETS, EngineKernel, default_stages
-from repro.engine.kernel.scheduler import Scheduler
 from repro.engine.kernel.stages import MATCH_BUCKETS, Stage
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.query import Query
@@ -119,14 +118,9 @@ class AMRExecutor:
         objective each tick (requires ``latency``); breaches/recoveries
         land in the event log and, for ``:degrade`` specs, trigger the
         degradation policy's backlog shedding.
-    scheduler:
-        Backlog-drain policy: a :class:`~repro.engine.kernel.Scheduler`,
-        a registry name (``"fifo"``, ``"backlog"``), or ``None`` for the
-        historical FIFO drain.
     stages:
         A custom stage pipeline replacing
-        :func:`~repro.engine.kernel.default_stages` (``scheduler`` is then
-        ignored — the pipeline's own :class:`RouteProbeStage` carries it).
+        :func:`~repro.engine.kernel.default_stages`.
     """
 
     def __init__(
@@ -147,7 +141,6 @@ class AMRExecutor:
         metrics: MetricsRegistry | None = None,
         latency=None,
         slo=None,
-        scheduler: Scheduler | str | None = None,
         stages: Sequence[Stage] | None = None,
     ) -> None:
         self._ctx = EngineContext(
@@ -167,7 +160,7 @@ class AMRExecutor:
             latency=latency,
             slo=slo,
         )
-        pipeline = stages if stages is not None else default_stages(scheduler)
+        pipeline = stages if stages is not None else default_stages()
         self._kernel = EngineKernel(self._ctx, pipeline)
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""The staged engine kernel: explicit context, stages, schedulers.
+"""The staged engine kernel: explicit context and stages.
 
 The monolithic :class:`~repro.engine.executor.AMRExecutor` tick loop is
 decomposed into a composition of explicit parts:
@@ -10,11 +10,8 @@ decomposed into a composition of explicit parts:
   (:class:`ArrivalStage`, :class:`ExpiryStage`, :class:`RouteProbeStage`,
   :class:`FaultStage`, :class:`TuningStage`, :class:`MigrationStage`,
   :class:`SloStage`, :class:`ShedDegradeStage`, :class:`AuditStage`) — each
-  tick phase is one object with one job;
-- the :class:`Scheduler` protocol deciding which backlogged search request
-  runs next (:class:`FifoScheduler` reproduces the historical
-  drain-in-arrival-order policy bit-for-bit; :class:`BacklogAwareScheduler`
-  serves the deepest per-stream backlog first);
+  tick phase is one object with one job (the backlog drains in arrival
+  order);
 - :class:`EngineKernel` — the loop that advances the virtual clock and
   runs the stages in canonical order.
 
@@ -26,14 +23,6 @@ monolith (held to committed goldens by
 
 from repro.engine.kernel.context import EngineContext
 from repro.engine.kernel.kernel import EngineKernel, default_stages
-from repro.engine.kernel.scheduler import (
-    SCHEDULERS,
-    BacklogAwareScheduler,
-    FifoScheduler,
-    Scheduler,
-    per_stream_depths,
-    resolve_scheduler,
-)
 from repro.engine.kernel.stages import (
     ArrivalStage,
     AuditStage,
@@ -51,22 +40,16 @@ from repro.engine.kernel.stages import (
 __all__ = [
     "ArrivalStage",
     "AuditStage",
-    "BacklogAwareScheduler",
     "EngineContext",
     "EngineKernel",
     "ExpiryStage",
     "FaultStage",
-    "FifoScheduler",
     "MigrationStage",
     "RouteProbeStage",
-    "SCHEDULERS",
-    "Scheduler",
     "ShedDegradeStage",
     "SloStage",
     "Stage",
     "TickState",
     "TuningStage",
     "default_stages",
-    "per_stream_depths",
-    "resolve_scheduler",
 ]

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.engine.kernel.context import EngineContext
-from repro.engine.kernel.scheduler import Scheduler
 from repro.engine.kernel.stages import (
     ArrivalStage,
     AuditStage,
@@ -36,7 +35,7 @@ from repro.utils.validation import check_positive
 TICK_COST_BUCKETS = (100.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 20_000.0, 50_000.0)
 
 
-def default_stages(scheduler: Scheduler | str | None = None) -> tuple[Stage, ...]:
+def default_stages() -> tuple[Stage, ...]:
     """The canonical pipeline, in the monolithic executor's tick order:
     arrivals → expiry → route/probe → faults → tuning → migration → slo →
     shed/degrade → audit.
@@ -45,18 +44,15 @@ def default_stages(scheduler: Scheduler | str | None = None) -> tuple[Stage, ...
     ``SloStage`` evaluates latency objectives; both are complete no-ops
     when their feature is unarmed (no mid-drain lifecycle, no latency
     tracker), so legacy runs stay bit-identical to the older pipelines.
-    ``SloStage`` shares the route stage's scheduler so its backpressure
-    gauges read the same per-stream depths the drain policy ranks by.
     """
-    route = RouteProbeStage(scheduler)
     return (
         ArrivalStage(),
         ExpiryStage(),
-        route,
+        RouteProbeStage(),
         FaultStage(),
         TuningStage(),
         MigrationStage(),
-        SloStage(route.scheduler),
+        SloStage(),
         ShedDegradeStage(),
         AuditStage(),
     )

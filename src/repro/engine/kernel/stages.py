@@ -7,14 +7,13 @@ Each stage is one phase of the discrete-time loop, implementing the
 :func:`~repro.engine.kernel.kernel.default_stages`) reproduces the
 monolithic executor exactly:
 
-    arrivals → expiry → route/probe (scheduler-driven) → faults →
-    tuning → migration → slo → shed/degrade → audit
+    arrivals → expiry → route/probe → faults → tuning → migration →
+    slo → shed/degrade → audit
 
 Stages communicate only through the context and the tick state — no stage
-holds run state of its own (schedulers and policies are configuration, not
-state), which is what makes pipelines recomposable: drop ``FaultStage``
-for a clean run, swap the scheduler inside ``RouteProbeStage``, or insert
-a custom stage between any two.
+holds run state of its own, which is what makes pipelines recomposable:
+drop ``FaultStage`` for a clean run, or insert a custom stage between any
+two.
 """
 
 from __future__ import annotations
@@ -24,11 +23,6 @@ from typing import Protocol, runtime_checkable
 
 from repro.core.tuner import TuningContext
 from repro.engine.kernel.context import EngineContext, index_kind_label
-from repro.engine.kernel.scheduler import (
-    Scheduler,
-    per_stream_depths,
-    resolve_scheduler,
-)
 from repro.engine.metrics import Span
 from repro.engine.resources import MemoryBreakdown, MemoryBudgetExceeded
 from repro.engine.slo import SLO_BREACH, SLO_RECOVERED
@@ -253,8 +247,8 @@ def _probe_metrics(m, target: str, kind: str, assessor, n_matches: int) -> None:
 
 
 class RouteProbeStage:
-    """Drain the backlog while capacity lasts, one routed probe sequence
-    per search request; the scheduler decides which request runs next.
+    """Drain the backlog in arrival order while capacity lasts, one routed
+    probe sequence per search request.
 
     A partial result is the tuple of its source tuples in join order — a
     reference per joined stream, nothing merged; a
@@ -280,12 +274,9 @@ class RouteProbeStage:
 
     name = "route_probe"
 
-    def __init__(self, scheduler: Scheduler | str | None = None) -> None:
-        self.scheduler = resolve_scheduler(scheduler)
-
     def run(self, ctx: EngineContext, tick: TickState) -> None:
         while ctx.queue and not ctx.meter.exhausted:
-            self._process(ctx, self.scheduler.select(ctx), tick.tick)
+            self._process(ctx, ctx.queue.popleft(), tick.tick)
 
     def _process(self, ctx: EngineContext, item: StreamTuple, tick: int) -> None:
         params = ctx.meter.params
@@ -642,8 +633,7 @@ class SloStage:
 
     name = "slo"
 
-    def __init__(self, scheduler: Scheduler | str | None = None) -> None:
-        self.scheduler = resolve_scheduler(scheduler)
+    def __init__(self) -> None:
         self._shedder = ShedDegradeStage()
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
@@ -653,12 +643,9 @@ class SloStage:
         t = tick.tick
         m = ctx.metrics
         if m is not None:
-            depths_of = getattr(self.scheduler, "depths", None)
-            depths = (
-                depths_of(ctx)
-                if depths_of is not None
-                else per_stream_depths(ctx.queue)
-            )
+            depths: dict[str, int] = {}
+            for item in ctx.queue:
+                depths[item.stream] = depths.get(item.stream, 0) + 1
             for stream in ctx.stems:
                 m.gauge(
                     "stream_backlog",

@@ -136,9 +136,6 @@ class Query:
         self.streams = tuple(streams)
         self.predicates = tuple(predicates)
         self.filters = tuple(filters)
-        #: aggregate specs from the SELECT list (set by the parser; the
-        #: engine emits full results, aggregation is an optional sink)
-        self.aggregates: tuple = ()
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self.window = window

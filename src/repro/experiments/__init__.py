@@ -8,7 +8,6 @@ from repro.experiments.harness import (
 )
 from repro.experiments.parallel import RunOutcome, RunSpec, run_parallel
 from repro.experiments.profiling import profile_scheme
-from repro.experiments.sweeps import SweepPoint, format_sweep, grid_points, run_sweep
 from repro.experiments.reporting import (
     format_component_breakdown,
     format_cost_profile,
@@ -24,12 +23,8 @@ __all__ = [
     "profile_scheme",
     "RunOutcome",
     "RunSpec",
-    "SweepPoint",
     "run_parallel",
     "TrainingResult",
-    "format_sweep",
-    "grid_points",
-    "run_sweep",
     "format_summary",
     "format_table",
     "format_throughput_figure",

@@ -19,7 +19,7 @@ worker or in-process (``workers=0``), which the tests assert.
 rejects a bad run at construction (before any quasi-training),
 :meth:`RunSpec.describe` is the header line ``repro run`` / ``repro slo``
 print, and :func:`execute_spec` is the one place a spec's mode fields
-(``slo``, ``faults``, ``scheduler`` ...) turn into an engine.
+(``slo``, ``faults``, ``degrade`` ...) turn into an engine.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 from repro.engine.faults import resolve_fault_plan
-from repro.engine.kernel import resolve_scheduler
 from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
 from repro.engine.resources import DegradationPolicy
 from repro.engine.slo import LatencySnapshot, LatencyTracker, SloMonitor, SloSpec
@@ -64,8 +63,8 @@ class RunSpec:
     retrain — and the field is excluded from equality/hashing (it is a
     cache, not part of the run's identity).
 
-    Construction validates the whole description — sizes, scheme /
-    scheduler / fault-profile names and the SLO string — and
+    Construction validates the whole description — sizes, scheme and
+    fault-profile names and the SLO string — and
     raises a ``ValueError`` naming the offending field, so a spec that
     exists can be executed.
     """
@@ -82,19 +81,16 @@ class RunSpec:
     degrade: bool = False
     collect_metrics: bool = False
     slo: str | None = None  # SLO spec string, e.g. "p95<=8@120" (arms latency tracking)
-    scheduler: str | None = None  # backlog-drain policy name (None = fifo)
     migration_budget: int | None = None  # tuples moved per tick (None = stop-the-world)
     training: TrainingResult | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
-    def check(
-        params: ScenarioParams, scheme: str, *, scheduler: str | None = None, **sizes: int
-    ) -> None:
+    def check(params: ScenarioParams, scheme: str, **sizes: int) -> None:
         """Raise a ``ValueError`` naming the first bad value of a run description.
 
         Every keyword in ``sizes`` (``ticks=``, ``train_ticks=`` ...) must
-        be ``>= 1``, ``scheme`` must name a scheme of the ``params``
-        scenario and ``scheduler`` a drain policy.  The part of the
+        be ``>= 1`` and ``scheme`` must name a scheme of the ``params``
+        scenario.  The part of the
         construction check that ``repro profile`` (its own entry point, no
         spec) shares, so a typo costs no quasi-training there either.
         """
@@ -102,13 +98,11 @@ class RunSpec:
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         PaperScenario(params).build_stems(scheme)  # cheap, and rejects what a run would
-        resolve_scheduler(scheduler)
 
     def __post_init__(self) -> None:
         self.check(
             self.params,
             self.scheme,
-            scheduler=self.scheduler,
             ticks=self.ticks,
             train_ticks=self.train_ticks,
         )
@@ -233,7 +227,6 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
         faults=spec.faults,
         fault_seed=spec.fault_seed,
         degradation=DegradationPolicy() if spec.degrade else None,
-        scheduler=spec.scheduler,
         migration_budget=spec.migration_budget,
     )
     return RunOutcome(

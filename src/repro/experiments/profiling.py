@@ -24,7 +24,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.engine.kernel import SCHEDULERS
 from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
 from repro.engine.metrics_export import FORMATS, write_metrics, write_trace
 from repro.engine.resources import DegradationPolicy
@@ -49,7 +48,6 @@ def profile_scheme(
     train: bool = True,
     train_ticks: int = 80,
     degrade: bool = False,
-    scheduler: str | None = None,
     flight_recorder_capacity: int = 4096,
 ) -> tuple[RunStats, RegistrySnapshot, float]:
     """Run one scheme with a registry attached; return (stats, snapshot,
@@ -63,7 +61,6 @@ def profile_scheme(
         event_log=EventLog(),
         degradation=DegradationPolicy() if degrade else None,
         metrics=registry,
-        scheduler=scheduler,
     )
     stats = executor.run(ticks, scenario.make_generator())
     return stats, registry.snapshot(), executor.meter.total_spent
@@ -93,12 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-train", action="store_true", help="skip quasi-training")
     parser.add_argument("--train-ticks", type=int, default=80)
     parser.add_argument("--degrade", action="store_true", help="graceful degradation")
-    parser.add_argument(
-        "--scheduler",
-        choices=sorted(SCHEDULERS),
-        default="fifo",
-        help="backlog-drain policy",
-    )
     parser.add_argument("--metrics", type=Path, default=None, help="export snapshot to PATH")
     parser.add_argument(
         "--format", choices=FORMATS, default="jsonl", help="--metrics export format"
@@ -111,9 +102,9 @@ def main(argv: list[str] | None = None) -> int:
         RunSpec.check(
             scenario_params(args.scenario, args.seed),
             args.scheme,
-            scheduler=args.scheduler,
             ticks=args.ticks,
             train_ticks=args.train_ticks,
+            top=args.top,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -127,7 +118,6 @@ def main(argv: list[str] | None = None) -> int:
             train=not args.no_train,
             train_ticks=args.train_ticks,
             degrade=args.degrade,
-            scheduler=args.scheduler,
         )
     except (ValueError, KeyError) as exc:
         print(f"profile failed: {exc}", file=sys.stderr)

@@ -35,7 +35,6 @@ import sys
 from pathlib import Path
 
 from repro.engine.faults import FAULT_PROFILES
-from repro.engine.kernel import SCHEDULERS
 from repro.engine.metrics_export import event_records, to_jsonl_lines, write_metrics, write_trace
 from repro.engine.slo import SLO_BREACH, SLO_RECOVERED, SloSpec
 from repro.engine.stats import RunStats
@@ -133,12 +132,6 @@ def main(argv: list[str] | None = None) -> int:
         help="shed backlog / fall back to scan under memory pressure instead of dying",
     )
     parser.add_argument(
-        "--scheduler",
-        choices=sorted(SCHEDULERS),
-        default="fifo",
-        help="backlog-drain policy (fifo = historical arrival order)",
-    )
-    parser.add_argument(
         "--migration-budget",
         type=int,
         default=None,
@@ -189,7 +182,6 @@ def main(argv: list[str] | None = None) -> int:
                 degrade=args.degrade,
                 collect_metrics=args.metrics is not None or args.trace is not None,
                 slo=args.slo,
-                scheduler=args.scheduler,
                 migration_budget=args.migration_budget,
             )
             for scheme in schemes

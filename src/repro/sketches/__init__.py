@@ -1,16 +1,11 @@
 """Stream-summary (heavy hitter) algorithms.
 
 These are stand-alone implementations of the algorithms the paper's
-assessment methods are modelled after:
+compacted assessment methods are built on:
 
-- :class:`~repro.sketches.misra_gries.MisraGries` — the original
-  deterministic frequent-elements algorithm (Misra & Gries 1982, paper
-  ref. [25]).
 - :class:`~repro.sketches.lossy_counting.LossyCounting` — Manku & Motwani's
   ε-approximate frequency counting (VLDB 2002, ref. [12]); CSRIA is this
   algorithm applied to access-pattern statistics.
-- :class:`~repro.sketches.space_saving.SpaceSaving` — the fixed-capacity
-  counter-based summary, included as an alternative compaction backend.
 - :class:`~repro.sketches.hierarchical.HierarchicalHeavyHitters` — Cormode
   et al.'s hierarchical heavy hitters over an arbitrary parent relation
   (VLDB 2003, ref. [13]); CDIA is this algorithm over the search-benefit
@@ -19,14 +14,10 @@ assessment methods are modelled after:
 
 from repro.sketches.hierarchical import HHHEntry, HierarchicalHeavyHitters
 from repro.sketches.lossy_counting import LossyCounting, LossyCountingEntry
-from repro.sketches.misra_gries import MisraGries
-from repro.sketches.space_saving import SpaceSaving
 
 __all__ = [
     "HHHEntry",
     "HierarchicalHeavyHitters",
     "LossyCounting",
     "LossyCountingEntry",
-    "MisraGries",
-    "SpaceSaving",
 ]

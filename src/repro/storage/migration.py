@@ -228,64 +228,3 @@ class IndexLifecycle:
         out = self.notices
         self.notices = []
         return out
-
-
-def plan_steps(tuples: int, budget: int | None) -> int:
-    """Ticks a drain of ``tuples`` takes under ``budget`` (1 when unbudgeted)."""
-    if budget is None or tuples <= 0:
-        return 1
-    return -(-tuples // budget)  # ceil division
-
-
-@dataclass(frozen=True)
-class MigrationPlan:
-    """Projected shape of one migration before it runs."""
-
-    tuples: int  # stored tuples to relocate
-    steps: int  # ticks the drain takes under the budget
-    total_cost: float  # cost units over the whole drain (budget-independent)
-    per_step_cost: float  # worst-case cost units charged in any one tick
-    dual_peak_bytes: int  # projected extra bytes while both structures live
-
-
-class MigrationPlanner:
-    """Sizes a migration: how long it drains, what it costs, what it holds.
-
-    The planner makes the dual-structure trade-off explicit *before*
-    committing: a finite budget divides the per-tick cost spike by
-    ``steps`` but holds both structures' memory for ``steps`` ticks.  The
-    migration benchmark and the selector diagnostics consume these plans;
-    the gate inside :class:`~repro.core.tuner.AMRITuner` still amortises
-    ``total_cost`` (identical in both modes, so budgeting never changes
-    *whether* a migration happens — only how it is paid for).
-    """
-
-    def __init__(self, budget: int | None, params=None) -> None:
-        if budget is not None and budget < 1:
-            raise ValueError(f"migration_budget must be >= 1 or None, got {budget}")
-        from repro.indexes.base import CostParams
-
-        self.budget = budget
-        self.params = params if params is not None else CostParams()
-
-    def plan(self, index: BitAddressIndex, new_config: IndexConfiguration) -> MigrationPlan:
-        """Project one migration of ``index`` to ``new_config``."""
-        from repro.core.cost_model import migration_cost
-
-        n = index.size
-        steps = plan_steps(n, self.budget)
-        total = migration_cost(index.config, new_config, n, self.params)
-        per_step = total if steps <= 1 else migration_cost(
-            index.config, new_config, min(self.budget or n, n), self.params
-        )
-        # While both structures are live the new one grows toward one slot
-        # reference per relocated tuple (plus buckets, data-dependent) on
-        # top of the old structure's unreleased bytes.
-        dual_peak = n * self.params.bucket_slot_bytes if self.budget is not None else 0
-        return MigrationPlan(
-            tuples=n,
-            steps=steps,
-            total_cost=total,
-            per_step_cost=per_step,
-            dual_peak_bytes=dual_peak,
-        )

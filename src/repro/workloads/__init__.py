@@ -15,7 +15,6 @@ from repro.workloads.patterns import (
     with_exploration_noise,
     zipf_distribution,
 )
-from repro.workloads.replay import TraceReplayer, record_trace
 from repro.workloads.scenarios import PaperScenario, ScenarioParams, sensor_network_scenario
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "diurnal_burst_modulation",
     "sensor_network_scenario",
     "SyntheticStreamGenerator",
-    "TraceReplayer",
-    "record_trace",
     "normalise",
     "rotating_hotspot_schedules",
     "with_exploration_noise",

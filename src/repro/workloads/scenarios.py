@@ -342,7 +342,6 @@ class PaperScenario:
         metrics: MetricsRegistry | None = None,
         latency=None,
         slo=None,
-        scheduler=None,
         migration_budget: int | None = None,
     ) -> AMRExecutor:
         """A ready-to-run executor for the named scheme.
@@ -362,10 +361,6 @@ class PaperScenario:
         :class:`~repro.engine.slo.SloMonitor` evaluating a latency
         objective against it — both opt-in with the same no-op-when-absent
         contract as ``metrics``.
-
-        ``scheduler`` picks the backlog-drain policy (a
-        :class:`~repro.engine.kernel.Scheduler` or a registry name such as
-        ``"fifo"``/``"backlog"``); ``None`` keeps the historical FIFO drain.
 
         ``migration_budget`` caps tuples relocated per tick during
         tuner-approved migrations (forwarded to :meth:`build_stems`).
@@ -406,7 +401,6 @@ class PaperScenario:
             metrics=metrics,
             latency=latency,
             slo=slo,
-            scheduler=scheduler,
         )
 
 

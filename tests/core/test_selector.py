@@ -13,9 +13,7 @@ from repro.core.selector import (
     allocation_count,
     candidate_pool,
     enumerate_allocations,
-    fleet_cost,
     select_exhaustive,
-    select_fleet,
     select_greedy,
     select_hash_patterns,
 )
@@ -99,11 +97,11 @@ _MAX_BITS_FOR_WIDTH = {1: 64, 2: 26, 3: 8, 4: 4}
 
 
 @st.composite
-def selection_problems(draw, max_bits_for_width=_MAX_BITS_FOR_WIDTH):
+def selection_problems(draw):
     width = draw(st.integers(1, 4))
     jas = JoinAttributeSet("ABCD"[:width])
     budget = draw(st.integers(0, 64))
-    max_bits = draw(st.integers(0, max_bits_for_width[width]))
+    max_bits = draw(st.integers(0, _MAX_BITS_FOR_WIDTH[width]))
     domain_bits = draw(
         st.dictionaries(st.sampled_from(jas.names), st.integers(0, 70), max_size=width)
     )
@@ -192,8 +190,6 @@ class TestColumnarPool:
         foreign = AccessPattern.from_attributes(jas4, ["A"])
         with pytest.raises(ValueError, match="different JAS"):
             select_exhaustive(make_stats({foreign: 1.0}), jas3, 4)
-        with pytest.raises(ValueError, match="different JAS"):
-            select_fleet(make_stats({foreign: 1.0}), jas3, 4, 2)
 
     def test_tune_history_equals_the_reference_loop(self, monkeypatch):
         """Engine level: 120 ticks of the fast-drift paper scenario decide
@@ -310,84 +306,3 @@ class TestHashPatternSelection:
     def test_rejects_bad_k(self, jas3, ap3):
         with pytest.raises(ValueError):
             select_hash_patterns({ap3("A"): 1.0}, 0)
-
-
-class TestFleetSelection:
-    """select_fleet: the divergent configuration set."""
-
-    def multi_pattern_stats(self, ap3):
-        # Four equally frequent patterns an 8-bit budget cannot serve from
-        # one key map — the regime where divergence pays.
-        return make_stats(
-            {ap3("A"): 0.25, ap3("B"): 0.25, ap3("C"): 0.25, ap3("A", "B", "C"): 0.25},
-            lambda_d=200.0,
-            lambda_r=2000.0,
-            window=50.0,
-            domain_bits={"A": 8, "B": 8, "C": 8},
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        selection_problems({1: 64, 2: 10, 3: 4, 4: 2}),  # pools of <= 125
-        st.integers(1, 3),
-        st.one_of(st.none(), st.integers(0, 40)),
-    )
-    def test_equals_the_greedy_loop_over_fleet_cost(self, problem, k, fleet_bit_budget):
-        stats, jas, budget, params, max_bits = problem
-        caps = selector_module._attribute_caps(jas, budget, stats.domain_bits, max_bits)
-        pool = candidate_pool(jas, tuple(caps), budget)
-        remaining = k * budget if fleet_bit_budget is None else fleet_bit_budget
-        expected = []
-        for _ in range(k):
-            best = min(
-                (cfg for cfg in pool if cfg.total_bits <= remaining),
-                key=lambda c: (fleet_cost([*expected, c], stats, params), c.total_bits, c.bits),
-            )
-            expected.append(best)
-            remaining -= best.total_bits
-        assert select_fleet(
-            stats, jas, budget, k, params,
-            fleet_bit_budget=fleet_bit_budget, max_bits_per_attribute=max_bits,
-        ) == tuple(expected)
-
-    def test_k1_reduces_to_select_exhaustive(self, jas3, table2_frequencies):
-        stats = make_stats(table2_frequencies, domain_bits={"A": 6, "B": 6, "C": 6})
-        (only,) = select_fleet(stats, jas3, 8, 1)
-        assert only == select_exhaustive(stats, jas3, 8)
-
-    def test_deterministic(self, jas3, ap3):
-        stats = self.multi_pattern_stats(ap3)
-        first = select_fleet(stats, jas3, 8, 3)
-        assert all(select_fleet(stats, jas3, 8, 3) == first for _ in range(3))
-
-    def test_divergent_set_never_costs_more_than_k_copies_of_best(
-        self, jas3, ap3
-    ):
-        stats = self.multi_pattern_stats(ap3)
-        fleet = select_fleet(stats, jas3, 8, 3)
-        best = select_exhaustive(stats, jas3, 8)
-        assert fleet_cost(list(fleet), stats) <= fleet_cost([best] * 3, stats)
-        # and on this multi-pattern workload it is strictly better:
-        assert fleet_cost(list(fleet), stats) < fleet_cost([best] * 3, stats)
-
-    def test_per_replica_and_fleet_budgets_respected(self, jas3, ap3):
-        stats = self.multi_pattern_stats(ap3)
-        fleet = select_fleet(stats, jas3, 8, 3, fleet_bit_budget=12)
-        assert all(cfg.total_bits <= 8 for cfg in fleet)
-        assert sum(cfg.total_bits for cfg in fleet) <= 12
-
-    def test_rejects_bad_k(self, jas3, ap3):
-        stats = self.multi_pattern_stats(ap3)
-        with pytest.raises(ValueError):
-            select_fleet(stats, jas3, 8, 0)
-
-    def test_narrow_workload_repeats_the_best_configuration(self, jas3, ap3):
-        stats = make_stats({ap3("A"): 1.0}, domain_bits={"A": 4})
-        fleet = select_fleet(stats, jas3, 8, 3)
-        # One hot pattern: slot 0 carries the single best key map, and the
-        # extra replicas deterministically take the cheapest (zero-bit)
-        # configuration — adding maintenance with no search gain loses to
-        # adding nothing.
-        assert fleet[0] == select_exhaustive(stats, jas3, 8)
-        assert fleet[1] == fleet[2]
-        assert fleet[1].total_bits == 0

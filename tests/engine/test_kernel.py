@@ -1,4 +1,4 @@
-"""Tests for the staged engine kernel (context, stages, schedulers, facade)."""
+"""Tests for the staged engine kernel (context, stages, drain order, facade)."""
 
 from pathlib import Path
 
@@ -9,25 +9,23 @@ from repro.core.bit_index import make_bit_index
 from repro.core.tuner import NullTuner
 from repro.engine.executor import AMRExecutor, ExecutorConfig
 from repro.engine.kernel import (
-    SCHEDULERS,
     ArrivalStage,
     AuditStage,
-    BacklogAwareScheduler,
     EngineContext,
     EngineKernel,
     ExpiryStage,
-    FifoScheduler,
     RouteProbeStage,
-    Scheduler,
     default_stages,
-    resolve_scheduler,
 )
 from repro.engine.query import JoinPredicate, Query
+from repro.engine.metrics import MetricsRegistry
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import FixedRouter
+from repro.engine.slo import LatencyTracker
 from repro.engine.stream import StreamSchema
 from repro.engine.tracing import EventLog
 from repro.engine.tuples import StreamTuple
+from repro.indexes.base import CostParams
 from repro.storage import StateStore
 
 ENGINE_DIR = Path(__file__).resolve().parents[2] / "src" / "repro" / "engine"
@@ -509,69 +507,54 @@ class TestFacade:
         ex.router = router
         assert ex.context.router is router
 
-    def test_scheduler_kwarg_selects_pipeline_policy(self):
-        ex = make_executor(scheduler="backlog")
-        probe = next(s for s in ex.stages if isinstance(s, RouteProbeStage))
-        assert isinstance(probe.scheduler, BacklogAwareScheduler)
-
 
 class TestSchedulers:
-    def test_resolve_defaults_to_fifo(self):
-        assert isinstance(resolve_scheduler(None), FifoScheduler)
-        assert isinstance(resolve_scheduler("fifo"), FifoScheduler)
-        assert isinstance(resolve_scheduler("backlog"), BacklogAwareScheduler)
+    """The backlog has one schedule, arrival order (``RouteProbeStage`` pops
+    the queue's head); the backpressure gauges read the queue itself."""
 
-    def test_resolve_rejects_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            resolve_scheduler("lifo")
+    # Only the routing decision costs: one request is exactly one unit.
+    ONE_UNIT_PER_REQUEST = CostParams(
+        c_hash=0.0,
+        c_compare=0.0,
+        c_bucket=0.0,
+        c_insert=0.0,
+        c_delete=0.0,
+        c_move=0.0,
+        c_output=0.0,
+        c_route=1.0,
+    )
+    PLAN = {
+        0: [("A", {"k": 1, "pa": 0}), ("B", {"k": 2, "pb": 0}), ("A", {"k": 3, "pa": 1})],
+        1: [("B", {"k": 4, "pb": 1})],
+    }
 
-    def test_resolve_rejects_non_scheduler(self):
-        with pytest.raises(TypeError):
-            resolve_scheduler(42)
-
-    def test_instances_pass_through(self):
-        sched = BacklogAwareScheduler()
-        assert resolve_scheduler(sched) is sched
-
-    def test_registry_names_match_protocol(self):
-        for name, cls in SCHEDULERS.items():
-            instance = cls()
-            assert isinstance(instance, Scheduler)
-            assert instance.name == name
-
-    def _ctx_with_queue(self, items):
-        query, stems, router, meter = make_parts()
-        ctx = EngineContext(
-            query=query,
-            stems=stems,
-            router=router,
-            meter=meter,
-            arrival_rates={},
-            domain_bits={},
-            config=ExecutorConfig(),
+    def one_request_per_tick(self, **kwargs):
+        query, stems, router, _ = make_parts()
+        meter = ResourceMeter(params=self.ONE_UNIT_PER_REQUEST, capacity=1.0)
+        return AMRExecutor(
+            query,
+            stems,
+            router,
+            meter,
+            arrival_rates={s: 1.0 for s in query.stream_names},
+            **kwargs,
         )
-        ctx.queue.extend(items)
-        return ctx
 
     def test_fifo_drains_in_arrival_order(self):
-        a0 = StreamTuple("A", 0, {"k": 1, "pa": 0})
-        b1 = StreamTuple("B", 1, {"k": 1, "pb": 0})
-        ctx = self._ctx_with_queue([a0, b1])
-        sched = FifoScheduler()
-        assert sched.select(ctx) is a0
-        assert sched.select(ctx) is b1
+        ex = self.one_request_per_tick()
+        router = ex.router
+        served = []
+        choose = router.choose_route
 
-    def test_backlog_aware_serves_deepest_stream_oldest_first(self):
-        a0 = StreamTuple("A", 0, {"k": 1, "pa": 0})
-        b1 = StreamTuple("B", 1, {"k": 1, "pb": 0})
-        b2 = StreamTuple("B", 2, {"k": 2, "pb": 0})
-        ctx = self._ctx_with_queue([a0, b1, b2])
-        sched = BacklogAwareScheduler()
-        assert sched.select(ctx) is b1  # B is deepest; its oldest goes first
-        # Depths now tie at 1 each; the earliest-queued request wins.
-        assert sched.select(ctx) is a0
-        assert sched.select(ctx) is b2
-        assert not ctx.queue
+        def spy(stream, estimator, item):
+            served.append(item["k"])
+            return choose(stream, estimator, item)
+
+        router.choose_route = spy
+        stats = ex.run(5, arrivals_from(self.PLAN))
+        assert served == [1, 2, 3, 4]  # the k values, in arrival order
+        # One request leaves the queue per tick.
+        assert [s.backlog for s in stats.samples] == [2, 2, 1, 0, 0]
 
     def test_backlog_scheduler_run_is_deterministic(self):
         plan = {
@@ -587,7 +570,6 @@ class TestSchedulers:
                 router,
                 meter,
                 arrival_rates={s: 1.0 for s in query.stream_names},
-                scheduler="backlog",
             )
             stats = ex.run(8, arrivals_from(plan))
             return (stats.outputs, stats.probes, stats.matches, tuple(stats.samples))
@@ -595,10 +577,26 @@ class TestSchedulers:
         assert run_once() == run_once()
 
     def test_backlog_scheduler_preserves_cost_attribution(self):
-        from repro.engine.metrics import MetricsRegistry
-
         registry = MetricsRegistry()
-        ex = make_executor(scheduler="backlog", metrics=registry)
-        plan = {0: [("A", {"k": 1, "pa": 0})], 1: [("B", {"k": 1, "pb": 0})]}
-        ex.run(4, arrivals_from(plan))
+        ex = self.one_request_per_tick(metrics=registry)
+        stats = ex.run(5, arrivals_from(self.PLAN))
+        assert stats.samples[0].backlog > 0  # the drain spans ticks
         assert registry.snapshot().cost_total == ex.meter.total_spent
+
+    def test_stream_backlog_gauges_equal_the_per_stream_queue_depths(self):
+        registry = MetricsRegistry()
+        ex = self.one_request_per_tick(metrics=registry, latency=LatencyTracker())
+        query = ex.context.query
+        for t, expected in enumerate([{"A": 1, "B": 1}, {"A": 1, "B": 1}, {"A": 0, "B": 1}]):
+            ex.kernel.step(t, 3, arrivals_from(self.PLAN)(t))
+            depths = {
+                stream: sum(item.stream == stream for item in ex.context.queue)
+                for stream in query.stream_names
+            }
+            gauges = {
+                stream: registry.gauge(
+                    "stream_backlog", "queued search requests per stream", stream=stream
+                ).value
+                for stream in query.stream_names
+            }
+            assert gauges == depths == expected

@@ -78,9 +78,13 @@ class TestExitCodes:
 
 class TestEngineFlags:
     def test_bad_scheduler_exits_2(self, capsys):
-        rc = main_mod.main(["run", "--scheduler", "lifo"])
-        assert rc == 2
-        assert "usage" in capsys.readouterr().err.lower()
+        """The backlog drains in arrival order: there is no policy flag."""
+        for command in ("run", "profile"):
+            rc = main_mod.main([command, "--scheduler", "backlog"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert "usage" in err.lower()
+            assert "unrecognized arguments: --scheduler backlog" in err
 
     @pytest.mark.parametrize(
         "flag", ["--batch-size", "--probe-workers", "--lazy-index", "--promote-threshold"]
@@ -145,6 +149,8 @@ class TestEngineFlags:
             ("profile", ["--scheme", "hash:0"], "unknown scheme 'hash:0'"),
             ("profile", ["--scheme", "amri:bogus"], "unknown assessor 'bogus'"),
             ("profile", ["--scheme", "hash:²"], "unknown scheme 'hash:²'"),
+            ("profile", ["--top", "-2"], "top must be >= 1, got -2"),
+            ("profile", ["--top", "0"], "top must be >= 1, got 0"),
             ("run", ["--schemes", "scan,scan"], "--schemes repeats scan, got 'scan,scan'"),
             ("slo", ["--schemes", "static, scan,static"], "--schemes repeats static, got"),
             ("slo", ["--schemes", ","], "--schemes names no scheme, got ','"),
@@ -166,14 +172,6 @@ class TestEngineFlags:
         # argparse's usage block, then exactly one error line.
         assert err.count(f"repro {command}: error: ") == 1
         assert message in err.strip().splitlines()[-1]
-
-    def test_backlog_scheduler_run_succeeds(self, capsys):
-        rc = run_cli.main(
-            ["--schemes", "scan", "--ticks", "12", "--no-train", "--scheduler", "backlog"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert " scheduler=backlog " in out.splitlines()[0]
 
 
 class TestSloFlags:

@@ -59,7 +59,7 @@ class TestRunSpec:
             ("scheme", "bogus"),
             ("scheme", "hash:0"),
             ("scheme", "hash:²"),
-            ("scheduler", "nope"),
+            ("migration_budget", -1),
             ("faults", "mayhem"),
             ("slo", "garbage"),
             ("params", replace(FAST, rate_modulation="tidal")),
@@ -78,7 +78,7 @@ class TestRunSpec:
             " scheme=amri:sria ticks=15 train=False "
         )
         assert "\n" not in line
-        assert len(fields(RunSpec)) == 15
+        assert len(fields(RunSpec)) == 14
         for f in fields(RunSpec):
             assert (f" {f.name}=" in f" {line}") == (f.name not in ("training", "label")), f.name
         assert " scheme=a,b " in spec().describe(["a", "b"])

@@ -12,9 +12,7 @@ from repro.storage import (
     MIGRATION_START,
     MIGRATION_STEP,
     IndexLifecycle,
-    MigrationPlanner,
     StateStore,
-    plan_steps,
 )
 
 
@@ -164,27 +162,3 @@ class TestBudgetedDrain:
     def test_budget_must_be_positive(self, jas3):
         with pytest.raises(ValueError):
             IndexLifecycle(None, budget=0)
-        with pytest.raises(ValueError):
-            MigrationPlanner(budget=-1)
-
-
-class TestPlanner:
-    def test_plan_steps_ceil_division(self):
-        assert plan_steps(10, 3) == 4
-        assert plan_steps(10, 10) == 1
-        assert plan_steps(10, None) == 1
-        assert plan_steps(0, 3) == 1
-
-    def test_plan_shapes_the_tradeoff(self, jas3):
-        index = make_bit_index(jas3, [2, 2, 2])
-        for i in range(10):
-            index.insert(tup(i, a=i % 4))
-        new = IndexConfiguration(jas3, [4, 1, 1])
-
-        unbudgeted = MigrationPlanner(None).plan(index, new)
-        budgeted = MigrationPlanner(3).plan(index, new)
-
-        assert unbudgeted.steps == 1 and budgeted.steps == 4
-        assert unbudgeted.total_cost == budgeted.total_cost  # re-timed, not discounted
-        assert budgeted.per_step_cost < unbudgeted.per_step_cost
-        assert budgeted.dual_peak_bytes > 0 and unbudgeted.dual_peak_bytes == 0
