@@ -121,6 +121,22 @@ class SearchOutcome:
 #: One value row (aligned with the pattern's attributes) → its outcome.
 RowProbe = Callable[[tuple], SearchOutcome]
 
+#: The value types for which a dict keyed by values finds exactly what
+#: ``==`` finds: equal values hash equally, across the numeric types too
+#: (``1 == 1.0 == True``), and every value equals itself but NaN.
+EXACT_KEY_TYPES = frozenset({int, float, str, bytes, bool, type(None)})
+
+
+def is_exact_key(row: tuple) -> bool:
+    """Whether a dict lookup of ``row`` agrees with ``==`` against stored
+    rows whose values are all of ``EXACT_KEY_TYPES``: every value is of one
+    of those types and is not NaN (a dict matches the *same* NaN object by
+    identity, where ``==`` never matches a NaN)."""
+    for value in row:
+        if type(value) not in EXACT_KEY_TYPES or value != value:
+            return False
+    return True
+
 
 class StateIndex(abc.ABC):
     """Interface every state-index scheme implements.

@@ -16,47 +16,76 @@ exactly those costs so the engine reproduces that failure mode.
 modules (used by the adaptive-hash-index trials of Figure 6): newly created
 modules are bulk-built by scanning the state, dropped modules free their
 memory.
+
+Below the accountant every table is a positional projection of one *row*
+per stored tuple, its JAS values, read once at insert and kept until
+remove.  An access module is the table of its own pattern.  A request
+pattern that no module indexes exactly gets an uncharged *exact table*:
+built from the stored rows on its first probe, kept current by insert and
+remove, and handed to the module when ``set_patterns`` gives the pattern
+one.  A probe row is answered with one lookup in its pattern's table and
+charged what the model prescribes all the same: the whole state when no
+module suits the request, the module's bucket when one does.  Every bucket
+holds its tuples in insertion order, as the stored-item map does, so a
+table answer is the list the ``==`` filter over the scan or the module
+bucket would return, in the same order.  A dict lookup agrees with ``==``
+only for rows of :data:`~repro.indexes.base.EXACT_KEY_TYPES` values, none of
+them NaN, over attributes that have never stored a value of another type;
+every other row is filtered as before.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from operator import itemgetter
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.probe_plan import compile_matcher
-from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, StateIndex
+from repro.indexes.base import (
+    EXACT_KEY_TYPES,
+    Accountant,
+    CostParams,
+    RowProbe,
+    SearchOutcome,
+    StateIndex,
+    is_exact_key,
+)
+from repro.utils.bitops import mask_to_indices
 
-HashKey = tuple[object, ...]
+Row = tuple[object, ...]
+#: A projection of stored rows → the tuples carrying it, by id, in
+#: insertion order.
+Table = dict[Row, dict[int, Mapping[str, object]]]
+Projector = Callable[[tuple], Row]
+
+
+def _getter(keys: tuple) -> Callable[[object], Row]:
+    """``obj -> tuple(obj[k] for k in keys)`` (``itemgetter`` of one key
+    returns the bare value)."""
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda obj: (obj[key],)
+    return itemgetter(*keys)
+
+
+def _projector(positions: tuple[int, ...], width: int) -> Projector:
+    """The values at ``positions`` of a row of ``width`` values."""
+    if positions == tuple(range(width)):
+        return lambda row: row
+    return _getter(positions)
 
 
 class _AccessModule:
-    """One hash index over a fixed attribute combination."""
+    """One hash index over a fixed attribute combination: its pattern's
+    table."""
 
     __slots__ = ("pattern", "attributes", "n_attributes", "table")
 
-    def __init__(self, pattern: AccessPattern) -> None:
-        if pattern.is_full_scan:
-            raise ValueError("an access module must index at least one attribute")
+    def __init__(self, pattern: AccessPattern, table: Table) -> None:
         self.pattern = pattern
-        # Hoisted from the pattern: ``attributes`` is a derived property
-        # walked on every key computation otherwise.
         self.attributes = pattern.attributes
         self.n_attributes = pattern.n_attributes
-        self.table: dict[HashKey, dict[int, Mapping[str, object]]] = {}
-
-    def key_for(self, item: Mapping[str, object]) -> HashKey:
-        return tuple(item[a] for a in self.attributes)
-
-    def add(self, item: Mapping[str, object]) -> None:
-        self.table.setdefault(self.key_for(item), {})[id(item)] = item
-
-    def discard(self, item: Mapping[str, object]) -> None:
-        key = self.key_for(item)
-        bucket = self.table.get(key)
-        if bucket is not None:
-            bucket.pop(id(item), None)
-            if not bucket:
-                del self.table[key]
+        self.table = table
 
 
 class MultiHashIndex(StateIndex):
@@ -79,13 +108,22 @@ class MultiHashIndex(StateIndex):
         cost_params: CostParams | None = None,
     ) -> None:
         super().__init__(jas, accountant, cost_params)
+        self._read_row = _getter(jas.names)
+        # Stored tuples and their rows, by id, in insertion order.
         self._items: dict[int, Mapping[str, object]] = {}
+        self._rows: dict[int, Row] = {}
+        # Pattern mask -> (projection, table): every module's table and the
+        # exact tables of the request masks probed without an exact module.
+        self._tables: dict[int, tuple[Projector, Table]] = {}
+        # JAS positions that have stored a value outside EXACT_KEY_TYPES
+        # (grow-only): no table answers a probe over them.
+        self._inexact = 0
         self._modules: dict[int, _AccessModule] = {}
         # request mask -> most suitable module (or None); derived from the
         # module set, so it drops whenever modules are added or removed.
         self._suitable: dict[int, _AccessModule | None] = {}
         for ap in patterns:
-            self._add_module(ap, bulk_build=False)
+            self._add_module(ap)
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -108,24 +146,25 @@ class MultiHashIndex(StateIndex):
         if ap.jas != self.jas:
             raise ValueError(f"pattern {ap!r} ranges over a different JAS than this index")
 
-    def _add_module(self, ap: AccessPattern, *, bulk_build: bool) -> None:
+    def _add_module(self, ap: AccessPattern) -> None:
+        """Give ``ap`` a module: its exact table if it has one, else a table
+        built by scanning the state — charged as a bulk build either way."""
         self._check_pattern(ap)
+        if ap.is_full_scan:
+            raise ValueError("an access module must index at least one attribute")
         if ap.mask in self._modules:
             return
-        module = _AccessModule(ap)
-        self._modules[ap.mask] = module
+        self._modules[ap.mask] = _AccessModule(ap, self._table(ap.mask))
         self._suitable.clear()
+        n = len(self._items)
         acct = self.accountant
-        if bulk_build:
-            for item in self._items.values():
-                module.add(item)
-            n = len(self._items)
-            acct.hashes += n * ap.n_attributes
-            acct.moves += n
-            acct.index_bytes += n * self.cost_params.index_entry_bytes
+        acct.hashes += n * ap.n_attributes
+        acct.moves += n
+        acct.index_bytes += n * self.cost_params.index_entry_bytes
 
     def _drop_module(self, mask: int) -> None:
         del self._modules[mask]
+        del self._tables[mask]
         self._suitable.clear()
         self.accountant.index_bytes -= len(self._items) * self.cost_params.index_entry_bytes
 
@@ -144,32 +183,67 @@ class MultiHashIndex(StateIndex):
             self._drop_module(mask)
         for mask, ap in wanted.items():
             if mask not in self._modules:
-                self._add_module(ap, bulk_build=True)
+                self._add_module(ap)
 
     # ------------------------------------------------------------------ #
     # storage
 
+    def _table(self, mask: int) -> Table:
+        """The maintained table of ``mask``; if there is none yet, one is
+        built: every stored tuple under the projection of its row on
+        ``mask``'s positions, in insertion order."""
+        entry = self._tables.get(mask)
+        if entry is None:
+            project = _projector(mask_to_indices(mask), len(self.jas))
+            table: Table = {}
+            for (iid, item), row in zip(self._items.items(), self._rows.values()):
+                table.setdefault(project(row), {})[iid] = item
+            entry = self._tables[mask] = (project, table)
+        return entry[1]
+
+    def _record_inexact(self, row: Row) -> None:
+        """Note the positions of ``row`` holding a value outside
+        ``EXACT_KEY_TYPES``, and drop the exact tables over them."""
+        for pos, value in enumerate(row):
+            if type(value) not in EXACT_KEY_TYPES:
+                self._inexact |= 1 << pos
+        for mask in [m for m in self._tables if m & self._inexact and m not in self._modules]:
+            del self._tables[mask]
+
     def insert(self, item: Mapping[str, object]) -> None:
-        if id(item) in self._items:
+        iid = id(item)
+        if iid in self._items:
             raise ValueError("item is already stored in this index")
-        self._items[id(item)] = item
+        row = self._read_row(item)
+        if not EXACT_KEY_TYPES.issuperset(map(type, row)):
+            self._record_inexact(row)
+        self._items[iid] = item
+        self._rows[iid] = row
+        for project, table in self._tables.values():
+            table.setdefault(project(row), {})[iid] = item
         acct = self.accountant
         acct.inserts += 1
         acct.index_bytes += self.cost_params.bucket_slot_bytes
         for module in self._modules.values():
-            module.add(item)
             acct.hashes += module.n_attributes
             acct.index_bytes += self.cost_params.index_entry_bytes
 
     def remove(self, item: Mapping[str, object]) -> None:
-        if id(item) not in self._items:
+        iid = id(item)
+        if iid not in self._items:
             raise KeyError("item was never inserted into this index")
-        del self._items[id(item)]
+        del self._items[iid]
+        row = self._rows.pop(iid)
+        for project, table in self._tables.values():
+            key = project(row)
+            bucket = table[key]
+            del bucket[iid]
+            if not bucket:
+                del table[key]
         acct = self.accountant
         acct.deletes += 1
         acct.index_bytes -= self.cost_params.bucket_slot_bytes
         for module in self._modules.values():
-            module.discard(item)
             acct.hashes += module.n_attributes  # keys recomputed to locate entries
             acct.index_bytes -= self.cost_params.index_entry_bytes
 
@@ -210,27 +284,41 @@ class MultiHashIndex(StateIndex):
         matcher = compile_matcher(ap)
         select = matcher.select
         if matcher.is_full_scan:
-            module = None
+            module = answers = None
         else:
             module = self._suitable.get(ap.mask, self)
             if module is self:  # not cached yet (sentinel: self is never a module)
                 module = self.most_suitable_module(ap)
+            # The table that answers rows of ``ap``: the exact module's, or
+            # an exact table (built now if this is its first probe).
+            answers = None if ap.mask & self._inexact else self._table(ap.mask)
         if module is None:
             items = self._items
+            size = len(items)
 
             def probe_row(row: tuple) -> SearchOutcome:
-                return SearchOutcome(select((items.values(),), row), 1, len(items), True)
+                if answers is not None and is_exact_key(row):
+                    hit = answers.get(row)
+                    matches = list(hit.values()) if hit else []
+                else:
+                    matches = select((items.values(),), row)
+                return SearchOutcome(matches, 1, size, True)
 
             return 0, probe_row
 
         table = module.table
         # Where the module's key attributes sit in a probe row.
-        slots = [matcher.attributes.index(a) for a in module.attributes]
+        key_of = _projector(
+            tuple(matcher.attributes.index(a) for a in module.attributes), matcher.n_attributes
+        )
 
         def probe_row(row: tuple) -> SearchOutcome:
-            bucket = table.get(tuple([row[i] for i in slots]))
+            bucket = table.get(key_of(row))
             if bucket is None:
                 return SearchOutcome([], 1, 0)
+            if answers is not None and is_exact_key(row):
+                hit = answers.get(row)
+                return SearchOutcome(list(hit.values()) if hit else [], 1, len(bucket))
             return SearchOutcome(select((bucket.values(),), row), 1, len(bucket))
 
         return module.n_attributes, probe_row

@@ -24,7 +24,15 @@ from collections.abc import Mapping
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.probe_plan import compile_matcher
-from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, StateIndex
+from repro.indexes.base import (
+    EXACT_KEY_TYPES,
+    Accountant,
+    CostParams,
+    RowProbe,
+    SearchOutcome,
+    StateIndex,
+    is_exact_key,
+)
 
 
 class InvertedListIndex(StateIndex):
@@ -41,6 +49,9 @@ class InvertedListIndex(StateIndex):
         self._lists: dict[str, dict[object, dict[int, Mapping[str, object]]]] = {
             name: {} for name in jas.names
         }
+        # JAS positions that have stored a value outside EXACT_KEY_TYPES
+        # (grow-only).
+        self._inexact = 0
 
     @property
     def size(self) -> int:
@@ -53,8 +64,11 @@ class InvertedListIndex(StateIndex):
         acct = self.accountant
         acct.inserts += 1
         acct.index_bytes += self.cost_params.bucket_slot_bytes
-        for name in self.jas.names:
-            self._lists[name].setdefault(item[name], {})[id(item)] = item
+        for pos, name in enumerate(self.jas.names):
+            value = item[name]
+            if type(value) not in EXACT_KEY_TYPES:
+                self._inexact |= 1 << pos
+            self._lists[name].setdefault(value, {})[id(item)] = item
             acct.hashes += 1
             acct.index_bytes += self.cost_params.index_entry_bytes
 
@@ -78,7 +92,8 @@ class InvertedListIndex(StateIndex):
         return id(item) in self._items
 
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
-        attributes = compile_matcher(ap).attributes
+        matcher = compile_matcher(ap)
+        attributes = matcher.attributes
         items = self._items
         if not attributes:
 
@@ -88,6 +103,10 @@ class InvertedListIndex(StateIndex):
             return 0, probe_row
 
         lists = [self._lists[name] for name in attributes]
+        select = matcher.select
+        # Posting lists are keyed by value, which agrees with ``==`` only
+        # for exact keys over lists that have never held another type.
+        exact_lists = not ap.mask & self._inexact
 
         def probe_row(row: tuple) -> SearchOutcome:
             # Fetch each attribute's posting list; intersect smallest-first.
@@ -104,6 +123,8 @@ class InvertedListIndex(StateIndex):
                 ]
             else:
                 matches = list(base.values())
+            if not (exact_lists and is_exact_key(row)):
+                matches = select((matches,), row)
             return SearchOutcome(matches, len(postings), len(base))
 
         # One hash per attribute fetches its posting list.

@@ -4,10 +4,13 @@
 ``python tools/check_bench_regression.py BASELINE.json NEW.json`` compares
 the deterministic ``extra_info["cost_units"]`` recorded by
 ``benchmarks/test_micro_index_ops.py`` (see its module docstring) between
-two ``pytest-benchmark --benchmark-json`` exports.  Cost units count model
-operations, so on identical code the two files agree exactly; any drift
-beyond ``--tolerance`` (relative) means an index hot path genuinely got
-more expensive and the check exits 1.
+two ``pytest-benchmark --benchmark-json`` exports.  Cost units are the
+model: they count model operations, so on identical code the two files
+agree exactly, and drift beyond ``--tolerance`` (relative) in *either*
+direction exits 1.  A rise means an index hot path got more expensive; a
+drop means a probe stopped paying the model's price, which an optimisation
+below the accountant must never do.  Only a change to the model itself,
+labelled as one, regenerates the baseline.
 
 ``--metrics PATH`` additionally writes the comparison as a metrics
 snapshot (JSONL, via :mod:`repro.engine.metrics_export`) so CI can upload
@@ -96,11 +99,12 @@ def load_mean_seconds(path: Path) -> dict[str, float]:
 
 
 def compare(
-    baseline: dict[str, float], new: dict[str, float], tolerance: float
+    baseline: dict[str, float], new: dict[str, float], tolerance: float, *, two_sided: bool
 ) -> tuple[list[tuple[str, float, float, float]], list[str]]:
     """Return (regressions, messages).  A regression is ``(name, base,
-    new, rel_change)`` with ``rel_change > tolerance``; improvements and
-    in-tolerance drift only produce messages."""
+    new, rel_change)`` with ``rel_change > tolerance`` — or, ``two_sided``,
+    ``|rel_change| > tolerance``; in-tolerance drift (and, one-sided,
+    improvements) only produce messages."""
     regressions: list[tuple[str, float, float, float]] = []
     messages: list[str] = []
     for name in sorted(baseline):
@@ -109,7 +113,7 @@ def compare(
             continue
         base, cur = baseline[name], new[name]
         rel = (cur - base) / max(abs(base), 1e-12)
-        if rel > tolerance:
+        if rel > tolerance or (two_sided and rel < -tolerance):
             regressions.append((name, base, cur, rel))
         elif rel < -tolerance:
             messages.append(f"IMPROVED {name}: {base:,.2f} -> {cur:,.2f} ({rel:+.1%})")
@@ -155,7 +159,8 @@ def main(argv: list[str] | None = None) -> int:
         "--tolerance",
         type=float,
         default=None,
-        help="max tolerated relative increase (default 0.05; 0.25 with --wall)",
+        help="max tolerated relative drift, either way (default 0.05); "
+        "with --wall, max tolerated increase (default 0.25)",
     )
     parser.add_argument(
         "--metrics", type=Path, default=None, help="write comparison as metrics JSONL"
@@ -191,11 +196,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
 
-    regressions, messages = compare(baseline, new, tolerance)
+    regressions, messages = compare(baseline, new, tolerance, two_sided=not args.wall)
     for line in messages:
         print(line)
     for name, base, cur, rel in regressions:
-        print(f"REGRESSED {name}: {base:,.2f} -> {cur:,.2f} ({rel:+.1%})")
+        label = "REGRESSED" if rel > 0 else "DROPPED  "
+        print(f"{label} {name}: {base:,.2f} -> {cur:,.2f} ({rel:+.1%})")
 
     if args.metrics is not None and not args.wall:
         write_metrics_jsonl(args.metrics, baseline, new, load_mean_seconds(args.new))
@@ -203,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if regressions:
         print(
-            f"\n{len(regressions)} benchmark(s) regressed beyond "
+            f"\n{len(regressions)} benchmark(s) drifted beyond "
             f"{tolerance:.0%} {unit} tolerance",
             file=sys.stderr,
         )
