@@ -86,6 +86,9 @@ _EXACT_HASH_TYPES = frozenset({int, float, str, bytes, bool, type(None)})
 #: outside ``_EXACT_HASH_TYPES`` (never the type of a probe value).
 _MIXED = object()
 _INITIAL_CAPACITY = 256
+#: The fragment mask of a fragment as wide as the 64-bit hash.
+_HASH_MASK = np.uint64((1 << 64) - 1)
+_ONE = np.uint64(1)
 
 
 def _hash_table(capacity: int, n_attributes: int) -> np.ndarray:
@@ -197,9 +200,10 @@ class BitAddressIndex(StateIndex):
         self._frag_maps = {
             i: {} for i, w in enumerate(self._config.bits) if w > 0
         }
-        # Compiled probe plans are derived from the key map, so any code
-        # path that changes the configuration (construction, reconfigure)
-        # lands here and must drop them.
+        # Compiled probe plans and probers are derived from the key map, so
+        # any code path that changes the configuration (construction,
+        # reconfigure) lands here and must drop them.
+        self._changed()
         plans = getattr(self, "_plans", None)
         if plans is None:
             self._plans = ProbePlanCache(self._config)
@@ -219,6 +223,7 @@ class BitAddressIndex(StateIndex):
         entries = self._entries
         if iid in entries:
             raise ValueError("item is already stored in this index")
+        self._changed()
         key_plan = self._plans.key_plan
         mapper = self.value_mapper
         table = self._hashes
@@ -280,6 +285,7 @@ class BitAddressIndex(StateIndex):
         entry = self._entries.pop(iid, None)
         if entry is None:
             raise KeyError("item was never inserted into this index")
+        self._changed()
         slot, key = entry
         self._free.append(slot)
         if self._live is not None:
@@ -372,16 +378,34 @@ class BitAddressIndex(StateIndex):
         given that column and probe value are of one exact type, else the
         row walks.  A row that may match walks too: the columns never
         produce a match list, so they cannot change match order.
+
+        The structure-only half is done here, once per prober: each fixed
+        position's column is masked to its fragment, and a free slot gets
+        ``fmask + 1``, a value no fragment can equal, so one compare per
+        fixed position marks the candidates.  A fragment as wide as the
+        hash leaves no such value; its compare is and-ed with the mask of
+        slots in use instead.
         """
         size = len(self._entries)
-        top = size + len(self._free)  # one past the highest slot handed out
-        live = self._live[:top]
+        free = self._free
+        top = size + len(free)  # one past the highest slot handed out
         # Aligned with a probe row: each probed attribute's column, and the
         # one exact type whose values it has stored.
         columns = [self._hashes[:top, pos] for pos in plan.positions]
         kinds = [self._column_types[pos] for pos in plan.positions]
-        fixed = plan.hash_masks
-        full_scan = not fixed
+        # Per fixed position: its row index, masked column and fragment mask.
+        fragments = []
+        in_use = None  # the slots in use, when a fragment spans the hash
+        for i, fmask in plan.hash_masks:
+            if fmask == _HASH_MASK:
+                fragments.append((i, columns[i], fmask))
+                in_use = self._live[:top]
+            else:
+                masked = columns[i] & fmask
+                if free:
+                    masked[free] = fmask + _ONE
+                fragments.append((i, masked, fmask))
+        full_scan = not fragments
         count_nonzero = np.count_nonzero
         uint64 = np.uint64
 
@@ -393,10 +417,13 @@ class BitAddressIndex(StateIndex):
                     return walk(row)
                 hashes.append(uint64(_cached_value_hash(kind, value)))
             examined = size
-            if fixed:
-                in_buckets = live
-                for i, fmask in fixed:
-                    in_buckets = in_buckets & ((columns[i] & fmask) == (hashes[i] & fmask))
+            if fragments:
+                in_buckets = in_use
+                for i, masked, fmask in fragments:
+                    same = masked == (hashes[i] & fmask)
+                    if in_buckets is not None:
+                        same &= in_buckets
+                    in_buckets = same
                 examined = int(count_nonzero(in_buckets))  # the accountant adds Python ints
             # (A free slot still holds hashes: it can cost a needless walk,
             # never an answer.)

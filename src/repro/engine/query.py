@@ -168,9 +168,9 @@ class Query:
         }
         # (joined streams, target) -> (access pattern, bindings).  Probe
         # derivation is pure in the (immutable) predicate set, and a route
-        # revisits the same few combinations every tick, so the router's
-        # probe_spec call and the kernel's per-hop probe_row_spec call are
-        # dict hits after the first tick.
+        # revisits the same few combinations every tick, so the kernel's
+        # per-hop probe_row_spec call is a dict hit after the first tick
+        # (the routers read probe_spec once per route-DAG node).
         self._probe_specs: dict[
             tuple[frozenset[str], str],
             tuple[AccessPattern, tuple[tuple[str, str, str], ...]],

@@ -22,6 +22,10 @@ states are probed.  Four policies:
 Routes are full permutations chosen up front per tuple; the probe *pattern*
 at each hop still depends on which streams are already joined, so even a
 fixed route exercises several access patterns per state.
+
+The three estimator-driven policies walk a :class:`RouteDag`: what a hop
+probes depends only on the query, so it is derived once per joined set and
+a route reads nothing per hop but the estimates.
 """
 
 from __future__ import annotations
@@ -36,6 +40,73 @@ from repro.engine.stats import SelectivityEstimator
 from repro.utils.bitops import fragment
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_fraction
+
+#: One possible next hop: the target, the ``(target, pattern mask)`` key
+#: its fan-out is estimated under (``None`` while no predicate binds the
+#: target to the joined streams), and the node after joining it.
+Hop = tuple[str, "tuple[str, int] | None", "RouteNode"]
+
+
+class RouteNode:
+    """One joined set of a :class:`RouteDag`.
+
+    ``hops`` is ``None`` until the node is first visited; :meth:`expand`
+    then lists every stream not yet joined, in declared (FROM-clause)
+    order, as a :data:`Hop`.  A node whose set holds every stream has no
+    hops.
+    """
+
+    __slots__ = ("dag", "joined", "hops")
+
+    def __init__(self, dag: RouteDag, joined: frozenset[str]) -> None:
+        self.dag = dag
+        self.joined = joined
+        self.hops: tuple[Hop, ...] | None = None
+
+    def expand(self) -> tuple[Hop, ...]:
+        """Derive (once) and return this node's hops."""
+        if self.hops is None:
+            dag, joined = self.dag, self.joined
+            hops = []
+            for target in dag.query.stream_names:
+                if target in joined:
+                    continue
+                try:
+                    ap, _bindings = dag.query.probe_spec(joined, target)
+                except ValueError:
+                    key = None  # unconnected at this point; deferred
+                else:
+                    key = (target, ap.mask)
+                hops.append((target, key, dag.node(joined | {target})))
+            self.hops = tuple(hops)
+        return self.hops
+
+
+class RouteDag:
+    """Every route of one query, as a DAG of joined sets per source stream.
+
+    A route from ``source`` starts at ``roots[source]`` (the set
+    ``{source}``) and each hop moves to the node of the set with the chosen
+    target added; routes that join the same streams in another order meet
+    at the same node.  Nodes are created on demand and expanded on first
+    visit, from :meth:`Query.probe_spec` alone: the DAG holds no estimator
+    state, so it never goes stale.
+    """
+
+    def __init__(self, query: Query) -> None:
+        self.query = query
+        self._nodes: dict[frozenset[str], RouteNode] = {}
+        names = query.stream_names
+        #: Per source, the other streams in declared order.
+        self.targets = {s: tuple(t for t in names if t != s) for s in names}
+        self.roots = {s: self.node(frozenset((s,))) for s in names}
+
+    def node(self, joined: frozenset[str]) -> RouteNode:
+        """The node of the joined set ``joined``."""
+        node = self._nodes.get(joined)
+        if node is None:
+            node = self._nodes[joined] = RouteNode(self, joined)
+        return node
 
 
 class Router(abc.ABC):
@@ -94,9 +165,7 @@ class GreedyAdaptiveRouter(Router):
         self.query = query
         self.explore_prob = explore_prob
         self._rng = make_rng(seed)
-        self._targets = {
-            s: tuple(t for t in query.stream_names if t != s) for s in query.stream_names
-        }
+        self._dag = RouteDag(query)
 
     def choose_route(
         self,
@@ -104,39 +173,34 @@ class GreedyAdaptiveRouter(Router):
         estimator: SelectivityEstimator,
         item: Mapping[str, object] | None = None,
     ) -> tuple[str, ...]:
-        targets = self._targets[source]
+        targets = self._dag.targets[source]
         if len(targets) <= 1:
             return targets
         if self.explore_prob > 0 and self._rng.random() < self.explore_prob:
             order = self._rng.permutation(len(targets))
             return tuple(targets[i] for i in order)
-        return self._greedy_order(source, targets, estimator)
-
-    def _greedy_order(
-        self, source: str, targets: tuple[str, ...], estimator: SelectivityEstimator
-    ) -> tuple[str, ...]:
-        joined = {source}
-        remaining = list(targets)
+        estimates = estimator.estimates
+        initial = estimator.initial
+        node = self._dag.roots[source]
         route: list[str] = []
-        while remaining:
+        while True:
+            hops = node.hops or node.expand()
+            if not hops:
+                return tuple(route)
             best: str | None = None
             best_score = float("inf")
-            for cand in remaining:
-                try:
-                    ap, _bindings = self.query.probe_spec(joined, cand)
-                except ValueError:
-                    continue  # unconnected at this point; defer
-                score = estimator.expected_matches(cand, ap.mask)
+            for target, key, child in hops:
+                if key is None:
+                    continue
+                score = estimates.get(key, initial)
                 if score < best_score:
-                    best, best_score = cand, score
+                    best, best_score, next_node = target, score, child
             if best is None:
                 # Only cross-product hops remain; keep declared order.
-                route.extend(remaining)
-                break
+                route.extend([hop[0] for hop in hops])
+                return tuple(route)
             route.append(best)
-            remaining.remove(best)
-            joined.add(best)
-        return tuple(route)
+            node = next_node
 
 
 class LotteryRouter(Router):
@@ -162,9 +226,7 @@ class LotteryRouter(Router):
         self.query = query
         self.smoothing = smoothing
         self._rng = make_rng(seed)
-        self._targets = {
-            s: tuple(t for t in query.stream_names if t != s) for s in query.stream_names
-        }
+        self._dag = RouteDag(query)
 
     def choose_route(
         self,
@@ -172,30 +234,31 @@ class LotteryRouter(Router):
         estimator: SelectivityEstimator,
         item: Mapping[str, object] | None = None,
     ) -> tuple[str, ...]:
-        joined = {source}
-        remaining = list(self._targets[source])
+        estimates = estimator.estimates
+        initial = estimator.initial
+        smoothing = self.smoothing
+        node = self._dag.roots[source]
         route: list[str] = []
-        while remaining:
+        while True:
+            hops = node.hops or node.expand()
+            if not hops:
+                return tuple(route)
             weights = []
             reachable = []
-            for cand in remaining:
-                try:
-                    ap, _bindings = self.query.probe_spec(joined, cand)
-                except ValueError:
+            for hop in hops:
+                key = hop[1]
+                if key is None:
                     continue
-                fanout = estimator.expected_matches(cand, ap.mask)
-                weights.append(1.0 / (self.smoothing + max(fanout, 0.0)))
-                reachable.append(cand)
+                fanout = estimates.get(key, initial)
+                weights.append(1.0 / (smoothing + max(fanout, 0.0)))
+                reachable.append(hop)
             if not reachable:
-                route.extend(remaining)
-                break
+                route.extend([hop[0] for hop in hops])
+                return tuple(route)
             total = sum(weights)
             probs = [w / total for w in weights]
-            pick = reachable[int(self._rng.choice(len(reachable), p=probs))]
-            route.append(pick)
-            remaining.remove(pick)
-            joined.add(pick)
-        return tuple(route)
+            target, _key, node = reachable[int(self._rng.choice(len(reachable), p=probs))]
+            route.append(target)
 
 
 class ContentBasedRouter(Router):
@@ -223,9 +286,7 @@ class ContentBasedRouter(Router):
         self.value_bits = value_bits
         self.explore_prob = explore_prob
         self._rng = make_rng(seed)
-        self._targets = {
-            s: tuple(t for t in query.stream_names if t != s) for s in query.stream_names
-        }
+        self._dag = RouteDag(query)
         # (target, pattern mask, value bucket) -> EWMA fan-out
         self._content: dict[tuple[str, int, int], float] = {}
         self._alpha = 0.1
@@ -256,32 +317,32 @@ class ContentBasedRouter(Router):
         estimator: SelectivityEstimator,
         item: Mapping[str, object] | None = None,
     ) -> tuple[str, ...]:
-        targets = self._targets[source]
+        targets = self._dag.targets[source]
         if len(targets) <= 1:
             return targets
         if self.explore_prob > 0 and self._rng.random() < self.explore_prob:
             order = self._rng.permutation(len(targets))
             return tuple(targets[i] for i in order)
-        joined = {source}
-        remaining = list(targets)
+        estimates = estimator.estimates
+        initial = estimator.initial
+        content = self._content
+        node = self._dag.roots[source]
         route: list[str] = []
-        while remaining:
+        while True:
+            hops = node.hops or node.expand()
+            if not hops:
+                return tuple(route)
             best: str | None = None
             best_score = float("inf")
-            for cand in remaining:
-                try:
-                    ap, _bindings = self.query.probe_spec(joined, cand)
-                except ValueError:
+            for target, key, child in hops:
+                if key is None:
                     continue
-                bucket = self.bucket_for(item, source, cand)
-                key = (cand, ap.mask, bucket)
-                score = self._content.get(key, estimator.expected_matches(cand, ap.mask))
+                bucket = self.bucket_for(item, source, target)
+                score = content.get((target, key[1], bucket), estimates.get(key, initial))
                 if score < best_score:
-                    best, best_score = cand, score
+                    best, best_score, next_node = target, score, child
             if best is None:
-                route.extend(remaining)
-                break
+                route.extend([hop[0] for hop in hops])
+                return tuple(route)
             route.append(best)
-            remaining.remove(best)
-            joined.add(best)
-        return tuple(route)
+            node = next_node

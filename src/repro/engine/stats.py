@@ -8,6 +8,7 @@ the EWMA match-rate estimates the router uses to order probes — the
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 
@@ -115,6 +116,16 @@ class SelectivityEstimator:
     def expected_matches(self, target: str, pattern_mask: int) -> float:
         """Current estimate for probes of this shape (optimistic default)."""
         return self._estimates.get((target, pattern_mask), self.initial)
+
+    @property
+    def estimates(self) -> Mapping[tuple[str, int], float]:
+        """The live estimates by ``(target, pattern mask)``, read-only.
+
+        ``estimates.get(key, initial)`` is :meth:`expected_matches` for a
+        caller that holds its keys already (the routers' route DAG).  The
+        mapping changes as probes are observed; it is not a copy.
+        """
+        return self._estimates
 
     def snapshot(self) -> dict[tuple[str, int], float]:
         """Copy of all current estimates (diagnostics)."""

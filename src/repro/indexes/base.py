@@ -164,6 +164,8 @@ class StateIndex(abc.ABC):
         self.jas = jas
         self.accountant = accountant if accountant is not None else Accountant()
         self.cost_params = cost_params if cost_params is not None else CostParams()
+        # Pattern mask -> ``_row_prober(ap)``, valid until ``_changed()``.
+        self._probers: dict[int, tuple[int, RowProbe]] = {}
 
     # -- storage ------------------------------------------------------- #
 
@@ -180,6 +182,16 @@ class StateIndex(abc.ABC):
     def remove(self, item: Mapping[str, object]) -> None:
         """Remove a previously inserted ``item`` (identity-based)."""
 
+    def _changed(self) -> None:
+        """Drop every cached prober: the structure they read is changing.
+
+        Every method that mutates a backend's structure calls this —
+        ``insert``, ``remove``, and whatever rebuilds a key map or a module
+        set — so a prober lives exactly as long as the structure it was
+        built from.
+        """
+        self._probers.clear()
+
     @abc.abstractmethod
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
         """The per-pattern half of a probe — the one hook a backend writes.
@@ -189,12 +201,24 @@ class StateIndex(abc.ABC):
         aligned with ``ap.attributes``) to that probe's
         :class:`SearchOutcome`.  Everything that depends only on the
         pattern and the structure (the compiled plan, the module choice,
-        the charged bucket visits) is resolved here, once per column;
-        ``probe_row`` reads the structure and charges nothing — the caller
-        charges ``hashes`` and the outcome's ``buckets_visited`` /
-        ``tuples_examined`` once per row, shared outcomes included.  The
-        structure does not change while a prober is in use.
+        the charged bucket visits) is resolved here; ``probe_row`` reads
+        the structure and charges nothing — the caller charges ``hashes``
+        and the outcome's ``buckets_visited`` / ``tuples_examined`` once
+        per row, shared outcomes included.
+
+        The pair is cached per pattern mask and reused until the next
+        :meth:`_changed`, so it may capture anything a mutator changes
+        (sizes, table views, the module choice) and nothing that a
+        non-mutating call can change.
         """
+
+    def _prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
+        """The cached ``_row_prober(ap)`` (``ap`` already checked against
+        this JAS, so its mask names one pattern)."""
+        prober = self._probers.get(ap.mask)
+        if prober is None:
+            prober = self._probers[ap.mask] = self._row_prober(ap)
+        return prober
 
     def search_batch(self, ap: AccessPattern, rows: list[tuple]) -> list[SearchOutcome]:
         """Probe one access pattern with a column of value rows.
@@ -225,7 +249,7 @@ class StateIndex(abc.ABC):
                 )
         if not rows:
             return []
-        hashes, probe_row = self._row_prober(ap)
+        hashes, probe_row = self._prober(ap)
         seen: dict[tuple, SearchOutcome] = {}
         outcomes: list[SearchOutcome] = []
         visited = examined = 0
@@ -259,7 +283,7 @@ class StateIndex(abc.ABC):
         for name in attributes:
             if name not in values:
                 raise KeyError(f"probe values missing attribute {name!r} required by {ap!r}")
-        hashes, probe_row = self._row_prober(ap)
+        hashes, probe_row = self._prober(ap)
         outcome = probe_row(tuple([values[name] for name in attributes]))
         acct = self.accountant
         acct.hashes += hashes

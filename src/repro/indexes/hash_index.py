@@ -119,9 +119,6 @@ class MultiHashIndex(StateIndex):
         # (grow-only): no table answers a probe over them.
         self._inexact = 0
         self._modules: dict[int, _AccessModule] = {}
-        # request mask -> most suitable module (or None); derived from the
-        # module set, so it drops whenever modules are added or removed.
-        self._suitable: dict[int, _AccessModule | None] = {}
         for ap in patterns:
             self._add_module(ap)
 
@@ -154,8 +151,8 @@ class MultiHashIndex(StateIndex):
             raise ValueError("an access module must index at least one attribute")
         if ap.mask in self._modules:
             return
+        self._changed()
         self._modules[ap.mask] = _AccessModule(ap, self._table(ap.mask))
-        self._suitable.clear()
         n = len(self._items)
         acct = self.accountant
         acct.hashes += n * ap.n_attributes
@@ -163,9 +160,9 @@ class MultiHashIndex(StateIndex):
         acct.index_bytes += n * self.cost_params.index_entry_bytes
 
     def _drop_module(self, mask: int) -> None:
+        self._changed()
         del self._modules[mask]
         del self._tables[mask]
-        self._suitable.clear()
         self.accountant.index_bytes -= len(self._items) * self.cost_params.index_entry_bytes
 
     def set_patterns(self, patterns: Iterable[AccessPattern]) -> None:
@@ -214,6 +211,7 @@ class MultiHashIndex(StateIndex):
         iid = id(item)
         if iid in self._items:
             raise ValueError("item is already stored in this index")
+        self._changed()
         row = self._read_row(item)
         if not EXACT_KEY_TYPES.issuperset(map(type, row)):
             self._record_inexact(row)
@@ -232,6 +230,7 @@ class MultiHashIndex(StateIndex):
         iid = id(item)
         if iid not in self._items:
             raise KeyError("item was never inserted into this index")
+        self._changed()
         del self._items[iid]
         row = self._rows.pop(iid)
         for project, table in self._tables.values():
@@ -262,14 +261,10 @@ class MultiHashIndex(StateIndex):
 
         Returns ``None`` when no module's attributes are a subset of the
         request's — the full-scan case.  Ties break toward the lowest mask
-        for determinism.  The choice depends only on the request mask and
-        the module set, so it is cached until the modules change.
+        for determinism.  A probe asks once per prober, so the choice is
+        reused until the next structure change.
         """
         self._check_pattern(ap)
-        try:
-            return self._suitable[ap.mask]
-        except KeyError:
-            pass
         best: _AccessModule | None = None
         for mask in sorted(self._modules):
             if mask & ap.mask != mask:
@@ -277,7 +272,6 @@ class MultiHashIndex(StateIndex):
             module = self._modules[mask]
             if best is None or module.n_attributes > best.n_attributes:
                 best = module
-        self._suitable[ap.mask] = best
         return best
 
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
@@ -286,9 +280,7 @@ class MultiHashIndex(StateIndex):
         if matcher.is_full_scan:
             module = answers = None
         else:
-            module = self._suitable.get(ap.mask, self)
-            if module is self:  # not cached yet (sentinel: self is never a module)
-                module = self.most_suitable_module(ap)
+            module = self.most_suitable_module(ap)
             # The table that answers rows of ``ap``: the exact module's, or
             # an exact table (built now if this is its first probe).
             answers = None if ap.mask & self._inexact else self._table(ap.mask)

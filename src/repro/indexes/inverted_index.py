@@ -60,6 +60,7 @@ class InvertedListIndex(StateIndex):
     def insert(self, item: Mapping[str, object]) -> None:
         if id(item) in self._items:
             raise ValueError("item is already stored in this index")
+        self._changed()
         self._items[id(item)] = item
         acct = self.accountant
         acct.inserts += 1
@@ -75,6 +76,7 @@ class InvertedListIndex(StateIndex):
     def remove(self, item: Mapping[str, object]) -> None:
         if id(item) not in self._items:
             raise KeyError("item was never inserted into this index")
+        self._changed()
         del self._items[id(item)]
         acct = self.accountant
         acct.deletes += 1

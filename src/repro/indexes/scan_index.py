@@ -36,6 +36,7 @@ class ScanIndex(StateIndex):
     def insert(self, item: Mapping[str, object]) -> None:
         if id(item) in self._items:
             raise ValueError("item is already stored in this index")
+        self._changed()
         self._items[id(item)] = item
         self.accountant.inserts += 1
         self.accountant.index_bytes += self.cost_params.bucket_slot_bytes
@@ -43,6 +44,7 @@ class ScanIndex(StateIndex):
     def remove(self, item: Mapping[str, object]) -> None:
         if id(item) not in self._items:
             raise KeyError("item was never inserted into this index")
+        self._changed()
         del self._items[id(item)]
         self.accountant.deletes += 1
         self.accountant.index_bytes -= self.cost_params.bucket_slot_bytes

@@ -14,17 +14,45 @@ from repro.indexes.hash_index import MultiHashIndex
 
 
 @contextmanager
-def column_probe_gate(candidates: int):
+def column_probe_gate(candidates: int, *indexes):
     """Hold ``BitAddressIndex``'s hash-column gate at ``candidates`` for the
     block (1: every wildcard probe of a non-empty index asks the columns).
-    A context manager, not ``monkeypatch``: hypothesis bodies cannot take
-    function-scoped fixtures."""
+
+    An index reads the gate when it builds a prober and keeps the prober
+    until its structure changes, so the gate governs only the ``indexes``
+    passed here (``None`` entries are skipped): their probers are dropped
+    on entry and on exit.  At least one must be given.  A context manager,
+    not ``monkeypatch``: hypothesis bodies cannot take function-scoped
+    fixtures."""
+    governed = [index for index in indexes if index is not None]
+    if not governed:
+        raise TypeError("column_probe_gate needs the indexes it governs")
     default = bit_index.COLUMN_PROBE_MIN_CANDIDATES
     bit_index.COLUMN_PROBE_MIN_CANDIDATES = candidates
+    for index in governed:
+        index._changed()
     try:
         yield
     finally:
         bit_index.COLUMN_PROBE_MIN_CANDIDATES = default
+        for index in governed:
+            index._changed()
+
+
+def asks_columns(index, ap: AccessPattern) -> bool:
+    """Whether, at gate 1, a probe of ``ap`` asks ``index``'s hash columns:
+    a bit-address index that keeps columns, and a pattern that probes an
+    attribute, is not a one-bucket point probe, and expects a candidate."""
+    if not isinstance(index, bit_index.BitAddressIndex) or index._hashes is None:
+        return False
+    plan = index.probe_plans.lookup(ap)
+    point = plan.fixed and plan.point_slots is not None
+    return bool(plan.n_attributes and not point and index.size >> plan.fixed_bits)
+
+
+def column_asks(index) -> int:
+    """Probe rows the hash columns answered or passed on to the walk."""
+    return index.column_answered + index.column_walked
 
 
 def build_index(cls, jas: JoinAttributeSet):

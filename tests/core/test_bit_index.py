@@ -16,7 +16,7 @@ from repro.indexes.base import Accountant
 from repro.indexes.scan_index import ScanIndex
 from repro.indexes.static_bitmap import StaticBitmapIndex
 from repro.utils.bitops import fragment, mask_to_indices, stable_value_hash
-from tests.conftest import column_probe_gate
+from tests.conftest import asks_columns, column_asks, column_probe_gate
 
 
 def make_items(n, *, mod=(7, 3, 5)):
@@ -298,6 +298,13 @@ def reference_matches(index, ap, values):
     ]
 
 
+def some_pattern_asks_columns(index):
+    """Whether, at gate 1, a probe of some pattern asks the hash columns."""
+    jas = index.jas
+    patterns = (AccessPattern.from_mask(jas, m) for m in range(jas.full_mask + 1))
+    return any(asks_columns(index, ap) for ap in patterns)
+
+
 def assert_every_pattern_in_reference_order(index, probes):
     for mask in range(index.jas.full_mask + 1):
         ap = AccessPattern.from_mask(index.jas, mask)
@@ -334,8 +341,11 @@ def test_match_order_equals_the_reference_probe(cls, history):
         elif live:
             idx.remove(live.pop(op % len(live)))
     assert_every_pattern_in_reference_order(idx, probes + live[:3])
-    with column_probe_gate(1):  # every wildcard probe asks the columns first
+    asked = column_asks(idx)
+    with column_probe_gate(1, idx):  # every wildcard probe asks the columns first
         assert_every_pattern_in_reference_order(idx, probes + live[:3])
+    if some_pattern_asks_columns(idx):
+        assert column_asks(idx) > asked  # not the walk probers of the first pass
 
 
 class TestMatchOrderExamples:
@@ -485,8 +495,10 @@ def test_column_answers_equal_the_walk(history):
             idx.remove(item)
             twin.remove(item)
     assert_slots_are_consistent(idx, live)
-    with column_probe_gate(1):
+    with column_probe_gate(1, idx):
         assert_columns_equal_the_walk(idx, twin, probes + live[:3])
+    if some_pattern_asks_columns(idx):
+        assert column_asks(idx) > 0
 
 
 class TestHashColumns:
@@ -533,7 +545,7 @@ class TestHashColumns:
         items = [{"A": float(value), "B": i, "C": i} for i in range(8)]
         idx, twin = self.twins(jas3, (width, 2, 2), items)
         int_probe = [{"A": value, "B": 0, "C": 0}]
-        with column_probe_gate(1):
+        with column_probe_gate(1, idx):
             # An int probes a float column: the columns pass it on.
             assert len(idx.search(ap3("A"), int_probe[0]).matches) == 8
             assert (idx.column_answered, idx.column_walked) == (0, 1)
@@ -555,7 +567,7 @@ class TestHashColumns:
         # 70 bits for one attribute: the fragment is the whole 64-bit hash.
         items = [{"A": i, "B": i % 3, "C": i % 5} for i in range(40)]
         idx, twin = self.twins(jas3, (70, 1, 0), items)
-        with column_probe_gate(1):
+        with column_probe_gate(1, idx):
             assert_columns_equal_the_walk(idx, twin, items[:3] + [{"A": 99, "B": 0, "C": 0}])
             for index in (idx, twin):
                 index.reconfigure(IndexConfiguration(jas3, [0, 66, 2]))
@@ -569,7 +581,7 @@ class TestHashColumns:
         items = [{"A": i, "B": i % 3, "C": i % 5} for i in range(40)]
         idx, twin = self.twins(jas3, (2, 1, 1), items, value_mapper=mapper)
         assert idx._hashes is None
-        with column_probe_gate(1):
+        with column_probe_gate(1, idx):
             assert_columns_equal_the_walk(idx, twin, items[:3] + [{"A": 99, "B": 0, "C": 0}])
             idx.reconfigure(IndexConfiguration(jas3, [1, 2, 0]))
             twin.reconfigure(IndexConfiguration(jas3, [1, 2, 0]))
@@ -588,7 +600,7 @@ class TestHashColumns:
         assert idx._hashes is None and idx.size == 21
         assert idx.accountant.hashes == before.hashes + 2
         twin.insert(item)
-        with column_probe_gate(1):
+        with column_probe_gate(1, idx):
             got = idx.search(ap3("A", "B"), {"A": 1, "B": 1}).matches
             assert any(m is item for m in got)
             for ap in (ap3("A"), ap3("B"), ap3("A", "B")):

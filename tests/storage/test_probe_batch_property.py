@@ -33,7 +33,7 @@ from repro.indexes.inverted_index import InvertedListIndex
 from repro.indexes.scan_index import ScanIndex
 from repro.indexes.static_bitmap import StaticBitmapIndex
 from repro.storage import StateStore
-from tests.conftest import build_index, column_probe_gate
+from tests.conftest import asks_columns, build_index, column_asks, column_probe_gate
 
 JAS = JoinAttributeSet(["A", "B", "C"])
 
@@ -119,9 +119,14 @@ def test_probe_batch_equals_the_probe_loop(backend, drain, stored, mask, rows, r
         if drain and len(stored) > 3:
             assert batched.lifecycle.draining is not None
         by_loop = [looped.probe(ap, dict(zip(ap.attributes, row))) for row in column]
-        with column_probe_gate(gate):
+        structures = (batched.index, batched.lifecycle.draining)
+        with column_probe_gate(gate, *structures):
             by_batch = batched.probe_batch(ap, column)
         assert observables(batched, by_batch) == observables(looped, by_loop)
+        if gate == 1 and column:
+            for index in structures:
+                if asks_columns(index, ap):
+                    assert column_asks(index) > 0
         # Outcomes alias only between equal rows.
         for i, a in enumerate(by_batch):
             for j in range(i):

@@ -270,7 +270,7 @@ class TestHashColumnsInTheStore:
                     tuple({"A": a, "B": a % 3, "C": a % 2}[name] for name in ap.attributes)
                     for a in (0, 1, 4, 9)
                 ]
-                with column_probe_gate(gate):
+                with column_probe_gate(gate, store.index, store.lifecycle.draining):
                     outcomes = store.probe_batch(ap, rows)
                 log.append(
                     [
