@@ -14,8 +14,8 @@ Subpackages:
   evaluation runs inside (one FIFO-drained staged kernel).
 - :mod:`repro.workloads` — drifting synthetic streams and the Section V
   scenario.
-- :mod:`repro.storage` — the per-stream state store and its budgeted
-  migration lifecycle.
+- :mod:`repro.storage` — the per-stream state store (window, index,
+  accountant and tuner of one stream).
 - :mod:`repro.experiments` — harnesses regenerating every figure and table,
   and the ``python -m repro`` subcommands.
 

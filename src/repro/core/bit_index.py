@@ -127,8 +127,6 @@ class BitAddressIndex(StateIndex):
         :mod:`repro.core.value_mapping`); defaults to hash fragmentation.
     """
 
-    reconfigurable = True
-
     def __init__(
         self,
         config: IndexConfiguration,
@@ -304,9 +302,6 @@ class BitAddressIndex(StateIndex):
                     if not keys:
                         del fmap[key[pos]]
             acct.index_bytes -= self._bucket_overhead_bytes()
-
-    def contains(self, item: Mapping[str, object]) -> bool:
-        return id(item) in self._entries
 
     def items(self) -> Iterator[Mapping[str, object]]:
         """Iterate every stored item (bucket order)."""

@@ -8,12 +8,10 @@ key when no wildcard bit remains, and the equality filter.  A
 :class:`ProbePlan` precomputes all of it once; indexes keep a per-structure
 :class:`ProbePlanCache` keyed by the pattern's ``BR(ap)`` mask (an ``int``,
 so the hot lookup is one dict get) and invalidate it whenever the key map
-changes — ``reconfigure()`` and the budgeted-migration handover both route
-through :meth:`ProbePlanCache.invalidate`.
+changes — ``reconfigure()`` routes through :meth:`ProbePlanCache.invalidate`.
 
-Three compilation entry points, all memoized process-wide so fresh index
-generations (e.g. the dual-structure phase of an incremental migration)
-reuse prior compilations:
+Three compilation entry points, all memoized process-wide so a fresh index
+or a reconfigured one reuses prior compilations:
 
 - :func:`compile_probe_plan` — the full plan for a bit-address probe;
 - :func:`compile_key_plan` — the insert-side bucket-key recipe of one
@@ -320,10 +318,8 @@ class ProbePlanCache:
 
     The hot path is ``plans.lookup(ap)`` — one ``dict.get`` on the integer
     mask.  The owning index must call :meth:`invalidate` whenever its
-    configuration changes (``reconfigure()``); a budgeted migration's fresh
-    structure builds its own cache, so the draining structure keeps serving
-    probes from plans compiled against the *old* key map — which is exactly
-    what its buckets still are.
+    configuration changes (``reconfigure()``), which re-buckets every
+    stored tuple under the new key map in the same call.
 
     Callers are responsible for checking ``ap.jas`` against the index JAS
     before trusting a mask-keyed lookup (two patterns over different JAS

@@ -111,13 +111,8 @@ class AMRITuner:
         produced").  When False, statistics accumulate across rounds
         (lower tuning churn, slower adaptation; useful as an ablation).
 
-    The optional :attr:`migrator` attribute lets a storage layer intercept
-    approved migrations: when set (a callable taking the candidate
-    :class:`~repro.core.index_config.IndexConfiguration`), the tuner calls
-    it instead of ``index.reconfigure`` — this is how
-    :class:`~repro.storage.store.StateStore` turns a stop-the-world rebuild
-    into a budgeted incremental drain.  Unset (the default), behaviour is
-    unchanged.
+    An approved migration is one stop-the-world ``index.reconfigure`` (the
+    paper's model; its cost is what the gate weighs).
     """
 
     def __init__(
@@ -141,7 +136,6 @@ class AMRITuner:
         self.min_benefit_ratio = min_benefit_ratio
         self.params = params if params is not None else CostParams()
         self.reset_after_tune = reset_after_tune
-        self.migrator = None  # optional migration interceptor (see class docs)
         self.history: list[TuneReport] = []
         self._horizons_elapsed = 0.0
 
@@ -188,10 +182,7 @@ class AMRITuner:
             and (old_cd - new_cd) * context.horizon > mig * self.min_benefit_ratio
         )
         if migrate:
-            if self.migrator is not None:
-                self.migrator(candidate)
-            else:
-                self.index.reconfigure(candidate)
+            self.index.reconfigure(candidate)
         report = TuneReport(
             frequencies=freqs,
             old_cd=old_cd,

@@ -20,8 +20,8 @@ be — the loop now lives in :mod:`repro.engine.kernel`):
 
 :class:`AMRExecutor` is now a thin facade: it assembles an
 :class:`~repro.engine.kernel.EngineContext` plus the default stage
-pipeline (``arrivals → expiry → route/probe → faults → tuning →
-migration → slo → shed/degrade → audit``) and delegates the loop to
+pipeline (``arrivals → expiry → route/probe → faults → tuning → slo →
+shed/degrade → audit``) and delegates the loop to
 :class:`~repro.engine.kernel.EngineKernel`.  The decomposition is
 byte-identical to the monolith — every float add, RNG draw, event, metric
 series, and span id is preserved, which

@@ -8,8 +8,8 @@ decomposed into a composition of explicit parts:
   plumbing, in one place;
 - the :class:`Stage` protocol and its standard implementations
   (:class:`ArrivalStage`, :class:`ExpiryStage`, :class:`RouteProbeStage`,
-  :class:`FaultStage`, :class:`TuningStage`, :class:`MigrationStage`,
-  :class:`SloStage`, :class:`ShedDegradeStage`, :class:`AuditStage`) — each
+  :class:`FaultStage`, :class:`TuningStage`, :class:`SloStage`,
+  :class:`ShedDegradeStage`, :class:`AuditStage`) — each
   tick phase is one object with one job (the backlog drains in arrival
   order);
 - :class:`EngineKernel` — the loop that advances the virtual clock and
@@ -28,7 +28,6 @@ from repro.engine.kernel.stages import (
     AuditStage,
     ExpiryStage,
     FaultStage,
-    MigrationStage,
     RouteProbeStage,
     ShedDegradeStage,
     SloStage,
@@ -44,7 +43,6 @@ __all__ = [
     "EngineKernel",
     "ExpiryStage",
     "FaultStage",
-    "MigrationStage",
     "RouteProbeStage",
     "ShedDegradeStage",
     "SloStage",

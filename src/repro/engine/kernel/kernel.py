@@ -20,7 +20,6 @@ from repro.engine.kernel.stages import (
     AuditStage,
     ExpiryStage,
     FaultStage,
-    MigrationStage,
     RouteProbeStage,
     ShedDegradeStage,
     SloStage,
@@ -37,13 +36,13 @@ TICK_COST_BUCKETS = (100.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 20_000.0
 
 def default_stages() -> tuple[Stage, ...]:
     """The canonical pipeline, in the monolithic executor's tick order:
-    arrivals → expiry → route/probe → faults → tuning → migration → slo →
+    arrivals → expiry → route/probe → faults → tuning → slo →
     shed/degrade → audit.
 
-    ``MigrationStage`` advances budgeted incremental migrations and
-    ``SloStage`` evaluates latency objectives; both are complete no-ops
-    when their feature is unarmed (no mid-drain lifecycle, no latency
-    tracker), so legacy runs stay bit-identical to the older pipelines.
+    An accepted migration is a stop-the-world ``reconfigure()`` inside the
+    tuning stage.  ``SloStage`` evaluates latency objectives and is a
+    complete no-op without a latency tracker, so unarmed runs stay
+    bit-identical to the older pipelines.
     """
     return (
         ArrivalStage(),
@@ -51,7 +50,6 @@ def default_stages() -> tuple[Stage, ...]:
         RouteProbeStage(),
         FaultStage(),
         TuningStage(),
-        MigrationStage(),
         SloStage(),
         ShedDegradeStage(),
         AuditStage(),

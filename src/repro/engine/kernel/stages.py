@@ -7,8 +7,8 @@ Each stage is one phase of the discrete-time loop, implementing the
 :func:`~repro.engine.kernel.kernel.default_stages`) reproduces the
 monolithic executor exactly:
 
-    arrivals → expiry → route/probe → faults → tuning → migration →
-    slo → shed/degrade → audit
+    arrivals → expiry → route/probe → faults → tuning → slo →
+    shed/degrade → audit
 
 Stages communicate only through the context and the tick state — no stage
 holds run state of its own, which is what makes pipelines recomposable:
@@ -458,59 +458,6 @@ class TuningStage:
         t = tick.tick
         if t >= cfg.tune_warmup and t > 0 and t % cfg.assess_interval == 0:
             tune_round(ctx, t)
-
-
-class MigrationStage:
-    """Advance budgeted incremental index migrations, one step per tick.
-
-    A complete no-op unless a state's
-    :class:`~repro.storage.migration.IndexLifecycle` is mid-drain (which
-    only happens with a finite ``migration_budget``), so legacy runs are
-    bit-identical with this stage in the pipeline.  Each step's marginal
-    cost is charged to the ``index`` component with phase ``migrate``, and
-    the lifecycle's buffered ``migration_start`` / ``migration_step`` /
-    ``migration_done`` notices drain into the event log.
-    """
-
-    name = "migration"
-
-    def run(self, ctx: EngineContext, tick: TickState) -> None:
-        for stem in ctx.stems.values():
-            lifecycle = getattr(stem, "lifecycle", None)
-            if lifecycle is None or not lifecycle.active:
-                continue
-            kind = index_kind_label(stem.index)
-            before = ctx.stem_cost(stem)
-            report = lifecycle.step()
-            delta = ctx.stem_cost(stem) - before
-            if delta:
-                ctx.spend(
-                    delta, "index", stream=stem.stream, index_kind=kind, phase="migrate"
-                )
-            m = ctx.metrics
-            if m is not None and report is not None:
-                m.counter(
-                    "migration_moves_total",
-                    "tuples relocated by incremental migration",
-                    stream=stem.stream,
-                ).inc(report.moved)
-                m.point_span(
-                    "migration_step",
-                    tick.tick,
-                    stream=stem.stream,
-                    moved=report.moved,
-                    remaining=report.remaining,
-                    index_bytes=report.index_bytes,
-                )
-            self._drain_notices(ctx, tick.tick, stem)
-
-    @staticmethod
-    def _drain_notices(ctx: EngineContext, tick: int, stem) -> None:
-        if ctx.event_log is None:
-            stem.lifecycle.notices.clear()
-            return
-        for kind, detail in stem.lifecycle.drain_notices():
-            ctx.event_log.record(tick, kind, stem.stream, **detail)
 
 
 class ShedDegradeStage:

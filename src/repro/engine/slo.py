@@ -22,7 +22,7 @@ Three layers build on the tracker:
    with SRE-style multi-window error-budget burn rates: a breach fires
    only when both the fast and the slow window burn faster than the
    threshold, so single-tick blips don't page but sustained regressions
-   do.  Breaches and recoveries are emitted as registered ``slo_breach`` /
+   do.  Breaches and recoveries are emitted as ``slo_breach`` /
    ``slo_recovered`` events through the :class:`~repro.engine.tracing.EventLog`.
 3. **Closed loop.**  A spec marked ``degrade_on_breach`` asks the kernel's
    SLO stage to invoke the existing
@@ -42,7 +42,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.engine.metrics import quantile_from_buckets
-from repro.engine.tracing import register_event_kind
 
 __all__ = [
     "LATENCY_BUCKETS",
@@ -60,9 +59,9 @@ LATENCY_BUCKETS: tuple[float, ...] = (
     0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
 )
 
-#: Event kinds this module emits (registered at import).
-SLO_BREACH = register_event_kind("slo_breach")
-SLO_RECOVERED = register_event_kind("slo_recovered")
+#: Event kinds this module emits (members of ``tracing.EVENT_KINDS``).
+SLO_BREACH = "slo_breach"
+SLO_RECOVERED = "slo_recovered"
 
 
 def _bucket_index(boundaries: tuple[float, ...], value: float) -> int:

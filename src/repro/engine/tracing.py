@@ -7,45 +7,29 @@ so experiments can answer "when and why did this scheme fall behind"
 without re-running.  Events are plain frozen records; the log is
 append-only and cheap (no-op when absent).
 
-Event kinds form an open registry: the engine ships the built-in kinds
-below, and extensions (new subsystems, custom executors) add their own via
-:func:`register_event_kind` instead of editing this module.  Creating an
-:class:`EngineEvent` with an unregistered kind is still a hard error —
-typos in event kinds should fail loudly, not silently fragment the log.
+Event kinds are one closed tuple, :data:`EVENT_KINDS`.  Creating an
+:class:`EngineEvent` of any other kind is a hard error — typos in event
+kinds should fail loudly, not silently fragment the log.  A new kind is a
+new entry in the tuple.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
-#: The built-in kinds (kept as a tuple for backward compatibility).
-EVENT_KINDS = ("tune", "migration", "death", "fault", "degrade", "shed")
-
-_REGISTERED_KINDS: set[str] = set(EVENT_KINDS)
-_KINDS_LOCK = threading.Lock()
-
-
-def register_event_kind(kind: str) -> str:
-    """Register a new event kind; returns it (idempotent and thread-safe).
-
-    Extensions call this once at import time so their events pass the
-    :class:`EngineEvent` validity check.  Registration may happen from
-    several import threads at once (e.g. a process pool warming up
-    plugins), so the registry mutates under a lock.
-    """
-    if not kind or not kind.replace("-", "_").isidentifier():
-        raise ValueError(f"event kind must be a short identifier, got {kind!r}")
-    with _KINDS_LOCK:
-        _REGISTERED_KINDS.add(kind)
-    return kind
-
-
-def registered_event_kinds() -> frozenset[str]:
-    """Every currently valid event kind (built-ins plus registrations)."""
-    return frozenset(_REGISTERED_KINDS)
+#: Every kind an event may have.
+EVENT_KINDS = (
+    "tune",
+    "migration",
+    "death",
+    "fault",
+    "degrade",
+    "shed",
+    "slo_breach",
+    "slo_recovered",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,10 +42,9 @@ class EngineEvent:
     detail: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _REGISTERED_KINDS:
+        if self.kind not in EVENT_KINDS:
             raise ValueError(
-                f"unknown event kind {self.kind!r}; expected one of "
-                f"{sorted(_REGISTERED_KINDS)} (see register_event_kind)"
+                f"unknown event kind {self.kind!r}; expected one of {list(EVENT_KINDS)}"
             )
 
     def __str__(self) -> str:

@@ -81,7 +81,6 @@ class RunSpec:
     degrade: bool = False
     collect_metrics: bool = False
     slo: str | None = None  # SLO spec string, e.g. "p95<=8@120" (arms latency tracking)
-    migration_budget: int | None = None  # tuples moved per tick (None = stop-the-world)
     training: TrainingResult | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
@@ -106,8 +105,6 @@ class RunSpec:
             ticks=self.ticks,
             train_ticks=self.train_ticks,
         )
-        if self.migration_budget is not None and self.migration_budget < 1:
-            raise ValueError(f"migration_budget must be >= 1, got {self.migration_budget}")
         resolve_fault_plan(self.faults)
         if self.slo is not None:
             SloSpec.parse(self.slo)
@@ -227,7 +224,6 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
         faults=spec.faults,
         fault_seed=spec.fault_seed,
         degradation=DegradationPolicy() if spec.degrade else None,
-        migration_budget=spec.migration_budget,
     )
     return RunOutcome(
         spec=spec,

@@ -132,13 +132,6 @@ def main(argv: list[str] | None = None) -> int:
         help="shed backlog / fall back to scan under memory pressure instead of dying",
     )
     parser.add_argument(
-        "--migration-budget",
-        type=int,
-        default=None,
-        help="tuples an index migration may relocate per tick "
-        "(default: unbudgeted single-tick rebuild)",
-    )
-    parser.add_argument(
         "--metrics",
         type=Path,
         default=None,
@@ -182,7 +175,6 @@ def main(argv: list[str] | None = None) -> int:
                 degrade=args.degrade,
                 collect_metrics=args.metrics is not None or args.trace is not None,
                 slo=args.slo,
-                migration_budget=args.migration_budget,
             )
             for scheme in schemes
         ]

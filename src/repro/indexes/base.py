@@ -147,10 +147,6 @@ class StateIndex(abc.ABC):
     and counters current.
     """
 
-    #: Supports ``reconfigure(IndexConfiguration)`` — the AMRI key-map
-    #: migration, and therefore a budgeted incremental one
-    #: (read by :meth:`~repro.storage.migration.IndexLifecycle.begin`).
-    reconfigurable = False
     #: Every probe is a full scan — this *is* the degraded state
     #: (read by :attr:`~repro.storage.store.StateStore.degraded`).
     unindexed = False
@@ -294,15 +290,6 @@ class StateIndex(abc.ABC):
     def _check_jas(self, ap: AccessPattern) -> None:
         if ap.jas is not self.jas and ap.jas != self.jas:
             raise ValueError(f"probe pattern {ap!r} ranges over a different JAS than this index")
-
-    def contains(self, item: Mapping[str, object]) -> bool:
-        """Whether ``item`` is currently stored (identity-based, free).
-
-        Used by the storage layer to route removals while two structures
-        coexist during an incremental migration; it is pure bookkeeping,
-        so implementations charge nothing to the accountant.
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not support contains()")
 
     # -- introspection --------------------------------------------------- #
 

@@ -246,9 +246,6 @@ class MultiHashIndex(StateIndex):
             acct.hashes += module.n_attributes  # keys recomputed to locate entries
             acct.index_bytes -= self.cost_params.index_entry_bytes
 
-    def contains(self, item: Mapping[str, object]) -> bool:
-        return id(item) in self._items
-
     def items(self) -> Iterator[Mapping[str, object]]:
         """Iterate every stored item."""
         return iter(self._items.values())

@@ -90,9 +90,6 @@ class InvertedListIndex(StateIndex):
             acct.hashes += 1
             acct.index_bytes -= self.cost_params.index_entry_bytes
 
-    def contains(self, item: Mapping[str, object]) -> bool:
-        return id(item) in self._items
-
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
         matcher = compile_matcher(ap)
         attributes = matcher.attributes

@@ -49,9 +49,6 @@ class ScanIndex(StateIndex):
         self.accountant.deletes += 1
         self.accountant.index_bytes -= self.cost_params.bucket_slot_bytes
 
-    def contains(self, item: Mapping[str, object]) -> bool:
-        return id(item) in self._items
-
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
         select = compile_matcher(ap).select
         items = self._items

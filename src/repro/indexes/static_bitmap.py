@@ -17,8 +17,6 @@ from repro.core.index_config import IndexConfiguration
 class StaticBitmapIndex(BitAddressIndex):
     """A bit-address index whose key map can never change."""
 
-    reconfigurable = False
-
     def reconfigure(self, new_config: IndexConfiguration) -> MigrationReport:
         raise RuntimeError(
             "StaticBitmapIndex is non-adapting: reconfigure() is disabled "

@@ -1,32 +1,13 @@
-"""The unified storage layer: stores and the migration lifecycle.
+"""The unified storage layer: one :class:`StateStore` per stream.
 
-Mirrors the staged kernel's decomposition on the storage side:
-
-- :class:`StateStore` — one stream's window + index + accountant + tuner
-  wiring (the operator the paper calls a STeM);
-- :class:`IndexLifecycle` — budgeted incremental migration:
-  tuner-approved reconfigurations drain ``migration_budget`` tuples per
-  tick through a dual-structure phase instead of rebuilding
-  stop-the-world (``None`` keeps the legacy single-tick path
-  bit-identically).
+A :class:`StateStore` is one stream's window + index + accountant + tuner
+wiring (the operator the paper calls a STeM).  A tuner-approved migration
+is a stop-the-world ``reconfigure()`` of its one index structure.
 """
 
-from repro.storage.migration import (
-    MIGRATION_DONE,
-    MIGRATION_START,
-    MIGRATION_STEP,
-    IndexLifecycle,
-    MigrationStepReport,
-)
-from repro.storage.store import StateStore, Tuner, merge_outcomes
+from repro.storage.store import StateStore, Tuner
 
 __all__ = [
-    "IndexLifecycle",
-    "MIGRATION_DONE",
-    "MIGRATION_START",
-    "MIGRATION_STEP",
-    "MigrationStepReport",
     "StateStore",
     "Tuner",
-    "merge_outcomes",
 ]

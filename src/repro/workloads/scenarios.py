@@ -269,16 +269,12 @@ class PaperScenario:
         *,
         initial_configs: dict[str, IndexConfiguration] | None = None,
         initial_hash_patterns: dict[str, list[AccessPattern]] | None = None,
-        migration_budget: int | None = None,
     ) -> dict[str, StateStore]:
         """Assemble one state store (the paper's STeM) per stream for the named index scheme.
 
         The scheme's row of :data:`SCHEMES` builds each state's index and
         tuner; a state without an entry in ``initial_configs`` starts from
         the uninformed IC (the bit budget spread evenly over its JAS).
-        ``migration_budget`` makes tuner-approved migrations incremental
-        (see :mod:`repro.storage.migration`); ``None`` keeps the legacy
-        single-tick rebuild.
         """
         p = self.params
         family, arg = parse_scheme(scheme)
@@ -292,13 +288,7 @@ class PaperScenario:
             start = StateStart(config, (initial_hash_patterns or {}).get(stream))
             index, tuner = build(self, stream, jas, arg, start)
             stems[stream] = StateStore(
-                stream,
-                jas,
-                index,
-                p.window,
-                tuner,
-                cost_params=self.cost_params,
-                migration_budget=migration_budget,
+                stream, jas, index, p.window, tuner, cost_params=self.cost_params
             )
         return stems
 
@@ -342,7 +332,6 @@ class PaperScenario:
         metrics: MetricsRegistry | None = None,
         latency=None,
         slo=None,
-        migration_budget: int | None = None,
     ) -> AMRExecutor:
         """A ready-to-run executor for the named scheme.
 
@@ -361,16 +350,12 @@ class PaperScenario:
         :class:`~repro.engine.slo.SloMonitor` evaluating a latency
         objective against it — both opt-in with the same no-op-when-absent
         contract as ``metrics``.
-
-        ``migration_budget`` caps tuples relocated per tick during
-        tuner-approved migrations (forwarded to :meth:`build_stems`).
         """
         p = self.params
         stems = self.build_stems(
             scheme,
             initial_configs=initial_configs,
             initial_hash_patterns=initial_hash_patterns,
-            migration_budget=migration_budget,
         )
         router = self.make_router()
         meter = ResourceMeter(

@@ -20,22 +20,20 @@ def column_probe_gate(candidates: int, *indexes):
 
     An index reads the gate when it builds a prober and keeps the prober
     until its structure changes, so the gate governs only the ``indexes``
-    passed here (``None`` entries are skipped): their probers are dropped
-    on entry and on exit.  At least one must be given.  A context manager,
-    not ``monkeypatch``: hypothesis bodies cannot take function-scoped
-    fixtures."""
-    governed = [index for index in indexes if index is not None]
-    if not governed:
+    passed here: their probers are dropped on entry and on exit.  At least
+    one must be given.  A context manager, not ``monkeypatch``: hypothesis
+    bodies cannot take function-scoped fixtures."""
+    if not indexes:
         raise TypeError("column_probe_gate needs the indexes it governs")
     default = bit_index.COLUMN_PROBE_MIN_CANDIDATES
     bit_index.COLUMN_PROBE_MIN_CANDIDATES = candidates
-    for index in governed:
+    for index in indexes:
         index._changed()
     try:
         yield
     finally:
         bit_index.COLUMN_PROBE_MIN_CANDIDATES = default
-        for index in governed:
+        for index in indexes:
             index._changed()
 
 

@@ -2,9 +2,9 @@
 
 The plan cache is pure derived state, so the load-bearing properties are
 (1) a plan computes exactly what the index used to re-derive per probe,
-(2) every key-map change (reconfigure, budgeted migration) invalidates or
-re-scopes the cache, and (3) mid-migration the draining and fresh
-structures each probe under *their own* configuration's plans.
+(2) every key-map change (a reconfigure, which is how a migration happens)
+invalidates or re-scopes the cache, and (3) before and after a store's
+migration the index probes under its current configuration's plans.
 """
 
 import pytest
@@ -181,17 +181,13 @@ class TestCacheInvalidation:
 
 
 class TestDualStructureMigration:
-    """During a budgeted migration two structures coexist; each must probe
-    with plans compiled against its *own* configuration."""
+    """A store's migration is one stop-the-world reconfigure of its one
+    structure: before it the index probes with plans of the old
+    configuration, after it with plans of the new one, and no plan of the
+    old key map survives."""
 
-    def populated_store(self, jas3, budget=3):
-        store = StateStore(
-            "S",
-            jas3,
-            make_bit_index(jas3, [2, 2, 2]),
-            window=1000,
-            migration_budget=budget,
-        )
+    def populated_store(self, jas3):
+        store = StateStore("S", jas3, make_bit_index(jas3, [2, 2, 2]), window=1000)
         for i in range(10):
             store.insert(
                 StreamTuple("S", i, {"A": i % 4, "B": i % 3, "C": i % 5}), i
@@ -202,33 +198,27 @@ class TestDualStructureMigration:
         store = self.populated_store(jas3)
         old_cfg = store.index.config
         store.probe(ap3("A"), {"A": 1})  # warm the pre-migration cache
+        assert store.index.probe_plans.lookup(ap3("A")).wildcard_bits == old_cfg.wildcard_bits(
+            ap3("A")
+        )
 
         new_cfg = IndexConfiguration(jas3, [4, 1, 1])
-        store.lifecycle.begin(new_cfg)
-        assert store.migration_active
-        draining, active = store.lifecycle.draining, store.index
-        assert draining.probe_plans.config == old_cfg
-        assert active.probe_plans.config == new_cfg
+        index = store.index
+        index.reconfigure(new_cfg)
+        assert store.index is index and index.probe_plans.config == new_cfg
 
         store.probe(ap3("A"), {"A": 1})
-        assert draining.probe_plans.lookup(ap3("A")).wildcard_bits == old_cfg.wildcard_bits(ap3("A"))
-        assert active.probe_plans.lookup(ap3("A")).wildcard_bits == new_cfg.wildcard_bits(ap3("A"))
+        assert index.probe_plans.lookup(ap3("A")).wildcard_bits == new_cfg.wildcard_bits(ap3("A"))
 
     def test_mid_migration_probe_is_complete_and_ordered(self, jas3, ap3):
-        """A probe served by both structures returns exactly the tuples a
-        never-migrated store returns, in the same order."""
-        reference = self.populated_store(jas3, budget=None)
+        """A probe after the migration returns exactly the tuples a
+        never-migrated store returns."""
+        reference = self.populated_store(jas3)
         store = self.populated_store(jas3)
         ap, values = ap3("A"), {"A": 1}
 
-        store.lifecycle.begin(IndexConfiguration(jas3, [4, 1, 1]))
-        store.lifecycle.step()  # part drained, part still in the old structure
-        assert store.migration_active
+        store.index.reconfigure(IndexConfiguration(jas3, [4, 1, 1]))
 
         expected = [t["C"] for t in reference.probe(ap, values).matches]
         got = [t["C"] for t in store.probe(ap, values).matches]
         assert sorted(got) == sorted(expected) and len(got) == len(expected)
-
-        while store.migration_active:
-            store.lifecycle.step()
-        assert sorted(t["C"] for t in store.probe(ap, values).matches) == sorted(expected)

@@ -495,7 +495,10 @@ class TestFacade:
     def test_exposes_kernel_parts(self):
         ex = make_executor()
         assert isinstance(ex.context, EngineContext)
-        assert len(ex.stages) == 9
+        assert [stage.name for stage in ex.stages] == [
+            "arrivals", "expiry", "route_probe", "faults", "tuning", "slo",
+            "shed_degrade", "audit",
+        ]
         assert isinstance(ex.kernel, EngineKernel)
 
     def test_attribute_writes_reach_the_context(self):

@@ -13,7 +13,7 @@ from repro.engine.slo import (
     SloMonitor,
     SloSpec,
 )
-from repro.engine.tracing import registered_event_kinds
+from repro.engine.tracing import EVENT_KINDS
 
 
 class TestLatencyTracker:
@@ -164,9 +164,8 @@ class TestSloSpec:
             SloSpec.parse(bad)
 
     def test_event_kinds_registered(self):
-        kinds = registered_event_kinds()
-        assert SLO_BREACH == "slo_breach" and SLO_BREACH in kinds
-        assert SLO_RECOVERED == "slo_recovered" and SLO_RECOVERED in kinds
+        assert SLO_BREACH == "slo_breach" and SLO_BREACH in EVENT_KINDS
+        assert SLO_RECOVERED == "slo_recovered" and SLO_RECOVERED in EVENT_KINDS
 
 
 class TestSloMonitor:

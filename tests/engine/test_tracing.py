@@ -1,17 +1,10 @@
 """Tests for structured engine event tracing."""
 
 import json
-import threading
 
 import pytest
 
-from repro.engine.tracing import (
-    EVENT_KINDS,
-    EngineEvent,
-    EventLog,
-    register_event_kind,
-    registered_event_kinds,
-)
+from repro.engine.tracing import EVENT_KINDS, EngineEvent, EventLog
 
 
 class TestEventLog:
@@ -75,65 +68,28 @@ class TestEventLog:
 
 
 class TestEventKindRegistry:
+    """The valid kinds are one closed tuple; nothing registers more."""
+
     def test_builtins_registered(self):
-        assert set(EVENT_KINDS) <= registered_event_kinds()
-
-    def test_register_new_kind(self):
-        assert "checkpoint" not in registered_event_kinds()
-        try:
-            assert register_event_kind("checkpoint") == "checkpoint"
-            event = EngineEvent(4, "checkpoint", "A", {"reason": "test"})
-            assert event.kind == "checkpoint"
-            # Registration is idempotent.
-            register_event_kind("checkpoint")
-        finally:
-            # Keep the registry clean for other tests.
-            from repro.engine import tracing
-
-            tracing._REGISTERED_KINDS.discard("checkpoint")
+        assert EVENT_KINDS == (
+            "tune", "migration", "death", "fault", "degrade", "shed",
+            "slo_breach", "slo_recovered",
+        )
+        for kind in EVENT_KINDS:
+            assert EngineEvent(1, kind).kind == kind
 
     def test_unregistered_kind_still_rejected(self):
-        with pytest.raises(ValueError):
-            EngineEvent(1, "checkpoint2")
-
-    def test_rejects_malformed_kind_names(self):
-        with pytest.raises(ValueError):
-            register_event_kind("")
-        with pytest.raises(ValueError):
-            register_event_kind("has space")
+        with pytest.raises(ValueError, match="unknown event kind 'checkpoint'") as exc:
+            EngineEvent(1, "checkpoint")
+        assert all(repr(kind) in str(exc.value) for kind in EVENT_KINDS)
 
     def test_registry_view_is_immutable(self):
-        kinds = registered_event_kinds()
-        assert isinstance(kinds, frozenset)
+        assert isinstance(EVENT_KINDS, tuple)
 
-    def test_concurrent_registration_is_safe(self):
-        names = [f"stress_kind_{i}" for i in range(8)]
-        errors: list[Exception] = []
-        barrier = threading.Barrier(8)
-
-        def register(name):
-            barrier.wait()
-            try:
-                for _ in range(200):  # idempotent re-registration from all threads
-                    register_event_kind(name)
-                    register_event_kind("stress_kind_shared")
-            except Exception as exc:  # pragma: no cover - only on failure
-                errors.append(exc)
-
-        threads = [threading.Thread(target=register, args=(n,)) for n in names]
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors
-            assert set(names) <= registered_event_kinds()
-            assert "stress_kind_shared" in registered_event_kinds()
-        finally:
-            from repro.engine import tracing
-
-            for name in names + ["stress_kind_shared"]:
-                tracing._REGISTERED_KINDS.discard(name)
+    def test_rejects_malformed_kind_names(self):
+        for bad in ("", "has space", "Tune"):
+            with pytest.raises(ValueError, match="unknown event kind"):
+                EngineEvent(1, bad)
 
 
 class TestTracedRun:

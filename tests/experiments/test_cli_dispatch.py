@@ -5,6 +5,7 @@ import pytest
 import repro.__main__ as main_mod
 from repro.experiments import parallel, profiling
 from repro.experiments import run as run_cli
+from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 
 class TestExitCodes:
@@ -114,6 +115,20 @@ class TestEngineFlags:
         assert named in captured.err.strip().splitlines()[-1]
         assert "Traceback" not in captured.err
 
+    def test_removed_migration_budget_is_a_usage_error(self, capsys):
+        """A migration is stop-the-world: no flag, spec field or keyword
+        budgets it."""
+        rc = main_mod.main(["run", "--migration-budget", "4"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--migration-budget" in captured.err.strip().splitlines()[-1]
+        assert "Traceback" not in captured.err
+        params = ScenarioParams(seed=3)
+        with pytest.raises(TypeError, match="migration_budget"):
+            parallel.RunSpec(params, "scan", 5, migration_budget=4)
+        with pytest.raises(TypeError, match="migration_budget"):
+            PaperScenario(params).make_executor("scan", migration_budget=4)
+
     @pytest.mark.parametrize("value", [",", ""])
     def test_empty_scheme_list_is_a_usage_error(self, value, capsys):
         rc = main_mod.main(["run", "--schemes", value, "--no-train"])
@@ -137,7 +152,6 @@ class TestEngineFlags:
             ("run", ["--schemes", "static,bogus"], "unknown scheme 'bogus'"),
             ("run", ["--schemes", "hash:0"], "unknown scheme 'hash:0'"),
             ("run", ["--schemes", "amri:bogus"], "unknown assessor 'bogus'"),
-            ("run", ["--migration-budget", "0"], "migration_budget must be >= 1, got 0"),
             ("run", ["--schemes", "hash:²"], "unknown scheme 'hash:²'; expected amri:<assessor>"),
             ("run", ["--slo", "garbage"], "bad SLO spec 'garbage'"),
             ("slo", ["--ticks", "0"], "ticks must be >= 1, got 0"),

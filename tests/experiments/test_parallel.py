@@ -55,11 +55,9 @@ class TestRunSpec:
         [
             ("ticks", 0),
             ("train_ticks", 0),
-            ("migration_budget", 0),
             ("scheme", "bogus"),
             ("scheme", "hash:0"),
             ("scheme", "hash:²"),
-            ("migration_budget", -1),
             ("faults", "mayhem"),
             ("slo", "garbage"),
             ("params", replace(FAST, rate_modulation="tidal")),
@@ -78,7 +76,7 @@ class TestRunSpec:
             " scheme=amri:sria ticks=15 train=False "
         )
         assert "\n" not in line
-        assert len(fields(RunSpec)) == 14
+        assert len(fields(RunSpec)) == 13
         for f in fields(RunSpec):
             assert (f" {f.name}=" in f" {line}") == (f.name not in ("training", "label")), f.name
         assert " scheme=a,b " in spec().describe(["a", "b"])
@@ -153,23 +151,6 @@ class TestOnePath:
         assert log and outcome.stats == stats
         assert (list(outcome.events), outcome.metrics) == (list(log), registry.snapshot())
         assert outcome.latency == tracker.snapshot() and outcome.latency.observed > 0
-
-
-class TestStorageSpecFields:
-    def test_budgeted_spec_is_pool_safe(self):
-        s = RunSpec(
-            ScenarioParams(seed=3, capacity=1e9, memory_budget=1 << 30),
-            "amri:sria",
-            25,
-            train=False,
-            migration_budget=20,
-        )
-        serial, pooled = run_parallel([s], workers=0), run_parallel([s, s], workers=2)
-        assert pooled[0].outputs == pooled[1].outputs == serial[0].outputs
-
-    def test_spec_with_storage_fields_pickles(self):
-        s = RunSpec(FAST, "inverted", 5, migration_budget=7)
-        assert pickle.loads(pickle.dumps(s)) == s
 
 
 class TestFaultedDeterminism:

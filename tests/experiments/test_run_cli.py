@@ -127,25 +127,6 @@ class TestSchemeNames:
         assert "amri:<assessor>" in err and "inverted" in err
 
 
-class TestMigrationBudgetFlags:
-    def test_migration_budget_must_be_positive(self):
-        with pytest.raises(SystemExit):
-            run_cli.main(
-                ["--schemes", "scan", "--ticks", "5", "--migration-budget", "0"]
-            )
-
-    def test_budgeted_migration_run(self, tmp_path, capsys):
-        rc = run_cli.main(
-            [
-                "--schemes", "amri:sria", "--ticks", "45",
-                "--train-ticks", "20", "--migration-budget", "30",
-                "--csv", str(tmp_path),
-            ]
-        )
-        assert rc == 0
-        assert "amri:sria" in capsys.readouterr().out
-
-
 class TestTrainedPath:
     def test_trained_run_via_cli(self, capsys):
         rc = run_cli.main(

@@ -159,16 +159,17 @@ class TestIndexClasses:
     contract all five keep."""
 
     def test_reconfigurable_and_unindexed_per_class(self):
-        flags = {cls: (cls.reconfigurable, cls.unindexed) for cls in INDEX_CLASSES}
+        # Only the bit-address classes have a key map to reconfigure.
+        flags = {cls: (hasattr(cls, "reconfigure"), cls.unindexed) for cls in INDEX_CLASSES}
         assert flags == {
             BitAddressIndex: (True, False),
-            StaticBitmapIndex: (False, False),
+            StaticBitmapIndex: (True, False),
             MultiHashIndex: (False, False),
             InvertedListIndex: (False, False),
             ScanIndex: (False, True),
         }
-        assert (StateIndex.reconfigurable, StateIndex.unindexed) == (False, False)
-        assert (Dummy.reconfigurable, Dummy.unindexed) == (False, False)
+        assert not hasattr(StateIndex, "reconfigure") and not StateIndex.unindexed
+        assert not Dummy.unindexed
 
     def test_a_subclass_inherits_its_parents_flags(self, jas3):
         class CustomScan(ScanIndex):
@@ -179,25 +180,24 @@ class TestIndexClasses:
 
         assert StateStore("S", jas3, CustomScan(jas3), window=10).degraded
 
-        store = StateStore("S", jas3, build_index(CustomBits, jas3), window=10, migration_budget=2)
+        store = StateStore("S", jas3, build_index(CustomBits, jas3), window=10)
         assert not store.degraded
-        store.lifecycle.begin(IndexConfiguration(jas3, [4, 1, 1]))
-        assert type(store.index) is CustomBits  # migrated in kind
+        index = store.index
+        index.reconfigure(IndexConfiguration(jas3, [4, 1, 1]))  # a migration is in place
+        assert store.index is index and type(index) is CustomBits
 
     def test_static_bitmap_refuses_a_budgeted_migration(self, jas3):
-        store = StateStore(
-            "S", jas3, build_index(StaticBitmapIndex, jas3), window=10, migration_budget=2
-        )
-        with pytest.raises(RuntimeError, match="StaticBitmapIndex does not support key-map"):
-            store.lifecycle.begin(IndexConfiguration(jas3, [4, 1, 1]))
+        store = StateStore("S", jas3, build_index(StaticBitmapIndex, jas3), window=10)
+        with pytest.raises(RuntimeError, match="StaticBitmapIndex is non-adapting"):
+            store.index.reconfigure(IndexConfiguration(jas3, [4, 1, 1]))
 
     @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda cls: cls.__name__)
     def test_stores_finds_and_removes_by_identity(self, cls, jas3, ap3):
         index = build_index(cls, jas3)
         item = {"A": 1, "B": 2, "C": 3}
         index.insert(item)
-        assert len(index.search(ap3("A"), {"A": 1}).matches) == 1
-        assert index.contains(item)
+        [found] = index.search(ap3("A"), {"A": 1}).matches
+        assert found is item
         # A second insert of one object would count it twice and a single
         # remove would leave a phantom behind: refused before any charge.
         before = index.accountant.snapshot()
@@ -206,4 +206,4 @@ class TestIndexClasses:
         assert index.accountant == before and index.size == 1
         index.remove(item)
         assert index.size == 0 and index.memory_bytes == 0
-        assert not index.contains(item)
+        assert not index.search(ap3("A"), {"A": 1}).matches

@@ -6,9 +6,10 @@ The route/probe stage hands a hop's same-pattern probes to
 per row.  The by-name ``probe`` is the reference; this property holds the
 column to it on a twin store — each row's match list in order and work
 figures, every accountant counter and the assessor's statistics (RNG
-position included) — over all five index classes, and mid-drain
-under a migration budget for the ``reconfigurable`` ones, with
-duplicate probe rows (whose outcomes may be one shared object).  The
+position included) — over all five index classes, and after a
+stop-the-world reconfigure (a migration) for the class whose key map can
+change, with duplicate probe rows (whose outcomes may be one shared
+object).  The
 column runs twice: at the bit-address index's default hash-column gate
 (these states sit far under it, so it walks, as the loop does) and with
 the gate forced to 1, where every wildcard probe asks the columns first
@@ -45,19 +46,19 @@ INDEX_CLASSES = {
     "static_bitmap": StaticBitmapIndex,
 }
 
-#: (backend, drain): drains exist only where the class reconfigures.
+#: (backend, migrated): only the bit-address index's key map can change.
 CASES = [
-    (name, drain)
-    for name, cls in INDEX_CLASSES.items()
-    for drain in (False, True)
-    if not drain or cls.reconfigurable
+    (name, migrated)
+    for name in INDEX_CLASSES
+    for migrated in (False, True)
+    if not migrated or name == "bit_address"
 ]
 
 values = st.integers(0, 3)
 items = st.lists(st.tuples(values, values, values), min_size=1, max_size=24)
 
 
-def build_store(backend: str, drain: bool, stored) -> StateStore:
+def build_store(backend: str, migrated: bool, stored) -> StateStore:
     store = StateStore(
         "S",
         JAS,
@@ -66,13 +67,11 @@ def build_store(backend: str, drain: bool, stored) -> StateStore:
         # The random-combine CDIA draws from its RNG while compacting, so a
         # column that records one pattern too few or too many shows.
         tuner=NullTuner(CDIA(JAS, 0.1, combine="random", seed=3)),
-        migration_budget=3 if drain else None,
     )
     for i, (a, b, c) in enumerate(stored):
         store.insert(StreamTuple("S", i, {"A": a, "B": b, "C": c}), i)
-    if drain:
-        store.lifecycle.begin(IndexConfiguration(JAS, [4, 1, 1]))
-        store.lifecycle.step()
+    if migrated:
+        store.index.reconfigure(IndexConfiguration(JAS, [4, 1, 1]))
     return store
 
 
@@ -101,7 +100,7 @@ def observables(store: StateStore, outcomes) -> dict:
     }
 
 
-@pytest.mark.parametrize("backend,drain", CASES)
+@pytest.mark.parametrize("backend,migrated", CASES)
 @settings(max_examples=50, deadline=None)
 @given(
     stored=items,
@@ -109,24 +108,20 @@ def observables(store: StateStore, outcomes) -> dict:
     rows=st.lists(st.tuples(values, values, values), max_size=12),
     repeats=st.lists(st.integers(0, 11), max_size=6),
 )
-def test_probe_batch_equals_the_probe_loop(backend, drain, stored, mask, rows, repeats):
+def test_probe_batch_equals_the_probe_loop(backend, migrated, stored, mask, rows, repeats):
     ap = AccessPattern.from_mask(JAS, mask)
     rows = rows + [rows[i % len(rows)] for i in repeats if rows]  # forced duplicates
     column = [tuple(row[JAS.names.index(name)] for name in ap.attributes) for row in rows]
     for gate in (bit_index.COLUMN_PROBE_MIN_CANDIDATES, 1):
-        looped = build_store(backend, drain, stored)
-        batched = build_store(backend, drain, stored)
-        if drain and len(stored) > 3:
-            assert batched.lifecycle.draining is not None
+        looped = build_store(backend, migrated, stored)
+        batched = build_store(backend, migrated, stored)
         by_loop = [looped.probe(ap, dict(zip(ap.attributes, row))) for row in column]
-        structures = (batched.index, batched.lifecycle.draining)
-        with column_probe_gate(gate, *structures):
+        index = batched.index
+        with column_probe_gate(gate, index):
             by_batch = batched.probe_batch(ap, column)
         assert observables(batched, by_batch) == observables(looped, by_loop)
-        if gate == 1 and column:
-            for index in structures:
-                if asks_columns(index, ap):
-                    assert column_asks(index) > 0
+        if gate == 1 and column and asks_columns(index, ap):
+            assert column_asks(index) > 0
         # Outcomes alias only between equal rows.
         for i, a in enumerate(by_batch):
             for j in range(i):

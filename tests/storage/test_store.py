@@ -11,9 +11,9 @@ from repro.core.selector import IndexSelector
 from repro.core.tuner import AMRITuner, NullTuner, TuningContext
 from repro.engine.tuples import StreamTuple
 from repro.engine.window import CountWindow
-from repro.indexes.base import CostParams, SearchOutcome
+from repro.indexes.base import CostParams
 from repro.indexes.scan_index import ScanIndex
-from repro.storage import StateStore, merge_outcomes
+from repro.storage import StateStore
 from tests.conftest import column_probe_gate
 
 
@@ -227,22 +227,6 @@ class TestDegradeToScan:
         assert out.tuples_examined == 8
         assert acct.tuples_examined == examined_before + 8
 
-    def test_degrade_abandons_an_inflight_migration(self, jas3, ap3):
-        index = make_bit_index(jas3, [2, 2, 2])
-        store = StateStore("S", jas3, index, window=1000, migration_budget=2)
-        for i in range(6):
-            store.insert(tup(i, a=i % 3), i)
-        store.lifecycle.begin(IndexConfiguration(jas3, [4, 1, 1]))
-        store.lifecycle.step()
-        assert store.migration_active
-
-        relocated = store.degrade_to_scan()
-
-        assert relocated == 6  # both structures collapsed into the fallback
-        assert not store.migration_active
-        assert store.size == 6
-        assert len(store.probe(ap3("A"), {"A": 1}).matches) == 2
-
 
 class TestHashColumnsInTheStore:
     """The bit-address index's value-hash columns through the store's
@@ -252,16 +236,13 @@ class TestHashColumnsInTheStore:
 
     @staticmethod
     def run(jas3, gate, *, degrade_at=None):
-        store = StateStore(
-            "S", jas3, make_bit_index(jas3, [2, 1, 0]), window=20, migration_budget=4
-        )
+        store = StateStore("S", jas3, make_bit_index(jas3, [2, 1, 0]), window=20)
         log = []
         probed = {}  # id -> every structure that served a probe
 
         def tick(now):
             store.expire(now)
             store.insert(tup(now, a=now % 5, b=now % 3, c=now % 2), now)
-            store.migration_step()
             if now == degrade_at:
                 store.degrade_to_scan()
             for mask in range(1, 8):
@@ -270,7 +251,7 @@ class TestHashColumnsInTheStore:
                     tuple({"A": a, "B": a % 3, "C": a % 2}[name] for name in ap.attributes)
                     for a in (0, 1, 4, 9)
                 ]
-                with column_probe_gate(gate, store.index, store.lifecycle.draining):
+                with column_probe_gate(gate, store.index):
                     outcomes = store.probe_batch(ap, rows)
                 log.append(
                     [
@@ -283,49 +264,32 @@ class TestHashColumnsInTheStore:
                         for o in outcomes
                     ]
                 )
-            for index in (store.index, store.lifecycle.draining):
-                probed[id(index)] = index
+            probed[id(store.index)] = store.index
 
         for now in range(24):
             tick(now)
-        store.lifecycle.begin(IndexConfiguration(jas3, [1, 2, 2]))
-        drain_ticks = 0
+        store.index.reconfigure(IndexConfiguration(jas3, [1, 2, 2]))
         for now in range(24, 40):
-            drain_ticks += store.migration_active
             tick(now)
-        assert drain_ticks > 2 and not store.migration_active
         answered = sum(getattr(index, "column_answered", 0) for index in probed.values())
         return log, store.index.accountant, answered
 
     def test_budgeted_migration_with_columns_active(self, jas3):
-        # Old and new structure each keep their own columns; the drain
-        # moves a tuple through remove and insert, expiry through either.
+        # A migration is one stop-the-world reconfigure: the columns are
+        # re-keyed with the buckets, and expiry then runs under the new map.
         log, acct, answered = self.run(jas3, 1)
         walk_log, walk_acct, never = self.run(jas3, 1 << 62)
         assert answered > 0 and never == 0
         assert log == walk_log and acct == walk_acct
 
     def test_degrade_to_scan_with_columns_active(self, jas3):
-        # Mid-drain: both structures and their columns go; the fallback
-        # scans.
+        # After the reconfigure: the structure and its columns go; the
+        # fallback scans.
         log, acct, answered = self.run(jas3, 1, degrade_at=27)
         walk_log, walk_acct, never = self.run(jas3, 1 << 62, degrade_at=27)
         assert answered > 0 and never == 0
         assert log == walk_log and acct == walk_acct
         assert all(full_scan for row in log[-7:] for *_rest, full_scan in row)
-
-
-class TestMergeOutcomes:
-    def test_matches_concatenate_and_work_adds_up(self):
-        a = SearchOutcome(matches=[{"A": 1}], buckets_visited=2, tuples_examined=3)
-        b = SearchOutcome(
-            matches=[{"A": 2}], buckets_visited=1, tuples_examined=4, used_full_scan=True
-        )
-        merged = merge_outcomes(a, b)
-        assert merged.matches == [{"A": 1}, {"A": 2}]
-        assert merged.buckets_visited == 3
-        assert merged.tuples_examined == 7
-        assert merged.used_full_scan
 
 
 class TestFacade:

@@ -72,18 +72,12 @@ class TestStemFactories:
         stems = scenario.build_stems("amri:sria", initial_configs={"A": custom})
         assert stems["A"].index.config == custom
 
-    def test_migration_budget_reaches_the_stems(self, scenario):
-        stems = scenario.build_stems("amri:sria", migration_budget=10)
-        for stem in stems.values():
-            assert stem.lifecycle.incremental
-            assert stem.lifecycle.budget == 10
-            assert stem.tuner.migrator == stem.lifecycle.begin
-
     def test_default_is_stop_the_world(self, scenario):
+        # The tuner reconfigures the store's one index in place.
         stems = scenario.build_stems("amri:sria")
         for stem in stems.values():
-            assert not stem.lifecycle.incremental
-            assert stem.tuner.migrator is None
+            assert stem.tuner.index is stem.index
+            assert not hasattr(stem, "lifecycle")
 
 
 class TestExecutorFactory:

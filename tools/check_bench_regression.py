@@ -10,7 +10,10 @@ agree exactly, and drift beyond ``--tolerance`` (relative) in *either*
 direction exits 1.  A rise means an index hot path got more expensive; a
 drop means a probe stopped paying the model's price, which an optimisation
 below the accountant must never do.  Only a change to the model itself,
-labelled as one, regenerates the baseline.
+labelled as one, regenerates the baseline.  A baseline row the new run
+does not have also exits 1, naming the row: a renamed or deleted benchmark
+would otherwise stop being gated without anyone noticing, so its removal
+from the baseline is part of the change that removes it.
 
 ``--metrics PATH`` additionally writes the comparison as a metrics
 snapshot (JSONL, via :mod:`repro.engine.metrics_export`) so CI can upload
@@ -25,7 +28,7 @@ arrays (6.4 MB of them; this tool reads only ``extra_info.cost_units`` and
 ``stats.mean``)::
 
     PYTHONPATH=src python -m pytest \\
-        benchmarks/test_micro_index_ops.py benchmarks/test_micro_migration.py \\
+        benchmarks/test_micro_index_ops.py \\
         --benchmark-only --benchmark-disable-gc --benchmark-min-rounds=1 \\
         --benchmark-json=BENCH_micro.json -q
     python -c "import json; d = json.load(open('BENCH_micro.json')); \\
@@ -100,16 +103,17 @@ def load_mean_seconds(path: Path) -> dict[str, float]:
 
 def compare(
     baseline: dict[str, float], new: dict[str, float], tolerance: float, *, two_sided: bool
-) -> tuple[list[tuple[str, float, float, float]], list[str]]:
-    """Return (regressions, messages).  A regression is ``(name, base,
-    new, rel_change)`` with ``rel_change > tolerance`` — or, ``two_sided``,
-    ``|rel_change| > tolerance``; in-tolerance drift (and, one-sided,
+) -> tuple[list[tuple[str, float, float, float]], list[str], list[str]]:
+    """Return (regressions, missing, messages).  A regression is ``(name,
+    base, new, rel_change)`` with ``rel_change > tolerance`` — or,
+    ``two_sided``, ``|rel_change| > tolerance``; ``missing`` names the
+    baseline rows the new run lacks.  In-tolerance drift (and, one-sided,
     improvements) only produce messages."""
     regressions: list[tuple[str, float, float, float]] = []
+    missing = sorted(set(baseline) - set(new))
     messages: list[str] = []
     for name in sorted(baseline):
-        if name not in new:
-            messages.append(f"MISSING  {name}: present in baseline, absent in new run")
+        if name in missing:
             continue
         base, cur = baseline[name], new[name]
         rel = (cur - base) / max(abs(base), 1e-12)
@@ -121,7 +125,7 @@ def compare(
             messages.append(f"OK       {name}: {base:,.2f} -> {cur:,.2f} ({rel:+.1%})")
     for name in sorted(set(new) - set(baseline)):
         messages.append(f"NEW      {name}: {new[name]:,.2f} (no baseline; not gated)")
-    return regressions, messages
+    return regressions, missing, messages
 
 
 def write_metrics_jsonl(
@@ -196,12 +200,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
 
-    regressions, messages = compare(baseline, new, tolerance, two_sided=not args.wall)
+    regressions, missing, messages = compare(baseline, new, tolerance, two_sided=not args.wall)
     for line in messages:
         print(line)
     for name, base, cur, rel in regressions:
         label = "REGRESSED" if rel > 0 else "DROPPED  "
         print(f"{label} {name}: {base:,.2f} -> {cur:,.2f} ({rel:+.1%})")
+    for name in missing:
+        print(f"MISSING  {name}: present in baseline, absent in new run")
 
     if args.metrics is not None and not args.wall:
         write_metrics_jsonl(args.metrics, baseline, new, load_mean_seconds(args.new))
@@ -213,6 +219,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{tolerance:.0%} {unit} tolerance",
             file=sys.stderr,
         )
+    if missing:
+        print(
+            f"\n{len(missing)} baseline benchmark(s) missing from the new run: "
+            + ", ".join(missing),
+            file=sys.stderr,
+        )
+    if regressions or missing:
         return 1
     print(f"\nall {len(new)} comparable benchmarks within {tolerance:.0%} tolerance")
     return 0
