@@ -13,6 +13,7 @@ model operations, not time), so CI can compare them against the committed
 wall-clock gating flaky — see ``tools/check_bench_regression.py``.
 """
 
+import random
 import timeit
 
 import pytest
@@ -260,6 +261,47 @@ def test_bit_probe_walk_vs_columns_crossover(benchmark, monkeypatch, candidates)
     examined = benchmark(lambda: probe_all(idx, ap, rows))
     assert idx.column_answered > 0 and idx.column_walked == 0
     benchmark.extra_info["tuples_examined_per_probe"] = round(examined / len(rows), 1)
+
+
+# --------------------------------------------------------------------- #
+# a paper-scale probe: the bucket walk over value rows
+
+PAPER_JAS = JoinAttributeSet(["AB", "BC", "BD"])
+
+
+@pytest.mark.parametrize(
+    "attributes",
+    [
+        pytest.param(["AB", "BC", "BD"], id="point"),
+        # 6 of 11 bits fixed: ~5 tuples examined per row, ~1 match.
+        pytest.param(["AB", "BC"], id="wildcard"),
+    ],
+)
+def test_bit_probe_paper_scale(benchmark, attributes):
+    """One hop's column as ``paper_drift`` probes it: a 240-tuple window
+    (rate 12, window 20) over a skewed 256-value domain, the key map state
+    B trains to on scenario seed 700 (``AB:3, BC:3, BD:5``), sixteen rows
+    drawn from the state itself.  Per-probe microseconds (minimum of the
+    repeats) go to ``extra_info``; the cost units hold the charges."""
+    draw = random.Random(7).random
+    items = [{a: int(256 * draw() ** 2) for a in PAPER_JAS.names} for _ in range(240)]
+    idx = make_bit_index(PAPER_JAS, {"AB": 3, "BC": 3, "BD": 5})
+    for item in items:
+        idx.insert(item)
+    ap = AccessPattern.from_attributes(PAPER_JAS, attributes)
+    rows = [tuple(item[a] for a in ap.attributes) for item in items[:16]]
+
+    outcomes = benchmark(lambda: idx.search_batch(ap, rows))
+    assert all(out.matches for out in outcomes)
+    best = min(timeit.repeat(lambda: idx.search_batch(ap, rows), number=20, repeat=20))
+    benchmark.extra_info["us_per_probe"] = round(best / 20 / len(rows) * 1e6, 3)
+
+    def cost():
+        before = idx.accountant.snapshot()
+        idx.search_batch(ap, rows)
+        return idx.accountant.cost_since(before, COST_PARAMS)
+
+    record_cost_units(benchmark, cost)
 
 
 # --------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ One compact index serves every access pattern over a state's JAS.  The index
 key map (:class:`~repro.core.index_config.IndexConfiguration`) assigns each
 join attribute some bits; a tuple lives in the bucket named by the
 concatenation of its per-attribute fragments.  Nothing is stored *on* the
-tuple — adapting the index relocates tuples between buckets but never touches
+tuple — adapting the index relocates bucket entries but never touches
 per-tuple key material, which is what makes migration and maintenance cheap
 relative to multi-hash-index access modules.
 
@@ -13,17 +13,24 @@ Implementation notes
 With a 64-bit configuration the ``2**64`` logical buckets cannot be
 materialised, so the index is sparse, and it keeps two views of one state:
 
-**Buckets, for every answer that has matches.**  Buckets live in a dict
-keyed by the per-attribute fragment tuple; a per-attribute inverted map
-(fragment → live bucket keys) lets a wildcard search walk only the buckets
-that carry its fixed fragments, and a probe that fixes every indexed
-attribute computes its one key.  Match lists come from this walk alone, in
-the order documented on :meth:`BitAddressIndex._wildcard_candidates`.
+**Buckets of value rows, for every answer that has matches.**  Every
+stored tuple owns a slot for as long as it is stored (``id -> (slot, bucket
+key)``; a removed tuple's slot is reused before a new one is handed out, so
+the slots stay as dense as the state's high-water mark), and a slot-indexed
+list holds the tuple itself.  A bucket entry is the tuple's *value row*,
+its JAS values read once at insert with its slot appended, ``(v0, …, vn-1,
+slot)``: a probe compares against the row and reads the tuple only to
+return it as a match.  Such a row holds atomic values only, so the cyclic
+GC stops tracking it.  Buckets live in a dict keyed by the per-attribute
+fragment tuple; a per-attribute inverted map (fragment → live bucket keys)
+lets a wildcard search walk only the buckets that carry its fixed
+fragments, and a probe that fixes every indexed attribute computes its one
+key.  Match lists come from this walk alone, in the order documented on
+:func:`_walk_source`, which writes the walk of each probe shape as one
+function (the source holds integers only; names, values, masks and maps are
+arguments).
 
-**Value-hash columns, for the answer "nothing matches".**  Every stored
-tuple owns a slot for as long as it is stored (``id -> (slot, bucket key)``;
-a removed tuple's slot is reused before a new one is handed out, so the
-slots stay as dense as the state's high-water mark), and per JAS attribute a
+**Value-hash columns, for the answer "nothing matches".**  Per JAS attribute a
 ``uint64`` column holds each slot's 64-bit stable value hash, beside a mask
 of the slots in use.  Maintenance is one row write per insert and one flag
 per remove; nothing ever moves.  Under the default value mapping a fragment
@@ -52,7 +59,7 @@ implementation never enumerates wildcard bucket ids.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +110,103 @@ def _grown(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     return new
 
 
+#: A probe shape: ``(mapped, n_fixed, arity, layout)`` — see :func:`_walk_source`.
+WalkShape = tuple[bool, int, int, tuple[int, ...] | None]
+#: Shape -> walk factory, process-wide: a shape's source is compiled once.
+_WALK_FACTORIES: dict[WalkShape, Callable[..., RowProbe]] = {}
+
+
+def _walk_source(mapped: bool, n_fixed: int, arity: int, layout: tuple[int, ...] | None) -> str:
+    """The source of the walk factory for one probe shape.
+
+    A probe of ``arity`` attributes, ``n_fixed`` of which carry bits;
+    ``layout`` is the plan's ``point_slots`` when those fragments name one
+    bucket, else ``None``; ``mapped`` when the index has a custom value
+    mapper.  Only these integers are formatted in.  The factory takes the
+    plan, the structure and the helpers as arguments and returns
+    ``probe_row``, which in one call:
+
+    - computes each fixed fragment — the memoized value hash masked to its
+      width, or the value mapper's; a value the hash rejects sends every
+      fragment through the default mapper, which raises the canonical error;
+    - finds the candidate buckets.  A point probe assembles its one key (a
+      position without bits has fragment 0).  A wildcard probe looks up each
+      fragment's key set in fixed-position order, answers "no match" at the
+      first empty one, and walks the *first smallest* set in its iteration
+      order, keeping the keys that carry every other fixed fragment.
+      Downstream match lists, and therefore the golden corpus, depend on
+      exactly this order.  With no fixed fragment it walks every bucket;
+    - keeps the value rows equal to the probe, ``r[pos] == value`` — the
+      stored value on the left, attributes in pattern order, short-circuit —
+      and returns their tuples from the slot list.
+    """
+    fixed = range(n_fixed)
+    where = " and ".join(f"r[p{j}] == v{j}" for j in range(arity))
+    where = f" if {where}" if where else ""
+    lines = [
+        "def make_walk(plan, buckets, frag_maps, items, visited, size, hash_, mapper, Outcome):"
+    ]
+    for targets, source in (
+        ([f"p{j}" for j in range(arity)], "plan.positions"),
+        ([f"(r{j}, m{j})" for j in fixed], "plan.row_masks"),
+        ([f"(q{j}, a{j}, w{j})" for j in fixed], "plan.fixed"),
+    ):
+        if targets:
+            lines.append(f"    {', '.join(targets)}, = {source}")
+    if layout is None:
+        lines += [f"    g{j} = frag_maps[q{j}].get" for j in fixed]
+    body = [f"{''.join(f'v{j}, ' for j in range(arity))}= probe"] if arity else []
+    body += [f"x{j} = probe[r{j}]" for j in fixed]
+    by_mapper = [f"f{j} = mapper(a{j}, x{j}, w{j})" for j in fixed]
+    if mapped:
+        body += by_mapper
+    elif n_fixed:
+        body += ["try:", *(f"    f{j} = hash_(type(x{j}), x{j}) & m{j}" for j in fixed)]
+        body += ["except TypeError:", *(f"    {line}" for line in by_mapper)]
+    miss = "    return Outcome([], visited, 0)"
+    if not n_fixed:
+        select = f"items[r[-1]] for b in buckets.values() for r in b.values(){where}"
+        body.append(f"return Outcome([{select}], visited, size, True)")
+    elif layout is not None:
+        key = "".join(f"f{slot}, " if slot < n_fixed else "0, " for slot in layout)
+        select = f"items[r[-1]] for r in b.values(){where}"
+        body += [f"b = buckets.get(({key}))", "if b is None:", miss]
+        body.append(f"return Outcome([{select}], visited, len(b))")
+    else:
+        for j in fixed:
+            body += [f"s{j} = g{j}(f{j})", f"if not s{j}:", miss]
+        groups = []
+        for base in fixed:
+            others = " and ".join(f"k[q{j}] == f{j}" for j in fixed if j != base)
+            others = f" if {others}" if others else ""
+            groups.append(f"groups = [buckets[k] for k in s{base}{others}]")
+        if n_fixed == 1:
+            body += groups
+        else:
+            body.append("i, n = 0, len(s0)")
+            for j in range(1, n_fixed):
+                body += [f"if len(s{j}) < n:", f"    i, n = {j}, len(s{j})"]
+            for j in range(n_fixed - 1):
+                body += [f"{'elif' if j else 'if'} i == {j}:", f"    {groups[j]}"]
+            body += ["else:", f"    {groups[-1]}"]
+        select = f"items[r[-1]] for b in groups for r in b.values(){where}"
+        body.append(f"return Outcome([{select}], visited, sum(map(len, groups)))")
+    lines.append("    def probe_row(probe):")
+    lines += [f"        {line}" for line in body]
+    lines.append("    return probe_row")
+    return "\n".join(lines) + "\n"
+
+
+def _walk_factory(shape: WalkShape) -> Callable[..., RowProbe]:
+    """The compiled factory of ``_walk_source(*shape)``."""
+    factory = _WALK_FACTORIES.get(shape)
+    if factory is None:
+        namespace: dict = {}
+        exec(_walk_source(*shape), namespace)
+        factory = _WALK_FACTORIES[shape] = namespace["make_walk"]
+    return factory
+
+
 @dataclass(frozen=True, slots=True)
 class MigrationReport:
     """What one index migration (``IC1 -> IC2``) did and cost."""
@@ -137,16 +241,19 @@ class BitAddressIndex(StateIndex):
         super().__init__(config.jas, accountant, cost_params)
         self._config = config
         self.value_mapper = value_mapper
-        self._buckets: dict[BucketKey, dict[int, Mapping[str, object]]] = {}
+        # Bucket key -> ``slot -> value row`` (the row ends with the slot).
+        self._buckets: dict[BucketKey, dict[int, tuple]] = {}
         # One inverted map per JAS attribute position; only positions with
         # bits assigned are maintained (others would map everything to 0).
         self._frag_maps: dict[int, dict[int, set[BucketKey]]] = {}
         # ``id -> (slot, bucket key)``.  A stored tuple keeps its slot for
         # life; a removed tuple's slot goes on the free list and is handed
         # out again before a new one, so slots in use and free slots
-        # together are ``0 .. len(_entries) + len(_free) - 1``.
+        # together are ``0 .. len(_entries) + len(_free) - 1``, and
+        # ``_items[slot]`` is the tuple (``None`` for a free slot).
         self._entries: dict[int, tuple[int, BucketKey]] = {}
         self._free: list[int] = []
+        self._items: list[Mapping[str, object] | None] = []
         # Per slot and JAS position, the 64-bit stable hash of the tuple's
         # value (column-major: one attribute's hashes are contiguous), which
         # slots are in use, and per position the exact type of the values
@@ -222,13 +329,15 @@ class BitAddressIndex(StateIndex):
         if iid in entries:
             raise ValueError("item is already stored in this index")
         self._changed()
+        free = self._free
+        slot = free[-1] if free else len(entries)
         key_plan = self._plans.key_plan
         mapper = self.value_mapper
         table = self._hashes
         hashes = None
         if table is not None and mapper is None:
             try:
-                types, hashes, key = key_plan.hash_row(item)
+                types, hashes, key, row = key_plan.hash_row(item, slot)
             except (KeyError, TypeError):
                 # A value the stable hash rejects, or none at all: fatal in
                 # an attribute that carries bits (the mapper path raises the
@@ -236,12 +345,16 @@ class BitAddressIndex(StateIndex):
                 pass
         if hashes is None:
             key = key_plan.key_for(item, _default_map if mapper is None else mapper)
+            row = key_plan.value_row(item, slot)
             table = self._hashes = self._live = None
         acct = self.accountant
         acct.hashes += len(self._frag_maps)  # one fragment hash per indexed attribute
         acct.inserts += 1
-        free = self._free
-        slot = free.pop() if free else len(entries)
+        if free:
+            free.pop()
+            self._items[slot] = item
+        else:
+            self._items.append(item)
         if table is not None:
             if types != self._row_types:
                 self._record_types(types)
@@ -253,7 +366,7 @@ class BitAddressIndex(StateIndex):
                 table[slot] = hashes
             self._live[slot] = True
         entries[iid] = (slot, key)
-        self._place(item, key)
+        self._place(row, key)
 
     def _record_types(self, types: tuple[type, ...]) -> None:
         """Note the exact value types of one stored row (grow-only)."""
@@ -264,9 +377,9 @@ class BitAddressIndex(StateIndex):
                 kinds[pos] = kind if first else _MIXED
         self._row_types = types
 
-    def _place(self, item: Mapping[str, object], key: BucketKey) -> None:
-        """Put ``item`` in the bucket ``key`` names (a new bucket enters
-        the inverted maps)."""
+    def _place(self, row: tuple, key: BucketKey) -> None:
+        """Put the value row ``row`` in the bucket ``key`` names (a new
+        bucket enters the inverted maps)."""
         acct = self.accountant
         bucket = self._buckets.get(key)
         if bucket is None:
@@ -275,7 +388,7 @@ class BitAddressIndex(StateIndex):
             for pos, fmap in self._frag_maps.items():
                 fmap.setdefault(key[pos], set()).add(key)
             acct.index_bytes += self._bucket_overhead_bytes()
-        bucket[id(item)] = item
+        bucket[row[-1]] = row
         acct.index_bytes += self.cost_params.bucket_slot_bytes
 
     def remove(self, item: Mapping[str, object]) -> None:
@@ -286,10 +399,11 @@ class BitAddressIndex(StateIndex):
         self._changed()
         slot, key = entry
         self._free.append(slot)
+        self._items[slot] = None
         if self._live is not None:
             self._live[slot] = False  # the slot's hashes stay until it is reused
         bucket = self._buckets[key]
-        del bucket[iid]
+        del bucket[slot]
         acct = self.accountant
         acct.deletes += 1
         acct.index_bytes -= self.cost_params.bucket_slot_bytes
@@ -303,10 +417,15 @@ class BitAddressIndex(StateIndex):
                         del fmap[key[pos]]
             acct.index_bytes -= self._bucket_overhead_bytes()
 
+    def bucket_items(self, key: BucketKey) -> list[Mapping[str, object]]:
+        """The tuples of the bucket ``key`` names, in bucket order."""
+        items = self._items
+        return [items[row[-1]] for row in self._buckets[key].values()]
+
     def items(self) -> Iterator[Mapping[str, object]]:
         """Iterate every stored item (bucket order)."""
-        for bucket in self._buckets.values():
-            yield from bucket.values()
+        for key in self._buckets:
+            yield from self.bucket_items(key)
 
     # ------------------------------------------------------------------ #
     # search
@@ -318,43 +437,25 @@ class BitAddressIndex(StateIndex):
         # Charged visits: min(2**wildcard_bits, live), floored at one visit
         # for a non-empty index.
         visited = max(plan.enumerated(live), 1 if live else 0)
-        select = plan.select
-        fixed = plan.fixed
-        fragments_of = self._row_fragments
-        slots = plan.point_slots
-        if not fixed:
-            # No indexed attribute constrains the probe: walk every bucket.
-            size = len(self._entries)
-
-            def probe_row(row: tuple) -> SearchOutcome:
-                groups = [bucket.values() for bucket in buckets.values()]
-                return SearchOutcome(select(groups, row), visited, size, True)
-
-        elif slots is not None:
-            # Every indexed attribute is fixed, so the fragments name one
-            # bucket — Section III's concatenation — and the probe is one
-            # lookup.  (A position without bits has fragment 0.)
-
-            def probe_row(row: tuple) -> SearchOutcome:
-                fragments = fragments_of(plan, row)
-                fragments.append(0)
-                bucket = buckets.get(tuple([fragments[slot] for slot in slots]))
-                if bucket is None:
-                    return SearchOutcome([], visited, 0)
-                return SearchOutcome(select((bucket.values(),), row), visited, len(bucket))
-
-            # One ``dict.get`` already: a point probe never asks the columns.
-            return plan.n_attributes, probe_row
-
-        else:
-            candidates = self._wildcard_candidates
-
-            def probe_row(row: tuple) -> SearchOutcome:
-                groups = candidates(fixed, fragments_of(plan, row))
-                return SearchOutcome(select(groups, row), visited, sum(map(len, groups)))
-
+        mapper = self.value_mapper
+        # Every indexed attribute fixed: the fragments name one bucket —
+        # Section III's concatenation — and the probe is one lookup.
+        point = plan.point_slots if plan.fixed else None
+        make_walk = _walk_factory((mapper is not None, len(plan.fixed), plan.n_attributes, point))
+        probe_row = make_walk(
+            plan,
+            buckets,
+            self._frag_maps,
+            self._items,
+            visited,
+            len(self._entries),
+            _cached_value_hash,
+            _default_map if mapper is None else mapper,
+            SearchOutcome,
+        )
         if (
-            len(self._entries) >> plan.fixed_bits >= COLUMN_PROBE_MIN_CANDIDATES
+            point is None  # one ``dict.get`` already: a point probe never asks
+            and len(self._entries) >> plan.fixed_bits >= COLUMN_PROBE_MIN_CANDIDATES
             and self._hashes is not None
             and plan.n_attributes
         ):
@@ -436,61 +537,6 @@ class BitAddressIndex(StateIndex):
 
         return probe_row
 
-    def _wildcard_candidates(
-        self, fixed: tuple[tuple[int, str, int], ...], fragments: list[int]
-    ) -> list:
-        """The buckets (as value views) whose key carries every fixed
-        fragment (``fragments[i]`` belongs to JAS position ``fixed[i][0]``).
-
-        They are the keys of the smallest fragment key set — the first
-        smallest in fixed-position order — that match at every other fixed
-        position, in that set's iteration order: downstream match lists,
-        and therefore the golden corpus, depend on exactly this order.
-        """
-        frag_maps = self._frag_maps
-        pairs = [(spec[0], frag) for spec, frag in zip(fixed, fragments)]
-        base: set[BucketKey] | None = None
-        for pos, frag in pairs:
-            keys = frag_maps[pos].get(frag)
-            if not keys:
-                return []
-            if base is None or len(keys) < len(base):
-                base, base_pos = keys, pos
-        buckets = self._buckets
-        others = [pair for pair in pairs if pair[0] != base_pos]
-        if not others:
-            return [buckets[k].values() for k in base]
-        if len(others) == 1:
-            ((pos, frag),) = others
-            return [buckets[k].values() for k in base if k[pos] == frag]
-        return [
-            buckets[k].values()
-            for k in base
-            if all(k[pos] == frag for pos, frag in others)
-        ]
-
-    def _row_fragments(self, plan: ProbePlan, row: tuple) -> list[int]:
-        """The probe row's fragment per entry of ``plan.fixed``.
-
-        Without a value mapper the fragment is the memoized value hash
-        masked to the attribute's width, taken in one C call per attribute;
-        an unhashable value falls through to the mapper path, which raises
-        the canonical error.
-        """
-        mapper = self.value_mapper
-        if mapper is None:
-            try:
-                return [
-                    _cached_value_hash(type(row[i]), row[i]) & fmask
-                    for i, fmask in plan.row_masks
-                ]
-            except TypeError:
-                mapper = _default_map
-        return [
-            mapper(name, row[i], width)
-            for (i, _fmask), (_pos, name, width) in zip(plan.row_masks, plan.fixed)
-        ]
-
     # ------------------------------------------------------------------ #
     # adaptation
 
@@ -505,7 +551,7 @@ class BitAddressIndex(StateIndex):
         if new_config.jas != self.jas:
             raise ValueError("new configuration ranges over a different JAS")
         old_config = self._config
-        old_items = list(self.items())
+        old_buckets = self._buckets
 
         acct = self.accountant
         acct.index_bytes -= self._current_structure_bytes()
@@ -514,33 +560,36 @@ class BitAddressIndex(StateIndex):
         self._buckets = {}
         self._rebuild_frag_positions()
 
-        # Membership does not change, so every tuple keeps its slot and the
-        # hash columns stand; a slot's new key is its hashes under the new
-        # masks (without columns: its values through the mapper).
+        # Membership does not change, so every tuple keeps its slot and its
+        # value row, and the hash columns stand; a slot's new key is its
+        # hashes under the new masks (without columns: its row's values
+        # through the mapper).  Rows are re-placed in the old bucket order.
         key_plan = self._plans.key_plan
         table = self._hashes
         entries = self._entries
+        items = self._items
         if table is not None:
             masks = np.array(key_plan.masks, dtype=np.uint64)
-            rekeyed = (table[: len(entries) + len(self._free)] & masks).tolist()
+            rekeyed = (table[: len(items)] & masks).tolist()
         mapper = _default_map if self.value_mapper is None else self.value_mapper
-        for item in old_items:
-            iid = id(item)
-            slot = entries[iid][0]
-            if table is not None:
-                key = tuple(rekeyed[slot])
-            else:
-                key = key_plan.key_for(item, mapper)
-            entries[iid] = (slot, key)
-            self._place(item, key)
+        for bucket in old_buckets.values():
+            for row in bucket.values():
+                slot = row[-1]
+                if table is not None:
+                    key = tuple(rekeyed[slot])
+                else:
+                    key = key_plan.key_for(dict(zip(key_plan.names, row)), mapper)
+                entries[id(items[slot])] = (slot, key)
+                self._place(row, key)
         # Not fresh inserts: per tuple one move and the new map's hashes.
-        hashes = len(old_items) * len(self._frag_maps)
+        moved = len(entries)
+        hashes = moved * len(self._frag_maps)
         acct.hashes += hashes
-        acct.moves += len(old_items)
+        acct.moves += moved
         return MigrationReport(
             old_config=old_config,
             new_config=new_config,
-            tuples_moved=len(old_items),
+            tuples_moved=moved,
             hashes=hashes,
         )
 

@@ -4,7 +4,7 @@ Much of a bit-address probe depends only on the ``(IndexConfiguration,
 AccessPattern)`` pair: which JAS positions the probe fixes (at what widths,
 and where their values sit in a probe row), how many wildcard bits remain,
 the ``enumerated``-buckets cap, how the fragments assemble into a bucket
-key when no wildcard bit remains, and the equality filter.  A
+key when no wildcard bit remains.  A
 :class:`ProbePlan` precomputes all of it once; indexes keep a per-structure
 :class:`ProbePlanCache` keyed by the pattern's ``BR(ap)`` mask (an ``int``,
 so the hot lookup is one dict get) and invalidate it whenever the key map
@@ -125,14 +125,20 @@ class Matcher:
         self.select = _compile_row_selector(self.attributes)
 
 
-RowHasher = Callable[[Mapping[str, object]], tuple[tuple[type, ...], list[int], tuple[int, ...]]]
+#: ``(item, slot) -> (value types, value hashes, bucket key, value row)``.
+RowHasher = Callable[
+    [Mapping[str, object], int],
+    tuple[tuple[type, ...], list[int], tuple[int, ...], tuple],
+]
 
 
 def _compile_row_hasher(names: tuple[str, ...], masks: tuple[int, ...]) -> RowHasher:
-    """``item -> (value types, value hashes, bucket key)`` over the JAS
-    attributes ``names``, under the default value mapping — a fragment is
-    the memoized stable value hash masked to the attribute's width —
-    specialised to the attribute count like the row selectors above.
+    """``(item, slot) -> (value types, value hashes, bucket key, value row)``
+    over the JAS attributes ``names``, under the default value mapping — a
+    fragment is the memoized stable value hash masked to the attribute's
+    width — specialised to the attribute count like the row selectors above.
+    The value row is what a bucket keeps: the values in JAS order, then
+    ``slot``.
 
     Every attribute is hashed, bits or none; a missing attribute raises
     ``KeyError`` and a value the stable hash rejects ``TypeError``.
@@ -143,28 +149,28 @@ def _compile_row_hasher(names: tuple[str, ...], masks: tuple[int, ...]) -> RowHa
         (a,) = names
         (ma,) = masks
 
-        def hash_row(item):
+        def hash_row(item, slot):
             va = item[a]
             ta = type(va)
             ha = hash_(ta, va)
-            return (ta,), [ha], (ha & ma,)
+            return (ta,), [ha], (ha & ma,), (va, slot)
     elif n == 2:
         a, b = names
         ma, mb = masks
 
-        def hash_row(item):
+        def hash_row(item, slot):
             va = item[a]
             vb = item[b]
             ta = type(va)
             tb = type(vb)
             ha = hash_(ta, va)
             hb = hash_(tb, vb)
-            return (ta, tb), [ha, hb], (ha & ma, hb & mb)
+            return (ta, tb), [ha, hb], (ha & ma, hb & mb), (va, vb, slot)
     elif n == 3:
         a, b, c = names
         ma, mb, mc = masks
 
-        def hash_row(item):
+        def hash_row(item, slot):
             va = item[a]
             vb = item[b]
             vc = item[c]
@@ -174,16 +180,38 @@ def _compile_row_hasher(names: tuple[str, ...], masks: tuple[int, ...]) -> RowHa
             ha = hash_(ta, va)
             hb = hash_(tb, vb)
             hc = hash_(tc, vc)
-            return (ta, tb, tc), [ha, hb, hc], (ha & ma, hb & mb, hc & mc)
+            return (ta, tb, tc), [ha, hb, hc], (ha & ma, hb & mb, hc & mc), (va, vb, vc, slot)
     else:
 
-        def hash_row(item):
+        def hash_row(item, slot):
             values = [item[name] for name in names]
             types = tuple(map(type, values))
             hashes = list(map(hash_, types, values))
-            return types, hashes, tuple(map(and_, hashes, masks))
+            values.append(slot)
+            return types, hashes, tuple(map(and_, hashes, masks)), tuple(values)
 
     return hash_row
+
+
+class _Absent:
+    """A value row's stand-in for an attribute its item does not carry.
+
+    Comparing or hashing it raises the ``KeyError`` that reading the item
+    raised, so a probe (once its compare reaches the attribute) and a
+    migration that gives the attribute bits fail where reading the item
+    would have failed, with the same error.
+    """
+
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple) -> None:
+        self.args = args
+
+    def __eq__(self, other: object) -> bool:
+        raise KeyError(*self.args)
+
+    def __hash__(self) -> int:
+        raise KeyError(*self.args)
 
 
 class KeyPlan:
@@ -193,13 +221,13 @@ class KeyPlan:
     properties on every insert, the per-position fragment masks — under the
     default value mapping a fragment is ``hash(value) & mask`` (mask 0, so
     fragment 0, for a position without bits) — and ``hash_row``, which
-    reads, hashes and keys a tuple in one call.
+    reads, hashes and keys a tuple and returns its value row in one call.
     """
 
-    __slots__ = ("entries", "masks", "hash_row")
+    __slots__ = ("names", "entries", "masks", "hash_row")
 
     def __init__(self, config: IndexConfiguration) -> None:
-        names = config.jas.names
+        self.names = names = config.jas.names
         self.entries = tuple(zip(names, config.bits))
         self.masks = tuple(((1 << w) - 1) & _HASH_BITS for w in config.bits)
         self.hash_row = _compile_row_hasher(names, self.masks)
@@ -210,6 +238,18 @@ class KeyPlan:
             mapper(name, values[name], w) if w > 0 else 0
             for name, w in self.entries
         )
+
+    def value_row(self, item: Mapping[str, object], slot: int) -> tuple:
+        """``hash_row``'s value row without the hashing, for any value; an
+        attribute ``item`` lacks becomes an :class:`_Absent`."""
+        values = []
+        for name in self.names:
+            try:
+                values.append(item[name])
+            except KeyError as missing:
+                values.append(_Absent(missing.args))
+        values.append(slot)
+        return tuple(values)
 
 
 class ProbePlan:
@@ -228,7 +268,6 @@ class ProbePlan:
         "point_slots",
         "wildcard_bits",
         "enumeration_cap",
-        "select",
     )
 
     def __init__(self, config: IndexConfiguration, ap: AccessPattern) -> None:
@@ -281,7 +320,6 @@ class ProbePlan:
             if self.wildcard_bits < _UNCAPPED_WILDCARD_BITS
             else None
         )
-        self.select = _compile_row_selector(self.attributes)
 
     def enumerated(self, live: int) -> int:
         """``min(2**wildcard_bits, live)`` without materialising the shift."""

@@ -356,7 +356,7 @@ class RouteProbeStage:
         else:
             rows = [tuple([p[i][a] for i, a in getters]) for p in partials]
         max_fanout = ctx.config.max_fanout
-        size = stem.size  # both structures during a drain
+        size = stem.size
         m = ctx.metrics
         if m is not None:
             kind = index_kind_label(stem.index)

@@ -4,11 +4,15 @@ order property (match lists come in the order the golden corpus pins) and
 a columns property (a probe the value-hash columns answer equals the
 bucket walk in matches, order and every charged count)."""
 
+import re
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.bit_index import BitAddressIndex, make_bit_index
 from repro.core.index_config import IndexConfiguration
@@ -287,13 +291,13 @@ def reference_matches(index, ap, values):
             sets.append(keys)
         sets.sort(key=len)
         keep = sets[0].intersection(*sets[1:])
-        buckets = [index._buckets[k] for k in sets[0] if k in keep]
+        keys = [k for k in sets[0] if k in keep]
     else:
-        buckets = list(index._buckets.values())
+        keys = list(index._buckets)
     return [
         item
-        for bucket in buckets
-        for item in bucket.values()
+        for key in keys
+        for item in index.bucket_items(key)
         if all(item[a] == values[a] for a in ap.attributes)
     ]
 
@@ -314,14 +318,23 @@ def assert_every_pattern_in_reference_order(index, probes):
             assert [id(m) for m in got] == [id(m) for m in want], (ap, values)
 
 
+NAN = float("nan")
+INTS = st.integers(0, 3)
+FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, NAN])
+STRINGS = st.sampled_from(["0", "1", "a"])
+#: ``1 == 1.0 == True`` and ``0 == 0.0 == -0.0 == False``: equal across
+#: types, hashed three ways.
+ANY_VALUE = st.one_of(INTS, FLOATS, STRINGS, st.booleans(), st.none())
+
 @st.composite
 def index_histories(draw):
     """A key map over 1-4 attributes (zero-bit positions included) and an
-    interleaving of inserts and removes."""
+    interleaving of inserts and removes, over values of mixed types: equal
+    across types (``1 == 1.0 == True``) and unequal to themselves (NaN)."""
     n = draw(st.integers(1, 4))
     names = "ABCD"[:n]
     bits = draw(st.tuples(*[st.integers(0, 3)] * n))
-    row = st.fixed_dictionaries({a: st.integers(0, 5) for a in names})
+    row = st.fixed_dictionaries({a: ANY_VALUE for a in names})
     ops = draw(st.lists(st.one_of(row, st.integers(0, 50)), max_size=60))
     return JoinAttributeSet(list(names)), bits, ops, draw(st.lists(row, min_size=1, max_size=4))
 
@@ -402,21 +415,78 @@ class TestMatchOrderExamples:
         assert by_a == by_b and list(by_a) != list(by_b), "the tie does not show; vacuous"
         got = idx.search(ap3("A", "B"), {"A": 1, "B": 1}).matches
         assert [id(m) for m in got] == [
-            id(item) for key in by_a for item in idx._buckets[key].values()
+            id(item) for key in by_a for item in idx.bucket_items(key)
         ]
         assert_every_pattern_in_reference_order(idx, kept[:2])
 
 
+class CountingItem(Mapping):
+    """A stored tuple that counts the reads of its attributes."""
+
+    def __init__(self, values):
+        self._values = dict(values)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
+@pytest.mark.parametrize("gate", [1, bit_index.COLUMN_PROBE_MIN_CANDIDATES])
+def test_probes_and_migrations_read_nothing_from_stored_items(jas3, gate):
+    # Buckets keep the value rows read at insert: after it, neither a
+    # reconfigure nor a probe of any pattern reads a stored tuple again.
+    idx = make_bit_index(jas3, [2, 1, 0])
+    items = [CountingItem({"A": i % 5, "B": i % 3, "C": i % 7}) for i in range(120)]
+    for item in items:
+        idx.insert(item)
+    for item in items:
+        item.reads = 0
+    idx.reconfigure(IndexConfiguration(jas3, [1, 2, 2]))
+    probes = [dict(item._values) for item in items[:6]] + [{"A": 99, "B": 0, "C": 0}]
+    found = 0
+    with column_probe_gate(gate, idx):
+        for mask in range(jas3.full_mask + 1):
+            ap = AccessPattern.from_mask(jas3, mask)
+            rows = [tuple(values[a] for a in ap.attributes) for values in probes]
+            found += sum(len(out) for out in idx.search_batch(ap, rows))
+            found += sum(len(idx.search(ap, values)) for values in probes)
+    assert found > 2 * len(probes) * len(items)  # the full-scan pattern alone
+    assert [item.reads for item in items] == [0] * len(items)
+
+
+def test_generated_walks_carry_no_user_text():
+    # Attribute names and values that would end a string literal or run
+    # code if a walk's source quoted them: the source holds integers only,
+    # and every probe still equals the reference.
+    names = ["it's", 'say "hi"', "two\nlines", "__import__('os').getcwd()"]
+    jas = JoinAttributeSet(names)
+    idx = BitAddressIndex(IndexConfiguration(jas, [2, 0, 1, 3]))
+    values = ["'", '"', "\n", "__import__('os')", "\\", "'''", '"""']
+    items = [
+        {a: values[(i * (p + 2) + p) % len(values)] for p, a in enumerate(names)}
+        for i in range(90)
+    ]
+    for item in items:
+        idx.insert(item)
+    probes = items[:4] + [{a: "'); __import__('os'); ('" for a in names}]
+    assert_every_pattern_in_reference_order(idx, probes)
+    with column_probe_gate(1, idx):
+        assert_every_pattern_in_reference_order(idx, probes)
+    assert idx.column_answered > 0
+    assert bit_index._WALK_FACTORIES
+    for shape in bit_index._WALK_FACTORIES:
+        assert re.fullmatch(r"[^'\"]*", bit_index._walk_source(*shape)), shape
+
+
 # --------------------------------------------------------------------- #
 # hash columns — what they answer is what the walk answers
-
-NAN = float("nan")
-INTS = st.integers(0, 3)
-FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, NAN])
-STRINGS = st.sampled_from(["0", "1", "a"])
-#: ``1 == 1.0 == True`` and ``0 == 0.0 == -0.0 == False``: equal across
-#: types, hashed three ways.
-ANY_VALUE = st.one_of(INTS, FLOATS, STRINGS, st.booleans(), st.none())
 
 
 def walk_only_twin(config, **kwargs):
@@ -613,6 +683,37 @@ class TestHashColumns:
         # Where the attribute carries bits the value is fatal, as before.
         with pytest.raises((TypeError, KeyError)):
             make_bit_index(jas3, [2, 2, 1]).insert(item)
+
+    def test_a_probe_that_reaches_an_absent_value_raises_its_key_error(self, jas3, ap3):
+        # C carries no bits and one stored item has none: a probe over C
+        # raises the KeyError that reading the item raises, once its compare
+        # reaches C.  <A,*,C> fixes no bits, so every row is compared.
+        idx = make_bit_index(jas3, [0, 2, 0])
+        lacking = {"A": 1, "B": 1}
+        for item in [{"A": i % 4, "B": i % 3, "C": i} for i in range(20)] + [lacking]:
+            idx.insert(item)
+        with pytest.raises(KeyError) as read:
+            lacking["C"]
+        for probe in (
+            lambda: idx.search(ap3("A", "C"), {"A": 1, "C": 5}),
+            lambda: idx.search_batch(ap3("A", "C"), [(1, 5)]),
+        ):
+            with pytest.raises(KeyError) as raised:
+                probe()
+            assert raised.value.args == read.value.args == ("C",)
+        # So does a migration that gives C bits: the fragment reads it.
+        with pytest.raises(KeyError) as raised:
+            idx.reconfigure(IndexConfiguration(jas3, [0, 2, 1]))
+        assert raised.value.args == ("C",)
+
+    def test_a_mismatch_earlier_in_the_row_never_reaches_the_absent_value(self, jas3, ap3):
+        idx = make_bit_index(jas3, [0, 2, 0])
+        items = [{"A": i % 4, "B": i % 3, "C": i} for i in range(20)]
+        for item in items + [{"A": 1, "B": 1}]:
+            idx.insert(item)
+        # The lacking row differs on A, compared first: no error.
+        out = idx.search(ap3("A", "C"), {"A": 3, "C": 3})
+        assert out.matches == [items[3]] and out.tuples_examined == 21
 
     def test_columns_grow_past_their_initial_capacity(self, jas3, ap3):
         items = [{"A": i, "B": i % 11, "C": i % 13} for i in range(700)]
