@@ -19,9 +19,8 @@ subcommands (python -m repro <cmd> --help for flags):
   profile   per-component cost-unit profile of one run (--metrics/--trace export)
   run       scheme comparison with CSV/metrics export
             (--schemes amri:<assessor>|hash:<k>|static|inverted|scan; also
-            --faults PROFILE, --degrade, --slo SPEC for latency/SLO tracking)
+            --faults PROFILE, --degrade, --latency DIR for queueing latency)
   figures   regenerate the paper's figures/tables <fig6|fig6-hash|fig7|table2|all>
-  slo       tail-latency + SLO burn-rate report across scenarios (--json export)
 
 examples:    examples/quickstart.py | package_tracking.py | stock_monitoring.py |
              sensor_network.py | assessment_comparison.py
@@ -35,7 +34,6 @@ COMMANDS = {
     "profile": "repro.experiments.profiling",
     "run": "repro.experiments.run",
     "figures": "repro.experiments.figures",
-    "slo": "repro.experiments.slo_report",
 }
 
 

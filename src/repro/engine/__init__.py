@@ -23,13 +23,7 @@ from repro.engine.metrics import (
     Span,
     SpanRecord,
 )
-from repro.engine.slo import (
-    LATENCY_BUCKETS,
-    LatencySnapshot,
-    LatencyTracker,
-    SloMonitor,
-    SloSpec,
-)
+from repro.engine.latency import LatencySnapshot, LatencyTracker
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import (
     DegradationPolicy,
@@ -67,11 +61,8 @@ __all__ = [
     "RegistrySnapshot",
     "Span",
     "SpanRecord",
-    "LATENCY_BUCKETS",
     "LatencySnapshot",
     "LatencyTracker",
-    "SloMonitor",
-    "SloSpec",
     "ContentBasedRouter",
     "FixedRouter",
     "GreedyAdaptiveRouter",

@@ -20,7 +20,7 @@ be — the loop now lives in :mod:`repro.engine.kernel`):
 
 :class:`AMRExecutor` is now a thin facade: it assembles an
 :class:`~repro.engine.kernel.EngineContext` plus the default stage
-pipeline (``arrivals → expiry → route/probe → faults → tuning → slo →
+pipeline (``arrivals → expiry → route/probe → faults → tuning →
 shed/degrade → audit``) and delegates the loop to
 :class:`~repro.engine.kernel.EngineKernel`.  The decomposition is
 byte-identical to the monolith — every float add, RNG draw, event, metric
@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from repro.engine.kernel.context import EngineContext, index_kind_label
 from repro.engine.kernel.kernel import TICK_COST_BUCKETS, EngineKernel, default_stages
 from repro.engine.kernel.stages import MATCH_BUCKETS, Stage
+from repro.engine.latency import LatencyTracker
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.query import Query
 from repro.engine.resources import DegradationPolicy, ResourceMeter
@@ -110,14 +111,9 @@ class AMRExecutor:
         absent (the default) every instrumentation hook is a no-op and the
         run is byte-identical to an uninstrumented one.
     latency:
-        Optional :class:`~repro.engine.slo.LatencyTracker` recording
-        arrival→emit latency per processed request (same no-op-when-absent
+        Optional :class:`~repro.engine.latency.LatencyTracker` counting
+        each request's queueing latency in ticks (same no-op-when-absent
         contract as ``metrics``).
-    slo:
-        Optional :class:`~repro.engine.slo.SloMonitor` evaluating a latency
-        objective each tick (requires ``latency``); breaches/recoveries
-        land in the event log and, for ``:degrade`` specs, trigger the
-        degradation policy's backlog shedding.
     stages:
         A custom stage pipeline replacing
         :func:`~repro.engine.kernel.default_stages`.
@@ -139,8 +135,7 @@ class AMRExecutor:
         invariant_checker=None,
         degradation: DegradationPolicy | None = None,
         metrics: MetricsRegistry | None = None,
-        latency=None,
-        slo=None,
+        latency: LatencyTracker | None = None,
         stages: Sequence[Stage] | None = None,
     ) -> None:
         self._ctx = EngineContext(
@@ -158,7 +153,6 @@ class AMRExecutor:
             degradation=degradation,
             metrics=metrics,
             latency=latency,
-            slo=slo,
         )
         pipeline = stages if stages is not None else default_stages()
         self._kernel = EngineKernel(self._ctx, pipeline)
@@ -239,7 +233,6 @@ for _name in (
     "degradation",
     "metrics",
     "latency",
-    "slo",
 ):
     setattr(AMRExecutor, _name, _context_delegate(_name))
 del _name

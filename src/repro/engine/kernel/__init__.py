@@ -8,7 +8,7 @@ decomposed into a composition of explicit parts:
   plumbing, in one place;
 - the :class:`Stage` protocol and its standard implementations
   (:class:`ArrivalStage`, :class:`ExpiryStage`, :class:`RouteProbeStage`,
-  :class:`FaultStage`, :class:`TuningStage`, :class:`SloStage`,
+  :class:`FaultStage`, :class:`TuningStage`,
   :class:`ShedDegradeStage`, :class:`AuditStage`) — each
   tick phase is one object with one job (the backlog drains in arrival
   order);
@@ -30,7 +30,6 @@ from repro.engine.kernel.stages import (
     FaultStage,
     RouteProbeStage,
     ShedDegradeStage,
-    SloStage,
     Stage,
     TickState,
     TuningStage,
@@ -45,7 +44,6 @@ __all__ = [
     "FaultStage",
     "RouteProbeStage",
     "ShedDegradeStage",
-    "SloStage",
     "Stage",
     "TickState",
     "TuningStage",

@@ -5,8 +5,8 @@ explicit object instead of executor instance attributes: the query, the
 per-stream states, the routing policy, the virtual clock, run statistics,
 the backlog queue, and the optional observability/robustness attachments
 (event log, fault injector, invariant checker, degradation policy, metrics
-registry).  Stages receive the context and nothing else — there is no
-hidden executor state left for a stage to reach around.
+registry, latency tracker).  Stages receive the context and nothing else —
+there is no hidden executor state left for a stage to reach around.
 
 The ``_spend`` cost-attribution invariant lives here **by construction**:
 :meth:`EngineContext.spend` is the only place in the kernel that touches
@@ -22,6 +22,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.engine.latency import LatencyTracker
 from repro.engine.metrics import MetricsRegistry, Span
 from repro.engine.query import Query
 from repro.engine.resources import (
@@ -79,8 +80,7 @@ class EngineContext:
     invariant_checker: object | None = None  # repro.engine.faults.InvariantChecker or None
     degradation: DegradationPolicy | None = None
     metrics: MetricsRegistry | None = None
-    latency: object | None = None  # repro.engine.slo.LatencyTracker or None
-    slo: object | None = None  # repro.engine.slo.SloMonitor or None
+    latency: LatencyTracker | None = None
     queue: deque[StreamTuple] = field(default_factory=deque)
     # Metrics-only state: open tuple-lifecycle spans keyed by tuple
     # identity, and the last sampled clock reading (per-tick cost).

@@ -3,9 +3,10 @@
 :class:`EngineKernel` owns exactly what no stage can: advancing the
 virtual clock, opening/closing the per-tick metrics span, fetching the
 tick's arrivals, running the stages in order, stopping on death, and the
-end-of-run cleanup (closing leftover tuple spans, folding the injector's
-activation count into the stats).  Everything else — admission, expiry,
-routing, faults, tuning, degradation, auditing — is a
+end-of-run cleanup (closing leftover tuple spans, reporting still-queued
+requests to the latency tracker, folding the injector's activation count
+into the stats).  Everything else — admission, expiry, routing, faults,
+tuning, degradation, auditing — is a
 :class:`~repro.engine.kernel.stages.Stage` in the pipeline, so engines
 with different phase structures are assembled, not subclassed.
 """
@@ -22,7 +23,6 @@ from repro.engine.kernel.stages import (
     FaultStage,
     RouteProbeStage,
     ShedDegradeStage,
-    SloStage,
     Stage,
     TickState,
     TuningStage,
@@ -36,13 +36,11 @@ TICK_COST_BUCKETS = (100.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 20_000.0
 
 def default_stages() -> tuple[Stage, ...]:
     """The canonical pipeline, in the monolithic executor's tick order:
-    arrivals → expiry → route/probe → faults → tuning → slo →
-    shed/degrade → audit.
+    arrivals → expiry → route/probe → faults → tuning → shed/degrade →
+    audit.
 
     An accepted migration is a stop-the-world ``reconfigure()`` inside the
-    tuning stage.  ``SloStage`` evaluates latency objectives and is a
-    complete no-op without a latency tracker, so unarmed runs stay
-    bit-identical to the older pipelines.
+    tuning stage.
     """
     return (
         ArrivalStage(),
@@ -50,7 +48,6 @@ def default_stages() -> tuple[Stage, ...]:
         RouteProbeStage(),
         FaultStage(),
         TuningStage(),
-        SloStage(),
         ShedDegradeStage(),
         AuditStage(),
     )
@@ -91,7 +88,7 @@ class EngineKernel:
         ctx.meter.start_tick()
         tick = TickState(tick=t, duration=duration)
         if m is not None:
-            m.counter("engine_ticks_total", "ticks executed").inc()
+            m.counter("engine_ticks_total").inc()
             ctx.spent_at_tick_start = ctx.meter.total_spent
             tick.span = m.start_span("tick", t)
         tick.incoming = incoming
@@ -102,11 +99,7 @@ class EngineKernel:
                 break
         if m is not None and tick.span is not None:
             tick_cost = ctx.meter.total_spent - ctx.spent_at_tick_start
-            m.histogram(
-                "tick_cost_units",
-                "cost units spent per tick",
-                buckets=TICK_COST_BUCKETS,
-            ).observe(tick_cost)
+            m.histogram("tick_cost_units", buckets=TICK_COST_BUCKETS).observe(tick_cost)
             m.end_span(tick.span, t, cost=round(tick_cost, 3), backlog=len(ctx.queue))
         if not tick.died and ctx.invariant_checker is not None:
             ctx.invariant_checker.check(ctx, t)
@@ -115,10 +108,12 @@ class EngineKernel:
     def finish(self, last_tick: int) -> RunStats:
         """End-of-run cleanup; returns the collected :class:`RunStats`.
 
-        Closes any still-open tuple spans (backlog at end of run or at
-        death) so the flight recorder's last ticks reconstruct, and folds
-        the injector's activation count into the stats.  Call exactly once
-        after the final :meth:`step` (``last_tick`` is that step's tick).
+        The backlog at end of run or at death is still queued: its tuple
+        spans close so the flight recorder's last ticks reconstruct, and
+        each request is reported to the latency tracker as unfinished with
+        its wait so far.  Also folds the injector's activation count into
+        the stats.  Call exactly once after the final :meth:`step`
+        (``last_tick`` is that step's tick).
         """
         ctx = self.ctx
         m = ctx.metrics
@@ -128,6 +123,9 @@ class EngineKernel:
                 if span is not None:
                     m.end_span(span, last_tick, status="backlog")
             ctx.live_spans.clear()
+        if ctx.latency is not None:
+            for item in ctx.queue:
+                ctx.latency.observe_unfinished(last_tick - item.arrived_at)
         if ctx.fault_injector is not None:
             ctx.stats.faults_injected = ctx.fault_injector.injected
         return ctx.stats

@@ -7,8 +7,8 @@ Each stage is one phase of the discrete-time loop, implementing the
 :func:`~repro.engine.kernel.kernel.default_stages`) reproduces the
 monolithic executor exactly:
 
-    arrivals → expiry → route/probe → faults → tuning → slo →
-    shed/degrade → audit
+    arrivals → expiry → route/probe → faults → tuning → shed/degrade →
+    audit
 
 Stages communicate only through the context and the tick state — no stage
 holds run state of its own, which is what makes pipelines recomposable:
@@ -25,7 +25,6 @@ from repro.core.tuner import TuningContext
 from repro.engine.kernel.context import EngineContext, index_kind_label
 from repro.engine.metrics import Span
 from repro.engine.resources import MemoryBreakdown, MemoryBudgetExceeded
-from repro.engine.slo import SLO_BREACH, SLO_RECOVERED
 from repro.engine.tuples import JoinedTuple, StreamTuple
 
 #: Histogram boundaries for per-probe match counts.
@@ -77,9 +76,7 @@ def tune_stem(ctx: EngineContext, stem, tick: int, *, forced: bool = False):
         if report.migrated:
             ctx.stats.migrations += 1
             if ctx.metrics is not None:
-                ctx.metrics.counter(
-                    "migrations_total", "index migrations applied", stream=stem.stream
-                ).inc()
+                ctx.metrics.counter("migrations_total", stream=stem.stream).inc()
         if ctx.event_log is not None:
             kind = "migration" if report.migrated else "tune"
             saving = report.projected_saving
@@ -190,11 +187,7 @@ class ArrivalStage:
             if not ctx.query.passes_filters(item.stream, item):
                 ctx.stats.filtered += 1
                 if m is not None:
-                    m.counter(
-                        "tuples_filtered_total",
-                        "arrivals dropped by predicate pushdown",
-                        stream=item.stream,
-                    ).inc()
+                    m.counter("tuples_filtered_total", stream=item.stream).inc()
                 return False
         stem = ctx.stems[item.stream]
         cost_before = ctx.stem_cost(stem)
@@ -208,9 +201,7 @@ class ArrivalStage:
             phase="insert",
         )
         if m is not None:
-            m.counter(
-                "tuples_admitted_total", "source tuples admitted", stream=item.stream
-            ).inc()
+            m.counter("tuples_admitted_total", stream=item.stream).inc()
         return True
 
 
@@ -228,21 +219,12 @@ class ExpiryStage:
 
 def _probe_metrics(m, target: str, kind: str, assessor, n_matches: int) -> None:
     """One probe's metric series (registry attached)."""
-    m.counter(
-        "probes_total", "search requests executed", stream=target, index_kind=kind
-    ).inc()
-    m.counter(
-        "matches_total", "probe matches after ordering", stream=target
-    ).inc(n_matches)
-    m.histogram(
-        "probe_matches", "matches per probe", buckets=MATCH_BUCKETS, stream=target
-    ).observe(n_matches)
+    m.counter("probes_total", stream=target, index_kind=kind).inc()
+    m.counter("matches_total", stream=target).inc(n_matches)
+    m.histogram("probe_matches", buckets=MATCH_BUCKETS, stream=target).observe(n_matches)
     if assessor is not None:
         m.counter(
-            "assessment_records_total",
-            "access patterns recorded by assessors",
-            stream=target,
-            method=type(assessor).__name__,
+            "assessment_records_total", stream=target, method=type(assessor).__name__
         ).inc()
 
 
@@ -304,26 +286,11 @@ class RouteProbeStage:
         ctx.spend_index_deltas(cost_before, component="index", phase="probe")
         ctx.spend(params.c_route, "router", stream=item.stream, phase="decide")
         ctx.spend(outputs * params.c_output, "output", stream=item.stream, phase="emit")
-        lat = ctx.latency
-        if lat is not None:
-            # Arrival→emit latency in ticks.  Each joined result is produced
-            # exactly once by its youngest member's probe sequence, so the
-            # request's latency is also the latency of each emitted result
-            # (hence the ``outputs`` weight the tracker keeps).
-            latency = tick - item.arrived_at
-            lat.observe(item.stream, latency, outputs)
-            if m is not None:
-                m.histogram(
-                    "tuple_latency_ticks",
-                    "arrival-to-emit latency per processed request",
-                    buckets=lat.boundaries,
-                    stream=item.stream,
-                ).observe(latency)
+        if ctx.latency is not None:
+            ctx.latency.observe(tick - item.arrived_at)
         if m is not None:
-            m.counter("outputs_total", "join results emitted").inc(outputs)
-            m.histogram(
-                "route_length", "probe hops per routed tuple", stream=item.stream
-            ).observe(len(route))
+            m.counter("outputs_total").inc(outputs)
+            m.histogram("route_length", stream=item.stream).observe(len(route))
             span = ctx.live_spans.pop(id(item), None)
             if span is not None:
                 m.end_span(span, tick, status="processed", outputs=outputs)
@@ -504,20 +471,17 @@ class ShedDegradeStage:
         if n <= 0:
             return breakdown
         m = ctx.metrics
-        lat = ctx.latency
         for _ in range(n):
             item = ctx.queue.popleft()
-            if lat is not None:
-                # A shed request never emits: it is not a completion latency,
-                # but it spent its wait failing the objective (budget burn).
-                lat.observe_shed(item.stream, tick - item.arrived_at)
             if m is not None:
                 span = ctx.live_spans.pop(id(item), None)
                 if span is not None:
                     m.end_span(span, tick, status="shed")
         ctx.stats.shed_tuples += n
+        if ctx.latency is not None:
+            ctx.latency.observe_shed(n)
         if m is not None:
-            m.counter("shed_tuples_total", "backlogged requests shed").inc(n)
+            m.counter("shed_tuples_total").inc(n)
             m.point_span("shed", tick, count=n, freed=n * per)
         if ctx.event_log is not None:
             ctx.event_log.record(tick, "shed", None, count=n, freed=n * per)
@@ -549,11 +513,7 @@ class ShedDegradeStage:
             )
             ctx.stats.degradations += 1
             if m is not None:
-                m.counter(
-                    "degradations_total",
-                    "states degraded to full scan",
-                    stream=stem.stream,
-                ).inc()
+                m.counter("degradations_total", stream=stem.stream).inc()
                 m.point_span("degrade", tick, stream=stem.stream, freed=freed, moved=moved)
             if ctx.event_log is not None:
                 ctx.event_log.record(
@@ -561,84 +521,6 @@ class ShedDegradeStage:
                 )
             breakdown = ctx.memory_breakdown()
         return breakdown
-
-
-class SloStage:
-    """Per-tick latency/SLO evaluation and backpressure surfacing.
-
-    Runs only when a :class:`~repro.engine.slo.LatencyTracker` is armed on
-    the context (``ctx.latency``) — without one the stage is a complete
-    no-op, preserving the golden corpus byte-for-byte.  With a tracker and
-    a metrics registry it refreshes per-stream backlog gauges and the
-    tick's backpressure reading (cost spent so far ÷ capacity); with an
-    :class:`~repro.engine.slo.SloMonitor` attached (``ctx.slo``) it also
-    folds the tick into the burn-rate windows, emits ``slo_breach`` /
-    ``slo_recovered`` events, and — for specs marked ``:degrade`` — fires
-    the existing :class:`~repro.engine.resources.DegradationPolicy`
-    backlog-shedding path as the closed-loop response.
-    """
-
-    name = "slo"
-
-    def __init__(self) -> None:
-        self._shedder = ShedDegradeStage()
-
-    def run(self, ctx: EngineContext, tick: TickState) -> None:
-        tracker = ctx.latency
-        if tracker is None:
-            return
-        t = tick.tick
-        m = ctx.metrics
-        if m is not None:
-            depths: dict[str, int] = {}
-            for item in ctx.queue:
-                depths[item.stream] = depths.get(item.stream, 0) + 1
-            for stream in ctx.stems:
-                m.gauge(
-                    "stream_backlog",
-                    "queued search requests per stream",
-                    stream=stream,
-                ).set(depths.get(stream, 0))
-            capacity = ctx.meter.capacity
-            spent = ctx.meter.total_spent - ctx.spent_at_tick_start
-            m.gauge(
-                "backpressure", "tick cost spent over tick capacity"
-            ).set(spent / capacity if capacity else 0.0)
-        monitor = ctx.slo
-        if monitor is None:
-            return
-        transition = monitor.end_tick(t, tracker)
-        spec = monitor.spec
-        if m is not None:
-            for window, rate in monitor.burn_rates().items():
-                m.gauge(
-                    "slo_burn_rate",
-                    "error-budget burn rate per evaluation window",
-                    window=str(window),
-                ).set(rate)
-        if transition == "breach":
-            detail: dict[str, object] = {"objective": spec.describe()}
-            for window, rate in monitor.burn_rates().items():
-                detail[f"burn_{window}"] = round(rate, 3)
-            if ctx.event_log is not None:
-                ctx.event_log.record(t, SLO_BREACH, None, **detail)
-            if m is not None:
-                m.counter("slo_breaches_total", "SLO breach transitions").inc()
-                m.point_span("slo_breach", t, **detail)
-            if spec.degrade_on_breach and ctx.degradation is not None:
-                # Closed loop: shed the waiting backlog down to the policy's
-                # floor (soft target 0 forces the full sheddable amount),
-                # reusing the exact degradation path — same events, same
-                # metrics, same span endings as memory-pressure shedding.
-                self._shedder.shed_backlog(ctx, t, ctx.memory_breakdown(), 0)
-        elif transition == "recover":
-            if ctx.event_log is not None:
-                ctx.event_log.record(
-                    t, SLO_RECOVERED, None, objective=spec.describe()
-                )
-            if m is not None:
-                m.counter("slo_recoveries_total", "SLO recovery transitions").inc()
-                m.point_span("slo_recovered", t, objective=spec.describe())
 
 
 class AuditStage:
@@ -666,7 +548,7 @@ class AuditStage:
             ctx.stats.died_at = t
             ctx.stats.death_reason = str(exc)
             if ctx.metrics is not None:
-                ctx.metrics.counter("deaths_total", "out-of-memory deaths").inc()
+                ctx.metrics.counter("deaths_total").inc()
                 ctx.metrics.point_span("death", t, used=exc.used, budget=exc.budget)
             if ctx.event_log is not None:
                 ctx.event_log.record(t, "death", None, used=exc.used, budget=exc.budget)
@@ -676,7 +558,7 @@ class AuditStage:
         """Refresh sampled gauges (memory sections, backlog, index ops)."""
         m = ctx.metrics
         assert m is not None
-        m.gauge("backlog", "queued search requests").set(len(ctx.queue))
+        m.gauge("backlog").set(len(ctx.queue))
         sections = {
             "payload": breakdown.state_payload,
             "index": breakdown.index_structures,
@@ -684,7 +566,7 @@ class AuditStage:
             "statistics": breakdown.statistics,
         }
         for section, used in sections.items():
-            m.gauge("memory_bytes", "tracked engine memory", section=section).set(used)
+            m.gauge("memory_bytes", section=section).set(used)
         for name, stem in ctx.stems.items():
             acct = stem.index.accountant
             for op in (
@@ -696,14 +578,9 @@ class AuditStage:
                 "deletes",
                 "moves",
             ):
-                m.gauge(
-                    "index_ops", "cumulative accountant operations", stream=name, op=op
-                ).set(getattr(acct, op))
+                m.gauge("index_ops", stream=name, op=op).set(getattr(acct, op))
             assessor = getattr(stem.tuner, "assessor", None)
             if assessor is not None:
                 m.gauge(
-                    "assessment_entries",
-                    "statistics entries held",
-                    stream=name,
-                    method=type(assessor).__name__,
+                    "assessment_entries", stream=name, method=type(assessor).__name__
                 ).set(assessor.entry_count)

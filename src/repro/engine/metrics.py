@@ -21,12 +21,12 @@ Two invariants the rest of the stack relies on:
    per charge).
 2. **No observer effect.**  Attaching a registry never touches engine
    state, RNG streams, or the virtual clock; with no registry attached
-   every hook is a no-op.  The differential and pool-determinism suites
-   assert byte-identical runs with metrics on and off.
+   every hook is a no-op.  The observer-conformance matrix asserts
+   byte-identical runs with metrics on and off.
 
 Snapshots (:class:`RegistrySnapshot`) are plain frozen data — picklable
-across process pools and renderable by :mod:`repro.engine.metrics_export`
-as JSONL, CSV, or Prometheus text format.
+across process pools and rendered as JSONL by
+:mod:`repro.engine.metrics_export`.
 """
 
 from __future__ import annotations
@@ -50,60 +50,16 @@ __all__ = [
     "Span",
     "SpanRecord",
     "cost_label_key",
-    "quantile_from_buckets",
 ]
 
 #: The cost-unit attribution series every executor charge lands in.
 COST_METRIC = "cost_units_total"
-
-#: Label names of the cost-attribution series, in canonical order.
-COST_LABELS = ("component", "stream", "index_kind", "phase")
 
 #: Sorted ``(name, value)`` pairs — the canonical labelled-series key.
 LabelPairs = tuple[tuple[str, str], ...]
 
 #: Default histogram boundaries (upper bounds, ``le`` semantics).
 DEFAULT_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-
-def quantile_from_buckets(
-    buckets: Sequence[tuple[float, int]], q: float
-) -> float | None:
-    """Estimate the ``q``-quantile from cumulative ``(le, count)`` buckets.
-
-    ``buckets`` follow the Prometheus convention produced by
-    :meth:`Histogram.cumulative`: monotone non-decreasing cumulative counts
-    with a final ``(+Inf, total)`` entry.  The estimate interpolates
-    linearly inside the first bucket whose cumulative count reaches the
-    target rank, so it is deterministic and monotone in ``q`` but only
-    accurate to within one bucket width (values inside a bucket are assumed
-    uniform).  Ranks landing in the ``+Inf`` overflow bucket clamp to the
-    largest finite boundary — the estimator never invents values beyond the
-    configured range.  Returns ``None`` for an empty histogram.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    if not buckets:
-        return None
-    count = buckets[-1][1]
-    if count <= 0:
-        return None
-    rank = q * count
-    prev_le = 0.0
-    prev_cum = 0
-    for i, (le, cum) in enumerate(buckets):
-        if i == 0:
-            prev_le = min(0.0, le)
-        if cum > prev_cum and cum >= rank:
-            if le == float("inf"):
-                # Overflow bucket: clamp to the largest finite boundary.
-                return prev_le if i > 0 else None
-            fraction = max(0.0, (rank - prev_cum) / (cum - prev_cum))
-            return prev_le + (le - prev_le) * fraction
-        if cum > prev_cum:
-            prev_cum = cum
-        prev_le = le
-    return None
 
 
 def _label_pairs(labels: Mapping[str, str | None]) -> LabelPairs:
@@ -153,19 +109,13 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Fixed-boundary histogram with ``le`` (less-or-equal) semantics.
 
     ``boundaries`` are finite upper bounds; an implicit ``+Inf`` bucket
     catches the rest.  Bucket counts are stored per-bucket and exported
-    cumulatively (the Prometheus convention).
+    cumulatively.
     """
 
     __slots__ = ("boundaries", "bucket_counts", "total", "count")
@@ -196,19 +146,8 @@ class Histogram:
         out.append((float("inf"), self.count))
         return out
 
-    def quantile(self, q: float) -> float | None:
-        """Interpolated ``q``-quantile estimate (±1 bucket width).
-
-        See :func:`quantile_from_buckets` for the exact semantics: linear
-        interpolation over the cumulative buckets, overflow clamped to the
-        largest finite boundary, ``None`` when nothing has been observed.
-        """
-        return quantile_from_buckets(self.cumulative(), q)
-
 
 Instrument = Counter | Gauge | Histogram
-
-_KINDS: dict[type, str] = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
 
 
 # --------------------------------------------------------------------- #
@@ -306,17 +245,6 @@ class FlightRecorder:
         """Retained spans, oldest first."""
         return list(self._ring)
 
-    def since_tick(self, tick: int) -> list[SpanRecord]:
-        """Retained spans still active at or after ``tick`` (reconstruction)."""
-        return [s for s in self._ring if s.end_tick >= tick]
-
-    def last_ticks(self, n: int) -> list[SpanRecord]:
-        """Spans overlapping the last ``n`` ticks seen by the recorder."""
-        if not self._ring:
-            return []
-        horizon = max(s.end_tick for s in self._ring) - n + 1
-        return self.since_tick(horizon)
-
     def __len__(self) -> int:
         return len(self._ring)
 
@@ -347,12 +275,6 @@ class SeriesSnapshot:
     def label_dict(self) -> dict[str, str]:
         return dict(self.labels)
 
-    def quantile(self, q: float) -> float | None:
-        """Interpolated quantile over a frozen histogram series (else None)."""
-        if self.kind != "histogram":
-            return None
-        return quantile_from_buckets(self.buckets, q)
-
 
 @dataclass(frozen=True)
 class RegistrySnapshot:
@@ -362,7 +284,6 @@ class RegistrySnapshot:
     cost_total: float = 0.0
     spans: tuple[SpanRecord, ...] = ()
     spans_dropped: int = 0
-    help_texts: tuple[tuple[str, str], ...] = ()
 
     def cost_series(self) -> list[SeriesSnapshot]:
         """The cost-attribution series only."""
@@ -416,7 +337,6 @@ class MetricsRegistry:
         self._series: dict[tuple[str, LabelPairs], Instrument] = {}
         self._kinds: dict[str, str] = {}
         self._buckets: dict[str, tuple[float, ...]] = {}
-        self._help: dict[str, str] = {}
         self._lock = threading.Lock()
         self._default_buckets = tuple(float(b) for b in default_buckets)
         self.flight = FlightRecorder(flight_recorder_capacity)
@@ -433,7 +353,6 @@ class MetricsRegistry:
         name: str,
         kind: str,
         labels: Mapping[str, str | None],
-        help: str,
         buckets: Sequence[float] | None = None,
     ) -> Instrument:
         key = (name, _label_pairs(labels))
@@ -451,8 +370,6 @@ class MetricsRegistry:
             bound_kind = self._kinds.setdefault(name, kind)
             if bound_kind != kind:
                 raise ValueError(f"metric {name!r} is a {bound_kind}, not a {kind}")
-            if help and name not in self._help:
-                self._help[name] = help
             if kind == "counter":
                 inst = Counter()
             elif kind == "gauge":
@@ -466,22 +383,21 @@ class MetricsRegistry:
             self._series[key] = inst
             return inst
 
-    def counter(self, name: str, help: str = "", **labels: str | None) -> Counter:
+    def counter(self, name: str, **labels: str | None) -> Counter:
         """Get-or-create the counter series ``name{labels}``."""
-        inst = self._get(name, "counter", labels, help)
+        inst = self._get(name, "counter", labels)
         assert isinstance(inst, Counter)
         return inst
 
-    def gauge(self, name: str, help: str = "", **labels: str | None) -> Gauge:
+    def gauge(self, name: str, **labels: str | None) -> Gauge:
         """Get-or-create the gauge series ``name{labels}``."""
-        inst = self._get(name, "gauge", labels, help)
+        inst = self._get(name, "gauge", labels)
         assert isinstance(inst, Gauge)
         return inst
 
     def histogram(
         self,
         name: str,
-        help: str = "",
         buckets: Sequence[float] | None = None,
         **labels: str | None,
     ) -> Histogram:
@@ -491,7 +407,7 @@ class MetricsRegistry:
         reuse the bound boundaries so every series of one family shares
         them.
         """
-        inst = self._get(name, "histogram", labels, help, buckets)
+        inst = self._get(name, "histogram", labels, buckets)
         assert isinstance(inst, Histogram)
         return inst
 
@@ -515,7 +431,6 @@ class MetricsRegistry:
         self.cost_total += cost
         self.counter(
             COST_METRIC,
-            "virtual-clock cost units, attributed",
             component=component,
             stream=stream,
             index_kind=index_kind,
@@ -589,7 +504,6 @@ class MetricsRegistry:
             cost_total=self.cost_total,
             spans=tuple(self.flight.spans()),
             spans_dropped=self.flight.dropped,
-            help_texts=tuple(sorted(self._help.items())),
         )
 
     def __len__(self) -> int:

@@ -1,48 +1,34 @@
-"""Exporters for metrics snapshots, spans, and engine events.
+"""The JSONL export of metrics snapshots, spans, and engine events.
 
 One export path for everything the engine records: a
-:class:`~repro.engine.metrics.RegistrySnapshot` (and an
-:class:`~repro.engine.tracing.EventLog`, via ``to_records``) renders to
-
-- **JSONL** — one self-describing JSON object per line; the lingua franca
-  for downstream analysis and the format CI uploads as an artifact;
-- **CSV** — flat rows with labels packed as one JSON column so the file
-  round-trips losslessly;
-- **Prometheus text format** — ``# HELP`` / ``# TYPE`` lines, escaped
-  label values, cumulative ``_bucket{le=...}`` histogram series — ready
-  for a pushgateway or a textfile collector.
-
-All three are pure string renderers over frozen snapshot data; ``from_jsonl``
-and ``from_csv`` parse back for round-trip testing.
+:class:`~repro.engine.metrics.RegistrySnapshot`, its retained spans, an
+:class:`~repro.engine.tracing.EventLog` (via ``to_records``) and a
+:class:`~repro.engine.latency.LatencySnapshot` all become plain-dict
+records rendered as JSONL — one self-describing JSON object per line,
+sorted keys, non-finite floats as ``null``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
-from repro.engine.metrics import RegistrySnapshot, SeriesSnapshot, SpanRecord
+from repro.engine.metrics import RegistrySnapshot, SpanRecord
 
 __all__ = [
     "event_records",
-    "from_csv",
-    "from_jsonl",
+    "render_jsonl",
     "snapshot_records",
     "span_records",
     "spans_to_jsonl",
-    "to_csv",
     "to_jsonl",
     "to_jsonl_lines",
-    "to_prometheus",
+    "write_jsonl",
     "write_metrics",
     "write_trace",
 ]
-
-CSV_FIELDS = ("name", "kind", "labels", "value", "total", "count", "buckets")
 
 
 def _json_default(value: object) -> object:
@@ -60,6 +46,12 @@ def to_jsonl_lines(records: Iterable[Mapping[str, object]]) -> list[str]:
         }
         out.append(json.dumps(safe, sort_keys=True, default=_json_default))
     return out
+
+
+def render_jsonl(records: Iterable[Mapping[str, object]]) -> str:
+    """JSONL text: one line per record, newline-terminated; ``""`` for none."""
+    lines = to_jsonl_lines(records)
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def snapshot_records(snapshot: RegistrySnapshot) -> list[dict[str, object]]:
@@ -109,8 +101,7 @@ def spans_to_jsonl(spans: Sequence[SpanRecord]) -> str:
     One line per retained span; the empty span list renders as the empty
     string, matching :meth:`~repro.engine.tracing.EventLog.to_jsonl`.
     """
-    lines = to_jsonl_lines(span_records(spans))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return render_jsonl(span_records(spans))
 
 
 def event_records(events: Iterable[object]) -> list[dict[str, object]]:
@@ -133,156 +124,24 @@ def event_records(events: Iterable[object]) -> list[dict[str, object]]:
     return out
 
 
-# --------------------------------------------------------------------- #
-# JSONL
-
-
 def to_jsonl(snapshot: RegistrySnapshot) -> str:
     """The snapshot as JSONL (one series per line + aggregate line)."""
-    return "\n".join(to_jsonl_lines(snapshot_records(snapshot))) + "\n"
+    return render_jsonl(snapshot_records(snapshot))
 
 
-def from_jsonl(text: str) -> list[dict[str, object]]:
-    """Parse JSONL back into records (round-trip and downstream tooling)."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-# --------------------------------------------------------------------- #
-# CSV
-
-
-def to_csv(snapshot: RegistrySnapshot) -> str:
-    """The snapshot as CSV; labels/buckets are JSON-packed columns."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for s in snapshot.series:
-        writer.writerow(
-            {
-                "name": s.name,
-                "kind": s.kind,
-                "labels": json.dumps(dict(s.labels), sort_keys=True),
-                "value": "" if s.value is None else repr(s.value),
-                "total": repr(s.total) if s.kind == "histogram" else "",
-                "count": s.count if s.kind == "histogram" else "",
-                "buckets": json.dumps(
-                    [["+Inf" if math.isinf(le) else le, n] for le, n in s.buckets]
-                )
-                if s.kind == "histogram"
-                else "",
-            }
-        )
-    return buf.getvalue()
-
-
-def from_csv(text: str) -> list[dict[str, object]]:
-    """Parse the CSV export back into series records (lossless round trip)."""
-    records: list[dict[str, object]] = []
-    for row in csv.DictReader(io.StringIO(text)):
-        rec: dict[str, object] = {
-            "record": "series",
-            "name": row["name"],
-            "kind": row["kind"],
-            "labels": json.loads(row["labels"]),
-        }
-        if row["kind"] == "histogram":
-            rec["buckets"] = json.loads(row["buckets"])
-            rec["total"] = float(row["total"])
-            rec["count"] = int(row["count"])
-        else:
-            rec["value"] = float(row["value"]) if row["value"] else None
-        records.append(rec)
-    return records
-
-
-# --------------------------------------------------------------------- #
-# Prometheus text format
-
-
-def _escape_label_value(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _escape_help(value: str) -> str:
-    return value.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _format_value(value: float) -> str:
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if math.isnan(value):
-        return "NaN"
-    return repr(float(value))
-
-
-def _label_block(labels: Mapping[str, str], extra: Mapping[str, str] | None = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
-        return ""
-    inner = ",".join(
-        f'{k}="{_escape_label_value(str(v))}"' for k, v in sorted(merged.items())
-    )
-    return "{" + inner + "}"
-
-
-def _series_lines(s: SeriesSnapshot) -> list[str]:
-    labels = dict(s.labels)
-    if s.kind != "histogram":
-        return [f"{s.name}{_label_block(labels)} {_format_value(s.value or 0.0)}"]
-    lines = []
-    for le, n in s.buckets:
-        le_text = "+Inf" if math.isinf(le) else _format_value(le)
-        lines.append(f"{s.name}_bucket{_label_block(labels, {'le': le_text})} {n}")
-    lines.append(f"{s.name}_sum{_label_block(labels)} {_format_value(s.total)}")
-    lines.append(f"{s.name}_count{_label_block(labels)} {s.count}")
-    return lines
-
-
-def to_prometheus(snapshot: RegistrySnapshot) -> str:
-    """The snapshot in Prometheus text exposition format.
-
-    Families are emitted alphabetically, each with its ``# HELP`` /
-    ``# TYPE`` header; histogram families expand to cumulative ``_bucket``
-    series plus ``_sum`` and ``_count``.
-    """
-    help_texts = dict(snapshot.help_texts)
-    by_family: dict[str, list[SeriesSnapshot]] = {}
-    kinds: dict[str, str] = {}
-    for s in snapshot.series:
-        by_family.setdefault(s.name, []).append(s)
-        kinds[s.name] = s.kind
-    lines: list[str] = []
-    for name in sorted(by_family):
-        help_text = help_texts.get(name, name.replace("_", " "))
-        lines.append(f"# HELP {name} {_escape_help(help_text)}")
-        lines.append(f"# TYPE {name} {kinds[name]}")
-        for s in by_family[name]:
-            lines.extend(_series_lines(s))
-    return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------- #
-# file helpers
-
-FORMATS = ("jsonl", "csv", "prometheus")
-
-
-def write_metrics(path: Path | str, snapshot: RegistrySnapshot, fmt: str = "jsonl") -> Path:
-    """Write the snapshot to ``path`` in the requested format."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown metrics format {fmt!r}; expected one of {FORMATS}")
-    render = {"jsonl": to_jsonl, "csv": to_csv, "prometheus": to_prometheus}[fmt]
+def write_jsonl(path: Path | str, records: Iterable[Mapping[str, object]]) -> Path:
+    """Write ``records`` to ``path`` as JSONL (empty file for no records)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render(snapshot))
+    path.write_text(render_jsonl(records))
     return path
+
+
+def write_metrics(path: Path | str, snapshot: RegistrySnapshot) -> Path:
+    """Write the snapshot's series and aggregate record to ``path``."""
+    return write_jsonl(path, snapshot_records(snapshot))
 
 
 def write_trace(path: Path | str, snapshot: RegistrySnapshot) -> Path:
-    """Write the flight recorder's retained spans to ``path`` as JSONL."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(spans_to_jsonl(snapshot.spans))
-    return path
+    """Write the flight recorder's retained spans to ``path``."""
+    return write_jsonl(path, span_records(snapshot.spans))

@@ -27,8 +27,6 @@ EVENT_KINDS = (
     "fault",
     "degrade",
     "shed",
-    "slo_breach",
-    "slo_recovered",
 )
 
 
@@ -106,10 +104,9 @@ class EventLog:
 
     def to_jsonl(self) -> str:
         """The log as JSONL — same pipeline metrics snapshots export through."""
-        from repro.engine.metrics_export import to_jsonl_lines
+        from repro.engine.metrics_export import render_jsonl
 
-        lines = to_jsonl_lines(self.to_records())
-        return "\n".join(lines) + ("\n" if lines else "")
+        return render_jsonl(self.to_records())
 
     def __len__(self) -> int:
         return len(self._events)

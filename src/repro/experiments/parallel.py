@@ -17,9 +17,9 @@ worker or in-process (``workers=0``), which the tests assert.
 
 :class:`RunSpec` is also *the* description of a run for the CLIs: it
 rejects a bad run at construction (before any quasi-training),
-:meth:`RunSpec.describe` is the header line ``repro run`` / ``repro slo``
-print, and :func:`execute_spec` is the one place a spec's mode fields
-(``slo``, ``faults``, ``degrade`` ...) turn into an engine.
+:meth:`RunSpec.describe` is the header line ``repro run`` prints, and
+:func:`execute_spec` is the one place a spec's mode fields (``faults``,
+``degrade``, ``collect_latency`` ...) turn into an engine.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 from repro.engine.faults import resolve_fault_plan
 from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
 from repro.engine.resources import DegradationPolicy
-from repro.engine.slo import LatencySnapshot, LatencyTracker, SloMonitor, SloSpec
+from repro.engine.latency import LatencySnapshot, LatencyTracker
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent, EventLog
 from repro.experiments.harness import TrainingResult, cached_training, run_scheme
@@ -50,10 +50,9 @@ class RunSpec:
     sheds and degrades instead of killing the run.  ``collect_metrics=True``
     attaches a :class:`~repro.engine.metrics.MetricsRegistry` and ships its
     frozen snapshot back on the outcome (metrics are observer-effect-free,
-    so the stats are identical either way).  ``slo`` is an SLO spec string
-    (:meth:`~repro.engine.slo.SloSpec.parse`, e.g. ``"p95<=8@120"``) that
-    arms per-tuple latency tracking plus burn-rate monitoring and ships the
-    frozen :class:`~repro.engine.slo.LatencySnapshot` back on the outcome.
+    so the stats are identical either way).  ``collect_latency=True`` attaches
+    a :class:`~repro.engine.latency.LatencyTracker` and ships its frozen
+    :class:`~repro.engine.latency.LatencySnapshot` back the same way.
 
     ``training`` optionally carries a precomputed (picklable)
     :class:`~repro.experiments.harness.TrainingResult` to the worker, so a
@@ -64,8 +63,7 @@ class RunSpec:
     cache, not part of the run's identity).
 
     Construction validates the whole description — sizes, scheme and
-    fault-profile names and the SLO string — and
-    raises a ``ValueError`` naming the offending field, so a spec that
+    fault-profile names — and raises a ``ValueError`` naming the offending field, so a spec that
     exists can be executed.
     """
 
@@ -80,7 +78,7 @@ class RunSpec:
     fault_seed: int = 0
     degrade: bool = False
     collect_metrics: bool = False
-    slo: str | None = None  # SLO spec string, e.g. "p95<=8@120" (arms latency tracking)
+    collect_latency: bool = False
     training: TrainingResult | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
@@ -106,8 +104,6 @@ class RunSpec:
             train_ticks=self.train_ticks,
         )
         resolve_fault_plan(self.faults)
-        if self.slo is not None:
-            SloSpec.parse(self.slo)
 
     def display_label(self) -> str:
         """The spec's name in result listings."""
@@ -142,12 +138,13 @@ class RunSpec:
 
 @dataclass
 class RunOutcome:
-    """A spec together with its statistics, events, and metrics payload.
+    """A spec together with its statistics, events, and observer payloads.
 
     ``metrics`` is a frozen :class:`~repro.engine.metrics.RegistrySnapshot`
-    when the spec asked for one (``collect_metrics=True``) — picklable, so
-    it crosses the process-pool boundary like everything else — letting
-    figures break a run's throughput down by component after the fact.
+    when the spec asked for one (``collect_metrics=True``) and ``latency``
+    a frozen :class:`~repro.engine.latency.LatencySnapshot`
+    (``collect_latency=True``) — both picklable, so they cross the
+    process-pool boundary like everything else.
     """
 
     spec: RunSpec
@@ -197,20 +194,16 @@ def _share_training(specs: list[RunSpec]) -> list[RunSpec]:
 def execute_spec(spec: RunSpec) -> RunOutcome:
     """Run one spec to completion (used directly and as the pool worker).
 
-    The whole run path: build the spec's event log, metrics registry,
-    latency tracker and SLO monitor, hand them to
+    The whole run path: build the spec's event log, metrics registry and
+    latency tracker, hand them to
     :func:`~repro.experiments.harness.run_scheme`, and freeze what they
     recorded into the :class:`RunOutcome`.  Without ``collect_metrics`` /
-    ``slo`` nothing is attached for them, keeping the run
+    ``collect_latency`` nothing is attached for them, keeping the run
     observer-effect-free by construction.
     """
     log = EventLog()
     registry = MetricsRegistry() if spec.collect_metrics else None
-    tracker = monitor = None
-    if spec.slo is not None:
-        parsed = SloSpec.parse(spec.slo)
-        tracker = LatencyTracker(threshold=parsed.threshold_ticks)
-        monitor = SloMonitor(parsed)
+    tracker = LatencyTracker() if spec.collect_latency else None
     stats = run_scheme(
         PaperScenario(spec.params),
         spec.scheme,
@@ -220,7 +213,6 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
         event_log=log,
         metrics=registry,
         latency=tracker,
-        slo=monitor,
         faults=spec.faults,
         fault_seed=spec.fault_seed,
         degradation=DegradationPolicy() if spec.degrade else None,

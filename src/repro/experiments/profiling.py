@@ -14,8 +14,8 @@ exactly (the registry replays the meter's accumulation sequence; see
 every invocation — a profile whose rows do not reconcile with the clock
 exits non-zero rather than print a lie.
 
-``--metrics`` / ``--trace`` export the snapshot (JSONL / CSV / Prometheus
-text) and the flight recorder's retained spans (JSONL).
+``--metrics`` / ``--trace`` export the snapshot and the flight recorder's
+retained spans as JSONL.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
-from repro.engine.metrics_export import FORMATS, write_metrics, write_trace
+from repro.engine.metrics_export import write_metrics, write_trace
 from repro.engine.resources import DegradationPolicy
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EventLog
@@ -90,9 +90,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-train", action="store_true", help="skip quasi-training")
     parser.add_argument("--train-ticks", type=int, default=80)
     parser.add_argument("--degrade", action="store_true", help="graceful degradation")
-    parser.add_argument("--metrics", type=Path, default=None, help="export snapshot to PATH")
     parser.add_argument(
-        "--format", choices=FORMATS, default="jsonl", help="--metrics export format"
+        "--metrics", type=Path, default=None, help="export snapshot (JSONL) to PATH"
     )
     parser.add_argument(
         "--trace", type=Path, default=None, help="export retained spans (JSONL) to PATH"
@@ -150,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{meter_total:,.1f}: {'OK' if ok else 'MISMATCH'}"
     )
     if args.metrics is not None:
-        path = write_metrics(args.metrics, snapshot, args.format)
+        path = write_metrics(args.metrics, snapshot)
         print(f"metrics written to {path}")
     if args.trace is not None:
         path = write_trace(args.trace, snapshot)

@@ -7,11 +7,10 @@ summary tables of the headline comparisons the paper quotes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 
+from repro.engine.latency import LatencySnapshot
 from repro.engine.metrics import RegistrySnapshot
-from repro.engine.slo import SLO_BREACH, SloSpec
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent
 
@@ -171,68 +170,27 @@ def format_component_breakdown(
     return f"{title}\n" + format_table(["scheme", *components, "total"], rows)
 
 
-@dataclass
-class BreachSummary:
-    """Monitor stand-in for :func:`format_slo_report` built from events.
-
-    ``execute_spec`` ships frozen snapshots and events across the process
-    boundary, not live monitors, so breach counts are recovered from the
-    ``slo_breach`` events in the outcome's timeline.
-    """
-
-    spec: SloSpec
-    breaches: int
-
-    @classmethod
-    def from_events(cls, spec: SloSpec, events: Iterable[EngineEvent]) -> "BreachSummary":
-        return cls(spec, sum(e.kind == SLO_BREACH for e in events))
-
-
-def format_slo_report(
-    title: str,
-    latencies: Mapping[str, object],
-    monitors: Mapping[str, object] | None = None,
-) -> str:
-    """The latency/SLO 'figure': tail latency and budget burn per scheme.
-
-    ``latencies`` maps scheme → :class:`~repro.engine.slo.LatencySnapshot`;
-    ``monitors`` (optional) maps scheme → its
-    :class:`~repro.engine.slo.SloMonitor` (or :class:`BreachSummary`) for
-    the breach count and error-budget burn.  Quantiles are the interpolated
-    histogram estimates (±1 bucket width), in ticks.
-    """
+def format_latency_report(title: str, latencies: Mapping[str, LatencySnapshot]) -> str:
+    """Queueing latency per scheme, in ticks: exact quantiles and the mean
+    over processed requests, then the requests shed and still queued."""
 
     def fmt(value: float | None) -> str:
         return "-" if value is None else f"{value:.1f}"
 
-    rows: list[list[object]] = []
-    for name, snap in latencies.items():
-        breaches: object = "-"
-        burn: object = "-"
-        monitor = monitors.get(name) if monitors is not None else None
-        if monitor is not None:
-            breaches = monitor.breaches
-            budget = monitor.spec.error_budget
-            if budget > 0:
-                burn = f"{snap.violation_fraction / budget:.2f}"
-        rows.append(
-            [
-                name,
-                snap.observed,
-                fmt(snap.quantile(0.50)),
-                fmt(snap.quantile(0.95)),
-                fmt(snap.quantile(0.99)),
-                fmt(snap.mean),
-                f"{100.0 * snap.violation_fraction:.1f}",
-                snap.shed,
-                breaches,
-                burn,
-            ]
-        )
-    headers = [
-        "scheme", "requests", "p50", "p95", "p99", "mean", "viol%", "shed",
-        "breaches", "burn",
+    rows = [
+        [
+            name,
+            snap.count,
+            fmt(snap.quantile(0.50)),
+            fmt(snap.quantile(0.95)),
+            fmt(snap.quantile(0.99)),
+            fmt(snap.mean),
+            snap.shed,
+            snap.unfinished,
+        ]
+        for name, snap in latencies.items()
     ]
+    headers = ["scheme", "requests", "p50", "p95", "p99", "mean", "shed", "unfinished"]
     return f"{title}\n" + format_table(headers, rows)
 
 

@@ -19,12 +19,10 @@ additionally writes each scheme's flight-recorder spans as
 ``<scenario>_<scheme>_trace.jsonl``.  Metrics are observer-effect-free:
 the run results are byte-identical with the flags on or off.
 
-SLO flags: ``--slo 'p95<=8@120'`` arms per-tuple latency tracking and
-multi-window burn-rate monitoring against the given objective (append
-``:degrade`` to close the loop — a breach sheds backlog through the
-degradation policy); the report gains a latency/SLO table and
-``--slo-report DIR`` writes one ``<scenario>_<scheme>_slo.jsonl`` per
-scheme (latency records plus breach/recovery events).
+Latency flag: ``--latency DIR`` counts every request's queueing latency
+in ticks, prints exact p50/p95/p99 per scheme with the requests shed and
+still queued at the end, and writes one ``<scenario>_<scheme>_latency.jsonl``
+per scheme.
 """
 
 from __future__ import annotations
@@ -35,16 +33,14 @@ import sys
 from pathlib import Path
 
 from repro.engine.faults import FAULT_PROFILES
-from repro.engine.metrics_export import event_records, to_jsonl_lines, write_metrics, write_trace
-from repro.engine.slo import SLO_BREACH, SLO_RECOVERED, SloSpec
+from repro.engine.metrics_export import write_jsonl, write_metrics, write_trace
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent
 from repro.experiments.parallel import RunSpec, run_parallel
 from repro.experiments.reporting import (
-    BreachSummary,
     format_component_breakdown,
     format_fault_timeline,
-    format_slo_report,
+    format_latency_report,
     format_table,
     format_throughput_figure,
 )
@@ -144,22 +140,12 @@ def main(argv: list[str] | None = None) -> int:
         help="directory for per-scheme flight-recorder span exports (JSONL)",
     )
     parser.add_argument(
-        "--slo",
-        default=None,
-        metavar="SPEC",
-        help="arm per-tuple latency tracking against an SLO spec, e.g. "
-        "'p95<=8@120' (append '/FAST' for the fast burn window and "
-        "':degrade' to shed backlog on breach)",
-    )
-    parser.add_argument(
-        "--slo-report",
+        "--latency",
         type=Path,
         default=None,
-        help="directory for per-scheme latency/SLO reports (JSONL; requires --slo)",
+        help="directory for per-scheme queueing-latency records (JSONL) + latency table",
     )
     args = parser.parse_args(argv)
-    if args.slo_report is not None and args.slo is None:
-        parser.error("--slo-report requires --slo")
     faults = None if args.faults == "none" else args.faults
     try:
         schemes = parse_scheme_list(args.schemes)
@@ -174,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
                 fault_seed=args.fault_seed,
                 degrade=args.degrade,
                 collect_metrics=args.metrics is not None or args.trace is not None,
-                slo=args.slo,
+                collect_latency=args.latency is not None,
             )
             for scheme in schemes
         ]
@@ -183,12 +169,10 @@ def main(argv: list[str] | None = None) -> int:
     print(specs[0].describe(schemes))
     outcomes = dict(zip(schemes, run_parallel(specs, workers=0)))
 
-    slo_spec = SloSpec.parse(args.slo) if args.slo is not None else None
     runs = {name: out.stats for name, out in outcomes.items()}
     events = {name: list(out.events) for name, out in outcomes.items()}
     snapshots = {name: out.metrics for name, out in outcomes.items() if out.metrics is not None}
     latencies = {name: out.latency for name, out in outcomes.items() if out.latency is not None}
-    monitors = {name: BreachSummary.from_events(slo_spec, events[name]) for name in latencies}
 
     print(format_throughput_figure(f"{args.scenario} scenario, {args.ticks} ticks", runs))
     rows = [
@@ -210,13 +194,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if latencies:
         print()
-        print(
-            format_slo_report(
-                f"latency / SLO ({slo_spec.describe()}), ticks as units",
-                latencies,
-                monitors,
-            )
-        )
+        print(format_latency_report("queueing latency (ticks)", latencies))
 
     if args.csv is not None:
         args.csv.mkdir(parents=True, exist_ok=True)
@@ -236,20 +214,11 @@ def main(argv: list[str] | None = None) -> int:
             safe = name.replace(":", "_")
             write_trace(args.trace / f"{args.scenario}_{safe}_trace.jsonl", snap)
         print(f"traces written to {args.trace}/")
-    if args.slo_report is not None:
-        args.slo_report.mkdir(parents=True, exist_ok=True)
+    if args.latency is not None:
         for name, snap in latencies.items():
             safe = name.replace(":", "_")
-            records = list(snap.to_records())
-            records.extend(
-                event_records(
-                    e for e in events[name] if e.kind in (SLO_BREACH, SLO_RECOVERED)
-                )
-            )
-            lines = to_jsonl_lines(records)
-            path = args.slo_report / f"{args.scenario}_{safe}_slo.jsonl"
-            path.write_text("\n".join(lines) + ("\n" if lines else ""))
-        print(f"SLO reports written to {args.slo_report}/")
+            write_jsonl(args.latency / f"{args.scenario}_{safe}_latency.jsonl", snap.to_records())
+        print(f"latency written to {args.latency}/")
     return 0
 
 

@@ -35,6 +35,7 @@ from repro.core.selector import IndexSelector
 from repro.core.tuner import AMRITuner, HashIndexTuner, NullTuner
 from repro.engine.executor import AMRExecutor, ExecutorConfig
 from repro.engine.faults import FaultInjector, FaultPlan, resolve_fault_plan
+from repro.engine.latency import LatencyTracker
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import DegradationPolicy, ResourceMeter
@@ -330,8 +331,7 @@ class PaperScenario:
         invariant_checker=None,
         degradation: DegradationPolicy | None = None,
         metrics: MetricsRegistry | None = None,
-        latency=None,
-        slo=None,
+        latency: LatencyTracker | None = None,
     ) -> AMRExecutor:
         """A ready-to-run executor for the named scheme.
 
@@ -345,11 +345,9 @@ class PaperScenario:
         for cost-unit attribution and span tracing; omitted, every
         instrumentation hook is a no-op (observer-effect-free).
 
-        ``latency`` attaches a :class:`~repro.engine.slo.LatencyTracker`
-        (arrival→emit tick latency per request) and ``slo`` an
-        :class:`~repro.engine.slo.SloMonitor` evaluating a latency
-        objective against it — both opt-in with the same no-op-when-absent
-        contract as ``metrics``.
+        ``latency`` attaches a :class:`~repro.engine.latency.LatencyTracker`
+        (each request's queueing latency in ticks), with the same
+        no-op-when-absent contract as ``metrics``.
         """
         p = self.params
         stems = self.build_stems(
@@ -385,7 +383,6 @@ class PaperScenario:
             degradation=degradation,
             metrics=metrics,
             latency=latency,
-            slo=slo,
         )
 
 

@@ -21,7 +21,6 @@ from repro.engine.query import JoinPredicate, Query
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import FixedRouter
-from repro.engine.slo import LatencyTracker
 from repro.engine.stream import StreamSchema
 from repro.engine.tracing import EventLog
 from repro.engine.tuples import StreamTuple
@@ -496,8 +495,8 @@ class TestFacade:
         ex = make_executor()
         assert isinstance(ex.context, EngineContext)
         assert [stage.name for stage in ex.stages] == [
-            "arrivals", "expiry", "route_probe", "faults", "tuning", "slo",
-            "shed_degrade", "audit",
+            "arrivals", "expiry", "route_probe", "faults", "tuning", "shed_degrade",
+            "audit",
         ]
         assert isinstance(ex.kernel, EngineKernel)
 
@@ -513,7 +512,7 @@ class TestFacade:
 
 class TestSchedulers:
     """The backlog has one schedule, arrival order (``RouteProbeStage`` pops
-    the queue's head); the backpressure gauges read the queue itself."""
+    the queue's head)."""
 
     # Only the routing decision costs: one request is exactly one unit.
     ONE_UNIT_PER_REQUEST = CostParams(
@@ -585,21 +584,3 @@ class TestSchedulers:
         stats = ex.run(5, arrivals_from(self.PLAN))
         assert stats.samples[0].backlog > 0  # the drain spans ticks
         assert registry.snapshot().cost_total == ex.meter.total_spent
-
-    def test_stream_backlog_gauges_equal_the_per_stream_queue_depths(self):
-        registry = MetricsRegistry()
-        ex = self.one_request_per_tick(metrics=registry, latency=LatencyTracker())
-        query = ex.context.query
-        for t, expected in enumerate([{"A": 1, "B": 1}, {"A": 1, "B": 1}, {"A": 0, "B": 1}]):
-            ex.kernel.step(t, 3, arrivals_from(self.PLAN)(t))
-            depths = {
-                stream: sum(item.stream == stream for item in ex.context.queue)
-                for stream in query.stream_names
-            }
-            gauges = {
-                stream: registry.gauge(
-                    "stream_backlog", "queued search requests per stream", stream=stream
-                ).value
-                for stream in query.stream_names
-            }
-            assert gauges == depths == expected

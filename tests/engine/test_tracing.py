@@ -71,10 +71,7 @@ class TestEventKindRegistry:
     """The valid kinds are one closed tuple; nothing registers more."""
 
     def test_builtins_registered(self):
-        assert EVENT_KINDS == (
-            "tune", "migration", "death", "fault", "degrade", "shed",
-            "slo_breach", "slo_recovered",
-        )
+        assert EVENT_KINDS == ("tune", "migration", "death", "fault", "degrade", "shed")
         for kind in EVENT_KINDS:
             assert EngineEvent(1, kind).kind == kind
 

@@ -1,5 +1,7 @@
 """``python -m repro`` dispatch: exit codes, usage errors, new engine flags."""
 
+import json
+
 import pytest
 
 import repro.__main__ as main_mod
@@ -17,7 +19,7 @@ class TestExitCodes:
         assert main_mod.main(["frobnicate"]) == 2
         assert "unknown subcommand" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "profile", "figures", "slo"])
+    @pytest.mark.parametrize("command", ["run", "profile", "figures"])
     def test_unknown_flag_exits_2_with_usage_no_traceback(self, command, capsys):
         rc = main_mod.main([command, "--definitely-not-a-flag"])
         captured = capsys.readouterr()
@@ -102,7 +104,6 @@ class TestEngineFlags:
         [
             (["run", "--fleet", "2"], "--fleet"),
             (["run", "--partitions", "2"], "--partitions"),
-            (["slo", "--partitions", "2"], "--partitions"),
             (["fleet"], "'fleet'"),
             (["run", "--index-backend", "scan"], "--index-backend"),
             (["run", "--list-backends"], "--list-backends"),
@@ -153,11 +154,6 @@ class TestEngineFlags:
             ("run", ["--schemes", "hash:0"], "unknown scheme 'hash:0'"),
             ("run", ["--schemes", "amri:bogus"], "unknown assessor 'bogus'"),
             ("run", ["--schemes", "hash:²"], "unknown scheme 'hash:²'; expected amri:<assessor>"),
-            ("run", ["--slo", "garbage"], "bad SLO spec 'garbage'"),
-            ("slo", ["--ticks", "0"], "ticks must be >= 1, got 0"),
-            ("slo", ["--train-ticks", "0"], "train_ticks must be >= 1, got 0"),
-            ("slo", ["--schemes", "static,bogus"], "unknown scheme 'bogus'"),
-            ("slo", ["--slo", "garbage"], "bad SLO spec 'garbage'"),
             ("profile", ["--ticks", "0"], "ticks must be >= 1, got 0"),
             ("profile", ["--train-ticks", "0"], "train_ticks must be >= 1, got 0"),
             ("profile", ["--scheme", "hash:0"], "unknown scheme 'hash:0'"),
@@ -166,8 +162,7 @@ class TestEngineFlags:
             ("profile", ["--top", "-2"], "top must be >= 1, got -2"),
             ("profile", ["--top", "0"], "top must be >= 1, got 0"),
             ("run", ["--schemes", "scan,scan"], "--schemes repeats scan, got 'scan,scan'"),
-            ("slo", ["--schemes", "static, scan,static"], "--schemes repeats static, got"),
-            ("slo", ["--schemes", ","], "--schemes names no scheme, got ','"),
+            ("run", ["--schemes", "static, scan,static"], "--schemes repeats static, got"),
         ],
     )
     def test_bad_sizes_and_schemes_are_usage_errors_before_training(
@@ -188,44 +183,29 @@ class TestEngineFlags:
         assert message in err.strip().splitlines()[-1]
 
 
-class TestSloFlags:
-    @pytest.mark.parametrize("bad", ["p95<8@120", "nonsense", "p0<=8@120"])
-    def test_bad_slo_spec_exits_2(self, bad, capsys):
-        rc = main_mod.main(["run", "--slo", bad])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "usage" in captured.err.lower()
-        assert "Traceback" not in captured.err
-
-    def test_slo_report_requires_slo(self, capsys):
-        rc = main_mod.main(["run", "--slo-report", "out/"])
-        assert rc == 2
-        assert "--slo-report requires --slo" in capsys.readouterr().err
-
+class TestLatencyFlag:
     def test_armed_run_prints_latency_table(self, capsys, tmp_path):
         rc = run_cli.main(
-            [
-                "--schemes", "scan", "--ticks", "12", "--no-train",
-                "--slo", "p95<=8@10",
-                "--slo-report", str(tmp_path),
-            ]
+            ["--schemes", "scan", "--ticks", "12", "--no-train", "--latency", str(tmp_path)]
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "latency / SLO (p95<=8@10)" in out
-        report = tmp_path / "paper_scan_slo.jsonl"
-        assert report.exists()
-        import json
+        assert "queueing latency (ticks)" in out
+        assert out.startswith("spec: ") and " collect_latency=True\n" in out
+        report = tmp_path / "paper_scan_latency.jsonl"
+        (record,) = [json.loads(line) for line in report.read_text().splitlines()]
+        assert record["record"] == "latency"
+        assert {"p99", "unfinished"} <= set(record)
 
-        records = [json.loads(line) for line in report.read_text().splitlines()]
-        assert records[0]["record"] == "latency"
+    @pytest.mark.parametrize(
+        "argv",
+        [["slo"], ["run", "--slo", "p95<=8@120"], ["run", "--slo-report", "out/"]],
+    )
+    def test_slo_surface_is_a_usage_error(self, argv, capsys):
+        assert main_mod.main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
-    def test_slo_subcommand_bad_scenario_exits_2(self, capsys):
-        rc = main_mod.main(["slo", "--scenarios", "nope"])
+    def test_prometheus_format_is_a_usage_error(self, capsys):
+        rc = main_mod.main(["profile", "--format", "prometheus"])
         assert rc == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_slo_subcommand_bad_spec_exits_2(self, capsys):
-        rc = main_mod.main(["slo", "--slo", "oops"])
-        assert rc == 2
-        assert "usage" in capsys.readouterr().err.lower()
+        assert "unrecognized arguments: --format prometheus" in capsys.readouterr().err

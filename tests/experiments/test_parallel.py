@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.slo import LatencyTracker, SloMonitor, SloSpec
+from repro.engine.latency import LatencyTracker
 from repro.engine.tracing import EventLog
 from repro.experiments.golden import stats_fingerprint
 from repro.experiments.harness import (
@@ -59,7 +59,7 @@ class TestRunSpec:
             ("scheme", "hash:0"),
             ("scheme", "hash:²"),
             ("faults", "mayhem"),
-            ("slo", "garbage"),
+            ("train_ticks", -1),
             ("params", replace(FAST, rate_modulation="tidal")),
         ],
     )
@@ -128,10 +128,7 @@ class TestOnePath:
     def test_plain_spec_outcome_is_the_single_kernels_own_views(self):
         """The outcome is what the spec's attachments recorded on a direct
         ``run_scheme``: stats, events, metrics snapshot, latency snapshot."""
-        slo = "p95<=1@10"
-        parsed = SloSpec.parse(slo)
-        log, registry = EventLog(), MetricsRegistry()
-        tracker = LatencyTracker(threshold=parsed.threshold_ticks)
+        log, registry, tracker = EventLog(), MetricsRegistry(), LatencyTracker()
         params = scenario_params("paper-small", 7)
         stats = run_scheme(
             PaperScenario(params),
@@ -140,17 +137,22 @@ class TestOnePath:
             event_log=log,
             metrics=registry,
             latency=tracker,
-            slo=SloMonitor(parsed),
             faults="chaos",
         )
         outcome = execute_spec(
             RunSpec(
-                params, "static", 30, train=False, faults="chaos", collect_metrics=True, slo=slo
+                params,
+                "static",
+                30,
+                train=False,
+                faults="chaos",
+                collect_metrics=True,
+                collect_latency=True,
             )
         )
         assert log and outcome.stats == stats
         assert (list(outcome.events), outcome.metrics) == (list(log), registry.snapshot())
-        assert outcome.latency == tracker.snapshot() and outcome.latency.observed > 0
+        assert outcome.latency == tracker.snapshot() and outcome.latency.count > 0
 
 
 class TestFaultedDeterminism:

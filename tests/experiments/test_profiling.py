@@ -66,17 +66,6 @@ class TestProfileCLI:
         ]
         assert {"tick", "tuple"} <= {s["name"] for s in spans}
 
-    def test_prometheus_export_format(self, tmp_path):
-        rc = profile_main(
-            [
-                "--scheme", "scan", "--ticks", str(TICKS), "--no-train",
-                "--metrics", str(tmp_path / "m.prom"), "--format", "prometheus",
-            ]
-        )
-        assert rc == 0
-        text = (tmp_path / "m.prom").read_text()
-        assert "# TYPE cost_units_total counter" in text
-
     def test_unknown_scheme_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             profile_main(["--scheme", "nope", "--ticks", "5"])

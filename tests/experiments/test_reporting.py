@@ -3,9 +3,9 @@
 import pytest
 
 from repro.engine.stats import RunStats
-from repro.engine.slo import LatencyTracker, SloMonitor, SloSpec
+from repro.engine.latency import LatencyTracker
 from repro.experiments.reporting import (
-    format_slo_report,
+    format_latency_report,
     format_summary,
     format_table,
     format_throughput_figure,
@@ -81,33 +81,22 @@ class TestFigureFormatting:
         assert out.startswith("head")
 
 
-class TestSloReportFormatting:
-    def snapshot(self):
-        spec = SloSpec.parse("p95<=4@10")
-        tracker = LatencyTracker(threshold=spec.threshold_ticks)
-        monitor = SloMonitor(spec)
-        for v in (0.0, 1.0, 2.0, 9.0):
-            tracker.observe("A", v)
-        tracker.observe_shed("A", 6.0)
-        monitor.end_tick(0, tracker)
-        return spec, tracker.snapshot(), monitor
-
-    def test_table_has_quantiles_and_burn(self):
-        spec, snap, monitor = self.snapshot()
-        out = format_slo_report("title", {"scan": snap}, {"scan": monitor})
-        assert out.startswith("title")
-        header = out.splitlines()[1]
-        for column in ("p50", "p95", "p99", "viol%", "breaches", "burn"):
-            assert column in header
-        row = out.splitlines()[-1]
-        assert "scan" in row and "5" in row  # 5 observations
-
-    def test_without_monitors_burn_is_dash(self):
-        _, snap, _ = self.snapshot()
-        row = format_slo_report("t", {"scan": snap}).splitlines()[-1]
-        assert row.rstrip().endswith("-")
+class TestLatencyReportFormatting:
+    def test_table_has_exact_quantiles_and_every_request_end(self):
+        tracker = LatencyTracker()
+        for v in (0, 1, 2, 9):
+            tracker.observe(v)
+        tracker.observe_shed(2)
+        tracker.observe_unfinished(6)
+        out = format_latency_report("title", {"scan": tracker.snapshot()})
+        title, header, _, row = out.splitlines()
+        assert title == "title"
+        assert header.split() == [
+            "scheme", "requests", "p50", "p95", "p99", "mean", "shed", "unfinished",
+        ]
+        assert row.split() == ["scan", "4", "1.5", "7.9", "8.8", "3.0", "2", "1"]
 
     def test_empty_latency_snapshot_renders_dashes(self):
         snap = LatencyTracker().snapshot()
-        out = format_slo_report("t", {"scan": snap})
-        assert "-" in out.splitlines()[-1]
+        out = format_latency_report("t", {"scan": snap})
+        assert out.splitlines()[-1].split() == ["scan", "0", "-", "-", "-", "-", "0", "0"]

@@ -41,10 +41,10 @@ Benchmarks
                             search (729 = 9**3 at 8-bit domains, 4 913 =
                             17**3 at 18-bit domains), pools built beforehand
                             as in a running engine — the tuner path
-- ``latency_p95``         — 50 000 latency observations through the SLO
-                            plane's tracker + per-tick burn-rate monitor,
-                            ending in a p95 quantile estimate (the
-                            observability plane's per-tuple overhead)
+- ``latency_p95``         — 50 000 integer latencies (``splitmix64(i) % 97``
+                            ticks) counted by the ``LatencyTracker``, then
+                            one exact p95 from its snapshot (the latency
+                            plane's per-request overhead)
 """
 
 from __future__ import annotations
@@ -231,20 +231,13 @@ def bench_selector_exhaustive(fixture=None) -> int:
 
 
 def bench_latency_p95() -> int:
-    from repro.engine.slo import LatencyTracker, SloMonitor, SloSpec
+    from repro.engine.latency import LatencyTracker
 
-    spec = SloSpec.parse("p95<=8@120")
-    tracker = LatencyTracker(threshold=spec.threshold_ticks)
-    monitor = SloMonitor(spec)
+    tracker = LatencyTracker()
     n = 50_000
-    per_tick = 100
-    streams = ("A", "B", "C")
     for i in range(n):
-        # Deterministic skewed latencies: mostly fast, a long tail.
-        tracker.observe(streams[i % 3], float(splitmix64(i) % 97) / 8.0)
-        if i % per_tick == per_tick - 1:
-            monitor.end_tick(i // per_tick, tracker)
-    tracker.quantile(0.95)
+        tracker.observe(splitmix64(i) % 97)
+    tracker.snapshot().quantile(0.95)
     return n
 
 

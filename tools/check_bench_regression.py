@@ -140,18 +140,13 @@ def write_metrics_jsonl(
 
     registry = MetricsRegistry()
     for name, cost in sorted(new.items()):
-        registry.counter(
-            "bench_cost_units", "deterministic cost units per benchmark", bench=name
-        ).inc(cost)
+        registry.counter("bench_cost_units", bench=name).inc(cost)
         base = baseline.get(name)
         if base is not None:
-            registry.gauge(
-                "bench_cost_units_baseline", "committed baseline cost units", bench=name
-            ).set(base)
+            registry.gauge("bench_cost_units_baseline", bench=name).set(base)
     for name, mean in sorted(new_means.items()):
-        registry.gauge(
-            "bench_mean_seconds", "wall-clock mean (context only, not gated)", bench=name
-        ).set(mean)
+        # wall-clock mean: context only, not gated
+        registry.gauge("bench_mean_seconds", bench=name).set(mean)
     write_metrics(path, registry.snapshot())
 
 
