@@ -15,6 +15,7 @@ wall-clock gating flaky — see ``tools/check_bench_regression.py``.
 
 import random
 import timeit
+from collections import deque
 
 import pytest
 
@@ -156,6 +157,41 @@ def test_multi_hash_probe(benchmark, attributes):
     out = benchmark(lambda: idx.search(ap, values))
     assert out.tuples_examined <= idx.size
     record_cost_units(benchmark, lambda: probe_cost(idx, ap, values))
+
+
+def test_multi_hash_probe_between_arrivals(benchmark):
+    """A tick's shape on a multi-hash state: one arrival, one expiry, one
+    probe column.  No module suits <*,*,C>, so an exact table answers it
+    and the probe is charged the full scan; insert and remove keep that
+    table current in place, so the prober outlives both."""
+    items = make_items(N_ITEMS + 1)
+    ap = AccessPattern.from_attributes(JAS, ["C"])
+    rows = [(13,)]
+
+    def stored():
+        idx = fresh_hash_index()
+        for item in items[:-1]:
+            idx.insert(item)
+        return idx, deque(items[:-1]), [items[-1]]
+
+    def one_round(idx, window, spare):
+        idx.insert(spare[0])
+        window.append(spare[0])
+        spare[0] = window.popleft()
+        idx.remove(spare[0])
+        return idx.search_batch(ap, rows)
+
+    idx, window, spare = stored()
+    out = benchmark(one_round, idx, window, spare)
+    assert idx.size == N_ITEMS and out[0].tuples_examined == N_ITEMS
+
+    def cost():
+        idx, window, spare = stored()
+        before = idx.accountant.snapshot()
+        one_round(idx, window, spare)
+        return idx.accountant.cost_since(before, COST_PARAMS)
+
+    record_cost_units(benchmark, cost)
 
 
 def test_scan_probe(benchmark):

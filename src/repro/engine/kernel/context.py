@@ -117,6 +117,11 @@ class EngineContext:
                 cost, component, stream=stream, index_kind=index_kind, phase=phase
             )
 
+    def index_kind(self, index: object) -> str | None:
+        """The ``index_kind`` label to charge ``index``'s work under: derived
+        only when a registry is attached to read it."""
+        return index_kind_label(index) if self.metrics is not None else None
+
     def stem_cost(self, stem: StateStore) -> float:
         """One state's accumulated index cost on its accountant."""
         return stem.index.accountant.cost(self.meter.params)
@@ -129,7 +134,12 @@ class EngineContext:
         return {name: self.stem_cost(stem) for name, stem in self.stems.items()}
 
     def spend_index_deltas(
-        self, before: dict[str, float], *, component: str, phase: str
+        self,
+        before: dict[str, float],
+        *,
+        component: str,
+        phase: str,
+        after: dict[str, float] | None = None,
     ) -> None:
         """Charge each state in ``before`` its marginal index cost since
         that snapshot, in the states' own order.
@@ -138,18 +148,24 @@ class EngineContext:
         nothing leaks; zero deltas are skipped (no series churn, and adding
         0.0 would not move the clock anyway) — which is also why a caller
         may leave out of ``before`` any state it knows it did not touch.
+        Each state's current cost is also written to ``after`` when given:
+        until its accountant moves again, that is the exact float a fresh
+        :meth:`stem_cost` would return.
         """
         for name, stem in self.stems.items():
             cost = before.get(name)
             if cost is None:
                 continue
-            delta = self.stem_cost(stem) - cost
+            now = self.stem_cost(stem)
+            if after is not None:
+                after[name] = now
+            delta = now - cost
             if delta:
                 self.spend(
                     delta,
                     component,
                     stream=name,
-                    index_kind=index_kind_label(stem.index),
+                    index_kind=self.index_kind(stem.index),
                     phase=phase,
                 )
 

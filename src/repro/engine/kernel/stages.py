@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.core.tuner import TuningContext
-from repro.engine.kernel.context import EngineContext, index_kind_label
+from repro.engine.kernel.context import EngineContext
 from repro.engine.metrics import Span
 from repro.engine.resources import MemoryBreakdown, MemoryBudgetExceeded
 from repro.engine.tuples import JoinedTuple, StreamTuple
@@ -112,7 +112,7 @@ def tune_round(
     )
     for stem in stems:
         before = ctx.stem_cost(stem)
-        kind = index_kind_label(stem.index)
+        kind = ctx.index_kind(stem.index)
         report = tune_stem(ctx, stem, tick, forced=forced)
         migrated = report is not None and report.migrated
         delta = ctx.stem_cost(stem) - before
@@ -197,7 +197,7 @@ class ArrivalStage:
             ctx.stem_cost(stem) - cost_before,
             "index",
             stream=item.stream,
-            index_kind=index_kind_label(stem.index),
+            index_kind=ctx.index_kind(stem.index),
             phase="insert",
         )
         if m is not None:
@@ -257,10 +257,17 @@ class RouteProbeStage:
     name = "route_probe"
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
+        # State -> its index cost after the last request that probed it.
+        # Between two requests only this stage's probes move an accountant,
+        # and a cost is a pure function of the counters, so that float is
+        # the next request's "before", bit for bit.
+        carried: dict[str, float] = {}
         while ctx.queue and not ctx.meter.exhausted:
-            self._process(ctx, ctx.queue.popleft(), tick.tick)
+            self._process(ctx, ctx.queue.popleft(), tick.tick, carried)
 
-    def _process(self, ctx: EngineContext, item: StreamTuple, tick: int) -> None:
+    def _process(
+        self, ctx: EngineContext, item: StreamTuple, tick: int, carried: dict[str, float]
+    ) -> None:
         params = ctx.meter.params
         m = ctx.metrics
         route = ctx.router.choose_route(item.stream, ctx.estimator, item)
@@ -274,7 +281,8 @@ class RouteProbeStage:
         for target in route:
             if not partials:
                 break
-            cost_before[target] = ctx.stem_cost(ctx.stems[target])
+            before = carried.get(target)
+            cost_before[target] = before if before is not None else ctx.stem_cost(ctx.stems[target])
             partials = self._probe_hop(ctx, item, target, joined, partials, observe_content)
             joined += (target,)
         if partials and len(joined) == ctx.n_streams:
@@ -283,7 +291,7 @@ class RouteProbeStage:
             if ctx.output_sink is not None:
                 ctx.output_sink([JoinedTuple(sources) for sources in partials])
 
-        ctx.spend_index_deltas(cost_before, component="index", phase="probe")
+        ctx.spend_index_deltas(cost_before, component="index", phase="probe", after=carried)
         ctx.spend(params.c_route, "router", stream=item.stream, phase="decide")
         ctx.spend(outputs * params.c_output, "output", stream=item.stream, phase="emit")
         if ctx.latency is not None:
@@ -305,38 +313,36 @@ class RouteProbeStage:
         observe_content,
     ) -> list[tuple[StreamTuple, ...]]:
         """Probe ``target`` with every partial; returns the extended partials."""
-        ap, sources = ctx.query.probe_row_spec(joined, target)
-        stem = ctx.stems[target]
         # One value row per partial, aligned with ``ap.attributes``: each
-        # value is read from the source tuple its predicate names, by that
-        # tuple's position in the partial.
-        getters = [(joined.index(stream), attr) for stream, attr in sources]
-        if len(getters) == 1:
-            ((i, a),) = getters
-            rows = [(p[i][a],) for p in partials]
-        elif len(getters) == 2:
-            (i, a), (j, b) = getters
-            rows = [(p[i][a], p[j][b]) for p in partials]
-        elif len(getters) == 3:
-            (i, a), (j, b), (k, c) = getters
-            rows = [(p[i][a], p[j][b], p[k][c]) for p in partials]
-        else:
-            rows = [tuple([p[i][a] for i, a in getters]) for p in partials]
+        # value is read from the source tuple its predicate names.
+        ap, build_rows = ctx.query.hop_plan(joined, target)
+        stem = ctx.stems[target]
+        rows = build_rows(partials)
         max_fanout = ctx.config.max_fanout
         size = stem.size
         m = ctx.metrics
         if m is not None:
-            kind = index_kind_label(stem.index)
+            kind = ctx.index_kind(stem.index)
             assessor = getattr(stem.tuner, "assessor", None)
         if observe_content is not None:
             bucket = ctx.router.bucket_for(item, item.stream, target)
-        anchor_at, anchor_stream = item.arrived_at, item.stream
+        # Timestamp ordering: the arriving tuple joins only with tuples
+        # before it in (arrived_at, stream) order, so each join result is
+        # produced exactly once — by its youngest member's probe sequence.
+        # Every match is a tuple of ``target``'s state, so the stream
+        # tie-break is one constant per hop: a same-tick match passes
+        # exactly when ``target`` sorts before the anchor's stream.
+        anchor_at = item.arrived_at
+        same_tick_passes = target < item.stream
         # Equal rows share one outcome, and the ordering filter depends only
         # on the anchor: filter once per distinct outcome.  The entry keeps
         # the outcome alive, so its id stays unique for the hop.
         ordered: dict[int, tuple[object, list]] = {}
         counts: list[int] = []
         next_partials: list[tuple[StreamTuple, ...]] = []
+        # A loop, not a comprehension (a call in CPython 3.11): most rows
+        # match once or twice.
+        append = next_partials.append
         # A probe matches at most ``size`` tuples, so below this bound the
         # hop cannot reach the max_fanout cap: one column, uncopied.
         n = len(rows)
@@ -360,18 +366,10 @@ class RouteProbeStage:
                 if matches:
                     hit = ordered.get(id(outcome))
                     if hit is None:
-                        # Timestamp ordering: the arriving tuple joins only
-                        # with strictly-older tuples (stream name breaks
-                        # same-tick ties), so each join result is produced
-                        # exactly once — by its youngest member's probe
-                        # sequence.  (Unrolled (at, stream) tuple comparison:
-                        # no per-match tuple allocation.)
-                        matches = [
-                            m2
-                            for m2 in matches
-                            if m2.arrived_at < anchor_at
-                            or (m2.arrived_at == anchor_at and m2.stream < anchor_stream)
-                        ]
+                        if same_tick_passes:
+                            matches = [m2 for m2 in matches if m2.arrived_at <= anchor_at]
+                        else:
+                            matches = [m2 for m2 in matches if m2.arrived_at < anchor_at]
                         ordered[id(outcome)] = (outcome, matches)
                     else:
                         matches = hit[1]
@@ -380,8 +378,8 @@ class RouteProbeStage:
                     observe_content(target, ap.mask, bucket, len(matches))
                 if m is not None:
                     _probe_metrics(m, target, kind, assessor, len(matches))
-                if matches:
-                    next_partials.extend([partial + (match,) for match in matches])
+                for match in matches:
+                    append(partial + (match,))
             if stop == n or len(next_partials) >= max_fanout:
                 break
             start = stop
@@ -502,7 +500,7 @@ class ShedDegradeStage:
                 continue
             freed = stem.index.memory_bytes
             cost_before = ctx.stem_cost(stem)
-            kind = index_kind_label(stem.index)
+            kind = ctx.index_kind(stem.index)
             moved = stem.degrade_to_scan()
             ctx.spend(
                 ctx.stem_cost(stem) - cost_before,

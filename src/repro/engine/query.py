@@ -12,7 +12,7 @@ access pattern and probe values the search request carries.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
 import operator
@@ -30,6 +30,39 @@ _COMPARISON_OPS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+
+#: Partials (tuples of stream tuples) -> their probe rows.
+RowBuilder = Callable[[list[tuple]], list[tuple]]
+#: Source positions -> row-builder factory, process-wide: each shape's
+#: source is compiled once.
+_ROW_BUILDER_FACTORIES: dict[tuple[int, ...], Callable[..., RowBuilder]] = {}
+
+
+def _row_builder_source(positions: tuple[int, ...]) -> str:
+    """The source of the row-builder factory for one hop shape.
+
+    Value ``j`` of a row is attribute ``a{j}`` of the partial's tuple at
+    ``positions[j]``, read from its value dict.  Only these integers are
+    formatted in; the attribute names are the factory's arguments.
+    """
+    names = ", ".join(f"a{j}" for j in range(len(positions)))
+    values = "".join(f"p[{i}]._values[a{j}], " for j, i in enumerate(positions))
+    return (
+        f"def make_rows({names}):\n"
+        "    def rows(partials):\n"
+        f"        return [({values}) for p in partials]\n"
+        "    return rows\n"
+    )
+
+
+def _row_builder_factory(positions: tuple[int, ...]) -> Callable[..., RowBuilder]:
+    """The compiled factory of ``_row_builder_source(positions)``."""
+    factory = _ROW_BUILDER_FACTORIES.get(positions)
+    if factory is None:
+        namespace: dict = {}
+        exec(_row_builder_source(positions), namespace)
+        factory = _ROW_BUILDER_FACTORIES[positions] = namespace["make_rows"]
+    return factory
 
 
 @dataclass(frozen=True)
@@ -179,6 +212,8 @@ class Query:
             tuple[tuple[str, ...], str],
             tuple[AccessPattern, tuple[tuple[str, str], ...]],
         ] = {}
+        # (joined streams, target) -> (access pattern, compiled row builder).
+        self._hop_plans: dict[tuple[tuple[str, ...], str], tuple[AccessPattern, RowBuilder]] = {}
 
     def _derive_jas(self, stream: str) -> JoinAttributeSet:
         attrs: list[str] = []
@@ -297,6 +332,26 @@ class Query:
             cached = (ap, tuple(source[a] for a in ap.attributes))
             self._probe_row_specs[key] = cached
         return cached
+
+    def hop_plan(
+        self, joined_streams: tuple[str, ...], target: str
+    ) -> tuple[AccessPattern, RowBuilder]:
+        """:meth:`probe_row_spec` compiled: the access pattern and a function
+        from a list of partials (tuples of stream tuples in ``joined_streams``
+        order) to their probe rows.
+
+        The builder reads each value straight from its source tuple's value
+        dict; it is generated once per ``(joined_streams, target)`` and is
+        pure in the predicate set, like the recipe it compiles.
+        """
+        key = (joined_streams, target)
+        plan = self._hop_plans.get(key)
+        if plan is None:
+            ap, sources = self.probe_row_spec(joined_streams, target)
+            positions = tuple(joined_streams.index(stream) for stream, _attr in sources)
+            build = _row_builder_factory(positions)(*(attr for _stream, attr in sources))
+            plan = self._hop_plans[key] = (ap, build)
+        return plan
 
     def __repr__(self) -> str:
         return (

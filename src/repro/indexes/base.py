@@ -179,12 +179,15 @@ class StateIndex(abc.ABC):
         """Remove a previously inserted ``item`` (identity-based)."""
 
     def _changed(self) -> None:
-        """Drop every cached prober: the structure they read is changing.
+        """Drop every cached prober: what they captured is being replaced.
 
-        Every method that mutates a backend's structure calls this —
-        ``insert``, ``remove``, and whatever rebuilds a key map or a module
-        set — so a prober lives exactly as long as the structure it was
-        built from.
+        A prober may capture only what ``insert`` and ``remove`` keep
+        current in place; whatever a mutator replaces, that mutator
+        invalidates by calling this.  Most backends capture sizes or key
+        maps that every mutation replaces, so their ``insert`` / ``remove``
+        call it; a multi-hash prober captures only tables that insert and
+        remove update in place, so only what rebuilds a table or the module
+        set does.
         """
         self._probers.clear()
 
@@ -203,9 +206,9 @@ class StateIndex(abc.ABC):
         per row, shared outcomes included.
 
         The pair is cached per pattern mask and reused until the next
-        :meth:`_changed`, so it may capture anything a mutator changes
-        (sizes, table views, the module choice) and nothing that a
-        non-mutating call can change.
+        :meth:`_changed`, so it may capture what only a mutator that calls
+        :meth:`_changed` replaces (sizes, table views, the module choice)
+        and nothing that a non-mutating call can change.
         """
 
     def _prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:

@@ -151,7 +151,6 @@ class MultiHashIndex(StateIndex):
             raise ValueError("an access module must index at least one attribute")
         if ap.mask in self._modules:
             return
-        self._changed()
         self._modules[ap.mask] = _AccessModule(ap, self._table(ap.mask))
         n = len(self._items)
         acct = self.accountant
@@ -160,7 +159,6 @@ class MultiHashIndex(StateIndex):
         acct.index_bytes += n * self.cost_params.index_entry_bytes
 
     def _drop_module(self, mask: int) -> None:
-        self._changed()
         del self._modules[mask]
         del self._tables[mask]
         self.accountant.index_bytes -= len(self._items) * self.cost_params.index_entry_bytes
@@ -176,6 +174,7 @@ class MultiHashIndex(StateIndex):
             self._check_pattern(ap)
             if ap.is_full_scan:
                 raise ValueError("an access module must index at least one attribute")
+        self._changed()  # a prober holds its module choice
         for mask in [m for m in self._modules if m not in wanted]:
             self._drop_module(mask)
         for mask, ap in wanted.items():
@@ -200,7 +199,9 @@ class MultiHashIndex(StateIndex):
 
     def _record_inexact(self, row: Row) -> None:
         """Note the positions of ``row`` holding a value outside
-        ``EXACT_KEY_TYPES``, and drop the exact tables over them."""
+        ``EXACT_KEY_TYPES``, and drop the exact tables over them — and the
+        probers that answer from those tables."""
+        self._changed()
         for pos, value in enumerate(row):
             if type(value) not in EXACT_KEY_TYPES:
                 self._inexact |= 1 << pos
@@ -211,7 +212,6 @@ class MultiHashIndex(StateIndex):
         iid = id(item)
         if iid in self._items:
             raise ValueError("item is already stored in this index")
-        self._changed()
         row = self._read_row(item)
         if not EXACT_KEY_TYPES.issuperset(map(type, row)):
             self._record_inexact(row)
@@ -230,7 +230,6 @@ class MultiHashIndex(StateIndex):
         iid = id(item)
         if iid not in self._items:
             raise KeyError("item was never inserted into this index")
-        self._changed()
         del self._items[iid]
         row = self._rows.pop(iid)
         for project, table in self._tables.values():
@@ -272,6 +271,11 @@ class MultiHashIndex(StateIndex):
         return best
 
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
+        # The prober captures the module choice, tables and projectors
+        # only: insert and remove update those in place (a full scan reads
+        # the state's size per row), so it outlives arrivals and expiry.
+        # What replaces them — ``set_patterns`` and the inexact record that
+        # drops tables — calls ``_changed()``.
         matcher = compile_matcher(ap)
         select = matcher.select
         if matcher.is_full_scan:
@@ -283,7 +287,6 @@ class MultiHashIndex(StateIndex):
             answers = None if ap.mask & self._inexact else self._table(ap.mask)
         if module is None:
             items = self._items
-            size = len(items)
 
             def probe_row(row: tuple) -> SearchOutcome:
                 if answers is not None and is_exact_key(row):
@@ -291,7 +294,7 @@ class MultiHashIndex(StateIndex):
                     matches = list(hit.values()) if hit else []
                 else:
                     matches = select((items.values(),), row)
-                return SearchOutcome(matches, 1, size, True)
+                return SearchOutcome(matches, 1, len(items), True)
 
             return 0, probe_row
 

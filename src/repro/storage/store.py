@@ -105,8 +105,15 @@ class StateStore:
         Count windows may evict on admission; evicted tuples leave the
         index *before* the new tuple enters it, so the structure never
         momentarily holds capacity + 1 tuples (the memory gauge peak is
-        exact).
+        exact).  A tuple of another stream is refused with ``ValueError``
+        before window or index is touched: the engine's ordering filter
+        reads a state's tuples as all of its own stream.
         """
+        if item.stream != self.stream:
+            raise ValueError(
+                f"state {self.stream!r} stores only {self.stream!r} tuples, "
+                f"got a tuple of stream {item.stream!r}"
+            )
         evicted = self.window.add(item, now)
         for old in evicted:
             self.index.remove(old)

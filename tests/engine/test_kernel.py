@@ -15,6 +15,7 @@ from repro.engine.kernel import (
     EngineKernel,
     ExpiryStage,
     RouteProbeStage,
+    TickState,
     default_stages,
 )
 from repro.engine.query import JoinPredicate, Query
@@ -420,6 +421,130 @@ class TestProbeBinding:
         )
         assert len(nested_loop) == 3
         assert got == nested_loop
+
+
+class TestOrderingFilter:
+    """Every match comes from the probed state, so the hop's one compare
+    against the anchor's timestamp equals the ``(arrived_at, stream)``
+    tuple compare — same-tick ties in both directions, and timestamps that
+    are not integers."""
+
+    STORED = (0.5, 1.25, 2.25, 2.25, 2.5, 3)
+
+    @classmethod
+    def run(cls, anchor_stream, route, at):
+        streams = [StreamSchema(s, ("k", "n")) for s in "ABC"]
+        preds = [JoinPredicate(a, "k", b, "k") for a, b in ("AB", "BC", "AC")]
+        query, stems, _router, meter = make_parts(Query(streams, preds, window=100))
+        routes = {s: [t for t in "ABC" if t != s] for s in "ABC"}
+        routes[anchor_stream] = list(route)
+        sink = []
+        ctx = EngineContext(
+            query=query,
+            stems=stems,
+            router=FixedRouter(routes),
+            meter=meter,
+            arrival_rates={},
+            domain_bits={},
+            config=ExecutorConfig(),
+            output_sink=sink.extend,
+        )
+        stored = {
+            s: [StreamTuple(s, t, {"k": 1, "n": i}) for i, t in enumerate(cls.STORED)]
+            for s in route
+        }
+        for items in stored.values():
+            for item in items:
+                stems[item.stream].insert(item, item.arrived_at)
+        anchor = StreamTuple(anchor_stream, at, {"k": 1, "n": -1})
+        ctx.queue.append(anchor)
+        meter.start_tick()
+        RouteProbeStage().run(ctx, TickState(tick=0, duration=1))
+        got = sorted(tuple((s.stream, s["n"]) for s in j.sources[1:]) for j in sink)
+        key = (anchor.arrived_at, anchor.stream)
+        older = {
+            s: [m for m in items if (m.arrived_at, m.stream) < key] for s, items in stored.items()
+        }
+        first, second = route
+        expected = sorted(
+            ((first, x["n"]), (second, y["n"])) for x in older[first] for y in older[second]
+        )
+        return got, expected
+
+    @pytest.mark.parametrize(
+        "anchor,route",
+        [
+            ("B", "AC"),  # a tie passes on the first hop, not on the second
+            ("A", "BC"),  # a tie passes on neither hop
+            ("C", "BA"),  # a tie passes on both hops
+            ("A", "CB"),  # B sorts before C, the previous hop, but not before A
+        ],
+    )
+    @pytest.mark.parametrize("at", [2.25, 3, 0.25])
+    def test_hop_filter_equals_the_tuple_compare(self, anchor, route, at):
+        got, expected = self.run(anchor, route, at)
+        assert got == expected
+        if at == 2.25 and anchor == "C":
+            assert len(expected) == 16  # ties kept: 4 x 4 older-or-tied tuples
+
+
+class CarryCheckingStage(RouteProbeStage):
+    """At every hop, the carried "before" cost of the target state is the
+    float a fresh ``ctx.stem_cost`` reads, bit for bit."""
+
+    def __init__(self):
+        self.checked = 0
+
+    def _process(self, ctx, item, tick, carried):
+        self._carried = carried
+        super()._process(ctx, item, tick, carried)
+
+    def _probe_hop(self, ctx, item, target, joined, partials, observe_content):
+        carried = self._carried.get(target)
+        if carried is not None:
+            assert carried.hex() == ctx.stem_cost(ctx.stems[target]).hex()
+            self.checked += 1
+        return super()._probe_hop(ctx, item, target, joined, partials, observe_content)
+
+
+def test_carried_cost_is_a_fresh_snapshot_under_faults_and_degradation():
+    import dataclasses
+
+    from repro.engine.faults import FAULT_PROFILES
+    from repro.engine.resources import DegradationPolicy
+    from repro.workloads.scenarios import PaperScenario
+    from tests.integration.test_observer_conformance import TICKS, backlogged_params
+
+    faults = dataclasses.replace(FAULT_PROFILES["arrivals"], migrate_prob=0.05, corrupt_prob=0.05)
+    # The observer matrix's scenario, its budget tight enough that one
+    # state degrades to a scan mid-run.
+    scenario = PaperScenario(backlogged_params(memory_budget=14_000))
+    registry = MetricsRegistry()
+    ex = scenario.make_executor(
+        "amri:cdia-highest",
+        faults=faults,
+        fault_seed=1,
+        degradation=DegradationPolicy(),
+        metrics=registry,
+    )
+    spy = CarryCheckingStage()
+    ex.kernel.stages = tuple(
+        spy if isinstance(stage, RouteProbeStage) else stage for stage in ex.kernel.stages
+    )
+    stats = ex.run(TICKS, scenario.make_generator())
+    assert spy.checked > 100
+    assert stats.shed_tuples > 0 and stats.degradations > 0 and stats.migrations > 0
+    assert stats.died_at is None
+    snap = registry.snapshot()
+    assert snap.cost_total == ex.meter.total_spent
+    by_kind = snap.cost_by("component", "phase", "index_kind")
+    kinds = {
+        (component, phase): kind
+        for component, phase, kind in by_kind
+        if component in ("index", "tuner")
+    }
+    assert kinds[("index", "insert")] in ("bit_address", "scan")
+    assert "-" not in kinds.values()  # every index charge carries its label
 
 
 class TestEmit:

@@ -1,10 +1,13 @@
 """Tests for the SPJ query model: JAS derivation and probe specs."""
 
+import itertools
+
 import pytest
 
 from repro.core.access_pattern import AccessPattern
-from repro.engine.query import JoinPredicate, Query
+from repro.engine.query import JoinPredicate, Query, _row_builder_source
 from repro.engine.stream import StreamSchema
+from repro.engine.tuples import StreamTuple
 
 
 def paper_query(window=10):
@@ -166,3 +169,80 @@ class TestProbeSpec:
     def test_probe_row_spec_rejects_already_joined_target(self):
         with pytest.raises(ValueError, match="already joined"):
             paper_query().probe_row_spec(("A", "B"), "B")
+
+
+def cross_attribute_query():
+    """``test_probe_row_spec_cross_attribute_names``' query: differently
+    named join attributes on the two sides."""
+    streams = [StreamSchema("A", ("ka",)), StreamSchema("B", ("kb",))]
+    return Query(streams, [JoinPredicate("A", "ka", "B", "kb")], window=5)
+
+
+def hostile_names_query():
+    """Attribute names that would break, or run, generated source if they
+    were formatted into it."""
+    r = ('q"uote', "back\\slash")
+    s = ("__import__('os').system('exit 3')", "it's")
+    t = ("'''", '"""\n')
+    streams = [StreamSchema("R", r), StreamSchema("S", s), StreamSchema("T", t)]
+    predicates = [
+        JoinPredicate("R", r[0], "S", s[0]),
+        JoinPredicate("S", s[1], "T", t[0]),
+        JoinPredicate("R", r[1], "T", t[1]),
+    ]
+    return Query(streams, predicates, window=5)
+
+
+def every_hop(q):
+    """Every ``(joined, target)`` a route can take: ``joined`` in join
+    order, ``target`` bound to it by a predicate."""
+    names = q.stream_names
+    for width in range(1, len(names)):
+        for joined in itertools.permutations(names, width):
+            for target in names:
+                if target in joined:
+                    continue
+                try:
+                    q.probe_row_spec(joined, target)
+                except ValueError:  # a cross product: no route takes it
+                    continue
+                yield joined, target
+
+
+class TestHopPlan:
+    """The compiled row builder reads exactly what the recipe names."""
+
+    @pytest.mark.parametrize(
+        "make_query", [paper_query, cross_attribute_query, hostile_names_query]
+    )
+    def test_rows_equal_the_recipe(self, make_query):
+        q = make_query()
+        hops = list(every_hop(q))
+        assert hops
+        for joined, target in hops:
+            partials = [
+                tuple(
+                    StreamTuple(s, k, {a: f"{s}.{a}#{k}" for a in q.schema(s).attributes})
+                    for s in joined
+                )
+                for k in range(3)
+            ]
+            ap, build_rows = q.hop_plan(joined, target)
+            spec_ap, sources = q.probe_row_spec(joined, target)
+            recipe = [tuple(p[joined.index(s)][a] for s, a in sources) for p in partials]
+            assert ap is spec_ap
+            assert build_rows(partials) == recipe
+            assert build_rows([]) == []
+            assert q.hop_plan(joined, target)[1] is build_rows  # compiled once
+
+    def test_generated_source_holds_no_string_literal(self):
+        q = hostile_names_query()
+        for joined, target in every_hop(q):
+            _ap, sources = q.probe_row_spec(joined, target)
+            positions = tuple(joined.index(s) for s, _a in sources)
+            source = _row_builder_source(positions)
+            assert not set(source) & {'"', "'", "\\"}, source
+
+    def test_hop_plan_rejects_already_joined_target(self):
+        with pytest.raises(ValueError, match="already joined"):
+            paper_query().hop_plan(("A", "B"), "B")

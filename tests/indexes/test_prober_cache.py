@@ -1,16 +1,25 @@
-"""A cached prober never outlives the structure it was built from.
+"""A cached prober answers as a fresh one would: a rule, not a convention.
 
-``StateIndex`` keeps one prober per pattern mask until ``_changed()``.
-This holds every concrete backend — found by walking the subclasses of
-``StateIndex``, so a new backend is covered without editing this file —
-crossed with each public mutator it has, to two things: after the
-mutation no prober is cached, and every pattern reads exactly what a twin
-reads that replayed the same operations without ever probing before.
+``StateIndex`` keeps one prober per pattern mask until ``_changed()``.  A
+prober may capture only what ``insert`` / ``remove`` keep current in
+place; whatever a mutator replaces, it invalidates.  The rule is checked
+on every concrete backend — found by walking the subclasses of
+``StateIndex``, so a new backend is covered without editing this file:
+
+- after any interleaving of probes, inserts and removes, every pattern
+  reads exactly what a twin reads that replayed the same inserts and
+  removes without ever probing;
+- crossed with each public mutator, every pattern reads what the
+  never-probed twin reads, and a mutator that replaces what probers
+  capture leaves no prober cached.  The one pair whose probers survive
+  (``MultiHashIndex`` insert / remove, which update its tables in place)
+  must keep them.
 """
 
 from __future__ import annotations
 
 import inspect
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +27,7 @@ from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration
 from repro.engine.tuples import StreamTuple
 from repro.indexes.base import StateIndex
+from repro.indexes.hash_index import MultiHashIndex
 from repro.indexes.static_bitmap import StaticBitmapIndex
 from repro.storage import StateStore
 from tests.conftest import build_index
@@ -70,6 +80,9 @@ MUTATIONS = {
     "migration": (reconfigures, migrate),
 }
 
+#: (backend, mutator) pairs that update in place what probers capture.
+KEEPS_PROBERS = {(MultiHashIndex, "insert"), (MultiHashIndex, "remove")}
+
 CASES = [
     pytest.param(cls, name, id=f"{cls.__name__}-{name}")
     for cls in backends()
@@ -78,11 +91,12 @@ CASES = [
 ]
 
 
-def build(cls):
-    """A store over ``cls`` holding all of ``STORED`` but the last tuple."""
+def build(cls, stored=len(STORED) - 1):
+    """A store over ``cls`` holding the first ``stored`` tuples of
+    ``STORED`` (all but the last by default)."""
     store = StateStore("S", JAS, build_index(cls, JAS), window=1000)
     items = [StreamTuple("S", t, dict(zip(JAS.names, row))) for t, row in enumerate(STORED)]
-    for t, item in enumerate(items[:-1]):
+    for t, item in enumerate(items[:stored]):
         store.insert(item, t)
     return store, items
 
@@ -119,15 +133,78 @@ def test_every_backend_is_covered():
     }
 
 
-@pytest.mark.parametrize("cls,mutation", CASES)
-def test_a_mutation_drops_every_cached_prober(cls, mutation):
+def mutated_after_probing(cls, mutation):
+    """A store whose prober cache was full when ``mutation`` ran, and a
+    twin that ran it without ever probing."""
     mutate = MUTATIONS[mutation][1]
     store, items = build(cls)
     read_every_pattern(store)
     assert len(store.index._probers) == JAS.full_mask + 1  # the cache is full
     mutate(store, items)
-    assert store.index._probers == {}
-
     twin, twin_items = build(cls)
     mutate(twin, twin_items)
-    assert read_every_pattern(store) == read_every_pattern(twin)
+    return store, twin
+
+
+@pytest.mark.parametrize("cls,mutation", CASES)
+def test_a_mutation_drops_every_cached_prober(cls, mutation):
+    """Every prober the mutation invalidates is dropped — all of them,
+    except on the in-place pairs of ``KEEPS_PROBERS``, which invalidate
+    none and must keep every prober answering."""
+    store, twin = mutated_after_probing(cls, mutation)
+    if (cls, mutation) in KEEPS_PROBERS:
+        cached = dict(store.index._probers)
+        assert len(cached) == JAS.full_mask + 1
+        assert read_every_pattern(store) == read_every_pattern(twin)
+        assert store.index._probers == cached  # the same probers answered
+    else:
+        assert store.index._probers == {}
+        assert read_every_pattern(store) == read_every_pattern(twin)
+
+
+#: Inserts (+) and removes (-) by item number, interleaved with probes.
+SEQUENCE = [("+", 12), ("-", 0), ("+", 11), ("-", 3), ("-", 12), ("+", 10), ("-", 1)]
+
+
+@pytest.mark.parametrize("cls", backends(), ids=lambda cls: cls.__name__)
+def test_a_cached_prober_answers_as_a_never_probed_twin(cls):
+    store, items = build(cls, stored=10)
+    read_every_pattern(store)
+    for step, (op, n) in enumerate(SEQUENCE, 1):
+        (store.index.insert if op == "+" else store.index.remove)(items[n])
+        twin, twin_items = build(cls, stored=10)
+        for twin_op, twin_n in SEQUENCE[:step]:
+            index = twin.index
+            (index.insert if twin_op == "+" else index.remove)(twin_items[twin_n])
+        assert read_every_pattern(store) == read_every_pattern(twin), (op, n)
+
+
+class TestMultiHashProberLifetime:
+    """Regression cases for the multi-hash rule: arrivals keep probers,
+    an inexact-typed value drops them."""
+
+    B = AccessPattern.from_attributes(JAS, ["B"])  # no module: exact table, full-scan charge
+    A = AccessPattern.from_attributes(JAS, ["A"])  # its own module
+
+    def test_a_prober_built_before_an_insert_returns_the_new_tuple(self):
+        store, items = build(MultiHashIndex)
+        new = items[-1]
+        rows = {self.A: (new["A"],), self.B: (new["B"],)}
+        before = {ap: store.probe_batch(ap, [row])[0].matches for ap, row in rows.items()}
+        probers = dict(store.index._probers)
+        store.index.insert(new)
+        for ap, row in rows.items():
+            outcome = store.probe_batch(ap, [row])[0]
+            assert outcome.matches == before[ap] + [new]
+        assert store.index._probers == probers
+        # The full scan is charged the state's size at probe time.
+        assert store.probe_batch(self.B, [(99,)])[0].tuples_examined == store.size == len(items)
+
+    def test_a_prober_built_before_an_inexact_typed_insert_is_dropped(self):
+        store, items = build(MultiHashIndex)
+        before = store.probe_batch(self.B, [(0,)])[0].matches
+        assert self.B.mask in store.index._probers
+        odd = StreamTuple("S", 50, {"A": 7, "B": Fraction(0), "C": 7})
+        store.index.insert(odd)
+        assert self.B.mask not in store.index._probers
+        assert store.probe_batch(self.B, [(0,)])[0].matches == before + [odd]

@@ -52,6 +52,16 @@ class TestOperator:
         store.insert(tup(0), 0)
         assert store.payload_bytes == CostParams.tuple_bytes
 
+    def test_refuses_a_tuple_of_another_stream(self, store):
+        store.insert(tup(0), 0)
+        accountant = store.index.accountant.snapshot()
+        stranger = StreamTuple("T", 1, {"A": 1, "B": 2, "C": 3})
+        with pytest.raises(ValueError, match="'S'.*'T'"):
+            store.insert(stranger, 1)
+        # Refused before window or index saw it.
+        assert store.size == len(store.window) == 1
+        assert store.index.accountant == accountant
+
     def test_rejects_mismatched_index(self, jas3):
         other = JoinAttributeSet(["X"])
         with pytest.raises(ValueError):
