@@ -1,16 +1,19 @@
 """Micro-benchmarks: wall-clock cost of the primitive index operations.
 
 These are true pytest-benchmark timings (many rounds) of the hot paths —
-insert, probe by access-pattern width, migration, assessment recording —
-for each index scheme.  They back the paper's qualitative maintenance-cost
-claims at the Python level and guard against performance regressions.
+insert, probe by access-pattern width, migration for each index scheme,
+then assessment recording, index selection and queueing-latency counting.
+They back the paper's qualitative maintenance-cost claims at the Python
+level and guard against performance regressions.
 
 Besides wall-clock stats, each index benchmark records the operation's
 **virtual-clock cost units** as ``extra_info["cost_units"]`` in the
 ``--benchmark-json`` export.  Cost units are deterministic (they count
 model operations, not time), so CI can compare them against the committed
 ``BENCH_micro.json`` within a tight tolerance without the noise that makes
-wall-clock gating flaky — see ``tools/check_bench_regression.py``.
+wall-clock gating flaky — see ``tools/check_bench_regression.py``, which
+also prints an advisory line for each row whose ``stats.median`` rose more
+than 25 % against the committed file.
 """
 
 import random
@@ -26,9 +29,11 @@ from repro.core.bit_index import make_bit_index
 from repro.core.cost_model import WorkloadStatistics
 from repro.core.index_config import IndexConfiguration
 from repro.core.selector import select_exhaustive
+from repro.engine.latency import LatencyTracker
 from repro.indexes.base import CostParams
 from repro.indexes.hash_index import MultiHashIndex
 from repro.indexes.scan_index import ScanIndex
+from repro.utils.bitops import splitmix64
 
 JAS = JoinAttributeSet(["A", "B", "C"])
 N_ITEMS = 2_000
@@ -440,3 +445,57 @@ def test_selector_exhaustive_64bit(benchmark):
     )
     best = benchmark(lambda: select_exhaustive(stats, JAS, 64))
     assert best.total_bits <= 64
+
+
+def test_selector_exhaustive_wide_domain(benchmark):
+    """Ten tuning rounds on the widest pool the workloads search: 18-bit
+    domains leave the selector's 16-bit per-attribute cap, 17**3 = 4 913
+    candidates.  Five frequent patterns (what theta = 0.1 leaves of a
+    drifting route mix) at the paper scenario's rate and window; the pool
+    is built before timing, as in a running engine.  A tenth of the row's
+    median is one selection; a per-candidate loop would cost ~500x that."""
+    ap = AccessPattern.from_attributes
+    stats = WorkloadStatistics(
+        lambda_d=12.0,
+        lambda_r=200.0,
+        window=20.0,
+        frequencies={
+            ap(JAS, ["A"]): 0.3,
+            ap(JAS, ["B"]): 0.15,
+            ap(JAS, ["A", "B"]): 0.2,
+            ap(JAS, ["B", "C"]): 0.15,
+            ap(JAS, ["A", "B", "C"]): 0.2,
+        },
+        domain_bits=dict.fromkeys(JAS.names, 18),
+    )
+    chosen = select_exhaustive(stats, JAS, 64)
+
+    def ten_rounds():
+        return [select_exhaustive(stats, JAS, 64) for _ in range(10)]
+
+    assert benchmark(ten_rounds) == [chosen] * 10
+
+
+# --------------------------------------------------------------------- #
+# queueing latency
+
+N_LATENCIES = 50_000
+
+
+def test_latency_tracker_observe(benchmark):
+    """The latency plane's per-request cost: 50 000 ``observe`` calls of
+    whole-tick latencies, then one exact p95 from the snapshot.  No
+    accountant is involved, so the row records no cost units."""
+    latencies = [splitmix64(i) % 97 for i in range(N_LATENCIES)]
+
+    def observe_all():
+        tracker = LatencyTracker()
+        for latency in latencies:
+            tracker.observe(latency)
+        return tracker.snapshot().quantile(0.95)
+
+    p95 = benchmark(observe_all)
+    ordered = sorted(latencies)
+    pos = 0.95 * (N_LATENCIES - 1)
+    lo = int(pos)
+    assert p95 == ordered[lo] + (ordered[lo + 1] - ordered[lo]) * (pos - lo)

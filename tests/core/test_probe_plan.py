@@ -159,6 +159,22 @@ class TestCacheInvalidation:
         assert index.probe_plans.config == new
         assert index.probe_plans.lookup(ap3("A")).wildcard_bits == 4
 
+    def test_probe_workload_warms_one_plan_per_pattern(self, jas3, ap3):
+        """k probed patterns -> k cached plans, however many rows and calls
+        probe them, by name or as columns."""
+        index = make_bit_index(jas3, {"A": 8, "B": 8, "C": 8})
+        for i in range(200):
+            index.insert({"A": i % 251, "B": (i * 7) % 239, "C": (i * 13) % 241})
+        patterns = [ap3("A"), ap3("A", "B"), ap3("A", "B", "C")]
+        for i in range(300):
+            ap = patterns[i % 3]
+            row = tuple((i, i * 7, i * 13)[: len(ap.attributes)])
+            if i % 2:
+                index.search(ap, dict(zip(ap.attributes, row)))
+            else:
+                index.search_batch(ap, [row])
+        assert len(index.probe_plans) == 3
+
     def test_search_results_survive_reconfigure(self, jas3, ap3):
         """End to end: cached plans never leak a stale key map into results."""
         index = make_bit_index(jas3, [5, 2, 3])

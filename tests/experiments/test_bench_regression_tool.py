@@ -10,12 +10,16 @@ gate = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(gate)
 
 
-def export(path: Path, costs: dict[str, float]) -> Path:
-    """A minimal ``pytest-benchmark --benchmark-json`` export."""
-    path.write_text(json.dumps({"benchmarks": [
-        {"name": name, "extra_info": {"cost_units": cost}, "stats": {"mean": 0.001}}
-        for name, cost in costs.items()
-    ]}))
+def export(path: Path, costs: dict[str, float], medians: dict[str, float] | None = None) -> Path:
+    """A minimal ``pytest-benchmark --benchmark-json`` export; a row's
+    ``stats.median`` is written only when ``medians`` names it."""
+    rows = []
+    for name, cost in costs.items():
+        stats = {"mean": 0.001}
+        if medians and name in medians:
+            stats["median"] = medians[name]
+        rows.append({"name": name, "extra_info": {"cost_units": cost}, "stats": stats})
+    path.write_text(json.dumps({"benchmarks": rows}))
     return path
 
 
@@ -41,3 +45,23 @@ class TestCostUnitGate:
         assert "MISSING  test_gone" in captured.out
         assert "missing from the new run: test_gone" in captured.err
         assert "test_new" not in captured.err  # a row without baseline is not gated
+
+
+class TestWallAdvisory:
+    def test_a_slower_median_prints_wall_and_never_fails(self, tmp_path, capsys):
+        costs = {"test_slow": 10.0, "test_steady": 2.5}
+        base = export(tmp_path / "base.json", costs, {"test_slow": 1e-3, "test_steady": 1e-3})
+        new = export(tmp_path / "new.json", costs, {"test_slow": 1.3e-3, "test_steady": 1.2e-3})
+        assert gate.main([str(base), str(new)]) == 0
+        out = capsys.readouterr().out
+        assert "WALL     test_slow:" in out
+        assert "test_steady: median" not in out  # +20 % is inside the advisory bound
+
+    def test_a_row_without_a_median_is_skipped(self, tmp_path, capsys):
+        costs = {"test_a": 10.0, "test_b": 2.5}
+        base = export(tmp_path / "base.json", costs, {"test_a": 1e-3})
+        new = export(tmp_path / "new.json", costs, {"test_a": 2e-3, "test_b": 9.0})
+        assert gate.main([str(base), str(new)]) == 0
+        out = capsys.readouterr().out
+        assert "WALL     test_a:" in out
+        assert "WALL     test_b" not in out

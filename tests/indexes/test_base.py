@@ -4,8 +4,10 @@ and what all five index classes share."""
 import pytest
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
-from repro.core.bit_index import BitAddressIndex
+from repro.core.bit_index import BitAddressIndex, MigrationReport
 from repro.core.index_config import IndexConfiguration
+from repro.engine.kernel.stages import TickState
+from repro.engine.tracing import EngineEvent
 from repro.indexes.base import Accountant, CostParams, SearchOutcome, StateIndex
 from repro.indexes.hash_index import MultiHashIndex
 from repro.indexes.inverted_index import InvertedListIndex
@@ -65,6 +67,14 @@ class TestSearchOutcome:
     def test_defaults(self):
         o = SearchOutcome()
         assert o.matches == [] and not o.used_full_scan
+
+
+def test_hot_dataclasses_are_slotted():
+    """The per-probe, per-event and per-tick records carry no instance
+    ``__dict__``."""
+    for cls in (SearchOutcome, EngineEvent, MigrationReport, TickState):
+        assert "__slots__" in vars(cls), cls.__name__
+        assert cls.__dictoffset__ == 0, cls.__name__
 
 
 class Dummy(StateIndex):

@@ -19,13 +19,18 @@ from the baseline is part of the change that removes it.
 snapshot (JSONL, via :mod:`repro.engine.metrics_export`) so CI can upload
 it as an artifact alongside the raw benchmark JSON.
 
-Wall-clock stats are reported for context but never gate in this mode: CI
-runners are too noisy for tight timing thresholds to be trustworthy.
+Wall clock never gates: CI runners are too noisy for tight timing
+thresholds to be trustworthy.  The tool also reads each row's
+``stats.median`` and prints one advisory ``WALL`` line per row whose median
+rose more than ``WALL_ADVISORY`` (25 %) against the baseline.  That will
+not catch a 5 % slowdown, but it does catch an optimisation being
+accidentally reverted, which on these paths costs 2x or more.  Rows without
+a median are skipped, and the exit code is the cost-unit verdict alone.
 
 The committed baseline is regenerated with the ``bench-regression`` CI
 job's pytest command, then stripped of the per-round ``stats.data`` sample
-arrays (6.4 MB of them; this tool reads only ``extra_info.cost_units`` and
-``stats.mean``)::
+arrays (6.4 MB of them; this tool reads only ``extra_info.cost_units``,
+``stats.median`` and ``stats.mean``)::
 
     PYTHONPATH=src python -m pytest \\
         benchmarks/test_micro_index_ops.py \\
@@ -34,49 +39,17 @@ arrays (6.4 MB of them; this tool reads only ``extra_info.cost_units`` and
     python -c "import json; d = json.load(open('BENCH_micro.json')); \\
         [b['stats'].pop('data', None) for b in d['benchmarks']]; \\
         json.dump(d, open('BENCH_micro.json', 'w'), indent=4)"
-
-``--wall`` switches both inputs to ``bench-wall/v1`` documents (from
-``tools/bench_wall.py``) and compares best-of-N wall seconds on the
-**micro paths only** (``bench_wall.MICRO_PATHS`` — insert/probe/migrate
-kernels, no experiment-scale runs).  The tolerance is deliberately loose
-(default 25%, ``--tolerance`` overrides): it will not catch a 5% slowdown,
-but it does catch an optimisation being accidentally reverted — which on
-these paths costs 2x+, far outside runner noise.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import sys
 from pathlib import Path
 
-
-def _micro_paths() -> tuple[str, ...]:
-    """The gated micro benchmarks, as declared by the wall bench tool."""
-    tool = Path(__file__).resolve().parent / "bench_wall.py"
-    spec = importlib.util.spec_from_file_location("bench_wall", tool)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.MICRO_PATHS
-
-
-def load_wall_seconds(path: Path, label: str) -> dict[str, float]:
-    """Micro-path wall times (in ms, for readable output) from one run
-    label of a ``bench-wall/v1`` doc."""
-    doc = json.loads(path.read_text())
-    if doc.get("schema") != "bench-wall/v1":
-        raise SystemExit(f"{path}: not a bench-wall/v1 document")
-    runs = doc.get("runs", {})
-    if label not in runs:
-        raise SystemExit(f"{path}: no run labelled {label!r} (have {sorted(runs)})")
-    micro = _micro_paths()
-    return {
-        name: float(bench["seconds"]) * 1e3
-        for name, bench in runs[label]["benchmarks"].items()
-        if name in micro
-    }
+#: A row whose ``stats.median`` rose by more than this prints a ``WALL`` line.
+WALL_ADVISORY = 0.25
 
 
 def load_cost_units(path: Path) -> dict[str, float]:
@@ -92,23 +65,24 @@ def load_cost_units(path: Path) -> dict[str, float]:
     return out
 
 
-def load_mean_seconds(path: Path) -> dict[str, float]:
+def load_stat_seconds(path: Path, stat: str) -> dict[str, float]:
+    """Map benchmark name -> one wall-clock ``stats`` field, in seconds
+    (rows without it are skipped)."""
     data = json.loads(path.read_text())
     return {
-        b["name"]: float(b["stats"]["mean"])
+        b["name"]: float(b["stats"][stat])
         for b in data.get("benchmarks", [])
-        if "stats" in b
+        if stat in b.get("stats", {})
     }
 
 
 def compare(
-    baseline: dict[str, float], new: dict[str, float], tolerance: float, *, two_sided: bool
+    baseline: dict[str, float], new: dict[str, float], tolerance: float
 ) -> tuple[list[tuple[str, float, float, float]], list[str], list[str]]:
     """Return (regressions, missing, messages).  A regression is ``(name,
-    base, new, rel_change)`` with ``rel_change > tolerance`` — or,
-    ``two_sided``, ``|rel_change| > tolerance``; ``missing`` names the
-    baseline rows the new run lacks.  In-tolerance drift (and, one-sided,
-    improvements) only produce messages."""
+    base, new, rel_change)`` with ``|rel_change| > tolerance``; ``missing``
+    names the baseline rows the new run lacks.  In-tolerance drift only
+    produces messages."""
     regressions: list[tuple[str, float, float, float]] = []
     missing = sorted(set(baseline) - set(new))
     messages: list[str] = []
@@ -117,15 +91,27 @@ def compare(
             continue
         base, cur = baseline[name], new[name]
         rel = (cur - base) / max(abs(base), 1e-12)
-        if rel > tolerance or (two_sided and rel < -tolerance):
+        if abs(rel) > tolerance:
             regressions.append((name, base, cur, rel))
-        elif rel < -tolerance:
-            messages.append(f"IMPROVED {name}: {base:,.2f} -> {cur:,.2f} ({rel:+.1%})")
         else:
             messages.append(f"OK       {name}: {base:,.2f} -> {cur:,.2f} ({rel:+.1%})")
     for name in sorted(set(new) - set(baseline)):
         messages.append(f"NEW      {name}: {new[name]:,.2f} (no baseline; not gated)")
     return regressions, missing, messages
+
+
+def wall_advisories(baseline: dict[str, float], new: dict[str, float]) -> list[str]:
+    """One ``WALL`` line per row whose median rose beyond ``WALL_ADVISORY``."""
+    lines = []
+    for name in sorted(set(baseline) & set(new)):
+        base, cur = baseline[name], new[name]
+        rel = (cur - base) / max(base, 1e-12)
+        if rel > WALL_ADVISORY:
+            lines.append(
+                f"WALL     {name}: median {base * 1e3:,.4f} -> {cur * 1e3:,.4f} ms "
+                f"({rel:+.1%}; advisory, not gated)"
+            )
+    return lines
 
 
 def write_metrics_jsonl(
@@ -157,45 +143,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=None,
-        help="max tolerated relative drift, either way (default 0.05); "
-        "with --wall, max tolerated increase (default 0.25)",
+        default=0.05,
+        help="max tolerated relative cost-unit drift, either way (default 0.05)",
     )
     parser.add_argument(
         "--metrics", type=Path, default=None, help="write comparison as metrics JSONL"
     )
-    parser.add_argument(
-        "--wall",
-        action="store_true",
-        help="inputs are bench-wall/v1 docs; gate wall seconds on micro paths",
-    )
-    parser.add_argument(
-        "--baseline-label", default="after", help="run label in the baseline wall doc"
-    )
-    parser.add_argument(
-        "--new-label", default="ci", help="run label in the new wall doc"
-    )
     args = parser.parse_args(argv)
-    unit = "wall-ms" if args.wall else "cost-unit"
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = 0.25 if args.wall else 0.05
 
-    if args.wall:
-        baseline = load_wall_seconds(args.baseline, args.baseline_label)
-        new = load_wall_seconds(args.new, args.new_label)
-    else:
-        baseline = load_cost_units(args.baseline)
-        new = load_cost_units(args.new)
+    baseline = load_cost_units(args.baseline)
+    new = load_cost_units(args.new)
     if not baseline or not new:
         print(
-            f"no {unit} series found to compare "
+            "no cost-unit series found to compare "
             f"(baseline: {len(baseline)} series, new: {len(new)} series)",
             file=sys.stderr,
         )
         return 1
 
-    regressions, missing, messages = compare(baseline, new, tolerance, two_sided=not args.wall)
+    regressions, missing, messages = compare(baseline, new, args.tolerance)
     for line in messages:
         print(line)
     for name, base, cur, rel in regressions:
@@ -203,15 +169,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{label} {name}: {base:,.2f} -> {cur:,.2f} ({rel:+.1%})")
     for name in missing:
         print(f"MISSING  {name}: present in baseline, absent in new run")
+    for line in wall_advisories(
+        load_stat_seconds(args.baseline, "median"), load_stat_seconds(args.new, "median")
+    ):
+        print(line)
 
-    if args.metrics is not None and not args.wall:
-        write_metrics_jsonl(args.metrics, baseline, new, load_mean_seconds(args.new))
+    if args.metrics is not None:
+        write_metrics_jsonl(args.metrics, baseline, new, load_stat_seconds(args.new, "mean"))
         print(f"metrics written to {args.metrics}")
 
     if regressions:
         print(
             f"\n{len(regressions)} benchmark(s) drifted beyond "
-            f"{tolerance:.0%} {unit} tolerance",
+            f"{args.tolerance:.0%} cost-unit tolerance",
             file=sys.stderr,
         )
     if missing:
@@ -222,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     if regressions or missing:
         return 1
-    print(f"\nall {len(new)} comparable benchmarks within {tolerance:.0%} tolerance")
+    print(f"\nall {len(new)} comparable benchmarks within {args.tolerance:.0%} tolerance")
     return 0
 
 
