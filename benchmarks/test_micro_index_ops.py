@@ -286,7 +286,7 @@ def test_bit_probe_walk_vs_columns_crossover(benchmark, monkeypatch, candidates)
 
     def us_per_probe(gate):
         monkeypatch.setattr(bit_index, "COLUMN_PROBE_MIN_CANDIDATES", gate)
-        idx._changed()  # a prober reads the gate when it is built
+        idx._drop_probers()  # a prober reads the gate when it is built
         best = min(timeit.repeat(lambda: probe_all(idx, ap, rows), number=1, repeat=10))
         return best / len(rows) * 1e6
 

@@ -246,12 +246,11 @@ class BitAddressIndex(StateIndex):
         # One inverted map per JAS attribute position; only positions with
         # bits assigned are maintained (others would map everything to 0).
         self._frag_maps: dict[int, dict[int, set[BucketKey]]] = {}
-        # ``id -> (slot, bucket key)``.  A stored tuple keeps its slot for
-        # life; a removed tuple's slot goes on the free list and is handed
-        # out again before a new one, so slots in use and free slots
-        # together are ``0 .. len(_entries) + len(_free) - 1``, and
-        # ``_items[slot]`` is the tuple (``None`` for a free slot).
-        self._entries: dict[int, tuple[int, BucketKey]] = {}
+        # A stored tuple's entry is ``(slot, bucket key)``.  It keeps its
+        # slot for life; a removed tuple's slot goes on the free list and is
+        # handed out again before a new one, so slots in use and free slots
+        # together are ``0 .. size + len(_free) - 1``, and ``_items[slot]``
+        # is the tuple (``None`` for a free slot).
         self._free: list[int] = []
         self._items: list[Mapping[str, object] | None] = []
         # Per slot and JAS position, the 64-bit stable hash of the tuple's
@@ -284,10 +283,6 @@ class BitAddressIndex(StateIndex):
         return self._config
 
     @property
-    def size(self) -> int:
-        return len(self._entries)
-
-    @property
     def probe_plans(self) -> ProbePlanCache:
         """The compiled-plan cache (exposed for invalidation tests)."""
         return self._plans
@@ -302,13 +297,11 @@ class BitAddressIndex(StateIndex):
         return [len(b) for b in self._buckets.values()]
 
     def _rebuild_frag_positions(self) -> None:
-        self._frag_maps = {
-            i: {} for i, w in enumerate(self._config.bits) if w > 0
-        }
         # Compiled probe plans and probers are derived from the key map, so
         # any code path that changes the configuration (construction,
-        # reconfigure) lands here and must drop them.
-        self._changed()
+        # reconfigure) lands here, and drops them.
+        self._drop_probers()
+        self._frag_maps = {i: {} for i, w in enumerate(self._config.bits) if w > 0}
         plans = getattr(self, "_plans", None)
         if plans is None:
             self._plans = ProbePlanCache(self._config)
@@ -323,14 +316,9 @@ class BitAddressIndex(StateIndex):
     # ------------------------------------------------------------------ #
     # storage
 
-    def insert(self, item: Mapping[str, object]) -> None:
-        iid = id(item)
-        entries = self._entries
-        if iid in entries:
-            raise ValueError("item is already stored in this index")
-        self._changed()
+    def _insert(self, item: Mapping[str, object]) -> tuple[int, BucketKey]:
         free = self._free
-        slot = free[-1] if free else len(entries)
+        slot = free[-1] if free else len(self._entries)
         key_plan = self._plans.key_plan
         mapper = self.value_mapper
         table = self._hashes
@@ -347,9 +335,7 @@ class BitAddressIndex(StateIndex):
             key = key_plan.key_for(item, _default_map if mapper is None else mapper)
             row = key_plan.value_row(item, slot)
             table = self._hashes = self._live = None
-        acct = self.accountant
-        acct.hashes += len(self._frag_maps)  # one fragment hash per indexed attribute
-        acct.inserts += 1
+        self.accountant.hashes += len(self._frag_maps)  # one fragment hash per indexed attribute
         if free:
             free.pop()
             self._items[slot] = item
@@ -365,8 +351,8 @@ class BitAddressIndex(StateIndex):
                 self._live = _grown(self._live, np.zeros(2 * slot, dtype=bool))
                 table[slot] = hashes
             self._live[slot] = True
-        entries[iid] = (slot, key)
         self._place(row, key)
+        return slot, key
 
     def _record_types(self, types: tuple[type, ...]) -> None:
         """Note the exact value types of one stored row (grow-only)."""
@@ -380,23 +366,16 @@ class BitAddressIndex(StateIndex):
     def _place(self, row: tuple, key: BucketKey) -> None:
         """Put the value row ``row`` in the bucket ``key`` names (a new
         bucket enters the inverted maps)."""
-        acct = self.accountant
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = {}
             self._buckets[key] = bucket
             for pos, fmap in self._frag_maps.items():
                 fmap.setdefault(key[pos], set()).add(key)
-            acct.index_bytes += self._bucket_overhead_bytes()
+            self.accountant.index_bytes += self._bucket_overhead_bytes()
         bucket[row[-1]] = row
-        acct.index_bytes += self.cost_params.bucket_slot_bytes
 
-    def remove(self, item: Mapping[str, object]) -> None:
-        iid = id(item)
-        entry = self._entries.pop(iid, None)
-        if entry is None:
-            raise KeyError("item was never inserted into this index")
-        self._changed()
+    def _remove(self, item: Mapping[str, object], entry: tuple[int, BucketKey]) -> None:
         slot, key = entry
         self._free.append(slot)
         self._items[slot] = None
@@ -404,9 +383,6 @@ class BitAddressIndex(StateIndex):
             self._live[slot] = False  # the slot's hashes stay until it is reused
         bucket = self._buckets[key]
         del bucket[slot]
-        acct = self.accountant
-        acct.deletes += 1
-        acct.index_bytes -= self.cost_params.bucket_slot_bytes
         if not bucket:
             del self._buckets[key]
             for pos, fmap in self._frag_maps.items():
@@ -415,7 +391,7 @@ class BitAddressIndex(StateIndex):
                     keys.discard(key)
                     if not keys:
                         del fmap[key[pos]]
-            acct.index_bytes -= self._bucket_overhead_bytes()
+            self.accountant.index_bytes -= self._bucket_overhead_bytes()
 
     def bucket_items(self, key: BucketKey) -> list[Mapping[str, object]]:
         """The tuples of the bucket ``key`` names, in bucket order."""
@@ -554,7 +530,7 @@ class BitAddressIndex(StateIndex):
         old_buckets = self._buckets
 
         acct = self.accountant
-        acct.index_bytes -= self._current_structure_bytes()
+        acct.index_bytes -= len(old_buckets) * self._bucket_overhead_bytes()
 
         self._config = new_config
         self._buckets = {}
@@ -593,15 +569,9 @@ class BitAddressIndex(StateIndex):
             hashes=hashes,
         )
 
-    def _current_structure_bytes(self) -> int:
-        return (
-            len(self._buckets) * self._bucket_overhead_bytes()
-            + len(self._entries) * self.cost_params.bucket_slot_bytes
-        )
-
     def describe(self) -> str:
         return (
-            f"BitAddressIndex({self._config!r}, size={len(self._entries)}, "
+            f"BitAddressIndex({self._config!r}, size={self.size}, "
             f"buckets={len(self._buckets)}, column_answered={self.column_answered}, "
             f"column_walked={self.column_walked})"
         )

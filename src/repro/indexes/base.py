@@ -127,6 +127,16 @@ RowProbe = Callable[[tuple], SearchOutcome]
 EXACT_KEY_TYPES = frozenset({int, float, str, bytes, bool, type(None)})
 
 
+def inexact_positions(row: tuple) -> int:
+    """The mask of the positions of ``row`` holding a value outside
+    ``EXACT_KEY_TYPES``."""
+    mask = 0
+    for pos, value in enumerate(row):
+        if type(value) not in EXACT_KEY_TYPES:
+            mask |= 1 << pos
+    return mask
+
+
 def is_exact_key(row: tuple) -> bool:
     """Whether a dict lookup of ``row`` agrees with ``==`` against stored
     rows whose values are all of ``EXACT_KEY_TYPES``: every value is of one
@@ -143,13 +153,21 @@ class StateIndex(abc.ABC):
 
     Items are mappings from attribute name to value (engine tuples satisfy
     this).  Matching is exact equality on each attribute the access pattern
-    specifies.  Implementations must keep their :class:`Accountant` gauges
-    and counters current.
+    specifies.  A backend writes three hooks: ``_insert`` and ``_remove``,
+    which keep its own structure current and charge what that structure
+    costs, and ``_row_prober``.  The base owns the rest of the upkeep: the
+    one ``id -> entry`` map, the identity checks, the insert / delete
+    charges, ``size`` and the prober cache.
     """
 
     #: Every probe is a full scan — this *is* the degraded state
     #: (read by :attr:`~repro.storage.store.StateStore.degraded`).
     unindexed = False
+    #: Its probers capture nothing ``insert`` / ``remove`` replace, only
+    #: structures those two update in place, so both keep the cached
+    #: probers.  Off by default: a backend whose prober captures a size, a
+    #: count or a slice has its probers dropped on every insert and remove.
+    probers_outlive_storage = False
 
     def __init__(
         self,
@@ -160,40 +178,78 @@ class StateIndex(abc.ABC):
         self.jas = jas
         self.accountant = accountant if accountant is not None else Accountant()
         self.cost_params = cost_params if cost_params is not None else CostParams()
-        # Pattern mask -> ``_row_prober(ap)``, valid until ``_changed()``.
+        # ``id(item) -> entry`` in insertion order: what ``_insert``
+        # returned for each stored item, handed back to ``_remove``.
+        self._entries: dict[int, object] = {}
+        # Pattern mask -> ``_row_prober(ap)``, until ``_drop_probers()``.
         self._probers: dict[int, tuple[int, RowProbe]] = {}
 
     # -- storage ------------------------------------------------------- #
 
-    @abc.abstractmethod
     def insert(self, item: Mapping[str, object]) -> None:
         """Add ``item`` to the index.
 
         Storage is by identity: an object that is already stored is refused
         with ``ValueError`` before anything is charged (a second copy would
-        be counted twice and one ``remove`` would leave a phantom).
+        be counted twice and one ``remove`` would leave a phantom).  An
+        item the backend refuses (its ``_insert`` raises) leaves the index
+        as it was.
+        """
+        iid = id(item)
+        entries = self._entries
+        if iid in entries:
+            raise ValueError("item is already stored in this index")
+        entries[iid] = self._insert(item)
+        if not self.probers_outlive_storage:
+            self._drop_probers()
+        acct = self.accountant
+        acct.inserts += 1
+        acct.index_bytes += self.cost_params.bucket_slot_bytes
+
+    def remove(self, item: Mapping[str, object]) -> None:
+        """Remove a previously inserted ``item`` (identity-based); an item
+        that is not stored is refused with ``KeyError`` before anything is
+        charged."""
+        iid = id(item)
+        entries = self._entries
+        entry = entries.get(iid)
+        if entry is None:
+            raise KeyError("item was never inserted into this index")
+        self._remove(item, entry)
+        del entries[iid]
+        if not self.probers_outlive_storage:
+            self._drop_probers()
+        acct = self.accountant
+        acct.deletes += 1
+        acct.index_bytes -= self.cost_params.bucket_slot_bytes
+
+    @abc.abstractmethod
+    def _insert(self, item: Mapping[str, object]) -> object:
+        """Put a new ``item`` into the backend's structure and return its
+        entry (never ``None``): whatever ``_remove`` needs to take it out
+        again.
+
+        Computes every key before its first write, so a value the structure
+        cannot key raises with the index unchanged.  Charges what the
+        structure costs beyond the base's one insert and one slot.
         """
 
     @abc.abstractmethod
-    def remove(self, item: Mapping[str, object]) -> None:
-        """Remove a previously inserted ``item`` (identity-based)."""
+    def _remove(self, item: Mapping[str, object], entry: object) -> None:
+        """Take a stored ``item`` out of the backend's structure; ``entry``
+        is what ``_insert`` returned for it."""
 
-    def _changed(self) -> None:
-        """Drop every cached prober: what they captured is being replaced.
-
-        A prober may capture only what ``insert`` and ``remove`` keep
-        current in place; whatever a mutator replaces, that mutator
-        invalidates by calling this.  Most backends capture sizes or key
-        maps that every mutation replaces, so their ``insert`` / ``remove``
-        call it; a multi-hash prober captures only tables that insert and
-        remove update in place, so only what rebuilds a table or the module
-        set does.
-        """
+    def _drop_probers(self) -> None:
+        """Drop every cached prober.  A backend calls this from every change
+        other than ``insert`` / ``remove`` that replaces what a prober may
+        have captured (a key map, a module set, a table, an exactness
+        record); a caller may also call it after changing what a prober
+        reads only when it is built (a module constant)."""
         self._probers.clear()
 
     @abc.abstractmethod
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
-        """The per-pattern half of a probe — the one hook a backend writes.
+        """The per-pattern half of a probe.
 
         Returns ``(hashes, probe_row)``: the hash computations one probe of
         ``ap`` is charged, and a function from one value row (a tuple
@@ -205,10 +261,10 @@ class StateIndex(abc.ABC):
         and the outcome's ``buckets_visited`` / ``tuples_examined`` once
         per row, shared outcomes included.
 
-        The pair is cached per pattern mask and reused until the next
-        :meth:`_changed`, so it may capture what only a mutator that calls
-        :meth:`_changed` replaces (sizes, table views, the module choice)
-        and nothing that a non-mutating call can change.
+        The pair is cached per pattern mask.  Every ``_drop_probers`` call
+        drops it, and so does every ``insert`` / ``remove`` unless the
+        class sets :attr:`probers_outlive_storage`; it may capture what only
+        those replace, and nothing that a non-mutating call can change.
         """
 
     def _prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
@@ -297,9 +353,9 @@ class StateIndex(abc.ABC):
     # -- introspection --------------------------------------------------- #
 
     @property
-    @abc.abstractmethod
     def size(self) -> int:
         """Number of stored items."""
+        return len(self._entries)
 
     @property
     def memory_bytes(self) -> int:

@@ -36,7 +36,7 @@ every other row is filtered as before.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from operator import itemgetter
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
@@ -48,6 +48,7 @@ from repro.indexes.base import (
     RowProbe,
     SearchOutcome,
     StateIndex,
+    inexact_positions,
     is_exact_key,
 )
 from repro.utils.bitops import mask_to_indices
@@ -100,6 +101,13 @@ class MultiHashIndex(StateIndex):
         :class:`AccessPattern` over ``jas``).
     """
 
+    # A prober captures the module choice, tables and projectors only:
+    # insert and remove update those in place (a full scan reads the
+    # state's size per row), so it outlives arrivals and expiry.  What
+    # replaces them — ``set_patterns`` and the inexact record that drops
+    # tables — drops them.
+    probers_outlive_storage = True
+
     def __init__(
         self,
         jas: JoinAttributeSet,
@@ -108,10 +116,8 @@ class MultiHashIndex(StateIndex):
         cost_params: CostParams | None = None,
     ) -> None:
         super().__init__(jas, accountant, cost_params)
+        # A stored tuple's row: its JAS values.
         self._read_row = _getter(jas.names)
-        # Stored tuples and their rows, by id, in insertion order.
-        self._items: dict[int, Mapping[str, object]] = {}
-        self._rows: dict[int, Row] = {}
         # Pattern mask -> (projection, table): every module's table and the
         # exact tables of the request masks probed without an exact module.
         self._tables: dict[int, tuple[Projector, Table]] = {}
@@ -135,10 +141,6 @@ class MultiHashIndex(StateIndex):
         """Number of access modules currently maintained."""
         return len(self._modules)
 
-    @property
-    def size(self) -> int:
-        return len(self._items)
-
     def _check_pattern(self, ap: AccessPattern) -> None:
         if ap.jas != self.jas:
             raise ValueError(f"pattern {ap!r} ranges over a different JAS than this index")
@@ -152,7 +154,7 @@ class MultiHashIndex(StateIndex):
         if ap.mask in self._modules:
             return
         self._modules[ap.mask] = _AccessModule(ap, self._table(ap.mask))
-        n = len(self._items)
+        n = self.size
         acct = self.accountant
         acct.hashes += n * ap.n_attributes
         acct.moves += n
@@ -161,7 +163,7 @@ class MultiHashIndex(StateIndex):
     def _drop_module(self, mask: int) -> None:
         del self._modules[mask]
         del self._tables[mask]
-        self.accountant.index_bytes -= len(self._items) * self.cost_params.index_entry_bytes
+        self.accountant.index_bytes -= self.size * self.cost_params.index_entry_bytes
 
     def set_patterns(self, patterns: Iterable[AccessPattern]) -> None:
         """Retune the module set: build missing modules, drop the rest.
@@ -174,7 +176,7 @@ class MultiHashIndex(StateIndex):
             self._check_pattern(ap)
             if ap.is_full_scan:
                 raise ValueError("an access module must index at least one attribute")
-        self._changed()  # a prober holds its module choice
+        self._drop_probers()  # a prober holds its module choice
         for mask in [m for m in self._modules if m not in wanted]:
             self._drop_module(mask)
         for mask, ap in wanted.items():
@@ -191,47 +193,39 @@ class MultiHashIndex(StateIndex):
         entry = self._tables.get(mask)
         if entry is None:
             project = _projector(mask_to_indices(mask), len(self.jas))
+            read_row = self._read_row
             table: Table = {}
-            for (iid, item), row in zip(self._items.items(), self._rows.values()):
-                table.setdefault(project(row), {})[iid] = item
+            for iid, item in self._entries.items():
+                table.setdefault(project(read_row(item)), {})[iid] = item
             entry = self._tables[mask] = (project, table)
         return entry[1]
 
-    def _record_inexact(self, row: Row) -> None:
-        """Note the positions of ``row`` holding a value outside
-        ``EXACT_KEY_TYPES``, and drop the exact tables over them — and the
-        probers that answer from those tables."""
-        self._changed()
-        for pos, value in enumerate(row):
-            if type(value) not in EXACT_KEY_TYPES:
-                self._inexact |= 1 << pos
-        for mask in [m for m in self._tables if m & self._inexact and m not in self._modules]:
-            del self._tables[mask]
-
-    def insert(self, item: Mapping[str, object]) -> None:
-        iid = id(item)
-        if iid in self._items:
-            raise ValueError("item is already stored in this index")
+    def _insert(self, item: Mapping[str, object]) -> Mapping[str, object]:
         row = self._read_row(item)
         if not EXACT_KEY_TYPES.issuperset(map(type, row)):
-            self._record_inexact(row)
-        self._items[iid] = item
-        self._rows[iid] = row
+            # A module keys every value: refuse an unhashable one now.
+            for mask in self._modules:
+                hash(self._tables[mask][0](row))
+            inexact = self._inexact | inexact_positions(row)
+            if inexact != self._inexact:
+                # No exact table answers over an inexact position; a prober
+                # holds the table it answers from.
+                self._drop_probers()
+                self._inexact = inexact
+                for mask in [m for m in self._tables if m & inexact and m not in self._modules]:
+                    del self._tables[mask]
+        iid = id(item)
         for project, table in self._tables.values():
             table.setdefault(project(row), {})[iid] = item
         acct = self.accountant
-        acct.inserts += 1
-        acct.index_bytes += self.cost_params.bucket_slot_bytes
         for module in self._modules.values():
             acct.hashes += module.n_attributes
             acct.index_bytes += self.cost_params.index_entry_bytes
+        return item
 
-    def remove(self, item: Mapping[str, object]) -> None:
+    def _remove(self, item: Mapping[str, object], entry: object) -> None:
         iid = id(item)
-        if iid not in self._items:
-            raise KeyError("item was never inserted into this index")
-        del self._items[iid]
-        row = self._rows.pop(iid)
+        row = self._read_row(item)
         for project, table in self._tables.values():
             key = project(row)
             bucket = table[key]
@@ -239,15 +233,9 @@ class MultiHashIndex(StateIndex):
             if not bucket:
                 del table[key]
         acct = self.accountant
-        acct.deletes += 1
-        acct.index_bytes -= self.cost_params.bucket_slot_bytes
         for module in self._modules.values():
             acct.hashes += module.n_attributes  # keys recomputed to locate entries
             acct.index_bytes -= self.cost_params.index_entry_bytes
-
-    def items(self) -> Iterator[Mapping[str, object]]:
-        """Iterate every stored item."""
-        return iter(self._items.values())
 
     # ------------------------------------------------------------------ #
     # search
@@ -271,11 +259,6 @@ class MultiHashIndex(StateIndex):
         return best
 
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
-        # The prober captures the module choice, tables and projectors
-        # only: insert and remove update those in place (a full scan reads
-        # the state's size per row), so it outlives arrivals and expiry.
-        # What replaces them — ``set_patterns`` and the inexact record that
-        # drops tables — calls ``_changed()``.
         matcher = compile_matcher(ap)
         select = matcher.select
         if matcher.is_full_scan:
@@ -286,7 +269,7 @@ class MultiHashIndex(StateIndex):
             # an exact table (built now if this is its first probe).
             answers = None if ap.mask & self._inexact else self._table(ap.mask)
         if module is None:
-            items = self._items
+            items = self._entries
 
             def probe_row(row: tuple) -> SearchOutcome:
                 if answers is not None and is_exact_key(row):
@@ -317,4 +300,4 @@ class MultiHashIndex(StateIndex):
 
     def describe(self) -> str:
         pats = ", ".join(repr(m.pattern) for m in self._modules.values())
-        return f"MultiHashIndex([{pats}], size={len(self._items)})"
+        return f"MultiHashIndex([{pats}], size={self.size})"

@@ -31,12 +31,17 @@ from repro.indexes.base import (
     RowProbe,
     SearchOutcome,
     StateIndex,
+    inexact_positions,
     is_exact_key,
 )
 
 
 class InvertedListIndex(StateIndex):
     """One exact inverted list per join attribute."""
+
+    # A prober reads the lists and the stored-item map live; it captures
+    # only whether its lists are exact; growing that record drops them.
+    probers_outlive_storage = True
 
     def __init__(
         self,
@@ -45,7 +50,6 @@ class InvertedListIndex(StateIndex):
         cost_params: CostParams | None = None,
     ) -> None:
         super().__init__(jas, accountant, cost_params)
-        self._items: dict[int, Mapping[str, object]] = {}
         self._lists: dict[str, dict[object, dict[int, Mapping[str, object]]]] = {
             name: {} for name in jas.names
         }
@@ -53,47 +57,39 @@ class InvertedListIndex(StateIndex):
         # (grow-only).
         self._inexact = 0
 
-    @property
-    def size(self) -> int:
-        return len(self._items)
-
-    def insert(self, item: Mapping[str, object]) -> None:
-        if id(item) in self._items:
-            raise ValueError("item is already stored in this index")
-        self._changed()
-        self._items[id(item)] = item
+    def _insert(self, item: Mapping[str, object]) -> Mapping[str, object]:
+        values = [item[name] for name in self.jas.names]
+        if not EXACT_KEY_TYPES.issuperset(map(type, values)):
+            hash(tuple(values))  # every value keys a list: refuse an unhashable one now
+            inexact = self._inexact | inexact_positions(values)
+            if inexact != self._inexact:
+                self._drop_probers()
+                self._inexact = inexact
+        iid = id(item)
+        for postings, value in zip(self._lists.values(), values):
+            postings.setdefault(value, {})[iid] = item
+        # One hash and one posting per attribute.
         acct = self.accountant
-        acct.inserts += 1
-        acct.index_bytes += self.cost_params.bucket_slot_bytes
-        for pos, name in enumerate(self.jas.names):
+        acct.hashes += len(values)
+        acct.index_bytes += len(values) * self.cost_params.index_entry_bytes
+        return item
+
+    def _remove(self, item: Mapping[str, object], entry: object) -> None:
+        iid = id(item)
+        for name, plist in self._lists.items():
             value = item[name]
-            if type(value) not in EXACT_KEY_TYPES:
-                self._inexact |= 1 << pos
-            self._lists[name].setdefault(value, {})[id(item)] = item
-            acct.hashes += 1
-            acct.index_bytes += self.cost_params.index_entry_bytes
-
-    def remove(self, item: Mapping[str, object]) -> None:
-        if id(item) not in self._items:
-            raise KeyError("item was never inserted into this index")
-        self._changed()
-        del self._items[id(item)]
+            postings = plist[value]
+            del postings[iid]
+            if not postings:
+                del plist[value]
         acct = self.accountant
-        acct.deletes += 1
-        acct.index_bytes -= self.cost_params.bucket_slot_bytes
-        for name in self.jas.names:
-            postings = self._lists[name].get(item[name])
-            if postings is not None:
-                postings.pop(id(item), None)
-                if not postings:
-                    del self._lists[name][item[name]]
-            acct.hashes += 1
-            acct.index_bytes -= self.cost_params.index_entry_bytes
+        acct.hashes += len(self._lists)
+        acct.index_bytes -= len(self._lists) * self.cost_params.index_entry_bytes
 
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
         matcher = compile_matcher(ap)
         attributes = matcher.attributes
-        items = self._items
+        items = self._entries
         if not attributes:
 
             def probe_row(row: tuple) -> SearchOutcome:
@@ -128,6 +124,3 @@ class InvertedListIndex(StateIndex):
 
         # One hash per attribute fetches its posting list.
         return len(attributes), probe_row
-
-    def describe(self) -> str:
-        return f"InvertedListIndex(jas={list(self.jas.names)}, size={len(self._items)})"

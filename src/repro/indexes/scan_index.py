@@ -10,48 +10,26 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.core.access_pattern import AccessPattern, JoinAttributeSet
+from repro.core.access_pattern import AccessPattern
 from repro.core.probe_plan import compile_matcher
-from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, StateIndex
+from repro.indexes.base import RowProbe, SearchOutcome, StateIndex
 
 
 class ScanIndex(StateIndex):
     """Stores items in arrival order; answers every probe by full scan."""
 
     unindexed = True
+    probers_outlive_storage = True  # a prober reads the stored-item map live
 
-    def __init__(
-        self,
-        jas: JoinAttributeSet,
-        accountant: Accountant | None = None,
-        cost_params: CostParams | None = None,
-    ) -> None:
-        super().__init__(jas, accountant, cost_params)
-        self._items: dict[int, Mapping[str, object]] = {}
+    def _insert(self, item: Mapping[str, object]) -> Mapping[str, object]:
+        return item
 
-    @property
-    def size(self) -> int:
-        return len(self._items)
-
-    def insert(self, item: Mapping[str, object]) -> None:
-        if id(item) in self._items:
-            raise ValueError("item is already stored in this index")
-        self._changed()
-        self._items[id(item)] = item
-        self.accountant.inserts += 1
-        self.accountant.index_bytes += self.cost_params.bucket_slot_bytes
-
-    def remove(self, item: Mapping[str, object]) -> None:
-        if id(item) not in self._items:
-            raise KeyError("item was never inserted into this index")
-        self._changed()
-        del self._items[id(item)]
-        self.accountant.deletes += 1
-        self.accountant.index_bytes -= self.cost_params.bucket_slot_bytes
+    def _remove(self, item: Mapping[str, object], entry: object) -> None:
+        pass
 
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
         select = compile_matcher(ap).select
-        items = self._items
+        items = self._entries
 
         def probe_row(row: tuple) -> SearchOutcome:
             return SearchOutcome(select((items.values(),), row), 1, len(items), True)

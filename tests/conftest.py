@@ -28,13 +28,13 @@ def column_probe_gate(candidates: int, *indexes):
     default = bit_index.COLUMN_PROBE_MIN_CANDIDATES
     bit_index.COLUMN_PROBE_MIN_CANDIDATES = candidates
     for index in indexes:
-        index._changed()
+        index._drop_probers()
     try:
         yield
     finally:
         bit_index.COLUMN_PROBE_MIN_CANDIDATES = default
         for index in indexes:
-            index._changed()
+            index._drop_probers()
 
 
 def asks_columns(index, ap: AccessPattern) -> bool:

@@ -78,22 +78,19 @@ def test_hot_dataclasses_are_slotted():
 
 
 class Dummy(StateIndex):
-    """The least a backend writes: storage, size, and the row hook."""
+    """The least a backend writes: the two storage hooks and the row hook."""
 
     def __init__(self, jas, stored=()):
         super().__init__(jas)
         self.stored = list(stored)
         self.probed = []
 
-    def insert(self, item):
+    def _insert(self, item):
         self.stored.append(item)
+        return item
 
-    def remove(self, item):
-        self.stored.remove(item)
-
-    @property
-    def size(self):
-        return len(self.stored)
+    def _remove(self, item, entry):
+        self.stored.remove(entry)
 
     def _row_prober(self, ap):
         attrs = ap.attributes
@@ -160,6 +157,21 @@ class TestStateIndexHelpers:
         assert d.memory_bytes == 0
         assert "Dummy" in d.describe()
 
+    def test_the_base_owns_identity_charges_and_size(self):
+        d = Dummy(self.JAS)
+        item = {"A": 1, "B": 2}
+        d.insert(item)
+        assert d.stored == [item] and d.size == 1
+        assert d.accountant == Accountant(inserts=1, index_bytes=8)
+        with pytest.raises(ValueError, match="already stored"):
+            d.insert(item)
+        with pytest.raises(KeyError, match="never inserted"):
+            d.remove({"A": 1, "B": 2})  # equal, but not the stored object
+        assert d.stored == [item] and d.accountant == Accountant(inserts=1, index_bytes=8)
+        d.remove(item)
+        assert d.stored == [] and d.size == 0
+        assert d.accountant == Accountant(inserts=1, deletes=1)
+
 
 INDEX_CLASSES = (BitAddressIndex, StaticBitmapIndex, MultiHashIndex, InvertedListIndex, ScanIndex)
 
@@ -217,3 +229,37 @@ class TestIndexClasses:
         index.remove(item)
         assert index.size == 0 and index.memory_bytes == 0
         assert not index.search(ap3("A"), {"A": 1}).matches
+
+    @pytest.mark.parametrize("position", ["A", "B", "C"])
+    @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda cls: cls.__name__)
+    def test_a_refused_insert_leaves_the_index_as_it_was(self, cls, position, jas3):
+        """An unhashable value is either refused with the index untouched
+        (and the tuple cannot be removed), or stored so that a remove
+        restores every answer."""
+        index = build_index(cls, jas3)
+        good = {"A": 1, "B": 2, "C": 3}
+        index.insert(good)
+        patterns = [AccessPattern.from_mask(jas3, mask) for mask in range(jas3.full_mask + 1)]
+
+        def answers():
+            out = []
+            for ap in patterns:
+                [outcome] = index.search_batch(ap, [tuple(good[a] for a in ap.attributes)])
+                out.append(([id(m) for m in outcome.matches], outcome.buckets_visited,
+                            outcome.tuples_examined))
+            return out
+
+        before = answers()
+        size, acct = index.size, index.accountant.snapshot()
+        odd = {**good, position: [1]}
+        try:
+            index.insert(odd)
+        except (TypeError, ValueError):
+            assert index.size == size and index.accountant == acct
+            assert answers() == before
+            with pytest.raises(KeyError):
+                index.remove(odd)
+        else:
+            index.remove(odd)
+            assert index.size == size and index.memory_bytes == acct.index_bytes
+            assert answers() == before

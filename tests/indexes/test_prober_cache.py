@@ -1,19 +1,20 @@
 """A cached prober answers as a fresh one would: a rule, not a convention.
 
-``StateIndex`` keeps one prober per pattern mask until ``_changed()``.  A
-prober may capture only what ``insert`` / ``remove`` keep current in
-place; whatever a mutator replaces, it invalidates.  The rule is checked
-on every concrete backend — found by walking the subclasses of
-``StateIndex``, so a new backend is covered without editing this file:
+``StateIndex`` keeps one prober per pattern mask.  Its ``_drop_probers``
+drops them all: on every structure change other than ``insert`` /
+``remove``, and on every ``insert`` / ``remove`` of a class that does not
+set ``probers_outlive_storage``.  The
+rule is checked on every concrete backend — found by walking the
+subclasses of ``StateIndex``, so a new backend is covered without editing
+this file:
 
 - after any interleaving of probes, inserts and removes, every pattern
   reads exactly what a twin reads that replayed the same inserts and
   removes without ever probing;
 - crossed with each public mutator, every pattern reads what the
-  never-probed twin reads, and a mutator that replaces what probers
-  capture leaves no prober cached.  The one pair whose probers survive
-  (``MultiHashIndex`` insert / remove, which update its tables in place)
-  must keep them.
+  never-probed twin reads.  An insert or remove on a class that sets
+  ``probers_outlive_storage`` answers with the very probers cached before
+  it; every other mutation leaves no prober cached.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ from fractions import Fraction
 import pytest
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
+from repro.core.bit_index import BitAddressIndex
 from repro.core.index_config import IndexConfiguration
 from repro.engine.tuples import StreamTuple
 from repro.indexes.base import StateIndex
 from repro.indexes.hash_index import MultiHashIndex
+from repro.indexes.inverted_index import InvertedListIndex
+from repro.indexes.scan_index import ScanIndex
 from repro.indexes.static_bitmap import StaticBitmapIndex
 from repro.storage import StateStore
 from tests.conftest import build_index
@@ -81,7 +85,12 @@ MUTATIONS = {
 }
 
 #: (backend, mutator) pairs that update in place what probers capture.
-KEEPS_PROBERS = {(MultiHashIndex, "insert"), (MultiHashIndex, "remove")}
+KEEPS_PROBERS = {
+    (cls, mutation)
+    for cls in backends()
+    if cls.probers_outlive_storage
+    for mutation in ("insert", "remove")
+}
 
 CASES = [
     pytest.param(cls, name, id=f"{cls.__name__}-{name}")
@@ -133,6 +142,15 @@ def test_every_backend_is_covered():
     }
 
 
+def test_only_bit_address_probers_die_with_an_arrival():
+    """A bit-address prober captures the state's size, its live-bucket
+    count and its masked column slices; the other backends' probers read
+    what insert and remove update in place."""
+    keeping = {cls for cls in backends() if cls.probers_outlive_storage}
+    assert keeping >= {ScanIndex, InvertedListIndex, MultiHashIndex}
+    assert not keeping & {BitAddressIndex, StaticBitmapIndex}
+
+
 def mutated_after_probing(cls, mutation):
     """A store whose prober cache was full when ``mutation`` ran, and a
     twin that ran it without ever probing."""
@@ -156,7 +174,8 @@ def test_a_mutation_drops_every_cached_prober(cls, mutation):
         cached = dict(store.index._probers)
         assert len(cached) == JAS.full_mask + 1
         assert read_every_pattern(store) == read_every_pattern(twin)
-        assert store.index._probers == cached  # the same probers answered
+        # The same prober objects answered.
+        assert all(store.index._probers[mask] is p for mask, p in cached.items())
     else:
         assert store.index._probers == {}
         assert read_every_pattern(store) == read_every_pattern(twin)
@@ -179,9 +198,33 @@ def test_a_cached_prober_answers_as_a_never_probed_twin(cls):
         assert read_every_pattern(store) == read_every_pattern(twin), (op, n)
 
 
+#: The backends that record which JAS positions have held a value a dict
+#: key cannot stand for, and answer from value-keyed tables elsewhere.
+INEXACT_RECORDS = [cls for cls in backends() if hasattr(build_index(cls, JAS), "_inexact")]
+
+
+@pytest.mark.parametrize("cls", INEXACT_RECORDS, ids=lambda cls: cls.__name__)
+def test_a_prober_built_before_an_inexact_typed_insert_is_dropped(cls):
+    """The first inexact value at a position drops the probers that
+    answered from exact tables over it; a second one changes nothing a
+    prober captured."""
+    B = AccessPattern.from_attributes(JAS, ["B"])
+    store, items = build(cls)
+    before = store.probe_batch(B, [(0,)])[0].matches
+    assert B.mask in store.index._probers
+    odd = StreamTuple("S", 50, {"A": 7, "B": Fraction(0), "C": 7})
+    store.index.insert(odd)
+    assert B.mask not in store.index._probers
+    assert store.probe_batch(B, [(0,)])[0].matches == before + [odd]
+    prober = store.index._probers[B.mask]
+    again = StreamTuple("S", 51, {"A": 8, "B": Fraction(0), "C": 8})
+    store.index.insert(again)
+    assert store.index._probers[B.mask] is prober
+    assert store.probe_batch(B, [(0,)])[0].matches == before + [odd, again]
+
+
 class TestMultiHashProberLifetime:
-    """Regression cases for the multi-hash rule: arrivals keep probers,
-    an inexact-typed value drops them."""
+    """Regression case for the multi-hash rule: arrivals keep probers."""
 
     B = AccessPattern.from_attributes(JAS, ["B"])  # no module: exact table, full-scan charge
     A = AccessPattern.from_attributes(JAS, ["A"])  # its own module
@@ -199,12 +242,3 @@ class TestMultiHashProberLifetime:
         assert store.index._probers == probers
         # The full scan is charged the state's size at probe time.
         assert store.probe_batch(self.B, [(99,)])[0].tuples_examined == store.size == len(items)
-
-    def test_a_prober_built_before_an_inexact_typed_insert_is_dropped(self):
-        store, items = build(MultiHashIndex)
-        before = store.probe_batch(self.B, [(0,)])[0].matches
-        assert self.B.mask in store.index._probers
-        odd = StreamTuple("S", 50, {"A": 7, "B": Fraction(0), "C": 7})
-        store.index.insert(odd)
-        assert self.B.mask not in store.index._probers
-        assert store.probe_batch(self.B, [(0,)])[0].matches == before + [odd]

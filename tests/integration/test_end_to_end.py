@@ -8,6 +8,8 @@ runs are exactly reproducible.
 
 import pytest
 
+from repro.core.access_pattern import JoinAttributeSet
+from repro.core.bit_index import BitAddressIndex, make_bit_index
 from repro.experiments.harness import run_comparison, run_scheme, train_initial_state
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
@@ -76,6 +78,25 @@ class TestResultCorrectness:
         stats = run_scheme(scenario, "amri:cdia-highest", TICKS, training=training)
         series = [s.outputs for s in stats.samples]
         assert all(b >= a for a, b in zip(series, series[1:]))
+
+
+class TestSchemeIsolation:
+    def test_a_hash_run_constructs_no_bit_address_index(self, scenario, training, monkeypatch):
+        """The multi-hash comparator is the control for bit-address-only
+        changes: after the (AMRI) quasi-training, its run never builds a
+        bit-address index of any class."""
+        built = []
+        init = BitAddressIndex.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BitAddressIndex, "__init__", counting_init)
+        stats = run_scheme(scenario, "hash:3", 40, training=training, memory_budget=1 << 34)
+        assert stats.outputs > 0 and built == []
+        make_bit_index(JoinAttributeSet(["A", "B"]), [1, 1])
+        assert built == [BitAddressIndex]  # the count sees a construction
 
 
 class TestReproducibility:
