@@ -65,6 +65,9 @@ class SRIA(FrequencyAssessor):
     def _record(self, ap: AccessPattern) -> None:
         self.table.increment(ap.mask)
 
+    def _record_run(self, ap: AccessPattern, n: int) -> None:
+        self.table.increment(ap.mask, n)
+
     def frequent_patterns(self, theta: float) -> dict[AccessPattern, float]:
         check_fraction("theta", theta)
         n = self._n_requests

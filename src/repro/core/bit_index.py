@@ -43,12 +43,12 @@ the slots in use, exactly the tuples of the buckets the walk would visit —
 their count *is* the walk's ``tuples_examined`` — and ``column == h`` over
 its probed attributes finds the slots that can equal the row.  If there is
 none the probe is answered; otherwise the walk runs as if the columns were
-not there.  Hash equality stands for value equality only within one exact
-type (``1 == 1.0 == True`` hash three ways), so each column records the
-type of the values it has held and vouches only for a probe value of that
-same type; an index with a custom value mapper, or one that has stored a
-value the stable hash rejects (possible in an attribute without bits),
-keeps no columns.
+not there.  Equal values of ``EXACT_KEY_TYPES`` have one stable hash
+(``1 == 1.0 == True`` hash as ``1``), so a column vouches for any probe
+value of those types; a probe value of another type walks.  An index with
+a custom value mapper, or one that has stored a value of another type (a
+subclass, or a value the stable hash rejects in an attribute without
+bits), keeps no columns.
 
 The accountant is charged the price a real bit-address index pays —
 ``min(2**wildcard_bits, live buckets)`` bucket visits plus one examination
@@ -67,7 +67,14 @@ import numpy as np
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration, ValueMapper, _default_map
 from repro.core.probe_plan import ProbePlan, ProbePlanCache
-from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, StateIndex
+from repro.indexes.base import (
+    EXACT_KEY_TYPES,
+    Accountant,
+    CostParams,
+    RowProbe,
+    SearchOutcome,
+    StateIndex,
+)
 from repro.utils.bitops import _cached_value_hash
 
 BucketKey = tuple[int, ...]
@@ -84,14 +91,6 @@ BucketKey = tuple[int, ...]
 #: factor of two above the crossover.  A constant, not an option.
 COLUMN_PROBE_MIN_CANDIDATES = 64
 
-#: The exact types within which equal values always have equal stable
-#: hashes, so "no slot carries this hash" proves "no stored value equals
-#: this one".  Across types it does not: ``1 == 1.0 == True`` hash three
-#: ways, and a subclass may define its own ``__eq__``.
-_EXACT_HASH_TYPES = frozenset({int, float, str, bytes, bool, type(None)})
-#: A column that has held values of more than one exact type, or of a type
-#: outside ``_EXACT_HASH_TYPES`` (never the type of a probe value).
-_MIXED = object()
 _INITIAL_CAPACITY = 256
 #: The fragment mask of a fragment as wide as the 64-bit hash.
 _HASH_MASK = np.uint64((1 << 64) - 1)
@@ -127,8 +126,10 @@ def _walk_source(mapped: bool, n_fixed: int, arity: int, layout: tuple[int, ...]
     ``probe_row``, which in one call:
 
     - computes each fixed fragment — the memoized value hash masked to its
-      width, or the value mapper's; a value the hash rejects sends every
-      fragment through the default mapper, which raises the canonical error;
+      width, or the value mapper's; a value outside ``EXACT_KEY_TYPES``
+      (which must not reach the memo) sends every fragment through the
+      default mapper, which hashes it uncached or raises the canonical
+      error;
     - finds the candidate buckets.  A point probe assembles its one key (a
       position without bits has fragment 0).  A wildcard probe looks up each
       fragment's key set in fixed-position order, answers "no match" at the
@@ -144,7 +145,8 @@ def _walk_source(mapped: bool, n_fixed: int, arity: int, layout: tuple[int, ...]
     where = " and ".join(f"r[p{j}] == v{j}" for j in range(arity))
     where = f" if {where}" if where else ""
     lines = [
-        "def make_walk(plan, buckets, frag_maps, items, visited, size, hash_, mapper, Outcome):"
+        "def make_walk(plan, buckets, frag_maps, items, visited, size, hash_, exact, mapper,"
+        " Outcome):"
     ]
     for targets, source in (
         ([f"p{j}" for j in range(arity)], "plan.positions"),
@@ -161,8 +163,9 @@ def _walk_source(mapped: bool, n_fixed: int, arity: int, layout: tuple[int, ...]
     if mapped:
         body += by_mapper
     elif n_fixed:
-        body += ["try:", *(f"    f{j} = hash_(type(x{j}), x{j}) & m{j}" for j in fixed)]
-        body += ["except TypeError:", *(f"    {line}" for line in by_mapper)]
+        exact = " and ".join(f"type(x{j}) in exact" for j in fixed)
+        body += [f"if {exact}:", *(f"    f{j} = hash_(x{j}) & m{j}" for j in fixed)]
+        body += ["else:", *(f"    {line}" for line in by_mapper)]
     miss = "    return Outcome([], visited, 0)"
     if not n_fixed:
         select = f"items[r[-1]] for b in buckets.values() for r in b.values(){where}"
@@ -254,22 +257,18 @@ class BitAddressIndex(StateIndex):
         self._free: list[int] = []
         self._items: list[Mapping[str, object] | None] = []
         # Per slot and JAS position, the 64-bit stable hash of the tuple's
-        # value (column-major: one attribute's hashes are contiguous), which
-        # slots are in use, and per position the exact type of the values
-        # hashed there (``_MIXED`` once there have been two).  ``None``: this
-        # index keeps no columns — a custom value mapper, or a stored value
-        # the stable hash rejects.
+        # value (column-major: one attribute's hashes are contiguous), and
+        # which slots are in use.  ``None``: this index keeps no columns — a
+        # custom value mapper, or a stored value outside ``EXACT_KEY_TYPES``.
         n = len(config.jas.names)
         self._hashes: np.ndarray | None = None
         self._live: np.ndarray | None = None
         if value_mapper is None:
             self._hashes = _hash_table(_INITIAL_CAPACITY, n)
             self._live = np.zeros(_INITIAL_CAPACITY, dtype=bool)
-        self._column_types: list[object] = [None] * n
-        self._row_types: tuple[type, ...] | None = None  # the last inserted row's, already recorded
         #: Probe rows the hash columns answered without a bucket walk, and
         #: rows they passed on to the walk (a possible match, or a value
-        #: whose type the column cannot vouch for).
+        #: outside ``EXACT_KEY_TYPES``).
         self.column_answered = 0
         self.column_walked = 0
         self._rebuild_frag_positions()
@@ -325,11 +324,12 @@ class BitAddressIndex(StateIndex):
         hashes = None
         if table is not None and mapper is None:
             try:
-                types, hashes, key, row = key_plan.hash_row(item, slot)
+                hashes, key, row = key_plan.hash_row(item, slot)
             except (KeyError, TypeError):
-                # A value the stable hash rejects, or none at all: fatal in
-                # an attribute that carries bits (the mapper path raises the
-                # canonical error), the end of the columns otherwise.
+                # No value, or one outside EXACT_KEY_TYPES: the end of the
+                # columns, and fatal in an attribute that carries bits if
+                # the stable hash rejects it (the mapper path raises the
+                # canonical error).
                 pass
         if hashes is None:
             key = key_plan.key_for(item, _default_map if mapper is None else mapper)
@@ -342,8 +342,6 @@ class BitAddressIndex(StateIndex):
         else:
             self._items.append(item)
         if table is not None:
-            if types != self._row_types:
-                self._record_types(types)
             try:
                 table[slot] = hashes
             except IndexError:  # full: double it
@@ -353,15 +351,6 @@ class BitAddressIndex(StateIndex):
             self._live[slot] = True
         self._place(row, key)
         return slot, key
-
-    def _record_types(self, types: tuple[type, ...]) -> None:
-        """Note the exact value types of one stored row (grow-only)."""
-        kinds = self._column_types
-        for pos, kind in enumerate(types):
-            if kinds[pos] is not kind:
-                first = kinds[pos] is None and kind in _EXACT_HASH_TYPES
-                kinds[pos] = kind if first else _MIXED
-        self._row_types = types
 
     def _place(self, row: tuple, key: BucketKey) -> None:
         """Put the value row ``row`` in the bucket ``key`` names (a new
@@ -426,6 +415,7 @@ class BitAddressIndex(StateIndex):
             visited,
             len(self._entries),
             _cached_value_hash,
+            EXACT_KEY_TYPES,
             _default_map if mapper is None else mapper,
             SearchOutcome,
         )
@@ -447,9 +437,10 @@ class BitAddressIndex(StateIndex):
         tuples of the candidate buckets, so their count is the
         ``tuples_examined`` the walk would report; if no slot carries the
         full hash of every probed value, no stored tuple equals the row —
-        given that column and probe value are of one exact type, else the
-        row walks.  A row that may match walks too: the columns never
-        produce a match list, so they cannot change match order.
+        given that every probe value is of ``EXACT_KEY_TYPES``, as every
+        stored one is; else the row walks.  A row that may match walks too:
+        the columns never produce a match list, so they cannot change match
+        order.
 
         The structure-only half is done here, once per prober: each fixed
         position's column is masked to its fragment, and a free slot gets
@@ -461,10 +452,8 @@ class BitAddressIndex(StateIndex):
         size = len(self._entries)
         free = self._free
         top = size + len(free)  # one past the highest slot handed out
-        # Aligned with a probe row: each probed attribute's column, and the
-        # one exact type whose values it has stored.
+        # Aligned with a probe row: each probed attribute's column.
         columns = [self._hashes[:top, pos] for pos in plan.positions]
-        kinds = [self._column_types[pos] for pos in plan.positions]
         # Per fixed position: its row index, masked column and fragment mask.
         fragments = []
         in_use = None  # the slots in use, when a fragment spans the hash
@@ -480,14 +469,16 @@ class BitAddressIndex(StateIndex):
         full_scan = not fragments
         count_nonzero = np.count_nonzero
         uint64 = np.uint64
+        exact = EXACT_KEY_TYPES
+        hash_ = _cached_value_hash
 
         def probe_row(row: tuple) -> SearchOutcome:
             hashes = []
-            for value, kind in zip(row, kinds):
-                if type(value) is not kind:
+            for value in row:
+                if type(value) not in exact:
                     self.column_walked += 1
                     return walk(row)
-                hashes.append(uint64(_cached_value_hash(kind, value)))
+                hashes.append(uint64(hash_(value)))
             examined = size
             if fragments:
                 in_buckets = in_use
@@ -554,7 +545,7 @@ class BitAddressIndex(StateIndex):
                 if table is not None:
                     key = tuple(rekeyed[slot])
                 else:
-                    key = key_plan.key_for(dict(zip(key_plan.names, row)), mapper)
+                    key = key_plan.row_key(row, mapper)
                 entries[id(items[slot])] = (slot, key)
                 self._place(row, key)
         # Not fresh inserts: per tuple one move and the new map's hashes.

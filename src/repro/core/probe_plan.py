@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.access_pattern import AccessPattern
 from repro.core.index_config import IndexConfiguration
-from repro.utils.bitops import _cached_value_hash, mask_to_indices
+from repro.utils.bitops import EXACT_KEY_TYPES, _cached_value_hash, mask_to_indices
 
 #: A stable value hash has 64 bits; a wider fragment mask selects them all.
 _HASH_BITS = (1 << 64) - 1
@@ -125,25 +125,28 @@ class Matcher:
         self.select = _compile_row_selector(self.attributes)
 
 
-#: ``(item, slot) -> (value types, value hashes, bucket key, value row)``.
-RowHasher = Callable[
-    [Mapping[str, object], int],
-    tuple[tuple[type, ...], list[int], tuple[int, ...], tuple],
-]
+#: ``(item, slot) -> (value hashes, bucket key, value row)``.
+RowHasher = Callable[[Mapping[str, object], int], tuple[list[int], tuple[int, ...], tuple]]
+
+
+#: What ``hash_row`` raises for a row holding a value outside ``EXACT_KEY_TYPES``.
+_NOT_EXACT = "value hash columns take values of EXACT_KEY_TYPES only"
 
 
 def _compile_row_hasher(names: tuple[str, ...], masks: tuple[int, ...]) -> RowHasher:
-    """``(item, slot) -> (value types, value hashes, bucket key, value row)``
-    over the JAS attributes ``names``, under the default value mapping — a
-    fragment is the memoized stable value hash masked to the attribute's
-    width — specialised to the attribute count like the row selectors above.
-    The value row is what a bucket keeps: the values in JAS order, then
+    """``(item, slot) -> (value hashes, bucket key, value row)`` over the
+    JAS attributes ``names``, under the default value mapping — a fragment
+    is the memoized stable value hash masked to the attribute's width —
+    specialised to the attribute count like the row selectors above.  The
+    value row is what a bucket keeps: the values in JAS order, then
     ``slot``.
 
     Every attribute is hashed, bits or none; a missing attribute raises
-    ``KeyError`` and a value the stable hash rejects ``TypeError``.
+    ``KeyError``, and a value outside ``EXACT_KEY_TYPES`` — which must not
+    reach the memo — ``TypeError``.
     """
     hash_ = _cached_value_hash
+    exact = EXACT_KEY_TYPES
     n = len(names)
     if n == 1:
         (a,) = names
@@ -151,9 +154,10 @@ def _compile_row_hasher(names: tuple[str, ...], masks: tuple[int, ...]) -> RowHa
 
         def hash_row(item, slot):
             va = item[a]
-            ta = type(va)
-            ha = hash_(ta, va)
-            return (ta,), [ha], (ha & ma,), (va, slot)
+            if type(va) not in exact:
+                raise TypeError(_NOT_EXACT)
+            ha = hash_(va)
+            return [ha], (ha & ma,), (va, slot)
     elif n == 2:
         a, b = names
         ma, mb = masks
@@ -161,11 +165,11 @@ def _compile_row_hasher(names: tuple[str, ...], masks: tuple[int, ...]) -> RowHa
         def hash_row(item, slot):
             va = item[a]
             vb = item[b]
-            ta = type(va)
-            tb = type(vb)
-            ha = hash_(ta, va)
-            hb = hash_(tb, vb)
-            return (ta, tb), [ha, hb], (ha & ma, hb & mb), (va, vb, slot)
+            if type(va) not in exact or type(vb) not in exact:
+                raise TypeError(_NOT_EXACT)
+            ha = hash_(va)
+            hb = hash_(vb)
+            return [ha, hb], (ha & ma, hb & mb), (va, vb, slot)
     elif n == 3:
         a, b, c = names
         ma, mb, mc = masks
@@ -174,21 +178,21 @@ def _compile_row_hasher(names: tuple[str, ...], masks: tuple[int, ...]) -> RowHa
             va = item[a]
             vb = item[b]
             vc = item[c]
-            ta = type(va)
-            tb = type(vb)
-            tc = type(vc)
-            ha = hash_(ta, va)
-            hb = hash_(tb, vb)
-            hc = hash_(tc, vc)
-            return (ta, tb, tc), [ha, hb, hc], (ha & ma, hb & mb, hc & mc), (va, vb, vc, slot)
+            if type(va) not in exact or type(vb) not in exact or type(vc) not in exact:
+                raise TypeError(_NOT_EXACT)
+            ha = hash_(va)
+            hb = hash_(vb)
+            hc = hash_(vc)
+            return [ha, hb, hc], (ha & ma, hb & mb, hc & mc), (va, vb, vc, slot)
     else:
 
         def hash_row(item, slot):
             values = [item[name] for name in names]
-            types = tuple(map(type, values))
-            hashes = list(map(hash_, types, values))
+            if not exact.issuperset(map(type, values)):
+                raise TypeError(_NOT_EXACT)
+            hashes = list(map(hash_, values))
             values.append(slot)
-            return types, hashes, tuple(map(and_, hashes, masks)), tuple(values)
+            return hashes, tuple(map(and_, hashes, masks)), tuple(values)
 
     return hash_row
 
@@ -238,6 +242,15 @@ class KeyPlan:
             mapper(name, values[name], w) if w > 0 else 0
             for name, w in self.entries
         )
+
+    def row_key(self, row: tuple, mapper) -> tuple[int, ...]:
+        """``key_for`` of a value row: an :class:`_Absent` in a position
+        with bits raises the ``KeyError`` reading its item raised, before
+        any mapper sees it."""
+        for (_, w), value in zip(self.entries, row):
+            if w > 0 and type(value) is _Absent:
+                raise KeyError(*value.args)
+        return self.key_for(dict(zip(self.names, row)), mapper)
 
     def value_row(self, item: Mapping[str, object], slot: int) -> tuple:
         """``hash_row``'s value row without the hashing, for any value; an

@@ -85,10 +85,13 @@ def allocation_count(caps: Sequence[int], budget: int) -> int:
 class CandidatePool:
     """The exhaustive candidate set of one (JAS, caps, budget), as columns.
 
-    Row ``i`` describes ``configs[i]``: ``bits[i]`` is its bit vector,
+    Row ``i`` is one candidate: ``bits[i]`` is its bit vector,
     ``total_bits[i]`` and ``n_indexed[i]`` its ``B`` and ``N_A``.  Rows are
     sorted by ``(total_bits, bits)`` — the selectors' tie-break order — so
     the *first* minimum of a cost column is the selected configuration.
+    A row becomes an :class:`IndexConfiguration` only when asked for
+    (:meth:`config`, or iteration), once: a selector returns one row per
+    round, and the same object every time it returns that row.
 
     The powers of two Equation 1 needs (``2**wildcard_bits`` per pattern,
     ``2**B*_ap`` and the live key space per domain-cap tuple and pattern)
@@ -108,17 +111,24 @@ class CandidatePool:
             enumerate_allocations(caps, budget), key=lambda bits: (sum(bits), bits)
         )
         self.jas = jas
-        self.configs = tuple(IndexConfiguration(jas, bits) for bits in allocations)
         self.bits = np.array(allocations, dtype=np.int64)
         self.total_bits = self.bits.sum(axis=1)
         self.n_indexed = np.count_nonzero(self.bits, axis=1)
+        self._configs: dict[int, IndexConfiguration] = {}
         self._pow2: dict[tuple[tuple[int | None, ...], int], np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return len(self.bits)
 
     def __iter__(self) -> Iterator[IndexConfiguration]:
-        return iter(self.configs)
+        return map(self.config, range(len(self)))
+
+    def config(self, row: int) -> IndexConfiguration:
+        """The configuration of row ``row``, built on first request."""
+        config = self._configs.get(row)
+        if config is None:
+            config = self._configs[row] = IndexConfiguration(self.jas, self.bits[row].tolist())
+        return config
 
     def _pow2_bits(self, domain_caps: tuple[int | None, ...], mask: int) -> np.ndarray:
         """``2**min(Σ_{a ∈ mask} min(bits_a, cap_a), 63)`` per candidate."""
@@ -197,7 +207,7 @@ def select_exhaustive(
     check_non_negative("budget", budget)
     caps = _attribute_caps(jas, budget, stats.domain_bits, max_bits_per_attribute)
     pool = candidate_pool(jas, tuple(caps), budget)
-    return pool.configs[int(np.argmin(pool.cd_column(stats, params)))]
+    return pool.config(int(np.argmin(pool.cd_column(stats, params))))
 
 
 def select_greedy(

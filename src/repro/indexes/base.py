@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.probe_plan import compile_matcher
+from repro.utils.bitops import EXACT_KEY_TYPES
 
 
 @dataclass(frozen=True)
@@ -121,10 +122,11 @@ class SearchOutcome:
 #: One value row (aligned with the pattern's attributes) → its outcome.
 RowProbe = Callable[[tuple], SearchOutcome]
 
-#: The value types for which a dict keyed by values finds exactly what
-#: ``==`` finds: equal values hash equally, across the numeric types too
-#: (``1 == 1.0 == True``), and every value equals itself but NaN.
-EXACT_KEY_TYPES = frozenset({int, float, str, bytes, bool, type(None)})
+# ``EXACT_KEY_TYPES`` (from :mod:`repro.utils.bitops`): the value types for
+# which a dict keyed by values finds exactly what ``==`` finds, and so does
+# a compare of stable value hashes: equal values hash equally, across the
+# numeric types too (``1 == 1.0 == True``), and every value equals itself
+# but NaN.
 
 
 def inexact_positions(row: tuple) -> int:

@@ -108,24 +108,39 @@ def splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+#: The value types whose stable hash follows ``==`` exactly: equal values
+#: hash equally, across the numeric types too (``1 == 1.0 == True``).  A
+#: subclass may define its own ``__eq__``, so only these exact types reach
+#: the memo below.
+EXACT_KEY_TYPES = frozenset({int, float, str, bytes, bool, type(None)})
+
+#: Entries of the value-hash memo: room for a window's live join values —
+#: ``sparse_ingest``'s 14 400 — and 64 times the paper's 256-value domain.
+HASH_MEMO_SIZE = 1 << 14
+
+
 def stable_value_hash(value: object) -> int:
     """Deterministic 64-bit hash of an attribute value.
 
     Supports the value types stream tuples carry (ints, strings, floats,
-    bytes, bools, None).  Ints are mixed directly; other types go through a
-    stable byte encoding first.
+    bytes, bools, None).  The hash follows ``==`` across the numeric
+    types: a bool, and a float that equals an integer (``-0.0`` included),
+    hash as that int.  Ints are mixed directly (SplitMix64, inline for an
+    exact ``int``); other floats through their IEEE bit pattern, strings
+    and bytes through FNV-1a first.
     """
-    if isinstance(value, bool):
-        return splitmix64(0xB001 + int(value))
-    if isinstance(value, int):
-        return splitmix64(value & _MASK64)
+    if type(value) is int:  # the common case: splitmix64 inlined
+        x = (value + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return x ^ (x >> 31)
+    if isinstance(value, int):  # bools and int subclasses
+        return splitmix64(int(value) & _MASK64)
     if value is None:
         return splitmix64(0x9077)
     if isinstance(value, float):
-        # Hash the IEEE bit pattern; normalise -0.0 to 0.0 so equal floats
-        # always land in the same bucket.
-        if value == 0.0:
-            value = 0.0
+        if value.is_integer():
+            return splitmix64(int(value) & _MASK64)
         (bits,) = struct.unpack("<Q", struct.pack("<d", value))
         return splitmix64(bits)
     if isinstance(value, str):
@@ -140,32 +155,22 @@ def stable_value_hash(value: object) -> int:
     return splitmix64(h)
 
 
-@lru_cache(maxsize=65536)
-def _cached_value_hash(value_type: type, value: object) -> int:
-    """LRU-memoized :func:`stable_value_hash`, keyed by ``(type, value)``.
-
-    The type belongs in the key because equal-and-equal-hash values of
-    different types hash *differently* here (``True == 1`` and
-    ``1.0 == 1``, but bools mix through a tag and floats through their
-    IEEE bit pattern) — a value-only cache would conflate them.  The one
-    same-type conflation, ``-0.0`` with ``0.0``, is safe:
-    ``stable_value_hash`` normalises them to the same fragment anyway.
-    """
-    return stable_value_hash(value)
+#: :func:`stable_value_hash` behind a process-wide LRU memo keyed by the
+#: value alone (a miss calls the hash directly, with no wrapper frame).
+#: Equal values share an entry, which is right only because they share a
+#: hash — and only for :data:`EXACT_KEY_TYPES`: ``Decimal(1) == 1.0`` would
+#: find ``1.0``'s entry where the hash refuses it.  So a caller passes an
+#: exact-type value only, as :func:`memoized_value_hash` does.
+_cached_value_hash = lru_cache(maxsize=HASH_MEMO_SIZE)(stable_value_hash)
 
 
 def memoized_value_hash(value: object) -> int:
-    """:func:`stable_value_hash` through the process-wide LRU cache.
-
-    Stream workloads draw attribute values from bounded domains, so the
-    insert/probe hot paths hit this cache almost always.  Unhashable
-    values (which ``stable_value_hash`` rejects with its own ``TypeError``)
-    fall through to the uncached function for the canonical error.
-    """
-    try:
-        return _cached_value_hash(type(value), value)
-    except TypeError:
-        return stable_value_hash(value)
+    """:func:`stable_value_hash` through the memo for an exact-type value,
+    directly for any other — so whether a value is refused never depends
+    on what the memo holds."""
+    if type(value) in EXACT_KEY_TYPES:
+        return _cached_value_hash(value)
+    return stable_value_hash(value)
 
 
 def fragment(value: object, n_bits: int) -> int:

@@ -11,6 +11,9 @@ from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration
 from repro.core.lattice import AccessPatternLattice
 from repro.indexes.hash_index import MultiHashIndex
+from repro.indexes.inverted_index import InvertedListIndex
+from repro.indexes.scan_index import ScanIndex
+from repro.indexes.static_bitmap import StaticBitmapIndex
 
 
 @contextmanager
@@ -51,6 +54,16 @@ def asks_columns(index, ap: AccessPattern) -> bool:
 def column_asks(index) -> int:
     """Probe rows the hash columns answered or passed on to the walk."""
     return index.column_answered + index.column_walked
+
+
+#: The five index classes, the bit-address family first.
+INDEX_CLASSES = (
+    bit_index.BitAddressIndex,
+    StaticBitmapIndex,
+    MultiHashIndex,
+    InvertedListIndex,
+    ScanIndex,
+)
 
 
 def build_index(cls, jas: JoinAttributeSet):

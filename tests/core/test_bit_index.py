@@ -5,11 +5,13 @@ a columns property (a probe the value-hash columns answer equals the
 bucket walk in matches, order and every charged count)."""
 
 import re
+from collections import Counter
 from collections.abc import Mapping
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import bit_index
@@ -18,9 +20,15 @@ from repro.core.bit_index import BitAddressIndex, make_bit_index
 from repro.core.index_config import IndexConfiguration
 from repro.indexes.base import Accountant
 from repro.indexes.scan_index import ScanIndex
-from repro.indexes.static_bitmap import StaticBitmapIndex
+from repro.utils import bitops
 from repro.utils.bitops import fragment, mask_to_indices, stable_value_hash
-from tests.conftest import asks_columns, column_asks, column_probe_gate
+from tests.conftest import (
+    INDEX_CLASSES,
+    asks_columns,
+    build_index,
+    column_asks,
+    column_probe_gate,
+)
 
 
 def make_items(n, *, mod=(7, 3, 5)):
@@ -244,6 +252,25 @@ def test_search_matches_full_scan_oracle(items, bits, mask, probe):
     assert got.tuples_examined <= want.tuples_examined
 
 
+@pytest.mark.parametrize("bits", [{"A": 4, "B": 2}, {"A": 0, "B": 0}], ids=["A4B2", "A0B0"])
+@pytest.mark.parametrize("probe", [1, 1.0, True], ids=repr)
+def test_equal_values_of_three_types_are_one_key(bits, probe):
+    # 1 == 1.0 == True: every IC answers <A,*> with all three tuples, as
+    # the scan does — so a tuning round's reconfigure cannot change a join.
+    jas = JoinAttributeSet(["A", "B"])
+    idx = make_bit_index(jas, bits)
+    oracle = ScanIndex(jas)
+    for b, a in enumerate((1, 1.0, True)):
+        item = {"A": a, "B": b}
+        idx.insert(item)
+        oracle.insert(item)
+    ap = AccessPattern.from_attributes(jas, ["A"])
+    got = idx.search(ap, {"A": probe}).matches
+    want = oracle.search(ap, {"A": probe}).matches
+    assert len(want) == 3
+    assert Counter(map(id, got)) == Counter(map(id, want))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     items=st.lists(values_strategy, max_size=60),
@@ -302,6 +329,22 @@ def reference_matches(index, ap, values):
     ]
 
 
+def assert_every_pattern_answers_as_the_scan(index, live, probes):
+    """Every pattern and probe: the matches ``==`` finds among ``live`` (in
+    stored order).  Bit-address answers are compared as multisets: their
+    order is the walk's, pinned by the reference probe below."""
+    ordered = not isinstance(index, BitAddressIndex)
+    for mask in range(index.jas.full_mask + 1):
+        ap = AccessPattern.from_mask(index.jas, mask)
+        for values in probes:
+            got = [id(m) for m in index.search(ap, values).matches]
+            want = [id(m) for m in live if all(m[a] == values[a] for a in ap.attributes)]
+            if ordered:
+                assert got == want, (ap, values)
+            else:
+                assert Counter(got) == Counter(want), (ap, values)
+
+
 def some_pattern_asks_columns(index):
     """Whether, at gate 1, a probe of some pattern asks the hash columns."""
     jas = index.jas
@@ -322,9 +365,22 @@ NAN = float("nan")
 INTS = st.integers(0, 3)
 FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, NAN])
 STRINGS = st.sampled_from(["0", "1", "a"])
+BYTES = st.sampled_from([b"0", b"a"])
 #: ``1 == 1.0 == True`` and ``0 == 0.0 == -0.0 == False``: equal across
-#: types, hashed three ways.
-ANY_VALUE = st.one_of(INTS, FLOATS, STRINGS, st.booleans(), st.none())
+#: types, one hash; ``"a" != b"a"``; NaN equals nothing.
+ANY_VALUE = st.one_of(INTS, FLOATS, STRINGS, BYTES, st.booleans(), st.none())
+
+
+class EqualsAll(int):
+    """An ``int`` subclass whose ``==`` holds against every stored int (a
+    subclass's reflected ``__eq__`` is asked first), while its stable hash
+    is its int's: a probe value that hash columns must not answer for."""
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = int.__hash__
+
 
 @st.composite
 def index_histories(draw):
@@ -339,12 +395,23 @@ def index_histories(draw):
     return JoinAttributeSet(list(names)), bits, ops, draw(st.lists(row, min_size=1, max_size=4))
 
 
-@pytest.mark.parametrize("cls", [BitAddressIndex, StaticBitmapIndex])
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda cls: cls.__name__)
 @settings(max_examples=60, deadline=None)
 @given(history=index_histories())
+@example(  # 1 == 1.0 == True, in a 3-bit fragment of A
+    history=(
+        JoinAttributeSet(["A", "B"]),
+        (3, 1),
+        [{"A": 1, "B": 0}, {"A": 1.0, "B": 1}, {"A": True, "B": 0}],
+        [{"A": 1.0, "B": 0}],
+    )
+)
 def test_match_order_equals_the_reference_probe(cls, history):
     jas, bits, ops, probes = history
-    idx = cls(IndexConfiguration(jas, list(bits)))
+    if issubclass(cls, BitAddressIndex):
+        idx = cls(IndexConfiguration(jas, list(bits)))
+    else:
+        idx = build_index(cls, jas)
     live = []
     for op in ops:
         if isinstance(op, dict):
@@ -353,10 +420,15 @@ def test_match_order_equals_the_reference_probe(cls, history):
             live.append(item)
         elif live:
             idx.remove(live.pop(op % len(live)))
-    assert_every_pattern_in_reference_order(idx, probes + live[:3])
+    probes = probes + live[:3]
+    assert_every_pattern_answers_as_the_scan(idx, live, probes)
+    if not isinstance(idx, BitAddressIndex):
+        return
+    assert_every_pattern_in_reference_order(idx, probes)
     asked = column_asks(idx)
     with column_probe_gate(1, idx):  # every wildcard probe asks the columns first
-        assert_every_pattern_in_reference_order(idx, probes + live[:3])
+        assert_every_pattern_answers_as_the_scan(idx, live, probes)
+        assert_every_pattern_in_reference_order(idx, probes)
     if some_pattern_asks_columns(idx):
         assert column_asks(idx) > asked  # not the walk probers of the first pass
 
@@ -540,7 +612,10 @@ def column_histories(draw):
         {a: draw(st.sampled_from([INTS, FLOATS, STRINGS, ANY_VALUE])) for a in names}
     )
     ops = draw(st.lists(st.one_of(row, row, st.integers(0, 50), bits), max_size=60))
-    probes = st.lists(st.fixed_dictionaries({a: ANY_VALUE for a in names}), min_size=1, max_size=4)
+    # Probe values include ints that equal what they should not: only the
+    # exactness guard on probe values keeps the columns from answering.
+    value = st.one_of(ANY_VALUE, st.builds(EqualsAll, INTS))
+    probes = st.lists(st.fixed_dictionaries({a: value for a in names}), min_size=1, max_size=4)
     return JoinAttributeSet(list(names)), draw(bits), ops, draw(probes)
 
 
@@ -601,37 +676,66 @@ class TestHashColumns:
         assert (idx.column_answered, idx.column_walked) == (1, 1)
         assert "column_answered=1, column_walked=1" in idx.describe()
 
-    def test_equal_values_of_another_type_collide_and_match(self, jas3, ap3):
-        # 1 == 1.0 == True hash three ways, yet in a narrow fragment they
-        # can collide — then the walk finds the bucket and the filter's
-        # ``==`` matches.  A column vouches for one exact type only.
-        width, value = next(
-            (w, v)
-            for w in (1, 2, 3)
-            for v in range(64)
-            if fragment(v, w) == fragment(float(v), w)
-            and stable_value_hash(v) != stable_value_hash(float(v))
-        )
-        items = [{"A": float(value), "B": i, "C": i} for i in range(8)]
-        idx, twin = self.twins(jas3, (width, 2, 2), items)
-        int_probe = [{"A": value, "B": 0, "C": 0}]
+    def test_equal_values_of_another_type_share_a_hash_and_match(self, jas3, ap3):
+        # 1 == 1.0 == True hash as 1: a column of floats vouches for an int
+        # or a bool probe — an equal one walks to its matches, an unequal
+        # one is answered — and so does a column that mixes the three.
+        items = [{"A": float(i % 4), "B": i, "C": i} for i in range(40)]
+        idx, twin = self.twins(jas3, (1, 2, 2), items)
+        probes = [{"A": v, "B": 0, "C": 0} for v in (1, 1.0, True, 9, 9.0, False, 0.5)]
         with column_probe_gate(1, idx):
-            # An int probes a float column: the columns pass it on.
-            assert len(idx.search(ap3("A"), int_probe[0]).matches) == 8
+            assert len(idx.search(ap3("A"), {"A": True}).matches) == 10
             assert (idx.column_answered, idx.column_walked) == (0, 1)
-            twin.search(ap3("A"), int_probe[0])
-            assert_columns_equal_the_walk(idx, twin, int_probe)
-            # Without bits there is not even a fragment to collide in.
+            assert idx.search(ap3("A"), {"A": 9}).matches == []
+            assert (idx.column_answered, idx.column_walked) == (1, 1)
+            twin.search(ap3("A"), {"A": True})
+            twin.search(ap3("A"), {"A": 9})
+            assert_columns_equal_the_walk(idx, twin, probes)
+            # Without bits there is no fragment, only the full hash.
             for index in (idx, twin):
                 index.reconfigure(IndexConfiguration(jas3, [0, 2, 2]))
-            assert len(idx.search(ap3("A"), int_probe[0]).matches) == 8
-            twin.search(ap3("A"), int_probe[0])
-            # A column that has held two types vouches for neither.
-            for index in (idx, twin):
-                index.insert(int_probe[0])
-            assert_columns_equal_the_walk(
-                idx, twin, [{"A": v, "B": 0, "C": 0} for v in (value, float(value), True, 99)]
-            )
+            assert_columns_equal_the_walk(idx, twin, probes)
+            for item in ({"A": 9, "B": 0, "C": 0}, {"A": False, "B": 0, "C": 0}):
+                idx.insert(item)
+                twin.insert(item)
+            answered = idx.column_answered
+            assert_columns_equal_the_walk(idx, twin, probes)
+            assert idx.column_answered > answered
+
+    def test_a_stored_value_of_another_type_ends_the_columns(self, jas3, ap3):
+        # An int subclass hashes as its int but may define its own ``==``:
+        # stored in an attribute with bits it is kept, and the index gives
+        # up its columns, which could not vouch for it.
+        items = [{"A": i % 4, "B": i % 3, "C": i} for i in range(20)]
+        idx, twin = self.twins(jas3, (2, 2, 0), items)
+        odd = {"A": EqualsAll(3), "B": 1, "C": 99}
+        for index in (idx, twin):
+            index.insert(odd)
+        assert idx._hashes is None and idx.size == 21
+        with column_probe_gate(1, idx):
+            assert_columns_equal_the_walk(idx, twin, items[:3] + [odd, {"A": 7, "B": 0, "C": 5}])
+        assert column_asks(idx) == 0
+
+    def test_a_value_outside_the_exact_types_never_reaches_the_memo(self, jas3, ap3):
+        # Decimal(1) == 1.0, and the memo keys by value: were Decimal let
+        # in, it would find 1.0's entry once that is memoized.  It is
+        # refused the same way before and after.
+        def refusals():
+            idx = make_bit_index(jas3, [2, 2, 2])
+            idx.insert({"A": 1, "B": 1, "C": 1})
+            with pytest.raises(TypeError) as inserted:
+                idx.insert({"A": Decimal(1), "B": 0, "C": 0})
+            with pytest.raises(TypeError) as probed:
+                idx.search(ap3("A"), {"A": Decimal(1)})
+            return str(inserted.value), str(probed.value), idx.size
+
+        bitops._cached_value_hash.cache_clear()
+        before = refusals()
+        for value in (1, 1.0):
+            make_bit_index(jas3, [2, 2, 2]).insert({"A": value, "B": 0, "C": 0})
+        assert bitops._cached_value_hash.cache_info().currsize >= 2
+        assert refusals() == before
+        assert before[-1] == 1
 
     def test_a_fragment_wider_than_the_hash(self, jas3, ap3):
         # 70 bits for one attribute: the fragment is the whole 64-bit hash.

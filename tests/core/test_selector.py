@@ -9,6 +9,7 @@ from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.cost_model import WorkloadStatistics, estimate_cd
 from repro.core.index_config import IndexConfiguration
 from repro.core.selector import (
+    CandidatePool,
     IndexSelector,
     allocation_count,
     candidate_pool,
@@ -185,6 +186,37 @@ class TestColumnarPool:
         compare_only = CostParams(c_hash=0.0, c_compare=1.0, c_bucket=0.0)
         stats = make_stats({ap3("B"): 1.0}, domain_bits={"B": 2})
         assert select_exhaustive(stats, jas3, 6, compare_only).bits == (0, 2, 0)
+
+    def test_a_pool_builds_only_the_configurations_selected(self, jas3, ap3, monkeypatch):
+        # The wide-domain ingest shape: 16 bits per attribute, budget 64,
+        # 17**3 = 4 913 candidates, of which a round selects one.
+        built = []
+
+        def counting(jas, bits):
+            built.append(IndexConfiguration(jas, bits))
+            return built[-1]
+
+        monkeypatch.setattr(selector_module, "IndexConfiguration", counting)
+        candidate_pool.cache_clear()
+        domain = {"A": 18, "B": 18, "C": 18}
+        stats = make_stats({ap3("A"): 0.6, ap3("B", "C"): 0.4}, domain_bits=domain)
+        pool = candidate_pool(jas3, (16, 16, 16), 64)
+        assert len(pool) == 4913
+        pool.cd_column(stats)
+        assert built == []
+        chosen = select_exhaustive(stats, jas3, 64)
+        assert built == [chosen]
+        # A second selection of the row returns the same object.
+        assert select_exhaustive(stats, jas3, 64) is chosen
+        assert len(built) == 1
+
+    def test_iteration_yields_every_candidate_in_tie_break_order(self, jas3):
+        pool = CandidatePool(jas3, (16, 16, 16), 64)
+        configs = list(pool)
+        keys = [(cfg.total_bits, cfg.bits) for cfg in configs]
+        assert len(set(keys)) == len(configs) == allocation_count((16, 16, 16), 64) == 4913
+        assert keys == sorted(keys)
+        assert all(pool.config(row) is cfg for row, cfg in enumerate(configs))
 
     def test_foreign_jas_pattern_raises(self, jas3, jas4):
         foreign = AccessPattern.from_attributes(jas4, ["A"])

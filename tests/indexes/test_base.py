@@ -14,7 +14,7 @@ from repro.indexes.inverted_index import InvertedListIndex
 from repro.indexes.scan_index import ScanIndex
 from repro.indexes.static_bitmap import StaticBitmapIndex
 from repro.storage import StateStore
-from tests.conftest import build_index
+from tests.conftest import INDEX_CLASSES, build_index
 
 
 class TestCostParams:
@@ -171,9 +171,6 @@ class TestStateIndexHelpers:
         d.remove(item)
         assert d.stored == [] and d.size == 0
         assert d.accountant == Accountant(inserts=1, deletes=1)
-
-
-INDEX_CLASSES = (BitAddressIndex, StaticBitmapIndex, MultiHashIndex, InvertedListIndex, ScanIndex)
 
 
 class TestIndexClasses:

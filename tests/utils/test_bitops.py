@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.bitops import (
+    _cached_value_hash,
     bit_count,
     bits_needed,
     fragment,
@@ -15,6 +16,7 @@ from repro.utils.bitops import (
     splitmix64,
     stable_value_hash,
 )
+from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 masks = st.integers(min_value=0, max_value=(1 << 12) - 1)
 
@@ -133,8 +135,21 @@ class TestHashing:
             assert 0 <= h < 2**64
             assert stable_value_hash(v) == h
 
-    def test_bool_differs_from_int(self):
-        assert stable_value_hash(True) != stable_value_hash(1)
+    def test_bool_hashes_as_the_int_it_equals(self):
+        # Equal values, one hash: 1 == 1.0 == True and 0 == -0.0 == False.
+        assert stable_value_hash(True) == stable_value_hash(1) == stable_value_hash(1.0)
+        assert stable_value_hash(False) == stable_value_hash(0) == stable_value_hash(-0.0)
+        assert stable_value_hash(1.5) != stable_value_hash(1)
+
+    @given(st.integers())
+    def test_int_hashes_are_splitmix64_of_the_low_64_bits(self, v):
+        # The hash every golden case and exact quantity was recorded with.
+        assert stable_value_hash(v) == splitmix64(v & (2**64 - 1))
+
+    @given(st.integers(-(2**80), 2**80).map(float) | st.floats(allow_nan=False))
+    def test_a_float_hashes_as_the_int_it_equals(self, v):
+        if v.is_integer():
+            assert stable_value_hash(v) == stable_value_hash(int(v))
 
     def test_negative_zero_float(self):
         assert stable_value_hash(-0.0) == stable_value_hash(0.0)
@@ -163,6 +178,22 @@ class TestHashing:
         # 256 consecutive ints into 16 fragments: no fragment should be empty.
         frags = {fragment(i, 4) for i in range(256)}
         assert frags == set(range(16))
+
+
+class TestHashMemo:
+    def test_memo_holds_the_paper_domain_and_sparse_ingests_live_windows(self):
+        info = _cached_value_hash.cache_info()
+        paper = ScenarioParams()
+        assert info.maxsize >= paper.domain
+        # The wide-domain ingest workload: 4 streams x rate 60 x window 20
+        # live tuples, each with one value per JAS attribute.
+        sparse = PaperScenario(ScenarioParams(rate=60, domain=262144))
+        live = sum(
+            sparse.params.rate * sparse.params.window * len(sparse.query.jas_for(stream))
+            for stream in sparse.params.stream_names
+        )
+        assert live == 14_400
+        assert info.maxsize >= live
 
 
 class TestSupermaskCounts:
