@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.stats import RunStats
 from repro.experiments.harness import TrainingResult, train_initial_state
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 BENCH_SEED = 7
@@ -33,6 +35,12 @@ def bench_scenario() -> PaperScenario:
 def bench_training(bench_scenario) -> TrainingResult:
     """One quasi-training pass shared by every figure benchmark."""
     return train_initial_state(bench_scenario, train_ticks=BENCH_TRAIN_TICKS)
+
+
+def run_trained(params, scheme: str, ticks: int, training: TrainingResult) -> RunStats:
+    """One scheme's run (``execute_spec``) from a shipped quasi-trained start."""
+    spec = RunSpec(params, scheme, ticks, train_ticks=BENCH_TRAIN_TICKS, training=training)
+    return execute_spec(spec).stats
 
 
 def run_once(benchmark, fn, *args):

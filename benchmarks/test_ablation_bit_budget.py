@@ -8,8 +8,8 @@ the domain-capping in the cost model).
 
 import pytest
 
-from benchmarks.conftest import BENCH_TICKS, run_once
-from repro.experiments.harness import train_initial_state, run_scheme
+from benchmarks.conftest import BENCH_TICKS, run_once, run_trained
+from repro.experiments.harness import train_initial_state
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 BUDGETS = (4, 8, 16, 64)
@@ -21,7 +21,7 @@ def test_bit_budget(benchmark, budget):
 
     def run():
         training = train_initial_state(scenario, train_ticks=60)
-        return run_scheme(scenario, "amri:cdia-highest", BENCH_TICKS, training=training)
+        return run_trained(scenario.params, "amri:cdia-highest", BENCH_TICKS, training)
 
     stats = run_once(benchmark, run)
     benchmark.extra_info["bit_budget"] = budget
@@ -38,9 +38,7 @@ def test_bit_budget_shape(benchmark):
         for budget in (4, 64):
             scenario = PaperScenario(ScenarioParams(seed=7, bit_budget=budget))
             training = train_initial_state(scenario, train_ticks=60)
-            out[budget] = run_scheme(
-                scenario, "amri:cdia-highest", BENCH_TICKS, training=training
-            )
+            out[budget] = run_trained(scenario.params, "amri:cdia-highest", BENCH_TICKS, training)
         return out
 
     runs = run_once(benchmark, sweep)

@@ -9,8 +9,8 @@ exploration adds and that the compact assessors absorb it.
 
 import pytest
 
-from benchmarks.conftest import BENCH_TICKS, run_once
-from repro.experiments.harness import train_initial_state, run_scheme
+from benchmarks.conftest import BENCH_TICKS, run_once, run_trained
+from repro.experiments.harness import train_initial_state
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 RATES = (0.0, 0.15, 0.4)
@@ -22,9 +22,7 @@ def test_exploration_rate(benchmark, explore):
 
     def run():
         training = train_initial_state(scenario, train_ticks=60)
-        return run_scheme(
-            scenario, "amri:cdia-highest", BENCH_TICKS, training=training
-        )
+        return run_trained(scenario.params, "amri:cdia-highest", BENCH_TICKS, training)
 
     stats = run_once(benchmark, run)
     benchmark.extra_info["explore_prob"] = explore
@@ -41,9 +39,7 @@ def test_exploration_shape(benchmark):
         for explore in (0.0, 0.4):
             scenario = PaperScenario(ScenarioParams(seed=7, explore_prob=explore))
             training = train_initial_state(scenario, train_ticks=60)
-            out[explore] = run_scheme(
-                scenario, "amri:cdia-highest", BENCH_TICKS, training=training
-            )
+            out[explore] = run_trained(scenario.params, "amri:cdia-highest", BENCH_TICKS, training)
         return out
 
     runs = run_once(benchmark, sweep)

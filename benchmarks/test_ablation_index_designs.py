@@ -9,8 +9,9 @@ showing *why* the paper's tunable single-structure design wins: it is not
 the fastest probe, it is the cheapest to keep alive.
 """
 
-from benchmarks.conftest import BENCH_TICKS_LONG, run_once
-from repro.experiments.harness import run_scheme
+from dataclasses import replace
+
+from benchmarks.conftest import BENCH_TICKS_LONG, run_once, run_trained
 
 SCHEMES = ("amri:cdia-highest", "inverted", "hash:4", "scan")
 
@@ -18,20 +19,11 @@ SCHEMES = ("amri:cdia-highest", "inverted", "hash:4", "scan")
 def test_index_design_space(benchmark, bench_scenario, bench_training):
     def sweep():
         constrained = {
-            s: run_scheme(bench_scenario, s, BENCH_TICKS_LONG, training=bench_training)
+            s: run_trained(bench_scenario.params, s, BENCH_TICKS_LONG, bench_training)
             for s in SCHEMES
         }
-        unconstrained = {
-            s: run_scheme(
-                bench_scenario,
-                s,
-                120,
-                training=bench_training,
-                capacity=1e12,
-                memory_budget=1 << 40,
-            )
-            for s in SCHEMES
-        }
+        unlimited = replace(bench_scenario.params, capacity=1e12, memory_budget=1 << 40)
+        unconstrained = {s: run_trained(unlimited, s, 120, bench_training) for s in SCHEMES}
         return constrained, unconstrained
 
     constrained, unconstrained = run_once(benchmark, sweep)

@@ -5,8 +5,8 @@ report's real-data experiments): AMRI must survive bursts that kill the
 under-provisioned hash baselines.
 """
 
-from benchmarks.conftest import run_once
-from repro.experiments.harness import run_scheme, train_initial_state
+from benchmarks.conftest import run_once, run_trained
+from repro.experiments.harness import train_initial_state
 from repro.workloads.scenarios import sensor_network_scenario
 
 SENSOR_TICKS = 300
@@ -18,8 +18,8 @@ def test_sensor_scenario_burst_survival(benchmark):
     def run():
         scenario = sensor_network_scenario()
         training = train_initial_state(scenario, train_ticks=60)
-        amri = run_scheme(scenario, "amri:cdia-highest", SENSOR_TICKS, training=training)
-        hash2 = run_scheme(scenario, "hash:2", SENSOR_TICKS, training=training)
+        amri = run_trained(scenario.params, "amri:cdia-highest", SENSOR_TICKS, training)
+        hash2 = run_trained(scenario.params, "hash:2", SENSOR_TICKS, training)
         return amri, hash2
 
     amri, hash2 = run_once(benchmark, run)

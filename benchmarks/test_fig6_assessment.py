@@ -11,8 +11,7 @@ DIA == SRIA).  The full-scale series is produced by
 
 import pytest
 
-from benchmarks.conftest import BENCH_TICKS, run_once
-from repro.experiments.harness import run_scheme
+from benchmarks.conftest import BENCH_TICKS, run_once, run_trained
 
 SCHEMES = ["amri:sria", "amri:csria", "amri:dia", "amri:cdia-random", "amri:cdia-highest"]
 
@@ -21,7 +20,7 @@ SCHEMES = ["amri:sria", "amri:csria", "amri:dia", "amri:cdia-random", "amri:cdia
 def test_fig6_assessment_method(benchmark, bench_scenario, bench_training, scheme):
     stats = run_once(
         benchmark,
-        lambda: run_scheme(bench_scenario, scheme, BENCH_TICKS, training=bench_training),
+        lambda: run_trained(bench_scenario.params, scheme, BENCH_TICKS, bench_training),
     )
     benchmark.extra_info["scheme"] = scheme
     benchmark.extra_info["outputs"] = stats.outputs
@@ -37,8 +36,8 @@ def test_fig6_dia_equals_sria(benchmark, bench_scenario, bench_training):
     """The paper's equality: DIA and SRIA share statistics, hence results."""
 
     def both():
-        sria = run_scheme(bench_scenario, "amri:sria", BENCH_TICKS, training=bench_training)
-        dia = run_scheme(bench_scenario, "amri:dia", BENCH_TICKS, training=bench_training)
+        sria = run_trained(bench_scenario.params, "amri:sria", BENCH_TICKS, bench_training)
+        dia = run_trained(bench_scenario.params, "amri:dia", BENCH_TICKS, bench_training)
         return sria, dia
 
     sria, dia = run_once(benchmark, both)

@@ -9,8 +9,7 @@ trial, and at least the heavily-moduled trials die outright.
 
 import pytest
 
-from benchmarks.conftest import BENCH_TICKS, BENCH_TICKS_LONG, run_once
-from repro.experiments.harness import run_scheme
+from benchmarks.conftest import BENCH_TICKS, BENCH_TICKS_LONG, run_once, run_trained
 
 KS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -19,7 +18,7 @@ KS = (1, 2, 3, 4, 5, 6, 7)
 def test_fig6_hash_trial(benchmark, bench_scenario, bench_training, k):
     stats = run_once(
         benchmark,
-        lambda: run_scheme(bench_scenario, f"hash:{k}", BENCH_TICKS, training=bench_training),
+        lambda: run_trained(bench_scenario.params, f"hash:{k}", BENCH_TICKS, bench_training),
     )
     benchmark.extra_info["k"] = k
     benchmark.extra_info["outputs"] = stats.outputs
@@ -32,11 +31,11 @@ def test_fig6_hash_shape(benchmark, bench_scenario, bench_training):
 
     def sweep():
         runs = {
-            k: run_scheme(bench_scenario, f"hash:{k}", BENCH_TICKS_LONG, training=bench_training)
+            k: run_trained(bench_scenario.params, f"hash:{k}", BENCH_TICKS_LONG, bench_training)
             for k in KS
         }
-        amri = run_scheme(
-            bench_scenario, "amri:cdia-highest", BENCH_TICKS_LONG, training=bench_training
+        amri = run_trained(
+            bench_scenario.params, "amri:cdia-highest", BENCH_TICKS_LONG, bench_training
         )
         return runs, amri
 

@@ -7,17 +7,16 @@ results.  We regenerate the comparison: identical starting ICs, tuning on
 vs off, identical arrivals.
 """
 
-from benchmarks.conftest import BENCH_TICKS_LONG, run_once
-from repro.experiments.harness import run_scheme
+from benchmarks.conftest import BENCH_TICKS_LONG, run_once, run_trained
 from repro.experiments.reporting import improvement_pct
 
 
 def test_fig7_amri_vs_static_bitmap(benchmark, bench_scenario, bench_training):
     def compare():
-        amri = run_scheme(
-            bench_scenario, "amri:cdia-highest", BENCH_TICKS_LONG, training=bench_training
+        amri = run_trained(
+            bench_scenario.params, "amri:cdia-highest", BENCH_TICKS_LONG, bench_training
         )
-        static = run_scheme(bench_scenario, "static", BENCH_TICKS_LONG, training=bench_training)
+        static = run_trained(bench_scenario.params, "static", BENCH_TICKS_LONG, bench_training)
         return amri, static
 
     amri, static = run_once(benchmark, compare)

@@ -6,8 +6,7 @@ is most of the gap).  We regenerate the comparison and assert the shape:
 AMRI wins by a wide margin (>30% at benchmark scale).
 """
 
-from benchmarks.conftest import BENCH_TICKS_LONG, run_once
-from repro.experiments.harness import run_scheme
+from benchmarks.conftest import BENCH_TICKS_LONG, run_once, run_trained
 from repro.experiments.reporting import improvement_pct
 
 KS = (1, 2, 3, 4, 5, 6, 7)
@@ -16,11 +15,11 @@ KS = (1, 2, 3, 4, 5, 6, 7)
 def test_fig7_amri_vs_best_hash(benchmark, bench_scenario, bench_training):
     def compare():
         hash_runs = {
-            k: run_scheme(bench_scenario, f"hash:{k}", BENCH_TICKS_LONG, training=bench_training)
+            k: run_trained(bench_scenario.params, f"hash:{k}", BENCH_TICKS_LONG, bench_training)
             for k in KS
         }
-        amri = run_scheme(
-            bench_scenario, "amri:cdia-highest", BENCH_TICKS_LONG, training=bench_training
+        amri = run_trained(
+            bench_scenario.params, "amri:cdia-highest", BENCH_TICKS_LONG, bench_training
         )
         return hash_runs, amri
 

@@ -14,10 +14,10 @@ Run:  python examples/sensor_network.py          (~40 seconds)
 import argparse
 
 from repro.experiments import (
+    RunSpec,
+    execute_spec,
     format_summary,
     format_throughput_figure,
-    run_scheme,
-    train_initial_state,
 )
 from repro.workloads import sensor_network_scenario
 
@@ -33,9 +33,8 @@ def main() -> None:
     print("arrivals: diurnal cycle + 3x event bursts; selectivity drift every "
           f"{scenario.params.phase_len} ticks\n")
 
-    training = train_initial_state(scenario, train_ticks=60)
     runs = {
-        scheme: run_scheme(scenario, scheme, ticks, training=training)
+        scheme: execute_spec(RunSpec(scenario.params, scheme, ticks, train_ticks=60)).stats
         for scheme in ("amri:cdia-highest", "static", "hash:2")
     }
     print(format_throughput_figure("cumulative results (output tuples)", runs))

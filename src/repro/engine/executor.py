@@ -77,13 +77,10 @@ class ExecutorConfig:
     """Knobs of one engine run."""
 
     assess_interval: int = 50  # ticks between tuning rounds
-    sample_interval: int = 1  # ticks between throughput samples
     max_fanout: int = 50_000  # cap on partials per hop (guard rail)
-    tune_warmup: int = 0  # ticks before the first tuning round
 
     def __post_init__(self) -> None:
         check_positive("assess_interval", self.assess_interval)
-        check_positive("sample_interval", self.sample_interval)
         check_positive("max_fanout", self.max_fanout)
 
 

@@ -126,9 +126,6 @@ class EngineContext:
         """One state's accumulated index cost on its accountant."""
         return stem.index.accountant.cost(self.meter.params)
 
-    def total_index_cost(self) -> float:
-        return sum(self.stem_cost(stem) for stem in self.stems.values())
-
     def stem_costs(self) -> dict[str, float]:
         """Current accumulated index cost per state (attribution snapshot)."""
         return {name: self.stem_cost(stem) for name, stem in self.stems.items()}

@@ -75,7 +75,7 @@ class EngineKernel:
             tuple(stages) if stages is not None else default_stages()
         )
 
-    def step(self, t: int, duration: int, incoming) -> TickState:
+    def step(self, t: int, incoming) -> TickState:
         """Advance the engine one tick and return its :class:`TickState`.
 
         Exactly one iteration of :meth:`run`'s loop body: open the tick
@@ -86,13 +86,12 @@ class EngineKernel:
         ctx = self.ctx
         m = ctx.metrics
         ctx.meter.start_tick()
-        tick = TickState(tick=t, duration=duration)
+        tick = TickState(tick=t)
         if m is not None:
             m.counter("engine_ticks_total").inc()
             ctx.spent_at_tick_start = ctx.meter.total_spent
             tick.span = m.start_span("tick", t)
         tick.incoming = incoming
-        tick.audit_due = t % ctx.config.sample_interval == 0 or t == duration - 1
         for stage in self.stages:
             stage.run(ctx, tick)
             if tick.died:
@@ -140,7 +139,7 @@ class EngineKernel:
         last_tick = 0
         for t in range(duration):
             last_tick = t
-            tick = self.step(t, duration, arrivals(t))
+            tick = self.step(t, arrivals(t))
             if tick.died:
                 break
         return self.finish(last_tick)

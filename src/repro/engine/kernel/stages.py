@@ -36,17 +36,11 @@ class TickState:
     """Per-tick scratch shared along the stage pipeline."""
 
     tick: int
-    duration: int  # the run's total tick count (for last-tick audits)
     incoming: list[StreamTuple] = field(default_factory=list)
     span: Span | None = None  # the open tick span (metrics only)
-    audit_due: bool = False  # sample/shed/degrade/audit gate this tick
     breakdown: MemoryBreakdown | None = None  # ShedDegradeStage → AuditStage
     budget: int = 0  # effective (possibly squeezed) budget this tick
     died: bool = False  # set by AuditStage on a memory death
-
-    @property
-    def is_last(self) -> bool:
-        return self.tick == self.duration - 1
 
 
 @runtime_checkable
@@ -421,7 +415,7 @@ class TuningStage:
     def run(self, ctx: EngineContext, tick: TickState) -> None:
         cfg = ctx.config
         t = tick.tick
-        if t >= cfg.tune_warmup and t > 0 and t % cfg.assess_interval == 0:
+        if t > 0 and t % cfg.assess_interval == 0:
             tune_round(ctx, t)
 
 
@@ -429,7 +423,7 @@ class ShedDegradeStage:
     """Graceful degradation under memory pressure: shed backlog oldest-first,
     then fall heaviest-first from index structures to full scans.
 
-    Runs only on audit ticks and only with a
+    Remedies only with a
     :class:`~repro.engine.resources.DegradationPolicy` attached; without
     one the stage just measures (and the audit stage lets the run die).
     Leaves the measured breakdown and the effective (possibly
@@ -439,8 +433,6 @@ class ShedDegradeStage:
     name = "shed_degrade"
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
-        if not tick.audit_due:
-            return
         breakdown = ctx.memory_breakdown()
         budget = ctx.meter.memory_budget
         if ctx.fault_injector is not None:
@@ -528,8 +520,6 @@ class AuditStage:
     name = "audit"
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
-        if not tick.audit_due:
-            return
         breakdown = tick.breakdown
         if breakdown is None:  # a pipeline without ShedDegradeStage
             breakdown = ctx.memory_breakdown()

@@ -61,6 +61,9 @@ LabelPairs = tuple[tuple[str, str], ...]
 #: Default histogram boundaries (upper bounds, ``le`` semantics).
 DEFAULT_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
+#: Spans a registry's flight recorder retains (the most recent ones).
+FLIGHT_RECORDER_CAPACITY = 4096
+
 
 def _label_pairs(labels: Mapping[str, str | None]) -> LabelPairs:
     """Canonicalise a label mapping: drop ``None`` values, sort by name."""
@@ -225,7 +228,7 @@ class FlightRecorder:
     degradation event without letting tracing grow with run length.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int = FLIGHT_RECORDER_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
@@ -320,26 +323,22 @@ class MetricsRegistry:
 
     Series are created on first touch (``registry.counter("probes_total",
     stream="A").inc()``); a name is bound to one instrument kind (and, for
-    histograms, one boundary set) at first use — mixing kinds under one
-    name is a hard error, like an unregistered event kind.
+    histograms, one boundary set — :data:`DEFAULT_BUCKETS` unless the
+    first touch names its own) at first use — mixing kinds under one
+    name is a hard error, like an unregistered event kind.  The flight
+    recorder keeps the last :data:`FLIGHT_RECORDER_CAPACITY` spans.
 
     The registry is process-local and effectively single-writer (engine
     runs are single-threaded); a small lock guards series *creation* so
     concurrent readers/registrars stay safe.
     """
 
-    def __init__(
-        self,
-        *,
-        flight_recorder_capacity: int = 4096,
-        default_buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
+    def __init__(self) -> None:
         self._series: dict[tuple[str, LabelPairs], Instrument] = {}
         self._kinds: dict[str, str] = {}
         self._buckets: dict[str, tuple[float, ...]] = {}
         self._lock = threading.Lock()
-        self._default_buckets = tuple(float(b) for b in default_buckets)
-        self.flight = FlightRecorder(flight_recorder_capacity)
+        self.flight = FlightRecorder()
         self._next_span_id = 0
         #: Chronological sum of every cost charge — bit-identical to the
         #: meter's ``total_spent`` because both add the same floats in the
@@ -377,7 +376,7 @@ class MetricsRegistry:
             else:
                 bounds = self._buckets.setdefault(
                     name,
-                    tuple(float(b) for b in (buckets or self._default_buckets)),
+                    tuple(float(b) for b in (buckets or DEFAULT_BUCKETS)),
                 )
                 inst = Histogram(bounds)
             self._series[key] = inst

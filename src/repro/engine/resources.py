@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.indexes.base import Accountant, CostParams
+from repro.indexes.base import CostParams
 from repro.utils.validation import check_positive
 
 
@@ -83,12 +83,6 @@ class ResourceMeter:
     def exhausted(self) -> bool:
         """True when this tick's capacity is used up."""
         return self.tick_budget <= 0.0
-
-    def charge_accountant_delta(self, acct: Accountant, before: Accountant) -> float:
-        """Charge the cost an accountant accrued since ``before``; return it."""
-        cost = acct.cost_since(before, self.params)
-        self.spend(cost)
-        return cost
 
     def check_memory(
         self, breakdown: MemoryBreakdown, at_tick: int, *, budget: int | None = None

@@ -1,13 +1,7 @@
 """Experiment harness: quasi-training, scheme comparisons, figure regeneration."""
 
-from repro.experiments.harness import (
-    TrainingResult,
-    run_comparison,
-    run_scheme,
-    train_initial_state,
-)
-from repro.experiments.parallel import RunOutcome, RunSpec, run_parallel
-from repro.experiments.profiling import profile_scheme
+from repro.experiments.harness import TrainingResult, train_initial_state
+from repro.experiments.parallel import RunOutcome, RunSpec, execute_spec, run_parallel
 from repro.experiments.reporting import (
     format_component_breakdown,
     format_cost_profile,
@@ -18,9 +12,9 @@ from repro.experiments.reporting import (
 )
 
 __all__ = [
+    "execute_spec",
     "format_component_breakdown",
     "format_cost_profile",
-    "profile_scheme",
     "RunOutcome",
     "RunSpec",
     "run_parallel",
@@ -29,7 +23,5 @@ __all__ = [
     "format_table",
     "format_throughput_figure",
     "improvement_pct",
-    "run_comparison",
-    "run_scheme",
     "train_initial_state",
 ]

@@ -21,13 +21,13 @@ from repro.core.assessment import CDIA, CSRIA
 from repro.core.cost_model import WorkloadStatistics
 from repro.core.selector import select_exhaustive
 from repro.engine.stats import RunStats
-from repro.experiments.harness import run_comparison, run_scheme, train_initial_state
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.experiments.reporting import (
     format_summary,
     format_table,
     format_throughput_figure,
 )
-from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from repro.workloads.scenarios import ScenarioParams, sensor_network_params
 
 DEFAULT_TICKS = 600
 ASSESSMENT_SCHEMES = [
@@ -40,8 +40,14 @@ ASSESSMENT_SCHEMES = [
 HASH_KS = (1, 2, 3, 4, 5, 6, 7)
 
 
-def _scenario(seed: int = 7) -> PaperScenario:
-    return PaperScenario(ScenarioParams(seed=seed))
+def _runs(
+    schemes: list[str], ticks: int, train_ticks: int, params: ScenarioParams
+) -> dict[str, RunStats]:
+    """Every scheme from the one quasi-trained start over identical
+    arrivals, scheme → stats.  All specs are built (and so validated)
+    before any of them trains or runs."""
+    specs = [RunSpec(params, scheme, ticks, train_ticks=train_ticks) for scheme in schemes]
+    return {spec.scheme: execute_spec(spec).stats for spec in specs}
 
 
 # --------------------------------------------------------------------- #
@@ -52,10 +58,7 @@ def figure6_assessment(
     ticks: int = DEFAULT_TICKS, *, seed: int = 7, train_ticks: int = 120
 ) -> dict[str, RunStats]:
     """Cumulative throughput of SRIA / CSRIA / DIA / CDIA-random / CDIA-highest."""
-    scenario = _scenario(seed)
-    return run_comparison(
-        scenario, ASSESSMENT_SCHEMES, ticks, train=True, train_ticks=train_ticks
-    )
+    return _runs(ASSESSMENT_SCHEMES, ticks, train_ticks, ScenarioParams(seed=seed))
 
 
 def figure6_assessment_averaged(
@@ -90,17 +93,8 @@ def figure6_hash(
     ks: tuple[int, ...] = HASH_KS,
 ) -> dict[str, RunStats]:
     """Adaptive multi-hash trials with 1..7 modules (plus AMRI for scale)."""
-    scenario = _scenario(seed)
-    training = train_initial_state(scenario, train_ticks=train_ticks)
-    runs: dict[str, RunStats] = {}
-    for k in ks:
-        runs[f"hash:{k}"] = run_scheme(
-            scenario, f"hash:{k}", ticks, training=training
-        )
-    runs["amri:cdia-highest"] = run_scheme(
-        scenario, "amri:cdia-highest", ticks, training=training
-    )
-    return runs
+    schemes = [f"hash:{k}" for k in ks] + ["amri:cdia-highest"]
+    return _runs(schemes, ticks, train_ticks, ScenarioParams(seed=seed))
 
 
 # --------------------------------------------------------------------- #
@@ -115,21 +109,15 @@ def figure7(
     ks: tuple[int, ...] = HASH_KS,
 ) -> tuple[dict[str, RunStats], str]:
     """The headline comparison; returns (runs, best hash scheme name)."""
-    scenario = _scenario(seed)
-    training = train_initial_state(scenario, train_ticks=train_ticks)
-    hash_runs = {
-        f"hash:{k}": run_scheme(scenario, f"hash:{k}", ticks, training=training)
-        for k in ks
-    }
-    best_hash = max(hash_runs, key=lambda name: hash_runs[name].outputs)
-    runs = {
-        "amri:cdia-highest": run_scheme(
-            scenario, "amri:cdia-highest", ticks, training=training
-        ),
-        best_hash: hash_runs[best_hash],
-        "static-bitmap": run_scheme(scenario, "static", ticks, training=training),
-    }
-    return runs, best_hash
+    hash_schemes = [f"hash:{k}" for k in ks]
+    schemes = hash_schemes + ["amri:cdia-highest", "static"]
+    runs = _runs(schemes, ticks, train_ticks, ScenarioParams(seed=seed))
+    best_hash = max(hash_schemes, key=lambda name: runs[name].outputs)
+    return {
+        "amri:cdia-highest": runs["amri:cdia-highest"],
+        best_hash: runs[best_hash],
+        "static-bitmap": runs["static"],
+    }, best_hash
 
 
 # --------------------------------------------------------------------- #
@@ -254,14 +242,7 @@ def print_fig7(ticks: int, seed: int) -> None:
 
 def print_sensor(ticks: int) -> None:
     """The extension scenario: burst survival under tuning (not in paper)."""
-    from repro.workloads.scenarios import sensor_network_scenario
-
-    scenario = sensor_network_scenario()
-    training = train_initial_state(scenario, train_ticks=60)
-    runs = {
-        scheme: run_scheme(scenario, scheme, ticks, training=training)
-        for scheme in ("amri:cdia-highest", "static", "hash:2")
-    }
+    runs = _runs(["amri:cdia-highest", "static", "hash:2"], ticks, 60, sensor_network_params())
     print(format_throughput_figure("Sensor-network extension — bursty 3-way join", runs))
 
 
@@ -286,13 +267,18 @@ def print_table2() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro figures", description=__doc__)
     parser.add_argument(
         "target", choices=["fig6", "fig6-hash", "fig7", "table2", "sensor", "all"]
     )
     parser.add_argument("--ticks", type=int, default=DEFAULT_TICKS)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    if args.target != "table2":
+        try:  # a bad size is a usage error before any quasi-training
+            RunSpec.check(ScenarioParams(seed=args.seed), "static", ticks=args.ticks)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.target in ("fig6", "all"):
         print_fig6(args.ticks, args.seed)
         print()

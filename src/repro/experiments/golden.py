@@ -8,10 +8,13 @@ executor it replaced — the same :class:`~repro.engine.stats.RunStats`
 and the same metrics snapshot (every labelled series, every histogram
 bucket, every span).
 
-This module defines the case matrix and turns one run into a pure-JSON
-*fingerprint* — only lists, dicts, strings, numbers, bools, and ``None``,
-so a fingerprint compares equal to its own JSON round-trip (Python floats
-round-trip exactly through ``json``).  The committed golden file
+This module defines the case matrix — one
+:class:`~repro.experiments.parallel.RunSpec` per case, executed by
+:func:`~repro.experiments.parallel.execute_spec` like every other run —
+and turns one run into a pure-JSON *fingerprint*: only lists, dicts,
+strings, numbers, bools, and ``None``, so a fingerprint compares equal to
+its own JSON round-trip (Python floats round-trip exactly through
+``json``).  The committed golden file
 ``tests/integration/golden_equivalence.json`` was generated from the
 pre-refactor monolith by ``tools/gen_golden_equivalence.py``;
 ``tests/integration/test_golden_equivalence.py`` re-runs the matrix on
@@ -24,58 +27,65 @@ need it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Iterable
+from dataclasses import replace
 
-from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
-from repro.engine.resources import DegradationPolicy
+from repro.engine.metrics import RegistrySnapshot
 from repro.engine.stats import RunStats
-from repro.engine.tracing import EventLog
-from repro.workloads.scenarios import PaperScenario, scenario_params
+from repro.engine.tracing import EngineEvent
+from repro.experiments.parallel import RunSpec, execute_spec
+from repro.workloads.scenarios import ScenarioParams, scenario_params
 
 
-@dataclass(frozen=True)
-class GoldenCase:
-    """One cell of the equivalence matrix, fully described by value."""
-
-    name: str
-    scenario: str  # "paper-small" | "paper" | "sensor"
-    scheme: str
-    ticks: int
-    seed: int = 7
-    faults: str | None = None  # FAULT_PROFILES name
-    fault_seed: int = 0
-    degrade: bool = False
-    capacity: float | None = None
-    memory_budget: int | None = None
+def _case(params: ScenarioParams, scheme: str, ticks: int, **modes) -> RunSpec:
+    """One case: an untrained run with a metrics registry attached."""
+    return RunSpec(params, scheme, ticks, train=False, collect_metrics=True, **modes)
 
 
-#: The committed matrix: every scheme family, clean and faulted runs, the
-#: graceful-degradation path (shed + degrade), an OOM death, and both the
-#: full 4-way paper scenario and the sensor extension scenario.
-CASES: tuple[GoldenCase, ...] = (
-    GoldenCase("paper3_amri_clean", "paper-small", "amri:cdia-highest", 60),
-    GoldenCase("paper3_amri_sria_tuning_faults", "paper-small", "amri:sria", 60,
-               faults="tuning", fault_seed=11),
-    GoldenCase("paper3_hash_arrival_faults", "paper-small", "hash:2", 60,
-               faults="arrivals", fault_seed=3),
-    # Backlog builds (capacity-starved) until shedding kicks in; survives.
-    GoldenCase("paper3_scan_shed_survives", "paper-small", "scan", 80,
-               degrade=True, capacity=400.0, memory_budget=10_000),
-    # Chaos bursts push past the budget: every state degrades to scan,
-    # then the run still dies — the full remedy ladder.
-    GoldenCase("paper3_static_chaos_degrade_death", "paper-small", "static", 80,
-               faults="chaos", fault_seed=5, degrade=True, capacity=1_200.0,
-               memory_budget=13_000),
-    # Transient memory squeezes force degradation but the run survives.
-    GoldenCase("paper3_inverted_squeeze_degrade", "paper-small", "inverted", 80,
-               faults="memory", fault_seed=9, degrade=True, capacity=1_200.0,
-               memory_budget=14_000),
-    # No degradation policy: the paper's plain out-of-memory death.
-    GoldenCase("paper3_scan_memory_death", "paper-small", "scan", 80,
-               capacity=400.0, memory_budget=6_000),
-    GoldenCase("paper4_amri_default", "paper", "amri:cdia-highest", 50),
-    GoldenCase("sensor_amri_clean", "sensor", "amri:cdia-highest", 50),
-)
+@functools.cache
+def cases() -> dict[str, RunSpec]:
+    """The committed matrix, name → spec: every scheme family, clean and
+    faulted runs, the graceful-degradation path (shed + degrade), an OOM
+    death, and both the full 4-way paper scenario and the sensor extension
+    scenario, all at seed 7.  A case that starves the engine sets the
+    scenario's ``capacity`` / ``memory_budget`` (only the meter reads them).
+
+    Built on first use, not at import: constructing a spec validates it by
+    building its stems, and importing this module (for
+    :func:`stats_fingerprint`) must stay cheap.
+    """
+    small = scenario_params("paper-small", 7)
+    return {
+        "paper3_amri_clean": _case(small, "amri:cdia-highest", 60),
+        "paper3_amri_sria_tuning_faults": _case(
+            small, "amri:sria", 60, faults="tuning", fault_seed=11
+        ),
+        "paper3_hash_arrival_faults": _case(
+            small, "hash:2", 60, faults="arrivals", fault_seed=3
+        ),
+        # Backlog builds (capacity-starved) until shedding kicks in; survives.
+        "paper3_scan_shed_survives": _case(
+            replace(small, capacity=400.0, memory_budget=10_000), "scan", 80, degrade=True
+        ),
+        # Chaos bursts push past the budget: every state degrades to scan,
+        # then the run still dies — the full remedy ladder.
+        "paper3_static_chaos_degrade_death": _case(
+            replace(small, capacity=1_200.0, memory_budget=13_000), "static", 80,
+            faults="chaos", fault_seed=5, degrade=True,
+        ),
+        # Transient memory squeezes force degradation but the run survives.
+        "paper3_inverted_squeeze_degrade": _case(
+            replace(small, capacity=1_200.0, memory_budget=14_000), "inverted", 80,
+            faults="memory", fault_seed=9, degrade=True,
+        ),
+        # No degradation policy: the paper's plain out-of-memory death.
+        "paper3_scan_memory_death": _case(
+            replace(small, capacity=400.0, memory_budget=6_000), "scan", 80
+        ),
+        "paper4_amri_default": _case(scenario_params("paper", 7), "amri:cdia-highest", 50),
+        "sensor_amri_clean": _case(scenario_params("sensor", 7), "amri:cdia-highest", 50),
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -104,11 +114,11 @@ def stats_fingerprint(stats: RunStats) -> dict:
     }
 
 
-def events_fingerprint(log: EventLog) -> list:
+def events_fingerprint(events: Iterable[EngineEvent]) -> list:
     """The event timeline with detail dicts flattened to sorted pairs."""
     return [
         [e.tick, e.kind, e.stream, sorted((str(k), v) for k, v in e.detail.items())]
-        for e in log
+        for e in events
     ]
 
 
@@ -154,32 +164,21 @@ def json_pure(value):
     return json.loads(json.dumps(value))
 
 
-def run_case(case: GoldenCase) -> dict:
-    """Execute one case and fingerprint the run."""
-    scenario = PaperScenario(scenario_params(case.scenario, case.seed))
-    log = EventLog()
-    registry = MetricsRegistry()
-    executor = scenario.make_executor(
-        case.scheme,
-        capacity=case.capacity,
-        memory_budget=case.memory_budget,
-        event_log=log,
-        metrics=registry,
-        faults=case.faults,
-        fault_seed=case.fault_seed,
-        degradation=DegradationPolicy() if case.degrade else None,
-    )
-    stats = executor.run(case.ticks, scenario.make_generator())
+def run_case(name: str) -> dict:
+    """Execute one named case and fingerprint the run: stats, events,
+    metrics snapshot, and the meter's own clock total (kept apart from the
+    registry's ``cost_total``)."""
+    outcome = execute_spec(cases()[name])
     return json_pure(
         {
-            "stats": stats_fingerprint(stats),
-            "events": events_fingerprint(log),
-            "metrics": snapshot_fingerprint(registry.snapshot()),
-            "meter_total": executor.meter.total_spent,
+            "stats": stats_fingerprint(outcome.stats),
+            "events": events_fingerprint(outcome.events),
+            "metrics": snapshot_fingerprint(outcome.metrics),
+            "meter_total": outcome.meter_total,
         }
     )
 
 
 def run_all() -> dict[str, dict]:
     """Fingerprint the whole matrix, keyed by case name."""
-    return {case.name: run_case(case) for case in CASES}
+    return {name: run_case(name) for name in cases()}

@@ -1,16 +1,18 @@
-"""Experiment harness: quasi-training, scheme runs, and comparisons.
+"""Experiment harness: the quasi-training half of the paper's protocol.
 
-Reproduces the paper's protocol (Section V):
+Reproduces Section V's first step, **quasi-training** — "the IC on each
+state ... is initiated by running index selection using statistics
+gathered by executing the stream for 15 minutes".
+:func:`train_initial_state` runs the scenario for a training period on a
+*separate* seed offset with exact (SRIA) assessment, then derives
+per-state starting ICs (for bit-address schemes) and most-frequent pattern
+lists (for the hash baseline).
 
-1. **Quasi-training** — "the IC on each state ... is initiated by running
-   index selection using statistics gathered by executing the stream for 15
-   minutes".  :func:`train_initial_state` runs the scenario for a training
-   period on a *separate* seed offset with exact (SRIA) assessment, then
-   derives per-state starting ICs (for bit-address schemes) and most-frequent
-   pattern lists (for the hash baseline).
-2. **Measured runs** — :func:`run_scheme` executes one scheme over the
-   shared measured workload and returns its :class:`RunStats`;
-   :func:`run_comparison` runs several schemes over identical arrivals.
+The second step, the **measured runs**, is one
+:class:`~repro.experiments.parallel.RunSpec` per scheme executed by
+:func:`~repro.experiments.parallel.execute_spec`, which starts each scheme
+from :func:`cached_training` — so every scheme sees identical arrivals
+from the same trained start.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from repro.core.access_pattern import AccessPattern
 from repro.core.cost_model import WorkloadStatistics
 from repro.core.index_config import IndexConfiguration
 from repro.core.selector import pad_patterns_to_k, select_exhaustive, select_hash_patterns
-from repro.engine.stats import RunStats
-from repro.workloads.scenarios import PaperScenario, ScenarioParams, parse_scheme
+from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 TRAINING_SEED_OFFSET = 1_000_003  # decorrelates training data from measured runs
 
@@ -45,12 +46,7 @@ class TrainingResult:
         return out
 
 
-def train_initial_state(
-    scenario: PaperScenario,
-    *,
-    train_ticks: int = 120,
-    theta: float | None = None,
-) -> TrainingResult:
+def train_initial_state(scenario: PaperScenario, *, train_ticks: int = 120) -> TrainingResult:
     """Run the quasi-training period and derive starting configurations.
 
     Training uses the AMRI scheme with exact SRIA assessment and unlimited
@@ -67,12 +63,11 @@ def train_initial_state(
     generator = scenario.make_generator(seed_offset=TRAINING_SEED_OFFSET)
     executor.run(train_ticks, generator)
 
-    theta = p.theta if theta is None else theta
     result = TrainingResult()
     domain_bits = scenario.domain_bits()
     for stream, stem in executor.stems.items():
         assessor = stem.tuner.assessor
-        freqs = assessor.frequent_patterns(theta)
+        freqs = assessor.frequent_patterns(p.theta)
         if not freqs:
             freqs = assessor.frequencies()
         result.frequencies[stream] = freqs
@@ -90,9 +85,9 @@ def train_initial_state(
 
 
 #: Process-local quasi-training memo: ``(params, train_ticks)`` → result.
-#: Training is deterministic in that key (a fixed seed offset, default
-#: theta), so recomputing it per scheme/worker is pure waste — sweeps
-#: comparing k schemes over one scenario used to pay k identical trainings.
+#: Training is deterministic in that key (a fixed seed offset), so
+#: recomputing it per scheme/worker is pure waste — sweeps comparing k
+#: schemes over one scenario used to pay k identical trainings.
 _TRAINING_CACHE: dict[tuple[ScenarioParams, int], TrainingResult] = {}
 
 
@@ -102,8 +97,6 @@ def cached_training(params: ScenarioParams, train_ticks: int) -> TrainingResult:
     The returned :class:`TrainingResult` is shared — callers must treat it
     as read-only (they all do: it is consumed via ``configs`` lookups and
     :meth:`TrainingResult.hash_patterns`, which builds fresh lists).
-    Non-default ``theta`` trainings are not cached; call
-    :func:`train_initial_state` directly for those.
     """
     key = (params, train_ticks)
     result = _TRAINING_CACHE.get(key)
@@ -116,72 +109,3 @@ def cached_training(params: ScenarioParams, train_ticks: int) -> TrainingResult:
 def clear_training_cache() -> None:
     """Drop every memoized training (mainly for tests and long sessions)."""
     _TRAINING_CACHE.clear()
-
-
-def trained_start(training: TrainingResult | None, scheme: str) -> dict[str, object]:
-    """The two ``make_executor`` keywords that start ``scheme`` from ``training``.
-
-    Bit-address schemes start from the trained ICs and the hash baseline
-    from the trained most-frequent patterns (the scheme's own ``k`` of
-    them) — the paper's protocol for the Figure 6/7 baselines.
-    Without training both are ``None``: the scenario's uninformed defaults.
-    """
-    if training is None:
-        return {"initial_configs": None, "initial_hash_patterns": None}
-    family, k = parse_scheme(scheme)
-    patterns = training.hash_patterns(k) if family == "hash" else None
-    return {"initial_configs": training.configs, "initial_hash_patterns": patterns}
-
-
-def run_scheme(
-    scenario: PaperScenario,
-    scheme: str,
-    duration: int,
-    *,
-    training: TrainingResult | None = None,
-    seed_offset: int = 0,
-    **executor_overrides,
-) -> RunStats:
-    """Execute one scheme for ``duration`` ticks over the measured workload.
-
-    ``training`` starts the scheme from the quasi-trained state (see
-    :func:`trained_start`).
-
-    Robustness knobs pass straight through ``executor_overrides`` to
-    :meth:`~repro.workloads.scenarios.PaperScenario.make_executor`:
-    ``faults=`` / ``fault_seed=`` for deterministic fault injection,
-    ``degradation=`` for graceful degradation under memory pressure,
-    ``event_log=`` to capture the run's fault/degrade/shed timeline, and
-    ``metrics=`` (a :class:`~repro.engine.metrics.MetricsRegistry`) for
-    cost-unit attribution and span tracing.
-    """
-    executor = scenario.make_executor(
-        scheme, **trained_start(training, scheme), **executor_overrides
-    )
-    generator = scenario.make_generator(seed_offset=seed_offset)
-    return executor.run(duration, generator)
-
-
-def run_comparison(
-    scenario: PaperScenario,
-    schemes: list[str],
-    duration: int,
-    *,
-    train: bool = True,
-    train_ticks: int = 120,
-    seed_offset: int = 0,
-    **executor_overrides,
-) -> dict[str, RunStats]:
-    """Run several schemes over identical arrivals; returns scheme → stats."""
-    training = cached_training(scenario.params, train_ticks) if train else None
-    return {
-        scheme: run_scheme(
-            scenario,
-            scheme,
-            duration,
-            training=training,
-            seed_offset=seed_offset,
-            **executor_overrides,
-        )
-        for scheme in schemes
-    }

@@ -15,11 +15,13 @@ boundary.
 Determinism is preserved: a spec's result is identical whether it runs in a
 worker or in-process (``workers=0``), which the tests assert.
 
-:class:`RunSpec` is also *the* description of a run for the CLIs: it
-rejects a bad run at construction (before any quasi-training),
+:class:`RunSpec` is *the* description of a measured run — for the CLIs,
+the figures, ``validate``, the golden corpus and ``repro profile`` alike:
+it rejects a bad run at construction (before any quasi-training),
 :meth:`RunSpec.describe` is the header line ``repro run`` prints, and
-:func:`execute_spec` is the one place a spec's mode fields (``faults``,
-``degrade``, ``collect_latency`` ...) turn into an engine.
+:func:`execute_spec` is the one place a spec turns into an engine (its
+trained start and its mode fields ``faults``, ``degrade``,
+``collect_latency`` ...).
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from repro.engine.resources import DegradationPolicy
 from repro.engine.latency import LatencySnapshot, LatencyTracker
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent, EventLog
-from repro.experiments.harness import TrainingResult, cached_training, run_scheme
-from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from repro.experiments.harness import TrainingResult, cached_training
+from repro.workloads.scenarios import PaperScenario, ScenarioParams, parse_scheme
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,6 @@ class RunSpec:
     ticks: int
     train: bool = True
     train_ticks: int = 100
-    seed_offset: int = 0
-    label: str | None = None
     faults: str | None = None
     fault_seed: int = 0
     degrade: bool = False
@@ -87,9 +87,9 @@ class RunSpec:
 
         Every keyword in ``sizes`` (``ticks=``, ``train_ticks=`` ...) must
         be ``>= 1`` and ``scheme`` must name a scheme of the ``params``
-        scenario.  The part of the
-        construction check that ``repro profile`` (its own entry point, no
-        spec) shares, so a typo costs no quasi-training there either.
+        scenario.  The construction check, also run on its own by a CLI
+        that must reject a bad size before it builds any spec (``repro
+        figures``), so a typo costs no quasi-training there either.
         """
         for name, value in sizes.items():
             if value < 1:
@@ -105,22 +105,18 @@ class RunSpec:
         )
         resolve_fault_plan(self.faults)
 
-    def display_label(self) -> str:
-        """The spec's name in result listings."""
-        return self.label if self.label is not None else f"{self.scheme}@seed{self.params.seed}"
-
     def describe(self, schemes: Sequence[str] | None = None) -> str:
         """One ``name=value`` header line over every field that shapes the run.
 
-        Generated from the dataclass fields (all but the ``training`` cache
-        and the display ``label``), so a new field shows up without anyone
-        remembering to print it; ``params`` lists its non-default knobs.
+        Generated from the dataclass fields (all but the ``training``
+        cache), so a new field shows up without anyone remembering to
+        print it; ``params`` lists its non-default knobs.
         ``schemes`` is shown in place of ``scheme`` — the CLIs pass their
         whole list, since one invocation's specs differ only by scheme.
         """
         parts = []
         for f in fields(self):
-            if f.name in ("training", "label"):
+            if f.name == "training":
                 continue
             value = getattr(self, f.name)
             if f.name == "params":
@@ -140,15 +136,20 @@ class RunSpec:
 class RunOutcome:
     """A spec together with its statistics, events, and observer payloads.
 
-    ``metrics`` is a frozen :class:`~repro.engine.metrics.RegistrySnapshot`
-    when the spec asked for one (``collect_metrics=True``) and ``latency``
-    a frozen :class:`~repro.engine.latency.LatencySnapshot`
+    ``meter_total`` is the run's virtual-clock total as the meter itself
+    accumulated it — independent of any attached registry, so a check
+    that the registry's ``cost_total`` attributes the whole clock compares
+    two separately kept sums.  ``metrics`` is a frozen
+    :class:`~repro.engine.metrics.RegistrySnapshot` when the spec asked
+    for one (``collect_metrics=True``) and ``latency`` a frozen
+    :class:`~repro.engine.latency.LatencySnapshot`
     (``collect_latency=True``) — both picklable, so they cross the
     process-pool boundary like everything else.
     """
 
     spec: RunSpec
     stats: RunStats
+    meter_total: float
     events: tuple[EngineEvent, ...] = ()
     metrics: RegistrySnapshot | None = None
     latency: LatencySnapshot | None = None
@@ -158,58 +159,48 @@ class RunOutcome:
         return self.stats.outputs
 
 
-def _resolve_training(spec: RunSpec) -> "TrainingResult | None":
-    """The spec's training: shipped with the spec, else memoized locally.
+def _share_training(spec: RunSpec) -> RunSpec:
+    """``spec`` with its :class:`TrainingResult` attached, if it trains.
 
-    The memo (:func:`~repro.experiments.harness.cached_training`) makes
-    even the fallback path train once per ``(params, train_ticks)`` within
-    a process — e.g. serial sweeps that did not go through
-    :func:`run_parallel`.
+    A spec that already carries one (or does not train) passes through
+    unchanged; the rest get the process-local memo
+    (:func:`~repro.experiments.harness.cached_training`), so a pool
+    receives one result per ``(params, train_ticks)`` by pickle and a
+    serial sweep trains once per key.
     """
-    if not spec.train:
-        return None
-    if spec.training is not None:
-        return spec.training
-    return cached_training(spec.params, spec.train_ticks)
-
-
-def _share_training(specs: list[RunSpec]) -> list[RunSpec]:
-    """Attach one :class:`TrainingResult` per distinct training key.
-
-    Specs that already carry a training (or do not train) pass through
-    unchanged; the rest get the memoized result so pool workers receive it
-    by pickle instead of re-running the training workload.
-    """
-    out = []
-    for spec in specs:
-        if not spec.train or spec.training is not None:
-            out.append(spec)
-        else:
-            out.append(
-                replace(spec, training=cached_training(spec.params, spec.train_ticks))
-            )
-    return out
+    if not spec.train or spec.training is not None:
+        return spec
+    return replace(spec, training=cached_training(spec.params, spec.train_ticks))
 
 
 def execute_spec(spec: RunSpec) -> RunOutcome:
     """Run one spec to completion (used directly and as the pool worker).
 
-    The whole run path: build the spec's event log, metrics registry and
-    latency tracker, hand them to
-    :func:`~repro.experiments.harness.run_scheme`, and freeze what they
+    The whole run path: start every state from the spec's training
+    (bit-address schemes from the trained ICs, ``hash:<k>`` from the
+    trained ``k`` most frequent patterns — the paper's protocol for the
+    Figure 6/7 baselines; untrained, from the scenario's uninformed
+    defaults), attach the spec's event log, metrics registry and latency
+    tracker, run the scenario's measured arrivals, and freeze what they
     recorded into the :class:`RunOutcome`.  Without ``collect_metrics`` /
     ``collect_latency`` nothing is attached for them, keeping the run
     observer-effect-free by construction.
     """
+    training = _share_training(spec).training
+    initial_configs = initial_hash_patterns = None
+    if training is not None:
+        initial_configs = training.configs
+        family, k = parse_scheme(spec.scheme)
+        if family == "hash":
+            initial_hash_patterns = training.hash_patterns(k)
+    scenario = PaperScenario(spec.params)
     log = EventLog()
     registry = MetricsRegistry() if spec.collect_metrics else None
     tracker = LatencyTracker() if spec.collect_latency else None
-    stats = run_scheme(
-        PaperScenario(spec.params),
+    executor = scenario.make_executor(
         spec.scheme,
-        spec.ticks,
-        training=_resolve_training(spec),
-        seed_offset=spec.seed_offset,
+        initial_configs=initial_configs,
+        initial_hash_patterns=initial_hash_patterns,
         event_log=log,
         metrics=registry,
         latency=tracker,
@@ -217,9 +208,11 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
         fault_seed=spec.fault_seed,
         degradation=DegradationPolicy() if spec.degrade else None,
     )
+    stats = executor.run(spec.ticks, scenario.make_generator())
     return RunOutcome(
         spec=spec,
         stats=stats,
+        meter_total=executor.meter.total_spent,
         events=tuple(log),
         metrics=registry.snapshot() if registry is not None else None,
         latency=tracker.snapshot() if tracker is not None else None,
@@ -237,7 +230,7 @@ def run_parallel(specs: list[RunSpec], *, workers: int = 4) -> list[RunOutcome]:
         return []
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    specs = _share_training(specs)
+    specs = [_share_training(spec) for spec in specs]
     if workers == 0 or len(specs) == 1:
         return [execute_spec(spec) for spec in specs]
     with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:

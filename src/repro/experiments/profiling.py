@@ -8,11 +8,15 @@ stream, index_kind, phase)`` — where the virtual clock's units actually
 went, which is the instrument every "make a hot path measurably faster"
 PR aims with.
 
+The run is one :class:`~repro.experiments.parallel.RunSpec` (with
+``collect_metrics=True``) through
+:func:`~repro.experiments.parallel.execute_spec`, like every other run.
 The printed TOTAL equals the executor's aggregate virtual-clock total
 exactly (the registry replays the meter's accumulation sequence; see
 :mod:`repro.engine.metrics`), and the command verifies that invariant on
-every invocation — a profile whose rows do not reconcile with the clock
-exits non-zero rather than print a lie.
+every invocation against the outcome's ``meter_total``, which the meter
+keeps apart from the registry — a profile whose rows do not reconcile
+with the clock exits non-zero rather than print a lie.
 
 ``--metrics`` / ``--trace`` export the snapshot and the flight recorder's
 retained spans as JSONL.
@@ -24,46 +28,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
+from repro.engine.metrics import RegistrySnapshot
 from repro.engine.metrics_export import write_metrics, write_trace
-from repro.engine.resources import DegradationPolicy
-from repro.engine.stats import RunStats
-from repro.engine.tracing import EventLog
-from repro.experiments.harness import train_initial_state, trained_start
-from repro.experiments.parallel import RunSpec
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.experiments.reporting import format_cost_profile, format_table
-from repro.workloads.scenarios import SCENARIO_PARAMS, PaperScenario, scenario_params
+from repro.workloads.scenarios import SCENARIO_PARAMS, scenario_params
 
 #: Attribution drift tolerated between the clock and the per-row sums —
 #: pure float regrouping error, so parts-per-billion is already generous.
 RECONCILE_REL_TOL = 1e-9
-
-
-def profile_scheme(
-    scenario_name: str = "paper",
-    scheme: str = "amri:cdia-highest",
-    *,
-    ticks: int = 200,
-    seed: int = 7,
-    train: bool = True,
-    train_ticks: int = 80,
-    degrade: bool = False,
-    flight_recorder_capacity: int = 4096,
-) -> tuple[RunStats, RegistrySnapshot, float]:
-    """Run one scheme with a registry attached; return (stats, snapshot,
-    meter_total) where ``snapshot.cost_total == meter_total`` exactly."""
-    scenario = PaperScenario(scenario_params(scenario_name, seed))
-    training = train_initial_state(scenario, train_ticks=train_ticks) if train else None
-    registry = MetricsRegistry(flight_recorder_capacity=flight_recorder_capacity)
-    executor = scenario.make_executor(
-        scheme,
-        **trained_start(training, scheme),
-        event_log=EventLog(),
-        degradation=DegradationPolicy() if degrade else None,
-        metrics=registry,
-    )
-    stats = executor.run(ticks, scenario.make_generator())
-    return stats, registry.snapshot(), executor.meter.total_spent
 
 
 def reconciles(snapshot: RegistrySnapshot, meter_total: float) -> bool:
@@ -98,29 +71,26 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     try:  # a bad size or name is a usage error before any quasi-training
-        RunSpec.check(
+        spec = RunSpec(
             scenario_params(args.scenario, args.seed),
             args.scheme,
-            ticks=args.ticks,
+            args.ticks,
+            train=not args.no_train,
             train_ticks=args.train_ticks,
-            top=args.top,
+            degrade=args.degrade,
+            collect_metrics=True,
         )
+        if args.top < 1:
+            raise ValueError(f"top must be >= 1, got {args.top}")
     except ValueError as exc:
         parser.error(str(exc))
 
     try:
-        stats, snapshot, meter_total = profile_scheme(
-            args.scenario,
-            args.scheme,
-            ticks=args.ticks,
-            seed=args.seed,
-            train=not args.no_train,
-            train_ticks=args.train_ticks,
-            degrade=args.degrade,
-        )
+        outcome = execute_spec(spec)
     except (ValueError, KeyError) as exc:
         print(f"profile failed: {exc}", file=sys.stderr)
         return 1
+    stats, snapshot, meter_total = outcome.stats, outcome.metrics, outcome.meter_total
 
     title = (
         f"cost-unit profile — {args.scheme} on {args.scenario}, "

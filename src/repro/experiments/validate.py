@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 from repro.core.index_config import IndexConfiguration
 from repro.experiments.figures import table2
-from repro.experiments.harness import run_scheme, train_initial_state
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.experiments.reporting import format_table, improvement_pct
-from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from repro.workloads.scenarios import ScenarioParams
 
 
 @dataclass
@@ -56,16 +56,34 @@ def check_table2() -> ClaimResult:
     )
 
 
-def run_all(ticks: int = 400, seed: int = 7, train_ticks: int = 100) -> list[ClaimResult]:
-    """Run every claim check; engine claims share one trained scenario."""
+#: Every engine run the claims read: the assessment methods, the seven
+#: hash trials and the non-adapting bitmap.
+CLAIM_SCHEMES = (
+    "amri:sria",
+    "amri:dia",
+    "amri:cdia-highest",
+    *(f"hash:{k}" for k in range(1, 8)),
+    "static",
+)
+
+
+def claim_specs(ticks: int = 400, seed: int = 7, train_ticks: int = 100) -> dict[str, RunSpec]:
+    """Scheme → spec for every engine claim: one scenario, one shared
+    quasi-training, identical arrivals.  Building them validates every
+    size and name before anything trains."""
+    params = ScenarioParams(seed=seed)
+    return {
+        scheme: RunSpec(params, scheme, ticks, train_ticks=train_ticks)
+        for scheme in CLAIM_SCHEMES
+    }
+
+
+def run_all(specs: dict[str, RunSpec]) -> list[ClaimResult]:
+    """Run every claim check over :func:`claim_specs`' runs."""
     results = [check_table2()]
+    runs = {scheme: execute_spec(spec).stats for scheme, spec in specs.items()}
 
-    scenario = PaperScenario(ScenarioParams(seed=seed))
-    training = train_initial_state(scenario, train_ticks=train_ticks)
-
-    sria = run_scheme(scenario, "amri:sria", ticks, training=training)
-    dia = run_scheme(scenario, "amri:dia", ticks, training=training)
-    cdia = run_scheme(scenario, "amri:cdia-highest", ticks, training=training)
+    sria, dia, cdia = runs["amri:sria"], runs["amri:dia"], runs["amri:cdia-highest"]
     results.append(
         ClaimResult(
             claim="DIA == SRIA (same statistics, same run)",
@@ -85,9 +103,7 @@ def run_all(ticks: int = 400, seed: int = 7, train_ticks: int = 100) -> list[Cla
         )
     )
 
-    hash_runs = {
-        k: run_scheme(scenario, f"hash:{k}", ticks, training=training) for k in range(1, 8)
-    }
+    hash_runs = {k: runs[f"hash:{k}"] for k in range(1, 8)}
     best_k = max(hash_runs, key=lambda k: hash_runs[k].outputs)
     best = hash_runs[best_k]
     all_fail = all(
@@ -105,7 +121,7 @@ def run_all(ticks: int = 400, seed: int = 7, train_ticks: int = 100) -> list[Cla
         )
     )
 
-    static = run_scheme(scenario, "static", ticks, training=training)
+    static = runs["static"]
     results.append(
         ClaimResult(
             claim="AMRI beats the non-adapting bitmap from the same start",
@@ -123,7 +139,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ticks", type=int, default=400)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
-    results = run_all(ticks=args.ticks, seed=args.seed)
+    try:  # a bad size is a usage error before any quasi-training
+        specs = claim_specs(ticks=args.ticks, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+    results = run_all(specs)
     rows = [
         ["PASS" if r.passed else "FAIL", r.claim, r.measured, r.paper] for r in results
     ]

@@ -10,10 +10,18 @@ from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration
 from repro.core.lattice import AccessPatternLattice
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.indexes.hash_index import MultiHashIndex
 from repro.indexes.inverted_index import InvertedListIndex
 from repro.indexes.scan_index import ScanIndex
 from repro.indexes.static_bitmap import StaticBitmapIndex
+
+
+def spec_stats(params, scheme: str, ticks: int, training=None):
+    """One spec's stats through ``execute_spec``: started from ``training``
+    when one is given (shipped on the spec), untrained otherwise."""
+    spec = RunSpec(params, scheme, ticks, train=training is not None, training=training)
+    return execute_spec(spec).stats
 
 
 @contextmanager

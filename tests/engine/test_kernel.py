@@ -459,7 +459,7 @@ class TestOrderingFilter:
         anchor = StreamTuple(anchor_stream, at, {"k": 1, "n": -1})
         ctx.queue.append(anchor)
         meter.start_tick()
-        RouteProbeStage().run(ctx, TickState(tick=0, duration=1))
+        RouteProbeStage().run(ctx, TickState(tick=0))
         got = sorted(tuple((s.stream, s["n"]) for s in j.sources[1:]) for j in sink)
         key = (anchor.arrived_at, anchor.stream)
         older = {

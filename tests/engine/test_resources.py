@@ -7,7 +7,6 @@ from repro.engine.resources import (
     MemoryBudgetExceeded,
     ResourceMeter,
 )
-from repro.indexes.base import Accountant, CostParams
 
 
 class TestResourceMeter:
@@ -49,18 +48,6 @@ class TestResourceMeter:
             ResourceMeter(capacity=0)
         with pytest.raises(ValueError):
             ResourceMeter(memory_budget=0)
-
-    def test_charge_accountant_delta(self):
-        m = ResourceMeter(capacity=1000)
-        m.start_tick()
-        acct = Accountant()
-        before = acct.snapshot()
-        acct.hashes += 5
-        acct.tuples_examined += 10
-        cost = m.charge_accountant_delta(acct, before)
-        params = CostParams()
-        assert cost == pytest.approx(5 * params.c_hash + 10 * params.c_compare)
-        assert m.total_spent == pytest.approx(cost)
 
 
 class TestMemoryBudget:

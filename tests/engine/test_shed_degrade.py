@@ -192,7 +192,7 @@ class TestDegradePermanence:
         self.degrade_heaviest(ctx)
         for stem in ctx.stems.values():
             stem.expire(10_000)  # drain all state — pressure fully gone
-        audit = TickState(tick=1, duration=2, audit_due=True)
+        audit = TickState(tick=1)
         ShedDegradeStage().run(ctx, audit)  # plenty of budget now
         for stem in ctx.stems.values():
             assert stem.degraded  # still degraded
@@ -230,18 +230,10 @@ class TestDegradePermanence:
 
 
 class TestStageGating:
-    def test_stage_skips_when_audit_not_due(self):
-        ctx = make_ctx(degradation=DegradationPolicy(shed_floor=0))
-        ctx.queue.extend(queued("A", t) for t in range(50))
-        tick = TickState(tick=1, duration=10, audit_due=False)
-        ShedDegradeStage().run(ctx, tick)
-        assert len(ctx.queue) == 50  # untouched off the audit cadence
-        assert tick.breakdown is None
-
     def test_stage_without_policy_only_measures(self):
         ctx = make_ctx(degradation=None)
         ctx.queue.extend(queued("A", t) for t in range(50))
-        tick = TickState(tick=0, duration=10, audit_due=True)
+        tick = TickState(tick=0)
         ShedDegradeStage().run(ctx, tick)
         assert len(ctx.queue) == 50
         assert tick.breakdown is not None

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import repro.__main__ as main_mod
-from repro.experiments import parallel, profiling
+from repro.experiments import harness, parallel, validate
 from repro.experiments import run as run_cli
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
@@ -163,24 +163,44 @@ class TestEngineFlags:
             ("profile", ["--top", "0"], "top must be >= 1, got 0"),
             ("run", ["--schemes", "scan,scan"], "--schemes repeats scan, got 'scan,scan'"),
             ("run", ["--schemes", "static, scan,static"], "--schemes repeats static, got"),
+            ("figures", ["fig7", "--ticks", "0"], "ticks must be >= 1, got 0"),
+            ("figures", ["all", "--ticks", "-3"], "ticks must be >= 1, got -3"),
+            ("figures", ["sensor", "--ticks", "0"], "ticks must be >= 1, got 0"),
         ],
     )
     def test_bad_sizes_and_schemes_are_usage_errors_before_training(
         self, command, argv, message, capsys, monkeypatch
     ):
         """Every CLI prints the ``RunSpec`` validation message, exit 2."""
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("quasi-training ran before the usage error")
-
-        monkeypatch.setattr(parallel, "cached_training", no_training)
-        monkeypatch.setattr(profiling, "train_initial_state", no_training)
+        forbid_training(monkeypatch)
         rc = main_mod.main([command, *argv])
         err = capsys.readouterr().err
         assert rc == 2
         # argparse's usage block, then exactly one error line.
         assert err.count(f"repro {command}: error: ") == 1
         assert message in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("ticks", ["0", "-1"])
+    def test_validate_bad_ticks_is_a_usage_error_before_training(
+        self, ticks, capsys, monkeypatch
+    ):
+        forbid_training(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            validate.main(["--ticks", ticks])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.count("error: ") == 1
+        assert f"ticks must be >= 1, got {ticks}" in err.strip().splitlines()[-1]
+
+
+def forbid_training(monkeypatch):
+    """Make any quasi-training (memoized or direct) fail the test."""
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("quasi-training ran before the usage error")
+
+    monkeypatch.setattr(harness, "train_initial_state", no_training)
+    monkeypatch.setattr(parallel, "cached_training", no_training)
 
 
 class TestLatencyFlag:

@@ -1,13 +1,14 @@
-"""Tests for the experiment harness (training + scheme runs)."""
+"""Tests for the experiment harness (training) and the measured runs it
+starts (one ``RunSpec`` per scheme through ``execute_spec``)."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.harness import (
-    run_comparison,
-    run_scheme,
-    train_initial_state,
-)
+from repro.experiments.harness import train_initial_state
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from tests.conftest import spec_stats as run
 
 
 @pytest.fixture(scope="module")
@@ -44,51 +45,39 @@ class TestTraining:
         assert a.configs == b.configs
 
 
+def unbounded(scenario):
+    """The scenario with resources no run exhausts."""
+    return replace(scenario.params, capacity=1e9, memory_budget=1 << 30)
+
+
 class TestRunScheme:
     def test_trained_run(self, scenario, training):
-        stats = run_scheme(
-            scenario, "amri:cdia-highest", 30, training=training,
-            capacity=1e9, memory_budget=1 << 30,
-        )
+        stats = run(unbounded(scenario), "amri:cdia-highest", 30, training)
         assert stats.outputs > 0
 
     def test_hash_uses_trained_patterns(self, scenario, training):
-        stats = run_scheme(
-            scenario, "hash:2", 20, training=training,
-            capacity=1e9, memory_budget=1 << 30,
-        )
+        stats = run(unbounded(scenario), "hash:2", 20, training)
         assert stats.probes > 0
 
     def test_untrained_run(self, scenario):
-        stats = run_scheme(scenario, "static", 20, capacity=1e9, memory_budget=1 << 30)
+        stats = run(unbounded(scenario), "static", 20)
         assert stats.source_tuples > 0
 
 
 class TestRunComparison:
     def test_runs_all_schemes(self, scenario):
-        runs = run_comparison(
-            scenario,
-            ["amri:sria", "scan"],
-            20,
-            train=True,
-            train_ticks=20,
-            capacity=1e9,
-            memory_budget=1 << 30,
-        )
+        params = unbounded(scenario)
+        runs = {
+            scheme: execute_spec(RunSpec(params, scheme, 20, train_ticks=20)).stats
+            for scheme in ("amri:sria", "scan")
+        }
         assert set(runs) == {"amri:sria", "scan"}
         for stats in runs.values():
             assert stats.source_tuples > 0
 
     def test_schemes_see_identical_arrivals(self, scenario):
-        """Same seed offset: every scheme must process the same tuples."""
-        runs = run_comparison(
-            scenario,
-            ["scan", "amri:sria"],
-            15,
-            train=False,
-            capacity=1e9,
-            memory_budget=1 << 30,
-        )
+        """One spec per scheme: every scheme must process the same tuples."""
+        runs = {scheme: run(unbounded(scenario), scheme, 15) for scheme in ("scan", "amri:sria")}
         counts = {name: s.source_tuples for name, s in runs.items()}
         assert len(set(counts.values())) == 1
         # with unlimited resources, outputs are index-independent

@@ -14,7 +14,6 @@ from repro.experiments.golden import stats_fingerprint
 from repro.experiments.harness import (
     cached_training,
     clear_training_cache,
-    run_scheme,
     train_initial_state,
 )
 from repro.experiments.parallel import (
@@ -27,7 +26,7 @@ from repro.workloads.scenarios import (
     PaperScenario,
     ScenarioParams,
     scenario_params,
-    sensor_network_scenario,
+    sensor_network_params,
 )
 
 FAST = ScenarioParams(seed=3, capacity=1e9, memory_budget=1 << 30)
@@ -42,13 +41,30 @@ def spec(scheme="amri:sria", seed=3, ticks=15):
     )
 
 
+def direct_run(params, scheme, ticks, **executor_keywords):
+    """The engine a spec describes, built by hand with ``make_executor``:
+    (stats, meter total)."""
+    scenario = PaperScenario(params)
+    executor = scenario.make_executor(scheme, **executor_keywords)
+    stats = executor.run(ticks, scenario.make_generator())
+    return stats, executor.meter.total_spent
+
+
 class TestRunSpec:
     def test_default_label(self):
-        assert spec().display_label() == "amri:sria@seed3"
+        """A spec has no display name: results are keyed by scheme, and
+        the header line names the scheme and seed."""
+        assert not hasattr(spec(), "display_label")
+        line = spec().describe()
+        assert " scheme=amri:sria " in line and "seed=3" in line
 
     def test_custom_label(self):
-        s = RunSpec(FAST, "scan", 5, label="mine")
-        assert s.display_label() == "mine"
+        """``label`` and ``seed_offset`` are not fields (every run reads
+        the scenario's measured arrivals)."""
+        with pytest.raises(TypeError):
+            RunSpec(FAST, "scan", 5, label="mine")
+        with pytest.raises(TypeError):
+            RunSpec(FAST, "scan", 5, seed_offset=1)
 
     @pytest.mark.parametrize(
         "field,bad",
@@ -76,9 +92,9 @@ class TestRunSpec:
             " scheme=amri:sria ticks=15 train=False "
         )
         assert "\n" not in line
-        assert len(fields(RunSpec)) == 13
+        assert len(fields(RunSpec)) == 11
         for f in fields(RunSpec):
-            assert (f" {f.name}=" in f" {line}") == (f.name not in ("training", "label")), f.name
+            assert (f" {f.name}=" in f" {line}") == (f.name != "training"), f.name
         assert " scheme=a,b " in spec().describe(["a", "b"])
 
 
@@ -115,23 +131,25 @@ class TestExecution:
 
 
 class TestOnePath:
-    """``execute_spec`` is the harness run of the same description."""
+    """``execute_spec`` is the direct ``make_executor`` run of the same
+    description."""
 
     def test_sensor_bursts_survive_the_spec(self):
         """The scenario is by value: its rate modulation ships in ``params``."""
-        scenario = sensor_network_scenario()
-        outcome = execute_spec(RunSpec(scenario.params, "static", 120, train=False))
-        direct = run_scheme(sensor_network_scenario(), "static", 120)
+        params = sensor_network_params()
+        outcome = execute_spec(RunSpec(params, "static", 120, train=False))
+        direct, _ = direct_run(params, "static", 120)
         assert outcome.stats.source_tuples == direct.source_tuples == 3990
         assert stats_fingerprint(outcome.stats) == stats_fingerprint(direct)
 
     def test_plain_spec_outcome_is_the_single_kernels_own_views(self):
         """The outcome is what the spec's attachments recorded on a direct
-        ``run_scheme``: stats, events, metrics snapshot, latency snapshot."""
+        ``make_executor`` build: stats, meter total, events, metrics
+        snapshot, latency snapshot."""
         log, registry, tracker = EventLog(), MetricsRegistry(), LatencyTracker()
         params = scenario_params("paper-small", 7)
-        stats = run_scheme(
-            PaperScenario(params),
+        stats, meter_total = direct_run(
+            params,
             "static",
             30,
             event_log=log,
@@ -151,8 +169,41 @@ class TestOnePath:
             )
         )
         assert log and outcome.stats == stats
+        assert outcome.meter_total == meter_total
         assert (list(outcome.events), outcome.metrics) == (list(log), registry.snapshot())
         assert outcome.latency == tracker.snapshot() and outcome.latency.count > 0
+
+    @pytest.mark.parametrize("scheme", ["amri:sria", "scan", "hash:2"])
+    def test_meter_total_is_the_meters_own_clock(self, scheme):
+        """``meter_total`` is the meter's ``total_spent`` on the direct
+        build, with or without a registry, and equals the registry's
+        chronological ``cost_total`` when metrics are collected."""
+        params = scenario_params("paper-small", 5)
+        _, meter_total = direct_run(params, scheme, 40)
+        plain = execute_spec(RunSpec(params, scheme, 40, train=False))
+        metered = execute_spec(RunSpec(params, scheme, 40, train=False, collect_metrics=True))
+        assert plain.meter_total == metered.meter_total == meter_total > 0
+        assert plain.metrics is None
+        assert metered.metrics.cost_total == metered.meter_total
+
+    @pytest.mark.parametrize("scheme", ["amri:cdia-highest", "hash:2", "static"])
+    def test_trained_spec_starts_from_the_trained_state(self, scheme):
+        """A trained spec is the direct build from the trained ICs and,
+        for ``hash:<k>``, the trained ``k`` most frequent patterns."""
+        params = scenario_params("paper-small", 7)
+        training = cached_training(params, 20)
+        k = int(scheme.split(":")[1]) if scheme.startswith("hash:") else None
+        stats, meter_total = direct_run(
+            params,
+            scheme,
+            30,
+            initial_configs=training.configs,
+            initial_hash_patterns=training.hash_patterns(k) if k else None,
+        )
+        outcome = execute_spec(RunSpec(params, scheme, 30, train_ticks=20))
+        assert outcome.stats == stats and outcome.meter_total == meter_total
+        untrained = execute_spec(RunSpec(params, scheme, 30, train=False))
+        assert untrained.stats != stats  # the start matters on this scenario
 
 
 class TestFaultedDeterminism:
@@ -256,10 +307,10 @@ class TestSharedTraining:
             self.trained_spec("scan"),
             RunSpec(self.PARAMS, "scan", 15, train=False),
         ]
-        shared = _share_training(specs)
+        shared = [_share_training(s) for s in specs]
         assert shared[0].training is shared[1].training  # same key -> same object
         assert shared[2].training is None  # untrained specs pass through
-        assert _share_training(shared)[0].training is shared[0].training
+        assert _share_training(shared[0]) is shared[0]
 
     def test_cached_training_matches_direct_retrain(self):
         clear_training_cache()

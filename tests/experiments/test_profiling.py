@@ -6,18 +6,25 @@ import pytest
 
 import repro.__main__ as main_mod
 from repro.engine.metrics import MetricsRegistry
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.experiments.profiling import main as profile_main
-from repro.experiments.profiling import profile_scheme, reconciles
+from repro.experiments.profiling import reconciles
 from repro.experiments.reporting import format_component_breakdown, format_cost_profile
+from repro.workloads.scenarios import scenario_params
 
 TICKS = 25
 
 
+def profile(scheme):
+    """What ``repro profile --no-train`` runs: (stats, snapshot, meter total)."""
+    spec = RunSpec(scenario_params("paper", 7), scheme, TICKS, train=False, collect_metrics=True)
+    outcome = execute_spec(spec)
+    return outcome.stats, outcome.metrics, outcome.meter_total
+
+
 class TestProfileScheme:
     def test_attribution_reconciles_exactly(self):
-        stats, snapshot, meter_total = profile_scheme(
-            "paper", "amri:sria", ticks=TICKS, train=False
-        )
+        stats, snapshot, meter_total = profile("amri:sria")
         # The headline invariant: chronological grand total is bit-identical
         # to the executor's virtual clock — no leakage, no double counting.
         assert snapshot.cost_total == meter_total
@@ -27,18 +34,9 @@ class TestProfileScheme:
         assert {"index", "router"} <= components
 
     def test_reconciles_rejects_leakage(self):
-        _, snapshot, meter_total = profile_scheme(
-            "paper", "scan", ticks=TICKS, train=False
-        )
+        _, snapshot, meter_total = profile("scan")
         assert reconciles(snapshot, meter_total)
         assert not reconciles(snapshot, meter_total + 1.0)
-
-    def test_flight_recorder_capacity_is_honoured(self):
-        _, snapshot, _ = profile_scheme(
-            "paper", "scan", ticks=TICKS, train=False, flight_recorder_capacity=16
-        )
-        assert len(snapshot.spans) == 16
-        assert snapshot.spans_dropped > 0
 
 
 class TestProfileCLI:

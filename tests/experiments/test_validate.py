@@ -11,7 +11,7 @@ class TestClaimChecks:
 
     def test_run_all_small_scale(self):
         """The full claim suite at smoke scale: structure over magnitudes."""
-        results = validate.run_all(ticks=120, seed=7, train_ticks=40)
+        results = validate.run_all(validate.claim_specs(ticks=120, seed=7, train_ticks=40))
         assert len(results) == 5
         by_claim = {r.claim: r for r in results}
         # The exact-equality claims must hold at any scale.

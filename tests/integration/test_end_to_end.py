@@ -6,14 +6,19 @@ happens in response to drift, schemes compare the way the paper says, and
 runs are exactly reproducible.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.access_pattern import JoinAttributeSet
 from repro.core.bit_index import BitAddressIndex, make_bit_index
-from repro.experiments.harness import run_comparison, run_scheme, train_initial_state
+from repro.experiments.harness import train_initial_state
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from tests.conftest import spec_stats as run
 
 TICKS = 130
+UNBOUNDED = {"capacity": 1e9, "memory_budget": 1 << 30}
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +33,8 @@ def training(scenario):
 
 class TestAdaptation:
     def test_drift_triggers_migrations(self, scenario, training):
-        stats = run_scheme(
-            scenario, "amri:cdia-highest", TICKS, training=training,
-            capacity=1e9, memory_budget=1 << 30,
+        stats = run(
+            replace(scenario.params, **UNBOUNDED), "amri:cdia-highest", TICKS, training
         )
         assert stats.migrations > 0
         assert stats.tuning_rounds > 0
@@ -46,18 +50,15 @@ class TestAdaptation:
         assert {1, 2, 3} <= widths
 
     def test_tuned_beats_static_under_drift(self, scenario, training):
-        runs = run_comparison(
-            scenario,
-            ["amri:cdia-highest", "static"],
-            300,
-            train=True,
-            train_ticks=60,
-        )
+        runs = {
+            scheme: execute_spec(RunSpec(scenario.params, scheme, 300, train_ticks=60)).stats
+            for scheme in ("amri:cdia-highest", "static")
+        }
         assert runs["amri:cdia-highest"].outputs > runs["static"].outputs
 
     def test_indexed_beats_scan_under_pressure(self, scenario, training):
         runs = {
-            scheme: run_scheme(scenario, scheme, TICKS, training=training)
+            scheme: run(scenario.params, scheme, TICKS, training)
             for scheme in ("amri:cdia-highest", "scan")
         }
         assert runs["amri:cdia-highest"].outputs > runs["scan"].outputs
@@ -68,14 +69,12 @@ class TestResultCorrectness:
         """With unlimited resources every scheme computes the same join."""
         outputs = set()
         for scheme in ("scan", "amri:sria", "hash:3", "static"):
-            stats = run_scheme(
-                scenario, scheme, 60, capacity=1e9, memory_budget=1 << 30
-            )
+            stats = run(replace(scenario.params, **UNBOUNDED), scheme, 60)
             outputs.add(stats.outputs)
         assert len(outputs) == 1
 
     def test_throughput_monotone_nondecreasing(self, scenario, training):
-        stats = run_scheme(scenario, "amri:cdia-highest", TICKS, training=training)
+        stats = run(scenario.params, "amri:cdia-highest", TICKS, training)
         series = [s.outputs for s in stats.samples]
         assert all(b >= a for a, b in zip(series, series[1:]))
 
@@ -93,7 +92,7 @@ class TestSchemeIsolation:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(BitAddressIndex, "__init__", counting_init)
-        stats = run_scheme(scenario, "hash:3", 40, training=training, memory_budget=1 << 34)
+        stats = run(replace(scenario.params, memory_budget=1 << 34), "hash:3", 40, training)
         assert stats.outputs > 0 and built == []
         make_bit_index(JoinAttributeSet(["A", "B"]), [1, 1])
         assert built == [BitAddressIndex]  # the count sees a construction
@@ -104,7 +103,7 @@ class TestReproducibility:
         def one():
             sc = PaperScenario(ScenarioParams(seed=31))
             training = train_initial_state(sc, train_ticks=40)
-            stats = run_scheme(sc, "amri:cdia-highest", 80, training=training)
+            stats = run(sc.params, "amri:cdia-highest", 80, training)
             return (
                 stats.outputs,
                 stats.probes,
@@ -117,25 +116,20 @@ class TestReproducibility:
 
     def test_different_seeds_differ(self):
         def run_with(seed):
-            sc = PaperScenario(ScenarioParams(seed=seed))
-            return run_scheme(sc, "amri:sria", 50, capacity=1e9, memory_budget=1 << 30).outputs
+            return run(ScenarioParams(seed=seed, **UNBOUNDED), "amri:sria", 50).outputs
 
         assert run_with(1) != run_with(2)
 
 
 class TestMemoryDeath:
     def test_overloaded_scheme_dies_and_flatlines(self, scenario, training):
-        stats = run_scheme(
-            scenario, "hash:7", 200, training=training, memory_budget=400_000
-        )
+        stats = run(replace(scenario.params, memory_budget=400_000), "hash:7", 200, training)
         assert stats.died_at is not None
         assert "memory budget exceeded" in stats.death_reason
         assert stats.samples[-1].tick == stats.died_at
 
     def test_generous_budget_survives(self, scenario, training):
-        stats = run_scheme(
-            scenario, "hash:7", 100, training=training, memory_budget=1 << 30
-        )
+        stats = run(replace(scenario.params, memory_budget=1 << 30), "hash:7", 100, training)
         assert stats.completed
 
 

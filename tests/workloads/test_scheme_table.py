@@ -11,7 +11,7 @@ import pytest
 from repro.core.assessment import ASSESSOR_NAMES, CDIA, CSRIA, DIA, SRIA
 from repro.core.bit_index import BitAddressIndex
 from repro.core.tuner import AMRITuner, HashIndexTuner, NullTuner
-from repro.experiments.harness import cached_training, trained_start
+from repro.experiments.harness import cached_training
 from repro.indexes.hash_index import MultiHashIndex
 from repro.indexes.inverted_index import InvertedListIndex
 from repro.indexes.scan_index import ScanIndex
@@ -57,9 +57,14 @@ def test_each_scheme_builds_its_classes(scenario_name, trained):
     scenario = PaperScenario(params)
     training = cached_training(params, TRAIN_TICKS) if trained else None
     for scheme, (index_cls, tuner_cls, assessor_cls) in EXPECTED.items():
-        stems = scenario.build_stems(scheme, **trained_start(training, scheme))
-        assert tuple(stems) == params.stream_names
         family, arg = parse_scheme(scheme)
+        patterns = training.hash_patterns(arg) if trained and family == "hash" else None
+        stems = scenario.build_stems(
+            scheme,
+            initial_configs=training.configs if trained else None,
+            initial_hash_patterns=patterns,
+        )
+        assert tuple(stems) == params.stream_names
         for stream, stem in stems.items():
             built = (type(stem.index), type(stem.tuner), type(stem.tuner.assessor))
             assert built == (index_cls, tuner_cls, assessor_cls), (scheme, stream)

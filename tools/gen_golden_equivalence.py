@@ -4,8 +4,9 @@
     PYTHONPATH=src python tools/gen_golden_equivalence.py
 
 Writes ``tests/integration/golden_equivalence.json.gz``: one fingerprint
-per :data:`repro.experiments.golden.CASES` entry, capturing the engine's
-RunStats, event log, and metrics snapshot byte-for-byte.  The corpus is
+per case of :func:`repro.experiments.golden.cases` (name → ``RunSpec``),
+each run through ``execute_spec``, capturing the engine's RunStats, event
+log, metrics snapshot and meter total byte-for-byte.  The corpus is
 stored gzipped (fixed mtime, so regenerating unchanged semantics produces
 a bit-identical file).
 
@@ -22,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments.golden import CASES, run_all
+from repro.experiments.golden import run_all
 
 OUT = (
     Path(__file__).resolve().parent.parent
@@ -39,7 +40,7 @@ def main() -> int:
     # semantics yields a byte-identical file (clean diffs, stable hashes).
     OUT.write_bytes(gzip.compress(payload, mtime=0))
     total = sum(fp["stats"]["outputs"] for fp in fingerprints.values())
-    print(f"wrote {OUT} ({len(CASES)} cases, {total} total outputs)")
+    print(f"wrote {OUT} ({len(fingerprints)} cases, {total} total outputs)")
     return 0
 
 
