@@ -30,13 +30,19 @@ def workload(seed=0):
     return PatternStream([(N_REQUESTS // 2, noisy), (N_REQUESTS // 2, drifted)], seed=seed)
 
 
-def feed_and_measure(assessor):
+def make_assessor(method, epsilon):
+    if method == "csria":
+        return CSRIA(JAS5, epsilon)
+    return CDIA(JAS5, epsilon, combine="highest_count", seed=0)
+
+
+def feed_and_measure(assessor, seed=0):
     peak_entries = 0
-    for ap in workload():
+    for ap in workload(seed):
         assessor.record(ap)
         peak_entries = max(peak_entries, assessor.entry_count)
     truth = SRIA(JAS5)
-    for ap in workload():
+    for ap in workload(seed):
         truth.record(ap)
     true_frequent = set(truth.frequent_patterns(THETA))
     found = assessor.frequent_patterns(THETA)
@@ -49,18 +55,25 @@ def feed_and_measure(assessor):
     return peak_entries, coverage
 
 
-@pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.1])
-@pytest.mark.parametrize("method", ["csria", "cdia"])
-def test_epsilon_sweep(benchmark, method, epsilon):
-    def run():
-        assessor = (
-            CSRIA(JAS5, epsilon)
-            if method == "csria"
-            else CDIA(JAS5, epsilon, combine="highest_count", seed=0)
-        )
-        return feed_and_measure(assessor)
+EPSILONS = (0.01, 0.05, 0.1)
+METHODS = ("csria", "cdia")
 
-    peak_entries, coverage = run_once(benchmark, run)
+
+def min_coverage(seed: int = 0) -> float:
+    """The lowest θ-coverage over every method and ε on ``workload(seed)``."""
+    return min(
+        feed_and_measure(make_assessor(method, epsilon), seed)[1]
+        for method in METHODS
+        for epsilon in EPSILONS
+    )
+
+
+@pytest.mark.parametrize("epsilon", EPSILONS)
+@pytest.mark.parametrize("method", METHODS)
+def test_epsilon_sweep(benchmark, method, epsilon):
+    peak_entries, coverage = run_once(
+        benchmark, lambda: feed_and_measure(make_assessor(method, epsilon))
+    )
     benchmark.extra_info["method"] = method
     benchmark.extra_info["epsilon"] = epsilon
     benchmark.extra_info["peak_entries"] = peak_entries

@@ -9,22 +9,23 @@ exploration adds and that the compact assessors absorb it.
 
 import pytest
 
-from benchmarks.conftest import BENCH_TICKS, run_once, run_trained
-from repro.experiments.harness import train_initial_state
-from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from benchmarks.conftest import BENCH_SEED, BENCH_TICKS, BENCH_TRAIN_TICKS, run_once, run_trained
+from repro.engine.stats import RunStats
+from repro.experiments.harness import cached_training
+from repro.workloads.scenarios import ScenarioParams
 
 RATES = (0.0, 0.15, 0.4)
 
 
+def run_with_exploration(explore: float, seed: int = BENCH_SEED) -> RunStats:
+    params = ScenarioParams(seed=seed, explore_prob=explore)
+    training = cached_training(params, BENCH_TRAIN_TICKS)
+    return run_trained(params, "amri:cdia-highest", BENCH_TICKS, training)
+
+
 @pytest.mark.parametrize("explore", RATES)
 def test_exploration_rate(benchmark, explore):
-    scenario = PaperScenario(ScenarioParams(seed=7, explore_prob=explore))
-
-    def run():
-        training = train_initial_state(scenario, train_ticks=60)
-        return run_trained(scenario.params, "amri:cdia-highest", BENCH_TICKS, training)
-
-    stats = run_once(benchmark, run)
+    stats = run_once(benchmark, lambda: run_with_exploration(explore))
     benchmark.extra_info["explore_prob"] = explore
     benchmark.extra_info["outputs"] = stats.outputs
     benchmark.extra_info["died_at"] = stats.died_at
@@ -33,15 +34,6 @@ def test_exploration_rate(benchmark, explore):
 
 def test_exploration_shape(benchmark):
     """Heavy exploration costs throughput relative to none."""
-
-    def sweep():
-        out = {}
-        for explore in (0.0, 0.4):
-            scenario = PaperScenario(ScenarioParams(seed=7, explore_prob=explore))
-            training = train_initial_state(scenario, train_ticks=60)
-            out[explore] = run_trained(scenario.params, "amri:cdia-highest", BENCH_TICKS, training)
-        return out
-
-    runs = run_once(benchmark, sweep)
+    runs = run_once(benchmark, lambda: {e: run_with_exploration(e) for e in (0.0, 0.4)})
     benchmark.extra_info["outputs"] = {e: r.outputs for e, r in runs.items()}
     assert runs[0.0].outputs > 0 and runs[0.4].outputs > 0

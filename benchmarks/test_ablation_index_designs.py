@@ -11,22 +11,36 @@ the fastest probe, it is the cheapest to keep alive.
 
 from dataclasses import replace
 
-from benchmarks.conftest import BENCH_TICKS_LONG, run_once, run_trained
+from benchmarks.conftest import (
+    BENCH_SEED,
+    BENCH_TICKS_LONG,
+    BENCH_TRAIN_TICKS,
+    run_once,
+    run_trained,
+)
+from repro.engine.stats import RunStats
+from repro.experiments.harness import cached_training
+from repro.workloads.scenarios import ScenarioParams
 
 SCHEMES = ("amri:cdia-highest", "inverted", "hash:4", "scan")
 
 
-def test_index_design_space(benchmark, bench_scenario, bench_training):
-    def sweep():
-        constrained = {
-            s: run_trained(bench_scenario.params, s, BENCH_TICKS_LONG, bench_training)
-            for s in SCHEMES
-        }
-        unlimited = replace(bench_scenario.params, capacity=1e12, memory_budget=1 << 40)
-        unconstrained = {s: run_trained(unlimited, s, 120, bench_training) for s in SCHEMES}
-        return constrained, unconstrained
+def run_designs(unlimited: bool, seed: int = BENCH_SEED) -> dict[str, RunStats]:
+    """Every design from one trained start: under the paper's resource
+    pressure for ``BENCH_TICKS_LONG`` ticks, or unlimited for 120."""
+    params = ScenarioParams(seed=seed)
+    training = cached_training(params, BENCH_TRAIN_TICKS)
+    if unlimited:
+        params, ticks = replace(params, capacity=1e12, memory_budget=1 << 40), 120
+    else:
+        ticks = BENCH_TICKS_LONG
+    return {s: run_trained(params, s, ticks, training) for s in SCHEMES}
 
-    constrained, unconstrained = run_once(benchmark, sweep)
+
+def test_index_design_space(benchmark):
+    constrained, unconstrained = run_once(
+        benchmark, lambda: (run_designs(False), run_designs(True))
+    )
     benchmark.extra_info["constrained_outputs"] = {
         s: r.outputs for s, r in constrained.items()
     }

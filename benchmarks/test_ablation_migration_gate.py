@@ -9,22 +9,28 @@ the middle ground the default (1.0) sits in.
 
 import pytest
 
-from benchmarks.conftest import BENCH_TICKS, run_once
-from repro.experiments.harness import train_initial_state
+from benchmarks.conftest import BENCH_SEED, BENCH_TICKS, BENCH_TRAIN_TICKS, run_once
+from repro.engine.stats import RunStats
+from repro.experiments.harness import cached_training
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 RATIOS = (0.0, 1.0, 25.0)
 
 
-def run_with_ratio(ratio: float):
-    scenario = PaperScenario(ScenarioParams(seed=7))
-    training = train_initial_state(scenario, train_ticks=60)
+def run_with_ratio(ratio: float, seed: int = BENCH_SEED) -> RunStats:
+    scenario = PaperScenario(ScenarioParams(seed=seed))
+    training = cached_training(scenario.params, BENCH_TRAIN_TICKS)
     executor = scenario.make_executor(
         "amri:cdia-highest", initial_configs=training.configs
     )
     for stem in executor.stems.values():
         stem.tuner.min_benefit_ratio = ratio
     return executor.run(BENCH_TICKS, scenario.make_generator())
+
+
+def gate_sweep(seed: int = BENCH_SEED) -> dict[float, RunStats]:
+    """One run per ratio in :data:`RATIOS`."""
+    return {r: run_with_ratio(r, seed) for r in RATIOS}
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -38,11 +44,7 @@ def test_migration_gate(benchmark, ratio):
 
 def test_gate_ordering(benchmark):
     """Migration counts must fall monotonically as the gate tightens."""
-
-    def sweep():
-        return {r: run_with_ratio(r) for r in RATIOS}
-
-    runs = run_once(benchmark, sweep)
+    runs = run_once(benchmark, gate_sweep)
     benchmark.extra_info["migrations"] = {r: s.migrations for r, s in runs.items()}
     benchmark.extra_info["outputs"] = {r: s.outputs for r, s in runs.items()}
     assert runs[0.0].migrations >= runs[1.0].migrations >= runs[25.0].migrations

@@ -50,15 +50,9 @@ from repro.core.selector import (
     IndexSelector,
     candidate_pool,
     select_exhaustive,
-    select_greedy,
     select_hash_patterns,
 )
 from repro.core.tuner import AMRITuner, HashIndexTuner, NullTuner, TuneReport, TuningContext
-from repro.core.value_mapping import (
-    EquiDepthValueMapper,
-    HashValueMapper,
-    occupancy_skew,
-)
 
 __all__ = [
     "ASSESSOR_NAMES",
@@ -70,8 +64,6 @@ __all__ = [
     "CSRIA",
     "CandidatePool",
     "CostBreakdown",
-    "EquiDepthValueMapper",
-    "HashValueMapper",
     "DIA",
     "FrequencyAssessor",
     "HashIndexTuner",
@@ -96,9 +88,7 @@ __all__ = [
     "make_assessor",
     "make_bit_index",
     "migration_cost",
-    "occupancy_skew",
     "select_exhaustive",
-    "select_greedy",
     "select_hash_patterns",
     "uniform_configuration",
 ]

@@ -33,11 +33,10 @@ arguments).
 **Value-hash columns, for the answer "nothing matches".**  Per JAS attribute a
 ``uint64`` column holds each slot's 64-bit stable value hash, beside a mask
 of the slots in use.  Maintenance is one row write per insert and one flag
-per remove; nothing ever moves.  Under the default value mapping a fragment
-*is* ``hash & mask``, so the columns hold for every key map:
-``reconfigure`` re-derives the keys from them and leaves them alone.  A
-probe that leaves wildcard bits and expects at least
-``COLUMN_PROBE_MIN_CANDIDATES`` candidates asks the columns first:
+per remove; nothing ever moves.  A fragment *is* ``hash & mask``, so the
+columns hold for every key map: ``reconfigure`` re-derives the keys from
+them and leaves them alone.  A probe that leaves wildcard bits and expects
+at least ``COLUMN_PROBE_MIN_CANDIDATES`` candidates asks the columns first:
 ``(column & mask) == (h & mask)`` over its fixed attributes marks, among
 the slots in use, exactly the tuples of the buckets the walk would visit —
 their count *is* the walk's ``tuples_examined`` — and ``column == h`` over
@@ -45,10 +44,9 @@ its probed attributes finds the slots that can equal the row.  If there is
 none the probe is answered; otherwise the walk runs as if the columns were
 not there.  Equal values of ``EXACT_KEY_TYPES`` have one stable hash
 (``1 == 1.0 == True`` hash as ``1``), so a column vouches for any probe
-value of those types; a probe value of another type walks.  An index with
-a custom value mapper, or one that has stored a value of another type (a
-subclass, or a value the stable hash rejects in an attribute without
-bits), keeps no columns.
+value of those types; a probe value of another type walks.  An index that
+has stored a value of another type (a subclass, or a value the stable hash
+rejects in an attribute without bits) keeps no columns.
 
 The accountant is charged the price a real bit-address index pays —
 ``min(2**wildcard_bits, live buckets)`` bucket visits plus one examination
@@ -65,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
-from repro.core.index_config import IndexConfiguration, ValueMapper, _default_map
+from repro.core.index_config import IndexConfiguration
 from repro.core.probe_plan import ProbePlan, ProbePlanCache
 from repro.indexes.base import (
     EXACT_KEY_TYPES,
@@ -75,7 +73,7 @@ from repro.indexes.base import (
     SearchOutcome,
     StateIndex,
 )
-from repro.utils.bitops import _cached_value_hash
+from repro.utils.bitops import _cached_value_hash, fragment
 
 BucketKey = tuple[int, ...]
 
@@ -109,27 +107,25 @@ def _grown(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     return new
 
 
-#: A probe shape: ``(mapped, n_fixed, arity, layout)`` — see :func:`_walk_source`.
-WalkShape = tuple[bool, int, int, tuple[int, ...] | None]
+#: A probe shape: ``(n_fixed, arity, layout)`` — see :func:`_walk_source`.
+WalkShape = tuple[int, int, tuple[int, ...] | None]
 #: Shape -> walk factory, process-wide: a shape's source is compiled once.
 _WALK_FACTORIES: dict[WalkShape, Callable[..., RowProbe]] = {}
 
 
-def _walk_source(mapped: bool, n_fixed: int, arity: int, layout: tuple[int, ...] | None) -> str:
+def _walk_source(n_fixed: int, arity: int, layout: tuple[int, ...] | None) -> str:
     """The source of the walk factory for one probe shape.
 
     A probe of ``arity`` attributes, ``n_fixed`` of which carry bits;
     ``layout`` is the plan's ``point_slots`` when those fragments name one
-    bucket, else ``None``; ``mapped`` when the index has a custom value
-    mapper.  Only these integers are formatted in.  The factory takes the
-    plan, the structure and the helpers as arguments and returns
-    ``probe_row``, which in one call:
+    bucket, else ``None``.  Only these integers are formatted in.  The
+    factory takes the plan, the structure and the helpers as arguments and
+    returns ``probe_row``, which in one call:
 
     - computes each fixed fragment — the memoized value hash masked to its
-      width, or the value mapper's; a value outside ``EXACT_KEY_TYPES``
-      (which must not reach the memo) sends every fragment through the
-      default mapper, which hashes it uncached or raises the canonical
-      error;
+      width; a value outside ``EXACT_KEY_TYPES`` (which must not reach the
+      memo) sends every fragment through ``fragment``, which hashes it
+      uncached or raises the canonical error;
     - finds the candidate buckets.  A point probe assembles its one key (a
       position without bits has fragment 0).  A wildcard probe looks up each
       fragment's key set in fixed-position order, answers "no match" at the
@@ -145,13 +141,13 @@ def _walk_source(mapped: bool, n_fixed: int, arity: int, layout: tuple[int, ...]
     where = " and ".join(f"r[p{j}] == v{j}" for j in range(arity))
     where = f" if {where}" if where else ""
     lines = [
-        "def make_walk(plan, buckets, frag_maps, items, visited, size, hash_, exact, mapper,"
+        "def make_walk(plan, buckets, frag_maps, items, visited, size, hash_, exact, fragment,"
         " Outcome):"
     ]
     for targets, source in (
         ([f"p{j}" for j in range(arity)], "plan.positions"),
         ([f"(r{j}, m{j})" for j in fixed], "plan.row_masks"),
-        ([f"(q{j}, a{j}, w{j})" for j in fixed], "plan.fixed"),
+        ([f"(q{j}, _, w{j})" for j in fixed], "plan.fixed"),
     ):
         if targets:
             lines.append(f"    {', '.join(targets)}, = {source}")
@@ -159,13 +155,10 @@ def _walk_source(mapped: bool, n_fixed: int, arity: int, layout: tuple[int, ...]
         lines += [f"    g{j} = frag_maps[q{j}].get" for j in fixed]
     body = [f"{''.join(f'v{j}, ' for j in range(arity))}= probe"] if arity else []
     body += [f"x{j} = probe[r{j}]" for j in fixed]
-    by_mapper = [f"f{j} = mapper(a{j}, x{j}, w{j})" for j in fixed]
-    if mapped:
-        body += by_mapper
-    elif n_fixed:
+    if n_fixed:
         exact = " and ".join(f"type(x{j}) in exact" for j in fixed)
         body += [f"if {exact}:", *(f"    f{j} = hash_(x{j}) & m{j}" for j in fixed)]
-        body += ["else:", *(f"    {line}" for line in by_mapper)]
+        body += ["else:", *(f"    f{j} = fragment(x{j}, w{j})" for j in fixed)]
     miss = "    return Outcome([], visited, 0)"
     if not n_fixed:
         select = f"items[r[-1]] for b in buckets.values() for r in b.values(){where}"
@@ -229,9 +222,6 @@ class BitAddressIndex(StateIndex):
         The initial index key map.
     accountant:
         Shared cost/memory tally; a fresh one is created if omitted.
-    value_mapper:
-        Optional value→fragment strategy (see
-        :mod:`repro.core.value_mapping`); defaults to hash fragmentation.
     """
 
     def __init__(
@@ -239,11 +229,9 @@ class BitAddressIndex(StateIndex):
         config: IndexConfiguration,
         accountant: Accountant | None = None,
         cost_params: "CostParams | None" = None,
-        value_mapper: "ValueMapper | None" = None,
     ) -> None:
         super().__init__(config.jas, accountant, cost_params)
         self._config = config
-        self.value_mapper = value_mapper
         # Bucket key -> ``slot -> value row`` (the row ends with the slot).
         self._buckets: dict[BucketKey, dict[int, tuple]] = {}
         # One inverted map per JAS attribute position; only positions with
@@ -258,14 +246,10 @@ class BitAddressIndex(StateIndex):
         self._items: list[Mapping[str, object] | None] = []
         # Per slot and JAS position, the 64-bit stable hash of the tuple's
         # value (column-major: one attribute's hashes are contiguous), and
-        # which slots are in use.  ``None``: this index keeps no columns — a
-        # custom value mapper, or a stored value outside ``EXACT_KEY_TYPES``.
-        n = len(config.jas.names)
-        self._hashes: np.ndarray | None = None
-        self._live: np.ndarray | None = None
-        if value_mapper is None:
-            self._hashes = _hash_table(_INITIAL_CAPACITY, n)
-            self._live = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        # which slots are in use.  ``None``: this index keeps no columns — it
+        # has stored a value outside ``EXACT_KEY_TYPES``.
+        self._hashes: np.ndarray | None = _hash_table(_INITIAL_CAPACITY, len(config.jas))
+        self._live: np.ndarray | None = np.zeros(_INITIAL_CAPACITY, dtype=bool)
         #: Probe rows the hash columns answered without a bucket walk, and
         #: rows they passed on to the walk (a possible match, or a value
         #: outside ``EXACT_KEY_TYPES``).
@@ -319,20 +303,19 @@ class BitAddressIndex(StateIndex):
         free = self._free
         slot = free[-1] if free else len(self._entries)
         key_plan = self._plans.key_plan
-        mapper = self.value_mapper
         table = self._hashes
         hashes = None
-        if table is not None and mapper is None:
+        if table is not None:
             try:
                 hashes, key, row = key_plan.hash_row(item, slot)
             except (KeyError, TypeError):
                 # No value, or one outside EXACT_KEY_TYPES: the end of the
                 # columns, and fatal in an attribute that carries bits if
-                # the stable hash rejects it (the mapper path raises the
+                # the stable hash rejects it (``key_for`` raises the
                 # canonical error).
                 pass
         if hashes is None:
-            key = key_plan.key_for(item, _default_map if mapper is None else mapper)
+            key = key_plan.key_for(item)
             row = key_plan.value_row(item, slot)
             table = self._hashes = self._live = None
         self.accountant.hashes += len(self._frag_maps)  # one fragment hash per indexed attribute
@@ -402,11 +385,10 @@ class BitAddressIndex(StateIndex):
         # Charged visits: min(2**wildcard_bits, live), floored at one visit
         # for a non-empty index.
         visited = max(plan.enumerated(live), 1 if live else 0)
-        mapper = self.value_mapper
         # Every indexed attribute fixed: the fragments name one bucket —
         # Section III's concatenation — and the probe is one lookup.
         point = plan.point_slots if plan.fixed else None
-        make_walk = _walk_factory((mapper is not None, len(plan.fixed), plan.n_attributes, point))
+        make_walk = _walk_factory((len(plan.fixed), plan.n_attributes, point))
         probe_row = make_walk(
             plan,
             buckets,
@@ -416,7 +398,7 @@ class BitAddressIndex(StateIndex):
             len(self._entries),
             _cached_value_hash,
             EXACT_KEY_TYPES,
-            _default_map if mapper is None else mapper,
+            fragment,
             SearchOutcome,
         )
         if (
@@ -530,7 +512,7 @@ class BitAddressIndex(StateIndex):
         # Membership does not change, so every tuple keeps its slot and its
         # value row, and the hash columns stand; a slot's new key is its
         # hashes under the new masks (without columns: its row's values
-        # through the mapper).  Rows are re-placed in the old bucket order.
+        # fragmented again).  Rows are re-placed in the old bucket order.
         key_plan = self._plans.key_plan
         table = self._hashes
         entries = self._entries
@@ -538,14 +520,13 @@ class BitAddressIndex(StateIndex):
         if table is not None:
             masks = np.array(key_plan.masks, dtype=np.uint64)
             rekeyed = (table[: len(items)] & masks).tolist()
-        mapper = _default_map if self.value_mapper is None else self.value_mapper
         for bucket in old_buckets.values():
             for row in bucket.values():
                 slot = row[-1]
                 if table is not None:
                     key = tuple(rekeyed[slot])
                 else:
-                    key = key_plan.row_key(row, mapper)
+                    key = key_plan.row_key(row)
                 entries[id(items[slot])] = (slot, key)
                 self._place(row, key)
         # Not fresh inserts: per tuple one move and the new map's hashes.

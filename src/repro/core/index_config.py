@@ -15,17 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from collections.abc import Callable
-
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.utils.bitops import fragment, mask_to_indices
-
-# (attribute name, value, n_bits) -> fragment; see repro.core.value_mapping.
-ValueMapper = Callable[[str, object, int], int]
-
-
-def _default_map(attribute: str, value: object, n_bits: int) -> int:
-    return fragment(value, n_bits)
 
 
 class IndexConfiguration:
@@ -120,55 +111,42 @@ class IndexConfiguration:
     # ------------------------------------------------------------------ #
     # bucket mapping
 
-    def bucket_key(
-        self, values: Mapping[str, object], mapper: ValueMapper | None = None
-    ) -> tuple[int, ...]:
+    def bucket_key(self, values: Mapping[str, object]) -> tuple[int, ...]:
         """Per-attribute fragment tuple locating the bucket for ``values``.
 
         ``values`` must supply every JAS attribute (tuples always carry their
         full attribute set).  Attributes with zero bits contribute fragment 0.
-        ``mapper`` overrides the default hash fragmentation (e.g. with an
-        equi-depth mapper; see :mod:`repro.core.value_mapping`).
         """
-        fn = _default_map if mapper is None else mapper
         return tuple(
-            fn(name, values[name], w) if w > 0 else 0
+            fragment(values[name], w) if w > 0 else 0
             for name, w in zip(self._jas.names, self._bits)
         )
 
-    def bucket_id(self, values: Mapping[str, object], mapper: ValueMapper | None = None) -> int:
+    def bucket_id(self, values: Mapping[str, object]) -> int:
         """The concatenated integer bucket id (Figure 3's presentation).
 
         Fragments are concatenated with the first JAS attribute in the most
         significant position, matching the paper's worked example.
         """
-        fn = _default_map if mapper is None else mapper
         bucket = 0
         for name, w in zip(self._jas.names, self._bits):
             if w == 0:
                 continue
-            bucket = (bucket << w) | fn(name, values[name], w)
+            bucket = (bucket << w) | fragment(values[name], w)
         return bucket
 
-    def probe_fragments(
-        self,
-        ap: AccessPattern,
-        values: Mapping[str, object],
-        mapper: ValueMapper | None = None,
-    ) -> dict[int, int]:
+    def probe_fragments(self, ap: AccessPattern, values: Mapping[str, object]) -> dict[int, int]:
         """Fixed fragments for a search: attribute position → fragment.
 
         Only attributes that are both in ``ap`` and carry bits constrain the
         search; the rest are wildcards.
         """
         self._check_jas(ap)
-        fn = _default_map if mapper is None else mapper
         out: dict[int, int] = {}
         for i in mask_to_indices(ap.mask):
             w = self._bits[i]
             if w > 0:
-                name = self._jas.names[i]
-                out[i] = fn(name, values[name], w)
+                out[i] = fragment(values[self._jas.names[i]], w)
         return out
 
     # ------------------------------------------------------------------ #

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.access_pattern import AccessPattern
 from repro.core.index_config import IndexConfiguration
-from repro.utils.bitops import EXACT_KEY_TYPES, _cached_value_hash, mask_to_indices
+from repro.utils.bitops import EXACT_KEY_TYPES, _cached_value_hash, fragment, mask_to_indices
 
 #: A stable value hash has 64 bits; a wider fragment mask selects them all.
 _HASH_BITS = (1 << 64) - 1
@@ -135,8 +135,7 @@ _NOT_EXACT = "value hash columns take values of EXACT_KEY_TYPES only"
 
 def _compile_row_hasher(names: tuple[str, ...], masks: tuple[int, ...]) -> RowHasher:
     """``(item, slot) -> (value hashes, bucket key, value row)`` over the
-    JAS attributes ``names``, under the default value mapping — a fragment
-    is the memoized stable value hash masked to the attribute's width —
+    JAS attributes ``names`` — a fragment is the memoized stable value hash masked to the attribute's width —
     specialised to the attribute count like the row selectors above.  The
     value row is what a bucket keeps: the values in JAS order, then
     ``slot``.
@@ -222,9 +221,9 @@ class KeyPlan:
     """The insert-side recipe of one configuration: bucket-key assembly.
 
     Precomputes the ``(name, width)`` pairs ``bucket_key`` re-derives from
-    properties on every insert, the per-position fragment masks — under the
-    default value mapping a fragment is ``hash(value) & mask`` (mask 0, so
-    fragment 0, for a position without bits) — and ``hash_row``, which
+    properties on every insert, the per-position fragment masks — a
+    fragment is ``hash(value) & mask`` (mask 0, so fragment 0, for a
+    position without bits) — and ``hash_row``, which
     reads, hashes and keys a tuple and returns its value row in one call.
     """
 
@@ -236,21 +235,18 @@ class KeyPlan:
         self.masks = tuple(((1 << w) - 1) & _HASH_BITS for w in config.bits)
         self.hash_row = _compile_row_hasher(names, self.masks)
 
-    def key_for(self, values: Mapping[str, object], mapper) -> tuple[int, ...]:
-        """Identical to ``IndexConfiguration.bucket_key(values, mapper)``."""
-        return tuple(
-            mapper(name, values[name], w) if w > 0 else 0
-            for name, w in self.entries
-        )
+    def key_for(self, values: Mapping[str, object]) -> tuple[int, ...]:
+        """Identical to ``IndexConfiguration.bucket_key(values)``."""
+        return tuple(fragment(values[name], w) if w > 0 else 0 for name, w in self.entries)
 
-    def row_key(self, row: tuple, mapper) -> tuple[int, ...]:
+    def row_key(self, row: tuple) -> tuple[int, ...]:
         """``key_for`` of a value row: an :class:`_Absent` in a position
         with bits raises the ``KeyError`` reading its item raised, before
-        any mapper sees it."""
+        any value is hashed."""
         for (_, w), value in zip(self.entries, row):
             if w > 0 and type(value) is _Absent:
                 raise KeyError(*value.args)
-        return self.key_for(dict(zip(self.names, row)), mapper)
+        return self.key_for(dict(zip(self.names, row)))
 
     def value_row(self, item: Mapping[str, object], slot: int) -> tuple:
         """``hash_row``'s value row without the hashing, for any value; an
@@ -301,8 +297,8 @@ class ProbePlan:
         #: leaves ``n >> fixed_bits`` in the buckets a probe has to examine.
         self.fixed_bits = sum(w for _i, _name, w in self.fixed)
         #: Per ``fixed`` entry, where its value sits in a probe row (rows are
-        #: aligned with ``attributes``) and its fragment bit mask: the
-        #: default value mapping is ``hash(value) & mask``.
+        #: aligned with ``attributes``) and its fragment bit mask: a fragment
+        #: is ``hash(value) & mask``.
         self.row_masks = tuple(
             (probed.index(i), (1 << w) - 1) for i, _name, w in self.fixed
         )

@@ -2,14 +2,11 @@
 
 Given access-pattern frequencies (from an assessment method) and a total bit
 budget, the selector searches the space of per-attribute bit allocations for
-the configuration with the lowest estimated cost.  Two strategies:
-
-- :func:`select_exhaustive` — enumerate every allocation (each attribute
-  0..cap bits, total ≤ budget).  Exact; fine for small JAS (the paper's
-  scenario: 3 attributes, 64 bits, domain-capped).
-- :func:`select_greedy` — add one bit at a time to the attribute with the
-  best marginal ``C_D`` reduction.  Near-exact in practice and polynomial for
-  wide JAS.
+the configuration with the lowest estimated cost: :func:`select_exhaustive`
+enumerates every allocation (each attribute 0..cap bits, total ≤ budget)
+and takes the ``C_D`` minimum.  The paper's scenario (3 attributes, 64 bits,
+8-bit domains) has 729 allocations; 18-bit domains, capped at
+``DEFAULT_MAX_BITS_PER_ATTRIBUTE``, have 4 913.
 
 Also here: :func:`select_hash_patterns`, the "conventional index selection"
 the paper applies to the multi-hash baseline — index the ``k`` most frequent
@@ -26,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
-from repro.core.cost_model import WorkloadStatistics, estimate_cd
+from repro.core.cost_model import WorkloadStatistics
 from repro.core.index_config import IndexConfiguration
 from repro.indexes.base import CostParams
 from repro.utils.bitops import mask_to_indices
@@ -68,18 +65,6 @@ def enumerate_allocations(caps: Sequence[int], budget: int) -> Iterator[tuple[in
         current[i] = 0
 
     yield from rec(0, budget)
-
-
-def allocation_count(caps: Sequence[int], budget: int) -> int:
-    """Number of allocations :func:`enumerate_allocations` would yield."""
-    counts = {0: 1}
-    for cap in caps:
-        new: dict[int, int] = {}
-        for total, ways in counts.items():
-            for b in range(min(cap, budget - total) + 1):
-                new[total + b] = new.get(total + b, 0) + ways
-        counts = new
-    return sum(counts.values())
 
 
 class CandidatePool:
@@ -210,50 +195,8 @@ def select_exhaustive(
     return pool.config(int(np.argmin(pool.cd_column(stats, params))))
 
 
-def select_greedy(
-    stats: WorkloadStatistics,
-    jas: JoinAttributeSet,
-    budget: int,
-    params: CostParams | None = None,
-    *,
-    max_bits_per_attribute: int = DEFAULT_MAX_BITS_PER_ATTRIBUTE,
-) -> IndexConfiguration:
-    """Greedy marginal allocation: repeatedly grant the best single bit.
-
-    Stops when the budget is exhausted or no single-bit grant lowers ``C_D``.
-    """
-    check_non_negative("budget", budget)
-    caps = _attribute_caps(jas, budget, stats.domain_bits, max_bits_per_attribute)
-    bits = [0] * len(jas)
-    cfg = IndexConfiguration(jas, bits)
-    current_cost = estimate_cd(cfg, stats, params)
-    remaining = budget
-    while remaining > 0:
-        best_i = -1
-        best_cost = current_cost
-        for i in range(len(jas)):
-            if bits[i] >= caps[i]:
-                continue
-            bits[i] += 1
-            cost = estimate_cd(IndexConfiguration(jas, bits), stats, params)
-            bits[i] -= 1
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best_i = i
-        if best_i < 0:
-            break
-        bits[best_i] += 1
-        remaining -= 1
-        current_cost = best_cost
-    return IndexConfiguration(jas, bits)
-
-
 class IndexSelector:
-    """Reusable selector bound to a JAS, budget, and cost parameters.
-
-    Chooses the exhaustive strategy when the allocation space is small
-    enough (≤ ``exhaustive_limit`` candidates), greedy otherwise.
-    """
+    """Reusable selector bound to a JAS, budget, and cost parameters."""
 
     def __init__(
         self,
@@ -262,35 +205,16 @@ class IndexSelector:
         params: CostParams | None = None,
         *,
         max_bits_per_attribute: int = DEFAULT_MAX_BITS_PER_ATTRIBUTE,
-        exhaustive_limit: int = 200_000,
     ) -> None:
         check_non_negative("budget", budget)
-        check_positive("exhaustive_limit", exhaustive_limit)
         self.jas = jas
         self.budget = budget
         self.params = params if params is not None else CostParams()
         self.max_bits_per_attribute = max_bits_per_attribute
-        self.exhaustive_limit = exhaustive_limit
-        # caps -> allocation_count; one entry per distinct domain_bits shown.
-        self._space_size: dict[tuple[int, ...], int] = {}
 
     def select(self, stats: WorkloadStatistics) -> IndexConfiguration:
         """The best configuration for the given statistics."""
-        caps = tuple(
-            _attribute_caps(self.jas, self.budget, stats.domain_bits, self.max_bits_per_attribute)
-        )
-        size = self._space_size.get(caps)
-        if size is None:
-            size = self._space_size[caps] = allocation_count(caps, self.budget)
-        if size <= self.exhaustive_limit:
-            return select_exhaustive(
-                stats,
-                self.jas,
-                self.budget,
-                self.params,
-                max_bits_per_attribute=self.max_bits_per_attribute,
-            )
-        return select_greedy(
+        return select_exhaustive(
             stats,
             self.jas,
             self.budget,

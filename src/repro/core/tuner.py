@@ -104,12 +104,10 @@ class AMRITuner:
     min_benefit_ratio:
         Migrate only when ``projected_saving * horizon`` exceeds
         ``migration_cost * min_benefit_ratio``.  1.0 = break even.
-    reset_after_tune:
-        When True (default), each assessment window starts fresh after a
-        tuning round — the paper's model, whose assessment phases have
-        explicit ends ("at the end of assessment, the final result is
-        produced").  When False, statistics accumulate across rounds
-        (lower tuning churn, slower adaptation; useful as an ablation).
+
+    Each assessment window starts fresh after a tuning round — the paper's
+    model, whose assessment phases have explicit ends ("at the end of
+    assessment, the final result is produced").
 
     An approved migration is one stop-the-world ``index.reconfigure`` (the
     paper's model; its cost is what the gate weighs).
@@ -124,7 +122,6 @@ class AMRITuner:
         theta: float = 0.1,
         min_benefit_ratio: float = 1.0,
         params: CostParams | None = None,
-        reset_after_tune: bool = True,
     ) -> None:
         check_fraction("theta", theta, inclusive_low=False)
         if index.jas != assessor.jas or index.jas != selector.jas:
@@ -135,9 +132,7 @@ class AMRITuner:
         self.theta = theta
         self.min_benefit_ratio = min_benefit_ratio
         self.params = params if params is not None else CostParams()
-        self.reset_after_tune = reset_after_tune
         self.history: list[TuneReport] = []
-        self._horizons_elapsed = 0.0
 
     def observe(self, ap: AccessPattern) -> None:
         """Record one probe's access pattern."""
@@ -156,14 +151,12 @@ class AMRITuner:
         n = self.assessor.n_requests
         if n == 0:
             return None
-        self._horizons_elapsed += max(context.horizon, 0.0)
-        elapsed = self._horizons_elapsed if not self.reset_after_tune else context.horizon
-        lambda_r = n / elapsed if elapsed > 0 else float(n)
+        horizon = context.horizon
+        lambda_r = n / horizon if horizon > 0 else float(n)
         freqs = self.assessor.frequent_patterns(self.theta)
         if not freqs:
             # Below-threshold noise only; keep the current configuration.
-            if self.reset_after_tune:
-                self.assessor.reset()
+            self.assessor.reset()
             return None
         stats = WorkloadStatistics(
             lambda_d=max(context.lambda_d, 1e-9),
@@ -193,8 +186,7 @@ class AMRITuner:
             new_description=repr(candidate if migrate else current),
         )
         self.history.append(report)
-        if self.reset_after_tune:
-            self.assessor.reset()
+        self.assessor.reset()
         return report
 
 
@@ -214,7 +206,6 @@ class HashIndexTuner:
         *,
         k: int,
         theta: float = 0.1,
-        reset_after_tune: bool = True,
     ) -> None:
         check_positive("k", k)
         check_fraction("theta", theta, inclusive_low=False)
@@ -224,7 +215,6 @@ class HashIndexTuner:
         self.assessor = assessor
         self.k = k
         self.theta = theta
-        self.reset_after_tune = reset_after_tune
         self.history: list[tuple[AccessPattern, ...]] = []
 
     def observe(self, ap: AccessPattern) -> None:
@@ -243,8 +233,7 @@ class HashIndexTuner:
         if not freqs:
             freqs = self.assessor.frequencies()
         if not freqs:
-            if self.reset_after_tune:
-                self.assessor.reset()
+            self.assessor.reset()
             return None
         chosen = tuple(
             pad_patterns_to_k(
@@ -268,6 +257,5 @@ class HashIndexTuner:
             old_description=f"modules={[repr(p) for p in old]}",
             new_description=f"modules={[repr(p) for p in chosen]}",
         )
-        if self.reset_after_tune:
-            self.assessor.reset()
+        self.assessor.reset()
         return report

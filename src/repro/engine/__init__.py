@@ -35,7 +35,6 @@ from repro.engine.router import (
     ContentBasedRouter,
     FixedRouter,
     GreedyAdaptiveRouter,
-    LotteryRouter,
     Router,
 )
 from repro.engine.stats import RunStats, SelectivityEstimator, ThroughputSample
@@ -66,7 +65,6 @@ __all__ = [
     "ContentBasedRouter",
     "FixedRouter",
     "GreedyAdaptiveRouter",
-    "LotteryRouter",
     "JoinPredicate",
     "JoinedTuple",
     "MemoryBreakdown",

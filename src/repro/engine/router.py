@@ -1,7 +1,7 @@
 """Eddy-style adaptive routing (paper refs. [3], [4]).
 
 The router decides, for each arriving tuple, the order in which the other
-states are probed.  Four policies:
+states are probed.  Three policies:
 
 - :class:`GreedyAdaptiveRouter` — the AMR default: order the remaining
   states by expected probe fan-out (most selective first, the classic
@@ -11,11 +11,10 @@ states are probed.  Four policies:
   the paper's "periodically the router sends search requests to suboptimal
   operators to update system statistics", which is precisely what pollutes
   assessment tables with rare access patterns and motivates compaction.
-- :class:`LotteryRouter` — Eddy's original lottery scheduling: probabilistic
-  hop choice weighted by inverse fan-out, keeping sub-optimal routes
-  continuously sampled.
 - :class:`ContentBasedRouter` — Bizarro et al.'s content-based routing:
   fan-out estimates conditioned on the arriving tuple's attribute values.
+  Opt-in (``ScenarioParams.router = "content"``): the paper's router is
+  the greedy one.
 - :class:`FixedRouter` — a static route (classic fixed query plan), used by
   tests and ablations.
 
@@ -23,7 +22,7 @@ Routes are full permutations chosen up front per tuple; the probe *pattern*
 at each hop still depends on which streams are already joined, so even a
 fixed route exercises several access patterns per state.
 
-The three estimator-driven policies walk a :class:`RouteDag`: what a hop
+The two estimator-driven policies walk a :class:`RouteDag`: what a hop
 probes depends only on the query, so it is derived once per joined set and
 a route reads nothing per hop but the estimates.
 """
@@ -201,64 +200,6 @@ class GreedyAdaptiveRouter(Router):
                 return tuple(route)
             route.append(best)
             node = next_node
-
-
-class LotteryRouter(Router):
-    """Eddy's lottery scheduling (Avnur & Hellerstein, paper ref. [3]).
-
-    Each hop holds a lottery: candidate targets draw tickets proportional to
-    their inverse expected fan-out (operators that consume tuples without
-    producing many outputs accumulate tickets, i.e. are favoured).  Compared
-    with the greedy policy this keeps a continuous trickle of probes flowing
-    through sub-optimal orders — the statistics-refresh behaviour the paper's
-    Section I-B point 1 describes — without a separate exploration branch.
-    """
-
-    def __init__(
-        self,
-        query: Query,
-        *,
-        smoothing: float = 1.0,
-        seed: int | np.random.Generator | None = 0,
-    ) -> None:
-        if smoothing <= 0:
-            raise ValueError(f"smoothing must be > 0, got {smoothing}")
-        self.query = query
-        self.smoothing = smoothing
-        self._rng = make_rng(seed)
-        self._dag = RouteDag(query)
-
-    def choose_route(
-        self,
-        source: str,
-        estimator: SelectivityEstimator,
-        item: Mapping[str, object] | None = None,
-    ) -> tuple[str, ...]:
-        estimates = estimator.estimates
-        initial = estimator.initial
-        smoothing = self.smoothing
-        node = self._dag.roots[source]
-        route: list[str] = []
-        while True:
-            hops = node.hops or node.expand()
-            if not hops:
-                return tuple(route)
-            weights = []
-            reachable = []
-            for hop in hops:
-                key = hop[1]
-                if key is None:
-                    continue
-                fanout = estimates.get(key, initial)
-                weights.append(1.0 / (smoothing + max(fanout, 0.0)))
-                reachable.append(hop)
-            if not reachable:
-                route.extend([hop[0] for hop in hops])
-                return tuple(route)
-            total = sum(weights)
-            probs = [w / total for w in weights]
-            target, _key, node = reachable[int(self._rng.choice(len(reachable), p=probs))]
-            route.append(target)
 
 
 class ContentBasedRouter(Router):

@@ -43,7 +43,6 @@ from repro.engine.router import (
     ContentBasedRouter,
     FixedRouter,
     GreedyAdaptiveRouter,
-    LotteryRouter,
     Router,
 )
 from repro.engine.stream import StreamSchema
@@ -82,7 +81,7 @@ class ScenarioParams:
     epsilon: float = 0.05  # assessment error rate (paper's delta = 0.05)
     assess_interval: int = 40  # ticks between tuning rounds
     explore_prob: float = 0.15  # router exploration rate (suboptimal probes)
-    router: str = "greedy"  # routing policy: greedy | lottery | content | fixed
+    router: str = "greedy"  # routing policy: greedy | content | fixed
     capacity: float = 19_000.0  # cost units per tick: above tuned-AMRI demand, below mistuned demand
     memory_budget: int = 380_000  # bytes: above AMRI's burst peak (~310k); hash/static cross under load
     seed: int = 7
@@ -302,15 +301,13 @@ class PaperScenario:
         seed = derive_seed(p.seed, "router")
         if p.router == "greedy":
             return GreedyAdaptiveRouter(self.query, explore_prob=p.explore_prob, seed=seed)
-        if p.router == "lottery":
-            return LotteryRouter(self.query, seed=seed)
         if p.router == "content":
             return ContentBasedRouter(self.query, explore_prob=p.explore_prob, seed=seed)
         if p.router == "fixed":
             names = self.query.stream_names
             return FixedRouter({s: [t for t in names if t != s] for s in names})
         raise ValueError(
-            f"unknown router {p.router!r}; expected greedy, lottery, content, or fixed"
+            f"unknown router {p.router!r}; expected greedy, content, or fixed"
         )
 
     # ------------------------------------------------------------------ #

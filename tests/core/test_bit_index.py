@@ -561,9 +561,9 @@ def test_generated_walks_carry_no_user_text():
 # hash columns — what they answer is what the walk answers
 
 
-def walk_only_twin(config, **kwargs):
+def walk_only_twin(config):
     """An index that never keeps columns: the bucket walk alone."""
-    twin = BitAddressIndex(config, **kwargs)
+    twin = BitAddressIndex(config)
     twin._hashes = None
     return twin
 
@@ -650,9 +650,9 @@ class TestHashColumns:
     """The corners of the column probe, one at a time, against the walk."""
 
     @staticmethod
-    def twins(jas, bits, items, **kwargs):
-        idx = BitAddressIndex(IndexConfiguration(jas, list(bits)), **kwargs)
-        twin = walk_only_twin(IndexConfiguration(jas, list(bits)), **kwargs)
+    def twins(jas, bits, items):
+        idx = BitAddressIndex(IndexConfiguration(jas, list(bits)))
+        twin = walk_only_twin(IndexConfiguration(jas, list(bits)))
         for item in items:
             idx.insert(item)
             twin.insert(item)
@@ -747,20 +747,6 @@ class TestHashColumns:
                 index.reconfigure(IndexConfiguration(jas3, [0, 66, 2]))
             assert_columns_equal_the_walk(idx, twin, items[:3] + [{"A": 99, "B": 0, "C": 0}])
         assert idx.column_answered > 0
-
-    def test_custom_value_mapper_keeps_no_columns(self, jas3, ap3):
-        def mapper(attribute, value, n_bits):
-            return (value * 7) % (1 << n_bits)
-
-        items = [{"A": i, "B": i % 3, "C": i % 5} for i in range(40)]
-        idx, twin = self.twins(jas3, (2, 1, 1), items, value_mapper=mapper)
-        assert idx._hashes is None
-        with column_probe_gate(1, idx):
-            assert_columns_equal_the_walk(idx, twin, items[:3] + [{"A": 99, "B": 0, "C": 0}])
-            idx.reconfigure(IndexConfiguration(jas3, [1, 2, 0]))
-            twin.reconfigure(IndexConfiguration(jas3, [1, 2, 0]))
-            assert_columns_equal_the_walk(idx, twin, items[:3])
-        assert (idx.column_answered, idx.column_walked) == (0, 0)
 
     @pytest.mark.parametrize("odd", [{"C": [1, 2]}, {"C": (1, 2)}, {}], ids=["list", "tuple", "absent"])
     def test_a_value_the_hash_rejects_in_a_zero_bit_attribute(self, jas3, ap3, odd):

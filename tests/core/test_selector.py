@@ -11,11 +11,9 @@ from repro.core.index_config import IndexConfiguration
 from repro.core.selector import (
     CandidatePool,
     IndexSelector,
-    allocation_count,
     candidate_pool,
     enumerate_allocations,
     select_exhaustive,
-    select_greedy,
     select_hash_patterns,
 )
 from repro.indexes.base import CostParams
@@ -40,17 +38,6 @@ class TestEnumeration:
     def test_caps_respected(self):
         for alloc in enumerate_allocations([2, 1, 0], 10):
             assert alloc[0] <= 2 and alloc[1] <= 1 and alloc[2] == 0
-
-    def test_count_matches(self):
-        caps, budget = [3, 2, 4], 5
-        assert allocation_count(caps, budget) == len(list(enumerate_allocations(caps, budget)))
-
-    @given(
-        caps=st.lists(st.integers(0, 4), min_size=1, max_size=4),
-        budget=st.integers(0, 8),
-    )
-    def test_count_property(self, caps, budget):
-        assert allocation_count(caps, budget) == len(list(enumerate_allocations(caps, budget)))
 
 
 class TestExhaustiveSelection:
@@ -214,7 +201,7 @@ class TestColumnarPool:
         pool = CandidatePool(jas3, (16, 16, 16), 64)
         configs = list(pool)
         keys = [(cfg.total_bits, cfg.bits) for cfg in configs]
-        assert len(set(keys)) == len(configs) == allocation_count((16, 16, 16), 64) == 4913
+        assert len(set(keys)) == len(configs) == 4913
         assert keys == sorted(keys)
         assert all(pool.config(row) is cfg for row, cfg in enumerate(configs))
 
@@ -270,48 +257,11 @@ class TestTable2Validation:
         assert estimate_cd(ic_full, stats_true) <= estimate_cd(ic_trunc, stats_true)
 
 
-class TestGreedySelection:
-    def test_matches_exhaustive_on_easy_case(self, jas3, ap3):
-        stats = make_stats({ap3("A"): 0.9, ap3("B"): 0.1}, domain_bits={"A": 8, "B": 8, "C": 8})
-        greedy = select_greedy(stats, jas3, 10)
-        exact = select_exhaustive(stats, jas3, 10)
-        assert estimate_cd(greedy, stats) <= estimate_cd(exact, stats) * 1.15
-
-    def test_stops_when_no_improvement(self, jas3, ap3):
-        stats = make_stats({ap3("A"): 1.0}, domain_bits={"A": 3})
-        best = select_greedy(stats, jas3, 64)
-        assert best.total_bits <= 3
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        weights=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
-        budget=st.integers(1, 12),
-    )
-    def test_greedy_never_worse_than_empty(self, weights, budget):
-        jas = JoinAttributeSet(["A", "B", "C"])
-        freqs = {
-            AccessPattern.from_mask(jas, m + 1): w
-            for m, w in enumerate(weights)
-        }
-        stats = make_stats(freqs, domain_bits={"A": 8, "B": 8, "C": 8})
-        greedy = select_greedy(stats, jas, budget)
-        empty = IndexConfiguration(jas, [0, 0, 0])
-        assert estimate_cd(greedy, stats) <= estimate_cd(empty, stats)
-
-
 class TestIndexSelector:
     def test_uses_exhaustive_for_small_space(self, jas3, ap3):
         sel = IndexSelector(jas3, 6)
         stats = make_stats({ap3("A"): 1.0}, domain_bits={"A": 4})
         assert sel.select(stats) == select_exhaustive(stats, jas3, 6)
-
-    def test_falls_back_to_greedy(self, ap3):
-        jas = JoinAttributeSet([f"a{i}" for i in range(8)])
-        sel = IndexSelector(jas, 32, exhaustive_limit=100)
-        ap = AccessPattern.from_attributes(jas, ["a0"])
-        stats = make_stats({ap: 1.0}, domain_bits={"a0": 6})
-        best = sel.select(stats)
-        assert best.bits_for_attribute("a0") == 6
 
     def test_rejects_negative_budget(self, jas3):
         with pytest.raises(ValueError):

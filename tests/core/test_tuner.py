@@ -12,13 +12,10 @@ from repro.indexes.hash_index import MultiHashIndex
 CTX = TuningContext(lambda_d=50.0, window=10.0, horizon=25.0, domain_bits={"A": 8, "B": 8, "C": 8})
 
 
-def make_amri(jas, bits=None, theta=0.1, budget=16, reset_after_tune=True):
+def make_amri(jas, bits=None, theta=0.1, budget=16):
     index = make_bit_index(jas, bits if bits is not None else [2, 2, 2])
     assessor = CDIA(jas, epsilon=0.05, combine="highest_count", seed=0)
-    return AMRITuner(
-        index, assessor, IndexSelector(jas, budget), theta=theta,
-        reset_after_tune=reset_after_tune,
-    )
+    return AMRITuner(index, assessor, IndexSelector(jas, budget), theta=theta)
 
 
 def fill(index, n=200):
@@ -51,23 +48,11 @@ class TestAMRITuner:
         assert report is None or not report.migrated
 
     def test_resets_assessor_after_tune(self, jas3, ap3):
-        tuner = make_amri(jas3, reset_after_tune=True)
+        tuner = make_amri(jas3)
         for _ in range(50):
             tuner.observe(ap3("A"))
         tuner.tune(CTX)
         assert tuner.assessor.n_requests == 0
-
-    def test_cumulative_mode_keeps_statistics(self, jas3, ap3):
-        tuner = make_amri(jas3, reset_after_tune=False)
-        for _ in range(50):
-            tuner.observe(ap3("A"))
-        tuner.tune(CTX)
-        assert tuner.assessor.n_requests == 50
-        # lambda_r averages over all elapsed horizons
-        for _ in range(50):
-            tuner.observe(ap3("A"))
-        report = tuner.tune(CTX)
-        assert report is not None
 
     def test_below_threshold_noise_keeps_config(self, jas3):
         # SRIA keeps exact (unrolled) statistics, so with theta=0.9 and an
@@ -187,16 +172,6 @@ class TestNullTuner:
 
 
 class TestHashTunerWindowing:
-    def test_cumulative_mode_keeps_statistics(self, jas3, ap3):
-        index = MultiHashIndex(jas3)
-        tuner = HashIndexTuner(
-            index, CDIA(jas3, 0.05, seed=0), k=1, reset_after_tune=False
-        )
-        for _ in range(30):
-            tuner.observe(ap3("A"))
-        tuner.tune(CTX)
-        assert tuner.assessor.n_requests == 30
-
     def test_windowed_mode_resets(self, jas3, ap3):
         index = MultiHashIndex(jas3)
         tuner = HashIndexTuner(index, CDIA(jas3, 0.05, seed=0), k=1)
@@ -208,7 +183,7 @@ class TestHashTunerWindowing:
 
 class TestTunerHistory:
     def test_history_accumulates_over_rounds(self, jas3, ap3):
-        tuner = make_amri(jas3, reset_after_tune=True)
+        tuner = make_amri(jas3)
         fill(tuner.index)
         for round_no in range(3):
             for _ in range(60):

@@ -1,8 +1,8 @@
 """The estimator-driven routers walk a route DAG; the routes are the loops'.
 
-``GreedyAdaptiveRouter``, ``LotteryRouter`` and ``ContentBasedRouter``
-read each hop's estimator key off a :class:`~repro.engine.router.RouteDag`
-instead of deriving it per hop.  This holds all three to the per-hop loops
+``GreedyAdaptiveRouter`` and ``ContentBasedRouter`` read each hop's
+estimator key off a :class:`~repro.engine.router.RouteDag` instead of
+deriving it per hop.  This holds both to the per-hop loops
 they replaced, kept below as the reference: over chain, star, cycle and
 clique join graphs of 3-5 streams (and one with two components, whose
 cross-product hops are deferred to the end), with estimates that tie,
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.query import JoinPredicate, Query
-from repro.engine.router import ContentBasedRouter, GreedyAdaptiveRouter, LotteryRouter
+from repro.engine.router import ContentBasedRouter, GreedyAdaptiveRouter
 from repro.engine.stats import SelectivityEstimator
 from repro.engine.stream import StreamSchema
 
@@ -83,33 +83,6 @@ def greedy_loop(router, source, estimator, item=None):
     return tuple(route)
 
 
-def lottery_loop(router, source, estimator, item=None):
-    joined = {source}
-    remaining = [t for t in router.query.stream_names if t != source]
-    route = []
-    while remaining:
-        weights = []
-        reachable = []
-        for cand in remaining:
-            try:
-                ap, _bindings = router.query.probe_spec(joined, cand)
-            except ValueError:
-                continue
-            fanout = estimator.expected_matches(cand, ap.mask)
-            weights.append(1.0 / (router.smoothing + max(fanout, 0.0)))
-            reachable.append(cand)
-        if not reachable:
-            route.extend(remaining)
-            break
-        total = sum(weights)
-        probs = [w / total for w in weights]
-        pick = reachable[int(router._rng.choice(len(reachable), p=probs))]
-        route.append(pick)
-        remaining.remove(pick)
-        joined.add(pick)
-    return tuple(route)
-
-
 def content_loop(router, source, estimator, item=None):
     targets = tuple(t for t in router.query.stream_names if t != source)
     if len(targets) <= 1:
@@ -144,7 +117,6 @@ def content_loop(router, source, estimator, item=None):
 
 ROUTERS = {
     "greedy": (lambda q, p, seed: GreedyAdaptiveRouter(q, explore_prob=p, seed=seed), greedy_loop),
-    "lottery": (lambda q, p, seed: LotteryRouter(q, smoothing=0.5 + p, seed=seed), lottery_loop),
     "content": (
         lambda q, p, seed: ContentBasedRouter(q, value_bits=2, explore_prob=p, seed=seed),
         content_loop,

@@ -1,50 +1,11 @@
-"""Tests for the lottery and content-based routing policies."""
+"""Tests for the content-based routing policy."""
 
 import pytest
 
-from repro.engine.router import ContentBasedRouter, LotteryRouter
+from repro.engine.router import ContentBasedRouter
 from repro.engine.stats import SelectivityEstimator
 
 from tests.engine.test_query import paper_query
-
-
-class TestLotteryRouter:
-    def test_route_covers_all_targets(self):
-        q = paper_query()
-        r = LotteryRouter(q, seed=0)
-        route = r.choose_route("A", SelectivityEstimator())
-        assert sorted(route) == ["B", "C", "D"]
-
-    def test_favours_selective_targets(self):
-        q = paper_query()
-        r = LotteryRouter(q, seed=1)
-        est = SelectivityEstimator(alpha=1.0)
-        for target, matches in [("B", 100), ("C", 100), ("D", 0)]:
-            ap, _ = q.probe_spec({"A"}, target)
-            est.observe(target, ap.mask, matches)
-        firsts = [r.choose_route("A", est)[0] for _ in range(200)]
-        assert firsts.count("D") > 120  # heavily weighted, not deterministic
-
-    def test_still_samples_suboptimal_routes(self):
-        q = paper_query()
-        r = LotteryRouter(q, seed=2)
-        est = SelectivityEstimator(alpha=1.0)
-        for target, matches in [("B", 50), ("C", 50), ("D", 0)]:
-            ap, _ = q.probe_spec({"A"}, target)
-            est.observe(target, ap.mask, matches)
-        firsts = {r.choose_route("A", est)[0] for _ in range(300)}
-        assert firsts == {"B", "C", "D"}  # every order still gets probes
-
-    def test_seeded_reproducible(self):
-        q = paper_query()
-        est = SelectivityEstimator()
-        a = [LotteryRouter(q, seed=7).choose_route("A", est) for _ in range(1)]
-        b = [LotteryRouter(q, seed=7).choose_route("A", est) for _ in range(1)]
-        assert a == b
-
-    def test_rejects_bad_smoothing(self):
-        with pytest.raises(ValueError):
-            LotteryRouter(paper_query(), smoothing=0)
 
 
 class TestContentBasedRouter:

@@ -148,18 +148,16 @@ class TestSensorScenario:
 
 
 class TestRouterOption:
-    @pytest.mark.parametrize("router", ["greedy", "lottery", "content", "fixed"])
+    @pytest.mark.parametrize("router", ["greedy", "content", "fixed"])
     def test_each_policy_runs(self, router):
         from repro.engine.router import (
             ContentBasedRouter,
             FixedRouter,
             GreedyAdaptiveRouter,
-            LotteryRouter,
         )
 
         expected = {
             "greedy": GreedyAdaptiveRouter,
-            "lottery": LotteryRouter,
             "content": ContentBasedRouter,
             "fixed": FixedRouter,
         }[router]
