@@ -69,7 +69,8 @@ def entry_for(name: str, obj) -> list[str]:
     return lines
 
 
-def main() -> int:
+def render() -> str:
+    """The text of docs/api.md for the packages as they are imported now."""
     out: list[str] = [
         "# API reference",
         "",
@@ -92,9 +93,15 @@ def main() -> int:
             if obj is None:
                 continue
             out.extend(entry_for(name, obj))
+    return "\n".join(out)
+
+
+def main() -> int:
+    text = render()
     target = Path(__file__).resolve().parent.parent / "docs" / "api.md"
-    target.write_text("\n".join(out))
-    print(f"wrote {target} ({len(out)} lines)")
+    target.write_text(text)
+    lines = text.count("\n") + 1
+    print(f"wrote {target} ({lines} lines)")
     return 0
 
 
