@@ -42,11 +42,9 @@ the slots in use, exactly the tuples of the buckets the walk would visit —
 their count *is* the walk's ``tuples_examined`` — and ``column == h`` over
 its probed attributes finds the slots that can equal the row.  If there is
 none the probe is answered; otherwise the walk runs as if the columns were
-not there.  Equal values of ``EXACT_KEY_TYPES`` have one stable hash
-(``1 == 1.0 == True`` hash as ``1``), so a column vouches for any probe
-value of those types; a probe value of another type walks.  An index that
-has stored a value of another type (a subclass, or a value the stable hash
-rejects in an attribute without bits) keeps no columns.
+not there.  Equal values have one stable hash (``1 == 1.0 == True`` hash
+as ``1``) across every type the base's value contract admits, so a column
+vouches for any probe value.
 
 The accountant is charged the price a real bit-address index pays —
 ``min(2**wildcard_bits, live buckets)`` bucket visits plus one examination
@@ -65,15 +63,8 @@ import numpy as np
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration
 from repro.core.probe_plan import ProbePlan, ProbePlanCache
-from repro.indexes.base import (
-    EXACT_KEY_TYPES,
-    Accountant,
-    CostParams,
-    RowProbe,
-    SearchOutcome,
-    StateIndex,
-)
-from repro.utils.bitops import _cached_value_hash, fragment
+from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, StateIndex
+from repro.utils.bitops import _cached_value_hash
 
 BucketKey = tuple[int, ...]
 
@@ -122,10 +113,8 @@ def _walk_source(n_fixed: int, arity: int, layout: tuple[int, ...] | None) -> st
     factory takes the plan, the structure and the helpers as arguments and
     returns ``probe_row``, which in one call:
 
-    - computes each fixed fragment — the memoized value hash masked to its
-      width; a value outside ``EXACT_KEY_TYPES`` (which must not reach the
-      memo) sends every fragment through ``fragment``, which hashes it
-      uncached or raises the canonical error;
+    - computes each fixed fragment: the memoized value hash masked to its
+      width;
     - finds the candidate buckets.  A point probe assembles its one key (a
       position without bits has fragment 0).  A wildcard probe looks up each
       fragment's key set in fixed-position order, answers "no match" at the
@@ -141,24 +130,19 @@ def _walk_source(n_fixed: int, arity: int, layout: tuple[int, ...] | None) -> st
     where = " and ".join(f"r[p{j}] == v{j}" for j in range(arity))
     where = f" if {where}" if where else ""
     lines = [
-        "def make_walk(plan, buckets, frag_maps, items, visited, size, hash_, exact, fragment,"
-        " Outcome):"
+        "def make_walk(plan, buckets, frag_maps, items, visited, size, hash_, Outcome):"
     ]
     for targets, source in (
         ([f"p{j}" for j in range(arity)], "plan.positions"),
         ([f"(r{j}, m{j})" for j in fixed], "plan.row_masks"),
-        ([f"(q{j}, _, w{j})" for j in fixed], "plan.fixed"),
+        ([f"(q{j}, _, _)" for j in fixed], "plan.fixed"),
     ):
         if targets:
             lines.append(f"    {', '.join(targets)}, = {source}")
     if layout is None:
         lines += [f"    g{j} = frag_maps[q{j}].get" for j in fixed]
     body = [f"{''.join(f'v{j}, ' for j in range(arity))}= probe"] if arity else []
-    body += [f"x{j} = probe[r{j}]" for j in fixed]
-    if n_fixed:
-        exact = " and ".join(f"type(x{j}) in exact" for j in fixed)
-        body += [f"if {exact}:", *(f"    f{j} = hash_(x{j}) & m{j}" for j in fixed)]
-        body += ["else:", *(f"    f{j} = fragment(x{j}, w{j})" for j in fixed)]
+    body += [f"f{j} = hash_(probe[r{j}]) & m{j}" for j in fixed]
     miss = "    return Outcome([], visited, 0)"
     if not n_fixed:
         select = f"items[r[-1]] for b in buckets.values() for r in b.values(){where}"
@@ -246,13 +230,11 @@ class BitAddressIndex(StateIndex):
         self._items: list[Mapping[str, object] | None] = []
         # Per slot and JAS position, the 64-bit stable hash of the tuple's
         # value (column-major: one attribute's hashes are contiguous), and
-        # which slots are in use.  ``None``: this index keeps no columns — it
-        # has stored a value outside ``EXACT_KEY_TYPES``.
-        self._hashes: np.ndarray | None = _hash_table(_INITIAL_CAPACITY, len(config.jas))
-        self._live: np.ndarray | None = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        # which slots are in use.
+        self._hashes = _hash_table(_INITIAL_CAPACITY, len(config.jas))
+        self._live = np.zeros(_INITIAL_CAPACITY, dtype=bool)
         #: Probe rows the hash columns answered without a bucket walk, and
-        #: rows they passed on to the walk (a possible match, or a value
-        #: outside ``EXACT_KEY_TYPES``).
+        #: rows they passed on to the walk (a possible match).
         self.column_answered = 0
         self.column_walked = 0
         self._rebuild_frag_positions()
@@ -299,40 +281,25 @@ class BitAddressIndex(StateIndex):
     # ------------------------------------------------------------------ #
     # storage
 
-    def _insert(self, item: Mapping[str, object]) -> tuple[int, BucketKey]:
+    def _insert(self, item: Mapping[str, object], row: tuple) -> tuple[int, BucketKey]:
         free = self._free
-        slot = free[-1] if free else len(self._entries)
-        key_plan = self._plans.key_plan
-        table = self._hashes
-        hashes = None
-        if table is not None:
-            try:
-                hashes, key, row = key_plan.hash_row(item, slot)
-            except (KeyError, TypeError):
-                # No value, or one outside EXACT_KEY_TYPES: the end of the
-                # columns, and fatal in an attribute that carries bits if
-                # the stable hash rejects it (``key_for`` raises the
-                # canonical error).
-                pass
-        if hashes is None:
-            key = key_plan.key_for(item)
-            row = key_plan.value_row(item, slot)
-            table = self._hashes = self._live = None
-        self.accountant.hashes += len(self._frag_maps)  # one fragment hash per indexed attribute
+        slot = free[-1] if free else len(self._items)
+        hashes, key, bucket_row = self._plans.key_plan.hash_row(row, slot)
         if free:
             free.pop()
             self._items[slot] = item
         else:
             self._items.append(item)
-        if table is not None:
-            try:
-                table[slot] = hashes
-            except IndexError:  # full: double it
-                table = self._hashes = _grown(table, _hash_table(2 * slot, len(hashes)))
-                self._live = _grown(self._live, np.zeros(2 * slot, dtype=bool))
-                table[slot] = hashes
-            self._live[slot] = True
-        self._place(row, key)
+        self.accountant.hashes += len(self._frag_maps)  # one fragment hash per indexed attribute
+        table = self._hashes
+        try:
+            table[slot] = hashes
+        except IndexError:  # full: double it
+            table = self._hashes = _grown(table, _hash_table(2 * slot, len(hashes)))
+            self._live = _grown(self._live, np.zeros(2 * slot, dtype=bool))
+            table[slot] = hashes
+        self._live[slot] = True
+        self._place(bucket_row, key)
         return slot, key
 
     def _place(self, row: tuple, key: BucketKey) -> None:
@@ -351,8 +318,7 @@ class BitAddressIndex(StateIndex):
         slot, key = entry
         self._free.append(slot)
         self._items[slot] = None
-        if self._live is not None:
-            self._live[slot] = False  # the slot's hashes stay until it is reused
+        self._live[slot] = False  # the slot's hashes stay until it is reused
         bucket = self._buckets[key]
         del bucket[slot]
         if not bucket:
@@ -397,14 +363,11 @@ class BitAddressIndex(StateIndex):
             visited,
             len(self._entries),
             _cached_value_hash,
-            EXACT_KEY_TYPES,
-            fragment,
             SearchOutcome,
         )
         if (
             point is None  # one ``dict.get`` already: a point probe never asks
             and len(self._entries) >> plan.fixed_bits >= COLUMN_PROBE_MIN_CANDIDATES
-            and self._hashes is not None
             and plan.n_attributes
         ):
             probe_row = self._column_probe(plan, visited, probe_row)
@@ -418,9 +381,9 @@ class BitAddressIndex(StateIndex):
         nothing.  Slots whose hashes carry every fixed fragment are the
         tuples of the candidate buckets, so their count is the
         ``tuples_examined`` the walk would report; if no slot carries the
-        full hash of every probed value, no stored tuple equals the row —
-        given that every probe value is of ``EXACT_KEY_TYPES``, as every
-        stored one is; else the row walks.  A row that may match walks too:
+        full hash of every probed value, no stored tuple equals the row
+        (stored and probed values are within the base's value contract);
+        else the row walks.  A row that may match walks too:
         the columns never produce a match list, so they cannot change match
         order.
 
@@ -451,16 +414,10 @@ class BitAddressIndex(StateIndex):
         full_scan = not fragments
         count_nonzero = np.count_nonzero
         uint64 = np.uint64
-        exact = EXACT_KEY_TYPES
         hash_ = _cached_value_hash
 
         def probe_row(row: tuple) -> SearchOutcome:
-            hashes = []
-            for value in row:
-                if type(value) not in exact:
-                    self.column_walked += 1
-                    return walk(row)
-                hashes.append(uint64(hash_(value)))
+            hashes = list(map(uint64, map(hash_, row)))
             examined = size
             if fragments:
                 in_buckets = in_use
@@ -511,22 +468,16 @@ class BitAddressIndex(StateIndex):
 
         # Membership does not change, so every tuple keeps its slot and its
         # value row, and the hash columns stand; a slot's new key is its
-        # hashes under the new masks (without columns: its row's values
-        # fragmented again).  Rows are re-placed in the old bucket order.
-        key_plan = self._plans.key_plan
-        table = self._hashes
+        # hashes under the new masks.  Rows are re-placed in the old bucket
+        # order.
         entries = self._entries
         items = self._items
-        if table is not None:
-            masks = np.array(key_plan.masks, dtype=np.uint64)
-            rekeyed = (table[: len(items)] & masks).tolist()
+        masks = np.array(self._plans.key_plan.masks, dtype=np.uint64)
+        rekeyed = (self._hashes[: len(items)] & masks).tolist()
         for bucket in old_buckets.values():
             for row in bucket.values():
                 slot = row[-1]
-                if table is not None:
-                    key = tuple(rekeyed[slot])
-                else:
-                    key = key_plan.row_key(row)
+                key = tuple(rekeyed[slot])
                 entries[id(items[slot])] = (slot, key)
                 self._place(row, key)
         # Not fresh inserts: per tuple one move and the new map's hashes.

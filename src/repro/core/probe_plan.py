@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.access_pattern import AccessPattern
 from repro.core.index_config import IndexConfiguration
-from repro.utils.bitops import EXACT_KEY_TYPES, _cached_value_hash, fragment, mask_to_indices
+from repro.utils.bitops import _cached_value_hash, mask_to_indices
 
 #: A stable value hash has 64 bits; a wider fragment mask selects them all.
 _HASH_BITS = (1 << 64) - 1
@@ -125,140 +125,66 @@ class Matcher:
         self.select = _compile_row_selector(self.attributes)
 
 
-#: ``(item, slot) -> (value hashes, bucket key, value row)``.
-RowHasher = Callable[[Mapping[str, object], int], tuple[list[int], tuple[int, ...], tuple]]
+#: ``(row, slot) -> (value hashes, bucket key, value row)``.
+RowHasher = Callable[[tuple, int], tuple[list[int], tuple[int, ...], tuple]]
 
 
-#: What ``hash_row`` raises for a row holding a value outside ``EXACT_KEY_TYPES``.
-_NOT_EXACT = "value hash columns take values of EXACT_KEY_TYPES only"
-
-
-def _compile_row_hasher(names: tuple[str, ...], masks: tuple[int, ...]) -> RowHasher:
-    """``(item, slot) -> (value hashes, bucket key, value row)`` over the
-    JAS attributes ``names`` — a fragment is the memoized stable value hash masked to the attribute's width —
-    specialised to the attribute count like the row selectors above.  The
-    value row is what a bucket keeps: the values in JAS order, then
-    ``slot``.
-
-    Every attribute is hashed, bits or none; a missing attribute raises
-    ``KeyError``, and a value outside ``EXACT_KEY_TYPES`` — which must not
-    reach the memo — ``TypeError``.
-    """
+def _compile_row_hasher(masks: tuple[int, ...]) -> RowHasher:
+    """``(row, slot) -> (value hashes, bucket key, value row)`` over a row
+    of JAS values (a fragment is the memoized stable value hash masked to
+    the attribute's width), specialised to the attribute count like the
+    row selectors above.  The value row is what a bucket keeps: the values,
+    then ``slot``.  Every attribute is hashed, bits or none; the row is
+    within the index's value contract, so every value may reach the memo."""
     hash_ = _cached_value_hash
-    exact = EXACT_KEY_TYPES
-    n = len(names)
+    n = len(masks)
     if n == 1:
-        (a,) = names
         (ma,) = masks
 
-        def hash_row(item, slot):
-            va = item[a]
-            if type(va) not in exact:
-                raise TypeError(_NOT_EXACT)
+        def hash_row(row, slot):
+            (va,) = row
             ha = hash_(va)
             return [ha], (ha & ma,), (va, slot)
     elif n == 2:
-        a, b = names
         ma, mb = masks
 
-        def hash_row(item, slot):
-            va = item[a]
-            vb = item[b]
-            if type(va) not in exact or type(vb) not in exact:
-                raise TypeError(_NOT_EXACT)
+        def hash_row(row, slot):
+            va, vb = row
             ha = hash_(va)
             hb = hash_(vb)
             return [ha, hb], (ha & ma, hb & mb), (va, vb, slot)
     elif n == 3:
-        a, b, c = names
         ma, mb, mc = masks
 
-        def hash_row(item, slot):
-            va = item[a]
-            vb = item[b]
-            vc = item[c]
-            if type(va) not in exact or type(vb) not in exact or type(vc) not in exact:
-                raise TypeError(_NOT_EXACT)
+        def hash_row(row, slot):
+            va, vb, vc = row
             ha = hash_(va)
             hb = hash_(vb)
             hc = hash_(vc)
             return [ha, hb, hc], (ha & ma, hb & mb, hc & mc), (va, vb, vc, slot)
     else:
 
-        def hash_row(item, slot):
-            values = [item[name] for name in names]
-            if not exact.issuperset(map(type, values)):
-                raise TypeError(_NOT_EXACT)
-            hashes = list(map(hash_, values))
-            values.append(slot)
-            return hashes, tuple(map(and_, hashes, masks)), tuple(values)
+        def hash_row(row, slot):
+            hashes = list(map(hash_, row))
+            return hashes, tuple(map(and_, hashes, masks)), (*row, slot)
 
     return hash_row
-
-
-class _Absent:
-    """A value row's stand-in for an attribute its item does not carry.
-
-    Comparing or hashing it raises the ``KeyError`` that reading the item
-    raised, so a probe (once its compare reaches the attribute) and a
-    migration that gives the attribute bits fail where reading the item
-    would have failed, with the same error.
-    """
-
-    __slots__ = ("args",)
-
-    def __init__(self, args: tuple) -> None:
-        self.args = args
-
-    def __eq__(self, other: object) -> bool:
-        raise KeyError(*self.args)
-
-    def __hash__(self) -> int:
-        raise KeyError(*self.args)
 
 
 class KeyPlan:
     """The insert-side recipe of one configuration: bucket-key assembly.
 
-    Precomputes the ``(name, width)`` pairs ``bucket_key`` re-derives from
-    properties on every insert, the per-position fragment masks — a
-    fragment is ``hash(value) & mask`` (mask 0, so fragment 0, for a
-    position without bits) — and ``hash_row``, which
-    reads, hashes and keys a tuple and returns its value row in one call.
+    Precomputes the per-position fragment masks — a fragment is
+    ``hash(value) & mask`` (mask 0, so fragment 0, for a position without
+    bits) — and ``hash_row``, which hashes and keys a row of JAS values and
+    returns its value row in one call.
     """
 
-    __slots__ = ("names", "entries", "masks", "hash_row")
+    __slots__ = ("masks", "hash_row")
 
     def __init__(self, config: IndexConfiguration) -> None:
-        self.names = names = config.jas.names
-        self.entries = tuple(zip(names, config.bits))
         self.masks = tuple(((1 << w) - 1) & _HASH_BITS for w in config.bits)
-        self.hash_row = _compile_row_hasher(names, self.masks)
-
-    def key_for(self, values: Mapping[str, object]) -> tuple[int, ...]:
-        """Identical to ``IndexConfiguration.bucket_key(values)``."""
-        return tuple(fragment(values[name], w) if w > 0 else 0 for name, w in self.entries)
-
-    def row_key(self, row: tuple) -> tuple[int, ...]:
-        """``key_for`` of a value row: an :class:`_Absent` in a position
-        with bits raises the ``KeyError`` reading its item raised, before
-        any value is hashed."""
-        for (_, w), value in zip(self.entries, row):
-            if w > 0 and type(value) is _Absent:
-                raise KeyError(*value.args)
-        return self.key_for(dict(zip(self.names, row)))
-
-    def value_row(self, item: Mapping[str, object], slot: int) -> tuple:
-        """``hash_row``'s value row without the hashing, for any value; an
-        attribute ``item`` lacks becomes an :class:`_Absent`."""
-        values = []
-        for name in self.names:
-            try:
-                values.append(item[name])
-            except KeyError as missing:
-                values.append(_Absent(missing.args))
-        values.append(slot)
-        return tuple(values)
+        self.hash_row = _compile_row_hasher(self.masks)
 
 
 class ProbePlan:

@@ -41,7 +41,7 @@ from repro.engine.stats import RunStats, SelectivityEstimator, ThroughputSample
 from repro.engine.stream import StreamSchema
 from repro.engine.tracing import EngineEvent, EventLog
 from repro.engine.tuples import JoinedTuple, StreamTuple
-from repro.engine.window import CountWindow, SlidingWindow
+from repro.engine.window import SlidingWindow
 
 __all__ = [
     "AMRExecutor",
@@ -74,7 +74,6 @@ __all__ = [
     "Router",
     "RunStats",
     "SelectivityEstimator",
-    "CountWindow",
     "SlidingWindow",
     "StreamSchema",
     "StreamTuple",

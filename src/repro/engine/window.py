@@ -1,17 +1,9 @@
 """Sliding-window bookkeeping for one state.
 
-Two window kinds (both with amortised O(1) maintenance, since arrivals are
-monotone in time):
-
-- :class:`SlidingWindow` — time-based (the paper's WINDOW clause): tuples
-  expire a fixed number of time units after arrival, removed by the
-  executor's per-tick :meth:`~SlidingWindow.expire` sweep.
-- :class:`CountWindow` — count-based (a standard DSMS variant): the state
-  holds the N most recent tuples; admission of tuple N+1 evicts the oldest,
-  reported from :meth:`~CountWindow.add` so the caller can unindex it.
-
-Both expose the same protocol: ``add(item, now) -> evicted list`` and
-``expire(now) -> evicted list``.
+:class:`SlidingWindow` is time-based (the paper's WINDOW clause): tuples
+expire a fixed number of time units after arrival, removed by the
+executor's per-tick :meth:`~SlidingWindow.expire` sweep.  Maintenance is
+amortised O(1), since arrivals are monotone in time.
 """
 
 from __future__ import annotations
@@ -31,18 +23,17 @@ class SlidingWindow:
         self.length = int(length)
         self._entries: deque[tuple[int, StreamTuple]] = deque()
 
-    def add(self, item: StreamTuple, now: int) -> list[StreamTuple]:
-        """Admit ``item`` at time ``now``; it expires at ``now + length``.
-
-        Arrival times must be non-decreasing.  Returns the tuples evicted by
-        this admission — always empty for a time window (expiry is driven by
-        :meth:`expire`), present for protocol-compatibility with
-        :class:`CountWindow`.
-        """
+    def check_arrival(self, now: int) -> None:
+        """Refuse an arrival at time ``now`` earlier than the last one with
+        ``ValueError``: arrival times must be non-decreasing."""
         if self._entries and now < self._entries[-1][0] - self.length:
             raise ValueError("window arrivals must be in non-decreasing time order")
+
+    def add(self, item: StreamTuple, now: int) -> None:
+        """Admit ``item`` at time ``now``; it expires at ``now + length``.
+        An out-of-order arrival is refused as :meth:`check_arrival` says."""
+        self.check_arrival(now)
         self._entries.append((now + self.length, item))
-        return []
 
     def expire(self, now: int) -> list[StreamTuple]:
         """Remove and return every tuple whose expiry time is ``<= now``."""
@@ -61,33 +52,3 @@ class SlidingWindow:
     def oldest_expiry(self) -> int | None:
         """Expiry tick of the oldest live tuple (None when empty)."""
         return self._entries[0][0] if self._entries else None
-
-
-class CountWindow:
-    """Count-based window: keeps only the ``capacity`` most recent tuples."""
-
-    def __init__(self, capacity: int) -> None:
-        check_positive("capacity", capacity)
-        self.capacity = int(capacity)
-        self._entries: deque[StreamTuple] = deque()
-
-    def add(self, item: StreamTuple, now: int) -> list[StreamTuple]:
-        """Admit ``item``; returns the tuple evicted to make room (if any)."""
-        self._entries.append(item)
-        if len(self._entries) > self.capacity:
-            return [self._entries.popleft()]
-        return []
-
-    def expire(self, now: int) -> list[StreamTuple]:
-        """Count windows do not expire by time; always empty."""
-        return []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[StreamTuple]:
-        return iter(self._entries)
-
-    def oldest_expiry(self) -> int | None:
-        """Count windows have no expiry times; always ``None``."""
-        return None

@@ -1,7 +1,8 @@
 """State-index schemes: the common interface plus the paper's baselines.
 
 - :class:`~repro.indexes.base.StateIndex` — the interface all schemes share,
-  with :class:`~repro.indexes.base.Accountant` cost/memory accounting.
+  with :class:`~repro.indexes.base.Accountant` cost/memory accounting and
+  the one value contract (:class:`~repro.indexes.base.UnkeyableValueError`).
 - :class:`~repro.indexes.scan_index.ScanIndex` — unindexed full-scan state
   (test oracle and benchmark floor).
 - :class:`~repro.indexes.hash_index.MultiHashIndex` — Raman-style access
@@ -13,7 +14,13 @@ The AMRI index itself lives with the paper's contribution in
 :mod:`repro.core.bit_index`.
 """
 
-from repro.indexes.base import Accountant, CostParams, SearchOutcome, StateIndex
+from repro.indexes.base import (
+    Accountant,
+    CostParams,
+    SearchOutcome,
+    StateIndex,
+    UnkeyableValueError,
+)
 from repro.indexes.hash_index import MultiHashIndex
 from repro.indexes.inverted_index import InvertedListIndex
 from repro.indexes.scan_index import ScanIndex
@@ -38,4 +45,5 @@ __all__ = [
     "SearchOutcome",
     "StateIndex",
     "StaticBitmapIndex",
+    "UnkeyableValueError",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import abc
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.probe_plan import compile_matcher
@@ -122,32 +123,91 @@ class SearchOutcome:
 #: One value row (aligned with the pattern's attributes) → its outcome.
 RowProbe = Callable[[tuple], SearchOutcome]
 
-# ``EXACT_KEY_TYPES`` (from :mod:`repro.utils.bitops`): the value types for
-# which a dict keyed by values finds exactly what ``==`` finds, and so does
+# The value contract: an index stores and probes values of
+# ``EXACT_KEY_TYPES`` (from :mod:`repro.utils.bitops`), NaN excepted.  For
+# these a dict keyed by values finds exactly what ``==`` finds, and so does
 # a compare of stable value hashes: equal values hash equally, across the
-# numeric types too (``1 == 1.0 == True``), and every value equals itself
-# but NaN.
+# numeric types too (``1 == 1.0 == True``), and every value equals itself.
+# A value of ``_SELF_EQUAL_TYPES`` is within it at a glance; a float still
+# needs the NaN test.
+_SELF_EQUAL_TYPES = EXACT_KEY_TYPES - {float}
 
 
-def inexact_positions(row: tuple) -> int:
-    """The mask of the positions of ``row`` holding a value outside
-    ``EXACT_KEY_TYPES``."""
-    mask = 0
-    for pos, value in enumerate(row):
-        if type(value) not in EXACT_KEY_TYPES:
-            mask |= 1 << pos
-    return mask
+class UnkeyableValueError(ValueError):
+    """A join value no index stores or probes: its type is outside
+    ``EXACT_KEY_TYPES``, or it is NaN.  ``stream`` is set by the state that
+    refused it, when there is one."""
+
+    def __init__(self, attribute: str, value_type: type) -> None:
+        super().__init__(attribute, value_type)
+        self.attribute = attribute
+        self.value_type = value_type
+        self.stream: str | None = None
+
+    def __str__(self) -> str:
+        where = "" if self.stream is None else f"stream {self.stream!r}: "
+        what = "NaN" if self.value_type is float else f"a value of type {self.value_type.__name__}"
+        return (
+            f"{where}join attribute {self.attribute!r} holds {what}; an index keys "
+            "int, float, str, bytes, bool and None values only, and no NaN"
+        )
 
 
-def is_exact_key(row: tuple) -> bool:
-    """Whether a dict lookup of ``row`` agrees with ``==`` against stored
-    rows whose values are all of ``EXACT_KEY_TYPES``: every value is of one
-    of those types and is not NaN (a dict matches the *same* NaN object by
-    identity, where ``==`` never matches a NaN)."""
-    for value in row:
+def _check_row(attributes: tuple[str, ...], row: tuple) -> None:
+    """Refuse ``row`` (aligned with ``attributes``) with
+    :class:`UnkeyableValueError` at its first value outside
+    ``EXACT_KEY_TYPES`` or NaN."""
+    for name, value in zip(attributes, row):
         if type(value) not in EXACT_KEY_TYPES or value != value:
-            return False
-    return True
+            raise UnkeyableValueError(name, type(value))
+
+
+def _row_reader(names: tuple[str, ...]) -> Callable[[Mapping[str, object]], tuple]:
+    """``item -> row``: the item's values of ``names``, in order, each read
+    once.  A missing attribute raises the item's ``KeyError(name)``, and a
+    row with a value outside ``_SELF_EQUAL_TYPES`` goes to
+    :func:`_check_row`.  Specialised to the attribute count, like the row
+    selectors of :mod:`repro.core.probe_plan`: a plain row costs one type
+    lookup per value and no call."""
+    plain = _SELF_EQUAL_TYPES
+    n = len(names)
+    if n == 1:
+        (a,) = names
+
+        def read_row(item):
+            va = item[a]
+            if type(va) not in plain:
+                _check_row(names, (va,))
+            return (va,)
+    elif n == 2:
+        a, b = names
+
+        def read_row(item):
+            va = item[a]
+            vb = item[b]
+            if type(va) not in plain or type(vb) not in plain:
+                _check_row(names, (va, vb))
+            return (va, vb)
+    elif n == 3:
+        a, b, c = names
+
+        def read_row(item):
+            va = item[a]
+            vb = item[b]
+            vc = item[c]
+            if type(va) not in plain or type(vb) not in plain or type(vc) not in plain:
+                _check_row(names, (va, vb, vc))
+            return (va, vb, vc)
+    else:
+        getter = itemgetter(*names)
+
+        def read_row(item):
+            row = getter(item)
+            if not plain.issuperset(map(type, row)):
+                _check_row(names, row)
+            return row
+
+    return read_row
 
 
 class StateIndex(abc.ABC):
@@ -160,6 +220,12 @@ class StateIndex(abc.ABC):
     costs, and ``_row_prober``.  The base owns the rest of the upkeep: the
     one ``id -> entry`` map, the identity checks, the insert / delete
     charges, ``size`` and the prober cache.
+
+    The base also holds the one value contract.  Every JAS value an item
+    stores, and every value a probe row carries, is of ``EXACT_KEY_TYPES``
+    and not NaN; any other is refused with :class:`UnkeyableValueError`
+    before anything is charged, and an item that lacks a JAS attribute with
+    ``KeyError(attribute)``.  No hook sees any other value.
     """
 
     #: Every probe is a full scan — this *is* the degraded state
@@ -180,6 +246,8 @@ class StateIndex(abc.ABC):
         self.jas = jas
         self.accountant = accountant if accountant is not None else Accountant()
         self.cost_params = cost_params if cost_params is not None else CostParams()
+        # A stored item's row: its JAS values in JAS order, checked.
+        self._read_row = _row_reader(jas.names)
         # ``id(item) -> entry`` in insertion order: what ``_insert``
         # returned for each stored item, handed back to ``_remove``.
         self._entries: dict[int, object] = {}
@@ -193,17 +261,17 @@ class StateIndex(abc.ABC):
 
         Storage is by identity: an object that is already stored is refused
         with ``ValueError`` before anything is charged (a second copy would
-        be counted twice and one ``remove`` would leave a phantom).  An
-        item the backend refuses (its ``_insert`` raises) leaves the index
-        as it was.
+        be counted twice and one ``remove`` would leave a phantom).  So is
+        an item that lacks a JAS attribute (``KeyError``) or holds a value
+        outside the contract (:class:`UnkeyableValueError`).
         """
         iid = id(item)
         entries = self._entries
         if iid in entries:
             raise ValueError("item is already stored in this index")
-        entries[iid] = self._insert(item)
+        entries[iid] = self._insert(item, self._read_row(item))
         if not self.probers_outlive_storage:
-            self._drop_probers()
+            self._probers.clear()  # ``_drop_probers()``, without the call
         acct = self.accountant
         acct.inserts += 1
         acct.index_bytes += self.cost_params.bucket_slot_bytes
@@ -220,20 +288,21 @@ class StateIndex(abc.ABC):
         self._remove(item, entry)
         del entries[iid]
         if not self.probers_outlive_storage:
-            self._drop_probers()
+            self._probers.clear()  # ``_drop_probers()``, without the call
         acct = self.accountant
         acct.deletes += 1
         acct.index_bytes -= self.cost_params.bucket_slot_bytes
 
     @abc.abstractmethod
-    def _insert(self, item: Mapping[str, object]) -> object:
+    def _insert(self, item: Mapping[str, object], row: tuple) -> object:
         """Put a new ``item`` into the backend's structure and return its
         entry (never ``None``): whatever ``_remove`` needs to take it out
         again.
 
-        Computes every key before its first write, so a value the structure
-        cannot key raises with the index unchanged.  Charges what the
-        structure costs beyond the base's one insert and one slot.
+        ``row`` is the item's JAS values in JAS order, read once by the
+        base and within the value contract, so every value keys a dict and
+        has a stable hash.  Charges what the structure costs beyond the
+        base's one insert and one slot.
         """
 
     @abc.abstractmethod
@@ -244,9 +313,9 @@ class StateIndex(abc.ABC):
     def _drop_probers(self) -> None:
         """Drop every cached prober.  A backend calls this from every change
         other than ``insert`` / ``remove`` that replaces what a prober may
-        have captured (a key map, a module set, a table, an exactness
-        record); a caller may also call it after changing what a prober
-        reads only when it is built (a module constant)."""
+        have captured (a key map, a module set, a table); a caller may also
+        call it after changing what a prober reads only when it is built (a
+        module constant)."""
         self._probers.clear()
 
     @abc.abstractmethod
@@ -255,8 +324,8 @@ class StateIndex(abc.ABC):
 
         Returns ``(hashes, probe_row)``: the hash computations one probe of
         ``ap`` is charged, and a function from one value row (a tuple
-        aligned with ``ap.attributes``) to that probe's
-        :class:`SearchOutcome`.  Everything that depends only on the
+        aligned with ``ap.attributes``, its values within the value
+        contract) to that probe's :class:`SearchOutcome`.  Everything that depends only on the
         pattern and the structure (the compiled plan, the module choice,
         the charged bucket visits) is resolved here; ``probe_row`` reads
         the structure and charges nothing — the caller charges ``hashes``
@@ -290,11 +359,14 @@ class StateIndex(abc.ABC):
         outcome object — batched stream workloads draw values from small
         domains, so this dedup is where the wall-clock win comes from.
         Shared outcomes are safe to alias: no consumer mutates
-        ``SearchOutcome.matches`` in place.  A row holding an unhashable
-        value probes uncached.
+        ``SearchOutcome.matches`` in place.
 
-        A pattern over a foreign JAS raises ``ValueError`` and a row of the
-        wrong length ``KeyError``, both before anything is charged.
+        A pattern over a foreign JAS raises ``ValueError``, a row of the
+        wrong length ``KeyError`` and a row holding a value outside the
+        contract :class:`UnkeyableValueError`, all before anything is
+        charged.  The contract is checked once per distinct row, when the
+        column first meets it: a row equal to one answered earlier in the
+        column shares that answer unchecked.
         """
         self._check_jas(ap)
         n_attributes = ap.n_attributes
@@ -307,17 +379,21 @@ class StateIndex(abc.ABC):
         if not rows:
             return []
         hashes, probe_row = self._prober(ap)
+        plain = _SELF_EQUAL_TYPES
         seen: dict[tuple, SearchOutcome] = {}
         outcomes: list[SearchOutcome] = []
         visited = examined = 0
         for row in rows:
             try:
                 outcome = seen.get(row)
-            except TypeError:  # unhashable value: probe uncached
-                outcome = probe_row(row)
-            else:
-                if outcome is None:
-                    outcome = seen[row] = probe_row(row)
+            except TypeError:  # an unhashable value, refused below
+                outcome = None
+            if outcome is None:
+                for value in row:
+                    if type(value) not in plain:
+                        _check_row(compile_matcher(ap).attributes, row)
+                        break
+                outcome = seen[row] = probe_row(row)
             visited += outcome.buckets_visited
             examined += outcome.tuples_examined
             outcomes.append(outcome)
@@ -332,16 +408,18 @@ class StateIndex(abc.ABC):
         ``values`` on every attribute in ``ap``.
 
         ``values`` must define at least the attributes ``ap`` names
-        (``KeyError`` otherwise); it is read into a row and handed to the
-        same hook as a :meth:`search_batch` row, charged the same.
+        (``KeyError`` otherwise); it is read into a row, checked and handed
+        to the same hook as a :meth:`search_batch` row, charged the same.
         """
         self._check_jas(ap)
         attributes = compile_matcher(ap).attributes
         for name in attributes:
             if name not in values:
                 raise KeyError(f"probe values missing attribute {name!r} required by {ap!r}")
+        row = tuple([values[name] for name in attributes])
+        _check_row(attributes, row)
         hashes, probe_row = self._prober(ap)
-        outcome = probe_row(tuple([values[name] for name in attributes]))
+        outcome = probe_row(row)
         acct = self.accountant
         acct.hashes += hashes
         acct.buckets_visited += outcome.buckets_visited

@@ -28,10 +28,9 @@ charged what the model prescribes all the same: the whole state when no
 module suits the request, the module's bucket when one does.  Every bucket
 holds its tuples in insertion order, as the stored-item map does, so a
 table answer is the list the ``==`` filter over the scan or the module
-bucket would return, in the same order.  A dict lookup agrees with ``==``
-only for rows of :data:`~repro.indexes.base.EXACT_KEY_TYPES` values, none of
-them NaN, over attributes that have never stored a value of another type;
-every other row is filtered as before.
+bucket would return, in the same order: the base admits only values for
+which a dict lookup agrees with ``==`` (its value contract), stored and
+probed alike.
 """
 
 from __future__ import annotations
@@ -41,16 +40,7 @@ from operator import itemgetter
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.probe_plan import compile_matcher
-from repro.indexes.base import (
-    EXACT_KEY_TYPES,
-    Accountant,
-    CostParams,
-    RowProbe,
-    SearchOutcome,
-    StateIndex,
-    inexact_positions,
-    is_exact_key,
-)
+from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, StateIndex
 from repro.utils.bitops import mask_to_indices
 
 Row = tuple[object, ...]
@@ -104,8 +94,7 @@ class MultiHashIndex(StateIndex):
     # A prober captures the module choice, tables and projectors only:
     # insert and remove update those in place (a full scan reads the
     # state's size per row), so it outlives arrivals and expiry.  What
-    # replaces them — ``set_patterns`` and the inexact record that drops
-    # tables — drops them.
+    # replaces them, ``set_patterns``, drops them.
     probers_outlive_storage = True
 
     def __init__(
@@ -116,14 +105,9 @@ class MultiHashIndex(StateIndex):
         cost_params: CostParams | None = None,
     ) -> None:
         super().__init__(jas, accountant, cost_params)
-        # A stored tuple's row: its JAS values.
-        self._read_row = _getter(jas.names)
         # Pattern mask -> (projection, table): every module's table and the
         # exact tables of the request masks probed without an exact module.
         self._tables: dict[int, tuple[Projector, Table]] = {}
-        # JAS positions that have stored a value outside EXACT_KEY_TYPES
-        # (grow-only): no table answers a probe over them.
-        self._inexact = 0
         self._modules: dict[int, _AccessModule] = {}
         for ap in patterns:
             self._add_module(ap)
@@ -200,20 +184,7 @@ class MultiHashIndex(StateIndex):
             entry = self._tables[mask] = (project, table)
         return entry[1]
 
-    def _insert(self, item: Mapping[str, object]) -> Mapping[str, object]:
-        row = self._read_row(item)
-        if not EXACT_KEY_TYPES.issuperset(map(type, row)):
-            # A module keys every value: refuse an unhashable one now.
-            for mask in self._modules:
-                hash(self._tables[mask][0](row))
-            inexact = self._inexact | inexact_positions(row)
-            if inexact != self._inexact:
-                # No exact table answers over an inexact position; a prober
-                # holds the table it answers from.
-                self._drop_probers()
-                self._inexact = inexact
-                for mask in [m for m in self._tables if m & inexact and m not in self._modules]:
-                    del self._tables[mask]
+    def _insert(self, item: Mapping[str, object], row: tuple) -> Mapping[str, object]:
         iid = id(item)
         for project, table in self._tables.values():
             table.setdefault(project(row), {})[iid] = item
@@ -260,24 +231,23 @@ class MultiHashIndex(StateIndex):
 
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
         matcher = compile_matcher(ap)
-        select = matcher.select
+        items = self._entries
         if matcher.is_full_scan:
-            module = answers = None
-        else:
-            module = self.most_suitable_module(ap)
-            # The table that answers rows of ``ap``: the exact module's, or
-            # an exact table (built now if this is its first probe).
-            answers = None if ap.mask & self._inexact else self._table(ap.mask)
-        if module is None:
-            items = self._entries
 
             def probe_row(row: tuple) -> SearchOutcome:
-                if answers is not None and is_exact_key(row):
-                    hit = answers.get(row)
-                    matches = list(hit.values()) if hit else []
-                else:
-                    matches = select((items.values(),), row)
-                return SearchOutcome(matches, 1, len(items), True)
+                return SearchOutcome(list(items.values()), 1, len(items), True)
+
+            return 0, probe_row
+
+        # The table that answers rows of ``ap``: the exact module's, or an
+        # exact table (built now if this is its first probe).
+        answers = self._table(ap.mask)
+        module = self.most_suitable_module(ap)
+        if module is None:
+
+            def probe_row(row: tuple) -> SearchOutcome:
+                hit = answers.get(row)
+                return SearchOutcome(list(hit.values()) if hit else [], 1, len(items), True)
 
             return 0, probe_row
 
@@ -291,10 +261,8 @@ class MultiHashIndex(StateIndex):
             bucket = table.get(key_of(row))
             if bucket is None:
                 return SearchOutcome([], 1, 0)
-            if answers is not None and is_exact_key(row):
-                hit = answers.get(row)
-                return SearchOutcome(list(hit.values()) if hit else [], 1, len(bucket))
-            return SearchOutcome(select((bucket.values(),), row), 1, len(bucket))
+            hit = answers.get(row)
+            return SearchOutcome(list(hit.values()) if hit else [], 1, len(bucket))
 
         return module.n_attributes, probe_row
 

@@ -24,23 +24,13 @@ from collections.abc import Mapping
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.probe_plan import compile_matcher
-from repro.indexes.base import (
-    EXACT_KEY_TYPES,
-    Accountant,
-    CostParams,
-    RowProbe,
-    SearchOutcome,
-    StateIndex,
-    inexact_positions,
-    is_exact_key,
-)
+from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, StateIndex
 
 
 class InvertedListIndex(StateIndex):
     """One exact inverted list per join attribute."""
 
-    # A prober reads the lists and the stored-item map live; it captures
-    # only whether its lists are exact; growing that record drops them.
+    # A prober reads the lists and the stored-item map live.
     probers_outlive_storage = True
 
     def __init__(
@@ -53,25 +43,15 @@ class InvertedListIndex(StateIndex):
         self._lists: dict[str, dict[object, dict[int, Mapping[str, object]]]] = {
             name: {} for name in jas.names
         }
-        # JAS positions that have stored a value outside EXACT_KEY_TYPES
-        # (grow-only).
-        self._inexact = 0
 
-    def _insert(self, item: Mapping[str, object]) -> Mapping[str, object]:
-        values = [item[name] for name in self.jas.names]
-        if not EXACT_KEY_TYPES.issuperset(map(type, values)):
-            hash(tuple(values))  # every value keys a list: refuse an unhashable one now
-            inexact = self._inexact | inexact_positions(values)
-            if inexact != self._inexact:
-                self._drop_probers()
-                self._inexact = inexact
+    def _insert(self, item: Mapping[str, object], row: tuple) -> Mapping[str, object]:
         iid = id(item)
-        for postings, value in zip(self._lists.values(), values):
+        for postings, value in zip(self._lists.values(), row):
             postings.setdefault(value, {})[iid] = item
         # One hash and one posting per attribute.
         acct = self.accountant
-        acct.hashes += len(values)
-        acct.index_bytes += len(values) * self.cost_params.index_entry_bytes
+        acct.hashes += len(row)
+        acct.index_bytes += len(row) * self.cost_params.index_entry_bytes
         return item
 
     def _remove(self, item: Mapping[str, object], entry: object) -> None:
@@ -97,11 +77,9 @@ class InvertedListIndex(StateIndex):
 
             return 0, probe_row
 
+        # Keyed by value, a list finds what ``==`` finds: every stored and
+        # probed value is within the base's value contract.
         lists = [self._lists[name] for name in attributes]
-        select = matcher.select
-        # Posting lists are keyed by value, which agrees with ``==`` only
-        # for exact keys over lists that have never held another type.
-        exact_lists = not ap.mask & self._inexact
 
         def probe_row(row: tuple) -> SearchOutcome:
             # Fetch each attribute's posting list; intersect smallest-first.
@@ -118,8 +96,6 @@ class InvertedListIndex(StateIndex):
                 ]
             else:
                 matches = list(base.values())
-            if not (exact_lists and is_exact_key(row)):
-                matches = select((matches,), row)
             return SearchOutcome(matches, len(postings), len(base))
 
         # One hash per attribute fetches its posting list.

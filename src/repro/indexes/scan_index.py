@@ -21,7 +21,7 @@ class ScanIndex(StateIndex):
     unindexed = True
     probers_outlive_storage = True  # a prober reads the stored-item map live
 
-    def _insert(self, item: Mapping[str, object]) -> Mapping[str, object]:
+    def _insert(self, item: Mapping[str, object], row: tuple) -> Mapping[str, object]:
         return item
 
     def _remove(self, item: Mapping[str, object], entry: object) -> None:

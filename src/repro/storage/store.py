@@ -1,15 +1,15 @@
 """The unified storage layer: one stream's window + index + tuner wiring.
 
 A :class:`StateStore` owns everything physical about one stream's state —
-the sliding/count window, the index structure(s), the shared accountant,
-and the tuner.  It is the unary join operator the paper calls a STeM
+the sliding window, the index structure, the shared accountant, and the
+tuner.  It is the unary join operator the paper calls a STeM
 (State Module, Raman et al., paper ref. [5]): it inserts arriving tuples,
 expires them when the window slides, and locates stored tuples that
 satisfy a search request's join predicates.  Storage policy lives here:
 
-- **Admission ordering.** Count-window evictions leave the index *before*
-  the arriving tuple is inserted, so the ``index_bytes``/payload peak never
-  overstates occupancy by one tuple per admission.
+- **Admission is all or nothing.** A tuple of another stream, an arrival
+  out of time order and a join value the index refuses are each refused
+  before window or index changes, so no admission needs undoing.
 - **Capability-driven behaviour.** "Is this state degraded" is a class
   attribute of the index (``StateIndex.unindexed``), not an
   ``isinstance`` check.
@@ -25,12 +25,12 @@ from typing import TYPE_CHECKING
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.tuner import AMRITuner, HashIndexTuner, NullTuner, TuneReport, TuningContext
-from repro.indexes.base import CostParams, SearchOutcome, StateIndex
+from repro.indexes.base import CostParams, SearchOutcome, StateIndex, UnkeyableValueError
 from repro.indexes.scan_index import ScanIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.tuples import StreamTuple
-    from repro.engine.window import CountWindow, SlidingWindow
+    from repro.engine.window import SlidingWindow
 
 Tuner = AMRITuner | HashIndexTuner | NullTuner
 
@@ -47,9 +47,8 @@ class StateStore:
     index:
         The physical index over the state (any :class:`StateIndex`).
     window:
-        Either a window length in time units (builds a time-based
-        :class:`SlidingWindow`) or a ready window object (e.g. a
-        :class:`CountWindow`).
+        Either a window length in time units or a ready
+        :class:`SlidingWindow`.
     tuner:
         Observes probe patterns and periodically retunes the index;
         :class:`NullTuner` for non-adapting baselines.
@@ -60,7 +59,7 @@ class StateStore:
         stream: str,
         jas: JoinAttributeSet,
         index: StateIndex,
-        window: int | SlidingWindow | CountWindow,
+        window: int | SlidingWindow,
         tuner: Tuner | None = None,
         cost_params: CostParams | None = None,
     ) -> None:
@@ -102,22 +101,27 @@ class StateStore:
     def insert(self, item: StreamTuple, now: int) -> None:
         """Admit one arriving tuple into window and index.
 
-        Count windows may evict on admission; evicted tuples leave the
-        index *before* the new tuple enters it, so the structure never
-        momentarily holds capacity + 1 tuples (the memory gauge peak is
-        exact).  A tuple of another stream is refused with ``ValueError``
-        before window or index is touched: the engine's ordering filter
-        reads a state's tuples as all of its own stream.
+        Refused before window or index is touched: a tuple of another
+        stream (``ValueError``: the engine's ordering filter reads a state's
+        tuples as all of its own stream), an arrival earlier than the last
+        (``ValueError``), and whatever the index's insert refuses — a
+        missing join attribute (``KeyError``) or a join value outside the
+        value contract (:class:`~repro.indexes.base.UnkeyableValueError`,
+        naming this stream).
         """
         if item.stream != self.stream:
             raise ValueError(
                 f"state {self.stream!r} stores only {self.stream!r} tuples, "
                 f"got a tuple of stream {item.stream!r}"
             )
-        evicted = self.window.add(item, now)
-        for old in evicted:
-            self.index.remove(old)
-        self.index.insert(item)
+        window = self.window
+        window.check_arrival(now)
+        try:
+            self.index.insert(item)
+        except UnkeyableValueError as refused:
+            refused.stream = self.stream
+            raise
+        window.add(item, now)
 
     def expire(self, now: int) -> int:
         """Drop tuples whose window has passed; returns how many."""
@@ -130,10 +134,12 @@ class StateStore:
         """Execute one search request, its values given by attribute name.
 
         Records the request's access pattern with the tuner's assessor —
-        this is where assessment statistics come from.
+        this is where assessment statistics come from — once the index has
+        accepted the request.
         """
+        outcome = self.index.search(ap, values)
         self.tuner.observe(ap)
-        return self.index.search(ap, values)
+        return outcome
 
     def probe_batch(self, ap: AccessPattern, rows: list[tuple]) -> list[SearchOutcome]:
         """Execute a column of same-pattern search requests against the state.
@@ -145,10 +151,12 @@ class StateStore:
         reads it before the column ends).  The index-level ``search_batch``
         aggregates accountant increments and lets equal rows share one
         outcome object; the engine only observes counter totals between
-        probes, so the aggregation is invisible to the cost model.
+        probes, so the aggregation is invisible to the cost model.  A
+        column the index refuses is not recorded.
         """
+        outcomes = self.index.search_batch(ap, rows)
         self.tuner.observe_run(ap, len(rows))
-        return self.index.search_batch(ap, rows)
+        return outcomes
 
     def tune(self, context: TuningContext) -> TuneReport | None:
         """Run one tuning round (delegates to the tuner)."""

@@ -50,9 +50,9 @@ def column_probe_gate(candidates: int, *indexes):
 
 def asks_columns(index, ap: AccessPattern) -> bool:
     """Whether, at gate 1, a probe of ``ap`` asks ``index``'s hash columns:
-    a bit-address index that keeps columns, and a pattern that probes an
-    attribute, is not a one-bucket point probe, and expects a candidate."""
-    if not isinstance(index, bit_index.BitAddressIndex) or index._hashes is None:
+    a bit-address index, and a pattern that probes an attribute, is not a
+    one-bucket point probe, and expects a candidate."""
+    if not isinstance(index, bit_index.BitAddressIndex):
         return False
     plan = index.probe_plans.lookup(ap)
     point = plan.fixed and plan.point_slots is not None

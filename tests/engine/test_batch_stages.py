@@ -3,9 +3,8 @@
 ``tests/storage/test_probe_batch_property.py`` proves ``probe_batch``
 equal to the probe loop on the store; this suite pins the awkward
 boundaries one at a time, at the index and through the engine: empty
-columns, columns of one, a run spanning a window-expiry boundary, and a
-tick's arrivals larger than a count-window's capacity
-(eviction-before-insert must hold per element).  The engine cases compare
+columns, columns of one and a run spanning a window-expiry boundary.  The
+engine cases compare
 the pipeline against itself with every state's ``probe_batch`` shadowed by
 the per-row ``probe`` loop — the reference the column must reproduce.
 """
@@ -21,7 +20,6 @@ from repro.engine.resources import ResourceMeter
 from repro.engine.router import FixedRouter
 from repro.engine.stream import StreamSchema
 from repro.engine.tuples import StreamTuple
-from repro.engine.window import CountWindow
 from repro.experiments.golden import stats_fingerprint
 from repro.indexes.scan_index import ScanIndex
 from repro.storage import StateStore
@@ -35,10 +33,8 @@ def clique_query(window=5):
     return Query(streams, preds, window=window)
 
 
-def make_executor(window=5, *, sink=None, stem_window=None):
-    """A tiny three-stream engine; ``stem_window`` is a factory for a
-    per-state window object (e.g. ``lambda: CountWindow(3)``) independent
-    of the query's time window."""
+def make_executor(window=5, *, sink=None):
+    """A tiny three-stream engine."""
     query = clique_query(window)
     stems = {}
     for s in query.stream_names:
@@ -47,7 +43,7 @@ def make_executor(window=5, *, sink=None, stem_window=None):
             s,
             jas,
             make_bit_index(jas, [4] * len(jas)),
-            stem_window() if stem_window is not None else query.window,
+            query.window,
             NullTuner(SRIA(jas)),
         )
     router = FixedRouter(
@@ -83,14 +79,14 @@ def join_plan(ticks, per_tick=3):
     }
 
 
-def run_pair(ticks, plan, window=5, *, stem_window=None):
+def run_pair(ticks, plan, window=5):
     """The same workload with every column probed by the ``probe`` loop,
     then by ``probe_batch`` (which must really see multi-row columns)."""
     results = []
     widths = []
     for per_row in (True, False):
         sink = []
-        ex = make_executor(window, sink=sink.extend, stem_window=stem_window)
+        ex = make_executor(window, sink=sink.extend)
         for stem in ex.stems.values():
 
             def column(ap, rows, _stem=stem, _batch=stem.probe_batch, _per_row=per_row):
@@ -168,42 +164,3 @@ class TestWindowExpiryBoundary:
             assert (
                 b_ex.stems[name].index.accountant == s_ex.stems[name].index.accountant
             )
-
-
-# --------------------------------------------------------------------- #
-# batch larger than a count-window's capacity
-
-
-class TestCountWindowCapacity:
-    CAPACITY = 3
-
-    def test_eviction_precedes_insert_per_element(self):
-        """A 12-tuple arrival batch through a capacity-3 count window must
-        evict-then-insert one element at a time: the index never holds
-        capacity + 1 tuples, even transiently inside the batch."""
-        ex = make_executor(stem_window=lambda: CountWindow(self.CAPACITY))
-        peaks = {}
-        for name, stem in ex.stems.items():
-            original = stem.index.insert
-            sizes = []
-
-            def spy(item, _orig=original, _sizes=sizes, _stem=stem):
-                _orig(item)
-                _sizes.append(_stem.index.size)
-
-            stem.index.insert = spy
-            peaks[name] = sizes
-
-        plan = {0: [("A", {"k": i % 2, "pa": i}) for i in range(12)]}
-        ex.run(1, arrivals_from(plan))
-
-        assert len(peaks["A"]) == 12  # every element actually inserted
-        assert max(peaks["A"]) == self.CAPACITY
-        assert ex.stems["A"].size == self.CAPACITY
-
-    def test_overflowing_batch_matches_serial(self):
-        (_, s_stats, s_out), (_, b_stats, b_out) = run_pair(
-            4, join_plan(4, per_tick=8), stem_window=lambda: CountWindow(self.CAPACITY)
-        )
-        assert stats_fingerprint(b_stats) == stats_fingerprint(s_stats)
-        assert b_out == s_out

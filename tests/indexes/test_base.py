@@ -1,6 +1,8 @@
 """Tests for the index-layer foundation: cost params, accountant, outcomes,
 and what all five index classes share."""
 
+from decimal import Decimal
+
 import pytest
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
@@ -8,7 +10,13 @@ from repro.core.bit_index import BitAddressIndex, MigrationReport
 from repro.core.index_config import IndexConfiguration
 from repro.engine.kernel.stages import TickState
 from repro.engine.tracing import EngineEvent
-from repro.indexes.base import Accountant, CostParams, SearchOutcome, StateIndex
+from repro.indexes.base import (
+    Accountant,
+    CostParams,
+    SearchOutcome,
+    StateIndex,
+    UnkeyableValueError,
+)
 from repro.indexes.hash_index import MultiHashIndex
 from repro.indexes.inverted_index import InvertedListIndex
 from repro.indexes.scan_index import ScanIndex
@@ -85,7 +93,7 @@ class Dummy(StateIndex):
         self.stored = list(stored)
         self.probed = []
 
-    def _insert(self, item):
+    def _insert(self, item, row):
         self.stored.append(item)
         return item
 
@@ -145,10 +153,19 @@ class TestStateIndexHelpers:
         # ...but it is charged: three rows' hashes, visits and examinations.
         assert d.accountant == Accountant(hashes=9, buckets_visited=6, tuples_examined=6)
 
-    def test_unhashable_row_probes_uncached(self):
-        d = Dummy(self.JAS)
-        a, b = d.search_batch(self.ap("A"), [([1],), ([1],)])
-        assert d.probed == [([1],), ([1],)] and a is not b
+    def test_a_column_refuses_an_unkeyable_row(self):
+        d = Dummy(self.JAS, [{"A": 1, "B": 9}])
+        for bad in ([1], float("nan"), Decimal(2)):
+            with pytest.raises(UnkeyableValueError) as refused:
+                d.search_batch(self.ap("A", "B"), [(1, 9), (bad, 9), (1, 9)])
+            assert (refused.value.attribute, refused.value.value_type) == ("A", type(bad))
+        # The first row probed each time (the hook reads, charges nothing);
+        # nothing was charged, and the refused rows never reached the hook.
+        assert d.probed == [(1, 9)] * 3
+        assert d.accountant == Accountant()
+        # A row equal to one the column answered shares that answer.
+        first, again = d.search_batch(self.ap("A"), [(1,), (Decimal(1),)])
+        assert again is first
 
     def test_default_accountant_and_params(self):
         d = Dummy(JoinAttributeSet(["A"]))
@@ -230,9 +247,8 @@ class TestIndexClasses:
     @pytest.mark.parametrize("position", ["A", "B", "C"])
     @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda cls: cls.__name__)
     def test_a_refused_insert_leaves_the_index_as_it_was(self, cls, position, jas3):
-        """An unhashable value is either refused with the index untouched
-        (and the tuple cannot be removed), or stored so that a remove
-        restores every answer."""
+        """An unhashable value is refused by name with the index untouched,
+        and the tuple cannot be removed."""
         index = build_index(cls, jas3)
         good = {"A": 1, "B": 2, "C": 3}
         index.insert(good)
@@ -249,14 +265,10 @@ class TestIndexClasses:
         before = answers()
         size, acct = index.size, index.accountant.snapshot()
         odd = {**good, position: [1]}
-        try:
+        with pytest.raises(UnkeyableValueError) as refused:
             index.insert(odd)
-        except (TypeError, ValueError):
-            assert index.size == size and index.accountant == acct
-            assert answers() == before
-            with pytest.raises(KeyError):
-                index.remove(odd)
-        else:
+        assert (refused.value.attribute, refused.value.value_type) == (position, list)
+        assert index.size == size and index.accountant == acct
+        assert answers() == before
+        with pytest.raises(KeyError):
             index.remove(odd)
-            assert index.size == size and index.memory_bytes == acct.index_bytes
-            assert answers() == before

@@ -20,7 +20,6 @@ this file:
 from __future__ import annotations
 
 import inspect
-from fractions import Fraction
 
 import pytest
 
@@ -196,31 +195,6 @@ def test_a_cached_prober_answers_as_a_never_probed_twin(cls):
             index = twin.index
             (index.insert if twin_op == "+" else index.remove)(twin_items[twin_n])
         assert read_every_pattern(store) == read_every_pattern(twin), (op, n)
-
-
-#: The backends that record which JAS positions have held a value a dict
-#: key cannot stand for, and answer from value-keyed tables elsewhere.
-INEXACT_RECORDS = [cls for cls in backends() if hasattr(build_index(cls, JAS), "_inexact")]
-
-
-@pytest.mark.parametrize("cls", INEXACT_RECORDS, ids=lambda cls: cls.__name__)
-def test_a_prober_built_before_an_inexact_typed_insert_is_dropped(cls):
-    """The first inexact value at a position drops the probers that
-    answered from exact tables over it; a second one changes nothing a
-    prober captured."""
-    B = AccessPattern.from_attributes(JAS, ["B"])
-    store, items = build(cls)
-    before = store.probe_batch(B, [(0,)])[0].matches
-    assert B.mask in store.index._probers
-    odd = StreamTuple("S", 50, {"A": 7, "B": Fraction(0), "C": 7})
-    store.index.insert(odd)
-    assert B.mask not in store.index._probers
-    assert store.probe_batch(B, [(0,)])[0].matches == before + [odd]
-    prober = store.index._probers[B.mask]
-    again = StreamTuple("S", 51, {"A": 8, "B": Fraction(0), "C": 8})
-    store.index.insert(again)
-    assert store.index._probers[B.mask] is prober
-    assert store.probe_batch(B, [(0,)])[0].matches == before + [odd, again]
 
 
 class TestMultiHashProberLifetime:

@@ -12,9 +12,11 @@ import pytest
 
 from repro.core.access_pattern import JoinAttributeSet
 from repro.core.bit_index import BitAddressIndex, make_bit_index
+from repro.engine.tuples import StreamTuple
 from repro.experiments.harness import train_initial_state
 from repro.experiments.parallel import RunSpec, execute_spec
-from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from repro.indexes import UnkeyableValueError
+from repro.workloads.scenarios import PaperScenario, ScenarioParams, scenario_params
 from tests.conftest import spec_stats as run
 
 TICKS = 130
@@ -96,6 +98,47 @@ class TestSchemeIsolation:
         assert stats.outputs > 0 and built == []
         make_bit_index(JoinAttributeSet(["A", "B"]), [1, 1])
         assert built == [BitAddressIndex]  # the count sees a construction
+
+
+class TestUnkeyableArrival:
+    """A join value outside the value contract ends the run by name, on
+    every scheme family, the scan included (under 0.1 s for the five)."""
+
+    @staticmethod
+    def poisoned(generator, query, at=3):
+        """``generator``'s arrivals, the first of tick ``at`` carrying a
+        ``list`` in its first join attribute."""
+
+        def arrivals(tick):
+            items = generator(tick)
+            if tick == at:
+                first = items[0]
+                name = query.jas_for(first.stream).names[0]
+                odd = StreamTuple(first.stream, tick, {**first, name: [first[name]]})
+                items = [odd, *items[1:]]
+            return items
+
+        return arrivals
+
+    @pytest.mark.parametrize(
+        "scheme", ["amri:cdia-highest", "hash:3", "static", "inverted", "scan"]
+    )
+    def test_a_list_join_value_ends_the_run_by_stream_attribute_and_type(self, scheme):
+        sc = PaperScenario(scenario_params("paper-small", 7))
+        before = sc.make_executor(scheme).run(3, sc.make_generator())  # ticks 0-2 only
+        ex = sc.make_executor(scheme)
+        arrivals = self.poisoned(sc.make_generator(), sc.query)
+        with pytest.raises(UnkeyableValueError) as refused:
+            ex.run(10, arrivals)
+        err = refused.value
+        stream = arrivals(3)[0].stream
+        name = sc.query.jas_for(stream).names[0]
+        assert (err.stream, err.attribute, err.value_type) == (stream, name, list)
+        assert str(err).startswith(
+            f"stream {stream!r}: join attribute {name!r} holds a value of type list"
+        )
+        # The refused tuple is not counted: only ticks 0-2 were admitted.
+        assert ex.stats.source_tuples == before.source_tuples > 0
 
 
 class TestReproducibility:

@@ -10,8 +10,8 @@ from repro.core.index_config import IndexConfiguration
 from repro.core.selector import IndexSelector
 from repro.core.tuner import AMRITuner, NullTuner, TuningContext
 from repro.engine.tuples import StreamTuple
-from repro.engine.window import CountWindow
-from repro.indexes.base import CostParams
+from repro.engine.window import SlidingWindow
+from repro.indexes.base import CostParams, UnkeyableValueError
 from repro.indexes.scan_index import ScanIndex
 from repro.storage import StateStore
 from tests.conftest import column_probe_gate
@@ -87,41 +87,45 @@ class TestOperator:
 
 
 class TestInsertOrdering:
-    def test_count_window_eviction_precedes_insertion(self, jas3):
-        """The index never momentarily holds capacity + 1 tuples.
+    @pytest.mark.parametrize(
+        "refused, error",
+        [
+            (tup(2), ValueError),  # earlier than the last arrival, at 3
+            (StreamTuple("S", 4, {"A": 1, "B": [2], "C": 3}), UnkeyableValueError),
+            (StreamTuple("S", 4, {"A": 1, "B": float("nan"), "C": 3}), UnkeyableValueError),
+            (StreamTuple("S", 4, {"A": 1, "B": 2}), KeyError),
+        ],
+        ids=["out-of-order", "list", "nan", "missing"],
+    )
+    def test_a_refused_arrival_leaves_window_and_index_as_they_were(self, jas3, refused, error):
+        """Every refusal comes before window or index changes: there is no
+        undo path to get wrong."""
+        store = StateStore("S", jas3, make_bit_index(jas3, [2, 2, 2]), window=10)
+        store.insert(tup(3), 3)
+        accountant = store.index.accountant.snapshot()
+        with pytest.raises(error):
+            store.insert(refused, refused.arrived_at)
+        assert store.size == len(store.window) == 1
+        assert store.window.oldest_expiry() == 13
+        assert store.index.accountant == accountant
+        store.insert(tup(4), 4)  # the state takes the next arrival as before
+        assert store.size == len(store.window) == 2
 
-        Evicted tuples must leave the index *before* the arriving tuple is
-        inserted; a spy on the index's insert records the occupancy and the
-        memory gauge right after every insertion, so a regression to
-        insert-then-evict shows up as a capacity + 1 peak.
-        """
-        capacity = 5
-        index = ScanIndex(jas3)
-        store = StateStore("S", jas3, index, window=CountWindow(capacity))
-
-        observed_sizes = []
-        original_insert = index.insert
-
-        def spying_insert(item):
-            original_insert(item)
-            observed_sizes.append((index.size, index.accountant.index_bytes))
-
-        index.insert = spying_insert
-        for i in range(capacity * 3):
-            store.insert(tup(i), i)
-
-        peak_size = max(size for size, _ in observed_sizes)
-        peak_bytes = max(b for _, b in observed_sizes)
-        assert peak_size == capacity
-        assert peak_bytes == capacity * CostParams.bucket_slot_bytes
-        assert store.size == capacity
+    def test_an_unkeyable_value_is_refused_by_stream_attribute_and_type(self, jas3):
+        store = StateStore("S", jas3, ScanIndex(jas3), window=10)
+        with pytest.raises(UnkeyableValueError) as refused:
+            store.insert(StreamTuple("S", 0, {"A": 1, "B": 2, "C": [3]}), 0)
+        err = refused.value
+        assert (err.stream, err.attribute, err.value_type) == ("S", "C", list)
+        assert str(err).startswith("stream 'S': join attribute 'C' holds a value of type list")
 
     def test_evicted_tuples_are_unindexed(self, jas3, ap3):
-        store = StateStore("S", jas3, ScanIndex(jas3), window=CountWindow(2))
+        store = StateStore("S", jas3, ScanIndex(jas3), window=SlidingWindow(2))
         first = tup(0, a=7)
         store.insert(first, 0)
         store.insert(tup(1, a=7), 1)
-        store.insert(tup(2, a=7), 2)  # evicts `first`
+        store.insert(tup(2, a=7), 2)
+        assert store.expire(2) == 1  # evicts `first`
         out = store.probe(ap3("A"), {"A": 7})
         assert len(out.matches) == 2
         assert all(m is not first for m in out.matches)
@@ -172,15 +176,18 @@ class TestProbeInputs:
         assert store.index.accountant == before
 
     @pytest.mark.parametrize("how", ["probe", "probe_batch"])
-    def test_unhashable_probe_values_still_probe(self, jas3, ap3, how):
-        # Scan backend: the bit index's value mapper (correctly) rejects
-        # non-scalar attribute values, the scan index accepts anything.
-        store = StateStore("S", jas3, ScanIndex(jas3), window=100)
-        item = StreamTuple("S", 0, {"A": (1, 2), "B": 2, "C": 3})
-        store.insert(item, 0)
-        assert self.probe_one(store, how, ap3("A"), {"A": (1, 2)}).matches == [item]
-        # tuples hash; lists do not — a genuinely unhashable probe value:
-        assert self.probe_one(store, how, ap3("A"), {"A": [1, 2]}).matches == []
+    def test_unkeyable_probe_values_are_refused(self, jas3, ap3, how):
+        # The scan index keys nothing, and refuses what every index refuses:
+        # a hashable tuple value and an unhashable list value alike, before
+        # any charge and before the assessor records the request.
+        store = StateStore("S", jas3, ScanIndex(jas3), window=100, tuner=NullTuner(SRIA(jas3)))
+        store.insert(tup(0), 0)
+        before = store.index.accountant.snapshot()
+        for value in ((1, 2), [1, 2]):
+            with pytest.raises(UnkeyableValueError, match="'A' holds a value of type (tuple|list)"):
+                self.probe_one(store, how, ap3("A", "B"), {"A": value, "B": 2})
+        assert store.index.accountant == before
+        assert store.tuner.assessor.n_requests == 0
 
 
 class TestDegradeToScan:
