@@ -1,14 +1,15 @@
 """Ten-seed claims of the ablation benchmarks.
 
-Each ``benchmarks/test_ablation_*.py`` file states at least one claim in
-:data:`CLAIMS`, measured by that file's own run helper at a seed.  A claim
-reduces one seed to a number (its ``metric``) and whether the claim holds
-there; ties count against a claim that says "greater".
+Each ``benchmarks/test_ablation_*.py`` file states at least one
+:class:`~repro.experiments.validate.Claim` in :data:`CLAIMS`, measured by
+that file's own run helper at a seed; ties count against a claim that says
+"greater".
 
     PYTHONPATH=src python -m benchmarks.ablations
 
-runs every claim on :data:`SEEDS` and prints, per claim, the metric's
-min / median / max and the seeds on which the claim holds.  The output is
+runs every claim on :data:`~repro.experiments.validate.SEEDS` through
+``validate``'s summariser, which prints, per claim, the metric's min /
+median / max and the seeds on which the claim holds.  The output is
 committed as ``results_ablations.txt``; EXPERIMENTS.md quotes it, and an
 extension variant is kept only while its claim holds on at least 9 of the
 10 seeds (docs/decisions.md).
@@ -16,9 +17,8 @@ extension variant is kept only while its claim holds on at least 9 of the
 
 from __future__ import annotations
 
-import statistics
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import Any
 
 from benchmarks import (
     test_ablation_bit_budget as bit_budget,
@@ -29,71 +29,49 @@ from benchmarks import (
     test_ablation_migration_gate as gate,
     test_ablation_routing as routing,
 )
-
-#: The fixed seed set of every multi-seed study in this repository.
-SEEDS = tuple(range(101, 111))
-
-
-@dataclass(frozen=True)
-class Claim:
-    """One claim of one ablation file.
-
-    ``measure(seed)`` returns the seed's metric and whether the claim
-    holds on that seed.
-    """
-
-    file: str
-    text: str
-    metric: str
-    measure: Callable[[int], tuple[float, bool]]
+from repro.engine.stats import RunStats
+from repro.experiments.reporting import improvement_pct
+from repro.experiments.validate import SEEDS, Claim, Measure, summarise
 
 
-def _gain(variant: float, base: float) -> float:
-    """``variant`` over ``base``, in percent."""
-    return 100.0 * (variant / base - 1.0)
+def _beats(
+    run: Callable[[Any, int], RunStats], ours: Any, theirs: Any, *, ties: bool = False
+) -> Measure:
+    """``run(ours, seed)``'s outputs over ``run(theirs, seed)``'s in percent,
+    and whether they are greater (or equal, with ``ties``)."""
 
-
-def _router_gain(name: str, base: str) -> Callable[[int], tuple[float, bool]]:
-    def measure(seed: int) -> tuple[float, bool]:
-        ours = routing.run_with_router(name, seed).outputs
-        theirs = routing.run_with_router(base, seed).outputs
-        return _gain(ours, theirs), ours > theirs
+    def measure(seed: int) -> tuple[float, bool, str]:
+        a, b = run(ours, seed).outputs, run(theirs, seed).outputs
+        return improvement_pct(a, b), a > b or (ties and a == b), f"{a} vs {b}"
 
     return measure
 
 
-def _budget(seed: int) -> tuple[float, bool]:
-    wide = bit_budget.run_with_budget(64, seed).outputs
-    starved = bit_budget.run_with_budget(4, seed).outputs
-    return _gain(wide, starved), wide > starved
+def _fig6_run(scheme: str, seed: int) -> RunStats:
+    return combination.fig6_runs(seed)[scheme]
 
 
-def _exploration(seed: int) -> tuple[float, bool]:
-    none = exploration.run_with_exploration(0.0, seed).outputs
-    heavy = exploration.run_with_exploration(0.4, seed).outputs
-    return _gain(none, heavy), none > heavy
-
-
-def _designs(seed: int) -> tuple[float, bool]:
+def _designs(seed: int) -> tuple[float, bool, str]:
     runs = designs.run_designs(False, seed)
-    amri = runs["amri:cdia-highest"]
-    best = max(runs[s].outputs for s in ("hash:4", "scan"))
-    return _gain(amri.outputs, best), amri.completed and amri.outputs > best
+    amri, best = runs["amri:cdia-highest"], max(runs[s].outputs for s in ("hash:4", "scan"))
+    holds = amri.completed and amri.outputs > best
+    return improvement_pct(amri.outputs, best), holds, f"{amri.outputs} vs {best}"
 
 
-def _gate(seed: int) -> tuple[float, bool]:
+def _gate(seed: int) -> tuple[float, bool, str]:
     migrations = [s.migrations for s in gate.gate_sweep(seed).values()]
-    return migrations[0] - migrations[-1], migrations == sorted(migrations, reverse=True)
+    monotone = migrations == sorted(migrations, reverse=True)
+    return migrations[0] - migrations[-1], monotone, f"migrations {migrations}"
 
 
-def _combination(seed: int) -> tuple[float, bool]:
+def _combination(seed: int) -> tuple[float, bool, str]:
     highest, rand = combination.combination_masses(seed)
-    return highest - rand, highest >= rand
+    return highest - rand, highest >= rand, f"mass {highest:.3f} vs {rand:.3f}"
 
 
-def _coverage(seed: int) -> tuple[float, bool]:
+def _coverage(seed: int) -> tuple[float, bool, str]:
     coverage = epsilon_theta.min_coverage(seed)
-    return 100.0 * coverage, coverage == 1.0
+    return 100.0 * coverage, coverage == 1.0, f"lowest coverage {coverage:.3f}"
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -101,25 +79,25 @@ CLAIMS: tuple[Claim, ...] = (
         "test_ablation_routing",
         "greedy routing: run outputs > FixedRouter's",
         "greedy vs fixed outputs, %",
-        _router_gain("greedy", "fixed"),
+        _beats(routing.run_with_router, "greedy", "fixed"),
     ),
     Claim(
         "test_ablation_routing",
         "ContentBasedRouter: run outputs > greedy's",
         "content vs greedy outputs, %",
-        _router_gain("content", "greedy"),
+        _beats(routing.run_with_router, "content", "greedy"),
     ),
     Claim(
         "test_ablation_bit_budget",
         "a 64-bit IC budget: run outputs > a 4-bit budget's",
         "64 vs 4 bits outputs, %",
-        _budget,
+        _beats(bit_budget.run_with_budget, 64, 4),
     ),
     Claim(
         "test_ablation_exploration",
         "no exploration: run outputs > explore_prob 0.4's",
         "0.0 vs 0.4 outputs, %",
-        _exploration,
+        _beats(exploration.run_with_exploration, 0.0, 0.4),
     ),
     Claim(
         "test_ablation_index_designs",
@@ -140,6 +118,18 @@ CLAIMS: tuple[Claim, ...] = (
         _combination,
     ),
     Claim(
+        "test_ablation_combination",
+        "CDIA-highest run outputs >= CSRIA's (paper +30 %)",
+        "CDIA-highest vs CSRIA outputs, %",
+        _beats(_fig6_run, "amri:cdia-highest", "amri:csria", ties=True),
+    ),
+    Claim(
+        "test_ablation_combination",
+        "CDIA-highest run outputs >= CDIA-random's",
+        "CDIA-highest vs CDIA-random outputs, %",
+        _beats(_fig6_run, "amri:cdia-highest", "amri:cdia-random", ties=True),
+    ),
+    Claim(
         "test_ablation_epsilon_theta",
         "CSRIA and CDIA cover every θ-frequent pattern at ε = 0.01, 0.05, 0.1",
         "lowest θ-coverage, %",
@@ -149,16 +139,7 @@ CLAIMS: tuple[Claim, ...] = (
 
 
 def main() -> None:
-    print(f"seeds {SEEDS[0]}-{SEEDS[-1]}; a tie counts against a \"greater\" claim")
-    for claim in CLAIMS:
-        values, holds = zip(*(claim.measure(seed) for seed in SEEDS))
-        print(f"{claim.file}: {claim.text}")
-        print(
-            f"  {claim.metric}: min {min(values):+.3f}  median "
-            f"{statistics.median(values):+.3f}  max {max(values):+.3f}  "
-            f"holds {sum(holds)}/{len(SEEDS)}",
-            flush=True,
-        )
+    summarise(CLAIMS, SEEDS)
 
 
 if __name__ == "__main__":

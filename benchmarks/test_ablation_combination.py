@@ -5,13 +5,21 @@ into the parent with the largest count maximises the chance the combined
 mass clears θ at final-results time.  We test that intuition on a workload
 engineered to reward it — many small specializations of one moderately
 frequent parent — measuring how much workload mass each strategy surfaces.
+Figure 6's two CDIA-highest headlines (over CSRIA, and over CDIA-random)
+are claims of this file too, read from :func:`fig6_runs`.
 """
+
+from functools import cache
 
 import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment import CDIA
+from repro.engine.stats import RunStats
+from repro.experiments.figures import DEFAULT_TICKS
+from repro.experiments.parallel import RunSpec, run_parallel
+from repro.workloads.scenarios import ScenarioParams
 
 JAS4 = JoinAttributeSet(["A", "B", "C", "D"])
 THETA = 0.1
@@ -46,6 +54,16 @@ def combination_masses(seed: int = 3) -> tuple[float, float]:
     highest = surfaced_mass(draws, "highest_count")
     rand = np.mean([surfaced_mass(draws, "random", seed=s) for s in range(5)])
     return highest, float(rand)
+
+
+@cache
+def fig6_runs(seed: int) -> dict[str, RunStats]:
+    """CDIA-highest, CDIA-random and CSRIA from one quasi-trained start of
+    the paper scenario at ``seed``, at Figure 6's scale (600 ticks after
+    120 training ticks); scheme → stats."""
+    schemes = ("amri:cdia-highest", "amri:cdia-random", "amri:csria")
+    specs = [RunSpec(ScenarioParams(seed=seed), s, DEFAULT_TICKS, train_ticks=120) for s in schemes]
+    return {spec.scheme: outcome.stats for spec, outcome in zip(specs, run_parallel(specs))}
 
 
 def test_combination_strategies(benchmark):

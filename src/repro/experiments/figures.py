@@ -61,26 +61,6 @@ def figure6_assessment(
     return _runs(ASSESSMENT_SCHEMES, ticks, train_ticks, ScenarioParams(seed=seed))
 
 
-def figure6_assessment_averaged(
-    ticks: int = DEFAULT_TICKS, *, seeds: tuple[int, ...] = (7, 8, 9), train_ticks: int = 120
-) -> tuple[dict[str, RunStats], dict[str, float]]:
-    """Figure 6 across several seeds.
-
-    The engine's route/tuning feedback makes single runs noisy (one early
-    migration changes the whole trajectory); the paper's percentages are
-    meaningful as averages.  Returns (first seed's runs for the series
-    table, mean cumulative outputs per scheme).
-    """
-    per_seed: list[dict[str, RunStats]] = []
-    for seed in seeds:
-        per_seed.append(figure6_assessment(ticks, seed=seed, train_ticks=train_ticks))
-    means = {
-        scheme: sum(runs[scheme].outputs for runs in per_seed) / len(per_seed)
-        for scheme in ASSESSMENT_SCHEMES
-    }
-    return per_seed[0], means
-
-
 # --------------------------------------------------------------------- #
 # Figure 6 — state-of-the-art hash-index trials (1..7 modules)
 
@@ -190,19 +170,16 @@ def table2(
 # printing
 
 
-def print_fig6(ticks: int, seed: int, *, n_seeds: int = 3) -> None:
-    seeds = tuple(seed + i for i in range(n_seeds))
-    runs, means = figure6_assessment_averaged(ticks, seeds=seeds)
-    print(format_throughput_figure(f"Figure 6 — index assessment methods (seed {seeds[0]} series)", runs))
-    best = means["amri:cdia-highest"]
+def print_fig6(ticks: int, seed: int) -> None:
+    runs = figure6_assessment(ticks, seed=seed)
+    print(format_throughput_figure(f"Figure 6 — index assessment methods (seed {seed} series)", runs))
+    best = runs["amri:cdia-highest"].outputs
     print(
         format_summary(
-            f"Headlines, mean of seeds {seeds} "
-            "(paper: CDIA-highest +19% over DIA/SRIA, +30% over CSRIA):",
+            "Headlines (paper: CDIA-highest +19% over DIA/SRIA, +30% over CSRIA):",
             [
-                ("cdia-highest", best, "sria", means["amri:sria"]),
-                ("cdia-highest", best, "dia", means["amri:dia"]),
-                ("cdia-highest", best, "csria", means["amri:csria"]),
+                ("cdia-highest", best, name, runs[f"amri:{name}"].outputs)
+                for name in ("sria", "dia", "csria")
             ],
         )
     )

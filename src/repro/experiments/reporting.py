@@ -201,5 +201,5 @@ def format_summary(
     lines = [title]
     for winner, wv, loser, lv in comparisons:
         pct = improvement_pct(wv, lv)
-        lines.append(f"  {winner} produced {wv:,.0f} vs {loser} {lv:,.0f}  (+{pct:.0f}%)")
+        lines.append(f"  {winner} produced {wv:,.0f} vs {loser} {lv:,.0f}  ({pct:+.0f}%)")
     return "\n".join(lines)

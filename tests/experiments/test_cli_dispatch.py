@@ -192,6 +192,16 @@ class TestEngineFlags:
         assert err.count("error: ") == 1
         assert f"ticks must be >= 1, got {ticks}" in err.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize("seeds", ["3-1", "", "x"])
+    def test_validate_bad_seeds_is_a_usage_error_before_training(
+        self, seeds, capsys, monkeypatch
+    ):
+        forbid_training(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            validate.main(["--seeds", seeds])
+        assert exc.value.code == 2
+        assert "argument --seeds: " in capsys.readouterr().err
+
 
 def forbid_training(monkeypatch):
     """Make any quasi-training (memoized or direct) fail the test."""

@@ -54,19 +54,6 @@ class TestCLI:
             figures.main(["fig99"])
 
 
-class TestAveragedFig6:
-    def test_averaged_means_and_series(self):
-        runs, means = figures.figure6_assessment_averaged(
-            40, seeds=(5, 6), train_ticks=20
-        )
-        assert set(means) == set(figures.ASSESSMENT_SCHEMES)
-        assert all(v >= 0 for v in means.values())
-        # the series dict is the first seed's runs
-        assert set(runs) == set(figures.ASSESSMENT_SCHEMES)
-        # DIA == SRIA must hold in the mean too
-        assert means["amri:dia"] == means["amri:sria"]
-
-
 class TestPrintHelpers:
     def test_print_fig7_smoke(self, capsys):
         figures.print_fig7(40, seed=5)

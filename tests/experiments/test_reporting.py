@@ -80,6 +80,10 @@ class TestFigureFormatting:
         assert "+93%" in out
         assert out.startswith("head")
 
+    def test_summary_line_of_a_larger_loser_reads_negative(self):
+        out = format_summary("head", [("A", 85.0, "B", 100.0)])
+        assert out.endswith("(-15%)")
+
 
 class TestLatencyReportFormatting:
     def test_table_has_exact_quantiles_and_every_request_end(self):
