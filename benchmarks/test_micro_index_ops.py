@@ -22,7 +22,6 @@ from collections import deque
 
 import pytest
 
-from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment import CDIA, CSRIA, SRIA
 from repro.core.bit_index import make_bit_index
@@ -211,7 +210,7 @@ def test_scan_probe(benchmark):
 
 
 # --------------------------------------------------------------------- #
-# wide wildcard probes: the bucket walk against the value-hash columns
+# wide wildcard probes that match nothing: answered from the counts
 
 SPARSE_DOMAIN = 262_144
 
@@ -246,7 +245,7 @@ def probe_all(idx, ap, rows):
 def test_bit_probe_wide_wildcard_no_match(benchmark):
     """The ``sparse_ingest`` probe: a 1 200-tuple state, 12 bits over three
     attributes, one attribute probed, nothing matches.  Its cost units are
-    what the walk charges — the columns must report the same
+    what the walk charges — the counts must report the same
     ``tuples_examined`` — so the regression gate holds the charge."""
     items = sparse_items(1_200)
     idx = make_bit_index(JAS, {"A": 4, "B": 4, "C": 4})
@@ -256,7 +255,7 @@ def test_bit_probe_wide_wildcard_no_match(benchmark):
     rows = absent_rows(items)
 
     examined = benchmark(lambda: probe_all(idx, ap, rows))
-    assert examined > 0 and idx.column_walked == 0
+    assert examined > 0 and idx.count_rows[1] == 0
 
     def cost():
         before = idx.accountant.snapshot()
@@ -264,44 +263,6 @@ def test_bit_probe_wide_wildcard_no_match(benchmark):
         return idx.accountant.cost_since(before, COST_PARAMS)
 
     record_cost_units(benchmark, cost)
-
-
-@pytest.mark.parametrize("candidates", [16, 32, 64, 128])
-def test_bit_probe_walk_vs_columns_crossover(benchmark, monkeypatch, candidates):
-    """The sweep that sets ``COLUMN_PROBE_MIN_CANDIDATES``: 1 024 tuples,
-    12 bits, the probed attribute given the bits that leave ``candidates``
-    tuples to examine; the same no-match probes forced down the walk and
-    through the columns.  The two paths are timed in alternation (minimum
-    of the repeats), so that a slow spell of the host falls on both; the
-    per-probe microseconds go to ``extra_info`` and the benchmark's own
-    statistics are the column path's."""
-    a_bits = (1_024 // candidates).bit_length() - 1
-    rest = 12 - a_bits
-    items = sparse_items(1_024)
-    idx = make_bit_index(JAS, {"A": a_bits, "B": rest // 2, "C": rest - rest // 2})
-    for item in items:
-        idx.insert(item)
-    ap = AccessPattern.from_attributes(JAS, ["A"])
-    rows = absent_rows(items)
-
-    def us_per_probe(gate):
-        monkeypatch.setattr(bit_index, "COLUMN_PROBE_MIN_CANDIDATES", gate)
-        idx._drop_probers()  # a prober reads the gate when it is built
-        best = min(timeit.repeat(lambda: probe_all(idx, ap, rows), number=1, repeat=10))
-        return best / len(rows) * 1e6
-
-    walk = columns = float("inf")
-    for _ in range(5):
-        asked = idx.column_answered
-        walk = min(walk, us_per_probe(1 << 62))
-        assert idx.column_answered == asked
-        columns = min(columns, us_per_probe(1))
-    benchmark.extra_info["walk_us_per_probe"] = round(walk, 2)
-    benchmark.extra_info["columns_us_per_probe"] = round(columns, 2)
-
-    examined = benchmark(lambda: probe_all(idx, ap, rows))
-    assert idx.column_answered > 0 and idx.column_walked == 0
-    benchmark.extra_info["tuples_examined_per_probe"] = round(examined / len(rows), 1)
 
 
 # --------------------------------------------------------------------- #

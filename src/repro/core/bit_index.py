@@ -30,21 +30,18 @@ key.  Match lists come from this walk alone, in the order documented on
 function (the source holds integers only; names, values, masks and maps are
 arguments).
 
-**Value-hash columns, for the answer "nothing matches".**  Per JAS attribute a
-``uint64`` column holds each slot's 64-bit stable value hash, beside a mask
-of the slots in use.  Maintenance is one row write per insert and one flag
-per remove; nothing ever moves.  A fragment *is* ``hash & mask``, so the
-columns hold for every key map: ``reconfigure`` re-derives the keys from
-them and leaves them alone.  A probe that leaves wildcard bits and expects
-at least ``COLUMN_PROBE_MIN_CANDIDATES`` candidates asks the columns first:
-``(column & mask) == (h & mask)`` over its fixed attributes marks, among
-the slots in use, exactly the tuples of the buckets the walk would visit —
-their count *is* the walk's ``tuples_examined`` — and ``column == h`` over
-its probed attributes finds the slots that can equal the row.  If there is
-none the probe is answered; otherwise the walk runs as if the columns were
-not there.  Equal values have one stable hash (``1 == 1.0 == True`` hash
-as ``1``) across every type the base's value contract admits, so a column
-vouches for any probe value.
+**Value and fragment counts, for the answer "nothing matches".**  Per JAS
+position a map counts the live tuples holding each value, and per indexed
+position a map counts the live tuples holding each fragment; a count that
+reaches zero is deleted.  Insert and remove add or take one per map, and
+``reconfigure`` rebuilds the fragment counts from the new buckets while the
+value counts stand.  Equal values share one entry (``1 == 1.0 == True``):
+within the base's value contract a dict finds exactly what ``==`` finds.  A
+probe that is not a point probe, probes an attribute and fixes at most one
+position asks the counts first.  If some probed value has no count, no
+stored tuple equals the row, and the walk's ``tuples_examined`` is the fixed
+fragment's count (``size`` with none fixed), so the probe is answered in
+O(1); otherwise the walk runs as if the counts were not there.
 
 The accountant is charged the price a real bit-address index pays —
 ``min(2**wildcard_bits, live buckets)`` bucket visits plus one examination
@@ -57,8 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-
-import numpy as np
+from operator import and_, contains
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration
@@ -68,34 +64,86 @@ from repro.utils.bitops import _cached_value_hash
 
 BucketKey = tuple[int, ...]
 
-#: A probe that leaves wildcard bits asks the hash columns before it walks
-#: buckets when its fixed fragments leave at least this many candidates
-#: (``size >> fixed_bits``).  Set from the committed sweep
-#: ``benchmarks/test_micro_index_ops.py::test_bit_probe_walk_vs_columns_crossover``
-#: (1 024 tuples, no-match probes, µs per probe through ``search_batch``,
-#: ``BENCH_micro.json``): at 16 / 32 / 64 / 128 candidates the walk reads
-#: 7.6 / 9.9 / 15.0 / 25.7 and the columns 9.3 / 9.2 / 9.0 / 9.4 — the
-#: column answer costs the same at every width and the walk crosses it
-#: just under 32.  A row that can match pays for both, so the gate sits a
-#: factor of two above the crossover.  A constant, not an option.
-COLUMN_PROBE_MIN_CANDIDATES = 64
 
-_INITIAL_CAPACITY = 256
-#: The fragment mask of a fragment as wide as the 64-bit hash.
-_HASH_MASK = np.uint64((1 << 64) - 1)
-_ONE = np.uint64(1)
+def _counters(maps: list[dict], positions: list[int]) -> tuple[Callable, Callable]:
+    """``(add, drop)``: ``add(values)`` counts ``values[p]`` once more in
+    the map of each ``p`` of ``positions`` (a value row or a bucket key),
+    ``drop(values)`` once less, deleting a count that reaches zero.
+    Specialised to the arity like ``KeyPlan.hash_row``, holding bound
+    ``dict.get``s."""
+    n = len(positions)
+    if n == 1:
+        (ca,), (pa,) = maps, positions
+        ga = ca.get
 
+        def add(values):
+            a = values[pa]
+            ca[a] = ga(a, 0) + 1
 
-def _hash_table(capacity: int, n_attributes: int) -> np.ndarray:
-    """Room for ``capacity`` slots' value hashes, one row per slot; Fortran
-    order keeps each attribute's column contiguous for the vector compares."""
-    return np.empty((capacity, n_attributes), dtype=np.uint64, order="F")
+        def drop(values):
+            a = values[pa]
+            if left := ga(a) - 1:
+                ca[a] = left
+            else:
+                del ca[a]
+    elif n == 2:
+        (ca, cb), (pa, pb) = maps, positions
+        ga, gb = ca.get, cb.get
 
+        def add(values):
+            a, b = values[pa], values[pb]
+            ca[a] = ga(a, 0) + 1
+            cb[b] = gb(b, 0) + 1
 
-def _grown(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``new`` (longer) with ``old``'s rows copied in."""
-    new[: len(old)] = old
-    return new
+        def drop(values):
+            a, b = values[pa], values[pb]
+            if left := ga(a) - 1:
+                ca[a] = left
+            else:
+                del ca[a]
+            if left := gb(b) - 1:
+                cb[b] = left
+            else:
+                del cb[b]
+    elif n == 3:
+        (ca, cb, cc), (pa, pb, pc) = maps, positions
+        ga, gb, gc = ca.get, cb.get, cc.get
+
+        def add(values):
+            a, b, c = values[pa], values[pb], values[pc]
+            ca[a] = ga(a, 0) + 1
+            cb[b] = gb(b, 0) + 1
+            cc[c] = gc(c, 0) + 1
+
+        def drop(values):
+            a, b, c = values[pa], values[pb], values[pc]
+            if left := ga(a) - 1:
+                ca[a] = left
+            else:
+                del ca[a]
+            if left := gb(b) - 1:
+                cb[b] = left
+            else:
+                del cb[b]
+            if left := gc(c) - 1:
+                cc[c] = left
+            else:
+                del cc[c]
+    else:
+        pairs = list(zip(maps, positions))
+
+        def add(values):
+            for counts, p in pairs:
+                counts[values[p]] = counts.get(values[p], 0) + 1
+
+        def drop(values):
+            for counts, p in pairs:
+                if left := counts[values[p]] - 1:
+                    counts[values[p]] = left
+                else:
+                    del counts[values[p]]
+
+    return add, drop
 
 
 #: A probe shape: ``(n_fixed, arity, layout)`` — see :func:`_walk_source`.
@@ -228,15 +276,14 @@ class BitAddressIndex(StateIndex):
         # is the tuple (``None`` for a free slot).
         self._free: list[int] = []
         self._items: list[Mapping[str, object] | None] = []
-        # Per slot and JAS position, the 64-bit stable hash of the tuple's
-        # value (column-major: one attribute's hashes are contiguous), and
-        # which slots are in use.
-        self._hashes = _hash_table(_INITIAL_CAPACITY, len(config.jas))
-        self._live = np.zeros(_INITIAL_CAPACITY, dtype=bool)
-        #: Probe rows the hash columns answered without a bucket walk, and
-        #: rows they passed on to the walk (a possible match).
-        self.column_answered = 0
-        self.column_walked = 0
+        # Per JAS position, value -> live tuples holding it (per indexed
+        # position, ``_frag_counts`` counts fragments).
+        values = self._value_counts = [{} for _ in config.jas.names]
+        self._add_values, self._drop_values = _counters(values, list(range(len(values))))
+        #: Probe rows the counts answered without a bucket walk, and rows
+        #: they passed on to the walk (a possible match).  Probers hold this
+        #: list, never the index.
+        self.count_rows = [0, 0]
         self._rebuild_frag_positions()
 
     # ------------------------------------------------------------------ #
@@ -267,16 +314,16 @@ class BitAddressIndex(StateIndex):
         # reconfigure) lands here, and drops them.
         self._drop_probers()
         self._frag_maps = {i: {} for i, w in enumerate(self._config.bits) if w > 0}
+        # A live bucket costs its dict slot plus one inverted-map entry per
+        # actively indexed attribute.
+        self._bucket_bytes = self.cost_params.bucket_bytes + 8 * len(self._frag_maps)
+        counts = self._frag_counts = {i: {} for i in self._frag_maps}
+        self._add_fragments, self._drop_fragments = _counters([*counts.values()], [*counts])
         plans = getattr(self, "_plans", None)
         if plans is None:
             self._plans = ProbePlanCache(self._config)
         else:
             plans.invalidate(self._config)
-
-    def _bucket_overhead_bytes(self) -> int:
-        # A live bucket costs its dict slot plus one inverted-map entry per
-        # actively indexed attribute.
-        return self.cost_params.bucket_bytes + 8 * len(self._frag_maps)
 
     # ------------------------------------------------------------------ #
     # storage
@@ -284,21 +331,15 @@ class BitAddressIndex(StateIndex):
     def _insert(self, item: Mapping[str, object], row: tuple) -> tuple[int, BucketKey]:
         free = self._free
         slot = free[-1] if free else len(self._items)
-        hashes, key, bucket_row = self._plans.key_plan.hash_row(row, slot)
+        key, bucket_row = self._plans.key_plan.hash_row(row, slot)
         if free:
             free.pop()
             self._items[slot] = item
         else:
             self._items.append(item)
         self.accountant.hashes += len(self._frag_maps)  # one fragment hash per indexed attribute
-        table = self._hashes
-        try:
-            table[slot] = hashes
-        except IndexError:  # full: double it
-            table = self._hashes = _grown(table, _hash_table(2 * slot, len(hashes)))
-            self._live = _grown(self._live, np.zeros(2 * slot, dtype=bool))
-            table[slot] = hashes
-        self._live[slot] = True
+        self._add_values(row)
+        self._add_fragments(key)
         self._place(bucket_row, key)
         return slot, key
 
@@ -311,16 +352,16 @@ class BitAddressIndex(StateIndex):
             self._buckets[key] = bucket
             for pos, fmap in self._frag_maps.items():
                 fmap.setdefault(key[pos], set()).add(key)
-            self.accountant.index_bytes += self._bucket_overhead_bytes()
+            self.accountant.index_bytes += self._bucket_bytes
         bucket[row[-1]] = row
 
     def _remove(self, item: Mapping[str, object], entry: tuple[int, BucketKey]) -> None:
         slot, key = entry
         self._free.append(slot)
         self._items[slot] = None
-        self._live[slot] = False  # the slot's hashes stay until it is reused
         bucket = self._buckets[key]
-        del bucket[slot]
+        self._drop_values(bucket.pop(slot))
+        self._drop_fragments(key)
         if not bucket:
             del self._buckets[key]
             for pos, fmap in self._frag_maps.items():
@@ -329,7 +370,7 @@ class BitAddressIndex(StateIndex):
                     keys.discard(key)
                     if not keys:
                         del fmap[key[pos]]
-            self.accountant.index_bytes -= self._bucket_overhead_bytes()
+            self.accountant.index_bytes -= self._bucket_bytes
 
     def bucket_items(self, key: BucketKey) -> list[Mapping[str, object]]:
         """The tuples of the bucket ``key`` names, in bucket order."""
@@ -365,81 +406,38 @@ class BitAddressIndex(StateIndex):
             _cached_value_hash,
             SearchOutcome,
         )
-        if (
-            point is None  # one ``dict.get`` already: a point probe never asks
-            and len(self._entries) >> plan.fixed_bits >= COLUMN_PROBE_MIN_CANDIDATES
-            and plan.n_attributes
-        ):
-            probe_row = self._column_probe(plan, visited, probe_row)
+        # A point probe is one ``dict.get`` already; two fixed fragments
+        # would need a count per fragment pair.
+        if point is None and plan.n_attributes and len(plan.fixed) <= 1:
+            probe_row = self._count_probe(plan, visited, probe_row)
         # C_hash,Sr: one hash per attribute the request specifies.
         return plan.n_attributes, probe_row
 
-    def _column_probe(self, plan: ProbePlan, visited: int, walk: RowProbe) -> RowProbe:
-        """``walk`` with the hash columns asked first.
+    def _count_probe(self, plan: ProbePlan, visited: int, walk: RowProbe) -> RowProbe:
+        """``walk`` with the counts asked first (at most one fixed position).
 
-        Two vector compares stand for the walk of a row that matches
-        nothing.  Slots whose hashes carry every fixed fragment are the
-        tuples of the candidate buckets, so their count is the
-        ``tuples_examined`` the walk would report; if no slot carries the
-        full hash of every probed value, no stored tuple equals the row
-        (stored and probed values are within the base's value contract);
-        else the row walks.  A row that may match walks too:
-        the columns never produce a match list, so they cannot change match
-        order.
-
-        The structure-only half is done here, once per prober: each fixed
-        position's column is masked to its fragment, and a free slot gets
-        ``fmask + 1``, a value no fragment can equal, so one compare per
-        fixed position marks the candidates.  A fragment as wide as the
-        hash leaves no such value; its compare is and-ed with the mask of
-        slots in use instead.
-        """
+        A row holding a value no live tuple holds at its position matches
+        nothing; its ``tuples_examined`` is the walk's — the fixed
+        fragment's count, or ``size`` with none fixed.  Any other row walks.
+        The prober holds the maps and ``count_rows``, never the index: a
+        cached prober must not keep its index alive in a cycle."""
+        counts = [self._value_counts[pos] for pos in plan.positions]
+        tally = self.count_rows
         size = len(self._entries)
-        free = self._free
-        top = size + len(free)  # one past the highest slot handed out
-        # Aligned with a probe row: each probed attribute's column.
-        columns = [self._hashes[:top, pos] for pos in plan.positions]
-        # Per fixed position: its row index, masked column and fragment mask.
-        fragments = []
-        in_use = None  # the slots in use, when a fragment spans the hash
-        for i, fmask in plan.hash_masks:
-            if fmask == _HASH_MASK:
-                fragments.append((i, columns[i], fmask))
-                in_use = self._live[:top]
-            else:
-                masked = columns[i] & fmask
-                if free:
-                    masked[free] = fmask + _ONE
-                fragments.append((i, masked, fmask))
-        full_scan = not fragments
-        count_nonzero = np.count_nonzero
-        uint64 = np.uint64
+        fixed = bool(plan.fixed)
+        if fixed:
+            ((r, m),), ((q, _, _),) = plan.row_masks, plan.fixed
+            fragment_count = self._frag_counts[q].get
         hash_ = _cached_value_hash
 
         def probe_row(row: tuple) -> SearchOutcome:
-            hashes = list(map(uint64, map(hash_, row)))
-            examined = size
-            if fragments:
-                in_buckets = in_use
-                for i, masked, fmask in fragments:
-                    same = masked == (hashes[i] & fmask)
-                    if in_buckets is not None:
-                        same &= in_buckets
-                    in_buckets = same
-                examined = int(count_nonzero(in_buckets))  # the accountant adds Python ints
-            # (A free slot still holds hashes: it can cost a needless walk,
-            # never an answer.)
-            equal = None
-            for column, h in zip(columns, hashes):
-                same = column == h
-                if equal is not None:
-                    same &= equal
-                if not count_nonzero(same):
-                    self.column_answered += 1
-                    return SearchOutcome([], visited, examined, full_scan)
-                equal = same
-            self.column_walked += 1
-            return walk(row)
+            if all(map(contains, counts, row)):
+                tally[1] += 1
+                return walk(row)
+            tally[0] += 1
+            if fixed:
+                return SearchOutcome([], visited, fragment_count(hash_(row[r]) & m, 0))
+            return SearchOutcome([], visited, size, True)
 
         return probe_row
 
@@ -460,26 +458,35 @@ class BitAddressIndex(StateIndex):
         old_buckets = self._buckets
 
         acct = self.accountant
-        acct.index_bytes -= len(old_buckets) * self._bucket_overhead_bytes()
+        acct.index_bytes -= len(old_buckets) * self._bucket_bytes
 
         self._config = new_config
         self._buckets = {}
         self._rebuild_frag_positions()
 
         # Membership does not change, so every tuple keeps its slot and its
-        # value row, and the hash columns stand; a slot's new key is its
-        # hashes under the new masks.  Rows are re-placed in the old bucket
+        # value row, and the value counts stand.  A fragment is the value
+        # hash masked to its width, so a position whose width did not grow
+        # keeps its old fragment under the new mask; only a widened position
+        # re-hashes the row's value.  Rows are re-placed in the old bucket
         # order.
         entries = self._entries
         items = self._items
-        masks = np.array(self._plans.key_plan.masks, dtype=np.uint64)
-        rekeyed = (self._hashes[: len(items)] & masks).tolist()
-        for bucket in old_buckets.values():
+        masks = self._plans.key_plan.masks
+        widened = [(p, masks[p]) for p, w in enumerate(new_config.bits) if w > old_config.bits[p]]
+        hash_ = _cached_value_hash
+        for old_key, bucket in old_buckets.items():
+            fragments = list(map(and_, old_key, masks))
             for row in bucket.values():
+                for p, mask in widened:
+                    fragments[p] = hash_(row[p]) & mask
                 slot = row[-1]
-                key = tuple(rekeyed[slot])
+                key = tuple(fragments)
                 entries[id(items[slot])] = (slot, key)
                 self._place(row, key)
+        for key, bucket in self._buckets.items():
+            for p, counts in self._frag_counts.items():
+                counts[key[p]] = counts.get(key[p], 0) + len(bucket)
         # Not fresh inserts: per tuple one move and the new map's hashes.
         moved = len(entries)
         hashes = moved * len(self._frag_maps)
@@ -495,8 +502,8 @@ class BitAddressIndex(StateIndex):
     def describe(self) -> str:
         return (
             f"BitAddressIndex({self._config!r}, size={self.size}, "
-            f"buckets={len(self._buckets)}, column_answered={self.column_answered}, "
-            f"column_walked={self.column_walked})"
+            f"buckets={len(self._buckets)}, count_answered={self.count_rows[0]}, "
+            f"count_walked={self.count_rows[1]})"
         )
 
 

@@ -34,8 +34,6 @@ from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 from operator import and_
 
-import numpy as np
-
 from repro.core.access_pattern import AccessPattern
 from repro.core.index_config import IndexConfiguration
 from repro.utils.bitops import _cached_value_hash, mask_to_indices
@@ -125,17 +123,17 @@ class Matcher:
         self.select = _compile_row_selector(self.attributes)
 
 
-#: ``(row, slot) -> (value hashes, bucket key, value row)``.
-RowHasher = Callable[[tuple, int], tuple[list[int], tuple[int, ...], tuple]]
+#: ``(row, slot) -> (bucket key, value row)``.
+RowHasher = Callable[[tuple, int], tuple[tuple[int, ...], tuple]]
 
 
 def _compile_row_hasher(masks: tuple[int, ...]) -> RowHasher:
-    """``(row, slot) -> (value hashes, bucket key, value row)`` over a row
-    of JAS values (a fragment is the memoized stable value hash masked to
-    the attribute's width), specialised to the attribute count like the
-    row selectors above.  The value row is what a bucket keeps: the values,
-    then ``slot``.  Every attribute is hashed, bits or none; the row is
-    within the index's value contract, so every value may reach the memo."""
+    """``(row, slot) -> (bucket key, value row)`` over a row of JAS values
+    (a fragment is the memoized stable value hash masked to the attribute's
+    width), specialised to the attribute count like the row selectors
+    above.  The value row is what a bucket keeps: the values, then
+    ``slot``.  Every attribute is hashed, bits or none; the row is within
+    the index's value contract, so every value may reach the memo."""
     hash_ = _cached_value_hash
     n = len(masks)
     if n == 1:
@@ -143,30 +141,23 @@ def _compile_row_hasher(masks: tuple[int, ...]) -> RowHasher:
 
         def hash_row(row, slot):
             (va,) = row
-            ha = hash_(va)
-            return [ha], (ha & ma,), (va, slot)
+            return (hash_(va) & ma,), (va, slot)
     elif n == 2:
         ma, mb = masks
 
         def hash_row(row, slot):
             va, vb = row
-            ha = hash_(va)
-            hb = hash_(vb)
-            return [ha, hb], (ha & ma, hb & mb), (va, vb, slot)
+            return (hash_(va) & ma, hash_(vb) & mb), (va, vb, slot)
     elif n == 3:
         ma, mb, mc = masks
 
         def hash_row(row, slot):
             va, vb, vc = row
-            ha = hash_(va)
-            hb = hash_(vb)
-            hc = hash_(vc)
-            return [ha, hb, hc], (ha & ma, hb & mb, hc & mc), (va, vb, vc, slot)
+            return (hash_(va) & ma, hash_(vb) & mb, hash_(vc) & mc), (va, vb, vc, slot)
     else:
 
         def hash_row(row, slot):
-            hashes = list(map(hash_, row))
-            return hashes, tuple(map(and_, hashes, masks)), (*row, slot)
+            return tuple(map(and_, map(hash_, row), masks)), (*row, slot)
 
     return hash_row
 
@@ -199,7 +190,6 @@ class ProbePlan:
         "fixed",
         "fixed_bits",
         "row_masks",
-        "hash_masks",
         "point_slots",
         "wildcard_bits",
         "enumeration_cap",
@@ -227,12 +217,6 @@ class ProbePlan:
         #: is ``hash(value) & mask``.
         self.row_masks = tuple(
             (probed.index(i), (1 << w) - 1) for i, _name, w in self.fixed
-        )
-        #: ``row_masks`` for a compare against ``uint64`` hash columns: the
-        #: masks as ``np.uint64``, so no operand is promoted (exact under
-        #: NumPy 1.x and 2.x alike).
-        self.hash_masks = tuple(
-            (i, np.uint64(fmask & _HASH_BITS)) for i, fmask in self.row_masks
         )
         self.wildcard_bits = config.wildcard_bits(ap)
         #: With no wildcard bit left the probe fixes every indexed attribute,

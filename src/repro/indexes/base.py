@@ -335,7 +335,9 @@ class StateIndex(abc.ABC):
         The pair is cached per pattern mask.  Every ``_drop_probers`` call
         drops it, and so does every ``insert`` / ``remove`` unless the
         class sets :attr:`probers_outlive_storage`; it may capture what only
-        those replace, and nothing that a non-mutating call can change.
+        those replace, and nothing that a non-mutating call can change.  It
+        never refers to the index itself: the cache would keep both alive in
+        a cycle until the cyclic GC runs.
         """
 
     def _prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
 from repro.core import bit_index
@@ -24,44 +22,28 @@ def spec_stats(params, scheme: str, ticks: int, training=None):
     return execute_spec(spec).stats
 
 
-@contextmanager
-def column_probe_gate(candidates: int, *indexes):
-    """Hold ``BitAddressIndex``'s hash-column gate at ``candidates`` for the
-    block (1: every wildcard probe of a non-empty index asks the columns).
-
-    An index reads the gate when it builds a prober and keeps the prober
-    until its structure changes, so the gate governs only the ``indexes``
-    passed here: their probers are dropped on entry and on exit.  At least
-    one must be given.  A context manager, not ``monkeypatch``: hypothesis
-    bodies cannot take function-scoped fixtures."""
-    if not indexes:
-        raise TypeError("column_probe_gate needs the indexes it governs")
-    default = bit_index.COLUMN_PROBE_MIN_CANDIDATES
-    bit_index.COLUMN_PROBE_MIN_CANDIDATES = candidates
-    for index in indexes:
-        index._drop_probers()
-    try:
-        yield
-    finally:
-        bit_index.COLUMN_PROBE_MIN_CANDIDATES = default
-        for index in indexes:
-            index._drop_probers()
-
-
-def asks_columns(index, ap: AccessPattern) -> bool:
-    """Whether, at gate 1, a probe of ``ap`` asks ``index``'s hash columns:
-    a bit-address index, and a pattern that probes an attribute, is not a
-    one-bucket point probe, and expects a candidate."""
+def asks_counts(index, ap: AccessPattern) -> bool:
+    """Whether a probe of ``ap`` asks ``index``'s value and fragment counts:
+    a bit-address index, and a pattern that is not a one-bucket point
+    probe, probes an attribute and fixes at most one position."""
     if not isinstance(index, bit_index.BitAddressIndex):
         return False
     plan = index.probe_plans.lookup(ap)
     point = plan.fixed and plan.point_slots is not None
-    return bool(plan.n_attributes and not point and index.size >> plan.fixed_bits)
+    return bool(plan.n_attributes and not point and len(plan.fixed) <= 1)
 
 
-def column_asks(index) -> int:
-    """Probe rows the hash columns answered or passed on to the walk."""
-    return index.column_answered + index.column_walked
+class WalkOnly(bit_index.BitAddressIndex):
+    """A bit-address index that never asks its counts: the bucket walk
+    alone, the twin a count answer is held to."""
+
+    def _count_probe(self, plan, visited, walk):
+        return walk
+
+
+def count_asks(index) -> int:
+    """Probe rows the counts answered or passed on to the walk."""
+    return sum(index.count_rows)
 
 
 #: The five index classes, the bit-address family first.

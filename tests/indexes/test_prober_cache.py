@@ -14,12 +14,16 @@ this file:
 - crossed with each public mutator, every pattern reads what the
   never-probed twin reads.  An insert or remove on a class that sets
   ``probers_outlive_storage`` answers with the very probers cached before
-  it; every other mutation leaves no prober cached.
+  it; every other mutation leaves no prober cached;
+- with the cyclic GC off, a probed index of every class is freed when its
+  last reference goes: no cached prober refers to its index.
 """
 
 from __future__ import annotations
 
+import gc
 import inspect
+import weakref
 
 import pytest
 
@@ -33,7 +37,7 @@ from repro.indexes.inverted_index import InvertedListIndex
 from repro.indexes.scan_index import ScanIndex
 from repro.indexes.static_bitmap import StaticBitmapIndex
 from repro.storage import StateStore
-from tests.conftest import build_index
+from tests.conftest import INDEX_CLASSES, build_index
 
 JAS = JoinAttributeSet(["A", "B", "C"])
 STORED = [(i % 4, i % 3, i % 5) for i in range(13)]
@@ -216,3 +220,25 @@ class TestMultiHashProberLifetime:
         assert store.index._probers == probers
         # The full scan is charged the state's size at probe time.
         assert store.probe_batch(self.B, [(99,)])[0].tuples_examined == store.size == len(items)
+
+
+@pytest.mark.parametrize("mask", range(JAS.full_mask + 1))
+@pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda cls: cls.__name__)
+def test_a_probed_index_is_freed_without_the_cyclic_gc(cls, mask):
+    # A cached prober that refers to its index keeps the two alive in a
+    # cycle: a dropped index, and every tuple it stores, would wait for the
+    # cyclic GC.  A prober holds structures and counters, never the index.
+    ap = AccessPattern.from_mask(JAS, mask)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        index = build_index(cls, JAS)
+        for i in range(400):
+            index.insert({"A": i % 7, "B": i % 11, "C": i})
+        index.search_batch(ap, [(99,) * ap.n_attributes])
+        freed = weakref.ref(index)
+        del index
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()

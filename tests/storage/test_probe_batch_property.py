@@ -9,11 +9,10 @@ figures, every accountant counter and the assessor's statistics (RNG
 position included) — over all five index classes, and after a
 stop-the-world reconfigure (a migration) for the class whose key map can
 change, with duplicate probe rows (whose outcomes may be one shared
-object).  The
-column runs twice: at the bit-address index's default hash-column gate
-(these states sit far under it, so it walks, as the loop does) and with
-the gate forced to 1, where every wildcard probe asks the columns first
-and must still read as the loop's walk does.
+object).  A bit-address backend runs twice: as it is, where a probe with
+at most one fixed position asks the value and fragment counts first, and
+as its walk-only twin, which never asks them; both must read as the loop
+does.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment import CDIA
 from repro.core.bit_index import BitAddressIndex
@@ -34,7 +32,7 @@ from repro.indexes.inverted_index import InvertedListIndex
 from repro.indexes.scan_index import ScanIndex
 from repro.indexes.static_bitmap import StaticBitmapIndex
 from repro.storage import StateStore
-from tests.conftest import asks_columns, build_index, column_asks, column_probe_gate
+from tests.conftest import WalkOnly, asks_counts, build_index, count_asks
 
 JAS = JoinAttributeSet(["A", "B", "C"])
 
@@ -44,6 +42,12 @@ INDEX_CLASSES = {
     "multi_hash": MultiHashIndex,
     "scan": ScanIndex,
     "static_bitmap": StaticBitmapIndex,
+}
+
+#: The bit-address family's twins that never ask the counts.
+WALK_ONLY = {
+    BitAddressIndex: WalkOnly,
+    StaticBitmapIndex: type("WalkOnlyStatic", (WalkOnly, StaticBitmapIndex), {}),
 }
 
 #: (backend, migrated): only the bit-address index's key map can change.
@@ -58,11 +62,11 @@ values = st.integers(0, 3)
 items = st.lists(st.tuples(values, values, values), min_size=1, max_size=24)
 
 
-def build_store(backend: str, migrated: bool, stored) -> StateStore:
+def build_store(cls, migrated: bool, stored) -> StateStore:
     store = StateStore(
         "S",
         JAS,
-        build_index(INDEX_CLASSES[backend], JAS),
+        build_index(cls, JAS),
         window=1000,
         # The random-combine CDIA draws from its RNG while compacting, so a
         # column that records one pattern too few or too many shows.
@@ -112,16 +116,16 @@ def test_probe_batch_equals_the_probe_loop(backend, migrated, stored, mask, rows
     ap = AccessPattern.from_mask(JAS, mask)
     rows = rows + [rows[i % len(rows)] for i in repeats if rows]  # forced duplicates
     column = [tuple(row[JAS.names.index(name)] for name in ap.attributes) for row in rows]
-    for gate in (bit_index.COLUMN_PROBE_MIN_CANDIDATES, 1):
-        looped = build_store(backend, migrated, stored)
-        batched = build_store(backend, migrated, stored)
+    default = INDEX_CLASSES[backend]
+    for cls in dict.fromkeys((default, WALK_ONLY.get(default, default))):
+        looped = build_store(cls, migrated, stored)
+        batched = build_store(cls, migrated, stored)
         by_loop = [looped.probe(ap, dict(zip(ap.attributes, row))) for row in column]
         index = batched.index
-        with column_probe_gate(gate, index):
-            by_batch = batched.probe_batch(ap, column)
+        by_batch = batched.probe_batch(ap, column)
         assert observables(batched, by_batch) == observables(looped, by_loop)
-        if gate == 1 and column and asks_columns(index, ap):
-            assert column_asks(index) > 0
+        if column and asks_counts(index, ap):
+            assert (count_asks(index) > 0) == (cls is default)
         # Outcomes alias only between equal rows.
         for i, a in enumerate(by_batch):
             for j in range(i):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment import SRIA
-from repro.core.bit_index import make_bit_index
+from repro.core.bit_index import BitAddressIndex, make_bit_index
 from repro.core.index_config import IndexConfiguration
 from repro.core.selector import IndexSelector
 from repro.core.tuner import AMRITuner, NullTuner, TuningContext
@@ -14,7 +14,7 @@ from repro.engine.window import SlidingWindow
 from repro.indexes.base import CostParams, UnkeyableValueError
 from repro.indexes.scan_index import ScanIndex
 from repro.storage import StateStore
-from tests.conftest import column_probe_gate
+from tests.conftest import WalkOnly
 
 
 def tup(t, a=1, b=2, c=3):
@@ -246,14 +246,13 @@ class TestDegradeToScan:
 
 
 class TestHashColumnsInTheStore:
-    """The bit-address index's value-hash columns through the store's
-    structure changes: one script, run with every wildcard probe asking
-    the columns (gate 1) and with none asking (these states sit far under
-    the default gate), must read the same."""
+    """The bit-address index's value and fragment counts through the
+    store's structure changes: one script, run on the index and on its
+    ``WalkOnly`` twin, which never asks the counts, must read the same."""
 
     @staticmethod
-    def run(jas3, gate, *, degrade_at=None):
-        store = StateStore("S", jas3, make_bit_index(jas3, [2, 1, 0]), window=20)
+    def run(jas3, cls, *, degrade_at=None):
+        store = StateStore("S", jas3, cls(IndexConfiguration(jas3, [2, 1, 0])), window=20)
         log = []
         probed = {}  # id -> every structure that served a probe
 
@@ -268,8 +267,7 @@ class TestHashColumnsInTheStore:
                     tuple({"A": a, "B": a % 3, "C": a % 2}[name] for name in ap.attributes)
                     for a in (0, 1, 4, 9)
                 ]
-                with column_probe_gate(gate, store.index):
-                    outcomes = store.probe_batch(ap, rows)
+                outcomes = store.probe_batch(ap, rows)
                 log.append(
                     [
                         (
@@ -288,22 +286,24 @@ class TestHashColumnsInTheStore:
         store.index.reconfigure(IndexConfiguration(jas3, [1, 2, 2]))
         for now in range(24, 40):
             tick(now)
-        answered = sum(getattr(index, "column_answered", 0) for index in probed.values())
+        answered = sum(
+            index.count_rows[0] for index in probed.values() if isinstance(index, BitAddressIndex)
+        )
         return log, store.index.accountant, answered
 
     def test_budgeted_migration_with_columns_active(self, jas3):
-        # A migration is one stop-the-world reconfigure: the columns are
-        # re-keyed with the buckets, and expiry then runs under the new map.
-        log, acct, answered = self.run(jas3, 1)
-        walk_log, walk_acct, never = self.run(jas3, 1 << 62)
+        # A migration is one stop-the-world reconfigure: the fragment counts
+        # are rebuilt with the buckets, and expiry then runs under the new map.
+        log, acct, answered = self.run(jas3, BitAddressIndex)
+        walk_log, walk_acct, never = self.run(jas3, WalkOnly)
         assert answered > 0 and never == 0
         assert log == walk_log and acct == walk_acct
 
     def test_degrade_to_scan_with_columns_active(self, jas3):
-        # After the reconfigure: the structure and its columns go; the
+        # After the reconfigure: the structure and its counts go; the
         # fallback scans.
-        log, acct, answered = self.run(jas3, 1, degrade_at=27)
-        walk_log, walk_acct, never = self.run(jas3, 1 << 62, degrade_at=27)
+        log, acct, answered = self.run(jas3, BitAddressIndex, degrade_at=27)
+        walk_log, walk_acct, never = self.run(jas3, WalkOnly, degrade_at=27)
         assert answered > 0 and never == 0
         assert log == walk_log and acct == walk_acct
         assert all(full_scan for row in log[-7:] for *_rest, full_scan in row)
