@@ -2,9 +2,8 @@
 
 Public surface:
 
-- access patterns and the search-benefit lattice
-  (:class:`JoinAttributeSet`, :class:`AccessPattern`,
-  :class:`AccessPatternLattice`);
+- access patterns and their search-benefit relation, Fig. 4's lattice
+  (:class:`JoinAttributeSet`, :class:`AccessPattern`);
 - the bit-address index (:class:`IndexConfiguration`,
   :class:`BitAddressIndex`);
 - the cost model (:class:`WorkloadStatistics`, :func:`estimate_cd`) and
@@ -37,7 +36,6 @@ from repro.core.cost_model import (
     migration_cost,
 )
 from repro.core.index_config import IndexConfiguration, uniform_configuration
-from repro.core.lattice import AccessPatternLattice
 from repro.core.probe_plan import (
     Matcher,
     ProbePlan,
@@ -58,7 +56,6 @@ __all__ = [
     "ASSESSOR_NAMES",
     "AMRITuner",
     "AccessPattern",
-    "AccessPatternLattice",
     "BitAddressIndex",
     "CDIA",
     "CSRIA",

@@ -205,7 +205,7 @@ class AccessPattern:
 
     def is_proper_generalization_of(self, other: "AccessPattern") -> bool:
         """Strict form of the search-benefit relation (``self ≺ other``, ``self != other``)."""
-        return self._mask != other._mask and self.provides_search_benefit_to(other)
+        return self.provides_search_benefit_to(other) and self._mask != other._mask
 
     def parents(self) -> tuple["AccessPattern", ...]:
         """Patterns one lattice level *up* (one attribute removed).
@@ -243,7 +243,7 @@ class AccessPattern:
     # plumbing
 
     def _check_same_jas(self, other: "AccessPattern") -> None:
-        if self._jas != other._jas:
+        if self._jas is not other._jas and self._jas != other._jas:
             raise ValueError(
                 f"access patterns range over different JAS: {self._jas!r} vs {other._jas!r}"
             )

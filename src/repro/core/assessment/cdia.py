@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment.base import FrequencyAssessor
-from repro.core.lattice import AccessPatternLattice
 from repro.sketches.hierarchical import HHHEntry, HierarchicalHeavyHitters
 from repro.utils.validation import check_fraction
 
@@ -52,12 +51,8 @@ class CDIA(FrequencyAssessor):
         *,
         combine: str = "highest_count",
         seed: int | np.random.Generator | None = 0,
-        lattice: AccessPatternLattice | None = None,
     ) -> None:
         super().__init__(jas)
-        if lattice is not None and lattice.jas != jas:
-            raise ValueError("lattice ranges over a different JAS than this assessor")
-        self.lattice = lattice if lattice is not None else AccessPatternLattice(jas)
         self.epsilon = epsilon
         self.combine = combine
         self._seed = seed

@@ -11,50 +11,9 @@ assert that equality, as the paper's Figure 6 discussion does.
 
 from __future__ import annotations
 
-from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment.sria import SRIA
-from repro.core.lattice import AccessPatternLattice
 
 
 class DIA(SRIA):
-    """Lattice-aware exact assessment (same statistics as SRIA)."""
-
-    def __init__(self, jas: JoinAttributeSet, lattice: AccessPatternLattice | None = None) -> None:
-        super().__init__(jas)
-        if lattice is not None and lattice.jas != jas:
-            raise ValueError("lattice ranges over a different JAS than this assessor")
-        self.lattice = lattice if lattice is not None else AccessPatternLattice(jas)
-
-    # -- lattice views over the tracked statistics ----------------------- #
-
-    def tracked_nodes(self) -> list[AccessPattern]:
-        """Tracked patterns ordered bottom-up (most specific first)."""
-        tracked = {mask for mask, _count in self.table.items()}
-        return [node for node in self.lattice.iter_bottom_up() if node.mask in tracked]
-
-    def leaf_nodes(self) -> list[AccessPattern]:
-        """Tracked patterns with no tracked strict specialization.
-
-        These are the nodes CDIA's compression is allowed to roll up —
-        "a leaf node is any node that does not provide a search benefit to
-        any other node [with count > 0]".
-        """
-        tracked = {mask for mask, _count in self.table.items()}
-        leaves = []
-        for mask in tracked:
-            node = self.lattice.node(mask)
-            if not any(
-                spec.mask in tracked for spec in node.specializations(proper=True)
-            ):
-                leaves.append(node)
-        leaves.sort(key=lambda n: (-n.level(), n.mask))
-        return leaves
-
-    def rolled_up_count(self, ap: AccessPattern) -> int:
-        """``Σ counts`` over ``ap`` and every tracked specialization of it.
-
-        The quantity CDIA's ``f*`` guarantee speaks about.
-        """
-        if ap.jas != self.jas:
-            raise ValueError(f"pattern {ap!r} ranges over a different JAS than this assessor")
-        return sum(self.table.count(spec.mask) for spec in ap.specializations())
+    """The paper's DIA: SRIA's table, its entries read as lattice nodes
+    (``AccessPattern``'s relations); the same statistics as SRIA."""

@@ -304,10 +304,6 @@ class BitAddressIndex(StateIndex):
         """Number of live (non-empty) buckets."""
         return len(self._buckets)
 
-    def bucket_sizes(self) -> list[int]:
-        """Sizes of all live buckets (for distribution diagnostics)."""
-        return [len(b) for b in self._buckets.values()]
-
     def _rebuild_frag_positions(self) -> None:
         # Compiled probe plans and probers are derived from the key map, so
         # any code path that changes the configuration (construction,

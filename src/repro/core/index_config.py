@@ -4,8 +4,10 @@ An *index configuration* (IC) assigns each join attribute of a state a number
 of bits (possibly zero).  With ``B`` total assigned bits the index has
 ``2**B`` logical bucket locations; a tuple's bucket id is formed by mapping
 each attribute value to a fragment of the configured width and concatenating
-the fragments in JAS order.  The IC is a blueprint only — it is never stored
-with tuples, which is the source of the design's low memory overhead.
+the fragments in JAS order (the index computes it with a compiled
+:class:`~repro.core.probe_plan.KeyPlan`).  The IC is a blueprint only — it
+is never stored with tuples, which is the source of the design's low memory
+overhead.
 
 ``IndexConfiguration`` is immutable and hashable so configurations can key
 caches and be compared by the tuner.
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
-from repro.utils.bitops import fragment, mask_to_indices
+from repro.utils.bitops import mask_to_indices
 
 
 class IndexConfiguration:
@@ -74,10 +76,6 @@ class IndexConfiguration:
         """Total assigned bits ``B`` (the index has ``2**B`` logical buckets)."""
         return self._total
 
-    def bits_for_attribute(self, name: str) -> int:
-        """Bit width assigned to attribute ``name``."""
-        return self._bits[self._jas.position(name)]
-
     def bits_for_pattern(self, ap: AccessPattern) -> int:
         """``B_ap`` — total bits assigned to the attributes ``ap`` specifies."""
         self._check_jas(ap)
@@ -101,63 +99,8 @@ class IndexConfiguration:
         """Attributes with at least one bit assigned, in JAS order."""
         return self._indexed
 
-    def as_pattern(self) -> AccessPattern:
-        """The access pattern formed by the attributes with bits assigned.
-
-        This is "the attributes in the IC" of Section IV-D's case analysis.
-        """
-        return AccessPattern.from_attributes(self._jas, self.indexed_attributes)
-
-    # ------------------------------------------------------------------ #
-    # bucket mapping
-
-    def bucket_key(self, values: Mapping[str, object]) -> tuple[int, ...]:
-        """Per-attribute fragment tuple locating the bucket for ``values``.
-
-        ``values`` must supply every JAS attribute (tuples always carry their
-        full attribute set).  Attributes with zero bits contribute fragment 0.
-        """
-        return tuple(
-            fragment(values[name], w) if w > 0 else 0
-            for name, w in zip(self._jas.names, self._bits)
-        )
-
-    def bucket_id(self, values: Mapping[str, object]) -> int:
-        """The concatenated integer bucket id (Figure 3's presentation).
-
-        Fragments are concatenated with the first JAS attribute in the most
-        significant position, matching the paper's worked example.
-        """
-        bucket = 0
-        for name, w in zip(self._jas.names, self._bits):
-            if w == 0:
-                continue
-            bucket = (bucket << w) | fragment(values[name], w)
-        return bucket
-
-    def probe_fragments(self, ap: AccessPattern, values: Mapping[str, object]) -> dict[int, int]:
-        """Fixed fragments for a search: attribute position → fragment.
-
-        Only attributes that are both in ``ap`` and carry bits constrain the
-        search; the rest are wildcards.
-        """
-        self._check_jas(ap)
-        out: dict[int, int] = {}
-        for i in mask_to_indices(ap.mask):
-            w = self._bits[i]
-            if w > 0:
-                out[i] = fragment(values[self._jas.names[i]], w)
-        return out
-
     # ------------------------------------------------------------------ #
     # plumbing
-
-    def with_bits(self, name: str, width: int) -> "IndexConfiguration":
-        """A copy with attribute ``name`` reassigned ``width`` bits."""
-        pos = self._jas.position(name)
-        new = list(self._bits)
-        new[pos] = width
-        return IndexConfiguration(self._jas, new)
 
     def _check_jas(self, ap: AccessPattern) -> None:
         if ap.jas is not self._jas and ap.jas != self._jas:

@@ -49,7 +49,6 @@ __all__ = [
     "SeriesSnapshot",
     "Span",
     "SpanRecord",
-    "cost_label_key",
 ]
 
 #: The cost-unit attribution series every executor charge lands in.
@@ -68,23 +67,6 @@ FLIGHT_RECORDER_CAPACITY = 4096
 def _label_pairs(labels: Mapping[str, str | None]) -> LabelPairs:
     """Canonicalise a label mapping: drop ``None`` values, sort by name."""
     return tuple(sorted((k, v) for k, v in labels.items() if v is not None))
-
-
-def cost_label_key(
-    component: str,
-    stream: str | None = None,
-    index_kind: str | None = None,
-    phase: str | None = None,
-) -> LabelPairs:
-    """The series key of one cost-attribution label combination."""
-    return _label_pairs(
-        {
-            "component": component,
-            "stream": stream,
-            "index_kind": index_kind,
-            "phase": phase,
-        }
-    )
 
 
 # --------------------------------------------------------------------- #

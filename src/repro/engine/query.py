@@ -254,15 +254,6 @@ class Query:
         """All predicates joining streams ``a`` and ``b``."""
         return tuple(p for p in self.predicates if p.involves(a) and p.involves(b))
 
-    def neighbours(self, stream: str) -> tuple[str, ...]:
-        """Streams directly joined with ``stream``, sorted."""
-        out = set()
-        for p in self.predicates:
-            if p.involves(stream):
-                other, _attr = p.other_side(stream)
-                out.add(other)
-        return tuple(sorted(out))
-
     # ------------------------------------------------------------------ #
     # probe derivation — the heart of multi-route access-pattern diversity
 

@@ -72,10 +72,6 @@ class RunStats:
                 break
         return best
 
-    def final_tick(self) -> int:
-        """Tick of the last recorded sample (death tick for dead runs)."""
-        return self.samples[-1].tick if self.samples else 0
-
 
 class SelectivityEstimator:
     """EWMA estimates of matches-per-probe for (target stream, pattern mask).

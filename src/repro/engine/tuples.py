@@ -1,10 +1,8 @@
-"""Stream tuples and joined (partial-result) tuples.
+"""Stream tuples and join results.
 
-Both kinds implement the ``Mapping[str, value]`` protocol the index layer
-expects, so a STeM can store raw stream tuples and probe with either kind.
-``JoinedTuple`` tracks which source tuples it combines, which the executor
-uses to know what a partial result has already joined with (and therefore
-which predicates bind the next probe).
+A ``StreamTuple`` implements the ``Mapping[str, value]`` protocol the index
+layer reads.  A ``JoinedTuple`` is what an output sink receives: the source
+tuples of one result, in join order.
 """
 
 from __future__ import annotations
@@ -36,16 +34,14 @@ class StreamTuple(Mapping[str, object]):
         return f"StreamTuple({self.stream}@{self.arrived_at}: {vals})"
 
 
-class JoinedTuple(Mapping[str, object]):
-    """A (partial) join result: merged view over its source tuples.
+class JoinedTuple:
+    """A join result: its source tuples in join order, one per stream.
 
-    Attribute lookup is namespaced-free: a bare attribute name resolves to
-    the value from whichever source stream defines it.  Streams in one query
-    use distinct attribute names except for shared join attributes, whose
-    values are equal across sources by construction (they joined).
+    The engine carries partial results as plain tuples of sources and builds
+    one of these per result only for an attached output sink.
     """
 
-    __slots__ = ("sources", "_values")
+    __slots__ = ("sources",)
 
     def __init__(self, sources: tuple[StreamTuple, ...]) -> None:
         if not sources:
@@ -54,56 +50,3 @@ class JoinedTuple(Mapping[str, object]):
         if len(set(streams)) != len(streams):
             raise ValueError(f"duplicate source streams in join: {streams}")
         self.sources = sources
-        merged: dict[str, object] = {}
-        for src in sources:
-            # Merge the backing dicts directly (C fast path); updating via
-            # the Mapping protocol walks __iter__/__getitem__ per key.
-            merged.update(src._values)
-        self._values = merged
-
-    @classmethod
-    def of(cls, single: StreamTuple) -> "JoinedTuple":
-        """Lift a raw stream tuple into a 1-way partial result."""
-        return cls((single,))
-
-    def extend(self, other: StreamTuple) -> "JoinedTuple":
-        """A new partial result including ``other``.
-
-        Equivalent to ``JoinedTuple(self.sources + (other,))`` but reuses
-        this partial's already-merged values instead of re-merging every
-        source — the width-k extend is O(|other|), not O(k · |tuple|).
-        """
-        sources = self.sources + (other,)
-        stream = other.stream
-        for src in self.sources:
-            if src.stream == stream:
-                streams = [s.stream for s in sources]
-                raise ValueError(f"duplicate source streams in join: {streams}")
-        joined = JoinedTuple.__new__(JoinedTuple)
-        joined.sources = sources
-        merged = dict(self._values)
-        merged.update(other._values)
-        joined._values = merged
-        return joined
-
-    @property
-    def streams(self) -> frozenset[str]:
-        """Names of the streams already joined into this partial."""
-        return frozenset(s.stream for s in self.sources)
-
-    @property
-    def width(self) -> int:
-        """Number of source tuples joined so far."""
-        return len(self.sources)
-
-    def __getitem__(self, key: str) -> object:
-        return self._values[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __repr__(self) -> str:
-        return f"JoinedTuple({'+'.join(sorted(self.streams))}, width={self.width})"

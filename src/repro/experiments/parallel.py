@@ -154,10 +154,6 @@ class RunOutcome:
     metrics: RegistrySnapshot | None = None
     latency: LatencySnapshot | None = None
 
-    @property
-    def outputs(self) -> int:
-        return self.stats.outputs
-
 
 def _share_training(spec: RunSpec) -> RunSpec:
     """``spec`` with its :class:`TrainingResult` attached, if it trains.

@@ -9,7 +9,6 @@ from repro.utils.bitops import (
     bits_needed,
     iter_submasks,
     iter_supermasks,
-    mask_from_indices,
     mask_to_indices,
     splitmix64,
 )
@@ -18,7 +17,6 @@ from repro.utils.validation import (
     check_fraction,
     check_non_negative,
     check_positive,
-    check_type,
 )
 
 __all__ = [
@@ -26,7 +24,6 @@ __all__ = [
     "bits_needed",
     "iter_submasks",
     "iter_supermasks",
-    "mask_from_indices",
     "mask_to_indices",
     "splitmix64",
     "derive_seed",
@@ -34,5 +31,4 @@ __all__ = [
     "check_fraction",
     "check_non_negative",
     "check_positive",
-    "check_type",
 ]

@@ -11,7 +11,7 @@ deterministic 64-bit mixer so that runs are reproducible across processes
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
@@ -30,16 +30,6 @@ def bits_needed(n_values: int) -> int:
     if n_values < 1:
         raise ValueError(f"n_values must be >= 1, got {n_values}")
     return (n_values - 1).bit_length()
-
-
-def mask_from_indices(indices: Iterable[int]) -> int:
-    """Build a bitmask with the given bit positions set."""
-    mask = 0
-    for i in indices:
-        if i < 0:
-            raise ValueError(f"bit index must be >= 0, got {i}")
-        mask |= 1 << i
-    return mask
 
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:

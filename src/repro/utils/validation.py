@@ -23,10 +23,3 @@ def check_fraction(name: str, value: float, *, inclusive_low: bool = True, inclu
         lo = "[" if inclusive_low else "("
         hi = "]" if inclusive_high else ")"
         raise ValueError(f"{name} must be in {lo}0, 1{hi}, got {value!r}")
-
-
-def check_type(name: str, value: object, expected: type | tuple[type, ...]) -> None:
-    """Raise ``TypeError`` unless ``value`` is an instance of ``expected``."""
-    if not isinstance(value, expected):
-        exp = expected.__name__ if isinstance(expected, type) else "/".join(t.__name__ for t in expected)
-        raise TypeError(f"{name} must be {exp}, got {type(value).__name__}")

@@ -2,9 +2,7 @@
 and the canned Section V scenario."""
 
 from repro.workloads.generators import (
-    ConstantSchedule,
     diurnal_burst_modulation,
-    DomainSchedule,
     PiecewiseConstantSchedule,
     SyntheticStreamGenerator,
     rotating_hotspot_schedules,
@@ -18,8 +16,6 @@ from repro.workloads.patterns import (
 from repro.workloads.scenarios import PaperScenario, ScenarioParams, sensor_network_scenario
 
 __all__ = [
-    "ConstantSchedule",
-    "DomainSchedule",
     "PaperScenario",
     "PatternStream",
     "PiecewiseConstantSchedule",

@@ -10,14 +10,11 @@ makes the join unselective (many matches per probe) while a mildly skewed
 ("cold") phase makes it selective — without shrinking the attribute's value
 domain, which keeps indexing the attribute meaningful.
 
-Schedules:
-
-- :class:`ConstantSchedule` — fixed domain and skew (no drift);
-- :class:`PiecewiseConstantSchedule` — explicit ``(length, domain, skew)``
-  phases, optionally cyclic;
-- :func:`rotating_hotspot_schedules` — the default drift of the paper
-  scenario: at any time one attribute (rotating every ``phase_len`` ticks)
-  is hot and the rest are cold, so the cheapest route keeps moving.
+A schedule is a :class:`PiecewiseConstantSchedule`: explicit ``(length,
+domain, skew)`` phases, optionally cyclic (one phase is a fixed domain and
+skew).  :func:`rotating_hotspot_schedules` builds the default drift of the
+paper scenario: at any time one attribute (rotating every ``phase_len``
+ticks) is hot and the rest are cold, so the cheapest route keeps moving.
 
 Both streams sharing a join attribute draw from the same schedule, which is
 what makes them joinable.
@@ -25,7 +22,6 @@ what makes them joinable.
 
 from __future__ import annotations
 
-import abc
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -49,55 +45,10 @@ def zipf_weights(domain: int, skew: float) -> np.ndarray:
     return w / w.sum()
 
 
-def match_probability(domain: int, skew: float) -> float:
-    """Probability two independent draws collide (``Σ p_k²``).
-
-    The per-predicate join selectivity of the generated data; its inverse is
-    the *effective* domain size.
-    """
-    w = zipf_weights(domain, skew)
-    return float(np.dot(w, w))
-
-
-class DomainSchedule(abc.ABC):
-    """Value distribution of one join attribute over time."""
-
-    @abc.abstractmethod
-    def domain_size(self, tick: int) -> int:
-        """Number of distinct values the attribute draws from at ``tick``."""
-
-    @abc.abstractmethod
-    def skew(self, tick: int) -> float:
-        """Zipf exponent at ``tick`` (0 = uniform)."""
-
-    @property
-    @abc.abstractmethod
-    def max_domain_size(self) -> int:
-        """Largest domain size the schedule ever produces (for entropy caps)."""
-
-
-class ConstantSchedule(DomainSchedule):
-    """A fixed domain and skew (no drift)."""
-
-    def __init__(self, size: int, skew: float = 0.0) -> None:
-        check_positive("size", size)
-        check_non_negative("skew", skew)
-        self.size = int(size)
-        self._skew = float(skew)
-
-    def domain_size(self, tick: int) -> int:
-        return self.size
-
-    def skew(self, tick: int) -> float:
-        return self._skew
-
-    @property
-    def max_domain_size(self) -> int:
-        return self.size
-
-
-class PiecewiseConstantSchedule(DomainSchedule):
-    """Explicit phases: ``(length_ticks, domain_size, skew)`` segments.
+class PiecewiseConstantSchedule:
+    """Value distribution of one join attribute over time: explicit
+    ``(length_ticks, domain_size, skew)`` phases (one phase is a constant
+    distribution).
 
     With ``cycle=True`` the phase list repeats forever; otherwise the last
     phase holds beyond the end.
@@ -129,13 +80,16 @@ class PiecewiseConstantSchedule(DomainSchedule):
         return self.phases[-1]
 
     def domain_size(self, tick: int) -> int:
+        """Number of distinct values the attribute draws from at ``tick``."""
         return self._phase_at(tick)[1]
 
     def skew(self, tick: int) -> float:
+        """Zipf exponent at ``tick`` (0 = uniform)."""
         return self._phase_at(tick)[2]
 
     @property
     def max_domain_size(self) -> int:
+        """Largest domain size the schedule ever produces (for entropy caps)."""
         return max(size for _l, size, _z in self.phases)
 
 
@@ -207,8 +161,8 @@ class SyntheticStreamGenerator:
     stream_attributes:
         ``stream name -> attribute names`` its tuples carry.
     schedules:
-        ``attribute -> DomainSchedule``.  Attributes shared by several
-        streams (join attributes) share one schedule.
+        ``attribute -> PiecewiseConstantSchedule``.  Attributes shared by
+        several streams (join attributes) share one schedule.
     rates:
         ``stream -> tuples per tick`` (``λ_d``), the *base* rate.
     rate_modulation:
@@ -222,7 +176,7 @@ class SyntheticStreamGenerator:
     def __init__(
         self,
         stream_attributes: Mapping[str, Sequence[str]],
-        schedules: Mapping[str, DomainSchedule],
+        schedules: Mapping[str, PiecewiseConstantSchedule],
         rates: Mapping[str, int],
         *,
         rate_modulation=None,

@@ -95,17 +95,6 @@ class PatternStream:
             check_positive("phase length", n)
         self._rng = make_rng(seed)
 
-    @classmethod
-    def stationary(
-        cls,
-        frequencies: Mapping[AccessPattern, float],
-        n_requests: int,
-        *,
-        seed: int | np.random.Generator | None = 0,
-    ) -> "PatternStream":
-        """A single-phase stream of ``n_requests`` draws."""
-        return cls([(n_requests, frequencies)], seed=seed)
-
     def __iter__(self) -> Iterator[AccessPattern]:
         for n, freqs in self.phases:
             patterns = list(freqs)
@@ -113,16 +102,3 @@ class PatternStream:
             draws = self._rng.choice(len(patterns), size=n, p=probs)
             for d in draws:
                 yield patterns[int(d)]
-
-    @property
-    def total_requests(self) -> int:
-        """Total draws the stream will produce."""
-        return sum(n for n, _f in self.phases)
-
-    def exact_counts(self) -> dict[AccessPattern, float]:
-        """Expected counts per pattern across all phases (not a sample)."""
-        out: dict[AccessPattern, float] = {}
-        for n, freqs in self.phases:
-            for ap, f in freqs.items():
-                out[ap] = out.get(ap, 0.0) + n * f
-        return out

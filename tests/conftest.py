@@ -7,12 +7,12 @@ import pytest
 from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration
-from repro.core.lattice import AccessPatternLattice
 from repro.experiments.parallel import RunSpec, execute_spec
 from repro.indexes.hash_index import MultiHashIndex
 from repro.indexes.inverted_index import InvertedListIndex
 from repro.indexes.scan_index import ScanIndex
 from repro.indexes.static_bitmap import StaticBitmapIndex
+from repro.utils.bitops import fragment
 
 
 def spec_stats(params, scheme: str, ticks: int, training=None):
@@ -20,6 +20,16 @@ def spec_stats(params, scheme: str, ticks: int, training=None):
     when one is given (shipped on the spec), untrained otherwise."""
     spec = RunSpec(params, scheme, ticks, train=training is not None, training=training)
     return execute_spec(spec).stats
+
+
+def bucket_key(config: IndexConfiguration, values) -> tuple[int, ...]:
+    """The §III reference key map: per JAS attribute, the fragment of its
+    value at the configured width (0 where it has no bits) — the key of the
+    bucket a bit-address index over ``config`` files ``values`` under."""
+    return tuple(
+        fragment(values[name], w) if w > 0 else 0
+        for name, w in zip(config.jas.names, config.bits)
+    )
 
 
 def asks_counts(index, ap: AccessPattern) -> bool:
@@ -77,11 +87,6 @@ def jas3() -> JoinAttributeSet:
 @pytest.fixture
 def jas4() -> JoinAttributeSet:
     return JoinAttributeSet(["A", "B", "C", "D"])
-
-
-@pytest.fixture
-def lattice3(jas3) -> AccessPatternLattice:
-    return AccessPatternLattice(jas3)
 
 
 @pytest.fixture

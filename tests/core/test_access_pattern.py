@@ -1,5 +1,8 @@
 """Tests for access patterns, BR(ap), and the search-benefit relation."""
 
+from collections import Counter
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -128,9 +131,13 @@ class TestSearchBenefit:
         assert ap3("A").is_proper_generalization_of(ap3("A", "C"))
 
     def test_cross_jas_rejected(self, ap3):
-        other = AccessPattern.from_attributes(JoinAttributeSet(["X", "Y"]), ["X"])
-        with pytest.raises(ValueError):
-            ap3("A").provides_search_benefit_to(other)
+        """Both relations refuse a pattern over another JAS, also when the
+        two masks are equal (``<A,*,*>`` and ``<X,*>`` are both 0b1)."""
+        xy = JoinAttributeSet(["X", "Y"])
+        for relation in ("provides_search_benefit_to", "is_proper_generalization_of"):
+            for mask in (0b1, 0b11):  # equal to <A,*,*>'s, and not
+                with pytest.raises(ValueError):
+                    getattr(ap3("A"), relation)(AccessPattern.from_mask(xy, mask))
 
     @given(st.integers(0, 7), st.integers(0, 7))
     def test_matches_subset_semantics(self, m1, m2):
@@ -171,6 +178,20 @@ class TestLatticeNeighbours:
             assert p in parent.children()
         for child in p.children():
             assert p in child.parents()
+
+
+class TestFigure4Lattice:
+    """Fig. 4's shape, read off ``AccessPattern``'s relations."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_shape(self, n):
+        jas = JoinAttributeSet("ABCD"[:n])
+        patterns = all_access_patterns(jas)
+        levels = Counter(ap.level() for ap in patterns)
+        assert [levels[k] for k in range(n + 1)] == [comb(n, k) for k in range(n + 1)]
+        assert sum(len(ap.parents()) for ap in patterns) == n * 2 ** (n - 1)
+        top = AccessPattern.full_scan(jas)
+        assert len(list(top.specializations(proper=True))) == 2**n - 1
 
 
 class TestAllAccessPatterns:

@@ -146,37 +146,6 @@ class TestDIA:
         assert sria.frequent_patterns(0.1) == dia.frequent_patterns(0.1)
         assert sria.entry_count == dia.entry_count
 
-    def test_leaf_nodes(self, jas3, ap3):
-        dia = DIA(jas3)
-        for ap in [ap3("A"), ap3("A", "B"), ap3("C")]:
-            dia.record(ap)
-        leaves = dia.leaf_nodes()
-        assert ap3("A", "B") in leaves
-        assert ap3("C") in leaves
-        assert ap3("A") not in leaves  # has tracked descendant <A,B,*>
-
-    def test_rolled_up_count(self, jas3, ap3):
-        dia = DIA(jas3)
-        for ap, k in [(ap3("A"), 3), (ap3("A", "B"), 2), (ap3("B"), 4)]:
-            for _ in range(k):
-                dia.record(ap)
-        assert dia.rolled_up_count(ap3("A")) == 5  # own 3 + <A,B> 2
-        assert dia.rolled_up_count(ap3()) == 9  # everything
-
-    def test_tracked_nodes_bottom_up(self, jas3, ap3):
-        dia = DIA(jas3)
-        for ap in [ap3("A"), ap3("A", "B", "C")]:
-            dia.record(ap)
-        nodes = dia.tracked_nodes()
-        assert nodes[0] == ap3("A", "B", "C")
-
-    def test_rejects_mismatched_lattice(self, jas3):
-        from repro.core.lattice import AccessPatternLattice
-
-        other = AccessPatternLattice(JoinAttributeSet(["X", "Y"]))
-        with pytest.raises(ValueError):
-            DIA(jas3, lattice=other)
-
 
 class TestCDIA:
     def test_combines_instead_of_deleting(self, jas3, ap3, table2_frequencies):
@@ -230,13 +199,6 @@ class TestCDIA:
         cdia.record(ap3("A"))
         cdia.reset()
         assert cdia.n_requests == 0 and cdia.entry_count == 0
-
-    def test_rejects_mismatched_lattice(self, jas3):
-        from repro.core.lattice import AccessPatternLattice
-
-        other = AccessPatternLattice(JoinAttributeSet(["X", "Y"]))
-        with pytest.raises(ValueError):
-            CDIA(jas3, 0.05, lattice=other)
 
 
 class TestMakeAssessor:

@@ -21,7 +21,14 @@ from repro.indexes.base import Accountant, UnkeyableValueError
 from repro.indexes.scan_index import ScanIndex
 from repro.utils import bitops
 from repro.utils.bitops import fragment, mask_to_indices, stable_value_hash
-from tests.conftest import INDEX_CLASSES, WalkOnly, asks_counts, build_index, count_asks
+from tests.conftest import (
+    INDEX_CLASSES,
+    WalkOnly,
+    asks_counts,
+    bucket_key,
+    build_index,
+    count_asks,
+)
 
 
 def make_items(n, *, mod=(7, 3, 5)):
@@ -448,7 +455,7 @@ class TestMatchOrderExamples:
         idx.insert(stored)
         # No stored tuple carries these fragments, alone or together.
         absent = {"A": 2, "B": 2, "C": 2}
-        assert idx.config.bucket_key(absent) not in idx._buckets
+        assert bucket_key(idx.config, absent) not in idx._buckets
         out = idx.search(ap3("A", "B", "C"), absent)
         assert out.matches == [] and out.tuples_examined == 0 and out.buckets_visited == 1
         # Each fragment is live, their combination is not.

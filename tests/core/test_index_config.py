@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
+from repro.core.bit_index import BitAddressIndex
 from repro.core.index_config import IndexConfiguration, uniform_configuration
+from tests.conftest import bucket_key
 
 
 class TestConstruction:
@@ -35,10 +37,6 @@ class TestConstruction:
         b = IndexConfiguration(jas3, {"A": 1, "B": 2, "C": 3})
         assert a == b and hash(a) == hash(b)
 
-    def test_with_bits(self, jas3):
-        ic = IndexConfiguration(jas3, [1, 2, 3]).with_bits("B", 7)
-        assert ic.bits == (1, 7, 3)
-
     def test_repr_mentions_widths(self, jas3):
         assert "A:5" in repr(IndexConfiguration(jas3, [5, 0, 3]))
 
@@ -58,9 +56,6 @@ class TestPatternBits:
         ic = IndexConfiguration(jas3, [5, 0, 3])
         assert ic.indexed_attributes == ("A", "C")
 
-    def test_as_pattern(self, jas3, ap3):
-        assert IndexConfiguration(jas3, [5, 0, 3]).as_pattern() == ap3("A", "C")
-
     def test_rejects_foreign_pattern(self, jas3):
         ic = IndexConfiguration(jas3, [1, 1, 1])
         foreign = AccessPattern.from_attributes(JoinAttributeSet(["X"]), ["X"])
@@ -69,46 +64,35 @@ class TestPatternBits:
 
 
 class TestBucketMapping:
+    """The reference key map tests name buckets with."""
+
     def test_bucket_key_shape(self, jas3):
         ic = IndexConfiguration(jas3, [5, 2, 3])
-        key = ic.bucket_key({"A": 10, "B": 20, "C": 30})
+        values = {"A": 10, "B": 20, "C": 30}
+        key = bucket_key(ic, values)
         assert len(key) == 3
         assert 0 <= key[0] < 32 and 0 <= key[1] < 4 and 0 <= key[2] < 8
+        idx = BitAddressIndex(ic)
+        idx.insert(values)
+        assert list(idx._buckets) == [key]  # the index files it there
 
     def test_zero_bit_attribute_contributes_zero(self, jas3):
         ic = IndexConfiguration(jas3, [4, 0, 4])
-        k1 = ic.bucket_key({"A": 1, "B": 100, "C": 2})
-        k2 = ic.bucket_key({"A": 1, "B": 999, "C": 2})
+        k1 = bucket_key(ic, {"A": 1, "B": 100, "C": 2})
+        k2 = bucket_key(ic, {"A": 1, "B": 999, "C": 2})
         assert k1 == k2
-
-    def test_bucket_id_range(self, jas3):
-        ic = IndexConfiguration(jas3, [5, 2, 3])
-        for v in range(100):
-            bid = ic.bucket_id({"A": v, "B": v * 7, "C": v * 13})
-            assert 0 <= bid < 2**10
-
-    def test_bucket_id_consistent_with_key(self, jas3):
-        ic = IndexConfiguration(jas3, [5, 2, 3])
-        values = {"A": 42, "B": 17, "C": 3}
-        key = ic.bucket_key(values)
-        assert ic.bucket_id(values) == (key[0] << 5) | (key[1] << 3) | key[2]
 
     def test_deterministic(self, jas3):
         ic = IndexConfiguration(jas3, [5, 2, 3])
         v = {"A": "x", "B": 2.5, "C": None}
-        assert ic.bucket_key(v) == ic.bucket_key(v)
-
-    def test_probe_fragments_only_bitted_attrs(self, jas3, ap3):
-        ic = IndexConfiguration(jas3, [4, 0, 4])
-        frags = ic.probe_fragments(ap3("A", "B"), {"A": 1, "B": 2})
-        assert list(frags) == [0]  # B has no bits, contributes no constraint
+        assert bucket_key(ic, v) == bucket_key(ic, v)
 
     @given(st.integers(), st.integers(), st.integers())
     def test_equal_values_same_bucket(self, a, b, c):
         jas = JoinAttributeSet(["A", "B", "C"])
         ic = IndexConfiguration(jas, [6, 5, 5])
         v = {"A": a, "B": b, "C": c}
-        assert ic.bucket_key(v) == ic.bucket_key(dict(v))
+        assert bucket_key(ic, v) == bucket_key(ic, dict(v))
 
 
 class TestUniformConfiguration:

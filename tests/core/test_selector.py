@@ -44,9 +44,9 @@ class TestExhaustiveSelection:
     def test_single_hot_pattern_gets_all_useful_bits(self, jas3, ap3):
         stats = make_stats({ap3("A"): 1.0}, domain_bits={"A": 6})
         best = select_exhaustive(stats, jas3, 16)
-        assert best.bits_for_attribute("A") == 6
-        assert best.bits_for_attribute("B") == 0
-        assert best.bits_for_attribute("C") == 0
+        assert best.bits[jas3.position("A")] == 6
+        assert best.bits[jas3.position("B")] == 0
+        assert best.bits[jas3.position("C")] == 0
 
     def test_respects_budget(self, jas3, ap3):
         stats = make_stats({ap3("A", "B", "C"): 1.0})

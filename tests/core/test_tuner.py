@@ -35,7 +35,7 @@ class TestAMRITuner:
             tuner.observe(ap3("A"))
         report = tuner.tune(CTX)
         assert report is not None and report.migrated
-        assert tuner.index.config.bits_for_attribute("A") > 0
+        assert tuner.index.config.bits[jas3.position("A")] > 0
         assert ap3("A") in report.frequencies
 
     def test_keeps_good_configuration(self, jas3, ap3):

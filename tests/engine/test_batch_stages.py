@@ -97,7 +97,7 @@ def run_pair(ticks, plan, window=5):
 
             stem.probe_batch = column
         stats = ex.run(ticks, arrivals_from(plan))
-        results.append((ex, stats, sink))
+        results.append((ex, stats, [result.sources for result in sink]))
     # Every hop is a column now, first hops of one row included.
     assert widths and max(widths) > 1, "no hop ran as a multi-row column; the case is vacuous"
     return results

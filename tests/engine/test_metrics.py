@@ -14,7 +14,6 @@ from repro.engine.metrics import (
     Histogram,
     MetricsRegistry,
     SpanRecord,
-    cost_label_key,
 )
 from repro.engine.metrics_export import (
     spans_to_jsonl,
@@ -81,8 +80,9 @@ class TestRegistrySeries:
         b = reg.counter("x", phase="probe", stream="A")
         c = reg.counter("x", stream="A", phase="probe", index_kind=None)
         assert a is b is c
-        assert cost_label_key("index", stream="A") == (
-            ("component", "index"),
+        a.inc()
+        assert reg.snapshot().get("x", stream="A", phase="probe").labels == (
+            ("phase", "probe"),
             ("stream", "A"),
         )
 

@@ -92,10 +92,6 @@ class TestJASDerivation:
         assert list(q.jas_for("A").names) == ["AB", "AC", "AD"]
         assert list(q.jas_for("C").names) == ["AC", "BC", "CD"]
 
-    def test_neighbours(self):
-        q = paper_query()
-        assert q.neighbours("A") == ("B", "C", "D")
-
     def test_predicates_between(self):
         q = paper_query()
         preds = q.predicates_between("A", "B")

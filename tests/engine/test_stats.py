@@ -37,12 +37,6 @@ class TestRunStats:
         rs.died_at = 42
         assert not rs.completed
 
-    def test_final_tick(self):
-        rs = RunStats()
-        assert rs.final_tick() == 0
-        rs.sample(7, 0.0, 0, 0)
-        assert rs.final_tick() == 7
-
 
 class TestSelectivityEstimator:
     def test_default_optimistic(self):

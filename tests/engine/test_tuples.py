@@ -28,29 +28,6 @@ class TestStreamTuple:
 
 
 class TestJoinedTuple:
-    def test_of_single(self):
-        t = StreamTuple("A", 1, {"x": 1})
-        j = JoinedTuple.of(t)
-        assert j.streams == {"A"}
-        assert j.width == 1
-        assert j["x"] == 1
-
-    def test_extend_merges_values(self):
-        a = StreamTuple("A", 1, {"x": 1})
-        b = StreamTuple("B", 2, {"y": 2})
-        j = JoinedTuple.of(a).extend(b)
-        assert j.streams == {"A", "B"}
-        assert j["x"] == 1 and j["y"] == 2
-        assert j.width == 2
-
-    def test_extend_is_persistent(self):
-        a = StreamTuple("A", 1, {"x": 1})
-        b = StreamTuple("B", 2, {"y": 2})
-        j1 = JoinedTuple.of(a)
-        j2 = j1.extend(b)
-        assert j1.streams == {"A"}
-        assert j2.streams == {"A", "B"}
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             JoinedTuple(())
@@ -59,17 +36,4 @@ class TestJoinedTuple:
         a1 = StreamTuple("A", 1, {"x": 1})
         a2 = StreamTuple("A", 2, {"x": 2})
         with pytest.raises(ValueError):
-            JoinedTuple.of(a1).extend(a2)
-
-    def test_shared_attribute_consistency(self):
-        # Join attributes are equal across sources by construction; the
-        # merged view keeps a single value.
-        a = StreamTuple("A", 1, {"k": 7, "ax": 1})
-        b = StreamTuple("B", 2, {"k": 7, "bx": 2})
-        j = JoinedTuple.of(a).extend(b)
-        assert j["k"] == 7
-
-    def test_mapping_protocol(self):
-        a = StreamTuple("A", 1, {"x": 1})
-        j = JoinedTuple.of(a)
-        assert dict(j) == {"x": 1}
+            JoinedTuple((a1, a2))

@@ -79,7 +79,7 @@ class TestOperator:
             TuningContext(lambda_d=10, window=10, horizon=50, domain_bits={"A": 8})
         )
         assert report is not None and report.migrated
-        assert store.index.config.bits_for_attribute("A") > 0
+        assert store.index.config.bits[jas3.position("A")] > 0
 
     def test_default_tuner_is_null(self, jas3):
         store = StateStore("S", jas3, make_bit_index(jas3, [1, 1, 1]), window=3)

@@ -6,7 +6,6 @@ from repro.utils.validation import (
     check_fraction,
     check_non_negative,
     check_positive,
-    check_type,
 )
 
 
@@ -46,17 +45,3 @@ class TestCheckFraction:
     def test_exclusive_high(self):
         with pytest.raises(ValueError):
             check_fraction("f", 1.0, inclusive_high=False)
-
-
-class TestCheckType:
-    def test_accepts(self):
-        check_type("n", 3, int)
-
-    def test_rejects(self):
-        with pytest.raises(TypeError, match="n must be int"):
-            check_type("n", "3", int)
-
-    def test_tuple_of_types(self):
-        check_type("n", 3.0, (int, float))
-        with pytest.raises(TypeError):
-            check_type("n", "3", (int, float))

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.workloads.generators import (
-    ConstantSchedule,
     PiecewiseConstantSchedule,
     SyntheticStreamGenerator,
-    match_probability,
     rotating_hotspot_schedules,
     zipf_weights,
 )
@@ -32,27 +30,9 @@ class TestZipfWeights:
             zipf_weights(10, -1.0)
 
 
-class TestMatchProbability:
-    def test_uniform_is_inverse_domain(self):
-        assert match_probability(64, 0.0) == pytest.approx(1 / 64)
-
-    def test_skew_increases_matches(self):
-        assert match_probability(256, 2.0) > match_probability(256, 1.0) > match_probability(256, 0.0)
-
-    def test_empirical_agreement(self):
-        """Monte-carlo check: two Zipf draws collide at ~ sum(p^2)."""
-        rng = np.random.default_rng(0)
-        d, s = 64, 1.5
-        w = zipf_weights(d, s)
-        a = rng.choice(d, size=20000, p=w)
-        b = rng.choice(d, size=20000, p=w)
-        empirical = (a == b).mean()
-        assert empirical == pytest.approx(match_probability(d, s), rel=0.1)
-
-
 class TestSchedules:
     def test_constant(self):
-        s = ConstantSchedule(100, skew=1.5)
+        s = PiecewiseConstantSchedule([(1, 100, 1.5)])
         assert s.domain_size(0) == s.domain_size(999) == 100
         assert s.skew(5) == 1.5
         assert s.max_domain_size == 100
@@ -106,7 +86,10 @@ class TestSyntheticStreamGenerator:
     def make(self, seed=0):
         return SyntheticStreamGenerator(
             {"A": ("k", "m"), "B": ("k",)},
-            {"k": ConstantSchedule(16, skew=1.0), "m": ConstantSchedule(8)},
+            {
+                "k": PiecewiseConstantSchedule([(1, 16, 1.0)]),
+                "m": PiecewiseConstantSchedule([(1, 8, 0.0)]),
+            },
             {"A": 3, "B": 2},
             seed=seed,
         )
@@ -152,13 +135,13 @@ class TestSyntheticStreamGenerator:
     def test_missing_rate_rejected(self):
         with pytest.raises(ValueError, match="no arrival rate"):
             SyntheticStreamGenerator(
-                {"A": ("k",)}, {"k": ConstantSchedule(4)}, {}
+                {"A": ("k",)}, {"k": PiecewiseConstantSchedule([(1, 4, 0.0)])}, {}
             )
 
     def test_unknown_rate_rejected(self):
         with pytest.raises(ValueError, match="unknown streams"):
             SyntheticStreamGenerator(
-                {"A": ("k",)}, {"k": ConstantSchedule(4)}, {"A": 1, "Z": 1}
+                {"A": ("k",)}, {"k": PiecewiseConstantSchedule([(1, 4, 0.0)])}, {"A": 1, "Z": 1}
             )
 
     def test_callable_protocol(self):
@@ -168,7 +151,7 @@ class TestSyntheticStreamGenerator:
     def test_skew_concentrates_values(self):
         gen = SyntheticStreamGenerator(
             {"A": ("k",)},
-            {"k": ConstantSchedule(256, skew=2.5)},
+            {"k": PiecewiseConstantSchedule([(1, 256, 2.5)])},
             {"A": 200},
             seed=3,
         )
@@ -194,7 +177,7 @@ class TestRateModulation:
 
         gen = SyntheticStreamGenerator(
             {"A": ("k",)},
-            {"k": ConstantSchedule(16)},
+            {"k": PiecewiseConstantSchedule([(1, 16, 0.0)])},
             {"A": 10},
             rate_modulation=diurnal_burst_modulation(
                 period=100, amplitude=0.0, burst_every=50, burst_len=5, burst_factor=3.0
@@ -206,7 +189,7 @@ class TestRateModulation:
     def test_zero_rate_tick(self):
         gen = SyntheticStreamGenerator(
             {"A": ("k",)},
-            {"k": ConstantSchedule(16)},
+            {"k": PiecewiseConstantSchedule([(1, 16, 0.0)])},
             {"A": 1},
             rate_modulation=lambda s, t: 0.0,
         )

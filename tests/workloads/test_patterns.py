@@ -69,13 +69,12 @@ class TestExplorationNoise:
 
 class TestPatternStream:
     def test_length(self, ap3):
-        s = PatternStream.stationary({ap3("A"): 1.0}, 50, seed=0)
+        s = PatternStream([(50, {ap3("A"): 1.0})], seed=0)
         assert len(list(s)) == 50
-        assert s.total_requests == 50
 
     def test_empirical_frequencies(self, ap3):
         dist = {ap3("A"): 0.8, ap3("B"): 0.2}
-        s = PatternStream.stationary(dist, 5000, seed=1)
+        s = PatternStream([(5000, dist)], seed=1)
         counts = Counter(s)
         assert counts[ap3("A")] / 5000 == pytest.approx(0.8, abs=0.03)
 
@@ -87,18 +86,10 @@ class TestPatternStream:
         assert all(ap == ap3("A") for ap in draws[:10])
         assert all(ap == ap3("B") for ap in draws[10:])
 
-    def test_exact_counts(self, ap3):
-        s = PatternStream(
-            [(100, {ap3("A"): 0.5, ap3("B"): 0.5}), (50, {ap3("A"): 1.0})], seed=0
-        )
-        counts = s.exact_counts()
-        assert counts[ap3("A")] == pytest.approx(100.0)
-        assert counts[ap3("B")] == pytest.approx(50.0)
-
     def test_seeded_reproducibility(self, ap3):
         dist = {ap3("A"): 0.5, ap3("B", "C"): 0.5}
-        assert list(PatternStream.stationary(dist, 100, seed=9)) == list(
-            PatternStream.stationary(dist, 100, seed=9)
+        assert list(PatternStream([(100, dist)], seed=9)) == list(
+            PatternStream([(100, dist)], seed=9)
         )
 
     def test_rejects_empty_phases(self):
