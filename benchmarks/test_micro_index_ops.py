@@ -306,6 +306,38 @@ def test_bit_probe_paper_scale(benchmark, attributes):
     record_cost_units(benchmark, cost)
 
 
+def test_bit_probe_shared_fragments(benchmark):
+    """A 64-row column whose rows share fragments: a 512-tuple state over a
+    4-bit key map (``A:2, B:1, C:1``), probed ``<A,B,*>`` with 64 distinct
+    stored ``(A, B)`` pairs — eight fragment tuples between them.  Each
+    round drops the prober first, as an insert or an expiry does, so the
+    column finds each fragment tuple's candidate rows once and filters
+    them for every row after."""
+    items = [{"A": i % 64, "B": (i * 5) % 48, "C": i % 8} for i in range(512)]
+    idx = make_bit_index(JAS, {"A": 2, "B": 1, "C": 1})
+    for item in items:
+        idx.insert(item)
+    ap = AccessPattern.from_attributes(JAS, ["A", "B"])
+    rows = list(dict.fromkeys((item["A"], item["B"]) for item in items))[:64]
+    assert len(rows) == 64
+
+    def column():
+        idx._drop_probers()
+        return idx.search_batch(ap, rows)
+
+    outcomes = benchmark(column)
+    assert all(out.matches for out in outcomes)
+    best = min(timeit.repeat(column, number=20, repeat=20))
+    benchmark.extra_info["us_per_probe"] = round(best / 20 / len(rows) * 1e6, 3)
+
+    def cost():
+        before = idx.accountant.snapshot()
+        column()
+        return idx.accountant.cost_since(before, COST_PARAMS)
+
+    record_cost_units(benchmark, cost)
+
+
 # --------------------------------------------------------------------- #
 # adaptation
 

@@ -17,6 +17,10 @@ below the threshold into a parent before judging the parent, so mass from
 several individually-infrequent specializations can surface a shared
 generalization (the Table II example: ``<A,B,*>`` at 4% merges into
 ``<A,*,*>`` at 4%, and the combined 8% clears θ=5%).
+
+Like SRIA, DIA and CSRIA, the table is keyed by ``BR(ap)``: the sketch sees
+``ap.mask`` ints and the lattice as bit operations on them, and a mask
+becomes an :class:`AccessPattern` again only when the assessor reports.
 """
 
 from __future__ import annotations
@@ -26,7 +30,19 @@ import numpy as np
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment.base import FrequencyAssessor
 from repro.sketches.hierarchical import HHHEntry, HierarchicalHeavyHitters
+from repro.utils.bitops import mask_to_indices
 from repro.utils.validation import check_fraction
+
+
+def _parents(mask: int) -> tuple[int, ...]:
+    """``AccessPattern.parents`` on ``BR(ap)``: one attribute removed, in
+    the same order."""
+    return tuple(mask & ~(1 << i) for i in mask_to_indices(mask))
+
+
+def _is_ancestor(a: int, b: int) -> bool:
+    """``AccessPattern.is_proper_generalization_of`` on ``BR(ap)``."""
+    return a & b == a and a != b
 
 
 class CDIA(FrequencyAssessor):
@@ -61,32 +77,34 @@ class CDIA(FrequencyAssessor):
     def _make_sketch(self) -> HierarchicalHeavyHitters:
         return HierarchicalHeavyHitters(
             self.epsilon,
-            parents=lambda ap: ap.parents(),
-            level=lambda ap: ap.level(),
-            is_ancestor=lambda a, b: a.is_proper_generalization_of(b),
+            parents=_parents,
+            level=int.bit_count,
+            is_ancestor=_is_ancestor,
             combine=self.combine,
             seed=self._seed,
         )
 
     def _record(self, ap: AccessPattern) -> None:
-        self._sketch.offer(ap)
+        self._sketch.offer(ap.mask)
 
     def _record_run(self, ap: AccessPattern, n: int) -> None:
-        self._sketch.offer_run(ap, n)
+        self._sketch.offer_run(ap.mask, n)
 
     def frequent_patterns(self, theta: float) -> dict[AccessPattern, float]:
         check_fraction("theta", theta)
-        return dict(self._sketch.frequent_items(theta))
+        jas = self.jas
+        return {AccessPattern(jas, m): f for m, f in self._sketch.frequent_items(theta).items()}
 
     def frequencies(self) -> dict[AccessPattern, float]:
         n = self._n_requests
         if n == 0:
             return {}
-        return {ap: entry.count / n for ap, entry in self._sketch.entries().items()}
+        return {ap: entry.count / n for ap, entry in self.entries().items()}
 
     def entries(self) -> dict[AccessPattern, HHHEntry]:
         """Raw tracked (pattern, count+delta) entries (diagnostics)."""
-        return self._sketch.entries()
+        jas = self.jas
+        return {AccessPattern(jas, m): entry for m, entry in self._sketch.entries().items()}
 
     @property
     def entry_count(self) -> int:

@@ -163,23 +163,27 @@ def _walk_source(n_fixed: int, arity: int, layout: tuple[int, ...] | None) -> st
 
     - computes each fixed fragment: the memoized value hash masked to its
       width;
-    - finds the candidate buckets.  A point probe assembles its one key (a
-      position without bits has fragment 0).  A wildcard probe looks up each
-      fragment's key set in fixed-position order, answers "no match" at the
-      first empty one, and walks the *first smallest* set in its iteration
-      order, keeping the keys that carry every other fixed fragment.
-      Downstream match lists, and therefore the golden corpus, depend on
-      exactly this order.  With no fixed fragment it walks every bucket;
-    - keeps the value rows equal to the probe, ``r[pos] == value`` — the
-      stored value on the left, attributes in pattern order, short-circuit —
-      and returns their tuples from the slot list.
+    - finds the candidate rows.  A point probe assembles its one key (a
+      position without bits has fragment 0) and takes that bucket's rows.
+      A wildcard probe looks up each fragment's key set in fixed-position
+      order, has no candidates at the first empty one, and walks the
+      *first smallest* set in its iteration order, keeping the keys that
+      carry every other fixed fragment; its candidates are those buckets'
+      rows in that order.  With no fixed fragment they are every bucket's
+      rows.  Downstream match lists, and therefore the golden corpus,
+      depend on exactly this order.  A wildcard prober keeps each
+      fixed-fragment tuple's candidate rows in a dict, so rows that share
+      fragments find them once: the prober is dropped on every insert,
+      remove and reconfigure, so the dict never sees a stale bucket;
+    - keeps the candidate rows equal to the probe, ``r[pos] == value`` —
+      the stored value on the left, attributes in pattern order,
+      short-circuit — and returns their tuples from the slot list, charging
+      the candidates as examined.
     """
     fixed = range(n_fixed)
     where = " and ".join(f"r[p{j}] == v{j}" for j in range(arity))
     where = f" if {where}" if where else ""
-    lines = [
-        "def make_walk(plan, buckets, frag_maps, items, visited, size, hash_, Outcome):"
-    ]
+    lines = ["def make_walk(plan, buckets, frag_maps, items, visited, hash_, Outcome):"]
     for targets, source in (
         ([f"p{j}" for j in range(arity)], "plan.positions"),
         ([f"(r{j}, m{j})" for j in fixed], "plan.row_masks"),
@@ -187,38 +191,42 @@ def _walk_source(n_fixed: int, arity: int, layout: tuple[int, ...] | None) -> st
     ):
         if targets:
             lines.append(f"    {', '.join(targets)}, = {source}")
-    if layout is None:
-        lines += [f"    g{j} = frag_maps[q{j}].get" for j in fixed]
     body = [f"{''.join(f'v{j}, ' for j in range(arity))}= probe"] if arity else []
     body += [f"f{j} = hash_(probe[r{j}]) & m{j}" for j in fixed]
-    miss = "    return Outcome([], visited, 0)"
-    if not n_fixed:
-        select = f"items[r[-1]] for b in buckets.values() for r in b.values(){where}"
-        body.append(f"return Outcome([{select}], visited, size, True)")
-    elif layout is not None:
+    if layout is not None:
         key = "".join(f"f{slot}, " if slot < n_fixed else "0, " for slot in layout)
         select = f"items[r[-1]] for r in b.values(){where}"
-        body += [f"b = buckets.get(({key}))", "if b is None:", miss]
+        body += [f"b = buckets.get(({key}))", "if b is None:", "    return Outcome([], visited, 0)"]
         body.append(f"return Outcome([{select}], visited, len(b))")
     else:
+        frags = ", ".join(f"f{j}" for j in fixed)
+        lines += [f"    g{j} = frag_maps[q{j}].get" for j in fixed]
+        lines += ["    memo = {}", f"    def candidates({frags}):"]
+        walk = []
         for j in fixed:
-            body += [f"s{j} = g{j}(f{j})", f"if not s{j}:", miss]
+            walk += [f"s{j} = g{j}(f{j})", f"if not s{j}:", "    return []"]
         groups = []
         for base in fixed:
             others = " and ".join(f"k[q{j}] == f{j}" for j in fixed if j != base)
             others = f" if {others}" if others else ""
-            groups.append(f"groups = [buckets[k] for k in s{base}{others}]")
-        if n_fixed == 1:
-            body += groups
-        else:
-            body.append("i, n = 0, len(s0)")
+            groups.append(f"return [r for k in s{base}{others} for r in buckets[k].values()]")
+        if n_fixed > 1:
+            walk.append("i, n = 0, len(s0)")
             for j in range(1, n_fixed):
-                body += [f"if len(s{j}) < n:", f"    i, n = {j}, len(s{j})"]
+                walk += [f"if len(s{j}) < n:", f"    i, n = {j}, len(s{j})"]
             for j in range(n_fixed - 1):
-                body += [f"{'elif' if j else 'if'} i == {j}:", f"    {groups[j]}"]
-            body += ["else:", f"    {groups[-1]}"]
-        select = f"items[r[-1]] for b in groups for r in b.values(){where}"
-        body.append(f"return Outcome([{select}], visited, sum(map(len, groups)))")
+                walk += [f"if i == {j}:", f"    {groups[j]}"]
+        every = "return [r for b in buckets.values() for r in b.values()]"
+        walk.append(groups[-1] if groups else every)
+        lines += [f"        {line}" for line in walk]
+        key = frags if n_fixed == 1 else f"({frags})"
+        body += [
+            f"rows = memo.get({key})",
+            "if rows is None:",
+            f"    rows = memo[{key}] = candidates({frags})",
+            f"return Outcome([items[r[-1]] for r in rows{where}], visited, len(rows)"
+            f"{'' if n_fixed else ', True'})",
+        ]
     lines.append("    def probe_row(probe):")
     lines += [f"        {line}" for line in body]
     lines.append("    return probe_row")
@@ -255,6 +263,11 @@ class BitAddressIndex(StateIndex):
     accountant:
         Shared cost/memory tally; a fresh one is created if omitted.
     """
+
+    #: A prober captures the size and the live-bucket count, and a wildcard
+    #: prober keeps candidate rows per fragment tuple, so every insert and
+    #: remove must drop it: that memo lives for one route stage at most.
+    probers_outlive_storage = False
 
     def __init__(
         self,
@@ -347,7 +360,11 @@ class BitAddressIndex(StateIndex):
             bucket = {}
             self._buckets[key] = bucket
             for pos, fmap in self._frag_maps.items():
-                fmap.setdefault(key[pos], set()).add(key)
+                keys = fmap.get(key[pos])
+                if keys is None:
+                    fmap[key[pos]] = {key}
+                else:
+                    keys.add(key)
             self.accountant.index_bytes += self._bucket_bytes
         bucket[row[-1]] = row
 
@@ -398,7 +415,6 @@ class BitAddressIndex(StateIndex):
             self._frag_maps,
             self._items,
             visited,
-            len(self._entries),
             _cached_value_hash,
             SearchOutcome,
         )

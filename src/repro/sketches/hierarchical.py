@@ -91,6 +91,11 @@ class HierarchicalHeavyHitters:
         self._n = 0
         # _tracked_leaves memo: (tracked keys in dict order, their leaves).
         self._leaves_memo: tuple[list[Hashable], list[Hashable]] = ([], [])
+        # A lower bound on ``count + delta`` over the tracked leaves: exact
+        # after a sweep, lowered by each new entry.  Counts only grow and
+        # only a sweep removes entries (the one way a node becomes a leaf),
+        # so a boundary whose segment id is below it has nothing to roll up.
+        self._floor: float = math.inf
 
     @property
     def n(self) -> int:
@@ -111,7 +116,9 @@ class HierarchicalHeavyHitters:
         if entry is not None:
             entry.count += 1
         else:
-            self._entries[item] = HHHEntry(count=1, delta=self.current_segment_id - 1)
+            delta = self.current_segment_id - 1
+            self._entries[item] = HHHEntry(count=1, delta=delta)
+            self._floor = min(self._floor, 1 + delta)
         if self._n % self.segment_width == 0:
             self.compress()
 
@@ -132,6 +139,7 @@ class HierarchicalHeavyHitters:
             if entry is None:
                 # delta of the segment the run's next offer lands in
                 entry = entries[item] = HHHEntry(count=0, delta=self._n // width)
+                self._floor = min(self._floor, step + entry.delta)
             entry.count += step
             self._n += step
             n -= step
@@ -211,17 +219,21 @@ class HierarchicalHeavyHitters:
         A leaf is combined when ``count + delta <= current_segment_id``
         (the lossy-counting eviction rule, but *merging* instead of
         deleting).  Rolling up can expose new leaves, so the sweep repeats
-        until it makes no progress.
+        until it makes no progress.  No sweep runs while every leaf is known
+        to clear the segment id.
         """
         combined = 0
         s_id = self.current_segment_id
+        if self._floor > s_id:
+            return 0
+        entries = self._entries
         while True:
-            doomed = [
-                item
-                for item in self._tracked_leaves()
-                if self._entries[item].count + self._entries[item].delta <= s_id
-            ]
+            bounds = {
+                leaf: entries[leaf].count + entries[leaf].delta for leaf in self._tracked_leaves()
+            }
+            doomed = [item for item, bound in bounds.items() if bound <= s_id]
             if not doomed:
+                self._floor = min(bounds.values(), default=math.inf)
                 return combined
             # Deepest first so the roll-up cascades bottom-up within a sweep.
             doomed.sort(key=self._level, reverse=True)

@@ -552,6 +552,86 @@ def test_generated_walks_carry_no_user_text():
 
 
 # --------------------------------------------------------------------- #
+# candidate rows per fragment tuple — a cached prober answers as a fresh one
+
+
+def probe_fields(outcome):
+    return (
+        [id(m) for m in outcome.matches],
+        outcome.buckets_visited,
+        outcome.tuples_examined,
+        outcome.used_full_scan,
+    )
+
+
+@st.composite
+def colliding_histories(draw):
+    """Three attributes, A and B of 1-2 bits and C of 0-2, over eight
+    values: fragments collide, and every walk shape occurs (no fixed
+    fragment, one, two, a point probe, the full scan).  Inserts and removes
+    interleave with probe columns (``None``) that fill the probers' memos."""
+    bits = draw(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(0, 2)))
+    row = st.fixed_dictionaries({a: st.integers(0, 7) for a in "ABC"})
+    ops = draw(st.lists(st.one_of(row, row, st.integers(0, 50), st.none()), max_size=40))
+    return bits, ops, draw(st.lists(row, min_size=1, max_size=5))
+
+
+@pytest.mark.parametrize("cls", [BitAddressIndex, WalkOnly], ids=["counts", "walk_only"])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(history=colliding_histories())
+def test_a_cached_prober_answers_each_row_as_a_fresh_one(cls, history):
+    bits, ops, probes = history
+    jas = JoinAttributeSet(["A", "B", "C"])
+    idx = cls(IndexConfiguration(jas, list(bits)))
+    patterns = [AccessPattern.from_mask(jas, m) for m in range(jas.full_mask + 1)]
+
+    def columns(values):
+        return {ap: [tuple(v[a] for a in ap.attributes) for v in values] for ap in patterns}
+
+    live = []
+    for op in ops:
+        if isinstance(op, dict):
+            live.append(dict(op))
+            idx.insert(live[-1])
+        elif op is None:
+            for ap, rows in columns(probes + live[:2]).items():
+                idx.search_batch(ap, rows)
+        elif live:
+            idx.remove(live.pop(op % len(live)))
+    for ap, rows in columns(probes + live[:4]).items():
+        # One column, then each row again through the same prober: by then
+        # its memo holds every fragment tuple of the column.
+        cached = list(zip(idx.search_batch(ap, rows), (idx.search_batch(ap, [r])[0] for r in rows)))
+        for row, (in_column, alone) in zip(rows, cached):
+            idx._drop_probers()
+            (fresh,) = idx.search_batch(ap, [row])
+            want = probe_fields(fresh)
+            assert probe_fields(in_column) == want and probe_fields(alone) == want, (ap, row)
+
+
+def test_an_insert_between_two_probes_of_one_fragment_tuple_shows(jas3, ap3):
+    idx = make_bit_index(jas3, [1, 1, 1])
+    items = [{"A": i % 4, "B": i % 3, "C": i % 5} for i in range(40)]
+    for item in items:
+        idx.insert(item)
+    before = idx.search_batch(ap3("A"), [(2,)])[0]
+    new = {"A": 2, "B": 0, "C": 0}
+    idx.insert(new)
+    after = idx.search_batch(ap3("A"), [(2,)])[0]
+    assert any(m is new for m in after.matches)
+    assert after.tuples_examined == before.tuples_examined + 1
+    idx.remove(new)
+    assert probe_fields(idx.search_batch(ap3("A"), [(2,)])[0])[1:] == probe_fields(before)[1:]
+
+
+def test_bit_address_probers_never_outlive_storage():
+    assert BitAddressIndex.probers_outlive_storage is False, (
+        "a bit-address prober keeps candidate rows per fragment tuple (and "
+        "captures the size and live-bucket count): insert and remove must drop it"
+    )
+
+
+# --------------------------------------------------------------------- #
 # value and fragment counts — what they answer is what the walk answers
 
 

@@ -1,11 +1,14 @@
 """Tests for the hierarchical heavy-hitter engine (the CDIA substrate)."""
 
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.access_pattern import AccessPattern, JoinAttributeSet
+from repro.core.assessment import CDIA
 from repro.sketches.hierarchical import HHHEntry, HierarchicalHeavyHitters
 from repro.utils.bitops import bit_count, mask_to_indices
 
@@ -261,3 +264,130 @@ class TestGenericHierarchy:
         assert not any(k.startswith("x") for k in h.entries())
         assert h.n == 22
         assert h.estimate("q") == 20
+
+
+class SweepsEveryBoundary(HierarchicalHeavyHitters):
+    """The reference: its leaf bound reads below every segment id, so each
+    boundary sweeps, as every one did before the bound."""
+
+    _floor = property(lambda self: -math.inf, lambda self, value: None)
+
+
+def count_sweeps(h):
+    """Wrap ``h._tracked_leaves`` (asked once per sweep pass) with a tally."""
+    calls = [0]
+    leaves = h._tracked_leaves
+
+    def counted():
+        calls[0] += 1
+        return leaves()
+
+    h._tracked_leaves = counted
+    return calls
+
+
+#: One step of a sketch's life: offer, offer_run, extend or compress.
+SKETCH_STEPS = st.one_of(
+    st.tuples(st.just("offer"), st.integers(0, 15)),
+    st.tuples(st.just("offer_run"), st.tuples(st.integers(0, 15), st.integers(0, 45))),
+    st.tuples(st.just("extend"), st.lists(st.integers(0, 15), max_size=12)),
+    st.tuples(st.just("compress"), st.none()),
+)
+
+
+class TestBoundedSweep:
+    """A boundary sweep skipped by the leaf bound changes nothing."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        eps=st.sampled_from([0.5, 0.2, 0.05]),
+        combine=st.sampled_from(HierarchicalHeavyHitters.COMBINE_STRATEGIES),
+        seed=st.integers(0, 3),
+        steps=st.lists(SKETCH_STEPS, max_size=30),
+    )
+    def test_equals_the_sketch_that_sweeps_every_boundary(self, eps, combine, seed, steps):
+        bounded = make_hhh(eps, combine, seed)
+        reference = SweepsEveryBoundary(
+            eps,
+            parents=mask_parents,
+            level=mask_level,
+            is_ancestor=mask_is_ancestor,
+            combine=combine,
+            seed=seed,
+        )
+        sweeps = count_sweeps(bounded), count_sweeps(reference)
+        for method, arg in steps:
+            for h in (bounded, reference):
+                if method == "offer_run":
+                    h.offer_run(*arg)
+                elif method == "compress":
+                    h.compress()
+                else:
+                    getattr(h, method)(arg)
+            # entries with their deltas, dict order, n, and RNG draws
+            assert sketch_state(bounded) == sketch_state(reference)
+        assert bounded.frequent_items(0.1) == reference.frequent_items(0.1)
+        assert sweeps[0][0] <= sweeps[1][0]
+
+    def test_a_boundary_with_nothing_to_roll_up_does_not_sweep(self):
+        bounded, reference = make_hhh(eps=0.1), SweepsEveryBoundary(
+            0.1, parents=mask_parents, level=mask_level, is_ancestor=mask_is_ancestor
+        )
+        sweeps = count_sweeps(bounded), count_sweeps(reference)
+        for h in (bounded, reference):
+            h.extend([0b011, 0b001] * 50)  # two heavy items, ten boundaries
+        assert sketch_state(bounded) == sketch_state(reference)
+        assert sweeps[0][0] < sweeps[1][0], sweeps
+
+
+class PatternKeyedCDIA(CDIA):
+    """The reference CDIA: its sketch keyed by ``AccessPattern`` objects and
+    their lattice methods, sweeping every boundary."""
+
+    def _make_sketch(self):
+        return SweepsEveryBoundary(
+            self.epsilon,
+            parents=AccessPattern.parents,
+            level=AccessPattern.level,
+            is_ancestor=AccessPattern.is_proper_generalization_of,
+            combine=self.combine,
+            seed=self._seed,
+        )
+
+    def _record(self, ap):
+        self._sketch.offer(ap)
+
+    def _record_run(self, ap, n):
+        self._sketch.offer_run(ap, n)
+
+    def frequent_patterns(self, theta):
+        return dict(self._sketch.frequent_items(theta))
+
+    def entries(self):
+        return self._sketch.entries()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    combine=st.sampled_from(HierarchicalHeavyHitters.COMBINE_STRATEGIES),
+    eps=st.sampled_from([0.25, 0.05]),
+    runs=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 30)), max_size=25),
+)
+def test_cdia_answers_as_a_pattern_keyed_sketch(combine, eps, runs):
+    jas = JoinAttributeSet(["A", "B", "C", "D"])
+    cdia = CDIA(jas, eps, combine=combine, seed=5)
+    reference = PatternKeyedCDIA(jas, eps, combine=combine, seed=5)
+    for mask, n in runs:
+        ap = AccessPattern.from_mask(jas, mask)
+        for assessor in (cdia, reference):
+            if n == 1:
+                assessor.record(ap)
+            else:
+                assessor.record_run(ap, n)
+        assert list(cdia.entries().items()) == list(reference.entries().items())
+    assert list(cdia.frequencies().items()) == list(reference.frequencies().items())
+    for theta in (0.05, 0.2, 0.5):
+        assert list(cdia.frequent_patterns(theta).items()) == list(
+            reference.frequent_patterns(theta).items()
+        )
+    assert cdia._sketch._rng.bit_generator.state == reference._sketch._rng.bit_generator.state
