@@ -17,7 +17,6 @@ from repro.engine.faults import (
     resolve_fault_plan,
 )
 from repro.engine.metrics import (
-    FlightRecorder,
     MetricsRegistry,
     RegistrySnapshot,
     Span,
@@ -55,7 +54,6 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "resolve_fault_plan",
-    "FlightRecorder",
     "MetricsRegistry",
     "RegistrySnapshot",
     "Span",

@@ -41,9 +41,11 @@ Observability: every virtual-clock charge flows through
 :class:`~repro.engine.metrics.MetricsRegistry` ``(component, stream,
 index_kind, phase)`` immediately after spending it — so the attributed
 grand total equals ``meter.total_spent`` bit-for-bit.  Tuple
-lifecycles, ticks, and tuning rounds become spans in the registry's flight
-recorder.  With no registry attached every metrics hook is a no-op and the
-run is byte-identical (asserted by the differential suites).
+lifecycles, ticks, and tuning rounds become spans the registry retains;
+discrete facts (tuning outcomes, faults, shedding, degradation, death) are
+events in the attached :class:`~repro.engine.tracing.EventLog`.  With no
+registry attached every metrics hook is a no-op and the run is
+byte-identical (asserted by the differential suites).
 """
 
 from __future__ import annotations

@@ -108,7 +108,7 @@ class EngineKernel:
         """End-of-run cleanup; returns the collected :class:`RunStats`.
 
         The backlog at end of run or at death is still queued: its tuple
-        spans close so the flight recorder's last ticks reconstruct, and
+        spans close so the retained spans' last ticks reconstruct, and
         each request is reported to the latency tracker as unfinished with
         its wait so far.  Also folds the injector's activation count into
         the stats.  Call exactly once after the final :meth:`step`

@@ -94,8 +94,8 @@ def tune_round(
 
     Each state's marginal tuning cost — assessment extraction, selection,
     and any migration — is charged to the ``tuner`` component with phase
-    ``migration`` or ``assess``; the round and its per-state children
-    become spans in the flight recorder.
+    ``migration`` or ``assess``; the round is one ``tuning_round`` span and
+    each state's outcome one ``tune`` / ``migration`` event.
     """
     m = ctx.metrics
     stems = (
@@ -117,15 +117,6 @@ def tune_round(
                 stream=stem.stream,
                 index_kind=kind,
                 phase="migration" if migrated else "assess",
-            )
-        if m is not None:
-            m.point_span(
-                "tune",
-                tick,
-                round_span,
-                stream=stem.stream,
-                migrated=migrated,
-                cost=delta,
             )
     if round_span is not None and m is not None:
         m.end_span(round_span, tick)
@@ -472,7 +463,6 @@ class ShedDegradeStage:
             ctx.latency.observe_shed(n)
         if m is not None:
             m.counter("shed_tuples_total").inc(n)
-            m.point_span("shed", tick, count=n, freed=n * per)
         if ctx.event_log is not None:
             ctx.event_log.record(tick, "shed", None, count=n, freed=n * per)
         return ctx.memory_breakdown()
@@ -504,7 +494,6 @@ class ShedDegradeStage:
             ctx.stats.degradations += 1
             if m is not None:
                 m.counter("degradations_total", stream=stem.stream).inc()
-                m.point_span("degrade", tick, stream=stem.stream, freed=freed, moved=moved)
             if ctx.event_log is not None:
                 ctx.event_log.record(
                     tick, "degrade", stem.stream, to="scan", freed=freed, moved=moved
@@ -537,7 +526,6 @@ class AuditStage:
             ctx.stats.death_reason = str(exc)
             if ctx.metrics is not None:
                 ctx.metrics.counter("deaths_total").inc()
-                ctx.metrics.point_span("death", t, used=exc.used, budget=exc.budget)
             if ctx.event_log is not None:
                 ctx.event_log.record(t, "death", None, used=exc.used, budget=exc.budget)
             tick.died = True

@@ -4,10 +4,11 @@ The repository's central claim is that the cost-unit virtual clock is a
 faithful stand-in for wall-clock throughput — but an aggregate clock cannot
 say *which* operator, index, or phase spent the units.  This module is the
 instrument: a :class:`MetricsRegistry` holds labelled **counters**,
-**gauges**, and fixed-bucket **histograms**, plus tick-based **spans** with
-parent links recorded into a bounded :class:`FlightRecorder` ring buffer, so
-long runs stay O(1) in memory while the last N ticks remain fully
-reconstructible after a death or degradation event.
+**gauges**, and fixed-bucket **histograms**, plus tick-based duration
+**spans** (ticks, tuples, tuning rounds) with parent links, kept in a
+bounded ring of the last :data:`FLIGHT_RECORDER_CAPACITY` so long runs stay
+O(1) in memory.  Discrete facts (tuning outcomes, shedding, degradation,
+death) are :class:`~repro.engine.tracing.EventLog` events, not spans.
 
 Two invariants the rest of the stack relies on:
 
@@ -34,13 +35,12 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
     "COST_METRIC",
     "Counter",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "LabelPairs",
@@ -60,7 +60,7 @@ LabelPairs = tuple[tuple[str, str], ...]
 #: Default histogram boundaries (upper bounds, ``le`` semantics).
 DEFAULT_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
-#: Spans a registry's flight recorder retains (the most recent ones).
+#: Spans a registry retains (the most recent ones).
 FLIGHT_RECORDER_CAPACITY = 4096
 
 
@@ -136,17 +136,16 @@ Instrument = Counter | Gauge | Histogram
 
 
 # --------------------------------------------------------------------- #
-# spans and the flight recorder
+# spans
 
 
 @dataclass
 class Span:
-    """One tick-based span: a tuple lifecycle, a tuning round, one tick...
+    """One tick-based span: a tuple lifecycle, a tuning round or one tick.
 
     ``start_tick``/``end_tick`` are engine ticks (the virtual clock's time
-    axis), not wall-clock; ``parent_id`` links child spans (a per-state
-    tuning round inside its tuning-round span, a tuple inside the tick it
-    arrived in).  ``end_tick`` is ``None`` while the span is open.
+    axis), not wall-clock; ``parent_id`` links a tuple to the tick it
+    arrived in.  ``end_tick`` is ``None`` while the span is open.
     """
 
     span_id: int
@@ -155,14 +154,6 @@ class Span:
     parent_id: int | None = None
     end_tick: int | None = None
     attrs: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def open(self) -> bool:
-        return self.end_tick is None
-
-    @property
-    def duration_ticks(self) -> int | None:
-        return None if self.end_tick is None else self.end_tick - self.start_tick
 
     def to_record(self) -> "SpanRecord":
         return SpanRecord(
@@ -186,10 +177,6 @@ class SpanRecord:
     parent_id: int | None = None
     attrs: tuple[tuple[str, object], ...] = ()
 
-    @property
-    def duration_ticks(self) -> int:
-        return self.end_tick - self.start_tick
-
     def to_dict(self) -> dict[str, object]:
         d: dict[str, object] = {
             "span_id": self.span_id,
@@ -200,41 +187,6 @@ class SpanRecord:
         }
         d.update({f"attr_{k}": v for k, v in self.attrs})
         return d
-
-
-class FlightRecorder:
-    """Bounded ring buffer of completed spans.
-
-    Keeps the most recent ``capacity`` spans in O(capacity) memory however
-    long the run: enough to reconstruct the last N ticks after a death or
-    degradation event without letting tracing grow with run length.
-    """
-
-    def __init__(self, capacity: int = FLIGHT_RECORDER_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._ring: deque[SpanRecord] = deque(maxlen=capacity)
-        self.recorded = 0  # total ever recorded (dropped = recorded - len)
-
-    def add(self, record: SpanRecord) -> None:
-        self._ring.append(record)
-        self.recorded += 1
-
-    @property
-    def dropped(self) -> int:
-        """Spans evicted by the ring so far."""
-        return self.recorded - len(self._ring)
-
-    def spans(self) -> list[SpanRecord]:
-        """Retained spans, oldest first."""
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __iter__(self) -> Iterator[SpanRecord]:
-        return iter(self._ring)
 
 
 # --------------------------------------------------------------------- #
@@ -283,14 +235,6 @@ class RegistrySnapshot:
             out[key] = out.get(key, 0.0) + (s.value or 0.0)
         return out
 
-    def get(self, name: str, **labels: str) -> SeriesSnapshot | None:
-        """The series with exactly these labels, if recorded."""
-        want = _label_pairs(labels)
-        for s in self.series:
-            if s.name == name and s.labels == want:
-                return s
-        return None
-
     def sum_values(self, name: str) -> float:
         """Sum of ``value`` across every series of ``name``."""
         return sum(s.value or 0.0 for s in self.series if s.name == name)
@@ -307,8 +251,9 @@ class MetricsRegistry:
     stream="A").inc()``); a name is bound to one instrument kind (and, for
     histograms, one boundary set — :data:`DEFAULT_BUCKETS` unless the
     first touch names its own) at first use — mixing kinds under one
-    name is a hard error, like an unregistered event kind.  The flight
-    recorder keeps the last :data:`FLIGHT_RECORDER_CAPACITY` spans.
+    name is a hard error, like an unregistered event kind.  The registry
+    keeps the last :data:`FLIGHT_RECORDER_CAPACITY` completed spans and
+    counts every span it ever recorded, so a snapshot reports the drops.
 
     The registry is process-local and effectively single-writer (engine
     runs are single-threaded); a small lock guards series *creation* so
@@ -320,7 +265,8 @@ class MetricsRegistry:
         self._kinds: dict[str, str] = {}
         self._buckets: dict[str, tuple[float, ...]] = {}
         self._lock = threading.Lock()
-        self.flight = FlightRecorder()
+        self._spans: deque[SpanRecord] = deque(maxlen=FLIGHT_RECORDER_CAPACITY)
+        self._spans_recorded = 0
         self._next_span_id = 0
         #: Chronological sum of every cost charge — bit-identical to the
         #: meter's ``total_spent`` because both add the same floats in the
@@ -439,7 +385,8 @@ class MetricsRegistry:
         return span
 
     def end_span(self, span: Span, tick: int, **attrs: object) -> SpanRecord:
-        """Close ``span`` at ``tick`` and commit it to the flight recorder."""
+        """Close ``span`` at ``tick`` and retain it (the oldest is dropped
+        once :data:`FLIGHT_RECORDER_CAPACITY` spans are held)."""
         if span.end_tick is not None:
             raise ValueError(f"span {span.span_id} ({span.name}) already ended")
         if tick < span.start_tick:
@@ -450,12 +397,9 @@ class MetricsRegistry:
         if attrs:
             span.attrs.update(attrs)
         record = span.to_record()
-        self.flight.add(record)
+        self._spans.append(record)
+        self._spans_recorded += 1
         return record
-
-    def point_span(self, name: str, tick: int, parent: Span | None = None, **attrs: object) -> SpanRecord:
-        """A zero-duration span: a discrete event on the trace timeline."""
-        return self.end_span(self.start_span(name, tick, parent, **attrs), tick)
 
     # -- snapshot -------------------------------------------------------- #
 
@@ -483,8 +427,8 @@ class MetricsRegistry:
         return RegistrySnapshot(
             series=tuple(series),
             cost_total=self.cost_total,
-            spans=tuple(self.flight.spans()),
-            spans_dropped=self.flight.dropped,
+            spans=tuple(self._spans),
+            spans_dropped=self._spans_recorded - len(self._spans),
         )
 
     def __len__(self) -> int:

@@ -1,8 +1,9 @@
-"""The JSONL export of metrics snapshots, spans, and engine events.
+"""The JSONL export of metrics snapshots, the run timeline, and latency.
 
 One export path for everything the engine records: a
-:class:`~repro.engine.metrics.RegistrySnapshot`, its retained spans, an
-:class:`~repro.engine.tracing.EventLog` (via ``to_records``) and a
+:class:`~repro.engine.metrics.RegistrySnapshot`'s series, its retained
+spans together with the run's :class:`~repro.engine.tracing.EngineEvent`
+stream (one timeline), and a
 :class:`~repro.engine.latency.LatencySnapshot` all become plain-dict
 records rendered as JSONL — one self-describing JSON object per line,
 sorted keys, non-finite floats as ``null``.
@@ -12,46 +13,36 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 
-from repro.engine.metrics import RegistrySnapshot, SpanRecord
+from repro.engine.metrics import RegistrySnapshot
+from repro.engine.tracing import EngineEvent
 
 __all__ = [
     "event_records",
     "render_jsonl",
     "snapshot_records",
-    "span_records",
-    "spans_to_jsonl",
-    "to_jsonl",
-    "to_jsonl_lines",
     "write_jsonl",
     "write_metrics",
     "write_trace",
 ]
 
 
-def _json_default(value: object) -> object:
-    """Last-resort JSON encoding for event/attr payloads (repr beats crash)."""
-    return repr(value)
-
-
-def to_jsonl_lines(records: Iterable[Mapping[str, object]]) -> list[str]:
-    """Render any record stream as JSONL lines (sorted keys, no NaN)."""
-    out = []
-    for rec in records:
-        safe = {
-            k: (None if isinstance(v, float) and not math.isfinite(v) else v)
-            for k, v in rec.items()
-        }
-        out.append(json.dumps(safe, sort_keys=True, default=_json_default))
-    return out
-
-
 def render_jsonl(records: Iterable[Mapping[str, object]]) -> str:
-    """JSONL text: one line per record, newline-terminated; ``""`` for none."""
-    lines = to_jsonl_lines(records)
-    return "\n".join(lines) + ("\n" if lines else "")
+    """JSONL text: one line per record (sorted keys, non-finite floats as
+    ``null``), newline-terminated; ``""`` for none."""
+    return "".join(
+        json.dumps(
+            {
+                k: (None if isinstance(v, float) and not math.isfinite(v) else v)
+                for k, v in rec.items()
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for rec in records
+    )
 
 
 def snapshot_records(snapshot: RegistrySnapshot) -> list[dict[str, object]]:
@@ -59,7 +50,8 @@ def snapshot_records(snapshot: RegistrySnapshot) -> list[dict[str, object]]:
 
     The aggregate record carries ``cost_total`` — the chronological grand
     total that equals the executor's virtual-clock total exactly — and the
-    flight-recorder drop count, so an exported file is self-contained.
+    count of spans retained and dropped, so an exported file is
+    self-contained.
     """
     records: list[dict[str, object]] = []
     for s in snapshot.series:
@@ -90,43 +82,18 @@ def snapshot_records(snapshot: RegistrySnapshot) -> list[dict[str, object]]:
     return records
 
 
-def span_records(spans: Sequence[SpanRecord]) -> list[dict[str, object]]:
-    """One dict per retained span (trace export)."""
-    return [span.to_dict() for span in spans]
-
-
-def spans_to_jsonl(spans: Sequence[SpanRecord]) -> str:
-    """Render spans as JSONL — the same pipeline events export through.
-
-    One line per retained span; the empty span list renders as the empty
-    string, matching :meth:`~repro.engine.tracing.EventLog.to_jsonl`.
-    """
-    return render_jsonl(span_records(spans))
-
-
-def event_records(events: Iterable[object]) -> list[dict[str, object]]:
-    """Records for :class:`~repro.engine.tracing.EngineEvent` streams.
-
-    Lives here (not on the event class) so events and metrics share one
-    export path; :meth:`EventLog.to_records` delegates to the same shape.
-    """
-    out: list[dict[str, object]] = []
-    for e in events:
-        out.append(
-            {
-                "record": "event",
-                "tick": getattr(e, "tick", None),
-                "kind": getattr(e, "kind", None),
-                "stream": getattr(e, "stream", None),
-                "detail": dict(getattr(e, "detail", {})),
-            }
-        )
-    return out
-
-
-def to_jsonl(snapshot: RegistrySnapshot) -> str:
-    """The snapshot as JSONL (one series per line + aggregate line)."""
-    return render_jsonl(snapshot_records(snapshot))
+def event_records(events: Iterable[EngineEvent]) -> list[dict[str, object]]:
+    """One ``event`` record per engine event, in recording order."""
+    return [
+        {
+            "record": "event",
+            "tick": e.tick,
+            "kind": e.kind,
+            "stream": e.stream,
+            "detail": dict(e.detail),
+        }
+        for e in events
+    ]
 
 
 def write_jsonl(path: Path | str, records: Iterable[Mapping[str, object]]) -> Path:
@@ -142,6 +109,17 @@ def write_metrics(path: Path | str, snapshot: RegistrySnapshot) -> Path:
     return write_jsonl(path, snapshot_records(snapshot))
 
 
-def write_trace(path: Path | str, snapshot: RegistrySnapshot) -> Path:
-    """Write the flight recorder's retained spans to ``path``."""
-    return write_jsonl(path, span_records(snapshot.spans))
+def write_trace(
+    path: Path | str, snapshot: RegistrySnapshot, events: Iterable[EngineEvent]
+) -> Path:
+    """Write the run's timeline to ``path``: the retained spans and every
+    event, ordered by tick (a span's ``start_tick``, an event's ``tick``).
+
+    Within one tick the spans come first, then the events, each in
+    recording order.  A span line is ``SpanRecord.to_dict()`` plus
+    ``"record": "span"``; an event line is :func:`event_records`' shape.
+    """
+    keyed = [((s.start_tick, 0), {"record": "span", **s.to_dict()}) for s in snapshot.spans]
+    keyed += [((rec["tick"], 1), rec) for rec in event_records(events)]
+    keyed.sort(key=lambda pair: pair[0])  # stable: recording order within a key
+    return write_jsonl(path, [rec for _, rec in keyed])

@@ -15,7 +15,6 @@ new entry in the tuple.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -68,45 +67,6 @@ class EventLog:
         event = EngineEvent(tick=tick, kind=kind, stream=stream, detail=detail)
         self._events.append(event)
         return event
-
-    def events(self, kind: str | None = None, stream: str | None = None) -> list[EngineEvent]:
-        """Events, optionally filtered by kind and/or stream."""
-        out = self._events
-        if kind is not None:
-            out = [e for e in out if e.kind == kind]
-        if stream is not None:
-            out = [e for e in out if e.stream == stream]
-        return list(out)
-
-    def counts_by_kind(self) -> dict[str, int]:
-        """How many events of each kind the run produced."""
-        return dict(Counter(e.kind for e in self._events))
-
-    def migrations_by_stream(self) -> dict[str, int]:
-        """Migration counts per state — where the tuner is working hardest."""
-        return dict(
-            Counter(
-                e.stream
-                for e in self._events
-                if e.kind == "migration" and e.stream is not None
-            )
-        )
-
-    def to_lines(self) -> list[str]:
-        """Human-readable one-liners, in recording order."""
-        return [str(e) for e in self._events]
-
-    def to_records(self) -> list[dict[str, object]]:
-        """Plain-dict records, shaped for the shared metrics export path."""
-        from repro.engine.metrics_export import event_records
-
-        return event_records(self._events)
-
-    def to_jsonl(self) -> str:
-        """The log as JSONL — same pipeline metrics snapshots export through."""
-        from repro.engine.metrics_export import render_jsonl
-
-        return render_jsonl(self.to_records())
 
     def __len__(self) -> int:
         return len(self._events)

@@ -18,8 +18,8 @@ every invocation against the outcome's ``meter_total``, which the meter
 keeps apart from the registry — a profile whose rows do not reconcile
 with the clock exits non-zero rather than print a lie.
 
-``--metrics`` / ``--trace`` export the snapshot and the flight recorder's
-retained spans as JSONL.
+``--metrics`` exports the snapshot and ``--trace`` the run's timeline (its
+retained spans and every event, ordered by tick) as JSONL.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         "--metrics", type=Path, default=None, help="export snapshot (JSONL) to PATH"
     )
     parser.add_argument(
-        "--trace", type=Path, default=None, help="export retained spans (JSONL) to PATH"
+        "--trace", type=Path, default=None, help="export spans and events by tick (JSONL) to PATH"
     )
     args = parser.parse_args(argv)
     try:  # a bad size or name is a usage error before any quasi-training
@@ -122,8 +122,11 @@ def main(argv: list[str] | None = None) -> int:
         path = write_metrics(args.metrics, snapshot)
         print(f"metrics written to {path}")
     if args.trace is not None:
-        path = write_trace(args.trace, snapshot)
-        print(f"trace written to {path} ({len(snapshot.spans)} spans)")
+        path = write_trace(args.trace, snapshot, outcome.events)
+        print(
+            f"trace written to {path} "
+            f"({len(snapshot.spans)} spans, {len(outcome.events)} events)"
+        )
     if not ok:
         print("cost attribution does not reconcile with the virtual clock", file=sys.stderr)
         return 1

@@ -15,9 +15,10 @@ as ``<scenario>_events.csv`` with ``--csv``).
 Observability flags: ``--metrics DIR`` attaches a metrics registry to every
 scheme, prints a cross-scheme cost breakdown by component, and writes one
 ``<scenario>_<scheme>_metrics.jsonl`` snapshot per scheme; ``--trace DIR``
-additionally writes each scheme's flight-recorder spans as
-``<scenario>_<scheme>_trace.jsonl``.  Metrics are observer-effect-free:
-the run results are byte-identical with the flags on or off.
+writes each scheme's timeline as ``<scenario>_<scheme>_trace.jsonl``: its
+retained spans and every event, one JSONL ordered by tick.  Metrics are
+observer-effect-free: the run results are byte-identical with the flags on
+or off.
 
 Latency flag: ``--latency DIR`` counts every request's queueing latency
 in ticks, prints exact p50/p95/p99 per scheme with the requests shed and
@@ -38,6 +39,7 @@ from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent
 from repro.experiments.parallel import RunSpec, run_parallel
 from repro.experiments.reporting import (
+    TIMELINE_KINDS,
     format_component_breakdown,
     format_fault_timeline,
     format_latency_report,
@@ -137,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         "--trace",
         type=Path,
         default=None,
-        help="directory for per-scheme flight-recorder span exports (JSONL)",
+        help="directory for per-scheme timelines: spans and events by tick (JSONL)",
     )
     parser.add_argument(
         "--latency",
@@ -180,7 +182,9 @@ def main(argv: list[str] | None = None) -> int:
         for name, stats in runs.items()
     ]
     print(format_table(["scheme", "outputs", "died at", "migrations"], rows))
-    if faults is not None or any(events.values()):
+    if faults is not None or any(
+        e.kind in TIMELINE_KINDS for scheme_events in events.values() for e in scheme_events
+    ):
         title = (
             f"\nfault timeline ({args.faults}, fault seed {args.fault_seed})"
             if faults is not None
@@ -212,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace is not None:
         for name, snap in snapshots.items():
             safe = name.replace(":", "_")
-            write_trace(args.trace / f"{args.scenario}_{safe}_trace.jsonl", snap)
+            write_trace(args.trace / f"{args.scenario}_{safe}_trace.jsonl", snap, events[name])
         print(f"traces written to {args.trace}/")
     if args.latency is not None:
         for name, snap in latencies.items():

@@ -7,6 +7,7 @@ import pytest
 from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration
+from repro.engine.metrics import RegistrySnapshot, SeriesSnapshot
 from repro.experiments.parallel import RunSpec, execute_spec
 from repro.indexes.hash_index import MultiHashIndex
 from repro.indexes.inverted_index import InvertedListIndex
@@ -20,6 +21,14 @@ def spec_stats(params, scheme: str, ticks: int, training=None):
     when one is given (shipped on the spec), untrained otherwise."""
     spec = RunSpec(params, scheme, ticks, train=training is not None, training=training)
     return execute_spec(spec).stats
+
+
+def series(snapshot: RegistrySnapshot, name: str, **labels: str) -> SeriesSnapshot | None:
+    """The snapshot's series ``name`` with exactly these labels, if recorded."""
+    want = tuple(sorted(labels.items()))
+    return next(
+        (s for s in snapshot.series if s.name == name and s.labels == want), None
+    )
 
 
 def bucket_key(config: IndexConfiguration, values) -> tuple[int, ...]:

@@ -126,7 +126,7 @@ class TestFaultTypes:
         log = EventLog()
         inj = FaultInjector(FaultPlan(stall_prob=1.0, stall_len=2), STREAMS, seed=1)
         drive(inj, ticks=4, log=log)
-        faults = log.events("fault")
+        faults = [e for e in log if e.kind == "fault"]
         assert faults and all(e.detail["fault"] == "stall" for e in faults)
         assert inj.injected == len(faults)
 
@@ -152,7 +152,7 @@ class TestSeededReproducibility:
             log = EventLog()
             inj = FaultInjector(plan, STREAMS, seed=42)
             batches.append(drive(inj, ticks=40, log=log))
-            logs.append(log.to_lines())
+            logs.append([str(e) for e in log])
         assert logs[0] == logs[1]
         a, b = batches
         assert [[repr(t) for t in batch] for batch in a] == [
@@ -169,7 +169,7 @@ class TestSeededReproducibility:
             # Per-tick activations (logged) plus the delivered arrival shape
             # (the only footprint of the per-tuple drop/delay faults).
             observed.append(
-                (log.to_lines(), [[repr(t) for t in batch] for batch in batches])
+                ([str(e) for e in log], [[repr(t) for t in batch] for batch in batches])
             )
         assert observed[0] != observed[1]
 
@@ -188,7 +188,7 @@ class TestSeededReproducibility:
                 fault_seed=5,
             )
             stats = ex.run(50, sc.make_generator())
-            return stats, log.to_lines()
+            return stats, [str(e) for e in log]
 
         (s1, l1), (s2, l2) = once(), once()
         assert s1 == s2
@@ -258,7 +258,7 @@ class TestDegradation:
         )
         stats = ex.run(200, sc.make_generator())
         assert stats.shed_tuples > 0
-        assert log.events("shed")
+        assert [e for e in log if e.kind == "shed"]
         # Shedding keeps the backlog bounded: the run survives where the
         # policy-less run (tests/engine/test_tracing.py) dies.
         assert stats.died_at is None
@@ -281,9 +281,9 @@ class TestDegradation:
         )
         stats = ex.run(120, sc.make_generator())
         if stats.died_at is None:
-            assert log.events("shed") or log.events("degrade") or stats.shed_tuples >= 0
+            assert any(e.kind in ("shed", "degrade") for e in log) or stats.shed_tuples >= 0
         else:
-            deaths = log.events("death")
+            deaths = [e for e in log if e.kind == "death"]
             assert len(deaths) == 1 and deaths[0].tick == stats.died_at
 
     def test_scan_fallback_degrades_heavy_index(self):
@@ -299,11 +299,11 @@ class TestDegradation:
         )
         stats = ex.run(120, sc.make_generator())
         if stats.degradations:
-            degrades = log.events("degrade")
+            degrades = [e for e in log if e.kind == "degrade"]
             assert len(degrades) == stats.degradations
             assert any(ex.stems[e.stream].degraded for e in degrades)
         else:  # budget generous enough this seed: at minimum nothing blew up
-            assert stats.died_at is None or log.events("death")
+            assert stats.died_at is None or [e for e in log if e.kind == "death"]
 
 
 class TestInvariantChecker:

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.engine.metrics import RegistrySnapshot
+from repro.engine.metrics_export import write_trace
 from repro.engine.tracing import EVENT_KINDS, EngineEvent, EventLog
 
 
@@ -15,16 +17,9 @@ class TestEventLog:
         log.record(10, "migration", "B")
         log.record(40, "death", None, used=99)
         assert len(log) == 4
-        assert len(log.events("migration")) == 2
-        assert len(log.events("migration", stream="A")) == 1
-        assert log.events("death")[0].detail["used"] == 99
-
-    def test_migrations_by_stream(self):
-        log = EventLog()
-        log.record(1, "migration", "A")
-        log.record(2, "migration", "A")
-        log.record(3, "migration", "B")
-        assert log.migrations_by_stream() == {"A": 2, "B": 1}
+        assert len([e for e in log if e.kind == "migration"]) == 2
+        assert len([e for e in log if e.kind == "migration" and e.stream == "A"]) == 1
+        assert [e for e in log if e.kind == "death"][0].detail["used"] == 99
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -36,26 +31,20 @@ class TestEventLog:
         log.record(9, "shed", None, count=40)
         log.record(12, "degrade", "B", to="scan")
         assert [e.kind for e in log] == ["fault", "shed", "degrade"]
-        assert log.events("fault")[0].detail["fault"] == "burst"
-
-    def test_counts_by_kind(self):
-        log = EventLog()
-        log.record(1, "fault", "A", fault="stall")
-        log.record(2, "fault", "B", fault="stall")
-        log.record(3, "shed", None, count=5)
-        assert log.counts_by_kind() == {"fault": 2, "shed": 1}
+        assert [e for e in log if e.kind == "fault"][0].detail["fault"] == "burst"
 
     def test_to_lines(self):
         log = EventLog()
         log.record(7, "migration", "C", old="a", new="b")
-        line = log.to_lines()[0]
+        line = [str(e) for e in log][0]
         assert "t=7" in line and "[C]" in line and "old=a" in line
 
-    def test_to_jsonl_round_trips(self):
+    def test_to_jsonl_round_trips(self, tmp_path):
         log = EventLog()
         log.record(7, "migration", "C", old="a", new="b")
         log.record(9, "shed", None, count=40)
-        records = [json.loads(line) for line in log.to_jsonl().splitlines()]
+        path = write_trace(tmp_path / "t.jsonl", RegistrySnapshot(), log)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records == [
             {"record": "event", "tick": 7, "kind": "migration", "stream": "C",
              "detail": {"old": "a", "new": "b"}},
@@ -63,8 +52,9 @@ class TestEventLog:
              "detail": {"count": 40}},
         ]
 
-    def test_empty_log_exports_empty_jsonl(self):
-        assert EventLog().to_jsonl() == ""
+    def test_empty_log_exports_empty_jsonl(self, tmp_path):
+        path = write_trace(tmp_path / "t.jsonl", RegistrySnapshot(), EventLog())
+        assert path.read_text() == ""
 
 
 class TestEventKindRegistry:
@@ -98,7 +88,7 @@ class TestTracedRun:
         ex = sc.make_executor("amri:cdia-highest", capacity=1e9, memory_budget=1 << 30)
         ex.event_log = log
         stats = ex.run(130, sc.make_generator())
-        migrations = log.events("migration")
+        migrations = [e for e in log if e.kind == "migration"]
         assert len(migrations) == stats.migrations
         assert all(e.stream in sc.query.stream_names for e in migrations)
 
@@ -111,7 +101,7 @@ class TestTracedRun:
         ex.event_log = log
         stats = ex.run(200, sc.make_generator())
         assert stats.died_at is not None
-        deaths = log.events("death")
+        deaths = [e for e in log if e.kind == "death"]
         assert len(deaths) == 1
         assert deaths[0].tick == stats.died_at
 
@@ -129,5 +119,5 @@ class TestTracedRun:
             fault_seed=2,
         )
         stats = ex.run(60, sc.make_generator())
-        assert stats.faults_injected == len(log.events("fault"))
+        assert stats.faults_injected == len([e for e in log if e.kind == "fault"])
         assert stats.faults_injected > 0

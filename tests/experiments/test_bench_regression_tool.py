@@ -47,21 +47,53 @@ class TestCostUnitGate:
         assert "test_new" not in captured.err  # a row without baseline is not gated
 
 
+def wall_lines(tmp_path, capsys, base_medians, new_medians):
+    """The ``WALL`` lines of one comparison (cost units identical)."""
+    costs = {name: 1.0 for name in base_medians}
+    base = export(tmp_path / "base.json", costs, base_medians)
+    new = export(tmp_path / "new.json", costs, new_medians)
+    assert gate.main([str(base), str(new)]) == 0
+    return [line for line in capsys.readouterr().out.splitlines() if line.startswith("WALL")]
+
+
 class TestWallAdvisory:
+    # Each row is measured against the run's median ratio (the host's
+    # speed), so the 1.0x rows below pin that ratio at 1.0x.
+    STEADY = {f"test_flat_{i}": 1e-3 for i in range(3)}
+
     def test_a_slower_median_prints_wall_and_never_fails(self, tmp_path, capsys):
-        costs = {"test_slow": 10.0, "test_steady": 2.5}
-        base = export(tmp_path / "base.json", costs, {"test_slow": 1e-3, "test_steady": 1e-3})
-        new = export(tmp_path / "new.json", costs, {"test_slow": 1.3e-3, "test_steady": 1.2e-3})
+        costs = {"test_slow": 10.0, "test_steady": 2.5, **dict.fromkeys(self.STEADY, 1.0)}
+        base = export(
+            tmp_path / "base.json", costs,
+            {"test_slow": 1e-3, "test_steady": 1e-3, **self.STEADY},
+        )
+        new = export(
+            tmp_path / "new.json", costs,
+            {"test_slow": 1.3e-3, "test_steady": 1.2e-3, **self.STEADY},
+        )
         assert gate.main([str(base), str(new)]) == 0
         out = capsys.readouterr().out
         assert "WALL     test_slow:" in out
         assert "test_steady: median" not in out  # +20 % is inside the advisory bound
 
     def test_a_row_without_a_median_is_skipped(self, tmp_path, capsys):
-        costs = {"test_a": 10.0, "test_b": 2.5}
-        base = export(tmp_path / "base.json", costs, {"test_a": 1e-3})
-        new = export(tmp_path / "new.json", costs, {"test_a": 2e-3, "test_b": 9.0})
+        costs = {"test_a": 10.0, "test_b": 2.5, **dict.fromkeys(self.STEADY, 1.0)}
+        base = export(tmp_path / "base.json", costs, {"test_a": 1e-3, **self.STEADY})
+        new = export(
+            tmp_path / "new.json", costs, {"test_a": 2e-3, "test_b": 9.0, **self.STEADY}
+        )
         assert gate.main([str(base), str(new)]) == 0
         out = capsys.readouterr().out
         assert "WALL     test_a:" in out
         assert "WALL     test_b" not in out
+
+    def test_a_uniformly_slower_host_prints_nothing(self, tmp_path, capsys):
+        base = {f"test_{i}": (i + 1) * 1e-4 for i in range(6)}
+        slow = {name: 1.8 * t for name, t in base.items()}
+        assert wall_lines(tmp_path, capsys, base, slow) == []
+
+    def test_one_row_slower_than_the_rest_prints_exactly_that_row(self, tmp_path, capsys):
+        base = {f"test_{i}": (i + 1) * 1e-4 for i in range(6)}
+        new = dict(base, test_3=2 * base["test_3"])
+        (line,) = wall_lines(tmp_path, capsys, base, new)
+        assert line.startswith("WALL     test_3:")

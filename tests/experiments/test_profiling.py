@@ -6,6 +6,8 @@ import pytest
 
 import repro.__main__ as main_mod
 from repro.engine.metrics import MetricsRegistry
+from repro.engine.metrics_export import event_records
+from repro.experiments.golden import json_pure
 from repro.experiments.parallel import RunSpec, execute_spec
 from repro.experiments.profiling import main as profile_main
 from repro.experiments.profiling import reconciles
@@ -43,6 +45,7 @@ class TestProfileCLI:
     def test_profile_run_exports_and_reconciles(self, tmp_path, capsys):
         rc = profile_main(
             [
+                "--scenario", "paper-small",
                 "--scheme", "amri:sria", "--ticks", str(TICKS), "--no-train",
                 "--metrics", str(tmp_path / "m.jsonl"),
                 "--trace", str(tmp_path / "t.jsonl"),
@@ -58,11 +61,25 @@ class TestProfileCLI:
             for line in (tmp_path / "m.jsonl").read_text().splitlines()
         ]
         assert records[-1]["record"] == "aggregate"
-        spans = [
+        trace = [
             json.loads(line)
             for line in (tmp_path / "t.jsonl").read_text().splitlines()
         ]
+        spans = [r for r in trace if r["record"] == "span"]
         assert {"tick", "tuple"} <= {s["name"] for s in spans}
+        # One timeline: span and event lines, ticks never decreasing, and
+        # every event of the run exactly once, in recording order per tick.
+        assert {r["record"] for r in trace} == {"span", "event"}
+        ticks = [r["start_tick"] if r["record"] == "span" else r["tick"] for r in trace]
+        assert ticks == sorted(ticks)
+        spec = RunSpec(
+            scenario_params("paper-small", 7), "amri:sria", TICKS, train=False,
+            collect_metrics=True,
+        )
+        events = execute_spec(spec).events
+        expected = sorted(event_records(events), key=lambda r: r["tick"])
+        assert [r for r in trace if r["record"] == "event"] == json_pure(expected)
+        assert {"tune", "migration"} & {e.kind for e in events}
 
     def test_unknown_scheme_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,24 @@ class TestBuildScenario:
             scenario_params("nope", seed=0)
 
 
+def assert_one_timeline(text, logged):
+    """``text`` is a trace: span and event lines, ticks never decreasing,
+    and its events are ``logged`` — (tick, kind, stream, detail) in the
+    events CSV's form, in recording order — each exactly once, in
+    recording order within a tick."""
+    records = [json.loads(line) for line in text.splitlines()]
+    assert {r["record"] for r in records} == {"span", "event"}
+    ticks = [r["start_tick"] if r["record"] == "span" else r["tick"] for r in records]
+    assert ticks == sorted(ticks)
+    traced = [
+        (r["tick"], r["kind"], r["stream"] or "", sorted(f"{k}={v}" for k, v in r["detail"].items()))
+        for r in records
+        if r["record"] == "event"
+    ]
+    expected = [(t, k, s, sorted(d.split(";")) if d else []) for t, k, s, d in logged]
+    assert traced == sorted(expected, key=lambda e: e[0])  # stable: recording order
+
+
 class TestCLI:
     def test_run_and_csv_export(self, tmp_path, capsys):
         rc = run_cli.main(
@@ -54,6 +72,20 @@ class TestCLI:
         assert len(srows) >= 15
         assert int(srows[-1]["outputs"]) >= 0
 
+    def test_a_clean_run_prints_no_timeline(self, tmp_path, capsys):
+        """Tuning events alone are no fault timeline: a clean run that
+        tunes prints no table of zeros."""
+        rc = run_cli.main(
+            [
+                "--scenario", "paper-small", "--schemes", "amri:sria", "--ticks", "15",
+                "--no-train", "--csv", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        assert "timeline" not in capsys.readouterr().out
+        with (tmp_path / "paper-small_events.csv").open() as fh:
+            assert {r["kind"] for r in csv.DictReader(fh)} >= {"tune"}
+
     def test_sensor_scenario_option(self, capsys):
         rc = run_cli.main(
             ["--scenario", "sensor", "--schemes", "scan", "--ticks", "10", "--no-train"]
@@ -65,7 +97,7 @@ class TestCLI:
         rc = run_cli.main(
             [
                 "--schemes",
-                "scan",
+                "scan,inverted",
                 "--ticks",
                 "30",
                 "--no-train",
@@ -75,6 +107,8 @@ class TestCLI:
                 "2",
                 "--degrade",
                 "--csv",
+                str(tmp_path),
+                "--trace",
                 str(tmp_path),
             ]
         )
@@ -87,10 +121,20 @@ class TestCLI:
         with events.open() as fh:
             rows = list(csv.DictReader(fh))
         assert any(r["kind"] == "fault" for r in rows)
+        assert {"fault", "shed", "degrade"} <= {r["kind"] for r in rows}
         summary = tmp_path / "paper_summary.csv"
         with summary.open() as fh:
             srows = list(csv.DictReader(fh))
         assert int(srows[0]["faults_injected"]) > 0
+        for scheme in ("scan", "inverted"):
+            # The CSV holds the run's events; the trace holds each exactly once.
+            logged = [
+                (int(r["tick"]), r["kind"], r["stream"], r["detail"])
+                for r in rows
+                if r["scheme"] == scheme
+            ]
+            trace = tmp_path / f"paper_{scheme}_trace.jsonl"
+            assert_one_timeline(trace.read_text(), logged)
 
     def test_faults_rejects_unknown_profile(self):
         with pytest.raises(SystemExit):

@@ -21,8 +21,11 @@ it as an artifact alongside the raw benchmark JSON.
 
 Wall clock never gates: CI runners are too noisy for tight timing
 thresholds to be trustworthy.  The tool also reads each row's
-``stats.median`` and prints one advisory ``WALL`` line per row whose median
-rose more than ``WALL_ADVISORY`` (25 %) against the baseline.  That will
+``stats.median`` and prints one advisory ``WALL`` line per row whose
+new/baseline median ratio exceeds the median ratio over all shared rows by
+more than ``WALL_ADVISORY`` (25 %).  Measuring each row against the run's
+own typical ratio takes the host's speed out: a uniformly slower host
+prints nothing, while a row that slowed on its own still does.  That will
 not catch a 5 % slowdown, but it does catch an optimisation being
 accidentally reverted, which on these paths costs 2x or more.  Rows without
 a median are skipped, and the exit code is the cost-unit verdict alone.
@@ -45,10 +48,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
-#: A row whose ``stats.median`` rose by more than this prints a ``WALL`` line.
+#: A row whose median ratio exceeds the run's median ratio by more than
+#: this prints a ``WALL`` line.
 WALL_ADVISORY = 0.25
 
 
@@ -101,15 +106,23 @@ def compare(
 
 
 def wall_advisories(baseline: dict[str, float], new: dict[str, float]) -> list[str]:
-    """One ``WALL`` line per row whose median rose beyond ``WALL_ADVISORY``."""
+    """One ``WALL`` line per row whose median ratio exceeds the median ratio
+    over all shared rows (the host's speed) by more than ``WALL_ADVISORY``."""
+    ratios = {
+        name: new[name] / max(baseline[name], 1e-12)
+        for name in sorted(set(baseline) & set(new))
+    }
+    if not ratios:
+        return []
+    host = statistics.median(ratios.values())
     lines = []
-    for name in sorted(set(baseline) & set(new)):
-        base, cur = baseline[name], new[name]
-        rel = (cur - base) / max(base, 1e-12)
+    for name, ratio in ratios.items():
+        rel = ratio / max(host, 1e-12) - 1.0
         if rel > WALL_ADVISORY:
             lines.append(
-                f"WALL     {name}: median {base * 1e3:,.4f} -> {cur * 1e3:,.4f} ms "
-                f"({rel:+.1%}; advisory, not gated)"
+                f"WALL     {name}: median {baseline[name] * 1e3:,.4f} -> "
+                f"{new[name] * 1e3:,.4f} ms ({rel:+.1%} against the run's median "
+                f"ratio {host:.2f}x; advisory, not gated)"
             )
     return lines
 
