@@ -23,6 +23,7 @@ from typing import Any
 from benchmarks import (
     test_ablation_bit_budget as bit_budget,
     test_ablation_combination as combination,
+    test_ablation_degrade as degrade,
     test_ablation_epsilon_theta as epsilon_theta,
     test_ablation_exploration as exploration,
     test_ablation_index_designs as designs,
@@ -134,6 +135,16 @@ CLAIMS: tuple[Claim, ...] = (
         "CSRIA and CDIA cover every θ-frequent pattern at ε = 0.01, 0.05, 0.1",
         "lowest θ-coverage, %",
         _coverage,
+    ),
+    Claim(
+        "test_ablation_degrade",
+        "`--degrade` lets a dying run live: on `validate`'s run set (`ScenarioParams(seed=s)`,"
+        " every scheme of `CLAIM_SCHEMES`, 600 ticks after 100 training ticks), every scheme"
+        " whose run dies without `degrade` completes the run with `degrade=True` and ends with"
+        " strictly more outputs. The metric is the smallest outputs gain in % over the schemes"
+        " that die. A seed where no scheme dies counts against the claim.",
+        "smallest degrade vs plain outputs gain over the dying schemes, %",
+        degrade.degrade_gain,
     ),
 )
 

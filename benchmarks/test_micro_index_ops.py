@@ -2,9 +2,9 @@
 
 These are true pytest-benchmark timings (many rounds) of the hot paths —
 insert, probe by access-pattern width, migration for each index scheme,
-then assessment recording, index selection and queueing-latency counting.
-They back the paper's qualitative maintenance-cost claims at the Python
-level and guard against performance regressions.
+then assessment recording and index selection.  They back the paper's
+qualitative maintenance-cost claims at the Python level and guard against
+performance regressions.
 
 Besides wall-clock stats, each index benchmark records the operation's
 **virtual-clock cost units** as ``extra_info["cost_units"]`` in the
@@ -28,11 +28,9 @@ from repro.core.bit_index import make_bit_index
 from repro.core.cost_model import WorkloadStatistics
 from repro.core.index_config import IndexConfiguration
 from repro.core.selector import select_exhaustive
-from repro.engine.latency import LatencyTracker
 from repro.indexes.base import CostParams
 from repro.indexes.hash_index import MultiHashIndex
 from repro.indexes.scan_index import ScanIndex
-from repro.utils.bitops import splitmix64
 
 JAS = JoinAttributeSet(["A", "B", "C"])
 N_ITEMS = 2_000
@@ -467,28 +465,3 @@ def test_selector_exhaustive_wide_domain(benchmark):
         return [select_exhaustive(stats, JAS, 64) for _ in range(10)]
 
     assert benchmark(ten_rounds) == [chosen] * 10
-
-
-# --------------------------------------------------------------------- #
-# queueing latency
-
-N_LATENCIES = 50_000
-
-
-def test_latency_tracker_observe(benchmark):
-    """The latency plane's per-request cost: 50 000 ``observe`` calls of
-    whole-tick latencies, then one exact p95 from the snapshot.  No
-    accountant is involved, so the row records no cost units."""
-    latencies = [splitmix64(i) % 97 for i in range(N_LATENCIES)]
-
-    def observe_all():
-        tracker = LatencyTracker()
-        for latency in latencies:
-            tracker.observe(latency)
-        return tracker.snapshot().quantile(0.95)
-
-    p95 = benchmark(observe_all)
-    ordered = sorted(latencies)
-    pos = 0.95 * (N_LATENCIES - 1)
-    lo = int(pos)
-    assert p95 == ordered[lo] + (ordered[lo + 1] - ordered[lo]) * (pos - lo)

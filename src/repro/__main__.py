@@ -19,7 +19,7 @@ subcommands (python -m repro <cmd> --help for flags):
   profile   per-component cost-unit profile of one run (--metrics/--trace export)
   run       scheme comparison with CSV/metrics export
             (--schemes amri:<assessor>|hash:<k>|static|inverted|scan; also
-            --faults PROFILE, --degrade, --latency DIR for queueing latency)
+            --degrade to shed and fall back to scans instead of dying)
   figures   regenerate the paper's figures/tables <fig6|fig6-hash|fig7|table2|all>
 
 examples:    examples/quickstart.py | package_tracking.py | stock_monitoring.py |

@@ -8,21 +8,12 @@ the paper's experimental platform.
 """
 
 from repro.engine.executor import AMRExecutor, ExecutorConfig
-from repro.engine.faults import (
-    FAULT_PROFILES,
-    FaultInjector,
-    FaultPlan,
-    InvariantChecker,
-    InvariantViolation,
-    resolve_fault_plan,
-)
 from repro.engine.metrics import (
     MetricsRegistry,
     RegistrySnapshot,
     Span,
     SpanRecord,
 )
-from repro.engine.latency import LatencySnapshot, LatencyTracker
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import (
     DegradationPolicy,
@@ -48,18 +39,10 @@ __all__ = [
     "EngineEvent",
     "EventLog",
     "ExecutorConfig",
-    "FAULT_PROFILES",
-    "FaultInjector",
-    "FaultPlan",
-    "InvariantChecker",
-    "InvariantViolation",
-    "resolve_fault_plan",
     "MetricsRegistry",
     "RegistrySnapshot",
     "Span",
     "SpanRecord",
-    "LatencySnapshot",
-    "LatencyTracker",
     "ContentBasedRouter",
     "FixedRouter",
     "GreedyAdaptiveRouter",

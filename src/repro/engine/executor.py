@@ -20,8 +20,8 @@ be — the loop now lives in :mod:`repro.engine.kernel`):
 
 :class:`AMRExecutor` is now a thin facade: it assembles an
 :class:`~repro.engine.kernel.EngineContext` plus the default stage
-pipeline (``arrivals → expiry → route/probe → faults → tuning →
-shed/degrade → audit``) and delegates the loop to
+pipeline (``arrivals → expiry → route/probe → tuning → shed/degrade →
+audit``) and delegates the loop to
 :class:`~repro.engine.kernel.EngineKernel`.  The decomposition is
 byte-identical to the monolith — every float add, RNG draw, event, metric
 series, and span id is preserved, which
@@ -42,7 +42,7 @@ Observability: every virtual-clock charge flows through
 index_kind, phase)`` immediately after spending it — so the attributed
 grand total equals ``meter.total_spent`` bit-for-bit.  Tuple
 lifecycles, ticks, and tuning rounds become spans the registry retains;
-discrete facts (tuning outcomes, faults, shedding, degradation, death) are
+discrete facts (tuning outcomes, shedding, degradation, death) are
 events in the attached :class:`~repro.engine.tracing.EventLog`.  With no
 registry attached every metrics hook is a no-op and the run is
 byte-identical (asserted by the differential suites).
@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from repro.engine.kernel.context import EngineContext, index_kind_label
 from repro.engine.kernel.kernel import TICK_COST_BUCKETS, EngineKernel, default_stages
 from repro.engine.kernel.stages import MATCH_BUCKETS, Stage
-from repro.engine.latency import LatencyTracker
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.query import Query
 from repro.engine.resources import DegradationPolicy, ResourceMeter
@@ -109,10 +108,6 @@ class AMRExecutor:
         Optional :class:`~repro.engine.metrics.MetricsRegistry`.  When
         absent (the default) every instrumentation hook is a no-op and the
         run is byte-identical to an uninstrumented one.
-    latency:
-        Optional :class:`~repro.engine.latency.LatencyTracker` counting
-        each request's queueing latency in ticks (same no-op-when-absent
-        contract as ``metrics``).
     stages:
         A custom stage pipeline replacing
         :func:`~repro.engine.kernel.default_stages`.
@@ -130,11 +125,8 @@ class AMRExecutor:
         config: ExecutorConfig | None = None,
         output_sink=None,
         event_log=None,
-        fault_injector=None,
-        invariant_checker=None,
         degradation: DegradationPolicy | None = None,
         metrics: MetricsRegistry | None = None,
-        latency: LatencyTracker | None = None,
         stages: Sequence[Stage] | None = None,
     ) -> None:
         self._ctx = EngineContext(
@@ -147,11 +139,8 @@ class AMRExecutor:
             config=config if config is not None else ExecutorConfig(),
             output_sink=output_sink,
             event_log=event_log,
-            fault_injector=fault_injector,
-            invariant_checker=invariant_checker,
             degradation=degradation,
             metrics=metrics,
-            latency=latency,
         )
         pipeline = stages if stages is not None else default_stages()
         self._kernel = EngineKernel(self._ctx, pipeline)
@@ -192,11 +181,9 @@ class AMRExecutor:
         generators provide it).  Returns the collected :class:`RunStats`;
         an out-of-memory death is recorded on the stats, not raised.
 
-        With a :class:`~repro.engine.faults.FaultInjector` attached, the
-        tick's arrivals and budget pass through it first; with a
-        :class:`~repro.engine.resources.DegradationPolicy` attached, memory
-        pressure sheds backlog and degrades indexes (``shed`` / ``degrade``
-        events) before it can kill the run.
+        With a :class:`~repro.engine.resources.DegradationPolicy` attached,
+        memory pressure sheds backlog and degrades indexes (``shed`` /
+        ``degrade`` events) before it can kill the run.
         """
         return self._kernel.run(duration, arrivals)
 
@@ -227,11 +214,8 @@ for _name in (
     "stats",
     "output_sink",
     "event_log",
-    "fault_injector",
-    "invariant_checker",
     "degradation",
     "metrics",
-    "latency",
 ):
     setattr(AMRExecutor, _name, _context_delegate(_name))
 del _name

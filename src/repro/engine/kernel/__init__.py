@@ -4,12 +4,12 @@ The monolithic :class:`~repro.engine.executor.AMRExecutor` tick loop is
 decomposed into a composition of explicit parts:
 
 - :class:`EngineContext` — every piece of run state (states, router,
-  meter, stats, metrics, fault plan, queue) plus the cost-attribution
+  meter, stats, metrics, queue) plus the cost-attribution
   plumbing, in one place;
 - the :class:`Stage` protocol and its standard implementations
   (:class:`ArrivalStage`, :class:`ExpiryStage`, :class:`RouteProbeStage`,
-  :class:`FaultStage`, :class:`TuningStage`,
-  :class:`ShedDegradeStage`, :class:`AuditStage`) — each
+  :class:`TuningStage`, :class:`ShedDegradeStage`,
+  :class:`AuditStage`) — each
   tick phase is one object with one job (the backlog drains in arrival
   order);
 - :class:`EngineKernel` — the loop that advances the virtual clock and
@@ -27,7 +27,6 @@ from repro.engine.kernel.stages import (
     ArrivalStage,
     AuditStage,
     ExpiryStage,
-    FaultStage,
     RouteProbeStage,
     ShedDegradeStage,
     Stage,
@@ -41,7 +40,6 @@ __all__ = [
     "EngineContext",
     "EngineKernel",
     "ExpiryStage",
-    "FaultStage",
     "RouteProbeStage",
     "ShedDegradeStage",
     "Stage",

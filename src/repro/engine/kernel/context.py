@@ -3,9 +3,8 @@
 An :class:`EngineContext` is everything a tick touches, gathered into one
 explicit object instead of executor instance attributes: the query, the
 per-stream states, the routing policy, the virtual clock, run statistics,
-the backlog queue, and the optional observability/robustness attachments
-(event log, fault injector, invariant checker, degradation policy, metrics
-registry, latency tracker).  Stages receive the context and nothing else —
+the backlog queue, and the optional attachments (event log, degradation
+policy, metrics registry).  Stages receive the context and nothing else —
 there is no hidden executor state left for a stage to reach around.
 
 The ``_spend`` cost-attribution invariant lives here **by construction**:
@@ -22,7 +21,6 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.engine.latency import LatencyTracker
 from repro.engine.metrics import MetricsRegistry, Span
 from repro.engine.query import Query
 from repro.engine.resources import (
@@ -58,12 +56,7 @@ def index_kind_label(index: object) -> str:
 
 @dataclass
 class EngineContext:
-    """Every piece of state one engine run reads and writes.
-
-    Satisfies the :class:`~repro.engine.faults.InvariantChecker` host
-    protocol (``stems``, ``meter``, ``stats``, ``backlog``,
-    ``memory_breakdown``): the kernel hands the checker its context.
-    """
+    """Every piece of state one engine run reads and writes."""
 
     query: Query
     stems: dict[str, StateStore]
@@ -76,11 +69,8 @@ class EngineContext:
     stats: RunStats = field(default_factory=RunStats)
     output_sink: object | None = None  # callable(list[JoinedTuple]) or None
     event_log: object | None = None  # repro.engine.tracing.EventLog or None
-    fault_injector: object | None = None  # repro.engine.faults.FaultInjector or None
-    invariant_checker: object | None = None  # repro.engine.faults.InvariantChecker or None
     degradation: DegradationPolicy | None = None
     metrics: MetricsRegistry | None = None
-    latency: LatencyTracker | None = None
     queue: deque[StreamTuple] = field(default_factory=deque)
     # Metrics-only state: open tuple-lifecycle spans keyed by tuple
     # identity, and the last sampled clock reading (per-tick cost).
@@ -185,8 +175,3 @@ class EngineContext:
             backlog=backlog,
             statistics=stat_entries * params.stat_entry_bytes,
         )
-
-    @property
-    def backlog(self) -> int:
-        """Queued-but-unprocessed source tuples."""
-        return len(self.queue)

@@ -3,10 +3,8 @@
 :class:`EngineKernel` owns exactly what no stage can: advancing the
 virtual clock, opening/closing the per-tick metrics span, fetching the
 tick's arrivals, running the stages in order, stopping on death, and the
-end-of-run cleanup (closing leftover tuple spans, reporting still-queued
-requests to the latency tracker, folding the injector's activation count
-into the stats).  Everything else — admission, expiry, routing, faults,
-tuning, degradation, auditing — is a
+end-of-run cleanup (closing leftover tuple spans).  Everything else —
+admission, expiry, routing, tuning, degradation, auditing — is a
 :class:`~repro.engine.kernel.stages.Stage` in the pipeline, so engines
 with different phase structures are assembled, not subclassed.
 """
@@ -20,7 +18,6 @@ from repro.engine.kernel.stages import (
     ArrivalStage,
     AuditStage,
     ExpiryStage,
-    FaultStage,
     RouteProbeStage,
     ShedDegradeStage,
     Stage,
@@ -36,8 +33,7 @@ TICK_COST_BUCKETS = (100.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 20_000.0
 
 def default_stages() -> tuple[Stage, ...]:
     """The canonical pipeline, in the monolithic executor's tick order:
-    arrivals → expiry → route/probe → faults → tuning → shed/degrade →
-    audit.
+    arrivals → expiry → route/probe → tuning → shed/degrade → audit.
 
     An accepted migration is a stop-the-world ``reconfigure()`` inside the
     tuning stage.
@@ -46,7 +42,6 @@ def default_stages() -> tuple[Stage, ...]:
         ArrivalStage(),
         ExpiryStage(),
         RouteProbeStage(),
-        FaultStage(),
         TuningStage(),
         ShedDegradeStage(),
         AuditStage(),
@@ -100,19 +95,15 @@ class EngineKernel:
             tick_cost = ctx.meter.total_spent - ctx.spent_at_tick_start
             m.histogram("tick_cost_units", buckets=TICK_COST_BUCKETS).observe(tick_cost)
             m.end_span(tick.span, t, cost=round(tick_cost, 3), backlog=len(ctx.queue))
-        if not tick.died and ctx.invariant_checker is not None:
-            ctx.invariant_checker.check(ctx, t)
         return tick
 
     def finish(self, last_tick: int) -> RunStats:
         """End-of-run cleanup; returns the collected :class:`RunStats`.
 
         The backlog at end of run or at death is still queued: its tuple
-        spans close so the retained spans' last ticks reconstruct, and
-        each request is reported to the latency tracker as unfinished with
-        its wait so far.  Also folds the injector's activation count into
-        the stats.  Call exactly once after the final :meth:`step`
-        (``last_tick`` is that step's tick).
+        spans close so the retained spans' last ticks reconstruct.  Call
+        exactly once after the final :meth:`step` (``last_tick`` is that
+        step's tick).
         """
         ctx = self.ctx
         m = ctx.metrics
@@ -122,11 +113,6 @@ class EngineKernel:
                 if span is not None:
                     m.end_span(span, last_tick, status="backlog")
             ctx.live_spans.clear()
-        if ctx.latency is not None:
-            for item in ctx.queue:
-                ctx.latency.observe_unfinished(last_tick - item.arrived_at)
-        if ctx.fault_injector is not None:
-            ctx.stats.faults_injected = ctx.fault_injector.injected
         return ctx.stats
 
     def run(self, duration: int, arrivals) -> RunStats:

@@ -7,13 +7,12 @@ Each stage is one phase of the discrete-time loop, implementing the
 :func:`~repro.engine.kernel.kernel.default_stages`) reproduces the
 monolithic executor exactly:
 
-    arrivals → expiry → route/probe → faults → tuning → shed/degrade →
-    audit
+    arrivals → expiry → route/probe → tuning → shed/degrade → audit
 
 Stages communicate only through the context and the tick state — no stage
 holds run state of its own, which is what makes pipelines recomposable:
-drop ``FaultStage`` for a clean run, or insert a custom stage between any
-two.
+drop ``TuningStage`` for a frozen index, or insert a custom stage between
+any two.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class TickState:
     incoming: list[StreamTuple] = field(default_factory=list)
     span: Span | None = None  # the open tick span (metrics only)
     breakdown: MemoryBreakdown | None = None  # ShedDegradeStage → AuditStage
-    budget: int = 0  # effective (possibly squeezed) budget this tick
     died: bool = False  # set by AuditStage on a memory death
 
 
@@ -53,7 +51,8 @@ class Stage(Protocol):
 
 
 # --------------------------------------------------------------------- #
-# shared tuning helpers (TuningStage and FaultStage both tune)
+# the tuning round (TuningStage runs it; a caller that steps the kernel
+# may force one between two steps)
 
 
 def tune_stem(ctx: EngineContext, stem, tick: int, *, forced: bool = False):
@@ -127,8 +126,8 @@ def tune_round(
 
 
 class ArrivalStage:
-    """Deliver the tick's arrivals: fault perturbation, predicate pushdown,
-    state maintenance, and backlog admission.
+    """Deliver the tick's arrivals: predicate pushdown, state maintenance,
+    and backlog admission.
 
     State maintenance is not deferrable — windows must reflect arrivals —
     so insertion is charged against the tick even when the tick is already
@@ -140,13 +139,8 @@ class ArrivalStage:
     name = "arrivals"
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
-        injector = ctx.fault_injector
-        items = tick.incoming
-        if injector is not None:
-            injector.begin_tick(tick.tick, ctx.event_log)
-            items = injector.perturb_arrivals(tick.tick, items)
         m = ctx.metrics
-        for item in items:
+        for item in tick.incoming:
             if self._admit(ctx, item):
                 ctx.queue.append(item)
                 if m is not None:
@@ -279,8 +273,6 @@ class RouteProbeStage:
         ctx.spend_index_deltas(cost_before, component="index", phase="probe", after=carried)
         ctx.spend(params.c_route, "router", stream=item.stream, phase="decide")
         ctx.spend(outputs * params.c_output, "output", stream=item.stream, phase="emit")
-        if ctx.latency is not None:
-            ctx.latency.observe(tick - item.arrived_at)
         if m is not None:
             m.counter("outputs_total").inc(outputs)
             m.histogram("route_length", stream=item.stream).observe(len(route))
@@ -376,28 +368,6 @@ class RouteProbeStage:
         return next_partials
 
 
-class FaultStage:
-    """Apply this tick's injected tuning-level perturbations (statistics
-    corruption and forced out-of-schedule tuning rounds)."""
-
-    name = "faults"
-
-    def run(self, ctx: EngineContext, tick: TickState) -> None:
-        injector = ctx.fault_injector
-        if injector is None:
-            return
-        for stream in injector.corruptions(tick.tick):
-            stem = ctx.stems[stream]
-            assessor = getattr(stem.tuner, "assessor", None)
-            if assessor is None:
-                continue
-            for ap in injector.corrupt_patterns(stem.jas):
-                assessor.record(ap)
-        forced = injector.forced_migrations(tick.tick)
-        if forced:
-            tune_round(ctx, tick.tick, forced, forced=True)
-
-
 class TuningStage:
     """Run the scheduled tuning round when the assessment interval elapses."""
 
@@ -417,8 +387,7 @@ class ShedDegradeStage:
     Remedies only with a
     :class:`~repro.engine.resources.DegradationPolicy` attached; without
     one the stage just measures (and the audit stage lets the run die).
-    Leaves the measured breakdown and the effective (possibly
-    fault-squeezed) budget on the tick state for the audit.
+    Leaves the measured breakdown on the tick state for the audit.
     """
 
     name = "shed_degrade"
@@ -426,8 +395,6 @@ class ShedDegradeStage:
     def run(self, ctx: EngineContext, tick: TickState) -> None:
         breakdown = ctx.memory_breakdown()
         budget = ctx.meter.memory_budget
-        if ctx.fault_injector is not None:
-            budget = ctx.fault_injector.memory_budget(tick.tick, budget)
         policy = ctx.degradation
         if policy is not None:
             soft = int(policy.headroom * budget)
@@ -436,7 +403,6 @@ class ShedDegradeStage:
             if policy.scan_fallback and breakdown.total > budget:
                 breakdown = self.degrade_indexes(ctx, tick.tick, breakdown, budget)
         tick.breakdown = breakdown
-        tick.budget = budget
 
     def shed_backlog(
         self, ctx: EngineContext, tick: int, breakdown: MemoryBreakdown, soft: int
@@ -459,8 +425,6 @@ class ShedDegradeStage:
                 if span is not None:
                     m.end_span(span, tick, status="shed")
         ctx.stats.shed_tuples += n
-        if ctx.latency is not None:
-            ctx.latency.observe_shed(n)
         if m is not None:
             m.counter("shed_tuples_total").inc(n)
         if ctx.event_log is not None:
@@ -512,15 +476,12 @@ class AuditStage:
         breakdown = tick.breakdown
         if breakdown is None:  # a pipeline without ShedDegradeStage
             breakdown = ctx.memory_breakdown()
-            tick.budget = ctx.meter.memory_budget
-            if ctx.fault_injector is not None:
-                tick.budget = ctx.fault_injector.memory_budget(tick.tick, tick.budget)
         t = tick.tick
         ctx.stats.sample(t, ctx.meter.total_spent, breakdown.total, len(ctx.queue))
         if ctx.metrics is not None:
             self._sample_metrics(ctx, breakdown)
         try:
-            ctx.meter.check_memory(breakdown, t, budget=tick.budget)
+            ctx.meter.check_memory(breakdown, t)
         except MemoryBudgetExceeded as exc:
             ctx.stats.died_at = t
             ctx.stats.death_reason = str(exc)

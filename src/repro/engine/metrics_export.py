@@ -1,11 +1,10 @@
-"""The JSONL export of metrics snapshots, the run timeline, and latency.
+"""The JSONL export of metrics snapshots and the run timeline.
 
 One export path for everything the engine records: a
-:class:`~repro.engine.metrics.RegistrySnapshot`'s series, its retained
-spans together with the run's :class:`~repro.engine.tracing.EngineEvent`
-stream (one timeline), and a
-:class:`~repro.engine.latency.LatencySnapshot` all become plain-dict
-records rendered as JSONL — one self-describing JSON object per line,
+:class:`~repro.engine.metrics.RegistrySnapshot`'s series, and its
+retained spans together with the run's
+:class:`~repro.engine.tracing.EngineEvent` stream (one timeline), become
+plain-dict records rendered as JSONL — one self-describing JSON object per line,
 sorted keys, non-finite floats as ``null``.
 """
 

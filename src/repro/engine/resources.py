@@ -84,31 +84,23 @@ class ResourceMeter:
         """True when this tick's capacity is used up."""
         return self.tick_budget <= 0.0
 
-    def check_memory(
-        self, breakdown: MemoryBreakdown, at_tick: int, *, budget: int | None = None
-    ) -> None:
-        """Raise :class:`MemoryBudgetExceeded` when over budget.
-
-        ``budget`` overrides the configured budget for this audit only —
-        fault injection uses it to apply transient squeezes without
-        mutating the meter.
-        """
-        limit = self.memory_budget if budget is None else budget
+    def check_memory(self, breakdown: MemoryBreakdown, at_tick: int) -> None:
+        """Raise :class:`MemoryBudgetExceeded` when over budget."""
         used = breakdown.total
-        if used > limit:
+        if used > self.memory_budget:
             detail = (
                 f"payload={breakdown.state_payload} index={breakdown.index_structures} "
                 f"backlog={breakdown.backlog} stats={breakdown.statistics}"
             )
-            raise MemoryBudgetExceeded(used, limit, at_tick, detail)
+            raise MemoryBudgetExceeded(used, self.memory_budget, at_tick, detail)
 
 
 @dataclass(frozen=True)
 class DegradationPolicy:
     """How a run trades fidelity for survival under memory pressure.
 
-    When the audited footprint crosses ``headroom`` of the (possibly
-    squeezed) budget, the executor applies remedies in order of increasing
+    When the audited footprint crosses ``headroom`` of the budget, the
+    executor applies remedies in order of increasing
     severity instead of dying:
 
     1. **shed** — drop backlogged search requests oldest-first until the

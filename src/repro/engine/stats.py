@@ -36,7 +36,7 @@ class RunStats:
     migrations: int = 0
     tuning_rounds: int = 0
 
-    faults_injected: int = 0  # fault activations applied by an attached injector
+    faults_injected: int = 0  # fault activations; set only by the test suite's fault harness
     shed_tuples: int = 0  # backlogged requests dropped by graceful degradation
     degradations: int = 0  # states that fell back to an unindexed full scan
 

@@ -1,8 +1,8 @@
 """Structured event tracing for engine runs.
 
 An :class:`EventLog` attached to an executor records the discrete events a
-run produces — tuning rounds, index migrations, injected faults, graceful
-degradation, backlog shedding, memory death — with their tick and context,
+run produces — tuning rounds, index migrations, graceful degradation,
+backlog shedding, memory death, injected faults — with their tick and context,
 so experiments can answer "when and why did this scheme fall behind"
 without re-running.  Events are plain frozen records; the log is
 append-only and cheap (no-op when absent).
@@ -23,7 +23,7 @@ EVENT_KINDS = (
     "tune",
     "migration",
     "death",
-    "fault",
+    "fault",  # recorded only by the test suite's fault harness
     "degrade",
     "shed",
 )

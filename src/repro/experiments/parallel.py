@@ -20,20 +20,18 @@ the figures, ``validate``, the golden corpus and ``repro profile`` alike:
 it rejects a bad run at construction (before any quasi-training),
 :meth:`RunSpec.describe` is the header line ``repro run`` prints, and
 :func:`execute_spec` is the one place a spec turns into an engine (its
-trained start and its mode fields ``faults``, ``degrade``,
-``collect_latency`` ...).
+trained start and its mode fields ``degrade`` and ``collect_metrics``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
-from repro.engine.faults import resolve_fault_plan
+from repro.engine.executor import AMRExecutor
 from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
 from repro.engine.resources import DegradationPolicy
-from repro.engine.latency import LatencySnapshot, LatencyTracker
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent, EventLog
 from repro.experiments.harness import TrainingResult, cached_training
@@ -44,17 +42,12 @@ from repro.workloads.scenarios import PaperScenario, ScenarioParams, parse_schem
 class RunSpec:
     """One independent experiment run, fully described by value.
 
-    ``faults`` names a profile from
-    :data:`~repro.engine.faults.FAULT_PROFILES` (a name, not a plan, so
-    specs stay hashable and cheap to pickle); ``fault_seed`` seeds its
-    deterministic injector.  ``degrade=True`` attaches the default
+    ``degrade=True`` attaches the default
     :class:`~repro.engine.resources.DegradationPolicy` so memory pressure
     sheds and degrades instead of killing the run.  ``collect_metrics=True``
     attaches a :class:`~repro.engine.metrics.MetricsRegistry` and ships its
     frozen snapshot back on the outcome (metrics are observer-effect-free,
-    so the stats are identical either way).  ``collect_latency=True`` attaches
-    a :class:`~repro.engine.latency.LatencyTracker` and ships its frozen
-    :class:`~repro.engine.latency.LatencySnapshot` back the same way.
+    so the stats are identical either way).
 
     ``training`` optionally carries a precomputed (picklable)
     :class:`~repro.experiments.harness.TrainingResult` to the worker, so a
@@ -64,9 +57,9 @@ class RunSpec:
     retrain — and the field is excluded from equality/hashing (it is a
     cache, not part of the run's identity).
 
-    Construction validates the whole description — sizes, scheme and
-    fault-profile names — and raises a ``ValueError`` naming the offending field, so a spec that
-    exists can be executed.
+    Construction validates the whole description — sizes and the scheme
+    name — and raises a ``ValueError`` naming the offending field, so a spec
+    that exists can be executed.
     """
 
     params: ScenarioParams
@@ -74,11 +67,8 @@ class RunSpec:
     ticks: int
     train: bool = True
     train_ticks: int = 100
-    faults: str | None = None
-    fault_seed: int = 0
     degrade: bool = False
     collect_metrics: bool = False
-    collect_latency: bool = False
     training: TrainingResult | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
@@ -103,7 +93,6 @@ class RunSpec:
             ticks=self.ticks,
             train_ticks=self.train_ticks,
         )
-        resolve_fault_plan(self.faults)
 
     def describe(self, schemes: Sequence[str] | None = None) -> str:
         """One ``name=value`` header line over every field that shapes the run.
@@ -134,16 +123,14 @@ class RunSpec:
 
 @dataclass
 class RunOutcome:
-    """A spec together with its statistics, events, and observer payloads.
+    """A spec together with its statistics, events, and metrics snapshot.
 
     ``meter_total`` is the run's virtual-clock total as the meter itself
     accumulated it — independent of any attached registry, so a check
     that the registry's ``cost_total`` attributes the whole clock compares
     two separately kept sums.  ``metrics`` is a frozen
     :class:`~repro.engine.metrics.RegistrySnapshot` when the spec asked
-    for one (``collect_metrics=True``) and ``latency`` a frozen
-    :class:`~repro.engine.latency.LatencySnapshot`
-    (``collect_latency=True``) — both picklable, so they cross the
+    for one (``collect_metrics=True``) — picklable, so it crosses the
     process-pool boundary like everything else.
     """
 
@@ -152,7 +139,18 @@ class RunOutcome:
     meter_total: float
     events: tuple[EngineEvent, ...] = ()
     metrics: RegistrySnapshot | None = None
-    latency: LatencySnapshot | None = None
+
+    @classmethod
+    def of(cls, spec: RunSpec, executor: AMRExecutor, stats: RunStats) -> RunOutcome:
+        """Freeze what ``executor``'s attachments recorded for ``spec``."""
+        registry = executor.metrics
+        return cls(
+            spec=spec,
+            stats=stats,
+            meter_total=executor.meter.total_spent,
+            events=tuple(executor.event_log),
+            metrics=registry.snapshot() if registry is not None else None,
+        )
 
 
 def _share_training(spec: RunSpec) -> RunSpec:
@@ -169,17 +167,15 @@ def _share_training(spec: RunSpec) -> RunSpec:
     return replace(spec, training=cached_training(spec.params, spec.train_ticks))
 
 
-def execute_spec(spec: RunSpec) -> RunOutcome:
-    """Run one spec to completion (used directly and as the pool worker).
+def spec_executor(spec: RunSpec) -> tuple[AMRExecutor, Callable]:
+    """The engine ``spec`` describes, ready to run, and its arrivals.
 
-    The whole run path: start every state from the spec's training
-    (bit-address schemes from the trained ICs, ``hash:<k>`` from the
-    trained ``k`` most frequent patterns — the paper's protocol for the
-    Figure 6/7 baselines; untrained, from the scenario's uninformed
-    defaults), attach the spec's event log, metrics registry and latency
-    tracker, run the scenario's measured arrivals, and freeze what they
-    recorded into the :class:`RunOutcome`.  Without ``collect_metrics`` /
-    ``collect_latency`` nothing is attached for them, keeping the run
+    Every state starts from the spec's training (bit-address schemes from
+    the trained ICs, ``hash:<k>`` from the trained ``k`` most frequent
+    patterns — the paper's protocol for the Figure 6/7 baselines;
+    untrained, from the scenario's uninformed defaults), and the spec's
+    event log and metrics registry are attached.  Without
+    ``collect_metrics`` no registry is attached, keeping the run
     observer-effect-free by construction.
     """
     training = _share_training(spec).training
@@ -190,29 +186,23 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
         if family == "hash":
             initial_hash_patterns = training.hash_patterns(k)
     scenario = PaperScenario(spec.params)
-    log = EventLog()
-    registry = MetricsRegistry() if spec.collect_metrics else None
-    tracker = LatencyTracker() if spec.collect_latency else None
     executor = scenario.make_executor(
         spec.scheme,
         initial_configs=initial_configs,
         initial_hash_patterns=initial_hash_patterns,
-        event_log=log,
-        metrics=registry,
-        latency=tracker,
-        faults=spec.faults,
-        fault_seed=spec.fault_seed,
+        event_log=EventLog(),
+        metrics=MetricsRegistry() if spec.collect_metrics else None,
         degradation=DegradationPolicy() if spec.degrade else None,
     )
-    stats = executor.run(spec.ticks, scenario.make_generator())
-    return RunOutcome(
-        spec=spec,
-        stats=stats,
-        meter_total=executor.meter.total_spent,
-        events=tuple(log),
-        metrics=registry.snapshot() if registry is not None else None,
-        latency=tracker.snapshot() if tracker is not None else None,
-    )
+    return executor, scenario.make_generator()
+
+
+def execute_spec(spec: RunSpec) -> RunOutcome:
+    """Run one spec to completion (used directly and as the pool worker):
+    the :func:`spec_executor` engine over the scenario's measured arrivals,
+    frozen into the :class:`RunOutcome`."""
+    executor, arrivals = spec_executor(spec)
+    return RunOutcome.of(spec, executor, executor.run(spec.ticks, arrivals))
 
 
 def run_parallel(specs: list[RunSpec], *, workers: int = 4) -> list[RunOutcome]:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from repro.engine.latency import LatencySnapshot
 from repro.engine.metrics import RegistrySnapshot
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent
 
 #: Event kinds that appear on a robustness timeline, in display order.
-TIMELINE_KINDS = ("fault", "shed", "degrade", "death")
+TIMELINE_KINDS = ("shed", "degrade", "death")
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -86,17 +85,17 @@ def format_throughput_figure(
     return "\n".join(parts)
 
 
-def format_fault_timeline(
+def format_event_timeline(
     title: str,
     events_by_scheme: Mapping[str, Sequence[EngineEvent]],
     *,
     max_lines: int = 20,
 ) -> str:
-    """The robustness 'figure': per-scheme fault/shed/degrade/death timeline.
+    """The robustness 'figure': per-scheme shed/degrade/death timeline.
 
     One count row per scheme, followed by each scheme's first
-    ``max_lines`` timeline events as one-liners (faults injected, backlog
-    shed, indexes degraded to scan, death) so a report shows *when* a
+    ``max_lines`` timeline events as one-liners (backlog shed, indexes
+    degraded to scan, death) so a report shows *when* a
     scheme started to fall apart, not just whether it did.
     """
     rows = []
@@ -168,30 +167,6 @@ def format_component_breakdown(
             + [f"{snapshots[name].cost_total:,.0f}"]
         )
     return f"{title}\n" + format_table(["scheme", *components, "total"], rows)
-
-
-def format_latency_report(title: str, latencies: Mapping[str, LatencySnapshot]) -> str:
-    """Queueing latency per scheme, in ticks: exact quantiles and the mean
-    over processed requests, then the requests shed and still queued."""
-
-    def fmt(value: float | None) -> str:
-        return "-" if value is None else f"{value:.1f}"
-
-    rows = [
-        [
-            name,
-            snap.count,
-            fmt(snap.quantile(0.50)),
-            fmt(snap.quantile(0.95)),
-            fmt(snap.quantile(0.99)),
-            fmt(snap.mean),
-            snap.shed,
-            snap.unfinished,
-        ]
-        for name, snap in latencies.items()
-    ]
-    headers = ["scheme", "requests", "p50", "p95", "p99", "mean", "shed", "unfinished"]
-    return f"{title}\n" + format_table(headers, rows)
 
 
 def format_summary(

@@ -6,11 +6,10 @@
 scheme (tick, cumulative outputs, memory, backlog) plus a summary CSV —
 enough to re-plot any figure outside this repository.
 
-Robustness flags: ``--faults <profile>`` injects a deterministic fault
-schedule (``--fault-seed`` varies it independently of the workload seed),
-``--degrade`` enables graceful degradation instead of OOM death, and the
-report gains a per-scheme fault/shed/degrade/death timeline (also exported
-as ``<scenario>_events.csv`` with ``--csv``).
+Robustness flag: ``--degrade`` enables graceful degradation instead of
+OOM death; a run that sheds, degrades or dies gains a per-scheme
+shed/degrade/death timeline (also exported as ``<scenario>_events.csv``
+with ``--csv``).
 
 Observability flags: ``--metrics DIR`` attaches a metrics registry to every
 scheme, prints a cross-scheme cost breakdown by component, and writes one
@@ -19,11 +18,6 @@ writes each scheme's timeline as ``<scenario>_<scheme>_trace.jsonl``: its
 retained spans and every event, one JSONL ordered by tick.  Metrics are
 observer-effect-free: the run results are byte-identical with the flags on
 or off.
-
-Latency flag: ``--latency DIR`` counts every request's queueing latency
-in ticks, prints exact p50/p95/p99 per scheme with the requests shed and
-still queued at the end, and writes one ``<scenario>_<scheme>_latency.jsonl``
-per scheme.
 """
 
 from __future__ import annotations
@@ -33,16 +27,14 @@ import csv
 import sys
 from pathlib import Path
 
-from repro.engine.faults import FAULT_PROFILES
-from repro.engine.metrics_export import write_jsonl, write_metrics, write_trace
+from repro.engine.metrics_export import write_metrics, write_trace
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent
 from repro.experiments.parallel import RunSpec, run_parallel
 from repro.experiments.reporting import (
     TIMELINE_KINDS,
     format_component_breakdown,
-    format_fault_timeline,
-    format_latency_report,
+    format_event_timeline,
     format_table,
     format_throughput_figure,
 )
@@ -70,7 +62,6 @@ def write_summary_csv(path: Path, runs: dict[str, RunStats]) -> None:
                 "migrations",
                 "probes",
                 "source_tuples",
-                "faults_injected",
                 "shed_tuples",
                 "degradations",
             ]
@@ -84,7 +75,6 @@ def write_summary_csv(path: Path, runs: dict[str, RunStats]) -> None:
                     stats.migrations,
                     stats.probes,
                     stats.source_tuples,
-                    stats.faults_injected,
                     stats.shed_tuples,
                     stats.degradations,
                 ]
@@ -116,15 +106,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-train", action="store_true", help="skip quasi-training")
     parser.add_argument("--csv", type=Path, default=None, help="directory for CSV export")
     parser.add_argument(
-        "--faults",
-        choices=sorted(FAULT_PROFILES),
-        default="none",
-        help="deterministic fault-injection profile",
-    )
-    parser.add_argument(
-        "--fault-seed", type=int, default=0, help="seed of the fault schedule"
-    )
-    parser.add_argument(
         "--degrade",
         action="store_true",
         help="shed backlog / fall back to scan under memory pressure instead of dying",
@@ -141,14 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="directory for per-scheme timelines: spans and events by tick (JSONL)",
     )
-    parser.add_argument(
-        "--latency",
-        type=Path,
-        default=None,
-        help="directory for per-scheme queueing-latency records (JSONL) + latency table",
-    )
     args = parser.parse_args(argv)
-    faults = None if args.faults == "none" else args.faults
     try:
         schemes = parse_scheme_list(args.schemes)
         specs = [
@@ -158,11 +132,8 @@ def main(argv: list[str] | None = None) -> int:
                 args.ticks,
                 train=not args.no_train,
                 train_ticks=args.train_ticks,
-                faults=faults,
-                fault_seed=args.fault_seed,
                 degrade=args.degrade,
                 collect_metrics=args.metrics is not None or args.trace is not None,
-                collect_latency=args.latency is not None,
             )
             for scheme in schemes
         ]
@@ -174,7 +145,6 @@ def main(argv: list[str] | None = None) -> int:
     runs = {name: out.stats for name, out in outcomes.items()}
     events = {name: list(out.events) for name, out in outcomes.items()}
     snapshots = {name: out.metrics for name, out in outcomes.items() if out.metrics is not None}
-    latencies = {name: out.latency for name, out in outcomes.items() if out.latency is not None}
 
     print(format_throughput_figure(f"{args.scenario} scenario, {args.ticks} ticks", runs))
     rows = [
@@ -182,23 +152,12 @@ def main(argv: list[str] | None = None) -> int:
         for name, stats in runs.items()
     ]
     print(format_table(["scheme", "outputs", "died at", "migrations"], rows))
-    if faults is not None or any(
-        e.kind in TIMELINE_KINDS for scheme_events in events.values() for e in scheme_events
-    ):
-        title = (
-            f"\nfault timeline ({args.faults}, fault seed {args.fault_seed})"
-            if faults is not None
-            else "\nevent timeline"
-        )
-        print(format_fault_timeline(title, events))
+    if any(e.kind in TIMELINE_KINDS for scheme_events in events.values() for e in scheme_events):
+        print(format_event_timeline("\nevent timeline", events))
 
     if snapshots:
         print()
         print(format_component_breakdown("cost units by component", snapshots))
-
-    if latencies:
-        print()
-        print(format_latency_report("queueing latency (ticks)", latencies))
 
     if args.csv is not None:
         args.csv.mkdir(parents=True, exist_ok=True)
@@ -218,11 +177,6 @@ def main(argv: list[str] | None = None) -> int:
             safe = name.replace(":", "_")
             write_trace(args.trace / f"{args.scenario}_{safe}_trace.jsonl", snap, events[name])
         print(f"traces written to {args.trace}/")
-    if args.latency is not None:
-        for name, snap in latencies.items():
-            safe = name.replace(":", "_")
-            write_jsonl(args.latency / f"{args.scenario}_{safe}_latency.jsonl", snap.to_records())
-        print(f"latency written to {args.latency}/")
     return 0
 
 

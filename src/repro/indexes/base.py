@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.probe_plan import compile_matcher
 from repro.utils.bitops import EXACT_KEY_TYPES
+from repro.utils.validation import check_non_negative
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,17 @@ class CostParams:
     bucket_slot_bytes: int = 8  # per tuple reference inside a bucket
     queue_item_bytes: int = 240  # one backlogged search request (tuple + route state)
     stat_entry_bytes: int = 32  # one assessment table entry
+
+    def __post_init__(self) -> None:
+        # A negative unit cost would fail at its first charge and a byte
+        # size below 1 divides by zero when the backlog is shed: reject
+        # both here, by field name.  A zero unit cost is legal.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("c_"):
+                check_non_negative(f.name, value)
+            elif not value >= 1:
+                raise ValueError(f"{f.name} must be >= 1, got {value!r}")
 
 
 @dataclass

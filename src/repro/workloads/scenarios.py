@@ -34,8 +34,6 @@ from repro.core.index_config import IndexConfiguration, uniform_configuration
 from repro.core.selector import IndexSelector
 from repro.core.tuner import AMRITuner, HashIndexTuner, NullTuner
 from repro.engine.executor import AMRExecutor, ExecutorConfig
-from repro.engine.faults import FaultInjector, FaultPlan, resolve_fault_plan
-from repro.engine.latency import LatencyTracker
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import DegradationPolicy, ResourceMeter
@@ -323,28 +321,14 @@ class PaperScenario:
         memory_budget: int | None = None,
         output_sink=None,
         event_log=None,
-        faults: "FaultPlan | str | None" = None,
-        fault_seed: int = 0,
-        invariant_checker=None,
         degradation: DegradationPolicy | None = None,
         metrics: MetricsRegistry | None = None,
-        latency: LatencyTracker | None = None,
     ) -> AMRExecutor:
         """A ready-to-run executor for the named scheme.
-
-        ``faults`` (a :class:`~repro.engine.faults.FaultPlan` or a profile
-        name from :data:`~repro.engine.faults.FAULT_PROFILES`) attaches a
-        deterministic :class:`~repro.engine.faults.FaultInjector` seeded
-        with ``fault_seed`` — independent of the scenario seed, so the same
-        workload can be stressed with many fault schedules and vice versa.
 
         ``metrics`` attaches a :class:`~repro.engine.metrics.MetricsRegistry`
         for cost-unit attribution and span tracing; omitted, every
         instrumentation hook is a no-op (observer-effect-free).
-
-        ``latency`` attaches a :class:`~repro.engine.latency.LatencyTracker`
-        (each request's queueing latency in ticks), with the same
-        no-op-when-absent contract as ``metrics``.
         """
         p = self.params
         stems = self.build_stems(
@@ -359,12 +343,6 @@ class PaperScenario:
             memory_budget=p.memory_budget if memory_budget is None else memory_budget,
         )
         config = ExecutorConfig(assess_interval=p.assess_interval)
-        plan = resolve_fault_plan(faults)
-        injector = (
-            FaultInjector(plan, p.stream_names, seed=fault_seed)
-            if plan is not None and plan.enabled
-            else None
-        )
         return AMRExecutor(
             self.query,
             stems,
@@ -375,11 +353,8 @@ class PaperScenario:
             config=config,
             output_sink=output_sink,
             event_log=event_log,
-            fault_injector=injector,
-            invariant_checker=invariant_checker,
             degradation=degradation,
             metrics=metrics,
-            latency=latency,
         )
 
 

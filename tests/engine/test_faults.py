@@ -1,5 +1,5 @@
 """Tests for deterministic fault injection, graceful degradation, and the
-attachable invariant checker."""
+invariant checker (the fault harness of ``tests/faults.py``)."""
 
 import pytest
 
@@ -7,20 +7,20 @@ from repro.core.access_pattern import JoinAttributeSet
 from repro.core.assessment import SRIA
 from repro.core.bit_index import make_bit_index
 from repro.core.tuner import NullTuner
-from repro.engine.faults import (
-    FAULT_PROFILES,
-    FaultInjector,
-    FaultPlan,
-    InvariantChecker,
-    InvariantViolation,
-    resolve_fault_plan,
-)
 from repro.engine.resources import DegradationPolicy
 from repro.engine.tracing import EventLog
 from repro.engine.tuples import StreamTuple
 from repro.indexes.scan_index import ScanIndex
 from repro.storage import StateStore
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from tests.faults import (
+    FAULT_PROFILES,
+    FaultInjector,
+    FaultPlan,
+    InvariantChecker,
+    InvariantViolation,
+    drive,
+)
 
 STREAMS = ("A", "B")
 
@@ -29,7 +29,7 @@ def arrivals_at(tick, n=4):
     return [StreamTuple(s, tick, {"k": i}) for s in STREAMS for i in range(n)]
 
 
-def drive(injector, ticks=30, n=4, log=None):
+def perturb(injector, ticks=30, n=4, log=None):
     """Run the injector standalone over a synthetic arrival stream."""
     delivered = []
     for tick in range(ticks):
@@ -54,28 +54,23 @@ class TestFaultPlan:
             FaultPlan(burst_len=0)
 
     def test_profiles_resolve(self):
-        for name in FAULT_PROFILES:
-            assert resolve_fault_plan(name) is FAULT_PROFILES[name]
-        assert resolve_fault_plan(None) is None
-        plan = FaultPlan(drop_prob=0.5)
-        assert resolve_fault_plan(plan) is plan
-
-    def test_unknown_profile(self):
-        with pytest.raises(ValueError):
-            resolve_fault_plan("mayhem")
+        """Every profile is a plan, and only ``none`` injects nothing."""
+        for name, plan in FAULT_PROFILES.items():
+            assert isinstance(plan, FaultPlan)
+            assert plan.enabled == (name != "none"), name
 
 
 class TestFaultTypes:
     def test_stall_suppresses_arrivals(self):
         inj = FaultInjector(FaultPlan(stall_prob=1.0, stall_len=3), STREAMS, seed=1)
-        delivered = drive(inj, ticks=3)
+        delivered = perturb(inj, ticks=3)
         assert all(batch == [] for batch in delivered)
 
     def test_burst_replicates_arrivals(self):
         inj = FaultInjector(
             FaultPlan(burst_prob=1.0, burst_factor=3, burst_len=5), STREAMS, seed=1
         )
-        delivered = drive(inj, ticks=2, n=2)
+        delivered = perturb(inj, ticks=2, n=2)
         # Every arrival appears burst_factor times, values preserved.
         assert all(len(batch) == 2 * 2 * 3 for batch in delivered)
         ks = sorted(int(t["k"]) for t in delivered[0] if t.stream == "A")
@@ -83,12 +78,12 @@ class TestFaultTypes:
 
     def test_drop_loses_everything_at_prob_one(self):
         inj = FaultInjector(FaultPlan(drop_prob=1.0), STREAMS, seed=1)
-        delivered = drive(inj, ticks=4)
+        delivered = perturb(inj, ticks=4)
         assert all(batch == [] for batch in delivered)
 
     def test_delay_redelivers_restamped(self):
         inj = FaultInjector(FaultPlan(delay_prob=1.0, delay_ticks=2), STREAMS, seed=1)
-        delivered = drive(inj, ticks=5, n=1)
+        delivered = perturb(inj, ticks=5, n=1)
         assert delivered[0] == [] and delivered[1] == []
         # Tick-0 arrivals re-emerge at tick 2, stamped with the delivery tick.
         assert len(delivered[2]) == len(STREAMS)
@@ -125,7 +120,7 @@ class TestFaultTypes:
     def test_activations_logged_as_fault_events(self):
         log = EventLog()
         inj = FaultInjector(FaultPlan(stall_prob=1.0, stall_len=2), STREAMS, seed=1)
-        drive(inj, ticks=4, log=log)
+        perturb(inj, ticks=4, log=log)
         faults = [e for e in log if e.kind == "fault"]
         assert faults and all(e.detail["fault"] == "stall" for e in faults)
         assert inj.injected == len(faults)
@@ -151,7 +146,7 @@ class TestSeededReproducibility:
         for _ in range(2):
             log = EventLog()
             inj = FaultInjector(plan, STREAMS, seed=42)
-            batches.append(drive(inj, ticks=40, log=log))
+            batches.append(perturb(inj, ticks=40, log=log))
             logs.append([str(e) for e in log])
         assert logs[0] == logs[1]
         a, b = batches
@@ -165,7 +160,7 @@ class TestSeededReproducibility:
         observed = []
         for seed in (1, 2):
             log = EventLog()
-            batches = drive(FaultInjector(plan, STREAMS, seed=seed), ticks=60, log=log)
+            batches = perturb(FaultInjector(plan, STREAMS, seed=seed), ticks=60, log=log)
             # Per-tick activations (logged) plus the delivered arrival shape
             # (the only footprint of the per-tuple drop/delay faults).
             observed.append(
@@ -180,14 +175,9 @@ class TestSeededReproducibility:
             sc = PaperScenario(ScenarioParams(seed=11))
             log = EventLog()
             ex = sc.make_executor(
-                "amri:sria",
-                capacity=1e9,
-                memory_budget=1 << 30,
-                event_log=log,
-                faults="chaos",
-                fault_seed=5,
+                "amri:sria", capacity=1e9, memory_budget=1 << 30, event_log=log
             )
-            stats = ex.run(50, sc.make_generator())
+            stats = drive(ex, 50, sc.make_generator(), FAULT_PROFILES["chaos"], fault_seed=5)
             return stats, [str(e) for e in log]
 
         (s1, l1), (s2, l2) = once(), once()
@@ -275,11 +265,11 @@ class TestDegradation:
             scheme,
             memory_budget=220_000,
             event_log=log,
-            faults=FaultPlan(squeeze_prob=0.2, squeeze_factor=0.35, squeeze_len=8),
-            fault_seed=3,
             degradation=DegradationPolicy(),
         )
-        stats = ex.run(120, sc.make_generator())
+        squeeze = FaultPlan(squeeze_prob=0.2, squeeze_factor=0.35, squeeze_len=8)
+        stats = drive(ex, 120, sc.make_generator(), squeeze, fault_seed=3)
+        assert ex.meter.memory_budget == 220_000  # every squeeze was undone
         if stats.died_at is None:
             assert any(e.kind in ("shed", "degrade") for e in log) or stats.shed_tuples >= 0
         else:
@@ -307,28 +297,23 @@ class TestDegradation:
 
 
 class TestInvariantChecker:
-    def build(self, checker=None, capacity=1e9):
+    def build(self, capacity=1e9):
         sc = PaperScenario(ScenarioParams(seed=19))
-        ex = sc.make_executor(
-            "amri:sria",
-            capacity=capacity,
-            memory_budget=1 << 30,
-            invariant_checker=checker,
-        )
+        ex = sc.make_executor("amri:sria", capacity=capacity, memory_budget=1 << 30)
         return sc, ex
 
     def test_healthy_run_passes(self):
         checker = InvariantChecker()
-        sc, ex = self.build(checker)
-        ex.run(60, sc.make_generator())
+        sc, ex = self.build()
+        drive(ex, 60, sc.make_generator(), checker=checker)
         assert checker.ticks_checked == 60
 
     def test_checker_does_not_perturb_the_run(self):
-        """Attaching the checker must leave RunStats exactly unchanged."""
-        sc1, plain = self.build(None)
+        """Checking every tick must leave RunStats exactly unchanged."""
+        sc1, plain = self.build()
         stats_plain = plain.run(40, sc1.make_generator())
-        sc2, checked = self.build(InvariantChecker())
-        stats_checked = checked.run(40, sc2.make_generator())
+        sc2, checked = self.build()
+        stats_checked = drive(checked, 40, sc2.make_generator(), checker=InvariantChecker())
         assert stats_plain == stats_checked
 
     def test_detects_index_window_divergence(self):
@@ -352,12 +337,9 @@ class TestInvariantChecker:
         sc = PaperScenario(ScenarioParams(seed=23))
         checker = InvariantChecker()
         ex = sc.make_executor(
-            "amri:cdia-highest",
-            memory_budget=250_000,
-            faults="chaos",
-            fault_seed=8,
-            degradation=DegradationPolicy(),
-            invariant_checker=checker,
+            "amri:cdia-highest", memory_budget=250_000, degradation=DegradationPolicy()
         )
-        stats = ex.run(100, sc.make_generator())
+        stats = drive(
+            ex, 100, sc.make_generator(), FAULT_PROFILES["chaos"], fault_seed=8, checker=checker
+        )
         assert checker.ticks_checked >= (100 if stats.died_at is None else stats.died_at)

@@ -151,7 +151,7 @@ class TestEngineContext:
             config=ExecutorConfig(),
         )
         ctx.queue.append(StreamTuple("A", 0, {"k": 1, "pa": 0}))
-        assert ctx.backlog == 1
+        assert len(ctx.queue) == 1
         assert ctx.memory_breakdown().backlog == meter.params.queue_item_bytes
 
 
@@ -201,7 +201,8 @@ class TestBareKernel:
         assert stats.tuning_rounds == 0
 
     def test_bare_kernel_hosts_invariant_checker(self):
-        from repro.engine.faults import InvariantChecker
+        """A caller that owns the loop checks the context between steps."""
+        from tests.faults import InvariantChecker
 
         query, stems, router, meter = make_parts()
         checker = InvariantChecker()
@@ -213,9 +214,13 @@ class TestBareKernel:
             arrival_rates={},
             domain_bits={},
             config=ExecutorConfig(),
-            invariant_checker=checker,
         )
-        EngineKernel(ctx).run(4, arrivals_from({0: [("A", {"k": 1, "pa": 0})]}))
+        kernel = EngineKernel(ctx)
+        arrivals = arrivals_from({0: [("A", {"k": 1, "pa": 0})]})
+        for t in range(4):
+            assert not kernel.step(t, arrivals(t)).died
+            checker.check(ctx, t)
+        kernel.finish(3)
         assert checker.ticks_checked == 4
 
 
@@ -510,9 +515,9 @@ class CarryCheckingStage(RouteProbeStage):
 def test_carried_cost_is_a_fresh_snapshot_under_faults_and_degradation():
     import dataclasses
 
-    from repro.engine.faults import FAULT_PROFILES
     from repro.engine.resources import DegradationPolicy
     from repro.workloads.scenarios import PaperScenario
+    from tests.faults import FAULT_PROFILES, drive
     from tests.integration.test_observer_conformance import TICKS, backlogged_params
 
     faults = dataclasses.replace(FAULT_PROFILES["arrivals"], migrate_prob=0.05, corrupt_prob=0.05)
@@ -521,17 +526,13 @@ def test_carried_cost_is_a_fresh_snapshot_under_faults_and_degradation():
     scenario = PaperScenario(backlogged_params(memory_budget=14_000))
     registry = MetricsRegistry()
     ex = scenario.make_executor(
-        "amri:cdia-highest",
-        faults=faults,
-        fault_seed=1,
-        degradation=DegradationPolicy(),
-        metrics=registry,
+        "amri:cdia-highest", degradation=DegradationPolicy(), metrics=registry
     )
     spy = CarryCheckingStage()
     ex.kernel.stages = tuple(
         spy if isinstance(stage, RouteProbeStage) else stage for stage in ex.kernel.stages
     )
-    stats = ex.run(TICKS, scenario.make_generator())
+    stats = drive(ex, TICKS, scenario.make_generator(), faults, fault_seed=1)
     assert spy.checked > 100
     assert stats.shed_tuples > 0 and stats.degradations > 0 and stats.migrations > 0
     assert stats.died_at is None
@@ -618,8 +619,7 @@ class TestFacade:
         ex = make_executor()
         assert isinstance(ex.context, EngineContext)
         assert [stage.name for stage in ex.stages] == [
-            "arrivals", "expiry", "route_probe", "faults", "tuning", "shed_degrade",
-            "audit",
+            "arrivals", "expiry", "route_probe", "tuning", "shed_degrade", "audit",
         ]
         assert isinstance(ex.kernel, EngineKernel)
 

@@ -237,7 +237,6 @@ class TestStageGating:
         ShedDegradeStage().run(ctx, tick)
         assert len(ctx.queue) == 50
         assert tick.breakdown is not None
-        assert tick.budget == ctx.meter.memory_budget
 
 
 if __name__ == "__main__":

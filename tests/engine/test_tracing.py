@@ -107,17 +107,11 @@ class TestTracedRun:
 
     def test_fault_events_match_injector_count(self):
         from repro.workloads.scenarios import PaperScenario, ScenarioParams
+        from tests.faults import FAULT_PROFILES, drive
 
         sc = PaperScenario(ScenarioParams(seed=41))
         log = EventLog()
-        ex = sc.make_executor(
-            "scan",
-            capacity=1e9,
-            memory_budget=1 << 30,
-            event_log=log,
-            faults="tuning",
-            fault_seed=2,
-        )
-        stats = ex.run(60, sc.make_generator())
+        ex = sc.make_executor("scan", capacity=1e9, memory_budget=1 << 30, event_log=log)
+        stats = drive(ex, 60, sc.make_generator(), FAULT_PROFILES["tuning"], fault_seed=2)
         assert stats.faults_injected == len([e for e in log if e.kind == "fault"])
         assert stats.faults_injected > 0

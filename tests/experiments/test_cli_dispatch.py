@@ -1,12 +1,9 @@
 """``python -m repro`` dispatch: exit codes, usage errors, new engine flags."""
 
-import json
-
 import pytest
 
 import repro.__main__ as main_mod
 from repro.experiments import harness, parallel, validate
-from repro.experiments import run as run_cli
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 
 
@@ -90,7 +87,16 @@ class TestEngineFlags:
             assert "unrecognized arguments: --scheduler backlog" in err
 
     @pytest.mark.parametrize(
-        "flag", ["--batch-size", "--probe-workers", "--lazy-index", "--promote-threshold"]
+        "flag",
+        [
+            "--batch-size",
+            "--probe-workers",
+            "--lazy-index",
+            "--promote-threshold",
+            "--faults",
+            "--fault-seed",
+            "--latency",
+        ],
     )
     def test_removed_plane_flags_are_unrecognized(self, flag, capsys):
         rc = main_mod.main(["run", flag, "2"])
@@ -214,19 +220,6 @@ def forbid_training(monkeypatch):
 
 
 class TestLatencyFlag:
-    def test_armed_run_prints_latency_table(self, capsys, tmp_path):
-        rc = run_cli.main(
-            ["--schemes", "scan", "--ticks", "12", "--no-train", "--latency", str(tmp_path)]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "queueing latency (ticks)" in out
-        assert out.startswith("spec: ") and " collect_latency=True\n" in out
-        report = tmp_path / "paper_scan_latency.jsonl"
-        (record,) = [json.loads(line) for line in report.read_text().splitlines()]
-        assert record["record"] == "latency"
-        assert {"p99", "unfinished"} <= set(record)
-
     @pytest.mark.parametrize(
         "argv",
         [["slo"], ["run", "--slo", "p95<=8@120"], ["run", "--slo-report", "out/"]],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.latency import LatencyTracker
+from repro.engine.resources import DegradationPolicy
 from repro.engine.tracing import EventLog
 from repro.experiments.golden import stats_fingerprint
 from repro.experiments.harness import (
@@ -28,6 +28,7 @@ from repro.workloads.scenarios import (
     scenario_params,
     sensor_network_params,
 )
+from tests.faults import FAULT_PROFILES, execute_faulted
 
 FAST = ScenarioParams(seed=3, capacity=1e9, memory_budget=1 << 30)
 
@@ -74,14 +75,14 @@ class TestRunSpec:
             ("scheme", "bogus"),
             ("scheme", "hash:0"),
             ("scheme", "hash:²"),
-            ("faults", "mayhem"),
+            ("ticks", -1),
             ("train_ticks", -1),
             ("params", replace(FAST, rate_modulation="tidal")),
         ],
     )
     def test_bad_field_is_a_named_value_error(self, field, bad):
         named = "rate_modulation" if field == "params" else field
-        pattern = "(?i)" + named.replace("_", "[_ ]").replace("faults", "fault")
+        pattern = "(?i)" + named.replace("_", "[_ ]")
         with pytest.raises(ValueError, match=pattern):
             RunSpec(**{"params": FAST, "scheme": "scan", "ticks": 5, field: bad})
 
@@ -92,7 +93,7 @@ class TestRunSpec:
             " scheme=amri:sria ticks=15 train=False "
         )
         assert "\n" not in line
-        assert len(fields(RunSpec)) == 11
+        assert len(fields(RunSpec)) == 8
         for f in fields(RunSpec):
             assert (f" {f.name}=" in f" {line}") == (f.name != "training"), f.name
         assert " scheme=a,b " in spec().describe(["a", "b"])
@@ -144,33 +145,23 @@ class TestOnePath:
     def test_plain_spec_outcome_is_the_single_kernels_own_views(self):
         """The outcome is what the spec's attachments recorded on a direct
         ``make_executor`` build: stats, meter total, events, metrics
-        snapshot, latency snapshot."""
-        log, registry, tracker = EventLog(), MetricsRegistry(), LatencyTracker()
-        params = scenario_params("paper-small", 7)
+        snapshot."""
+        log, registry = EventLog(), MetricsRegistry()
+        params = replace(scenario_params("paper-small", 7), capacity=400.0, memory_budget=10_000)
         stats, meter_total = direct_run(
             params,
-            "static",
+            "scan",
             30,
             event_log=log,
             metrics=registry,
-            latency=tracker,
-            faults="chaos",
+            degradation=DegradationPolicy(),
         )
         outcome = execute_spec(
-            RunSpec(
-                params,
-                "static",
-                30,
-                train=False,
-                faults="chaos",
-                collect_metrics=True,
-                collect_latency=True,
-            )
+            RunSpec(params, "scan", 30, train=False, degrade=True, collect_metrics=True)
         )
-        assert log and outcome.stats == stats
+        assert log and outcome.stats == stats and stats.shed_tuples > 0
         assert outcome.meter_total == meter_total
         assert (list(outcome.events), outcome.metrics) == (list(log), registry.snapshot())
-        assert outcome.latency == tracker.snapshot() and outcome.latency.count > 0
 
     @pytest.mark.parametrize("scheme", ["amri:sria", "scan", "hash:2"])
     def test_meter_total_is_the_meters_own_clock(self, scheme):
@@ -206,22 +197,21 @@ class TestOnePath:
 
 
 class TestFaultedDeterminism:
-    """Acceptance: identical (scenario seed, fault seed) pairs yield
-    byte-identical RunStats and event logs across serial and pool paths."""
+    """Acceptance: degrading specs yield byte-identical RunStats and event
+    logs across serial and pool paths, and identical (scenario seed, fault
+    seed) pairs replay identically through the fault harness."""
 
-    def faulted_spec(self, scheme, *, seed=3, fault_seed=9, ticks=30):
+    def degrading_spec(self, scheme, *, seed=3, ticks=30):
         return RunSpec(
             ScenarioParams(seed=seed),  # default (tight) capacity and budget
             scheme,
             ticks,
             train=False,
-            faults="chaos",
-            fault_seed=fault_seed,
             degrade=True,
         )
 
     def test_pool_matches_serial_byte_identical(self):
-        specs = [self.faulted_spec(s) for s in ("amri:sria", "scan", "hash:2")]
+        specs = [self.degrading_spec(s) for s in ("amri:sria", "scan", "hash:2")]
         serial = run_parallel(specs, workers=0)
         pooled = run_parallel(specs, workers=3)
         for a, b in zip(serial, pooled):
@@ -231,32 +221,28 @@ class TestFaultedDeterminism:
             assert pickle.dumps(a.events) == pickle.dumps(b.events)
 
     def test_faulted_runs_record_their_faults(self):
-        outcome = execute_spec(self.faulted_spec("scan"))
+        spec = self.degrading_spec("scan")
+        outcome = execute_faulted(spec, FAULT_PROFILES["chaos"], fault_seed=9)
         assert outcome.stats.faults_injected > 0
         assert any(e.kind == "fault" for e in outcome.events)
 
     def test_fault_seed_changes_the_run(self):
-        a = execute_spec(self.faulted_spec("scan", fault_seed=1, ticks=60))
-        b = execute_spec(self.faulted_spec("scan", fault_seed=2, ticks=60))
+        spec = self.degrading_spec("scan", ticks=60)
+        a = execute_faulted(spec, FAULT_PROFILES["chaos"], fault_seed=1)
+        b = execute_faulted(spec, FAULT_PROFILES["chaos"], fault_seed=2)
         assert a.events != b.events
+        assert execute_faulted(spec, FAULT_PROFILES["chaos"], fault_seed=1) == a
 
     @settings(max_examples=5, deadline=None)
     @given(
         seed=st.integers(0, 500),
-        fault_seed=st.integers(0, 500),
-        faults=st.sampled_from([None, "arrivals", "memory", "chaos"]),
+        capacity=st.sampled_from([100.0, 400.0, 10_000.0]),
+        memory_budget=st.sampled_from([60_000, 150_000, 8_000_000]),
     )
-    def test_property_workers4_equals_workers0(self, seed, fault_seed, faults):
+    def test_property_workers4_equals_workers0(self, seed, capacity, memory_budget):
+        params = ScenarioParams(seed=seed, capacity=capacity, memory_budget=memory_budget)
         specs = [
-            RunSpec(
-                ScenarioParams(seed=seed),
-                scheme,
-                20,
-                train=False,
-                faults=faults,
-                fault_seed=fault_seed,
-                degrade=True,
-            )
+            RunSpec(params, scheme, 20, train=False, degrade=True)
             for scheme in ("amri:sria", "scan")
         ]
         serial = run_parallel(specs, workers=0)

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.engine.stats import RunStats
-from repro.engine.latency import LatencyTracker
 from repro.experiments.reporting import (
-    format_latency_report,
     format_summary,
     format_table,
     format_throughput_figure,
@@ -83,24 +81,3 @@ class TestFigureFormatting:
     def test_summary_line_of_a_larger_loser_reads_negative(self):
         out = format_summary("head", [("A", 85.0, "B", 100.0)])
         assert out.endswith("(-15%)")
-
-
-class TestLatencyReportFormatting:
-    def test_table_has_exact_quantiles_and_every_request_end(self):
-        tracker = LatencyTracker()
-        for v in (0, 1, 2, 9):
-            tracker.observe(v)
-        tracker.observe_shed(2)
-        tracker.observe_unfinished(6)
-        out = format_latency_report("title", {"scan": tracker.snapshot()})
-        title, header, _, row = out.splitlines()
-        assert title == "title"
-        assert header.split() == [
-            "scheme", "requests", "p50", "p95", "p99", "mean", "shed", "unfinished",
-        ]
-        assert row.split() == ["scan", "4", "1.5", "7.9", "8.8", "3.0", "2", "1"]
-
-    def test_empty_latency_snapshot_renders_dashes(self):
-        snap = LatencyTracker().snapshot()
-        out = format_latency_report("t", {"scan": snap})
-        assert out.splitlines()[-1].split() == ["scan", "0", "-", "-", "-", "-", "0", "0"]

@@ -93,18 +93,14 @@ class TestCLI:
         assert rc == 0
         assert "sensor scenario" in capsys.readouterr().out
 
-    def test_fault_injection_flags(self, tmp_path, capsys):
+    def test_degrade_flag(self, tmp_path, capsys):
         rc = run_cli.main(
             [
                 "--schemes",
-                "scan,inverted",
+                "hash:7,scan",
                 "--ticks",
-                "30",
+                "60",
                 "--no-train",
-                "--faults",
-                "chaos",
-                "--fault-seed",
-                "2",
                 "--degrade",
                 "--csv",
                 str(tmp_path),
@@ -114,31 +110,27 @@ class TestCLI:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "fault timeline (chaos, fault seed 2)" in out
-        assert "fault" in out
+        assert "event timeline" in out
         events = tmp_path / "paper_events.csv"
         assert events.exists()
         with events.open() as fh:
             rows = list(csv.DictReader(fh))
-        assert any(r["kind"] == "fault" for r in rows)
-        assert {"fault", "shed", "degrade"} <= {r["kind"] for r in rows}
+        assert {"shed", "degrade"} <= {r["kind"] for r in rows}
         summary = tmp_path / "paper_summary.csv"
         with summary.open() as fh:
-            srows = list(csv.DictReader(fh))
-        assert int(srows[0]["faults_injected"]) > 0
-        for scheme in ("scan", "inverted"):
-            # The CSV holds the run's events; the trace holds each exactly once.
-            logged = [
-                (int(r["tick"]), r["kind"], r["stream"], r["detail"])
-                for r in rows
-                if r["scheme"] == scheme
-            ]
-            trace = tmp_path / f"paper_{scheme}_trace.jsonl"
-            assert_one_timeline(trace.read_text(), logged)
-
-    def test_faults_rejects_unknown_profile(self):
-        with pytest.raises(SystemExit):
-            run_cli.main(["--schemes", "scan", "--ticks", "5", "--faults", "mayhem"])
+            srows = {r["scheme"]: r for r in csv.DictReader(fh)}
+        assert "faults_injected" not in srows["hash:7"]
+        assert int(srows["hash:7"]["shed_tuples"]) > 0
+        assert int(srows["hash:7"]["degradations"]) > 0
+        assert srows["hash:7"]["died_at"] == ""
+        # The CSV holds the run's events; the trace holds each exactly once
+        # (the scan run records no event).
+        logged = [
+            (int(r["tick"]), r["kind"], r["stream"], r["detail"])
+            for r in rows
+            if r["scheme"] == "hash:7"
+        ]
+        assert_one_timeline((tmp_path / "paper_hash_7_trace.jsonl").read_text(), logged)
 
     def test_metrics_and_trace_export(self, tmp_path, capsys):
         rc = run_cli.main(

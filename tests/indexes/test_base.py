@@ -35,6 +35,31 @@ class TestCostParams:
         p = CostParams(c_hash=3.0, tuple_bytes=10)
         assert p.c_hash == 3.0 and p.tuple_bytes == 10
 
+    @pytest.mark.parametrize(
+        "name", ["c_hash", "c_compare", "c_bucket", "c_insert", "c_delete", "c_move",
+                 "c_output", "c_route"]
+    )
+    def test_rejects_a_negative_unit_cost(self, name):
+        """A negative unit cost would only fail at its first charge."""
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1.0$"):
+            CostParams(**{name: -1.0})
+
+    @pytest.mark.parametrize(
+        "name", ["tuple_bytes", "index_entry_bytes", "bucket_bytes", "bucket_slot_bytes",
+                 "queue_item_bytes", "stat_entry_bytes"]
+    )
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_rejects_a_byte_size_below_one(self, name, size):
+        """``queue_item_bytes=0`` divided by zero when the backlog was shed."""
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {size}$"):
+            CostParams(**{name: size})
+
+    def test_zero_unit_costs_construct(self):
+        """A model that charges only routing (``TestSchedulers``) stays legal."""
+        p = CostParams(c_hash=0.0, c_compare=0.0, c_bucket=0.0, c_insert=0.0,
+                       c_delete=0.0, c_move=0.0, c_output=0.0, c_route=1.0)
+        assert p.c_hash == 0.0 and p.c_route == 1.0
+
 
 class TestAccountant:
     def test_cost_formula(self):

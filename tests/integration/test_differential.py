@@ -5,8 +5,8 @@ unlimited resources, every scheme must emit exactly the join results the
 unindexed ``scan`` baseline emits.  This suite drives random small
 workloads (random scenario seeds over a shrunken 3-way paper scenario)
 through every scheme and compares canonicalised output multisets against
-the scan oracle — with and without deterministic fault injection, since
-arrival-level faults (burst/stall/drop/delay) and tuning-level faults
+the scan oracle — with and without deterministic fault injection (the
+harness of ``tests/faults.py``), since arrival-level faults (burst/stall/drop/delay) and tuning-level faults
 (forced migrations, corrupted assessment statistics) perturb load and
 indexing decisions but must never change what is joined.
 """
@@ -16,8 +16,8 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.faults import FaultPlan
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from tests.faults import FaultPlan, drive
 
 # Every non-oracle scheme family: AMRI bit index, multi-hash modules,
 # non-adapting bitmap, exact inverted lists.
@@ -69,13 +69,8 @@ def canonical(outputs) -> Counter:
 
 def run_outputs(scenario, scheme, *, faults=None, fault_seed=0) -> Counter:
     sink: list = []
-    executor = scenario.make_executor(
-        scheme,
-        output_sink=sink.extend,
-        faults=faults,
-        fault_seed=fault_seed,
-    )
-    executor.run(TICKS, scenario.make_generator())
+    executor = scenario.make_executor(scheme, output_sink=sink.extend)
+    drive(executor, TICKS, scenario.make_generator(), faults, fault_seed=fault_seed)
     return canonical(sink)
 
 

@@ -1,16 +1,13 @@
 """Observers are pure: one conformance matrix over every observer and scheme.
 
 A run's observers — the metrics registry (series and spans), the event
-log, the latency tracker and the invariant checker — must never change
-what the engine does.  Every cell of {observer} × {scheme family} runs the
-same small backlogged scenario under ``arrivals`` faults with the
-degradation policy attached (capacity and memory budget are tight enough
-that requests queue across ticks and the backlog is shed), and must give
-the bare run's ``stats_fingerprint``, output multiset and virtual-clock
-total exactly.
-
-The same scenario pins the latency tracker's accounting: every admitted
-request ends processed, shed, or still queued at the end of the run.
+log, and the invariant checker the fault harness calls between steps —
+must never change what the engine does.  Every cell of {observer} ×
+{scheme family} runs the same small backlogged scenario through the fault
+harness under ``arrivals`` faults with the degradation policy attached
+(capacity and memory budget are tight enough that requests queue across
+ticks and the backlog is shed), and must give the bare run's
+``stats_fingerprint``, output multiset and virtual-clock total exactly.
 """
 
 import functools
@@ -18,14 +15,13 @@ import pickle
 
 import pytest
 
-from repro.engine.faults import InvariantChecker
-from repro.engine.latency import LatencyTracker
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.resources import DegradationPolicy
 from repro.engine.tracing import EventLog
 from repro.experiments.golden import stats_fingerprint
 from repro.experiments.parallel import RunSpec, execute_spec, run_parallel
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from tests.faults import FAULT_PROFILES, InvariantChecker, drive
 from tests.integration.test_differential import canonical
 
 TICKS = 40
@@ -33,13 +29,11 @@ SCHEMES = ("amri:cdia-highest", "hash:2", "static", "inverted", "scan")
 OBSERVERS = {
     "metrics": lambda: {"metrics": MetricsRegistry()},
     "events": lambda: {"event_log": EventLog()},
-    "latency": lambda: {"latency": LatencyTracker()},
-    "invariants": lambda: {"invariant_checker": InvariantChecker()},
+    "invariants": lambda: {"checker": InvariantChecker()},
     "all": lambda: {
         "metrics": MetricsRegistry(),
         "event_log": EventLog(),
-        "latency": LatencyTracker(),
-        "invariant_checker": InvariantChecker(),
+        "checker": InvariantChecker(),
     },
 }
 
@@ -59,19 +53,24 @@ def backlogged_params(seed=7, capacity=250.0, memory_budget=20_000):
     )
 
 
-def run(scheme, **observers):
+def run(scheme, checker=None, **observers):
     """One faulted, degrading run; returns (fingerprint, outputs, clock, executor)."""
     scenario = PaperScenario(backlogged_params())
     sink: list = []
     executor = scenario.make_executor(
         scheme,
         output_sink=sink.extend,
-        faults="arrivals",
-        fault_seed=1,
         degradation=DegradationPolicy(),
         **observers,
     )
-    stats = executor.run(TICKS, scenario.make_generator())
+    stats = drive(
+        executor,
+        TICKS,
+        scenario.make_generator(),
+        FAULT_PROFILES["arrivals"],
+        fault_seed=1,
+        checker=checker,
+    )
     return stats_fingerprint(stats), canonical(sink), executor.meter.total_spent, executor
 
 
@@ -89,6 +88,10 @@ def test_observer_changes_nothing(scheme, observer):
     assert (fingerprint, outputs, clock) == bare(scheme)
     stats = executor.stats
     assert stats.shed_tuples > 0  # the cell exercises the degradation path
+    assert stats.faults_injected > 0
+    checker = attached.get("checker")
+    if checker is not None:
+        assert checker.ticks_checked == TICKS
     registry = attached.get("metrics")
     if registry is not None:
         snap = registry.snapshot()
@@ -96,57 +99,16 @@ def test_observer_changes_nothing(scheme, observer):
         assert snap.cost_total == executor.meter.total_spent
         series_sum = snap.sum_values("cost_units_total")
         assert abs(series_sum - snap.cost_total) <= 1e-9 * max(snap.cost_total, 1.0)
-    tracker = attached.get("latency")
-    if tracker is not None:
-        lat = tracker.snapshot()
-        assert lat.count + lat.shed + lat.unfinished == stats.source_tuples
-        assert lat.shed == stats.shed_tuples
 
 
-class TestLatencyAccounting:
-    """Every admitted request is counted once: processed, shed or unfinished."""
-
-    def test_backlogged_run_counts_the_requests_still_queued(self):
-        scenario = PaperScenario(backlogged_params(memory_budget=1 << 40))
-        tracker = LatencyTracker()
-        executor = scenario.make_executor("amri:sria", latency=tracker)
-        stats = executor.run(TICKS, scenario.make_generator())
-        snap = tracker.snapshot()
-        assert snap.unfinished == executor.backlog > 0
-        assert snap.count + snap.shed + snap.unfinished == stats.source_tuples
-        # The oldest queued request has waited longer than most processed ones.
-        assert snap.unfinished_max_wait >= snap.quantile(0.5)
-
-    def test_run_that_dies_counts_its_backlog(self):
-        scenario = PaperScenario(ScenarioParams(seed=41))
-        tracker = LatencyTracker()
-        executor = scenario.make_executor(
-            "scan", capacity=100.0, memory_budget=150_000, latency=tracker
-        )
-        stats = executor.run(200, scenario.make_generator())
-        snap = tracker.snapshot()
-        assert stats.died_at is not None
-        assert snap.unfinished > 0
-        assert snap.count + snap.shed + snap.unfinished == stats.source_tuples
-        assert snap.unfinished_max_wait <= stats.died_at
-
-
-def faulted_spec(**collect):
-    return RunSpec(
-        backlogged_params(),
-        "amri:sria",
-        TICKS,
-        train=False,
-        faults="arrivals",
-        degrade=True,
-        **collect,
-    )
+def degrading_spec(**collect):
+    return RunSpec(backlogged_params(), "amri:sria", TICKS, train=False, degrade=True, **collect)
 
 
 @functools.cache
 def observed_outcomes():
-    """(in-process, pooled) outcomes of the same spec with both snapshots on."""
-    spec = faulted_spec(collect_metrics=True, collect_latency=True)
+    """(in-process, pooled) outcomes of the same spec with metrics on."""
+    spec = degrading_spec(collect_metrics=True)
     return execute_spec(spec), run_parallel([spec, spec], workers=2)[1]
 
 
@@ -158,18 +120,14 @@ class TestPoolDeterminism:
         assert pooled.stats == serial.stats
         assert pooled.metrics == serial.metrics and serial.metrics.cost_total > 0
 
-    def test_pool_matches_in_process_latency(self):
-        serial, pooled = observed_outcomes()
-        assert pooled.latency == serial.latency and serial.latency.count > 0
-
     def test_outcome_with_snapshots_is_picklable(self):
         serial, _ = observed_outcomes()
         clone = pickle.loads(pickle.dumps(serial))
-        assert (clone.metrics, clone.latency) == (serial.metrics, serial.latency)
+        assert clone.metrics == serial.metrics
         assert clone.metrics.spans == serial.metrics.spans
 
     def test_spec_runs_identical_with_and_without_snapshots(self):
         serial, _ = observed_outcomes()
-        bare_outcome = execute_spec(faulted_spec())
+        bare_outcome = execute_spec(degrading_spec())
         assert bare_outcome.stats == serial.stats
-        assert bare_outcome.metrics is None and bare_outcome.latency is None
+        assert bare_outcome.metrics is None

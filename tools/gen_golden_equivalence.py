@@ -1,19 +1,19 @@
 #!/usr/bin/env python
 """Regenerate the golden-equivalence fingerprints.
 
-    PYTHONPATH=src python tools/gen_golden_equivalence.py
+    PYTHONPATH=src:. python tools/gen_golden_equivalence.py
 
+(from the repository root: the case matrix lives with the test suite).
 Writes ``tests/integration/golden_equivalence.json.gz``: one fingerprint
-per case of :func:`repro.experiments.golden.cases` (name → ``RunSpec``),
-each run through ``execute_spec``, capturing the engine's RunStats, event
-log, metrics snapshot and meter total byte-for-byte.  The corpus is
-stored gzipped (fixed mtime, so regenerating unchanged semantics produces
-a bit-identical file).
+per case of :func:`tests.integration.golden_cases.cases` (name → spec plus
+fault profile), each run through the fault harness, capturing the
+engine's RunStats, event log, metrics snapshot and meter total
+byte-for-byte.  The corpus is stored gzipped (fixed mtime, so
+regenerating unchanged semantics produces a bit-identical file).
 
-The committed file was generated from the pre-kernel monolithic
-``AMRExecutor``; ``tests/integration/test_golden_equivalence.py`` holds
-the staged kernel to it.  Only regenerate when run semantics change on
-purpose — a refactor that needs regeneration is not a refactor.
+``tests/integration/test_golden_equivalence.py`` holds the engine to the
+committed file.  Only regenerate when run semantics change on purpose — a
+refactor that needs regeneration is not a refactor.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments.golden import run_all
+from tests.integration.golden_cases import run_all
 
 OUT = (
     Path(__file__).resolve().parent.parent
