@@ -16,10 +16,11 @@ BANNER = f"""repro {__version__} — AMRI: Index Tuning for Adaptive Multi-Route
 (reproduction of Works, Rundensteiner, Agu; IPPS 2010)
 
 subcommands (python -m repro <cmd> --help for flags):
-  profile   per-component cost-unit profile of one run (--metrics/--trace export)
   run       scheme comparison with CSV/metrics export
             (--schemes amri:<assessor>|hash:<k>|static|inverted|scan; also
-            --degrade to shed and fall back to scans instead of dying)
+            --degrade to shed and fall back to scans instead of dying;
+            --metrics/--trace print each scheme's cost table and check that
+            it reconciles with the virtual clock)
   figures   regenerate the paper's figures/tables <fig6|fig6-hash|fig7|table2|all>
 
 examples:    examples/quickstart.py | package_tracking.py | stock_monitoring.py |
@@ -31,7 +32,6 @@ docs:        README.md, DESIGN.md, EXPERIMENTS.md, docs/observability.md
 
 #: subcommand -> dotted module exposing ``main(argv) -> int``
 COMMANDS = {
-    "profile": "repro.experiments.profiling",
     "run": "repro.experiments.run",
     "figures": "repro.experiments.figures",
 }

@@ -3,7 +3,6 @@
 from repro.experiments.harness import TrainingResult, train_initial_state
 from repro.experiments.parallel import RunOutcome, RunSpec, execute_spec, run_parallel
 from repro.experiments.reporting import (
-    format_component_breakdown,
     format_cost_profile,
     format_summary,
     format_table,
@@ -13,7 +12,6 @@ from repro.experiments.reporting import (
 
 __all__ = [
     "execute_spec",
-    "format_component_breakdown",
     "format_cost_profile",
     "RunOutcome",
     "RunSpec",

@@ -16,7 +16,7 @@ Determinism is preserved: a spec's result is identical whether it runs in a
 worker or in-process (``workers=0``), which the tests assert.
 
 :class:`RunSpec` is *the* description of a measured run — for the CLIs,
-the figures, ``validate``, the golden corpus and ``repro profile`` alike:
+the figures, ``validate`` and the golden corpus alike:
 it rejects a bad run at construction (before any quasi-training),
 :meth:`RunSpec.describe` is the header line ``repro run`` prints, and
 :func:`execute_spec` is the one place a spec turns into an engine (its
@@ -126,9 +126,8 @@ class RunOutcome:
     """A spec together with its statistics, events, and metrics snapshot.
 
     ``meter_total`` is the run's virtual-clock total as the meter itself
-    accumulated it — independent of any attached registry, so a check
-    that the registry's ``cost_total`` attributes the whole clock compares
-    two separately kept sums.  ``metrics`` is a frozen
+    accumulated it — independent of any attached registry, so
+    :func:`reconciles` compares two separately kept sums.  ``metrics`` is a frozen
     :class:`~repro.engine.metrics.RegistrySnapshot` when the spec asked
     for one (``collect_metrics=True``) — picklable, so it crosses the
     process-pool boundary like everything else.
@@ -151,6 +150,22 @@ class RunOutcome:
             events=tuple(executor.event_log),
             metrics=registry.snapshot() if registry is not None else None,
         )
+
+
+#: Attribution drift tolerated between the clock and the per-row sums —
+#: pure float regrouping error, so parts-per-billion is already generous.
+RECONCILE_REL_TOL = 1e-9
+
+
+def reconciles(snapshot: RegistrySnapshot, meter_total: float) -> bool:
+    """True when attribution accounts for the whole clock: the chronological
+    grand total matches the meter exactly and the per-series regrouped sum
+    matches within float-associativity tolerance."""
+    if snapshot.cost_total != meter_total:
+        return False
+    series_sum = snapshot.sum_values("cost_units_total")
+    scale = max(abs(meter_total), 1.0)
+    return abs(series_sum - meter_total) <= RECONCILE_REL_TOL * scale
 
 
 def _share_training(spec: RunSpec) -> RunSpec:

@@ -118,10 +118,8 @@ def format_event_timeline(
     return "\n".join(parts)
 
 
-def format_cost_profile(
-    title: str, snapshot: RegistrySnapshot, *, top_k: int = 20
-) -> str:
-    """The live Table-2: top-K cost-unit rows by attribution labels.
+def format_cost_profile(title: str, snapshot: RegistrySnapshot) -> str:
+    """The live Table-2: one cost-unit row per attribution series.
 
     One row per ``(component, stream, index_kind, phase)`` series, sorted
     by cost descending.  The TOTAL row is the registry's *chronological*
@@ -133,40 +131,12 @@ def format_cost_profile(
     ranked = sorted(by_key.items(), key=lambda kv: (-kv[1], kv[0]))
     total = snapshot.cost_total
     rows: list[list[object]] = []
-    for (component, stream, index_kind, phase), cost in ranked[:top_k]:
+    for (component, stream, index_kind, phase), cost in ranked:
         share = 100.0 * cost / total if total > 0 else 0.0
         rows.append([component, stream, index_kind, phase, f"{cost:,.1f}", f"{share:.1f}%"])
-    hidden = len(ranked) - len(rows)
-    if hidden > 0:
-        rest = sum(cost for _, cost in ranked[top_k:])
-        share = 100.0 * rest / total if total > 0 else 0.0
-        rows.append([f"({hidden} more)", "-", "-", "-", f"{rest:,.1f}", f"{share:.1f}%"])
     rows.append(["TOTAL", "", "", "", f"{total:,.1f}", "100.0%" if total > 0 else "-"])
     headers = ["component", "stream", "index_kind", "phase", "cost_units", "share"]
     return f"{title}\n" + format_table(headers, rows)
-
-
-def format_component_breakdown(
-    title: str, snapshots: Mapping[str, RegistrySnapshot]
-) -> str:
-    """Cross-scheme cost split by component (one column per component)."""
-    components: list[str] = []
-    per_scheme: dict[str, dict[str, float]] = {}
-    for name, snap in snapshots.items():
-        split = {k[0]: v for k, v in snap.cost_by("component").items()}
-        per_scheme[name] = split
-        for component in split:
-            if component not in components:
-                components.append(component)
-    components.sort()
-    rows = []
-    for name, split in per_scheme.items():
-        rows.append(
-            [name]
-            + [f"{split.get(c, 0.0):,.0f}" for c in components]
-            + [f"{snapshots[name].cost_total:,.0f}"]
-        )
-    return f"{title}\n" + format_table(["scheme", *components, "total"], rows)
 
 
 def format_summary(

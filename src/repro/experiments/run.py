@@ -8,16 +8,20 @@ enough to re-plot any figure outside this repository.
 
 Robustness flag: ``--degrade`` enables graceful degradation instead of
 OOM death; a run that sheds, degrades or dies gains a per-scheme
-shed/degrade/death timeline (also exported as ``<scenario>_events.csv``
-with ``--csv``).
+shed/degrade/death timeline.  ``--csv`` always writes every scheme's
+events to ``<scenario>_events.csv`` (only the header row when no event
+fired).
 
-Observability flags: ``--metrics DIR`` attaches a metrics registry to every
-scheme, prints a cross-scheme cost breakdown by component, and writes one
-``<scenario>_<scheme>_metrics.jsonl`` snapshot per scheme; ``--trace DIR``
-writes each scheme's timeline as ``<scenario>_<scheme>_trace.jsonl``: its
-retained spans and every event, one JSONL ordered by tick.  Metrics are
-observer-effect-free: the run results are byte-identical with the flags on
-or off.
+Observability flags: ``--metrics DIR`` and ``--trace DIR`` attach a metrics
+registry to every scheme and print, per scheme, the live Table-2 — the
+cost units of each ``(component, stream, index_kind, phase)`` series and
+their TOTAL — and the check that the TOTAL reconciles with the virtual
+clock; a run whose attribution does not reconcile writes its exports and
+exits 1.  ``--metrics`` writes one ``<scenario>_<scheme>_metrics.jsonl``
+snapshot per scheme; ``--trace`` writes each scheme's timeline as
+``<scenario>_<scheme>_trace.jsonl``: its retained spans and every event,
+one JSONL ordered by tick.  Metrics are observer-effect-free: the run
+results are byte-identical with the flags on or off.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ from pathlib import Path
 from repro.engine.metrics_export import write_metrics, write_trace
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent
-from repro.experiments.parallel import RunSpec, run_parallel
+from repro.experiments.parallel import RunSpec, reconciles, run_parallel
 from repro.experiments.reporting import (
     TIMELINE_KINDS,
-    format_component_breakdown,
+    format_cost_profile,
     format_event_timeline,
     format_table,
     format_throughput_figure,
@@ -114,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         "--metrics",
         type=Path,
         default=None,
-        help="directory for per-scheme metrics snapshots (JSONL) + breakdown report",
+        help="directory for per-scheme metrics snapshots (JSONL) + cost tables",
     )
     parser.add_argument(
         "--trace",
@@ -155,9 +159,20 @@ def main(argv: list[str] | None = None) -> int:
     if any(e.kind in TIMELINE_KINDS for scheme_events in events.values() for e in scheme_events):
         print(format_event_timeline("\nevent timeline", events))
 
-    if snapshots:
-        print()
-        print(format_component_breakdown("cost units by component", snapshots))
+    reconciled = True
+    for name, snap in snapshots.items():
+        meter_total = outcomes[name].meter_total
+        ok = reconciles(snap, meter_total)
+        reconciled &= ok
+        title = (
+            f"cost-unit profile — {name} on {args.scenario}, "
+            f"{args.ticks} ticks (seed {args.seed})"
+        )
+        print(f"\n{format_cost_profile(title, snap)}")
+        print(
+            f"attributed total {snap.cost_total:,.1f} == virtual clock "
+            f"{meter_total:,.1f}: {'OK' if ok else 'MISMATCH'}"
+        )
 
     if args.csv is not None:
         args.csv.mkdir(parents=True, exist_ok=True)
@@ -177,6 +192,9 @@ def main(argv: list[str] | None = None) -> int:
             safe = name.replace(":", "_")
             write_trace(args.trace / f"{args.scenario}_{safe}_trace.jsonl", snap, events[name])
         print(f"traces written to {args.trace}/")
+    if not reconciled:
+        print("cost attribution does not reconcile with the virtual clock", file=sys.stderr)
+        return 1
     return 0
 
 

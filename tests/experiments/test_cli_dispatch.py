@@ -16,7 +16,7 @@ class TestExitCodes:
         assert main_mod.main(["frobnicate"]) == 2
         assert "unknown subcommand" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "profile", "figures"])
+    @pytest.mark.parametrize("command", ["run", "figures"])
     def test_unknown_flag_exits_2_with_usage_no_traceback(self, command, capsys):
         rc = main_mod.main([command, "--definitely-not-a-flag"])
         captured = capsys.readouterr()
@@ -76,15 +76,52 @@ class TestExitCodes:
         assert "boom" in capsys.readouterr().err
 
 
+class TestMainDispatch:
+    def test_banner_lists_two_subcommands(self, capsys):
+        assert main_mod.main([]) == 0
+        banner = capsys.readouterr().out
+        assert sorted(main_mod.COMMANDS) == ["figures", "run"]
+        assert "\n  profile " not in banner
+
+    def test_help_flag(self, capsys):
+        assert main_mod.main(["--help"]) == 0
+        assert "\n  run " in capsys.readouterr().out
+
+    def test_profile_is_an_unknown_subcommand(self, capsys):
+        """``repro run --metrics`` prints the cost table ``repro profile`` did."""
+        assert main_mod.main(["profile"]) == 2
+        assert "unknown subcommand 'profile'" in capsys.readouterr().err
+
+    def test_run_subcommand_dispatches(self, tmp_path, capsys):
+        rc = main_mod.main(
+            ["run", "--schemes", "scan", "--ticks", "10", "--no-train", "--metrics", str(tmp_path)]
+        )
+        assert rc == 0
+        assert "cost-unit profile — scan on paper" in capsys.readouterr().out
+
+    def test_failing_subcommand_exits_one(self, capsys):
+        rc = main_mod.main(["run", "--scenario-typo"])
+        assert rc == 2  # argparse usage error keeps its exit code
+
+    def test_subcommand_exception_maps_to_one(self, monkeypatch, capsys):
+        import repro.experiments.run as run_cli
+
+        def boom(argv):
+            raise RuntimeError("kaput")
+
+        monkeypatch.setattr(run_cli, "main", boom)
+        assert main_mod.main(["run"]) == 1
+        assert "kaput" in capsys.readouterr().err
+
+
 class TestEngineFlags:
     def test_bad_scheduler_exits_2(self, capsys):
         """The backlog drains in arrival order: there is no policy flag."""
-        for command in ("run", "profile"):
-            rc = main_mod.main([command, "--scheduler", "backlog"])
-            err = capsys.readouterr().err
-            assert rc == 2
-            assert "usage" in err.lower()
-            assert "unrecognized arguments: --scheduler backlog" in err
+        rc = main_mod.main(["run", "--scheduler", "backlog"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "usage" in err.lower()
+        assert "unrecognized arguments: --scheduler backlog" in err
 
     @pytest.mark.parametrize(
         "flag",
@@ -96,6 +133,7 @@ class TestEngineFlags:
             "--faults",
             "--fault-seed",
             "--latency",
+            "--top",
         ],
     )
     def test_removed_plane_flags_are_unrecognized(self, flag, capsys):
@@ -160,13 +198,8 @@ class TestEngineFlags:
             ("run", ["--schemes", "hash:0"], "unknown scheme 'hash:0'"),
             ("run", ["--schemes", "amri:bogus"], "unknown assessor 'bogus'"),
             ("run", ["--schemes", "hash:²"], "unknown scheme 'hash:²'; expected amri:<assessor>"),
-            ("profile", ["--ticks", "0"], "ticks must be >= 1, got 0"),
-            ("profile", ["--train-ticks", "0"], "train_ticks must be >= 1, got 0"),
-            ("profile", ["--scheme", "hash:0"], "unknown scheme 'hash:0'"),
-            ("profile", ["--scheme", "amri:bogus"], "unknown assessor 'bogus'"),
-            ("profile", ["--scheme", "hash:²"], "unknown scheme 'hash:²'"),
-            ("profile", ["--top", "-2"], "top must be >= 1, got -2"),
-            ("profile", ["--top", "0"], "top must be >= 1, got 0"),
+            ("run", ["--ticks", "-2", "--metrics", "out"], "ticks must be >= 1, got -2"),
+            ("run", ["--train-ticks", "-2", "--trace", "out"], "train_ticks must be >= 1, got -2"),
             ("run", ["--schemes", "scan,scan"], "--schemes repeats scan, got 'scan,scan'"),
             ("run", ["--schemes", "static, scan,static"], "--schemes repeats static, got"),
             ("figures", ["fig7", "--ticks", "0"], "ticks must be >= 1, got 0"),
@@ -229,6 +262,6 @@ class TestLatencyFlag:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_prometheus_format_is_a_usage_error(self, capsys):
-        rc = main_mod.main(["profile", "--format", "prometheus"])
+        rc = main_mod.main(["run", "--format", "prometheus"])
         assert rc == 2
         assert "unrecognized arguments: --format prometheus" in capsys.readouterr().err

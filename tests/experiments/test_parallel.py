@@ -20,6 +20,7 @@ from repro.experiments.parallel import (
     RunSpec,
     _share_training,
     execute_spec,
+    reconciles,
     run_parallel,
 )
 from repro.workloads.scenarios import (
@@ -194,6 +195,32 @@ class TestOnePath:
         assert outcome.stats == stats and outcome.meter_total == meter_total
         untrained = execute_spec(RunSpec(params, scheme, 30, train=False))
         assert untrained.stats != stats  # the start matters on this scenario
+
+
+class TestReconcile:
+    """``reconciles``: a metrics snapshot's attribution accounts for the
+    outcome's whole ``meter_total``."""
+
+    @staticmethod
+    def metered(scheme):
+        spec = RunSpec(scenario_params("paper", 7), scheme, 25, train=False, collect_metrics=True)
+        return execute_spec(spec)
+
+    def test_attribution_reconciles_exactly(self):
+        outcome = self.metered("amri:sria")
+        snapshot, meter_total = outcome.metrics, outcome.meter_total
+        # The headline invariant: chronological grand total is bit-identical
+        # to the executor's virtual clock — no leakage, no double counting.
+        assert snapshot.cost_total == meter_total
+        assert reconciles(snapshot, meter_total)
+        assert outcome.stats.probes > 0
+        components = {k[0] for k in snapshot.cost_by("component")}
+        assert {"index", "router"} <= components
+
+    def test_reconciles_rejects_leakage(self):
+        outcome = self.metered("scan")
+        assert reconciles(outcome.metrics, outcome.meter_total)
+        assert not reconciles(outcome.metrics, outcome.meter_total + 1.0)
 
 
 class TestFaultedDeterminism:

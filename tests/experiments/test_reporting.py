@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.engine.metrics import MetricsRegistry
 from repro.engine.stats import RunStats
 from repro.experiments.reporting import (
+    format_cost_profile,
     format_summary,
     format_table,
     format_throughput_figure,
@@ -81,3 +83,21 @@ class TestFigureFormatting:
     def test_summary_line_of_a_larger_loser_reads_negative(self):
         out = format_summary("head", [("A", 85.0, "B", 100.0)])
         assert out.endswith("(-15%)")
+
+
+class TestCostProfile:
+    def make_snapshot(self):
+        reg = MetricsRegistry()
+        reg.charge(10.0, "index", stream="A", index_kind="bit_address", phase="probe")
+        reg.charge(5.0, "router", phase="decide")
+        reg.charge(1.0, "output", phase="emit")
+        return reg.snapshot()
+
+    def test_format_cost_profile_rows_and_total(self):
+        """Every series is a row, by cost descending, then the TOTAL."""
+        lines = format_cost_profile("title", self.make_snapshot()).splitlines()
+        assert lines[0] == "title"
+        assert [line.split()[0] for line in lines[3:]] == ["index", "router", "output", "TOTAL"]
+        assert "bit_address" in lines[3]
+        assert lines[-1].split()[1:] == ["16.0", "100.0%"]
+        assert "more)" not in "\n".join(lines)

@@ -142,7 +142,9 @@ class TestCLI:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "cost units by component" in out
+        for scheme in ("scan", "amri:sria"):
+            assert f"cost-unit profile — {scheme} on paper, 12 ticks (seed 7)" in out
+        assert out.count(": OK\n") == 2
         for scheme in ("scan", "amri_sria"):
             metrics_file = tmp_path / "m" / f"paper_{scheme}_metrics.jsonl"
             records = [json.loads(l) for l in metrics_file.read_text().splitlines()]
@@ -151,6 +153,58 @@ class TestCLI:
             trace_file = tmp_path / "t" / f"paper_{scheme}_trace.jsonl"
             spans = [json.loads(l) for l in trace_file.read_text().splitlines()]
             assert any(s["name"] == "tick" for s in spans)
+
+
+class TestCostProfile:
+    """A metrics run prints each scheme's cost table and checks that its
+    attribution reconciles with the virtual clock."""
+
+    def test_run_exports_and_reconciles(self, tmp_path, capsys):
+        rc = run_cli.main(
+            [
+                "--scenario", "paper-small", "--schemes", "amri:sria", "--ticks", "25",
+                "--no-train", "--csv", str(tmp_path / "c"),
+                "--metrics", str(tmp_path / "m"), "--trace", str(tmp_path / "t"),
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "cost-unit profile — amri:sria on paper-small, 25 ticks (seed 7)" in out
+        total = next(line for line in out.splitlines() if line.lstrip().startswith("TOTAL"))
+        assert total.split()[-1] == "100.0%"
+        reconcile = next(line for line in out.splitlines() if "== virtual clock" in line)
+        assert reconcile.startswith(f"attributed total {total.split()[1]} == virtual clock ")
+        assert reconcile.endswith(": OK")
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "m" / "paper-small_amri_sria_metrics.jsonl")
+            .read_text()
+            .splitlines()
+        ]
+        assert records[-1]["record"] == "aggregate"
+        trace = (tmp_path / "t" / "paper-small_amri_sria_trace.jsonl").read_text()
+        spans = [json.loads(line) for line in trace.splitlines()]
+        assert {"tick", "tuple"} <= {s["name"] for s in spans if s["record"] == "span"}
+        with (tmp_path / "c" / "paper-small_events.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert {"tune", "migration"} & {r["kind"] for r in rows}
+        logged = [(int(r["tick"]), r["kind"], r["stream"], r["detail"]) for r in rows]
+        assert_one_timeline(trace, logged)
+
+    def test_a_mismatch_exits_one_after_the_exports(self, tmp_path, capsys, monkeypatch):
+        """Attribution that does not reconcile fails the run, exports kept."""
+        monkeypatch.setattr(run_cli, "reconciles", lambda snapshot, meter_total: False)
+        rc = run_cli.main(
+            ["--schemes", "scan", "--ticks", "12", "--no-train", "--metrics", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out.count(": MISMATCH\n") == 1
+        assert (
+            captured.err.strip().splitlines()[-1]
+            == "cost attribution does not reconcile with the virtual clock"
+        )
+        assert (tmp_path / "paper_scan_metrics.jsonl").exists()
 
 
 class TestSchemeNames:

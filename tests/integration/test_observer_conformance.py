@@ -19,7 +19,7 @@ from repro.engine.metrics import MetricsRegistry
 from repro.engine.resources import DegradationPolicy
 from repro.engine.tracing import EventLog
 from repro.experiments.golden import stats_fingerprint
-from repro.experiments.parallel import RunSpec, execute_spec, run_parallel
+from repro.experiments.parallel import RunSpec, execute_spec, reconciles, run_parallel
 from repro.workloads.scenarios import PaperScenario, ScenarioParams
 from tests.faults import FAULT_PROFILES, InvariantChecker, drive
 from tests.integration.test_differential import canonical
@@ -94,11 +94,8 @@ def test_observer_changes_nothing(scheme, observer):
         assert checker.ticks_checked == TICKS
     registry = attached.get("metrics")
     if registry is not None:
-        snap = registry.snapshot()
         # Bit for bit: the registry replays the meter's accumulation order.
-        assert snap.cost_total == executor.meter.total_spent
-        series_sum = snap.sum_values("cost_units_total")
-        assert abs(series_sum - snap.cost_total) <= 1e-9 * max(snap.cost_total, 1.0)
+        assert reconciles(registry.snapshot(), executor.meter.total_spent)
 
 
 def degrading_spec(**collect):
