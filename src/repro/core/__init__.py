@@ -8,8 +8,8 @@ Public surface:
   :class:`BitAddressIndex`);
 - the cost model (:class:`WorkloadStatistics`, :func:`estimate_cd`) and
   selector (:class:`IndexSelector`);
-- compiled probe plans (:class:`ProbePlan`, :class:`ProbePlanCache`,
-  :func:`compile_probe_plan`, :func:`compile_matcher`) — the hot-path
+- compiled probe plans (:class:`ProbePlan`, :func:`compile_probe_plan`,
+  :func:`compile_matcher`) — the hot-path
   compilation layer (see docs/performance.md);
 - the assessment methods (:class:`SRIA`, :class:`CSRIA`, :class:`DIA`,
   :class:`CDIA`, :func:`make_assessor`);
@@ -39,7 +39,6 @@ from repro.core.index_config import IndexConfiguration, uniform_configuration
 from repro.core.probe_plan import (
     Matcher,
     ProbePlan,
-    ProbePlanCache,
     compile_matcher,
     compile_probe_plan,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "MigrationReport",
     "NullTuner",
     "ProbePlan",
-    "ProbePlanCache",
     "SRIA",
     "TuneReport",
     "TuningContext",

@@ -58,7 +58,7 @@ from operator import and_, contains
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration
-from repro.core.probe_plan import ProbePlan, ProbePlanCache
+from repro.core.probe_plan import ProbePlan, compile_key_plan, compile_probe_plan
 from repro.indexes.base import Accountant, CostParams, RowProbe, SearchOutcome, StateIndex
 from repro.utils.bitops import _cached_value_hash
 
@@ -308,11 +308,6 @@ class BitAddressIndex(StateIndex):
         return self._config
 
     @property
-    def probe_plans(self) -> ProbePlanCache:
-        """The compiled-plan cache (exposed for invalidation tests)."""
-        return self._plans
-
-    @property
     def bucket_count(self) -> int:
         """Number of live (non-empty) buckets."""
         return len(self._buckets)
@@ -320,19 +315,17 @@ class BitAddressIndex(StateIndex):
     def _rebuild_frag_positions(self) -> None:
         # Compiled probe plans and probers are derived from the key map, so
         # any code path that changes the configuration (construction,
-        # reconfigure) lands here, and drops them.
+        # reconfigure) lands here, and drops them.  The plan table (pattern
+        # mask -> plan) outlives insert and remove, which drop the probers.
         self._drop_probers()
+        self._plans: dict[int, ProbePlan] = {}
+        self._key_plan = compile_key_plan(self._config)
         self._frag_maps = {i: {} for i, w in enumerate(self._config.bits) if w > 0}
         # A live bucket costs its dict slot plus one inverted-map entry per
         # actively indexed attribute.
         self._bucket_bytes = self.cost_params.bucket_bytes + 8 * len(self._frag_maps)
         counts = self._frag_counts = {i: {} for i in self._frag_maps}
         self._add_fragments, self._drop_fragments = _counters([*counts.values()], [*counts])
-        plans = getattr(self, "_plans", None)
-        if plans is None:
-            self._plans = ProbePlanCache(self._config)
-        else:
-            plans.invalidate(self._config)
 
     # ------------------------------------------------------------------ #
     # storage
@@ -340,7 +333,7 @@ class BitAddressIndex(StateIndex):
     def _insert(self, item: Mapping[str, object], row: tuple) -> tuple[int, BucketKey]:
         free = self._free
         slot = free[-1] if free else len(self._items)
-        key, bucket_row = self._plans.key_plan.hash_row(row, slot)
+        key, bucket_row = self._key_plan.hash_row(row, slot)
         if free:
             free.pop()
             self._items[slot] = item
@@ -399,7 +392,9 @@ class BitAddressIndex(StateIndex):
     # search
 
     def _row_prober(self, ap: AccessPattern) -> tuple[int, RowProbe]:
-        plan = self._plans.lookup(ap)
+        plan = self._plans.get(ap.mask)
+        if plan is None:
+            plan = self._plans[ap.mask] = compile_probe_plan(self._config, ap)
         buckets = self._buckets
         live = len(buckets)
         # Charged visits: min(2**wildcard_bits, live), floored at one visit
@@ -484,7 +479,7 @@ class BitAddressIndex(StateIndex):
         # order.
         entries = self._entries
         items = self._items
-        masks = self._plans.key_plan.masks
+        masks = self._key_plan.masks
         widened = [(p, masks[p]) for p, w in enumerate(new_config.bits) if w > old_config.bits[p]]
         hash_ = _cached_value_hash
         for old_key, bucket in old_buckets.items():

@@ -5,10 +5,10 @@ AccessPattern)`` pair: which JAS positions the probe fixes (at what widths,
 and where their values sit in a probe row), how many wildcard bits remain,
 the ``enumerated``-buckets cap, how the fragments assemble into a bucket
 key when no wildcard bit remains.  A
-:class:`ProbePlan` precomputes all of it once; indexes keep a per-structure
-:class:`ProbePlanCache` keyed by the pattern's ``BR(ap)`` mask (an ``int``,
-so the hot lookup is one dict get) and invalidate it whenever the key map
-changes — ``reconfigure()`` routes through :meth:`ProbePlanCache.invalidate`.
+:class:`ProbePlan` precomputes all of it once; a bit-address index keeps a
+plain dict of plans keyed by the pattern's ``BR(ap)`` mask (an ``int``, so
+the hot lookup is one dict get) and replaces it whenever its key map changes
+(construction and ``reconfigure()``).
 
 Three compilation entry points, all memoized process-wide so a fresh index
 or a reconfigured one reuses prior compilations:
@@ -268,49 +268,3 @@ def compile_key_plan(config: IndexConfiguration) -> KeyPlan:
 def compile_matcher(ap: AccessPattern) -> Matcher:
     """The memoized pattern-only matcher (no configuration required)."""
     return Matcher(ap)
-
-
-class ProbePlanCache:
-    """Per-index plan table with explicit key-map invalidation.
-
-    The hot path is ``plans.lookup(ap)`` — one ``dict.get`` on the integer
-    mask.  The owning index must call :meth:`invalidate` whenever its
-    configuration changes (``reconfigure()``), which re-buckets every
-    stored tuple under the new key map in the same call.
-
-    Callers are responsible for checking ``ap.jas`` against the index JAS
-    before trusting a mask-keyed lookup (two patterns over different JAS
-    can share a mask).
-    """
-
-    __slots__ = ("_config", "_plans", "key_plan")
-
-    def __init__(self, config: IndexConfiguration) -> None:
-        self._config = config
-        self._plans: dict[int, ProbePlan] = {}
-        self.key_plan = compile_key_plan(config)
-
-    @property
-    def config(self) -> IndexConfiguration:
-        """The configuration every cached plan was compiled against."""
-        return self._config
-
-    def lookup(self, ap: AccessPattern) -> ProbePlan:
-        """The plan for ``ap`` under the current configuration."""
-        plan = self._plans.get(ap.mask)
-        if plan is None:
-            plan = compile_probe_plan(self._config, ap)
-            self._plans[ap.mask] = plan
-        return plan
-
-    def invalidate(self, config: IndexConfiguration) -> None:
-        """Drop every cached plan and rebind to ``config``."""
-        self._config = config
-        self._plans.clear()
-        self.key_plan = compile_key_plan(config)
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self._plans

@@ -48,7 +48,3 @@ class SlidingWindow:
 
     def __iter__(self) -> Iterator[StreamTuple]:
         return (item for _exp, item in self._entries)
-
-    def oldest_expiry(self) -> int | None:
-        """Expiry tick of the oldest live tuple (None when empty)."""
-        return self._entries[0][0] if self._entries else None

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.index_config import IndexConfiguration
+from repro.core.probe_plan import compile_key_plan, compile_probe_plan
 from repro.engine.metrics import RegistrySnapshot, SeriesSnapshot
 from repro.experiments.parallel import RunSpec, execute_spec
 from repro.indexes.hash_index import MultiHashIndex
 from repro.indexes.inverted_index import InvertedListIndex
 from repro.indexes.scan_index import ScanIndex
 from repro.indexes.static_bitmap import StaticBitmapIndex
-from repro.utils.bitops import fragment
+from repro.utils.bitops import fragment, mask_to_indices, stable_value_hash
 
 
 def spec_stats(params, scheme: str, ticks: int, training=None):
@@ -47,9 +50,59 @@ def asks_counts(index, ap: AccessPattern) -> bool:
     probe, probes an attribute and fixes at most one position."""
     if not isinstance(index, bit_index.BitAddressIndex):
         return False
-    plan = index.probe_plans.lookup(ap)
+    plan = compile_probe_plan(index.config, ap)
     point = plan.fixed and plan.point_slots is not None
     return bool(plan.n_attributes and not point and len(plan.fixed) <= 1)
+
+
+def reference_matches(index, ap: AccessPattern, values) -> list:
+    """The probe as the engine ran it when the golden corpus was recorded:
+    intersect the key sets of the fixed fragments smallest-first (a stable
+    sort, so ties keep fixed-position order), walk the surviving buckets in
+    the smallest set's iteration order, filter on the probed attributes.
+    The reference a bit-address index's match order is held to."""
+    bits = index.config.bits
+    names = index.jas.names
+    attributes = ap.attributes
+    fixed = [(i, names[i], bits[i]) for i in mask_to_indices(ap.mask) if bits[i] > 0]
+    if fixed:
+        sets = []
+        for pos, name, width in fixed:
+            keys = index._frag_maps[pos].get(fragment(values[name], width))
+            if not keys:
+                return []
+            sets.append(keys)
+        sets.sort(key=len)
+        keep = sets[0].intersection(*sets[1:])
+        keys = [k for k in sets[0] if k in keep]
+    else:
+        keys = list(index._buckets)
+    return [
+        item
+        for key in keys
+        for item in index.bucket_items(key)
+        if all(item[a] == values[a] for a in attributes)
+    ]
+
+
+def assert_slots_are_consistent(idx, live) -> None:
+    """Every stored item owns one slot, holding it; every other slot handed
+    out so far is on the free list; and the counts kept by every insert,
+    remove and reconfigure equal a recount from ``live``: per JAS position,
+    value -> tuples (``1``, ``1.0`` and ``True`` one entry), per indexed
+    position, fragment -> tuples, no zero count left behind."""
+    slots = [idx._entries[id(item)][0] for item in live]
+    top = len(slots) + len(idx._free)
+    assert sorted(slots + idx._free) == list(range(top))
+    assert all(idx._items[slot] is item for slot, item in zip(slots, live))
+    names = idx.jas.names
+    # Plain dicts: a ``Counter`` compares a zero count equal to a missing one.
+    assert idx._value_counts == [dict(Counter(item[a] for item in live)) for a in names]
+    assert idx._frag_counts == {
+        pos: dict(Counter(stable_value_hash(item[names[pos]]) & mask for item in live))
+        for pos, mask in enumerate(compile_key_plan(idx.config).masks)
+        if idx.config.bits[pos]
+    }
 
 
 class WalkOnly(bit_index.BitAddressIndex):

@@ -1,8 +1,8 @@
-"""Tests for the AMRI bit-address index, including an oracle equivalence
-property (every search returns exactly what a full scan returns), an
-order property (match lists come in the order the golden corpus pins) and
-a counts property (a probe the value and fragment counts answer equals the
-bucket walk in matches, order and every charged count)."""
+"""Tests for the AMRI bit-address index: storage, search, charges and
+migration by example, the corners of the match order the golden corpus pins
+(held to the reference walk) and of the count probe (held to the walk-only
+twin).  Every history of inserts, expiries and migrations is held to a
+never-probed rebuild by ``tests/storage/test_store_machine.py``."""
 
 import re
 from collections import Counter
@@ -10,24 +10,22 @@ from collections.abc import Mapping
 from decimal import Decimal
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.bit_index import BitAddressIndex, make_bit_index
 from repro.core.index_config import IndexConfiguration
+from repro.core.probe_plan import compile_probe_plan
 from repro.indexes.base import Accountant, UnkeyableValueError
 from repro.indexes.scan_index import ScanIndex
 from repro.utils import bitops
-from repro.utils.bitops import fragment, mask_to_indices, stable_value_hash
+from repro.utils.bitops import fragment
 from tests.conftest import (
-    INDEX_CLASSES,
     WalkOnly,
-    asks_counts,
+    assert_slots_are_consistent,
     bucket_key,
-    build_index,
     count_asks,
+    reference_matches,
 )
 
 
@@ -218,40 +216,6 @@ class TestMigration:
         assert idx.size == 19
 
 
-# --------------------------------------------------------------------- #
-# oracle equivalence property
-
-
-values_strategy = st.fixed_dictionaries(
-    {"A": st.integers(0, 8), "B": st.integers(0, 4), "C": st.integers(0, 6)}
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    items=st.lists(values_strategy, max_size=80),
-    bits=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
-    mask=st.integers(0, 7),
-    probe=values_strategy,
-)
-def test_search_matches_full_scan_oracle(items, bits, mask, probe):
-    """For any configuration, pattern, and probe, the bit-address index
-    returns exactly the items a naive full scan returns."""
-    jas = JoinAttributeSet(["A", "B", "C"])
-    idx = BitAddressIndex(IndexConfiguration(jas, list(bits)))
-    oracle = ScanIndex(jas)
-    stored = [dict(v) for v in items]
-    for item in stored:
-        idx.insert(item)
-        oracle.insert(item)
-    ap = AccessPattern.from_mask(jas, mask)
-    got = idx.search(ap, probe)
-    want = oracle.search(ap, probe)
-    assert sorted(map(id, got.matches)) == sorted(map(id, want.matches))
-    # The indexed search never examines more tuples than the scan.
-    assert got.tuples_examined <= want.tuples_examined
-
-
 @pytest.mark.parametrize("bits", [{"A": 4, "B": 2}, {"A": 0, "B": 0}], ids=["A4B2", "A0B0"])
 @pytest.mark.parametrize("probe", [1, 1.0, True], ids=repr)
 def test_equal_values_of_three_types_are_one_key(bits, probe):
@@ -271,85 +235,8 @@ def test_equal_values_of_three_types_are_one_key(bits, probe):
     assert Counter(map(id, got)) == Counter(map(id, want))
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    items=st.lists(values_strategy, max_size=60),
-    bits1=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
-    bits2=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
-    mask=st.integers(1, 7),
-    probe=values_strategy,
-)
-def test_migration_preserves_search_semantics(items, bits1, bits2, mask, probe):
-    """Searching after IC1 -> IC2 migration equals searching a fresh IC2 index."""
-    jas = JoinAttributeSet(["A", "B", "C"])
-    migrated = BitAddressIndex(IndexConfiguration(jas, list(bits1)))
-    fresh = BitAddressIndex(IndexConfiguration(jas, list(bits2)))
-    stored = [dict(v) for v in items]
-    for item in stored:
-        migrated.insert(item)
-        fresh.insert(item)
-    migrated.reconfigure(IndexConfiguration(jas, list(bits2)))
-    ap = AccessPattern.from_mask(jas, mask)
-    got = migrated.search(ap, probe)
-    want = fresh.search(ap, probe)
-    assert sorted(map(id, got.matches)) == sorted(map(id, want.matches))
-    assert migrated.bucket_count == fresh.bucket_count
-
-
 # --------------------------------------------------------------------- #
-# match order — pinned by a property, not only by the golden corpus
-
-
-def reference_matches(index, ap, values):
-    """The probe as the engine ran it when the golden corpus was recorded:
-    intersect the key sets of the fixed fragments smallest-first (a stable
-    sort, so ties keep fixed-position order), walk the surviving buckets in
-    the smallest set's iteration order, filter on the probed attributes.
-    Kept here as the reference the index's match order is held to."""
-    bits = index.config.bits
-    names = index.jas.names
-    fixed = [(i, names[i], bits[i]) for i in mask_to_indices(ap.mask) if bits[i] > 0]
-    if fixed:
-        sets = []
-        for pos, name, width in fixed:
-            keys = index._frag_maps[pos].get(fragment(values[name], width))
-            if not keys:
-                return []
-            sets.append(keys)
-        sets.sort(key=len)
-        keep = sets[0].intersection(*sets[1:])
-        keys = [k for k in sets[0] if k in keep]
-    else:
-        keys = list(index._buckets)
-    return [
-        item
-        for key in keys
-        for item in index.bucket_items(key)
-        if all(item[a] == values[a] for a in ap.attributes)
-    ]
-
-
-def assert_every_pattern_answers_as_the_scan(index, live, probes):
-    """Every pattern and probe: the matches ``==`` finds among ``live`` (in
-    stored order).  Bit-address answers are compared as multisets: their
-    order is the walk's, pinned by the reference probe below."""
-    ordered = not isinstance(index, BitAddressIndex)
-    for mask in range(index.jas.full_mask + 1):
-        ap = AccessPattern.from_mask(index.jas, mask)
-        for values in probes:
-            got = [id(m) for m in index.search(ap, values).matches]
-            want = [id(m) for m in live if all(m[a] == values[a] for a in ap.attributes)]
-            if ordered:
-                assert got == want, (ap, values)
-            else:
-                assert Counter(got) == Counter(want), (ap, values)
-
-
-def some_pattern_asks_counts(index):
-    """Whether a probe of some pattern asks the value and fragment counts."""
-    jas = index.jas
-    patterns = (AccessPattern.from_mask(jas, m) for m in range(jas.full_mask + 1))
-    return any(asks_counts(index, ap) for ap in patterns)
+# match order — the reference walk's, corner by corner
 
 
 def assert_every_pattern_in_reference_order(index, probes):
@@ -361,15 +248,6 @@ def assert_every_pattern_in_reference_order(index, probes):
             assert [id(m) for m in got] == [id(m) for m in want], (ap, values)
 
 
-INTS = st.integers(0, 3)
-FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 0.5])
-STRINGS = st.sampled_from(["0", "1", "a"])
-BYTES = st.sampled_from([b"0", b"a"])
-#: ``1 == 1.0 == True`` and ``0 == 0.0 == -0.0 == False``: equal across
-#: types, one hash; ``"a" != b"a"``.
-ANY_VALUE = st.one_of(INTS, FLOATS, STRINGS, BYTES, st.booleans(), st.none())
-
-
 class EqualsAll(int):
     """An ``int`` subclass whose ``==`` holds against every stored int (a
     subclass's reflected ``__eq__`` is asked first), while its stable hash
@@ -379,53 +257,6 @@ class EqualsAll(int):
         return True
 
     __hash__ = int.__hash__
-
-
-@st.composite
-def index_histories(draw):
-    """A key map over 1-4 attributes (zero-bit positions included) and an
-    interleaving of inserts and removes, over values of mixed types, equal
-    across types (``1 == 1.0 == True``)."""
-    n = draw(st.integers(1, 4))
-    names = "ABCD"[:n]
-    bits = draw(st.tuples(*[st.integers(0, 3)] * n))
-    row = st.fixed_dictionaries({a: ANY_VALUE for a in names})
-    ops = draw(st.lists(st.one_of(row, st.integers(0, 50)), max_size=60))
-    return JoinAttributeSet(list(names)), bits, ops, draw(st.lists(row, min_size=1, max_size=4))
-
-
-@pytest.mark.parametrize("cls", (*INDEX_CLASSES, WalkOnly), ids=lambda cls: cls.__name__)
-@settings(max_examples=60, deadline=None)
-@given(history=index_histories())
-@example(  # 1 == 1.0 == True, in a 3-bit fragment of A
-    history=(
-        JoinAttributeSet(["A", "B"]),
-        (3, 1),
-        [{"A": 1, "B": 0}, {"A": 1.0, "B": 1}, {"A": True, "B": 0}],
-        [{"A": 1.0, "B": 0}],
-    )
-)
-def test_match_order_equals_the_reference_probe(cls, history):
-    jas, bits, ops, probes = history
-    if issubclass(cls, BitAddressIndex):
-        idx = cls(IndexConfiguration(jas, list(bits)))
-    else:
-        idx = build_index(cls, jas)
-    live = []
-    for op in ops:
-        if isinstance(op, dict):
-            item = dict(op)
-            idx.insert(item)
-            live.append(item)
-        elif live:
-            idx.remove(live.pop(op % len(live)))
-    probes = probes + live[:3]
-    assert_every_pattern_answers_as_the_scan(idx, live, probes)
-    if not isinstance(idx, BitAddressIndex):
-        return
-    assert_every_pattern_in_reference_order(idx, probes)
-    if some_pattern_asks_counts(idx):  # the walk-only twin never asks
-        assert (count_asks(idx) > 0) == (cls is not WalkOnly)
 
 
 class TestMatchOrderExamples:
@@ -444,7 +275,7 @@ class TestMatchOrderExamples:
         # the bucket key has a constant 0 in B's place.
         idx, items = self.populated(jas3, (2, 0, 2))
         for ap in (ap3("A", "C"), ap3("A", "B", "C")):
-            assert idx.probe_plans.lookup(ap).wildcard_bits == 0
+            assert compile_probe_plan(idx.config, ap).wildcard_bits == 0
         assert all(key[1] == 0 for key in idx._buckets)
         assert idx.search(ap3("A", "C"), items[0]).matches  # the lookup does find buckets
         assert_every_pattern_in_reference_order(idx, items[:10])
@@ -552,7 +383,7 @@ def test_generated_walks_carry_no_user_text():
 
 
 # --------------------------------------------------------------------- #
-# candidate rows per fragment tuple — a cached prober answers as a fresh one
+# candidate rows per fragment tuple — a prober dies with the state it read
 
 
 def probe_fields(outcome):
@@ -562,51 +393,6 @@ def probe_fields(outcome):
         outcome.tuples_examined,
         outcome.used_full_scan,
     )
-
-
-@st.composite
-def colliding_histories(draw):
-    """Three attributes, A and B of 1-2 bits and C of 0-2, over eight
-    values: fragments collide, and every walk shape occurs (no fixed
-    fragment, one, two, a point probe, the full scan).  Inserts and removes
-    interleave with probe columns (``None``) that fill the probers' memos."""
-    bits = draw(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(0, 2)))
-    row = st.fixed_dictionaries({a: st.integers(0, 7) for a in "ABC"})
-    ops = draw(st.lists(st.one_of(row, row, st.integers(0, 50), st.none()), max_size=40))
-    return bits, ops, draw(st.lists(row, min_size=1, max_size=5))
-
-
-@pytest.mark.parametrize("cls", [BitAddressIndex, WalkOnly], ids=["counts", "walk_only"])
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(history=colliding_histories())
-def test_a_cached_prober_answers_each_row_as_a_fresh_one(cls, history):
-    bits, ops, probes = history
-    jas = JoinAttributeSet(["A", "B", "C"])
-    idx = cls(IndexConfiguration(jas, list(bits)))
-    patterns = [AccessPattern.from_mask(jas, m) for m in range(jas.full_mask + 1)]
-
-    def columns(values):
-        return {ap: [tuple(v[a] for a in ap.attributes) for v in values] for ap in patterns}
-
-    live = []
-    for op in ops:
-        if isinstance(op, dict):
-            live.append(dict(op))
-            idx.insert(live[-1])
-        elif op is None:
-            for ap, rows in columns(probes + live[:2]).items():
-                idx.search_batch(ap, rows)
-        elif live:
-            idx.remove(live.pop(op % len(live)))
-    for ap, rows in columns(probes + live[:4]).items():
-        # One column, then each row again through the same prober: by then
-        # its memo holds every fragment tuple of the column.
-        cached = list(zip(idx.search_batch(ap, rows), (idx.search_batch(ap, [r])[0] for r in rows)))
-        for row, (in_column, alone) in zip(rows, cached):
-            idx._drop_probers()
-            (fresh,) = idx.search_batch(ap, [row])
-            want = probe_fields(fresh)
-            assert probe_fields(in_column) == want and probe_fields(alone) == want, (ap, row)
 
 
 def test_an_insert_between_two_probes_of_one_fragment_tuple_shows(jas3, ap3):
@@ -653,69 +439,7 @@ def assert_counts_equal_the_walk(idx, twin, probes):
     assert idx.accountant == twin.accountant
 
 
-def assert_slots_are_consistent(idx, live):
-    """Every stored item owns one slot, holding it; every other slot handed
-    out so far is on the free list; and the counts kept by every insert,
-    remove and reconfigure equal a recount from ``live``: per JAS position,
-    value -> tuples (``1``, ``1.0`` and ``True`` one entry), per indexed
-    position, fragment -> tuples, no zero count left behind."""
-    slots = [idx._entries[id(item)][0] for item in live]
-    top = len(slots) + len(idx._free)
-    assert sorted(slots + idx._free) == list(range(top))
-    assert all(idx._items[slot] is item for slot, item in zip(slots, live))
-    names = idx.jas.names
-    # Plain dicts: a ``Counter`` compares a zero count equal to a missing one.
-    assert idx._value_counts == [dict(Counter(item[a] for item in live)) for a in names]
-    assert idx._frag_counts == {
-        pos: dict(Counter(stable_value_hash(item[names[pos]]) & mask for item in live))
-        for pos, mask in enumerate(idx.probe_plans.key_plan.masks)
-        if idx.config.bits[pos]
-    }
-
-
-@st.composite
-def column_histories(draw):
-    """A key map over 1-4 attributes (zero-bit positions included), per
-    attribute a column of one value type or a mixed one, and an
-    interleaving of inserts, removes and reconfigurations."""
-    n = draw(st.integers(1, 4))
-    names = "ABCD"[:n]
-    bits = st.tuples(*[st.integers(0, 3)] * n)
-    row = st.fixed_dictionaries(
-        {a: draw(st.sampled_from([INTS, FLOATS, STRINGS, ANY_VALUE])) for a in names}
-    )
-    ops = draw(st.lists(st.one_of(row, row, st.integers(0, 50), bits), max_size=60))
-    probes = st.lists(st.fixed_dictionaries({a: ANY_VALUE for a in names}), min_size=1, max_size=4)
-    return JoinAttributeSet(list(names)), draw(bits), ops, draw(probes)
-
-
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(history=column_histories())
-def test_column_answers_equal_the_walk(history):
-    jas, bits, ops, probes = history
-    idx = BitAddressIndex(IndexConfiguration(jas, list(bits)))
-    twin = WalkOnly(IndexConfiguration(jas, list(bits)))
-    live = []
-    for op in ops:
-        if isinstance(op, dict):
-            item = dict(op)
-            idx.insert(item)
-            twin.insert(item)
-            live.append(item)
-        elif isinstance(op, tuple):
-            for index in (idx, twin):
-                index.reconfigure(IndexConfiguration(jas, list(op)))
-        elif live:
-            item = live.pop(op % len(live))  # its slot is the next one handed out
-            idx.remove(item)
-            twin.remove(item)
-    assert_slots_are_consistent(idx, live)
-    assert_counts_equal_the_walk(idx, twin, probes + live[:3])
-    if some_pattern_asks_counts(idx):
-        assert count_asks(idx) > 0
-
-
-class TestHashColumns:
+class TestCountProbe:
     """The corners of the count probe, one at a time, against the walk."""
 
     @staticmethod

@@ -1,10 +1,10 @@
 """Tests for compiled probe plans and their invalidation discipline.
 
-The plan cache is pure derived state, so the load-bearing properties are
-(1) a plan computes exactly what the index used to re-derive per probe,
-(2) every key-map change (a reconfigure, which is how a migration happens)
-invalidates or re-scopes the cache, and (3) before and after a store's
-migration the index probes under its current configuration's plans.
+A bit-address index's plan table is pure derived state, so the
+load-bearing properties are (1) a plan computes exactly what the index used
+to re-derive per probe, (2) every key-map change (a reconfigure, which is
+how a migration happens) replaces the table, and (3) before and after a
+store's migration the index probes under its current configuration's plans.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from repro.core.index_config import IndexConfiguration
 from repro.core.probe_plan import (
     Matcher,
     ProbePlan,
-    ProbePlanCache,
+    compile_key_plan,
     compile_matcher,
     compile_probe_plan,
     _compile_row_selector,
@@ -132,32 +132,37 @@ class TestMatcher:
 
 class TestCacheInvalidation:
     def test_lookup_populates_by_mask(self, jas3, ap3):
-        cache = ProbePlanCache(config(jas3))
+        index = make_bit_index(jas3, [5, 2, 3])
         ap = ap3("A", "B")
-        plan = cache.lookup(ap)
-        assert len(cache) == 1 and ap.mask in cache
-        assert cache.lookup(ap) is plan
+        index.search(ap, {"A": 1, "B": 2})
+        plan = index._plans[ap.mask]
+        assert plan is compile_probe_plan(index.config, ap) and list(index._plans) == [ap.mask]
+        index.insert({"A": 1, "B": 2, "C": 3})  # drops the prober, keeps the plan
+        index.search(ap, {"A": 1, "B": 2})
+        assert index._plans[ap.mask] is plan
 
     def test_invalidate_drops_plans_and_rebinds(self, jas3, ap3):
-        cache = ProbePlanCache(config(jas3))
-        cache.lookup(ap3("A"))
+        index = make_bit_index(jas3, [5, 2, 3])
+        index.search(ap3("A"), {"A": 1})
         new = config(jas3, (1, 8, 1))
-        cache.invalidate(new)
-        assert len(cache) == 0
-        assert cache.config == new
-        assert cache.key_plan.masks == (0b1, 0xFF, 0b1)
-        assert cache.lookup(ap3("A")).wildcard_bits == new.wildcard_bits(ap3("A"))
+        index.reconfigure(new)
+        assert index._plans == {}
+        assert index._key_plan is compile_key_plan(new)
+        assert index._key_plan.masks == (0b1, 0xFF, 0b1)
+        index.search(ap3("A"), {"A": 1})
+        assert index._plans[ap3("A").mask].wildcard_bits == new.wildcard_bits(ap3("A"))
 
     def test_reconfigure_invalidates_the_index_cache(self, jas3, ap3):
         index = make_bit_index(jas3, [5, 2, 3])
-        stale = index.probe_plans.lookup(ap3("A"))
-        assert stale.wildcard_bits == 5
+        index.search(ap3("A"), {"A": 1})
+        assert index._plans[ap3("A").mask].wildcard_bits == 5
 
         new = IndexConfiguration(jas3, [2, 2, 2])
         index.reconfigure(new)
-        assert len(index.probe_plans) == 0
-        assert index.probe_plans.config == new
-        assert index.probe_plans.lookup(ap3("A")).wildcard_bits == 4
+        assert index._plans == {}
+        assert index.config == new
+        index.search(ap3("A"), {"A": 1})
+        assert index._plans[ap3("A").mask].wildcard_bits == 4
 
     def test_probe_workload_warms_one_plan_per_pattern(self, jas3, ap3):
         """k probed patterns -> k cached plans, however many rows and calls
@@ -173,7 +178,7 @@ class TestCacheInvalidation:
                 index.search(ap, dict(zip(ap.attributes, row)))
             else:
                 index.search_batch(ap, [row])
-        assert len(index.probe_plans) == 3
+        assert len(index._plans) == 3
 
     def test_search_results_survive_reconfigure(self, jas3, ap3):
         """End to end: cached plans never leak a stale key map into results."""
@@ -213,18 +218,16 @@ class TestDualStructureMigration:
     def test_each_structure_keeps_its_own_plans(self, jas3, ap3):
         store = self.populated_store(jas3)
         old_cfg = store.index.config
-        store.probe(ap3("A"), {"A": 1})  # warm the pre-migration cache
-        assert store.index.probe_plans.lookup(ap3("A")).wildcard_bits == old_cfg.wildcard_bits(
-            ap3("A")
-        )
+        store.probe(ap3("A"), {"A": 1})  # warm the pre-migration table
+        assert store.index._plans[ap3("A").mask].wildcard_bits == old_cfg.wildcard_bits(ap3("A"))
 
         new_cfg = IndexConfiguration(jas3, [4, 1, 1])
         index = store.index
         index.reconfigure(new_cfg)
-        assert store.index is index and index.probe_plans.config == new_cfg
+        assert store.index is index and index.config == new_cfg and index._plans == {}
 
         store.probe(ap3("A"), {"A": 1})
-        assert index.probe_plans.lookup(ap3("A")).wildcard_bits == new_cfg.wildcard_bits(ap3("A"))
+        assert index._plans[ap3("A").mask].wildcard_bits == new_cfg.wildcard_bits(ap3("A"))
 
     def test_mid_migration_probe_is_complete_and_ordered(self, jas3, ap3):
         """A probe after the migration returns exactly the tuples a

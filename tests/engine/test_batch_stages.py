@@ -1,7 +1,7 @@
 """Edge-case tests for the route/probe stage's probe columns.
 
-``tests/storage/test_probe_batch_property.py`` proves ``probe_batch``
-equal to the probe loop on the store; this suite pins the awkward
+The ``probe`` rule of ``tests/storage/test_store_machine.py`` holds
+``probe_batch`` equal to the probe loop on the store; this suite pins the awkward
 boundaries one at a time, at the index and through the engine: empty
 columns, columns of one and a run spanning a window-expiry boundary.  The
 engine cases compare

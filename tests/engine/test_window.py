@@ -45,12 +45,6 @@ class TestSlidingWindow:
         w.expire(3)
         assert list(w) == [b]
 
-    def test_oldest_expiry(self):
-        w = SlidingWindow(7)
-        assert w.oldest_expiry() is None
-        w.add(tup(2), 2)
-        assert w.oldest_expiry() == 9
-
     def test_expire_empty(self):
         assert SlidingWindow(3).expire(100) == []
 

@@ -1,13 +1,9 @@
 """Tests for the multi-hash-index access modules (the Raman baseline)."""
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.indexes.hash_index import MultiHashIndex
-from repro.indexes.inverted_index import InvertedListIndex
-from repro.indexes.scan_index import ScanIndex
 
 ITEMS = [{"A": i % 4, "B": i % 3, "C": i % 5} for i in range(60)]
 
@@ -121,101 +117,3 @@ class TestRetuning:
         foreign = AccessPattern.from_attributes(JoinAttributeSet(["X"]), ["X"])
         with pytest.raises(ValueError):
             MultiHashIndex(jas3, [foreign])
-
-
-JAS = JoinAttributeSet(["A", "B", "C"])
-
-
-#: Values on which ``==`` crosses types: equal across numeric types, equal
-#: zeros of two signs; ``"a" != b"a"``.
-VALUES = [0, 1, 1.0, True, -0.0, 0.0, None, "a", b"a"]
-
-value = st.sampled_from(VALUES) | st.sampled_from([0, 1])  # collisions, so order can show
-row3 = st.tuples(value, value, value)
-insert = st.tuples(st.just("insert"), row3)
-operation = st.one_of(
-    insert,
-    insert,  # twice: states of several tuples
-    st.tuples(st.just("remove"), st.integers(0, 63)),
-    st.tuples(st.just("set_patterns"), st.sets(st.integers(1, 7), max_size=3)),
-    st.tuples(st.just("search"), st.integers(0, 7), row3),
-    st.tuples(
-        st.just("search_batch"), st.integers(0, 7), st.lists(row3, min_size=1, max_size=4)
-    ),
-)
-
-
-def _check_charge(idx, ap, row, outcome):
-    """A multi-hash row is charged what the model prescribes: the whole
-    state, as a full scan, with no suitable module; that module's bucket
-    with one."""
-    module = idx.most_suitable_module(ap)
-    if module is None:
-        assert (outcome.tuples_examined, outcome.used_full_scan) == (idx.size, True)
-    else:
-        key = tuple(row[ap.attributes.index(a)] for a in module.attributes)
-        bucket = module.table.get(key, ())
-        assert (outcome.tuples_examined, outcome.used_full_scan) == (len(bucket), False)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    index_class=st.sampled_from([MultiHashIndex, InvertedListIndex]),
-    module_masks=st.sets(st.integers(1, 7), max_size=3),
-    ops=st.lists(operation, min_size=8, max_size=40),
-)
-@example(  # equal zeros over no-module, partial-module and exact-module rows
-    index_class=MultiHashIndex,
-    module_masks={1},
-    ops=[
-        ("insert", (0, 1, 0)),
-        ("insert", (0.0, True, -0.0)),
-        ("insert", (1, 1, 0)),
-        ("insert", (-0.0, 1.0, 0.0)),
-        ("search_batch", 2, [(0, 1, 0), (0, True, 0)]),
-        ("search_batch", 5, [(0, 0, 0), (0.0, 0, 0)]),
-        ("search", 1, (-0.0, 0, 0)),
-        ("remove", 1),
-        ("set_patterns", {2}),
-        ("search_batch", 7, [(0, 1, 0)]),
-    ],
-)
-def test_search_matches_oracle(index_class, module_masks, ops):
-    """``MultiHashIndex`` (any module set, retuned mid-sequence) and
-    ``InvertedListIndex`` return exactly the scan's matches, in the scan's
-    order, through ``search`` and ``search_batch``, and charge the model's
-    ``tuples_examined`` per row."""
-    if index_class is MultiHashIndex:
-        idx = MultiHashIndex(JAS, [AccessPattern.from_mask(JAS, m) for m in module_masks])
-    else:
-        idx = InvertedListIndex(JAS)
-    oracle = ScanIndex(JAS)
-    stored = []
-    for kind, *args in ops:
-        if kind == "insert":
-            item = dict(zip(JAS.names, args[0]))
-            stored.append(item)
-            idx.insert(item)
-            oracle.insert(item)
-        elif kind == "remove":
-            if stored:
-                item = stored.pop(args[0] % len(stored))
-                idx.remove(item)
-                oracle.remove(item)
-        elif kind == "set_patterns":
-            if index_class is MultiHashIndex:
-                idx.set_patterns([AccessPattern.from_mask(JAS, m) for m in args[0]])
-        else:
-            ap = AccessPattern.from_mask(JAS, args[0])
-            if kind == "search":
-                values = dict(zip(JAS.names, args[1]))
-                rows = [tuple(values[a] for a in ap.attributes)]
-                got, want = [idx.search(ap, values)], [oracle.search(ap, values)]
-            else:
-                rows = [tuple(r[JAS.position(a)] for a in ap.attributes) for r in args[1]]
-                rows += rows[:2]  # equal rows share one probe
-                got, want = idx.search_batch(ap, rows), oracle.search_batch(ap, rows)
-            for row, out, scan in zip(rows, got, want, strict=True):
-                assert list(map(id, out.matches)) == list(map(id, scan.matches)), (ap, row)
-                if index_class is MultiHashIndex:
-                    _check_charge(idx, ap, row, out)

@@ -1,12 +1,8 @@
 """Tests for the per-attribute inverted-list baseline."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.indexes.inverted_index import InvertedListIndex
-from repro.indexes.scan_index import ScanIndex
 
 ITEMS = [{"A": i % 5, "B": i % 3, "C": i % 7} for i in range(60)]
 
@@ -64,27 +60,3 @@ class TestInvertedListIndex:
         ex = sc.make_executor("inverted", capacity=1e9, memory_budget=1 << 30)
         stats = ex.run(20, sc.make_generator())
         assert stats.outputs > 0
-
-
-values_strategy = st.fixed_dictionaries(
-    {"A": st.integers(0, 5), "B": st.integers(0, 3), "C": st.integers(0, 4)}
-)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    items=st.lists(values_strategy, max_size=60),
-    mask=st.integers(0, 7),
-    probe=values_strategy,
-)
-def test_inverted_matches_oracle(items, mask, probe):
-    jas = JoinAttributeSet(["A", "B", "C"])
-    idx, oracle = InvertedListIndex(jas), ScanIndex(jas)
-    stored = [dict(v) for v in items]
-    for item in stored:
-        idx.insert(item)
-        oracle.insert(item)
-    ap = AccessPattern.from_mask(jas, mask)
-    got = idx.search(ap, probe)
-    want = oracle.search(ap, probe)
-    assert sorted(map(id, got.matches)) == sorted(map(id, want.matches))

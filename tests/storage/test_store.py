@@ -5,8 +5,7 @@ import pytest
 
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.assessment import SRIA
-from repro.core.bit_index import BitAddressIndex, make_bit_index
-from repro.core.index_config import IndexConfiguration
+from repro.core.bit_index import make_bit_index
 from repro.core.selector import IndexSelector
 from repro.core.tuner import AMRITuner, NullTuner, TuningContext
 from repro.engine.tuples import StreamTuple
@@ -14,7 +13,6 @@ from repro.engine.window import SlidingWindow
 from repro.indexes.base import CostParams, UnkeyableValueError
 from repro.indexes.scan_index import ScanIndex
 from repro.storage import StateStore
-from tests.conftest import WalkOnly
 
 
 def tup(t, a=1, b=2, c=3):
@@ -101,12 +99,13 @@ class TestInsertOrdering:
         """Every refusal comes before window or index changes: there is no
         undo path to get wrong."""
         store = StateStore("S", jas3, make_bit_index(jas3, [2, 2, 2]), window=10)
-        store.insert(tup(3), 3)
+        first = tup(3)
+        store.insert(first, 3)
         accountant = store.index.accountant.snapshot()
         with pytest.raises(error):
             store.insert(refused, refused.arrived_at)
         assert store.size == len(store.window) == 1
-        assert store.window.oldest_expiry() == 13
+        assert next(iter(store.window)) is first
         assert store.index.accountant == accountant
         store.insert(tup(4), 4)  # the state takes the next arrival as before
         assert store.size == len(store.window) == 2
@@ -243,70 +242,6 @@ class TestDegradeToScan:
         assert out.used_full_scan
         assert out.tuples_examined == 8
         assert acct.tuples_examined == examined_before + 8
-
-
-class TestHashColumnsInTheStore:
-    """The bit-address index's value and fragment counts through the
-    store's structure changes: one script, run on the index and on its
-    ``WalkOnly`` twin, which never asks the counts, must read the same."""
-
-    @staticmethod
-    def run(jas3, cls, *, degrade_at=None):
-        store = StateStore("S", jas3, cls(IndexConfiguration(jas3, [2, 1, 0])), window=20)
-        log = []
-        probed = {}  # id -> every structure that served a probe
-
-        def tick(now):
-            store.expire(now)
-            store.insert(tup(now, a=now % 5, b=now % 3, c=now % 2), now)
-            if now == degrade_at:
-                store.degrade_to_scan()
-            for mask in range(1, 8):
-                ap = AccessPattern.from_mask(jas3, mask)
-                rows = [
-                    tuple({"A": a, "B": a % 3, "C": a % 2}[name] for name in ap.attributes)
-                    for a in (0, 1, 4, 9)
-                ]
-                outcomes = store.probe_batch(ap, rows)
-                log.append(
-                    [
-                        (
-                            [m.arrived_at for m in o.matches],
-                            o.buckets_visited,
-                            o.tuples_examined,
-                            o.used_full_scan,
-                        )
-                        for o in outcomes
-                    ]
-                )
-            probed[id(store.index)] = store.index
-
-        for now in range(24):
-            tick(now)
-        store.index.reconfigure(IndexConfiguration(jas3, [1, 2, 2]))
-        for now in range(24, 40):
-            tick(now)
-        answered = sum(
-            index.count_rows[0] for index in probed.values() if isinstance(index, BitAddressIndex)
-        )
-        return log, store.index.accountant, answered
-
-    def test_budgeted_migration_with_columns_active(self, jas3):
-        # A migration is one stop-the-world reconfigure: the fragment counts
-        # are rebuilt with the buckets, and expiry then runs under the new map.
-        log, acct, answered = self.run(jas3, BitAddressIndex)
-        walk_log, walk_acct, never = self.run(jas3, WalkOnly)
-        assert answered > 0 and never == 0
-        assert log == walk_log and acct == walk_acct
-
-    def test_degrade_to_scan_with_columns_active(self, jas3):
-        # After the reconfigure: the structure and its counts go; the
-        # fallback scans.
-        log, acct, answered = self.run(jas3, BitAddressIndex, degrade_at=27)
-        walk_log, walk_acct, never = self.run(jas3, WalkOnly, degrade_at=27)
-        assert answered > 0 and never == 0
-        assert log == walk_log and acct == walk_acct
-        assert all(full_scan for row in log[-7:] for *_rest, full_scan in row)
 
 
 class TestFacade:
