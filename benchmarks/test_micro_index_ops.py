@@ -89,6 +89,37 @@ def test_bit_index_insert(benchmark):
     record_cost_units(benchmark, lambda: build().accountant.cost(COST_PARAMS))
 
 
+#: The ``sparse_ingest`` workload's value domain: a window's join values
+#: are mostly values no recent tuple held.
+WIDE_DOMAIN = 262_144
+
+
+def test_bit_index_insert_wide_domain(benchmark):
+    """Inserts whose values the hash memo does not hold: every round takes
+    the next 2 000 rows of one shuffled pass over a 262 144-value domain, so
+    each value is hashed on a memo miss, as on ``sparse_ingest``."""
+    values = list(range(WIDE_DOMAIN))
+    random.Random(7).shuffle(values)
+    width = len(JAS)
+    per_round = N_ITEMS * width
+    rounds = iter(range(10**9))
+
+    def fresh_items():
+        start = next(rounds) * per_round % (WIDE_DOMAIN - per_round)
+        cut = values[start : start + per_round]
+        return [dict(zip(JAS.names, cut[i : i + width])) for i in range(0, per_round, width)]
+
+    def build(items):
+        idx = fresh_bit_index()
+        for item in items:
+            idx.insert(item)
+        return idx
+
+    idx = benchmark.pedantic(build, setup=lambda: ((fresh_items(),), {}), rounds=100)
+    assert idx.size == N_ITEMS
+    record_cost_units(benchmark, lambda: build(fresh_items()).accountant.cost(COST_PARAMS))
+
+
 def test_multi_hash_insert(benchmark):
     items = make_items()
 

@@ -268,6 +268,7 @@ class BitAddressIndex(StateIndex):
     #: prober keeps candidate rows per fragment tuple, so every insert and
     #: remove must drop it: that memo lives for one route stage at most.
     probers_outlive_storage = False
+    hashes_values = True
 
     def __init__(
         self,

@@ -92,7 +92,7 @@ class EngineContext:
         component: str,
         *,
         stream: str | None = None,
-        index_kind: str | None = None,
+        index_kind: object | None = None,
         phase: str | None = None,
     ) -> None:
         """Charge the virtual clock and attribute the identical float.
@@ -100,17 +100,19 @@ class EngineContext:
         Every kernel charge goes through here: the meter and the metrics
         registry see the same value in the same order, which is what makes
         the attributed total equal ``meter.total_spent`` exactly.
+        ``index_kind`` is the index whose work is charged: its label
+        (:func:`index_kind_label`) is derived only when a registry is
+        attached to read it.
         """
         self.meter.spend(cost)
         if self.metrics is not None:
             self.metrics.charge(
-                cost, component, stream=stream, index_kind=index_kind, phase=phase
+                cost,
+                component,
+                stream=stream,
+                index_kind=None if index_kind is None else index_kind_label(index_kind),
+                phase=phase,
             )
-
-    def index_kind(self, index: object) -> str | None:
-        """The ``index_kind`` label to charge ``index``'s work under: derived
-        only when a registry is attached to read it."""
-        return index_kind_label(index) if self.metrics is not None else None
 
     def stem_cost(self, stem: StateStore) -> float:
         """One state's accumulated index cost on its accountant."""
@@ -139,22 +141,17 @@ class EngineContext:
         until its accountant moves again, that is the exact float a fresh
         :meth:`stem_cost` would return.
         """
-        for name, stem in self.stems.items():
-            cost = before.get(name)
-            if cost is None:
-                continue
+        stems = self.stems
+        # One state has no order to keep: no walk over every state.
+        names = before if len(before) == 1 else [n for n in stems if n in before]
+        for name in names:
+            stem = stems[name]
             now = self.stem_cost(stem)
             if after is not None:
                 after[name] = now
-            delta = now - cost
+            delta = now - before[name]
             if delta:
-                self.spend(
-                    delta,
-                    component,
-                    stream=name,
-                    index_kind=self.index_kind(stem.index),
-                    phase=phase,
-                )
+                self.spend(delta, component, stream=name, index_kind=stem.index, phase=phase)
 
     # ------------------------------------------------------------------ #
     # memory accounting

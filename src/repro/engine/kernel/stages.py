@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.core.tuner import TuningContext
-from repro.engine.kernel.context import EngineContext
+from repro.engine.kernel.context import EngineContext, index_kind_label
 from repro.engine.metrics import Span
 from repro.engine.resources import MemoryBreakdown, MemoryBudgetExceeded
 from repro.engine.tuples import JoinedTuple, StreamTuple
+from repro.utils.bitops import memoize_int_hashes
 
 #: Histogram boundaries for per-probe match counts.
 MATCH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -105,7 +106,7 @@ def tune_round(
     )
     for stem in stems:
         before = ctx.stem_cost(stem)
-        kind = ctx.index_kind(stem.index)
+        index = stem.index
         report = tune_stem(ctx, stem, tick, forced=forced)
         migrated = report is not None and report.migrated
         delta = ctx.stem_cost(stem) - before
@@ -114,7 +115,7 @@ def tune_round(
                 delta,
                 "tuner",
                 stream=stem.stream,
-                index_kind=kind,
+                index_kind=index,
                 phase="migration" if migrated else "assess",
             )
     if round_span is not None and m is not None:
@@ -134,21 +135,36 @@ class ArrivalStage:
     over budget.  Only the *search-request* work (routing + probes) is
     queued; that is the backlog that piles up when an index scheme cannot
     keep up, exactly the paper's "backlog of active search requests".
+
+    The tick's join values bound for a state whose index hashes them are
+    hashed first, in one vector pass over the arrivals (after "Parallel
+    Index-based Stream Join on a Multicore CPU", PAPERS.md, which batches
+    an index's per-tuple work over one step's arrivals), so each insert and
+    first-hop probe reads its hashes from the memo.
     """
 
     name = "arrivals"
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
         m = ctx.metrics
-        for item in tick.incoming:
-            if self._admit(ctx, item):
+        incoming = tick.incoming
+        if incoming:
+            memoize_int_hashes(_join_values(ctx, incoming))
+        # State -> its index cost after its last admission: between two
+        # admissions only an insert moves an accountant, so that float is
+        # the next admission's "before", bit for bit.
+        carried: dict[str, float] = {}
+        for item in incoming:
+            if self._admit(ctx, item, carried):
                 ctx.queue.append(item)
                 if m is not None:
                     ctx.live_spans[id(item)] = m.start_span(
                         "tuple", tick.tick, tick.span, stream=item.stream
                     )
 
-    def _admit(self, ctx: EngineContext, item: StreamTuple) -> bool:
+    def _admit(
+        self, ctx: EngineContext, item: StreamTuple, carried: dict[str, float]
+    ) -> bool:
         """Insert one arriving tuple into its state (window maintenance).
 
         Returns False when a selection predicate filtered the tuple out
@@ -168,20 +184,40 @@ class ArrivalStage:
                 if m is not None:
                     m.counter("tuples_filtered_total", stream=item.stream).inc()
                 return False
-        stem = ctx.stems[item.stream]
-        cost_before = ctx.stem_cost(stem)
+        stream = item.stream
+        stem = ctx.stems[stream]
+        before = carried.get(stream)
+        if before is None:
+            before = ctx.stem_cost(stem)
         stem.insert(item, item.arrived_at)
         ctx.stats.source_tuples += 1
-        ctx.spend(
-            ctx.stem_cost(stem) - cost_before,
-            "index",
-            stream=item.stream,
-            index_kind=ctx.index_kind(stem.index),
-            phase="insert",
-        )
+        now = carried[stream] = ctx.stem_cost(stem)
+        ctx.spend(now - before, "index", stream=stream, index_kind=stem.index, phase="insert")
         if m is not None:
             m.counter("tuples_admitted_total", stream=item.stream).inc()
         return True
+
+
+def _join_values(ctx: EngineContext, items: list[StreamTuple]) -> list[object]:
+    """Every JAS value of ``items`` bound for a state whose index hashes
+    values (``StateIndex.hashes_values``), read until a tuple lacks one
+    (its admission then raises the ``KeyError``)."""
+    names = {
+        stream: stem.index.jas.names
+        for stream, stem in ctx.stems.items()
+        if stem.index.hashes_values
+    }
+    values: list[object] = []
+    if not names:
+        return values
+    append = values.append
+    try:
+        for item in items:
+            for name in names.get(item.stream, ()):
+                append(item[name])
+    except KeyError:
+        pass
+    return values
 
 
 class ExpiryStage:
@@ -272,7 +308,8 @@ class RouteProbeStage:
 
         ctx.spend_index_deltas(cost_before, component="index", phase="probe", after=carried)
         ctx.spend(params.c_route, "router", stream=item.stream, phase="decide")
-        ctx.spend(outputs * params.c_output, "output", stream=item.stream, phase="emit")
+        if outputs or m is not None:  # a zero charge moves no clock, only a series
+            ctx.spend(outputs * params.c_output, "output", stream=item.stream, phase="emit")
         if m is not None:
             m.counter("outputs_total").inc(outputs)
             m.histogram("route_length", stream=item.stream).observe(len(route))
@@ -299,7 +336,7 @@ class RouteProbeStage:
         size = stem.size
         m = ctx.metrics
         if m is not None:
-            kind = ctx.index_kind(stem.index)
+            kind = index_kind_label(stem.index)
             assessor = getattr(stem.tuner, "assessor", None)
         if observe_content is not None:
             bucket = ctx.router.bucket_for(item, item.stream, target)
@@ -444,15 +481,15 @@ class ShedDegradeStage:
                 break
             if stem.degraded or stem.index.memory_bytes <= 0:
                 continue
-            freed = stem.index.memory_bytes
+            index = stem.index  # the label is the pre-degrade index's
+            freed = index.memory_bytes
             cost_before = ctx.stem_cost(stem)
-            kind = ctx.index_kind(stem.index)
             moved = stem.degrade_to_scan()
             ctx.spend(
                 ctx.stem_cost(stem) - cost_before,
                 "index",
                 stream=stem.stream,
-                index_kind=kind,
+                index_kind=index,
                 phase="degrade",
             )
             ctx.stats.degradations += 1

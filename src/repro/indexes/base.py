@@ -66,7 +66,7 @@ class CostParams:
                 raise ValueError(f"{f.name} must be >= 1, got {value!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Accountant:
     """Mutable tally of index work and index memory.
 
@@ -248,6 +248,10 @@ class StateIndex(abc.ABC):
     #: probers.  Off by default: a backend whose prober captures a size, a
     #: count or a slice has its probers dropped on every insert and remove.
     probers_outlive_storage = False
+    #: Its inserts and probes read join-value hashes from the memo of
+    #: :mod:`repro.utils.bitops`, which the engine's arrivals fill in one
+    #: pass per tick for such a state only.
+    hashes_values = False
 
     def __init__(
         self,

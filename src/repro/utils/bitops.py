@@ -11,8 +11,9 @@ deterministic 64-bit mixer so that runs are reproducible across processes
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator
-from functools import lru_cache
+from collections.abc import Iterable, Iterator
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -145,13 +146,64 @@ def stable_value_hash(value: object) -> int:
     return splitmix64(h)
 
 
-#: :func:`stable_value_hash` behind a process-wide LRU memo keyed by the
-#: value alone (a miss calls the hash directly, with no wrapper frame).
-#: Equal values share an entry, which is right only because they share a
-#: hash — and only for :data:`EXACT_KEY_TYPES`: ``Decimal(1) == 1.0`` would
-#: find ``1.0``'s entry where the hash refuses it.  So a caller passes an
-#: exact-type value only, as :func:`memoized_value_hash` does.
-_cached_value_hash = lru_cache(maxsize=HASH_MEMO_SIZE)(stable_value_hash)
+class _HashMemo(dict):
+    """:func:`stable_value_hash` memoized in a plain dict keyed by the value
+    alone, bounded at :data:`HASH_MEMO_SIZE`: a miss that finds the memo
+    full clears it first.  Equal values share an entry, which is right only
+    because they share a hash — and only for :data:`EXACT_KEY_TYPES`:
+    ``Decimal(1) == 1.0`` would find ``1.0``'s entry where the hash refuses
+    it.  So a caller passes an exact-type value only, as
+    :func:`memoized_value_hash` does."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: object) -> int:
+        h = stable_value_hash(value)
+        if len(self) >= HASH_MEMO_SIZE:
+            self.clear()
+        self[value] = h
+        return h
+
+
+_HASH_MEMO = _HashMemo()
+#: The memo's lookup: a hit is one C-level dict read, with no wrapper frame.
+_cached_value_hash = _HASH_MEMO.__getitem__
+
+_SPLITMIX_ADD = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
+
+
+def memoize_int_hashes(values: Iterable[object]) -> None:
+    """Memoize, in one numpy ``uint64`` pass, the hash of every exact
+    ``int`` of ``values`` in ``[0, 2**64)`` that the memo lacks.
+
+    The pass is :func:`stable_value_hash`'s SplitMix64, whose wrapping
+    ``uint64`` arithmetic is the scalar code's ``& _MASK64``.  Every other
+    value — a bool, a float, a str, a negative or wider int, a list — is
+    left to the scalar path and the index's value contract: the type is
+    checked before ``v in memo``, so an unhashable value never raises here.
+    A batch that would overflow the memo clears it first, and at most
+    :data:`HASH_MEMO_SIZE` values of one batch are memoized.
+    """
+    memo = _HASH_MEMO
+    fresh = list(
+        dict.fromkeys(
+            v for v in values if type(v) is int and 0 <= v <= _MASK64 and v not in memo
+        )
+    )[:HASH_MEMO_SIZE]
+    if not fresh:
+        return
+    if len(memo) + len(fresh) > HASH_MEMO_SIZE:
+        memo.clear()
+    x = np.array(fresh, dtype=np.uint64)
+    x += _SPLITMIX_ADD
+    x ^= x >> np.uint64(30)
+    x *= _SPLITMIX_MUL1
+    x ^= x >> np.uint64(27)
+    x *= _SPLITMIX_MUL2
+    x ^= x >> np.uint64(31)
+    memo.update(zip(fresh, x.tolist()))
 
 
 def memoized_value_hash(value: object) -> int:

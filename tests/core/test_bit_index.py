@@ -527,12 +527,15 @@ class TestCountProbe:
                 idx.search(ap3("A"), {"A": Decimal(1)})
             return str(inserted.value), str(probed.value), idx.size
 
-        bitops._cached_value_hash.cache_clear()
+        memo = bitops._HASH_MEMO
+        memo.clear()
         before = refusals()
+        assert not any(type(key) is Decimal for key in memo)
         for value in (1, 1.0):
             make_bit_index(jas3, [2, 2, 2]).insert({"A": value, "B": 0, "C": 0})
-        assert bitops._cached_value_hash.cache_info().currsize >= 2
+        assert 1 in memo and 0 in memo
         assert refusals() == before
+        assert not any(type(key) is Decimal for key in memo)
         assert before[-1] == 1
 
     def test_a_fragment_wider_than_the_hash(self, jas3, ap3):

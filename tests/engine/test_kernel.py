@@ -548,6 +548,106 @@ def test_carried_cost_is_a_fresh_snapshot_under_faults_and_degradation():
     assert "-" not in kinds.values()  # every index charge carries its label
 
 
+class AdmitCheckingStage(ArrivalStage):
+    """After every admission, each carried state cost is the float a fresh
+    ``ctx.stem_cost`` reads, bit for bit."""
+
+    def __init__(self):
+        self.checked = 0
+
+    def _admit(self, ctx, item, carried):
+        admitted = super()._admit(ctx, item, carried)
+        for name, cost in carried.items():
+            assert cost.hex() == ctx.stem_cost(ctx.stems[name]).hex()
+            self.checked += 1
+        return admitted
+
+
+def test_arrivals_carry_a_fresh_snapshot_under_faults_and_degradation():
+    import dataclasses
+
+    from repro.engine.resources import DegradationPolicy
+    from repro.workloads.scenarios import PaperScenario
+    from tests.faults import FAULT_PROFILES, drive
+    from tests.integration.test_observer_conformance import TICKS, backlogged_params
+
+    faults = dataclasses.replace(FAULT_PROFILES["arrivals"], migrate_prob=0.05, corrupt_prob=0.05)
+    scenario = PaperScenario(backlogged_params(memory_budget=14_000))
+    registry = MetricsRegistry()
+    ex = scenario.make_executor(
+        "amri:cdia-highest", degradation=DegradationPolicy(), metrics=registry
+    )
+    spy = AdmitCheckingStage()
+    ex.kernel.stages = tuple(
+        spy if isinstance(stage, ArrivalStage) else stage for stage in ex.kernel.stages
+    )
+    stats = drive(ex, TICKS, scenario.make_generator(), faults, fault_seed=1)
+    assert spy.checked > stats.source_tuples > 100
+    assert stats.degradations > 0 and stats.migrations > 0
+    assert registry.snapshot().cost_total == ex.meter.total_spent
+
+
+class TestArrivalHashPass:
+    """The arrivals' one hashing pass: every join value of a tick is in the
+    memo before the tick's first admission, within the memo's bound."""
+
+    @staticmethod
+    def context():
+        streams = [StreamSchema("A", ("k", "j")), StreamSchema("B", ("k", "j"))]
+        preds = [JoinPredicate("A", "k", "B", "k"), JoinPredicate("A", "j", "B", "j")]
+        query, stems, router, meter = make_parts(Query(streams, preds, window=5))
+        return EngineContext(
+            query=query,
+            stems=stems,
+            router=router,
+            meter=meter,
+            arrival_rates={},
+            domain_bits={},
+            config=ExecutorConfig(),
+        )
+
+    def test_the_first_admission_finds_the_tick_memoized(self):
+        from repro.utils import bitops
+
+        memo = bitops._HASH_MEMO
+        seen = []
+
+        class Spy(ArrivalStage):
+            def _admit(self, ctx, item, carried):
+                seen.append(dict(memo))
+                return super()._admit(ctx, item, carried)
+
+        ctx = self.context()
+        items = [StreamTuple("A", 0, {"k": i, "j": 1000 + i}) for i in range(5)]
+        memo.clear()
+        Spy().run(ctx, TickState(tick=0, incoming=items))
+        values = {v for item in items for v in (item["k"], item["j"])}
+        assert set(seen[0]) == values
+        assert all(seen[0][v] == bitops.stable_value_hash(v) for v in values)
+
+    def test_a_state_whose_index_hashes_nothing_gets_no_pass(self):
+        from repro.indexes.scan_index import ScanIndex
+        from repro.utils.bitops import _HASH_MEMO
+
+        ctx = self.context()
+        a = ctx.stems["A"]
+        ctx.stems["A"] = StateStore("A", a.jas, ScanIndex(a.jas), a.window.length, a.tuner)
+        _HASH_MEMO.clear()
+        items = [StreamTuple("A", 0, {"k": 10**6 + i, "j": 2 * 10**6 + i}) for i in range(5)]
+        ArrivalStage().run(ctx, TickState(tick=0, incoming=items))
+        assert len(_HASH_MEMO) == 0 and ctx.stems["A"].size == 5
+
+    def test_a_tick_wider_than_the_memo_leaves_it_within_its_bound(self):
+        from repro.utils.bitops import HASH_MEMO_SIZE, _HASH_MEMO
+
+        ctx = self.context()
+        n = HASH_MEMO_SIZE // 2 + 1  # two join values a tuple: 2 more than the bound
+        items = [StreamTuple("A", 0, {"k": i, "j": n + i}) for i in range(n)]
+        ArrivalStage().run(ctx, TickState(tick=0, incoming=items))
+        assert 0 < len(_HASH_MEMO) <= HASH_MEMO_SIZE
+        assert ctx.stats.source_tuples == n == ctx.stems["A"].size
+
+
 class TestEmit:
     """Partials are source tuples until emit; a ``JoinedTuple`` exists only
     for a sink to read."""

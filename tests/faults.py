@@ -274,8 +274,8 @@ class InvariantChecker:
     """Per-tick engine invariant assertions over an
     :class:`~repro.engine.kernel.EngineContext`.
 
-    :func:`drive` calls :meth:`check` after every surviving tick.
-    Checks (each individually switchable):
+    :func:`drive` calls :meth:`check` after every surviving tick, which
+    runs every check:
 
     - **window expiry** — no state retains a tuple whose window has passed
       (a tuple arrives at its ``arrived_at`` tick and expires a window
@@ -288,54 +288,41 @@ class InvariantChecker:
     are byte-identical.
     """
 
-    def __init__(
-        self,
-        *,
-        check_windows: bool = True,
-        check_memory: bool = True,
-        check_stats: bool = True,
-    ) -> None:
-        self.check_windows = check_windows
-        self.check_memory = check_memory
-        self.check_stats = check_stats
+    def __init__(self) -> None:
         self.ticks_checked = 0
         self._prev_outputs = 0
         self._prev_probes = 0
 
     def check(self, ctx, tick: int) -> None:
-        """Assert every enabled invariant; raise :class:`InvariantViolation`."""
+        """Assert every invariant; raise :class:`InvariantViolation`."""
         for stem in ctx.stems.values():
             oldest = next(iter(stem.window), None)
-            if self.check_windows and oldest is not None:
+            if oldest is not None:
                 expiry = oldest.arrived_at + stem.window.length
                 if expiry <= tick:
                     raise InvariantViolation(
                         f"t={tick} [{stem.stream}] window holds a tuple expired at {expiry}"
                     )
-            if self.check_memory and stem.index.memory_bytes < 0:
+            if stem.index.memory_bytes < 0:
                 raise InvariantViolation(
                     f"t={tick} [{stem.stream}] negative index memory gauge "
                     f"{stem.index.memory_bytes}"
                 )
-        if self.check_memory:
-            breakdown = ctx.memory_breakdown()
-            for name in ("state_payload", "index_structures", "backlog", "statistics"):
-                if getattr(breakdown, name) < 0:
-                    raise InvariantViolation(
-                        f"t={tick} negative memory component {name}"
-                    )
-            queued = len(ctx.queue)
-            if breakdown.backlog != queued * ctx.meter.params.queue_item_bytes:
-                raise InvariantViolation(
-                    f"t={tick} backlog charge {breakdown.backlog} != "
-                    f"{queued} queued items x queue_item_bytes"
-                )
-        if self.check_stats:
-            stats = ctx.stats
-            if stats.outputs < self._prev_outputs or stats.probes < self._prev_probes:
-                raise InvariantViolation(f"t={tick} cumulative counters decreased")
-            self._prev_outputs = stats.outputs
-            self._prev_probes = stats.probes
+        breakdown = ctx.memory_breakdown()
+        for name in ("state_payload", "index_structures", "backlog", "statistics"):
+            if getattr(breakdown, name) < 0:
+                raise InvariantViolation(f"t={tick} negative memory component {name}")
+        queued = len(ctx.queue)
+        if breakdown.backlog != queued * ctx.meter.params.queue_item_bytes:
+            raise InvariantViolation(
+                f"t={tick} backlog charge {breakdown.backlog} != "
+                f"{queued} queued items x queue_item_bytes"
+            )
+        stats = ctx.stats
+        if stats.outputs < self._prev_outputs or stats.probes < self._prev_probes:
+            raise InvariantViolation(f"t={tick} cumulative counters decreased")
+        self._prev_outputs = stats.outputs
+        self._prev_probes = stats.probes
         self.ticks_checked += 1
 
 

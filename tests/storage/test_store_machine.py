@@ -173,6 +173,9 @@ class StoreMachine(RuleBasedStateMachine):
     """A store and its twin over ``index_class``."""
 
     index_class: type
+    #: Inserts, over every example of a run, that took a freed bit-address
+    #: slot: the reuse the slot invariants below are there to check.
+    slots_reused: int
 
     @initialize(
         width=st.integers(1, 4), bits=BITS, masks=MODULES, rows=st.lists(ROWS, max_size=12)
@@ -217,8 +220,11 @@ class StoreMachine(RuleBasedStateMachine):
     def insert(self, ticks, rows):
         """One tick's arrivals."""
         self.now += ticks
+        index = self.store.index
         for values in rows:
             item = StreamTuple("S", self.now, self.row(values))
+            if isinstance(index, BitAddressIndex) and index._free:
+                type(self).slots_reused += 1
             for store in self.stores:
                 store.insert(item, self.now)
         self.high = max(self.high, self.store.size)
@@ -345,5 +351,11 @@ class StoreMachine(RuleBasedStateMachine):
 
 @pytest.mark.parametrize("cls", (*INDEX_CLASSES, WalkOnly), ids=lambda cls: cls.__name__)
 def test_every_step_answers_as_a_rebuild(cls):
-    machine = type(f"{cls.__name__}Machine", (StoreMachine,), {"index_class": cls})
+    machine = type(
+        f"{cls.__name__}Machine", (StoreMachine,), {"index_class": cls, "slots_reused": 0}
+    )
     run_state_machine_as_test(machine, settings=SETTINGS)
+    if issubclass(cls, BitAddressIndex):
+        # Draws that never refill a freed slot would leave the slot checks
+        # nothing to catch.
+        assert machine.slots_reused > 0

@@ -1,17 +1,22 @@
 """Unit and property tests for repro.utils.bitops."""
 
+from decimal import Decimal
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.utils import bitops
 from repro.utils.bitops import (
-    _cached_value_hash,
+    HASH_MEMO_SIZE,
     bit_count,
     bits_needed,
     fragment,
     iter_submasks,
     iter_supermasks,
     mask_to_indices,
+    memoize_int_hashes,
     splitmix64,
     stable_value_hash,
 )
@@ -176,9 +181,8 @@ class TestHashing:
 
 class TestHashMemo:
     def test_memo_holds_the_paper_domain_and_sparse_ingests_live_windows(self):
-        info = _cached_value_hash.cache_info()
         paper = ScenarioParams()
-        assert info.maxsize >= paper.domain
+        assert HASH_MEMO_SIZE >= paper.domain
         # The wide-domain ingest workload: 4 streams x rate 60 x window 20
         # live tuples, each with one value per JAS attribute.
         sparse = PaperScenario(ScenarioParams(rate=60, domain=262144))
@@ -187,7 +191,55 @@ class TestHashMemo:
             for stream in sparse.params.stream_names
         )
         assert live == 14_400
-        assert info.maxsize >= live
+        assert HASH_MEMO_SIZE >= live
+
+
+class TestVectorPass:
+    """``memoize_int_hashes`` memoizes exactly what the scalar hash gives,
+    for the exact ints it takes and for nothing else."""
+
+    @staticmethod
+    def memoized(values) -> dict:
+        memo = bitops._HASH_MEMO
+        memo.clear()
+        memoize_int_hashes(values)
+        return dict(memo)
+
+    EDGES = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+
+    def test_the_uint64_edges_hash_as_the_scalar_code(self):
+        assert self.memoized(self.EDGES) == {v: stable_value_hash(v) for v in self.EDGES}
+
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    def test_a_sample_hashes_as_the_scalar_code(self, values):
+        assert self.memoized(values) == {v: stable_value_hash(v) for v in values}
+
+    def test_only_exact_ints_in_range_enter(self):
+        others = [True, False, 1.0, 2.5, float("nan"), "1", b"1", None, -1, -(2**63),
+                  2**64, 2**70, [1], Decimal(3), np.int64(4), np.uint64(5)]
+        assert self.memoized(others) == {}
+        assert self.memoized([*others, 7]) == {7: stable_value_hash(7)}
+
+    def test_a_value_the_memo_holds_is_not_hashed_again(self):
+        memo = bitops._HASH_MEMO
+        memo.clear()
+        memo[3] = -1  # a planted entry the pass must leave alone
+        memoize_int_hashes([3, 4])
+        assert dict(memo) == {3: -1, 4: stable_value_hash(4)}
+        memo.clear()
+
+    def test_the_memo_stays_within_its_bound(self):
+        memo = bitops._HASH_MEMO
+        memo.clear()
+        memoize_int_hashes(range(HASH_MEMO_SIZE - 10))
+        memoize_int_hashes(range(HASH_MEMO_SIZE, HASH_MEMO_SIZE + 20))  # overflows: clears first
+        assert len(memo) == 20
+        memoize_int_hashes(range(2 * HASH_MEMO_SIZE))
+        assert len(memo) == HASH_MEMO_SIZE
+        assert all(memo[v] == stable_value_hash(v) for v in (0, HASH_MEMO_SIZE - 1))
+        for v in range(-5, 0):  # scalar misses past the bound clear the memo too
+            assert memo[v] == stable_value_hash(v)
+        assert len(memo) <= HASH_MEMO_SIZE
 
 
 class TestSupermaskCounts:
