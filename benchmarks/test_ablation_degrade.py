@@ -1,9 +1,9 @@
 """Ablation: graceful degradation (``--degrade``).
 
 Under the paper's resource pressure most multi-hash trials die of memory
-(Section V).  With a :class:`~repro.engine.resources.DegradationPolicy`
-attached, memory pressure sheds the oldest backlog and falls back from
-index structures to scans instead.  The claim reads ``validate``'s run
+(Section V).  With ``degrade=True``, memory pressure sheds the oldest
+backlog and falls back from index structures to scans instead
+(:class:`~repro.engine.kernel.ShedDegradeStage`).  The claim reads ``validate``'s run
 set: every scheme whose plain run dies completes the run with
 ``degrade=True`` and ends with strictly more outputs.
 """

@@ -16,7 +16,6 @@ from repro.engine.metrics import (
 )
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import (
-    DegradationPolicy,
     MemoryBreakdown,
     MemoryBudgetExceeded,
     ResourceMeter,
@@ -35,7 +34,6 @@ from repro.engine.window import SlidingWindow
 
 __all__ = [
     "AMRExecutor",
-    "DegradationPolicy",
     "EngineEvent",
     "EventLog",
     "ExecutorConfig",

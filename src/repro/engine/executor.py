@@ -54,11 +54,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.engine.kernel.context import EngineContext, index_kind_label
-from repro.engine.kernel.kernel import TICK_COST_BUCKETS, EngineKernel, default_stages
-from repro.engine.kernel.stages import MATCH_BUCKETS, Stage
+from repro.engine.kernel.kernel import EngineKernel, default_stages
+from repro.engine.kernel.stages import Stage
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.query import Query
-from repro.engine.resources import DegradationPolicy, ResourceMeter
+from repro.engine.resources import ResourceMeter
 from repro.engine.router import Router
 from repro.engine.stats import RunStats
 from repro.storage.store import StateStore
@@ -67,8 +67,6 @@ from repro.utils.validation import check_positive
 __all__ = [
     "AMRExecutor",
     "ExecutorConfig",
-    "MATCH_BUCKETS",
-    "TICK_COST_BUCKETS",
     "index_kind_label",
 ]
 
@@ -104,6 +102,9 @@ class AMRExecutor:
     domain_bits:
         ``attribute -> value entropy`` handed to the cost model at tuning
         time.
+    degrade:
+        Shed backlog and degrade indexes under memory pressure instead of
+        dying (:class:`~repro.engine.kernel.ShedDegradeStage`).
     metrics:
         Optional :class:`~repro.engine.metrics.MetricsRegistry`.  When
         absent (the default) every instrumentation hook is a no-op and the
@@ -125,7 +126,7 @@ class AMRExecutor:
         config: ExecutorConfig | None = None,
         output_sink=None,
         event_log=None,
-        degradation: DegradationPolicy | None = None,
+        degrade: bool = False,
         metrics: MetricsRegistry | None = None,
         stages: Sequence[Stage] | None = None,
     ) -> None:
@@ -139,7 +140,7 @@ class AMRExecutor:
             config=config if config is not None else ExecutorConfig(),
             output_sink=output_sink,
             event_log=event_log,
-            degradation=degradation,
+            degrade=degrade,
             metrics=metrics,
         )
         pipeline = stages if stages is not None else default_stages()
@@ -157,11 +158,6 @@ class AMRExecutor:
     def kernel(self) -> EngineKernel:
         """The staged loop driving this executor."""
         return self._kernel
-
-    @property
-    def stages(self) -> tuple[Stage, ...]:
-        """The assembled pipeline, in execution order."""
-        return self._kernel.stages
 
     # ------------------------------------------------------------------ #
     # run state (delegates into the context)
@@ -181,9 +177,8 @@ class AMRExecutor:
         generators provide it).  Returns the collected :class:`RunStats`;
         an out-of-memory death is recorded on the stats, not raised.
 
-        With a :class:`~repro.engine.resources.DegradationPolicy` attached,
-        memory pressure sheds backlog and degrades indexes (``shed`` /
-        ``degrade`` events) before it can kill the run.
+        With ``degrade`` set, memory pressure sheds backlog and degrades
+        indexes (``shed`` / ``degrade`` events) before it can kill the run.
         """
         return self._kernel.run(duration, arrivals)
 
@@ -198,24 +193,10 @@ def _context_delegate(name: str) -> property:
     return property(fget, fset)
 
 
-# The monolith exposed its run state as instance attributes; the facade
-# write-through-delegates each to the context so external reads *and*
-# swaps (`ex.router = ...`, `ex.event_log = ...`) keep facade and kernel
+# The run state the benchmark harness reads off the facade; everything else
+# is read through ``executor.context`` / ``executor.kernel``.  Each delegate
+# writes through, so a swap (``ex.router = ...``) keeps facade and kernel
 # coherent.
-for _name in (
-    "query",
-    "stems",
-    "router",
-    "meter",
-    "arrival_rates",
-    "domain_bits",
-    "config",
-    "estimator",
-    "stats",
-    "output_sink",
-    "event_log",
-    "degradation",
-    "metrics",
-):
+for _name in ("stems", "router", "meter", "stats"):
     setattr(AMRExecutor, _name, _context_delegate(_name))
 del _name

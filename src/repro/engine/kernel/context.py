@@ -3,8 +3,8 @@
 An :class:`EngineContext` is everything a tick touches, gathered into one
 explicit object instead of executor instance attributes: the query, the
 per-stream states, the routing policy, the virtual clock, run statistics,
-the backlog queue, and the optional attachments (event log, degradation
-policy, metrics registry).  Stages receive the context and nothing else —
+the backlog queue, the degrade switch, and the optional attachments (event
+log, metrics registry).  Stages receive the context and nothing else —
 there is no hidden executor state left for a stage to reach around.
 
 The ``_spend`` cost-attribution invariant lives here **by construction**:
@@ -23,11 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.metrics import MetricsRegistry, Span
 from repro.engine.query import Query
-from repro.engine.resources import (
-    DegradationPolicy,
-    MemoryBreakdown,
-    ResourceMeter,
-)
+from repro.engine.resources import MemoryBreakdown, ResourceMeter
 from repro.engine.router import Router
 from repro.engine.stats import RunStats, SelectivityEstimator
 from repro.engine.tuples import StreamTuple
@@ -69,13 +65,11 @@ class EngineContext:
     stats: RunStats = field(default_factory=RunStats)
     output_sink: object | None = None  # callable(list[JoinedTuple]) or None
     event_log: object | None = None  # repro.engine.tracing.EventLog or None
-    degradation: DegradationPolicy | None = None
+    degrade: bool = False  # shed and degrade under memory pressure
     metrics: MetricsRegistry | None = None
     queue: deque[StreamTuple] = field(default_factory=deque)
-    # Metrics-only state: open tuple-lifecycle spans keyed by tuple
-    # identity, and the last sampled clock reading (per-tick cost).
+    # Metrics-only state: open tuple-lifecycle spans keyed by tuple identity.
     live_spans: dict[int, Span] = field(default_factory=dict)
-    spent_at_tick_start: float = 0.0
 
     def __post_init__(self) -> None:
         missing = set(self.query.stream_names) - set(self.stems)

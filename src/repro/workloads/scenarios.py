@@ -36,7 +36,7 @@ from repro.core.tuner import AMRITuner, HashIndexTuner, NullTuner
 from repro.engine.executor import AMRExecutor, ExecutorConfig
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.query import JoinPredicate, Query
-from repro.engine.resources import DegradationPolicy, ResourceMeter
+from repro.engine.resources import ResourceMeter
 from repro.engine.router import (
     ContentBasedRouter,
     FixedRouter,
@@ -321,7 +321,7 @@ class PaperScenario:
         memory_budget: int | None = None,
         output_sink=None,
         event_log=None,
-        degradation: DegradationPolicy | None = None,
+        degrade: bool = False,
         metrics: MetricsRegistry | None = None,
     ) -> AMRExecutor:
         """A ready-to-run executor for the named scheme.
@@ -353,7 +353,7 @@ class PaperScenario:
             config=config,
             output_sink=output_sink,
             event_log=event_log,
-            degradation=degradation,
+            degrade=degrade,
             metrics=metrics,
         )
 

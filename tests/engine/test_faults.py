@@ -7,7 +7,6 @@ from repro.core.access_pattern import JoinAttributeSet
 from repro.core.assessment import SRIA
 from repro.core.bit_index import make_bit_index
 from repro.core.tuner import NullTuner
-from repro.engine.resources import DegradationPolicy
 from repro.engine.tracing import EventLog
 from repro.engine.tuples import StreamTuple
 from repro.indexes.scan_index import ScanIndex
@@ -229,12 +228,6 @@ class TestDegradation:
 
         return AccessPattern.from_attributes(stem.jas, ["k"])
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            DegradationPolicy(headroom=0.0)
-        with pytest.raises(ValueError):
-            DegradationPolicy(shed_floor=-1)
-
     def test_shedding_under_pressure(self):
         """A capacity-starved run sheds backlog instead of dying."""
         sc = PaperScenario(ScenarioParams(seed=41))
@@ -244,7 +237,7 @@ class TestDegradation:
             capacity=100.0,
             memory_budget=150_000,
             event_log=log,
-            degradation=DegradationPolicy(),
+            degrade=True,
         )
         stats = ex.run(200, sc.make_generator())
         assert stats.shed_tuples > 0
@@ -265,7 +258,7 @@ class TestDegradation:
             scheme,
             memory_budget=220_000,
             event_log=log,
-            degradation=DegradationPolicy(),
+            degrade=True,
         )
         squeeze = FaultPlan(squeeze_prob=0.2, squeeze_factor=0.35, squeeze_len=8)
         stats = drive(ex, 120, sc.make_generator(), squeeze, fault_seed=3)
@@ -285,7 +278,7 @@ class TestDegradation:
             capacity=1e9,
             memory_budget=240_000,
             event_log=log,
-            degradation=DegradationPolicy(headroom=0.8),
+            degrade=True,
         )
         stats = ex.run(120, sc.make_generator())
         if stats.degradations:
@@ -328,7 +321,7 @@ class TestInvariantChecker:
         sc = PaperScenario(ScenarioParams(seed=23))
         checker = InvariantChecker()
         ex = sc.make_executor(
-            "amri:cdia-highest", memory_budget=250_000, degradation=DegradationPolicy()
+            "amri:cdia-highest", memory_budget=250_000, degrade=True
         )
         stats = drive(
             ex, 100, sc.make_generator(), FAULT_PROFILES["chaos"], fault_seed=8, checker=checker

@@ -23,7 +23,6 @@ from repro.engine.metrics import MetricsRegistry
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import FixedRouter
 from repro.engine.stream import StreamSchema
-from repro.engine.tracing import EventLog
 from repro.engine.tuples import StreamTuple
 from repro.indexes.base import CostParams
 from repro.storage import StateStore
@@ -317,7 +316,7 @@ class TestProbeColumn:
         expected = 1.0
         for _ in range(2):
             expected = expected + 0.05 * (4 - expected)
-        assert ex.estimator.expected_matches("C", 1) == expected
+        assert ex.context.estimator.expected_matches("C", 1) == expected
 
     # C holds 7 tuples of which each of the 5 partials matches 4.
     CHUNKED = dict(n_b=5, c_keys=(1, 1, 1, 1, 2, 2, 2))
@@ -356,7 +355,10 @@ class TestProbeColumn:
             assert assessor.n_requests == ref_assessor.n_requests
             assert assessor.frequencies() == ref_assessor.frequencies()
             assert ex.stems[stream].index.accountant == ref.stems[stream].index.accountant
-        assert ex.estimator.expected_matches("C", 1) == ref.estimator.expected_matches("C", 1)
+        assert (
+            ex.context.estimator.expected_matches("C", 1)
+            == ref.context.estimator.expected_matches("C", 1)
+        )
 
     def test_uncapped_hop_is_one_column(self):
         ex, stats, pairs, calls = self.run_clique(max_fanout=50_000)
@@ -515,7 +517,6 @@ class CarryCheckingStage(RouteProbeStage):
 def test_carried_cost_is_a_fresh_snapshot_under_faults_and_degradation():
     import dataclasses
 
-    from repro.engine.resources import DegradationPolicy
     from repro.workloads.scenarios import PaperScenario
     from tests.faults import FAULT_PROFILES, drive
     from tests.integration.test_observer_conformance import TICKS, backlogged_params
@@ -526,7 +527,7 @@ def test_carried_cost_is_a_fresh_snapshot_under_faults_and_degradation():
     scenario = PaperScenario(backlogged_params(memory_budget=14_000))
     registry = MetricsRegistry()
     ex = scenario.make_executor(
-        "amri:cdia-highest", degradation=DegradationPolicy(), metrics=registry
+        "amri:cdia-highest", degrade=True, metrics=registry
     )
     spy = CarryCheckingStage()
     ex.kernel.stages = tuple(
@@ -566,7 +567,6 @@ class AdmitCheckingStage(ArrivalStage):
 def test_arrivals_carry_a_fresh_snapshot_under_faults_and_degradation():
     import dataclasses
 
-    from repro.engine.resources import DegradationPolicy
     from repro.workloads.scenarios import PaperScenario
     from tests.faults import FAULT_PROFILES, drive
     from tests.integration.test_observer_conformance import TICKS, backlogged_params
@@ -575,7 +575,7 @@ def test_arrivals_carry_a_fresh_snapshot_under_faults_and_degradation():
     scenario = PaperScenario(backlogged_params(memory_budget=14_000))
     registry = MetricsRegistry()
     ex = scenario.make_executor(
-        "amri:cdia-highest", degradation=DegradationPolicy(), metrics=registry
+        "amri:cdia-highest", degrade=True, metrics=registry
     )
     spy = AdmitCheckingStage()
     ex.kernel.stages = tuple(
@@ -718,16 +718,13 @@ class TestFacade:
     def test_exposes_kernel_parts(self):
         ex = make_executor()
         assert isinstance(ex.context, EngineContext)
-        assert [stage.name for stage in ex.stages] == [
+        assert [stage.name for stage in ex.kernel.stages] == [
             "arrivals", "expiry", "route_probe", "tuning", "shed_degrade", "audit",
         ]
         assert isinstance(ex.kernel, EngineKernel)
 
     def test_attribute_writes_reach_the_context(self):
         ex = make_executor()
-        log = EventLog()
-        ex.event_log = log
-        assert ex.context.event_log is log
         router = FixedRouter({"A": ["B"], "B": ["A"]})
         ex.router = router
         assert ex.context.router is router

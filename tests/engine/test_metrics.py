@@ -10,8 +10,6 @@ from repro.engine.metrics import (
     COST_METRIC,
     FLIGHT_RECORDER_CAPACITY,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     RegistrySnapshot,
     SpanRecord,
@@ -50,31 +48,6 @@ class TestInstruments:
         with pytest.raises(ValueError):
             Counter().inc(-1.0)
 
-    def test_gauge_set(self):
-        g = Gauge()
-        g.set(10)
-        g.set(3)
-        assert g.value == 3.0
-
-    def test_histogram_le_semantics(self):
-        h = Histogram(boundaries=(1.0, 4.0))
-        for v in (0.5, 1.0, 2.0, 4.0, 100.0):
-            h.observe(v)
-        # le semantics: 1.0 lands in the le=1 bucket, 4.0 in le=4.
-        assert h.bucket_counts == [2, 2, 1]
-        cum = h.cumulative()
-        assert cum == [(1.0, 2), (4.0, 4), (float("inf"), 5)]
-        assert h.total == pytest.approx(107.5)
-        assert h.count == 5
-
-    def test_histogram_rejects_bad_boundaries(self):
-        with pytest.raises(ValueError):
-            Histogram(boundaries=())
-        with pytest.raises(ValueError):
-            Histogram(boundaries=(4.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram(boundaries=(1.0, 1.0))
-
 
 class TestRegistrySeries:
     def test_get_or_create_is_stable(self):
@@ -97,23 +70,6 @@ class TestRegistrySeries:
             ("phase", "probe"),
             ("stream", "A"),
         )
-
-    def test_kind_mismatch_is_an_error(self):
-        reg = MetricsRegistry()
-        reg.counter("n")
-        with pytest.raises(ValueError, match="is a counter"):
-            reg.gauge("n")
-        with pytest.raises(ValueError, match="is a counter"):
-            reg.histogram("n")
-        # Also on the fast path, when the exact series already exists.
-        with pytest.raises(ValueError, match="is a counter"):
-            reg.gauge("n")
-
-    def test_histogram_buckets_bound_at_first_use(self):
-        reg = MetricsRegistry()
-        h1 = reg.histogram("lat", buckets=(1.0, 10.0), stream="A")
-        h2 = reg.histogram("lat", buckets=(5.0, 50.0), stream="B")  # ignored
-        assert h1.boundaries == h2.boundaries == (1.0, 10.0)
 
     def test_charge_updates_cost_total_and_series(self):
         reg = MetricsRegistry()
@@ -188,11 +144,7 @@ def populated_registry():
     reg = MetricsRegistry()
     reg.charge(2.5, "index", stream="A", index_kind="bit_address", phase="probe")
     reg.charge(0.2, "router", phase="decide")
-    reg.counter("probes_total", stream="A").inc(7)
-    reg.gauge("backlog").set(3)
-    h = reg.histogram("probe_matches", buckets=(1.0, 4.0))
-    for v in (0, 1, 3, 9):
-        h.observe(v)
+    reg.charge(7.0, "index", stream="A", index_kind="bit_address", phase="insert")
     span = reg.start_span("tick", 1)
     reg.end_span(span, 1, cost=2.7)
     return reg
@@ -207,15 +159,22 @@ class TestExporters:
         aggregate = records[-1]
         assert aggregate["record"] == "aggregate"
         assert aggregate["cost_total"] == snap.cost_total
-        hist = next(r for r in series if r["name"] == "probe_matches")
-        assert hist["buckets"] == [[1.0, 2], [4.0, 3], ["+Inf", 4]]
-        assert hist["count"] == 4
+        labels = {"component": "router", "phase": "decide"}
+        router = next(r for r in series if r["labels"] == labels)
+        assert router == {
+            "record": "series",
+            "name": COST_METRIC,
+            "kind": "counter",
+            "labels": labels,
+            "value": 0.2,
+        }
 
     def test_jsonl_replaces_non_finite_floats(self):
         reg = MetricsRegistry()
-        reg.gauge("g").set(math.inf)
+        reg.charge(math.inf, "router", phase="decide")
         records = parse_jsonl(snapshot_jsonl(reg.snapshot()))
         assert records[0]["value"] is None
+        assert records[-1]["cost_total"] is None
 
     def test_write_metrics_and_trace_files(self, populated_registry, tmp_path):
         snap = populated_registry.snapshot()

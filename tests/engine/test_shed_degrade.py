@@ -10,7 +10,7 @@ from repro.core.tuner import NullTuner
 from repro.engine.executor import AMRExecutor, ExecutorConfig
 from repro.engine.kernel import EngineContext, ShedDegradeStage, TickState
 from repro.engine.query import JoinPredicate, Query
-from repro.engine.resources import DegradationPolicy, ResourceMeter
+from repro.engine.resources import SHED_FLOOR, ResourceMeter
 from repro.engine.router import FixedRouter
 from repro.engine.stream import StreamSchema
 from repro.engine.tuples import StreamTuple
@@ -27,7 +27,7 @@ def make_ctx(
     window=5,
     capacity=1e9,
     memory_budget=1 << 30,
-    degradation=None,
+    degrade=False,
 ):
     query = two_stream_query(window=window)
     stems = {}
@@ -52,7 +52,7 @@ def make_ctx(
         arrival_rates={s: 1.0 for s in query.stream_names},
         domain_bits={},
         config=ExecutorConfig(),
-        degradation=degradation,
+        degrade=degrade,
     )
 
 
@@ -65,21 +65,19 @@ class TestShedOrder:
     def test_shed_drops_oldest_first(self):
         """Shedding pops from the left: the oldest backlogged requests go,
         the newest survive."""
-        policy = DegradationPolicy(shed_floor=2)
-        ctx = make_ctx(degradation=policy)
-        items = [queued("A", t) for t in range(6)]
+        ctx = make_ctx(degrade=True)
+        items = [queued("A", t) for t in range(SHED_FLOOR + 4)]
         ctx.queue.extend(items)
         breakdown = ctx.memory_breakdown()
         stage = ShedDegradeStage()
         # A soft limit low enough that every sheddable request must go.
-        stage.shed_backlog(ctx, tick=6, breakdown=breakdown, soft=0)
-        assert list(ctx.queue) == items[4:]  # newest shed_floor=2 survive
+        stage.shed_backlog(ctx, tick=SHED_FLOOR + 4, breakdown=breakdown, soft=0)
+        assert list(ctx.queue) == items[4:]  # the newest SHED_FLOOR survive
         assert ctx.stats.shed_tuples == 4
 
     def test_shed_respects_floor_exactly(self):
-        policy = DegradationPolicy(shed_floor=16)
-        ctx = make_ctx(degradation=policy)
-        ctx.queue.extend(queued("A", t) for t in range(16))
+        ctx = make_ctx(degrade=True)
+        ctx.queue.extend(queued("A", t) for t in range(SHED_FLOOR))
         before = list(ctx.queue)
         out = ShedDegradeStage().shed_backlog(
             ctx, tick=0, breakdown=ctx.memory_breakdown(), soft=0
@@ -89,8 +87,7 @@ class TestShedOrder:
         assert ctx.stats.shed_tuples == 0
 
     def test_shed_on_empty_backlog_is_a_noop(self):
-        policy = DegradationPolicy(shed_floor=0)
-        ctx = make_ctx(degradation=policy)
+        ctx = make_ctx(degrade=True)
         breakdown = ctx.memory_breakdown()
         out = ShedDegradeStage().shed_backlog(ctx, tick=0, breakdown=breakdown, soft=0)
         assert out == breakdown
@@ -99,16 +96,15 @@ class TestShedOrder:
 
     def test_shed_stops_once_under_soft_limit(self):
         """Sheds the ceil of the excess, not the whole backlog."""
-        policy = DegradationPolicy(shed_floor=0)
-        ctx = make_ctx(degradation=policy)
-        ctx.queue.extend(queued("A", t) for t in range(10))
+        ctx = make_ctx(degrade=True)
+        ctx.queue.extend(queued("A", t) for t in range(SHED_FLOOR + 10))
         per = ctx.meter.params.queue_item_bytes
         breakdown = ctx.memory_breakdown()
         # Ask to free exactly three requests' worth (plus a sliver → ceil to 3).
         soft = breakdown.total - 3 * per + 1
         ShedDegradeStage().shed_backlog(ctx, tick=0, breakdown=breakdown, soft=soft)
         assert ctx.stats.shed_tuples == 3
-        assert len(ctx.queue) == 7
+        assert len(ctx.queue) == SHED_FLOOR + 7
         assert ctx.queue[0].arrived_at == 3  # 0,1,2 (the oldest) went
 
 
@@ -173,7 +169,7 @@ class TestDegradePermanence:
                 ctx.stems[s].insert(queued(s, t, k=t), t)
 
     def test_degrade_swaps_heaviest_index_to_scan(self):
-        ctx = make_ctx(degradation=DegradationPolicy())
+        ctx = make_ctx(degrade=True)
         self.fill(ctx)
         assert all(not stem.degraded for stem in ctx.stems.values())
         before = {s: stem.index.memory_bytes for s, stem in ctx.stems.items()}
@@ -187,7 +183,7 @@ class TestDegradePermanence:
     def test_degrade_does_not_recover_when_pressure_clears(self):
         """Scan fallback is permanent: expiring every tuple (pressure gone)
         never resurrects the index structure or the tuner."""
-        ctx = make_ctx(degradation=DegradationPolicy())
+        ctx = make_ctx(degrade=True)
         self.fill(ctx)
         self.degrade_heaviest(ctx)
         for stem in ctx.stems.values():
@@ -200,7 +196,7 @@ class TestDegradePermanence:
             assert type(stem.tuner).__name__ == "NullTuner"
 
     def test_degraded_engine_still_joins(self):
-        ctx = make_ctx(degradation=DegradationPolicy())
+        ctx = make_ctx(degrade=True)
         self.fill(ctx, n=2)
         self.degrade_heaviest(ctx)
         ex = AMRExecutor(
@@ -221,7 +217,7 @@ class TestDegradePermanence:
         assert stats.outputs == 1
 
     def test_already_degraded_states_are_skipped(self):
-        ctx = make_ctx(degradation=DegradationPolicy())
+        ctx = make_ctx(degrade=True)
         self.fill(ctx)
         self.degrade_heaviest(ctx)
         assert ctx.stats.degradations == 2
@@ -231,7 +227,7 @@ class TestDegradePermanence:
 
 class TestStageGating:
     def test_stage_without_policy_only_measures(self):
-        ctx = make_ctx(degradation=None)
+        ctx = make_ctx(degrade=False)
         ctx.queue.extend(queued("A", t) for t in range(50))
         tick = TickState(tick=0)
         ShedDegradeStage().run(ctx, tick)

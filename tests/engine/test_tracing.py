@@ -86,7 +86,7 @@ class TestTracedRun:
         sc = PaperScenario(ScenarioParams(seed=41))
         log = EventLog()
         ex = sc.make_executor("amri:cdia-highest", capacity=1e9, memory_budget=1 << 30)
-        ex.event_log = log
+        ex.context.event_log = log
         stats = ex.run(130, sc.make_generator())
         migrations = [e for e in log if e.kind == "migration"]
         assert len(migrations) == stats.migrations
@@ -98,7 +98,7 @@ class TestTracedRun:
         sc = PaperScenario(ScenarioParams(seed=41))
         log = EventLog()
         ex = sc.make_executor("scan", capacity=100.0, memory_budget=150_000)
-        ex.event_log = log
+        ex.context.event_log = log
         stats = ex.run(200, sc.make_generator())
         assert stats.died_at is not None
         deaths = [e for e in log if e.kind == "death"]

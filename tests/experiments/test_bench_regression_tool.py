@@ -46,6 +46,41 @@ class TestCostUnitGate:
         assert "missing from the new run: test_gone" in captured.err
         assert "test_new" not in captured.err  # a row without baseline is not gated
 
+    def test_metrics_file_records_costs_baselines_and_means(self, tmp_path):
+        base = export(tmp_path / "base.json", {"test_a": 10.0, "test_b": 2.5})
+        new = export(tmp_path / "new.json", {"test_b": 2.5, "test_a": 10.0, "test_c": 1.0})
+        out = tmp_path / "m.jsonl"
+        assert gate.main([str(base), str(new), "--metrics", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+
+        def series(name, kind, bench, value):
+            return {
+                "kind": kind,
+                "labels": {"bench": bench},
+                "name": name,
+                "record": "series",
+                "value": value,
+            }
+
+        assert records == [
+            series("bench_cost_units", "counter", "test_a", 10.0),
+            series("bench_cost_units", "counter", "test_b", 2.5),
+            series("bench_cost_units", "counter", "test_c", 1.0),
+            series("bench_cost_units_baseline", "gauge", "test_a", 10.0),
+            series("bench_cost_units_baseline", "gauge", "test_b", 2.5),
+            series("bench_mean_seconds", "gauge", "test_a", 0.001),
+            series("bench_mean_seconds", "gauge", "test_b", 0.001),
+            series("bench_mean_seconds", "gauge", "test_c", 0.001),
+            {
+                "cost_total": 0.0,
+                "record": "aggregate",
+                "series": 8,
+                "spans_dropped": 0,
+                "spans_retained": 0,
+            },
+        ]
+        assert all(list(rec) == sorted(rec) for rec in records)  # sorted keys, as written
+
 
 def wall_lines(tmp_path, capsys, base_medians, new_medians):
     """The ``WALL`` lines of one comparison (cost units identical)."""

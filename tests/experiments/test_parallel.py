@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.resources import DegradationPolicy
 from repro.engine.tracing import EventLog
 from repro.experiments.golden import stats_fingerprint
 from repro.experiments.harness import (
@@ -155,7 +154,7 @@ class TestOnePath:
             30,
             event_log=log,
             metrics=registry,
-            degradation=DegradationPolicy(),
+            degrade=True,
         )
         outcome = execute_spec(
             RunSpec(params, "scan", 30, train=False, degrade=True, collect_metrics=True)

@@ -82,7 +82,7 @@ def cases() -> dict[str, Case]:
             replace(small, capacity=1_200.0, memory_budget=14_000), "inverted", 80,
             faults="memory", fault_seed=9, degrade=True,
         ),
-        # No degradation policy: the paper's plain out-of-memory death.
+        # No --degrade: the paper's plain out-of-memory death.
         "paper3_scan_memory_death": _case(
             replace(small, capacity=400.0, memory_budget=6_000), "scan", 80
         ),

@@ -6,9 +6,9 @@
 re-executes the full scenario × scheme × fault-profile matrix
 (``golden_cases.py``: one ``RunSpec`` per case, through the fault harness
 of ``tests/faults.py``) on the current engine and demands exact equality — every RunStats counter, every
-throughput-sample float, every event, every metric series, every histogram
-bucket, every span.  A refactor that shifts a single float add, RNG draw,
-or event has a visible, attributable diff here.
+throughput-sample float, every event, every cost series, every span.  A
+refactor that shifts a single float add, RNG draw, or event has a visible,
+attributable diff here.
 
 The spans section was re-derived once, when tuning outcomes, shedding,
 degradation and death stopped being recorded as zero-duration spans beside
@@ -23,6 +23,12 @@ samples, one tick's event order, and span order and ids) and
 ``paper3_static_chaos_degrade_death`` (span order and ids).  Their meter
 totals, outputs, probes, migrations, tuning rounds, fault counts and
 metric series stayed identical; the other seven cases are untouched.
+
+The ``metrics`` sections were regenerated once more when the registry came
+down to the cost ledger and the span ring: each case's ``series`` is the
+old ``cost_units_total`` entries without the histogram-only keys
+(``buckets``, ``total``, ``count``), and every other section, spans and
+``cost_total`` included, stayed byte-identical.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ A run's observers — the metrics registry (series and spans), the event
 log, and the invariant checker the fault harness calls between steps —
 must never change what the engine does.  Every cell of {observer} ×
 {scheme family} runs the same small backlogged scenario through the fault
-harness under ``arrivals`` faults with the degradation policy attached
+harness under ``arrivals`` faults with ``degrade`` set
 (capacity and memory budget are tight enough that requests queue across
 ticks and the backlog is shed), and must give the bare run's
 ``stats_fingerprint``, output multiset and virtual-clock total exactly.
@@ -15,12 +15,11 @@ import pickle
 
 import pytest
 
-from repro.engine.metrics import MetricsRegistry
-from repro.engine.resources import DegradationPolicy
+from repro.engine.metrics import COST_METRIC, MetricsRegistry
 from repro.engine.tracing import EventLog
 from repro.experiments.golden import stats_fingerprint
 from repro.experiments.parallel import RunSpec, execute_spec, reconciles, run_parallel
-from repro.workloads.scenarios import PaperScenario, ScenarioParams
+from repro.workloads.scenarios import PaperScenario, ScenarioParams, scenario_params
 from tests.faults import FAULT_PROFILES, InvariantChecker, drive
 from tests.integration.test_differential import canonical
 
@@ -60,7 +59,7 @@ def run(scheme, checker=None, **observers):
     executor = scenario.make_executor(
         scheme,
         output_sink=sink.extend,
-        degradation=DegradationPolicy(),
+        degrade=True,
         **observers,
     )
     stats = drive(
@@ -96,6 +95,22 @@ def test_observer_changes_nothing(scheme, observer):
     if registry is not None:
         # Bit for bit: the registry replays the meter's accumulation order.
         assert reconciles(registry.snapshot(), executor.meter.total_spent)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_metrics_run_records_only_the_cost_ledger(scheme):
+    """The registry keeps the cost ledger and the span ring, nothing else:
+    totals are RunStats', discrete facts are events and index operations
+    are the accountants'.  ``degrade`` is armed, as ``--degrade`` arms it."""
+    spec = RunSpec(
+        scenario_params("paper-small", 7), scheme, 60,
+        train=False, degrade=True, collect_metrics=True,
+    )
+    outcome = execute_spec(spec)
+    snapshot = outcome.metrics
+    assert snapshot.series and snapshot.spans
+    assert {s.name for s in snapshot.series} == {COST_METRIC}
+    assert reconciles(snapshot, outcome.meter_total)
 
 
 def degrading_spec(**collect):

@@ -15,9 +15,9 @@ does not have also exits 1, naming the row: a renamed or deleted benchmark
 would otherwise stop being gated without anyone noticing, so its removal
 from the baseline is part of the change that removes it.
 
-``--metrics PATH`` additionally writes the comparison as a metrics
-snapshot (JSONL, via :mod:`repro.engine.metrics_export`) so CI can upload
-it as an artifact alongside the raw benchmark JSON.
+``--metrics PATH`` additionally writes the comparison as metrics JSONL
+(via :mod:`repro.engine.metrics_export`) so CI can upload it as an
+artifact alongside the raw benchmark JSON.
 
 Wall clock never gates: CI runners are too noisy for tight timing
 thresholds to be trustworthy.  The tool also reads each row's
@@ -133,20 +133,40 @@ def write_metrics_jsonl(
     new: dict[str, float],
     new_means: dict[str, float],
 ) -> None:
-    """Export the comparison through the repo's own metrics pipeline."""
-    from repro.engine.metrics import MetricsRegistry
-    from repro.engine.metrics_export import write_metrics
+    """Export the comparison as metrics JSONL: one ``series`` record per
+    benchmark and quantity, then the ``aggregate`` record a metrics file
+    ends with (``repro.engine.metrics_export``'s record shapes)."""
+    from repro.engine.metrics_export import write_jsonl
 
-    registry = MetricsRegistry()
-    for name, cost in sorted(new.items()):
-        registry.counter("bench_cost_units", bench=name).inc(cost)
-        base = baseline.get(name)
-        if base is not None:
-            registry.gauge("bench_cost_units_baseline", bench=name).set(base)
-    for name, mean in sorted(new_means.items()):
-        # wall-clock mean: context only, not gated
-        registry.gauge("bench_mean_seconds", bench=name).set(mean)
-    write_metrics(path, registry.snapshot())
+    def series(name: str, kind: str, bench: str, value: float) -> dict[str, object]:
+        return {
+            "record": "series",
+            "name": name,
+            "kind": kind,
+            "labels": {"bench": bench},
+            "value": value,
+        }
+
+    records = [series("bench_cost_units", "counter", n, cost) for n, cost in sorted(new.items())]
+    records += [
+        series("bench_cost_units_baseline", "gauge", n, baseline[n])
+        for n in sorted(new)
+        if n in baseline
+    ]
+    # wall-clock mean: context only, not gated
+    records += [
+        series("bench_mean_seconds", "gauge", n, mean) for n, mean in sorted(new_means.items())
+    ]
+    records.append(
+        {
+            "record": "aggregate",
+            "cost_total": 0.0,
+            "series": len(records),
+            "spans_retained": 0,
+            "spans_dropped": 0,
+        }
+    )
+    write_jsonl(path, records)
 
 
 def main(argv: list[str] | None = None) -> int:
