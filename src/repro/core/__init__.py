@@ -17,6 +17,8 @@ Public surface:
   :class:`NullTuner`).
 """
 
+import importlib
+
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet, all_access_patterns
 from repro.core.assessment import (
     ASSESSOR_NAMES,
@@ -27,14 +29,6 @@ from repro.core.assessment import (
     FrequencyAssessor,
     make_assessor,
 )
-from repro.core.bit_index import BitAddressIndex, MigrationReport, make_bit_index
-from repro.core.cost_model import (
-    CostBreakdown,
-    WorkloadStatistics,
-    cost_breakdown,
-    estimate_cd,
-    migration_cost,
-)
 from repro.core.index_config import IndexConfiguration, uniform_configuration
 from repro.core.probe_plan import (
     Matcher,
@@ -42,14 +36,40 @@ from repro.core.probe_plan import (
     compile_matcher,
     compile_probe_plan,
 )
-from repro.core.selector import (
-    CandidatePool,
-    IndexSelector,
-    candidate_pool,
-    select_exhaustive,
-    select_hash_patterns,
-)
-from repro.core.tuner import AMRITuner, HashIndexTuner, NullTuner, TuneReport, TuningContext
+
+#: The modules that build on :mod:`repro.indexes.base`, which itself imports
+#: :mod:`repro.core.access_pattern` and so runs this file first, with the
+#: names taken from each: a module is imported on first use of one of its
+#: names, so the import graph has no cycle whichever package loads first.
+_LAZY_MODULES = {
+    "bit_index": ("BitAddressIndex", "MigrationReport", "make_bit_index"),
+    "cost_model": (
+        "CostBreakdown",
+        "WorkloadStatistics",
+        "cost_breakdown",
+        "estimate_cd",
+        "migration_cost",
+    ),
+    "selector": (
+        "CandidatePool",
+        "IndexSelector",
+        "candidate_pool",
+        "select_exhaustive",
+        "select_hash_patterns",
+    ),
+    "tuner": ("AMRITuner", "HashIndexTuner", "NullTuner", "TuneReport", "TuningContext"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ASSESSOR_NAMES",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from repro.engine.metrics import MetricsRegistry, Span
@@ -118,32 +119,34 @@ class EngineContext:
 
     def spend_index_deltas(
         self,
-        before: dict[str, float],
+        costs: dict[str, float],
+        names: Collection[str] | None = None,
         *,
         component: str,
         phase: str,
-        after: dict[str, float] | None = None,
     ) -> None:
-        """Charge each state in ``before`` its marginal index cost since
-        that snapshot, in the states' own order.
+        """Charge each state in ``names`` (every state in ``costs`` when
+        omitted) its marginal index cost since ``costs[name]``, in the
+        states' own order, and write its current cost back to ``costs``.
 
         The aggregate spent equals the per-state deltas by construction, so
         nothing leaks; zero deltas are skipped (no series churn, and adding
         0.0 would not move the clock anyway) — which is also why a caller
-        may leave out of ``before`` any state it knows it did not touch.
-        Each state's current cost is also written to ``after`` when given:
-        until its accountant moves again, that is the exact float a fresh
-        :meth:`stem_cost` would return.
+        may leave out any state it knows it did not touch.  Until a state's
+        accountant moves again, the cost written back is the exact float a
+        fresh :meth:`stem_cost` would return.
         """
         stems = self.stems
+        if names is None:
+            names = costs
         # One state has no order to keep: no walk over every state.
-        names = before if len(before) == 1 else [n for n in stems if n in before]
+        if len(names) != 1:
+            names = [n for n in stems if n in names]
         for name in names:
             stem = stems[name]
             now = self.stem_cost(stem)
-            if after is not None:
-                after[name] = now
-            delta = now - before[name]
+            delta = now - costs[name]
+            costs[name] = now
             if delta:
                 self.spend(delta, component, stream=name, index_kind=stem.index, phase=phase)
 

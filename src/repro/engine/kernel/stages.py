@@ -221,10 +221,10 @@ class ExpiryStage:
     name = "expiry"
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
-        cost_before = ctx.stem_costs()
+        costs = ctx.stem_costs()
         for stem in ctx.stems.values():
             stem.expire(tick.tick)
-        ctx.spend_index_deltas(cost_before, component="index", phase="expire")
+        ctx.spend_index_deltas(costs, component="index", phase="expire")
 
 
 class RouteProbeStage:
@@ -256,41 +256,49 @@ class RouteProbeStage:
     name = "route_probe"
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
-        # State -> its index cost after the last request that probed it.
-        # Between two requests only this stage's probes move an accountant,
-        # and a cost is a pure function of the counters, so that float is
-        # the next request's "before", bit for bit.
+        # State -> its index cost before the next request probes it: read
+        # when a request first reaches the state, then written back by each
+        # request's charge.  Between two requests only this stage's probes
+        # move an accountant, and a cost is a pure function of the
+        # counters, so that float is the next request's "before", bit for
+        # bit.
         carried: dict[str, float] = {}
+        observe_content = getattr(ctx.router, "observe_content", None)
         while ctx.queue and not ctx.meter.exhausted:
-            self._process(ctx, ctx.queue.popleft(), tick.tick, carried)
+            self._process(ctx, ctx.queue.popleft(), tick.tick, carried, observe_content)
 
     def _process(
-        self, ctx: EngineContext, item: StreamTuple, tick: int, carried: dict[str, float]
+        self,
+        ctx: EngineContext,
+        item: StreamTuple,
+        tick: int,
+        carried: dict[str, float],
+        observe_content,
     ) -> None:
         params = ctx.meter.params
         m = ctx.metrics
+        # A greedy route picks each target when the loop asks for it, so
+        # the loop stops right after the hop that leaves no partials.
         route = ctx.router.choose_route(item.stream, ctx.estimator, item)
-        observe_content = getattr(ctx.router, "observe_content", None)
         outputs = 0
         partials: list[tuple[StreamTuple, ...]] = [(item,)]
         joined: tuple[str, ...] = (item.stream,)
         # Only the states the route reaches can accrue index cost, so only
-        # they are snapshotted (a no-match first hop reaches one).
-        cost_before: dict[str, float] = {}
+        # they are charged (a no-match first hop reaches one).
         for target in route:
-            if not partials:
-                break
-            before = carried.get(target)
-            cost_before[target] = before if before is not None else ctx.stem_cost(ctx.stems[target])
+            if target not in carried:
+                carried[target] = ctx.stem_cost(ctx.stems[target])
             partials = self._probe_hop(ctx, item, target, joined, partials, observe_content)
             joined += (target,)
+            if not partials:
+                break
         if partials and len(joined) == ctx.n_streams:
             outputs = len(partials)
             ctx.stats.outputs += outputs
             if ctx.output_sink is not None:
                 ctx.output_sink([JoinedTuple(sources) for sources in partials])
 
-        ctx.spend_index_deltas(cost_before, component="index", phase="probe", after=carried)
+        ctx.spend_index_deltas(carried, joined[1:], component="index", phase="probe")
         ctx.spend(params.c_route, "router", stream=item.stream, phase="decide")
         if outputs or m is not None:  # a zero charge moves no clock, only a series
             ctx.spend(outputs * params.c_output, "output", stream=item.stream, phase="emit")
@@ -315,7 +323,6 @@ class RouteProbeStage:
         stem = ctx.stems[target]
         rows = build_rows(partials)
         max_fanout = ctx.config.max_fanout
-        size = stem.size
         if observe_content is not None:
             bucket = ctx.router.bucket_for(item, item.stream, target)
         # Timestamp ordering: the arriving tuple joins only with tuples
@@ -326,6 +333,36 @@ class RouteProbeStage:
         # exactly when ``target`` sorts before the anchor's stream.
         anchor_at = item.arrived_at
         same_tick_passes = target < item.stream
+        if len(rows) == 1:
+            # One row (most columns): one probe, one filter, one fold, cut
+            # at the cap after the count (as the chunked path cuts).
+            # (``probe_batch`` is looked up per call: a tracer may shadow it
+            # on the state instance.)
+            (outcome,) = stem.probe_batch(ap, rows)
+            matches = outcome.matches
+            if not matches:
+                next_partials = []
+            else:
+                partial = partials[0]
+                if same_tick_passes:
+                    next_partials = [
+                        partial + (match,) for match in matches if match.arrived_at <= anchor_at
+                    ]
+                else:
+                    next_partials = [
+                        partial + (match,) for match in matches if match.arrived_at < anchor_at
+                    ]
+            n_matches = len(next_partials)
+            stats = ctx.stats
+            stats.probes += 1
+            stats.matches += n_matches
+            ctx.estimator.observe(target, ap.mask, n_matches)
+            if observe_content is not None:
+                observe_content(target, ap.mask, bucket, n_matches)
+            if n_matches > max_fanout:
+                del next_partials[max_fanout:]
+            return next_partials
+        size = stem.size
         # Equal rows share one outcome, and the ordering filter depends only
         # on the anchor: filter once per distinct outcome.  The entry keeps
         # the outcome alive, so its id stays unique for the hop.
@@ -350,8 +387,6 @@ class RouteProbeStage:
                 room = max_fanout - len(next_partials)
                 stop = min(n, start + -(-room // size))
                 chunk, probing = rows[start:stop], partials[start:stop]
-            # (``probe_batch`` is looked up per call: a tracer may shadow it
-            # on the state instance.)
             outcomes = stem.probe_batch(ap, chunk)
             for partial, outcome in zip(probing, outcomes):
                 matches = outcome.matches

@@ -18,19 +18,26 @@ states are probed.  Three policies:
 - :class:`FixedRouter` — a static route (classic fixed query plan), used by
   tests and ablations.
 
-Routes are full permutations chosen up front per tuple; the probe *pattern*
-at each hop still depends on which streams are already joined, so even a
-fixed route exercises several access patterns per state.
+A route names every other state once.  A fixed route and an exploring
+draw are whole tuples chosen up front; a greedy route is a
+:class:`GreedyRoute`, which picks each next target only when the engine
+asks for it, so a request whose partials die at its first hop pays for one
+choice, not one per hop.  The probe *pattern* at each hop still depends on which
+streams are already joined, so even a fixed route exercises several access
+patterns per state.
 
 The two estimator-driven policies walk a :class:`RouteDag`: what a hop
 probes depends only on the query, so it is derived once per joined set and
-a route reads nothing per hop but the estimates.
+a route reads nothing per hop but the estimates.  A later hop reads
+estimates only for targets not yet joined, and a request folds its probes
+only into the estimates of targets it has joined, so a route chosen hop by
+hop is the route chosen up front.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -108,6 +115,66 @@ class RouteDag:
         return node
 
 
+class GreedyRoute:
+    """A greedy route, chosen hop by hop as it is iterated.
+
+    Each step walks one node of a :class:`RouteDag`: the next target is the
+    hop whose ``score(key, initial)`` is lowest (the first in declared order
+    on a tie), and once only cross-product hops remain they follow in
+    declared order.  ``score`` has the signature of ``dict.get``: the greedy
+    policy passes the estimates' own ``get``, the content policy its
+    per-value lookup.  Nothing is read before the first target is asked for,
+    and a hop the caller never asks for is never scored.  ``len`` is the
+    full route length, every other stream of the query.
+    """
+
+    __slots__ = ("root", "length", "score", "initial")
+
+    def __init__(
+        self,
+        root: RouteNode,
+        length: int,
+        score: Callable[[tuple[str, int], float], float],
+        initial: float,
+    ) -> None:
+        self.root = root
+        self.length = length
+        self.score = score
+        self.initial = initial
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[str]:
+        node = self.root
+        score = self.score
+        initial = self.initial
+        while True:
+            hops = node.hops or node.expand()
+            if not hops:
+                return
+            best: str | None = None
+            best_score = float("inf")
+            for target, key, child in hops:
+                if key is None:
+                    continue
+                value = score(key, initial)
+                if value < best_score:
+                    best, best_score, next_node = target, value, child
+            if best is None:
+                # Only cross-product hops remain; keep declared order.
+                for hop in hops:
+                    yield hop[0]
+                return
+            yield best
+            node = next_node
+
+
+#: What :meth:`Router.choose_route` returns: the target states in probe
+#: order, and ``len`` the number of them.
+Route = tuple[str, ...] | GreedyRoute
+
+
 class Router(abc.ABC):
     """Chooses probe orders for arriving tuples.
 
@@ -122,8 +189,11 @@ class Router(abc.ABC):
         source: str,
         estimator: SelectivityEstimator,
         item: Mapping[str, object] | None = None,
-    ) -> tuple[str, ...]:
-        """The ordered target states for a tuple arriving on ``source``."""
+    ) -> Route:
+        """The ordered target states for a tuple arriving on ``source``:
+        a tuple, or a :class:`GreedyRoute` that chooses them as the caller
+        iterates it.  Any random draw is made here, before the first
+        target."""
 
 
 class FixedRouter(Router):
@@ -171,35 +241,16 @@ class GreedyAdaptiveRouter(Router):
         source: str,
         estimator: SelectivityEstimator,
         item: Mapping[str, object] | None = None,
-    ) -> tuple[str, ...]:
+    ) -> Route:
         targets = self._dag.targets[source]
         if len(targets) <= 1:
             return targets
         if self.explore_prob > 0 and self._rng.random() < self.explore_prob:
             order = self._rng.permutation(len(targets))
             return tuple(targets[i] for i in order)
-        estimates = estimator.estimates
-        initial = estimator.initial
-        node = self._dag.roots[source]
-        route: list[str] = []
-        while True:
-            hops = node.hops or node.expand()
-            if not hops:
-                return tuple(route)
-            best: str | None = None
-            best_score = float("inf")
-            for target, key, child in hops:
-                if key is None:
-                    continue
-                score = estimates.get(key, initial)
-                if score < best_score:
-                    best, best_score, next_node = target, score, child
-            if best is None:
-                # Only cross-product hops remain; keep declared order.
-                route.extend([hop[0] for hop in hops])
-                return tuple(route)
-            route.append(best)
-            node = next_node
+        return GreedyRoute(
+            self._dag.roots[source], len(targets), estimator.estimates.get, estimator.initial
+        )
 
 
 class ContentBasedRouter(Router):
@@ -257,7 +308,7 @@ class ContentBasedRouter(Router):
         source: str,
         estimator: SelectivityEstimator,
         item: Mapping[str, object] | None = None,
-    ) -> tuple[str, ...]:
+    ) -> Route:
         targets = self._dag.targets[source]
         if len(targets) <= 1:
             return targets
@@ -265,25 +316,12 @@ class ContentBasedRouter(Router):
             order = self._rng.permutation(len(targets))
             return tuple(targets[i] for i in order)
         estimates = estimator.estimates
-        initial = estimator.initial
         content = self._content
-        node = self._dag.roots[source]
-        route: list[str] = []
-        while True:
-            hops = node.hops or node.expand()
-            if not hops:
-                return tuple(route)
-            best: str | None = None
-            best_score = float("inf")
-            for target, key, child in hops:
-                if key is None:
-                    continue
-                bucket = self.bucket_for(item, source, target)
-                score = content.get((target, key[1], bucket), estimates.get(key, initial))
-                if score < best_score:
-                    best, best_score, next_node = target, score, child
-            if best is None:
-                route.extend([hop[0] for hop in hops])
-                return tuple(route)
-            route.append(best)
-            node = next_node
+        bucket_for = self.bucket_for
+
+        def score(key: tuple[str, int], initial: float) -> float:
+            target, mask = key
+            bucket = bucket_for(item, source, target)
+            return content.get((target, mask, bucket), estimates.get(key, initial))
+
+        return GreedyRoute(self._dag.roots[source], len(targets), score, estimator.initial)

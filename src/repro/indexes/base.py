@@ -174,6 +174,15 @@ def _check_row(attributes: tuple[str, ...], row: tuple) -> None:
             raise UnkeyableValueError(name, type(value))
 
 
+def _short_row(row: tuple, ap: AccessPattern) -> KeyError:
+    """The refusal of a probe row whose length is not ``ap``'s attribute
+    count."""
+    return KeyError(
+        f"probe row {row!r} does not supply the {ap.n_attributes} "
+        f"attribute value(s) required by {ap!r}"
+    )
+
+
 def _row_reader(names: tuple[str, ...]) -> Callable[[Mapping[str, object]], tuple]:
     """``item -> row``: the item's values of ``names``, in order, each read
     once.  A missing attribute raises the item's ``KeyError(name)``, and a
@@ -388,16 +397,30 @@ class StateIndex(abc.ABC):
         """
         self._check_jas(ap)
         n_attributes = ap.n_attributes
+        plain = _SELF_EQUAL_TYPES
+        if len(rows) == 1:
+            # One row (most columns): the same checks in the same order and
+            # the same three writes, with no dedup.
+            row = rows[0]
+            if len(row) != n_attributes:
+                raise _short_row(row, ap)
+            hashes, probe_row = self._prober(ap)
+            for value in row:
+                if type(value) not in plain:
+                    _check_row(compile_matcher(ap).attributes, row)
+                    break
+            outcome = probe_row(row)
+            acct = self.accountant
+            acct.hashes += hashes
+            acct.buckets_visited += outcome.buckets_visited
+            acct.tuples_examined += outcome.tuples_examined
+            return [outcome]
         for row in rows:
             if len(row) != n_attributes:
-                raise KeyError(
-                    f"probe row {row!r} does not supply the {n_attributes} "
-                    f"attribute value(s) required by {ap!r}"
-                )
+                raise _short_row(row, ap)
         if not rows:
             return []
         hashes, probe_row = self._prober(ap)
-        plain = _SELF_EQUAL_TYPES
         seen: dict[tuple, SearchOutcome] = {}
         outcomes: list[SearchOutcome] = []
         visited = examined = 0

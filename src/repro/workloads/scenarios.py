@@ -283,6 +283,11 @@ class PaperScenario:
             config = (initial_configs or {}).get(stream)
             if config is None:
                 config = uniform_configuration(jas, p.bit_budget)
+            elif config.jas is not jas:
+                # A trained IC ranges over the training scenario's equal
+                # JAS: rebuilt over this query's, every probe pattern
+                # passes the index's JAS check by identity.
+                config = IndexConfiguration(jas, config.bits)
             start = StateStart(config, (initial_hash_patterns or {}).get(stream))
             index, tuner = build(self, stream, jas, arg, start)
             stems[stream] = StateStore(

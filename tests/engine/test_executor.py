@@ -168,6 +168,39 @@ class TestAccounting:
         stats = ex.run(3, arrivals_from(plan))
         assert stats.outputs == 2  # capped
 
+    def test_a_one_row_hop_past_the_cap_keeps_max_fanout_partials(self):
+        """A one-row hop cuts where the chunked path cuts: after the count,
+        so the run stats and the estimate see every match, and the request
+        keeps exactly ``max_fanout`` partials."""
+        from repro.engine.kernel import RouteProbeStage
+        from repro.engine.stats import SelectivityEstimator
+
+        ex = make_executor(config=ExecutorConfig(max_fanout=2))
+        stage = next(s for s in ex.kernel.stages if isinstance(s, RouteProbeStage))
+        hops = []
+        probe_hop = stage._probe_hop
+
+        def spy(ctx, item, target, joined, partials, observe_content):
+            extended = probe_hop(ctx, item, target, joined, partials, observe_content)
+            hops.append((len(partials), len(extended)))
+            return extended
+
+        stage._probe_hop = spy
+        plan = {
+            0: [("A", {"k": 1, "pa": i}) for i in range(5)],
+            1: [("B", {"k": 1, "pb": 0})],
+        }
+        stats = ex.run(3, arrivals_from(plan))
+        assert hops == [(1, 0)] * 5 + [(1, 2)]
+        assert (stats.outputs, stats.probes, stats.matches) == (2, 6, 5)
+        estimator = ex.context.estimator
+        ap, _ = ex.context.query.probe_spec({"B"}, "A")
+        reference = SelectivityEstimator(alpha=estimator.alpha, initial=estimator.initial)
+        reference.observe_many("A", ap.mask, [5])
+        assert estimator.expected_matches("A", ap.mask) == reference.expected_matches(
+            "A", ap.mask
+        )
+
     def test_rejects_missing_stem(self):
         q = two_stream_query()
         jas = q.jas_for("A")

@@ -502,9 +502,9 @@ class CarryCheckingStage(RouteProbeStage):
     def __init__(self):
         self.checked = 0
 
-    def _process(self, ctx, item, tick, carried):
+    def _process(self, ctx, item, tick, carried, observe_content):
         self._carried = carried
-        super()._process(ctx, item, tick, carried)
+        super()._process(ctx, item, tick, carried, observe_content)
 
     def _probe_hop(self, ctx, item, target, joined, partials, observe_content):
         carried = self._carried.get(target)

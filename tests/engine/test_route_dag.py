@@ -8,6 +8,12 @@ clique join graphs of 3-5 streams (and one with two components, whose
 cross-product hops are deferred to the end), with estimates that tie,
 miss keys or sit at the default, with and without exploration, the
 routes are equal and so is the RNG state afterwards.
+
+A greedy route is chosen hop by hop (:class:`~repro.engine.router.GreedyRoute`),
+so it is consumed here as the engine consumes it: between two hops the
+joined target's estimates move, and the route still equals the loop's,
+chosen up front.  A request whose first hop matches nothing reads no later
+hop's estimate and expands no later node of the DAG.
 """
 
 from __future__ import annotations
@@ -149,7 +155,22 @@ def routing_cases(draw):
     items = [
         {attr: draw(values) for attr in query.schema(source).attributes} for source in arrivals
     ]
-    return query, estimates, content, explore, initial, list(zip(arrivals, items))
+    # What each hop folds into its target's estimates, per arrival.
+    folds = [draw(ESTIMATES) for _ in arrivals]
+    return query, estimates, content, explore, initial, list(zip(arrivals, items, folds))
+
+
+def fold_hop(router, twin, estimator, target, value):
+    """What the engine does after a hop into ``target``: fold the probes
+    into its estimates (here every pattern and bucket of it, to be
+    thorough), on the shared estimator and in both content tables."""
+    query = router.query
+    for mask in range(1, query.jas_for(target).full_mask + 1):
+        estimator.observe(target, mask, value)
+        if isinstance(router, ContentBasedRouter):
+            for r in (router, twin):
+                for bucket in range(4):
+                    r.observe_content(target, mask, bucket, value)
 
 
 @pytest.mark.parametrize("kind", list(ROUTERS))
@@ -166,8 +187,61 @@ def test_routes_and_rng_equal_the_per_hop_loop(kind, case, seed):
         for r in (router, twin):
             for (target, mask), bucket, value in content:
                 r.observe_content(target, mask, bucket, value)
-    for source, item in arrivals:
-        assert router.choose_route(source, estimator, item) == reference(
-            twin, source, estimator, item
-        )
+    for source, item, fold in arrivals:
+        expected = reference(twin, source, estimator, item)
+        route = router.choose_route(source, estimator, item)
+        assert len(route) == len(expected)
+        got = []
+        for target in route:
+            got.append(target)
+            fold_hop(router, twin, estimator, target, fold)
+        assert tuple(got) == expected
     assert router._rng.bit_generator.state == twin._rng.bit_generator.state
+
+
+class ReadSpy(dict):
+    """An estimates mapping that records every key it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = []
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("kind", list(ROUTERS))
+@pytest.mark.parametrize("first_hop_matches", [False, True])
+def test_a_request_reads_only_the_hops_it_reaches(kind, first_hop_matches):
+    from repro.engine.executor import AMRExecutor
+    from repro.engine.tuples import StreamTuple
+    from tests.engine.test_kernel import arrivals_from, make_parts
+
+    query = make_query("clique", 4)
+    _query, stems, _router, meter = make_parts(query)
+    router = ROUTERS[kind][0](query, 0.0, 0)
+    rates = dict.fromkeys(query.stream_names, 1.0)
+    ex = AMRExecutor(query, stems, router, meter, arrival_rates=rates)
+    spy = ex.context.estimator._estimates = ReadSpy()
+
+    def values(stream):
+        return {attr: 1 for attr in query.schema(stream).attributes}
+
+    # One request, from S0: with the other three states holding a tuple
+    # that joins it every hop matches, and with them empty the first hop
+    # matches none.
+    if first_hop_matches:
+        for s in ("S1", "S2", "S3"):
+            stems[s].insert(StreamTuple(s, 0, values(s)), 0)
+    ex.run(2, arrivals_from({1: [("S0", values("S0"))]}))
+    root_keys = {key for _target, key, _child in router._dag.roots["S0"].hops}
+    expanded = {node.joined for node in router._dag._nodes.values() if node.hops is not None}
+    if first_hop_matches:
+        assert ex.stats.outputs == 1
+        assert len(expanded) == 4  # {S0} and the node after each hop
+        assert not set(spy.read) <= root_keys
+    else:
+        assert ex.stats.probes == 1 and ex.stats.matches == 0
+        assert expanded == {frozenset({"S0"})}
+        assert set(spy.read) <= root_keys

@@ -39,8 +39,8 @@ class TestContentBasedRouter:
         for _ in range(50):
             r.observe_content("B", ap_b.mask, 0, 100)
             r.observe_content("B", ap_b.mask, 1, 0)
-        route_hot = r.choose_route("A", est, {"AB": v_hot, "AC": 0, "AD": 0})
-        route_cold = r.choose_route("A", est, {"AB": v_cold, "AC": 0, "AD": 0})
+        route_hot = tuple(r.choose_route("A", est, {"AB": v_hot, "AC": 0, "AD": 0}))
+        route_cold = tuple(r.choose_route("A", est, {"AB": v_cold, "AC": 0, "AD": 0}))
         assert route_cold[0] == "B"  # cheap for this value
         assert route_hot[0] != "B"  # routed around the hot value
 

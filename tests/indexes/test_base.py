@@ -163,6 +163,20 @@ class TestStateIndexHelpers:
         assert d.probed == [(1,)]
         assert d.accountant == Accountant(hashes=3, buckets_visited=2)
 
+    def test_an_equal_jas_passes_and_a_foreign_one_is_refused(self):
+        """``_check_jas`` compares JAS objects by value: an equal one passes,
+        and a foreign one is refused before any charge."""
+        d = Dummy(self.JAS)
+        twin = JoinAttributeSet(["A", "B"])  # equal, another object
+        foreign = AccessPattern.from_attributes(JoinAttributeSet(["X", "B"]), ["B"])
+        d.search_batch(AccessPattern.from_attributes(twin, ["A"]), [(1,)])
+        with pytest.raises(ValueError, match="different JAS"):
+            d.search_batch(foreign, [(1,)])
+        with pytest.raises(ValueError, match="different JAS"):
+            d.search(foreign, {"B": 1})
+        assert d.probed == [(1,)]
+        assert d.accountant == Accountant(hashes=3, buckets_visited=2)
+
     def test_search_reads_values_into_a_row_in_pattern_order(self):
         item = {"A": 1, "B": 9}
         d = Dummy(self.JAS, [item, {"A": 2, "B": 9}])
@@ -268,6 +282,54 @@ class TestIndexClasses:
         index.remove(item)
         assert index.size == 0 and index.memory_bytes == 0
         assert not index.search(ap3("A"), {"A": 1}).matches
+
+    @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda cls: cls.__name__)
+    def test_a_one_row_column_answers_as_a_longer_one(self, cls, jas3):
+        """A one-row column has its own branch.  Its outcome, and the charge
+        it makes, are those of the same row in a column that takes the
+        general path (the row twice: shared, and charged per row), and it
+        refuses what that column refuses, before any charge."""
+        items = [{"A": a, "B": b, "C": a * b} for a in range(3) for b in range(3)]
+        one, general = build_index(cls, jas3), build_index(cls, jas3)
+        for item in items:
+            one.insert(item)
+            general.insert(item)
+
+        def counters(index):
+            acct = index.accountant
+            return acct.hashes, acct.buckets_visited, acct.tuples_examined
+
+        def answer(outcome):
+            return (
+                [id(m) for m in outcome.matches],
+                outcome.buckets_visited,
+                outcome.tuples_examined,
+                outcome.used_full_scan,
+            )
+
+        probes = [{"A": 1, "B": 2, "C": 2}, {"A": 2, "B": 0, "C": 7}, {"A": 5, "B": 5, "C": 5}]
+        for mask in range(jas3.full_mask + 1):
+            ap = AccessPattern.from_mask(jas3, mask)
+            for values in probes:
+                row = tuple(values[a] for a in ap.attributes)
+                before_one, before_general = counters(one), counters(general)
+                [got] = one.search_batch(ap, [row])
+                first, again = general.search_batch(ap, [row, row])
+                assert again is first and answer(got) == answer(first)
+                one_delta = [n - b for n, b in zip(counters(one), before_one)]
+                general_delta = [n - b for n, b in zip(counters(general), before_general)]
+                assert [2 * d for d in one_delta] == general_delta
+
+        ap = AccessPattern.from_attributes(jas3, ["A", "B"])
+        charged = one.accountant.snapshot()
+        with pytest.raises(KeyError, match="does not supply the 2"):
+            one.search_batch(ap, [(1,)])
+        for bad in (float("nan"), [1], Decimal(1)):
+            for index, rows in ((one, [(1, bad)]), (general, [(1, bad), (1, bad)])):
+                with pytest.raises(UnkeyableValueError) as refused:
+                    index.search_batch(ap, rows)
+                assert (refused.value.attribute, refused.value.value_type) == ("B", type(bad))
+        assert one.accountant == charged
 
     @pytest.mark.parametrize("position", ["A", "B", "C"])
     @pytest.mark.parametrize("cls", INDEX_CLASSES, ids=lambda cls: cls.__name__)

@@ -72,6 +72,19 @@ class TestStemFactories:
         stems = scenario.build_stems("amri:sria", initial_configs={"A": custom})
         assert stems["A"].index.config == custom
 
+    def test_a_trained_config_is_rebuilt_over_the_query_jas(self, scenario):
+        """A trained IC ranges over the training scenario's JAS, an equal
+        object; the state's index ranges over the query's own."""
+        from repro.core.access_pattern import JoinAttributeSet
+        from repro.core.index_config import IndexConfiguration
+
+        jas = scenario.query.jas_for("A")
+        trained = IndexConfiguration(JoinAttributeSet(jas.names), [1, 2, 3])
+        for scheme in ("amri:sria", "static"):
+            stems = scenario.build_stems(scheme, initial_configs={"A": trained})
+            assert stems["A"].index.config == trained
+            assert stems["A"].index.jas is jas
+
     def test_default_is_stop_the_world(self, scenario):
         # The tuner reconfigures the store's one index in place.
         stems = scenario.build_stems("amri:sria")

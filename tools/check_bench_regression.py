@@ -134,8 +134,9 @@ def write_metrics_jsonl(
     new_means: dict[str, float],
 ) -> None:
     """Export the comparison as metrics JSONL: one ``series`` record per
-    benchmark and quantity, then the ``aggregate`` record a metrics file
-    ends with (``repro.engine.metrics_export``'s record shapes)."""
+    benchmark and quantity (``repro.engine.metrics_export``'s record
+    shape).  No ``aggregate`` record: a comparison has no cost total and
+    no spans to count."""
     from repro.engine.metrics_export import write_jsonl
 
     def series(name: str, kind: str, bench: str, value: float) -> dict[str, object]:
@@ -157,15 +158,6 @@ def write_metrics_jsonl(
     records += [
         series("bench_mean_seconds", "gauge", n, mean) for n, mean in sorted(new_means.items())
     ]
-    records.append(
-        {
-            "record": "aggregate",
-            "cost_total": 0.0,
-            "series": len(records),
-            "spans_retained": 0,
-            "spans_dropped": 0,
-        }
-    )
     write_jsonl(path, records)
 
 
