@@ -76,7 +76,9 @@ class ExecutorConfig:
     """Knobs of one engine run."""
 
     assess_interval: int = 50  # ticks between tuning rounds
-    max_fanout: int = 50_000  # cap on partials per hop (guard rail)
+    # Guard rail: a hop whose matches would extend its request to more
+    # partials than this ends the request (a ``fanout_cut`` event).
+    max_fanout: int = 50_000
 
     def __post_init__(self) -> None:
         check_positive("assess_interval", self.assess_interval)

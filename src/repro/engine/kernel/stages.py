@@ -248,9 +248,9 @@ class RouteProbeStage:
     statistics and the selectivity estimate once.  The engine reads the
     accountants, the assessor and the estimator only between requests, so
     every modeled quantity is what one probe at a time would give.  A hop
-    that could reach ``max_fanout`` runs as a few columns, each too short
-    to reach the cap before its last row, and stops inside the row that
-    does — where a row-at-a-time hop stops.
+    whose matches sum past ``max_fanout`` ends its request with no partials
+    and one ``fanout_cut`` event, so whether a request survives depends on
+    its counts alone, never on match order.
     """
 
     name = "route_probe"
@@ -288,7 +288,9 @@ class RouteProbeStage:
         for target in route:
             if target not in carried:
                 carried[target] = ctx.stem_cost(ctx.stems[target])
-            partials = self._probe_hop(ctx, item, target, joined, partials, observe_content)
+            partials = self._probe_hop(
+                ctx, item, tick, target, joined, partials, observe_content
+            )
             joined += (target,)
             if not partials:
                 break
@@ -311,18 +313,21 @@ class RouteProbeStage:
         self,
         ctx: EngineContext,
         item: StreamTuple,
+        tick: int,
         target: str,
         joined: tuple[str, ...],
         partials: list[tuple[StreamTuple, ...]],
         observe_content,
     ) -> list[tuple[StreamTuple, ...]]:
-        """Probe ``target`` with every partial; returns the extended partials."""
+        """Probe ``target`` with every partial; returns the extended
+        partials, or none when they would number more than ``max_fanout``."""
         # One value row per partial, aligned with ``ap.attributes``: each
         # value is read from the source tuple its predicate names.
         ap, build_rows = ctx.query.hop_plan(joined, target)
         stem = ctx.stems[target]
         rows = build_rows(partials)
         max_fanout = ctx.config.max_fanout
+        stats = ctx.stats
         if observe_content is not None:
             bucket = ctx.router.bucket_for(item, item.stream, target)
         # Timestamp ordering: the arriving tuple joins only with tuples
@@ -333,11 +338,10 @@ class RouteProbeStage:
         # exactly when ``target`` sorts before the anchor's stream.
         anchor_at = item.arrived_at
         same_tick_passes = target < item.stream
+        # (``probe_batch`` is looked up per call: a tracer may shadow it on
+        # the state instance.)
         if len(rows) == 1:
-            # One row (most columns): one probe, one filter, one fold, cut
-            # at the cap after the count (as the chunked path cuts).
-            # (``probe_batch`` is looked up per call: a tracer may shadow it
-            # on the state instance.)
+            # One row (most columns): one probe, one filter, one fold.
             (outcome,) = stem.probe_batch(ap, rows)
             matches = outcome.matches
             if not matches:
@@ -353,67 +357,54 @@ class RouteProbeStage:
                         partial + (match,) for match in matches if match.arrived_at < anchor_at
                     ]
             n_matches = len(next_partials)
-            stats = ctx.stats
             stats.probes += 1
             stats.matches += n_matches
             ctx.estimator.observe(target, ap.mask, n_matches)
             if observe_content is not None:
                 observe_content(target, ap.mask, bucket, n_matches)
             if n_matches > max_fanout:
-                del next_partials[max_fanout:]
+                self._fanout_cut(ctx, tick, target, n_matches)
+                return []
             return next_partials
-        size = stem.size
         # Equal rows share one outcome, and the ordering filter depends only
-        # on the anchor: filter once per distinct outcome.  The entry keeps
-        # the outcome alive, so its id stays unique for the hop.
-        ordered: dict[int, tuple[object, list]] = {}
-        counts: list[int] = []
-        next_partials: list[tuple[StreamTuple, ...]] = []
-        # A loop, not a comprehension (a call in CPython 3.11): most rows
-        # match once or twice.
-        append = next_partials.append
-        # A probe matches at most ``size`` tuples, so below this bound the
-        # hop cannot reach the max_fanout cap: one column, uncopied.
-        n = len(rows)
-        capped = n * size >= max_fanout
-        start, stop = 0, n
-        while True:
-            chunk, probing = rows, partials
-            if capped:
-                # In a chunk of ceil(room / size) rows only the last can
-                # reach the cap: cutting the partials there is the
-                # truncation a row-at-a-time hop makes, and no row past it
-                # is probed.
-                room = max_fanout - len(next_partials)
-                stop = min(n, start + -(-room // size))
-                chunk, probing = rows[start:stop], partials[start:stop]
-            outcomes = stem.probe_batch(ap, chunk)
-            for partial, outcome in zip(probing, outcomes):
-                matches = outcome.matches
-                if matches:
-                    hit = ordered.get(id(outcome))
-                    if hit is None:
-                        if same_tick_passes:
-                            matches = [m2 for m2 in matches if m2.arrived_at <= anchor_at]
-                        else:
-                            matches = [m2 for m2 in matches if m2.arrived_at < anchor_at]
-                        ordered[id(outcome)] = (outcome, matches)
+        # on the anchor: filter once per distinct outcome.  ``outcomes``
+        # keeps every outcome alive, so its id stays unique for the hop.
+        outcomes = stem.probe_batch(ap, rows)
+        ordered: dict[int, list] = {}
+        kept: list = []
+        for outcome in outcomes:
+            matches = outcome.matches
+            if matches:
+                key = id(outcome)
+                hit = ordered.get(key)
+                if hit is None:
+                    if same_tick_passes:
+                        hit = [m2 for m2 in matches if m2.arrived_at <= anchor_at]
                     else:
-                        matches = hit[1]
-                counts.append(len(matches))
-                if observe_content is not None:
-                    observe_content(target, ap.mask, bucket, len(matches))
-                for match in matches:
-                    append(partial + (match,))
-            if stop == n or len(next_partials) >= max_fanout:
-                break
-            start = stop
-        if capped:
-            del next_partials[max_fanout:]
-        ctx.stats.probes += len(counts)
-        ctx.stats.matches += sum(counts)
+                        hit = [m2 for m2 in matches if m2.arrived_at < anchor_at]
+                    ordered[key] = hit
+                matches = hit
+            kept.append(matches)
+        counts = list(map(len, kept))
+        total = sum(counts)
+        stats.probes += len(counts)
+        stats.matches += total
         ctx.estimator.observe_many(target, ap.mask, counts)
-        return next_partials
+        if observe_content is not None:
+            for count in counts:
+                observe_content(target, ap.mask, bucket, count)
+        if total > max_fanout:
+            self._fanout_cut(ctx, tick, target, total)
+            return []
+        return [partial + (match,) for partial, matches in zip(partials, kept) for match in matches]
+
+    @staticmethod
+    def _fanout_cut(ctx: EngineContext, tick: int, target: str, total: int) -> None:
+        """Record a hop whose ``total`` partials would pass the cap."""
+        if ctx.event_log is not None:
+            ctx.event_log.record(
+                tick, "fanout_cut", target, partials=total, cap=ctx.config.max_fanout
+            )
 
 
 class TuningStage:

@@ -2,9 +2,9 @@
 
 An :class:`EventLog` attached to an executor records the discrete events a
 run produces — tuning rounds, index migrations, graceful degradation,
-backlog shedding, memory death, injected faults — with their tick and context,
-so experiments can answer "when and why did this scheme fall behind"
-without re-running.  Events are plain frozen records; the log is
+backlog shedding, memory death, fanout cuts, injected faults — with their
+tick and context, so experiments can answer "when and why did this scheme
+fall behind" without re-running.  Events are plain frozen records; the log is
 append-only and cheap (no-op when absent).
 
 Event kinds are one closed tuple, :data:`EVENT_KINDS`.  Creating an
@@ -26,6 +26,7 @@ EVENT_KINDS = (
     "fault",  # recorded only by the test suite's fault harness
     "degrade",
     "shed",
+    "fanout_cut",  # a hop past ExecutorConfig.max_fanout ended its request
 )
 
 

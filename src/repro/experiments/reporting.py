@@ -14,7 +14,7 @@ from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent
 
 #: Event kinds that appear on a robustness timeline, in display order.
-TIMELINE_KINDS = ("shed", "degrade", "death")
+TIMELINE_KINDS = ("shed", "degrade", "death", "fanout_cut")
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -91,12 +91,12 @@ def format_event_timeline(
     *,
     max_lines: int = 20,
 ) -> str:
-    """The robustness 'figure': per-scheme shed/degrade/death timeline.
+    """The robustness 'figure': per-scheme shed/degrade/death/cut timeline.
 
     One count row per scheme, followed by each scheme's first
     ``max_lines`` timeline events as one-liners (backlog shed, indexes
-    degraded to scan, death) so a report shows *when* a
-    scheme started to fall apart, not just whether it did.
+    degraded to scan, death, requests cut at the fanout cap) so a report
+    shows *when* a scheme started to fall apart, not just whether it did.
     """
     rows = []
     for name, events in events_by_scheme.items():

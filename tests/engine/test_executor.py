@@ -10,6 +10,7 @@ from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import FixedRouter
 from repro.engine.stream import StreamSchema
+from repro.engine.tracing import EventLog
 from repro.engine.tuples import StreamTuple
 from repro.indexes.scan_index import ScanIndex
 from repro.storage import StateStore
@@ -20,7 +21,9 @@ def two_stream_query(window=5):
     return Query(streams, [JoinPredicate("A", "k", "B", "k")], window=window)
 
 
-def make_executor(query=None, *, capacity=1e9, memory_budget=1 << 30, index_bits=4, config=None):
+def make_executor(
+    query=None, *, capacity=1e9, memory_budget=1 << 30, index_bits=4, config=None, event_log=None
+):
     query = query if query is not None else two_stream_query()
     stems = {}
     for s in query.stream_names:
@@ -41,6 +44,7 @@ def make_executor(query=None, *, capacity=1e9, memory_budget=1 << 30, index_bits
         meter,
         arrival_rates={s: 1.0 for s in query.stream_names},
         config=config,
+        event_log=event_log,
     )
 
 
@@ -158,20 +162,24 @@ class TestAccounting:
         )
         assert total_recorded == 2
 
-    def test_max_fanout_caps_partials(self):
+    def test_max_fanout_ends_a_request_past_the_cap(self):
         cfg = ExecutorConfig(max_fanout=2)
-        ex = make_executor(config=cfg)
+        log = EventLog()
+        ex = make_executor(config=cfg, event_log=log)
         plan = {
             0: [("A", {"k": 1, "pa": i}) for i in range(5)],
             1: [("B", {"k": 1, "pb": 0})],
         }
         stats = ex.run(3, arrivals_from(plan))
-        assert stats.outputs == 2  # capped
+        assert stats.outputs == 0  # 5 partials > 2: none survive
+        assert [(e.tick, e.kind, e.stream, dict(e.detail)) for e in log] == [
+            (1, "fanout_cut", "A", {"partials": 5, "cap": 2})
+        ]
 
-    def test_a_one_row_hop_past_the_cap_keeps_max_fanout_partials(self):
-        """A one-row hop cuts where the chunked path cuts: after the count,
-        so the run stats and the estimate see every match, and the request
-        keeps exactly ``max_fanout`` partials."""
+    def test_a_one_row_hop_past_the_cap_counts_every_match_and_keeps_none(self):
+        """A one-row hop cuts as a column does: after the count, so the run
+        stats and the estimate see every match, and the request keeps no
+        partials."""
         from repro.engine.kernel import RouteProbeStage
         from repro.engine.stats import SelectivityEstimator
 
@@ -180,8 +188,8 @@ class TestAccounting:
         hops = []
         probe_hop = stage._probe_hop
 
-        def spy(ctx, item, target, joined, partials, observe_content):
-            extended = probe_hop(ctx, item, target, joined, partials, observe_content)
+        def spy(ctx, item, tick, target, joined, partials, observe_content):
+            extended = probe_hop(ctx, item, tick, target, joined, partials, observe_content)
             hops.append((len(partials), len(extended)))
             return extended
 
@@ -191,8 +199,8 @@ class TestAccounting:
             1: [("B", {"k": 1, "pb": 0})],
         }
         stats = ex.run(3, arrivals_from(plan))
-        assert hops == [(1, 0)] * 5 + [(1, 2)]
-        assert (stats.outputs, stats.probes, stats.matches) == (2, 6, 5)
+        assert hops == [(1, 0)] * 6
+        assert (stats.outputs, stats.probes, stats.matches) == (0, 6, 5)
         estimator = ex.context.estimator
         ap, _ = ex.context.query.probe_spec({"B"}, "A")
         reference = SelectivityEstimator(alpha=estimator.alpha, initial=estimator.initial)

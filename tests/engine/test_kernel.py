@@ -1,5 +1,6 @@
 """Tests for the staged engine kernel (context, stages, drain order, facade)."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -16,15 +17,15 @@ from repro.engine.kernel import (
     ExpiryStage,
     RouteProbeStage,
     TickState,
-    default_stages,
 )
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.resources import ResourceMeter
 from repro.engine.router import FixedRouter
 from repro.engine.stream import StreamSchema
+from repro.engine.tracing import EventLog
 from repro.engine.tuples import StreamTuple
-from repro.indexes.base import CostParams
+from repro.indexes.base import CostParams, StateIndex
 from repro.storage import StateStore
 
 ENGINE_DIR = Path(__file__).resolve().parents[2] / "src" / "repro" / "engine"
@@ -223,42 +224,12 @@ class TestBareKernel:
         assert checker.ticks_checked == 4
 
 
-class RowAtATimeStage(RouteProbeStage):
-    """The capped hop as the engine ran it before it probed in chunks — the
-    reference: one probe per partial, stopping inside the matches of the
-    row that reaches ``max_fanout``."""
-
-    def _probe_hop(self, ctx, item, target, joined, partials, observe_content):
-        ap, sources = ctx.query.probe_row_spec(joined, target)
-        stem = ctx.stems[target]
-        max_fanout = ctx.config.max_fanout
-        counts, next_partials = [], []
-        for partial in partials:
-            row = tuple(partial[joined.index(stream)][attr] for stream, attr in sources)
-            matches = [
-                m
-                for m in stem.probe_batch(ap, [row])[0].matches
-                if (m.arrived_at, m.stream) < (item.arrived_at, item.stream)
-            ]
-            counts.append(len(matches))
-            for match in matches:
-                next_partials.append(partial + (match,))
-                if len(next_partials) >= max_fanout:
-                    break
-            if len(next_partials) >= max_fanout:
-                break
-        ctx.stats.probes += len(counts)
-        ctx.stats.matches += sum(counts)
-        ctx.estimator.observe_many(target, ap.mask, counts)
-        return next_partials
-
-
 class TestProbeColumn:
-    """A route hop runs as one probe column unless the fanout cap could
-    bite; then it runs in chunks only whose last row can reach the cap."""
+    """A route hop runs as one probe column; a hop whose matches would pass
+    ``max_fanout`` partials ends its request, after every row is counted."""
 
     @staticmethod
-    def run_clique(max_fanout, *, n_b=3, c_keys=(1, 1, 1, 1), reference=False):
+    def run_clique(max_fanout, *, n_b=3, c_keys=(1, 1, 1, 1)):
         """Three streams joined on ``k``: ``n_b`` B tuples (``k=1``) and one
         C tuple per entry of ``c_keys`` at tick 0, one A tuple (``k=1``) at
         tick 1 routed A -> B -> C.  Returns the run's observables and the
@@ -267,12 +238,6 @@ class TestProbeColumn:
         preds = [JoinPredicate(a, "k", b, "k") for a, b in ("AB", "BC", "AC")]
         query, stems, router, meter = make_parts(Query(streams, preds, window=5))
         sink = []
-        stages = None
-        if reference:
-            stages = [
-                RowAtATimeStage() if isinstance(stage, RouteProbeStage) else stage
-                for stage in default_stages()
-            ]
         ex = AMRExecutor(
             query,
             stems,
@@ -281,7 +246,8 @@ class TestProbeColumn:
             arrival_rates={s: 1.0 for s in query.stream_names},
             config=ExecutorConfig(max_fanout=max_fanout),
             output_sink=sink.extend,
-            stages=stages,
+            event_log=EventLog(),
+            metrics=MetricsRegistry(),
         )
         calls = []
         for name in ("probe", "probe_batch"):
@@ -300,56 +266,45 @@ class TestProbeColumn:
         pairs = [(j.sources[1]["pb"], j.sources[2]["pc"]) for j in sink]
         return ex, stats, pairs, calls
 
-    def test_capped_hop_stops_in_the_row_that_reaches_the_cap(self):
-        # Second hop: 3 partials x 4 stored tuples >= max_fanout 5.  A chunk
-        # of ceil(5 / 4) = 2 rows cannot reach the cap before its last row;
-        # the hop stops inside the second probe's matches and the third
-        # partial never probes — the numbers below are the pre-column
-        # engine's.
+    def test_capped_hop_probes_every_row_and_ends_the_request(self):
+        # Second hop: 3 partials x 4 matches = 12 > max_fanout 5.  The whole
+        # column is probed and counted; the request ends with no partials.
         ex, stats, pairs, calls = self.run_clique(max_fanout=5)
-        assert calls == [("probe_batch", 2)]
-        assert pairs == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
-        assert (stats.outputs, stats.probes, stats.matches) == (5, 10, 11)
-        assert ex.meter.total_spent == 41.849999999999994
-        assert ex.stems["C"].tuner.assessor.n_requests == 2
-        # Both executed probes found all four C tuples: two EWMA folds.
+        assert calls == [("probe_batch", 3)]
+        assert pairs == []
+        assert (stats.outputs, stats.probes, stats.matches) == (0, 11, 15)
+        # The uncapped run's 50.6 less its twelve 0.5-cu outputs.
+        assert ex.meter.total_spent == 44.599999999999994
+        assert ex.stems["C"].tuner.assessor.n_requests == 3
+        # All three probes found all four C tuples: three EWMA folds.
         expected = 1.0
-        for _ in range(2):
+        for _ in range(3):
             expected = expected + 0.05 * (4 - expected)
         assert ex.context.estimator.expected_matches("C", 1) == expected
+        assert [(e.tick, e.kind, e.stream, dict(e.detail)) for e in ex.context.event_log] == [
+            (1, "fanout_cut", "C", {"partials": 12, "cap": 5})
+        ]
 
-    # C holds 7 tuples of which each of the 5 partials matches 4.
-    CHUNKED = dict(n_b=5, c_keys=(1, 1, 1, 1, 2, 2, 2))
+    # C holds 7 tuples of which each of the 5 partials matches 4: 20 partials.
+    WIDE = dict(n_b=5, c_keys=(1, 1, 1, 1, 2, 2, 2))
 
-    @pytest.mark.parametrize(
-        "max_fanout,chunks",
-        [
-            pytest.param(*case, id=f"cap{case[0]}")
-            for case in [
-                (5, [1, 1]),  # ceil(5/7), then ceil((5-4)/7): stops in the second row
-                (8, [2]),  # the chunk's last row lands exactly on the cap
-                (16, [3, 1]),  # 12 partials after three rows, the fourth reaches 16
-                (17, [3, 1, 1]),
-                (20, [3, 2]),  # the last row reaches the cap; nothing is cut
-                (21, [3, 2]),  # every row probed, the cap never reached
-            ]
-        ],
-    )
-    def test_capped_hop_in_chunks_equals_row_at_a_time(self, max_fanout, chunks):
-        ex, stats, pairs, calls = self.run_clique(max_fanout, **self.CHUNKED)
-        ref, ref_stats, ref_pairs, ref_calls = self.run_clique(
-            max_fanout, reference=True, **self.CHUNKED
+    @pytest.mark.parametrize("max_fanout", [5, 19, 20, 21])
+    def test_the_cap_reads_only_the_count(self, max_fanout):
+        """Past the cap (20 > max_fanout) the request has no outputs and one
+        ``fanout_cut`` event; at or under it, every partial survives.  Either
+        way every row counts in the stats, the estimate, the assessors, the
+        accountants and every charge but the outputs'."""
+        ex, stats, pairs, calls = self.run_clique(max_fanout, **self.WIDE)
+        ref, ref_stats, ref_pairs, _ = self.run_clique(50_000, **self.WIDE)
+        cut = max_fanout < 20
+        assert calls == [("probe_batch", 5)]
+        assert pairs == ([] if cut else ref_pairs) and len(ref_pairs) == 20
+        assert stats.outputs == (0 if cut else 20)
+        assert (stats.probes, stats.matches) == (ref_stats.probes, ref_stats.matches)
+        events = [(e.kind, e.stream, dict(e.detail)) for e in ex.context.event_log]
+        assert events == (
+            [("fanout_cut", "C", {"partials": 20, "cap": max_fanout})] if cut else []
         )
-        assert calls == [("probe_batch", n) for n in chunks]
-        # The reference probed the same rows, one call each.
-        assert ref_calls == [("probe_batch", 1)] * sum(chunks)
-        assert pairs == ref_pairs and len(pairs) == min(max_fanout, 20)
-        assert (stats.outputs, stats.probes, stats.matches) == (
-            ref_stats.outputs,
-            ref_stats.probes,
-            ref_stats.matches,
-        )
-        assert ex.meter.total_spent == ref.meter.total_spent
         for stream in "BC":
             assessor, ref_assessor = (e.stems[stream].tuner.assessor for e in (ex, ref))
             assert assessor.n_requests == ref_assessor.n_requests
@@ -359,6 +314,68 @@ class TestProbeColumn:
             ex.context.estimator.expected_matches("C", 1)
             == ref.context.estimator.expected_matches("C", 1)
         )
+        costs, ref_costs = (
+            e.context.metrics.snapshot().cost_by("component", "stream", "phase")
+            for e in (ex, ref)
+        )
+        if cut:
+            assert costs.pop(("output", "A", "emit")) == 0.0
+            assert ref_costs.pop(("output", "A", "emit")) == 20 * 0.5
+        assert costs == ref_costs
+
+    @pytest.mark.parametrize("max_fanout", [3, 5, 50_000])
+    def test_match_order_cannot_change_a_capped_run(self, monkeypatch, max_fanout):
+        """A -> B -> C on A.k = B.k, B.j = C.j: the A tuple's first hop finds
+        two B tuples whose second-hop probes match 4 and 1 C tuples.
+        Reversing every outcome's matches reverses that column; the run's
+        stats, events and clock must not move (one request on a fixed route,
+        so the estimator's fold order reaches nothing)."""
+        streams = [
+            StreamSchema("A", ("k",)),
+            StreamSchema("B", ("k", "j")),
+            StreamSchema("C", ("j", "pc")),
+        ]
+        query = Query(
+            streams,
+            [JoinPredicate("A", "k", "B", "k"), JoinPredicate("B", "j", "C", "j")],
+            window=5,
+        )
+        plan = {
+            0: [("B", {"k": 1, "j": 0}), ("B", {"k": 1, "j": 1})]
+            + [("C", {"j": 0 if i < 4 else 1, "pc": i}) for i in range(5)],
+            1: [("A", {"k": 1})],
+        }
+
+        def run():
+            _, stems, _, meter = make_parts(query)
+            log = EventLog()
+            ex = AMRExecutor(
+                query,
+                stems,
+                FixedRouter({"A": ["B", "C"], "B": ["A", "C"], "C": ["B", "A"]}),
+                meter,
+                arrival_rates={s: 1.0 for s in query.stream_names},
+                config=ExecutorConfig(max_fanout=max_fanout),
+                event_log=log,
+            )
+            stats = ex.run(2, arrivals_from(plan))
+            return stats, list(log), ex.meter.total_spent
+
+        plain = run()
+        search_batch = StateIndex.search_batch
+
+        def reversed_search_batch(self, ap, rows):
+            return [
+                dataclasses.replace(outcome, matches=list(reversed(outcome.matches)))
+                for outcome in search_batch(self, ap, rows)
+            ]
+
+        monkeypatch.setattr(StateIndex, "search_batch", reversed_search_batch)
+        flipped = run()
+        assert flipped == plain
+        stats, events, _ = plain
+        assert stats.outputs == (0 if max_fanout < 5 else 5)
+        assert len(events) == (1 if max_fanout < 5 else 0)
 
     def test_uncapped_hop_is_one_column(self):
         ex, stats, pairs, calls = self.run_clique(max_fanout=50_000)
@@ -506,12 +523,12 @@ class CarryCheckingStage(RouteProbeStage):
         self._carried = carried
         super()._process(ctx, item, tick, carried, observe_content)
 
-    def _probe_hop(self, ctx, item, target, joined, partials, observe_content):
+    def _probe_hop(self, ctx, item, tick, target, joined, partials, observe_content):
         carried = self._carried.get(target)
         if carried is not None:
             assert carried.hex() == ctx.stem_cost(ctx.stems[target]).hex()
             self.checked += 1
-        return super()._probe_hop(ctx, item, target, joined, partials, observe_content)
+        return super()._probe_hop(ctx, item, tick, target, joined, partials, observe_content)
 
 
 def test_carried_cost_is_a_fresh_snapshot_under_faults_and_degradation():

@@ -61,7 +61,15 @@ class TestEventKindRegistry:
     """The valid kinds are one closed tuple; nothing registers more."""
 
     def test_builtins_registered(self):
-        assert EVENT_KINDS == ("tune", "migration", "death", "fault", "degrade", "shed")
+        assert EVENT_KINDS == (
+            "tune",
+            "migration",
+            "death",
+            "fault",
+            "degrade",
+            "shed",
+            "fanout_cut",
+        )
         for kind in EVENT_KINDS:
             assert EngineEvent(1, kind).kind == kind
 

@@ -4,8 +4,10 @@ import pytest
 
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.stats import RunStats
+from repro.engine.tracing import EventLog
 from repro.experiments.reporting import (
     format_cost_profile,
+    format_event_timeline,
     format_summary,
     format_table,
     format_throughput_figure,
@@ -83,6 +85,16 @@ class TestFigureFormatting:
     def test_summary_line_of_a_larger_loser_reads_negative(self):
         out = format_summary("head", [("A", 85.0, "B", 100.0)])
         assert out.endswith("(-15%)")
+
+    def test_timeline_counts_a_fanout_cut_beside_shed(self):
+        log = EventLog()
+        log.record(3, "tune", "A", old="x", new="y")
+        log.record(5, "shed", None, count=2, freed=64)
+        log.record(7, "fanout_cut", "C", partials=60_000, cap=50_000)
+        lines = format_event_timeline("timeline", {"hash:2": list(log)}).splitlines()
+        assert lines[1].split() == ["scheme", "shed", "degrade", "death", "fanout_cut"]
+        assert lines[3].split() == ["hash:2", "1", "0", "0", "1"]
+        assert lines[-1] == "  t=7 fanout_cut [C]: partials=60000, cap=50000"
 
 
 class TestCostProfile:
