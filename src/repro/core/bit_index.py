@@ -22,13 +22,14 @@ its JAS values read once at insert with its slot appended, ``(v0, …, vn-1,
 slot)``: a probe compares against the row and reads the tuple only to
 return it as a match.  Such a row holds atomic values only, so the cyclic
 GC stops tracking it.  Buckets live in a dict keyed by the per-attribute
-fragment tuple; a per-attribute inverted map (fragment → live bucket keys)
-lets a wildcard search walk only the buckets that carry its fixed
-fragments, and a probe that fixes every indexed attribute computes its one
-key.  Match lists come from this walk alone, in the order documented on
-:func:`_walk_source`, which writes the walk of each probe shape as one
-function (the source holds integers only; names, values, masks and maps are
-arguments).
+fragment tuple; a per-attribute inverted map (fragment → the live bucket
+keys that carry it: the one key itself while one bucket does, a set from
+the second on) lets a wildcard search walk only the buckets that carry its
+fixed fragments, and a probe that fixes every indexed attribute computes
+its one key.  Match lists come from this walk alone, in the order
+documented on :func:`_walk_source`, which writes the walk of each probe
+shape as one function (the source holds integers only; names, values,
+masks and maps are arguments).
 
 **Value and fragment counts, for the answer "nothing matches".**  Per JAS
 position a map counts the live tuples holding each value, and per indexed
@@ -166,11 +167,11 @@ def _walk_source(n_fixed: int, arity: int, layout: tuple[int, ...] | None) -> st
     - finds the candidate rows.  A point probe assembles its one key (a
       position without bits has fragment 0) and takes that bucket's rows.
       A wildcard probe looks up each fragment's key set in fixed-position
-      order, has no candidates at the first empty one, and walks the
-      *first smallest* set in its iteration order, keeping the keys that
-      carry every other fixed fragment; its candidates are those buckets'
-      rows in that order.  With no fixed fragment they are every bucket's
-      rows.  Downstream match lists, and therefore the golden corpus,
+      order, has no candidates at the first empty one, reads a bare key
+      as a one-key tuple, and walks the *first smallest* set in its
+      iteration order, keeping the keys that carry every other fixed
+      fragment; its candidates are those buckets' rows in that order.
+      With no fixed fragment they are every bucket's rows.  Downstream match lists, and therefore the golden corpus,
       depend on exactly this order.  A wildcard prober keeps each
       fixed-fragment tuple's candidate rows in a dict, so rows that share
       fragments find them once: the prober is dropped on every insert,
@@ -205,6 +206,7 @@ def _walk_source(n_fixed: int, arity: int, layout: tuple[int, ...] | None) -> st
         walk = []
         for j in fixed:
             walk += [f"s{j} = g{j}(f{j})", f"if not s{j}:", "    return []"]
+            walk += [f"if s{j}.__class__ is tuple:", f"    s{j} = (s{j},)"]
         groups = []
         for base in fixed:
             others = " and ".join(f"k[q{j}] == f{j}" for j in fixed if j != base)
@@ -282,7 +284,10 @@ class BitAddressIndex(StateIndex):
         self._buckets: dict[BucketKey, dict[int, tuple]] = {}
         # One inverted map per JAS attribute position; only positions with
         # bits assigned are maintained (others would map everything to 0).
-        self._frag_maps: dict[int, dict[int, set[BucketKey]]] = {}
+        # A fragment one live bucket carries maps to that bucket's key, one
+        # that more carry to a set of keys; a set stays a set until it is
+        # empty, so a churned set keeps its table and its iteration order.
+        self._frag_maps: dict[int, dict[int, BucketKey | set[BucketKey]]] = {}
         # A stored tuple's entry is ``(slot, bucket key)``.  It keeps its
         # slot for life; a removed tuple's slot goes on the free list and is
         # handed out again before a new one, so slots in use and free slots
@@ -348,17 +353,22 @@ class BitAddressIndex(StateIndex):
 
     def _place(self, row: tuple, key: BucketKey) -> None:
         """Put the value row ``row`` in the bucket ``key`` names (a new
-        bucket enters the inverted maps)."""
+        bucket enters the inverted maps: as the bare key under a new
+        fragment, building ``{old, new}`` under a fragment one bucket
+        carried — the insertions of ``{old}`` then ``.add(new)``)."""
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = {}
             self._buckets[key] = bucket
             for pos, fmap in self._frag_maps.items():
-                keys = fmap.get(key[pos])
+                frag = key[pos]
+                keys = fmap.get(frag)
                 if keys is None:
-                    fmap[key[pos]] = {key}
-                else:
+                    fmap[frag] = key
+                elif keys.__class__ is set:
                     keys.add(key)
+                else:
+                    fmap[frag] = {keys, key}
             self.accountant.index_bytes += self._bucket_bytes
         bucket[row[-1]] = row
 
@@ -372,11 +382,13 @@ class BitAddressIndex(StateIndex):
         if not bucket:
             del self._buckets[key]
             for pos, fmap in self._frag_maps.items():
-                keys = fmap.get(key[pos])
-                if keys is not None:
+                frag = key[pos]
+                keys = fmap[frag]
+                if keys.__class__ is set:
                     keys.discard(key)
-                    if not keys:
-                        del fmap[key[pos]]
+                    if keys:
+                        continue
+                del fmap[frag]
             self.accountant.index_bytes -= self._bucket_bytes
 
     def bucket_items(self, key: BucketKey) -> list[Mapping[str, object]]:

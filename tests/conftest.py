@@ -60,6 +60,7 @@ def reference_matches(index, ap: AccessPattern, values) -> list:
     intersect the key sets of the fixed fragments smallest-first (a stable
     sort, so ties keep fixed-position order), walk the surviving buckets in
     the smallest set's iteration order, filter on the probed attributes.
+    A fragment one bucket carries maps to the bare key, read as ``{key}``.
     The reference a bit-address index's match order is held to."""
     bits = index.config.bits
     names = index.jas.names
@@ -71,7 +72,7 @@ def reference_matches(index, ap: AccessPattern, values) -> list:
             keys = index._frag_maps[pos].get(fragment(values[name], width))
             if not keys:
                 return []
-            sets.append(keys)
+            sets.append({keys} if isinstance(keys, tuple) else keys)
         sets.sort(key=len)
         keep = sets[0].intersection(*sets[1:])
         keys = [k for k in sets[0] if k in keep]
@@ -90,7 +91,10 @@ def assert_slots_are_consistent(idx, live) -> None:
     out so far is on the free list; and the counts kept by every insert,
     remove and reconfigure equal a recount from ``live``: per JAS position,
     value -> tuples (``1``, ``1.0`` and ``True`` one entry), per indexed
-    position, fragment -> tuples, no zero count left behind."""
+    position, fragment -> tuples, no zero count left behind.  The fragment
+    maps equal a recount from the live buckets, fragment -> bucket keys:
+    an entry is the bare key of a one-key recount or a set equal to the
+    recount (a churned set may hold one key)."""
     slots = [idx._entries[id(item)][0] for item in live]
     top = len(slots) + len(idx._free)
     assert sorted(slots + idx._free) == list(range(top))
@@ -102,6 +106,14 @@ def assert_slots_are_consistent(idx, live) -> None:
         pos: dict(Counter(stable_value_hash(item[names[pos]]) & mask for item in live))
         for pos, mask in enumerate(compile_key_plan(idx.config).masks)
         if idx.config.bits[pos]
+    }
+    carried = {pos: {} for pos in idx._frag_maps}
+    for key in idx._buckets:
+        for pos, keys in carried.items():
+            keys.setdefault(key[pos], set()).add(key)
+    assert carried == {
+        pos: {frag: e if isinstance(e, set) else {e} for frag, e in fmap.items()}
+        for pos, fmap in idx._frag_maps.items()
     }
 
 

@@ -4,6 +4,7 @@ migration by example, the corners of the match order the golden corpus pins
 twin).  Every history of inserts, expiries and migrations is held to a
 never-probed rebuild by ``tests/storage/test_store_machine.py``."""
 
+import random
 import re
 from collections import Counter
 from collections.abc import Mapping
@@ -14,7 +15,7 @@ import pytest
 from repro.core import bit_index
 from repro.core.access_pattern import AccessPattern, JoinAttributeSet
 from repro.core.bit_index import BitAddressIndex, make_bit_index
-from repro.core.index_config import IndexConfiguration
+from repro.core.index_config import IndexConfiguration, uniform_configuration
 from repro.core.probe_plan import compile_probe_plan
 from repro.indexes.base import Accountant, UnkeyableValueError
 from repro.indexes.scan_index import ScanIndex
@@ -233,6 +234,107 @@ def test_equal_values_of_three_types_are_one_key(bits, probe):
     want = oracle.search(ap, {"A": probe}).matches
     assert len(want) == 3
     assert Counter(map(id, got)) == Counter(map(id, want))
+
+
+# --------------------------------------------------------------------- #
+# fragment maps — a bare key while one bucket carries the fragment
+
+
+def fragment_sets(idx):
+    """Every fragment-map entry that is a set."""
+    return [e for fmap in idx._frag_maps.values() for e in fmap.values() if isinstance(e, set)]
+
+
+def test_a_fragment_one_bucket_carries_maps_to_the_bare_key(jas3, ap3):
+    # The uninformed 64-bit IC over distinct values: every tuple has
+    # fragments of its own, so no fragment map holds a set.
+    idx = BitAddressIndex(uniform_configuration(jas3, 64))
+    items = [{"A": i, "B": i, "C": i} for i in range(2000)]
+    for item in items:
+        idx.insert(item)
+    assert fragment_sets(idx) == []
+    key = idx._entries[id(items[0])][1]
+    assert idx._frag_maps[0][key[0]] == key
+    # A second bucket under A's fragment of 0: that entry becomes the two
+    # keys, the others stay bare.
+    twin = {"A": 0, "B": 5000, "C": 5001}
+    idx.insert(twin)
+    pair = idx._frag_maps[0][key[0]]
+    assert fragment_sets(idx) == [pair]
+    assert pair == {key, idx._entries[id(twin)][1]}
+    assert [id(m) for m in idx.search(ap3("A"), {"A": 0}).matches] == [
+        id(m) for k in pair for m in idx.bucket_items(k)
+    ]
+    assert_slots_are_consistent(idx, [*items, twin])
+
+
+def test_fragment_maps_iterate_as_one_set_per_fragment(jas3):
+    # The shadow keeps the rule the golden corpus was recorded under: one
+    # set per fragment, created at its first bucket, ``discard`` on a
+    # bucket's removal, deleted when empty.  Each entry iterates as its
+    # shadow (a bare key as ``[key]``), and a set that once held two keys
+    # stays a set, however far it shrinks.
+    rng = random.Random(53)
+    idx = make_bit_index(jas3, [2, 1, 3])
+    shadow: dict[int, dict[int, set]] = {}
+    grown: set[tuple[int, int]] = set()
+    shrunk = 0
+
+    def rebuild():
+        shadow.clear()
+        grown.clear()
+        shadow.update({pos: {} for pos in idx._frag_maps})
+        for key in idx._buckets:
+            add(key)
+
+    def add(key):
+        for pos, sets in shadow.items():
+            keys = sets.setdefault(key[pos], set())
+            keys.add(key)
+            if len(keys) > 1:
+                grown.add((pos, key[pos]))
+
+    def discard(key):
+        for pos, sets in shadow.items():
+            sets[key[pos]].discard(key)
+            if not sets[key[pos]]:
+                del sets[key[pos]]
+                grown.discard((pos, key[pos]))
+
+    def check():
+        nonlocal shrunk
+        assert {pos: set(fmap) for pos, fmap in idx._frag_maps.items()} == {
+            pos: set(sets) for pos, sets in shadow.items()
+        }
+        for pos, fmap in idx._frag_maps.items():
+            for frag, entry in fmap.items():
+                want = list(shadow[pos][frag])
+                assert (list(entry) if isinstance(entry, set) else [entry]) == want
+                assert isinstance(entry, set) == ((pos, frag) in grown)
+                shrunk += isinstance(entry, set) and len(entry) == 1
+
+    rebuild()
+    live = []
+    for step in range(900):
+        if step in (300, 600):
+            idx.reconfigure(IndexConfiguration(jas3, [3, 2, 1] if step == 300 else [1, 0, 4]))
+            rebuild()
+        elif live and rng.random() < 0.45:
+            item = live.pop(rng.randrange(len(live)))
+            before = set(idx._buckets)
+            idx.remove(item)
+            for key in before - set(idx._buckets):
+                discard(key)
+        else:
+            item = {a: rng.randrange(12) for a in "ABC"}
+            live.append(item)
+            before = set(idx._buckets)
+            idx.insert(item)
+            for key in set(idx._buckets) - before:
+                add(key)
+        check()
+    assert shrunk, "no set shrank to one key; vacuous"
+    assert_slots_are_consistent(idx, live)
 
 
 # --------------------------------------------------------------------- #
