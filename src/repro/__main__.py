@@ -19,7 +19,7 @@ subcommands (python -m repro <cmd> --help for flags):
   run       scheme comparison with CSV/metrics export
             (--schemes amri:<assessor>|hash:<k>|static|inverted|scan; also
             --degrade to shed and fall back to scans instead of dying;
-            --metrics/--trace print each scheme's cost table and check that
+            --metrics prints each scheme's cost table and checks that
             it reconciles with the virtual clock)
   figures   regenerate the paper's figures/tables <fig6|fig6-hash|fig7|table2|all>
 

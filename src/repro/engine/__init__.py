@@ -8,12 +8,7 @@ the paper's experimental platform.
 """
 
 from repro.engine.executor import AMRExecutor, ExecutorConfig
-from repro.engine.metrics import (
-    MetricsRegistry,
-    RegistrySnapshot,
-    Span,
-    SpanRecord,
-)
+from repro.engine.metrics import MetricsRegistry, RegistrySnapshot
 from repro.engine.query import JoinPredicate, Query
 from repro.engine.resources import (
     MemoryBreakdown,
@@ -39,8 +34,6 @@ __all__ = [
     "ExecutorConfig",
     "MetricsRegistry",
     "RegistrySnapshot",
-    "Span",
-    "SpanRecord",
     "ContentBasedRouter",
     "FixedRouter",
     "GreedyAdaptiveRouter",

@@ -23,8 +23,8 @@ be — the loop now lives in :mod:`repro.engine.kernel`):
 pipeline (``arrivals → expiry → route/probe → tuning → shed/degrade →
 audit``) and delegates the loop to
 :class:`~repro.engine.kernel.EngineKernel`.  The decomposition is
-byte-identical to the monolith — every float add, RNG draw, event, metric
-series, and span id is preserved, which
+byte-identical to the monolith — every float add, RNG draw, event and
+cost series is preserved, which
 ``tests/integration/test_golden_equivalence.py`` holds against goldens
 generated *before* the refactor.  The backlog drains in arrival order;
 the one knob, custom ``stages``, defaults to
@@ -40,10 +40,9 @@ Observability: every virtual-clock charge flows through
 *same float* to a labelled series on the attached
 :class:`~repro.engine.metrics.MetricsRegistry` ``(component, stream,
 index_kind, phase)`` immediately after spending it — so the attributed
-grand total equals ``meter.total_spent`` bit-for-bit.  Tuple
-lifecycles, ticks, and tuning rounds become spans the registry retains;
-discrete facts (tuning outcomes, shedding, degradation, death) are
-events in the attached :class:`~repro.engine.tracing.EventLog`.  With no
+grand total equals ``meter.total_spent`` bit-for-bit.  Discrete facts
+(tuning outcomes, shedding, degradation, death) are events in the
+attached :class:`~repro.engine.tracing.EventLog`.  With no
 registry attached every metrics hook is a no-op and the run is
 byte-identical (asserted by the differential suites).
 """

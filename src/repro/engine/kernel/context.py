@@ -22,7 +22,7 @@ from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from repro.engine.metrics import MetricsRegistry, Span
+from repro.engine.metrics import MetricsRegistry
 from repro.engine.query import Query
 from repro.engine.resources import MemoryBreakdown, ResourceMeter
 from repro.engine.router import Router
@@ -69,8 +69,6 @@ class EngineContext:
     degrade: bool = False  # shed and degrade under memory pressure
     metrics: MetricsRegistry | None = None
     queue: deque[StreamTuple] = field(default_factory=deque)
-    # Metrics-only state: open tuple-lifecycle spans keyed by tuple identity.
-    live_spans: dict[int, Span] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         missing = set(self.query.stream_names) - set(self.stems)

@@ -22,7 +22,6 @@ from typing import Protocol, runtime_checkable
 
 from repro.core.tuner import TuningContext
 from repro.engine.kernel.context import EngineContext
-from repro.engine.metrics import Span
 from repro.engine.resources import (
     HEADROOM,
     SHED_FLOOR,
@@ -39,7 +38,6 @@ class TickState:
 
     tick: int
     incoming: list[StreamTuple] = field(default_factory=list)
-    span: Span | None = None  # the open tick span (metrics only)
     breakdown: MemoryBreakdown | None = None  # ShedDegradeStage → AuditStage
     died: bool = False  # set by AuditStage on a memory death
 
@@ -94,15 +92,11 @@ def tune_round(
 
     Each state's marginal tuning cost — assessment extraction, selection,
     and any migration — is charged to the ``tuner`` component with phase
-    ``migration`` or ``assess``; the round is one ``tuning_round`` span and
-    each state's outcome one ``tune`` / ``migration`` event.
+    ``migration`` or ``assess``; each state's outcome is one ``tune`` /
+    ``migration`` event.
     """
-    m = ctx.metrics
     stems = (
         list(ctx.stems.values()) if streams is None else [ctx.stems[s] for s in streams]
-    )
-    round_span = (
-        m.start_span("tuning_round", tick, forced=forced) if m is not None else None
     )
     for stem in stems:
         before = ctx.stem_cost(stem)
@@ -118,8 +112,6 @@ def tune_round(
                 index_kind=index,
                 phase="migration" if migrated else "assess",
             )
-    if round_span is not None and m is not None:
-        m.end_span(round_span, tick)
 
 
 # --------------------------------------------------------------------- #
@@ -146,7 +138,6 @@ class ArrivalStage:
     name = "arrivals"
 
     def run(self, ctx: EngineContext, tick: TickState) -> None:
-        m = ctx.metrics
         incoming = tick.incoming
         if incoming:
             memoize_int_hashes(_join_values(ctx, incoming))
@@ -157,10 +148,6 @@ class ArrivalStage:
         for item in incoming:
             if self._admit(ctx, item, carried):
                 ctx.queue.append(item)
-                if m is not None:
-                    ctx.live_spans[id(item)] = m.start_span(
-                        "tuple", tick.tick, tick.span, stream=item.stream
-                    )
 
     def _admit(
         self, ctx: EngineContext, item: StreamTuple, carried: dict[str, float]
@@ -276,7 +263,6 @@ class RouteProbeStage:
         observe_content,
     ) -> None:
         params = ctx.meter.params
-        m = ctx.metrics
         # A greedy route picks each target when the loop asks for it, so
         # the loop stops right after the hop that leaves no partials.
         route = ctx.router.choose_route(item.stream, ctx.estimator, item)
@@ -302,12 +288,8 @@ class RouteProbeStage:
 
         ctx.spend_index_deltas(carried, joined[1:], component="index", phase="probe")
         ctx.spend(params.c_route, "router", stream=item.stream, phase="decide")
-        if outputs or m is not None:  # a zero charge moves no clock, only a series
+        if outputs or ctx.metrics is not None:  # a zero charge moves no clock, only a series
             ctx.spend(outputs * params.c_output, "output", stream=item.stream, phase="emit")
-        if m is not None:
-            span = ctx.live_spans.pop(id(item), None)
-            if span is not None:
-                m.end_span(span, tick, status="processed", outputs=outputs)
 
     def _probe_hop(
         self,
@@ -466,13 +448,8 @@ class ShedDegradeStage:
         n = min(sheddable, -(-excess // per))  # ceil division
         if n <= 0:
             return breakdown
-        m = ctx.metrics
         for _ in range(n):
-            item = ctx.queue.popleft()
-            if m is not None:
-                span = ctx.live_spans.pop(id(item), None)
-                if span is not None:
-                    m.end_span(span, tick, status="shed")
+            ctx.queue.popleft()
         ctx.stats.shed_tuples += n
         if ctx.event_log is not None:
             ctx.event_log.record(tick, "shed", None, count=n, freed=n * per)

@@ -1,11 +1,10 @@
-"""The JSONL export of metrics snapshots and the run timeline.
+"""The JSONL export of metrics snapshots.
 
-One export path for everything the engine records: a
-:class:`~repro.engine.metrics.RegistrySnapshot`'s series, and its
-retained spans together with the run's
-:class:`~repro.engine.tracing.EngineEvent` stream (one timeline), become
-plain-dict records rendered as JSONL — one self-describing JSON object per line,
-sorted keys, non-finite floats as ``null``.
+A :class:`~repro.engine.metrics.RegistrySnapshot`'s cost series and its
+chronological total become plain-dict records rendered as JSONL — one
+self-describing JSON object per line, sorted keys, non-finite floats as
+``null``.  The run's events are exported by ``repro run --csv``
+(``<scenario>_events.csv``).
 """
 
 from __future__ import annotations
@@ -16,15 +15,12 @@ from collections.abc import Iterable, Mapping
 from pathlib import Path
 
 from repro.engine.metrics import RegistrySnapshot
-from repro.engine.tracing import EngineEvent
 
 __all__ = [
-    "event_records",
     "render_jsonl",
     "snapshot_records",
     "write_jsonl",
     "write_metrics",
-    "write_trace",
 ]
 
 
@@ -49,8 +45,7 @@ def snapshot_records(snapshot: RegistrySnapshot) -> list[dict[str, object]]:
 
     The aggregate record carries ``cost_total`` — the chronological grand
     total that equals the executor's virtual-clock total exactly — and the
-    count of spans retained and dropped, so an exported file is
-    self-contained.
+    series count, so an exported file is self-contained.
     """
     records: list[dict[str, object]] = [
         {
@@ -67,25 +62,9 @@ def snapshot_records(snapshot: RegistrySnapshot) -> list[dict[str, object]]:
             "record": "aggregate",
             "cost_total": snapshot.cost_total,
             "series": len(snapshot.series),
-            "spans_retained": len(snapshot.spans),
-            "spans_dropped": snapshot.spans_dropped,
         }
     )
     return records
-
-
-def event_records(events: Iterable[EngineEvent]) -> list[dict[str, object]]:
-    """One ``event`` record per engine event, in recording order."""
-    return [
-        {
-            "record": "event",
-            "tick": e.tick,
-            "kind": e.kind,
-            "stream": e.stream,
-            "detail": dict(e.detail),
-        }
-        for e in events
-    ]
 
 
 def write_jsonl(path: Path | str, records: Iterable[Mapping[str, object]]) -> Path:
@@ -100,18 +79,3 @@ def write_metrics(path: Path | str, snapshot: RegistrySnapshot) -> Path:
     """Write the snapshot's series and aggregate record to ``path``."""
     return write_jsonl(path, snapshot_records(snapshot))
 
-
-def write_trace(
-    path: Path | str, snapshot: RegistrySnapshot, events: Iterable[EngineEvent]
-) -> Path:
-    """Write the run's timeline to ``path``: the retained spans and every
-    event, ordered by tick (a span's ``start_tick``, an event's ``tick``).
-
-    Within one tick the spans come first, then the events, each in
-    recording order.  A span line is ``SpanRecord.to_dict()`` plus
-    ``"record": "span"``; an event line is :func:`event_records`' shape.
-    """
-    keyed = [((s.start_tick, 0), {"record": "span", **s.to_dict()}) for s in snapshot.spans]
-    keyed += [((rec["tick"], 1), rec) for rec in event_records(events)]
-    keyed.sort(key=lambda pair: pair[0])  # stable: recording order within a key
-    return write_jsonl(path, [rec for _, rec in keyed])

@@ -4,7 +4,7 @@ The golden corpus (``tests/integration/golden_equivalence.json.gz``) holds
 the engine to byte-identical results across refactors: the same
 :class:`~repro.engine.stats.RunStats` (including every float in every
 throughput sample), the same event log, and the same metrics snapshot
-(every cost series and every span).
+(every cost series and the chronological cost total).
 
 This module turns one run into a pure-JSON *fingerprint*: only lists,
 dicts, strings, numbers, bools, and ``None``, so a fingerprint compares
@@ -58,7 +58,7 @@ def events_fingerprint(events: Iterable[EngineEvent]) -> list:
 
 
 def snapshot_fingerprint(snapshot: RegistrySnapshot) -> dict:
-    """Every cost series, span, and the chronological cost total."""
+    """Every cost series and the chronological cost total."""
     series = [
         {
             "name": s.name,
@@ -68,23 +68,7 @@ def snapshot_fingerprint(snapshot: RegistrySnapshot) -> dict:
         }
         for s in snapshot.series
     ]
-    spans = [
-        {
-            "span_id": sp.span_id,
-            "name": sp.name,
-            "start_tick": sp.start_tick,
-            "end_tick": sp.end_tick,
-            "parent_id": sp.parent_id,
-            "attrs": [[str(k), v] for k, v in sp.attrs],
-        }
-        for sp in snapshot.spans
-    ]
-    return {
-        "cost_total": snapshot.cost_total,
-        "series": series,
-        "spans": spans,
-        "spans_dropped": snapshot.spans_dropped,
-    }
+    return {"cost_total": snapshot.cost_total, "series": series}
 
 
 def json_pure(value):

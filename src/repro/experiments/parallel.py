@@ -163,7 +163,7 @@ def reconciles(snapshot: RegistrySnapshot, meter_total: float) -> bool:
     matches within float-associativity tolerance."""
     if snapshot.cost_total != meter_total:
         return False
-    series_sum = snapshot.sum_values("cost_units_total")
+    series_sum = snapshot.series_total()
     scale = max(abs(meter_total), 1.0)
     return abs(series_sum - meter_total) <= RECONCILE_REL_TOL * scale
 

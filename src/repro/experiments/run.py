@@ -9,19 +9,18 @@ enough to re-plot any figure outside this repository.
 Robustness flag: ``--degrade`` enables graceful degradation instead of
 OOM death; a run that sheds, degrades or dies gains a per-scheme
 shed/degrade/death timeline.  ``--csv`` always writes every scheme's
-events to ``<scenario>_events.csv`` (only the header row when no event
-fired).
+events, in recording order, to ``<scenario>_events.csv`` (only the header
+row when no event fired): with the per-tick series, that is the run's
+timeline.
 
-Observability flags: ``--metrics DIR`` and ``--trace DIR`` attach a metrics
-registry to every scheme and print, per scheme, the live Table-2 — the
-cost units of each ``(component, stream, index_kind, phase)`` series and
-their TOTAL — and the check that the TOTAL reconciles with the virtual
-clock; a run whose attribution does not reconcile writes its exports and
-exits 1.  ``--metrics`` writes one ``<scenario>_<scheme>_metrics.jsonl``
-snapshot per scheme; ``--trace`` writes each scheme's timeline as
-``<scenario>_<scheme>_trace.jsonl``: its retained spans and every event,
-one JSONL ordered by tick.  Metrics are observer-effect-free: the run
-results are byte-identical with the flags on or off.
+Observability flag: ``--metrics DIR`` attaches a metrics registry to every
+scheme, prints, per scheme, the live Table-2 — the cost units of each
+``(component, stream, index_kind, phase)`` series and their TOTAL — and
+the check that the TOTAL reconciles with the virtual clock, and writes one
+``<scenario>_<scheme>_metrics.jsonl`` snapshot per scheme; a run whose
+attribution does not reconcile writes its exports and exits 1.  Metrics
+are observer-effect-free: the run results are byte-identical with the
+flag on or off.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import csv
 import sys
 from pathlib import Path
 
-from repro.engine.metrics_export import write_metrics, write_trace
+from repro.engine.metrics_export import write_metrics
 from repro.engine.stats import RunStats
 from repro.engine.tracing import EngineEvent
 from repro.experiments.parallel import RunSpec, reconciles, run_parallel
@@ -108,7 +107,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--train-ticks", type=int, default=100)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--no-train", action="store_true", help="skip quasi-training")
-    parser.add_argument("--csv", type=Path, default=None, help="directory for CSV export")
+    parser.add_argument(
+        "--csv",
+        type=Path,
+        default=None,
+        help="directory for CSV export: per-scheme series, summary and events",
+    )
     parser.add_argument(
         "--degrade",
         action="store_true",
@@ -119,12 +123,6 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=None,
         help="directory for per-scheme metrics snapshots (JSONL) + cost tables",
-    )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        help="directory for per-scheme timelines: spans and events by tick (JSONL)",
     )
     args = parser.parse_args(argv)
     try:
@@ -137,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
                 train=not args.no_train,
                 train_ticks=args.train_ticks,
                 degrade=args.degrade,
-                collect_metrics=args.metrics is not None or args.trace is not None,
+                collect_metrics=args.metrics is not None,
             )
             for scheme in schemes
         ]
@@ -187,11 +185,6 @@ def main(argv: list[str] | None = None) -> int:
             safe = name.replace(":", "_")
             write_metrics(args.metrics / f"{args.scenario}_{safe}_metrics.jsonl", snap)
         print(f"metrics written to {args.metrics}/")
-    if args.trace is not None:
-        for name, snap in snapshots.items():
-            safe = name.replace(":", "_")
-            write_trace(args.trace / f"{args.scenario}_{safe}_trace.jsonl", snap, events[name])
-        print(f"traces written to {args.trace}/")
     if not reconciled:
         print("cost attribution does not reconcile with the virtual clock", file=sys.stderr)
         return 1

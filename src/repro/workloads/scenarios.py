@@ -332,7 +332,7 @@ class PaperScenario:
         """A ready-to-run executor for the named scheme.
 
         ``metrics`` attaches a :class:`~repro.engine.metrics.MetricsRegistry`
-        for cost-unit attribution and span tracing; omitted, every
+        for cost-unit attribution; omitted, every
         instrumentation hook is a no-op (observer-effect-free).
         """
         p = self.params

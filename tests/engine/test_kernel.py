@@ -139,6 +139,99 @@ class TestEngineContext:
             ctx.spend(cost, "index", stream="A")
         assert registry.cost_total == meter.total_spent  # bit-for-bit
 
+    def test_spend_labels_the_charged_index_by_its_kind(self):
+        query, stems, router, meter = make_parts()
+        registry = MetricsRegistry()
+        ctx = EngineContext(
+            query=query,
+            stems=stems,
+            router=router,
+            meter=meter,
+            arrival_rates={},
+            domain_bits={},
+            config=ExecutorConfig(),
+            metrics=registry,
+        )
+        ctx.spend(3.0, "index", stream="A", index_kind=stems["A"].index, phase="probe")
+        ctx.spend(1.0, "router", phase="decide")
+        assert [(s.labels, s.value) for s in registry.snapshot().series] == [
+            (
+                (
+                    ("component", "index"),
+                    ("index_kind", "bit_address"),
+                    ("phase", "probe"),
+                    ("stream", "A"),
+                ),
+                3.0,
+            ),
+            ((("component", "router"), ("phase", "decide")), 1.0),
+        ]
+
+    def test_spend_without_a_registry_moves_only_the_clock(self):
+        query, stems, router, meter = make_parts()
+        ctx = EngineContext(
+            query=query,
+            stems=stems,
+            router=router,
+            meter=meter,
+            arrival_rates={},
+            domain_bits={},
+            config=ExecutorConfig(),
+        )
+        meter.start_tick()
+        ctx.spend(2.5, "index", stream="A", index_kind=stems["A"].index, phase="probe")
+        assert ctx.metrics is None
+        assert meter.total_spent == 2.5
+        assert meter.tick_budget == meter.capacity - 2.5
+
+    def test_a_negative_spend_is_refused_before_the_ledger_sees_it(self):
+        """The ledger does not check a cost's sign; the meter does, first."""
+        query, stems, router, meter = make_parts()
+        registry = MetricsRegistry()
+        ctx = EngineContext(
+            query=query,
+            stems=stems,
+            router=router,
+            meter=meter,
+            arrival_rates={},
+            domain_bits={},
+            config=ExecutorConfig(),
+            metrics=registry,
+        )
+        with pytest.raises(ValueError, match="cost must be >= 0"):
+            ctx.spend(-1.0, "index", stream="A")
+        assert registry.cost_total == 0.0
+        assert registry.snapshot().series == ()
+        assert meter.total_spent == 0.0
+
+    def test_index_kind_label_is_the_snake_cased_class_name(self):
+        from repro.core.bit_index import BitAddressIndex
+        from repro.engine.kernel.context import index_kind_label
+        from repro.indexes.hash_index import MultiHashIndex
+        from repro.indexes.inverted_index import InvertedListIndex
+        from repro.indexes.scan_index import ScanIndex
+        from repro.indexes.static_bitmap import StaticBitmapIndex
+
+        class Index:
+            pass
+
+        class Probe:
+            pass
+
+        expected = {
+            BitAddressIndex: "bit_address",
+            MultiHashIndex: "multi_hash",
+            InvertedListIndex: "inverted_list",
+            ScanIndex: "scan",
+            StaticBitmapIndex: "static_bitmap",
+            Index: "index",  # a bare ``Index`` keeps its name
+            Probe: "probe",  # no suffix to drop
+        }
+        for cls, label in expected.items():
+            instance = object.__new__(cls)
+            assert index_kind_label(instance) == label
+            assert index_kind_label(instance) == label  # the cached label
+
     def test_backlog_matches_queue(self):
         query, stems, router, meter = make_parts()
         ctx = EngineContext(
@@ -220,7 +313,6 @@ class TestBareKernel:
         for t in range(4):
             assert not kernel.step(t, arrivals(t)).died
             checker.check(ctx, t)
-        kernel.finish(3)
         assert checker.ticks_checked == 4
 
 

@@ -1,11 +1,9 @@
 """Tests for structured engine event tracing."""
 
-import json
+import dataclasses
 
 import pytest
 
-from repro.engine.metrics import RegistrySnapshot
-from repro.engine.metrics_export import write_trace
 from repro.engine.tracing import EVENT_KINDS, EngineEvent, EventLog
 
 
@@ -39,22 +37,21 @@ class TestEventLog:
         line = [str(e) for e in log][0]
         assert "t=7" in line and "[C]" in line and "old=a" in line
 
-    def test_to_jsonl_round_trips(self, tmp_path):
-        log = EventLog()
-        log.record(7, "migration", "C", old="a", new="b")
-        log.record(9, "shed", None, count=40)
-        path = write_trace(tmp_path / "t.jsonl", RegistrySnapshot(), log)
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert records == [
-            {"record": "event", "tick": 7, "kind": "migration", "stream": "C",
-             "detail": {"old": "a", "new": "b"}},
-            {"record": "event", "tick": 9, "kind": "shed", "stream": None,
-             "detail": {"count": 40}},
-        ]
+    def test_a_streamless_event_prints_no_brackets(self):
+        assert str(EngineEvent(9, "shed", None, {"count": 40})) == "t=9 shed: count=40"
+        assert str(EngineEvent(3, "tune")) == "t=3 tune: "
 
-    def test_empty_log_exports_empty_jsonl(self, tmp_path):
-        path = write_trace(tmp_path / "t.jsonl", RegistrySnapshot(), EventLog())
-        assert path.read_text() == ""
+    def test_record_returns_the_event_it_appends(self):
+        log = EventLog()
+        first = log.record(2, "tune", "A", saving=0.5)
+        second = log.record(2, "degrade", "B", to="scan")
+        assert list(log) == [first, second]
+        assert first == EngineEvent(2, "tune", "A", {"saving": 0.5})
+
+    def test_events_are_frozen(self):
+        event = EventLog().record(4, "death", None, used=99)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.tick = 5
 
 
 class TestEventKindRegistry:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.experiments import run as run_cli
+from repro.experiments.parallel import RunSpec, execute_spec
 from repro.workloads.scenarios import PaperScenario, scenario_params, sensor_network_scenario
 
 
@@ -24,22 +25,22 @@ class TestBuildScenario:
             scenario_params("nope", seed=0)
 
 
-def assert_one_timeline(text, logged):
-    """``text`` is a trace: span and event lines, ticks never decreasing,
-    and its events are ``logged`` — (tick, kind, stream, detail) in the
-    events CSV's form, in recording order — each exactly once, in
-    recording order within a tick."""
-    records = [json.loads(line) for line in text.splitlines()]
-    assert {r["record"] for r in records} == {"span", "event"}
-    ticks = [r["start_tick"] if r["record"] == "span" else r["tick"] for r in records]
-    assert ticks == sorted(ticks)
-    traced = [
-        (r["tick"], r["kind"], r["stream"] or "", sorted(f"{k}={v}" for k, v in r["detail"].items()))
-        for r in records
-        if r["record"] == "event"
+def assert_one_timeline(rows, scheme, spec):
+    """The events CSV's ``rows`` of ``scheme`` are the timeline of
+    ``spec``'s run: every event exactly once, in recording order, ticks
+    never decreasing."""
+    logged = [
+        (int(r["tick"]), r["kind"], r["stream"], r["detail"])
+        for r in rows
+        if r["scheme"] == scheme
     ]
-    expected = [(t, k, s, sorted(d.split(";")) if d else []) for t, k, s, d in logged]
-    assert traced == sorted(expected, key=lambda e: e[0])  # stable: recording order
+    expected = [
+        (e.tick, e.kind, e.stream or "", ";".join(f"{k}={v}" for k, v in e.detail.items()))
+        for e in execute_spec(spec).events
+    ]
+    assert logged == expected
+    ticks = [tick for tick, *_ in logged]
+    assert ticks == sorted(ticks)
 
 
 class TestCLI:
@@ -104,8 +105,6 @@ class TestCLI:
                 "--degrade",
                 "--csv",
                 str(tmp_path),
-                "--trace",
-                str(tmp_path),
             ]
         )
         assert rc == 0
@@ -123,21 +122,17 @@ class TestCLI:
         assert int(srows["hash:7"]["shed_tuples"]) > 0
         assert int(srows["hash:7"]["degradations"]) > 0
         assert srows["hash:7"]["died_at"] == ""
-        # The CSV holds the run's events; the trace holds each exactly once
-        # (the scan run records no event).
-        logged = [
-            (int(r["tick"]), r["kind"], r["stream"], r["detail"])
-            for r in rows
-            if r["scheme"] == "hash:7"
-        ]
-        assert_one_timeline((tmp_path / "paper_hash_7_trace.jsonl").read_text(), logged)
+        # The CSV holds each run's events (the scan run records none).
+        params = scenario_params("paper", 7)
+        for scheme in ("hash:7", "scan"):
+            spec = RunSpec(params, scheme, 60, train=False, degrade=True)
+            assert_one_timeline(rows, scheme, spec)
 
-    def test_metrics_and_trace_export(self, tmp_path, capsys):
+    def test_metrics_export(self, tmp_path, capsys):
         rc = run_cli.main(
             [
                 "--schemes", "scan,amri:sria", "--ticks", "12", "--no-train",
                 "--metrics", str(tmp_path / "m"),
-                "--trace", str(tmp_path / "t"),
             ]
         )
         assert rc == 0
@@ -150,9 +145,34 @@ class TestCLI:
             records = [json.loads(l) for l in metrics_file.read_text().splitlines()]
             assert records[-1]["record"] == "aggregate"
             assert records[-1]["cost_total"] > 0
-            trace_file = tmp_path / "t" / f"paper_{scheme}_trace.jsonl"
-            spans = [json.loads(l) for l in trace_file.read_text().splitlines()]
-            assert any(s["name"] == "tick" for s in spans)
+
+    def test_a_run_without_events_writes_a_header_only_events_csv(self, tmp_path, capsys):
+        rc = run_cli.main(
+            ["--schemes", "scan", "--ticks", "8", "--no-train", "--csv", str(tmp_path)]
+        )
+        assert rc == 0
+        assert "event timeline" not in capsys.readouterr().out
+        lines = (tmp_path / "paper_events.csv").read_text().splitlines()
+        assert lines == ["scheme,tick,kind,stream,detail"]
+
+    def test_the_metrics_aggregate_is_the_ledger_total_and_series_count(self, tmp_path):
+        rc = run_cli.main(
+            [
+                "--schemes", "amri:sria", "--ticks", "10", "--no-train",
+                "--metrics", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "paper_amri_sria_metrics.jsonl").read_text().splitlines()
+        ]
+        *series, aggregate = records
+        assert set(aggregate) == {"record", "cost_total", "series"}
+        assert aggregate["series"] == len(series) > 0
+        assert {r["record"] for r in series} == {"series"}
+        total = sum(r["value"] for r in series)
+        assert total == pytest.approx(aggregate["cost_total"], rel=1e-9)
 
 
 class TestCostProfile:
@@ -164,7 +184,7 @@ class TestCostProfile:
             [
                 "--scenario", "paper-small", "--schemes", "amri:sria", "--ticks", "25",
                 "--no-train", "--csv", str(tmp_path / "c"),
-                "--metrics", str(tmp_path / "m"), "--trace", str(tmp_path / "t"),
+                "--metrics", str(tmp_path / "m"),
             ]
         )
         assert rc == 0
@@ -182,14 +202,11 @@ class TestCostProfile:
             .splitlines()
         ]
         assert records[-1]["record"] == "aggregate"
-        trace = (tmp_path / "t" / "paper-small_amri_sria_trace.jsonl").read_text()
-        spans = [json.loads(line) for line in trace.splitlines()]
-        assert {"tick", "tuple"} <= {s["name"] for s in spans if s["record"] == "span"}
         with (tmp_path / "c" / "paper-small_events.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert {"tune", "migration"} & {r["kind"] for r in rows}
-        logged = [(int(r["tick"]), r["kind"], r["stream"], r["detail"]) for r in rows]
-        assert_one_timeline(trace, logged)
+        spec = RunSpec(scenario_params("paper-small", 7), "amri:sria", 25, train=False)
+        assert_one_timeline(rows, "amri:sria", spec)
 
     def test_a_mismatch_exits_one_after_the_exports(self, tmp_path, capsys, monkeypatch):
         """Attribution that does not reconcile fails the run, exports kept."""

@@ -359,9 +359,7 @@ def drive(
     )
     meter = ctx.meter
     budget = meter.memory_budget
-    last_tick = 0
     for t in range(duration):
-        last_tick = t
         incoming = arrivals(t)
         if injector is not None:
             injector.begin_tick(t, ctx.event_log)
@@ -377,7 +375,7 @@ def drive(
             _tuning_faults(ctx, injector, t)
         if checker is not None:
             checker.check(ctx, t)
-    stats = kernel.finish(last_tick)
+    stats = ctx.stats
     if injector is not None:
         stats.faults_injected = injector.injected
     return stats

@@ -1,6 +1,6 @@
 """Observers are pure: one conformance matrix over every observer and scheme.
 
-A run's observers — the metrics registry (series and spans), the event
+A run's observers — the metrics registry (the cost ledger), the event
 log, and the invariant checker the fault harness calls between steps —
 must never change what the engine does.  Every cell of {observer} ×
 {scheme family} runs the same small backlogged scenario through the fault
@@ -99,16 +99,16 @@ def test_observer_changes_nothing(scheme, observer):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_metrics_run_records_only_the_cost_ledger(scheme):
-    """The registry keeps the cost ledger and the span ring, nothing else:
-    totals are RunStats', discrete facts are events and index operations
-    are the accountants'.  ``degrade`` is armed, as ``--degrade`` arms it."""
+    """The registry keeps the cost ledger, nothing else: totals are
+    RunStats', discrete facts are events and index operations are the
+    accountants'.  ``degrade`` is armed, as ``--degrade`` arms it."""
     spec = RunSpec(
         scenario_params("paper-small", 7), scheme, 60,
         train=False, degrade=True, collect_metrics=True,
     )
     outcome = execute_spec(spec)
     snapshot = outcome.metrics
-    assert snapshot.series and snapshot.spans
+    assert snapshot.series
     assert {s.name for s in snapshot.series} == {COST_METRIC}
     assert reconciles(snapshot, outcome.meter_total)
 
@@ -136,7 +136,6 @@ class TestPoolDeterminism:
         serial, _ = observed_outcomes()
         clone = pickle.loads(pickle.dumps(serial))
         assert clone.metrics == serial.metrics
-        assert clone.metrics.spans == serial.metrics.spans
 
     def test_spec_runs_identical_with_and_without_snapshots(self):
         serial, _ = observed_outcomes()

@@ -136,7 +136,7 @@ def write_metrics_jsonl(
     """Export the comparison as metrics JSONL: one ``series`` record per
     benchmark and quantity (``repro.engine.metrics_export``'s record
     shape).  No ``aggregate`` record: a comparison has no cost total and
-    no spans to count."""
+    no series of a run's ledger to count."""
     from repro.engine.metrics_export import write_jsonl
 
     def series(name: str, kind: str, bench: str, value: float) -> dict[str, object]:
